@@ -99,6 +99,10 @@ class SegmentPage {
   bool resident() const {
     return payload_.load(std::memory_order_acquire) != nullptr;
   }
+  /// The payload's byte_size() while resident, 0 while cold.
+  uint64_t resident_bytes() const {
+    return resident() ? resident_bytes_.load(std::memory_order_relaxed) : 0;
+  }
   SegmentStore* store() const { return store_; }
   uint64_t swap_offset() const { return swap_offset_; }
   uint64_t swap_length() const { return swap_length_; }

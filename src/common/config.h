@@ -48,8 +48,8 @@ struct TableConfig {
   /// Section 4.2). Disabling forces readers to walk the full chain.
   bool cumulative_updates = true;
 
-  /// Compress base pages produced by the merge (dictionary/RLE/plain,
-  /// chosen per page).
+  /// Compress base pages produced by the merge (the smallest of
+  /// plain/RLE/frame of reference/dictionary, chosen per page).
   bool compress_merged_pages = true;
 
   /// Size of an insert range: the pre-allocated block of base RIDs

@@ -53,16 +53,25 @@ Database::Database() {
         ->Set(static_cast<int64_t>(bs.budget_bytes));
     r.GetGauge("lstore_buffer_pages", "Registered pages (resident or cold)")
         ->Set(static_cast<int64_t>(bs.pages));
-    size_t epoch_pending = 0;
+    size_t epoch_pending = 0, index_bytes = 0;
+    uint64_t base_bytes = 0;
     {
       SpinGuard g(latch_);
       for (const auto& e : tables_) {
         epoch_pending += e.table->epochs().pending();
+        index_bytes += e.table->PrimaryIndexBytes();
+        base_bytes += e.table->BaseResidentBytes();
       }
     }
     r.GetGauge("lstore_epoch_pending",
                "Retired-but-unreclaimed epoch entries across tables")
         ->Set(static_cast<int64_t>(epoch_pending));
+    r.GetGauge("lstore_primary_index_bytes",
+               "Primary-index bytes across tables")
+        ->Set(static_cast<int64_t>(index_bytes));
+    r.GetGauge("lstore_base_resident_bytes",
+               "Resident base-segment payload bytes across tables")
+        ->Set(static_cast<int64_t>(base_bytes));
     if (kTraceEnabled) {
       // Mirror the flight recorder's monotonic overwrite count into a
       // counter: exchange keeps the delta exact even when several

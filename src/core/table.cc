@@ -68,14 +68,20 @@ Table::Table(std::string name, Schema schema, TableConfig config,
   metrics_ = config_.metrics;
   if (metrics_ == nullptr) {
     // Standalone table: own a registry so metrics() is always valid,
-    // and mirror the epoch queue depth into it at snapshot time (a
-    // database-owned registry gets a database-wide collector instead).
+    // and mirror the epoch queue depth and resident sizes into it at
+    // snapshot time (a database-owned registry gets a database-wide
+    // collector instead).
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics_ = owned_metrics_.get();
     metrics_->AddCollector([this](MetricsRegistry& r) {
       r.GetGauge("lstore_epoch_pending",
                  "Retired-but-unreclaimed epoch entries")
           ->Set(static_cast<int64_t>(epochs_.pending()));
+      r.GetGauge("lstore_primary_index_bytes", "Primary-index bytes")
+          ->Set(static_cast<int64_t>(PrimaryIndexBytes()));
+      r.GetGauge("lstore_base_resident_bytes",
+                 "Resident base-segment payload bytes")
+          ->Set(static_cast<int64_t>(BaseResidentBytes()));
     });
   }
   obs_.merge_update_ns = metrics_->GetHistogram(
@@ -212,6 +218,20 @@ uint32_t Table::RangeTps(uint64_t range_id) const {
 uint32_t Table::RangeTailLength(uint64_t range_id) const {
   Range* r = GetRange(range_id);
   return r == nullptr ? 0 : r->updates.LastSeq();
+}
+
+uint64_t Table::BaseResidentBytes() const {
+  uint64_t bytes = 0;
+  EpochGuard guard(epochs_);  // merges retire segments through epochs_
+  for (uint64_t id = 0; id < num_ranges(); ++id) {
+    Range* r = GetRange(id);
+    if (r == nullptr) continue;
+    for (const auto& b : r->base) {
+      BaseSegment* seg = b.load(std::memory_order_acquire);
+      if (seg != nullptr) bytes += seg->page->resident_bytes();
+    }
+  }
+  return bytes;
 }
 
 std::vector<uint32_t> Table::RangeColumnTps(uint64_t range_id) const {
@@ -758,6 +778,7 @@ void Table::StampWrites(Transaction* txn, Value outcome) {
   // historic compression) that already resolved this transaction's
   // outcome via the manager could reclaim the pages under our feet.
   EpochGuard guard(epochs_);
+  Range* scheduled = nullptr;
   for (const WriteEntry& w : txn->writeset()) {
     if (w.owner != this) continue;
     Range* r = GetRange(w.range_id);
@@ -779,8 +800,16 @@ void Table::StampWrites(Transaction* txn, Value outcome) {
     Value expected = txn->id();
     slot->compare_exchange_strong(expected, outcome,
                                   std::memory_order_acq_rel);
-    if (outcome == kAbortedStamp && w.is_insert) {
-      primary_.Erase(w.inserted_key);
+    if (w.is_insert) {
+      if (outcome == kAbortedStamp) primary_.Erase(w.inserted_key);
+      // An insert-merge scheduled while this transaction was in flight
+      // stopped at its first record; with no later insert into the
+      // range nothing would schedule another, leaving the records in
+      // table-level tail pages. Schedule one now that they resolved.
+      if (r != scheduled) {
+        MaybeScheduleMerge(*r);
+        scheduled = r;
+      }
     }
   }
 }

@@ -263,6 +263,12 @@ class Table : public TxnContext {
   uint32_t RangeTps(uint64_t range_id) const;
   uint32_t RangeTailLength(uint64_t range_id) const;
 
+  /// Bytes of the primary index (key → base RID).
+  size_t PrimaryIndexBytes() const { return primary_.byte_size(); }
+  /// Summed byte_size() of the resident base-segment payloads (cold
+  /// pages count 0).
+  uint64_t BaseResidentBytes() const;
+
   /// For tests (Lemma 3): per-data-column TPS of a range.
   std::vector<uint32_t> RangeColumnTps(uint64_t range_id) const;
 

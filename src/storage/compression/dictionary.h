@@ -27,6 +27,8 @@ class DictionaryColumn {
   explicit DictionaryColumn(const std::vector<Value>& values);
 
   Value Get(size_t i) const { return dict_[codes_.Get(i)]; }
+  /// Decode one block of slots (see BitPackedArray::UnpackBlock).
+  void DecodeBlock(size_t block, Value* out) const;
   size_t size() const { return codes_.size(); }
   size_t dictionary_size() const { return dict_.size(); }
   size_t byte_size() const {

@@ -188,7 +188,9 @@ TEST(BufferPoolTest, ScansRacingEvictionAndMergesStayExact) {
   constexpr uint64_t kRows = 2000;
   TableConfig cfg = SmallConfig();
   cfg.enable_merge_thread = true;
-  PooledTable pt(/*budget=*/16384, cfg);
+  // The frame-of-reference coded base is ~10 KB: a 4 KB budget keeps
+  // evicting.
+  PooledTable pt(/*budget=*/4096, cfg);
   {
     Txn txn = pt.table->Begin();
     std::vector<std::vector<Value>> batch;
@@ -568,7 +570,11 @@ TEST(BufferPoolTest, PointReadMissOnFixedSegmentSkipsInflation) {
 TEST(BufferPoolTest, FixedFormatSurvivesCheckpointRestart) {
   // The format + width travel through the checkpoint's segment-ref
   // frames: after a restart the lazily mapped segments still serve
-  // O(1) cold point reads.
+  // O(1) cold point reads. Restart hydrates the key and Start Time
+  // segments of every range; keys spaced 2^40 apart keep the key column
+  // (~9 KB even frame-of-reference coded) larger than the 2 KB pool, so
+  // that hydration evicts and the read below finds cold segments.
+  constexpr Value kKeyStride = 1ull << 40;
   std::string dir = ScratchDir("fixed_restart");
   DurabilityOptions opts;
   opts.buffer_pool_bytes = 2048;
@@ -581,7 +587,7 @@ TEST(BufferPoolTest, FixedFormatSurvivesCheckpointRestart) {
     Txn txn = t->Begin();
     std::vector<std::vector<Value>> batch;
     for (Value k = 0; k < kRows; ++k) {
-      batch.push_back({k, 20000 + 2 * k, 50000 + k});
+      batch.push_back({k * kKeyStride, 20000 + 2 * k, 50000 + k});
     }
     ASSERT_TRUE(t->InsertBatch(txn, batch).ok());
     ASSERT_TRUE(txn.Commit().ok());
@@ -595,7 +601,7 @@ TEST(BufferPoolTest, FixedFormatSurvivesCheckpointRestart) {
     ASSERT_NE(t, nullptr);
     Txn txn = t->Begin();
     std::vector<Value> row;
-    ASSERT_TRUE(t->Read(txn, 444, 0b110, &row).ok());
+    ASSERT_TRUE(t->Read(txn, 444 * kKeyStride, 0b110, &row).ok());
     EXPECT_EQ(row[1], 20000 + 2 * 444);
     EXPECT_EQ(row[2], 50000 + 444);
     ASSERT_TRUE(txn.Commit().ok());

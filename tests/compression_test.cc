@@ -1,11 +1,14 @@
-// Codec tests: varint, delta, bit packing, dictionary, RLE, and the
-// encoding chooser used for merged base pages (Section 4.1.1 Step 3 /
-// Section 4.3).
+// Codec tests: varint, delta, bit packing, dictionary, RLE, frame of
+// reference, and the smallest-wins encoding chooser used for merged
+// base pages (Section 4.1.1 Step 3 / Section 4.3).
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
 #include <vector>
 
+#include "common/bitutil.h"
 #include "common/random.h"
 #include "storage/compressed_column.h"
 #include "storage/compression/bitpack.h"
@@ -100,6 +103,32 @@ TEST(BitPackTest, FullWidth64) {
   for (size_t i = 0; i < vals.size(); ++i) EXPECT_EQ(arr.Get(i), vals[i]);
 }
 
+TEST(BitPackTest, UnpackBlockMatchesGet) {
+  // Widths that divide 64, that straddle word boundaries, and that
+  // leave one bit spare; 300 values end in a partial block.
+  for (int width : {1, 7, 12, 33, 63, 64}) {
+    Random rng(width);
+    std::vector<uint64_t> vals;
+    for (int i = 0; i < 300; ++i) {
+      vals.push_back(width == 64 ? rng.Next() : rng.Next() >> (64 - width));
+    }
+    vals[5] = width == 64 ? ~0ull : (1ull << width) - 1;  // all ones
+    BitPackedArray arr(vals, width);
+    EXPECT_EQ(arr.byte_size(), BitPackedArray::PackedBytes(300, width));
+    uint64_t block[BitPackedArray::kBlock];
+    for (size_t b = 0; b * BitPackedArray::kBlock < vals.size(); ++b) {
+      arr.UnpackBlock(b, /*base=*/1000, block);
+      for (size_t j = 0; j < BitPackedArray::kBlock &&
+                         b * BitPackedArray::kBlock + j < vals.size();
+           ++j) {
+        const size_t i = b * BitPackedArray::kBlock + j;
+        ASSERT_EQ(block[j], vals[i] + 1000) << "width " << width << " at " << i;
+        ASSERT_EQ(arr.Get(i), vals[i]) << "width " << width << " at " << i;
+      }
+    }
+  }
+}
+
 TEST(DictionaryTest, LowCardinalityCompresses) {
   std::vector<Value> vals;
   for (int i = 0; i < 4096; ++i) vals.push_back(1000 + i % 4);
@@ -129,30 +158,153 @@ TEST(RleTest, SingleElementAndAlternating) {
   for (size_t i = 0; i < alt.size(); ++i) EXPECT_EQ(rle.Get(i), alt[i]);
 }
 
-TEST(CompressedColumnTest, ChoosesRleForConstantColumn) {
-  std::vector<Value> vals(4096, 42);
+/// A FOR segment's fixed fields: its base and its null code.
+constexpr size_t kForHeader = 2 * sizeof(Value);
+
+/// Values lo + offsets, with offsets spanning exactly `width` bits.
+std::vector<Value> FrameOfWidth(Value lo, int width, size_t n, uint64_t seed) {
+  Random rng(seed);
+  const uint64_t span = (1ull << width) - 1;
+  std::vector<Value> vals;
+  for (size_t i = 0; i < n; ++i) vals.push_back(lo + rng.Uniform(span + 1));
+  vals[n / 2] = lo;
+  vals[n / 3] = lo + span;
+  return vals;
+}
+
+TEST(CompressedColumnTest, ForRoundTripsEachWidth) {
+  for (int width : {1, 7, 12, 33, 63}) {
+    // The base sits high so offsets, not raw values, set the width.
+    const Value lo = width == 63 ? 5 : (1ull << 62) + 12345;
+    auto vals = FrameOfWidth(lo, width, 1000, width);
+    auto col = CompressedColumn::Build(vals, true);
+    ASSERT_EQ(col->encoding(), CompressedColumn::Encoding::kFor) << width;
+    EXPECT_EQ(col->byte_size(),
+              kForHeader + BitPackedArray::PackedBytes(1000, width));
+    auto cur = col->cursor();
+    for (size_t i = 0; i < vals.size(); ++i) {
+      ASSERT_EQ(col->Get(i), vals[i]) << "width " << width << " at " << i;
+      ASSERT_EQ(cur.At(i), vals[i]) << "width " << width << " at " << i;
+    }
+  }
+}
+
+TEST(CompressedColumnTest, ForCodesNullWithoutWideningTheFrame) {
+  // Aborted-insert slots merge as ∅: one extra code, not a 64-bit frame.
+  std::vector<Value> vals;
+  for (Value i = 0; i < 4096; ++i) vals.push_back(1000000 + i);
+  vals[7] = kNull;
+  vals[100] = kNull;
   auto col = CompressedColumn::Build(vals, true);
-  EXPECT_EQ(col->encoding(), CompressedColumn::Encoding::kRle);
-  EXPECT_LT(col->byte_size(), 64u);
-  EXPECT_EQ(col->Get(1234), 42u);
+  ASSERT_EQ(col->encoding(), CompressedColumn::Encoding::kFor);
+  // Offsets need 12 bits; ∅ takes the all-ones code of 13.
+  EXPECT_EQ(col->byte_size(),
+            kForHeader + BitPackedArray::PackedBytes(4096, 13));
+  auto cur = col->cursor();
+  for (size_t i = 0; i < vals.size(); ++i) {
+    ASSERT_EQ(col->Get(i), vals[i]) << i;
+    ASSERT_EQ(cur.At(i), vals[i]) << i;
+  }
+
+  // A segment of nothing but ∅ (every insert aborted) still decodes.
+  std::vector<Value> nulls(1000, kNull);
+  nulls[0] = 5;
+  auto one = CompressedColumn::Build(nulls, true);
+  for (size_t i = 0; i < nulls.size(); ++i) ASSERT_EQ(one->Get(i), nulls[i]);
+}
+
+TEST(CompressedColumnTest, CursorStartsMidBlockAndSkipsBlocks) {
+  // Cursors read every encoding 64 slots at a time. Monotone but
+  // sparse positions: start inside block 0, stay within a block, jump
+  // over several blocks, and end in the partial last block.
+  constexpr size_t kN = 1000;
+  Random rng(3);
+  std::vector<std::vector<Value>> shapes;
+  shapes.push_back(FrameOfWidth(777, 12, kN, 3));
+  shapes.back()[200] = kNull;
+  std::vector<Value> runs;  // runs of 100 straddle block boundaries
+  while (runs.size() < kN) runs.resize(runs.size() + 100, rng.Next());
+  shapes.push_back(runs);
+  std::vector<Value> distinct = {rng.Next(), rng.Next(), rng.Next()};
+  std::vector<Value> low_card;
+  for (size_t i = 0; i < kN; ++i) low_card.push_back(distinct[rng.Uniform(3)]);
+  shapes.push_back(low_card);
+  std::vector<Value> random;
+  for (size_t i = 0; i < kN; ++i) random.push_back(rng.Next());
+  shapes.push_back(random);
+
+  std::set<CompressedColumn::Encoding> seen;
+  for (const auto& vals : shapes) {
+    auto col = CompressedColumn::Build(vals, true);
+    seen.insert(col->encoding());
+    auto cur = col->cursor();
+    for (size_t i : {37u, 38u, 63u, 64u, 65u, 200u, 201u, 640u, 959u, 960u,
+                     999u}) {
+      EXPECT_EQ(cur.At(i), vals[i]) << i;
+    }
+  }
+  EXPECT_EQ(seen.size(), 4u);  // FOR, RLE, dictionary, plain
+}
+
+/// Build `vals`, expect encoding `want`, check that no codec would be
+/// smaller, and read every value back through Get and a cursor.
+void ExpectSmallestChoice(const std::vector<Value>& vals,
+                          CompressedColumn::Encoding want) {
+  auto col = CompressedColumn::Build(vals, true);
+  EXPECT_EQ(col->encoding(), want);
+  const Value lo = *std::min_element(vals.begin(), vals.end());
+  const Value hi = *std::max_element(vals.begin(), vals.end());
+  EXPECT_LE(col->byte_size(), vals.size() * sizeof(Value));
+  EXPECT_LE(col->byte_size(), RleColumn(vals).byte_size());
+  EXPECT_LE(col->byte_size(), DictionaryColumn(vals).byte_size());
+  EXPECT_LE(col->byte_size(),
+            kForHeader +
+                BitPackedArray::PackedBytes(vals.size(), BitsNeeded(hi - lo)));
+  auto cur = col->cursor();
+  for (size_t i = 0; i < vals.size(); ++i) {
+    ASSERT_EQ(col->Get(i), vals[i]) << i;
+    ASSERT_EQ(cur.At(i), vals[i]) << i;
+  }
+}
+
+TEST(CompressedColumnTest, ConstantColumnIsOneDictionaryEntry) {
+  // 8 bytes with zero-width codes: smaller than one 16-byte run and
+  // than a zero-width frame (base + null code).
+  std::vector<Value> vals(4096, 42);
+  ExpectSmallestChoice(vals, CompressedColumn::Encoding::kDictionary);
+  EXPECT_EQ(CompressedColumn::Build(vals, true)->byte_size(), sizeof(Value));
+}
+
+TEST(CompressedColumnTest, ChoosesRleForLongRuns) {
+  // Eight runs of values spread over 64 bits.
+  Random rng(4);
+  std::vector<Value> vals;
+  for (int run = 0; run < 8; ++run) vals.resize(vals.size() + 512, rng.Next());
+  ExpectSmallestChoice(vals, CompressedColumn::Encoding::kRle);
+}
+
+TEST(CompressedColumnTest, ChoosesFrameForAdjacentValues) {
+  // One update range of k + c: 4096 unique values, 12-bit offsets.
+  std::vector<Value> vals;
+  for (Value k = 0; k < 4096; ++k) vals.push_back(3 * 4096 + k);
+  ExpectSmallestChoice(vals, CompressedColumn::Encoding::kFor);
 }
 
 TEST(CompressedColumnTest, ChoosesDictionaryForLowCardinality) {
+  // 16 values spread over 64 bits: a frame would need 64-bit offsets.
   Random rng(5);
+  std::vector<Value> distinct;
+  for (int i = 0; i < 16; ++i) distinct.push_back(rng.Next());
   std::vector<Value> vals;
-  for (int i = 0; i < 4096; ++i) vals.push_back(900000 + rng.Uniform(16));
-  auto col = CompressedColumn::Build(vals, true);
-  EXPECT_EQ(col->encoding(), CompressedColumn::Encoding::kDictionary);
-  for (size_t i = 0; i < vals.size(); ++i) EXPECT_EQ(col->Get(i), vals[i]);
+  for (int i = 0; i < 4096; ++i) vals.push_back(distinct[rng.Uniform(16)]);
+  ExpectSmallestChoice(vals, CompressedColumn::Encoding::kDictionary);
 }
 
 TEST(CompressedColumnTest, FallsBackToPlainForRandomData) {
   Random rng(6);
   std::vector<Value> vals;
   for (int i = 0; i < 4096; ++i) vals.push_back(rng.Next());
-  auto col = CompressedColumn::Build(vals, true);
-  EXPECT_EQ(col->encoding(), CompressedColumn::Encoding::kPlain);
-  for (size_t i = 0; i < vals.size(); ++i) EXPECT_EQ(col->Get(i), vals[i]);
+  ExpectSmallestChoice(vals, CompressedColumn::Encoding::kPlain);
 }
 
 TEST(CompressedColumnTest, CompressionDisabledKeepsPlain) {

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <thread>
 
+#include "common/random.h"
 #include "index/primary_index.h"
 #include "index/secondary_index.h"
 
@@ -34,6 +36,95 @@ TEST(PrimaryIndexTest, SizeAcrossShards) {
   for (Value k = 0; k < 1000; ++k) EXPECT_TRUE(idx.Insert(k, k * 2));
   EXPECT_EQ(idx.size(), 1000u);
   for (Value k = 0; k < 1000; ++k) EXPECT_EQ(idx.Get(k), k * 2);
+}
+
+TEST(PrimaryIndexTest, GrowsThroughRehashesAndKeepsEveryKey) {
+  // One shard, so its table rehashes a couple of dozen times.
+  PrimaryIndex idx(1);
+  Random rng(17);
+  std::vector<Value> keys;
+  size_t rehashes = 0, last_bytes = idx.byte_size();
+  for (int i = 0; i < 50000; ++i) {
+    keys.push_back(rng.Next());
+    ASSERT_TRUE(idx.Insert(keys.back(), static_cast<Rid>(i)));
+    if (idx.byte_size() != last_bytes) {
+      ++rehashes;
+      last_bytes = idx.byte_size();
+    }
+  }
+  EXPECT_GT(rehashes, 15u);
+  EXPECT_EQ(idx.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(idx.Get(keys[i]), static_cast<Rid>(i)) << i;
+  }
+  // At most 0.8 and at least 0.53 full: 20-30 bytes per key.
+  EXPECT_LE(idx.byte_size(), keys.size() * 32);
+  EXPECT_GE(idx.byte_size(), keys.size() * 20);
+}
+
+TEST(PrimaryIndexTest, ReinsertAfterEraseReusesTheTombstone) {
+  PrimaryIndex idx(1);
+  for (Value k = 0; k < 100; ++k) ASSERT_TRUE(idx.Insert(k, k));
+  const size_t bytes = idx.byte_size();
+  for (int round = 0; round < 1000; ++round) {
+    ASSERT_TRUE(idx.Erase(50));
+    EXPECT_EQ(idx.Get(50), kInvalidRid);
+    ASSERT_TRUE(idx.Insert(50, 5000 + round));
+    EXPECT_EQ(idx.Get(50), static_cast<Rid>(5000 + round));
+  }
+  EXPECT_FALSE(idx.Insert(50, 1));
+  EXPECT_EQ(idx.size(), 100u);
+  // Each re-insert took back its own tombstone: no growth, no rehash.
+  EXPECT_EQ(idx.byte_size(), bytes);
+}
+
+TEST(PrimaryIndexTest, InsertEraseChurnKeepsCapacityBounded) {
+  // A sliding window of 1000 live keys: tombstones pile up and are
+  // purged in place instead of growing the table.
+  PrimaryIndex idx(1);
+  constexpr Value kLive = 1000;
+  for (Value k = 0; k < kLive; ++k) ASSERT_TRUE(idx.Insert(k, k));
+  size_t peak = 0;
+  for (Value k = kLive; k < 100 * kLive; ++k) {
+    ASSERT_TRUE(idx.Erase(k - kLive));
+    ASSERT_TRUE(idx.Insert(k, k));
+    peak = std::max(peak, idx.byte_size());
+  }
+  EXPECT_EQ(idx.size(), kLive);
+  EXPECT_LE(peak, kLive * 40);
+  for (Value k = 99 * kLive; k < 100 * kLive; ++k) ASSERT_EQ(idx.Get(k), k);
+  EXPECT_EQ(idx.Get(99 * kLive - 1), kInvalidRid);
+}
+
+TEST(PrimaryIndexTest, MultiGetLargeBatchWithMisses) {
+  PrimaryIndex idx;
+  for (Value k = 0; k < 2000; k += 2) ASSERT_TRUE(idx.Insert(k, k + 1));
+  // Beyond the 256-key stack batch: every odd key misses.
+  std::vector<Value> keys;
+  for (Value k = 0; k < 1200; ++k) keys.push_back((k * 7919) % 2400);
+  std::vector<Rid> out(keys.size(), 0);
+  idx.MultiGet(keys.data(), keys.size(), out.data());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const Value k = keys[i];
+    EXPECT_EQ(out[i], k % 2 == 0 && k < 2000 ? k + 1 : kInvalidRid) << k;
+  }
+}
+
+TEST(PrimaryIndexTest, ExtremeKeysAreOrdinaryKeys) {
+  // Slot sentinels live in the RID, so 0 and ~0 are valid keys.
+  PrimaryIndex idx(1);
+  EXPECT_EQ(idx.Get(0), kInvalidRid);
+  EXPECT_EQ(idx.Get(~0ull), kInvalidRid);
+  ASSERT_TRUE(idx.Insert(0, 10));
+  ASSERT_TRUE(idx.Insert(~0ull, 20));
+  EXPECT_FALSE(idx.Insert(~0ull, 30));
+  EXPECT_EQ(idx.Get(0), 10u);
+  EXPECT_EQ(idx.Get(~0ull), 20u);
+  EXPECT_TRUE(idx.Erase(~0ull));
+  EXPECT_EQ(idx.Get(~0ull), kInvalidRid);
+  EXPECT_EQ(idx.Get(0), 10u);
+  EXPECT_TRUE(idx.Erase(0));
+  EXPECT_EQ(idx.size(), 0u);
 }
 
 TEST(PrimaryIndexTest, ConcurrentDisjointInserts) {

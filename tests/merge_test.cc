@@ -267,6 +267,26 @@ TEST_F(MergeTest, NonCumulativeModeStillCorrect) {
   (void)r.Commit();
 }
 
+TEST_F(MergeTest, CommitSchedulesInsertMergeThatRanMidTransaction) {
+  // Filling a range schedules its insert-merge while the inserting
+  // transaction is still open; that merge stops at the first
+  // uncommitted record. Nothing else writes to the range afterwards,
+  // so the commit itself must schedule the merge again.
+  Table t("bg", Schema(4), MergeConfig(/*merge_thread=*/true));
+  Txn txn = t.Begin();
+  for (Value k = 0; k < 64; ++k) {
+    ASSERT_TRUE(t.Insert(txn, {k, k, k, k}).ok());
+  }
+  t.WaitForMergeQueue();
+  EXPECT_EQ(t.stats().insert_merges.load(), 0u);
+  ASSERT_TRUE(txn.Commit().ok());
+  t.WaitForMergeQueue();
+  EXPECT_EQ(t.stats().insert_merges.load(), 1u);
+  EXPECT_EQ(t.metrics()->Snapshot().CounterValue(
+                "lstore_merge_insert_rows_total"),
+            64u);
+}
+
 TEST_F(MergeTest, BackgroundMergeKeepsUpWithWriters) {
   TableConfig cfg = MergeConfig(/*merge_thread=*/true);
   Table t("bg", Schema(4), cfg);

@@ -282,6 +282,11 @@ TEST(TableMetricsTest, StandaloneTableOwnsARegistry) {
   EXPECT_GT(s.CounterValue("lstore_merge_insert_rows_total"), 0u);
   EXPECT_GT(s.CounterValue("lstore_merge_rows_consolidated_total"), 0u);
   ASSERT_NE(s.FindGauge("lstore_epoch_pending"), nullptr);
+  ASSERT_NE(s.FindGauge("lstore_primary_index_bytes"), nullptr);
+  EXPECT_EQ(s.FindGauge("lstore_primary_index_bytes")->value,
+            static_cast<int64_t>(table.PrimaryIndexBytes()));
+  ASSERT_NE(s.FindGauge("lstore_base_resident_bytes"), nullptr);
+  EXPECT_GT(s.FindGauge("lstore_base_resident_bytes")->value, 0);
   if (kTraceEnabled) {
     const auto* q = s.FindHistogram("lstore_query_partition_ns");
     ASSERT_NE(q, nullptr);
@@ -386,6 +391,18 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   ASSERT_NE(s.FindGauge("lstore_buffer_misses"), nullptr);
   ASSERT_NE(s.FindGauge("lstore_buffer_evictions"), nullptr);
   ASSERT_NE(s.FindGauge("lstore_epoch_pending"), nullptr);
+  // Resident-memory gauges, summed over tables: 512 keys at >= 16
+  // bytes each; only A has merged base segments.
+  const auto* index_bytes = s.FindGauge("lstore_primary_index_bytes");
+  ASSERT_NE(index_bytes, nullptr);
+  EXPECT_EQ(index_bytes->value, static_cast<int64_t>(a->PrimaryIndexBytes() +
+                                                      b->PrimaryIndexBytes()));
+  EXPECT_GE(index_bytes->value, 512 * 16);
+  const auto* base_bytes = s.FindGauge("lstore_base_resident_bytes");
+  ASSERT_NE(base_bytes, nullptr);
+  EXPECT_EQ(base_bytes->value, static_cast<int64_t>(a->BaseResidentBytes()));
+  EXPECT_GT(base_bytes->value, 0);
+  EXPECT_EQ(b->BaseResidentBytes(), 0u);
   // Stage timings (compiled in by default).
   if (kTraceEnabled) {
     for (const char* name :
