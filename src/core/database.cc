@@ -369,6 +369,9 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
         "lstore_commit_log_append_ns", "Commit-log append latency (ns)");
     clm.flush_ns = db->metrics_.GetHistogram(
         "lstore_commit_log_flush_ns", "Commit-log flush latency (ns)");
+    clm.truncate_read_bytes = db->metrics_.GetCounter(
+        "lstore_commit_log_truncate_read_bytes_total",
+        "Commit-log bytes read back by checkpoint truncation");
     db->commit_log_->set_metrics(clm);
   }
   LSTORE_RETURN_IF_ERROR(db->commit_log_->Open(

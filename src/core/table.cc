@@ -122,6 +122,9 @@ Table::Table(std::string name, Schema schema, TableConfig config,
                                           "Redo-log append latency (ns)");
     lm.flush_ns = metrics_->GetHistogram("lstore_redo_flush_ns",
                                          "Redo-log flush latency (ns)");
+    lm.truncate_read_bytes = metrics_->GetCounter(
+        "lstore_redo_truncate_read_bytes_total",
+        "Redo-log bytes read back by checkpoint truncation");
     log_->set_metrics(lm);
     Status s = log_->Open(config_.log_path, /*truncate=*/false);
     if (!s.ok()) log_.reset();
@@ -871,17 +874,11 @@ Status Table::InsertImpl(Transaction* txn, const std::vector<Value>& row,
   r->inserts.StartTimeSlot(seq)->store(txn->id(), std::memory_order_release);
 
   if (log_ != nullptr) {
-    LogRecord rec;
-    rec.type = LogRecordType::kInsertAppend;
-    rec.txn_id = txn->id();
-    rec.range_id = r->id;
-    rec.seq = seq;
-    rec.base_slot = slot;
-    rec.backptr = 0;
-    rec.schema_encoding = 0;
-    rec.start_raw = txn->id();
-    rec.mask = schema_.AllColumns();
-    rec.values = row;
+    ColumnMask mask = schema_.AllColumns();
+    RedoLog::AppendWriter rec(LogRecordType::kInsertAppend, txn->id(), r->id,
+                              seq, slot, /*backptr=*/0, /*schema_encoding=*/0,
+                              /*start_raw=*/txn->id(), mask);
+    for (int c = 0, n = PopCount(mask); c < n; ++c) rec.AddValue(row[c]);
     if (log_sink != nullptr) {
       log_sink->Add(rec);
     } else {
@@ -1164,21 +1161,15 @@ void Table::LogTailAppend(const Range& r, uint32_t seq, bool insert,
                           Value start_raw, TxnId txn_id,
                           RedoLog::Batch* log_sink) {
   const TailSegment& seg = insert ? r.inserts : r.updates;
-  LogRecord rec;
-  rec.type =
-      insert ? LogRecordType::kInsertAppend : LogRecordType::kTailAppend;
-  rec.txn_id = txn_id;
-  rec.range_id = r.id;
-  rec.seq = seq;
-  rec.base_slot = static_cast<uint32_t>(seg.Read(seq, kTailBaseRid));
-  rec.backptr = static_cast<uint32_t>(seg.Read(seq, kTailIndirection));
-  rec.schema_encoding = seg.Read(seq, kTailSchemaEncoding);
-  rec.start_raw = start_raw;
-  ColumnMask cols = SchemaColumns(rec.schema_encoding);
-  rec.mask = cols;
+  uint64_t schema_encoding = seg.Read(seq, kTailSchemaEncoding);
+  ColumnMask cols = SchemaColumns(schema_encoding);
+  RedoLog::AppendWriter rec(
+      insert ? LogRecordType::kInsertAppend : LogRecordType::kTailAppend,
+      txn_id, r.id, seq, static_cast<uint32_t>(seg.Read(seq, kTailBaseRid)),
+      static_cast<uint32_t>(seg.Read(seq, kTailIndirection)), schema_encoding,
+      start_raw, cols);
   for (BitIter it(cols); it; ++it) {
-    rec.values.push_back(
-        seg.Read(seq, kTailMetaColumns + static_cast<uint32_t>(*it)));
+    rec.AddValue(seg.Read(seq, kTailMetaColumns + static_cast<uint32_t>(*it)));
   }
   if (log_sink != nullptr) {
     log_sink->Add(rec);

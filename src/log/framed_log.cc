@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
 
 #include "obs/span.h"
 #include "obs/trace.h"
@@ -27,17 +28,30 @@ bool SlurpFile(const std::string& path, std::string* out) {
   return true;
 }
 
+/// Read the `len` bytes at `offset` of `path` into `out`; false if the
+/// file cannot be opened or holds fewer bytes.
+bool ReadFileRange(const std::string& path, uint64_t offset, size_t len,
+                   std::string* out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return false;
+  out->resize(len);
+  bool ok = std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0 &&
+            std::fread(out->data(), 1, len, f) == len;
+  std::fclose(f);
+  return ok;
+}
+
 /// fsync the directory containing `path` so a rename inside it
 /// survives power loss (file data alone is not enough).
-void SyncDirOf(const std::string& path) {
-  std::string dir = path.find_last_of('/') == std::string::npos
-                        ? "."
-                        : path.substr(0, path.find_last_of('/'));
+Status SyncDirOf(const std::string& path) {
+  size_t sep = path.find_last_of('/');
+  std::string dir = sep == std::string::npos ? "." : path.substr(0, sep);
   int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    (void)::fsync(fd);
-    ::close(fd);
-  }
+  if (fd < 0) return Status::IOError("cannot open dir for fsync: " + dir);
+  int rc = ::fsync(fd);
+  ::close(fd);
+  if (rc != 0) return Status::IOError("dir fsync failed: " + dir);
+  return Status::OK();
 }
 
 }  // namespace
@@ -72,9 +86,12 @@ std::string FramedLog::TruncationPointFrame(uint64_t base_lsn) {
 }
 
 void FramedLog::ScanFrames(std::string_view data, const Codec& codec,
-                           const FrameFn& fn, ScanStats* stats) {
+                           const FrameFn& fn, ScanStats* stats,
+                           uint64_t start_lsn) {
   size_t pos = 0;
-  uint64_t lsn = 0;
+  uint64_t lsn = start_lsn;
+  stats->base_lsn = start_lsn;
+  stats->last_lsn = start_lsn;
   stats->clean_end = true;
   while (pos < data.size()) {
     size_t frame_start = pos;
@@ -167,14 +184,25 @@ Status FramedLog::Open(const std::string& path, bool truncate,
   Close();
   path_ = path;
   last_lsn_.store(0, std::memory_order_release);
+  size_ = 0;
+  marks_.clear();
   if (!truncate) {
-    // Restore the LSN counter from the existing records and repair a
-    // torn tail: appending after garbage would hide the new records
-    // from every future replay.
+    // Restore the LSN counter and the truncation marks from the
+    // existing records and repair a torn tail: appending after garbage
+    // would hide the new records from every future replay.
     std::string data;
     if (SlurpFile(path, &data) && !data.empty()) {
       ScanStats stats;
-      ScanFrames(data, codec_, replay_fn, &stats);
+      ScanFrames(
+          data, codec_,
+          [&](std::string_view payload, uint64_t first_lsn, uint64_t count,
+              size_t begin, size_t end) {
+            if (replay_fn) replay_fn(payload, first_lsn, count, begin, end);
+            size_ = end;
+            MaybeMarkLocked(first_lsn - 1 + count);
+          },
+          &stats);
+      size_ = stats.bytes_consumed;
       last_lsn_.store(stats.last_lsn, std::memory_order_release);
       if (!stats.clean_end) {
         if (::truncate(path.c_str(),
@@ -218,14 +246,17 @@ uint64_t FramedLog::Append(std::string_view payload, uint64_t lsn_count) {
     std::lock_guard<std::mutex> g(mu_);
     size_t before = buffer_.size();
     AppendFrame(&buffer_, payload);
+    size_t framed = buffer_.size() - before;
     // Load+store, NOT fetch_add(n)+n: every writer holds mu_ (readers
     // are lock-free), and gcc 12 miscompiles the fetch_add form with a
     // variable operand (the xadd clobbers the addend register,
     // yielding old+old).
     last = last_lsn_.load(std::memory_order_relaxed) + lsn_count;
     last_lsn_.store(last, std::memory_order_release);
+    size_ += framed;
+    MaybeMarkLocked(last);
     ++pending_appends_;
-    pending_append_bytes_ += buffer_.size() - before;
+    pending_append_bytes_ += framed;
     if (pending_appends_ >= 64) PublishPendingLocked();
   }
   if (t0 != 0) metrics_.append_ns->Record(NowNanos() - t0);
@@ -233,6 +264,11 @@ uint64_t FramedLog::Append(std::string_view payload, uint64_t lsn_count) {
     RecordSpan(span_trace, "log_append", span_t0, NowNanos() - span_t0);
   }
   return last;
+}
+
+void FramedLog::MaybeMarkLocked(uint64_t lsn) {
+  uint64_t prev = marks_.empty() ? 0 : marks_.back().offset;
+  if (size_ - prev >= kMarkSpacing) marks_.push_back(Mark{size_, lsn});
 }
 
 void FramedLog::PublishPendingLocked() {
@@ -289,31 +325,41 @@ Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {
   std::lock_guard<std::mutex> tg(truncate_mu_);
 
   // Phase 1 (mutex, O(pending appends)): make every appended frame
-  // file-resident and snapshot the frame-aligned prefix length.
-  size_t snap_size = 0;
+  // file-resident, snapshot the frame-aligned log length, and pick
+  // where the scan starts: the last mark at or below the watermark
+  // (every frame before it is retired), or offset 0 when the retired
+  // bytes go to a seal sink.
+  uint64_t snap_size = 0;
+  Mark from{0, 0};
   {
     std::lock_guard<std::mutex> g(mu_);
     LSTORE_RETURN_IF_ERROR(FlushBufferLocked());
-    long pos = std::ftell(file_);
-    if (pos < 0) return Status::IOError("cannot size log for truncation");
-    snap_size = static_cast<size_t>(pos);
+    snap_size = size_;
+    if (seal == nullptr) {
+      auto after = std::upper_bound(
+          marks_.begin(), marks_.end(), watermark_lsn,
+          [](uint64_t lsn, const Mark& m) { return lsn < m.lsn; });
+      if (after != marks_.begin()) from = *std::prev(after);
+    }
   }
 
-  // Phase 2 (NO mutex — appends proceed): scan the snapshot prefix,
+  // Phase 2 (NO mutex — appends proceed): scan [from, snapshot end),
   // locate the byte offset of the first frame that must survive, and
   // write the new head (truncation point + retained bytes) to a temp
   // file. Frames appended after phase 1 are untouched: they live in
   // the old file beyond snap_size and are copied in phase 3.
   std::string data;
-  if (!SlurpFile(path_, &data)) {
+  if (!ReadFileRange(path_, from.offset, snap_size - from.offset, &data)) {
     return Status::IOError("cannot read log for truncation: " + path_);
   }
-  data.resize(std::min(data.size(), snap_size));
+  if (metrics_.truncate_read_bytes != nullptr) {
+    metrics_.truncate_read_bytes->Add(data.size());
+  }
   ScanStats stats;
   size_t cut = 0;
   uint64_t base_lsn = 0;
   bool found_cut = false;
-  uint64_t prefix_first_lsn = 0;  ///< first record LSN in the file
+  uint64_t prefix_first_lsn = 0;  ///< first LSN scanned (the file's, if seal)
   ScanFrames(
       data, codec_,
       [&](std::string_view, uint64_t first_lsn, uint64_t count, size_t begin,
@@ -328,7 +374,7 @@ Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {
           base_lsn = first_lsn - 1;
         }
       },
-      &stats);
+      &stats, from.lsn);
   if (!found_cut) {
     cut = stats.bytes_consumed;
     base_lsn = stats.last_lsn;
@@ -381,6 +427,9 @@ Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {
     char chunk[1 << 16];
     size_t n;
     while ((n = std::fread(chunk, 1, sizeof(chunk), in)) > 0) {
+      if (metrics_.truncate_read_bytes != nullptr) {
+        metrics_.truncate_read_bytes->Add(n);
+      }
       if (std::fwrite(chunk, 1, n, out) != n) {
         std::fclose(in);
         std::fclose(out);
@@ -400,15 +449,24 @@ Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {
     std::remove(tmp.c_str());
     return Status::IOError("cannot publish truncated log");
   }
-  // Make the rename itself durable before dropping the old handle.
-  SyncDirOf(path_);
-  // Re-point the handle at the new file (the old inode is unlinked).
+  // Make the rename itself durable before dropping the old handle. The
+  // path names the new file either way, so a failed directory fsync
+  // still re-points the handle below, then surfaces as the result.
+  Status dir_sync = SyncDirOf(path_);
+  // Re-point the handle at the new file (the old inode is unlinked)
+  // and rebase the marks: old offset `drop` is new offset head.size().
+  uint64_t drop = from.offset + cut;
+  marks_.erase(marks_.begin(),
+               std::find_if(marks_.begin(), marks_.end(),
+                            [drop](const Mark& m) { return m.offset > drop; }));
+  for (Mark& m : marks_) m.offset = m.offset - drop + head.size();
+  size_ = size_ - drop + head.size();
   std::fclose(file_);
   file_ = std::fopen(path_.c_str(), "ab");
   if (file_ == nullptr) {
     return Status::IOError("cannot reopen truncated log: " + path_);
   }
-  return Status::OK();
+  return dir_sync;
 }
 
 }  // namespace lstore

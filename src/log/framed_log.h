@@ -18,6 +18,13 @@
 // and the archive reader cannot diverge on framing, torn-tail, or
 // truncation behavior.
 //
+// Truncation reads back only what it keeps: the appender records a
+// sparse frame index of marks (a frame-aligned offset plus the LSN
+// reached there), one per kMarkSpacing appended bytes, seeded by
+// Open's scan. TruncateTo starts its scan at the last mark at or below
+// the watermark, so it reads the retained tail plus < kMarkSpacing
+// retired bytes, never the whole retired prefix.
+//
 // Truncation can archive instead of delete: TruncateTo accepts a
 // SealSink that receives the retired prefix as a self-describing
 // framed byte string (leading truncation point + the retired frames),
@@ -34,6 +41,7 @@
 #include <mutex>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -51,6 +59,7 @@ struct FramedLogMetrics {
   Counter* fsyncs = nullptr;        ///< Flush(sync=true) calls
   Histogram* append_ns = nullptr;   ///< Append latency (lock + buffer)
   Histogram* flush_ns = nullptr;    ///< Flush latency (write [+ fsync])
+  Counter* truncate_read_bytes = nullptr;  ///< bytes TruncateTo read back
 };
 
 /// FNV-1a 32-bit checksum over a byte range (per-frame checksums).
@@ -102,6 +111,10 @@ class FramedLog {
   /// Payload tag of a truncation-point frame (shared by every log).
   static constexpr uint8_t kTruncationPointTag = 5;
 
+  /// Appended bytes between two truncation marks: a truncation reads
+  /// at most this much of the retired prefix, for 16 B of index each.
+  static constexpr uint64_t kMarkSpacing = 64 * 1024;
+
   explicit FramedLog(Codec codec) : codec_(std::move(codec)) {}
   ~FramedLog() { Close(); }
 
@@ -144,17 +157,19 @@ class FramedLog {
 
   /// Drop every record with LSN <= watermark: the retained tail is
   /// rewritten behind a truncation-point record via temp file + atomic
-  /// rename + directory fsync. The bulk of the work (scanning the
-  /// prefix, writing the retained tail) runs WITHOUT the log mutex, so
-  /// concurrent appends are stalled only for the
-  /// O(appends-since-scan) handle swap. A batch frame straddling the
-  /// watermark is retained whole; the truncation point's LSN base
-  /// backs up accordingly so numbering stays stable.
+  /// rename + directory fsync. The scan for the cut starts at the last
+  /// mark at or below the watermark, so it reads the retained tail plus
+  /// < kMarkSpacing retired bytes. That scan and the write of the
+  /// retained tail run WITHOUT the log mutex, so concurrent appends are
+  /// stalled only for the O(appends-since-scan) handle swap. A batch
+  /// frame straddling the watermark is retained whole; the truncation
+  /// point's LSN base backs up accordingly so numbering stays stable.
   ///
-  /// With a `seal` sink, the retired prefix is handed over (durably)
-  /// BEFORE the truncated log is published — archival turns the
-  /// deletion into a move, and a crash between the two leaves at worst
-  /// an overlapping segment that the next seal supersedes.
+  /// With a `seal` sink, the scan reads the whole prefix (the sink
+  /// needs its bytes), which is handed over (durably) BEFORE the
+  /// truncated log is published — archival turns the deletion into a
+  /// move, and a crash between the two leaves at worst an overlapping
+  /// segment that the next seal supersedes.
   Status TruncateTo(uint64_t watermark_lsn, const SealSink& seal = nullptr);
 
   // --- static framing helpers ----------------------------------------------
@@ -167,9 +182,11 @@ class FramedLog {
 
   /// Scan `data`, invoking `fn` per good record frame; stops cleanly
   /// at the first torn or corrupt frame. The single source of truth
-  /// for frame parsing.
+  /// for frame parsing. `start_lsn` is the LSN reached before `data`
+  /// (non-zero when the scan starts mid-log, at a mark).
   static void ScanFrames(std::string_view data, const Codec& codec,
-                         const FrameFn& fn, ScanStats* stats);
+                         const FrameFn& fn, ScanStats* stats,
+                         uint64_t start_lsn = 0);
 
   /// Scan a whole file (missing file = IOError).
   static Status ScanFile(const std::string& path, const Codec& codec,
@@ -190,6 +207,17 @@ class FramedLog {
   /// traffic of its own.
   void PublishPendingLocked();
 
+  /// Mark the frame boundary at `size_`, where the log has reached
+  /// `lsn`, once kMarkSpacing bytes were appended since the last mark
+  /// (caller holds mu_, or has the log to itself, as Open does).
+  void MaybeMarkLocked(uint64_t lsn);
+
+  /// A frame-aligned log offset and the last LSN before it.
+  struct Mark {
+    uint64_t offset;
+    uint64_t lsn;
+  };
+
   Codec codec_;
   std::FILE* file_ = nullptr;
   std::string path_;
@@ -199,6 +227,8 @@ class FramedLog {
   /// before mu_.
   std::mutex truncate_mu_;
   std::string buffer_;
+  uint64_t size_ = 0;          ///< under mu_: file bytes + buffer_
+  std::vector<Mark> marks_;    ///< under mu_: ascending, all <= size_
   std::atomic<uint64_t> last_lsn_{0};
   std::atomic<uint64_t>* sync_counter_ = nullptr;
   FramedLogMetrics metrics_;

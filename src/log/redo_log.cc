@@ -9,33 +9,23 @@
 namespace lstore {
 
 void RedoLog::EncodePayload(const LogRecord& rec, std::string* out) {
+  if (rec.type == LogRecordType::kTailAppend ||
+      rec.type == LogRecordType::kInsertAppend) {
+    AppendWriter w(rec.type, rec.txn_id, rec.range_id, rec.seq,
+                   rec.base_slot, rec.backptr, rec.schema_encoding,
+                   rec.start_raw, rec.mask);
+    for (Value v : rec.values) w.AddValue(v);
+    out->append(w.payload());
+    return;
+  }
   out->push_back(static_cast<char>(rec.type));
   if (rec.type == LogRecordType::kTruncationPoint) {
     PutVarint64(out, rec.base_lsn);
     return;
   }
   PutVarint64(out, rec.txn_id);
-  switch (rec.type) {
-    case LogRecordType::kCommit:
-      PutVarint64(out, rec.commit_time);
-      break;
-    case LogRecordType::kAbort:
-      break;
-    case LogRecordType::kTailAppend:
-    case LogRecordType::kInsertAppend:
-      PutVarint64(out, rec.range_id);
-      PutVarint64(out, rec.seq);
-      PutVarint64(out, rec.base_slot);
-      PutVarint64(out, rec.backptr);
-      PutVarint64(out, rec.schema_encoding);
-      PutVarint64(out, rec.start_raw);
-      PutVarint64(out, rec.mask);
-      for (Value v : rec.values) PutVarint64(out, v);
-      break;
-    case LogRecordType::kTruncationPoint:
-    case LogRecordType::kBatch:
-      break;  // truncation handled above; batches framed by AppendBatch
-  }
+  // kAbort carries nothing more; batches are framed by AppendBatch.
+  if (rec.type == LogRecordType::kCommit) PutVarint64(out, rec.commit_time);
 }
 
 bool RedoLog::DecodePayload(const char* data, size_t size, LogRecord* rec) {
@@ -124,27 +114,31 @@ uint64_t RedoLog::Append(const LogRecord& rec) {
   return framed_.Append(payload, 1);
 }
 
-void RedoLog::Batch::Add(const LogRecord& rec) {
-  scratch_.clear();
-  EncodePayload(rec, &scratch_);
-  PutVarint64(&body_, scratch_.size());
-  body_.append(scratch_);
+void RedoLog::Batch::AddPayload(std::string_view payload) {
+  PutVarint64(&body_, payload.size());
+  body_.append(payload);
   ++count_;
 }
 
-uint64_t RedoLog::AppendBatch(const Batch& batch) {
+uint64_t RedoLog::AppendBatch(Batch& batch) {
   if (batch.count_ == 0) return 0;
-  std::string payload;
-  payload.reserve(batch.body_.size() + 10);
-  payload.push_back(static_cast<char>(LogRecordType::kBatch));
-  PutVarint64(&payload, batch.count_);
-  payload.append(batch.body_);
-  return framed_.Append(payload, batch.count_);
+  std::string header;
+  header.push_back(static_cast<char>(LogRecordType::kBatch));
+  PutVarint64(&header, batch.count_);
+  size_t start = Batch::kHeadroom - header.size();
+  batch.body_.replace(start, header.size(), header);
+  return framed_.Append(
+      std::string_view(batch.body_).substr(start), batch.count_);
 }
 
 uint64_t RedoLog::AppendBatch(const std::vector<LogRecord>& recs) {
   Batch batch;
-  for (const LogRecord& rec : recs) batch.Add(rec);
+  std::string payload;
+  for (const LogRecord& rec : recs) {
+    payload.clear();
+    EncodePayload(rec, &payload);
+    batch.AddPayload(payload);
+  }
   return AppendBatch(batch);
 }
 

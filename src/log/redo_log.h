@@ -20,8 +20,10 @@
 
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -39,7 +41,8 @@ enum class LogRecordType : uint8_t {
   kBatch = 6,        ///< one frame holding N append records (batched ops)
 };
 
-/// In-memory form of a redo record.
+/// In-memory form of a redo record (replay, tests, commit/abort
+/// appends). Append records are written through RedoLog::AppendWriter.
 struct LogRecord {
   LogRecordType type;
   TxnId txn_id = 0;
@@ -77,8 +80,56 @@ class RedoLog {
   void Close() { framed_.Close(); }
   bool is_open() const { return framed_.is_open(); }
 
+  /// The one writer of append records (kTailAppend / kInsertAppend):
+  /// each field goes as a varint straight into a bounded stack buffer,
+  /// so logging a row builds no LogRecord and allocates nothing. Add
+  /// one value per set bit of `mask`, low to high, then hand the writer
+  /// to Append or Batch::Add.
+  class AppendWriter {
+   public:
+    AppendWriter(LogRecordType type, TxnId txn_id, uint64_t range_id,
+                 uint32_t seq, uint32_t base_slot, uint32_t backptr,
+                 uint64_t schema_encoding, uint64_t start_raw,
+                 ColumnMask mask) {
+      buf_[len_++] = static_cast<char>(type);
+      for (uint64_t field : {txn_id, range_id, uint64_t{seq},
+                             uint64_t{base_slot}, uint64_t{backptr},
+                             schema_encoding, start_raw, mask}) {
+        Put(field);
+      }
+    }
+
+    /// Append the next column value. A value that might not fit aborts
+    /// instead of overrunning the buffer; only a caller bug (more values
+    /// than the mask's 64 bits) gets there.
+    void AddValue(Value v) {
+      if (len_ > sizeof(buf_) - kMaxVarintBytes) std::abort();
+      Put(v);
+    }
+
+    std::string_view payload() const { return {buf_, len_}; }
+
+   private:
+    static constexpr size_t kMaxVarintBytes = 10;
+
+    void Put(uint64_t v) {
+      while (v >= 0x80) {
+        buf_[len_++] = static_cast<char>((v & 0x7f) | 0x80);
+        v >>= 7;
+      }
+      buf_[len_++] = static_cast<char>(v);
+    }
+
+    /// Tag, eight header fields, and up to 64 values.
+    char buf_[1 + 8 * kMaxVarintBytes + 64 * kMaxVarintBytes];
+    size_t len_ = 0;
+  };
+
   /// Append one record; returns its LSN.
   uint64_t Append(const LogRecord& rec);
+  uint64_t Append(const AppendWriter& rec) {
+    return framed_.Append(rec.payload(), 1);
+  }
 
   /// Streaming builder for a batch frame: records are encoded as they
   /// are added, so the writer never retains N LogRecords. One Batch
@@ -87,21 +138,28 @@ class RedoLog {
   /// InsertBatch / UpdateBatch.
   class Batch {
    public:
-    void Add(const LogRecord& rec);
+    Batch() : body_(kHeadroom, '\0') {}
+    void Add(const AppendWriter& rec) { AddPayload(rec.payload()); }
     size_t count() const { return count_; }
     bool empty() const { return count_ == 0; }
 
    private:
     friend class RedoLog;
+    /// Room for the frame's [kBatch][count varint] header, written in
+    /// front of the entries at append time so the payload is not copied.
+    static constexpr size_t kHeadroom = 1 + 10;
+
+    void AddPayload(std::string_view payload);
+
     size_t count_ = 0;
-    std::string body_;  ///< concatenated [len varint][payload] entries
-    std::string scratch_;
+    std::string body_;  ///< kHeadroom, then [len varint][payload] entries
   };
 
-  /// Append a batch as one frame. Each contained record still
-  /// receives its own LSN; returns the LSN of the last one (0 when
-  /// empty). Replay delivers the contained records individually.
-  uint64_t AppendBatch(const Batch& batch);
+  /// Append a batch as one frame (the frame header is written into the
+  /// batch's headroom). Each contained record still receives its own
+  /// LSN; returns the LSN of the last one (0 when empty). Replay
+  /// delivers the contained records individually.
+  uint64_t AppendBatch(Batch& batch);
   uint64_t AppendBatch(const std::vector<LogRecord>& recs);
 
   /// LSN of the most recently appended record (0 = empty log).

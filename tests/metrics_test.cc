@@ -386,6 +386,10 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   // Checkpoint + archive.
   EXPECT_EQ(s.CounterValue("lstore_checkpoints_total"), 1u);
   EXPECT_GT(s.CounterValue("lstore_archive_seals_total"), 0u);
+  // Truncation read both logs back (all of each prefix: archiving on).
+  EXPECT_GT(s.CounterValue("lstore_redo_truncate_read_bytes_total"), 0u);
+  EXPECT_GT(s.CounterValue("lstore_commit_log_truncate_read_bytes_total"),
+            0u);
   // Buffer pool + epoch gauges (collector-mirrored).
   ASSERT_NE(s.FindGauge("lstore_buffer_hits"), nullptr);
   ASSERT_NE(s.FindGauge("lstore_buffer_misses"), nullptr);
