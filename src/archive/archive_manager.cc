@@ -1,8 +1,6 @@
 #include "archive/archive_manager.h"
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -11,6 +9,7 @@
 #include <unordered_map>
 
 #include "checkpoint/checkpoint_manager.h"
+#include "common/file.h"
 #include "obs/event_log.h"
 #include "obs/trace.h"
 
@@ -64,15 +63,6 @@ bool ParseArcName(std::string_view name, std::string* stem, uint64_t* lo,
 std::string SegmentName(const std::string& stem, uint64_t lo, uint64_t hi) {
   return stem + "." + std::to_string(lo) + "-" + std::to_string(hi) +
          kArcSuffix;
-}
-
-Status SyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd < 0) return Status::IOError("cannot open dir for fsync: " + dir);
-  int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) return Status::IOError("dir fsync failed: " + dir);
-  return Status::OK();
 }
 
 uint64_t FileMtime(const std::string& path) {
@@ -138,28 +128,6 @@ Status ArchiveManager::EnsureDir() {
   return Status::OK();
 }
 
-Status ArchiveManager::WriteFileAtomic(const std::string& final_path,
-                                       std::string_view bytes) {
-  std::string tmp = final_path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  if (f == nullptr) {
-    return Status::IOError("cannot create archive temp: " + tmp);
-  }
-  bool ok = bytes.empty() ||
-            std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-  ok = ok && std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  if (!ok) {
-    std::remove(tmp.c_str());
-    return Status::IOError("short write sealing archive file: " + tmp);
-  }
-  if (std::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot publish archive file: " + final_path);
-  }
-  return SyncDir(archive_dir_);
-}
-
 void ArchiveManager::PruneSubsumed(const std::string& stem, uint64_t lo,
                                    uint64_t hi, const std::string& keep) {
   for (const RawSegment& seg : ListSegmentsRaw(archive_dir_)) {
@@ -177,7 +145,8 @@ Status ArchiveManager::SealSegment(const std::string& name,
                                    std::string_view bytes) {
   uint64_t seal_t0 = (kTraceEnabled && seal_ns_ != nullptr) ? NowNanos() : 0;
   std::string path = archive_dir_ + "/" + name;
-  LSTORE_RETURN_IF_ERROR(WriteFileAtomic(path, bytes));
+  LSTORE_RETURN_IF_ERROR(
+      WriteFileAtomic(path, [bytes](File& f) { return f.WriteAt(0, bytes); }));
   std::string stem;
   uint64_t lo = 0, hi = 0;
   if (ParseArcName(name, &stem, &lo, &hi)) {
@@ -216,29 +185,18 @@ Status ArchiveManager::SealCommitPrefix(uint64_t lo, uint64_t hi,
 
 Status ArchiveManager::ArchiveManifestCopy(uint64_t checkpoint_id) {
   std::lock_guard<std::mutex> g(mu_);
-  std::string src = ManifestPath(db_dir_);
-  std::FILE* f = std::fopen(src.c_str(), "rb");
-  if (f == nullptr) return Status::IOError("cannot read manifest: " + src);
   std::string bytes;
-  char chunk[1 << 16];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    bytes.append(chunk, n);
-  }
-  std::fclose(f);
+  LSTORE_RETURN_IF_ERROR(ReadFile(ManifestPath(db_dir_), &bytes));
   return WriteFileAtomic(
       archive_dir_ + "/" + kManifestPrefix + std::to_string(checkpoint_id),
-      bytes);
+      [&bytes](File& f) { return f.WriteAt(0, bytes); });
 }
 
 Status ArchiveManager::ArchiveCheckpointFile(const std::string& file) {
   std::lock_guard<std::mutex> g(mu_);
-  std::string src = db_dir_ + "/" + file;
-  std::string dst = archive_dir_ + "/" + file;
-  if (std::rename(src.c_str(), dst.c_str()) != 0) {
-    return Status::OK();  // already moved (crash replay) or never written
-  }
-  return SyncDir(archive_dir_);
+  Status s = RenameDurably(db_dir_ + "/" + file, archive_dir_ + "/" + file);
+  // Already moved (crash replay) or never written.
+  return s.IsNotFound() ? Status::OK() : s;
 }
 
 // ---------------------------------------------------------------------------
@@ -289,10 +247,9 @@ std::vector<ArchivedManifest> ArchiveManager::ListManifests(
 std::string ArchiveManager::ResolveCheckpointFile(const std::string& db_dir,
                                                   const std::string& file) {
   std::string live = db_dir + "/" + file;
-  struct ::stat st;
-  if (::stat(live.c_str(), &st) == 0) return live;
+  if (FileExists(live)) return live;
   std::string archived = ArchiveDirOf(db_dir) + "/" + file;
-  if (::stat(archived.c_str(), &st) == 0) return archived;
+  if (FileExists(archived)) return archived;
   return "";
 }
 

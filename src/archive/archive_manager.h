@@ -101,7 +101,9 @@ class ArchiveManager {
 
   /// Move a superseded checkpoint file into the archive (it is still
   /// referenced by the archived manifests). A missing source is
-  /// ignored — a crash may have moved it already.
+  /// ignored — a crash may have moved it already; any other failure
+  /// is returned, since the file would otherwise stay in the live
+  /// directory, out of reach of retention.
   Status ArchiveCheckpointFile(const std::string& file);
 
   /// Apply the retention policy (no-op when every limit is 0).
@@ -135,8 +137,6 @@ class ArchiveManager {
 
  private:
   Status SealSegment(const std::string& name, std::string_view bytes);
-  Status WriteFileAtomic(const std::string& final_path,
-                         std::string_view bytes);
   /// Delete segments of `stem` ("<table>.redo" / "commit") fully
   /// contained in [lo, hi], except `keep`.
   void PruneSubsumed(const std::string& stem, uint64_t lo, uint64_t hi,

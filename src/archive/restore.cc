@@ -24,14 +24,13 @@
 // target directory is only read — checkpoint-referenced base segments
 // map lazily onto a read-only handle of the table's .segs store.
 
-#include <sys/stat.h>
-
 #include <algorithm>
 #include <map>
 #include <unordered_map>
 
 #include "archive/archive_manager.h"
 #include "checkpoint/checkpoint_manager.h"
+#include "common/file.h"
 #include "core/database.h"
 #include "core/table.h"
 #include "log/commit_log.h"
@@ -42,11 +41,6 @@
 namespace lstore {
 
 namespace {
-
-bool FileExists(const std::string& path) {
-  struct ::stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
 
 /// Verify a sealed segment really carries LSNs up to the hi its name
 /// claims: a torn tail or truncated file scans clean-short and would
@@ -219,13 +213,12 @@ Status Database::RestoreToPoint(const std::string& dir,
     cfg.enable_logging = false;
     cfg.log_path.clear();
     cfg.sync_commit = false;
-    cfg.sync_counter = nullptr;
     cfg.buffer_pool = nullptr;
     cfg.segment_store = nullptr;
     std::string segs_path = dir + "/" + ce.name + ".segs";
     if (FileExists(segs_path)) {
       auto store = std::make_unique<SegmentStore>();
-      LSTORE_RETURN_IF_ERROR(store->OpenReadOnly(segs_path));
+      LSTORE_RETURN_IF_ERROR(store->Open(segs_path, /*read_only=*/true));
       cfg.segment_store = store.get();
       db->segment_stores_[ce.name] = std::move(store);
     }

@@ -24,6 +24,7 @@
 #include <string>
 #include <string_view>
 
+#include "common/file.h"
 #include "common/status.h"
 
 namespace lstore {
@@ -37,13 +38,11 @@ class SegmentStore {
   SegmentStore& operator=(const SegmentStore&) = delete;
 
   /// Open (or create) a named store; new appends go at the current
-  /// end so previously recorded offsets stay valid.
-  Status Open(const std::string& path);
-
-  /// Open an existing store read-only (point-in-time restore reads a
-  /// foreign directory without mutating it). Append fails; durable()
-  /// stays false — nothing durable may reference a read-only handle.
-  Status OpenReadOnly(const std::string& path);
+  /// end so previously recorded offsets stay valid. `read_only` opens
+  /// an existing store without mutating it (point-in-time restore
+  /// reads a foreign directory): Append fails and durable() stays
+  /// false — nothing durable may reference a read-only handle.
+  Status Open(const std::string& path, bool read_only = false);
 
   /// Anonymous spill file for standalone tables (unlinked immediately,
   /// so it vanishes with the process). Offsets from a temp store are
@@ -72,12 +71,11 @@ class SegmentStore {
   uint64_t size_bytes() const {
     return end_.load(std::memory_order_acquire);
   }
-  const std::string& path() const { return path_; }
+  const std::string& path() const { return file_.path(); }
 
  private:
-  int fd_ = -1;
+  File file_;
   bool durable_ = false;
-  std::string path_;
   std::mutex append_mu_;
   std::atomic<uint64_t> end_{0};
 };

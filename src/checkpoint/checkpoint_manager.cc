@@ -1,9 +1,5 @@
 #include "checkpoint/checkpoint_manager.h"
 
-#include <fcntl.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -11,6 +7,7 @@
 
 #include "archive/archive_manager.h"
 #include "checkpoint/serde.h"
+#include "common/file.h"
 #include "core/commit_pipeline.h"
 #include "core/database.h"
 #include "core/table.h"
@@ -25,17 +22,6 @@ namespace {
 
 constexpr char kManifestFile[] = "MANIFEST";
 constexpr char kCatalogFile[] = "CATALOG";
-
-bool FileExists(const std::string& path) {
-  struct ::stat st;
-  return ::stat(path.c_str(), &st) == 0;
-}
-
-uint64_t FileBytes(const std::string& path) {
-  struct ::stat st;
-  return ::stat(path.c_str(), &st) == 0 ? static_cast<uint64_t>(st.st_size)
-                                        : 0;
-}
 
 /// Pack the restart-relevant TableConfig fields (logging fields are
 /// re-derived from the directory at Open time).
@@ -73,44 +59,6 @@ bool GetConfig(std::string_view p, size_t* pos, TableConfig* c) {
   return true;
 }
 
-/// fsync the directory so renames/unlinks inside it survive power
-/// loss (the file data alone is not enough for crash atomicity).
-Status SyncDir(const std::string& dir) {
-  int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd < 0) return Status::IOError("cannot open dir for fsync: " + dir);
-  int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) return Status::IOError("dir fsync failed: " + dir);
-  return Status::OK();
-}
-
-std::string DirOf(const std::string& path) {
-  size_t sep = path.find_last_of('/');
-  return sep == std::string::npos ? "." : path.substr(0, sep);
-}
-
-/// Write a frame file to path.tmp, then atomically rename onto path.
-template <typename WriteFrames>
-Status WriteAtomically(const std::string& path, uint32_t magic,
-                       WriteFrames&& write_frames) {
-  std::string tmp = path + ".tmp";
-  {
-    FrameWriter w;
-    Status s = w.Open(tmp, magic);
-    if (s.ok()) s = write_frames(&w);
-    if (s.ok()) s = w.Finish();
-    if (!s.ok()) {
-      std::remove(tmp.c_str());  // no stale partial files (e.g. ENOSPC)
-      return s;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot publish " + path);
-  }
-  return SyncDir(DirOf(path));
-}
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -122,26 +70,26 @@ std::string ManifestPath(const std::string& dir) {
 }
 
 Status WriteManifest(const std::string& dir, const Manifest& m) {
-  return WriteAtomically(
-      ManifestPath(dir), kManifestMagic, [&](FrameWriter* w) {
-        std::string p;
-        PutVarint64(&p, m.checkpoint_id);
-        PutVarint64(&p, m.entries.size());
-        PutVarint64(&p, m.capture_time);
-        PutVarint64(&p, m.commit_log_mark);
-        LSTORE_RETURN_IF_ERROR(w->WriteFrame(FrameType::kManifestHeader, p));
-        for (const ManifestEntry& e : m.entries) {
-          std::string q;
-          PutString(&q, e.table);
-          PutString(&q, e.file);
-          PutVarint64(&q, e.file_checksum);
-          PutVarint64(&q, e.log_watermark);
-          PutVarint64(&q, e.secondary_columns.size());
-          for (ColumnId c : e.secondary_columns) PutVarint64(&q, c);
-          LSTORE_RETURN_IF_ERROR(w->WriteFrame(FrameType::kManifestEntry, q));
-        }
-        return Status::OK();
-      });
+  return WriteFileAtomic(ManifestPath(dir), [&](File& f) {
+    FrameWriter w(&f, kManifestMagic);
+    std::string p;
+    PutVarint64(&p, m.checkpoint_id);
+    PutVarint64(&p, m.entries.size());
+    PutVarint64(&p, m.capture_time);
+    PutVarint64(&p, m.commit_log_mark);
+    LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kManifestHeader, p));
+    for (const ManifestEntry& e : m.entries) {
+      std::string q;
+      PutString(&q, e.table);
+      PutString(&q, e.file);
+      PutVarint64(&q, e.file_checksum);
+      PutVarint64(&q, e.log_watermark);
+      PutVarint64(&q, e.secondary_columns.size());
+      for (ColumnId c : e.secondary_columns) PutVarint64(&q, c);
+      LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kManifestEntry, q));
+    }
+    return w.Finish();
+  });
 }
 
 Status ReadManifest(const std::string& dir, Manifest* m, bool* exists) {
@@ -200,23 +148,23 @@ Status ReadManifestFile(const std::string& path, Manifest* m, bool* exists) {
 
 Status WriteCatalog(const std::string& dir,
                     const std::vector<CatalogEntry>& entries) {
-  return WriteAtomically(
-      dir + "/" + kCatalogFile, kCatalogMagic, [&](FrameWriter* w) {
-        std::string p;
-        PutVarint64(&p, entries.size());
-        LSTORE_RETURN_IF_ERROR(w->WriteFrame(FrameType::kCatalogHeader, p));
-        for (const CatalogEntry& e : entries) {
-          std::string q;
-          PutString(&q, e.name);
-          PutVarint64(&q, e.columns.size());
-          for (const std::string& col : e.columns) PutString(&q, col);
-          PutConfig(&q, e.config);
-          PutVarint64(&q, e.secondary_columns.size());
-          for (ColumnId c : e.secondary_columns) PutVarint64(&q, c);
-          LSTORE_RETURN_IF_ERROR(w->WriteFrame(FrameType::kCatalogEntry, q));
-        }
-        return Status::OK();
-      });
+  return WriteFileAtomic(dir + "/" + kCatalogFile, [&](File& f) {
+    FrameWriter w(&f, kCatalogMagic);
+    std::string p;
+    PutVarint64(&p, entries.size());
+    LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kCatalogHeader, p));
+    for (const CatalogEntry& e : entries) {
+      std::string q;
+      PutString(&q, e.name);
+      PutVarint64(&q, e.columns.size());
+      for (const std::string& col : e.columns) PutString(&q, col);
+      PutConfig(&q, e.config);
+      PutVarint64(&q, e.secondary_columns.size());
+      for (ColumnId c : e.secondary_columns) PutVarint64(&q, c);
+      LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kCatalogEntry, q));
+    }
+    return w.Finish();
+  });
 }
 
 Status ReadCatalog(const std::string& dir, std::vector<CatalogEntry>* entries,
@@ -572,8 +520,10 @@ uint64_t CheckpointManager::TotalLogBytes() const {
   uint64_t total = 0;
   for (auto& [name, t] : db_->TableHandles()) {
     (void)name;
-    if (!t->config().log_path.empty()) {
-      total += FileBytes(t->config().log_path);
+    uint64_t bytes = 0;
+    if (!t->config().log_path.empty() &&
+        FileExists(t->config().log_path, &bytes)) {
+      total += bytes;
     }
   }
   return total;

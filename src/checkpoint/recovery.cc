@@ -285,10 +285,10 @@ Status Table::RecoverDurable(
   LSTORE_RETURN_IF_ERROR(
       ReplayAndRebuild(log_watermark, db_commits, log_paths, commit_horizon));
 
-  // Resume logging (append mode).
+  // Resume logging (append mode) on the constructor's log, which
+  // carries the registry metrics.
   if (config_.enable_logging && !config_.log_path.empty()) {
-    log_ = std::make_unique<RedoLog>();
-    log_->set_sync_counter(config_.sync_counter);
+    if (log_ == nullptr) log_ = std::make_unique<RedoLog>();
     LSTORE_RETURN_IF_ERROR(log_->Open(config_.log_path, /*truncate=*/false));
   }
   return Status::OK();

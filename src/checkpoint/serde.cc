@@ -2,8 +2,6 @@
 
 #include "checkpoint/serde.h"
 
-#include <unistd.h>
-
 #include <cstring>
 #include <thread>
 
@@ -19,49 +17,39 @@ namespace lstore {
 // FrameWriter
 // ---------------------------------------------------------------------------
 
-FrameWriter::~FrameWriter() {
-  if (file_ != nullptr) std::fclose(file_);
-}
-
-Status FrameWriter::Open(const std::string& path, uint32_t magic) {
-  file_ = std::fopen(path.c_str(), "wb");
-  if (file_ == nullptr) {
-    return Status::IOError("cannot create file: " + path);
-  }
-  checksum_ = kFnv1a64Seed;
+FrameWriter::FrameWriter(File* file, uint32_t magic)
+    : file_(file), checksum_(kFnv1a64Seed) {
   std::string header;
   PutVarint64(&header, magic);
   PutVarint64(&header, kCheckpointFormatVersion);
-  return WriteFrame(FrameType::kFileHeader, header);
+  WriteFrame(FrameType::kFileHeader, header);  // batched: cannot fail
 }
 
-Status FrameWriter::WriteRaw(const char* data, size_t n) {
-  checksum_ = Fnv1a64(data, n, checksum_);
-  if (std::fwrite(data, 1, n, file_) != n) {
-    return Status::IOError("short checkpoint write");
-  }
+Status FrameWriter::WriteBatch() {
+  LSTORE_RETURN_IF_ERROR(file_->WriteAt(offset_, batch_));
+  offset_ += batch_.size();
+  batch_.clear();
   return Status::OK();
 }
 
 Status FrameWriter::WriteFrame(FrameType type, const std::string& payload) {
-  if (file_ == nullptr) return Status::IOError("writer not open");
-  std::string framed;
-  PutVarint64(&framed, payload.size() + 1);
-  framed.push_back(static_cast<char>(type));
-  framed.append(payload);
-  uint32_t crc = Fnv1a32(framed.data() + VarintLength(payload.size() + 1),
-                         payload.size() + 1);
-  framed.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  return WriteRaw(framed.data(), framed.size());
+  const size_t body = payload.size() + 1;
+  const size_t frame = VarintLength(body) + body + sizeof(uint32_t);
+  if (!batch_.empty() && batch_.size() + frame > kWriteBatch) {
+    LSTORE_RETURN_IF_ERROR(WriteBatch());
+  }
+  const size_t start = batch_.size();
+  PutVarint64(&batch_, body);
+  batch_.push_back(static_cast<char>(type));
+  batch_.append(payload);
+  uint32_t crc = Fnv1a32(batch_.data() + batch_.size() - body, body);
+  batch_.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  checksum_ = Fnv1a64(batch_.data() + start, frame, checksum_);
+  return batch_.size() >= kWriteBatch ? WriteBatch() : Status::OK();
 }
 
 Status FrameWriter::Finish() {
-  if (file_ == nullptr) return Status::IOError("writer not open");
-  bool ok = std::fflush(file_) == 0 && ::fsync(::fileno(file_)) == 0;
-  std::fclose(file_);
-  file_ = nullptr;
-  if (!ok) return Status::IOError("cannot sync checkpoint file");
-  return Status::OK();
+  return batch_.empty() ? Status::OK() : WriteBatch();
 }
 
 // ---------------------------------------------------------------------------
@@ -69,16 +57,9 @@ Status FrameWriter::Finish() {
 // ---------------------------------------------------------------------------
 
 Status FrameReader::Open(const std::string& path, uint32_t expected_magic) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    return Status::IOError("cannot open file: " + path);
-  }
-  char chunk[1 << 16];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    data_.append(chunk, n);
-  }
-  std::fclose(f);
+  Status read = ReadFile(path, &data_);
+  if (read.IsNotFound()) return Status::IOError("cannot open file: " + path);
+  LSTORE_RETURN_IF_ERROR(read);
   checksum_ = Fnv1a64(data_.data(), data_.size());
 
   FrameType type;
@@ -198,8 +179,9 @@ Value ResolveStartForCapture(TransactionManager* tm,
 
 Status CheckpointIO::WriteTable(Table& t, const std::string& path,
                                 uint64_t* file_checksum) {
-  FrameWriter w;
-  LSTORE_RETURN_IF_ERROR(w.Open(path, kCheckpointMagic));
+  File file;
+  LSTORE_RETURN_IF_ERROR(file.Open(path, File::Mode::kCreateTruncate));
+  FrameWriter w(&file, kCheckpointMagic);
 
   // Keep retired segments and tail pages alive for the whole capture.
   EpochGuard guard(t.epochs_);
@@ -344,6 +326,7 @@ Status CheckpointIO::WriteTable(Table& t, const std::string& path,
     LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kTableFooter, p));
   }
   LSTORE_RETURN_IF_ERROR(w.Finish());
+  LSTORE_RETURN_IF_ERROR(file.Sync());
   if (file_checksum != nullptr) *file_checksum = w.file_checksum();
   return Status::OK();
 }

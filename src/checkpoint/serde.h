@@ -21,10 +21,10 @@
 #define LSTORE_CHECKPOINT_SERDE_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <string_view>
 
+#include "common/file.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -60,20 +60,27 @@ inline constexpr uint32_t kManifestMagic = 0x464d534c;    // "LSMF"
 inline constexpr uint32_t kCatalogMagic = 0x4754534c;     // "LSTG"
 inline constexpr uint32_t kCheckpointFormatVersion = 1;
 
-/// Frame-oriented writer with a running whole-file checksum. Finish()
-/// fsyncs; callers that need atomic replacement write to a temp path
-/// and rename after Finish() succeeds.
+/// Frame-oriented writer into an open File, from offset 0, with a
+/// running whole-file checksum. The file header frame is written
+/// first. Frames are batched into writes of at most kWriteBatch bytes
+/// (a larger frame goes out alone), so a checkpoint — one frame per
+/// range and column — is not one syscall per frame. Finish() writes
+/// the last batch; durability is the caller's: WriteFileAtomic fsyncs
+/// a published file, and a checkpoint file is fsynced by its writer.
 class FrameWriter {
  public:
-  ~FrameWriter();
-  Status Open(const std::string& path, uint32_t magic);
+  static constexpr size_t kWriteBatch = 64 * 1024;
+
+  FrameWriter(File* file, uint32_t magic);
   Status WriteFrame(FrameType type, const std::string& payload);
   Status Finish();
   uint64_t file_checksum() const { return checksum_; }
 
  private:
-  Status WriteRaw(const char* data, size_t n);
-  std::FILE* file_ = nullptr;
+  Status WriteBatch();
+  File* file_;
+  uint64_t offset_ = 0;  ///< bytes already written to file_
+  std::string batch_;
   uint64_t checksum_;
 };
 

@@ -70,10 +70,6 @@ struct TableConfig {
   /// fsync the log on commit (group commit still batches writes).
   bool sync_commit = false;
 
-  /// Test hook: counts every Flush(sync=true) fsync of this table's
-  /// redo log (nullptr = off). Not persisted to the catalog.
-  std::atomic<uint64_t>* sync_counter = nullptr;
-
   /// Buffer-managed base storage (src/buffer/): the pool that owns the
   /// table's base-segment frames and the swap store behind them. Wired
   /// by the owning Database (buffer_pool_bytes > 0) or by tests; both
@@ -135,11 +131,6 @@ struct DurabilityOptions {
   /// no explicit wait; batching still happens naturally while a
   /// leader's flush is in flight.
   uint64_t group_commit_window_us = 0;
-
-  /// Test hook: counts every commit-path fsync (commit log and every
-  /// table redo log) so group-commit tests can assert that concurrent
-  /// committers share fsyncs (nullptr = off).
-  std::atomic<uint64_t>* sync_counter = nullptr;
 
   /// Byte budget of the database-wide buffer pool for read-optimized
   /// base segments (src/buffer/buffer_pool.h). 0 = no pool: base

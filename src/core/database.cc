@@ -12,6 +12,7 @@
 
 #include "archive/archive_manager.h"
 #include "checkpoint/checkpoint_manager.h"
+#include "common/file.h"
 #include "common/thread_pool.h"
 #include "core/commit_pipeline.h"
 #include "log/commit_log.h"
@@ -128,9 +129,7 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
   std::unique_ptr<SegmentStore> store;
   if (durable()) {
     std::string segs_path = dir_ + "/" + name + ".segs";
-    struct ::stat st;
-    bool segs_exists = ::stat(segs_path.c_str(), &st) == 0;
-    if (buffer_pool_ != nullptr || segs_exists) {
+    if (buffer_pool_ != nullptr || FileExists(segs_path)) {
       store = std::make_unique<SegmentStore>();
       LSTORE_RETURN_IF_ERROR(store->Open(segs_path));
       config.buffer_pool = buffer_pool_.get();
@@ -173,7 +172,6 @@ Status Database::CreateTable(const std::string& name, Schema schema,
     config.enable_logging = true;
     config.log_path = dir_ + "/" + name + ".log";
     config.sync_commit = durability_.sync_commit;
-    config.sync_counter = durability_.sync_counter;
     std::remove(config.log_path.c_str());
     // A stale swap store of a previously dropped table must not be
     // appended to: its old offsets are garbage for the new table.
@@ -355,7 +353,6 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
   const std::string commit_log_path = dir + "/" + kCommitLogFile;
   std::unordered_map<TxnId, Timestamp> db_commits;
   db->commit_log_ = std::make_unique<CommitLog>();
-  db->commit_log_->set_sync_counter(opts.sync_counter);
   {
     FramedLogMetrics clm;
     clm.appends = db->metrics_.GetCounter("lstore_commit_log_appends_total",
@@ -396,7 +393,6 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
     cfg.enable_logging = true;
     cfg.log_path = dir + "/" + ce.name + ".log";
     cfg.sync_commit = opts.sync_commit;
-    cfg.sync_counter = opts.sync_counter;
     Table* t = nullptr;
     LSTORE_RETURN_IF_ERROR(
         db->CreateTableInternal(ce.name, Schema(ce.columns), cfg, &t));

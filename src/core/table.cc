@@ -110,7 +110,6 @@ Table::Table(std::string name, Schema schema, TableConfig config,
       metrics_->GetCounter("lstore_aborts_total", "Pipeline aborts");
   if (config_.enable_logging && !config_.log_path.empty()) {
     log_ = std::make_unique<RedoLog>();
-    log_->set_sync_counter(config_.sync_counter);
     FramedLogMetrics lm;
     lm.appends = metrics_->GetCounter("lstore_redo_appends_total",
                                       "Redo-log record frames appended");

@@ -1,7 +1,6 @@
 #include "log/commit_log.h"
 
-#include <sys/stat.h>
-
+#include "common/file.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
@@ -117,8 +116,7 @@ Status CommitLog::Replay(
     const std::string& path,
     const std::function<void(const CommitLogRecord&, uint64_t lsn)>& fn,
     ReplayStats* stats) {
-  struct ::stat st;
-  if (::stat(path.c_str(), &st) != 0) return Status::OK();  // no log yet
+  if (!FileExists(path)) return Status::OK();  // no log yet
   Status s = FramedLog::ScanFile(
       path, &CommitLog::ValidatePayload,
       [&fn](std::string_view payload, uint64_t first_lsn, uint64_t, size_t,

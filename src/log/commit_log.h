@@ -81,12 +81,6 @@ class CommitLog {
 
   uint64_t last_lsn() const { return framed_.last_lsn(); }
 
-  /// Test hook: counts fsyncs issued by Flush(sync=true) so group
-  /// commit tests can assert fsync count < committer count.
-  void set_sync_counter(std::atomic<uint64_t>* counter) {
-    framed_.set_sync_counter(counter);
-  }
-
   /// Wire registry metrics (obs/metrics.h) into the framed core.
   void set_metrics(const FramedLogMetrics& m) { framed_.set_metrics(m); }
 

@@ -1,8 +1,5 @@
 #include "log/framed_log.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstring>
 #include <iterator>
@@ -12,49 +9,6 @@
 #include "storage/compression/varint.h"
 
 namespace lstore {
-
-namespace {
-
-/// Read a whole file into `out`; false if it cannot be opened.
-bool SlurpFile(const std::string& path, std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  char chunk[1 << 16];
-  size_t n;
-  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-    out->append(chunk, n);
-  }
-  std::fclose(f);
-  return true;
-}
-
-/// Read the `len` bytes at `offset` of `path` into `out`; false if the
-/// file cannot be opened or holds fewer bytes.
-bool ReadFileRange(const std::string& path, uint64_t offset, size_t len,
-                   std::string* out) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return false;
-  out->resize(len);
-  bool ok = std::fseek(f, static_cast<long>(offset), SEEK_SET) == 0 &&
-            std::fread(out->data(), 1, len, f) == len;
-  std::fclose(f);
-  return ok;
-}
-
-/// fsync the directory containing `path` so a rename inside it
-/// survives power loss (file data alone is not enough).
-Status SyncDirOf(const std::string& path) {
-  size_t sep = path.find_last_of('/');
-  std::string dir = sep == std::string::npos ? "." : path.substr(0, sep);
-  int fd = ::open(dir.c_str(), O_RDONLY);
-  if (fd < 0) return Status::IOError("cannot open dir for fsync: " + dir);
-  int rc = ::fsync(fd);
-  ::close(fd);
-  if (rc != 0) return Status::IOError("dir fsync failed: " + dir);
-  return Status::OK();
-}
-
-}  // namespace
 
 uint32_t Fnv1a32(const char* data, size_t n) {
   uint32_t h = 2166136261u;
@@ -151,27 +105,30 @@ void FramedLog::ScanFrames(std::string_view data, const Codec& codec,
 Status FramedLog::ScanFile(const std::string& path, const Codec& codec,
                            const FrameFn& fn, ScanStats* stats) {
   std::string data;
-  if (!SlurpFile(path, &data)) {
-    return Status::IOError("cannot open log for scan: " + path);
-  }
+  LSTORE_RETURN_IF_ERROR(ReadFile(path, &data));
   ScanStats local;
   ScanFrames(data, codec, fn, stats != nullptr ? stats : &local);
   return Status::OK();
 }
 
 uint64_t FramedLog::ReadBaseLsn(const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return 0;
-  char head[32];
-  size_t n = std::fread(head, 1, sizeof(head), f);
-  std::fclose(f);
+  File f;
+  uint64_t size = 0;
+  std::string head;
+  if (!f.Open(path, File::Mode::kRead).ok() || !f.Size(&size).ok() ||
+      !f.ReadAt(0, std::min<uint64_t>(size, 32), &head).ok()) {
+    return 0;
+  }
   size_t pos = 0;
   uint64_t len;
-  if (!GetVarint64(head, n, &pos, &len) || len == 0 || len > n - pos) return 0;
+  if (!GetVarint64(head.data(), head.size(), &pos, &len) || len == 0 ||
+      len > head.size() - pos) {
+    return 0;
+  }
   if (static_cast<uint8_t>(head[pos]) != kTruncationPointTag) return 0;
   size_t sub = pos + 1;
   uint64_t base = 0;
-  if (!GetVarint64(head, pos + len, &sub, &base)) return 0;
+  if (!GetVarint64(head.data(), pos + len, &sub, &base)) return 0;
   return base;
 }
 
@@ -189,9 +146,13 @@ Status FramedLog::Open(const std::string& path, bool truncate,
   if (!truncate) {
     // Restore the LSN counter and the truncation marks from the
     // existing records and repair a torn tail: appending after garbage
-    // would hide the new records from every future replay.
+    // would hide the new records from every future replay. A read
+    // error fails the open: taken for end-of-file, it would make that
+    // repair cut acknowledged records off the log.
     std::string data;
-    if (SlurpFile(path, &data) && !data.empty()) {
+    Status read = ReadFile(path, &data);
+    if (!read.ok() && !read.IsNotFound()) return read;
+    if (!data.empty()) {
       ScanStats stats;
       ScanFrames(
           data, codec_,
@@ -204,26 +165,21 @@ Status FramedLog::Open(const std::string& path, bool truncate,
           &stats);
       size_ = stats.bytes_consumed;
       last_lsn_.store(stats.last_lsn, std::memory_order_release);
-      if (!stats.clean_end) {
-        if (::truncate(path.c_str(),
-                       static_cast<off_t>(stats.bytes_consumed)) != 0) {
-          return Status::IOError("cannot repair torn log tail: " + path);
-        }
-      }
     }
   }
-  file_ = std::fopen(path.c_str(), truncate ? "wb" : "ab");
-  if (file_ == nullptr) {
-    return Status::IOError("cannot open log file: " + path);
-  }
-  return Status::OK();
+  LSTORE_RETURN_IF_ERROR(file_.Open(
+      path, truncate ? File::Mode::kCreateTruncate
+                     : File::Mode::kReadWriteCreate));
+  // Appends continue at size_: cut the torn tail beyond it, if any.
+  Status s = file_.Truncate(size_);
+  if (!s.ok()) file_.Close();
+  return s;
 }
 
 void FramedLog::Close() {
-  if (file_ != nullptr) {
+  if (file_.is_open()) {
     Flush(false);
-    std::fclose(file_);
-    file_ = nullptr;
+    file_.Close();
   }
 }
 
@@ -282,24 +238,17 @@ void FramedLog::PublishPendingLocked() {
 }
 
 Status FramedLog::FlushBufferLocked() {
-  if (file_ == nullptr) return Status::IOError("log not open");
-  if (!buffer_.empty()) {
-    size_t n = std::fwrite(buffer_.data(), 1, buffer_.size(), file_);
-    if (n != buffer_.size()) {
-      // Drop exactly the consumed prefix on a short write (ENOSPC):
-      // the file holds a partial frame, and a later retry must
-      // continue at the same byte — re-writing the whole buffer after
-      // the partial prefix would corrupt the log mid-file and take
-      // every LATER (acknowledged) record down with it at the next
-      // open's tail scan.
-      std::string rest(buffer_, n);
-      buffer_ = std::move(rest);
-      return Status::IOError("short log write");
-    }
-    buffer_.clear();
-  }
-  if (std::fflush(file_) != 0) return Status::IOError("fflush failed");
-  return Status::OK();
+  if (!file_.is_open()) return Status::IOError("log not open");
+  if (buffer_.empty()) return Status::OK();
+  // Drop exactly the written prefix on a short write (ENOSPC): the file
+  // holds a partial frame, and a later retry must continue at the same
+  // byte — re-writing the whole buffer after the partial prefix would
+  // corrupt the log mid-file and take every LATER (acknowledged) record
+  // down with it at the next open's tail scan.
+  size_t written = 0;
+  Status s = file_.WriteAt(size_ - buffer_.size(), buffer_, &written);
+  buffer_.erase(0, written);
+  return s;
 }
 
 Status FramedLog::Flush(bool sync) {
@@ -309,13 +258,8 @@ Status FramedLog::Flush(bool sync) {
   PublishPendingLocked();  // flush = a snapshot-visible point
   LSTORE_RETURN_IF_ERROR(FlushBufferLocked());
   if (sync) {
-    if (sync_counter_ != nullptr) {
-      sync_counter_->fetch_add(1, std::memory_order_relaxed);
-    }
     if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Add(1);
-    if (::fsync(::fileno(file_)) != 0) {
-      return Status::IOError("fsync failed");
-    }
+    LSTORE_RETURN_IF_ERROR(file_.Sync());
   }
   if (t0 != 0) metrics_.flush_ns->Record(NowNanos() - t0);
   return Status::OK();
@@ -349,9 +293,8 @@ Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {
   // file. Frames appended after phase 1 are untouched: they live in
   // the old file beyond snap_size and are copied in phase 3.
   std::string data;
-  if (!ReadFileRange(path_, from.offset, snap_size - from.offset, &data)) {
-    return Status::IOError("cannot read log for truncation: " + path_);
-  }
+  LSTORE_RETURN_IF_ERROR(
+      file_.ReadAt(from.offset, snap_size - from.offset, &data));
   if (metrics_.truncate_read_bytes != nullptr) {
     metrics_.truncate_read_bytes->Add(data.size());
   }
@@ -391,82 +334,44 @@ Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {
     LSTORE_RETURN_IF_ERROR(seal(prefix_first_lsn, base_lsn, sealed));
   }
 
+  // Publish head + retained bytes + live suffix as the new log. The
+  // fill writes head and retained bytes without the mutex (appends
+  // proceed), then takes it for good: phase 3 (O(appends since phase
+  // 1)) drains the buffer and copies the live suffix [snap_size, EOF),
+  // and the mutex stays held through the publish and the handle swap.
   std::string head = TruncationPointFrame(base_lsn);
-  std::string tmp = path_ + ".tmp";
-  std::FILE* out = std::fopen(tmp.c_str(), "wb");
-  if (out == nullptr) return Status::IOError("cannot open temp log: " + tmp);
-  bool write_ok =
-      std::fwrite(head.data(), 1, head.size(), out) == head.size() &&
-      (data.size() == cut ||
-       std::fwrite(data.data() + cut, 1, data.size() - cut, out) ==
-           data.size() - cut);
-  if (!write_ok) {
-    std::fclose(out);
-    std::remove(tmp.c_str());
-    return Status::IOError("short write during log truncation");
-  }
-
-  // Phase 3 (mutex, O(appends since phase 1)): drain the buffer, copy
-  // the live suffix [snap_size, EOF) byte-for-byte, and swap handles.
-  std::lock_guard<std::mutex> g(mu_);
-  Status flush = FlushBufferLocked();
-  if (!flush.ok()) {
-    std::fclose(out);
-    std::remove(tmp.c_str());
-    return flush;
-  }
-  {
-    std::FILE* in = std::fopen(path_.c_str(), "rb");
-    if (in == nullptr ||
-        std::fseek(in, static_cast<long>(snap_size), SEEK_SET) != 0) {
-      if (in != nullptr) std::fclose(in);
-      std::fclose(out);
-      std::remove(tmp.c_str());
-      return Status::IOError("cannot read log suffix for truncation");
-    }
-    char chunk[1 << 16];
-    size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), in)) > 0) {
-      if (metrics_.truncate_read_bytes != nullptr) {
-        metrics_.truncate_read_bytes->Add(n);
-      }
-      if (std::fwrite(chunk, 1, n, out) != n) {
-        std::fclose(in);
-        std::fclose(out);
-        std::remove(tmp.c_str());
-        return Status::IOError("short write during log truncation");
-      }
-    }
-    std::fclose(in);
-  }
-  write_ok = std::fflush(out) == 0 && ::fsync(::fileno(out)) == 0;
-  std::fclose(out);
-  if (!write_ok) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot sync truncated log");
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IOError("cannot publish truncated log");
-  }
-  // Make the rename itself durable before dropping the old handle. The
-  // path names the new file either way, so a failed directory fsync
-  // still re-points the handle below, then surfaces as the result.
-  Status dir_sync = SyncDirOf(path_);
-  // Re-point the handle at the new file (the old inode is unlinked)
-  // and rebase the marks: old offset `drop` is new offset head.size().
+  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
+  File next;
+  Status s = WriteFileAtomic(
+      path_,
+      [&](File& out) {
+        std::string_view kept = std::string_view(data).substr(cut);
+        LSTORE_RETURN_IF_ERROR(out.WriteAt(0, head));
+        LSTORE_RETURN_IF_ERROR(out.WriteAt(head.size(), kept));
+        lk.lock();
+        LSTORE_RETURN_IF_ERROR(FlushBufferLocked());
+        std::string suffix;
+        LSTORE_RETURN_IF_ERROR(
+            file_.ReadAt(snap_size, size_ - snap_size, &suffix));
+        if (metrics_.truncate_read_bytes != nullptr) {
+          metrics_.truncate_read_bytes->Add(suffix.size());
+        }
+        return out.WriteAt(head.size() + kept.size(), suffix);
+      },
+      &next);
+  // Not published: the old log stands. Published: the path names the
+  // new file even if the directory fsync failed, so the handle moves
+  // to it either way and that failure surfaces as the result.
+  if (!next.is_open()) return s;
+  // Rebase the marks: old offset `drop` is new offset head.size().
   uint64_t drop = from.offset + cut;
   marks_.erase(marks_.begin(),
                std::find_if(marks_.begin(), marks_.end(),
                             [drop](const Mark& m) { return m.offset > drop; }));
   for (Mark& m : marks_) m.offset = m.offset - drop + head.size();
   size_ = size_ - drop + head.size();
-  std::fclose(file_);
-  file_ = std::fopen(path_.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Status::IOError("cannot reopen truncated log: " + path_);
-  }
-  return dir_sync;
+  file_ = std::move(next);
+  return s;
 }
 
 }  // namespace lstore

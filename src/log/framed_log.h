@@ -9,11 +9,13 @@
 // varint base) restoring the numbering, so LSNs are stable across
 // truncations and archival.
 //
-// The core owns: buffered appends with short-write (ENOSPC) recovery,
-// fsync (with the injectable commit-path sync counter), open-time LSN
-// restore + torn-tail repair, the three-phase low-lock truncation, and
-// the frame scan that every reader shares. What a payload *means* is
-// the wrapper's business: the core calls a Codec to validate a record
+// The core owns: buffered appends written at tracked offsets through
+// the file layer (common/file.h), resumed byte-exact after a short
+// write (ENOSPC); fsync; open-time LSN restore + torn-tail repair; the
+// three-phase low-lock truncation; and the frame scan that every
+// reader shares. The log's own frame buffer is the only buffer: each
+// flush is one positional write of it. What a payload *means* is the
+// wrapper's business: the core calls a Codec to validate a record
 // payload and learn how many LSNs it carries — so RedoLog, CommitLog,
 // and the archive reader cannot diverge on framing, torn-tail, or
 // truncation behavior.
@@ -36,13 +38,13 @@
 
 #include <atomic>
 #include <cstdint>
-#include <cstdio>
 #include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/file.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 
@@ -123,13 +125,14 @@ class FramedLog {
 
   /// Open for appending. An existing file is scanned to restore the
   /// LSN counter; a torn tail (crash mid-write) is truncated away so
-  /// new appends are not hidden behind garbage. `replay_fn` (optional)
+  /// new appends are not hidden behind garbage. A read error fails the
+  /// open and leaves the file as it was. `replay_fn` (optional)
   /// receives every well-formed frame during that same scan, so
   /// restart recovery reads the file once.
   Status Open(const std::string& path, bool truncate,
               const FrameFn& replay_fn = nullptr);
   void Close();
-  bool is_open() const { return file_ != nullptr; }
+  bool is_open() const { return file_.is_open(); }
   const std::string& path() const { return path_; }
 
   /// Append one framed payload carrying `lsn_count` LSNs (buffered).
@@ -144,22 +147,15 @@ class FramedLog {
     return last_lsn_.load(std::memory_order_acquire);
   }
 
-  /// Test hook: counts fsyncs issued by Flush(sync=true) so group
-  /// commit tests can assert fsync count < committer count. Kept as a
-  /// compatibility shim alongside set_metrics — both are incremented.
-  void set_sync_counter(std::atomic<uint64_t>* counter) {
-    sync_counter_ = counter;
-  }
-
   /// Wire registry metrics (obs/metrics.h). Must be called before the
   /// log sees concurrent use (handles are read without a lock).
   void set_metrics(const FramedLogMetrics& m) { metrics_ = m; }
 
   /// Drop every record with LSN <= watermark: the retained tail is
-  /// rewritten behind a truncation-point record via temp file + atomic
-  /// rename + directory fsync. The scan for the cut starts at the last
-  /// mark at or below the watermark, so it reads the retained tail plus
-  /// < kMarkSpacing retired bytes. That scan and the write of the
+  /// republished behind a truncation-point record with WriteFileAtomic
+  /// (a read or write error leaves the log as it was). The scan for the
+  /// cut starts at the last mark at or below the watermark, so it reads
+  /// the retained tail plus < kMarkSpacing retired bytes. That scan and the write of the
   /// retained tail run WITHOUT the log mutex, so concurrent appends are
   /// stalled only for the O(appends-since-scan) handle swap. A batch
   /// frame straddling the watermark is retained whole; the truncation
@@ -188,7 +184,7 @@ class FramedLog {
                          const FrameFn& fn, ScanStats* stats,
                          uint64_t start_lsn = 0);
 
-  /// Scan a whole file (missing file = IOError).
+  /// Scan a whole file (missing file = NotFound, read error = IOError).
   static Status ScanFile(const std::string& path, const Codec& codec,
                          const FrameFn& fn, ScanStats* stats);
 
@@ -197,7 +193,8 @@ class FramedLog {
   static uint64_t ReadBaseLsn(const std::string& path);
 
  private:
-  /// Flush `buffer_` into `file_` (caller holds mu_).
+  /// Write `buffer_` at its file offset, size_ - buffer_.size() (caller
+  /// holds mu_).
   Status FlushBufferLocked();
 
   /// Push the accumulated append/byte tallies to the registry
@@ -219,18 +216,17 @@ class FramedLog {
   };
 
   Codec codec_;
-  std::FILE* file_ = nullptr;
+  File file_;
   std::string path_;
   std::mutex mu_;
   /// Serializes whole truncations against each other (mu_ still
-  /// protects every file_/buffer_ touch). Ordering: truncate_mu_
-  /// before mu_.
+  /// protects every write through file_ and every buffer_ touch).
+  /// Ordering: truncate_mu_ before mu_.
   std::mutex truncate_mu_;
   std::string buffer_;
   uint64_t size_ = 0;          ///< under mu_: file bytes + buffer_
   std::vector<Mark> marks_;    ///< under mu_: ascending, all <= size_
   std::atomic<uint64_t> last_lsn_{0};
-  std::atomic<uint64_t>* sync_counter_ = nullptr;
   FramedLogMetrics metrics_;
   uint64_t pending_appends_ = 0;      ///< under mu_, batched to metrics_
   uint64_t pending_append_bytes_ = 0; ///< under mu_, batched to metrics_

@@ -60,7 +60,8 @@ std::string RenderEventJson(const Event& e);
 /// rotation-safe open-append-close idiom. With `max_bytes` > 0, a file
 /// already at or beyond the bound is renamed to `<path>.1` (replacing
 /// any previous `.1`) before the append — shared by events.log and
-/// slowops.log so both logs age out the same way.
+/// slowops.log so both logs age out the same way, and by metrics.log
+/// (max_bytes 0: never rotated by the engine).
 void AppendLineRotated(const std::string& path, uint64_t max_bytes,
                        std::string_view line);
 

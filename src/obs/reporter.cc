@@ -1,7 +1,8 @@
 #include "obs/reporter.h"
 
 #include <chrono>
-#include <cstdio>
+
+#include "obs/event_log.h"
 
 namespace lstore {
 
@@ -46,11 +47,7 @@ void StatsReporter::Loop() {
 void StatsReporter::WriteLine() {
   std::string line = snapshot_fn_().RenderJson();
   line.push_back('\n');
-  // Open-append-close per tick: rotation-safe by construction.
-  std::FILE* f = std::fopen(path_.c_str(), "a");
-  if (f == nullptr) return;
-  std::fwrite(line.data(), 1, line.size(), f);
-  std::fclose(f);
+  AppendLineRotated(path_, /*max_bytes=*/0, line);
 }
 
 }  // namespace lstore

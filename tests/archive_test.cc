@@ -561,6 +561,31 @@ TEST_F(ArchiveTest, SealSinkFailureLeavesLogIntact) {
   EXPECT_EQ(live, (std::vector<uint64_t>{6, 7, 8}));
 }
 
+// Only "already moved" may pass silently when a superseded checkpoint
+// file moves into the archive: any other failure would leave the file
+// in the live directory for good, out of retention's reach.
+TEST_F(ArchiveTest, FailedCheckpointFileMoveIsReported) {
+  std::unique_ptr<Database> db;
+  OpenWithTables(ArchiveOpts(), &db);
+  Oracle oracle;
+  RunSchedule(db.get(), &oracle, 10, 0, /*seed=*/3);
+  ASSERT_TRUE(db->Checkpoint().ok());
+  Manifest m;
+  bool exists = false;
+  ASSERT_TRUE(ReadManifest(dir_, &m, &exists).ok());
+  ASSERT_TRUE(exists);
+  ASSERT_FALSE(m.entries.empty());
+  // A non-empty directory at the archive path of each checkpoint-1
+  // file: moving the file there fails with EISDIR.
+  for (const ManifestEntry& e : m.entries) {
+    fs::create_directories(ArchiveManager::ArchiveDirOf(dir_) + "/" + e.file +
+                           "/blocker");
+  }
+  RunSchedule(db.get(), &oracle, 10, 0, /*seed=*/4);
+  Status s = db->Checkpoint();
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+}
+
 TEST_F(ArchiveTest, ManifestCarriesArchiveWatermarks) {
   std::unique_ptr<Database> db;
   OpenWithTables(ArchiveOpts(), &db);

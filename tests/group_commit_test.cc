@@ -362,12 +362,16 @@ TEST_F(GroupCommitTest, MixedSingleAndCrossTableCommitsRecoverEquivalently) {
 // ---------------------------------------------------------------------------
 
 TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
-  std::atomic<uint64_t> fsyncs{0};
   DurabilityOptions opts;
   opts.sync_commit = true;
   opts.group_commit_window_us = 50000;  // 50 ms: let followers join
-  opts.sync_counter = &fsyncs;
   auto db = OpenDb(opts);
+  // Every commit-path fsync: the commit log's and every redo log's.
+  auto fsyncs = [&db] {
+    MetricsSnapshot s = db->Metrics();
+    return s.CounterValue("lstore_redo_fsyncs_total") +
+           s.CounterValue("lstore_commit_log_fsyncs_total");
+  };
 
   // Load one row per thread in each table (these commits also fsync;
   // measure only around the concurrent phase).
@@ -376,7 +380,7 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
     ASSERT_TRUE(CrossInsert(db.get(), i, i).ok());
   }
 
-  uint64_t before_fsyncs = fsyncs.load();
+  uint64_t before_fsyncs = fsyncs();
   uint64_t before_batches = db->group_commit()->batches();
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
@@ -399,7 +403,7 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
   for (auto& t : threads) t.join();
   ASSERT_EQ(ok.load(), kThreads);
 
-  uint64_t delta_fsyncs = fsyncs.load() - before_fsyncs;
+  uint64_t delta_fsyncs = fsyncs() - before_fsyncs;
   uint64_t delta_batches = db->group_commit()->batches() - before_batches;
   // Unshared, 8 cross-table commits over 2 tables would cost
   // 8 * (2 table fsyncs + 1 commit-log fsync) = 24. Group commit
@@ -416,6 +420,24 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
     EXPECT_EQ(row[1], static_cast<Value>(100 + i));
     ASSERT_TRUE(txn.Commit().ok());
   }
+}
+
+// A reopened database keeps counting redo-log fsyncs: recovery resumes
+// logging on each table's instrumented log, not on a bare one.
+TEST_F(GroupCommitTest, ReopenedTablesCountRedoFsyncs) {
+  DurabilityOptions opts;
+  opts.sync_commit = true;
+  {
+    auto db = OpenDb(opts);
+    ASSERT_TRUE(CrossInsert(db.get(), 1, 11).ok());
+  }
+  auto db = OpenDb(opts);
+  auto redo_fsyncs = [&db] {
+    return db->Metrics().CounterValue("lstore_redo_fsyncs_total");
+  };
+  uint64_t before = redo_fsyncs();
+  ASSERT_TRUE(CrossInsert(db.get(), 2, 22).ok());
+  EXPECT_GE(redo_fsyncs() - before, 2u);  // one per participant log
 }
 
 // ---------------------------------------------------------------------------

@@ -326,8 +326,6 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   opts.sync_commit = true;
   opts.group_commit_window_us = 100;
   opts.archive_enabled = true;
-  std::atomic<uint64_t> shim_fsyncs{0};
-  opts.sync_counter = &shim_fsyncs;  // compat shim still serviced
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(dir_, opts, &db).ok());
   ASSERT_TRUE(db->CreateTable("A", Schema({"k", "v"}), SmallConfig()).ok());
@@ -376,10 +374,6 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   EXPECT_GT(s.CounterValue("lstore_redo_fsyncs_total"), 0u);
   EXPECT_GT(s.CounterValue("lstore_commit_log_appends_total"), 0u);
   EXPECT_GT(s.CounterValue("lstore_commit_log_fsyncs_total"), 0u);
-  // The injected test counter and the registry see the same events.
-  EXPECT_EQ(shim_fsyncs.load(),
-            s.CounterValue("lstore_redo_fsyncs_total") +
-                s.CounterValue("lstore_commit_log_fsyncs_total"));
   // Merge.
   EXPECT_GT(s.CounterValue("lstore_merge_rows_consolidated_total"), 0u);
   EXPECT_GT(s.CounterValue("lstore_merge_insert_rows_total"), 0u);
