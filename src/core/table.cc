@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "common/bitutil.h"
+#include "common/inline_buffer.h"
 #include "core/commit_pipeline.h"
 #include "core/historic.h"
 #include "core/merge.h"
@@ -281,15 +282,7 @@ std::vector<Table::ChainEntry> Table::DebugChain(Value key,
 Value Table::BaseValue(const Range& r, uint32_t slot,
                        uint32_t physical_col) const {
   BaseSegment* seg = r.base[physical_col].load(std::memory_order_acquire);
-  if (seg != nullptr && slot < seg->num_slots) {
-    // O(1) single-value demand read: a buffer-pool miss on a
-    // fixed-width cold segment decodes only the requested slot
-    // instead of inflating the whole column (varint-coded segments
-    // fall through to the full-inflate pin).
-    Value v;
-    if (BufferPool::ReadColdSlot(seg->page.get(), slot, &v)) return v;
-    return seg->Pin().Get(slot);
-  }
+  if (seg != nullptr && slot < seg->num_slots) return seg->Get(slot);
   // Not insert-merged yet: the record lives in the table-level tail
   // pages (Section 3.2) at the aligned position slot+1.
   uint32_t seq = slot + 1;
@@ -679,7 +672,7 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
   const bool snapshot_read = spec.as_of != kMaxTimestamp && fallback != 0;
   const bool lut_covers = lut_seg != nullptr && slot < lut_seg->num_slots;
   if (snapshot_read && lut_covers) {
-    Value lut = lut_seg->Pin().Get(slot);
+    Value lut = lut_seg->Get(slot);
     if (lut != kNull && (IsTxnId(lut) || lut >= spec.as_of)) {
       *consistent = false;
     }
@@ -693,7 +686,7 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
       *consistent = false;
     }
     (*out)[*it] = seg_covers
-                      ? seg->Pin().Get(slot)
+                      ? seg->Get(slot)
                       : r.inserts.Read(slot + 1, kTailMetaColumns + col);
   }
   return Status::OK();
@@ -839,64 +832,114 @@ void Table::WriteAbortRecord(Transaction* txn, bool flush) {
 
 Status Table::Insert(Transaction* txn, const std::vector<Value>& row) {
   EpochGuard guard(epochs_);
-  return InsertImpl(txn, row, nullptr);
+  return InsertRows(txn, &row, 1, nullptr);
 }
 
-Status Table::InsertImpl(Transaction* txn, const std::vector<Value>& row,
-                         RedoLog::Batch* log_sink) {
-  if (row.size() != schema_.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch");
+Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
+                         size_t n, RedoLog::Batch* log_sink) {
+  const uint32_t ncols = schema_.num_columns();
+  size_t reserved = 0;  // rows before the first bad-arity row
+  while (reserved < n && rows[reserved].size() == ncols) ++reserved;
+  Status status = reserved < n ? Status::InvalidArgument("row arity mismatch")
+                               : Status::OK();
+  if (reserved == 0) return status;
+
+  const Rid first = next_row_.fetch_add(reserved, std::memory_order_relaxed);
+  InlineBuffer<Value> keys(reserved);
+  InlineBuffer<Rid> rids(reserved);
+  InlineBuffer<bool> ok(reserved);
+  for (size_t i = 0; i < reserved; ++i) {
+    keys[i] = rows[i][0];
+    rids[i] = first + i;
   }
-  uint64_t rid = next_row_.fetch_add(1, std::memory_order_relaxed);
-  Range* r = EnsureRange(RangeOf(rid));
-  uint32_t slot = SlotOf(rid);
-  uint32_t seq = slot + 1;  // aligned base/tail RIDs
-
-  AtomicMaxU32(r->occupied, slot + 1);
-
-  if (!primary_.Insert(row[0], rid)) {
-    // Slot is burned; tombstone it so scans skip it.
-    r->inserts.StartTimeSlot(seq)->store(kAbortedStamp,
-                                         std::memory_order_release);
-    return Status::AlreadyExists("duplicate key");
-  }
-
-  for (ColumnId c = 0; c < schema_.num_columns(); ++c) {
-    r->inserts.Write(seq, kTailMetaColumns + c, row[c]);
-  }
-  r->inserts.Write(seq, kTailIndirection, 0);
-  r->inserts.Write(seq, kTailSchemaEncoding, 0);
-  r->inserts.Write(seq, kTailBaseRid, slot);
-
-  // Publish before logging (checkpoint watermark invariant; see
-  // WriteTailVersion). Visibility is still gated by the txn state.
-  r->inserts.StartTimeSlot(seq)->store(txn->id(), std::memory_order_release);
-
-  if (log_ != nullptr) {
-    ColumnMask mask = schema_.AllColumns();
-    RedoLog::AppendWriter rec(LogRecordType::kInsertAppend, txn->id(), r->id,
-                              seq, slot, /*backptr=*/0, /*schema_encoding=*/0,
-                              /*start_raw=*/txn->id(), mask);
-    for (int c = 0, n = PopCount(mask); c < n; ++c) rec.AddValue(row[c]);
-    if (log_sink != nullptr) {
-      log_sink->Add(rec);
-    } else {
-      log_->Append(rec);
+  primary_.InsertBatch(keys.data(), rids.data(), reserved, ok.data());
+  size_t inserted = 0;
+  while (inserted < reserved && ok[inserted]) ++inserted;
+  if (inserted < reserved) {
+    status = Status::AlreadyExists("duplicate key");
+    // No row past the failure stays indexed. A key repeated within the
+    // batch failed at its later occurrences, so these erase only
+    // entries this batch made.
+    for (size_t i = inserted + 1; i < reserved; ++i) {
+      if (ok[i]) primary_.Erase(keys[i]);
     }
   }
 
+  // Fill table-level tail pages (aligned base/tail RIDs: slot s is
+  // record s + 1) one page run at a time, each column's page resolved
+  // once per run. Start Times are published before logging
+  // (checkpoint watermark invariant; see WriteTailVersion); slots
+  // reserved past the failure are burned with the aborted stamp so
+  // scans and merges skip them.
+  for (size_t i = 0; i < reserved;) {
+    Range* r = EnsureRange(RangeOf(first + i));
+    const uint32_t slot0 = SlotOf(first + i);
+    const size_t range_end =
+        i + std::min<size_t>(reserved - i, config_.range_size - slot0);
+    TailSegment& tail = r->inserts;
+    for (size_t j = i; j < range_end;) {
+      const uint32_t slot = slot0 + static_cast<uint32_t>(j - i);
+      const uint32_t at = tail.SlotInPage(slot + 1);
+      const size_t len =
+          std::min<size_t>(range_end - j, tail.page_slots() - at);
+      const size_t filled = j < inserted ? std::min(len, inserted - j) : 0;
+      for (uint32_t c = 0; c < ncols; ++c) {
+        Page* p = tail.EnsurePageOf(slot + 1, kTailMetaColumns + c);
+        for (size_t k = 0; k < filled; ++k) p->Set(at + k, rows[j + k][c]);
+      }
+      Page* indirection = tail.EnsurePageOf(slot + 1, kTailIndirection);
+      Page* encoding = tail.EnsurePageOf(slot + 1, kTailSchemaEncoding);
+      Page* base_rid = tail.EnsurePageOf(slot + 1, kTailBaseRid);
+      Page* start = tail.EnsurePageOf(slot + 1, kTailStartTime);
+      for (size_t k = 0; k < filled; ++k) {
+        indirection->Set(at + k, 0);
+        encoding->Set(at + k, 0);
+        base_rid->Set(at + k, slot + k);
+      }
+      for (size_t k = 0; k < len; ++k) {
+        start->Set(at + k, k < filled ? txn->id() : kAbortedStamp);
+      }
+      j += len;
+    }
+    AtomicMaxU32(r->occupied, slot0 + static_cast<uint32_t>(range_end - i));
+    if (inserted > i) {
+      stats_.inserts.fetch_add(std::min(range_end, inserted) - i,
+                               std::memory_order_relaxed);
+    }
+    MaybeScheduleMerge(*r);
+    i = range_end;
+  }
+
+  for (size_t i = 0; i < inserted; ++i) {
+    const uint64_t range_id = RangeOf(first + i);
+    const uint32_t slot = SlotOf(first + i);
+    if (log_ != nullptr) {
+      ColumnMask mask = schema_.AllColumns();
+      RedoLog::AppendWriter rec(LogRecordType::kInsertAppend, txn->id(),
+                                range_id, slot + 1, slot, /*backptr=*/0,
+                                /*schema_encoding=*/0,
+                                /*start_raw=*/txn->id(), mask);
+      for (int c = 0, m = PopCount(mask); c < m; ++c) {
+        rec.AddValue(rows[i][c]);
+      }
+      if (log_sink != nullptr) {
+        log_sink->Add(rec);
+      } else {
+        log_->Append(rec);
+      }
+    }
+    txn->writeset().push_back(WriteEntry{range_id, slot, slot + 1,
+                                         /*is_insert=*/true, keys[i], this});
+  }
   {
     SpinGuard sg(secondary_latch_);
     for (auto& s : secondaries_) {
-      s.index->Add(row[s.col], rid);
+      for (size_t i = 0; i < inserted; ++i) {
+        s.index->Add(rows[i][s.col], first + i);
+      }
     }
   }
-
-  txn->writeset().push_back(
-      WriteEntry{r->id, slot, seq, /*is_insert=*/true, row[0], this});
-  stats_.inserts.fetch_add(1, std::memory_order_relaxed);
-  MaybeScheduleMerge(*r);
-  return Status::OK();
+  return status;
 }
 
 // ---------------------------------------------------------------------------
@@ -1295,11 +1338,7 @@ Status Table::InsertBatch(Txn& txn, const std::vector<std::vector<Value>>& rows)
   RedoLog::Batch recs;
   RedoLog::Batch* sink = log_ != nullptr ? &recs : nullptr;
   EpochGuard guard(epochs_);
-  Status s = Status::OK();
-  for (const std::vector<Value>& row : rows) {
-    s = InsertImpl(t, row, sink);
-    if (!s.ok()) break;
-  }
+  Status s = InsertRows(t, rows.data(), rows.size(), sink);
   // ONE frame for the whole batch; the publish-before-log invariant
   // holds because every Start Time was published above.
   if (sink != nullptr && !recs.empty()) log_->AppendBatch(recs);

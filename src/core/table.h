@@ -78,6 +78,16 @@ struct BaseSegment {
   /// Pin the payload (demand-loading if cold). Callers must hold an
   /// EpochGuard of the owning table for the handle's lifetime.
   PageHandle Pin() const { return PageHandle(page.get()); }
+
+  /// One slot's value, as a point read: a cold fixed-width page
+  /// decodes just that slot from the store instead of inflating the
+  /// whole column (varint-coded or resident pages go through Pin).
+  /// Same epoch contract as Pin.
+  Value Get(uint32_t slot) const {
+    Value v;
+    if (BufferPool::ReadColdSlot(page.get(), slot, &v)) return v;
+    return Pin().Get(slot);
+  }
 };
 
 /// Physical base columns beyond the data columns.
@@ -190,7 +200,8 @@ class Table : public TxnContext {
 
   /// Insert many full rows with one redo-log frame. Stops at the
   /// first failing row (already-inserted rows stay in the session's
-  /// writeset and commit/abort with it).
+  /// writeset and commit/abort with it); a key repeated within the
+  /// batch fails at its second occurrence.
   Status InsertBatch(Txn& txn, const std::vector<std::vector<Value>>& rows);
 
   /// Update `mask` of keys[i] to rows[i] with one redo-log frame.
@@ -467,10 +478,16 @@ class Table : public TxnContext {
   // Write machinery ----------------------------------------------------------
   // `log_sink` != nullptr collects redo records instead of appending
   // them — the batch operations emit ONE log frame per batch. Callers
-  // of the *Impl forms hold the epoch pin.
+  // of these hold the epoch pin.
 
-  Status InsertImpl(Transaction* txn, const std::vector<Value>& row,
-                    RedoLog::Batch* log_sink);
+  /// The one insert path (Section 3.2): `Insert` passes a single row,
+  /// `InsertBatch` the batch. Reserves the rows' RIDs at once, inserts
+  /// their keys shard by shard, and fills table-level tail pages one
+  /// page run at a time. Stops at the first duplicate key or bad-arity
+  /// row: earlier rows stay inserted, later ones leave no index entry,
+  /// and their reserved slots are stamped aborted.
+  Status InsertRows(Transaction* txn, const std::vector<Value>* rows,
+                    size_t n, RedoLog::Batch* log_sink);
   Status WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
                           ColumnMask mask, const std::vector<Value>& row,
                           bool is_delete, RedoLog::Batch* log_sink);

@@ -4,6 +4,8 @@
 #include <cassert>
 #include <utility>
 
+#include "common/inline_buffer.h"
+
 namespace lstore {
 
 namespace {
@@ -34,14 +36,21 @@ Rid PrimaryIndex::Shard::Find(Value key) const {
   }
 }
 
-bool PrimaryIndex::Shard::Insert(Value key, Rid rid) {
-  assert(rid != kEmpty && rid != kTombstone);
+void PrimaryIndex::Shard::Reserve(size_t extra) {
+  const size_t cap = slots.size();
   // Probes end at an empty slot, so some must always remain.
-  if ((live + tombstones + 1) * 5 > slots.size() * 4) {
-    const size_t old_cap = slots.size();
-    const bool purge = old_cap > 0 && live * 2 <= old_cap;
-    Rehash(purge ? old_cap : std::max(kMinCapacity, old_cap * 3 / 2));
+  if ((live + tombstones + extra) * 5 <= cap * 4) return;
+  if (cap > 0 && (live + extra) * 2 <= cap) {
+    Rehash(cap);  // dropping the tombstones is enough
+    return;
   }
+  size_t grown = std::max(kMinCapacity, cap * 3 / 2);
+  while ((live + extra) * 5 > grown * 4) grown = grown * 3 / 2;
+  Rehash(grown);
+}
+
+bool PrimaryIndex::Shard::Place(Value key, Rid rid) {
+  assert(rid != kEmpty && rid != kTombstone);
   const size_t cap = slots.size();
   size_t target = cap;  // the first tombstone on the probe path
   for (size_t i = Home(Hash(key), cap);; i = Next(i, cap)) {
@@ -91,10 +100,63 @@ void PrimaryIndex::Shard::Rehash(size_t capacity) {
   }
 }
 
+template <typename Fn>
+void PrimaryIndex::ForEachShardGroup(const Value* keys, size_t n,
+                                     Fn&& fn) const {
+  // Stable counting sort of the positions by shard, so each touched
+  // shard is visited once and sees its keys in batch order.
+  const size_t nshards = shards_.size();
+  InlineBuffer<uint32_t> shard_of(n), order(n);
+  InlineBuffer<uint32_t, 64> end(nshards);
+  std::fill(end.data(), end.data() + nshards, 0u);
+  for (size_t i = 0; i < n; ++i) {
+    shard_of[i] = static_cast<uint32_t>(ShardOf(keys[i]));
+    ++end[shard_of[i]];
+  }
+  uint32_t begin = 0;
+  for (size_t s = 0; s < nshards; ++s) {
+    const uint32_t count = end[s];
+    end[s] = begin;
+    begin += count;
+  }
+  for (size_t i = 0; i < n; ++i) {
+    order[end[shard_of[i]]++] = static_cast<uint32_t>(i);
+  }
+  begin = 0;
+  for (size_t s = 0; s < nshards; ++s) {
+    if (end[s] > begin) fn(shards_[s], order.data() + begin, end[s] - begin);
+    begin = end[s];
+  }
+}
+
 bool PrimaryIndex::Insert(Value key, Rid rid) {
   Shard& s = shards_[ShardOf(key)];
   SpinGuard g(s.latch);
-  return s.Insert(key, rid);
+  s.Reserve(1);
+  return s.Place(key, rid);
+}
+
+void PrimaryIndex::InsertBatch(const Value* keys, const Rid* rids, size_t n,
+                               bool* ok) {
+  // Home slots are random cache misses in a large index: touch each
+  // one this many keys ahead of its probe.
+  constexpr size_t kPrefetchAhead = 8;
+  ForEachShardGroup(keys, n, [&](Shard& s, const uint32_t* pos,
+                                 size_t count) {
+    SpinGuard g(s.latch);
+    s.Reserve(count);
+    const size_t cap = s.slots.size();
+    auto prefetch = [&](size_t j) {
+      if (j < count) {
+        __builtin_prefetch(&s.slots[Home(Hash(keys[pos[j]]), cap)], 1);
+      }
+    };
+    for (size_t j = 0; j < kPrefetchAhead; ++j) prefetch(j);
+    for (size_t j = 0; j < count; ++j) {
+      prefetch(j + kPrefetchAhead);
+      ok[pos[j]] = s.Place(keys[pos[j]], rids[pos[j]]);
+    }
+  });
 }
 
 Rid PrimaryIndex::Get(Value key) const {
@@ -104,36 +166,11 @@ Rid PrimaryIndex::Get(Value key) const {
 }
 
 void PrimaryIndex::MultiGet(const Value* keys, size_t n, Rid* out) const {
-  // Bucket probe positions by shard, then visit each touched shard
-  // once (one latch acquisition per shard per batch). The scratch
-  // arrays live on the stack for typical batches, on the heap beyond.
-  constexpr size_t kStackBatch = 256;
-  uint32_t order_stack[kStackBatch];
-  uint32_t shard_stack[kStackBatch];
-  std::vector<uint32_t> order_heap, shard_heap;
-  uint32_t* order = order_stack;
-  uint32_t* shard_of = shard_stack;
-  if (n > kStackBatch) {
-    order_heap.resize(n);
-    shard_heap.resize(n);
-    order = order_heap.data();
-    shard_of = shard_heap.data();
-  }
-  for (size_t i = 0; i < n; ++i) {
-    order[i] = static_cast<uint32_t>(i);
-    shard_of[i] = static_cast<uint32_t>(ShardOf(keys[i]));
-  }
-  std::sort(order, order + n,
-            [&](uint32_t a, uint32_t b) { return shard_of[a] < shard_of[b]; });
-  size_t i = 0;
-  while (i < n) {
-    uint32_t shard = shard_of[order[i]];
-    const Shard& s = shards_[shard];
+  ForEachShardGroup(keys, n, [&](const Shard& s, const uint32_t* pos,
+                                 size_t count) {
     SpinGuard g(s.latch);
-    for (; i < n && shard_of[order[i]] == shard; ++i) {
-      out[order[i]] = s.Find(keys[order[i]]);
-    }
-  }
+    for (size_t j = 0; j < count; ++j) out[pos[j]] = s.Find(keys[pos[j]]);
+  });
 }
 
 bool PrimaryIndex::Erase(Value key) {

@@ -26,6 +26,12 @@ class PrimaryIndex {
   /// enforces primary-key uniqueness.
   bool Insert(Value key, Rid rid);
 
+  /// Batched insert: ok[i] = Insert(keys[i], rids[i]), where a key
+  /// repeated within the batch is kept at its first occurrence. Each
+  /// touched shard is latched once and grown at most once, and its
+  /// slots are prefetched a few keys ahead of the probes.
+  void InsertBatch(const Value* keys, const Rid* rids, size_t n, bool* ok);
+
   /// Point lookup. Returns kInvalidRid if absent.
   Rid Get(Value key) const;
 
@@ -56,7 +62,8 @@ class PrimaryIndex {
 
   /// One shard's linear-probing table. Once live plus tombstone slots
   /// would pass 0.8 of capacity it rehashes: at the same capacity when
-  /// dropping the tombstones leaves it at most half full, else x1.5.
+  /// dropping the tombstones leaves it at most half full, else x1.5
+  /// (repeatedly, until a batch's share fits).
   struct Shard {
     mutable SpinLatch latch;
     std::vector<Slot> slots;
@@ -64,10 +71,19 @@ class PrimaryIndex {
     size_t tombstones = 0;
 
     Rid Find(Value key) const;
-    bool Insert(Value key, Rid rid);
+    /// Make room for `extra` more keys, so that many Place calls keep
+    /// an empty slot to end every probe.
+    void Reserve(size_t extra);
+    /// Insert without growing; false if the key is present.
+    bool Place(Value key, Rid rid);
     bool Erase(Value key);
     void Rehash(size_t capacity);
   };
+
+  /// Visit the batch shard by shard: fn(shard, positions, count) gets
+  /// the positions of keys[] that hash to `shard`, in batch order.
+  template <typename Fn>
+  void ForEachShardGroup(const Value* keys, size_t n, Fn&& fn) const;
 
   static uint64_t Hash(Value key) {
     // Fibonacci hashing spreads sequential keys.

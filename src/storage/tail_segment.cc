@@ -85,20 +85,17 @@ TailSegment::TailSegment(uint32_t num_data_columns, uint32_t page_slots)
       columns_(kTailMetaColumns + num_data_columns) {}
 
 void TailSegment::Write(uint32_t seq, uint32_t col, Value v) {
-  Page* p = columns_[col].EnsurePage(PageIndex(seq), page_slots_);
-  p->Set(SlotIndex(seq), v);
+  EnsurePageOf(seq, col)->Set(SlotInPage(seq), v);
 }
 
 Value TailSegment::Read(uint32_t seq, uint32_t col) const {
   Page* p = columns_[col].GetPage(PageIndex(seq));
   if (p == nullptr) return kNull;
-  return p->Get(SlotIndex(seq));
+  return p->Get(SlotInPage(seq));
 }
 
 std::atomic<Value>* TailSegment::StartTimeSlot(uint32_t seq) {
-  Page* p =
-      columns_[kTailStartTime].EnsurePage(PageIndex(seq), page_slots_);
-  return &p->AtomicSlot(SlotIndex(seq));
+  return &EnsurePageOf(seq, kTailStartTime)->AtomicSlot(SlotInPage(seq));
 }
 
 size_t TailSegment::allocated_pages() const {

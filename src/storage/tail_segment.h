@@ -117,6 +117,15 @@ class TailSegment {
   /// lazily by future readers").
   std::atomic<Value>* StartTimeSlot(uint32_t seq);
 
+  /// The page of physical column `col` that holds record `seq`,
+  /// allocated on first touch; the record sits at SlotInPage(seq).
+  /// A writer filling a run of records on one page resolves each
+  /// column's page once instead of once per value.
+  Page* EnsurePageOf(uint32_t seq, uint32_t col) {
+    return columns_[col].EnsurePage(PageIndex(seq), page_slots_);
+  }
+  uint32_t SlotInPage(uint32_t seq) const { return (seq - 1) % page_slots_; }
+
   uint32_t num_data_columns() const { return num_data_columns_; }
   uint32_t page_slots() const { return page_slots_; }
   uint32_t num_physical_columns() const {
@@ -131,7 +140,6 @@ class TailSegment {
 
  private:
   uint32_t PageIndex(uint32_t seq) const { return (seq - 1) / page_slots_; }
-  uint32_t SlotIndex(uint32_t seq) const { return (seq - 1) % page_slots_; }
 
   uint32_t num_data_columns_;
   uint32_t page_slots_;

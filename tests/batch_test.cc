@@ -5,8 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <random>
 #include <string>
+#include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/database.h"
 #include "core/query.h"
@@ -204,6 +209,13 @@ TEST_F(BatchTest, ForeignHostSessionsAreRejected) {
 }
 
 TEST_F(BatchTest, BatchAbortTombstonesEverything) {
+  // The inserts span five 64-slot ranges and many 16-slot tail pages.
+  std::vector<Value> inserted;
+  std::vector<std::vector<Value>> insert_rows;
+  for (Value k = 1000; k < 1300; ++k) {
+    inserted.push_back(k);
+    insert_rows.push_back({k, 1, 1});
+  }
   {
     Txn txn = table_.Begin();
     std::vector<Value> keys;
@@ -213,7 +225,8 @@ TEST_F(BatchTest, BatchAbortTombstonesEverything) {
       rows.push_back({0, 424242, 0});
     }
     ASSERT_TRUE(table_.UpdateBatch(txn, keys, 0b010, rows).ok());
-    ASSERT_TRUE(table_.InsertBatch(txn, {{500, 1, 1}, {501, 2, 2}}).ok());
+    ASSERT_TRUE(table_.InsertBatch(txn, insert_rows).ok());
+    ASSERT_TRUE(table_.Insert(txn, {2000, 1, 1}).ok());
     // Session dies without commit: auto-abort.
   }
   uint64_t sum = 0, rows = 0;
@@ -224,19 +237,200 @@ TEST_F(BatchTest, BatchAbortTombstonesEverything) {
   EXPECT_EQ(sum, expect);  // updates tombstoned
   Txn txn = table_.Begin();
   std::vector<Value> out;
-  EXPECT_TRUE(table_.Read(txn, 500, 0b001, &out).IsNotFound());
+  EXPECT_TRUE(table_.Read(txn, 2000, 0b001, &out).IsNotFound());
+  std::vector<std::vector<Value>> got;
+  std::vector<Status> statuses;
+  EXPECT_TRUE(
+      table_.MultiRead(txn, inserted, 0b010, &got, &statuses).IsNotFound());
+  for (const Status& st : statuses) EXPECT_TRUE(st.IsNotFound());
+  // No index entry is left behind: the same keys insert again.
+  ASSERT_TRUE(table_.InsertBatch(txn, insert_rows).ok());
+  ASSERT_TRUE(table_.Insert(txn, {2000, 1, 1}).ok());
+  ASSERT_TRUE(txn.Commit().ok());
+  ASSERT_TRUE(table_.NewQuery().Sum(1, &sum, &rows).ok());
+  EXPECT_EQ(rows, 401u);
+  EXPECT_EQ(sum, expect + 301);
 }
 
-TEST_F(BatchTest, InsertBatchStopsAtDuplicate) {
-  Txn txn = table_.Begin();
-  Status s = table_.InsertBatch(txn, {{200, 1, 1}, {5, 2, 2}, {201, 3, 3}});
-  EXPECT_TRUE(s.IsAlreadyExists());  // key 5 already present
-  // Row 200 (before the failure) is in the writeset and commits.
+// --- the insert path ---------------------------------------------------------
+// Insert and InsertBatch share one routine. These cases pin its prefix
+// semantics at every failure position, across tail-page and range
+// boundaries, with a secondary index, and under concurrency.
+
+/// Visible rows and the sum of column 1 in the latest snapshot.
+std::pair<uint64_t, uint64_t> CountAndSum(Table& t) {
+  uint64_t sum = 0, rows = 0;
+  EXPECT_TRUE(t.NewQuery().Sum(1, &sum, &rows).ok());
+  return {rows, sum};
+}
+
+TEST_F(BatchTest, InsertBatchKeepsThePrefixBeforeTheFailingRow) {
+  // The batch fails at a key already in the table (first, middle and
+  // last row), at a key repeated within the batch, and at a bad-arity
+  // row. Rows before the failure commit with the session; rows after
+  // it leave neither a visible row nor an index entry.
+  struct Case {
+    std::vector<std::vector<Value>> rows;
+    size_t failing_row;
+    bool bad_arity;  ///< InvalidArgument rather than AlreadyExists
+  };
+  const Case cases[] = {
+      {{{5, 1, 1}, {200, 2, 2}, {201, 3, 3}}, 0, false},
+      {{{210, 1, 1}, {5, 2, 2}, {211, 3, 3}}, 1, false},
+      {{{220, 1, 1}, {221, 2, 2}, {99, 3, 3}}, 2, false},
+      {{{230, 1, 1}, {231, 2, 2}, {230, 3, 3}, {232, 4, 4}}, 2, false},
+      {{{240, 1, 1}, {241, 2}, {242, 3, 3}}, 1, true},
+  };
+  std::pair<uint64_t, uint64_t> expected = CountAndSum(table_);
+  for (const Case& c : cases) {
+    Txn txn = table_.Begin();
+    Status s = table_.InsertBatch(txn, c.rows);
+    EXPECT_TRUE(c.bad_arity ? s.IsInvalidArgument() : s.IsAlreadyExists());
+    ASSERT_TRUE(txn.Commit().ok());
+    Txn again = table_.Begin();
+    for (size_t i = 0; i < c.rows.size(); ++i) {
+      if (i == c.failing_row) continue;
+      std::vector<Value> out;
+      Status r = table_.Read(again, c.rows[i][0], 0b010, &out);
+      if (i < c.failing_row) {
+        ASSERT_TRUE(r.ok());
+        EXPECT_EQ(out[1], c.rows[i][1]);
+      } else {
+        EXPECT_TRUE(r.IsNotFound());
+        EXPECT_TRUE(table_.Insert(again, c.rows[i]).ok());
+      }
+      ++expected.first;
+      expected.second += c.rows[i][1];
+    }
+    ASSERT_TRUE(again.Commit().ok());
+    EXPECT_EQ(CountAndSum(table_), expected);
+  }
+}
+
+TEST(InsertPathTest, BatchesCrossTailPagesAndRanges) {
+  // Default geometry: 512-slot tail pages, 4096-slot ranges.
+  TableConfig cfg;
+  cfg.enable_merge_thread = false;
+  Table t("p", Schema(3), cfg);
+  auto rows_for = [](Value first, Value count) {
+    std::vector<std::vector<Value>> rows;
+    for (Value k = first; k < first + count; ++k) {
+      rows.push_back({k, k * 3, k % 5});
+    }
+    return rows;
+  };
+  auto insert = [&](const std::vector<std::vector<Value>>& rows) {
+    Txn txn = t.Begin();
+    Status s = t.InsertBatch(txn, rows);
+    EXPECT_TRUE(txn.Commit().ok());
+    return s;
+  };
+  ASSERT_TRUE(insert(rows_for(0, 500)).ok());
+  // RIDs 500..4199: seven page boundaries and the range boundary.
+  ASSERT_TRUE(insert(rows_for(500, 3700)).ok());
+  // RIDs 4200..12199, failing at row 100: the 7900 burned slots
+  // straddle pages and the next range boundary.
+  std::vector<std::vector<Value>> failing = rows_for(4200, 8000);
+  failing[100][0] = 7;
+  EXPECT_TRUE(insert(failing).IsAlreadyExists());
+  EXPECT_EQ(t.num_rows(), 12200u);
+  // Lands past the burned slots.
+  ASSERT_TRUE(insert(rows_for(4300, 10)).ok());
+
+  const uint64_t n = 4310;
+  const std::pair<uint64_t, uint64_t> want{n, 3 * n * (n - 1) / 2};
+  EXPECT_EQ(CountAndSum(t), want);
+  std::vector<Value> keys;
+  for (Value k = 4080; k < 4310; ++k) keys.push_back(k);
+  Txn txn = t.Begin();
+  std::vector<std::vector<Value>> out;
+  ASSERT_TRUE(t.MultiRead(txn, keys, 0b111, &out).ok());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(out[i][1], keys[i] * 3);
+    EXPECT_EQ(out[i][2], keys[i] % 5);
+  }
   ASSERT_TRUE(txn.Commit().ok());
-  Txn check = table_.Begin();
-  std::vector<Value> out;
-  EXPECT_TRUE(table_.Read(check, 200, 0b001, &out).ok());
-  EXPECT_TRUE(table_.Read(check, 201, 0b001, &out).IsNotFound());
+  // The insert merge bases every slot, burned ones included.
+  t.FlushAll();
+  EXPECT_EQ(
+      t.metrics()->Snapshot().CounterValue("lstore_merge_insert_rows_total"),
+      12210u);
+  EXPECT_EQ(CountAndSum(t), want);
+}
+
+TEST(InsertPathTest, BatchFeedsSecondaryIndex) {
+  Table t("s", Schema(3), SmallConfig());
+  t.CreateSecondaryIndex(2);
+  std::vector<std::vector<Value>> rows;
+  for (Value k = 0; k < 200; ++k) rows.push_back({k, k, k % 4});
+  {
+    Txn txn = t.Begin();
+    ASSERT_TRUE(t.InsertBatch(txn, rows).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  rows.clear();
+  for (Value k = 1000; k < 1010; ++k) rows.push_back({k, k, 9});
+  rows[5][0] = 3;  // duplicate: rows 1000..1004 land
+  {
+    Txn txn = t.Begin();
+    EXPECT_TRUE(t.InsertBatch(txn, rows).IsAlreadyExists());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  std::vector<Value> keys;
+  ASSERT_TRUE(t.NewQuery().Where(2, 1).Keys(&keys).ok());
+  EXPECT_EQ(keys.size(), 50u);
+  for (Value k : keys) EXPECT_EQ(k % 4, 1u);
+  uint64_t count = 0;
+  ASSERT_TRUE(t.NewQuery().Where(2, 9).Count(&count).ok());
+  EXPECT_EQ(count, 5u);
+}
+
+TEST(InsertPathTest, ConcurrentOverlappingBatchesLandEveryKeyOnce) {
+  // Four threads, each inserting half of the key space in shuffled
+  // batches, so every key is attempted by two threads. A failed batch
+  // keeps its prefix; the thread then retries the batch row by row,
+  // skipping keys another thread holds. Every key lands exactly once.
+  TableConfig cfg = SmallConfig();
+  cfg.enable_merge_thread = true;  // insert merges run alongside
+  Table t("c", Schema(3), cfg);
+  constexpr Value kKeys = 4000;
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kThreads; ++w) {
+    threads.emplace_back([&t, w] {
+      std::vector<Value> mine;
+      for (Value i = 0; i < kKeys / 2; ++i) {
+        mine.push_back((w * kKeys / kThreads + i) % kKeys);
+      }
+      std::shuffle(mine.begin(), mine.end(), std::mt19937(w));
+      for (size_t b = 0; b < mine.size(); b += 50) {
+        std::vector<std::vector<Value>> rows;
+        for (size_t i = b; i < std::min(mine.size(), b + 50); ++i) {
+          rows.push_back({mine[i], mine[i] * 3, 1});
+        }
+        Txn txn = t.Begin();
+        Status s = t.InsertBatch(txn, rows);
+        if (!s.ok()) {
+          EXPECT_TRUE(s.IsAlreadyExists());
+          for (const std::vector<Value>& row : rows) {
+            Status r = t.Insert(txn, row);
+            EXPECT_TRUE(r.ok() || r.IsAlreadyExists());
+          }
+        }
+        EXPECT_TRUE(txn.Commit().ok());
+      }
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  t.WaitForMergeQueue();
+  EXPECT_EQ(CountAndSum(t),
+            std::make_pair(uint64_t{kKeys}, 3 * kKeys * (kKeys - 1) / 2));
+  std::vector<Value> keys;
+  for (Value k = 0; k < kKeys; ++k) keys.push_back(k);
+  Txn txn = t.Begin();
+  std::vector<std::vector<Value>> out;
+  ASSERT_TRUE(t.MultiRead(txn, keys, 0b010, &out).ok());
+  ASSERT_TRUE(txn.Commit().ok());
 }
 
 // One frame per batch, verified at the log-frame level: the batch of

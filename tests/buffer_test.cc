@@ -299,16 +299,19 @@ TEST(BufferPoolTest, RestartMapsSegmentsLazilyAndColdReadsWork) {
   EXPECT_LE(after_open.bytes_resident,
             after_open.budget_bytes + 16384);  // transient pin slack
 
-  // A cold point read demand-loads exactly its range's segments and
-  // returns the right row.
-  uint64_t misses_before = db->buffer_stats().misses;
+  // A cold point read of a never-updated row decodes its slots from
+  // the store (every column here is fixed-width) without loading any
+  // segment, and returns the right row.
+  BufferPoolStats before_read = db->buffer_stats();
   Txn txn = t->Begin();
   std::vector<Value> row;
   ASSERT_TRUE(t->Read(txn, 3777, 0b0110, &row).ok());
   EXPECT_EQ(row[1], 3778u);
   EXPECT_EQ(row[2], 2u * 3777);
   ASSERT_TRUE(txn.Commit().ok());
-  EXPECT_GT(db->buffer_stats().misses, misses_before);
+  EXPECT_GT(db->buffer_stats().cold_point_reads,
+            before_read.cold_point_reads);
+  EXPECT_EQ(db->buffer_stats().misses, before_read.misses);
 
   // Full scan over the mostly cold table is exact.
   uint64_t sum = 0, nrows = 0;
@@ -565,6 +568,50 @@ TEST(BufferPoolTest, PointReadMissOnFixedSegmentSkipsInflation) {
   ASSERT_TRUE(pt.table->NewQuery().Sum(1, &sum, &n).ok());
   EXPECT_EQ(n, kRows);
   EXPECT_EQ(sum, kRows * 20000 + kRows * (kRows - 1) / 2);
+}
+
+TEST(BufferPoolTest, SnapshotReadOfColdRowDecodesSlotsWithoutLoading) {
+  // A snapshot read of a never-updated row checks the Last Updated
+  // guard and then serves every column from base segments. With the
+  // segments evicted, each of those reads decodes one slot of a
+  // fixed-width page: counted as cold point reads, with no segment
+  // loaded (no miss) and nothing left resident.
+  constexpr uint64_t kRows = 2000;
+  PooledTable pt(/*budget=*/1);
+  {
+    Txn txn = pt.table->Begin();
+    std::vector<std::vector<Value>> batch;
+    for (Value k = 0; k < kRows; ++k) {
+      batch.push_back({k, 20000 + k, 40000 + k, 30000 + (k % 7)});
+    }
+    ASSERT_TRUE(pt.table->InsertBatch(txn, batch).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  pt.table->FlushAll();
+  pt.pool.EnforceBudget();
+  ASSERT_EQ(pt.table->BaseResidentBytes(), 0u);
+
+  const BufferPoolStats before = pt.pool.stats();
+  {
+    Txn txn = pt.table->Begin(IsolationLevel::kSnapshot);
+    std::vector<Value> row;
+    ASSERT_TRUE(pt.table->Read(txn, 777, 0b1110, &row).ok());
+    EXPECT_EQ(row[1], 20000u + 777);
+    EXPECT_EQ(row[2], 40000u + 777);
+    EXPECT_EQ(row[3], 30000u + 777 % 7);
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  std::vector<Value> row;
+  ASSERT_TRUE(
+      pt.table->ReadAsOf(1234, pt.table->Now(), 0b0110, &row).ok());
+  EXPECT_EQ(row[1], 20000u + 1234);
+  EXPECT_EQ(row[2], 40000u + 1234);
+
+  const BufferPoolStats after = pt.pool.stats();
+  // Per read: the start time, the Last Updated guard and each column.
+  EXPECT_GE(after.cold_point_reads - before.cold_point_reads, 2u + 5u);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_EQ(pt.table->BaseResidentBytes(), 0u);
 }
 
 TEST(BufferPoolTest, FixedFormatSurvivesCheckpointRestart) {
