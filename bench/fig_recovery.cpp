@@ -197,9 +197,16 @@ void Run(const BenchArgs& args) {
       Table* t = db->GetTable("t");
       Load(db.get(), t, rows);
       t->FlushAll();
-      if (phase == 0) footprint = db->buffer_stats().bytes_resident;
+      MetricsSnapshot before = db->Metrics();
+      auto delta = [&before](const MetricsSnapshot& after, const char* name) {
+        return static_cast<uint64_t>(after.GaugeValue(name) -
+                                     before.GaugeValue(name));
+      };
+      if (phase == 0) {
+        footprint = static_cast<uint64_t>(
+            before.GaugeValue("lstore_buffer_bytes_resident"));
+      }
 
-      BufferPoolStats before = db->buffer_stats();
       double t0 = WallMs();
       uint64_t sum = 0, nrows = 0;
       bool ok = true;
@@ -215,24 +222,24 @@ void Run(const BenchArgs& args) {
       }
       (void)txn.Commit();
       double ms = WallMs() - t0;
-      BufferPoolStats after = db->buffer_stats();
+      MetricsSnapshot after = db->Metrics();
+      const uint64_t hits = delta(after, "lstore_buffer_hits");
+      const uint64_t misses = delta(after, "lstore_buffer_misses");
+      const uint64_t evictions = delta(after, "lstore_buffer_evictions");
 
       std::printf("buffer_pool     | %10llu %12llu %10llu %10llu %10llu "
                   "%10.1f %8d\n",
                   (unsigned long long)opts.buffer_pool_bytes,
-                  (unsigned long long)after.bytes_resident,
-                  (unsigned long long)(after.hits - before.hits),
-                  (unsigned long long)(after.misses - before.misses),
-                  (unsigned long long)(after.evictions - before.evictions),
-                  ms, ok ? 1 : 0);
+                  (unsigned long long)after.GaugeValue(
+                      "lstore_buffer_bytes_resident"),
+                  (unsigned long long)hits, (unsigned long long)misses,
+                  (unsigned long long)evictions, ms, ok ? 1 : 0);
       if (!ok) {
         std::fprintf(stderr, "buffer_pool phase %d: WRONG RESULTS\n", phase);
         std::exit(1);
       }
       const char* tag =
           phase == 0 ? "resident" : (phase == 1 ? "paged4x" : "nopool");
-      uint64_t hits = after.hits - before.hits;
-      uint64_t misses = after.misses - before.misses;
       EmitMetric("fig_recovery", std::string("buffer_scan_ms_") + tag, ms,
                  "ms");
       if (hits + misses > 0) {
@@ -240,8 +247,7 @@ void Run(const BenchArgs& args) {
                    100.0 * hits / (hits + misses), "%");
       }
       EmitMetric("fig_recovery", std::string("buffer_evictions_") + tag,
-                 static_cast<double>(after.evictions - before.evictions),
-                 "evictions");
+                 static_cast<double>(evictions), "evictions");
     }
   }
 

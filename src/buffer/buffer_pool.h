@@ -57,7 +57,7 @@ class SegmentStore;
 /// the checkpoint's segment-ref frames, never sniffed from bytes.
 enum class SwapFormat : uint8_t { kVarint = 0, kFixed = 1 };
 
-/// Aggregate pool counters (benchmarks, tests, Database::buffer_stats).
+/// Aggregate pool counters (mirrored into the lstore_buffer_* gauges).
 struct BufferPoolStats {
   uint64_t hits = 0;        ///< pin found the payload resident
   uint64_t misses = 0;      ///< pin demand-loaded from the segment store

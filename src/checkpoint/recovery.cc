@@ -13,6 +13,7 @@
 //      logged nor checkpointed, exactly as the paper prescribes.
 
 #include <algorithm>
+#include <memory>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -199,6 +200,11 @@ Status Table::ReplayAndRebuild(
   }
 
   // --- step 4: rebuild indexes + Indirection (recovery option 2) ----------
+  // The primary index is filled one range at a time through its batched
+  // insert (each shard latched and grown once per range).
+  std::vector<Value> keys;
+  std::vector<Rid> rids;
+  std::unique_ptr<bool[]> ok(new bool[config_.range_size]);
   for (uint64_t id = 0; id < nranges; ++id) {
     Range* r = GetRange(id);
     if (r == nullptr) continue;
@@ -215,6 +221,8 @@ Status Table::ReplayAndRebuild(
     PageHandle start_page =
         start_seg != nullptr ? start_seg->Pin() : PageHandle();
     PageHandle key_page = key_seg != nullptr ? key_seg->Pin() : PageHandle();
+    keys.clear();
+    rids.clear();
     for (uint32_t slot = 0; slot < occupied; ++slot) {
       Value start =
           (slot < based && start_seg != nullptr && slot < start_seg->num_slots)
@@ -222,11 +230,22 @@ Status Table::ReplayAndRebuild(
               : r->inserts.Read(slot + 1, kTailStartTime);
       if (start == kNull || IsAbortedStamp(start) || IsTxnId(start)) continue;
       if (start > max_time) max_time = start;
-      Value key = (key_seg != nullptr && slot < key_seg->num_slots)
-                      ? key_page.Get(slot)
-                      : r->inserts.Read(slot + 1, kTailMetaColumns + 0);
-      primary_.Insert(key, id * config_.range_size + slot);
+      keys.push_back((key_seg != nullptr && slot < key_seg->num_slots)
+                         ? key_page.Get(slot)
+                         : r->inserts.Read(slot + 1, kTailMetaColumns + 0));
+      rids.push_back(id * config_.range_size + slot);
     }
+    primary_.InsertBatch(keys.data(), rids.data(), keys.size(), ok.get());
+
+    // A version (tail or historic) of `slot` numbered `seq` with column
+    // mask `cols`: raise the Indirection head and the ever-updated mask.
+    auto note_version = [r](uint32_t slot, uint32_t seq, ColumnMask cols) {
+      SlotMeta& m = r->EnsureMeta()[slot];
+      if (seq > IndirSeq(m.indirection.load(std::memory_order_relaxed))) {
+        m.indirection.store(seq, std::memory_order_release);
+      }
+      m.ever_updated.fetch_or(cols, std::memory_order_relaxed);
+    };
     uint32_t boundary = r->historic_boundary.load(std::memory_order_acquire);
     uint32_t last = r->updates.LastSeq();
     for (uint32_t seq = std::max(boundary, 1u); seq <= last; ++seq) {
@@ -236,12 +255,8 @@ Status Table::ReplayAndRebuild(
       uint32_t slot =
           static_cast<uint32_t>(r->updates.Read(seq, kTailBaseRid));
       if (slot >= config_.range_size) continue;
-      Value enc = r->updates.Read(seq, kTailSchemaEncoding);
-      if (seq > IndirSeq(r->indirection[slot].load(std::memory_order_relaxed))) {
-        r->indirection[slot].store(seq, std::memory_order_release);
-      }
-      r->ever_updated[slot].fetch_or(SchemaColumns(enc),
-                                     std::memory_order_relaxed);
+      note_version(slot, seq,
+                   SchemaColumns(r->updates.Read(seq, kTailSchemaEncoding)));
     }
     HistoricStore* hist = r->historic.load(std::memory_order_acquire);
     if (hist != nullptr) {
@@ -249,12 +264,7 @@ Status Table::ReplayAndRebuild(
         if (slot >= config_.range_size) continue;
         for (const HistoricStore::Version& v : hist->VersionsOf(slot)) {
           if (v.start_time > max_time) max_time = v.start_time;
-          if (v.seq >
-              IndirSeq(r->indirection[slot].load(std::memory_order_relaxed))) {
-            r->indirection[slot].store(v.seq, std::memory_order_release);
-          }
-          r->ever_updated[slot].fetch_or(SchemaColumns(v.schema_encoding),
-                                         std::memory_order_relaxed);
+          note_version(slot, v.seq, SchemaColumns(v.schema_encoding));
         }
       }
     }

@@ -38,7 +38,8 @@ Database::Database() {
   // into gauges — zero cost on the subsystems' hot paths. `this`
   // outlives the registry (both are members), so the capture is safe.
   metrics_.AddCollector([this](MetricsRegistry& r) {
-    BufferPoolStats bs = buffer_stats();
+    BufferPoolStats bs = buffer_pool_ != nullptr ? buffer_pool_->stats()
+                                                 : BufferPoolStats{};
     r.GetGauge("lstore_buffer_hits", "Buffer-pool resident pin hits")
         ->Set(static_cast<int64_t>(bs.hits));
     r.GetGauge("lstore_buffer_misses", "Buffer-pool demand loads")
@@ -55,13 +56,14 @@ Database::Database() {
     r.GetGauge("lstore_buffer_pages", "Registered pages (resident or cold)")
         ->Set(static_cast<int64_t>(bs.pages));
     size_t epoch_pending = 0, index_bytes = 0;
-    uint64_t base_bytes = 0;
+    uint64_t base_bytes = 0, update_meta_bytes = 0;
     {
       SpinGuard g(latch_);
       for (const auto& e : tables_) {
         epoch_pending += e.table->epochs().pending();
         index_bytes += e.table->PrimaryIndexBytes();
         base_bytes += e.table->BaseResidentBytes();
+        update_meta_bytes += e.table->UpdateMetaBytes();
       }
     }
     r.GetGauge("lstore_epoch_pending",
@@ -73,6 +75,10 @@ Database::Database() {
     r.GetGauge("lstore_base_resident_bytes",
                "Resident base-segment payload bytes across tables")
         ->Set(static_cast<int64_t>(base_bytes));
+    r.GetGauge("lstore_update_meta_bytes",
+               "Per-slot update metadata bytes of updated ranges across "
+               "tables")
+        ->Set(static_cast<int64_t>(update_meta_bytes));
     if (kTraceEnabled) {
       // Mirror the flight recorder's monotonic overwrite count into a
       // counter: exchange keeps the delta exact even when several

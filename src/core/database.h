@@ -173,15 +173,6 @@ class Database : public TxnContext {
   /// LSTORE_BUFFER_POOL_BYTES knob — is 0: fully resident).
   BufferPool* buffer_pool() { return buffer_pool_.get(); }
 
-  /// Aggregate hit/miss/eviction/residency counters of the pool
-  /// (all-zero when no pool is configured). Thin view over the pool's
-  /// own counters; the same numbers appear as lstore_buffer_* gauges
-  /// in Metrics().
-  BufferPoolStats buffer_stats() const {
-    return buffer_pool_ != nullptr ? buffer_pool_->stats()
-                                   : BufferPoolStats{};
-  }
-
   /// The engine-wide metrics registry shared by every table of this
   /// database (src/obs/metrics.h).
   MetricsRegistry& metrics() { return metrics_; }

@@ -329,12 +329,13 @@ void Query::ScanPartition(uint64_t range_id, uint32_t slot_begin,
     start_cur = start_page.cursor();
   }
 
+  // One load per partition: a range that was never updated carries no
+  // metadata array, and every chain head in it is 0.
+  const Table::SlotMeta* meta = r->meta.load(std::memory_order_acquire);
   std::vector<Value> tmp(ncols, kNull);
   for (uint32_t slot = slot_begin; slot < slot_end; ++slot) {
     if (fast && slot < fast_slots) {
-      uint64_t iv = r->indirection[slot].load(std::memory_order_acquire);
-      uint32_t seq = IndirSeq(iv);
-      if (seq <= tps) {
+      if (Table::SlotMeta::HeadSeq(meta, slot) <= tps) {
         Value lut = lut_cur.At(slot);
         Value start = start_cur.At(slot);
         bool horizon_ok =

@@ -35,16 +35,23 @@ void AtomicMaxU32(std::atomic<uint32_t>& a, uint32_t v) {
 Table::Range::Range(uint64_t range_id, uint32_t range_size, uint32_t num_cols,
                     uint32_t tail_page_slots)
     : id(range_id),
-      indirection(std::make_unique<std::atomic<uint64_t>[]>(range_size)),
-      ever_updated(std::make_unique<std::atomic<uint64_t>[]>(range_size)),
+      size(range_size),
       inserts(num_cols, tail_page_slots),
       updates(num_cols, tail_page_slots),
       base(num_cols + kBaseMetaColumns) {
-  for (uint32_t i = 0; i < range_size; ++i) {
-    indirection[i].store(0, std::memory_order_relaxed);
-    ever_updated[i].store(0, std::memory_order_relaxed);
-  }
   for (auto& b : base) b.store(nullptr, std::memory_order_relaxed);
+}
+
+Table::SlotMeta* Table::Range::EnsureMeta() {
+  SlotMeta* m = meta.load(std::memory_order_acquire);
+  if (m != nullptr) return m;
+  SlotMeta* fresh = new SlotMeta[size]();
+  if (meta.compare_exchange_strong(m, fresh, std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
+    return fresh;
+  }
+  delete[] fresh;
+  return m;
 }
 
 // ---------------------------------------------------------------------------
@@ -83,6 +90,9 @@ Table::Table(std::string name, Schema schema, TableConfig config,
       r.GetGauge("lstore_base_resident_bytes",
                  "Resident base-segment payload bytes")
           ->Set(static_cast<int64_t>(BaseResidentBytes()));
+      r.GetGauge("lstore_update_meta_bytes",
+                 "Per-slot update metadata bytes of updated ranges")
+          ->Set(static_cast<int64_t>(UpdateMetaBytes()));
     });
   }
   obs_.merge_update_ns = metrics_->GetHistogram(
@@ -237,6 +247,17 @@ uint64_t Table::BaseResidentBytes() const {
   return bytes;
 }
 
+uint64_t Table::UpdateMetaBytes() const {
+  uint64_t arrays = 0;
+  for (uint64_t id = 0; id < num_ranges(); ++id) {
+    Range* r = GetRange(id);
+    if (r != nullptr && r->meta.load(std::memory_order_acquire) != nullptr) {
+      ++arrays;
+    }
+  }
+  return arrays * config_.range_size * sizeof(SlotMeta);
+}
+
 std::vector<uint32_t> Table::RangeColumnTps(uint64_t range_id) const {
   std::vector<uint32_t> out;
   Range* r = GetRange(range_id);
@@ -258,7 +279,8 @@ std::vector<Table::ChainEntry> Table::DebugChain(Value key,
   if (r == nullptr) return out;
   uint32_t slot = SlotOf(rid);
   EpochGuard guard(epochs_);
-  uint32_t seq = IndirSeq(r->indirection[slot].load(std::memory_order_acquire));
+  uint32_t seq =
+      SlotMeta::HeadSeq(r->meta.load(std::memory_order_acquire), slot);
   uint32_t boundary = r->historic_boundary.load(std::memory_order_acquire);
   int hops = 0;
   // Stop at the historic boundary: pages below it may be reclaimed
@@ -534,9 +556,11 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
   // whose base Schema Encoding bit is clear were never updated, so
   // their value lives in base pages for every snapshot — serve them
   // without touching the chain (the 0/2-hop property of Section 2.2).
-  uint64_t iv = r.indirection[slot].load(std::memory_order_acquire);
-  uint32_t seq = IndirSeq(iv);
-  uint64_t ever = r.ever_updated[slot].load(std::memory_order_acquire);
+  const SlotMeta* meta = r.meta.load(std::memory_order_acquire);
+  uint32_t seq = SlotMeta::HeadSeq(meta, slot);
+  uint64_t ever = meta == nullptr ? 0
+                                  : meta[slot].ever_updated.load(
+                                        std::memory_order_acquire);
   ColumnMask remaining = needed & ever;
   ColumnMask base_resident = needed & ~ever;
   bool first_found = false;
@@ -980,7 +1004,8 @@ Status Table::Delete(Transaction* txn, Value key) {
 Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
                                ColumnMask mask, const std::vector<Value>& row,
                                bool is_delete, RedoLog::Batch* log_sink) {
-  auto& ind = r.indirection[slot];
+  SlotMeta& meta = r.EnsureMeta()[slot];
+  auto& ind = meta.indirection;
 
   // Step 1 of write-write conflict detection: CAS the latch bit
   // (Section 5.1.1). A set latch bit means a concurrent writer.
@@ -1061,7 +1086,7 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
     }
   }
 
-  uint64_t ever = r.ever_updated[slot].load(std::memory_order_relaxed);
+  uint64_t ever = meta.ever_updated.load(std::memory_order_relaxed);
   ColumnMask newly = mask & ~ever;
   uint32_t back = prev_seq;
 
@@ -1173,7 +1198,7 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
   }
 
   if (mask != 0) {
-    r.ever_updated[slot].fetch_or(mask, std::memory_order_relaxed);
+    meta.ever_updated.fetch_or(mask, std::memory_order_relaxed);
   }
 
   // Secondary index maintenance: add new postings (old postings are

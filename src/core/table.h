@@ -279,6 +279,10 @@ class Table : public TxnContext {
   /// Summed byte_size() of the resident base-segment payloads (cold
   /// pages count 0).
   uint64_t BaseResidentBytes() const;
+  /// Bytes of the per-slot update metadata (Indirection + ever-updated
+  /// mask) of the ranges that have been updated; 0 for a table that
+  /// was only loaded.
+  uint64_t UpdateMetaBytes() const;
 
   /// For tests (Lemma 3): per-data-column TPS of a range.
   std::vector<uint32_t> RangeColumnTps(uint64_t range_id) const;
@@ -394,17 +398,36 @@ class Table : public TxnContext {
   Status SpeculativeRead(Transaction* txn, Value key, ColumnMask mask,
                          std::vector<Value>* out);
 
+  /// Update metadata of one base record. The two words are
+  /// interleaved so an updated row's pair shares a cache line.
+  struct SlotMeta {
+    /// The in-place Indirection column (latch bit + latest tail seq).
+    std::atomic<uint64_t> indirection{0};
+    /// Ever-updated column mask (base Schema Encoding, maintained
+    /// under the indirection latch).
+    std::atomic<uint64_t> ever_updated{0};
+
+    /// Chain head of `slot` in a range's array; a null array (the
+    /// range was never updated) reads 0.
+    static uint32_t HeadSeq(const SlotMeta* meta, uint32_t slot) {
+      return meta == nullptr ? 0
+                             : IndirSeq(meta[slot].indirection.load(
+                                   std::memory_order_acquire));
+    }
+  };
+
   struct Range {
     uint64_t id = 0;
+    /// Slots per range (the length of the `meta` array).
+    uint32_t size = 0;
     /// Inserted slots (monotone).
     std::atomic<uint32_t> occupied{0};
     /// Slots covered by base segments (insert-merged prefix).
     std::atomic<uint32_t> based{0};
-    /// The in-place Indirection column (latch bit + latest tail seq).
-    std::unique_ptr<std::atomic<uint64_t>[]> indirection;
-    /// Ever-updated column mask per base record (base Schema Encoding,
-    /// maintained under the indirection latch).
-    std::unique_ptr<std::atomic<uint64_t>[]> ever_updated;
+    /// One SlotMeta per slot, installed by the range's first update
+    /// (EnsureMeta). Null means no slot was ever updated: every
+    /// Indirection word and every ever-updated mask reads 0.
+    std::atomic<SlotMeta*> meta{nullptr};
     /// Table-level tail pages (inserts; all columns materialized).
     TailSegment inserts;
     /// Regular tail pages (updates; lazy per-column allocation).
@@ -423,6 +446,11 @@ class Table : public TxnContext {
 
     Range(uint64_t id, uint32_t range_size, uint32_t num_cols,
           uint32_t tail_page_slots);
+    ~Range() { delete[] meta.load(std::memory_order_acquire); }
+
+    /// The installed metadata array, allocating it on first use. Racing
+    /// callers install one array; the losers free theirs.
+    SlotMeta* EnsureMeta();
   };
 
   // Internal read machinery -------------------------------------------------

@@ -162,6 +162,11 @@ uint64_t MetricsSnapshot::CounterValue(const std::string& name) const {
   return e != nullptr ? e->value : 0;
 }
 
+int64_t MetricsSnapshot::GaugeValue(const std::string& name) const {
+  const GaugeEntry* e = FindGauge(name);
+  return e != nullptr ? e->value : 0;
+}
+
 namespace {
 
 void AppendHeader(std::string* out, const std::string& name,

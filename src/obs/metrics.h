@@ -181,6 +181,8 @@ struct MetricsSnapshot {
   /// Counter value by name (0 when absent) — the bench-friendly
   /// accessor for before/after deltas.
   uint64_t CounterValue(const std::string& name) const;
+  /// Gauge value by name (0 when absent).
+  int64_t GaugeValue(const std::string& name) const;
 
   /// Prometheus text exposition format (version 0.0.4): counters and
   /// gauges as plain samples, histograms as summaries with

@@ -105,7 +105,11 @@ Status Server::Start() {
   acceptor_ = std::thread([this] { AcceptLoop(); });
   workers_.reserve(cfg_.workers);
   for (uint32_t i = 0; i < cfg_.workers; ++i) {
-    workers_.emplace_back([this, i] { WorkerLoop(i); });
+    // Registered before the thread starts, so a HEALTH request served
+    // right after Start() already lists every worker.
+    std::shared_ptr<Heartbeat> hb =
+        db_->health().Register("server.worker." + std::to_string(i));
+    workers_.emplace_back([this, hb] { WorkerLoop(hb.get()); });
   }
   db_->event_log().Emit(EventSeverity::kInfo, "server", "start",
                         "\"port\":" + std::to_string(port_) + ",\"workers\":" +
@@ -333,12 +337,11 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
   }
 }
 
-void Server::WorkerLoop(uint32_t index) {
+void Server::WorkerLoop(Heartbeat* hb) {
   // Busy-scoped heartbeat: a worker parked on work_cv_ is healthy;
   // request execution (engine time, fsyncs included) is the monitored
-  // window. Local shared_ptr → unregisters when the pool drains.
-  std::shared_ptr<Heartbeat> hb =
-      db_->health().Register("server.worker." + std::to_string(index));
+  // window. The thread's closure owns the registration, so it
+  // unregisters when the pool drains.
   for (;;) {
     std::shared_ptr<Session> session;
     Request req;
@@ -378,7 +381,7 @@ void Server::WorkerLoop(uint32_t index) {
     {
       // Propagate the request's trace id to everything this worker
       // calls into (commit pipeline, logs) for the request's duration.
-      HeartbeatWorkScope work(hb.get());
+      HeartbeatWorkScope work(hb);
       TraceContext::Scope trace_scope(req.trace_id);
       LSTORE_TRACE(h_request_ns_);
       HandleRequest(session.get(), req);

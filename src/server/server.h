@@ -161,7 +161,7 @@ class Server {
 
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Session> session);
-  void WorkerLoop(uint32_t index);
+  void WorkerLoop(Heartbeat* hb);
 
   /// Decode and execute one request, writing its response.
   void HandleRequest(Session* session, const Request& req);

@@ -290,28 +290,32 @@ TEST(BufferPoolTest, RestartMapsSegmentsLazilyAndColdReadsWork) {
   Table* t = db->GetTable("t");
   ASSERT_NE(t, nullptr);
 
-  BufferPoolStats after_open = db->buffer_stats();
-  EXPECT_GT(after_open.pages, 0u);
+  MetricsSnapshot after_open = db->Metrics();
+  EXPECT_GT(after_open.GaugeValue("lstore_buffer_pages"), 0);
   // Lazy restore: far fewer loads than registered pages (only the
   // rebuild columns were touched, and they were evicted back down to
   // budget as recovery walked the ranges).
-  EXPECT_LT(after_open.misses, after_open.pages);
-  EXPECT_LE(after_open.bytes_resident,
-            after_open.budget_bytes + 16384);  // transient pin slack
+  EXPECT_LT(after_open.GaugeValue("lstore_buffer_misses"),
+            after_open.GaugeValue("lstore_buffer_pages"));
+  EXPECT_LE(after_open.GaugeValue("lstore_buffer_bytes_resident"),
+            after_open.GaugeValue("lstore_buffer_budget_bytes") +
+                16384);  // transient pin slack
 
   // A cold point read of a never-updated row decodes its slots from
   // the store (every column here is fixed-width) without loading any
   // segment, and returns the right row.
-  BufferPoolStats before_read = db->buffer_stats();
+  MetricsSnapshot before_read = db->Metrics();
   Txn txn = t->Begin();
   std::vector<Value> row;
   ASSERT_TRUE(t->Read(txn, 3777, 0b0110, &row).ok());
   EXPECT_EQ(row[1], 3778u);
   EXPECT_EQ(row[2], 2u * 3777);
   ASSERT_TRUE(txn.Commit().ok());
-  EXPECT_GT(db->buffer_stats().cold_point_reads,
-            before_read.cold_point_reads);
-  EXPECT_EQ(db->buffer_stats().misses, before_read.misses);
+  MetricsSnapshot after_read = db->Metrics();
+  EXPECT_GT(after_read.GaugeValue("lstore_buffer_cold_point_reads"),
+            before_read.GaugeValue("lstore_buffer_cold_point_reads"));
+  EXPECT_EQ(after_read.GaugeValue("lstore_buffer_misses"),
+            before_read.GaugeValue("lstore_buffer_misses"));
 
   // Full scan over the mostly cold table is exact.
   uint64_t sum = 0, nrows = 0;
@@ -652,7 +656,7 @@ TEST(BufferPoolTest, FixedFormatSurvivesCheckpointRestart) {
     EXPECT_EQ(row[1], 20000 + 2 * 444);
     EXPECT_EQ(row[2], 50000 + 444);
     ASSERT_TRUE(txn.Commit().ok());
-    EXPECT_GT(db->buffer_stats().cold_point_reads, 0u);
+    EXPECT_GT(db->Metrics().GaugeValue("lstore_buffer_cold_point_reads"), 0);
   }
   std::filesystem::remove_all(dir);
 }

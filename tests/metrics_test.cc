@@ -287,6 +287,9 @@ TEST(TableMetricsTest, StandaloneTableOwnsARegistry) {
             static_cast<int64_t>(table.PrimaryIndexBytes()));
   ASSERT_NE(s.FindGauge("lstore_base_resident_bytes"), nullptr);
   EXPECT_GT(s.FindGauge("lstore_base_resident_bytes")->value, 0);
+  // Every one of the 8 ranges was updated: one 16-byte pair per slot.
+  ASSERT_NE(s.FindGauge("lstore_update_meta_bytes"), nullptr);
+  EXPECT_EQ(s.FindGauge("lstore_update_meta_bytes")->value, 8 * 64 * 16);
   if (kTraceEnabled) {
     const auto* q = s.FindHistogram("lstore_query_partition_ns");
     ASSERT_NE(q, nullptr);
@@ -401,6 +404,12 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   EXPECT_EQ(base_bytes->value, static_cast<int64_t>(a->BaseResidentBytes()));
   EXPECT_GT(base_bytes->value, 0);
   EXPECT_EQ(b->BaseResidentBytes(), 0u);
+  // Update metadata: A's 8 ranges were all updated, B never was.
+  const auto* meta_bytes = s.FindGauge("lstore_update_meta_bytes");
+  ASSERT_NE(meta_bytes, nullptr);
+  EXPECT_EQ(meta_bytes->value, 8 * 32 * 16);
+  EXPECT_EQ(a->UpdateMetaBytes(), 8u * 32 * 16);
+  EXPECT_EQ(b->UpdateMetaBytes(), 0u);
   // Stage timings (compiled in by default).
   if (kTraceEnabled) {
     for (const char* name :

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "common/bitutil.h"
+#include "core/query.h"
 #include "core/table.h"
 #include "log/redo_log.h"
 #include "obs/metrics.h"
@@ -409,6 +410,85 @@ TEST_F(RecoveryTest, MergeAfterRecoveryIsConsistent) {
 // the pipeline appends per-table commit records first and aborts if a
 // later step fails. Recovery must honor the abort — replaying such a
 // log as committed would resurrect writes the live process tombstoned.
+// Key of every visible row by base RID (absent = no visible row), with
+// the row's column 1.
+std::vector<std::pair<Value, Value>> RowsByRid(const Table& table) {
+  std::vector<std::pair<Value, Value>> rows(table.num_rows(), {kNull, kNull});
+  for (uint64_t rid = 0; rid < rows.size(); ++rid) {
+    EXPECT_TRUE(table.NewQuery()
+                    .Range(rid, 1)
+                    .Workers(1)
+                    .Visit([&](Value key, const std::vector<Value>& row) {
+                      rows[rid] = {key, row[1]};
+                    })
+                    .ok());
+  }
+  return rows;
+}
+
+TEST_F(RecoveryTest, IndexRebuildKeepsRidsPastAbortedAndBurnedSlots) {
+  auto batch = [](Value first, Value count) {
+    std::vector<std::vector<Value>> rows;
+    for (Value k = first; k < first + count; ++k) rows.push_back({k, k, 0});
+    return rows;
+  };
+  std::vector<std::pair<Value, Value>> before;
+  {
+    Table table("t", Schema(3), LogConfig(path_));
+    Txn load = table.Begin();
+    ASSERT_TRUE(table.InsertBatch(load, batch(0, 100)).ok());  // RIDs 0..99
+    ASSERT_TRUE(load.Commit().ok());
+    Txn aborted = table.Begin();  // RIDs 100..109, aborted
+    ASSERT_TRUE(table.InsertBatch(aborted, batch(1000, 10)).ok());
+    aborted.Abort();
+    // RIDs 110..159: the duplicate key 3 at row 5 keeps 110..114 and
+    // burns 115..159 (they straddle two range boundaries).
+    std::vector<std::vector<Value>> failing = batch(2000, 50);
+    failing[5][0] = 3;
+    Txn partial = table.Begin();
+    EXPECT_TRUE(table.InsertBatch(partial, failing).IsAlreadyExists());
+    ASSERT_TRUE(partial.Commit().ok());
+    Txn tail = table.Begin();  // RIDs 160..199
+    ASSERT_TRUE(table.InsertBatch(tail, batch(3000, 40)).ok());
+    ASSERT_TRUE(tail.Commit().ok());
+    Txn u = table.Begin();
+    ASSERT_TRUE(table.Update(u, 50, 0b010, {0, 5, 0}).ok());
+    ASSERT_TRUE(u.Commit().ok());
+    ASSERT_EQ(table.num_rows(), 200u);
+    before = RowsByRid(table);
+  }
+  EXPECT_EQ(before[50], (std::pair<Value, Value>{50, 5}));
+  EXPECT_EQ(before[100].first, kNull);
+  EXPECT_EQ(before[114].first, 2004u);
+  EXPECT_EQ(before[115].first, kNull);
+  EXPECT_EQ(before[160].first, 3000u);
+
+  Table table("t", Schema(3), LogConfig(path_));
+  ASSERT_TRUE(table.RecoverFromLog().ok());
+  ASSERT_EQ(table.num_rows(), 200u);
+  EXPECT_EQ(RowsByRid(table), before);
+  // The index maps each key to the RID that holds it: updating every
+  // key through the index lands on its own row.
+  Txn u = table.Begin();
+  for (const auto& [key, v] : before) {
+    if (key == kNull) continue;
+    ASSERT_TRUE(table.Update(u, key, 0b010, {0, key + 100000, 0}).ok());
+  }
+  ASSERT_TRUE(u.Commit().ok());
+  std::vector<std::pair<Value, Value>> after = RowsByRid(table);
+  for (size_t rid = 0; rid < after.size(); ++rid) {
+    EXPECT_EQ(after[rid].first, before[rid].first) << rid;
+    if (after[rid].first != kNull) {
+      EXPECT_EQ(after[rid].second, after[rid].first + 100000) << rid;
+    }
+  }
+  // Aborted and burned keys were never indexed.
+  Txn again = table.Begin();
+  ASSERT_TRUE(table.Insert(again, {1000, 1, 1}).ok());
+  ASSERT_TRUE(table.Insert(again, {2010, 1, 1}).ok());
+  ASSERT_TRUE(again.Commit().ok());
+}
+
 TEST(RecoveryOutcomeTest, AbortRecordAfterCommitRecordWins) {
   std::string path = TempLogPath("abort_after_commit");
   std::remove(path.c_str());

@@ -4,6 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <barrier>
+#include <filesystem>
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
+
+#include "core/database.h"
 #include "core/query.h"
 #include "core/table.h"
 
@@ -270,6 +279,186 @@ TEST_F(TableBasicTest, SecondaryIndexSelectsAndReevaluates) {
   // And the new value is findable.
   ASSERT_TRUE(table_.NewQuery().Where(1, Value{2}).Keys(&keys).ok());
   EXPECT_EQ(keys, (std::vector<Value>{0, 2, 5, 8}));
+}
+
+// --- lazy update metadata --------------------------------------------------
+// A range allocates its per-slot Indirection + ever-updated array on its
+// first update (16 bytes a slot); never-updated ranges carry none.
+
+constexpr uint64_t kMetaArrayBytes = 64 * 16;  // SmallConfig range_size
+
+// Loads `rows` rows {k, 10k, 20k, 30k} in one transaction.
+void LoadRows(Table& t, Value rows) {
+  std::vector<std::vector<Value>> batch;
+  for (Value k = 0; k < rows; ++k) batch.push_back({k, 10 * k, 20 * k, 30 * k});
+  Txn txn = t.Begin();
+  ASSERT_TRUE(t.InsertBatch(txn, batch).ok());
+  ASSERT_TRUE(txn.Commit().ok());
+}
+
+TEST_F(TableBasicTest, NeverUpdatedTableHasNoUpdateMetadata) {
+  LoadRows(table_, 4 * 64);
+  for (bool merged : {false, true}) {
+    if (merged) table_.FlushAll();
+    for (Value k : {Value{0}, Value{63}, Value{64}, Value{255}}) {
+      EXPECT_EQ(ReadRow(k, 0b1111),
+                (std::vector<Value>{k, 10 * k, 20 * k, 30 * k}));
+      std::vector<Value> out;
+      ASSERT_TRUE(table_.ReadAsOf(k, table_.Now(), 0b0100, &out).ok());
+      EXPECT_EQ(out[2], 20 * k);
+      EXPECT_TRUE(table_.DebugChain(k, 1).empty());
+    }
+    uint64_t sum = 0, rows = 0;
+    ASSERT_TRUE(table_.NewQuery().Sum(3, &sum, &rows).ok());
+    EXPECT_EQ(rows, 256u);
+    EXPECT_EQ(sum, 30u * 255 * 256 / 2);
+    EXPECT_EQ(table_.UpdateMetaBytes(), 0u);
+  }
+}
+
+TEST_F(TableBasicTest, UpdatesInstallMetadataOnlyInUpdatedRanges) {
+  LoadRows(table_, 5 * 64);
+  table_.FlushAll();
+  // Ranges 1 and 3 take updates (and a delete); 0, 2 and 4 stay clean.
+  ASSERT_TRUE(UpdateRow(70, 0b0010, {0, 7, 0, 0}).ok());
+  ASSERT_TRUE(UpdateRow(71, 0b0100, {0, 0, 8, 0}).ok());
+  ASSERT_TRUE(UpdateRow(200, 0b1000, {0, 0, 0, 9}).ok());
+  Txn del = table_.Begin();
+  ASSERT_TRUE(table_.Delete(del, 250).ok());
+  ASSERT_TRUE(del.Commit().ok());
+  EXPECT_EQ(table_.UpdateMetaBytes(), 2 * kMetaArrayBytes);
+  EXPECT_EQ(
+      table_.metrics()->Snapshot().GaugeValue("lstore_update_meta_bytes"),
+      static_cast<int64_t>(2 * kMetaArrayBytes));
+
+  EXPECT_EQ(ReadRow(70, 0b1111), (std::vector<Value>{70, 7, 1400, 2100}));
+  EXPECT_EQ(ReadRow(71, 0b1111), (std::vector<Value>{71, 710, 8, 2130}));
+  EXPECT_EQ(ReadRow(200, 0b1111), (std::vector<Value>{200, 2000, 4000, 9}));
+  Status s;
+  ReadRow(250, 0b0010, &s);
+  EXPECT_TRUE(s.IsNotFound());
+  EXPECT_EQ(ReadRow(10, 0b0010)[1], 100u);
+  ASSERT_EQ(table_.DebugChain(70, 1).size(), 2u);  // update + pre-image
+  EXPECT_EQ(table_.DebugChain(70, 1)[0].col_value, 7u);
+  uint64_t rows = 0;
+  ASSERT_TRUE(table_.NewQuery().Count(&rows).ok());
+  EXPECT_EQ(rows, 5u * 64 - 1);
+  // Merging the updates keeps the arrays (the chain heads live there).
+  table_.FlushAll();
+  EXPECT_EQ(table_.UpdateMetaBytes(), 2 * kMetaArrayBytes);
+  EXPECT_EQ(ReadRow(70, 0b0010)[1], 7u);
+}
+
+TEST(LazyUpdateMetaTest, RacingFirstUpdatesOfDistinctSlotsAllLand) {
+  constexpr int kThreads = 8;
+  for (int round = 0; round < 20; ++round) {
+    Table table("t", Schema(4), SmallConfig());
+    LoadRows(table, 64);
+    std::barrier start(kThreads);
+    std::vector<std::thread> workers;
+    std::atomic<int> committed{0};
+    for (int w = 0; w < kThreads; ++w) {
+      workers.emplace_back([&, w] {
+        const Value key = 8 * w + round % 8;
+        start.arrive_and_wait();
+        Txn txn = table.Begin();
+        if (table.Update(txn, key, 0b0010, {0, 1000 + key, 0, 0}).ok() &&
+            txn.Commit().ok()) {
+          committed.fetch_add(1);
+        }
+      });
+    }
+    for (auto& t : workers) t.join();
+    EXPECT_EQ(committed.load(), kThreads);
+    EXPECT_EQ(table.UpdateMetaBytes(), kMetaArrayBytes);
+    for (int w = 0; w < kThreads; ++w) {
+      const Value key = 8 * w + round % 8;
+      Txn txn = table.Begin();
+      std::vector<Value> out;
+      ASSERT_TRUE(table.Read(txn, key, 0b0110, &out).ok());
+      EXPECT_EQ(out[1], 1000 + key);
+      EXPECT_EQ(out[2], 20 * key);
+      ASSERT_TRUE(txn.Commit().ok());
+    }
+  }
+}
+
+TEST(LazyUpdateMetaTest, RacingFirstUpdatesOfOneSlotAbortOne) {
+  for (int round = 0; round < 20; ++round) {
+    Table table("t", Schema(4), SmallConfig());
+    LoadRows(table, 64);
+    // Both sessions stay open until both have tried: whichever comes
+    // second meets either the latch or the first one's uncommitted
+    // version.
+    std::barrier start(2), tried(2);
+    std::atomic<int> ok{0}, aborted{0};
+    std::vector<std::thread> workers;
+    for (Value v : {Value{1}, Value{2}}) {
+      workers.emplace_back([&, v] {
+        Txn txn = table.Begin();
+        start.arrive_and_wait();
+        Status s = table.Update(txn, 5, 0b0010, {0, v, 0, 0});
+        tried.arrive_and_wait();
+        if (s.ok()) {
+          if (txn.Commit().ok()) ok.fetch_add(1);
+        } else {
+          if (s.IsAborted()) aborted.fetch_add(1);
+          txn.Abort();
+        }
+      });
+    }
+    for (auto& t : workers) t.join();
+    EXPECT_EQ(ok.load(), 1);
+    EXPECT_EQ(aborted.load(), 1);
+    EXPECT_EQ(table.stats().ww_aborts.load(), 1u);
+    EXPECT_EQ(table.UpdateMetaBytes(), kMetaArrayBytes);
+  }
+}
+
+TEST(LazyUpdateMetaTest, ReopenRebuildsMetadataOfUpdatedRangesOnly) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "lstore_lazy_update_meta";
+  std::filesystem::remove_all(dir);
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, &db).ok());
+    ASSERT_TRUE(db->CreateTable("t", Schema(4), SmallConfig()).ok());
+    Table* t = db->GetTable("t");
+    LoadRows(*t, 6 * 64);
+    t->FlushAll();
+    // One update before the checkpoint (range 1), one after (range 4):
+    // the reopen meets one in the checkpoint and one in the log tail.
+    Txn a = db->Begin();
+    ASSERT_TRUE(t->Update(a, 100, 0b0010, {0, 5, 0, 0}).ok());
+    ASSERT_TRUE(a.Commit().ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    Txn b = db->Begin();
+    ASSERT_TRUE(t->Update(b, 300, 0b0100, {0, 0, 6, 0}).ok());
+    ASSERT_TRUE(b.Commit().ok());
+    EXPECT_EQ(t->UpdateMetaBytes(), 2 * kMetaArrayBytes);
+  }
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, &db).ok());
+    Table* t = db->GetTable("t");
+    ASSERT_NE(t, nullptr);
+    EXPECT_EQ(t->UpdateMetaBytes(), 2 * kMetaArrayBytes);
+    Txn txn = t->Begin();
+    std::vector<Value> out;
+    ASSERT_TRUE(t->Read(txn, 100, 0b0110, &out).ok());
+    EXPECT_EQ(out[1], 5u);
+    EXPECT_EQ(out[2], 2000u);
+    ASSERT_TRUE(t->Read(txn, 300, 0b0110, &out).ok());
+    EXPECT_EQ(out[1], 3000u);
+    EXPECT_EQ(out[2], 6u);
+    ASSERT_TRUE(t->Read(txn, 200, 0b0110, &out).ok());
+    EXPECT_EQ(out[1], 2000u);
+    ASSERT_TRUE(txn.Commit().ok());
+    uint64_t sum = 0;
+    ASSERT_TRUE(t->NewQuery().Sum(1, &sum).ok());
+    EXPECT_EQ(sum, 10u * 383 * 384 / 2 - 1000 + 5);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace
