@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "buffer/segment_store.h"
+#include "common/checksum.h"
 #include "common/epoch.h"
-#include "log/redo_log.h"
 #include "obs/event_log.h"
 #include "storage/compressed_column.h"
 #include "storage/compression/varint.h"
@@ -194,7 +194,7 @@ const CompressedColumn* BufferPool::LoadColdPayload(SegmentPage* page,
     s = page->store_->ReadAt(page->swap_offset_, page->swap_length_, &payload);
   }
   if (s.ok() &&
-      Fnv1a32(payload.data(), payload.size()) != page->swap_checksum_) {
+      Crc32c(payload.data(), payload.size()) != page->swap_checksum_) {
     s = Status::Corruption("segment payload checksum mismatch");
   }
   if (s.ok()) {

@@ -46,7 +46,7 @@ class Database;
 struct ManifestEntry {
   std::string table;
   std::string file;            ///< checkpoint file name, relative to dir
-  uint64_t file_checksum = 0;  ///< fnv1a64 of the checkpoint file
+  uint64_t file_checksum = 0;  ///< crc32c of the checkpoint file
   uint64_t log_watermark = 0;  ///< redo LSNs <= this are covered
   std::vector<ColumnId> secondary_columns;
 };

@@ -6,9 +6,9 @@
 #include <thread>
 
 #include "common/bitutil.h"
+#include "common/checksum.h"
 #include "core/historic.h"
 #include "core/table.h"
-#include "log/redo_log.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
@@ -18,7 +18,7 @@ namespace lstore {
 // ---------------------------------------------------------------------------
 
 FrameWriter::FrameWriter(File* file, uint32_t magic)
-    : file_(file), checksum_(kFnv1a64Seed) {
+    : file_(file) {
   std::string header;
   PutVarint64(&header, magic);
   PutVarint64(&header, kCheckpointFormatVersion);
@@ -42,9 +42,9 @@ Status FrameWriter::WriteFrame(FrameType type, const std::string& payload) {
   PutVarint64(&batch_, body);
   batch_.push_back(static_cast<char>(type));
   batch_.append(payload);
-  uint32_t crc = Fnv1a32(batch_.data() + batch_.size() - body, body);
+  uint32_t crc = Crc32c(batch_.data() + batch_.size() - body, body);
   batch_.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
-  checksum_ = Fnv1a64(batch_.data() + start, frame, checksum_);
+  checksum_ = Crc32c(batch_.data() + start, frame, checksum_);
   return batch_.size() >= kWriteBatch ? WriteBatch() : Status::OK();
 }
 
@@ -60,7 +60,7 @@ Status FrameReader::Open(const std::string& path, uint32_t expected_magic) {
   Status read = ReadFile(path, &data_);
   if (read.IsNotFound()) return Status::IOError("cannot open file: " + path);
   LSTORE_RETURN_IF_ERROR(read);
-  checksum_ = Fnv1a64(data_.data(), data_.size());
+  checksum_ = Crc32c(data_.data(), data_.size());
 
   FrameType type;
   std::string_view payload;
@@ -95,7 +95,7 @@ bool FrameReader::Next(FrameType* type, std::string_view* payload) {
   const char* frame = data_.data() + pos;
   uint32_t stored;
   std::memcpy(&stored, data_.data() + pos + len, sizeof(stored));
-  if (Fnv1a32(frame, len) != stored) {
+  if (Crc32c(frame, len) != stored) {
     status_ = Status::Corruption("checkpoint frame checksum mismatch");
     return false;
   }
@@ -455,7 +455,7 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
           std::string bytes;
           Status vs = t->segment_store_->ReadAt(offset, length, &bytes);
           if (!vs.ok() ||
-              Fnv1a32(bytes.data(), bytes.size()) !=
+              Crc32c(bytes.data(), bytes.size()) !=
                   static_cast<uint32_t>(crc)) {
             return Status::Corruption(
                 "checkpoint segment reference failed verification: " + path);

@@ -3,11 +3,11 @@
 // Checkpoint files, the manifest, and the catalog all share one frame
 // format, mirroring the redo log (Section 5.1.3):
 //
-//   [payload_len varint][type byte + payload][fnv1a32 over payload]
+//   [payload_len varint][type byte + payload][crc32c over payload]
 //
 // so a torn or bit-flipped frame is detected exactly like a torn log
 // record. In addition the writer folds every byte it emits into a
-// running fnv1a64 whole-file checksum that the checkpoint manifest
+// running crc32c whole-file checksum that the checkpoint manifest
 // stores next to the file name — a flipped byte anywhere in a
 // checkpointed page fails recovery with a clean Corruption error
 // instead of resurrecting wrong data.
@@ -81,7 +81,7 @@ class FrameWriter {
   File* file_;
   uint64_t offset_ = 0;  ///< bytes already written to file_
   std::string batch_;
-  uint64_t checksum_;
+  uint32_t checksum_ = 0;
 };
 
 /// Reads a frame file fully, verifying per-frame checksums. The
@@ -98,7 +98,7 @@ class FrameReader {
  private:
   std::string data_;
   size_t pos_ = 0;
-  uint64_t checksum_ = 0;
+  uint32_t checksum_ = 0;
   Status status_;
 };
 
@@ -116,7 +116,7 @@ class CheckpointIO {
   /// range under its merge latch (stable lineage: base segments, TPS,
   /// and historic boundary move only under that latch) while holding
   /// an epoch pin so retired segments stay alive. `file_checksum`
-  /// receives the fnv1a64 of the written file for the manifest.
+  /// receives the crc32c of the written file for the manifest.
   static Status WriteTable(Table& table, const std::string& path,
                            uint64_t* file_checksum);
 
@@ -124,7 +124,7 @@ class CheckpointIO {
   /// and the Indirection column are NOT restored here — recovery
   /// rebuilds them from Base RID backpointers (recovery option 2).
   /// A nonzero `expected_checksum` (from the manifest) is compared
-  /// against the file's fnv1a64; mismatch fails with Corruption.
+  /// against the file's crc32c; mismatch fails with Corruption.
   static Status LoadTable(Table* table, const std::string& path,
                           uint64_t expected_checksum = 0);
 };

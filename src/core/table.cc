@@ -8,6 +8,7 @@
 #include <unordered_set>
 
 #include "common/bitutil.h"
+#include "common/checksum.h"
 #include "common/inline_buffer.h"
 #include "core/commit_pipeline.h"
 #include "core/historic.h"
@@ -369,7 +370,7 @@ std::shared_ptr<SegmentPage> Table::MakeSegmentPage(std::vector<Value> vals) {
     uint64_t offset = 0;
     if (segment_store_->Append(payload, &offset).ok()) {
       page->SetSwap(segment_store_, offset, payload.size(),
-                    Fnv1a32(payload.data(), payload.size()),
+                    Crc32c(payload.data(), payload.size()),
                     fixed ? SwapFormat::kFixed : SwapFormat::kVarint,
                     fixed ? width : 0);
     }
@@ -856,11 +857,11 @@ void Table::WriteAbortRecord(Transaction* txn, bool flush) {
 
 Status Table::Insert(Transaction* txn, const std::vector<Value>& row) {
   EpochGuard guard(epochs_);
-  return InsertRows(txn, &row, 1, nullptr);
+  return InsertRows(txn, &row, 1);
 }
 
 Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
-                         size_t n, RedoLog::Batch* log_sink) {
+                         size_t n) {
   const uint32_t ncols = schema_.num_columns();
   size_t reserved = 0;  // rows before the first bad-arity row
   while (reserved < n && rows[reserved].size() == ncols) ++reserved;
@@ -894,7 +895,8 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
   // once per run. Start Times are published before logging
   // (checkpoint watermark invariant; see WriteTailVersion); slots
   // reserved past the failure are burned with the aborted stamp so
-  // scans and merges skip them.
+  // scans and merges skip them, and only the inserted rows are logged.
+  RedoLog::Batch runs;
   for (size_t i = 0; i < reserved;) {
     Range* r = EnsureRange(RangeOf(first + i));
     const uint32_t slot0 = SlotOf(first + i);
@@ -927,32 +929,21 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
     }
     AtomicMaxU32(r->occupied, slot0 + static_cast<uint32_t>(range_end - i));
     if (inserted > i) {
-      stats_.inserts.fetch_add(std::min(range_end, inserted) - i,
-                               std::memory_order_relaxed);
+      const size_t count = std::min(range_end, inserted) - i;
+      stats_.inserts.fetch_add(count, std::memory_order_relaxed);
+      if (log_ != nullptr) {
+        runs.AddInsertRun(txn->id(), r->id, slot0, rows + i, count,
+                          schema_.AllColumns());
+      }
     }
     MaybeScheduleMerge(*r);
     i = range_end;
   }
+  if (!runs.empty()) log_->AppendBatch(runs);
 
   for (size_t i = 0; i < inserted; ++i) {
-    const uint64_t range_id = RangeOf(first + i);
     const uint32_t slot = SlotOf(first + i);
-    if (log_ != nullptr) {
-      ColumnMask mask = schema_.AllColumns();
-      RedoLog::AppendWriter rec(LogRecordType::kInsertAppend, txn->id(),
-                                range_id, slot + 1, slot, /*backptr=*/0,
-                                /*schema_encoding=*/0,
-                                /*start_raw=*/txn->id(), mask);
-      for (int c = 0, m = PopCount(mask); c < m; ++c) {
-        rec.AddValue(rows[i][c]);
-      }
-      if (log_sink != nullptr) {
-        log_sink->Add(rec);
-      } else {
-        log_->Append(rec);
-      }
-    }
-    txn->writeset().push_back(WriteEntry{range_id, slot, slot + 1,
+    txn->writeset().push_back(WriteEntry{RangeOf(first + i), slot, slot + 1,
                                          /*is_insert=*/true, keys[i], this});
   }
   {
@@ -1192,9 +1183,9 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
 
   if (log_ != nullptr) {
     if (snap_seq != 0) {
-      LogTailAppend(r, snap_seq, false, base_start, txn->id(), log_sink);
+      LogTailAppend(r, snap_seq, base_start, txn->id(), log_sink);
     }
-    LogTailAppend(r, new_seq, false, txn->id(), txn->id(), log_sink);
+    LogTailAppend(r, new_seq, txn->id(), txn->id(), log_sink);
   }
 
   if (mask != 0) {
@@ -1224,15 +1215,14 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
   return Status::OK();
 }
 
-void Table::LogTailAppend(const Range& r, uint32_t seq, bool insert,
-                          Value start_raw, TxnId txn_id,
-                          RedoLog::Batch* log_sink) {
-  const TailSegment& seg = insert ? r.inserts : r.updates;
+void Table::LogTailAppend(const Range& r, uint32_t seq, Value start_raw,
+                          TxnId txn_id, RedoLog::Batch* log_sink) {
+  const TailSegment& seg = r.updates;
   uint64_t schema_encoding = seg.Read(seq, kTailSchemaEncoding);
   ColumnMask cols = SchemaColumns(schema_encoding);
   RedoLog::AppendWriter rec(
-      insert ? LogRecordType::kInsertAppend : LogRecordType::kTailAppend,
-      txn_id, r.id, seq, static_cast<uint32_t>(seg.Read(seq, kTailBaseRid)),
+      LogRecordType::kTailAppend, txn_id, r.id, seq,
+      static_cast<uint32_t>(seg.Read(seq, kTailBaseRid)),
       static_cast<uint32_t>(seg.Read(seq, kTailIndirection)), schema_encoding,
       start_raw, cols);
   for (BitIter it(cols); it; ++it) {
@@ -1359,15 +1349,8 @@ Status Table::MultiRead(Txn& txn, const std::vector<Value>& keys,
 
 Status Table::InsertBatch(Txn& txn, const std::vector<std::vector<Value>>& rows) {
   LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-  Transaction* t = txn.raw();
-  RedoLog::Batch recs;
-  RedoLog::Batch* sink = log_ != nullptr ? &recs : nullptr;
   EpochGuard guard(epochs_);
-  Status s = InsertRows(t, rows.data(), rows.size(), sink);
-  // ONE frame for the whole batch; the publish-before-log invariant
-  // holds because every Start Time was published above.
-  if (sink != nullptr && !recs.empty()) log_->AppendBatch(recs);
-  return s;
+  return InsertRows(txn.raw(), rows.data(), rows.size());
 }
 
 Status Table::UpdateBatch(Txn& txn, const std::vector<Value>& keys,

@@ -513,14 +513,15 @@ class Table : public TxnContext {
   /// their keys shard by shard, and fills table-level tail pages one
   /// page run at a time. Stops at the first duplicate key or bad-arity
   /// row: earlier rows stay inserted, later ones leave no index entry,
-  /// and their reserved slots are stamped aborted.
+  /// and their reserved slots are stamped aborted. Logs ONE frame: a
+  /// kInsertRun per range the inserted rows fill.
   Status InsertRows(Transaction* txn, const std::vector<Value>* rows,
-                    size_t n, RedoLog::Batch* log_sink);
+                    size_t n);
   Status WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
                           ColumnMask mask, const std::vector<Value>& row,
                           bool is_delete, RedoLog::Batch* log_sink);
-  void LogTailAppend(const Range& r, uint32_t seq, bool insert,
-                     Value start_raw, TxnId txn_id,
+  void LogTailAppend(const Range& r, uint32_t seq, Value start_raw,
+                     TxnId txn_id,
                      RedoLog::Batch* log_sink);
   void MaybeScheduleMerge(Range& r);
 

@@ -4,20 +4,12 @@
 #include <cstring>
 #include <iterator>
 
+#include "common/checksum.h"
 #include "obs/span.h"
 #include "obs/trace.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
-
-uint32_t Fnv1a32(const char* data, size_t n) {
-  uint32_t h = 2166136261u;
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 16777619u;
-  }
-  return h;
-}
 
 // ---------------------------------------------------------------------------
 // Static framing helpers
@@ -26,7 +18,7 @@ uint32_t Fnv1a32(const char* data, size_t n) {
 void FramedLog::AppendFrame(std::string* out, std::string_view payload) {
   PutVarint64(out, payload.size());
   out->append(payload);
-  uint32_t crc = Fnv1a32(payload.data(), payload.size());
+  uint32_t crc = Crc32c(payload.data(), payload.size());
   out->append(reinterpret_cast<const char*>(&crc), sizeof(crc));
 }
 
@@ -66,7 +58,7 @@ void FramedLog::ScanFrames(std::string_view data, const Codec& codec,
     const char* payload = data.data() + pos;
     uint32_t stored;
     std::memcpy(&stored, data.data() + pos + len, sizeof(stored));
-    if (Fnv1a32(payload, len) != stored) {  // corrupt frame
+    if (Crc32c(payload, len) != stored) {  // corrupt frame
       stats->clean_end = false;
       pos = frame_start;
       break;

@@ -2,7 +2,7 @@
 // frame format used by the redo log, the commit log, and the archive
 // stitcher.
 //
-// Frame format: [payload_len varint][payload][fnv1a32 over payload].
+// Frame format: [payload_len varint][payload][crc32c over payload].
 // Records carry implicit LSNs, numbered 1, 2, ... in append order; a
 // frame may carry several LSNs (batch frames). A log whose prefix was
 // truncated starts with a truncation-point frame (payload tag 5 +
@@ -63,20 +63,6 @@ struct FramedLogMetrics {
   Histogram* flush_ns = nullptr;    ///< Flush latency (write [+ fsync])
   Counter* truncate_read_bytes = nullptr;  ///< bytes TruncateTo read back
 };
-
-/// FNV-1a 32-bit checksum over a byte range (per-frame checksums).
-uint32_t Fnv1a32(const char* data, size_t n);
-
-/// Incremental FNV-1a 64-bit (whole-file checksums of checkpoints).
-inline constexpr uint64_t kFnv1a64Seed = 14695981039346656037ull;
-inline uint64_t Fnv1a64(const char* data, size_t n,
-                        uint64_t h = kFnv1a64Seed) {
-  for (size_t i = 0; i < n; ++i) {
-    h ^= static_cast<uint8_t>(data[i]);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 class FramedLog {
  public:
@@ -170,7 +156,7 @@ class FramedLog {
 
   // --- static framing helpers ----------------------------------------------
 
-  /// Frame `payload` ([len][payload][fnv1a32]) onto `out`.
+  /// Frame `payload` ([len][payload][crc32c]) onto `out`.
   static void AppendFrame(std::string* out, std::string_view payload);
 
   /// A complete truncation-point frame restoring `base_lsn`.

@@ -8,6 +8,134 @@
 
 namespace lstore {
 
+namespace {
+
+/// Decode the single-row record at data[*pos] into `rec`, advancing
+/// *pos past it; false for a kBatch or kInsertRun (or malformed) one.
+bool DecodeRecord(const char* data, size_t size, size_t* pos,
+                  LogRecord* rec) {
+  if (*pos >= size) return false;
+  rec->type = static_cast<LogRecordType>(data[(*pos)++]);
+  uint64_t v;
+  if (!GetVarint64(data, size, pos, &v)) return false;
+  if (rec->type == LogRecordType::kTruncationPoint) {
+    rec->base_lsn = v;
+    return true;
+  }
+  rec->txn_id = v;
+  switch (rec->type) {
+    case LogRecordType::kCommit:
+      if (!GetVarint64(data, size, pos, &v)) return false;
+      rec->commit_time = v;
+      return true;
+    case LogRecordType::kAbort:
+      return true;
+    case LogRecordType::kTailAppend:
+    case LogRecordType::kInsertAppend: {
+      uint64_t f[7];  // range, seq, base slot, backptr, encoding, start, mask
+      for (uint64_t& field : f) {
+        if (!GetVarint64(data, size, pos, &field)) return false;
+      }
+      rec->range_id = f[0];
+      rec->seq = static_cast<uint32_t>(f[1]);
+      rec->base_slot = static_cast<uint32_t>(f[2]);
+      rec->backptr = static_cast<uint32_t>(f[3]);
+      rec->schema_encoding = f[4];
+      rec->start_raw = f[5];
+      rec->mask = f[6];
+      int n = PopCount(rec->mask);
+      rec->values.clear();
+      for (int i = 0; i < n; ++i) {
+        if (!GetVarint64(data, size, pos, &v)) return false;
+        rec->values.push_back(v);
+      }
+      return true;
+    }
+    default:
+      return false;
+  }
+}
+
+/// Walk the kInsertRun record at data[*pos], advancing *pos past it and
+/// setting *rows to its row count. With kDeliver, each row goes to `fn`
+/// as a kInsertAppend record with its row index.
+template <bool kDeliver, typename Fn>
+bool WalkRun(const char* data, size_t size, size_t* pos, uint64_t* rows,
+             LogRecord* rec, Fn& fn) {
+  ++*pos;  // the type byte
+  uint64_t txn, range, first, count, mask;
+  for (uint64_t* field : {&txn, &range, &first, &count, &mask}) {
+    if (!GetVarint64(data, size, pos, field)) return false;
+  }
+  // Every row's slot and seq (slot + 1) must fit the 32-bit fields.
+  if (count == 0 || count > UINT32_MAX || first > UINT32_MAX - count) {
+    return false;
+  }
+  const int width = PopCount(mask);
+  if constexpr (kDeliver) {
+    rec->type = LogRecordType::kInsertAppend;
+    rec->txn_id = txn;
+    rec->range_id = range;
+    rec->backptr = 0;
+    rec->schema_encoding = 0;
+    rec->start_raw = txn;
+    rec->mask = mask;
+    rec->values.resize(width);
+  }
+  uint64_t v;
+  for (uint64_t i = 0; i < count; ++i) {
+    for (int c = 0; c < width; ++c) {
+      if (!GetVarint64(data, size, pos, &v)) return false;
+      if constexpr (kDeliver) rec->values[c] = v;
+    }
+    if constexpr (kDeliver) {
+      rec->base_slot = static_cast<uint32_t>(first + i);
+      rec->seq = rec->base_slot + 1;
+      fn(*rec, i);
+    }
+  }
+  *rows = count;
+  return true;
+}
+
+/// Walk one payload — a single record, or a kBatch frame's records back
+/// to back — checking every byte and counting its LSNs (one per record,
+/// one per row of a run). With kDeliver, each record goes to `fn` with
+/// its LSN offset within the payload, a run expanded row by row.
+template <bool kDeliver, typename Fn>
+bool WalkPayload(const char* data, size_t len, uint64_t* lsn_count, Fn fn) {
+  if (len == 0) return false;
+  const bool batch =
+      static_cast<LogRecordType>(data[0]) == LogRecordType::kBatch;
+  size_t pos = batch ? 1 : 0;
+  uint64_t lsns = 0;
+  LogRecord rec;
+  do {
+    if (pos >= len) return false;  // includes a batch with no records
+    const auto type = static_cast<LogRecordType>(data[pos]);
+    if (type == LogRecordType::kInsertRun) {
+      uint64_t rows = 0;
+      auto at = [&fn, lsns](const LogRecord& r, uint64_t i) {
+        fn(r, lsns + i);
+      };
+      if (!WalkRun<kDeliver>(data, len, &pos, &rows, &rec, at)) return false;
+      lsns += rows;
+      continue;
+    }
+    if ((batch && type == LogRecordType::kTruncationPoint) ||
+        !DecodeRecord(data, len, &pos, &rec)) {
+      return false;
+    }
+    if constexpr (kDeliver) fn(rec, lsns);
+    ++lsns;
+  } while (batch && pos < len);
+  if (pos != len) return false;
+  *lsn_count = lsns;
+  return true;
+}
+
+}  // namespace
+
 void RedoLog::EncodePayload(const LogRecord& rec, std::string* out) {
   if (rec.type == LogRecordType::kTailAppend ||
       rec.type == LogRecordType::kInsertAppend) {
@@ -29,83 +157,14 @@ void RedoLog::EncodePayload(const LogRecord& rec, std::string* out) {
 }
 
 bool RedoLog::DecodePayload(const char* data, size_t size, LogRecord* rec) {
-  if (size == 0) return false;
   size_t pos = 0;
-  rec->type = static_cast<LogRecordType>(data[pos++]);
-  uint64_t v;
-  if (rec->type == LogRecordType::kTruncationPoint) {
-    if (!GetVarint64(data, size, &pos, &v)) return false;
-    rec->base_lsn = v;
-    return pos == size;
-  }
-  if (!GetVarint64(data, size, &pos, &v)) return false;
-  rec->txn_id = v;
-  switch (rec->type) {
-    case LogRecordType::kCommit:
-      if (!GetVarint64(data, size, &pos, &v)) return false;
-      rec->commit_time = v;
-      return pos == size;
-    case LogRecordType::kAbort:
-      return pos == size;
-    case LogRecordType::kTailAppend:
-    case LogRecordType::kInsertAppend: {
-      if (!GetVarint64(data, size, &pos, &v)) return false;
-      rec->range_id = v;
-      if (!GetVarint64(data, size, &pos, &v)) return false;
-      rec->seq = static_cast<uint32_t>(v);
-      if (!GetVarint64(data, size, &pos, &v)) return false;
-      rec->base_slot = static_cast<uint32_t>(v);
-      if (!GetVarint64(data, size, &pos, &v)) return false;
-      rec->backptr = static_cast<uint32_t>(v);
-      if (!GetVarint64(data, size, &pos, &v)) return false;
-      rec->schema_encoding = v;
-      if (!GetVarint64(data, size, &pos, &v)) return false;
-      rec->start_raw = v;
-      if (!GetVarint64(data, size, &pos, &v)) return false;
-      rec->mask = v;
-      int n = PopCount(rec->mask);
-      rec->values.clear();
-      for (int i = 0; i < n; ++i) {
-        if (!GetVarint64(data, size, &pos, &v)) return false;
-        rec->values.push_back(v);
-      }
-      return pos == size;
-    }
-    default:
-      return false;
-  }
+  return DecodeRecord(data, size, &pos, rec) && pos == size;
 }
 
 bool RedoLog::ValidatePayload(const char* payload, size_t len,
                               uint64_t* lsn_count) {
-  if (len == 0) return false;
-  if (static_cast<LogRecordType>(payload[0]) == LogRecordType::kBatch) {
-    // One frame, N records: every sub-payload must decode, or the
-    // whole frame is malformed (treated as a torn tail by the scan).
-    size_t pos = 1;
-    uint64_t count = 0;
-    if (!GetVarint64(payload, len, &pos, &count)) return false;
-    LogRecord rec;
-    for (uint64_t i = 0; i < count; ++i) {
-      uint64_t sub_len = 0;
-      if (!GetVarint64(payload, len, &pos, &sub_len) || sub_len > len - pos) {
-        return false;
-      }
-      if (!DecodePayload(payload + pos, sub_len, &rec) ||
-          rec.type == LogRecordType::kTruncationPoint ||
-          rec.type == LogRecordType::kBatch) {
-        return false;
-      }
-      pos += sub_len;
-    }
-    if (pos != len) return false;
-    *lsn_count = count;
-    return true;
-  }
-  LogRecord rec;
-  if (!DecodePayload(payload, len, &rec)) return false;
-  *lsn_count = 1;
-  return true;
+  return WalkPayload<false>(payload, len, lsn_count,
+                            [](const LogRecord&, uint64_t) {});
 }
 
 uint64_t RedoLog::Append(const LogRecord& rec) {
@@ -114,30 +173,42 @@ uint64_t RedoLog::Append(const LogRecord& rec) {
   return framed_.Append(payload, 1);
 }
 
-void RedoLog::Batch::AddPayload(std::string_view payload) {
-  PutVarint64(&body_, payload.size());
-  body_.append(payload);
-  ++count_;
+void RedoLog::Batch::AddInsertRun(TxnId txn, uint64_t range_id,
+                                  uint32_t first_slot,
+                                  const std::vector<Value>* rows,
+                                  size_t count, ColumnMask mask) {
+  // Rows are encoded into a stack chunk that joins the body whenever
+  // the next row might not fit: one append per ~4 KiB, none per value.
+  char chunk[4096];
+  size_t len = 0;
+  chunk[len++] = static_cast<char>(LogRecordType::kInsertRun);
+  for (uint64_t field :
+       {txn, range_id, uint64_t{first_slot}, uint64_t{count}, mask}) {
+    len = PutVarint(chunk, len, field);
+  }
+  const size_t row_max = PopCount(mask) * kMaxVarintBytes;
+  for (size_t i = 0; i < count; ++i) {
+    if (len + row_max > sizeof(chunk)) {
+      body_.append(chunk, len);
+      len = 0;
+    }
+    const std::vector<Value>& row = rows[i];
+    for (BitIter it(mask); it; ++it) len = PutVarint(chunk, len, row[*it]);
+  }
+  body_.append(chunk, len);
+  lsns_ += count;
 }
 
-uint64_t RedoLog::AppendBatch(Batch& batch) {
-  if (batch.count_ == 0) return 0;
-  std::string header;
-  header.push_back(static_cast<char>(LogRecordType::kBatch));
-  PutVarint64(&header, batch.count_);
-  size_t start = Batch::kHeadroom - header.size();
-  batch.body_.replace(start, header.size(), header);
-  return framed_.Append(
-      std::string_view(batch.body_).substr(start), batch.count_);
+uint64_t RedoLog::AppendBatch(const Batch& batch) {
+  if (batch.empty()) return 0;
+  return framed_.Append(batch.body_, batch.lsns_);
 }
 
 uint64_t RedoLog::AppendBatch(const std::vector<LogRecord>& recs) {
   Batch batch;
-  std::string payload;
   for (const LogRecord& rec : recs) {
-    payload.clear();
-    EncodePayload(rec, &payload);
-    batch.AddPayload(payload);
+    EncodePayload(rec, &batch.body_);
+    ++batch.lsns_;
   }
   return AppendBatch(batch);
 }
@@ -151,27 +222,13 @@ Status RedoLog::Replay(
       [&fn](std::string_view payload, uint64_t first_lsn, uint64_t, size_t,
             size_t) {
         if (!fn) return;
-        const char* data = payload.data();
-        size_t len = payload.size();
-        if (static_cast<LogRecordType>(data[0]) == LogRecordType::kBatch) {
-          // Already validated by the codec; deliver each sub-record
-          // with its own LSN.
-          size_t pos = 1;
-          uint64_t count = 0;
-          GetVarint64(data, len, &pos, &count);
-          LogRecord rec;
-          for (uint64_t i = 0; i < count; ++i) {
-            uint64_t sub_len = 0;
-            GetVarint64(data, len, &pos, &sub_len);
-            DecodePayload(data + pos, sub_len, &rec);
-            pos += sub_len;
-            fn(rec, first_lsn + i);
-          }
-          return;
-        }
-        LogRecord rec;
-        DecodePayload(data, len, &rec);
-        fn(rec, first_lsn);
+        // Already validated by the codec; deliver each record (each
+        // row of a run) with its own LSN.
+        uint64_t lsns = 0;
+        WalkPayload<true>(payload.data(), payload.size(), &lsns,
+                          [&fn, first_lsn](const LogRecord& rec, uint64_t i) {
+                            fn(rec, first_lsn + i);
+                          });
       },
       stats);
   if (!s.ok()) return Status::IOError("cannot open log for replay");

@@ -7,6 +7,14 @@
 // rebuilt at recovery from the Base RID column / backpointers, so it
 // needs no log of its own (recovery option 2 in the paper).
 //
+// A bulk insert logs its data and little more: one kInsertRun record
+// per range a batch fills — [type][txn id][range][first slot][count]
+// [mask], then count x popcount(mask) varint values, row by row — in
+// place of one self-describing record per row. Each row of a run still
+// owns an LSN (first slot's row gets the run's first LSN, and so on),
+// and replay expands the run into per-row kInsertAppend records, so
+// watermarks, truncation and recovery see one record per row.
+//
 // Record framing, LSN numbering, torn-tail repair, and truncation are
 // the shared framed-log core's (log/framed_log.h): this class is a
 // thin wrapper that owns only the redo payload codec — what the bytes
@@ -34,15 +42,21 @@ namespace lstore {
 
 enum class LogRecordType : uint8_t {
   kTailAppend = 1,   ///< update/delete tail record (regular tail pages)
-  kInsertAppend = 2, ///< insert into table-level tail pages
+  /// One row inserted into table-level tail pages: the form in which
+  /// replay delivers each row of a kInsertRun.
+  kInsertAppend = 2,
   kCommit = 3,
   kAbort = 4,
   kTruncationPoint = 5, ///< head of a truncated log; carries the LSN base
-  kBatch = 6,        ///< one frame holding N append records (batched ops)
+  kBatch = 6,        ///< one frame holding N records back to back
+  /// Consecutive rows one transaction inserted into one range; one LSN
+  /// per row. Written by Batch::AddInsertRun only.
+  kInsertRun = 7,
 };
 
 /// In-memory form of a redo record (replay, tests, commit/abort
-/// appends). Append records are written through RedoLog::AppendWriter.
+/// appends). Append records are written through RedoLog::AppendWriter
+/// and insert runs through RedoLog::Batch::AddInsertRun.
 struct LogRecord {
   LogRecordType type;
   TxnId txn_id = 0;
@@ -63,6 +77,19 @@ struct LogRecord {
 /// Append-only log writer with group commit: appends accumulate in a
 /// buffer and are flushed together when a commit record arrives.
 class RedoLog {
+ private:
+  static constexpr size_t kMaxVarintBytes = 10;
+
+  /// Write `v` as a varint at buf[len]; returns the new length.
+  static size_t PutVarint(char* buf, size_t len, uint64_t v) {
+    while (v >= 0x80) {
+      buf[len++] = static_cast<char>((v & 0x7f) | 0x80);
+      v >>= 7;
+    }
+    buf[len++] = static_cast<char>(v);
+    return len;
+  }
+
  public:
   using ReplayStats = FramedLog::ScanStats;
 
@@ -80,11 +107,11 @@ class RedoLog {
   void Close() { framed_.Close(); }
   bool is_open() const { return framed_.is_open(); }
 
-  /// The one writer of append records (kTailAppend / kInsertAppend):
-  /// each field goes as a varint straight into a bounded stack buffer,
-  /// so logging a row builds no LogRecord and allocates nothing. Add
-  /// one value per set bit of `mask`, low to high, then hand the writer
-  /// to Append or Batch::Add.
+  /// The one writer of single-row append records (kTailAppend /
+  /// kInsertAppend): each field goes as a varint straight into a
+  /// bounded stack buffer, so logging a row builds no LogRecord and
+  /// allocates nothing. Add one value per set bit of `mask`, low to
+  /// high, then hand the writer to Append or Batch::Add.
   class AppendWriter {
    public:
     AppendWriter(LogRecordType type, TxnId txn_id, uint64_t range_id,
@@ -110,15 +137,7 @@ class RedoLog {
     std::string_view payload() const { return {buf_, len_}; }
 
    private:
-    static constexpr size_t kMaxVarintBytes = 10;
-
-    void Put(uint64_t v) {
-      while (v >= 0x80) {
-        buf_[len_++] = static_cast<char>((v & 0x7f) | 0x80);
-        v >>= 7;
-      }
-      buf_[len_++] = static_cast<char>(v);
-    }
+    void Put(uint64_t v) { len_ = PutVarint(buf_, len_, v); }
 
     /// Tag, eight header fields, and up to 64 values.
     char buf_[1 + 8 * kMaxVarintBytes + 64 * kMaxVarintBytes];
@@ -131,35 +150,38 @@ class RedoLog {
     return framed_.Append(rec.payload(), 1);
   }
 
-  /// Streaming builder for a batch frame: records are encoded as they
-  /// are added, so the writer never retains N LogRecords. One Batch
-  /// becomes ONE log frame (one length/checksum envelope, one buffer
-  /// append, one mutex acquisition) — the amortization behind
-  /// InsertBatch / UpdateBatch.
+  /// Streaming builder for a batch frame, [kBatch] then its records
+  /// back to back (every record is self-delimiting): records are
+  /// encoded as they are added, so the writer never retains N
+  /// LogRecords. One Batch becomes ONE log frame (one length/checksum
+  /// envelope, one buffer append, one mutex acquisition) — the
+  /// amortization behind Insert / InsertBatch / UpdateBatch.
   class Batch {
    public:
-    Batch() : body_(kHeadroom, '\0') {}
-    void Add(const AppendWriter& rec) { AddPayload(rec.payload()); }
-    size_t count() const { return count_; }
-    bool empty() const { return count_ == 0; }
+    Batch() : body_(1, static_cast<char>(LogRecordType::kBatch)) {}
+    void Add(const AppendWriter& rec) {
+      body_.append(rec.payload());
+      ++lsns_;
+    }
+    /// Encode rows[0, count), inserted by `txn` into `range_id` at slots
+    /// first_slot, first_slot + 1, ..., as one kInsertRun record: the
+    /// columns of `mask` of each row, low to high. count >= 1.
+    void AddInsertRun(TxnId txn, uint64_t range_id, uint32_t first_slot,
+                      const std::vector<Value>* rows, size_t count,
+                      ColumnMask mask);
+    bool empty() const { return lsns_ == 0; }
 
    private:
     friend class RedoLog;
-    /// Room for the frame's [kBatch][count varint] header, written in
-    /// front of the entries at append time so the payload is not copied.
-    static constexpr size_t kHeadroom = 1 + 10;
-
-    void AddPayload(std::string_view payload);
-
-    size_t count_ = 0;
-    std::string body_;  ///< kHeadroom, then [len varint][payload] entries
+    uint64_t lsns_ = 0;  ///< one per record, one per row of a run
+    std::string body_;
   };
 
-  /// Append a batch as one frame (the frame header is written into the
-  /// batch's headroom). Each contained record still receives its own
-  /// LSN; returns the LSN of the last one (0 when empty). Replay
-  /// delivers the contained records individually.
-  uint64_t AppendBatch(Batch& batch);
+  /// Append a batch as one frame. Each contained record (each row of a
+  /// run) still receives its own LSN; returns the LSN of the last one
+  /// (0 when empty). Replay delivers the contained records
+  /// individually.
+  uint64_t AppendBatch(const Batch& batch);
   uint64_t AppendBatch(const std::vector<LogRecord>& recs);
 
   /// LSN of the most recently appended record (0 = empty log).
@@ -192,13 +214,14 @@ class RedoLog {
       const std::function<void(const LogRecord&, uint64_t lsn)>& fn,
       ReplayStats* stats);
 
-  /// Serialize / deserialize one payload (exposed for tests).
+  /// Serialize / deserialize one single-row payload (any type but
+  /// kBatch and kInsertRun; exposed for tests).
   static void EncodePayload(const LogRecord& rec, std::string* out);
   static bool DecodePayload(const char* data, size_t size, LogRecord* rec);
 
   /// The framed-log codec for redo payloads: full validation (batch
-  /// sub-records included) + LSN count. Exposed so the archive
-  /// stitcher can scan sealed redo segments.
+  /// records and run values included) + LSN count. Exposed so the
+  /// archive stitcher can scan sealed redo segments.
   static bool ValidatePayload(const char* payload, size_t len,
                               uint64_t* lsn_count);
 

@@ -6,7 +6,7 @@
 #include <cerrno>
 #include <cstring>
 
-#include "log/framed_log.h"
+#include "common/checksum.h"
 
 namespace lstore {
 namespace wire {
@@ -51,7 +51,7 @@ Status WriteFrame(int fd, std::string_view payload) {
   frame.reserve(payload.size() + kFrameOverhead);
   PutU32(&frame, static_cast<uint32_t>(payload.size()));
   frame.append(payload.data(), payload.size());
-  PutU32(&frame, Fnv1a32(payload.data(), payload.size()));
+  PutU32(&frame, Crc32c(payload.data(), payload.size()));
   return SendAll(fd, frame.data(), frame.size());
 }
 
@@ -79,7 +79,7 @@ Status ReadFrame(int fd, uint32_t max_frame_bytes, std::string* payload) {
   Reader crc_reader(std::string_view(crc_buf, 4));
   uint32_t crc = 0;
   crc_reader.U32(&crc);
-  if (crc != Fnv1a32(payload->data(), payload->size())) {
+  if (crc != Crc32c(payload->data(), payload->size())) {
     return Status::Corruption("frame checksum mismatch");
   }
   return Status::OK();

@@ -3,7 +3,7 @@
 //
 // Every message travels as one frame:
 //
-//   [payload_len u32 LE][payload][fnv1a32(payload) u32 LE]
+//   [payload_len u32 LE][payload][crc32c(payload) u32 LE]
 //
 // — the same [len][payload][checksum] shape as the durability logs
 // (log/framed_log.h), with the same torn/short-frame discipline: a

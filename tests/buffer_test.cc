@@ -25,12 +25,12 @@
 #include "buffer/segment_store.h"
 #include "checkpoint/checkpoint_manager.h"
 #include "checkpoint/serde.h"
+#include "common/checksum.h"
 #include "common/epoch.h"
 #include "common/random.h"
 #include "core/database.h"
 #include "core/query.h"
 #include "core/table.h"
-#include "log/framed_log.h"
 #include "storage/compressed_column.h"
 #include "storage/compression/varint.h"
 
@@ -485,7 +485,7 @@ TEST(BufferPoolTest, ColdSlotReadDecodesOneSlotWithoutInflating) {
   uint64_t off = 0;
   ASSERT_TRUE(store.Append(fixed, &off).ok());
   SegmentPage page(&epochs, kSlots, /*compress=*/true);
-  page.SetSwap(&store, off, fixed.size(), Fnv1a32(fixed.data(), fixed.size()),
+  page.SetSwap(&store, off, fixed.size(), Crc32c(fixed.data(), fixed.size()),
                SwapFormat::kFixed, 2);
   for (uint32_t slot : {0u, 1u, 137u, kSlots - 1}) {
     Value v = 0;
@@ -513,7 +513,7 @@ TEST(BufferPoolTest, ColdSlotReadDecodesOneSlotWithoutInflating) {
   ASSERT_TRUE(store.Append(varint, &off).ok());
   SegmentPage vp(&epochs, 4, true);
   vp.SetSwap(&store, off, varint.size(),
-             Fnv1a32(varint.data(), varint.size()));
+             Crc32c(varint.data(), varint.size()));
   EXPECT_FALSE(BufferPool::ReadColdSlot(&vp, 1, &v));
   epochs.DrainAllUnsafe();
 }

@@ -1,9 +1,18 @@
-// Database facade tests: table registry, shared clock/manager, and
-// atomic multi-table transactions.
+// Database facade tests: table registry, shared clock/manager, atomic
+// multi-table transactions, and refusal of on-disk formats this build
+// does not write.
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <memory>
+#include <string>
+
+#include "common/file.h"
 #include "core/database.h"
+#include "storage/compression/varint.h"
 
 namespace lstore {
 namespace {
@@ -140,6 +149,72 @@ TEST(DatabaseTest, SingleTableCommitStillWorksThroughTable) {
   ASSERT_TRUE(a->Read(check, 5, 0b10, &out).ok());
   EXPECT_EQ(out[1], 50u);
   ASSERT_TRUE(check.Commit().ok());
+}
+
+// Flip every checksum of a [len varint][payload][u32 checksum] framed
+// file, as a build with another checksum function would have written
+// it. Returns the number of frames.
+int ForeignChecksums(const std::string& path) {
+  std::string data;
+  EXPECT_TRUE(ReadFile(path, &data).ok()) << path;
+  int frames = 0;
+  size_t pos = 0;
+  uint64_t len = 0;
+  while (pos < data.size() && GetVarint64(data, &pos, &len) &&
+         pos + len + sizeof(uint32_t) <= data.size()) {
+    pos += len;
+    uint32_t crc;
+    std::memcpy(&crc, data.data() + pos, sizeof(crc));
+    crc ^= 0x5a5a5a5au;
+    std::memcpy(data.data() + pos, &crc, sizeof(crc));
+    pos += sizeof(crc);
+    ++frames;
+  }
+  EXPECT_EQ(pos, data.size()) << path;
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << data;
+  return frames;
+}
+
+// A directory whose frames carry checksums this build does not compute
+// (an earlier build's) is refused with Corruption at the CATALOG, which
+// is read before any log is opened: the logs' torn-tail repair never
+// sees them, so not one of their bytes is cut as "corrupt".
+TEST(DatabaseFormatTest, ForeignChecksumDirectoryIsRefusedBeforeAnyLog) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "lstore_foreign_checksums";
+  std::filesystem::remove_all(dir);
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, &db).ok());
+    ASSERT_TRUE(db->CreateTable("a", Schema(2), Cfg()).ok());
+    ASSERT_TRUE(db->CreateTable("b", Schema(2), Cfg()).ok());
+    Txn both = db->Begin();  // cross-table: a COMMIT_LOG record
+    ASSERT_TRUE(db->GetTable("a")->Insert(both, {1, 10}).ok());
+    ASSERT_TRUE(db->GetTable("b")->Insert(both, {2, 20}).ok());
+    ASSERT_TRUE(both.Commit().ok());
+    Txn one = db->Begin();
+    ASSERT_TRUE(db->GetTable("a")->Insert(one, {3, 30}).ok());
+    ASSERT_TRUE(one.Commit().ok());
+  }
+  const std::string logs[] = {dir + "/a.log", dir + "/b.log",
+                              dir + "/COMMIT_LOG"};
+  EXPECT_GT(ForeignChecksums(dir + "/CATALOG"), 0);
+  std::string before[3];
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_GT(ForeignChecksums(logs[i]), 0) << logs[i];
+    ASSERT_TRUE(ReadFile(logs[i], &before[i]).ok());
+  }
+
+  std::unique_ptr<Database> db;
+  Status s = Database::Open(dir, &db);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(db, nullptr);
+  for (int i = 0; i < 3; ++i) {
+    std::string after;
+    ASSERT_TRUE(ReadFile(logs[i], &after).ok());
+    EXPECT_EQ(after, before[i]) << logs[i];
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdio>
+#include <filesystem>
+#include <functional>
 #include <numeric>
 #include <random>
 #include <string>
@@ -19,6 +21,7 @@
 #include <vector>
 
 #include "common/bitutil.h"
+#include "core/database.h"
 #include "core/query.h"
 #include "core/table.h"
 #include "log/redo_log.h"
@@ -154,11 +157,12 @@ TEST(RedoLogTest, AppendWriterMatchesReferenceEncoding) {
 }
 
 // The on-disk bytes of a small InsertBatch frame, pinned so any drift
-// in the redo format fails loudly. Frame: [len 63][kBatch 06][count 02]
-// then per row [entry len][kInsertAppend 02][txn id][range 00][seq]
-// [base slot][backptr 00][schema encoding 00][start raw = txn id]
-// [mask 03][one value per column], then the fnv1a32 of the payload.
-// The first transaction's id is kTxnIdTag | 1, a 10-byte varint.
+// in the redo format fails loudly. Frame: [len 15][kBatch 06], then ONE
+// insert run for the range the two rows share: [kInsertRun 07][txn id]
+// [range 00][first slot 00][count 02][mask 03], then the values row by
+// row (1, 300 = ac02; 2, 5), then the crc32c of the payload (f91494c8,
+// little-endian). The first transaction's id is kTxnIdTag | 1, a
+// 10-byte varint.
 TEST(RedoLogTest, InsertBatchFrameGoldenBytes) {
   std::string path = TempLogPath("golden_batch");
   std::remove(path.c_str());
@@ -181,12 +185,11 @@ TEST(RedoLogTest, InsertBatchFrameGoldenBytes) {
     hex.push_back(kDigits[c & 15]);
   }
   EXPECT_EQ(hex,
-            "3f0602"
-            "1e02" "81808080808080808001" "00" "01" "00" "00" "00"
-            "81808080808080808001" "03" "01" "ac02"
-            "1d02" "81808080808080808001" "00" "02" "01" "00" "00"
-            "81808080808080808001" "03" "02" "05"
-            "6ca118fc");
+            "1506"
+            "07" "81808080808080808001" "00" "00" "02" "03"
+            "01" "ac02"
+            "02" "05"
+            "c89414f9");
   std::remove(path.c_str());
 }
 
@@ -487,6 +490,312 @@ TEST_F(RecoveryTest, IndexRebuildKeepsRidsPastAbortedAndBurnedSlots) {
   ASSERT_TRUE(table.Insert(again, {1000, 1, 1}).ok());
   ASSERT_TRUE(table.Insert(again, {2010, 1, 1}).ok());
   ASSERT_TRUE(again.Commit().ok());
+}
+
+// --- insert runs -----------------------------------------------------------
+
+// Every row by base RID up to the last visible one: the visible row's
+// columns, or empty. (Slots a failed batch burned past the last logged
+// row are not recovered at all, so they do not count.)
+std::vector<std::vector<Value>> RowsOf(const Table& table) {
+  std::vector<std::vector<Value>> rows(table.num_rows());
+  for (uint64_t rid = 0; rid < rows.size(); ++rid) {
+    EXPECT_TRUE(table.NewQuery()
+                    .Range(rid, 1)
+                    .Workers(1)
+                    .Visit([&](Value, const std::vector<Value>& row) {
+                      rows[rid] = row;
+                    })
+                    .ok());
+  }
+  while (!rows.empty() && rows.back().empty()) rows.pop_back();
+  return rows;
+}
+
+// Rows {k, 10k, 100k} for keys [first, first + count).
+std::vector<std::vector<Value>> KeyRows(Value first, Value count) {
+  std::vector<std::vector<Value>> rows;
+  for (Value k = first; k < first + count; ++k) {
+    rows.push_back({k, k * 10, k * 100});
+  }
+  return rows;
+}
+
+struct LoggedRun {
+  uint64_t range, first_slot, count;
+  bool operator==(const LoggedRun&) const = default;
+};
+
+// The insert runs of the log's first frame, which must hold nothing
+// else: [kBatch], then per run [kInsertRun][txn][range][first slot]
+// [count][mask] and count x popcount(mask) values.
+std::vector<LoggedRun> RunsInFirstFrame(const std::string& path) {
+  std::string data = ReadWholeFile(path);
+  size_t pos = 0;
+  uint64_t len = 0;
+  EXPECT_TRUE(GetVarint64(data, &pos, &len));
+  std::string payload = data.substr(pos, len);
+  EXPECT_EQ(static_cast<LogRecordType>(payload[0]), LogRecordType::kBatch);
+  std::vector<LoggedRun> runs;
+  pos = 1;
+  while (pos < payload.size()) {
+    if (static_cast<LogRecordType>(payload[pos++]) !=
+        LogRecordType::kInsertRun) {
+      ADD_FAILURE() << "not an insert run at byte " << pos - 1;
+      break;
+    }
+    uint64_t txn = 0, mask = 0, v = 0;
+    LoggedRun run{};
+    for (uint64_t* field :
+         {&txn, &run.range, &run.first_slot, &run.count, &mask}) {
+      EXPECT_TRUE(GetVarint64(payload, &pos, field));
+    }
+    for (uint64_t i = 0; i < run.count * PopCount(mask); ++i) {
+      EXPECT_TRUE(GetVarint64(payload, &pos, &v));
+    }
+    runs.push_back(run);
+  }
+  return runs;
+}
+
+// A batch that crosses a range boundary is ONE frame holding one run
+// per range, and replay hands back one record per row, each with its
+// own LSN.
+TEST_F(RecoveryTest, BatchAcrossRangesLogsOneRunPerRangeInOneFrame) {
+  {
+    Table table("t", Schema(3), LogConfig(path_));  // 32-slot ranges
+    Txn txn = table.Begin();
+    ASSERT_TRUE(table.InsertBatch(txn, KeyRows(0, 50)).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  EXPECT_EQ(RunsInFirstFrame(path_),
+            (std::vector<LoggedRun>{{0, 0, 32}, {1, 0, 18}}));
+
+  uint64_t next_lsn = 1;
+  Value next_key = 0;
+  ASSERT_TRUE(RedoLog::Replay(
+                  path_,
+                  [&](const LogRecord& rec, uint64_t lsn) {
+                    EXPECT_EQ(lsn, next_lsn++);
+                    if (rec.type != LogRecordType::kInsertAppend) return;
+                    const Value k = next_key++;
+                    EXPECT_EQ(rec.range_id, k / 32);
+                    EXPECT_EQ(rec.base_slot, k % 32);
+                    EXPECT_EQ(rec.seq, rec.base_slot + 1);
+                    EXPECT_EQ(rec.start_raw, rec.txn_id);
+                    EXPECT_EQ(rec.mask, 0b111u);
+                    EXPECT_EQ(rec.values,
+                              (std::vector<Value>{k, k * 10, k * 100}));
+                  },
+                  nullptr)
+                  .ok());
+  EXPECT_EQ(next_key, 50u);
+  EXPECT_EQ(next_lsn, 52u);  // 50 rows + the commit record
+
+  Table table("t", Schema(3), LogConfig(path_));
+  ASSERT_TRUE(table.RecoverFromLog().ok());
+  EXPECT_EQ(RowsOf(table), KeyRows(0, 50));
+}
+
+// A batch stopped at a duplicate key logs only the rows it inserted;
+// the slots it reserved past the duplicate are never logged and come
+// back invisible, and their keys stay free.
+TEST_F(RecoveryTest, DuplicateKeyBatchLogsOnlyTheInsertedPrefix) {
+  std::vector<std::vector<Value>> before;
+  {
+    Table table("t", Schema(3), LogConfig(path_));
+    Txn load = table.Begin();  // RIDs 0..9
+    ASSERT_TRUE(table.InsertBatch(load, KeyRows(0, 10)).ok());
+    ASSERT_TRUE(load.Commit().ok());
+    // RIDs 10..29: the duplicate key 3 at row 6 keeps 10..15 and burns
+    // 16..29.
+    std::vector<std::vector<Value>> failing = KeyRows(100, 20);
+    failing[6][0] = 3;
+    Txn partial = table.Begin();
+    EXPECT_TRUE(table.InsertBatch(partial, failing).IsAlreadyExists());
+    ASSERT_TRUE(partial.Commit().ok());
+    Txn tail = table.Begin();  // RID 30
+    ASSERT_TRUE(table.Insert(tail, {500, 5, 50}).ok());
+    ASSERT_TRUE(tail.Commit().ok());
+    before = RowsOf(table);
+  }
+  ASSERT_EQ(before.size(), 31u);
+  EXPECT_EQ(before[15], (std::vector<Value>{105, 1050, 10500}));
+  for (size_t rid = 16; rid < 30; ++rid) EXPECT_TRUE(before[rid].empty());
+
+  std::vector<Value> logged_keys;
+  ASSERT_TRUE(RedoLog::Replay(path_, [&](const LogRecord& rec) {
+                if (rec.type == LogRecordType::kInsertAppend) {
+                  logged_keys.push_back(rec.values[0]);
+                }
+              }).ok());
+  std::vector<Value> expected_keys;
+  for (Value k = 0; k < 10; ++k) expected_keys.push_back(k);
+  for (Value k = 100; k < 106; ++k) expected_keys.push_back(k);
+  expected_keys.push_back(500);
+  EXPECT_EQ(logged_keys, expected_keys);
+
+  Table table("t", Schema(3), LogConfig(path_));
+  ASSERT_TRUE(table.RecoverFromLog().ok());
+  EXPECT_EQ(RowsOf(table), before);
+  Txn again = table.Begin();
+  std::vector<Value> out;
+  EXPECT_TRUE(table.Read(again, 110, 0b111, &out).IsNotFound());
+  ASSERT_TRUE(table.Insert(again, {110, 1, 1}).ok());
+  ASSERT_TRUE(again.Commit().ok());
+}
+
+// A crash mid-way through writing a run frame leaves a torn tail: open
+// cuts the log back to where that frame began, and numbering resumes
+// after the last intact record.
+TEST_F(RecoveryTest, TornRunFrameIsCutAtItsFrameStart) {
+  const TxnId a = kTxnIdTag | 1, b = kTxnIdTag | 2;
+  const std::vector<std::vector<Value>> rows = KeyRows(0, 32);
+  uint64_t intact = 0, full = 0;
+  {
+    RedoLog log;
+    ASSERT_TRUE(log.Open(path_, /*truncate=*/true).ok());
+    RedoLog::Batch first;
+    first.AddInsertRun(a, 0, 0, rows.data(), 20, 0b111);
+    EXPECT_EQ(log.AppendBatch(first), 20u);
+    LogRecord commit;
+    commit.type = LogRecordType::kCommit;
+    commit.txn_id = a;
+    commit.commit_time = 5;
+    EXPECT_EQ(log.Append(commit), 21u);
+    ASSERT_TRUE(log.Flush(false).ok());
+    intact = FileSize(path_);
+    RedoLog::Batch second;
+    second.AddInsertRun(b, 0, 20, rows.data() + 20, 12, 0b111);
+    EXPECT_EQ(log.AppendBatch(second), 33u);
+    ASSERT_TRUE(log.Flush(false).ok());
+    full = FileSize(path_);
+  }
+  ASSERT_GT(full, intact + 5);
+  ASSERT_EQ(::truncate(path_.c_str(), full - 5), 0);  // crc + last values
+  {
+    RedoLog log;
+    ASSERT_TRUE(log.Open(path_, /*truncate=*/false).ok());
+    EXPECT_EQ(FileSize(path_), intact);
+    EXPECT_EQ(log.last_lsn(), 21u);
+    LogRecord abort;
+    abort.type = LogRecordType::kAbort;
+    abort.txn_id = b;
+    EXPECT_EQ(log.Append(abort), 22u);
+  }
+  RedoLog::ReplayStats stats;
+  uint64_t records = 0;
+  ASSERT_TRUE(RedoLog::Replay(
+                  path_, [&](const LogRecord&, uint64_t) { ++records; },
+                  &stats)
+                  .ok());
+  EXPECT_TRUE(stats.clean_end);
+  EXPECT_EQ(records, 22u);
+  EXPECT_EQ(stats.last_lsn, 22u);
+
+  Table table("t", Schema(3), LogConfig(path_));
+  ASSERT_TRUE(table.RecoverFromLog().ok());
+  EXPECT_EQ(RowsOf(table), KeyRows(0, 20));
+}
+
+// One round of every logged write shape: insert runs across ranges,
+// single-row inserts, an UpdateBatch, a delete, two aborted
+// transactions, and a batch stopped at a duplicate key.
+void MixedRound(Table* t, const std::function<Txn()>& begin, Value base) {
+  {
+    Txn txn = begin();
+    ASSERT_TRUE(t->InsertBatch(txn, KeyRows(base, 45)).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  {
+    Txn txn = begin();
+    for (Value k = 0; k < 3; ++k) {
+      ASSERT_TRUE(t->Insert(txn, {base + 100 + k, k, k}).ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  {
+    Txn txn = begin();
+    std::vector<Value> keys;
+    std::vector<std::vector<Value>> rows;
+    for (Value k = base; k < base + 40; k += 4) {
+      keys.push_back(k);
+      rows.push_back({0, 7000 + k, 0});
+    }
+    ASSERT_TRUE(t->UpdateBatch(txn, keys, 0b010, rows).ok());
+    ASSERT_TRUE(t->Delete(txn, base + 1).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  {
+    Txn txn = begin();
+    ASSERT_TRUE(t->InsertBatch(txn, KeyRows(base + 200, 10)).ok());
+    txn.Abort();
+  }
+  {
+    Txn txn = begin();
+    ASSERT_TRUE(t->Insert(txn, {base + 300, 3, 3}).ok());
+    ASSERT_TRUE(t->Update(txn, base + 2, 0b100, {0, 0, 1}).ok());
+    txn.Abort();
+  }
+  {
+    Txn txn = begin();
+    std::vector<std::vector<Value>> rows = KeyRows(base + 400, 8);
+    rows[5][0] = base;
+    EXPECT_TRUE(t->InsertBatch(txn, rows).IsAlreadyExists());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+}
+
+// The same mixed log replays to the same table whether recovery reads
+// the whole log, or a checkpoint plus the log tail its truncation kept.
+TEST_F(RecoveryTest, MixedLogReplaysAlikeFromLogAndFromCheckpoint) {
+  std::vector<std::vector<Value>> live;
+  {
+    Table table("t", Schema(3), LogConfig(path_));
+    auto begin = [&table] { return table.Begin(); };
+    MixedRound(&table, begin, 0);
+    MixedRound(&table, begin, 10000);
+    live = RowsOf(table);
+  }
+  ASSERT_FALSE(live.empty());
+  {
+    Table table("t", Schema(3), LogConfig(path_));
+    ASSERT_TRUE(table.RecoverFromLog().ok());
+    EXPECT_EQ(RowsOf(table), live);
+  }
+
+  const std::string dir =
+      std::string(::testing::TempDir()) + "lstore_mixed_checkpoint";
+  std::filesystem::remove_all(dir);
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, &db).ok());
+    ASSERT_TRUE(db->CreateTable("t", Schema(3), LogConfig("")).ok());
+    Table* table = db->GetTable("t");
+    auto begin = [&db] { return db->Begin(); };
+    MixedRound(table, begin, 0);
+    ASSERT_TRUE(db->Checkpoint().ok());
+    MixedRound(table, begin, 10000);
+    EXPECT_EQ(RowsOf(*table), live);
+    // The checkpoint truncated the log: what is left starts past a
+    // truncation point and holds the second round.
+    RedoLog::ReplayStats stats;
+    uint64_t records = 0;
+    ASSERT_TRUE(RedoLog::Replay(
+                    dir + "/t.log",
+                    [&](const LogRecord&, uint64_t) { ++records; }, &stats)
+                    .ok());
+    EXPECT_GT(stats.base_lsn, 0u);
+    EXPECT_GT(records, 45u);
+    // Crash: the database dies with all in-memory state.
+  }
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, &db).ok());
+    ASSERT_NE(db->GetTable("t"), nullptr);
+    EXPECT_EQ(RowsOf(*db->GetTable("t")), live);
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RecoveryOutcomeTest, AbortRecordAfterCommitRecordWins) {

@@ -23,10 +23,10 @@
 #include <thread>
 #include <vector>
 
+#include "common/checksum.h"
 #include "common/thread_pool.h"
 #include "core/database.h"
 #include "core/query.h"
-#include "log/framed_log.h"
 #include "server/client.h"
 #include "server/server.h"
 #include "server/wire.h"
@@ -95,7 +95,7 @@ std::string Frame(const std::string& payload) {
   std::string f;
   wire::PutU32(&f, static_cast<uint32_t>(payload.size()));
   f.append(payload);
-  wire::PutU32(&f, Fnv1a32(payload.data(), payload.size()));
+  wire::PutU32(&f, Crc32c(payload.data(), payload.size()));
   return f;
 }
 

@@ -30,9 +30,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/checksum.h"
 #include "core/database.h"
 #include "core/table.h"
-#include "log/framed_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/span.h"
 #include "server/client.h"
@@ -337,7 +337,7 @@ std::string Frame(const std::string& payload) {
   std::string f;
   wire::PutU32(&f, static_cast<uint32_t>(payload.size()));
   f.append(payload);
-  wire::PutU32(&f, Fnv1a32(payload.data(), payload.size()));
+  wire::PutU32(&f, Crc32c(payload.data(), payload.size()));
   return f;
 }
 
