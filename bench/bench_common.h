@@ -163,14 +163,6 @@ inline double Secs(BenchClock::time_point a, BenchClock::time_point b) {
       .count();
 }
 
-/// Monotonic nanoseconds (per-op latency timestamps).
-inline uint64_t NowNs() {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::nanoseconds>(
-          BenchClock::now().time_since_epoch())
-          .count());
-}
-
 /// Exit with a message when a setup step fails (drivers have no
 /// meaningful recovery from a failed open/create/load).
 inline void Must(const Status& s, const char* what) {

@@ -158,7 +158,7 @@ struct WorkerStats {
       if (s.IsNotFound()) ++misses;
       if (measure) {
         ++ops[cls];
-        lat[cls].Record(NowNs() - start_ns);
+        lat[cls].Record(NowNanos() - start_ns);
       }
     } else if (s.IsAborted()) {
       ++aborts;
@@ -237,7 +237,7 @@ inline void InProcWorker(const BenchArgs& args, Database* db, Table* table,
       trace_id = TraceContext::NewTraceId();
     }
     TraceContext::Scope trace_scope(trace_id);
-    uint64_t t0 = NowNs();
+    uint64_t t0 = NowNanos();
     Status s;
     switch (cls) {
       case kOpRead: {
@@ -292,7 +292,9 @@ inline void InProcWorker(const BenchArgs& args, Database* db, Table* table,
       default:
         break;
     }
-    if (trace_id != 0) RecordSpan(trace_id, "request", t0, NowNs() - t0);
+    if (trace_id != 0) {
+      Stage::Record(nullptr, "request", trace_id, t0, NowNanos() - t0);
+    }
     out->Account(cls, s, t0, measure);
   }
 }
@@ -388,7 +390,7 @@ inline void WireWorker(const BenchArgs& args, const std::string& host,
       uint64_t trace_id = TraceContext::NewTraceId();
       if (trace_id != 0) client.set_next_trace_id(trace_id);
     }
-    uint64_t t0 = NowNs();
+    uint64_t t0 = NowNanos();
     RequestId id = 0;
     Status s;
     switch (cls) {

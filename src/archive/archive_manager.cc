@@ -11,7 +11,7 @@
 #include "checkpoint/checkpoint_manager.h"
 #include "common/file.h"
 #include "obs/event_log.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace lstore {
 
@@ -143,7 +143,7 @@ void ArchiveManager::PruneSubsumed(const std::string& stem, uint64_t lo,
 
 Status ArchiveManager::SealSegment(const std::string& name,
                                    std::string_view bytes) {
-  uint64_t seal_t0 = (kTraceEnabled && seal_ns_ != nullptr) ? NowNanos() : 0;
+  Stage stage(seal_ns_, nullptr);
   std::string path = archive_dir_ + "/" + name;
   LSTORE_RETURN_IF_ERROR(
       WriteFileAtomic(path, [bytes](File& f) { return f.WriteAt(0, bytes); }));
@@ -153,7 +153,6 @@ Status ArchiveManager::SealSegment(const std::string& name,
     PruneSubsumed(stem, lo, hi, path);
   }
   if (seals_total_ != nullptr) seals_total_->Add(1);
-  if (seal_t0 != 0) seal_ns_->Record(NowNanos() - seal_t0);
   return Status::OK();
 }
 
@@ -271,7 +270,7 @@ Status ArchiveManager::EnforceRetention() {
       opts_.archive_max_age_seconds == 0) {
     return Status::OK();
   }
-  LSTORE_TRACE(retention_ns_);
+  Stage stage(retention_ns_, nullptr);
   std::lock_guard<std::mutex> g(mu_);
   uint64_t now = static_cast<uint64_t>(::time(nullptr));
 

@@ -36,7 +36,7 @@
 #include "log/commit_log.h"
 #include "log/framed_log.h"
 #include "log/redo_log.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace lstore {
 
@@ -109,7 +109,7 @@ Status Database::RestoreToPoint(const std::string& dir,
                                 std::unique_ptr<Database>* out) {
   // Manual timing: the duration lands in the RESTORED database's
   // registry, which only exists on the success path.
-  uint64_t restore_t0 = kTraceEnabled ? NowNanos() : 0;
+  const uint64_t restore_t0 = Stage::Now();
   std::vector<CatalogEntry> catalog;
   bool catalog_exists = false;
   LSTORE_RETURN_IF_ERROR(ReadCatalog(dir, &catalog, &catalog_exists));
@@ -279,12 +279,9 @@ Status Database::RestoreToPoint(const std::string& dir,
   }
   if (max_commit > 0) db->txn_manager_.clock().AdvanceTo(max_commit + 1);
 
-  if (restore_t0 != 0) {
-    db->metrics_
-        .GetHistogram("lstore_restore_ns",
-                      "Point-in-time restore duration (ns)")
-        ->Record(NowNanos() - restore_t0);
-  }
+  Histogram* restore_ns = db->metrics_.GetHistogram(
+      "lstore_restore_ns", "Point-in-time restore duration (ns)");
+  Stage::Record(restore_ns, nullptr, 0, restore_t0, Stage::Now() - restore_t0);
 
   *out = std::move(db);
   return Status::OK();

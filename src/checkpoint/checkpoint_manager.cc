@@ -13,7 +13,7 @@
 #include "core/table.h"
 #include "log/commit_log.h"
 #include "log/redo_log.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
@@ -224,7 +224,15 @@ Status ReadCatalog(const std::string& dir, std::vector<CatalogEntry>* entries,
 
 CheckpointManager::CheckpointManager(Database* db, std::string dir,
                                      DurabilityOptions opts)
-    : db_(db), dir_(std::move(dir)), opts_(opts) {
+    : db_(db),
+      dir_(std::move(dir)),
+      opts_(opts),
+      capture_ns_(db_->metrics_.GetHistogram(
+          "lstore_checkpoint_capture_ns",
+          "Checkpoint capture phase: table files + store fsyncs (ns)")),
+      truncate_ns_(db_->metrics_.GetHistogram(
+          "lstore_checkpoint_truncate_ns",
+          "Checkpoint truncation phase: log seal + rewrite (ns)")) {
   hb_ = db_->health_.Register("checkpointer");
 }
 
@@ -315,7 +323,7 @@ Status CheckpointManager::RunCheckpoint() {
   // managed segments are captured by reference into the table's
   // segment store; the store fsync below makes every referenced byte
   // range durable BEFORE the manifest that names it is published.
-  uint64_t capture_t0 = kTraceEnabled ? NowNanos() : 0;
+  Stage capture(capture_ns_, nullptr);
   for (size_t i = 0; i < tables.size(); ++i) {
     if (hb_ != nullptr) hb_->Beat();  // progress between table captures
     Table* t = tables[i].second;
@@ -330,13 +338,7 @@ Status CheckpointManager::RunCheckpoint() {
     e.secondary_columns = t->SecondaryColumns();
     new_files.push_back(e.file);
   }
-  if (kTraceEnabled) {
-    db_->metrics_
-        .GetHistogram("lstore_checkpoint_capture_ns",
-                      "Checkpoint capture phase: table files + store "
-                      "fsyncs (ns)")
-        ->Record(NowNanos() - capture_t0);
-  }
+  capture.End();
 
   // Archive watermarks, recorded in the manifest BEFORE it publishes:
   //  * capture_time — a SnapshotNow taken after the capture loop, a
@@ -410,7 +412,7 @@ Status CheckpointManager::RunCheckpoint() {
   // with archiving on, sealed into LSN-range-named segments (durable
   // before each truncated log publishes, so no crash point loses log
   // bytes).
-  uint64_t truncate_t0 = kTraceEnabled ? NowNanos() : 0;
+  Stage truncation(truncate_ns_, nullptr);
   if (opts_.truncate_log_after_checkpoint) {
     for (size_t i = 0; i < tables.size(); ++i) {
       Table* t = tables[i].second;
@@ -438,13 +440,7 @@ Status CheckpointManager::RunCheckpoint() {
       if (!ss.ok() && status.ok()) status = ss;
     }
   }
-  if (kTraceEnabled) {
-    db_->metrics_
-        .GetHistogram(
-            "lstore_checkpoint_truncate_ns",
-            "Checkpoint truncation phase: log seal + rewrite (ns)")
-        ->Record(NowNanos() - truncate_t0);
-  }
+  truncation.End();
   if (opts_.truncate_log_after_checkpoint) {
     db_->events_.Emit(EventSeverity::kInfo, "checkpointer", "log_truncate",
                       "\"id\":" + std::to_string(id) + ",\"commit_log_mark\":" +

@@ -37,6 +37,7 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "obs/health.h"
+#include "obs/metrics.h"
 
 namespace lstore {
 
@@ -129,6 +130,9 @@ class CheckpointManager {
   Database* db_;
   std::string dir_;
   DurabilityOptions opts_;
+  /// Phase timings, resolved once in the database's registry.
+  Histogram* capture_ns_;
+  Histogram* truncate_ns_;
 
   /// "checkpointer" heartbeat: busy across each RunCheckpoint, beaten
   /// per captured table and per background poll.

@@ -5,7 +5,6 @@
 
 #include "core/table.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace lstore {
 
@@ -63,13 +62,11 @@ Status GroupCommitQueue::Commit(Transaction* txn, Timestamp commit_time,
     }
   }
 
-  if (kTraceEnabled) {
-    // Stamped for every request, not only when the histogram is wired:
-    // the stamp also anchors the gc_queue_wait span of a traced
-    // request, which the leader records on the submitter's behalf.
-    req.enqueue_ns = NowNanos();
-    req.trace_id = TraceContext::Current();
-  }
+  // Stamped for every request, not only when the histogram is wired:
+  // the stamp also anchors the gc_queue_wait span of a traced request,
+  // which the leader records on the submitter's behalf.
+  req.enqueue_ns = Stage::Now();
+  req.trace_id = TraceContext::Current();
   std::unique_lock<std::mutex> lk(mu_);
   queue_.push_back(&req);
   cv_.notify_all();
@@ -110,15 +107,15 @@ void GroupCommitQueue::ProcessBatch(const std::vector<Request*>& batch) {
   batches_.fetch_add(1, std::memory_order_relaxed);
   if (batches_total_ != nullptr) batches_total_->Add(1);
   if (batch_size_ != nullptr) batch_size_->Record(batch.size());
-  if (kTraceEnabled) {
-    uint64_t now = NowNanos();
-    for (Request* r : batch) {
-      uint64_t wait_ns = now - r->enqueue_ns;
-      if (queue_wait_ns_ != nullptr) queue_wait_ns_->Record(wait_ns);
-      RecordSpan(r->trace_id, "gc_queue_wait", r->enqueue_ns, wait_ns);
-    }
+  // The batch windows below are timed whenever tracing is compiled in,
+  // not only when the leader is traced: any follower may be, and its
+  // spans need the real shared durations. Queue waits end where the
+  // fan-out starts.
+  const uint64_t fanout_t0 = Stage::Now();
+  for (Request* r : batch) {
+    Stage::Record(queue_wait_ns_, "gc_queue_wait", r->trace_id, r->enqueue_ns,
+                  fanout_t0 - r->enqueue_ns);
   }
-  uint64_t fanout_t0 = kTraceEnabled ? NowNanos() : 0;
 
   // 1. Flush every distinct table log touched by the batch exactly
   // once: the payloads (and single-table commit records) of every
@@ -145,14 +142,12 @@ void GroupCommitQueue::ProcessBatch(const std::vector<Request*>& batch) {
       }
     }
   }
-  if (kTraceEnabled) {
-    uint64_t fanout_dur = NowNanos() - fanout_t0;
-    if (fanout_flush_ns_ != nullptr) fanout_flush_ns_->Record(fanout_dur);
-    // The fan-out is shared work: every traced request in the batch
-    // gets the whole window on its timeline (that IS its wait).
-    for (Request* r : batch) {
-      RecordSpan(r->trace_id, "log_flush", fanout_t0, fanout_dur);
-    }
+  // The fan-out is shared work: every traced request in the batch gets
+  // the whole window on its timeline (that IS its wait).
+  const uint64_t fanout_dur = Stage::Now() - fanout_t0;
+  Stage::Record(fanout_flush_ns_, nullptr, 0, fanout_t0, fanout_dur);
+  for (Request* r : batch) {
+    Stage::Record(nullptr, "log_flush", r->trace_id, fanout_t0, fanout_dur);
   }
 
   // 2. One commit-log record per surviving cross-table request; the
@@ -165,17 +160,15 @@ void GroupCommitQueue::ProcessBatch(const std::vector<Request*>& batch) {
     }
   }
   if (any_cross) {
-    uint64_t flush_t0 = kTraceEnabled ? NowNanos() : 0;
+    // The flush's histogram is the commit log's own
+    // (lstore_commit_log_flush_ns); the batch adds only the spans.
+    const uint64_t flush_t0 = Stage::Now();
     Status cs = commit_log_->Flush(sync_);
-    if (kTraceEnabled) {
-      uint64_t flush_dur = NowNanos() - flush_t0;
-      if (commit_log_flush_ns_ != nullptr) {
-        commit_log_flush_ns_->Record(flush_dur);
-      }
-      for (Request* r : batch) {
-        if (r->cross && r->result.ok()) {
-          RecordSpan(r->trace_id, "commit_fsync", flush_t0, flush_dur);
-        }
+    const uint64_t flush_dur = Stage::Now() - flush_t0;
+    for (Request* r : batch) {
+      if (r->cross && r->result.ok()) {
+        Stage::Record(nullptr, "commit_fsync", r->trace_id, flush_t0,
+                      flush_dur);
       }
     }
     if (!cs.ok()) {
@@ -257,7 +250,8 @@ Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
   Table* metered = !writers.empty() ? writers[0]
                    : !readers.empty() ? readers[0]
                                       : nullptr;
-  uint64_t publish_t0 = (kTraceEnabled && metered != nullptr) ? NowNanos() : 0;
+  Stage publish(metered != nullptr ? metered->obs_.commit_publish_ns : nullptr,
+                nullptr);
   tm.MarkCommitted(txn);
 
   // 5. Post-commit: stamp Start Time slots so the manager entry can
@@ -265,12 +259,7 @@ Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
   for (Table* t : writers) t->StampWrites(txn, commit_time);
   tm.Retire(txn->id());
   txn->set_finished();
-  if (metered != nullptr) {
-    metered->obs_.commits->Add(1);
-    if (publish_t0 != 0) {
-      metered->obs_.commit_publish_ns->Record(NowNanos() - publish_t0);
-    }
-  }
+  if (metered != nullptr) metered->obs_.commits->Add(1);
   return Status::OK();
 }
 

@@ -55,8 +55,9 @@ class TransactionManager;
 class GroupCommitQueue {
  public:
   /// `registry` (optional) receives the stage metrics of every batch:
-  /// per-request queue wait, the leader's table-log flush fan-out and
-  /// commit-log flush durations, and batch sizes.
+  /// per-request queue wait, the leader's table-log flush fan-out, and
+  /// batch sizes (the commit-log flush is timed by the commit log's
+  /// own lstore_commit_log_flush_ns).
   GroupCommitQueue(CommitLog* commit_log, uint64_t window_us, bool sync,
                    MetricsRegistry* registry = nullptr)
       : commit_log_(commit_log), window_us_(window_us), sync_(sync) {
@@ -67,9 +68,6 @@ class GroupCommitQueue {
       fanout_flush_ns_ = registry->GetHistogram(
           "lstore_commit_fanout_flush_ns",
           "Leader's table-log flush fan-out per batch (ns)");
-      commit_log_flush_ns_ = registry->GetHistogram(
-          "lstore_commit_log_fsync_ns",
-          "Leader's commit-log flush (the commit point) per batch (ns)");
       batch_size_ = registry->GetHistogram(
           "lstore_group_commit_batch_size", "Commits per group-commit batch");
       batches_total_ = registry->GetCounter(
@@ -150,7 +148,6 @@ class GroupCommitQueue {
   /// Registry handles (null when no registry was wired).
   Histogram* queue_wait_ns_ = nullptr;
   Histogram* fanout_flush_ns_ = nullptr;
-  Histogram* commit_log_flush_ns_ = nullptr;
   Histogram* batch_size_ = nullptr;
   Counter* batches_total_ = nullptr;
 };

@@ -19,7 +19,6 @@
 #include "obs/flight_recorder.h"
 #include "obs/reporter.h"
 #include "obs/slow_op_log.h"
-#include "obs/trace.h"
 
 namespace lstore {
 

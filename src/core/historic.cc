@@ -21,7 +21,7 @@
 
 #include "common/bitutil.h"
 #include "core/table.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
@@ -231,7 +231,7 @@ bool HistoricStore::ResolveColumn(uint32_t slot, uint32_t entry_seq,
 size_t Table::RunHistoricCompression(Range& r) {
   // Timed manually — early returns (nothing to compress) are not
   // samples in the duration histogram.
-  uint64_t compress_t0 = kTraceEnabled ? NowNanos() : 0;
+  const uint64_t compress_t0 = Stage::Now();
   SpinGuard g(r.merge_latch);
   uint32_t old_boundary = r.historic_boundary.load(std::memory_order_acquire);
   uint32_t tps = r.merged_tps.load(std::memory_order_acquire);
@@ -291,9 +291,8 @@ size_t Table::RunHistoricCompression(Range& r) {
 
   stats_.historic_compressions.fetch_add(1, std::memory_order_relaxed);
   obs_.historic_versions->Add(moved);
-  if (kTraceEnabled) {
-    obs_.merge_historic_ns->Record(NowNanos() - compress_t0);
-  }
+  Stage::Record(obs_.merge_historic_ns, nullptr, 0, compress_t0,
+                Stage::Now() - compress_t0);
   return moved;
 }
 

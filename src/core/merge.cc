@@ -15,7 +15,7 @@
 #include "core/historic.h"
 #include "core/table.h"
 #include "obs/health.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace lstore {
 
@@ -119,9 +119,9 @@ void MergeManager::Loop() {
 // ---------------------------------------------------------------------------
 
 bool Table::RunInsertMerge(Range& r) {
-  // Timed manually (not an RAII scope) so the no-op early returns do
+  // Timed manually (not a Stage scope) so the no-op early returns do
   // not dilute the duration histogram with empty calls.
-  uint64_t merge_t0 = kTraceEnabled ? NowNanos() : 0;
+  const uint64_t merge_t0 = Stage::Now();
   SpinGuard g(r.merge_latch);
   // Pin the epoch: the pages of the segments we read from may be
   // evicted concurrently (buffer pool), and the handle contract
@@ -234,9 +234,8 @@ bool Table::RunInsertMerge(Range& r) {
 
   stats_.insert_merges.fetch_add(1, std::memory_order_relaxed);
   obs_.insert_rows_merged->Add(new_based - based);
-  if (kTraceEnabled) {
-    obs_.merge_insert_ns->Record(NowNanos() - merge_t0);
-  }
+  Stage::Record(obs_.merge_insert_ns, nullptr, 0, merge_t0,
+                Stage::Now() - merge_t0);
   return true;
 }
 
@@ -267,7 +266,7 @@ struct SlotMergeState {
 
 bool Table::RunUpdateMerge(Range& r, ColumnMask data_cols, bool all_columns) {
   // Timed manually — early returns (nothing to merge) are not samples.
-  uint64_t merge_t0 = kTraceEnabled ? NowNanos() : 0;
+  const uint64_t merge_t0 = Stage::Now();
   SpinGuard g(r.merge_latch);
   // Pin the epoch for the whole consolidation: page handles over the
   // old segments require it (see RunInsertMerge).
@@ -458,9 +457,8 @@ bool Table::RunUpdateMerge(Range& r, ColumnMask data_cols, bool all_columns) {
   stats_.tail_records_merged.fetch_add(new_tps - old_tps,
                                        std::memory_order_relaxed);
   obs_.merge_rows->Add(new_tps - old_tps);
-  if (kTraceEnabled) {
-    obs_.merge_update_ns->Record(NowNanos() - merge_t0);
-  }
+  Stage::Record(obs_.merge_update_ns, nullptr, 0, merge_t0,
+                Stage::Now() - merge_t0);
   return true;
 }
 

@@ -5,7 +5,7 @@
 
 #include "common/bitutil.h"
 #include "common/thread_pool.h"
-#include "obs/trace.h"
+#include "obs/span.h"
 
 namespace lstore {
 
@@ -155,7 +155,7 @@ Status Query::Execute(ColumnId agg_col, const RowFn* visit, uint64_t* sum,
   if (workers == 0 && end - begin < kMinRowsForParallel) workers = 1;
 
   if (workers == 1 || nparts == 1) {
-    LSTORE_TRACE(table_->obs_.query_partition_ns);
+    Stage stage(table_->obs_.query_partition_ns, nullptr);
     EpochGuard guard(table_->epochs_);
     uint64_t lsum = AggIdentity(), lrows = 0;
     for (uint64_t rid = r_begin; rid < r_end; ++rid) {
@@ -181,7 +181,7 @@ Status Query::Execute(ColumnId agg_col, const RowFn* visit, uint64_t* sum,
   pool.ParallelFor(ntasks, workers, [&](uint64_t task) {
     // Per-partition-task latency: the distribution's spread under a
     // concurrent merge is the paper's contention claim, per partition.
-    LSTORE_TRACE(table_->obs_.query_partition_ns);
+    Stage stage(table_->obs_.query_partition_ns, nullptr);
     EpochGuard guard(table_->epochs_);
     uint64_t lsum = AggIdentity(), lrows = 0;
     uint64_t t_begin = r_begin + task * chunk;

@@ -6,7 +6,6 @@
 
 #include "common/checksum.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
@@ -177,18 +176,17 @@ void FramedLog::Close() {
 
 uint64_t FramedLog::Append(std::string_view payload, uint64_t lsn_count) {
   if (lsn_count == 0) return 0;
-  // Time 1 in 64 appends: a clock read costs as much as the append
-  // itself, and the latency histogram only needs a sample of the
-  // distribution, not every point.
-  uint64_t t0 = 0;
-  if (kTraceEnabled && metrics_.append_ns != nullptr) {
+  // Time 1 in 64 appends into the histogram: a clock read costs as
+  // much as the append itself, and the latency histogram only needs a
+  // sample of the distribution, not every point. A traced request
+  // still times every one of its appends (its timeline has to be
+  // complete): the Stage reads the clock for its span regardless.
+  Histogram* sampled = nullptr;
+  if (metrics_.append_ns != nullptr) {
     thread_local uint64_t sample_tick = 0;
-    if ((sample_tick++ & 63) == 0) t0 = NowNanos();
+    if ((sample_tick++ & 63) == 0) sampled = metrics_.append_ns;
   }
-  // A traced request times every one of its appends (its timeline has
-  // to be complete), independent of the 1-in-64 histogram sampling.
-  uint64_t span_trace = kTraceEnabled ? TraceContext::Current() : 0;
-  uint64_t span_t0 = span_trace != 0 ? NowNanos() : 0;
+  Stage stage(sampled, "log_append");
   uint64_t last;
   {
     std::lock_guard<std::mutex> g(mu_);
@@ -206,10 +204,6 @@ uint64_t FramedLog::Append(std::string_view payload, uint64_t lsn_count) {
     ++pending_appends_;
     pending_append_bytes_ += framed;
     if (pending_appends_ >= 64) PublishPendingLocked();
-  }
-  if (t0 != 0) metrics_.append_ns->Record(NowNanos() - t0);
-  if (span_trace != 0) {
-    RecordSpan(span_trace, "log_append", span_t0, NowNanos() - span_t0);
   }
   return last;
 }
@@ -244,8 +238,7 @@ Status FramedLog::FlushBufferLocked() {
 }
 
 Status FramedLog::Flush(bool sync) {
-  uint64_t t0 =
-      (kTraceEnabled && metrics_.flush_ns != nullptr) ? NowNanos() : 0;
+  Stage stage(metrics_.flush_ns, nullptr);
   std::lock_guard<std::mutex> g(mu_);
   PublishPendingLocked();  // flush = a snapshot-visible point
   LSTORE_RETURN_IF_ERROR(FlushBufferLocked());
@@ -253,7 +246,6 @@ Status FramedLog::Flush(bool sync) {
     if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Add(1);
     LSTORE_RETURN_IF_ERROR(file_.Sync());
   }
-  if (t0 != 0) metrics_.flush_ns->Record(NowNanos() - t0);
   return Status::OK();
 }
 

@@ -33,15 +33,33 @@
 #define LSTORE_OBS_FLIGHT_RECORDER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
 
-#include "obs/trace.h"
+// The tracing gate: CMake option LSTORE_TRACING=OFF defines it to 0.
+#ifndef LSTORE_TRACE_ENABLED
+#define LSTORE_TRACE_ENABLED 1
+#endif
 
 namespace lstore {
+
+/// True when tracing is compiled in (src/obs/span.h's Stage times
+/// nothing and the recorder below is a stub when false).
+inline constexpr bool kTraceEnabled = LSTORE_TRACE_ENABLED != 0;
+
+/// Monotonic clock reading in nanoseconds: the one clock of every
+/// timing site and span timestamp. Engine code reads it through
+/// Stage::Now(), which compiles to 0 when tracing is off.
+inline uint64_t NowNanos() {
+  return static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now().time_since_epoch())
+          .count());
+}
 
 /// One closed span, as read out of the recorder. Timestamps are
 /// NowNanos() (global monotonic), so spans recorded by different
@@ -64,7 +82,7 @@ class FlightRecorder {
   /// bytes per slot the default is ~320 KB per recording thread.
   static constexpr size_t kDefaultRingCapacity = 8192;
 
-  /// The process-wide recorder every SpanScope/RecordSpan site uses.
+  /// The process-wide recorder every Stage records its spans into.
   /// Never destroyed (intentional static leak): detached threads may
   /// release rings into it at any point of shutdown.
   static FlightRecorder& Instance();

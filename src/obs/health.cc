@@ -5,7 +5,7 @@
 #include <cinttypes>
 #include <cstdio>
 
-#include "obs/trace.h"
+#include "obs/flight_recorder.h"
 
 namespace lstore {
 

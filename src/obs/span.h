@@ -1,5 +1,7 @@
-// Request-scoped tracing: trace ids, thread-local propagation, and
-// span recording into the flight recorder (src/obs/flight_recorder.h).
+// Request-scoped tracing and stage timing: trace ids, thread-local
+// propagation, and Stage — the one primitive that times an engine
+// stage into its latency histogram and, for a traced request, into a
+// span in the flight recorder (src/obs/flight_recorder.h).
 //
 // A trace id is minted once at the request's origin (client stamping a
 // wire frame, or the harness wrapping an in-process op), travels with
@@ -11,17 +13,27 @@
 //   ...                                     // anything called here
 //   uint64_t id = TraceContext::Current();  // sees the id (0 = none)
 //
-// Spans are recorded closed (after the fact) so the hot path pays two
-// clock reads and one ring write, nothing else:
+// A Stage times one window, and one clock pair feeds both sinks. It
+// reads the clock only when there is somewhere to record: a histogram,
+// or a span name on a traced thread. Spans are recorded closed (after
+// the fact), so a timed stage costs two clock reads and one ring write:
 //
-//   { SpanScope span("execute");  DoWork(); }          // traced scope
-//   RecordSpan(id, "decode", t0_ns, dur_ns);           // manual window
+//   { Stage s(h_request_ns, nullptr);  Run(); }   // histogram only
+//   { Stage s(nullptr, "execute");     Run(); }   // span, when traced
+//   Stage s(h_capture_ns, nullptr); ...; s.End(); // close it early
 //
-// All of it compiles out under LSTORE_TRACING=OFF (same
-// LSTORE_TRACE_ENABLED gate as src/obs/trace.h): Current() returns 0,
-// Scope/SpanScope are empty, RecordSpan is a no-op — call sites need
-// no #if. Span names must be static string literals (the recorder
-// stores the pointer).
+// Windows a scope cannot hold — stamped on one thread and closed on
+// another, shared by a batch, or recorded only on a success path —
+// use the static pair:
+//
+//   uint64_t t0 = Stage::Now();
+//   ...
+//   Stage::Record(h_wait_ns, "queue_wait", trace_id, t0, Stage::Now() - t0);
+//
+// All of it compiles out under LSTORE_TRACING=OFF: Current() returns 0,
+// Scope and Stage are empty, Now() returns 0 and Record does nothing,
+// so call sites need no #if and no kTraceEnabled branch. Span names
+// must be static string literals (the recorder stores the pointer).
 
 #ifndef LSTORE_OBS_SPAN_H_
 #define LSTORE_OBS_SPAN_H_
@@ -30,7 +42,7 @@
 #include <cstdint>
 
 #include "obs/flight_recorder.h"
-#include "obs/trace.h"
+#include "obs/metrics.h"
 
 namespace lstore {
 
@@ -69,35 +81,50 @@ class TraceContext {
   };
 };
 
-/// Record one closed span for `trace_id` into the flight recorder.
-/// No-op when trace_id == 0, so call sites can record unconditionally
-/// on paths that serve both traced and untraced requests.
-inline void RecordSpan(uint64_t trace_id, const char* name, uint64_t t0_ns,
-                       uint64_t dur_ns) {
-  if (trace_id == 0) return;
-  FlightRecorder::Instance().Record(trace_id, name, t0_ns, dur_ns);
-}
-
-/// RAII span covering a scope, attributed to the thread's current
-/// trace id (captured at construction). Free when untraced: 0 id
-/// skips even the clock read.
-class SpanScope {
+/// One timed stage: the window from construction to End() (or the
+/// destructor) lands in `hist` when it is non-null, and as span `span`
+/// when `span` is non-null and the constructing thread carries a trace
+/// id. With neither, the Stage reads no clock at all.
+class Stage {
  public:
-  explicit SpanScope(const char* name)
-      : trace_id_(TraceContext::Current()),
-        name_(name),
-        t0_ns_(trace_id_ != 0 ? NowNanos() : 0) {}
-  ~SpanScope() {
-    if (trace_id_ != 0) {
-      RecordSpan(trace_id_, name_, t0_ns_, NowNanos() - t0_ns_);
+  Stage(Histogram* hist, const char* span)
+      : hist_(hist),
+        span_(span),
+        trace_id_(span != nullptr ? TraceContext::Current() : 0),
+        t0_ns_(hist != nullptr || trace_id_ != 0 ? Now() : 0) {}
+  ~Stage() { End(); }
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+
+  /// Close the window now and record it; returns its length in ns (0
+  /// when nothing is timed). Once closed, End() and the destructor
+  /// record nothing more.
+  uint64_t End() {
+    if (hist_ == nullptr && trace_id_ == 0) return 0;
+    uint64_t dur_ns = Now() - t0_ns_;
+    Record(hist_, span_, trace_id_, t0_ns_, dur_ns);
+    hist_ = nullptr;
+    trace_id_ = 0;
+    return dur_ns;
+  }
+
+  /// The stage clock (NowNanos).
+  static uint64_t Now() { return NowNanos(); }
+
+  /// Record a window timed by hand: its duration into `hist` (when
+  /// non-null) and span `span` for `trace_id` (when both are set).
+  static void Record(Histogram* hist, const char* span, uint64_t trace_id,
+                     uint64_t t0_ns, uint64_t dur_ns) {
+    if (hist != nullptr) hist->Record(dur_ns);
+    if (span != nullptr && trace_id != 0) {
+      FlightRecorder::Instance().Record(trace_id, span, t0_ns, dur_ns);
     }
   }
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
 
  private:
+  Histogram* hist_;
+  const char* span_;
   uint64_t trace_id_;
-  const char* name_;
   uint64_t t0_ns_;
 };
 
@@ -115,13 +142,14 @@ class TraceContext {
   };
 };
 
-inline void RecordSpan(uint64_t, const char*, uint64_t, uint64_t) {}
-
-class SpanScope {
+class Stage {
  public:
-  explicit SpanScope(const char*) {}
-  SpanScope(const SpanScope&) = delete;
-  SpanScope& operator=(const SpanScope&) = delete;
+  Stage(Histogram*, const char*) {}
+  Stage(const Stage&) = delete;
+  Stage& operator=(const Stage&) = delete;
+  uint64_t End() { return 0; }
+  static uint64_t Now() { return 0; }
+  static void Record(Histogram*, const char*, uint64_t, uint64_t, uint64_t) {}
 };
 
 #endif  // LSTORE_TRACE_ENABLED

@@ -16,7 +16,6 @@
 #include "core/query.h"
 #include "obs/slow_op_log.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 
 namespace lstore {
 
@@ -224,7 +223,7 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
       break;
     }
     m_bytes_in_->Add(payload.size() + wire::kFrameOverhead);
-    uint64_t t0 = kTraceEnabled ? NowNanos() : 0;
+    uint64_t t0 = Stage::Now();
 
     wire::Reader hdr(payload);
     uint32_t request_id = 0;
@@ -279,11 +278,11 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
         Request req;
         req.payload = std::move(payload);
         // Every ADMITTED request is stamped here; Busy rejections never
-        // construct a Request at all — so the worker's queue-wait
-        // sample needs only the compile-time kTraceEnabled guard, not a
-        // runtime zero-check (which used to conflate "untraced build"
-        // with "rejected request" and could skip real samples).
-        enqueue_ns = kTraceEnabled ? NowNanos() : 0;
+        // construct a Request at all — so the worker records its
+        // queue-wait sample unconditionally, with no runtime zero-check
+        // (which used to conflate "untraced build" with "rejected
+        // request" and could skip real samples).
+        enqueue_ns = Stage::Now();
         req.enqueue_ns = enqueue_ns;
         req.trace_id = trace_id;
         req.t0_ns = t0;
@@ -311,8 +310,8 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
     }
     if (enqueued) {
       // Frame arrival -> admitted to the queue (header parse + the
-      // admission critical section). RecordSpan no-ops when untraced.
-      RecordSpan(trace_id, "decode", t0, enqueue_ns - t0);
+      // admission critical section). Recorded only when traced.
+      Stage::Record(nullptr, "decode", trace_id, t0, enqueue_ns - t0);
       m_accepted_->Increment();
       work_cv_.notify_one();
     } else {
@@ -367,14 +366,11 @@ void Server::WorkerLoop(Heartbeat* hb) {
       g_queue_depth_->Set(queued_);
     }
 
-    if (kTraceEnabled) {
-      // The stamp is trusted: every Request that reaches a worker was
-      // stamped at admission (see ReaderLoop) — a zero check here
-      // would only hide missing samples.
-      uint64_t wait_ns = NowNanos() - req.enqueue_ns;
-      h_queue_wait_ns_->Record(wait_ns);
-      RecordSpan(req.trace_id, "queue_wait", req.enqueue_ns, wait_ns);
-    }
+    // The stamp is trusted: every Request that reaches a worker was
+    // stamped at admission (see ReaderLoop) — a zero check here would
+    // only hide missing samples.
+    Stage::Record(h_queue_wait_ns_, "queue_wait", req.trace_id,
+                  req.enqueue_ns, Stage::Now() - req.enqueue_ns);
     if (cfg_.test_delay_us != 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(cfg_.test_delay_us));
     }
@@ -383,7 +379,7 @@ void Server::WorkerLoop(Heartbeat* hb) {
       // calls into (commit pipeline, logs) for the request's duration.
       HeartbeatWorkScope work(hb);
       TraceContext::Scope trace_scope(req.trace_id);
-      LSTORE_TRACE(h_request_ns_);
+      Stage stage(h_request_ns_, nullptr);
       HandleRequest(session.get(), req);
     }
 
@@ -481,21 +477,22 @@ void Server::HandleRequest(Session* session, const Request& req) {
   std::string body;
   Status s;
   {
-    SpanScope span("execute");
+    Stage stage(nullptr, "execute");
     s = Execute(session, static_cast<wire::Op>(op), &in, &body);
   }
   if (s.IsInvalidArgument()) m_errors_->Increment();
   {
-    SpanScope span("reply");
+    Stage stage(nullptr, "reply");
     SendResponse(session, request_id, s, body);
   }
 
-  if (kTraceEnabled && req.trace_id != 0) {
+  if (req.trace_id != 0) {
     // Close the root span (frame arrival -> response written), then
     // dump the assembled timeline if the request blew the slow-op
-    // threshold. Root first, so the dump includes it.
-    uint64_t total_ns = NowNanos() - req.t0_ns;
-    RecordSpan(req.trace_id, "request", req.t0_ns, total_ns);
+    // threshold. Root first, so the dump includes it. (An untraced
+    // build has no slow-op log.)
+    uint64_t total_ns = Stage::Now() - req.t0_ns;
+    Stage::Record(nullptr, "request", req.trace_id, req.t0_ns, total_ns);
     SlowOpLog* slow = db_->slow_op_log();
     if (slow != nullptr && total_ns >= slow->threshold_ns()) {
       slow->Dump(req.trace_id, OpName(static_cast<wire::Op>(op)), request_id,

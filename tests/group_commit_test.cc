@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <string>
@@ -22,6 +23,8 @@
 #include "core/table.h"
 #include "log/commit_log.h"
 #include "log/redo_log.h"
+#include "obs/flight_recorder.h"
+#include "obs/span.h"
 
 namespace lstore {
 namespace {
@@ -420,6 +423,57 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
     EXPECT_EQ(row[1], static_cast<Value>(100 + i));
     ASSERT_TRUE(txn.Commit().ok());
   }
+}
+
+// A traced request that joins an UNTRACED leader's batch still gets its
+// write-path spans with real durations: the batch windows are timed
+// whenever tracing is compiled in, not only when the leader is traced.
+TEST_F(GroupCommitTest, TracedFollowerOfUntracedLeaderGetsWritePathSpans) {
+  DurabilityOptions opts;
+  opts.sync_commit = true;
+  opts.group_commit_window_us = 50000;  // 50 ms: the leader parks
+  auto db = OpenDb(opts);
+  uint64_t before_batches = db->group_commit()->batches();
+
+  std::atomic<bool> leader_started{false};
+  Status leader_status;
+  std::thread leader([&] {
+    leader_started.store(true);
+    leader_status = CrossInsert(db.get(), 1, 1);  // untraced
+  });
+  while (!leader_started.load()) std::this_thread::yield();
+  // Well inside the leader's window: this commit joins its batch.
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  const uint64_t id = TraceContext::NewTraceId();
+  {
+    TraceContext::Scope scope(id);
+    ASSERT_TRUE(CrossInsert(db.get(), 2, 2).ok());
+  }
+  leader.join();
+  ASSERT_TRUE(leader_status.ok()) << leader_status.ToString();
+  EXPECT_EQ(db->group_commit()->batches() - before_batches, 1u);
+
+  std::vector<TraceSpan> spans = FlightRecorder::Instance().SnapshotTrace(id);
+  if (!kTraceEnabled) {
+    EXPECT_TRUE(spans.empty());
+    return;
+  }
+  size_t queue_wait = 0, log_flush = 0, commit_fsync = 0, log_append = 0;
+  for (const TraceSpan& s : spans) {
+    const std::string name = s.name;
+    if (name == "gc_queue_wait") ++queue_wait;
+    if (name == "log_flush") ++log_flush;
+    if (name == "commit_fsync") ++commit_fsync;
+    if (name == "log_append") ++log_append;
+    if (name == "gc_queue_wait" || name == "log_flush" ||
+        name == "commit_fsync") {
+      EXPECT_GT(s.dur_ns, 0u) << name;
+    }
+  }
+  EXPECT_EQ(queue_wait, 1u);
+  EXPECT_EQ(log_flush, 1u);
+  EXPECT_EQ(commit_fsync, 1u);
+  EXPECT_GE(log_append, 1u);
 }
 
 // A reopened database keeps counting redo-log fsyncs: recovery resumes

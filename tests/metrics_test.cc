@@ -25,7 +25,6 @@
 #include "obs/metrics.h"
 #include "obs/reporter.h"
 #include "obs/span.h"
-#include "obs/trace.h"
 #include "server/client.h"
 #include "server/server.h"
 
@@ -413,9 +412,12 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   // Stage timings (compiled in by default).
   if (kTraceEnabled) {
     for (const char* name :
-         {"lstore_commit_queue_wait_ns", "lstore_commit_log_fsync_ns",
+         {"lstore_commit_queue_wait_ns", "lstore_commit_fanout_flush_ns",
+          "lstore_commit_log_flush_ns", "lstore_redo_append_ns",
           "lstore_redo_flush_ns", "lstore_commit_publish_ns",
-          "lstore_checkpoint_capture_ns", "lstore_archive_seal_ns"}) {
+          "lstore_merge_insert_ns", "lstore_merge_update_ns",
+          "lstore_query_partition_ns", "lstore_checkpoint_capture_ns",
+          "lstore_checkpoint_truncate_ns", "lstore_archive_seal_ns"}) {
       const auto* h = s.FindHistogram(name);
       ASSERT_NE(h, nullptr) << name;
       EXPECT_GT(h->hist.count, 0u) << name;

@@ -1,5 +1,7 @@
 // Request-scoped tracing tests (src/obs/span.h, flight_recorder.h,
-// and the wire propagation through src/server/): ring wraparound is
+// and the wire propagation through src/server/): a Stage feeds its
+// histogram always and its span only when traced, from one clock
+// pair, and End() closes it exactly once; ring wraparound is
 // exact (retains the newest spans, counts the overwritten ones),
 // concurrent writers against a snapshotting reader are torn-read-free
 // (the TSan target), a trace id stamped on the client survives the
@@ -34,6 +36,7 @@
 #include "core/database.h"
 #include "core/table.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -142,9 +145,9 @@ TEST(FlightRecorderTest, ConcurrentWritersNeverTearUnderSnapshots) {
   }
 }
 
-// --- span scoping ----------------------------------------------------------
+// --- trace scoping ---------------------------------------------------------
 
-TEST(SpanScopeTest, ScopePropagatesAndRestores) {
+TEST(TraceContextTest, ScopePropagatesAndRestores) {
   uint64_t id = TraceContext::NewTraceId();
   if (!kTraceEnabled) {
     EXPECT_EQ(id, 0u);
@@ -163,6 +166,100 @@ TEST(SpanScopeTest, ScopePropagatesAndRestores) {
     EXPECT_EQ(TraceContext::Current(), id);
   }
   EXPECT_EQ(TraceContext::Current(), 0u);
+}
+
+// --- Stage -----------------------------------------------------------------
+
+TEST(StageTest, UntracedStageRecordsHistogramOnly) {
+  FlightRecorder& rec = FlightRecorder::Instance();
+  Histogram h;
+  const uint64_t spans_before = rec.recorded();
+  { Stage stage(&h, "stage_untraced"); }
+  EXPECT_EQ(h.Snapshot().count, kTraceEnabled ? 1u : 0u);
+  EXPECT_EQ(rec.recorded(), spans_before);  // no trace id, no span
+}
+
+TEST(StageTest, TracedStageRecordsOneSpanMatchingTheSample) {
+  Histogram h;
+  const uint64_t id = TraceContext::NewTraceId();
+  const uint64_t before = NowNanos();
+  {
+    TraceContext::Scope scope(id);
+    Stage stage(&h, "stage_traced");
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
+  }
+  const uint64_t after = NowNanos();
+  std::vector<TraceSpan> spans = FlightRecorder::Instance().SnapshotTrace(id);
+  HistogramSnapshot hs = h.Snapshot();
+  if (!kTraceEnabled) {
+    EXPECT_TRUE(spans.empty());
+    EXPECT_EQ(hs.count, 0u);
+    return;
+  }
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_STREQ(spans[0].name, "stage_traced");
+  ASSERT_EQ(hs.count, 1u);
+  // One clock pair feeds both sinks.
+  EXPECT_EQ(spans[0].dur_ns, hs.sum);
+  EXPECT_GE(spans[0].dur_ns, 50'000u);
+  EXPECT_GE(spans[0].t0_ns, before);
+  EXPECT_LE(spans[0].end_ns(), after);
+}
+
+TEST(StageTest, EndClosesTheWindowOnce) {
+  Histogram h;
+  const uint64_t id = TraceContext::NewTraceId();
+  uint64_t first = 0, second = 0;
+  {
+    TraceContext::Scope scope(id);
+    Stage stage(&h, "stage_end");
+    first = stage.End();
+    second = stage.End();
+  }  // the destructor after End() adds nothing either
+  std::vector<TraceSpan> spans = FlightRecorder::Instance().SnapshotTrace(id);
+  HistogramSnapshot hs = h.Snapshot();
+  EXPECT_EQ(second, 0u);
+  if (!kTraceEnabled) {
+    EXPECT_EQ(first, 0u);
+    EXPECT_EQ(hs.count, 0u);
+    EXPECT_TRUE(spans.empty());
+    return;
+  }
+  EXPECT_EQ(hs.count, 1u);
+  EXPECT_EQ(hs.sum, first);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].dur_ns, first);
+}
+
+TEST(StageTest, NullHistogramUntracedRecordsNothing) {
+  FlightRecorder& rec = FlightRecorder::Instance();
+  const uint64_t spans_before = rec.recorded();
+  Stage stage(nullptr, "stage_idle");
+  EXPECT_EQ(stage.End(), 0u);  // nothing timed: no clock was read
+  EXPECT_EQ(rec.recorded(), spans_before);
+}
+
+TEST(StageTest, RecordFeedsEachSinkItsOwnWindow) {
+  Histogram h;
+  const uint64_t id = TraceContext::NewTraceId();
+  FlightRecorder& rec = FlightRecorder::Instance();
+  const uint64_t spans_before = rec.recorded();
+  Stage::Record(&h, "stage_manual", 0, 100, 7);  // untraced: histogram only
+  EXPECT_EQ(rec.recorded(), spans_before);
+  Stage::Record(nullptr, "stage_manual", id, 100, 7);  // span only
+  std::vector<TraceSpan> spans = rec.SnapshotTrace(id);
+  HistogramSnapshot hs = h.Snapshot();
+  if (!kTraceEnabled) {
+    EXPECT_EQ(Stage::Now(), 0u);
+    EXPECT_EQ(hs.count, 0u);
+    EXPECT_TRUE(spans.empty());
+    return;
+  }
+  EXPECT_EQ(hs.count, 1u);
+  EXPECT_EQ(hs.sum, 7u);
+  ASSERT_EQ(spans.size(), 1u);
+  EXPECT_EQ(spans[0].t0_ns, 100u);
+  EXPECT_EQ(spans[0].dur_ns, 7u);
 }
 
 // --- wire round-trip with out-of-order awaits ------------------------------
@@ -210,26 +307,32 @@ TEST(TraceWireTest, StampedIdsSurvivePipelinedOutOfOrderAwaits) {
       // poll briefly before asserting.
       std::vector<TraceSpan> spans;
       size_t roots = 0;
-      bool saw_execute = false, saw_queue_wait = false, saw_decode = false;
+      bool saw_execute = false, saw_queue_wait = false, saw_decode = false,
+           saw_reply = false;
       for (int attempt = 0; attempt < 400; ++attempt) {
         spans = rec.SnapshotTrace(trace_ids[i]);
         // Every stamped request produced its full server-side timeline,
         // attributed to ITS id despite the out-of-order completion.
         roots = 0;
-        saw_execute = saw_queue_wait = saw_decode = false;
+        saw_execute = saw_queue_wait = saw_decode = saw_reply = false;
         for (const TraceSpan& s : spans) {
           if (std::string(s.name) == "request") ++roots;
           if (std::string(s.name) == "execute") saw_execute = true;
           if (std::string(s.name) == "queue_wait") saw_queue_wait = true;
           if (std::string(s.name) == "decode") saw_decode = true;
+          if (std::string(s.name) == "reply") saw_reply = true;
         }
-        if (roots == 1 && saw_execute && saw_queue_wait && saw_decode) break;
+        if (roots == 1 && saw_execute && saw_queue_wait && saw_decode &&
+            saw_reply) {
+          break;
+        }
         std::this_thread::sleep_for(std::chrono::milliseconds(5));
       }
       EXPECT_EQ(roots, 1u) << "trace " << trace_ids[i];
       EXPECT_TRUE(saw_execute);
       EXPECT_TRUE(saw_queue_wait);
       EXPECT_TRUE(saw_decode);
+      EXPECT_TRUE(saw_reply);
     }
     // An unstamped request records nothing: id 0 never hits a ring.
     for (const TraceSpan& s : rec.Snapshot()) EXPECT_NE(s.trace_id, 0u);
@@ -247,6 +350,19 @@ TEST(TraceWireTest, StampedIdsSurvivePipelinedOutOfOrderAwaits) {
   }
 
   server.Stop();
+  // The server's stage histograms (benchsuite derives its queue-wait
+  // share from these two) saw every request, traced or not.
+  MetricsSnapshot m = db.Metrics();
+  for (const char* name :
+       {"lstore_server_request_ns", "lstore_server_queue_wait_ns"}) {
+    const auto* h = m.FindHistogram(name);
+    ASSERT_NE(h, nullptr) << name;
+    if (kTraceEnabled) {
+      EXPECT_GE(h->hist.count, kN) << name;
+    } else {
+      EXPECT_EQ(h->hist.count, 0u) << name;
+    }
+  }
 }
 
 // --- slow-op log -----------------------------------------------------------
