@@ -1,10 +1,9 @@
-// Shared helpers for the per-figure/table benchmark drivers.
-//
-// Every binary prints (a) the machine-independent configuration it
-// ran with, (b) rows mirroring the paper's figure/table, and (c) the
-// paper's qualitative expectation, so EXPERIMENTS.md can be filled in
-// by inspection. Sizes scale with LSTORE_BENCH_SCALE and durations
-// with LSTORE_BENCH_MS (see src/bench_harness/workload.h).
+// The shared bench-driver API: one flag vocabulary (BenchArgs), the
+// latency reservoir, the op mix and SLO parsers, the BENCH_ci.json
+// emitters and the scratch-directory helpers. The drivers built on it:
+// bench/workload (workload_driver.h), bench/paper (the paper's
+// figures), bench/micro_batch, bench/fig_recovery, and
+// `lstore_cli bench`. Sizes and durations come from flags only.
 
 #ifndef LSTORE_BENCH_BENCH_COMMON_H_
 #define LSTORE_BENCH_BENCH_COMMON_H_
@@ -23,9 +22,6 @@
 #include <thread>
 #include <vector>
 
-#include "bench_harness/engines.h"
-#include "bench_harness/runner.h"
-#include "bench_harness/workload.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "obs/metrics.h"
@@ -37,23 +33,7 @@ inline void PrintHeader(const char* experiment, const char* paper_claim) {
   std::printf("==============================================================\n");
   std::printf("%s\n", experiment);
   std::printf("Paper expectation: %s\n", paper_claim);
-  std::printf("scale=%llu rows (low contention), duration=%llu ms/point, "
-              "max threads=%u\n",
-              static_cast<unsigned long long>(EnvScale()),
-              static_cast<unsigned long long>(EnvDurationMs()),
-              EnvMaxThreads());
   std::printf("==============================================================\n");
-}
-
-/// Thread counts for scalability sweeps, bounded by the env cap.
-inline std::vector<uint32_t> ThreadPoints() {
-  uint32_t cap = EnvMaxThreads();
-  std::vector<uint32_t> pts;
-  for (uint32_t t : {1u, 2u, 4u, 8u, 16u, 22u}) {
-    if (t <= cap) pts.push_back(t);
-  }
-  if (pts.empty()) pts.push_back(1);
-  return pts;
 }
 
 /// Append one metric row (JSON lines) to the file named by the
@@ -68,9 +48,8 @@ inline void EmitMetric(const char* bench, const std::string& metric,
   if (f == nullptr) return;
   std::fprintf(f,
                "{\"bench\":\"%s\",\"metric\":\"%s\",\"value\":%.3f,"
-               "\"unit\":\"%s\",\"scale\":%llu}\n",
-               bench, metric.c_str(), value, unit,
-               static_cast<unsigned long long>(EnvScale()));
+               "\"unit\":\"%s\"}\n",
+               bench, metric.c_str(), value, unit);
   std::fclose(f);
 }
 
@@ -87,9 +66,8 @@ inline void EmitSnapshot(const char* bench, const char* section,
   auto row = [&](const std::string& metric, double value, const char* unit) {
     std::fprintf(f,
                  "{\"bench\":\"%s\",\"section\":\"%s\",\"metric\":\"%s\","
-                 "\"value\":%.3f,\"unit\":\"%s\",\"scale\":%llu}\n",
-                 bench, section, metric.c_str(), value, unit,
-                 static_cast<unsigned long long>(EnvScale()));
+                 "\"value\":%.3f,\"unit\":\"%s\"}\n",
+                 bench, section, metric.c_str(), value, unit);
   };
   for (const auto& c : snap.counters) {
     row(c.name, static_cast<double>(c.value), "count");
@@ -138,22 +116,6 @@ inline uint64_t DirBytes(const std::string& dir, const std::string& suffix) {
   }
   return total;
 }
-
-/// Build + load an engine for a workload.
-inline std::unique_ptr<Engine> LoadedEngine(EngineKind kind,
-                                            const WorkloadConfig& cfg) {
-  auto engine = MakeEngine(kind, cfg);
-  engine->Load(cfg.table_rows);
-  return engine;
-}
-
-// ===========================================================================
-// Shared bench-driver API: every driver binary parses the same flag
-// vocabulary, times phases with the same clock helpers, captures
-// per-op latencies in the same reservoir, and gates on the same
-// declarative SLO spec. bench/workload.cpp, the migrated per-figure
-// drivers, and `lstore_cli bench` all sit on this.
-// ===========================================================================
 
 using BenchClock = std::chrono::steady_clock;
 
@@ -363,13 +325,11 @@ struct SloSpec {
   }
 };
 
-/// The shared driver flag vocabulary. Defaults come from the same
-/// LSTORE_BENCH_* environment knobs the per-figure drivers always
-/// used, so flag-less invocations behave exactly as before.
+/// The shared driver flag vocabulary.
 struct BenchArgs {
-  uint64_t rows = EnvScale();            ///< --rows: preloaded table rows
-  std::vector<uint32_t> threads;         ///< --threads 1,2,4 (sweep points)
-  uint64_t duration_ms = EnvDurationMs();  ///< --duration-ms per point
+  uint64_t rows = 100000;                ///< --rows: preloaded table rows
+  std::vector<uint32_t> threads = {8};   ///< --threads 1,2,4 (sweep points)
+  uint64_t duration_ms = 300;            ///< --duration-ms per point
   uint64_t warmup_ms = 200;              ///< --warmup-ms before measuring
   double theta = 0.99;                   ///< --theta: zipf skew; 0 = uniform
   uint64_t seed = 42;                    ///< --seed
@@ -390,6 +350,7 @@ struct BenchArgs {
   bool trace = false;                    ///< --trace: sample traced ops
   uint32_t trace_sample = 64;            ///< --trace-sample: 1-in-N ops
   std::string trace_out;                 ///< --trace-out: Chrome JSON file
+  std::string profile = "all";           ///< --profile: bench/paper's figure
 
   /// Parse argv; unknown flags (or --help) print usage and fail.
   /// Flags a specific driver ignores are still accepted, so the whole
@@ -499,18 +460,23 @@ struct BenchArgs {
       } else if (flag == "--trace-out") {
         if (!need(&v)) return false;
         trace_out = v;
+      } else if (flag == "--profile") {
+        if (!need(&v)) return false;
+        profile = v;
       } else {
         *err = flag == "--help" ? "" : "unknown flag: " + flag;
         return false;
       }
     }
-    if (threads.empty()) threads.push_back(EnvMaxThreads());
     return true;
   }
 
-  /// Parse-or-exit wrapper with the shared usage text.
-  static BenchArgs ParseOrDie(int argc, char** argv) {
+  /// Parse-or-exit wrapper with the shared usage text; the sweep is
+  /// `default_threads` unless --threads is given.
+  static BenchArgs ParseOrDie(int argc, char** argv,
+                              std::vector<uint32_t> default_threads = {8}) {
     BenchArgs args;
+    args.threads = std::move(default_threads);
     std::string err;
     if (!args.Parse(argc, argv, &err)) {
       if (!err.empty()) std::fprintf(stderr, "%s\n", err.c_str());
@@ -523,7 +489,9 @@ struct BenchArgs {
           "       --columns N --scan-rows N --batch N --pipeline N --pin 0|1\n"
           "       --memory --sync 0|1 --mode inproc|wire --host H --port P\n"
           "       --workers N --table T --slo p99_read_us=..,min_total_ops_s=..\n"
-          "       --trace --trace-sample N --trace-out FILE\n");
+          "       --trace --trace-sample N --trace-out FILE\n"
+          "       --profile NAME (bench/paper: fig7..fig10, table7..table9,\n"
+          "         range-size, skew, cumulation, all)\n");
       std::exit(2);
     }
     return args;

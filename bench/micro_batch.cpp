@@ -4,8 +4,9 @@
 // the parallel Query::Sum scaling curve on a large table — the
 // acceptance scenario for the partitioned scan executor.
 //
-// Sizes scale with LSTORE_BENCH_SCALE (default 100000; the scan curve
-// uses max(scale, 1M) rows when LSTORE_BENCH_SCALE is unset).
+// Sizes scale with --rows (default 100000); the scan curve runs over
+// 10x --rows (1M rows at the default) at each --threads worker count
+// (default 1,2,4,8).
 
 #include <algorithm>
 #include <chrono>
@@ -61,9 +62,8 @@ std::unique_ptr<Table> LoadedTable(uint64_t rows, bool logging,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // Shared flag vocabulary (--rows/--seed/--batch); defaults keep the
-  // historical LSTORE_BENCH_SCALE-driven sizing for flag-less runs.
-  BenchArgs args = BenchArgs::ParseOrDie(argc, argv);
+  // Shared flag vocabulary (--rows/--threads/--seed/--batch).
+  BenchArgs args = BenchArgs::ParseOrDie(argc, argv, {1, 2, 4, 8});
   PrintHeader("Batched point ops vs looped singles + parallel scan scaling",
               "batching amortizes index probes, epoch pins, and log frames; "
               "partitioned snapshot scans speed up with workers");
@@ -183,10 +183,7 @@ int main(int argc, char** argv) {
   // The acceptance scenario: >= 1M rows, identical sums at every
   // worker count, >= 3x at 8 workers on sufficiently parallel hardware.
   {
-    const uint64_t scan_rows =
-        std::getenv("LSTORE_BENCH_SCALE") != nullptr
-            ? std::max<uint64_t>(kRows, 100000)
-            : std::max<uint64_t>(kRows, 1000000);
+    const uint64_t scan_rows = kRows * 10;
     auto table = LoadedTable(scan_rows, false, "");
     std::printf("\nParallel Query::Sum over %llu rows\n",
                 static_cast<unsigned long long>(scan_rows));
@@ -194,7 +191,7 @@ int main(int argc, char** argv) {
                 "speedup");
     uint64_t expect = 0;
     double base = 0;
-    for (uint32_t workers : ThreadPoints()) {
+    for (uint32_t workers : args.threads) {
       uint64_t sum = 0;
       double best = 1e100;
       for (int rep = 0; rep < 3; ++rep) {
@@ -202,7 +199,7 @@ int main(int argc, char** argv) {
         (void)table->NewQuery().Workers(workers).Sum(1, &sum);
         best = std::min(best, Secs(t0, Clk::now()));
       }
-      if (workers == 1) {
+      if (base == 0) {
         base = best;
         expect = sum;
       } else if (sum != expect) {

@@ -9,42 +9,6 @@
 namespace lstore {
 
 // ---------------------------------------------------------------------------
-// DeltaStore
-// ---------------------------------------------------------------------------
-
-std::atomic<Value>* DbmTable::DeltaStore::Slot(uint64_t idx, uint32_t field) {
-  uint64_t i = idx - 1;
-  size_t chunk = i / kDeltaChunk;
-  size_t off = (i % kDeltaChunk) * stride + field;
-  return &chunks[chunk][off];
-}
-
-uint64_t DbmTable::DeltaStore::Reserve() {
-  uint64_t idx = next.fetch_add(1, std::memory_order_relaxed) + 1;
-  size_t need = (idx - 1) / kDeltaChunk + 1;
-  if (num_chunks.load(std::memory_order_acquire) < need) {
-    SpinGuard g(grow_latch);
-    while (chunks.size() < need) {
-      auto chunk = std::make_unique<std::atomic<Value>[]>(
-          static_cast<size_t>(kDeltaChunk) * stride);
-      for (size_t i = 0; i < static_cast<size_t>(kDeltaChunk) * stride; ++i) {
-        chunk[i].store(kNull, std::memory_order_relaxed);
-      }
-      chunks.push_back(std::move(chunk));
-    }
-    num_chunks.store(chunks.size(), std::memory_order_release);
-  }
-  return idx;
-}
-
-void DbmTable::DeltaStore::Clear() {
-  // Only called with all transactions drained.
-  chunks.clear();
-  num_chunks.store(0, std::memory_order_release);
-  next.store(0, std::memory_order_release);
-}
-
-// ---------------------------------------------------------------------------
 // MainRange
 // ---------------------------------------------------------------------------
 
@@ -54,7 +18,7 @@ DbmTable::MainRange::MainRange(uint32_t range_size, uint32_t ncols,
       start(range_size, kNull),
       deleted(range_size, 0),
       indirection(std::make_unique<std::atomic<uint64_t>[]>(range_size)),
-      delta(stride) {
+      delta(stride, kDeltaChunk, kDeltaMaxChunks) {
   for (uint32_t i = 0; i < range_size; ++i) {
     indirection[i].store(0, std::memory_order_relaxed);
   }
@@ -197,6 +161,10 @@ Status DbmTable::Insert(Transaction* txn, const std::vector<Value>& row) {
     return Status::AlreadyExists("duplicate key");
   }
   uint64_t idx = r->delta.Reserve();
+  if (idx == 0) {
+    primary_.Erase(row[0]);
+    return Status::Busy("delta space exhausted for range");
+  }
   const uint32_t ncols = schema_.num_columns();
   for (ColumnId c = 0; c < ncols; ++c) {
     r->delta.Slot(idx, kDeltaHeader + c)->store(row[c],
@@ -261,6 +229,12 @@ Status DbmTable::Update(Transaction* txn, Value key, ColumnMask mask,
     }
   }
 
+  uint64_t idx = r->delta.Reserve();
+  if (idx == 0) {
+    ind.store(iv, std::memory_order_release);
+    return Status::Busy("delta space exhausted for range");
+  }
+
   // Same-transaction stacking: mark the previous own delta superseded
   // when the new one covers all of its columns (Section 3.1).
   if (prev != 0 && latest_raw == txn->id()) {
@@ -270,8 +244,6 @@ Status DbmTable::Update(Transaction* txn, Value key, ColumnMask mask,
       pm->store(pmv | kSupersededFlag, std::memory_order_release);
     }
   }
-
-  uint64_t idx = r->delta.Reserve();
   for (BitIter it(mask); it; ++it) {
     r->delta.Slot(idx, kDeltaHeader + static_cast<uint32_t>(*it))
         ->store(row[*it], std::memory_order_relaxed);
@@ -287,8 +259,7 @@ Status DbmTable::Update(Transaction* txn, Value key, ColumnMask mask,
 
   // Merge trigger: delta reached the threshold.
   if (config_.enable_merge_thread &&
-      r->delta.next.load(std::memory_order_relaxed) >=
-          config_.merge_threshold) {
+      r->delta.size() >= config_.merge_threshold) {
     bool expected = false;
     if (r->queued.compare_exchange_strong(expected, true)) {
       {
@@ -346,6 +317,10 @@ Status DbmTable::Delete(Transaction* txn, Value key) {
     }
   }
   uint64_t idx = r->delta.Reserve();
+  if (idx == 0) {
+    ind.store(iv, std::memory_order_release);
+    return Status::Busy("delta space exhausted for range");
+  }
   r->delta.Slot(idx, 1)->store(prev, std::memory_order_relaxed);
   r->delta.Slot(idx, 2)->store(slot, std::memory_order_relaxed);
   r->delta.Slot(idx, 3)->store(kDeleteFlag, std::memory_order_relaxed);
@@ -501,7 +476,7 @@ Status DbmTable::SumColumn(ColumnId col, Timestamp as_of, uint64_t* sum) {
 bool DbmTable::MergeRange(uint64_t range_id) {
   MainRange* r = GetRange(range_id);
   if (r == nullptr) return false;
-  uint64_t delta_len = r->delta.next.load(std::memory_order_acquire);
+  uint64_t delta_len = r->delta.size();
   if (delta_len == 0) return false;
 
   // Drain: close the gate and wait for active transactions to finish.
@@ -520,7 +495,7 @@ bool DbmTable::MergeRange(uint64_t range_id) {
   // All deltas are decided now (no active transactions). Apply the
   // newest committed version per (slot, column).
   const uint32_t ncols = schema_.num_columns();
-  delta_len = r->delta.next.load(std::memory_order_acquire);
+  delta_len = r->delta.size();
   std::unordered_map<uint32_t, ColumnMask> seen;
   for (uint64_t idx = delta_len; idx >= 1; --idx) {
     Value raw = r->delta.Slot(idx, 0)->load(std::memory_order_acquire);

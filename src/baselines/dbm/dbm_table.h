@@ -24,6 +24,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/chunked_store.h"
 #include "common/config.h"
 #include "common/latch.h"
 #include "common/status.h"
@@ -104,19 +105,7 @@ class DbmTable : public TxnContext {
   // [0]=start_raw, [1]=prev_idx, [2]=slot, [3]=mask, [4..4+ncols).
   static constexpr uint32_t kDeltaHeader = 4;
   static constexpr uint32_t kDeltaChunk = 1024;
-
-  struct DeltaStore {
-    explicit DeltaStore(uint32_t stride) : stride(stride) {}
-    uint32_t stride;
-    std::atomic<uint64_t> next{0};
-    mutable SpinLatch grow_latch;
-    std::vector<std::unique_ptr<std::atomic<Value>[]>> chunks;
-    std::atomic<size_t> num_chunks{0};
-
-    std::atomic<Value>* Slot(uint64_t idx, uint32_t field);
-    uint64_t Reserve();
-    void Clear();
-  };
+  static constexpr uint32_t kDeltaMaxChunks = 1u << 12;  // 2^22 per range
 
   struct MainRange {
     MainRange(uint32_t range_size, uint32_t ncols, uint32_t stride);
@@ -127,7 +116,7 @@ class DbmTable : public TxnContext {
     std::vector<uint8_t> deleted;
     std::unique_ptr<std::atomic<uint64_t>[]> indirection;  // delta idx
     std::atomic<uint32_t> occupied{0};
-    DeltaStore delta;
+    ChunkedStore delta;  // cleared by each merge
     std::atomic<bool> queued{false};
   };
 

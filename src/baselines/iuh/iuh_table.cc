@@ -29,7 +29,8 @@ IuhTable::IuhTable(Schema schema, TableConfig config,
     : schema_(std::move(schema)),
       config_(config),
       ranges_(std::make_unique<std::atomic<MainRange*>[]>(kMaxRanges)),
-      hist_stride_(kHistHeader + schema_.num_columns()) {
+      history_(kHistHeader + schema_.num_columns(), kHistChunk,
+               kHistMaxChunks) {
   for (uint64_t i = 0; i < kMaxRanges; ++i) {
     ranges_[i].store(nullptr, std::memory_order_relaxed);
   }
@@ -67,40 +68,6 @@ IuhTable::MainRange* IuhTable::EnsureRange(uint64_t id) {
     }
   }
   return r;
-}
-
-std::atomic<Value>* IuhTable::HistSlot(uint64_t idx, uint32_t field) {
-  uint64_t i = idx - 1;
-  size_t chunk = i / kHistChunk;
-  size_t off = (i % kHistChunk) * hist_stride_ + field;
-  return &hist_chunks_[chunk][off];
-}
-
-const std::atomic<Value>* IuhTable::HistSlot(uint64_t idx,
-                                             uint32_t field) const {
-  uint64_t i = idx - 1;
-  size_t chunk = i / kHistChunk;
-  size_t off = (i % kHistChunk) * hist_stride_ + field;
-  return &hist_chunks_[chunk][off];
-}
-
-uint64_t IuhTable::HistReserve() {
-  uint64_t idx = hist_next_.fetch_add(1, std::memory_order_relaxed) + 1;
-  size_t need = (idx - 1) / kHistChunk + 1;
-  if (hist_num_chunks_.load(std::memory_order_acquire) < need) {
-    SpinGuard g(hist_latch_);
-    while (hist_chunks_.size() < need) {
-      auto chunk = std::make_unique<std::atomic<Value>[]>(
-          static_cast<size_t>(kHistChunk) * hist_stride_);
-      for (size_t i = 0; i < static_cast<size_t>(kHistChunk) * hist_stride_;
-           ++i) {
-        chunk[i].store(kNull, std::memory_order_relaxed);
-      }
-      hist_chunks_.push_back(std::move(chunk));
-    }
-    hist_num_chunks_.store(hist_chunks_.size(), std::memory_order_release);
-  }
-  return idx;
 }
 
 Txn IuhTable::Begin(IsolationLevel iso) {
@@ -280,6 +247,24 @@ Status IuhTable::ResolveUnderLatch(MainRange& r, uint32_t slot,
   return Status::NotFound("no visible version");
 }
 
+bool IuhTable::CurrentStart(MainRange& r, uint32_t slot, Transaction* txn,
+                            Value* raw) const {
+  *raw = r.start[slot].load(std::memory_order_acquire);
+  if (!IsTxnId(*raw) || *raw == txn->id()) return true;
+  TransactionManager::StateView view = txn_manager_->GetState(*raw);
+  if (!view.found) {
+    // Retired: its outcome is stamped by now.
+    *raw = r.start[slot].load(std::memory_order_acquire);
+    return !IsTxnId(*raw) || *raw == txn->id();
+  }
+  if (view.state != TxnState::kCommitted) return false;
+  // Committed, stamp pending: the pre-image must carry the commit
+  // time, or an undo of this update would restore an id that outlives
+  // its transaction.
+  *raw = view.commit;
+  return true;
+}
+
 Status IuhTable::Update(Transaction* txn, Value key, ColumnMask mask,
                         const std::vector<Value>& row) {
   if (mask == 0 || (mask & 1ull) != 0) {
@@ -295,14 +280,10 @@ Status IuhTable::Update(Transaction* txn, Value key, ColumnMask mask,
   RWSpinLatch& latch = PageLatch(*r, slot);
   latch.LockExclusive();
 
-  Value raw = r->start[slot].load(std::memory_order_acquire);
-  if (IsTxnId(raw) && raw != txn->id()) {
-    TransactionManager::StateView view = txn_manager_->GetState(raw);
-    if (view.found && (view.state == TxnState::kActive ||
-                       view.state == TxnState::kPreCommit)) {
-      latch.UnlockExclusive();
-      return Status::Aborted("write-write conflict");
-    }
+  Value raw = 0;
+  if (!CurrentStart(*r, slot, txn, &raw)) {
+    latch.UnlockExclusive();
+    return Status::Aborted("write-write conflict");
   }
   if (r->deleted[slot].load(std::memory_order_acquire) != 0) {
     latch.UnlockExclusive();
@@ -310,7 +291,11 @@ Status IuhTable::Update(Transaction* txn, Value key, ColumnMask mask,
   }
 
   // Append the pre-image to the history, then update in place.
-  uint64_t hist_idx = HistReserve();
+  uint64_t hist_idx = history_.Reserve();
+  if (hist_idx == 0) {
+    latch.UnlockExclusive();
+    return Status::Busy("history space exhausted");
+  }
   HistSlot(hist_idx, 0)->store(rid, std::memory_order_relaxed);
   HistSlot(hist_idx, 1)->store(
       r->indirection[slot].load(std::memory_order_acquire),
@@ -345,20 +330,20 @@ Status IuhTable::Delete(Transaction* txn, Value key) {
 
   RWSpinLatch& latch = PageLatch(*r, slot);
   latch.LockExclusive();
-  Value raw = r->start[slot].load(std::memory_order_acquire);
-  if (IsTxnId(raw) && raw != txn->id()) {
-    TransactionManager::StateView view = txn_manager_->GetState(raw);
-    if (view.found && (view.state == TxnState::kActive ||
-                       view.state == TxnState::kPreCommit)) {
-      latch.UnlockExclusive();
-      return Status::Aborted("write-write conflict");
-    }
+  Value raw = 0;
+  if (!CurrentStart(*r, slot, txn, &raw)) {
+    latch.UnlockExclusive();
+    return Status::Aborted("write-write conflict");
   }
   if (r->deleted[slot].load(std::memory_order_acquire) != 0) {
     latch.UnlockExclusive();
     return Status::NotFound("already deleted");
   }
-  uint64_t hist_idx = HistReserve();
+  uint64_t hist_idx = history_.Reserve();
+  if (hist_idx == 0) {
+    latch.UnlockExclusive();
+    return Status::Busy("history space exhausted");
+  }
   HistSlot(hist_idx, 0)->store(rid, std::memory_order_relaxed);
   HistSlot(hist_idx, 1)->store(
       r->indirection[slot].load(std::memory_order_acquire),

@@ -20,6 +20,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/chunked_store.h"
 #include "common/config.h"
 #include "common/latch.h"
 #include "common/status.h"
@@ -69,9 +70,7 @@ class IuhTable : public TxnContext {
   uint64_t num_rows() const { return next_row_.load(std::memory_order_acquire); }
 
   /// History entries appended so far (tests/stats).
-  uint64_t history_size() const {
-    return hist_next_.load(std::memory_order_acquire);
-  }
+  uint64_t history_size() const { return history_.size(); }
 
  private:
   // Session plumbing (TxnContext) + transaction-pointer cores.
@@ -93,6 +92,7 @@ class IuhTable : public TxnContext {
   // [4..4+ncols) = old values of updated columns (∅ elsewhere).
   static constexpr uint32_t kHistHeader = 4;
   static constexpr uint32_t kHistChunk = 4096;
+  static constexpr uint32_t kHistMaxChunks = 1u << 16;  // 2^28 entries
 
   struct MainRange {
     MainRange(uint32_t range_size, uint32_t ncols, uint32_t page_slots);
@@ -110,10 +110,16 @@ class IuhTable : public TxnContext {
     return r.page_latches[slot / config_.base_page_slots];
   }
 
-  std::atomic<Value>* HistSlot(uint64_t idx, uint32_t field);
-  const std::atomic<Value>* HistSlot(uint64_t idx, uint32_t field) const;
-  uint64_t HistReserve();
+  std::atomic<Value>* HistSlot(uint64_t idx, uint32_t field) const {
+    return history_.Slot(idx, field);
+  }
 
+  /// Under the slot's exclusive page latch: the start time a write by
+  /// `txn` must save as its pre-image. False on a write-write conflict:
+  /// another transaction is active, pre-committed, or aborted with its
+  /// undo still pending (its pre-image is not back yet).
+  bool CurrentStart(MainRange& r, uint32_t slot, Transaction* txn,
+                    Value* raw) const;
   bool VisibleRaw(std::atomic<Value>* sref, Value& raw, Timestamp as_of,
                   Transaction* txn) const;
   /// Resolve (possibly via history) the visible value of columns.
@@ -134,12 +140,9 @@ class IuhTable : public TxnContext {
   std::atomic<uint64_t> num_ranges_{0};
 
   // History table (global, append-only; reduced read locality is part
-  // of the baseline's cost profile, Section 6.2).
-  uint32_t hist_stride_;
-  mutable SpinLatch hist_latch_;
-  std::vector<std::unique_ptr<std::atomic<Value>[]>> hist_chunks_;
-  std::atomic<size_t> hist_num_chunks_{0};
-  std::atomic<uint64_t> hist_next_{0};
+  // of the baseline's cost profile, Section 6.2). Table-wide, so its
+  // directory is sized for the whole table's update history.
+  ChunkedStore history_;
 };
 
 }  // namespace lstore

@@ -13,11 +13,11 @@ constexpr Value kRowSupersededBit = 1ull << 62;
 }  // namespace
 
 RowTable::RowRange::RowRange(uint32_t range_size, uint32_t ncols)
-    : stride(ncols + 2),
-      base(std::make_unique<std::atomic<Value>[]>(
+    : base(std::make_unique<std::atomic<Value>[]>(
           static_cast<size_t>(range_size) * ncols)),
       base_start(std::make_unique<std::atomic<Value>[]>(range_size)),
-      indirection(std::make_unique<std::atomic<uint64_t>[]>(range_size)) {
+      indirection(std::make_unique<std::atomic<uint64_t>[]>(range_size)),
+      versions(ncols + 2, kChunkRows, kMaxChunks) {
   for (size_t i = 0; i < static_cast<size_t>(range_size) * ncols; ++i) {
     base[i].store(kNull, std::memory_order_relaxed);
   }
@@ -25,70 +25,6 @@ RowTable::RowRange::RowRange(uint32_t range_size, uint32_t ncols)
     base_start[i].store(kNull, std::memory_order_relaxed);
     indirection[i].store(0, std::memory_order_relaxed);
   }
-}
-
-RowTable::RowRange::~RowRange() {
-  auto* dir = chunks.load(std::memory_order_relaxed);
-  if (dir == nullptr) return;
-  for (uint32_t i = 0; i < kMaxChunks; ++i) {
-    delete[] dir[i].load(std::memory_order_relaxed);
-  }
-}
-
-std::atomic<Value>* RowTable::RowRange::VersionSlot(uint32_t seq,
-                                                    uint32_t field) {
-  uint32_t idx = seq - 1;
-  size_t chunk = idx / kChunkRows;
-  size_t off = (idx % kChunkRows) * stride + field;
-  // Non-null for every published seq: Reserve() installs the directory
-  // and chunk before the version becomes reachable.
-  auto* dir = chunks.load(std::memory_order_acquire);
-  return &dir[chunk].load(std::memory_order_acquire)[off];
-}
-
-const std::atomic<Value>* RowTable::RowRange::VersionSlot(
-    uint32_t seq, uint32_t field) const {
-  uint32_t idx = seq - 1;
-  size_t chunk = idx / kChunkRows;
-  size_t off = (idx % kChunkRows) * stride + field;
-  auto* dir = chunks.load(std::memory_order_acquire);
-  return &dir[chunk].load(std::memory_order_acquire)[off];
-}
-
-uint32_t RowTable::RowRange::Reserve() {
-  uint32_t seq = next_seq.fetch_add(1, std::memory_order_relaxed) + 1;
-  size_t chunk = (seq - 1) / kChunkRows;
-  if (chunk >= kMaxChunks) return 0;  // version space exhausted
-  // Lazily install the directory, then the chunk. Each reserver
-  // publishes its own chunk; versions are only reachable once their
-  // writer published the start time, which happens after this
-  // returns, so readers never see a missing directory or chunk.
-  auto* dir = chunks.load(std::memory_order_acquire);
-  if (dir == nullptr) {
-    SpinGuard g(grow_latch);
-    dir = chunks.load(std::memory_order_relaxed);
-    if (dir == nullptr) {
-      chunk_store =
-          std::make_unique<std::atomic<std::atomic<Value>*>[]>(kMaxChunks);
-      for (uint32_t i = 0; i < kMaxChunks; ++i) {
-        chunk_store[i].store(nullptr, std::memory_order_relaxed);
-      }
-      dir = chunk_store.get();
-      chunks.store(dir, std::memory_order_release);
-    }
-  }
-  if (dir[chunk].load(std::memory_order_acquire) == nullptr) {
-    SpinGuard g(grow_latch);
-    if (dir[chunk].load(std::memory_order_relaxed) == nullptr) {
-      auto* fresh = new std::atomic<Value>[static_cast<size_t>(kChunkRows) *
-                                           stride];
-      for (size_t i = 0; i < static_cast<size_t>(kChunkRows) * stride; ++i) {
-        fresh[i].store(kNull, std::memory_order_relaxed);
-      }
-      dir[chunk].store(fresh, std::memory_order_release);
-    }
-  }
-  return seq;
 }
 
 RowTable::RowTable(Schema schema, TableConfig config,
@@ -334,7 +270,7 @@ Status RowTable::Update(Transaction* txn, Value key, ColumnMask mask,
   }
   for (BitIter it(mask); it; ++it) full[*it] = row[*it];
 
-  uint32_t seq = r->Reserve();
+  uint32_t seq = static_cast<uint32_t>(r->versions.Reserve());
   if (seq == 0) {
     ind.store(iv, std::memory_order_release);
     return Status::Busy("version space exhausted for range");
@@ -393,7 +329,7 @@ Status RowTable::Delete(Transaction* txn, Value key) {
     r->VersionSlot(prev_seq, 1)->fetch_or(kRowSupersededBit,
                                           std::memory_order_release);
   }
-  uint32_t seq = r->Reserve();
+  uint32_t seq = static_cast<uint32_t>(r->versions.Reserve());
   if (seq == 0) {
     ind.store(iv, std::memory_order_release);
     return Status::Busy("version space exhausted for range");

@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/chunked_store.h"
 #include "common/config.h"
 #include "common/epoch.h"
 #include "common/latch.h"
@@ -84,31 +85,22 @@ class RowTable : public TxnContext {
 
   // Tail version layout (row-major): [start_time][backptr][c0..cN-1].
   struct RowRange {
-    explicit RowRange(uint32_t range_size, uint32_t ncols);
-    ~RowRange();
+    RowRange(uint32_t range_size, uint32_t ncols);
 
-    uint32_t stride;  // ncols + 2
     std::atomic<uint32_t> occupied{0};
-    std::atomic<uint32_t> next_seq{0};
     /// Base rows: range_size * ncols atomic values.
     std::unique_ptr<std::atomic<Value>[]> base;
     std::unique_ptr<std::atomic<Value>[]> base_start;
     std::unique_ptr<std::atomic<uint64_t>[]> indirection;
-    /// Tail chunks, each holding kChunkRows versions. A fixed
-    /// directory of atomically published chunk pointers keeps readers
-    /// latch-free; a growable vector would reallocate its backing
-    /// array under a concurrent reader. The directory itself is
-    /// allocated lazily on the first version (never-updated ranges
-    /// pay nothing) and published through `chunks`.
+    /// Tail versions (seq = store index), ncols + 2 fields each. The
+    /// store allocates nothing until the range's first update.
     static constexpr uint32_t kChunkRows = 256;
     static constexpr uint32_t kMaxChunks = 1u << 14;
-    mutable SpinLatch grow_latch;
-    std::unique_ptr<std::atomic<std::atomic<Value>*>[]> chunk_store;
-    std::atomic<std::atomic<std::atomic<Value>*>*> chunks{nullptr};
+    ChunkedStore versions;
 
-    std::atomic<Value>* VersionSlot(uint32_t seq, uint32_t field);
-    const std::atomic<Value>* VersionSlot(uint32_t seq, uint32_t field) const;
-    uint32_t Reserve();  // ensures the chunk exists; returns seq (>=1)
+    std::atomic<Value>* VersionSlot(uint32_t seq, uint32_t field) const {
+      return versions.Slot(seq, field);
+    }
   };
 
   RowRange* GetRange(uint64_t id) const;

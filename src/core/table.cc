@@ -690,13 +690,33 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
   // predate a record's first update while a later segment load sees
   // many merges beyond the snapshot), so re-loading pointers or
   // trusting earlier samples would serve too-new values.
+  //
+  // The guard applies only to columns this slot has ever updated, read
+  // *after* the segment loads: a merge publishes a segment (release)
+  // only after it saw the consolidated update committed, and the
+  // updater set the slot's ever-updated bit before its commit. So a
+  // bit still clear after the acquire loads of the segments means no
+  // loaded segment holds an update of that column for this slot; its
+  // value is the insert's in every generation, whatever the Last
+  // Updated Time says (a record updated and merged after the snapshot
+  // would otherwise fail the guard on every attempt).
   ColumnMask fallback = remaining | base_resident;
+  if (fallback == 0) return Status::OK();
   BaseSegment* lut_seg =
       r.base[schema_.num_columns() + kBaseLastUpdated].load(
           std::memory_order_acquire);
-  const bool snapshot_read = spec.as_of != kMaxTimestamp && fallback != 0;
+  BaseSegment* segs[64];  // one per ColumnMask bit
+  for (BitIter it(fallback); it; ++it) {
+    segs[*it] = Segment(r, static_cast<uint32_t>(*it));
+  }
+  const SlotMeta* meta_now = r.meta.load(std::memory_order_acquire);
+  ColumnMask guarded =
+      spec.as_of == kMaxTimestamp || meta_now == nullptr
+          ? 0
+          : fallback &
+                meta_now[slot].ever_updated.load(std::memory_order_acquire);
   const bool lut_covers = lut_seg != nullptr && slot < lut_seg->num_slots;
-  if (snapshot_read && lut_covers) {
+  if (guarded != 0 && lut_covers) {
     Value lut = lut_seg->Get(slot);
     if (lut != kNull && (IsTxnId(lut) || lut >= spec.as_of)) {
       *consistent = false;
@@ -704,9 +724,9 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
   }
   for (BitIter it(fallback); it; ++it) {
     uint32_t col = static_cast<uint32_t>(*it);
-    BaseSegment* seg = Segment(r, col);
+    BaseSegment* seg = segs[col];
     bool seg_covers = seg != nullptr && slot < seg->num_slots;
-    if (snapshot_read && seg_covers &&
+    if ((guarded & (1ull << col)) != 0 && seg_covers &&
         (!lut_covers || seg->tps > lut_seg->tps)) {
       *consistent = false;
     }

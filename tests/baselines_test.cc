@@ -7,7 +7,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <thread>
+#include <vector>
 
 #include "baselines/dbm/dbm_table.h"
 #include "baselines/iuh/iuh_table.h"
@@ -153,6 +157,62 @@ TEST_F(IuhTest, ScanSumsVisibleVersions) {
   ASSERT_TRUE(table_.SumColumn(1, now, &sum).ok());
   uint64_t expect = 0;
   for (Value k = 0; k < 20; ++k) expect += k * 10;
+  EXPECT_EQ(sum, expect);
+}
+
+// A write over a record whose last writer aborted but has not undone
+// it yet (or committed but has not stamped it yet) must not save that
+// writer's id as its pre-image start: an undo of the write would put
+// the id back after its transaction retired, and every reader would
+// spin on it under the page latch, stalling all writers behind them.
+TEST_F(IuhTest, ConflictingWritersNeverStrandATransactionId) {
+  std::atomic<bool> stop{false};
+  std::atomic<int> exited{0};
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < 4; ++w) {
+    writers.emplace_back([&, w] {
+      Random rng(w + 1);
+      std::vector<Value> out;
+      while (!stop.load()) {
+        Txn txn = table_.Begin();
+        bool ok = true;
+        for (int i = 0; i < 4 && ok; ++i) {
+          ok = !table_.Read(txn, rng.Uniform(5), 0b110, &out).IsAborted();
+        }
+        ok = ok &&
+             table_.Update(txn, rng.Uniform(5), 0b010, {0, rng.Uniform(9), 0})
+                 .ok() &&
+             table_.Update(txn, rng.Uniform(5), 0b100, {0, 0, rng.Uniform(9)})
+                 .ok();
+        if (!ok || !txn.Commit().ok()) txn.Abort();
+      }
+      exited.fetch_add(1);
+    });
+  }
+  std::this_thread::sleep_for(std::chrono::seconds(1));
+  stop = true;
+  // A livelocked writer never returns: fail instead of hanging.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (exited.load() < 4) {
+    if (std::chrono::steady_clock::now() > deadline) {
+      std::fprintf(stderr, "IUH writers livelocked on a stranded txn id\n");
+      std::fflush(stderr);
+      std::_Exit(1);
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (auto& t : writers) t.join();
+
+  Txn r = table_.Begin();
+  std::vector<Value> out;
+  uint64_t expect = 0;
+  for (Value k = 0; k < 20; ++k) {
+    ASSERT_TRUE(table_.Read(r, k, 0b010, &out).ok());
+    expect += out[1];
+  }
+  ASSERT_TRUE(r.Commit().ok());
+  uint64_t sum = 0;
+  ASSERT_TRUE(table_.SumColumn(1, table_.Now(), &sum).ok());
   EXPECT_EQ(sum, expect);
 }
 

@@ -1,10 +1,16 @@
 // Tests for L-Store (Row), the row-layout lineage variant used by the
-// layout comparison of Section 6.2 (Tables 8-9).
+// layout comparison of Section 6.2 (Tables 8-9), and for the version
+// store it shares with the two baseline engines.
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <thread>
+#include <vector>
 
+#include "baselines/dbm/dbm_table.h"
+#include "baselines/iuh/iuh_table.h"
 #include "common/random.h"
 #include "core/row_table.h"
 
@@ -123,33 +129,90 @@ TEST_F(RowTableTest, VersionChainAcrossManyUpdates) {
   (void)r.Commit();
 }
 
-TEST_F(RowTableTest, ConcurrentUpdatersAndScanners) {
-  std::atomic<bool> stop{false};
-  std::atomic<uint64_t> commits{0};
-  std::thread writer([&] {
-    Random rng(2);
-    while (!stop.load()) {
-      Txn txn = table_.Begin();
-      std::vector<Value> row(4, 0);
-      row[1] = rng.Uniform(1000);
-      if (table_.Update(txn, rng.Uniform(30), 0b0010, row).ok() &&
-          txn.Commit().ok()) {
-        commits.fetch_add(1);
-      } else {
-        txn.Abort();  // no-op if the commit already finished it
-      }
-    }
-  });
-  auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
-  while (std::chrono::steady_clock::now() < deadline) {
-    uint64_t sum = 0;
-    Timestamp now = table_.txn_manager().clock().Tick();
-    ASSERT_TRUE(table_.SumColumn(1, now, &sum).ok());
+// --- the version stores under concurrency ----------------------------------
+
+// L-Store (Row), In-place Update + History and Delta + Blocking Merge
+// each keep versions in a ChunkedStore that readers index without a
+// latch while updaters grow it. Three updaters and one scanner run
+// until the stores span many chunks; small pages spread the IUH
+// scanner's latches over several pages, so scans overlap updates.
+template <typename TableT, bool kMerges = false>
+struct VersionStoreCase {
+  using Table = TableT;
+  static TableConfig Config() {
+    TableConfig cfg;
+    cfg.range_size = 64;
+    cfg.base_page_slots = 16;
+    cfg.merge_threshold = 256;
+    cfg.enable_merge_thread = kMerges;
+    return cfg;
   }
+};
+
+template <typename Case>
+class VersionStoreConcurrencyTest : public ::testing::Test {};
+
+using VersionStoreCases =
+    ::testing::Types<VersionStoreCase<RowTable>, VersionStoreCase<IuhTable>,
+                     VersionStoreCase<DbmTable>,
+                     VersionStoreCase<DbmTable, /*kMerges=*/true>>;
+TYPED_TEST_SUITE(VersionStoreConcurrencyTest, VersionStoreCases);
+
+TYPED_TEST(VersionStoreConcurrencyTest, UpdatersAndScannerSpanManyChunks) {
+  constexpr Value kRows = 30;
+  constexpr uint64_t kTargetCommits = 20000;
+  typename TypeParam::Table table(Schema(4), TypeParam::Config());
+  {
+    Txn txn = table.Begin();
+    for (Value k = 0; k < kRows; ++k) {
+      ASSERT_TRUE(table.Insert(txn, {k, k * 10, k * 100, k * 1000}).ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+
+  std::atomic<uint64_t> commits{0};
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> writers;
+  for (uint64_t w = 0; w < 3; ++w) {
+    writers.emplace_back([&, w] {
+      Random rng(2 + w);
+      while (!stop.load() && commits.load() < kTargetCommits) {
+        Txn txn = table.Begin();
+        std::vector<Value> row(4, 0);
+        row[1] = rng.Uniform(1000);
+        if (table.Update(txn, rng.Uniform(kRows), 0b0010, row).ok() &&
+            txn.Commit().ok()) {
+          commits.fetch_add(1);
+        } else {
+          txn.Abort();  // no-op if the commit already finished it
+        }
+      }
+    });
+  }
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  do {
+    uint64_t sum = 0;
+    ASSERT_TRUE(table.SumColumn(1, table.Now(), &sum).ok());
+  } while (commits.load() < kTargetCommits &&
+           std::chrono::steady_clock::now() < deadline);
   stop = true;
-  writer.join();
-  EXPECT_GT(commits.load(), 0u);
+  for (auto& t : writers) t.join();
+  EXPECT_GE(commits.load(), kTargetCommits);
+
+  // Quiet: the scan agrees with the latest committed value of each key.
+  uint64_t expect = 0;
+  {
+    Txn txn = table.Begin();
+    std::vector<Value> out;
+    for (Value k = 0; k < kRows; ++k) {
+      ASSERT_TRUE(table.Read(txn, k, 0b0010, &out).ok());
+      expect += out[1];
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  uint64_t sum = 0;
+  ASSERT_TRUE(table.SumColumn(1, table.Now(), &sum).ok());
+  EXPECT_EQ(sum, expect);
 }
 
 }  // namespace

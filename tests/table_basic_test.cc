@@ -247,6 +247,30 @@ TEST_F(TableBasicTest, TimeTravelReadSeesEachVersion) {
   EXPECT_EQ(out[1], 300u);
 }
 
+// Lemma 3's guard must not fire for a column the record never
+// updated: after an update of column 1 is committed and merged past
+// the snapshot, column 2's base value is still the snapshot's value.
+// A false positive burns every retry and prints "retries exhausted".
+TEST_F(TableBasicTest, SnapshotReadOfNeverUpdatedColumnAfterMergeIsClean) {
+  ASSERT_TRUE(InsertRow({1, 10, 20, 30}).ok());
+  ASSERT_TRUE(table_.InsertMergeNow(0));
+  Timestamp snap = table_.txn_manager().clock().Tick();
+  ASSERT_TRUE(UpdateRow(1, 0b0010, {0, 11, 0, 0}).ok());
+  ASSERT_TRUE(table_.MergeRangeNow(0));
+
+  testing::internal::CaptureStderr();
+  std::vector<Value> out;
+  ASSERT_TRUE(table_.ReadAsOf(1, snap, 0b0110, &out).ok());
+  std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(out[1], 10u);
+  EXPECT_EQ(out[2], 20u);
+  EXPECT_EQ(err.find("retries exhausted"), std::string::npos) << err;
+
+  ASSERT_TRUE(table_.ReadAsOf(1, kMaxTimestamp, 0b0110, &out).ok());
+  EXPECT_EQ(out[1], 11u);
+  EXPECT_EQ(out[2], 20u);
+}
+
 TEST_F(TableBasicTest, TimeTravelBeforeInsertIsNotFound) {
   Timestamp before = table_.txn_manager().clock().Tick();
   ASSERT_TRUE(InsertRow({1, 10, 20, 30}).ok());

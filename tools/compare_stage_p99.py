@@ -10,7 +10,7 @@ Both inputs are LSTORE_BENCH_JSON files: one JSON object per line, the
 stage rows shaped
 
     {"bench":"workload","metric":"<mode>.t<N>.p99_by_stage.<stage>",
-     "value":<us>,"unit":"us","scale":<rows>}
+     "value":<us>,"unit":"us"}
 
 Non-metric lines (e.g. the commit/run header) are skipped. When a
 metric appears several times in one file (multiple runs appending),
