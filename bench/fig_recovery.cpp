@@ -88,6 +88,9 @@ void Run(const BenchArgs& args) {
                 (unsigned long long)ckpt_bytes);
     EmitMetric("fig_recovery", "checkpoint_rows_s",
                ckpt_ms > 0 ? rows / (ckpt_ms / 1000.0) : 0.0, "rows/s");
+    EmitMetric("fig_recovery", "checkpoint_bytes_per_row",
+               rows > 0 ? static_cast<double>(ckpt_bytes) / rows : 0.0,
+               "B/row");
   }
 
   // --- (b) restart time vs redo-log length ----------------------------

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <utility>
@@ -13,17 +14,12 @@
 #include "common/epoch.h"
 #include "obs/event_log.h"
 #include "storage/compressed_column.h"
-#include "storage/compression/varint.h"
 
 namespace lstore {
 
 // ---------------------------------------------------------------------------
 // SegmentPage
 // ---------------------------------------------------------------------------
-
-SegmentPage::SegmentPage(EpochManager* epochs, uint32_t num_slots,
-                         bool compress)
-    : num_slots_(num_slots), compress_(compress), epochs_(epochs) {}
 
 SegmentPage::~SegmentPage() {
   BufferPool* pool = pool_.load(std::memory_order_acquire);
@@ -42,13 +38,12 @@ void SegmentPage::SetResident(const CompressedColumn* col) {
 
 void SegmentPage::SetSwap(SegmentStore* store, uint64_t offset,
                           uint64_t length, uint32_t checksum,
-                          SwapFormat format, uint32_t width) {
+                          const CompressedColumn::Header& layout) {
   store_ = store;
   swap_offset_ = offset;
   swap_length_ = length;
   swap_checksum_ = checksum;
-  swap_format_ = format;
-  swap_value_width_ = width;
+  layout_ = layout;
 }
 
 // ---------------------------------------------------------------------------
@@ -187,7 +182,7 @@ const CompressedColumn* BufferPool::LoadColdPayload(SegmentPage* page,
   // Only swapped pages can ever be cold (eviction requires a store).
   std::string payload;
   Status s = Status::OK();
-  std::vector<Value> vals;
+  std::unique_ptr<CompressedColumn> parsed;
   if (page->store_ == nullptr) {
     s = Status::Corruption("cold page has no segment store");
   } else {
@@ -197,41 +192,9 @@ const CompressedColumn* BufferPool::LoadColdPayload(SegmentPage* page,
       Crc32c(payload.data(), payload.size()) != page->swap_checksum_) {
     s = Status::Corruption("segment payload checksum mismatch");
   }
-  if (s.ok()) {
-    size_t pos = 0;
-    uint64_t count = 0;
-    if (!GetVarint64(payload.data(), payload.size(), &pos, &count) ||
-        count != page->num_slots_) {
-      s = Status::Corruption("segment payload slot count mismatch");
-    } else if (page->swap_format_ == SwapFormat::kFixed) {
-      // [count varint][width byte][count * width bytes, little-endian]
-      uint32_t width = pos < payload.size()
-                           ? static_cast<uint8_t>(payload[pos])
-                           : 0;
-      ++pos;
-      if (width != page->swap_value_width_ ||
-          payload.size() != pos + count * width) {
-        s = Status::Corruption("segment payload fixed-width mismatch");
-      } else {
-        vals.resize(count);
-        for (uint64_t i = 0; i < count; ++i) {
-          uint64_t v = 0;
-          for (uint32_t b = 0; b < width; ++b) {
-            v |= static_cast<uint64_t>(
-                     static_cast<uint8_t>(payload[pos + i * width + b]))
-                 << (8 * b);
-          }
-          vals[i] = v;
-        }
-      }
-    } else {
-      vals.resize(count);
-      for (uint64_t i = 0; i < count && s.ok(); ++i) {
-        if (!GetVarint64(payload.data(), payload.size(), &pos, &vals[i])) {
-          s = Status::Corruption("segment payload truncated");
-        }
-      }
-    }
+  if (s.ok()) s = CompressedColumn::Parse(payload, &parsed);
+  if (s.ok() && parsed->header() != page->layout_) {
+    s = Status::Corruption("segment payload header mismatch");
   }
   if (!s.ok()) {
     // Storage-integrity fault: serving ∅ instead would silently
@@ -249,11 +212,10 @@ const CompressedColumn* BufferPool::LoadColdPayload(SegmentPage* page,
     std::abort();
   }
 
-  const CompressedColumn* col =
-      CompressedColumn::Build(std::move(vals), page->compress_).release();
-  // resident_bytes_ is identical across reloads (Build is
-  // deterministic), so writing it before the publish CAS is benign
-  // even when two loaders race.
+  const CompressedColumn* col = parsed.release();
+  // resident_bytes_ is identical across reloads (the same bytes parse
+  // to the same column), so writing it before the publish CAS is
+  // benign even when two loaders race.
   page->resident_bytes_.store(col->byte_size(), std::memory_order_relaxed);
   const CompressedColumn* expected = nullptr;
   if (!page->payload_.compare_exchange_strong(expected, col,
@@ -267,8 +229,7 @@ const CompressedColumn* BufferPool::LoadColdPayload(SegmentPage* page,
 
 bool BufferPool::ReadColdSlot(SegmentPage* page, uint32_t slot, Value* out) {
   if (page == nullptr || page->store_ == nullptr ||
-      page->swap_format_ != SwapFormat::kFixed ||
-      slot >= page->num_slots_) {
+      slot >= page->layout_.size) {
     return false;
   }
   if (page->payload_.load(std::memory_order_acquire) != nullptr) {
@@ -281,23 +242,15 @@ bool BufferPool::ReadColdSlot(SegmentPage* page, uint32_t slot, Value* out) {
       kColdReadPromotion) {
     return false;
   }
-  const uint32_t width = page->swap_value_width_;
-  // Slot addressing: past the [count varint][width byte] header every
-  // value occupies exactly `width` bytes.
-  const uint64_t header = VarintLength(page->num_slots_) + 1;
-  std::string bytes;
-  if (!page->store_
-           ->ReadAt(page->swap_offset_ + header +
-                        static_cast<uint64_t>(slot) * width,
-                    width, &bytes)
-           .ok()) {
-    return false;  // fall back to the full-inflate path (fail-stop there)
+  auto read = [page](uint64_t offset, uint64_t length, std::string* bytes) {
+    return offset <= page->swap_length_ &&
+           length <= page->swap_length_ - offset &&
+           page->store_->ReadAt(page->swap_offset_ + offset, length, bytes)
+               .ok();
+  };
+  if (!CompressedColumn::ReadSlot(page->layout_, slot, read, out)) {
+    return false;  // fall back to the full load (fail-stop there)
   }
-  uint64_t v = 0;
-  for (uint32_t b = 0; b < width; ++b) {
-    v |= static_cast<uint64_t>(static_cast<uint8_t>(bytes[b])) << (8 * b);
-  }
-  *out = v;
   BufferPool* pool = page->pool_.load(std::memory_order_acquire);
   if (pool != nullptr) {
     pool->cold_point_reads_.fetch_add(1, std::memory_order_relaxed);

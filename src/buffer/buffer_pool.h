@@ -9,6 +9,15 @@
 // eviction is a pointer swap plus an epoch-deferred free, never a
 // write-back.
 //
+// A page leaves and re-enters memory in one form: the column's own
+// serialized encoding (CompressedColumn::AppendTo / Parse), so a
+// write-through appends the built column's bytes and a demand load
+// parses them back — no value is re-encoded on either side. The
+// page keeps that form's 16-byte header, which is enough to read one
+// slot of a cold page straight from the store (ReadColdSlot) in any
+// encoding; a checkpoint's segment-ref frame carries the same header
+// across restarts.
+//
 // Concurrency model (two rings of defense):
 //  * PageHandle pins (pin count) keep a frame resident while a scan or
 //    point read is actively using it — the eviction policy skips
@@ -38,32 +47,22 @@
 #include <mutex>
 
 #include "common/types.h"
+#include "storage/compressed_column.h"
 
 namespace lstore {
 
 class BufferPool;
-class CompressedColumn;
 class EpochManager;
 class EventLog;
 class SegmentStore;
-
-/// On-disk layout of a swapped segment payload. kVarint is the
-/// original format ([count varint][varint values...]): compact, but a
-/// miss must inflate the whole segment. kFixed
-/// ([count varint][width byte][count * width bytes, little-endian])
-/// gives every slot a fixed offset, so a cold POINT read decodes just
-/// the requested slot — O(1) instead of O(range). The writer picks
-/// whichever is smaller; the format travels in the page metadata and
-/// the checkpoint's segment-ref frames, never sniffed from bytes.
-enum class SwapFormat : uint8_t { kVarint = 0, kFixed = 1 };
 
 /// Aggregate pool counters (mirrored into the lstore_buffer_* gauges).
 struct BufferPoolStats {
   uint64_t hits = 0;        ///< pin found the payload resident
   uint64_t misses = 0;      ///< pin demand-loaded from the segment store
   uint64_t evictions = 0;   ///< payloads dropped by the clock sweep
-  /// Point reads served by decoding ONE slot of a cold fixed-width
-  /// segment (no inflation, no residency change).
+  /// Point reads served by reading ONE slot of a cold segment from
+  /// the store (no load, no residency change).
   uint64_t cold_point_reads = 0;
   uint64_t bytes_resident = 0;
   uint64_t budget_bytes = 0;  ///< 0 = unlimited
@@ -78,7 +77,7 @@ class SegmentPage {
  public:
   /// `epochs` is the owning table's reclamation domain — evicted
   /// payloads are retired through it.
-  SegmentPage(EpochManager* epochs, uint32_t num_slots, bool compress);
+  explicit SegmentPage(EpochManager* epochs) : epochs_(epochs) {}
   ~SegmentPage();
 
   SegmentPage(const SegmentPage&) = delete;
@@ -88,12 +87,11 @@ class SegmentPage {
   /// reachable through a range's segment directory).
   void SetResident(const CompressedColumn* col);
 
-  /// Record the write-through location; from now on the page is
-  /// evictable and can demand-load. `width` is the byte width per
-  /// value for kFixed payloads (unused for kVarint).
+  /// Record the write-through location of the payload's serialized
+  /// form, whose header is `layout`; from now on the page is evictable
+  /// and can demand-load.
   void SetSwap(SegmentStore* store, uint64_t offset, uint64_t length,
-               uint32_t checksum, SwapFormat format = SwapFormat::kVarint,
-               uint32_t width = 0);
+               uint32_t checksum, const CompressedColumn::Header& layout);
 
   bool evictable() const { return store_ != nullptr; }
   bool resident() const {
@@ -107,9 +105,7 @@ class SegmentPage {
   uint64_t swap_offset() const { return swap_offset_; }
   uint64_t swap_length() const { return swap_length_; }
   uint32_t swap_checksum() const { return swap_checksum_; }
-  SwapFormat swap_format() const { return swap_format_; }
-  uint32_t swap_value_width() const { return swap_value_width_; }
-  uint32_t num_slots() const { return num_slots_; }
+  const CompressedColumn::Header& layout() const { return layout_; }
 
  private:
   friend class BufferPool;
@@ -123,15 +119,12 @@ class SegmentPage {
   /// Cold slot reads since the page last went cold (promotion gate).
   std::atomic<uint32_t> cold_reads_{0};
   std::atomic<uint64_t> resident_bytes_{0};  ///< charged while resident
-  uint32_t num_slots_;
-  bool compress_;  ///< rebuild demand-loaded values with compression
   EpochManager* epochs_;
   SegmentStore* store_ = nullptr;
   uint64_t swap_offset_ = 0;
   uint64_t swap_length_ = 0;
   uint32_t swap_checksum_ = 0;
-  SwapFormat swap_format_ = SwapFormat::kVarint;
-  uint32_t swap_value_width_ = 0;  ///< bytes per value (kFixed only)
+  CompressedColumn::Header layout_;  ///< header of the stored form
 
   /// Set at Register, cleared by Unregister/DetachDomain.
   std::atomic<BufferPool*> pool_{nullptr};
@@ -169,17 +162,18 @@ class BufferPool {
   const CompressedColumn* Acquire(SegmentPage* page);
 
   /// Pool-less demand load (a lazily restored segment on a database
-  /// reopened WITHOUT a pool): read, verify, build, publish — no
+  /// reopened WITHOUT a pool): read, verify, parse, publish — no
   /// budget accounting, so the page stays resident once hydrated.
   /// `*won` reports whether this call published the payload.
   static const CompressedColumn* LoadColdPayload(SegmentPage* page,
                                                  bool* won);
 
-  /// O(1) single-value demand read: serve a point read of one slot of
-  /// a COLD fixed-width segment by reading exactly `width` bytes from
-  /// the store — no inflation, no residency or clock-state change.
-  /// Returns false (caller pins as usual) when the page is resident,
-  /// varint-coded, or storeless — or once the page has absorbed
+  /// Single-value demand read: serve a point read of one slot of a
+  /// COLD segment by reading only the bytes of that slot from the
+  /// store (CompressedColumn::ReadSlot, addressed by the page's
+  /// layout) — no load, no residency or clock-state change.
+  /// Returns false (caller pins as usual) when the page is resident
+  /// or storeless — or once the page has absorbed
   /// kColdReadPromotion slot reads since it last went cold: a page
   /// that hot deserves residency, so declining hands it to the pin
   /// path, which hydrates it and serves every later read from memory

@@ -1,10 +1,11 @@
 // Append-only swap store for read-optimized base segments.
 //
 // One SegmentStore backs one table's buffer-managed base segments:
-// merge output writes each consolidated column through as a varint
-// payload, records its {offset, length, checksum}, and from then on
-// the in-memory copy is evictable — a cold page demand-loads by
-// reading its recorded byte range back. Offsets are stable for the
+// merge output writes each consolidated column through in its
+// serialized compressed form (CompressedColumn::AppendTo), records its
+// {offset, length, checksum}, and from then on the in-memory copy is
+// evictable — a cold page demand-loads by reading its recorded byte
+// range back and parsing it. Offsets are stable for the
 // lifetime of the file (the store is never compacted in place), so
 // checkpoint manifests may reference them across restarts.
 //

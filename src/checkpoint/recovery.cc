@@ -119,7 +119,14 @@ Status Table::ReplayAndRebuild(
     // re-seals a longer prefix) can deliver a record twice; the writes
     // below are idempotent, so duplicates are harmless.
     for (const LogRecord& rec : appends) {
-      Range* r = EnsureRange(rec.range_id);
+      // A CRC-valid record can still name a range the directory cannot
+      // hold or a slot past the range.
+      Range* r = rec.base_slot < config_.range_size
+                     ? EnsureRange(rec.range_id)
+                     : nullptr;
+      if (r == nullptr) {
+        return Status::Corruption("redo record range or slot overflow");
+      }
       TailSegment& seg = rec.type == LogRecordType::kInsertAppend
                              ? r->inserts
                              : r->updates;

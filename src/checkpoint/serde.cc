@@ -3,12 +3,14 @@
 #include "checkpoint/serde.h"
 
 #include <cstring>
+#include <memory>
 #include <thread>
 
 #include "common/bitutil.h"
 #include "common/checksum.h"
 #include "core/historic.h"
 #include "core/table.h"
+#include "storage/compressed_column.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
@@ -73,7 +75,10 @@ Status FrameReader::Open(const std::string& path, uint32_t expected_magic) {
       magic != expected_magic) {
     return Status::Corruption("bad magic: " + path);
   }
-  if (version > kCheckpointFormatVersion) {
+  // Each version changes how some frame is laid out (version 2 stores
+  // base segments in their compressed form), so only the current one
+  // reads back correctly.
+  if (version != kCheckpointFormatVersion) {
     return Status::Corruption("unsupported format version: " + path);
   }
   return Status::OK();
@@ -187,6 +192,8 @@ Status CheckpointIO::WriteTable(Table& t, const std::string& path,
   EpochGuard guard(t.epochs_);
   const uint32_t ncols = t.schema_.num_columns();
   const uint32_t nphys = ncols + kBaseMetaColumns;
+  // Read once: restore refuses a range id past the header's count.
+  const uint64_t nranges = t.num_ranges();
 
   {
     std::string p;
@@ -195,11 +202,10 @@ Status CheckpointIO::WriteTable(Table& t, const std::string& path,
     for (ColumnId c = 0; c < ncols; ++c) PutString(&p, t.schema_.name(c));
     PutVarint64(&p, t.config_.range_size);
     PutVarint64(&p, t.next_row_.load(std::memory_order_acquire));
-    PutVarint64(&p, t.num_ranges());
+    PutVarint64(&p, nranges);
     LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kTableHeader, p));
   }
 
-  uint64_t nranges = t.num_ranges();
   uint64_t ranges_written = 0;
   for (uint64_t id = 0; id < nranges; ++id) {
     Table::Range* r = t.GetRange(id);
@@ -231,34 +237,26 @@ Status CheckpointIO::WriteTable(Table& t, const std::string& path,
     // is checkpointed by reference — no payload I/O, and a cold
     // (evicted) segment is never faulted in just to checkpoint it.
     // SyncSegmentStore() runs before the manifest is published, so
-    // every referenced byte range is durable first.
+    // every referenced byte range is durable first. Any other segment
+    // is copied inline in its serialized compressed form.
     for (uint32_t pc = 0; pc < nphys; ++pc) {
       BaseSegment* seg = r->base[pc].load(std::memory_order_acquire);
       if (seg == nullptr) continue;
       const SegmentPage* page = seg->page.get();
-      if (page != nullptr && page->evictable() && page->store()->durable()) {
-        std::string p;
-        PutVarint64(&p, id);
-        PutVarint64(&p, pc);
-        PutVarint64(&p, seg->tps);
-        PutVarint64(&p, seg->num_slots);
-        PutVarint64(&p, page->swap_offset());
-        PutVarint64(&p, page->swap_length());
-        PutVarint64(&p, page->swap_checksum());
-        PutVarint64(&p, static_cast<uint64_t>(page->swap_format()));
-        PutVarint64(&p, page->swap_value_width());
-        LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kBaseSegmentRef, p));
-        continue;
-      }
-      PageHandle h = seg->Pin();
       std::string p;
       PutVarint64(&p, id);
       PutVarint64(&p, pc);
       PutVarint64(&p, seg->tps);
       PutVarint64(&p, seg->num_slots);
-      for (uint32_t i = 0; i < seg->num_slots; ++i) {
-        PutVarint64(&p, h.Get(i));
+      if (page != nullptr && page->evictable() && page->store()->durable()) {
+        PutVarint64(&p, page->swap_offset());
+        PutVarint64(&p, page->swap_length());
+        PutVarint64(&p, page->swap_checksum());
+        CompressedColumn::PutHeader(&p, page->layout());
+        LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kBaseSegmentRef, p));
+        continue;
       }
+      seg->Pin()->AppendTo(&p);
       LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kBaseSegment, p));
     }
 
@@ -345,8 +343,34 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
 
   const uint32_t ncols = t->schema_.num_columns();
   const uint32_t nphys = ncols + kBaseMetaColumns;
+  const uint32_t range_size = t->config_.range_size;
   bool header_seen = false, footer_seen = false;
-  uint64_t ranges_seen = 0;
+  uint64_t ranges_seen = 0, nranges = 0;
+  // A range named by a frame: only ids below the header's range count,
+  // which the directory can hold.
+  auto range_of = [&](uint64_t id) -> Table::Range* {
+    return header_seen && id < nranges ? t->EnsureRange(id) : nullptr;
+  };
+  // The base segment frames' common prefix.
+  auto segment_prefix = [&](std::string_view p, size_t* pos,
+                            Table::Range** r, uint64_t* pc,
+                            std::unique_ptr<BaseSegment>* seg) -> Status {
+    uint64_t id, tps, num_slots;
+    if (!GetU64(p, pos, &id) || !GetU64(p, pos, pc) ||
+        !GetU64(p, pos, &tps) || !GetU64(p, pos, &num_slots)) {
+      return Status::Corruption("bad base segment");
+    }
+    if (*pc >= nphys) return Status::Corruption("segment column overflow");
+    if (num_slots > range_size) {
+      return Status::Corruption("segment slot count past range_size");
+    }
+    *r = range_of(id);
+    if (*r == nullptr) return Status::Corruption("segment range id overflow");
+    *seg = std::make_unique<BaseSegment>();
+    (*seg)->tps = static_cast<uint32_t>(tps);
+    (*seg)->num_slots = static_cast<uint32_t>(num_slots);
+    return Status::OK();
+  };
 
   FrameType type;
   std::string_view p;
@@ -355,7 +379,7 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
     switch (type) {
       case FrameType::kTableHeader: {
         std::string name;
-        uint64_t file_ncols, range_size, next_row, nranges;
+        uint64_t file_ncols, file_range_size, next_row;
         if (!GetString(p, &pos, &name) || !GetU64(p, &pos, &file_ncols)) {
           return Status::Corruption("bad table header");
         }
@@ -365,15 +389,18 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
             return Status::Corruption("bad table header");
           }
         }
-        if (!GetU64(p, &pos, &range_size) || !GetU64(p, &pos, &next_row) ||
-            !GetU64(p, &pos, &nranges)) {
+        if (!GetU64(p, &pos, &file_range_size) ||
+            !GetU64(p, &pos, &next_row) || !GetU64(p, &pos, &nranges)) {
           return Status::Corruption("bad table header");
         }
         if (file_ncols != ncols) {
           return Status::Corruption("checkpoint schema arity mismatch");
         }
-        if (range_size != t->config_.range_size) {
+        if (file_range_size != range_size) {
           return Status::Corruption("checkpoint range_size mismatch");
+        }
+        if (nranges > Table::kMaxRanges) {
+          return Status::Corruption("checkpoint range count overflow");
         }
         t->next_row_.store(next_row, std::memory_order_release);
         header_seen = true;
@@ -386,7 +413,11 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
             !GetU64(p, &pos, &boundary) || !GetU64(p, &pos, &last)) {
           return Status::Corruption("bad range state");
         }
-        Table::Range* r = t->EnsureRange(id);
+        if (occupied > range_size || based > range_size) {
+          return Status::Corruption("range state slot past range_size");
+        }
+        Table::Range* r = range_of(id);
+        if (r == nullptr) return Status::Corruption("range id overflow");
         r->occupied.store(static_cast<uint32_t>(occupied),
                           std::memory_order_release);
         r->based.store(static_cast<uint32_t>(based),
@@ -400,25 +431,17 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
         break;
       }
       case FrameType::kBaseSegment: {
-        uint64_t id, pc, tps, num_slots;
-        if (!GetU64(p, &pos, &id) || !GetU64(p, &pos, &pc) ||
-            !GetU64(p, &pos, &tps) || !GetU64(p, &pos, &num_slots)) {
-          return Status::Corruption("bad base segment");
+        Table::Range* r;
+        uint64_t pc;
+        std::unique_ptr<BaseSegment> seg;
+        LSTORE_RETURN_IF_ERROR(segment_prefix(p, &pos, &r, &pc, &seg));
+        std::unique_ptr<CompressedColumn> col;
+        LSTORE_RETURN_IF_ERROR(CompressedColumn::Parse(p.substr(pos), &col));
+        if (col->size() != seg->num_slots) {
+          return Status::Corruption("base segment slot count mismatch");
         }
-        if (pc >= nphys) return Status::Corruption("segment column overflow");
-        std::vector<Value> vals(num_slots);
-        for (uint64_t i = 0; i < num_slots; ++i) {
-          if (!GetU64(p, &pos, &vals[i])) {
-            return Status::Corruption("bad base segment values");
-          }
-        }
-        auto* seg = new BaseSegment();
-        seg->tps = static_cast<uint32_t>(tps);
-        seg->num_slots = static_cast<uint32_t>(num_slots);
-        seg->page = t->MakeSegmentPage(std::move(vals));
-        Table::Range* r = t->EnsureRange(id);
-        BaseSegment* old = r->base[pc].exchange(seg, std::memory_order_acq_rel);
-        delete old;
+        seg->page = t->MakeSegmentPage(std::move(col));
+        delete r->base[pc].exchange(seg.release(), std::memory_order_acq_rel);
         break;
       }
       case FrameType::kBaseSegmentRef: {
@@ -427,22 +450,19 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
         // O(hot set), not O(table). Bounds are validated eagerly so a
         // truncated store fails recovery with a clean error instead of
         // a demand-load fault later.
-        uint64_t id, pc, tps, num_slots, offset, length, crc;
-        if (!GetU64(p, &pos, &id) || !GetU64(p, &pos, &pc) ||
-            !GetU64(p, &pos, &tps) || !GetU64(p, &pos, &num_slots) ||
-            !GetU64(p, &pos, &offset) || !GetU64(p, &pos, &length) ||
-            !GetU64(p, &pos, &crc)) {
+        Table::Range* r;
+        uint64_t pc, offset, length, crc;
+        std::unique_ptr<BaseSegment> seg;
+        LSTORE_RETURN_IF_ERROR(segment_prefix(p, &pos, &r, &pc, &seg));
+        CompressedColumn::Header layout;
+        if (!GetU64(p, &pos, &offset) || !GetU64(p, &pos, &length) ||
+            !GetU64(p, &pos, &crc) ||
+            p.size() - pos != CompressedColumn::kHeaderBytes ||
+            !CompressedColumn::GetHeader(p.substr(pos), &layout) ||
+            layout.size != seg->num_slots ||
+            CompressedColumn::SerializedBytes(layout) != length) {
           return Status::Corruption("bad base segment ref");
         }
-        // Payload format + value width (absent in pre-fixed-width
-        // checkpoints = varint).
-        uint64_t format = 0, width = 0;
-        if (pos < p.size() &&
-            (!GetU64(p, &pos, &format) || !GetU64(p, &pos, &width) ||
-             format > static_cast<uint64_t>(SwapFormat::kFixed))) {
-          return Status::Corruption("bad base segment ref format");
-        }
-        if (pc >= nphys) return Status::Corruption("segment column overflow");
         if (t->segment_store_ == nullptr ||
             !t->segment_store_->Contains(offset, length)) {
           return Status::Corruption(
@@ -461,17 +481,9 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
                 "checkpoint segment reference failed verification: " + path);
           }
         }
-        auto* seg = new BaseSegment();
-        seg->tps = static_cast<uint32_t>(tps);
-        seg->num_slots = static_cast<uint32_t>(num_slots);
-        seg->page = t->MakeColdSegmentPage(static_cast<uint32_t>(num_slots),
-                                           offset, length,
-                                           static_cast<uint32_t>(crc),
-                                           static_cast<SwapFormat>(format),
-                                           static_cast<uint32_t>(width));
-        Table::Range* r = t->EnsureRange(id);
-        BaseSegment* old = r->base[pc].exchange(seg, std::memory_order_acq_rel);
-        delete old;
+        seg->page = t->MakeColdSegmentPage(offset, length,
+                                           static_cast<uint32_t>(crc), layout);
+        delete r->base[pc].exchange(seg.release(), std::memory_order_acq_rel);
         break;
       }
       case FrameType::kUpdateRecords: {
@@ -479,7 +491,8 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
         if (!GetU64(p, &pos, &id) || !GetU64(p, &pos, &count)) {
           return Status::Corruption("bad update records");
         }
-        Table::Range* r = t->EnsureRange(id);
+        Table::Range* r = range_of(id);
+        if (r == nullptr) return Status::Corruption("range id overflow");
         for (uint64_t i = 0; i < count; ++i) {
           uint64_t seq, start, backptr, base_rid, enc;
           if (!GetU64(p, &pos, &seq) || !GetU64(p, &pos, &start) ||
@@ -510,7 +523,11 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
             !GetU64(p, &pos, &count)) {
           return Status::Corruption("bad insert records");
         }
-        Table::Range* r = t->EnsureRange(id);
+        if (first_slot > range_size || count > range_size - first_slot) {
+          return Status::Corruption("insert record slot past range_size");
+        }
+        Table::Range* r = range_of(id);
+        if (r == nullptr) return Status::Corruption("range id overflow");
         for (uint64_t i = 0; i < count; ++i) {
           uint32_t slot = static_cast<uint32_t>(first_slot + i);
           uint32_t seq = slot + 1;
@@ -537,12 +554,13 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
       case FrameType::kHistoric: {
         uint64_t id;
         if (!GetU64(p, &pos, &id)) return Status::Corruption("bad historic");
+        Table::Range* r = range_of(id);
+        if (r == nullptr) return Status::Corruption("range id overflow");
         HistoricStore* hist =
             HistoricStore::DecodeFrom(p.data() + pos, p.size() - pos);
         if (hist == nullptr) {
           return Status::Corruption("bad historic store encoding");
         }
-        Table::Range* r = t->EnsureRange(id);
         HistoricStore* old =
             r->historic.exchange(hist, std::memory_order_acq_rel);
         delete old;

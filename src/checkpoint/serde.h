@@ -47,10 +47,10 @@ enum class FrameType : uint8_t {
   kManifestHeader = 11,
   kCatalogHeader = 12,
   /// One consolidated column stored by reference into the table's
-  /// segment store ({offset, length, checksum} instead of inline
-  /// values): written when the buffer pool already wrote the segment
-  /// through, so the checkpoint is pre-paid and recovery maps the
-  /// segment lazily instead of loading it.
+  /// segment store ({offset, length, checksum, column header} instead
+  /// of the inline serialized column): written when the buffer pool
+  /// already wrote the segment through, so the checkpoint is pre-paid
+  /// and recovery maps the segment lazily instead of loading it.
   kBaseSegmentRef = 13,
 };
 
@@ -58,7 +58,9 @@ enum class FrameType : uint8_t {
 inline constexpr uint32_t kCheckpointMagic = 0x4b43534c;  // "LSCK"
 inline constexpr uint32_t kManifestMagic = 0x464d534c;    // "LSMF"
 inline constexpr uint32_t kCatalogMagic = 0x4754534c;     // "LSTG"
-inline constexpr uint32_t kCheckpointFormatVersion = 1;
+/// Version 2 stores base segments in their compressed serialized form
+/// (CompressedColumn::AppendTo); readers accept only this version.
+inline constexpr uint32_t kCheckpointFormatVersion = 2;
 
 /// Frame-oriented writer into an open File, from offset 0, with a
 /// running whole-file checksum. The file header frame is written

@@ -14,7 +14,6 @@
 #include "core/historic.h"
 #include "core/merge.h"
 #include "core/query.h"
-#include "storage/compression/varint.h"
 
 namespace lstore {
 
@@ -197,6 +196,7 @@ Table::Range* Table::GetRange(uint64_t id) const {
 }
 
 Table::Range* Table::EnsureRange(uint64_t id) {
+  if (id >= kMaxRanges) return nullptr;
   Range* r = GetRange(id);
   if (r != nullptr) return r;
   SpinGuard g(ranges_latch_);
@@ -331,66 +331,33 @@ Value Table::BaseStartRaw(const Range& r, uint32_t slot) const {
 // Buffer-managed segment pages
 // ---------------------------------------------------------------------------
 
-std::shared_ptr<SegmentPage> Table::MakeSegmentPage(std::vector<Value> vals) {
-  auto page = std::make_shared<SegmentPage>(&epochs_,
-                                            static_cast<uint32_t>(vals.size()),
-                                            config_.compress_merged_pages);
+std::shared_ptr<SegmentPage> Table::MakeSegmentPage(
+    std::unique_ptr<CompressedColumn> col) {
+  auto page = std::make_shared<SegmentPage>(&epochs_);
   if (segment_store_ != nullptr) {
-    // Write through BEFORE building (Build consumes vals): once the
-    // bytes are in the store the page is evictable, and a durable
-    // store lets checkpoints reference the segment instead of
-    // rewriting it. The payload format is chosen per segment: the
-    // byte-aligned fixed-width layout wins ties because it gives cold
-    // POINT reads O(1) slot addressing (decode one slot, not the
-    // range); value distributions where varint is strictly smaller
-    // keep the compact layout and the full-inflate path.
-    uint64_t maxv = 0;
-    size_t varint_bytes = 0;
-    for (Value v : vals) {
-      if (v > maxv) maxv = v;
-      varint_bytes += VarintLength(v);
-    }
-    const uint32_t width = maxv <= 0xffu           ? 1
-                           : maxv <= 0xffffu       ? 2
-                           : maxv <= 0xffffffffull ? 4
-                                                   : 8;
-    const bool fixed = vals.size() * width <= varint_bytes;
+    // Write the column's serialized form through: once the bytes are
+    // in the store the page is evictable, and a durable store lets
+    // checkpoints reference the segment instead of rewriting it.
     std::string payload;
-    PutVarint64(&payload, vals.size());
-    if (fixed) {
-      payload.push_back(static_cast<char>(width));
-      for (Value v : vals) {
-        for (uint32_t b = 0; b < width; ++b) {
-          payload.push_back(static_cast<char>((v >> (8 * b)) & 0xff));
-        }
-      }
-    } else {
-      for (Value v : vals) PutVarint64(&payload, v);
-    }
+    col->AppendTo(&payload);
     uint64_t offset = 0;
     if (segment_store_->Append(payload, &offset).ok()) {
       page->SetSwap(segment_store_, offset, payload.size(),
-                    Crc32c(payload.data(), payload.size()),
-                    fixed ? SwapFormat::kFixed : SwapFormat::kVarint,
-                    fixed ? width : 0);
+                    Crc32c(payload.data(), payload.size()), col->header());
     }
     // Append failure (e.g. ENOSPC): the page simply stays resident
     // and unevictable — correctness is unaffected.
   }
-  page->SetResident(
-      CompressedColumn::Build(std::move(vals), config_.compress_merged_pages)
-          .release());
+  page->SetResident(col.release());
   if (buffer_pool_ != nullptr) buffer_pool_->Register(page.get());
   return page;
 }
 
 std::shared_ptr<SegmentPage> Table::MakeColdSegmentPage(
-    uint32_t num_slots, uint64_t offset, uint64_t length, uint32_t checksum,
-    SwapFormat format, uint32_t value_width) {
-  auto page = std::make_shared<SegmentPage>(&epochs_, num_slots,
-                                            config_.compress_merged_pages);
-  page->SetSwap(segment_store_, offset, length, checksum, format,
-                value_width);
+    uint64_t offset, uint64_t length, uint32_t checksum,
+    const CompressedColumn::Header& layout) {
+  auto page = std::make_shared<SegmentPage>(&epochs_);
+  page->SetSwap(segment_store_, offset, length, checksum, layout);
   if (buffer_pool_ != nullptr) buffer_pool_->Register(page.get());
   return page;
 }

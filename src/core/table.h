@@ -79,10 +79,9 @@ struct BaseSegment {
   /// EpochGuard of the owning table for the handle's lifetime.
   PageHandle Pin() const { return PageHandle(page.get()); }
 
-  /// One slot's value, as a point read: a cold fixed-width page
-  /// decodes just that slot from the store instead of inflating the
-  /// whole column (varint-coded or resident pages go through Pin).
-  /// Same epoch contract as Pin.
+  /// One slot's value, as a point read: a cold page reads just that
+  /// slot's bytes from the store instead of loading the whole column
+  /// (resident pages go through Pin). Same epoch contract as Pin.
   Value Get(uint32_t slot) const {
     Value v;
     if (BufferPool::ReadColdSlot(page.get(), slot, &v)) return v;
@@ -464,6 +463,7 @@ class Table : public TxnContext {
   enum class Visibility { kVisible, kInvisible, kVisibleSpeculative };
 
   Range* GetRange(uint64_t id) const;
+  /// The range `id`, created if absent; nullptr past kMaxRanges.
   Range* EnsureRange(uint64_t id);
   uint64_t RangeOf(Rid rid) const { return rid / config_.range_size; }
   uint32_t SlotOf(Rid rid) const {
@@ -533,20 +533,26 @@ class Table : public TxnContext {
 
   // Buffer-managed segment pages ---------------------------------------------
 
-  /// Build the read-optimized page for `vals`: writes it through to
-  /// the segment store (so it is evictable — and checkpointable by
-  /// reference — immediately) and registers it with the pool. With no
-  /// pool/store configured the page is plainly resident, as before.
-  std::shared_ptr<SegmentPage> MakeSegmentPage(std::vector<Value> vals);
+  /// Build the read-optimized page for `vals`: writes its serialized
+  /// form through to the segment store (so it is evictable — and
+  /// checkpointable by reference — immediately) and registers it with
+  /// the pool. With no pool/store configured the page is plainly
+  /// resident, as before.
+  std::shared_ptr<SegmentPage> MakeSegmentPage(std::vector<Value> vals) {
+    return MakeSegmentPage(CompressedColumn::Build(
+        std::move(vals), config_.compress_merged_pages));
+  }
+  /// The same for an already built (or parsed) column.
+  std::shared_ptr<SegmentPage> MakeSegmentPage(
+      std::unique_ptr<CompressedColumn> col);
 
   /// A cold page backed by already-durable store bytes (lazy restore:
-  /// recovery maps segments instead of loading them). Format + width
-  /// come from the checkpoint's segment-ref frame so fixed-width
-  /// segments keep their O(1) cold point reads across restarts.
+  /// recovery maps segments instead of loading them). `layout` comes
+  /// from the checkpoint's segment-ref frame, so the segment keeps its
+  /// one-slot cold point reads across restarts.
   std::shared_ptr<SegmentPage> MakeColdSegmentPage(
-      uint32_t num_slots, uint64_t offset, uint64_t length,
-      uint32_t checksum, SwapFormat format = SwapFormat::kVarint,
-      uint32_t value_width = 0);
+      uint64_t offset, uint64_t length, uint32_t checksum,
+      const CompressedColumn::Header& layout);
   void StampCommitTime(std::atomic<Value>* slot, Value observed_raw) const;
 
   /// Scan helpers.
@@ -615,6 +621,9 @@ class Table : public TxnContext {
   /// latch; chunks are never moved once published).
   static constexpr uint32_t kRangeChunkSize = 1024;
   static constexpr uint32_t kMaxRangeChunks = 4096;
+  /// Range ids the directory can hold; EnsureRange refuses the rest.
+  static constexpr uint64_t kMaxRanges =
+      uint64_t{kRangeChunkSize} * kMaxRangeChunks;
   struct RangeChunk {
     std::atomic<Range*> ranges[kRangeChunkSize] = {};
   };

@@ -1,6 +1,8 @@
 #include "storage/compressed_column.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <unordered_set>
 #include <utility>
 
@@ -8,7 +10,23 @@
 
 namespace lstore {
 
+// The serialized form is little-endian and copied verbatim.
+static_assert(std::endian::native == std::endian::little);
+
 namespace {
+
+void AppendWords(std::string* out, const std::vector<uint64_t>& words) {
+  out->append(reinterpret_cast<const char*>(words.data()),
+              words.size() * sizeof(uint64_t));
+}
+
+/// Copy `n` words from `*p` and advance it.
+std::vector<uint64_t> TakeWords(const char** p, uint64_t n) {
+  std::vector<uint64_t> words(n);
+  std::memcpy(words.data(), *p, n * sizeof(uint64_t));
+  *p += n * sizeof(uint64_t);
+  return words;
+}
 
 /// Bytes of a dictionary of `distinct` values coding `n` slots.
 size_t DictionaryBytes(size_t n, size_t distinct) {
@@ -128,13 +146,13 @@ void CompressedColumn::Cursor::Load(size_t block) {
       const RleColumn& r = col_->rle_;
       for (size_t j = 0; j < n;) {
         while (run_ + 1 < r.run_count() &&
-               first + j >= r.run_start(run_ + 1)) {
+               first + j >= r.starts()[run_ + 1]) {
           ++run_;
         }
         const size_t end = run_ + 1 < r.run_count()
-                               ? std::min(n, r.run_start(run_ + 1) - first)
+                               ? std::min(n, r.starts()[run_ + 1] - first)
                                : n;
-        std::fill(buf_.get() + j, buf_.get() + end, r.run_value(run_));
+        std::fill(buf_.get() + j, buf_.get() + end, r.values()[run_]);
         j = end;
       }
       break;
@@ -143,6 +161,195 @@ void CompressedColumn::Cursor::Load(size_t block) {
       col_->DecodeForBlock(block, buf_.get());
       break;
   }
+}
+
+CompressedColumn::Header CompressedColumn::header() const {
+  Header h;
+  h.encoding = encoding_;
+  h.size = static_cast<uint32_t>(size_);
+  switch (encoding_) {
+    case Encoding::kPlain:
+      break;
+    case Encoding::kDictionary:
+      h.width = static_cast<uint8_t>(dict_.codes().width());
+      h.aux = dict_.dictionary_size();
+      break;
+    case Encoding::kRle:
+      h.aux = rle_.run_count();
+      break;
+    case Encoding::kFor:
+      h.width = static_cast<uint8_t>(for_codes_.width());
+      h.has_null = for_null_code_ != kNull;
+      h.aux = for_base_;
+      break;
+  }
+  return h;
+}
+
+void CompressedColumn::PutHeader(std::string* out, const Header& h) {
+  out->append(reinterpret_cast<const char*>(&h), sizeof(h));
+}
+
+bool CompressedColumn::GetHeader(std::string_view in, Header* h) {
+  if (in.size() < kHeaderBytes) return false;
+  std::memcpy(h, in.data(), kHeaderBytes);
+  if (h->reserved != 0 || h->has_null > 1 ||
+      (h->has_null && h->encoding != Encoding::kFor)) {
+    return false;
+  }
+  switch (h->encoding) {
+    case Encoding::kPlain:
+      return h->width == 0 && h->aux == 0;
+    case Encoding::kRle:
+      return h->width == 0 && h->aux >= 1 && h->aux <= h->size;
+    case Encoding::kDictionary:
+      return h->aux >= 1 && h->aux <= h->size &&
+             h->width == BitsNeeded(h->aux - 1);
+    case Encoding::kFor:
+      // ∅ takes the all-ones code, so a frame holding ∅ is >= 1 bit.
+      return h->size >= 1 && h->width < 64 && (!h->has_null || h->width > 0);
+  }
+  return false;  // unknown tag
+}
+
+uint64_t CompressedColumn::SerializedBytes(const Header& h) {
+  const uint64_t packed = BitPackedArray::PackedBytes(h.size, h.width);
+  switch (h.encoding) {
+    case Encoding::kPlain: return kHeaderBytes + h.size * sizeof(Value);
+    case Encoding::kRle: return kHeaderBytes + h.aux * 2 * sizeof(Value);
+    case Encoding::kFor: return kHeaderBytes + packed;
+    case Encoding::kDictionary:
+      return kHeaderBytes + h.aux * sizeof(Value) + packed;
+  }
+  return 0;
+}
+
+void CompressedColumn::AppendTo(std::string* out) const {
+  const Header h = header();
+  out->reserve(out->size() + SerializedBytes(h));
+  PutHeader(out, h);
+  switch (encoding_) {
+    case Encoding::kPlain:
+      AppendWords(out, plain_);
+      break;
+    case Encoding::kRle:
+      AppendWords(out, rle_.starts());
+      AppendWords(out, rle_.values());
+      break;
+    case Encoding::kFor:
+      AppendWords(out, for_codes_.words());
+      break;
+    case Encoding::kDictionary:
+      AppendWords(out, dict_.dictionary());
+      AppendWords(out, dict_.codes().words());
+      break;
+  }
+}
+
+Status CompressedColumn::Parse(std::string_view in,
+                               std::unique_ptr<CompressedColumn>* out) {
+  Header h;
+  if (!GetHeader(in, &h)) {
+    return Status::Corruption("bad compressed column header");
+  }
+  // GetHeader bounds aux by the u32 slot count, so no size overflows.
+  if (in.size() != SerializedBytes(h)) {
+    return Status::Corruption("compressed column length mismatch");
+  }
+  const char* p = in.data() + kHeaderBytes;
+  const uint64_t code_words =
+      BitPackedArray::PackedBytes(h.size, h.width) / sizeof(uint64_t);
+  auto col = std::unique_ptr<CompressedColumn>(new CompressedColumn());
+  col->encoding_ = h.encoding;
+  col->size_ = h.size;
+  switch (h.encoding) {
+    case Encoding::kPlain:
+      col->plain_ = TakeWords(&p, h.size);
+      break;
+    case Encoding::kRle: {
+      std::vector<uint64_t> starts = TakeWords(&p, h.aux);
+      if (starts[0] != 0 || starts.back() >= h.size ||
+          std::adjacent_find(starts.begin(), starts.end(),
+                             std::greater_equal<>()) != starts.end()) {
+        return Status::Corruption("compressed column RLE starts out of order");
+      }
+      col->rle_ = RleColumn(std::move(starts), TakeWords(&p, h.aux), h.size);
+      break;
+    }
+    case Encoding::kFor:
+      col->for_base_ = h.aux;
+      if (h.has_null) col->for_null_code_ = (1ull << h.width) - 1;
+      col->for_codes_ =
+          BitPackedArray(TakeWords(&p, code_words), h.size, h.width);
+      break;
+    case Encoding::kDictionary: {
+      std::vector<Value> dict = TakeWords(&p, h.aux);
+      BitPackedArray codes(TakeWords(&p, code_words), h.size, h.width);
+      Value block[BitPackedArray::kBlock];
+      for (size_t b = 0; b * BitPackedArray::kBlock < h.size; ++b) {
+        codes.UnpackBlock(b, 0, block);
+        const size_t n = std::min(BitPackedArray::kBlock,
+                                  h.size - b * BitPackedArray::kBlock);
+        if (*std::max_element(block, block + n) >= h.aux) {
+          return Status::Corruption("compressed column code past dictionary");
+        }
+      }
+      col->dict_ = DictionaryColumn(std::move(dict), std::move(codes));
+      break;
+    }
+  }
+  *out = std::move(col);
+  return Status::OK();
+}
+
+bool CompressedColumn::ReadSlot(const Header& h, uint32_t slot,
+                                const ReadFn& read, Value* out) {
+  if (slot >= h.size) return false;
+  std::string buf;
+  auto word_at = [&](uint64_t offset, uint64_t* v) {
+    if (!read(offset, sizeof(uint64_t), &buf)) return false;
+    std::memcpy(v, buf.data(), sizeof(uint64_t));
+    return true;
+  };
+  // Code `slot` of the packed array at `offset`: the one or two words
+  // its bits span.
+  auto code_at = [&](uint64_t offset, uint64_t* code) {
+    *code = 0;
+    if (h.width == 0) return true;
+    const uint64_t bit = uint64_t{slot} * h.width;
+    const uint64_t nwords = bit % 64 + h.width > 64 ? 2 : 1;
+    if (!read(offset + bit / 64 * sizeof(uint64_t), nwords * sizeof(uint64_t),
+              &buf)) {
+      return false;
+    }
+    uint64_t words[2] = {0, 0};
+    std::memcpy(words, buf.data(), nwords * sizeof(uint64_t));
+    *code = BitPackedArray::Extract(words, bit % 64, h.width);
+    return true;
+  };
+  uint64_t code = 0;
+  switch (h.encoding) {
+    case Encoding::kPlain:
+      return word_at(kHeaderBytes + uint64_t{slot} * sizeof(Value), out);
+    case Encoding::kFor:
+      if (!code_at(kHeaderBytes, &code)) return false;
+      *out = h.has_null && code == (1ull << h.width) - 1 ? kNull : h.aux + code;
+      return true;
+    case Encoding::kDictionary:
+      return code_at(kHeaderBytes + h.aux * sizeof(Value), &code) &&
+             code < h.aux && word_at(kHeaderBytes + code * sizeof(Value), out);
+    case Encoding::kRle: {
+      if (!read(kHeaderBytes, h.aux * sizeof(uint64_t), &buf)) return false;
+      std::vector<uint64_t> starts(h.aux);
+      std::memcpy(starts.data(), buf.data(), h.aux * sizeof(uint64_t));
+      const size_t run = static_cast<size_t>(
+          std::upper_bound(starts.begin(), starts.end(), slot) -
+          starts.begin());
+      return run > 0 &&
+             word_at(kHeaderBytes + (h.aux + run - 1) * sizeof(Value), out);
+    }
+  }
+  return false;
 }
 
 size_t CompressedColumn::byte_size() const {

@@ -13,14 +13,30 @@
 //    all-ones code, so aborted-insert slots do not widen the frame;
 //  * dictionary — sorted distinct values plus bit-packed codes.
 // Point reads stay O(1) for every encoding but RLE (O(log #runs)).
+//
+// The column has one serialized form, used wherever a base segment
+// leaves memory (the segment store, checkpoint frames) and parsed
+// wherever it comes back: a 16-byte header, then the encoding's raw
+// little-endian arrays, so writing and loading copy bytes instead of
+// re-encoding values.
+//
+//   [tag u8][width u8][has_null u8][0 u8][slots u32][aux u64]  header
+//   plain: slots values
+//   RLE:   aux run starts, then aux run values
+//   FOR:   the codes' packed words (aux = base; has_null: ∅ = all-ones)
+//   dict:  aux dictionary values, then the codes' packed words
 
 #ifndef LSTORE_STORAGE_COMPRESSED_COLUMN_H_
 #define LSTORE_STORAGE_COMPRESSED_COLUMN_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/status.h"
 #include "common/types.h"
 #include "storage/compression/bitpack.h"
 #include "storage/compression/dictionary.h"
@@ -30,12 +46,53 @@ namespace lstore {
 
 class CompressedColumn {
  public:
-  enum class Encoding { kPlain, kDictionary, kRle, kFor };
+  /// The serialized form's tag byte.
+  enum class Encoding : uint8_t { kPlain, kDictionary, kRle, kFor };
+
+  /// The serialized form's fixed header, stored as these 16 bytes: all
+  /// a reader needs to address one slot of a stored column (ReadSlot)
+  /// without the rest of it.
+  struct Header {
+    Encoding encoding = Encoding::kPlain;
+    uint8_t width = 0;     ///< FOR / dictionary code width in bits
+    uint8_t has_null = 0;  ///< FOR: 1 when the all-ones code is ∅
+    uint8_t reserved = 0;
+    uint32_t size = 0;     ///< slots
+    uint64_t aux = 0;      ///< FOR base, dictionary entries or RLE runs
+    bool operator==(const Header&) const = default;
+  };
+  static constexpr size_t kHeaderBytes = sizeof(Header);
+  static_assert(kHeaderBytes == 16);
 
   /// Build the read-optimized form of `values`. When `try_compress` is
   /// false (or no codec is smaller), the plain layout is kept.
   static std::unique_ptr<CompressedColumn> Build(std::vector<Value> values,
                                                  bool try_compress);
+
+  /// Append the serialized form to `out`.
+  void AppendTo(std::string* out) const;
+  /// Parse a serialized form, checking every length, width, run start
+  /// and dictionary code; Corruption on any mismatch.
+  static Status Parse(std::string_view in,
+                      std::unique_ptr<CompressedColumn>* out);
+
+  Header header() const;
+  static void PutHeader(std::string* out, const Header& h);
+  /// Decode and check the header at the front of `in`.
+  static bool GetHeader(std::string_view in, Header* h);
+  /// Serialized size of a column with header `h`.
+  static uint64_t SerializedBytes(const Header& h);
+
+  /// Reads `length` bytes at `offset` of a stored serialized form.
+  using ReadFn =
+      std::function<bool(uint64_t offset, uint64_t length, std::string* out)>;
+  /// Read slot `slot` of a stored column with header `h` through
+  /// `read`, fetching only the bytes that slot needs: one word for
+  /// plain, one or two for FOR, those plus one dictionary entry, or
+  /// the run starts plus one run value for RLE. False when `read`
+  /// fails or the stored bytes are inconsistent.
+  static bool ReadSlot(const Header& h, uint32_t slot, const ReadFn& read,
+                       Value* out);
 
   Value Get(size_t i) const {
     switch (encoding_) {

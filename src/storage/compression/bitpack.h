@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -26,14 +27,24 @@ class BitPackedArray {
   /// [0, 64]; width 0 means all values are zero).
   BitPackedArray(const std::vector<uint64_t>& values, int width);
 
+  /// Adopt `words` as the packing of `size` values at `width` bits;
+  /// it must hold PackedBytes(size, width) bytes.
+  BitPackedArray(std::vector<uint64_t> words, size_t size, int width)
+      : words_(std::move(words)), size_(size), width_(width) {}
+
   uint64_t Get(size_t i) const {
     if (width_ == 0) return 0;
-    const size_t bit = i * static_cast<size_t>(width_);
+    return Extract(words_.data(), i * static_cast<size_t>(width_), width_);
+  }
+
+  /// The `width`-bit value (width in [1, 64]) that starts `bit` bits
+  /// into `words`.
+  static uint64_t Extract(const uint64_t* words, size_t bit, int width) {
     const size_t word = bit / 64;
     const int off = static_cast<int>(bit % 64);
-    uint64_t v = words_[word] >> off;
-    if (off + width_ > 64) v |= words_[word + 1] << (64 - off);
-    return width_ < 64 ? v & ((1ull << width_) - 1) : v;
+    uint64_t v = words[word] >> off;
+    if (off + width > 64) v |= words[word + 1] << (64 - off);
+    return width < 64 ? v & ((1ull << width) - 1) : v;
   }
 
   /// Decode values [kBlock * block, kBlock * block + kBlock) into
@@ -44,6 +55,7 @@ class BitPackedArray {
   size_t size() const { return size_; }
   int width() const { return width_; }
   size_t byte_size() const { return words_.size() * sizeof(uint64_t); }
+  const std::vector<uint64_t>& words() const { return words_; }
 
   /// Bytes a packing of `n` values at `width` bits occupies.
   static size_t PackedBytes(size_t n, int width) {

@@ -10,6 +10,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -25,12 +26,17 @@ class DictionaryColumn {
   /// distinct values is small relative to the page (callers decide via
   /// byte_size()).
   explicit DictionaryColumn(const std::vector<Value>& values);
+  /// Adopt a dictionary and codes into it (the serialized form).
+  DictionaryColumn(std::vector<Value> dict, BitPackedArray codes)
+      : dict_(std::move(dict)), codes_(std::move(codes)) {}
 
   Value Get(size_t i) const { return dict_[codes_.Get(i)]; }
   /// Decode one block of slots (see BitPackedArray::UnpackBlock).
   void DecodeBlock(size_t block, Value* out) const;
   size_t size() const { return codes_.size(); }
   size_t dictionary_size() const { return dict_.size(); }
+  const std::vector<Value>& dictionary() const { return dict_; }
+  const BitPackedArray& codes() const { return codes_; }
   size_t byte_size() const {
     return dict_.size() * sizeof(Value) + codes_.byte_size();
   }

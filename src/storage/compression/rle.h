@@ -7,6 +7,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -17,17 +18,23 @@ class RleColumn {
  public:
   RleColumn() = default;
   explicit RleColumn(const std::vector<Value>& values);
+  /// Adopt runs (the serialized form): run k covers slots
+  /// [starts[k], starts[k + 1]) of `size`.
+  RleColumn(std::vector<uint64_t> starts, std::vector<Value> values,
+            size_t size)
+      : starts_(std::move(starts)), values_(std::move(values)), size_(size) {}
 
   /// O(log #runs) random access via binary search on run starts.
   Value Get(size_t i) const;
 
-  /// Run accessors for sequential (cursor) scans: a monotone reader
-  /// advances run by run in O(1) instead of re-searching per slot.
-  uint64_t run_start(size_t k) const { return starts_[k]; }
-  Value run_value(size_t k) const { return values_[k]; }
 
   size_t size() const { return size_; }
   size_t run_count() const { return starts_.size(); }
+  /// The runs, for sequential (cursor) scans — a monotone reader
+  /// advances run by run in O(1) instead of re-searching per slot —
+  /// and for the serialized form.
+  const std::vector<uint64_t>& starts() const { return starts_; }
+  const std::vector<Value>& values() const { return values_; }
   size_t byte_size() const {
     return (starts_.size() + values_.size()) * sizeof(uint64_t);
   }

@@ -32,7 +32,6 @@
 #include "core/query.h"
 #include "core/table.h"
 #include "storage/compressed_column.h"
-#include "storage/compression/varint.h"
 
 namespace lstore {
 namespace {
@@ -302,8 +301,7 @@ TEST(BufferPoolTest, RestartMapsSegmentsLazilyAndColdReadsWork) {
                 16384);  // transient pin slack
 
   // A cold point read of a never-updated row decodes its slots from
-  // the store (every column here is fixed-width) without loading any
-  // segment, and returns the right row.
+  // the store without loading any segment, and returns the right row.
   MetricsSnapshot before_read = db->Metrics();
   Txn txn = t->Begin();
   std::vector<Value> row;
@@ -466,62 +464,97 @@ TEST(BufferPoolTest, ResidentModeMatchesBufferedResults) {
   }
 }
 
+/// Append `col`'s serialized form to `store` and map a fresh page onto
+/// it, cold.
+std::unique_ptr<SegmentPage> ColdPage(EpochManager* epochs,
+                                      SegmentStore* store,
+                                      const CompressedColumn& col) {
+  std::string bytes;
+  col.AppendTo(&bytes);
+  uint64_t off = 0;
+  EXPECT_TRUE(store->Append(bytes, &off).ok());
+  auto page = std::make_unique<SegmentPage>(epochs);
+  page->SetSwap(store, off, bytes.size(), Crc32c(bytes.data(), bytes.size()),
+                col.header());
+  return page;
+}
+
 TEST(BufferPoolTest, ColdSlotReadDecodesOneSlotWithoutInflating) {
-  // Unit-level: a fixed-width swapped page serves single-slot reads
-  // from the store without hydrating; a varint page declines.
+  // Unit-level: a swapped FOR page serves single-slot reads from the
+  // store without hydrating; a page with no store declines.
   SegmentStore store;
   ASSERT_TRUE(store.OpenTemp().ok());
   EpochManager epochs;
   constexpr uint32_t kSlots = 300;
-  // Fixed payload: [count varint][width byte][values LE], width 2.
-  std::string fixed;
-  PutVarint64(&fixed, kSlots);
-  fixed.push_back(2);
-  for (uint32_t i = 0; i < kSlots; ++i) {
-    uint64_t v = 20000 + i;
-    fixed.push_back(static_cast<char>(v & 0xff));
-    fixed.push_back(static_cast<char>((v >> 8) & 0xff));
-  }
-  uint64_t off = 0;
-  ASSERT_TRUE(store.Append(fixed, &off).ok());
-  SegmentPage page(&epochs, kSlots, /*compress=*/true);
-  page.SetSwap(&store, off, fixed.size(), Crc32c(fixed.data(), fixed.size()),
-               SwapFormat::kFixed, 2);
+  std::vector<Value> vals(kSlots);
+  for (uint32_t i = 0; i < kSlots; ++i) vals[i] = 20000 + i;
+  auto built = CompressedColumn::Build(vals, /*try_compress=*/true);
+  ASSERT_EQ(built->encoding(), CompressedColumn::Encoding::kFor);
+  std::unique_ptr<SegmentPage> page = ColdPage(&epochs, &store, *built);
   for (uint32_t slot : {0u, 1u, 137u, kSlots - 1}) {
     Value v = 0;
-    ASSERT_TRUE(BufferPool::ReadColdSlot(&page, slot, &v));
+    ASSERT_TRUE(BufferPool::ReadColdSlot(page.get(), slot, &v));
     EXPECT_EQ(v, 20000u + slot);
   }
-  EXPECT_FALSE(page.resident());  // never inflated
+  EXPECT_FALSE(page->resident());  // never inflated
   Value v = 0;
-  EXPECT_FALSE(BufferPool::ReadColdSlot(&page, kSlots, &v));  // OOB
+  EXPECT_FALSE(BufferPool::ReadColdSlot(page.get(), kSlots, &v));  // OOB
 
-  // Full hydration of the same fixed payload decodes identically.
+  // Full hydration of the same payload decodes identically.
   bool won = false;
-  const CompressedColumn* col = BufferPool::LoadColdPayload(&page, &won);
+  const CompressedColumn* col = BufferPool::LoadColdPayload(page.get(), &won);
   ASSERT_TRUE(won);
+  EXPECT_EQ(col->encoding(), CompressedColumn::Encoding::kFor);
   for (uint32_t slot = 0; slot < kSlots; ++slot) {
     EXPECT_EQ(col->Get(slot), 20000u + slot);
   }
   // Resident now: the cold path declines and the pin path serves.
-  EXPECT_FALSE(BufferPool::ReadColdSlot(&page, 0, &v));
+  EXPECT_FALSE(BufferPool::ReadColdSlot(page.get(), 0, &v));
 
-  // Varint-coded page: cold slot reads decline (full-inflate path).
-  std::string varint;
-  PutVarint64(&varint, 4u);
-  for (uint64_t x : {1u, 2u, 3u, 4u}) PutVarint64(&varint, x);
-  ASSERT_TRUE(store.Append(varint, &off).ok());
-  SegmentPage vp(&epochs, 4, true);
-  vp.SetSwap(&store, off, varint.size(),
-             Crc32c(varint.data(), varint.size()));
-  EXPECT_FALSE(BufferPool::ReadColdSlot(&vp, 1, &v));
+  // A page never written through has nothing to read cold.
+  SegmentPage bare(&epochs);
+  EXPECT_FALSE(BufferPool::ReadColdSlot(&bare, 1, &v));
   epochs.DrainAllUnsafe();
 }
 
-TEST(BufferPoolTest, PointReadMissOnFixedSegmentSkipsInflation) {
-  // Values in [2^14, 2^16): 3-byte varints vs 2-byte fixed width, so
-  // the write-through picks the fixed layout and a cold point read
-  // costs O(1) — counted by stats().cold_point_reads, with no
+TEST(BufferPoolTest, ColdSlotReadServesEveryEncoding) {
+  // RLE, dictionary, plain and FOR-with-∅ pages each serve cold slot
+  // reads from a few stored bytes, matching the built column.
+  SegmentStore store;
+  ASSERT_TRUE(store.OpenTemp().ok());
+  EpochManager epochs;
+  constexpr uint32_t kSlots = 1000;
+  Random rng(7);
+  std::vector<Value> rle(kSlots), dict(kSlots), plain(kSlots), nulls(kSlots);
+  for (uint32_t i = 0; i < kSlots; ++i) {
+    rle[i] = 1000 + i / 97;
+    dict[i] = i % 3 == 0 ? (1ull << 50) : i % 3 == 1 ? 5 : 77;
+    plain[i] = rng.Next();
+    nulls[i] = i % 11 == 0 ? kNull : 500 + i;
+  }
+  const std::pair<std::vector<Value>*, CompressedColumn::Encoding> cases[] = {
+      {&rle, CompressedColumn::Encoding::kRle},
+      {&dict, CompressedColumn::Encoding::kDictionary},
+      {&plain, CompressedColumn::Encoding::kPlain},
+      {&nulls, CompressedColumn::Encoding::kFor}};
+  for (const auto& [vals, encoding] : cases) {
+    auto built = CompressedColumn::Build(*vals, /*try_compress=*/true);
+    ASSERT_EQ(built->encoding(), encoding);
+    std::unique_ptr<SegmentPage> page = ColdPage(&epochs, &store, *built);
+    // At most kColdReadPromotion reads: the gate hydrates after that.
+    for (uint32_t slot : {0u, 1u, 96u, 97u, 330u, 660u, kSlots - 1}) {
+      Value v = 0;
+      ASSERT_TRUE(BufferPool::ReadColdSlot(page.get(), slot, &v)) << slot;
+      EXPECT_EQ(v, (*vals)[slot]) << "slot " << slot;
+    }
+    EXPECT_FALSE(page->resident());
+  }
+  epochs.DrainAllUnsafe();
+}
+
+TEST(BufferPoolTest, PointReadMissOnColdSegmentSkipsLoading) {
+  // A cold point read reads one slot's bytes of each segment it
+  // touches — counted by stats().cold_point_reads, with no
   // corresponding full-segment miss for the data column.
   constexpr uint64_t kRows = 2000;
   PooledTable pt(/*budget=*/2048);
@@ -577,8 +610,8 @@ TEST(BufferPoolTest, PointReadMissOnFixedSegmentSkipsInflation) {
 TEST(BufferPoolTest, SnapshotReadOfColdRowDecodesSlotsWithoutLoading) {
   // A snapshot read of a never-updated row checks the Last Updated
   // guard and then serves every column from base segments. With the
-  // segments evicted, each of those reads decodes one slot of a
-  // fixed-width page: counted as cold point reads, with no segment
+  // segments evicted, each of those reads decodes one slot of a cold
+  // page: counted as cold point reads, with no segment
   // loaded (no miss) and nothing left resident.
   constexpr uint64_t kRows = 2000;
   PooledTable pt(/*budget=*/1);
@@ -618,15 +651,15 @@ TEST(BufferPoolTest, SnapshotReadOfColdRowDecodesSlotsWithoutLoading) {
   EXPECT_EQ(pt.table->BaseResidentBytes(), 0u);
 }
 
-TEST(BufferPoolTest, FixedFormatSurvivesCheckpointRestart) {
-  // The format + width travel through the checkpoint's segment-ref
+TEST(BufferPoolTest, ColdSlotLayoutSurvivesCheckpointRestart) {
+  // The column header travels through the checkpoint's segment-ref
   // frames: after a restart the lazily mapped segments still serve
-  // O(1) cold point reads. Restart hydrates the key and Start Time
+  // one-slot cold point reads. Restart hydrates the key and Start Time
   // segments of every range; keys spaced 2^40 apart keep the key column
   // (~9 KB even frame-of-reference coded) larger than the 2 KB pool, so
   // that hydration evicts and the read below finds cold segments.
   constexpr Value kKeyStride = 1ull << 40;
-  std::string dir = ScratchDir("fixed_restart");
+  std::string dir = ScratchDir("layout_restart");
   DurabilityOptions opts;
   opts.buffer_pool_bytes = 2048;
   constexpr uint64_t kRows = 1500;

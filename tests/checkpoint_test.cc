@@ -22,6 +22,8 @@
 #include "core/query.h"
 #include "core/table.h"
 #include "log/redo_log.h"
+#include "storage/compressed_column.h"
+#include "storage/compression/varint.h"
 
 namespace lstore {
 namespace {
@@ -43,6 +45,61 @@ class CheckpointTest : public ::testing::Test {
     cfg.merge_threshold = 1u << 20;  // manual merges only
     cfg.enable_merge_thread = false;
     return cfg;
+  }
+
+  /// Write a checkpoint of a Schema(2) SmallConfig() table: its header
+  /// (claiming `nranges` ranges), `frames`, and a footer counting their
+  /// range-state frames. Then restore it into a fresh table.
+  Status LoadCrafted(uint64_t nranges,
+                     const std::vector<std::pair<FrameType, std::string>>&
+                         frames) {
+    std::filesystem::create_directories(dir_);
+    const std::string path = dir_ + "/crafted.ckpt";
+    {
+      File file;
+      EXPECT_TRUE(file.Open(path, File::Mode::kCreateTruncate).ok());
+      FrameWriter w(&file, kCheckpointMagic);
+      std::string p;
+      PutString(&p, "t");
+      PutVarint64(&p, 2);
+      PutString(&p, "c0");
+      PutString(&p, "c1");
+      PutVarint64(&p, SmallConfig().range_size);
+      PutVarint64(&p, 0);  // next row
+      PutVarint64(&p, nranges);
+      EXPECT_TRUE(w.WriteFrame(FrameType::kTableHeader, p).ok());
+      uint64_t ranges = 0;
+      for (const auto& [type, payload] : frames) {
+        EXPECT_TRUE(w.WriteFrame(type, payload).ok());
+        if (type == FrameType::kRangeState) ++ranges;
+      }
+      std::string footer;
+      PutVarint64(&footer, ranges);
+      EXPECT_TRUE(w.WriteFrame(FrameType::kTableFooter, footer).ok());
+      EXPECT_TRUE(w.Finish().ok());
+    }
+    Table t("t", Schema(2), SmallConfig());
+    return CheckpointIO::LoadTable(&t, path);
+  }
+
+  /// Varint fields, concatenated: a frame payload.
+  static std::string Fields(std::initializer_list<uint64_t> fields) {
+    std::string p;
+    for (uint64_t f : fields) PutVarint64(&p, f);
+    return p;
+  }
+  /// A kRangeState frame: id, occupied, based, tps, boundary, last.
+  static std::pair<FrameType, std::string> RangeState(uint64_t id,
+                                                      uint64_t occupied) {
+    return {FrameType::kRangeState, Fields({id, occupied, 0, 0, 0, 0})};
+  }
+  /// A kBaseSegment frame of range `id`, column 1, claiming `num_slots`
+  /// slots, carrying a serialized column of `vals`.
+  static std::pair<FrameType, std::string> Segment(
+      uint64_t id, uint64_t num_slots, std::vector<Value> vals) {
+    std::string p = Fields({id, 1, 0, num_slots});
+    CompressedColumn::Build(std::move(vals), true)->AppendTo(&p);
+    return {FrameType::kBaseSegment, p};
   }
 
   static uint64_t LogFileBytes(const std::string& path) {
@@ -128,6 +185,106 @@ TEST_F(CheckpointTest, LogOpenRestoresLsnAndRepairsTornTail) {
                   .ok());
   EXPECT_EQ(count, 3);
   EXPECT_TRUE(stats.clean_end);
+}
+
+// ---------------------------------------------------------------------------
+// Restore bounds: CRC-valid frames that name impossible ranges or slots
+// ---------------------------------------------------------------------------
+
+/// Range ids the table's directory holds (1024 chunks of 4096 ranges).
+constexpr uint64_t kDirectoryRanges = 4096ull * 1024;
+
+TEST_F(CheckpointTest, CraftedCheckpointWithinBoundsLoads) {
+  // The control for the cases below: the same frames, in bounds.
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 3), Segment(0, 3, {7, 8, 9})})
+                  .ok());
+}
+
+TEST_F(CheckpointTest, CraftedRangeIdPastDirectoryOrHeaderIsCorruption) {
+  // Past the 4096-chunk directory, whether or not the header claims it.
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(kDirectoryRanges, 1)})
+                  .IsCorruption());
+  EXPECT_TRUE(LoadCrafted(kDirectoryRanges + 1,
+                          {RangeState(kDirectoryRanges, 1)})
+                  .IsCorruption());
+  // In the directory, but past the header's range count.
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(1, 1)}).IsCorruption());
+  // Every range-addressed frame kind checks its id.
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 1),
+                              Segment(kDirectoryRanges, 1, {5})})
+                  .IsCorruption());
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 1),
+                              {FrameType::kUpdateRecords,
+                               Fields({kDirectoryRanges, 0})}})
+                  .IsCorruption());
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 1),
+                              {FrameType::kInsertRecords,
+                               Fields({kDirectoryRanges, 0, 0})}})
+                  .IsCorruption());
+}
+
+TEST_F(CheckpointTest, CraftedSlotPastRangeSizeIsCorruption) {
+  const uint64_t range_size = SmallConfig().range_size;
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, range_size + 1)}).IsCorruption());
+  // Insert records at [first slot, first slot + count).
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 1),
+                              {FrameType::kInsertRecords,
+                               Fields({0, range_size, 1, 0, 0, 0})}})
+                  .IsCorruption());
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 1),
+                              {FrameType::kInsertRecords,
+                               Fields({0, 1, ~0ull, 0, 0, 0})}})
+                  .IsCorruption());
+}
+
+TEST_F(CheckpointTest, CraftedSegmentSlotCountPastRangeSizeIsCorruption) {
+  // Refused before anything is sized from the count.
+  const uint64_t range_size = SmallConfig().range_size;
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 1), Segment(0, 1ull << 40, {5})})
+                  .IsCorruption());
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 1),
+                              Segment(0, range_size + 1,
+                                      std::vector<Value>(range_size + 1, 5))})
+                  .IsCorruption());
+  // A segment whose column disagrees with its slot count.
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 3), Segment(0, 3, {1, 2})})
+                  .IsCorruption());
+  // A by-reference segment is checked the same way.
+  std::string ref = Fields({0, 1, 0, 1ull << 40, 0, 16, 0});
+  CompressedColumn::PutHeader(&ref, CompressedColumn::Header{});
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 1),
+                              {FrameType::kBaseSegmentRef, ref}})
+                  .IsCorruption());
+}
+
+TEST_F(CheckpointTest, RedoRecordPastDirectoryOrRangeIsCorruption) {
+  std::filesystem::create_directories(dir_);
+  const uint32_t range_size = SmallConfig().range_size;
+  for (auto [range, slot] : {std::pair<uint64_t, uint32_t>{kDirectoryRanges, 0},
+                             {0, range_size}}) {
+    const std::string path = dir_ + "/t.log";
+    {
+      RedoLog log;
+      ASSERT_TRUE(log.Open(path, true).ok());
+      LogRecord rec;
+      rec.type = LogRecordType::kInsertAppend;
+      rec.txn_id = kTxnIdTag | 7;
+      rec.range_id = range;
+      rec.seq = slot + 1;
+      rec.base_slot = slot;
+      rec.mask = 0b11;
+      rec.values = {1, 2};
+      log.Append(rec);
+      ASSERT_TRUE(log.Flush(false).ok());
+    }
+    TableConfig cfg = SmallConfig();
+    cfg.log_path = path;
+    cfg.enable_logging = true;
+    Table t("t", Schema(2), cfg);
+    Status s = t.RecoverFromLog();
+    EXPECT_TRUE(s.IsCorruption())
+        << range << "/" << slot << ": " << s.ToString();
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/bitutil.h"
@@ -313,6 +317,155 @@ TEST(CompressedColumnTest, CompressionDisabledKeepsPlain) {
   EXPECT_EQ(col->encoding(), CompressedColumn::Encoding::kPlain);
 }
 
+// --- serialized form -------------------------------------------------------
+
+/// Parse `bytes` from an allocation of exactly their size, so a read
+/// past the end is a sanitizer error rather than a silent one.
+Status ParseExact(std::string_view bytes,
+                  std::unique_ptr<CompressedColumn>* out) {
+  std::vector<char> copy(bytes.begin(), bytes.end());
+  return CompressedColumn::Parse(std::string_view(copy.data(), copy.size()),
+                                 out);
+}
+
+/// Serialize `col`, parse it back, and expect the parsed column to read
+/// the same through Get and a cursor and to serialize to the same
+/// bytes. Returns the bytes.
+std::string ExpectSerializedRoundTrip(const CompressedColumn& col) {
+  std::string bytes;
+  col.AppendTo(&bytes);
+  EXPECT_EQ(bytes.size(), CompressedColumn::SerializedBytes(col.header()));
+  std::unique_ptr<CompressedColumn> back;
+  Status s = ParseExact(bytes, &back);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  if (!s.ok()) return bytes;
+  EXPECT_EQ(back->encoding(), col.encoding());
+  EXPECT_EQ(back->size(), col.size());
+  EXPECT_EQ(back->byte_size(), col.byte_size());
+  EXPECT_TRUE(back->header() == col.header());
+  auto a = col.cursor();
+  auto b = back->cursor();
+  for (size_t i = 0; i < col.size(); ++i) {
+    EXPECT_EQ(back->Get(i), col.Get(i)) << i;
+    EXPECT_EQ(b.At(i), a.At(i)) << i;
+  }
+  std::string again;
+  back->AppendTo(&again);
+  EXPECT_EQ(again, bytes);
+  return bytes;
+}
+
+/// One sample column per shape the serialized form distinguishes.
+std::vector<std::pair<std::string, std::vector<Value>>> SerdeSamples() {
+  Random rng(21);
+  std::vector<std::pair<std::string, std::vector<Value>>> out;
+  std::vector<Value> plain, runs, frame, frame_null, dict;
+  for (Value i = 0; i < 1000; ++i) {
+    plain.push_back(rng.Next());
+    runs.push_back((i / 100) * 1000003);
+    frame.push_back(3 * 4096 + i);
+    frame_null.push_back(i % 9 == 4 ? kNull : 70000 + i);
+    dict.push_back(i % 3 == 0 ? (1ull << 55) : i % 3 == 1 ? 9 : 123456);
+  }
+  out.emplace_back("plain", plain);
+  out.emplace_back("rle", runs);
+  out.emplace_back("for", frame);
+  out.emplace_back("for_null", frame_null);
+  out.emplace_back("dictionary", dict);
+  out.emplace_back("empty", std::vector<Value>{});
+  out.emplace_back("one", std::vector<Value>{kNull - 1});
+  return out;
+}
+
+TEST(CompressedColumnSerdeTest, EveryEncodingRoundTrips) {
+  using E = CompressedColumn::Encoding;
+  const E want[] = {E::kPlain, E::kRle,   E::kFor,  E::kFor,
+                    E::kDictionary, E::kPlain, E::kPlain};
+  auto samples = SerdeSamples();
+  for (size_t k = 0; k < samples.size(); ++k) {
+    SCOPED_TRACE(samples[k].first);
+    auto col = CompressedColumn::Build(samples[k].second, true);
+    EXPECT_EQ(col->encoding(), want[k]);
+    EXPECT_EQ(col->header().has_null != 0, samples[k].first == "for_null");
+    ExpectSerializedRoundTrip(*col);
+  }
+}
+
+TEST(CompressedColumnSerdeTest, ForWidthZeroRoundTrips) {
+  // Build never picks a zero-width frame (a one-entry dictionary is
+  // smaller), yet the form allows it: every slot is the base.
+  CompressedColumn::Header h;
+  h.encoding = CompressedColumn::Encoding::kFor;
+  h.size = 130;
+  h.aux = 987654321;
+  std::string bytes;
+  CompressedColumn::PutHeader(&bytes, h);
+  ASSERT_EQ(bytes.size(), CompressedColumn::kHeaderBytes);
+  std::unique_ptr<CompressedColumn> col;
+  ASSERT_TRUE(ParseExact(bytes, &col).ok());
+  for (size_t i = 0; i < h.size; ++i) ASSERT_EQ(col->Get(i), h.aux) << i;
+  EXPECT_EQ(ExpectSerializedRoundTrip(*col), bytes);
+}
+
+TEST(CompressedColumnSerdeTest, ParserRejectsMalformedInput) {
+  std::unique_ptr<CompressedColumn> col;
+  std::string rle, dict;
+  for (const auto& [name, vals] : SerdeSamples()) {
+    SCOPED_TRACE(name);
+    std::string bytes;
+    CompressedColumn::Build(vals, true)->AppendTo(&bytes);
+    for (size_t len = 0; len < bytes.size(); ++len) {
+      ASSERT_FALSE(
+          ParseExact(std::string_view(bytes).substr(0, len), &col).ok())
+          << "prefix " << len;
+    }
+    EXPECT_FALSE(ParseExact(bytes + '\0', &col).ok());
+    for (char tag : {'\x04', '\x7f', '\xff'}) {
+      std::string bad = bytes;
+      bad[0] = tag;
+      EXPECT_FALSE(ParseExact(bad, &col).ok());
+    }
+    if (name == "rle") rle = bytes;
+    if (name == "dictionary") dict = bytes;
+  }
+
+  // A frame of 64 or more bits is never smaller than plain.
+  for (int width : {64, 65, 255}) {
+    CompressedColumn::Header h;
+    h.encoding = CompressedColumn::Encoding::kFor;
+    h.width = static_cast<uint8_t>(width);
+    h.size = 10;
+    std::string bytes;
+    CompressedColumn::PutHeader(&bytes, h);
+    bytes.append(BitPackedArray::PackedBytes(10, width), '\0');
+    EXPECT_FALSE(ParseExact(bytes, &col).ok()) << width;
+  }
+
+  // RLE: run starts must rise from 0 below the slot count.
+  constexpr size_t kHdr = CompressedColumn::kHeaderBytes;
+  auto with_start = [&](size_t run, uint64_t start) {
+    std::string bad = rle;
+    std::memcpy(bad.data() + kHdr + run * sizeof(uint64_t), &start,
+                sizeof(start));
+    return bad;
+  };
+  ASSERT_TRUE(ParseExact(rle, &col).ok());
+  EXPECT_FALSE(ParseExact(with_start(0, 1), &col).ok());
+  EXPECT_FALSE(ParseExact(with_start(2, 100), &col).ok());  // == run 1
+  EXPECT_FALSE(ParseExact(with_start(2, 50), &col).ok());   // < run 1
+  EXPECT_FALSE(ParseExact(with_start(9, 1000), &col).ok()); // == slots
+
+  // Dictionary: three entries, 2-bit codes; code 3 names no entry.
+  ASSERT_TRUE(ParseExact(dict, &col).ok());
+  std::string bad = dict;
+  uint64_t word;
+  const size_t codes = kHdr + 3 * sizeof(Value);
+  std::memcpy(&word, bad.data() + codes, sizeof(word));
+  word |= 3ull << (2 * 5);  // slot 5
+  std::memcpy(bad.data() + codes, &word, sizeof(word));
+  EXPECT_FALSE(ParseExact(bad, &col).ok());
+}
+
 // Property sweep: every codec must round-trip across data shapes.
 struct CodecCase {
   const char* name;
@@ -347,6 +500,10 @@ TEST_P(CodecRoundTrip, CompressedColumnPreservesEveryValue) {
   for (size_t i = 0; i < vals.size(); ++i) {
     ASSERT_EQ(col->Get(i), vals[i]) << "at " << i;
   }
+}
+
+TEST_P(CodecRoundTrip, SerializedFormRoundTrips) {
+  ExpectSerializedRoundTrip(*CompressedColumn::Build(MakeData(), true));
 }
 
 TEST_P(CodecRoundTrip, DeltaPreservesEveryValue) {

@@ -10,6 +10,8 @@
 #include <memory>
 #include <string>
 
+#include "checkpoint/serde.h"
+#include "common/checksum.h"
 #include "common/file.h"
 #include "core/database.h"
 #include "storage/compression/varint.h"
@@ -214,6 +216,73 @@ TEST(DatabaseFormatTest, ForeignChecksumDirectoryIsRefusedBeforeAnyLog) {
     ASSERT_TRUE(ReadFile(logs[i], &after).ok());
     EXPECT_EQ(after, before[i]) << logs[i];
   }
+  std::filesystem::remove_all(dir);
+}
+
+
+/// Rewrite the format version in the file header frame (the first
+/// frame: magic and version varints) of `path`, re-sealing its CRC.
+void SetFormatVersion(const std::string& path, uint8_t version) {
+  std::string data;
+  ASSERT_TRUE(ReadFile(path, &data).ok()) << path;
+  size_t pos = 0;
+  uint64_t len = 0, magic = 0;
+  ASSERT_TRUE(GetVarint64(data, &pos, &len));
+  const size_t body = pos;
+  pos += 1;  // frame type
+  ASSERT_TRUE(GetVarint64(data, &pos, &magic));
+  ASSERT_EQ(static_cast<uint8_t>(data[pos]), kCheckpointFormatVersion) << path;
+  data[pos] = static_cast<char>(version);
+  const uint32_t crc = Crc32c(data.data() + body, len);
+  std::memcpy(data.data() + body + len, &crc, sizeof(crc));
+  std::ofstream(path, std::ios::binary | std::ios::trunc) << data;
+}
+
+// A directory written in the previous checkpoint format (version 1:
+// base segments as varints) is refused with Corruption at the CATALOG,
+// before any log is opened or cut; its checkpoint and MANIFEST carry
+// the old version too, so no reader would take their segments for the
+// current form.
+TEST(DatabaseFormatTest, OlderFormatVersionIsRefusedBeforeAnyLog) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "lstore_format_v1";
+  std::filesystem::remove_all(dir);
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, &db).ok());
+    ASSERT_TRUE(db->CreateTable("a", Schema(2), Cfg()).ok());
+    Txn txn = db->Begin();
+    for (Value k = 0; k < 100; ++k) {
+      ASSERT_TRUE(db->GetTable("a")->Insert(txn, {k, k * 10}).ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+    db->GetTable("a")->FlushAll();
+    ASSERT_TRUE(db->Checkpoint().ok());
+    Txn more = db->Begin();
+    ASSERT_TRUE(db->GetTable("a")->Insert(more, {1000, 1}).ok());
+    ASSERT_TRUE(more.Commit().ok());
+  }
+  int checkpoints = 0;
+  for (const auto& e : std::filesystem::directory_iterator(dir)) {
+    if (e.path().extension() == ".ckpt") {
+      SetFormatVersion(e.path().string(), 1);
+      ++checkpoints;
+    }
+  }
+  ASSERT_EQ(checkpoints, 1);
+  SetFormatVersion(dir + "/CATALOG", 1);
+  SetFormatVersion(dir + "/MANIFEST", 1);
+  std::string before;
+  ASSERT_TRUE(ReadFile(dir + "/a.log", &before).ok());
+  ASSERT_FALSE(before.empty());
+
+  std::unique_ptr<Database> db;
+  Status s = Database::Open(dir, &db);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(db, nullptr);
+  std::string after;
+  ASSERT_TRUE(ReadFile(dir + "/a.log", &after).ok());
+  EXPECT_EQ(after, before);
   std::filesystem::remove_all(dir);
 }
 
