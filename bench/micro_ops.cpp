@@ -9,7 +9,6 @@
 #include "core/query.h"
 #include "core/table.h"
 #include "storage/compressed_column.h"
-#include "storage/compression/delta.h"
 
 namespace {
 
@@ -146,20 +145,6 @@ void BM_ScanMerged(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (1u << 14));
 }
 BENCHMARK(BM_ScanMerged);
-
-void BM_DeltaEncodeDecode(benchmark::State& state) {
-  std::vector<Value> vals;
-  for (uint64_t i = 0; i < 4096; ++i) vals.push_back(1000000 + i * 3);
-  for (auto _ : state) {
-    std::string buf;
-    DeltaEncode(vals, &buf);
-    std::vector<Value> out;
-    (void)DeltaDecode(buf, &out);
-    benchmark::DoNotOptimize(out);
-  }
-  state.SetItemsProcessed(state.iterations() * vals.size());
-}
-BENCHMARK(BM_DeltaEncodeDecode);
 
 void BM_CompressedColumnGet(benchmark::State& state) {
   Random rng(6);

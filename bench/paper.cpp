@@ -532,12 +532,14 @@ void Cumulation(const BenchArgs& args) {
     std::printf("%-18s", mode);
     WorkloadResult w = Run(args, e, wl, {1, 0, 0});
     Report(" %16.0f", key + ".updates_s", Ktps(w, kOpUpdate) * 1000, "1/s");
-    const TableStats& st = e.table().stats();
-    uint64_t hops0 = st.tail_chain_hops.load();
-    uint64_t reads0 = st.reads.load();
+    MetricsRegistry* m = e.table().metrics();
+    Counter* chain = m->GetCounter("lstore_tail_chain_hops_total");
+    Counter* point_reads = m->GetCounter("lstore_reads_total");
+    uint64_t hops0 = chain->value();
+    uint64_t reads0 = point_reads->value();
     WorkloadResult r = Run(args, e, wl, {0, 0, 1});
-    uint64_t hops = st.tail_chain_hops.load() - hops0;
-    uint64_t reads = st.reads.load() - reads0;
+    uint64_t hops = chain->value() - hops0;
+    uint64_t reads = point_reads->value() - reads0;
     Report(" %20.2f", key + ".read_txn_p50_us",
            r.stats.lat[kOpRead].PercentileUs(0.5), "us");
     Report(" %16.2f\n", key + ".hops_per_read",

@@ -120,11 +120,14 @@ int main() {
   // Merge statistics: the background merge kept tail pages bounded
   // without ever blocking the OLTP stream.
   shoppers.WaitForMergeQueue();
-  std::printf("merges: %llu update + %llu insert; tail records merged: %llu\n",
-              static_cast<unsigned long long>(shoppers.stats().merges.load()),
-              static_cast<unsigned long long>(
-                  shoppers.stats().insert_merges.load()),
-              static_cast<unsigned long long>(
-                  shoppers.stats().tail_records_merged.load()));
+  MetricsSnapshot m = shoppers.metrics()->Snapshot();
+  std::printf(
+      "merges: %llu update + %llu insert; tail records merged: %llu\n",
+      static_cast<unsigned long long>(
+          m.CounterValue("lstore_update_merges_total")),
+      static_cast<unsigned long long>(
+          m.CounterValue("lstore_insert_merges_total")),
+      static_cast<unsigned long long>(
+          m.CounterValue("lstore_merge_rows_consolidated_total")));
   return 0;
 }

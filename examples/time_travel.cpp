@@ -73,7 +73,9 @@ int main() {
     }
     std::printf("historic compressions: %llu\n",
                 static_cast<unsigned long long>(
-                    inventory.stats().historic_compressions.load()));
+                    inventory.metrics()
+                        ->GetCounter("lstore_historic_compressions_total")
+                        ->value()));
     // Table destructs here = clean shutdown. Now simulate restart.
   }
 

@@ -146,7 +146,9 @@ void DbmTable::AbortTxn(Transaction* txn) {
 // Writes: inserts and updates both append to the range's delta store
 // ---------------------------------------------------------------------------
 
-Status DbmTable::Insert(Transaction* txn, const std::vector<Value>& row) {
+Status DbmTable::Insert(Txn& session, const std::vector<Value>& row) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  Transaction* txn = session.raw();
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument("row arity mismatch");
   }
@@ -182,8 +184,10 @@ Status DbmTable::Insert(Transaction* txn, const std::vector<Value>& row) {
   return Status::OK();
 }
 
-Status DbmTable::Update(Transaction* txn, Value key, ColumnMask mask,
+Status DbmTable::Update(Txn& session, Value key, ColumnMask mask,
                         const std::vector<Value>& row) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  Transaction* txn = session.raw();
   if (mask == 0 || (mask & 1ull) != 0) {
     return Status::InvalidArgument("bad mask");
   }
@@ -276,7 +280,9 @@ Status DbmTable::Update(Transaction* txn, Value key, ColumnMask mask,
 // Reads
 // ---------------------------------------------------------------------------
 
-Status DbmTable::Delete(Transaction* txn, Value key) {
+Status DbmTable::Delete(Txn& session, Value key) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  Transaction* txn = session.raw();
   Rid rid = primary_.Get(key);
   if (rid == kInvalidRid) return Status::NotFound("no such key");
   MainRange* r = GetRange(rid / config_.range_size);
@@ -423,8 +429,10 @@ Status DbmTable::ResolveRecord(MainRange& r, uint32_t slot, Timestamp as_of,
   return Status::OK();
 }
 
-Status DbmTable::Read(Transaction* txn, Value key, ColumnMask mask,
+Status DbmTable::Read(Txn& session, Value key, ColumnMask mask,
                       std::vector<Value>* out) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  Transaction* txn = session.raw();
   out->assign(schema_.num_columns(), kNull);
   Rid rid = primary_.Get(key);
   if (rid == kInvalidRid) return Status::NotFound("no such key");

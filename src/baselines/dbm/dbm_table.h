@@ -50,25 +50,13 @@ class DbmTable : public TxnContext {
   /// Non-ticking read snapshot for scans.
   Timestamp Now() const { return txn_manager_->SnapshotNow(); }
 
-  Status Insert(Txn& txn, const std::vector<Value>& row) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return Insert(txn.raw(), row);
-  }
+  Status Insert(Txn& txn, const std::vector<Value>& row);
   Status Update(Txn& txn, Value key, ColumnMask mask,
-                const std::vector<Value>& row) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return Update(txn.raw(), key, mask, row);
-  }
+                const std::vector<Value>& row);
   /// Delete: appends a delta entry flagged as a tombstone; merge
   /// marks the main-store record deleted.
-  Status Delete(Txn& txn, Value key) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return Delete(txn.raw(), key);
-  }
-  Status Read(Txn& txn, Value key, ColumnMask mask, std::vector<Value>* out) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return Read(txn.raw(), key, mask, out);
-  }
+  Status Delete(Txn& txn, Value key);
+  Status Read(Txn& txn, Value key, ColumnMask mask, std::vector<Value>* out);
   Status SumColumn(ColumnId col, Timestamp as_of, uint64_t* sum);
 
   /// Merge one range's delta into its main store, draining all active
@@ -87,19 +75,9 @@ class DbmTable : public TxnContext {
   }
 
  private:
-  // Session plumbing (TxnContext) + transaction-pointer cores.
-  static Status CheckActive(const Txn& txn) {
-    return txn.active() ? Status::OK()
-                        : Status::InvalidArgument("transaction finished");
-  }
+  // Session plumbing (TxnContext).
   Status CommitTxn(Transaction* txn) override;
   void AbortTxn(Transaction* txn) override;
-  Status Insert(Transaction* txn, const std::vector<Value>& row);
-  Status Update(Transaction* txn, Value key, ColumnMask mask,
-                const std::vector<Value>& row);
-  Status Delete(Transaction* txn, Value key);
-  Status Read(Transaction* txn, Value key, ColumnMask mask,
-              std::vector<Value>* out);
 
   // Delta entry stride layout:
   // [0]=start_raw, [1]=prev_idx, [2]=slot, [3]=mask, [4..4+ncols).

@@ -140,7 +140,9 @@ void IuhTable::AbortTxn(Transaction* txn) {
   txn->set_finished();
 }
 
-Status IuhTable::Insert(Transaction* txn, const std::vector<Value>& row) {
+Status IuhTable::Insert(Txn& session, const std::vector<Value>& row) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  Transaction* txn = session.raw();
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument("row arity mismatch");
   }
@@ -265,8 +267,10 @@ bool IuhTable::CurrentStart(MainRange& r, uint32_t slot, Transaction* txn,
   return true;
 }
 
-Status IuhTable::Update(Transaction* txn, Value key, ColumnMask mask,
+Status IuhTable::Update(Txn& session, Value key, ColumnMask mask,
                         const std::vector<Value>& row) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  Transaction* txn = session.raw();
   if (mask == 0 || (mask & 1ull) != 0) {
     return Status::InvalidArgument("bad mask");
   }
@@ -321,7 +325,9 @@ Status IuhTable::Update(Transaction* txn, Value key, ColumnMask mask,
   return Status::OK();
 }
 
-Status IuhTable::Delete(Transaction* txn, Value key) {
+Status IuhTable::Delete(Txn& session, Value key) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  Transaction* txn = session.raw();
   Rid rid = primary_.Get(key);
   if (rid == kInvalidRid) return Status::NotFound("no such key");
   MainRange* r = GetRange(rid / config_.range_size);
@@ -360,8 +366,10 @@ Status IuhTable::Delete(Transaction* txn, Value key) {
   return Status::OK();
 }
 
-Status IuhTable::Read(Transaction* txn, Value key, ColumnMask mask,
+Status IuhTable::Read(Txn& session, Value key, ColumnMask mask,
                       std::vector<Value>* out) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  Transaction* txn = session.raw();
   out->assign(schema_.num_columns(), kNull);
   Rid rid = primary_.Get(key);
   if (rid == kInvalidRid) return Status::NotFound("no such key");

@@ -205,7 +205,7 @@ Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
   for (Table* t : readers) {
     Status s = t->ValidateReads(txn, commit_time);
     if (!s.ok()) {
-      t->stats().validation_aborts.fetch_add(1, std::memory_order_relaxed);
+      t->obs_.validation_aborts->Increment();
       AbortAcrossTables(tm, txn, writers);
       return s;
     }

@@ -46,7 +46,7 @@ Database::Database() {
     r.GetGauge("lstore_buffer_evictions", "Buffer-pool clock evictions")
         ->Set(static_cast<int64_t>(bs.evictions));
     r.GetGauge("lstore_buffer_cold_point_reads",
-               "Point reads decoded from cold fixed-width segments")
+               "Point reads served from cold segments without loading them")
         ->Set(static_cast<int64_t>(bs.cold_point_reads));
     r.GetGauge("lstore_buffer_bytes_resident", "Resident payload bytes")
         ->Set(static_cast<int64_t>(bs.bytes_resident));
@@ -54,30 +54,12 @@ Database::Database() {
         ->Set(static_cast<int64_t>(bs.budget_bytes));
     r.GetGauge("lstore_buffer_pages", "Registered pages (resident or cold)")
         ->Set(static_cast<int64_t>(bs.pages));
-    size_t epoch_pending = 0, index_bytes = 0;
-    uint64_t base_bytes = 0, update_meta_bytes = 0;
     {
       SpinGuard g(latch_);
-      for (const auto& e : tables_) {
-        epoch_pending += e.table->epochs().pending();
-        index_bytes += e.table->PrimaryIndexBytes();
-        base_bytes += e.table->BaseResidentBytes();
-        update_meta_bytes += e.table->UpdateMetaBytes();
-      }
+      std::vector<const Table*> tables;
+      for (const auto& e : tables_) tables.push_back(e.table.get());
+      Table::CollectSizeGauges(r, tables);
     }
-    r.GetGauge("lstore_epoch_pending",
-               "Retired-but-unreclaimed epoch entries across tables")
-        ->Set(static_cast<int64_t>(epoch_pending));
-    r.GetGauge("lstore_primary_index_bytes",
-               "Primary-index bytes across tables")
-        ->Set(static_cast<int64_t>(index_bytes));
-    r.GetGauge("lstore_base_resident_bytes",
-               "Resident base-segment payload bytes across tables")
-        ->Set(static_cast<int64_t>(base_bytes));
-    r.GetGauge("lstore_update_meta_bytes",
-               "Per-slot update metadata bytes of updated ranges across "
-               "tables")
-        ->Set(static_cast<int64_t>(update_meta_bytes));
     if (kTraceEnabled) {
       // Mirror the flight recorder's monotonic overwrite count into a
       // counter: exchange keeps the delta exact even when several

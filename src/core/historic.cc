@@ -289,7 +289,7 @@ size_t Table::RunHistoricCompression(Range& r) {
     delete old_store;
   });
 
-  stats_.historic_compressions.fetch_add(1, std::memory_order_relaxed);
+  obs_.historic_compressions->Increment();
   obs_.historic_versions->Add(moved);
   Stage::Record(obs_.merge_historic_ns, nullptr, 0, compress_t0,
                 Stage::Now() - compress_t0);

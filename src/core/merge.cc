@@ -219,7 +219,7 @@ bool Table::RunInsertMerge(Range& r) {
     BaseSegment* old = r.base[pc].exchange(fresh[pc],
                                            std::memory_order_acq_rel);
     if (old != nullptr) {
-      stats_.segments_retired.fetch_add(1, std::memory_order_relaxed);
+      obs_.segments_retired->Increment();
       epochs_.Retire([old] { delete old; });
     }
   }
@@ -232,7 +232,7 @@ bool Table::RunInsertMerge(Range& r) {
   uint32_t keep_from = new_based + 1;
   epochs_.Retire([rp, keep_from] { rp->inserts.DropRecordsBelow(keep_from); });
 
-  stats_.insert_merges.fetch_add(1, std::memory_order_relaxed);
+  obs_.insert_merges->Increment();
   obs_.insert_rows_merged->Add(new_based - based);
   Stage::Record(obs_.merge_insert_ns, nullptr, 0, merge_t0,
                 Stage::Now() - merge_t0);
@@ -435,7 +435,7 @@ bool Table::RunUpdateMerge(Range& r, ColumnMask data_cols, bool all_columns) {
     BaseSegment* old = r.base[pc].exchange(fresh[pc],
                                            std::memory_order_acq_rel);
     if (old != nullptr) {
-      stats_.segments_retired.fetch_add(1, std::memory_order_relaxed);
+      obs_.segments_retired->Increment();
       // Step 5: epoch-based de-allocation (Figure 6).
       epochs_.Retire([old] { delete old; });
     }
@@ -453,9 +453,7 @@ bool Table::RunUpdateMerge(Range& r, ColumnMask data_cols, bool all_columns) {
     AtomicMaxU32Local(r.merged_tps, min_tps);
   }
 
-  stats_.merges.fetch_add(1, std::memory_order_relaxed);
-  stats_.tail_records_merged.fetch_add(new_tps - old_tps,
-                                       std::memory_order_relaxed);
+  obs_.update_merges->Increment();
   obs_.merge_rows->Add(new_tps - old_tps);
   Stage::Record(obs_.merge_update_ns, nullptr, 0, merge_t0,
                 Stage::Now() - merge_t0);

@@ -109,7 +109,9 @@ void RowTable::AbortTxn(Transaction* txn) {
   txn->set_finished();
 }
 
-Status RowTable::Insert(Transaction* txn, const std::vector<Value>& row) {
+Status RowTable::Insert(Txn& session, const std::vector<Value>& row) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  Transaction* txn = session.raw();
   if (row.size() != schema_.num_columns()) {
     return Status::InvalidArgument("row arity mismatch");
   }
@@ -214,8 +216,10 @@ Status RowTable::ResolveRow(RowRange& r, uint32_t slot, Timestamp as_of,
   return Status::OK();
 }
 
-Status RowTable::Update(Transaction* txn, Value key, ColumnMask mask,
+Status RowTable::Update(Txn& session, Value key, ColumnMask mask,
                         const std::vector<Value>& row) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  Transaction* txn = session.raw();
   if (mask == 0 || (mask & 1ull) != 0) {
     return Status::InvalidArgument("bad mask");
   }
@@ -286,7 +290,9 @@ Status RowTable::Update(Transaction* txn, Value key, ColumnMask mask,
   return Status::OK();
 }
 
-Status RowTable::Delete(Transaction* txn, Value key) {
+Status RowTable::Delete(Txn& session, Value key) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  Transaction* txn = session.raw();
   Rid rid = primary_.Get(key);
   if (rid == kInvalidRid) return Status::NotFound("no such key");
   RowRange* r = GetRange(rid / config_.range_size);
@@ -345,8 +351,10 @@ Status RowTable::Delete(Transaction* txn, Value key) {
   return Status::OK();
 }
 
-Status RowTable::Read(Transaction* txn, Value key, ColumnMask mask,
+Status RowTable::Read(Txn& session, Value key, ColumnMask mask,
                       std::vector<Value>* out) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  Transaction* txn = session.raw();
   out->assign(schema_.num_columns(), kNull);
   Rid rid = primary_.Get(key);
   if (rid == kInvalidRid) return Status::NotFound("no such key");

@@ -43,25 +43,13 @@ class RowTable : public TxnContext {
   /// Non-ticking read snapshot for scans.
   Timestamp Now() const { return txn_manager_->SnapshotNow(); }
 
-  Status Insert(Txn& txn, const std::vector<Value>& row) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return Insert(txn.raw(), row);
-  }
+  Status Insert(Txn& txn, const std::vector<Value>& row);
   Status Update(Txn& txn, Value key, ColumnMask mask,
-                const std::vector<Value>& row) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return Update(txn.raw(), key, mask, row);
-  }
+                const std::vector<Value>& row);
   /// Delete: appends a version whose key column is ∅ (the row-layout
   /// delete marker); older snapshots keep seeing the record.
-  Status Delete(Txn& txn, Value key) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return Delete(txn.raw(), key);
-  }
-  Status Read(Txn& txn, Value key, ColumnMask mask, std::vector<Value>* out) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return Read(txn.raw(), key, mask, out);
-  }
+  Status Delete(Txn& txn, Value key);
+  Status Read(Txn& txn, Value key, ColumnMask mask, std::vector<Value>* out);
   Status SumColumn(ColumnId col, Timestamp as_of, uint64_t* sum) const;
 
   const Schema& schema() const { return schema_; }
@@ -69,19 +57,9 @@ class RowTable : public TxnContext {
   uint64_t num_rows() const { return next_row_.load(std::memory_order_acquire); }
 
  private:
-  // Session plumbing (TxnContext) + transaction-pointer cores.
-  static Status CheckActive(const Txn& txn) {
-    return txn.active() ? Status::OK()
-                        : Status::InvalidArgument("transaction finished");
-  }
+  // Session plumbing (TxnContext).
   Status CommitTxn(Transaction* txn) override;
   void AbortTxn(Transaction* txn) override;
-  Status Insert(Transaction* txn, const std::vector<Value>& row);
-  Status Update(Transaction* txn, Value key, ColumnMask mask,
-                const std::vector<Value>& row);
-  Status Delete(Transaction* txn, Value key);
-  Status Read(Transaction* txn, Value key, ColumnMask mask,
-              std::vector<Value>* out);
 
   // Tail version layout (row-major): [start_time][backptr][c0..cN-1].
   struct RowRange {

@@ -81,19 +81,8 @@ Table::Table(std::string name, Schema schema, TableConfig config,
     // collector instead).
     owned_metrics_ = std::make_unique<MetricsRegistry>();
     metrics_ = owned_metrics_.get();
-    metrics_->AddCollector([this](MetricsRegistry& r) {
-      r.GetGauge("lstore_epoch_pending",
-                 "Retired-but-unreclaimed epoch entries")
-          ->Set(static_cast<int64_t>(epochs_.pending()));
-      r.GetGauge("lstore_primary_index_bytes", "Primary-index bytes")
-          ->Set(static_cast<int64_t>(PrimaryIndexBytes()));
-      r.GetGauge("lstore_base_resident_bytes",
-                 "Resident base-segment payload bytes")
-          ->Set(static_cast<int64_t>(BaseResidentBytes()));
-      r.GetGauge("lstore_update_meta_bytes",
-                 "Per-slot update metadata bytes of updated ranges")
-          ->Set(static_cast<int64_t>(UpdateMetaBytes()));
-    });
+    metrics_->AddCollector(
+        [this](MetricsRegistry& r) { CollectSizeGauges(r, {this}); });
   }
   obs_.merge_update_ns = metrics_->GetHistogram(
       "lstore_merge_update_ns", "Update-merge duration per range (ns)");
@@ -119,6 +108,28 @@ Table::Table(std::string name, Schema schema, TableConfig config,
       metrics_->GetCounter("lstore_commits_total", "Pipeline commits");
   obs_.aborts =
       metrics_->GetCounter("lstore_aborts_total", "Pipeline aborts");
+  obs_.reads = metrics_->GetCounter(
+      "lstore_reads_total", "Point reads of a located record");
+  obs_.inserts = metrics_->GetCounter("lstore_inserts_total", "Rows inserted");
+  obs_.updates = metrics_->GetCounter("lstore_updates_total",
+                                      "Update tail versions written");
+  obs_.deletes = metrics_->GetCounter("lstore_deletes_total",
+                                      "Delete tail versions written");
+  obs_.ww_conflicts = metrics_->GetCounter(
+      "lstore_ww_conflicts_total", "Writes aborted by a write-write conflict");
+  obs_.validation_aborts = metrics_->GetCounter(
+      "lstore_validation_aborts_total", "Commits aborted by read validation");
+  obs_.tail_chain_hops = metrics_->GetCounter(
+      "lstore_tail_chain_hops_total",
+      "Chain hops resolving records (a historic lookup counts one)");
+  obs_.segments_retired = metrics_->GetCounter(
+      "lstore_segments_retired_total", "Base segments replaced by merges");
+  obs_.update_merges = metrics_->GetCounter("lstore_update_merges_total",
+                                            "Update merges completed");
+  obs_.insert_merges = metrics_->GetCounter("lstore_insert_merges_total",
+                                            "Insert merges completed");
+  obs_.historic_compressions = metrics_->GetCounter(
+      "lstore_historic_compressions_total", "Historic compressions completed");
   if (config_.enable_logging && !config_.log_path.empty()) {
     log_ = std::make_unique<RedoLog>();
     FramedLogMetrics lm;
@@ -257,6 +268,29 @@ uint64_t Table::UpdateMetaBytes() const {
     }
   }
   return arrays * config_.range_size * sizeof(SlotMeta);
+}
+
+void Table::CollectSizeGauges(MetricsRegistry& r,
+                              const std::vector<const Table*>& tables) {
+  size_t epoch_pending = 0, index_bytes = 0;
+  uint64_t base_bytes = 0, update_meta_bytes = 0;
+  for (const Table* t : tables) {
+    epoch_pending += t->epochs_.pending();
+    index_bytes += t->PrimaryIndexBytes();
+    base_bytes += t->BaseResidentBytes();
+    update_meta_bytes += t->UpdateMetaBytes();
+  }
+  r.GetGauge("lstore_epoch_pending",
+             "Retired-but-unreclaimed epoch entries across tables")
+      ->Set(static_cast<int64_t>(epoch_pending));
+  r.GetGauge("lstore_primary_index_bytes", "Primary-index bytes across tables")
+      ->Set(static_cast<int64_t>(index_bytes));
+  r.GetGauge("lstore_base_resident_bytes",
+             "Resident base-segment payload bytes across tables")
+      ->Set(static_cast<int64_t>(base_bytes));
+  r.GetGauge("lstore_update_meta_bytes",
+             "Per-slot update metadata bytes of updated ranges across tables")
+      ->Set(static_cast<int64_t>(update_meta_bytes));
 }
 
 std::vector<uint32_t> Table::RangeColumnTps(uint64_t range_id) const {
@@ -568,7 +602,7 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
       // Continue inside the historic store (Section 4.3).
       HistoricStore* hist = r.historic.load(std::memory_order_acquire);
       if (hist != nullptr) {
-        stats_.tail_chain_hops.fetch_add(1, std::memory_order_relaxed);
+        obs_.tail_chain_hops->Increment();
         auto versions = hist->VersionsOf(slot);
         for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
           if (it->seq > seq) continue;
@@ -612,7 +646,7 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
       seq = back;  // intermediate same-txn version: implicitly invalid
       continue;
     }
-    stats_.tail_chain_hops.fetch_add(1, std::memory_order_relaxed);
+    obs_.tail_chain_hops->Increment();
     if (!first_found) {
       first_found = true;
       if (observed_seq != nullptr) *observed_seq = seq;
@@ -839,12 +873,20 @@ void Table::WriteAbortRecord(Transaction* txn, bool flush) {
 }
 
 // ---------------------------------------------------------------------------
-// Insert (Section 3.2)
+// Insert, single and batched (Section 3.2)
 // ---------------------------------------------------------------------------
 
-Status Table::Insert(Transaction* txn, const std::vector<Value>& row) {
+Status Table::Insert(Txn& txn, const std::vector<Value>& row) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(txn, this, txn_scope_));
   EpochGuard guard(epochs_);
-  return InsertRows(txn, &row, 1);
+  return InsertRows(txn.raw(), &row, 1);
+}
+
+Status Table::InsertBatch(Txn& txn,
+                          const std::vector<std::vector<Value>>& rows) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(txn, this, txn_scope_));
+  EpochGuard guard(epochs_);
+  return InsertRows(txn.raw(), rows.data(), rows.size());
 }
 
 Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
@@ -917,7 +959,7 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
     AtomicMaxU32(r->occupied, slot0 + static_cast<uint32_t>(range_end - i));
     if (inserted > i) {
       const size_t count = std::min(range_end, inserted) - i;
-      stats_.inserts.fetch_add(count, std::memory_order_relaxed);
+      obs_.inserts->Add(count);
       if (log_ != nullptr) {
         runs.AddInsertRun(txn->id(), r->id, slot0, rows + i, count,
                           schema_.AllColumns());
@@ -945,37 +987,73 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
 }
 
 // ---------------------------------------------------------------------------
-// Update / Delete (Section 3.1)
+// Update / Delete, single and batched (Section 3.1)
 // ---------------------------------------------------------------------------
 
-Status Table::Update(Transaction* txn, Value key, ColumnMask mask,
+Status Table::Update(Txn& txn, Value key, ColumnMask mask,
                      const std::vector<Value>& row) {
+  LSTORE_RETURN_IF_ERROR(CheckUpdate(mask, &row, 1));
+  LSTORE_RETURN_IF_ERROR(CheckActive(txn, this, txn_scope_));
+  return WriteKeys(txn.raw(), &key, 1, mask, &row);
+}
+
+Status Table::Delete(Txn& txn, Value key) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(txn, this, txn_scope_));
+  return WriteKeys(txn.raw(), &key, 1, 0, nullptr);
+}
+
+Status Table::UpdateBatch(Txn& txn, const std::vector<Value>& keys,
+                          ColumnMask mask,
+                          const std::vector<std::vector<Value>>& rows) {
+  if (keys.size() != rows.size()) {
+    return Status::InvalidArgument("keys/rows arity mismatch");
+  }
+  LSTORE_RETURN_IF_ERROR(CheckUpdate(mask, rows.data(), rows.size()));
+  LSTORE_RETURN_IF_ERROR(CheckActive(txn, this, txn_scope_));
+  return WriteKeys(txn.raw(), keys.data(), keys.size(), mask, rows.data());
+}
+
+Status Table::DeleteBatch(Txn& txn, const std::vector<Value>& keys) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(txn, this, txn_scope_));
+  return WriteKeys(txn.raw(), keys.data(), keys.size(), 0, nullptr);
+}
+
+Status Table::CheckUpdate(ColumnMask mask, const std::vector<Value>* rows,
+                          size_t n) const {
   if (mask == 0 || (mask & 1ull) != 0) {
     return Status::InvalidArgument("cannot update key column / empty mask");
   }
   if ((mask & ~schema_.AllColumns()) != 0) {
     return Status::InvalidArgument("mask has unknown columns");
   }
-  if (row.size() != schema_.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch");
+  for (size_t i = 0; i < n; ++i) {
+    if (rows[i].size() != schema_.num_columns()) {
+      return Status::InvalidArgument("row arity mismatch");
+    }
   }
-  Rid rid = primary_.Get(key);
-  if (rid == kInvalidRid) return Status::NotFound("no such key");
-  Range* r = GetRange(RangeOf(rid));
-  if (r == nullptr) return Status::NotFound("no such range");
-  EpochGuard guard(epochs_);
-  return WriteTailVersion(txn, *r, SlotOf(rid), mask, row, false, nullptr);
+  return Status::OK();
 }
 
-Status Table::Delete(Transaction* txn, Value key) {
-  Rid rid = primary_.Get(key);
-  if (rid == kInvalidRid) return Status::NotFound("no such key");
-  Range* r = GetRange(RangeOf(rid));
-  if (r == nullptr) return Status::NotFound("no such range");
+Status Table::WriteKeys(Transaction* txn, const Value* keys, size_t n,
+                        ColumnMask mask, const std::vector<Value>* rows) {
   static const std::vector<Value> kEmpty;
+  InlineBuffer<Rid> rids(n);
+  primary_.MultiGet(keys, n, rids.data());
+  RedoLog::Batch recs;
+  RedoLog::Batch* sink = log_ != nullptr && n > 1 ? &recs : nullptr;
   EpochGuard guard(epochs_);
-  Status s = WriteTailVersion(txn, *r, SlotOf(rid), 0, kEmpty, true, nullptr);
-  if (s.ok()) stats_.deletes.fetch_add(1, std::memory_order_relaxed);
+  Status s = Status::OK();
+  for (size_t i = 0; i < n && s.ok(); ++i) {
+    Range* r = nullptr;
+    uint32_t slot = 0;
+    s = Locate(rids[i], &r, &slot);
+    if (s.ok()) {
+      s = rows == nullptr
+              ? WriteTailVersion(txn, *r, slot, 0, kEmpty, true, sink)
+              : WriteTailVersion(txn, *r, slot, mask, rows[i], false, sink);
+    }
+  }
+  if (sink != nullptr && !recs.empty()) log_->AppendBatch(recs);
   return s;
 }
 
@@ -990,7 +1068,7 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
   uint64_t iv = ind.load(std::memory_order_acquire);
   for (;;) {
     if (IndirLatched(iv)) {
-      stats_.ww_aborts.fetch_add(1, std::memory_order_relaxed);
+      obs_.ww_conflicts->Increment();
       return Status::Aborted("write-write conflict (latch)");
     }
     if (ind.compare_exchange_weak(iv, iv | kIndirLatchBit,
@@ -1025,7 +1103,7 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
     if (view.found && (view.state == TxnState::kActive ||
                        view.state == TxnState::kPreCommit)) {
       ind.store(iv, std::memory_order_release);  // release latch
-      stats_.ww_aborts.fetch_add(1, std::memory_order_relaxed);
+      obs_.ww_conflicts->Increment();
       return Status::Aborted("write-write conflict (uncommitted version)");
     }
   }
@@ -1197,7 +1275,7 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
   // in-place update in the architecture.
   ind.store(new_seq, std::memory_order_release);
 
-  stats_.updates.fetch_add(1, std::memory_order_relaxed);
+  (is_delete ? obs_.deletes : obs_.updates)->Increment();
   MaybeScheduleMerge(r);
   return Status::OK();
 }
@@ -1223,191 +1301,99 @@ void Table::LogTailAppend(const Range& r, uint32_t seq, Value start_raw,
 }
 
 // ---------------------------------------------------------------------------
-// Reads
+// Reads, single and batched
 // ---------------------------------------------------------------------------
 
-Status Table::Read(Transaction* txn, Value key, ColumnMask mask,
-                   std::vector<Value>* out) {
+Status Table::Locate(Rid rid, Range** r, uint32_t* slot) const {
+  if (rid == kInvalidRid) return Status::NotFound("no such key");
+  *r = GetRange(RangeOf(rid));
+  if (*r == nullptr) return Status::NotFound("no such range");
+  *slot = SlotOf(rid);
+  return Status::OK();
+}
+
+Table::ReadSpec Table::SessionSpec(Transaction* txn, bool speculative) {
+  Timestamp as_of = txn->isolation() == IsolationLevel::kReadCommitted
+                        ? kMaxTimestamp
+                        : txn->begin_time();
+  return ReadSpec{as_of, txn, speculative};
+}
+
+Status Table::ReadLocated(Range& r, uint32_t slot, const ReadSpec& spec,
+                          ColumnMask mask, std::vector<Value>* out) {
   // Unknown mask bits are ignored, so ~0ull reads every column — and
   // a hostile mask (e.g. from the network service) cannot index past
   // the column store.
   mask &= schema_.AllColumns();
   out->assign(schema_.num_columns(), kNull);
-  Rid rid = primary_.Get(key);
-  if (rid == kInvalidRid) return Status::NotFound("no such key");
-  Range* r = GetRange(RangeOf(rid));
-  if (r == nullptr) return Status::NotFound("no such range");
-  EpochGuard guard(epochs_);
-  Timestamp as_of = txn->isolation() == IsolationLevel::kReadCommitted
-                        ? kMaxTimestamp
-                        : txn->begin_time();
-  ReadSpec spec{as_of, txn, /*speculative=*/false};
-  uint32_t observed = 0;
-  Status s = ResolveRecord(*r, SlotOf(rid), spec, mask, out, &observed);
-  txn->readset().push_back(
-      ReadEntry{r->id, SlotOf(rid), observed, /*speculative=*/false, 0, this});
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  return s;
-}
-
-Status Table::SpeculativeRead(Transaction* txn, Value key, ColumnMask mask,
-                              std::vector<Value>* out) {
-  mask &= schema_.AllColumns();  // unknown bits are ignored (see Read)
-  out->assign(schema_.num_columns(), kNull);
-  Rid rid = primary_.Get(key);
-  if (rid == kInvalidRid) return Status::NotFound("no such key");
-  Range* r = GetRange(RangeOf(rid));
-  if (r == nullptr) return Status::NotFound("no such range");
-  EpochGuard guard(epochs_);
-  Timestamp as_of = txn->isolation() == IsolationLevel::kReadCommitted
-                        ? kMaxTimestamp
-                        : txn->begin_time();
-  ReadSpec spec{as_of, txn, /*speculative=*/true};
+  obs_.reads->Increment();
+  Transaction* txn = spec.txn;
+  if (txn == nullptr) return ResolveRecord(r, slot, spec, mask, out, nullptr);
   size_t deps_before = txn->commit_dependencies().size();
   uint32_t observed = 0;
-  Status s = ResolveRecord(*r, SlotOf(rid), spec, mask, out, &observed);
+  Status s = ResolveRecord(r, slot, spec, mask, out, &observed);
   bool speculated = txn->commit_dependencies().size() > deps_before;
   TxnId dep = speculated ? txn->commit_dependencies().back() : 0;
   txn->readset().push_back(
-      ReadEntry{r->id, SlotOf(rid), observed, speculated, dep, this});
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
+      ReadEntry{r.id, slot, observed, speculated, dep, this});
   return s;
+}
+
+Status Table::ReadKey(Value key, const ReadSpec& spec, ColumnMask mask,
+                      std::vector<Value>* out) {
+  Range* r = nullptr;
+  uint32_t slot = 0;
+  Status s = Locate(primary_.Get(key), &r, &slot);
+  if (!s.ok()) {
+    out->assign(schema_.num_columns(), kNull);
+    return s;
+  }
+  EpochGuard guard(epochs_);
+  return ReadLocated(*r, slot, spec, mask, out);
+}
+
+Status Table::Read(Txn& txn, Value key, ColumnMask mask,
+                   std::vector<Value>* out) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(txn, this, txn_scope_));
+  return ReadKey(key, SessionSpec(txn.raw(), false), mask, out);
+}
+
+Status Table::SpeculativeRead(Txn& txn, Value key, ColumnMask mask,
+                              std::vector<Value>* out) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(txn, this, txn_scope_));
+  return ReadKey(key, SessionSpec(txn.raw(), true), mask, out);
 }
 
 Status Table::ReadAsOf(Value key, Timestamp as_of, ColumnMask mask,
                        std::vector<Value>* out) {
-  mask &= schema_.AllColumns();  // unknown bits are ignored (see Read)
-  out->assign(schema_.num_columns(), kNull);
-  Rid rid = primary_.Get(key);
-  if (rid == kInvalidRid) return Status::NotFound("no such key");
-  Range* r = GetRange(RangeOf(rid));
-  if (r == nullptr) return Status::NotFound("no such range");
-  EpochGuard guard(epochs_);
-  ReadSpec spec{as_of, nullptr, /*speculative=*/false};
-  return ResolveRecord(*r, SlotOf(rid), spec, mask, out, nullptr);
+  return ReadKey(key, ReadSpec{as_of, nullptr, /*speculative=*/false}, mask,
+                 out);
 }
-
-// ---------------------------------------------------------------------------
-// Batched point operations
-// ---------------------------------------------------------------------------
 
 Status Table::MultiRead(Txn& txn, const std::vector<Value>& keys,
                         ColumnMask mask, std::vector<std::vector<Value>>* rows,
                         std::vector<Status>* statuses) {
-  LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-  mask &= schema_.AllColumns();  // unknown bits are ignored (see Read)
-  Transaction* t = txn.raw();
+  LSTORE_RETURN_IF_ERROR(CheckActive(txn, this, txn_scope_));
   rows->assign(keys.size(), {});
   if (statuses != nullptr) statuses->assign(keys.size(), Status::OK());
-  // One sharded probe pass for the whole batch.
-  std::vector<Rid> rids(keys.size());
+  // One sharded probe pass and one epoch pin for the whole batch.
+  InlineBuffer<Rid> rids(keys.size());
   primary_.MultiGet(keys.data(), keys.size(), rids.data());
   EpochGuard guard(epochs_);
-  Timestamp as_of = t->isolation() == IsolationLevel::kReadCommitted
-                        ? kMaxTimestamp
-                        : t->begin_time();
+  const ReadSpec spec = SessionSpec(txn.raw(), false);
   Status first = Status::OK();
   for (size_t i = 0; i < keys.size(); ++i) {
-    Status s;
-    if (rids[i] == kInvalidRid) {
-      s = Status::NotFound("no such key");
-    } else {
-      Range* r = GetRange(RangeOf(rids[i]));
-      if (r == nullptr) {
-        s = Status::NotFound("no such range");
-      } else {
-        std::vector<Value>& out = (*rows)[i];
-        out.assign(schema_.num_columns(), kNull);
-        ReadSpec spec{as_of, t, /*speculative=*/false};
-        uint32_t observed = 0;
-        uint32_t slot = SlotOf(rids[i]);
-        s = ResolveRecord(*r, slot, spec, mask, &out, &observed);
-        t->readset().push_back(
-            ReadEntry{r->id, slot, observed, /*speculative=*/false, 0, this});
-        if (!s.ok()) out.clear();
-      }
+    Range* r = nullptr;
+    uint32_t slot = 0;
+    Status s = Locate(rids[i], &r, &slot);
+    if (s.ok()) {
+      s = ReadLocated(*r, slot, spec, mask, &(*rows)[i]);
+      if (!s.ok()) (*rows)[i].clear();
     }
     if (!s.ok() && first.ok()) first = s;
     if (statuses != nullptr) (*statuses)[i] = s;
   }
-  stats_.reads.fetch_add(keys.size(), std::memory_order_relaxed);
   return first;
-}
-
-Status Table::InsertBatch(Txn& txn, const std::vector<std::vector<Value>>& rows) {
-  LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-  EpochGuard guard(epochs_);
-  return InsertRows(txn.raw(), rows.data(), rows.size());
-}
-
-Status Table::UpdateBatch(Txn& txn, const std::vector<Value>& keys,
-                          ColumnMask mask,
-                          const std::vector<std::vector<Value>>& rows) {
-  if (keys.size() != rows.size()) {
-    return Status::InvalidArgument("keys/rows arity mismatch");
-  }
-  if (mask == 0 || (mask & 1ull) != 0) {
-    return Status::InvalidArgument("cannot update key column / empty mask");
-  }
-  if ((mask & ~schema_.AllColumns()) != 0) {
-    return Status::InvalidArgument("mask has unknown columns");
-  }
-  for (const std::vector<Value>& row : rows) {
-    if (row.size() != schema_.num_columns()) {
-      return Status::InvalidArgument("row arity mismatch");
-    }
-  }
-  LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-  Transaction* t = txn.raw();
-  std::vector<Rid> rids(keys.size());
-  primary_.MultiGet(keys.data(), keys.size(), rids.data());
-  RedoLog::Batch recs;
-  RedoLog::Batch* sink = log_ != nullptr ? &recs : nullptr;
-  EpochGuard guard(epochs_);
-  Status s = Status::OK();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (rids[i] == kInvalidRid) {
-      s = Status::NotFound("no such key");
-      break;
-    }
-    Range* r = GetRange(RangeOf(rids[i]));
-    if (r == nullptr) {
-      s = Status::NotFound("no such range");
-      break;
-    }
-    s = WriteTailVersion(t, *r, SlotOf(rids[i]), mask, rows[i], false, sink);
-    if (!s.ok()) break;
-  }
-  if (sink != nullptr && !recs.empty()) log_->AppendBatch(recs);
-  return s;
-}
-
-Status Table::DeleteBatch(Txn& txn, const std::vector<Value>& keys) {
-  LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-  Transaction* t = txn.raw();
-  std::vector<Rid> rids(keys.size());
-  primary_.MultiGet(keys.data(), keys.size(), rids.data());
-  RedoLog::Batch recs;
-  RedoLog::Batch* sink = log_ != nullptr ? &recs : nullptr;
-  static const std::vector<Value> kEmpty;
-  EpochGuard guard(epochs_);
-  Status s = Status::OK();
-  for (size_t i = 0; i < keys.size(); ++i) {
-    if (rids[i] == kInvalidRid) {
-      s = Status::NotFound("no such key");
-      break;
-    }
-    Range* r = GetRange(RangeOf(rids[i]));
-    if (r == nullptr) {
-      s = Status::NotFound("no such range");
-      break;
-    }
-    s = WriteTailVersion(t, *r, SlotOf(rids[i]), 0, kEmpty, true, sink);
-    if (!s.ok()) break;
-    stats_.deletes.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (sink != nullptr && !recs.empty()) log_->AppendBatch(recs);
-  return s;
 }
 
 // ---------------------------------------------------------------------------

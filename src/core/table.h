@@ -99,22 +99,6 @@ enum BaseMetaColumn : uint32_t {
 };
 inline constexpr uint32_t kBaseMetaColumns = 3;
 
-/// Aggregate counters exposed for benchmarks and tests.
-struct TableStats {
-  std::atomic<uint64_t> updates{0};
-  std::atomic<uint64_t> inserts{0};
-  std::atomic<uint64_t> deletes{0};
-  std::atomic<uint64_t> reads{0};
-  std::atomic<uint64_t> ww_aborts{0};          ///< write-write conflicts
-  std::atomic<uint64_t> validation_aborts{0};
-  std::atomic<uint64_t> merges{0};             ///< update merges completed
-  std::atomic<uint64_t> insert_merges{0};
-  std::atomic<uint64_t> tail_records_merged{0};
-  std::atomic<uint64_t> segments_retired{0};
-  std::atomic<uint64_t> historic_compressions{0};
-  std::atomic<uint64_t> tail_chain_hops{0};    ///< reads that left base pages
-};
-
 class Table : public TxnContext {
  public:
   Table(std::string name, Schema schema, TableConfig config,
@@ -144,42 +128,28 @@ class Table : public TxnContext {
   // --- fine-grained manipulation (Section 3) -------------------------------
   // Every session operation rejects a finished (committed/aborted)
   // Txn up front: a retired transaction id would publish permanently
-  // invisible versions and leak index entries.
+  // invisible versions and leak index entries. It also rejects a Txn
+  // begun on another engine (CheckActive, txn/txn.h).
 
   /// Insert a full row; row[0] is the primary key.
-  Status Insert(Txn& txn, const std::vector<Value>& row) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return Insert(txn.raw(), row);
-  }
+  Status Insert(Txn& txn, const std::vector<Value>& row);
 
   /// Update the columns in `mask` to `row[col]` for each set bit.
   /// Column 0 (the key) must not be updated.
   Status Update(Txn& txn, Value key, ColumnMask mask,
-                const std::vector<Value>& row) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return Update(txn.raw(), key, mask, row);
-  }
+                const std::vector<Value>& row);
 
   /// Delete = update writing the delete tombstone (Section 3.1).
-  Status Delete(Txn& txn, Value key) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return Delete(txn.raw(), key);
-  }
+  Status Delete(Txn& txn, Value key);
 
   /// Read the columns in `mask` of the visible version into
   /// out[col] (out is resized to num_columns; unrequested cols = ∅).
-  Status Read(Txn& txn, Value key, ColumnMask mask, std::vector<Value>* out) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return Read(txn.raw(), key, mask, out);
-  }
+  Status Read(Txn& txn, Value key, ColumnMask mask, std::vector<Value>* out);
 
   /// Speculative read ([18]): also sees pre-commit versions and adds
   /// a commit dependency.
   Status SpeculativeRead(Txn& txn, Value key, ColumnMask mask,
-                         std::vector<Value>* out) {
-    LSTORE_RETURN_IF_ERROR(CheckActive(txn));
-    return SpeculativeRead(txn.raw(), key, mask, out);
-  }
+                         std::vector<Value>* out);
 
   /// Time-travel point read at a historical timestamp (no txn).
   Status ReadAsOf(Value key, Timestamp as_of, ColumnMask mask,
@@ -257,7 +227,6 @@ class Table : public TxnContext {
   const std::string& name() const { return name_; }
   TransactionManager& txn_manager() { return *txn_manager_; }
   EpochManager& epochs() const { return epochs_; }
-  TableStats& stats() const { return stats_; }
   /// The metrics registry this table records into: the owning
   /// database's (shared across its tables) or an owned one for
   /// standalone tables — never null.
@@ -345,21 +314,6 @@ class Table : public TxnContext {
 
   // --- session plumbing (TxnContext) ---------------------------------------
 
-  /// Reject finished sessions and sessions begun on a different
-  /// engine: a foreign-host Txn would bypass this table in the commit
-  /// pipeline, leaving its writes unstamped forever. Sessions begun
-  /// on the owning Database are valid on every member table.
-  Status CheckActive(const Txn& txn) const {
-    if (!txn.active()) {
-      return Status::InvalidArgument("transaction finished");
-    }
-    const TxnContext* h = txn.host();
-    if (h != static_cast<const TxnContext*>(this) && h != txn_scope_) {
-      return Status::InvalidArgument("transaction bound to another engine");
-    }
-    return Status::OK();
-  }
-
   /// Single-table commit: a thin wrapper over the unified pipeline
   /// (core/commit_pipeline.cc) with {this} as the only candidate.
   Status CommitTxn(Transaction* txn) override;
@@ -386,16 +340,6 @@ class Table : public TxnContext {
   /// Stamp this table's writes with the outcome (commit time or
   /// kAbortedStamp); rolls back inserted index keys on abort.
   void StampWrites(Transaction* txn, Value outcome);
-
-  // Transaction-pointer cores of the public session operations.
-  Status Insert(Transaction* txn, const std::vector<Value>& row);
-  Status Update(Transaction* txn, Value key, ColumnMask mask,
-                const std::vector<Value>& row);
-  Status Delete(Transaction* txn, Value key);
-  Status Read(Transaction* txn, Value key, ColumnMask mask,
-              std::vector<Value>* out);
-  Status SpeculativeRead(Transaction* txn, Value key, ColumnMask mask,
-                         std::vector<Value>* out);
 
   /// Update metadata of one base record. The two words are
   /// interleaved so an updated row's pair shares a cache line.
@@ -462,6 +406,24 @@ class Table : public TxnContext {
 
   enum class Visibility { kVisible, kInvisible, kVisibleSpeculative };
 
+  /// The record a primary-index probe result names: its range and
+  /// slot, or NotFound for an absent key.
+  Status Locate(Rid rid, Range** r, uint32_t* slot) const;
+  /// A session read's spec: the latest committed version under read
+  /// committed, else the transaction's begin snapshot.
+  static ReadSpec SessionSpec(Transaction* txn, bool speculative);
+  /// The one point-read step (Read, SpeculativeRead, ReadAsOf and each
+  /// key of MultiRead): resolve a located record under `spec` into
+  /// `out` (sized to num_columns; mask bits past the schema are
+  /// ignored), record the read-set entry and any speculative
+  /// dependency when spec.txn is set, and count the read. The caller
+  /// holds the epoch pin.
+  Status ReadLocated(Range& r, uint32_t slot, const ReadSpec& spec,
+                     ColumnMask mask, std::vector<Value>* out);
+  /// Probe `key` and read it through ReadLocated.
+  Status ReadKey(Value key, const ReadSpec& spec, ColumnMask mask,
+                 std::vector<Value>* out);
+
   Range* GetRange(uint64_t id) const;
   /// The range `id`, created if absent; nullptr past kMaxRanges.
   Range* EnsureRange(uint64_t id);
@@ -517,6 +479,17 @@ class Table : public TxnContext {
   /// kInsertRun per range the inserted rows fill.
   Status InsertRows(Transaction* txn, const std::vector<Value>* rows,
                     size_t n);
+  /// Argument checks of Update and UpdateBatch: a non-empty mask of
+  /// known non-key columns, and rows of full arity.
+  Status CheckUpdate(ColumnMask mask, const std::vector<Value>* rows,
+                     size_t n) const;
+  /// The one keyed write step (Update, Delete, UpdateBatch,
+  /// DeleteBatch): one index probe pass and one epoch pin for the n
+  /// keys, then a tail version per key, stopping at the first failure.
+  /// `rows` == nullptr deletes. One key logs its record directly; more
+  /// log ONE frame, and nothing is allocated per key.
+  Status WriteKeys(Transaction* txn, const Value* keys, size_t n,
+                   ColumnMask mask, const std::vector<Value>* rows);
   Status WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
                           ColumnMask mask, const std::vector<Value>& row,
                           bool is_delete, RedoLog::Batch* log_sink);
@@ -592,7 +565,24 @@ class Table : public TxnContext {
     Histogram* commit_publish_ns = nullptr;  ///< state flip + write stamping
     Counter* commits = nullptr;              ///< pipeline commits
     Counter* aborts = nullptr;               ///< pipeline aborts
+    Counter* reads = nullptr;                ///< located point reads
+    Counter* inserts = nullptr;
+    Counter* updates = nullptr;              ///< update tail versions
+    Counter* deletes = nullptr;
+    Counter* ww_conflicts = nullptr;         ///< write-write conflicts
+    Counter* validation_aborts = nullptr;
+    Counter* tail_chain_hops = nullptr;      ///< reads that left base pages
+    Counter* segments_retired = nullptr;
+    Counter* update_merges = nullptr;
+    Counter* insert_merges = nullptr;
+    Counter* historic_compressions = nullptr;
   } obs_;
+
+  /// Set the size gauges (epoch queue depth, index, resident base and
+  /// update-metadata bytes) to their sums over `tables`: the
+  /// collector of a standalone table and of a database.
+  static void CollectSizeGauges(MetricsRegistry& r,
+                                const std::vector<const Table*>& tables);
 
   /// The enclosing engine whose sessions are also valid here (the
   /// owning Database); set at registration, null for standalone tables.
@@ -643,8 +633,6 @@ class Table : public TxnContext {
   std::unique_ptr<SegmentStore> owned_store_;
   BufferPool* buffer_pool_ = nullptr;
   SegmentStore* segment_store_ = nullptr;
-
-  mutable TableStats stats_;
 };
 
 }  // namespace lstore

@@ -166,6 +166,10 @@ Rid PrimaryIndex::Get(Value key) const {
 }
 
 void PrimaryIndex::MultiGet(const Value* keys, size_t n, Rid* out) const {
+  if (n == 1) {
+    out[0] = Get(keys[0]);
+    return;
+  }
   ForEachShardGroup(keys, n, [&](const Shard& s, const uint32_t* pos,
                                  size_t count) {
     SpinGuard g(s.latch);

@@ -8,11 +8,9 @@ namespace lstore {
 
 namespace obs_internal {
 
-unsigned ShardIndex(unsigned nshards) {
+unsigned NextThreadSlot() {
   static std::atomic<unsigned> next{0};
-  thread_local unsigned slot =
-      next.fetch_add(1, std::memory_order_relaxed);
-  return slot % nshards;
+  return next.fetch_add(1, std::memory_order_relaxed);
 }
 
 }  // namespace obs_internal

@@ -89,6 +89,20 @@ class Txn {
   Transaction txn_;
 };
 
+/// The session check every engine runs before an operation: refuse a
+/// finished session, and one begun on an engine other than `engine`
+/// or its enclosing `scope` (a foreign session would bypass `engine`
+/// in its own commit, leaving the writes unstamped forever). Sessions
+/// begun on an owning Database are valid on every member table.
+inline Status CheckActive(const Txn& txn, const TxnContext* engine,
+                          const TxnContext* scope = nullptr) {
+  if (!txn.active()) return Status::InvalidArgument("transaction finished");
+  if (txn.host() != engine && txn.host() != scope) {
+    return Status::InvalidArgument("transaction bound to another engine");
+  }
+  return Status::OK();
+}
+
 }  // namespace lstore
 
 #endif  // LSTORE_TXN_TXN_H_

@@ -1,5 +1,6 @@
 // Correctness tests for the two baseline engines of Section 6.1:
-// In-place Update + History (IUH) and Delta + Blocking Merge (DBM).
+// In-place Update + History (IUH) and Delta + Blocking Merge (DBM),
+// plus the session check they share with L-Store and L-Store (Row).
 // The baselines must be *correct* so the performance comparison is
 // meaningful; their structural costs (page latches, blocking drains)
 // are verified here too.
@@ -16,6 +17,7 @@
 #include "baselines/dbm/dbm_table.h"
 #include "baselines/iuh/iuh_table.h"
 #include "common/random.h"
+#include "core/row_table.h"
 
 namespace lstore {
 namespace {
@@ -27,6 +29,40 @@ TableConfig BaselineConfig(bool merge_thread = false) {
   cfg.merge_threshold = 32;
   cfg.enable_merge_thread = merge_thread;
   return cfg;
+}
+
+// Every engine refuses a session begun on another engine before it
+// touches anything: committing such a session skips this engine, so
+// a write would leave its slot holding a transaction id forever (and
+// IUH's commit stamped the same positions of the other engine).
+// `engine` holds keys 1 and 2 with three columns.
+template <typename Engine>
+void ExpectForeignSessionRefused(Engine& engine) {
+  Engine other(Schema(3), BaselineConfig());
+  Txn foreign = other.Begin();
+  std::vector<Value> out;
+  ASSERT_TRUE(engine.Insert(foreign, {50, 0, 0}).IsInvalidArgument());
+  ASSERT_TRUE(engine.Update(foreign, 1, 0b010, {0, 7, 0}).IsInvalidArgument());
+  ASSERT_TRUE(engine.Delete(foreign, 2).IsInvalidArgument());
+  ASSERT_TRUE(engine.Read(foreign, 1, 0b010, &out).IsInvalidArgument());
+  ASSERT_TRUE(foreign.Commit().ok());
+  // Nothing of the refused session remains: both keys take a new
+  // writer, and the refused insert never happened.
+  Txn txn = engine.Begin();
+  EXPECT_TRUE(engine.Update(txn, 1, 0b010, {0, 8, 0}).ok());
+  EXPECT_TRUE(engine.Update(txn, 2, 0b010, {0, 9, 0}).ok());
+  EXPECT_TRUE(engine.Read(txn, 50, 0b010, &out).IsNotFound());
+  ASSERT_TRUE(txn.Commit().ok());
+}
+
+TEST(RowTableSessionTest, ForeignSessionIsRefused) {
+  RowTable table(Schema(3), BaselineConfig());
+  Txn load = table.Begin();
+  for (Value k = 0; k < 4; ++k) {
+    ASSERT_TRUE(table.Insert(load, {k, k * 10, k * 100}).ok());
+  }
+  ASSERT_TRUE(load.Commit().ok());
+  ExpectForeignSessionRefused(table);
 }
 
 // ---------------------------------------------------------------------------
@@ -123,6 +159,10 @@ TEST_F(IuhTest, SnapshotTransactionSeesStableVersionDespiteUpdates) {
   ASSERT_TRUE(table_.Read(snap, 7, 0b010, &out).ok());
   EXPECT_EQ(out[1], 70u);  // history walk reconstructs the old version
   (void)snap.Commit();
+}
+
+TEST_F(IuhTest, ForeignSessionIsRefused) {
+  ExpectForeignSessionRefused(table_);
 }
 
 TEST_F(IuhTest, WriteWriteConflictAborts) {
@@ -307,6 +347,10 @@ TEST_F(DbmTest, MergeDrainsActiveTransactions) {
   ASSERT_TRUE(table_.Read(r, 1, 0b010, &out).ok());
   EXPECT_EQ(out[1], 11u);
   (void)r.Commit();
+}
+
+TEST_F(DbmTest, ForeignSessionIsRefused) {
+  ExpectForeignSessionRefused(table_);
 }
 
 TEST_F(DbmTest, WriteWriteConflictAborts) {

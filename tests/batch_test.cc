@@ -156,7 +156,8 @@ TEST(BatchLogTest, DeleteBatchProducesOneFrameAndReplays) {
     Txn txn = table.Begin();
     ASSERT_TRUE(table.DeleteBatch(txn, {0, 1, 2, 3, 4}).ok());
     ASSERT_TRUE(txn.Commit().ok());
-    EXPECT_EQ(table.stats().deletes.load(), 5u);
+    EXPECT_EQ(table.metrics()->GetCounter("lstore_deletes_total")->value(),
+              5u);
   }
   // Physical framing: insert batch + commit + delete batch + commit =
   // exactly FOUR frames (one latch/log envelope per batch).

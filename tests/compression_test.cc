@@ -1,4 +1,4 @@
-// Codec tests: varint, delta, bit packing, dictionary, RLE, frame of
+// Codec tests: varint, bit packing, dictionary, RLE, frame of
 // reference, and the smallest-wins encoding chooser used for merged
 // base pages (Section 4.1.1 Step 3 / Section 4.3).
 
@@ -16,7 +16,6 @@
 #include "common/random.h"
 #include "storage/compressed_column.h"
 #include "storage/compression/bitpack.h"
-#include "storage/compression/delta.h"
 #include "storage/compression/dictionary.h"
 #include "storage/compression/rle.h"
 #include "storage/compression/varint.h"
@@ -53,38 +52,6 @@ TEST(VarintTest, TruncatedInputFails) {
   size_t pos = 0;
   uint64_t v;
   EXPECT_FALSE(GetVarint64(buf, &pos, &v));
-}
-
-TEST(DeltaTest, RoundTripMonotoneSequence) {
-  std::vector<Value> vals;
-  for (uint64_t i = 0; i < 1000; ++i) vals.push_back(1000000 + i * 3);
-  std::string buf;
-  DeltaEncode(vals, &buf);
-  // Monotone small deltas: ~1 byte each (plus header + first value).
-  EXPECT_LT(buf.size(), vals.size() * 2 + 16);
-  std::vector<Value> out;
-  ASSERT_TRUE(DeltaDecode(buf, &out));
-  EXPECT_EQ(out, vals);
-}
-
-TEST(DeltaTest, RoundTripRandomIncludingWraparound) {
-  Random rng(11);
-  std::vector<Value> vals;
-  for (int i = 0; i < 500; ++i) vals.push_back(rng.Next());
-  vals.push_back(0);
-  vals.push_back(UINT64_MAX);
-  std::string buf;
-  DeltaEncode(vals, &buf);
-  std::vector<Value> out;
-  ASSERT_TRUE(DeltaDecode(buf, &out));
-  EXPECT_EQ(out, vals);
-}
-
-TEST(DeltaTest, EncodedSizeMatches) {
-  std::vector<Value> vals = {5, 10, 7, 7, 100000};
-  std::string buf;
-  DeltaEncode(vals, &buf);
-  EXPECT_EQ(buf.size(), DeltaEncodedSize(vals));
 }
 
 TEST(BitPackTest, WidthZeroMeansAllZeros) {
@@ -504,15 +471,6 @@ TEST_P(CodecRoundTrip, CompressedColumnPreservesEveryValue) {
 
 TEST_P(CodecRoundTrip, SerializedFormRoundTrips) {
   ExpectSerializedRoundTrip(*CompressedColumn::Build(MakeData(), true));
-}
-
-TEST_P(CodecRoundTrip, DeltaPreservesEveryValue) {
-  auto vals = MakeData();
-  std::string buf;
-  DeltaEncode(vals, &buf);
-  std::vector<Value> out;
-  ASSERT_TRUE(DeltaDecode(buf, &out));
-  EXPECT_EQ(out, vals);
 }
 
 INSTANTIATE_TEST_SUITE_P(

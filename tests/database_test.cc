@@ -153,6 +153,64 @@ TEST(DatabaseTest, SingleTableCommitStillWorksThroughTable) {
   ASSERT_TRUE(check.Commit().ok());
 }
 
+// One of everything a table counts: inserts, an update, a delete, a
+// read one tail hop away, a write-write conflict, a validation abort,
+// an insert merge, an update merge retiring segments, and a historic
+// compression.
+void ExerciseTableCounters(Table* t) {
+  Txn load = t->Begin();
+  ASSERT_TRUE(t->InsertBatch(load, {{1, 10}, {2, 20}, {3, 30}}).ok());
+  ASSERT_TRUE(load.Commit().ok());
+  ASSERT_TRUE(t->InsertMergeNow(0));
+  Txn w = t->Begin();
+  ASSERT_TRUE(t->Update(w, 1, 0b10, {0, 11}).ok());
+  ASSERT_TRUE(t->Delete(w, 3).ok());
+  ASSERT_TRUE(w.Commit().ok());
+
+  Txn reader = t->Begin(IsolationLevel::kSerializable);
+  std::vector<Value> out;
+  ASSERT_TRUE(t->Read(reader, 1, 0b10, &out).ok());
+  EXPECT_EQ(out[1], 11u);
+  Txn a = t->Begin();
+  Txn b = t->Begin();
+  ASSERT_TRUE(t->Update(a, 1, 0b10, {0, 12}).ok());
+  EXPECT_TRUE(t->Update(b, 1, 0b10, {0, 13}).IsAborted());
+  b.Abort();
+  ASSERT_TRUE(a.Commit().ok());
+  EXPECT_TRUE(reader.Commit().IsAborted());
+
+  ASSERT_TRUE(t->MergeRangeNow(0));
+  EXPECT_GT(t->CompressHistoricNow(0), 0u);
+}
+
+// Tables of one database share its registry, so each folded table
+// counter reaches the wire export once, summed over the tables.
+TEST(DatabaseMetricsTest, TableCountersSumOverTables) {
+  Table solo("solo", Schema(2), Cfg());
+  ExerciseTableCounters(&solo);
+  const MetricsSnapshot one = solo.metrics()->Snapshot();
+
+  Database db;
+  ASSERT_TRUE(db.CreateTable("a", Schema(2), Cfg()).ok());
+  ASSERT_TRUE(db.CreateTable("b", Schema(2), Cfg()).ok());
+  ExerciseTableCounters(db.GetTable("a"));
+  ExerciseTableCounters(db.GetTable("b"));
+  const std::string prom = db.Metrics().RenderPrometheus();
+  for (const char* name :
+       {"lstore_reads_total", "lstore_inserts_total", "lstore_updates_total",
+        "lstore_deletes_total", "lstore_ww_conflicts_total",
+        "lstore_validation_aborts_total", "lstore_tail_chain_hops_total",
+        "lstore_segments_retired_total", "lstore_update_merges_total",
+        "lstore_insert_merges_total", "lstore_historic_compressions_total",
+        "lstore_merge_rows_consolidated_total"}) {
+    const uint64_t per_table = one.CounterValue(name);
+    EXPECT_GT(per_table, 0u) << name;
+    const std::string sample =
+        "\n" + std::string(name) + " " + std::to_string(2 * per_table) + "\n";
+    EXPECT_NE(prom.find(sample), std::string::npos) << name;
+  }
+}
+
 // Flip every checksum of a [len varint][payload][u32 checksum] framed
 // file, as a build with another checksum function would have written
 // it. Returns the number of frames.

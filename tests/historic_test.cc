@@ -128,7 +128,10 @@ TEST_F(TableHistoricTest, CompressionRequiresPriorMerge) {
   EXPECT_EQ(table_.CompressHistoricNow(0), 0u);
   ASSERT_TRUE(table_.MergeRangeNow(0));
   EXPECT_GT(table_.CompressHistoricNow(0), 0u);
-  EXPECT_EQ(table_.stats().historic_compressions.load(), 1u);
+  EXPECT_EQ(table_.metrics()
+                ->GetCounter("lstore_historic_compressions_total")
+                ->value(),
+            1u);
 }
 
 TEST_F(TableHistoricTest, TimeTravelThroughCompressedHistory) {

@@ -60,7 +60,8 @@ class MergeTest : public ::testing::Test {
 TEST_F(MergeTest, InsertMergeBuildsBaseSegments) {
   LoadRows(64);  // fills range 0 exactly
   EXPECT_TRUE(table_.InsertMergeNow(0));
-  EXPECT_EQ(table_.stats().insert_merges.load(), 1u);
+  EXPECT_EQ(
+      table_.metrics()->GetCounter("lstore_insert_merges_total")->value(), 1u);
   // Data still readable after the table-level tail pages are merged.
   for (Value k = 0; k < 64; ++k) {
     EXPECT_EQ(ReadCol(k, 1), k * 10);
@@ -126,9 +127,10 @@ TEST_F(MergeTest, OnlyLatestVersionConsolidated) {
   ASSERT_TRUE(table_.MergeRangeNow(0));
   EXPECT_EQ(ReadCol(5, 1), 109u);
   // Merged fast path serves the read: no chain hops afterwards.
-  uint64_t hops_before = table_.stats().tail_chain_hops.load();
+  Counter* hops = table_.metrics()->GetCounter("lstore_tail_chain_hops_total");
+  uint64_t hops_before = hops->value();
   EXPECT_EQ(ReadCol(5, 1), 109u);
-  EXPECT_EQ(table_.stats().tail_chain_hops.load(), hops_before);
+  EXPECT_EQ(hops->value(), hops_before);
 }
 
 TEST_F(MergeTest, DeleteSurvivesMerge) {
@@ -184,7 +186,9 @@ TEST_F(MergeTest, MergeRetiresOldSegmentsThroughEpochs) {
   size_t pending_before = table_.epochs().pending();
   ASSERT_TRUE(table_.MergeRangeNow(0));
   EXPECT_GT(table_.epochs().pending(), pending_before);
-  EXPECT_GT(table_.stats().segments_retired.load(), 0u);
+  EXPECT_GT(
+      table_.metrics()->GetCounter("lstore_segments_retired_total")->value(),
+      0u);
   table_.epochs().TryReclaim();
   EXPECT_EQ(table_.epochs().pending(), 0u);
 }
@@ -278,10 +282,11 @@ TEST_F(MergeTest, CommitSchedulesInsertMergeThatRanMidTransaction) {
     ASSERT_TRUE(t.Insert(txn, {k, k, k, k}).ok());
   }
   t.WaitForMergeQueue();
-  EXPECT_EQ(t.stats().insert_merges.load(), 0u);
+  Counter* insert_merges = t.metrics()->GetCounter("lstore_insert_merges_total");
+  EXPECT_EQ(insert_merges->value(), 0u);
   ASSERT_TRUE(txn.Commit().ok());
   t.WaitForMergeQueue();
-  EXPECT_EQ(t.stats().insert_merges.load(), 1u);
+  EXPECT_EQ(insert_merges->value(), 1u);
   EXPECT_EQ(t.metrics()->Snapshot().CounterValue(
                 "lstore_merge_insert_rows_total"),
             64u);
@@ -315,7 +320,10 @@ TEST_F(MergeTest, BackgroundMergeKeepsUpWithWriters) {
   stop = true;
   writer.join();
   t.WaitForMergeQueue();
-  EXPECT_GT(t.stats().merges.load() + t.stats().insert_merges.load(), 0u);
+  MetricsSnapshot snap = t.metrics()->Snapshot();
+  EXPECT_GT(snap.CounterValue("lstore_update_merges_total") +
+                snap.CounterValue("lstore_insert_merges_total"),
+            0u);
   // Table remains fully readable.
   for (Value k = 0; k < 128; ++k) {
     Txn txn = t.Begin();

@@ -150,11 +150,12 @@ TEST_F(PaperExampleTest, Table4RelaxedMerge) {
 
   // Merged pages hold the Table 4 result; reads are now served from
   // base pages without chain hops.
-  uint64_t hops = table_.stats().tail_chain_hops.load();
+  Counter* hops = table_.metrics()->GetCounter("lstore_tail_chain_hops_total");
+  uint64_t hops_before = hops->value();
   EXPECT_EQ(ReadAll(1), (std::vector<Value>{1, 101, 201, 301}));
   EXPECT_EQ(ReadAll(2), (std::vector<Value>{2, 1022, 202, 3021}));
   EXPECT_EQ(ReadAll(3), (std::vector<Value>{3, 103, 203, 3031}));
-  EXPECT_EQ(table_.stats().tail_chain_hops.load(), hops);
+  EXPECT_EQ(hops->value(), hops_before);
 }
 
 // Table 5: updates after the merge (with cumulation reset at TPS) are
@@ -204,9 +205,10 @@ TEST_F(PaperExampleTest, TwoHopAccessToLatestVersion) {
   for (int i = 0; i < 20; ++i) Update(2, 0b0010, 2000 + i, 0, 0);
   // With cumulative updates the latest version is fully materialized
   // in the newest tail record: exactly one hop from the base record.
-  uint64_t hops_before = table_.stats().tail_chain_hops.load();
+  Counter* chain = table_.metrics()->GetCounter("lstore_tail_chain_hops_total");
+  uint64_t hops_before = chain->value();
   EXPECT_EQ(ReadAll(2)[1], 2019u);
-  uint64_t hops = table_.stats().tail_chain_hops.load() - hops_before;
+  uint64_t hops = chain->value() - hops_before;
   EXPECT_LE(hops, 2u);
 }
 

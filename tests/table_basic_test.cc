@@ -282,9 +282,36 @@ TEST_F(TableBasicTest, StatsCountOperations) {
   ASSERT_TRUE(InsertRow({1, 10, 20, 30}).ok());
   ASSERT_TRUE(UpdateRow(1, 0b0010, {0, 11, 0, 0}).ok());
   ReadRow(1, 0b0010);
-  EXPECT_EQ(table_.stats().inserts.load(), 1u);
-  EXPECT_EQ(table_.stats().updates.load(), 1u);
-  EXPECT_GE(table_.stats().reads.load(), 1u);
+  MetricsSnapshot snap = table_.metrics()->Snapshot();
+  EXPECT_EQ(snap.CounterValue("lstore_inserts_total"), 1u);
+  EXPECT_EQ(snap.CounterValue("lstore_updates_total"), 1u);
+  EXPECT_GE(snap.CounterValue("lstore_reads_total"), 1u);
+}
+
+// Every point-read entry point counts one read per located record,
+// visible or not; a key the index lacks counts nothing.
+TEST_F(TableBasicTest, ReadsCountOncePerLocatedRecord) {
+  Timestamp before_insert = table_.txn_manager().clock().Tick();
+  ASSERT_TRUE(InsertRow({1, 10, 20, 30}).ok());
+  ASSERT_TRUE(InsertRow({2, 11, 21, 31}).ok());
+  Counter* reads = table_.metrics()->GetCounter("lstore_reads_total");
+  const uint64_t base = reads->value();
+  std::vector<Value> out;
+  std::vector<std::vector<Value>> rows;
+  Txn txn = table_.Begin();
+  EXPECT_TRUE(table_.Read(txn, 1, 0b0010, &out).ok());
+  EXPECT_TRUE(table_.Read(txn, 99, 0b0010, &out).IsNotFound());
+  EXPECT_EQ(reads->value() - base, 1u);
+  EXPECT_TRUE(table_.SpeculativeRead(txn, 2, 0b0010, &out).ok());
+  EXPECT_TRUE(table_.SpeculativeRead(txn, 99, 0b0010, &out).IsNotFound());
+  EXPECT_EQ(reads->value() - base, 2u);
+  EXPECT_TRUE(table_.ReadAsOf(1, table_.Now(), 0b0010, &out).ok());
+  EXPECT_TRUE(table_.ReadAsOf(1, before_insert, 0b0010, &out).IsNotFound());
+  EXPECT_TRUE(table_.ReadAsOf(99, table_.Now(), 0b0010, &out).IsNotFound());
+  EXPECT_EQ(reads->value() - base, 4u);
+  EXPECT_TRUE(table_.MultiRead(txn, {1, 99, 2}, 0b0010, &rows).IsNotFound());
+  EXPECT_EQ(reads->value() - base, 6u);
+  ASSERT_TRUE(txn.Commit().ok());
 }
 
 TEST_F(TableBasicTest, SecondaryIndexSelectsAndReevaluates) {
@@ -434,7 +461,8 @@ TEST(LazyUpdateMetaTest, RacingFirstUpdatesOfOneSlotAbortOne) {
     for (auto& t : workers) t.join();
     EXPECT_EQ(ok.load(), 1);
     EXPECT_EQ(aborted.load(), 1);
-    EXPECT_EQ(table.stats().ww_aborts.load(), 1u);
+    EXPECT_EQ(
+        table.metrics()->GetCounter("lstore_ww_conflicts_total")->value(), 1u);
     EXPECT_EQ(table.UpdateMetaBytes(), kMetaArrayBytes);
   }
 }

@@ -95,7 +95,8 @@ TEST_F(TxnTableTest, WriteWriteConflictAbortsSecondWriter) {
   EXPECT_TRUE(s.IsAborted());
   t2.Abort();
   ASSERT_TRUE(t1.Commit().ok());
-  EXPECT_GE(table_.stats().ww_aborts.load(), 1u);
+  EXPECT_GE(
+      table_.metrics()->GetCounter("lstore_ww_conflicts_total")->value(), 1u);
 
   Txn t3 = table_.Begin();
   std::vector<Value> out;
@@ -175,7 +176,10 @@ TEST_F(TxnTableTest, SerializableValidationFailsOnChangedRead) {
   ASSERT_TRUE(table_.Update(t2, 5, 0b010, {0, 555, 0}).ok());
   ASSERT_TRUE(t2.Commit().ok());
   EXPECT_TRUE(t1.Commit().IsAborted());
-  EXPECT_GE(table_.stats().validation_aborts.load(), 1u);
+  EXPECT_GE(table_.metrics()
+                ->GetCounter("lstore_validation_aborts_total")
+                ->value(),
+            1u);
 }
 
 TEST_F(TxnTableTest, SerializableValidationPassesWhenUnchanged) {
