@@ -214,13 +214,9 @@ Status DbmTable::Update(Txn& session, Value key, ColumnMask mask,
                          ? r->delta.Slot(prev, 0)->load(
                                std::memory_order_acquire)
                          : (slot < r->start.size() ? r->start[slot] : kNull);
-  if (IsTxnId(latest_raw) && latest_raw != txn->id()) {
-    TransactionManager::StateView view = txn_manager_->GetState(latest_raw);
-    if (view.found && (view.state == TxnState::kActive ||
-                       view.state == TxnState::kPreCommit)) {
-      ind.store(iv, std::memory_order_release);
-      return Status::Aborted("write-write conflict");
-    }
+  if (txn_manager_->InFlightWriter(latest_raw, txn)) {
+    ind.store(iv, std::memory_order_release);
+    return Status::Aborted("write-write conflict");
   }
 
   // Refuse updates of deleted records.
@@ -305,13 +301,9 @@ Status DbmTable::Delete(Txn& session, Value key) {
                          ? r->delta.Slot(prev, 0)->load(
                                std::memory_order_acquire)
                          : (slot < r->start.size() ? r->start[slot] : kNull);
-  if (IsTxnId(latest_raw) && latest_raw != txn->id()) {
-    TransactionManager::StateView view = txn_manager_->GetState(latest_raw);
-    if (view.found && (view.state == TxnState::kActive ||
-                       view.state == TxnState::kPreCommit)) {
-      ind.store(iv, std::memory_order_release);
-      return Status::Aborted("write-write conflict");
-    }
+  if (txn_manager_->InFlightWriter(latest_raw, txn)) {
+    ind.store(iv, std::memory_order_release);
+    return Status::Aborted("write-write conflict");
   }
   // Refuse double-delete.
   {
@@ -338,46 +330,6 @@ Status DbmTable::Delete(Txn& session, Value key) {
   return Status::OK();
 }
 
-bool DbmTable::VisibleRaw(std::atomic<Value>* sref, Value& raw,
-                          Timestamp as_of, Transaction* txn) const {
-  for (;;) {
-    if (raw == kNull || IsAbortedStamp(raw)) return false;
-    if (!IsTxnId(raw)) return raw < as_of;
-    if (txn != nullptr && raw == txn->id()) return true;
-    TransactionManager::StateView view = txn_manager_->GetState(raw);
-    if (!view.found) {
-      Value reread = sref->load(std::memory_order_acquire);
-      if (reread == raw) {
-        std::this_thread::yield();
-        continue;
-      }
-      raw = reread;
-      continue;
-    }
-    if (view.state == TxnState::kCommitted) {
-      Value expected = raw;
-      sref->compare_exchange_strong(expected, view.commit,
-                                    std::memory_order_acq_rel);
-      raw = view.commit;
-      return raw < as_of;
-    }
-    if (view.state == TxnState::kAborted) {
-      Value expected = raw;
-      sref->compare_exchange_strong(expected, kAbortedStamp,
-                                    std::memory_order_acq_rel);
-      return false;
-    }
-    if (view.state == TxnState::kPreCommit && as_of != kMaxTimestamp &&
-        (view.commit == 0 || view.commit < as_of)) {
-      // Pre-commit writer inside this snapshot: wait for its outcome
-      // so the snapshot stays internally consistent.
-      std::this_thread::yield();
-      continue;
-    }
-    return false;
-  }
-}
-
 Status DbmTable::ResolveRecord(MainRange& r, uint32_t slot, Timestamp as_of,
                                Transaction* txn, ColumnMask mask,
                                std::vector<Value>* out) {
@@ -389,13 +341,13 @@ Status DbmTable::ResolveRecord(MainRange& r, uint32_t slot, Timestamp as_of,
   while (idx != 0 && (remaining != 0 || first)) {
     std::atomic<Value>* sref = r.delta.Slot(idx, 0);
     Value raw = sref->load(std::memory_order_acquire);
-    Value m = r.delta.Slot(idx, 3)->load(std::memory_order_acquire);
     uint64_t prev = r.delta.Slot(idx, 1)->load(std::memory_order_acquire);
-    if (IsSupersededRecord(m)) {
-      idx = prev;  // intermediate same-txn delta: implicitly invalid
-      continue;
-    }
-    if (VisibleRaw(sref, raw, as_of, txn)) {
+    bool visible =
+        txn_manager_->Visible(sref, &raw, as_of, txn) == Visibility::kVisible;
+    // Flags are read after visibility: a same-transaction successor
+    // marks this delta superseded before its writer commits.
+    Value m = r.delta.Slot(idx, 3)->load(std::memory_order_acquire);
+    if (visible && !IsSupersededRecord(m)) {
       if (first && IsDeleteRecord(m)) {
         return Status::NotFound("deleted");
       }
@@ -506,19 +458,10 @@ bool DbmTable::MergeRange(uint64_t range_id) {
   delta_len = r->delta.size();
   std::unordered_map<uint32_t, ColumnMask> seen;
   for (uint64_t idx = delta_len; idx >= 1; --idx) {
-    Value raw = r->delta.Slot(idx, 0)->load(std::memory_order_acquire);
-    if (raw == kNull || IsAbortedStamp(raw)) continue;
-    if (IsTxnId(raw)) {
-      TransactionManager::StateView view = txn_manager_->GetState(raw);
-      if (view.found && view.state == TxnState::kCommitted) {
-        raw = view.commit;
-      } else if (!view.found) {
-        // Retired: the outcome was stamped into the slot; re-read.
-        raw = r->delta.Slot(idx, 0)->load(std::memory_order_acquire);
-        if (IsTxnId(raw) || IsAbortedStamp(raw) || raw == kNull) continue;
-      } else {
-        continue;  // aborted
-      }
+    std::atomic<Value>* sref = r->delta.Slot(idx, 0);
+    Value raw = sref->load(std::memory_order_acquire);
+    if (txn_manager_->Resolve(sref, &raw).outcome != Outcome::kCommitted) {
+      continue;
     }
     uint32_t slot = static_cast<uint32_t>(
         r->delta.Slot(idx, 2)->load(std::memory_order_acquire));

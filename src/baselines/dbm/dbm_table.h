@@ -105,8 +105,6 @@ class DbmTable : public TxnContext {
   void GateEnter();
   void GateExit();
 
-  bool VisibleRaw(std::atomic<Value>* sref, Value& raw, Timestamp as_of,
-                  Transaction* txn) const;
   Status ResolveRecord(MainRange& r, uint32_t slot, Timestamp as_of,
                        Transaction* txn, ColumnMask mask,
                        std::vector<Value>* out);

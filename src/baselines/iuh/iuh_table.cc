@@ -1,7 +1,5 @@
 #include "baselines/iuh/iuh_table.h"
 
-#include <thread>
-
 #include "common/bitutil.h"
 
 namespace lstore {
@@ -93,11 +91,14 @@ Status IuhTable::CommitTxn(Transaction* txn) {
 
 void IuhTable::AbortTxn(Transaction* txn) {
   if (txn->finished()) return;
-  txn_manager_->MarkAborted(txn);
   const uint32_t ncols = schema_.num_columns();
   // In-place storage requires *undo*: restore pre-images in reverse
   // order (this, and the undo logging it implies, is a structural cost
-  // of the baseline — Section 6.1).
+  // of the baseline — Section 6.1). The undo runs BEFORE MarkAborted:
+  // meanwhile readers and writers see an active id (invisible, or a
+  // conflict), and no thread can lazily stamp kAbortedStamp over a
+  // slot whose pre-image is not back yet — the next writer would take
+  // the aborted values as its own pre-image.
   auto& ws = txn->writeset();
   for (auto it = ws.rbegin(); it != ws.rend(); ++it) {
     MainRange* r = GetRange(it->range_id);
@@ -136,6 +137,7 @@ void IuhTable::AbortTxn(Transaction* txn) {
     }
     latch.UnlockExclusive();
   }
+  txn_manager_->MarkAborted(txn);
   txn_manager_->Retire(txn->id());
   txn->set_finished();
 }
@@ -172,40 +174,6 @@ Status IuhTable::Insert(Txn& session, const std::vector<Value>& row) {
   return Status::OK();
 }
 
-bool IuhTable::VisibleRaw(std::atomic<Value>* sref, Value& raw,
-                          Timestamp as_of, Transaction* txn) const {
-  for (;;) {
-    if (raw == kNull || IsAbortedStamp(raw)) return false;
-    if (!IsTxnId(raw)) return raw < as_of;
-    if (txn != nullptr && raw == txn->id()) return true;
-    TransactionManager::StateView view = txn_manager_->GetState(raw);
-    if (!view.found) {
-      Value reread = sref->load(std::memory_order_acquire);
-      if (reread == raw) {
-        std::this_thread::yield();
-        continue;
-      }
-      raw = reread;
-      continue;
-    }
-    if (view.state == TxnState::kCommitted) {
-      Value expected = raw;
-      sref->compare_exchange_strong(expected, view.commit,
-                                    std::memory_order_acq_rel);
-      raw = view.commit;
-      return raw < as_of;
-    }
-    if (view.state == TxnState::kPreCommit && as_of != kMaxTimestamp &&
-        (view.commit == 0 || view.commit < as_of)) {
-      // Pre-commit writer inside this snapshot: wait for its outcome
-      // so the snapshot stays internally consistent.
-      std::this_thread::yield();
-      continue;
-    }
-    return false;  // active / pre-commit / aborted (undo in flight)
-  }
-}
-
 Status IuhTable::ResolveUnderLatch(MainRange& r, uint32_t slot,
                                    Timestamp as_of, Transaction* txn,
                                    ColumnMask mask,
@@ -220,7 +188,7 @@ Status IuhTable::ResolveUnderLatch(MainRange& r, uint32_t slot,
   std::atomic<Value>* sref = &r.start[slot];
   Value raw = sref->load(std::memory_order_acquire);
   bool cur_deleted = r.deleted[slot].load(std::memory_order_acquire) != 0;
-  if (VisibleRaw(sref, raw, as_of, txn)) {
+  if (txn_manager_->Visible(sref, &raw, as_of, txn) == Visibility::kVisible) {
     if (cur_deleted) return Status::NotFound("deleted");
     for (BitIter it(mask); it; ++it) (*out)[*it] = vals[*it];
     return Status::OK();
@@ -251,19 +219,13 @@ Status IuhTable::ResolveUnderLatch(MainRange& r, uint32_t slot,
 
 bool IuhTable::CurrentStart(MainRange& r, uint32_t slot, Transaction* txn,
                             Value* raw) const {
-  *raw = r.start[slot].load(std::memory_order_acquire);
-  if (!IsTxnId(*raw) || *raw == txn->id()) return true;
-  TransactionManager::StateView view = txn_manager_->GetState(*raw);
-  if (!view.found) {
-    // Retired: its outcome is stamped by now.
-    *raw = r.start[slot].load(std::memory_order_acquire);
-    return !IsTxnId(*raw) || *raw == txn->id();
-  }
-  if (view.state != TxnState::kCommitted) return false;
-  // Committed, stamp pending: the pre-image must carry the commit
-  // time, or an undo of this update would restore an id that outlives
-  // its transaction.
-  *raw = view.commit;
+  std::atomic<Value>* sref = &r.start[slot];
+  *raw = sref->load(std::memory_order_acquire);
+  if (txn_manager_->InFlightWriter(*raw, txn)) return false;
+  // A committed writer's stamp may still be pending: the pre-image must
+  // carry the commit time, or an undo of this update would restore an
+  // id that outlives its transaction.
+  txn_manager_->Resolve(sref, raw);
   return true;
 }
 

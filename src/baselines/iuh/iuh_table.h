@@ -94,12 +94,9 @@ class IuhTable : public TxnContext {
 
   /// Under the slot's exclusive page latch: the start time a write by
   /// `txn` must save as its pre-image. False on a write-write conflict:
-  /// another transaction is active, pre-committed, or aborted with its
-  /// undo still pending (its pre-image is not back yet).
+  /// another transaction is active (or undoing) or pre-committed.
   bool CurrentStart(MainRange& r, uint32_t slot, Transaction* txn,
                     Value* raw) const;
-  bool VisibleRaw(std::atomic<Value>* sref, Value& raw, Timestamp as_of,
-                  Transaction* txn) const;
   /// Resolve (possibly via history) the visible value of columns.
   Status ResolveUnderLatch(MainRange& r, uint32_t slot, Timestamp as_of,
                            Transaction* txn, ColumnMask mask,

@@ -4,7 +4,6 @@
 
 #include <cstring>
 #include <memory>
-#include <thread>
 
 #include "common/bitutil.h"
 #include "common/checksum.h"
@@ -138,9 +137,11 @@ bool GetU64(std::string_view in, size_t* pos, uint64_t* v) {
 
 namespace {
 
-/// Resolve the raw Start Time of one tail record for the snapshot.
+/// Resolve the raw Start Time of one tail record for the snapshot,
+/// stamping a decided writer's outcome into the slot as readers do.
 /// Returns a commit time, the aborted stamp, a still-active txn id
-/// (outcome lies beyond the log watermark), or kNull for a record the
+/// (a later commit/abort record necessarily has an LSN beyond the log
+/// watermark and resolves it during replay), or kNull for a record the
 /// writer has not published yet. kNull is safe to omit: writers
 /// publish the Start Time BEFORE appending to the redo log, so an
 /// unpublished record's log append (if it ever happens) necessarily
@@ -149,33 +150,10 @@ namespace {
 Value ResolveStartForCapture(TransactionManager* tm,
                              std::atomic<Value>* sref) {
   Value raw = sref->load(std::memory_order_acquire);
-  while (IsTxnId(raw)) {
-    TransactionManager::StateView view = tm->GetState(raw);
-    if (!view.found) {
-      // Entry retired: the outcome is being stamped into the slot.
-      Value reread = sref->load(std::memory_order_acquire);
-      if (reread == raw) {
-        std::this_thread::yield();
-        continue;
-      }
-      raw = reread;
-      continue;
-    }
-    switch (view.state) {
-      case TxnState::kCommitted:
-        return view.commit;
-      case TxnState::kAborted:
-        return kAbortedStamp;
-      case TxnState::kPreCommit:
-        // Its commit record may already precede the watermark; wait
-        // for the (short) validation window instead of guessing.
-        std::this_thread::yield();
-        continue;
-      case TxnState::kActive:
-        // Keep the txn id: a later commit/abort record necessarily has
-        // an LSN beyond the watermark and resolves it during replay.
-        return raw;
-    }
+  // A pre-committing writer's commit record may already precede the
+  // watermark; wait out the validation window instead of guessing.
+  while (tm->Resolve(sref, &raw).outcome == Outcome::kPreCommit) {
+    tm->AwaitOutcome(raw);
   }
   return raw;
 }

@@ -131,47 +131,14 @@ bool Table::RunInsertMerge(Range& r) {
   uint32_t based = r.based.load(std::memory_order_acquire);
   if (based >= occ) return false;
 
-  // Committed prefix of the insert range: stop at the first insert
-  // whose transaction is still in flight.
+  // Decided prefix of the insert range: stop at the first insert that
+  // is unpublished or whose transaction is still in flight.
   uint32_t new_based = based;
   for (uint32_t slot = based; slot < occ; ++slot) {
     std::atomic<Value>* sref = r.inserts.StartTimeSlot(slot + 1);
     Value raw = sref->load(std::memory_order_acquire);
-    if (raw == kNull) break;  // insert mid-flight
-    if (IsAbortedStamp(raw)) {
-      new_based = slot + 1;
-      continue;
-    }
-    if (IsTxnId(raw)) {
-      TransactionManager::StateView view = txn_manager_->GetState(raw);
-      if (!view.found) {
-        raw = sref->load(std::memory_order_acquire);
-        if (IsTxnId(raw) && !IsAbortedStamp(raw)) break;  // stamping races
-        if (IsAbortedStamp(raw) || raw == kNull) {
-          if (raw == kNull) break;
-          new_based = slot + 1;
-          continue;
-        }
-        new_based = slot + 1;
-        continue;
-      }
-      if (view.state == TxnState::kCommitted) {
-        Value expected = raw;
-        sref->compare_exchange_strong(expected, view.commit,
-                                      std::memory_order_acq_rel);
-        new_based = slot + 1;
-        continue;
-      }
-      if (view.state == TxnState::kAborted) {
-        Value expected = raw;
-        sref->compare_exchange_strong(expected, kAbortedStamp,
-                                      std::memory_order_acq_rel);
-        new_based = slot + 1;
-        continue;
-      }
-      break;  // active / pre-commit
-    }
-    new_based = slot + 1;  // already a commit time
+    if (!txn_manager_->Resolve(sref, &raw).decided()) break;
+    new_based = slot + 1;
   }
   if (new_based == based) return false;
 
@@ -289,35 +256,11 @@ bool Table::RunUpdateMerge(Range& r, ColumnMask data_cols, bool all_columns) {
   for (uint32_t seq = old_tps + 1; seq <= last; ++seq) {
     std::atomic<Value>* sref = r.updates.StartTimeSlot(seq);
     Value raw = sref->load(std::memory_order_acquire);
-    if (raw == kNull) break;  // reserved but not yet published
-    if (IsAbortedStamp(raw)) {
+    Resolution res = txn_manager_->Resolve(sref, &raw);
+    if (!res.decided()) break;  // unpublished, active or pre-commit
+    if (res.outcome == Outcome::kAborted) {
       new_tps = seq;  // tombstone: processed but not applied
       continue;
-    }
-    if (IsTxnId(raw)) {
-      TransactionManager::StateView view = txn_manager_->GetState(raw);
-      if (!view.found) {
-        // Outcome stamped concurrently; re-read.
-        raw = sref->load(std::memory_order_acquire);
-        if (IsTxnId(raw)) break;
-        if (IsAbortedStamp(raw)) {
-          new_tps = seq;
-          continue;
-        }
-      } else if (view.state == TxnState::kCommitted) {
-        Value expected = raw;
-        sref->compare_exchange_strong(expected, view.commit,
-                                      std::memory_order_acq_rel);
-        raw = view.commit;
-      } else if (view.state == TxnState::kAborted) {
-        Value expected = raw;
-        sref->compare_exchange_strong(expected, kAbortedStamp,
-                                      std::memory_order_acq_rel);
-        new_tps = seq;
-        continue;
-      } else {
-        break;  // active / pre-commit: prefix ends
-      }
     }
     // Strengthened stability (Section 4.1.1): records whose base slot
     // is not insert-merged yet end the prefix.

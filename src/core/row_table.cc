@@ -1,7 +1,5 @@
 #include "core/row_table.h"
 
-#include <thread>
-
 #include "common/bitutil.h"
 
 namespace lstore {
@@ -137,46 +135,6 @@ Status RowTable::Insert(Txn& session, const std::vector<Value>& row) {
   return Status::OK();
 }
 
-bool RowTable::VisibleRaw(std::atomic<Value>* sref, Value& raw,
-                          Timestamp as_of, Transaction* txn) const {
-  for (;;) {
-    if (raw == kNull || IsAbortedStamp(raw)) return false;
-    if (!IsTxnId(raw)) return raw < as_of;
-    if (txn != nullptr && raw == txn->id()) return true;
-    TransactionManager::StateView view = txn_manager_->GetState(raw);
-    if (!view.found) {
-      Value reread = sref->load(std::memory_order_acquire);
-      if (reread == raw) {
-        std::this_thread::yield();
-        continue;
-      }
-      raw = reread;
-      continue;
-    }
-    if (view.state == TxnState::kCommitted) {
-      Value expected = raw;
-      sref->compare_exchange_strong(expected, view.commit,
-                                    std::memory_order_acq_rel);
-      raw = view.commit;
-      return raw < as_of;
-    }
-    if (view.state == TxnState::kAborted) {
-      Value expected = raw;
-      sref->compare_exchange_strong(expected, kAbortedStamp,
-                                    std::memory_order_acq_rel);
-      return false;
-    }
-    if (view.state == TxnState::kPreCommit && as_of != kMaxTimestamp &&
-        (view.commit == 0 || view.commit < as_of)) {
-      // Pre-commit writer inside this snapshot: wait for its outcome
-      // so the snapshot stays internally consistent.
-      std::this_thread::yield();
-      continue;
-    }
-    return false;
-  }
-}
-
 Status RowTable::ResolveRow(RowRange& r, uint32_t slot, Timestamp as_of,
                             Transaction* txn, ColumnMask mask,
                             std::vector<Value>* out) const {
@@ -187,9 +145,12 @@ Status RowTable::ResolveRow(RowRange& r, uint32_t slot, Timestamp as_of,
   while (seq != 0) {
     std::atomic<Value>* sref = r.VersionSlot(seq, 0);
     Value raw = sref->load(std::memory_order_acquire);
+    bool visible =
+        txn_manager_->Visible(sref, &raw, as_of, txn) == Visibility::kVisible;
+    // The superseded bit is read after visibility: a same-transaction
+    // successor sets it before its writer commits.
     Value bp = r.VersionSlot(seq, 1)->load(std::memory_order_acquire);
-    bool superseded = (bp & kRowSupersededBit) != 0;
-    if (!superseded && VisibleRaw(sref, raw, as_of, txn)) {
+    if (visible && (bp & kRowSupersededBit) == 0) {
       // Delete marker: the key column of a delete version is ∅.
       if (r.VersionSlot(seq, 2)->load(std::memory_order_acquire) == kNull) {
         return Status::NotFound("deleted");
@@ -206,7 +167,7 @@ Status RowTable::ResolveRow(RowRange& r, uint32_t slot, Timestamp as_of,
   // Base row.
   std::atomic<Value>* sref = &r.base_start[slot];
   Value raw = sref->load(std::memory_order_acquire);
-  if (!VisibleRaw(sref, raw, as_of, txn)) {
+  if (txn_manager_->Visible(sref, &raw, as_of, txn) != Visibility::kVisible) {
     return Status::NotFound("not visible");
   }
   for (BitIter it(mask); it; ++it) {
@@ -244,13 +205,9 @@ Status RowTable::Update(Txn& session, Value key, ColumnMask mask,
                          ? r->VersionSlot(prev_seq, 0)->load(
                                std::memory_order_acquire)
                          : r->base_start[slot].load(std::memory_order_acquire);
-  if (IsTxnId(latest_raw) && latest_raw != txn->id()) {
-    TransactionManager::StateView view = txn_manager_->GetState(latest_raw);
-    if (view.found && (view.state == TxnState::kActive ||
-                       view.state == TxnState::kPreCommit)) {
-      ind.store(iv, std::memory_order_release);
-      return Status::Aborted("write-write conflict");
-    }
+  if (txn_manager_->InFlightWriter(latest_raw, txn)) {
+    ind.store(iv, std::memory_order_release);
+    return Status::Aborted("write-write conflict");
   }
 
   // Same-transaction stacking: the previous own version is fully
@@ -314,13 +271,9 @@ Status RowTable::Delete(Txn& session, Value key) {
                          ? r->VersionSlot(prev_seq, 0)->load(
                                std::memory_order_acquire)
                          : r->base_start[slot].load(std::memory_order_acquire);
-  if (IsTxnId(latest_raw) && latest_raw != txn->id()) {
-    TransactionManager::StateView view = txn_manager_->GetState(latest_raw);
-    if (view.found && (view.state == TxnState::kActive ||
-                       view.state == TxnState::kPreCommit)) {
-      ind.store(iv, std::memory_order_release);
-      return Status::Aborted("write-write conflict");
-    }
+  if (txn_manager_->InFlightWriter(latest_raw, txn)) {
+    ind.store(iv, std::memory_order_release);
+    return Status::Aborted("write-write conflict");
   }
   // Refuse double-delete.
   {
@@ -383,7 +336,7 @@ Status RowTable::SumColumn(ColumnId col, Timestamp as_of,
         // Fast path: never updated; row-major base access.
         std::atomic<Value>* sref = &r->base_start[slot];
         Value raw = sref->load(std::memory_order_acquire);
-        if (VisibleRaw(sref, raw, as_of, nullptr)) {
+        if (txn_manager_->Visible(sref, &raw, as_of) == Visibility::kVisible) {
           acc += r->base[static_cast<size_t>(slot) * ncols + col].load(
               std::memory_order_relaxed);
         }

@@ -87,8 +87,6 @@ class RowTable : public TxnContext {
   Status ResolveRow(RowRange& r, uint32_t slot, Timestamp as_of,
                     Transaction* txn, ColumnMask mask,
                     std::vector<Value>* out) const;
-  bool VisibleRaw(std::atomic<Value>* sref, Value& raw, Timestamp as_of,
-                  Transaction* txn) const;
 
   Schema schema_;
   TableConfig config_;

@@ -410,93 +410,6 @@ std::atomic<Value>* Table::BaseStartSlot(Range& r, uint32_t slot) const {
 }
 
 // ---------------------------------------------------------------------------
-// Visibility
-// ---------------------------------------------------------------------------
-
-void Table::StampCommitTime(std::atomic<Value>* slot, Value observed) const {
-  Value expected = observed;
-  // Lazy swap of txn id -> commit time (Section 5.1.1); losing the
-  // race is fine, someone else stamped.
-  TransactionManager::StateView view = txn_manager_->GetState(observed);
-  if (view.found && view.state == TxnState::kCommitted) {
-    slot->compare_exchange_strong(expected, view.commit,
-                                  std::memory_order_acq_rel);
-  }
-}
-
-Table::Visibility Table::CheckVisible(std::atomic<Value>* slot_ref, Value& raw,
-                                      const ReadSpec& spec,
-                                      TxnId* dependency) const {
-  for (int spin = 0;; ++spin) {
-    if (raw == kNull) return Visibility::kInvisible;
-    if (IsAbortedStamp(raw)) return Visibility::kInvisible;
-    if (!IsTxnId(raw)) {
-      return raw < spec.as_of ? Visibility::kVisible : Visibility::kInvisible;
-    }
-    // Raw holds a transaction id.
-    if (spec.txn != nullptr && raw == spec.txn->id()) {
-      return Visibility::kVisible;  // read-your-own-writes
-    }
-    TransactionManager::StateView view = txn_manager_->GetState(raw);
-    if (!view.found) {
-      // Entry retired: the outcome has been stamped into the slot;
-      // re-read and re-evaluate.
-      Value reread = slot_ref->load(std::memory_order_acquire);
-      if (reread == raw) {
-        // Stamping is in flight on another thread; brief wait.
-        std::this_thread::yield();
-        continue;
-      }
-      raw = reread;
-      continue;
-    }
-    switch (view.state) {
-      case TxnState::kActive:
-        return Visibility::kInvisible;
-      case TxnState::kPreCommit:
-        if (spec.speculative && view.commit < spec.as_of) {
-          if (dependency != nullptr) *dependency = raw;
-          return Visibility::kVisibleSpeculative;
-        }
-        if (spec.as_of != kMaxTimestamp &&
-            (view.commit == 0 || view.commit < spec.as_of)) {
-          // A pre-commit writer whose commit time falls inside this
-          // snapshot: its outcome determines visibility, so wait for
-          // the (short) validation window to resolve — otherwise two
-          // reads of the same snapshot could disagree.
-          std::this_thread::yield();
-          continue;
-        }
-        return Visibility::kInvisible;
-      case TxnState::kCommitted: {
-        Value expected = raw;
-        slot_ref->compare_exchange_strong(expected, view.commit,
-                                          std::memory_order_acq_rel);
-        raw = view.commit;
-        return view.commit < spec.as_of ? Visibility::kVisible
-                                        : Visibility::kInvisible;
-      }
-      case TxnState::kAborted: {
-        Value expected = raw;
-        slot_ref->compare_exchange_strong(expected, kAbortedStamp,
-                                          std::memory_order_acq_rel);
-        return Visibility::kInvisible;
-      }
-    }
-  }
-}
-
-bool Table::VisibleAtSnapshot(Value raw_start, Timestamp as_of) const {
-  if (raw_start == kNull || IsAbortedStamp(raw_start)) return false;
-  if (IsTxnId(raw_start)) {
-    TransactionManager::StateView view = txn_manager_->GetState(raw_start);
-    return view.found && view.state == TxnState::kCommitted &&
-           view.commit < as_of;
-  }
-  return raw_start < as_of;
-}
-
-// ---------------------------------------------------------------------------
 // Record resolution (the 2-hop read path of Section 2.2)
 // ---------------------------------------------------------------------------
 
@@ -543,13 +456,13 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
     } else {
       std::atomic<Value>* sref = BaseStartSlot(r, slot);
       Value raw = sref->load(std::memory_order_acquire);
-      TxnId dep = 0;
-      Visibility v = CheckVisible(sref, raw, spec, &dep);
+      Visibility v = txn_manager_->Visible(sref, &raw, spec.as_of, spec.txn,
+                                           spec.speculative);
       if (v == Visibility::kInvisible) {
         return Status::NotFound("record not visible");
       }
       if (v == Visibility::kVisibleSpeculative && spec.txn != nullptr) {
-        spec.txn->commit_dependencies().push_back(dep);
+        spec.txn->commit_dependencies().push_back(raw);
       }
     }
   }
@@ -631,15 +544,15 @@ Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
 
     std::atomic<Value>* sref = r.updates.StartTimeSlot(seq);
     Value raw = sref->load(std::memory_order_acquire);
-    TxnId dep = 0;
-    Visibility vis = CheckVisible(sref, raw, spec, &dep);
+    Visibility vis = txn_manager_->Visible(sref, &raw, spec.as_of, spec.txn,
+                                           spec.speculative);
     uint32_t back = static_cast<uint32_t>(r.updates.Read(seq, kTailIndirection));
     if (vis == Visibility::kInvisible) {
       seq = back;
       continue;
     }
     if (vis == Visibility::kVisibleSpeculative && spec.txn != nullptr) {
-      spec.txn->commit_dependencies().push_back(dep);
+      spec.txn->commit_dependencies().push_back(raw);
     }
     Value enc = r.updates.Read(seq, kTailSchemaEncoding);
     if (IsSupersededRecord(enc)) {
@@ -781,19 +694,8 @@ Status Table::ValidateReads(Transaction* txn, Timestamp commit_time) {
   }
   // Speculative commit dependencies must have committed ([18]).
   for (TxnId dep : txn->commit_dependencies()) {
-    TransactionManager::StateView view = txn_manager_->GetState(dep);
-    if (view.found && view.state != TxnState::kCommitted) {
-      if (view.state == TxnState::kAborted) {
-        return Status::Aborted("speculative dependency aborted");
-      }
-      // Still pre-commit: wait briefly for the outcome.
-      while (view.found && view.state == TxnState::kPreCommit) {
-        std::this_thread::yield();
-        view = txn_manager_->GetState(dep);
-      }
-      if (view.found && view.state == TxnState::kAborted) {
-        return Status::Aborted("speculative dependency aborted");
-      }
+    if (!txn_manager_->AwaitOutcome(dep)) {
+      return Status::Aborted("speculative dependency aborted");
     }
   }
   return Status::OK();
@@ -1098,14 +1000,10 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
                      ? BaseMetaValue(r, slot, kBaseStartTime)
                      : r.inserts.Read(slot + 1, kTailStartTime);
   }
-  if (IsTxnId(latest_raw) && latest_raw != txn->id()) {
-    TransactionManager::StateView view = txn_manager_->GetState(latest_raw);
-    if (view.found && (view.state == TxnState::kActive ||
-                       view.state == TxnState::kPreCommit)) {
-      ind.store(iv, std::memory_order_release);  // release latch
-      obs_.ww_conflicts->Increment();
-      return Status::Aborted("write-write conflict (uncommitted version)");
-    }
+  if (txn_manager_->InFlightWriter(latest_raw, txn)) {
+    ind.store(iv, std::memory_order_release);  // release latch
+    obs_.ww_conflicts->Increment();
+    return Status::Aborted("write-write conflict (uncommitted version)");
   }
 
   // Reject updates of deleted records: find the newest non-aborted

@@ -404,8 +404,6 @@ class Table : public TxnContext {
     bool speculative;       ///< allow pre-commit versions
   };
 
-  enum class Visibility { kVisible, kInvisible, kVisibleSpeculative };
-
   /// The record a primary-index probe result names: its range and
   /// slot, or NotFound for an absent key.
   Status Locate(Rid rid, Range** r, uint32_t* slot) const;
@@ -441,12 +439,6 @@ class Table : public TxnContext {
   Status ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
                            ColumnMask needed, std::vector<Value>* out,
                            uint32_t* observed_seq, bool* consistent) const;
-
-  /// Visibility of a version whose raw Start Time is `raw`; performs
-  /// lazy commit-time stamping via `slot_ref` when the writer has
-  /// committed (Section 5.1.1). May update `raw` in place.
-  Visibility CheckVisible(std::atomic<Value>* slot_ref, Value& raw,
-                          const ReadSpec& spec, TxnId* dependency) const;
 
   /// Value of a base (pre-update) column: from the base segment when
   /// the slot is insert-merged, else from the table-level tail pages.
@@ -526,10 +518,6 @@ class Table : public TxnContext {
   std::shared_ptr<SegmentPage> MakeColdSegmentPage(
       uint64_t offset, uint64_t length, uint32_t checksum,
       const CompressedColumn::Header& layout);
-  void StampCommitTime(std::atomic<Value>* slot, Value observed_raw) const;
-
-  /// Scan helpers.
-  bool VisibleAtSnapshot(Value raw_start, Timestamp as_of) const;
 
   // Recovery machinery (bodies in checkpoint/recovery.cc) ---------------------
 

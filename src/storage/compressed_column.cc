@@ -23,7 +23,8 @@ void AppendWords(std::string* out, const std::vector<uint64_t>& words) {
 /// Copy `n` words from `*p` and advance it.
 std::vector<uint64_t> TakeWords(const char** p, uint64_t n) {
   std::vector<uint64_t> words(n);
-  std::memcpy(words.data(), *p, n * sizeof(uint64_t));
+  // An empty vector's data() may be null, which memcpy must not get.
+  if (n != 0) std::memcpy(words.data(), *p, n * sizeof(uint64_t));
   *p += n * sizeof(uint64_t);
   return words;
 }

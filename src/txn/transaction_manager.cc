@@ -1,5 +1,7 @@
 #include "txn/transaction_manager.h"
 
+#include <thread>
+
 namespace lstore {
 
 Transaction TransactionManager::Begin(IsolationLevel iso) {
@@ -77,6 +79,52 @@ TransactionManager::StateView TransactionManager::GetState(TxnId id) const {
   view.state = it->second->state.load(std::memory_order_acquire);
   view.commit = it->second->commit.load(std::memory_order_acquire);
   return view;
+}
+
+Resolution TransactionManager::ResolveTxnId(std::atomic<Value>* slot,
+                                            Value* raw) const {
+  for (;;) {
+    StateView view = GetState(*raw);
+    if (!view.found) {
+      // Retired, so stamped (the invariant above): re-read the slot. An
+      // unchanged re-read is a stamp still becoming visible; yield.
+      Value reread = slot->load(std::memory_order_acquire);
+      if (reread == *raw) {
+        std::this_thread::yield();
+        continue;
+      }
+      *raw = reread;
+      return Resolve(slot, raw);
+    }
+    if (view.state == TxnState::kActive) return {Outcome::kActive};
+    if (view.state == TxnState::kPreCommit) {
+      return {Outcome::kPreCommit, view.commit};
+    }
+    Value stamp =
+        view.state == TxnState::kCommitted ? view.commit : kAbortedStamp;
+    // Losing the race is fine: another thread stamped the same value.
+    Value expected = *raw;
+    slot->compare_exchange_strong(expected, stamp, std::memory_order_acq_rel);
+    *raw = stamp;
+    return Resolve(slot, raw);
+  }
+}
+
+bool TransactionManager::Undecided(TxnId id) const {
+  StateView view = GetState(id);
+  return view.found && (view.state == TxnState::kActive ||
+                        view.state == TxnState::kPreCommit);
+}
+
+bool TransactionManager::AwaitOutcome(TxnId id) const {
+  for (;;) {
+    StateView view = GetState(id);
+    if (!view.found) return true;
+    if (view.state != TxnState::kPreCommit) {
+      return view.state != TxnState::kAborted;
+    }
+    std::this_thread::yield();
+  }
 }
 
 size_t TransactionManager::live_entries() const {

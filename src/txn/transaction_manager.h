@@ -4,10 +4,17 @@
 // the state of each transaction and its begin/commit time in a
 // hashtable").
 //
-// Entries are retired once the transaction's Start Time slots have
-// been stamped with the final outcome (commit time or aborted stamp),
-// so the table stays bounded; a reader that misses an entry simply
-// re-reads the slot, which by then holds the stamped value.
+// It is also the one home of the Start Time protocol: a slot holds the
+// writer's transaction id until this manager's state for that id
+// decides the version, and the first thread to see the decision swaps
+// the commit time (or the aborted stamp) in lazily. Every engine, both
+// merges and checkpoint capture read the state table only through
+// `Resolve`, `Visible`, `InFlightWriter` and `AwaitOutcome`.
+//
+// Invariant: every engine stamps its writes' Start Time slots with the
+// final outcome BEFORE it calls `Retire`. The table thereby stays
+// bounded, and a thread that misses an entry knows the slot already
+// holds the stamped value (it re-reads it; see ResolveTxnId).
 
 #ifndef LSTORE_TXN_TRANSACTION_MANAGER_H_
 #define LSTORE_TXN_TRANSACTION_MANAGER_H_
@@ -24,6 +31,28 @@
 #include "txn/transaction.h"
 
 namespace lstore {
+
+/// What a Start Time slot says about its version.
+enum class Outcome : uint8_t {
+  kUnpublished,  ///< kNull: reserved, not written yet
+  kActive,       ///< the writer is still running (or undoing)
+  kPreCommit,    ///< the writer is validating its reads
+  kCommitted,
+  kAborted,
+};
+
+struct Resolution {
+  Outcome outcome;
+  /// The commit time when committed; when pre-committing, the one
+  /// already assigned, or 0.
+  Timestamp commit = 0;
+  bool decided() const {
+    return outcome == Outcome::kCommitted || outcome == Outcome::kAborted;
+  }
+};
+
+/// Whether a reader sees one version.
+enum class Visibility : uint8_t { kInvisible, kVisible, kVisibleSpeculative };
 
 class TransactionManager {
  public:
@@ -49,6 +78,58 @@ class TransactionManager {
 
   /// Remove the hashtable entry once all Start Time slots are stamped.
   void Retire(TxnId id);
+
+  /// The outcome of the version whose Start Time slot is `slot`; `*raw`
+  /// is the caller's load of it. A decided writer's commit time or
+  /// kAbortedStamp is CAS-stamped into the slot on the way, and `*raw`
+  /// is left holding the slot's resolved contents: a commit time,
+  /// kAbortedStamp, kNull, or the id of a writer still active or
+  /// pre-committing. A stamped slot resolves without a lookup.
+  Resolution Resolve(std::atomic<Value>* slot, Value* raw) const {
+    if (*raw == kNull) return {Outcome::kUnpublished};
+    if (IsAbortedStamp(*raw)) return {Outcome::kAborted};
+    if (!IsTxnId(*raw)) return {Outcome::kCommitted, *raw};
+    return ResolveTxnId(slot, raw);
+  }
+
+  /// Visibility of the version in `slot` (`*raw` as for Resolve) to a
+  /// reader at `as_of` (strict '<'; kMaxTimestamp = latest committed).
+  /// `reader`'s own writes are visible. A pre-committing writer is
+  /// visible speculatively ([18]) when `speculative` and its commit
+  /// time falls inside the snapshot; `*raw` then holds its id, the
+  /// reader's commit dependency. Otherwise, inside a bounded snapshot,
+  /// the reader waits out its validation, so two reads of one snapshot
+  /// never disagree.
+  Visibility Visible(std::atomic<Value>* slot, Value* raw, Timestamp as_of,
+                     const Transaction* reader = nullptr,
+                     bool speculative = false) const {
+    if (reader != nullptr && *raw == reader->id()) return Visibility::kVisible;
+    for (;;) {
+      Resolution res = Resolve(slot, raw);
+      if (res.outcome == Outcome::kCommitted) {
+        return res.commit < as_of ? Visibility::kVisible
+                                  : Visibility::kInvisible;
+      }
+      bool inside = res.commit == 0 || res.commit < as_of;
+      if (res.outcome != Outcome::kPreCommit || !inside) {
+        return Visibility::kInvisible;
+      }
+      if (speculative) return Visibility::kVisibleSpeculative;
+      if (as_of == kMaxTimestamp) return Visibility::kInvisible;
+      AwaitOutcome(*raw);
+    }
+  }
+
+  /// The write-write conflict test (Section 5.1.1): whether `raw`, the
+  /// Start Time of a record's latest version, names a transaction other
+  /// than `writer` that is still active or pre-committing.
+  bool InFlightWriter(Value raw, const Transaction* writer) const {
+    return IsTxnId(raw) && raw != writer->id() && Undecided(raw);
+  }
+
+  /// Yield while `id` is pre-committing. False iff it then aborted; a
+  /// retired id returns true (its outcome is in its slots).
+  bool AwaitOutcome(TxnId id) const;
 
   /// Snapshot of a transaction's state; `found == false` means the
   /// entry was already retired (outcome is stamped in the slots).
@@ -76,6 +157,10 @@ class TransactionManager {
     mutable SpinLatch latch;
     std::unordered_map<TxnId, std::unique_ptr<TxnInfo>> map;
   };
+  /// Resolve's lookup: `*raw` holds a transaction id.
+  Resolution ResolveTxnId(std::atomic<Value>* slot, Value* raw) const;
+  bool Undecided(TxnId id) const;
+
   size_t ShardOf(TxnId id) const {
     return (id * 0x9e3779b97f4a7c15ull >> 32) % shards_.size();
   }

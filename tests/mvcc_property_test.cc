@@ -1,6 +1,8 @@
 // Parameterized MVCC property sweeps on the L-Store table: randomized
 // concurrent workloads checked against global invariants —
-//  * no dirty reads (only committed values are ever observed),
+//  * no dirty reads (only committed values are ever observed), also on
+//    L-Store (Row), IUH and DBM, whose visibility is the transaction
+//    manager's too,
 //  * snapshot-sum conservation under balanced transfers,
 //  * monotone visibility (committed writes eventually observed),
 //  * abort atomicity.
@@ -9,11 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <thread>
 
+#include "baselines/dbm/dbm_table.h"
+#include "baselines/iuh/iuh_table.h"
 #include "common/random.h"
 #include "core/query.h"
+#include "core/row_table.h"
 #include "core/table.h"
 
 namespace lstore {
@@ -26,26 +32,39 @@ struct PropertyCase {
   bool merge_thread;
   uint32_t merge_threshold;
   int duration_ms;
+  bool all_engines;     // also run NoDirtyOrTornReads on the baselines
 };
 
-class MvccProperty : public ::testing::TestWithParam<PropertyCase> {
- protected:
-  static TableConfig MakeConfig(const PropertyCase& p) {
-    TableConfig cfg;
-    cfg.range_size = 128;
-    cfg.insert_range_size = 128;
-    cfg.tail_page_slots = 32;
-    cfg.merge_threshold = p.merge_threshold;
-    cfg.enable_merge_thread = p.merge_thread;
-    return cfg;
-  }
-};
+TableConfig MakeConfig(const PropertyCase& p) {
+  TableConfig cfg;
+  cfg.range_size = 128;
+  cfg.insert_range_size = 128;
+  cfg.tail_page_slots = 32;
+  cfg.merge_threshold = p.merge_threshold;
+  cfg.enable_merge_thread = p.merge_thread;
+  return cfg;
+}
+
+class MvccProperty : public ::testing::TestWithParam<PropertyCase> {};
+
+// The per-engine factory: every engine shares Begin, Insert, Update
+// and Read over a Txn session.
+template <class Engine>
+std::unique_ptr<Engine> MakeEngine(const TableConfig& cfg) {
+  return std::make_unique<Engine>(Schema(3), cfg);
+}
+template <>
+std::unique_ptr<Table> MakeEngine<Table>(const TableConfig& cfg) {
+  return std::make_unique<Table>("t", Schema(3), cfg);
+}
 
 // Writers only ever commit values that are multiples of 1000; any
-// other observed value is a dirty or torn read.
-TEST_P(MvccProperty, NoDirtyOrTornReads) {
-  const PropertyCase& p = GetParam();
-  Table table("t", Schema(3), MakeConfig(p));
+// other observed value is a dirty or torn read, or an aborted write.
+template <class Engine>
+void ExpectNoDirtyOrTornReads(const char* engine, const PropertyCase& p) {
+  SCOPED_TRACE(engine);
+  std::unique_ptr<Engine> owned = MakeEngine<Engine>(MakeConfig(p));
+  Engine& table = *owned;
   {
     Txn txn = table.Begin();
     for (Value k = 0; k < p.rows; ++k) {
@@ -62,21 +81,29 @@ TEST_P(MvccProperty, NoDirtyOrTornReads) {
       while (!stop.load()) {
         Txn txn = table.Begin();
         Value key = rng.Uniform(p.rows);
-        // Write a non-multiple first, then fix it before committing:
-        // intermediate state must never leak.
-        std::vector<Value> row(3, 0);
-        row[1] = rng.Uniform(1000) * 1000 + 7;  // dirty value
-        if (!table.Update(txn, key, 0b010, row).ok()) {
+        // Column 1, 2 or both: a version that covers one column leaves
+        // the other to older versions (in place: to an abort's undo).
+        static constexpr ColumnMask kMasks[] = {0b010, 0b100, 0b110};
+        ColumnMask mask = kMasks[rng.Uniform(3)];
+        bool abort = rng.Percent(20);
+        auto value = [&](bool dirty) {
+          return rng.Uniform(1000) * 1000 + (dirty ? 7 : 0);
+        };
+        // Write non-multiples first, then fix them before committing:
+        // intermediate state must never leak. A transaction bound to
+        // abort keeps non-multiples: its writes must never leak either.
+        std::vector<Value> row = {0, value(true), value(true)};
+        if (!table.Update(txn, key, mask, row).ok()) {
           txn.Abort();
           continue;
         }
-        row[1] = rng.Uniform(1000) * 1000;  // clean value
-        if (!table.Update(txn, key, 0b010, row).ok()) {
+        row = {0, value(abort), value(abort)};
+        if (!table.Update(txn, key, mask, row).ok()) {
           txn.Abort();
           continue;
         }
-        if (rng.Percent(20)) {
-          txn.Abort();  // aborted txns leak nothing either
+        if (abort) {
+          txn.Abort();
         } else {
           (void)txn.Commit();
         }
@@ -91,14 +118,23 @@ TEST_P(MvccProperty, NoDirtyOrTornReads) {
     Txn txn = table.Begin();
     std::vector<Value> out;
     Value key = rng.Uniform(p.rows);
-    if (table.Read(txn, key, 0b010, &out).ok()) {
-      if (out[1] % 1000 != 0) violation = true;
+    if (table.Read(txn, key, 0b110, &out).ok()) {
+      if (out[1] % 1000 != 0 || out[2] % 1000 != 0) violation = true;
     }
     (void)txn.Commit();
   }
   stop = true;
   for (auto& th : threads) th.join();
   EXPECT_FALSE(violation.load()) << "observed an uncommitted value";
+}
+
+TEST_P(MvccProperty, NoDirtyOrTornReads) {
+  const PropertyCase& p = GetParam();
+  ExpectNoDirtyOrTornReads<Table>("L-Store", p);
+  if (!p.all_engines) return;
+  ExpectNoDirtyOrTornReads<RowTable>("L-Store (Row)", p);
+  ExpectNoDirtyOrTornReads<IuhTable>("IUH", p);
+  ExpectNoDirtyOrTornReads<DbmTable>("DBM", p);
 }
 
 // Balanced transfers under serializable isolation: every snapshot sum
@@ -222,10 +258,10 @@ TEST_P(MvccProperty, CommittedIncrementsNeverLost) {
 INSTANTIATE_TEST_SUITE_P(
     Sweep, MvccProperty,
     ::testing::Values(
-        PropertyCase{"low_contention", 512, 2, true, 64, 250},
-        PropertyCase{"high_contention", 16, 3, true, 32, 250},
-        PropertyCase{"no_merge", 64, 2, false, 1u << 30, 200},
-        PropertyCase{"eager_merge", 64, 2, true, 8, 250}),
+        PropertyCase{"low_contention", 512, 2, true, 64, 250, true},
+        PropertyCase{"high_contention", 16, 3, true, 32, 250, true},
+        PropertyCase{"no_merge", 64, 2, false, 1u << 30, 200, false},
+        PropertyCase{"eager_merge", 64, 2, true, 8, 250, false}),
     [](const ::testing::TestParamInfo<PropertyCase>& info) {
       return info.param.name;
     });

@@ -34,19 +34,69 @@ TEST(TxnManagerTest, BeginAssignsTaggedMonotoneIds) {
 TEST(TxnManagerTest, StateTransitions) {
   TransactionManager mgr;
   Transaction t = mgr.Begin();
+  // A Start Time slot holding t's id, resolved at every state.
+  std::atomic<Value> slot{t.id()};
+  Value raw = t.id();
   auto v = mgr.GetState(t.id());
   ASSERT_TRUE(v.found);
   EXPECT_EQ(v.state, TxnState::kActive);
+  EXPECT_EQ(mgr.Resolve(&slot, &raw).outcome, Outcome::kActive);
+  EXPECT_EQ(raw, t.id());
+  EXPECT_EQ(slot.load(), t.id());
 
   Timestamp commit = mgr.EnterPreCommit(&t);
   v = mgr.GetState(t.id());
   EXPECT_EQ(v.state, TxnState::kPreCommit);
   EXPECT_EQ(v.commit, commit);
   EXPECT_GT(commit, t.begin_time());
+  Resolution res = mgr.Resolve(&slot, &raw);
+  EXPECT_EQ(res.outcome, Outcome::kPreCommit);
+  EXPECT_EQ(res.commit, commit);
+  EXPECT_EQ(slot.load(), t.id());
 
   mgr.MarkCommitted(&t);
   v = mgr.GetState(t.id());
   EXPECT_EQ(v.state, TxnState::kCommitted);
+  res = mgr.Resolve(&slot, &raw);
+  EXPECT_EQ(res.outcome, Outcome::kCommitted);
+  EXPECT_EQ(res.commit, commit);
+  EXPECT_EQ(raw, commit);
+  EXPECT_EQ(slot.load(), commit);  // lazily stamped
+
+  // Retired after stamping: a stale load of the id resolves to the
+  // stamped value.
+  mgr.Retire(t.id());
+  raw = t.id();
+  res = mgr.Resolve(&slot, &raw);
+  EXPECT_EQ(res.outcome, Outcome::kCommitted);
+  EXPECT_EQ(raw, commit);
+
+  Transaction a = mgr.Begin();
+  std::atomic<Value> aborted_slot{a.id()};
+  raw = a.id();
+  mgr.MarkAborted(&a);
+  EXPECT_EQ(mgr.Resolve(&aborted_slot, &raw).outcome, Outcome::kAborted);
+  EXPECT_EQ(raw, kAbortedStamp);
+  EXPECT_EQ(aborted_slot.load(), kAbortedStamp);
+  mgr.Retire(a.id());
+  raw = a.id();
+  EXPECT_EQ(mgr.Resolve(&aborted_slot, &raw).outcome, Outcome::kAborted);
+  EXPECT_EQ(raw, kAbortedStamp);
+
+  // Stamped and unpublished slots resolve without a lookup (one would
+  // find no entry and spin on the unchanged re-read).
+  for (auto [stamped, outcome] :
+       {std::pair{commit, Outcome::kCommitted},
+        std::pair{kNull, Outcome::kUnpublished},
+        std::pair{kAbortedStamp, Outcome::kAborted}}) {
+    std::atomic<Value> s{stamped};
+    raw = stamped;
+    res = mgr.Resolve(&s, &raw);
+    EXPECT_EQ(res.outcome, outcome);
+    EXPECT_EQ(raw, stamped);
+    EXPECT_EQ(s.load(), stamped);
+  }
+  EXPECT_EQ(mgr.live_entries(), 0u);
 }
 
 TEST(TxnManagerTest, RetireRemovesEntry) {
