@@ -9,17 +9,17 @@
 namespace lstore {
 
 // ---------------------------------------------------------------------------
-// MainRange
+// DbmRange
 // ---------------------------------------------------------------------------
 
-DbmTable::MainRange::MainRange(uint32_t range_size, uint32_t ncols,
-                               uint32_t stride)
-    : data(static_cast<size_t>(range_size) * ncols, kNull),
-      start(range_size, kNull),
-      deleted(range_size, 0),
-      indirection(std::make_unique<std::atomic<uint64_t>[]>(range_size)),
-      delta(stride, kDeltaChunk, kDeltaMaxChunks) {
-  for (uint32_t i = 0; i < range_size; ++i) {
+DbmRange::DbmRange(const TableConfig& config, uint32_t ncols)
+    : data(static_cast<size_t>(config.range_size) * ncols, kNull),
+      start(config.range_size, kNull),
+      deleted(config.range_size, 0),
+      indirection(
+          std::make_unique<std::atomic<uint64_t>[]>(config.range_size)),
+      delta(kDeltaHeader + ncols, kDeltaChunk, kDeltaMaxChunks) {
+  for (uint32_t i = 0; i < config.range_size; ++i) {
     indirection[i].store(0, std::memory_order_relaxed);
   }
 }
@@ -30,18 +30,7 @@ DbmTable::MainRange::MainRange(uint32_t range_size, uint32_t ncols,
 
 DbmTable::DbmTable(Schema schema, TableConfig config,
                    TransactionManager* txn_manager)
-    : schema_(std::move(schema)),
-      config_(config),
-      ranges_(std::make_unique<std::atomic<MainRange*>[]>(kMaxRanges)) {
-  for (uint64_t i = 0; i < kMaxRanges; ++i) {
-    ranges_[i].store(nullptr, std::memory_order_relaxed);
-  }
-  if (txn_manager != nullptr) {
-    txn_manager_ = txn_manager;
-  } else {
-    owned_txn_manager_ = std::make_unique<TransactionManager>();
-    txn_manager_ = owned_txn_manager_.get();
-  }
+    : EngineCore(std::move(schema), config, txn_manager) {
   if (config_.enable_merge_thread) {
     running_ = true;
     merge_thread_ = std::thread([this] { MergeLoop(); });
@@ -55,31 +44,6 @@ DbmTable::~DbmTable() {
   }
   queue_cv_.notify_all();
   if (merge_thread_.joinable()) merge_thread_.join();
-  for (uint64_t i = 0; i < kMaxRanges; ++i) {
-    delete ranges_[i].load(std::memory_order_relaxed);
-  }
-}
-
-DbmTable::MainRange* DbmTable::GetRange(uint64_t id) const {
-  if (id >= kMaxRanges) return nullptr;
-  return ranges_[id].load(std::memory_order_acquire);
-}
-
-DbmTable::MainRange* DbmTable::EnsureRange(uint64_t id) {
-  MainRange* r = GetRange(id);
-  if (r != nullptr) return r;
-  SpinGuard g(ranges_latch_);
-  r = ranges_[id].load(std::memory_order_acquire);
-  if (r == nullptr) {
-    r = new MainRange(config_.range_size, schema_.num_columns(),
-                      kDeltaHeader + schema_.num_columns());
-    ranges_[id].store(r, std::memory_order_release);
-    uint64_t n = num_ranges_.load(std::memory_order_relaxed);
-    while (n < id + 1 && !num_ranges_.compare_exchange_weak(
-                             n, id + 1, std::memory_order_acq_rel)) {
-    }
-  }
-  return r;
 }
 
 // ---------------------------------------------------------------------------
@@ -104,81 +68,49 @@ void DbmTable::GateExit() {
 
 Txn DbmTable::Begin(IsolationLevel iso) {
   GateEnter();
-  return Txn(this, txn_manager_->Begin(iso));
+  return EngineCore::Begin(iso);
 }
 
 Status DbmTable::CommitTxn(Transaction* txn) {
   if (txn->finished()) return Status::InvalidArgument("finished");
-  Timestamp commit_time = txn_manager_->EnterPreCommit(txn);
-  txn_manager_->MarkCommitted(txn);
-  for (const WriteEntry& w : txn->writeset()) {
-    MainRange* r = GetRange(w.range_id);
-    if (r == nullptr) continue;
-    std::atomic<Value>* sref = r->delta.Slot(w.seq, 0);
-    Value expected = txn->id();
-    sref->compare_exchange_strong(expected, commit_time,
-                                  std::memory_order_acq_rel);
-  }
-  txn_manager_->Retire(txn->id());
-  txn->set_finished();
+  Status s = EngineCore::CommitTxn(txn);
   GateExit();
-  return Status::OK();
+  return s;
 }
 
 void DbmTable::AbortTxn(Transaction* txn) {
   if (txn->finished()) return;
-  txn_manager_->MarkAborted(txn);
-  for (const WriteEntry& w : txn->writeset()) {
-    MainRange* r = GetRange(w.range_id);
-    if (r == nullptr) continue;
-    std::atomic<Value>* sref = r->delta.Slot(w.seq, 0);
-    Value expected = txn->id();
-    sref->compare_exchange_strong(expected, kAbortedStamp,
-                                  std::memory_order_acq_rel);
-    if (w.is_insert) primary_.Erase(w.inserted_key);
-  }
-  txn_manager_->Retire(txn->id());
-  txn->set_finished();
+  EngineCore::AbortTxn(txn);
   GateExit();
 }
 
 // ---------------------------------------------------------------------------
-// Writes: inserts and updates both append to the range's delta store
+// Writes: inserts, updates and deletes all append to the range's delta
 // ---------------------------------------------------------------------------
 
 Status DbmTable::Insert(Txn& session, const std::vector<Value>& row) {
   LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
   Transaction* txn = session.raw();
-  if (row.size() != schema_.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch");
-  }
-  uint64_t rid = next_row_.fetch_add(1, std::memory_order_relaxed);
-  MainRange* r = EnsureRange(rid / config_.range_size);
-  uint32_t slot = static_cast<uint32_t>(rid % config_.range_size);
-  uint32_t cur = r->occupied.load(std::memory_order_relaxed);
-  while (cur < slot + 1 && !r->occupied.compare_exchange_weak(
-                               cur, slot + 1, std::memory_order_acq_rel)) {
-  }
-  if (!primary_.Insert(row[0], rid)) {
-    return Status::AlreadyExists("duplicate key");
-  }
-  uint64_t idx = r->delta.Reserve();
+  Located at;
+  LSTORE_RETURN_IF_ERROR(ReserveRow(row, &at));
+  DbmRange& r = *at.range;
+  uint64_t idx = r.delta.Reserve();
   if (idx == 0) {
     primary_.Erase(row[0]);
     return Status::Busy("delta space exhausted for range");
   }
   const uint32_t ncols = schema_.num_columns();
   for (ColumnId c = 0; c < ncols; ++c) {
-    r->delta.Slot(idx, kDeltaHeader + c)->store(row[c],
-                                                std::memory_order_relaxed);
+    r.delta.Slot(idx, kDeltaHeader + c)->store(row[c],
+                                               std::memory_order_relaxed);
   }
-  r->delta.Slot(idx, 1)->store(0, std::memory_order_relaxed);
-  r->delta.Slot(idx, 2)->store(slot, std::memory_order_relaxed);
-  r->delta.Slot(idx, 3)->store(schema_.AllColumns(),
-                               std::memory_order_relaxed);
-  r->delta.Slot(idx, 0)->store(txn->id(), std::memory_order_release);
-  r->indirection[slot].store(idx, std::memory_order_release);
-  txn->writeset().push_back(WriteEntry{rid / config_.range_size, slot,
+  r.delta.Slot(idx, 1)->store(0, std::memory_order_relaxed);
+  r.delta.Slot(idx, 2)->store(at.slot, std::memory_order_relaxed);
+  r.delta.Slot(idx, 3)->store(schema_.AllColumns(),
+                              std::memory_order_relaxed);
+  r.delta.Slot(idx, 0)->store(txn->id(), std::memory_order_release);
+  r.indirection[at.slot].store(idx, std::memory_order_release);
+  txn->writeset().push_back(WriteEntry{at.range_id, at.slot,
                                        static_cast<uint32_t>(idx),
                                        /*is_insert=*/true, row[0]});
   return Status::OK();
@@ -187,18 +119,24 @@ Status DbmTable::Insert(Txn& session, const std::vector<Value>& row) {
 Status DbmTable::Update(Txn& session, Value key, ColumnMask mask,
                         const std::vector<Value>& row) {
   LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
-  Transaction* txn = session.raw();
-  if (mask == 0 || (mask & 1ull) != 0) {
-    return Status::InvalidArgument("bad mask");
-  }
-  Rid rid = primary_.Get(key);
-  if (rid == kInvalidRid) return Status::NotFound("no such key");
-  MainRange* r = GetRange(rid / config_.range_size);
-  if (r == nullptr) return Status::NotFound("no range");
-  uint32_t slot = static_cast<uint32_t>(rid % config_.range_size);
+  LSTORE_RETURN_IF_ERROR(CheckMask(mask));
+  return WriteDelta(session.raw(), key, mask, &row);
+}
+
+Status DbmTable::Delete(Txn& session, Value key) {
+  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
+  return WriteDelta(session.raw(), key, 0, nullptr);
+}
+
+Status DbmTable::WriteDelta(Transaction* txn, Value key, ColumnMask mask,
+                            const std::vector<Value>* row) {
+  Located at;
+  LSTORE_RETURN_IF_ERROR(Locate(key, &at));
+  DbmRange& r = *at.range;
+  const uint32_t slot = at.slot;
 
   // Latch-free write-write detection on the indirection (as L-Store).
-  auto& ind = r->indirection[slot];
+  auto& ind = r.indirection[slot];
   uint64_t iv = ind.load(std::memory_order_acquire);
   for (;;) {
     if ((iv & kIndirLatchBit) != 0) {
@@ -211,60 +149,57 @@ Status DbmTable::Update(Txn& session, Value key, ColumnMask mask,
   }
   uint64_t prev = iv & ~kIndirLatchBit;
   Value latest_raw = prev != 0
-                         ? r->delta.Slot(prev, 0)->load(
+                         ? r.delta.Slot(prev, 0)->load(
                                std::memory_order_acquire)
-                         : (slot < r->start.size() ? r->start[slot] : kNull);
+                         : (slot < r.start.size() ? r.start[slot] : kNull);
   if (txn_manager_->InFlightWriter(latest_raw, txn)) {
     ind.store(iv, std::memory_order_release);
     return Status::Aborted("write-write conflict");
   }
 
-  // Refuse updates of deleted records.
-  {
-    std::vector<Value> probe(schema_.num_columns(), kNull);
-    Status s = ResolveRecord(*r, slot, kMaxTimestamp, txn, 1ull, &probe);
-    if (!s.ok()) {
-      ind.store(iv, std::memory_order_release);
-      return s;
-    }
+  // Refuse writes to deleted records.
+  std::vector<Value> probe(schema_.num_columns(), kNull);
+  Status s = ResolveRecord(r, slot, kMaxTimestamp, txn, 1ull, &probe);
+  uint64_t idx = 0;
+  if (s.ok() && (idx = r.delta.Reserve()) == 0) {
+    s = Status::Busy("delta space exhausted for range");
   }
-
-  uint64_t idx = r->delta.Reserve();
-  if (idx == 0) {
+  if (!s.ok()) {
     ind.store(iv, std::memory_order_release);
-    return Status::Busy("delta space exhausted for range");
+    return s;
   }
 
   // Same-transaction stacking: mark the previous own delta superseded
   // when the new one covers all of its columns (Section 3.1).
+  const Value enc = row == nullptr ? kDeleteFlag : mask;
   if (prev != 0 && latest_raw == txn->id()) {
-    std::atomic<Value>* pm = r->delta.Slot(prev, 3);
+    std::atomic<Value>* pm = r.delta.Slot(prev, 3);
     Value pmv = pm->load(std::memory_order_acquire);
-    if ((mask & SchemaColumns(pmv)) == SchemaColumns(pmv)) {
+    if ((SchemaColumns(enc) & SchemaColumns(pmv)) == SchemaColumns(pmv)) {
       pm->store(pmv | kSupersededFlag, std::memory_order_release);
     }
   }
   for (BitIter it(mask); it; ++it) {
-    r->delta.Slot(idx, kDeltaHeader + static_cast<uint32_t>(*it))
-        ->store(row[*it], std::memory_order_relaxed);
+    r.delta.Slot(idx, kDeltaHeader + static_cast<uint32_t>(*it))
+        ->store((*row)[*it], std::memory_order_relaxed);
   }
-  r->delta.Slot(idx, 1)->store(prev, std::memory_order_relaxed);
-  r->delta.Slot(idx, 2)->store(slot, std::memory_order_relaxed);
-  r->delta.Slot(idx, 3)->store(mask, std::memory_order_relaxed);
-  r->delta.Slot(idx, 0)->store(txn->id(), std::memory_order_release);
-  txn->writeset().push_back(WriteEntry{rid / config_.range_size, slot,
+  r.delta.Slot(idx, 1)->store(prev, std::memory_order_relaxed);
+  r.delta.Slot(idx, 2)->store(slot, std::memory_order_relaxed);
+  r.delta.Slot(idx, 3)->store(enc, std::memory_order_relaxed);
+  r.delta.Slot(idx, 0)->store(txn->id(), std::memory_order_release);
+  txn->writeset().push_back(WriteEntry{at.range_id, slot,
                                        static_cast<uint32_t>(idx),
                                        /*is_insert=*/false, 0});
   ind.store(idx, std::memory_order_release);
 
   // Merge trigger: delta reached the threshold.
   if (config_.enable_merge_thread &&
-      r->delta.size() >= config_.merge_threshold) {
+      r.delta.size() >= config_.merge_threshold) {
     bool expected = false;
-    if (r->queued.compare_exchange_strong(expected, true)) {
+    if (r.queued.compare_exchange_strong(expected, true)) {
       {
         std::lock_guard<std::mutex> g(queue_mu_);
-        merge_queue_.push_back(rid / config_.range_size);
+        merge_queue_.push_back(at.range_id);
       }
       queue_cv_.notify_one();
     }
@@ -276,61 +211,7 @@ Status DbmTable::Update(Txn& session, Value key, ColumnMask mask,
 // Reads
 // ---------------------------------------------------------------------------
 
-Status DbmTable::Delete(Txn& session, Value key) {
-  LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
-  Transaction* txn = session.raw();
-  Rid rid = primary_.Get(key);
-  if (rid == kInvalidRid) return Status::NotFound("no such key");
-  MainRange* r = GetRange(rid / config_.range_size);
-  if (r == nullptr) return Status::NotFound("no range");
-  uint32_t slot = static_cast<uint32_t>(rid % config_.range_size);
-
-  auto& ind = r->indirection[slot];
-  uint64_t iv = ind.load(std::memory_order_acquire);
-  for (;;) {
-    if ((iv & kIndirLatchBit) != 0) {
-      return Status::Aborted("write-write conflict");
-    }
-    if (ind.compare_exchange_weak(iv, iv | kIndirLatchBit,
-                                  std::memory_order_acq_rel)) {
-      break;
-    }
-  }
-  uint64_t prev = iv & ~kIndirLatchBit;
-  Value latest_raw = prev != 0
-                         ? r->delta.Slot(prev, 0)->load(
-                               std::memory_order_acquire)
-                         : (slot < r->start.size() ? r->start[slot] : kNull);
-  if (txn_manager_->InFlightWriter(latest_raw, txn)) {
-    ind.store(iv, std::memory_order_release);
-    return Status::Aborted("write-write conflict");
-  }
-  // Refuse double-delete.
-  {
-    std::vector<Value> probe(schema_.num_columns(), kNull);
-    Status s = ResolveRecord(*r, slot, kMaxTimestamp, txn, 1ull, &probe);
-    if (!s.ok()) {
-      ind.store(iv, std::memory_order_release);
-      return s;
-    }
-  }
-  uint64_t idx = r->delta.Reserve();
-  if (idx == 0) {
-    ind.store(iv, std::memory_order_release);
-    return Status::Busy("delta space exhausted for range");
-  }
-  r->delta.Slot(idx, 1)->store(prev, std::memory_order_relaxed);
-  r->delta.Slot(idx, 2)->store(slot, std::memory_order_relaxed);
-  r->delta.Slot(idx, 3)->store(kDeleteFlag, std::memory_order_relaxed);
-  r->delta.Slot(idx, 0)->store(txn->id(), std::memory_order_release);
-  txn->writeset().push_back(WriteEntry{rid / config_.range_size, slot,
-                                       static_cast<uint32_t>(idx),
-                                       /*is_insert=*/false, 0});
-  ind.store(idx, std::memory_order_release);
-  return Status::OK();
-}
-
-Status DbmTable::ResolveRecord(MainRange& r, uint32_t slot, Timestamp as_of,
+Status DbmTable::ResolveRecord(DbmRange& r, uint32_t slot, Timestamp as_of,
                                Transaction* txn, ColumnMask mask,
                                std::vector<Value>* out) {
   ColumnMask remaining = mask;
@@ -386,15 +267,9 @@ Status DbmTable::Read(Txn& session, Value key, ColumnMask mask,
   LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
   Transaction* txn = session.raw();
   out->assign(schema_.num_columns(), kNull);
-  Rid rid = primary_.Get(key);
-  if (rid == kInvalidRid) return Status::NotFound("no such key");
-  MainRange* r = GetRange(rid / config_.range_size);
-  if (r == nullptr) return Status::NotFound("no range");
-  Timestamp as_of = txn->isolation() == IsolationLevel::kReadCommitted
-                        ? kMaxTimestamp
-                        : txn->begin_time();
-  return ResolveRecord(*r, static_cast<uint32_t>(rid % config_.range_size),
-                       as_of, txn, mask, out);
+  Located at;
+  LSTORE_RETURN_IF_ERROR(Locate(key, &at));
+  return ResolveRecord(*at.range, at.slot, ReadTime(txn), txn, mask, out);
 }
 
 Status DbmTable::SumColumn(ColumnId col, Timestamp as_of, uint64_t* sum) {
@@ -404,9 +279,9 @@ Status DbmTable::SumColumn(ColumnId col, Timestamp as_of, uint64_t* sum) {
   const uint32_t ncols = schema_.num_columns();
   uint64_t acc = 0;
   std::vector<Value> tmp(ncols, kNull);
-  uint64_t nranges = num_ranges_.load(std::memory_order_acquire);
+  const uint64_t nranges = ranges_.size();
   for (uint64_t ri = 0; ri < nranges; ++ri) {
-    MainRange* r = GetRange(ri);
+    DbmRange* r = ranges_.Get(ri);
     if (r == nullptr) continue;
     uint32_t occ = r->occupied.load(std::memory_order_acquire);
     for (uint32_t slot = 0; slot < occ; ++slot) {
@@ -434,7 +309,7 @@ Status DbmTable::SumColumn(ColumnId col, Timestamp as_of, uint64_t* sum) {
 // ---------------------------------------------------------------------------
 
 bool DbmTable::MergeRange(uint64_t range_id) {
-  MainRange* r = GetRange(range_id);
+  DbmRange* r = ranges_.Get(range_id);
   if (r == nullptr) return false;
   uint64_t delta_len = r->delta.size();
   if (delta_len == 0) return false;

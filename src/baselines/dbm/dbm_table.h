@@ -26,29 +26,43 @@
 
 #include "common/chunked_store.h"
 #include "common/config.h"
-#include "common/latch.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/engine_core.h"
 #include "core/schema.h"
-#include "index/primary_index.h"
-#include "txn/transaction.h"
 #include "txn/transaction_manager.h"
 #include "txn/txn.h"
 
 namespace lstore {
 
-class DbmTable : public TxnContext {
+/// One range: a read-only main store and its delta.
+struct DbmRange {
+  // Delta entry stride layout:
+  // [0]=start_raw, [1]=prev_idx, [2]=slot, [3]=mask, [4..4+ncols).
+  static constexpr uint32_t kDeltaHeader = 4;
+  static constexpr uint32_t kDeltaChunk = 1024;
+  static constexpr uint32_t kDeltaMaxChunks = 1u << 12;  // 2^22 per range
+
+  DbmRange(const TableConfig& config, uint32_t ncols);
+  /// Read-only main store (rewritten wholesale by merges, which run
+  /// with all transactions drained, so plain storage suffices).
+  std::vector<Value> data;   // range*ncols
+  std::vector<Value> start;  // per record commit times
+  std::vector<uint8_t> deleted;
+  std::unique_ptr<std::atomic<uint64_t>[]> indirection;  // delta idx
+  std::atomic<uint32_t> occupied{0};
+  ChunkedStore delta;  // cleared by each merge
+  std::atomic<bool> queued{false};
+};
+
+class DbmTable : public EngineCore<DbmRange> {
  public:
   DbmTable(Schema schema, TableConfig config,
            TransactionManager* txn_manager = nullptr);
   ~DbmTable();
 
-  /// RAII session (same surface as Table): commit via txn.Commit(),
-  /// auto-abort on destruction.
+  /// Begin enters the transaction gate; commit and abort exit it.
   Txn Begin(IsolationLevel iso = IsolationLevel::kReadCommitted);
-
-  /// Non-ticking read snapshot for scans.
-  Timestamp Now() const { return txn_manager_->SnapshotNow(); }
 
   Status Insert(Txn& txn, const std::vector<Value>& row);
   Status Update(Txn& txn, Value key, ColumnMask mask,
@@ -64,9 +78,6 @@ class DbmTable : public TxnContext {
   /// tests; normally driven by the background thread.
   bool MergeRange(uint64_t range_id);
 
-  const Schema& schema() const { return schema_; }
-  TransactionManager& txn_manager() { return *txn_manager_; }
-  uint64_t num_rows() const { return next_row_.load(std::memory_order_acquire); }
   uint64_t merges_performed() const {
     return merges_.load(std::memory_order_acquire);
   }
@@ -75,53 +86,28 @@ class DbmTable : public TxnContext {
   }
 
  private:
-  // Session plumbing (TxnContext).
+  static constexpr uint32_t kDeltaHeader = DbmRange::kDeltaHeader;
+
+  std::atomic<Value>* StartSlot(DbmRange& r, const WriteEntry& w) override {
+    return r.delta.Slot(w.seq, 0);
+  }
   Status CommitTxn(Transaction* txn) override;
   void AbortTxn(Transaction* txn) override;
-
-  // Delta entry stride layout:
-  // [0]=start_raw, [1]=prev_idx, [2]=slot, [3]=mask, [4..4+ncols).
-  static constexpr uint32_t kDeltaHeader = 4;
-  static constexpr uint32_t kDeltaChunk = 1024;
-  static constexpr uint32_t kDeltaMaxChunks = 1u << 12;  // 2^22 per range
-
-  struct MainRange {
-    MainRange(uint32_t range_size, uint32_t ncols, uint32_t stride);
-    /// Read-only main store (rewritten wholesale by merges, which run
-    /// with all transactions drained, so plain storage suffices).
-    std::vector<Value> data;   // range*ncols
-    std::vector<Value> start;  // per record commit times
-    std::vector<uint8_t> deleted;
-    std::unique_ptr<std::atomic<uint64_t>[]> indirection;  // delta idx
-    std::atomic<uint32_t> occupied{0};
-    ChunkedStore delta;  // cleared by each merge
-    std::atomic<bool> queued{false};
-  };
-
-  MainRange* GetRange(uint64_t id) const;
-  MainRange* EnsureRange(uint64_t id);
 
   // Transaction gate (drain machinery).
   void GateEnter();
   void GateExit();
 
-  Status ResolveRecord(MainRange& r, uint32_t slot, Timestamp as_of,
+  /// The one write step (Update, Delete): append a delta entry with
+  /// `row`'s masked columns, or a tombstone when `row` is null, then
+  /// queue the range for merge once its delta reaches the threshold.
+  Status WriteDelta(Transaction* txn, Value key, ColumnMask mask,
+                    const std::vector<Value>* row);
+  Status ResolveRecord(DbmRange& r, uint32_t slot, Timestamp as_of,
                        Transaction* txn, ColumnMask mask,
                        std::vector<Value>* out);
 
   void MergeLoop();
-
-  Schema schema_;
-  TableConfig config_;
-  std::unique_ptr<TransactionManager> owned_txn_manager_;
-  TransactionManager* txn_manager_;
-  PrimaryIndex primary_;
-
-  static constexpr uint64_t kMaxRanges = 1 << 16;
-  std::atomic<uint64_t> next_row_{0};
-  mutable SpinLatch ranges_latch_;
-  std::unique_ptr<std::atomic<MainRange*>[]> ranges_;
-  std::atomic<uint64_t> num_ranges_{0};
 
   // Gate state.
   std::mutex gate_mu_;

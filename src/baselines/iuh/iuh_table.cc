@@ -4,18 +4,20 @@
 
 namespace lstore {
 
-IuhTable::MainRange::MainRange(uint32_t range_size, uint32_t ncols,
-                               uint32_t page_slots)
+IuhRange::IuhRange(const TableConfig& config, uint32_t ncols)
     : data(std::make_unique<std::atomic<Value>[]>(
-          static_cast<size_t>(range_size) * ncols)),
-      start(std::make_unique<std::atomic<Value>[]>(range_size)),
-      indirection(std::make_unique<std::atomic<uint64_t>[]>(range_size)),
-      deleted(std::make_unique<std::atomic<uint8_t>[]>(range_size)),
-      page_latches((range_size + page_slots - 1) / page_slots) {
-  for (size_t i = 0; i < static_cast<size_t>(range_size) * ncols; ++i) {
+          static_cast<size_t>(config.range_size) * ncols)),
+      start(std::make_unique<std::atomic<Value>[]>(config.range_size)),
+      indirection(
+          std::make_unique<std::atomic<uint64_t>[]>(config.range_size)),
+      deleted(std::make_unique<std::atomic<uint8_t>[]>(config.range_size)),
+      page_latches((config.range_size + config.base_page_slots - 1) /
+                   config.base_page_slots) {
+  for (size_t i = 0; i < static_cast<size_t>(config.range_size) * ncols;
+       ++i) {
     data[i].store(kNull, std::memory_order_relaxed);
   }
-  for (uint32_t i = 0; i < range_size; ++i) {
+  for (uint32_t i = 0; i < config.range_size; ++i) {
     start[i].store(kNull, std::memory_order_relaxed);
     indirection[i].store(0, std::memory_order_relaxed);
     deleted[i].store(0, std::memory_order_relaxed);
@@ -24,70 +26,9 @@ IuhTable::MainRange::MainRange(uint32_t range_size, uint32_t ncols,
 
 IuhTable::IuhTable(Schema schema, TableConfig config,
                    TransactionManager* txn_manager)
-    : schema_(std::move(schema)),
-      config_(config),
-      ranges_(std::make_unique<std::atomic<MainRange*>[]>(kMaxRanges)),
+    : EngineCore(std::move(schema), config, txn_manager),
       history_(kHistHeader + schema_.num_columns(), kHistChunk,
-               kHistMaxChunks) {
-  for (uint64_t i = 0; i < kMaxRanges; ++i) {
-    ranges_[i].store(nullptr, std::memory_order_relaxed);
-  }
-  if (txn_manager != nullptr) {
-    txn_manager_ = txn_manager;
-  } else {
-    owned_txn_manager_ = std::make_unique<TransactionManager>();
-    txn_manager_ = owned_txn_manager_.get();
-  }
-}
-
-IuhTable::~IuhTable() {
-  for (uint64_t i = 0; i < kMaxRanges; ++i) {
-    delete ranges_[i].load(std::memory_order_relaxed);
-  }
-}
-
-IuhTable::MainRange* IuhTable::GetRange(uint64_t id) const {
-  if (id >= kMaxRanges) return nullptr;
-  return ranges_[id].load(std::memory_order_acquire);
-}
-
-IuhTable::MainRange* IuhTable::EnsureRange(uint64_t id) {
-  MainRange* r = GetRange(id);
-  if (r != nullptr) return r;
-  SpinGuard g(ranges_latch_);
-  r = ranges_[id].load(std::memory_order_acquire);
-  if (r == nullptr) {
-    r = new MainRange(config_.range_size, schema_.num_columns(),
-                      config_.base_page_slots);
-    ranges_[id].store(r, std::memory_order_release);
-    uint64_t n = num_ranges_.load(std::memory_order_relaxed);
-    while (n < id + 1 && !num_ranges_.compare_exchange_weak(
-                             n, id + 1, std::memory_order_acq_rel)) {
-    }
-  }
-  return r;
-}
-
-Txn IuhTable::Begin(IsolationLevel iso) {
-  return Txn(this, txn_manager_->Begin(iso));
-}
-
-Status IuhTable::CommitTxn(Transaction* txn) {
-  if (txn->finished()) return Status::InvalidArgument("finished");
-  Timestamp commit_time = txn_manager_->EnterPreCommit(txn);
-  txn_manager_->MarkCommitted(txn);
-  for (const WriteEntry& w : txn->writeset()) {
-    MainRange* r = GetRange(w.range_id);
-    if (r == nullptr) continue;
-    std::atomic<Value>* sref = &r->start[w.base_slot];
-    Value expected = txn->id();
-    sref->compare_exchange_strong(expected, commit_time,
-                                  std::memory_order_acq_rel);
-  }
-  txn_manager_->Retire(txn->id());
-  txn->set_finished();
-  return Status::OK();
-}
+               kHistMaxChunks) {}
 
 void IuhTable::AbortTxn(Transaction* txn) {
   if (txn->finished()) return;
@@ -101,20 +42,17 @@ void IuhTable::AbortTxn(Transaction* txn) {
   // the aborted values as its own pre-image.
   auto& ws = txn->writeset();
   for (auto it = ws.rbegin(); it != ws.rend(); ++it) {
-    MainRange* r = GetRange(it->range_id);
+    IuhRange* r = ranges_.Get(it->range_id);
     if (r == nullptr) continue;
+    RWSpinLatch& latch = PageLatch(*r, it->base_slot);
+    latch.LockExclusive();
     if (it->is_insert) {
-      RWSpinLatch& latch = PageLatch(*r, it->base_slot);
-      latch.LockExclusive();
       r->deleted[it->base_slot].store(1, std::memory_order_release);
       r->start[it->base_slot].store(kAbortedStamp, std::memory_order_release);
       latch.UnlockExclusive();
-      primary_.Erase(it->inserted_key);
       continue;
     }
     uint64_t hist_idx = it->inserted_key;  // repurposed: undo pointer
-    RWSpinLatch& latch = PageLatch(*r, it->base_slot);
-    latch.LockExclusive();
     if (r->indirection[it->base_slot].load(std::memory_order_acquire) ==
         hist_idx) {
       Value mask_flags = HistSlot(hist_idx, 3)->load(std::memory_order_acquire);
@@ -137,44 +75,30 @@ void IuhTable::AbortTxn(Transaction* txn) {
     }
     latch.UnlockExclusive();
   }
-  txn_manager_->MarkAborted(txn);
-  txn_manager_->Retire(txn->id());
-  txn->set_finished();
+  EngineCore::AbortTxn(txn);
 }
 
 Status IuhTable::Insert(Txn& session, const std::vector<Value>& row) {
   LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
   Transaction* txn = session.raw();
-  if (row.size() != schema_.num_columns()) {
-    return Status::InvalidArgument("row arity mismatch");
-  }
-  uint64_t rid = next_row_.fetch_add(1, std::memory_order_relaxed);
-  MainRange* r = EnsureRange(rid / config_.range_size);
-  uint32_t slot = static_cast<uint32_t>(rid % config_.range_size);
-  uint32_t cur = r->occupied.load(std::memory_order_relaxed);
-  while (cur < slot + 1 && !r->occupied.compare_exchange_weak(
-                               cur, slot + 1, std::memory_order_acq_rel)) {
-  }
-  if (!primary_.Insert(row[0], rid)) {
-    r->start[slot].store(kAbortedStamp, std::memory_order_release);
-    r->deleted[slot].store(1, std::memory_order_release);
-    return Status::AlreadyExists("duplicate key");
-  }
+  Located at;
+  LSTORE_RETURN_IF_ERROR(ReserveRow(row, &at));
+  IuhRange& r = *at.range;
   const uint32_t ncols = schema_.num_columns();
-  RWSpinLatch& latch = PageLatch(*r, slot);
+  RWSpinLatch& latch = PageLatch(r, at.slot);
   latch.LockExclusive();
   for (ColumnId c = 0; c < ncols; ++c) {
-    r->data[static_cast<size_t>(slot) * ncols + c].store(
+    r.data[static_cast<size_t>(at.slot) * ncols + c].store(
         row[c], std::memory_order_relaxed);
   }
-  r->start[slot].store(txn->id(), std::memory_order_release);
+  r.start[at.slot].store(txn->id(), std::memory_order_release);
   latch.UnlockExclusive();
-  txn->writeset().push_back(WriteEntry{rid / config_.range_size, slot, 0,
-                                       /*is_insert=*/true, row[0]});
+  txn->writeset().push_back(
+      WriteEntry{at.range_id, at.slot, 0, /*is_insert=*/true, row[0]});
   return Status::OK();
 }
 
-Status IuhTable::ResolveUnderLatch(MainRange& r, uint32_t slot,
+Status IuhTable::ResolveUnderLatch(IuhRange& r, uint32_t slot,
                                    Timestamp as_of, Transaction* txn,
                                    ColumnMask mask,
                                    std::vector<Value>* out) const {
@@ -217,7 +141,7 @@ Status IuhTable::ResolveUnderLatch(MainRange& r, uint32_t slot,
   return Status::NotFound("no visible version");
 }
 
-bool IuhTable::CurrentStart(MainRange& r, uint32_t slot, Transaction* txn,
+bool IuhTable::CurrentStart(IuhRange& r, uint32_t slot, Transaction* txn,
                             Value* raw) const {
   std::atomic<Value>* sref = &r.start[slot];
   *raw = sref->load(std::memory_order_acquire);
@@ -232,99 +156,66 @@ bool IuhTable::CurrentStart(MainRange& r, uint32_t slot, Transaction* txn,
 Status IuhTable::Update(Txn& session, Value key, ColumnMask mask,
                         const std::vector<Value>& row) {
   LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
-  Transaction* txn = session.raw();
-  if (mask == 0 || (mask & 1ull) != 0) {
-    return Status::InvalidArgument("bad mask");
-  }
-  Rid rid = primary_.Get(key);
-  if (rid == kInvalidRid) return Status::NotFound("no such key");
-  MainRange* r = GetRange(rid / config_.range_size);
-  if (r == nullptr) return Status::NotFound("no range");
-  uint32_t slot = static_cast<uint32_t>(rid % config_.range_size);
-  const uint32_t ncols = schema_.num_columns();
-
-  RWSpinLatch& latch = PageLatch(*r, slot);
-  latch.LockExclusive();
-
-  Value raw = 0;
-  if (!CurrentStart(*r, slot, txn, &raw)) {
-    latch.UnlockExclusive();
-    return Status::Aborted("write-write conflict");
-  }
-  if (r->deleted[slot].load(std::memory_order_acquire) != 0) {
-    latch.UnlockExclusive();
-    return Status::NotFound("deleted");
-  }
-
-  // Append the pre-image to the history, then update in place.
-  uint64_t hist_idx = history_.Reserve();
-  if (hist_idx == 0) {
-    latch.UnlockExclusive();
-    return Status::Busy("history space exhausted");
-  }
-  HistSlot(hist_idx, 0)->store(rid, std::memory_order_relaxed);
-  HistSlot(hist_idx, 1)->store(
-      r->indirection[slot].load(std::memory_order_acquire),
-      std::memory_order_relaxed);
-  HistSlot(hist_idx, 2)->store(raw, std::memory_order_relaxed);
-  HistSlot(hist_idx, 3)->store(mask, std::memory_order_release);
-  for (BitIter it(mask); it; ++it) {
-    HistSlot(hist_idx, kHistHeader + static_cast<uint32_t>(*it))
-        ->store(r->data[static_cast<size_t>(slot) * ncols + *it].load(
-                    std::memory_order_acquire),
-                std::memory_order_relaxed);
-  }
-  r->indirection[slot].store(hist_idx, std::memory_order_release);
-  for (BitIter it(mask); it; ++it) {
-    r->data[static_cast<size_t>(slot) * ncols + *it].store(
-        row[*it], std::memory_order_release);
-  }
-  r->start[slot].store(txn->id(), std::memory_order_release);
-  latch.UnlockExclusive();
-
-  txn->writeset().push_back(WriteEntry{rid / config_.range_size, slot, 0,
-                                       /*is_insert=*/false, hist_idx});
-  return Status::OK();
+  LSTORE_RETURN_IF_ERROR(CheckMask(mask));
+  return WriteInPlace(session.raw(), key, mask, &row);
 }
 
 Status IuhTable::Delete(Txn& session, Value key) {
   LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
-  Transaction* txn = session.raw();
-  Rid rid = primary_.Get(key);
-  if (rid == kInvalidRid) return Status::NotFound("no such key");
-  MainRange* r = GetRange(rid / config_.range_size);
-  if (r == nullptr) return Status::NotFound("no range");
-  uint32_t slot = static_cast<uint32_t>(rid % config_.range_size);
+  return WriteInPlace(session.raw(), key, 0, nullptr);
+}
 
-  RWSpinLatch& latch = PageLatch(*r, slot);
+Status IuhTable::WriteInPlace(Transaction* txn, Value key, ColumnMask mask,
+                              const std::vector<Value>* row) {
+  Located at;
+  LSTORE_RETURN_IF_ERROR(Locate(key, &at));
+  IuhRange& r = *at.range;
+  const uint32_t slot = at.slot;
+  const uint32_t ncols = schema_.num_columns();
+
+  RWSpinLatch& latch = PageLatch(r, slot);
   latch.LockExclusive();
   Value raw = 0;
-  if (!CurrentStart(*r, slot, txn, &raw)) {
-    latch.UnlockExclusive();
-    return Status::Aborted("write-write conflict");
+  uint64_t hist_idx = 0;
+  Status s = Status::OK();
+  if (!CurrentStart(r, slot, txn, &raw)) {
+    s = Status::Aborted("write-write conflict");
+  } else if (r.deleted[slot].load(std::memory_order_acquire) != 0) {
+    s = Status::NotFound("deleted");
+  } else if ((hist_idx = history_.Reserve()) == 0) {
+    s = Status::Busy("history space exhausted");
   }
-  if (r->deleted[slot].load(std::memory_order_acquire) != 0) {
+  if (!s.ok()) {
     latch.UnlockExclusive();
-    return Status::NotFound("already deleted");
+    return s;
   }
-  uint64_t hist_idx = history_.Reserve();
-  if (hist_idx == 0) {
-    latch.UnlockExclusive();
-    return Status::Busy("history space exhausted");
-  }
-  HistSlot(hist_idx, 0)->store(rid, std::memory_order_relaxed);
+
+  // Append the pre-image to the history, then write in place.
+  HistSlot(hist_idx, 0)->store(at.range_id * config_.range_size + slot,
+                               std::memory_order_relaxed);
   HistSlot(hist_idx, 1)->store(
-      r->indirection[slot].load(std::memory_order_acquire),
+      r.indirection[slot].load(std::memory_order_acquire),
       std::memory_order_relaxed);
   HistSlot(hist_idx, 2)->store(raw, std::memory_order_relaxed);
-  HistSlot(hist_idx, 3)->store(kDeleteFlag, std::memory_order_release);
-  r->indirection[slot].store(hist_idx, std::memory_order_release);
-  r->deleted[slot].store(1, std::memory_order_release);
-  r->start[slot].store(txn->id(), std::memory_order_release);
+  HistSlot(hist_idx, 3)->store(row == nullptr ? kDeleteFlag : mask,
+                               std::memory_order_release);
+  for (BitIter it(mask); it; ++it) {
+    HistSlot(hist_idx, kHistHeader + static_cast<uint32_t>(*it))
+        ->store(r.data[static_cast<size_t>(slot) * ncols + *it].load(
+                    std::memory_order_acquire),
+                std::memory_order_relaxed);
+  }
+  r.indirection[slot].store(hist_idx, std::memory_order_release);
+  for (BitIter it(mask); it; ++it) {
+    r.data[static_cast<size_t>(slot) * ncols + *it].store(
+        (*row)[*it], std::memory_order_release);
+  }
+  if (row == nullptr) r.deleted[slot].store(1, std::memory_order_release);
+  r.start[slot].store(txn->id(), std::memory_order_release);
   latch.UnlockExclusive();
 
-  txn->writeset().push_back(WriteEntry{rid / config_.range_size, slot, 0,
-                                       /*is_insert=*/false, hist_idx});
+  txn->writeset().push_back(
+      WriteEntry{at.range_id, slot, 0, /*is_insert=*/false, hist_idx});
   return Status::OK();
 }
 
@@ -333,19 +224,14 @@ Status IuhTable::Read(Txn& session, Value key, ColumnMask mask,
   LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
   Transaction* txn = session.raw();
   out->assign(schema_.num_columns(), kNull);
-  Rid rid = primary_.Get(key);
-  if (rid == kInvalidRid) return Status::NotFound("no such key");
-  MainRange* r = GetRange(rid / config_.range_size);
-  if (r == nullptr) return Status::NotFound("no range");
-  uint32_t slot = static_cast<uint32_t>(rid % config_.range_size);
-  Timestamp as_of = txn->isolation() == IsolationLevel::kReadCommitted
-                        ? kMaxTimestamp
-                        : txn->begin_time();
+  Located at;
+  LSTORE_RETURN_IF_ERROR(Locate(key, &at));
   // Readers pay the shared page latch — this is the structural
   // contention with in-place writers (Section 6.2).
-  RWSpinLatch& latch = PageLatch(*r, slot);
+  RWSpinLatch& latch = PageLatch(*at.range, at.slot);
   latch.LockShared();
-  Status s = ResolveUnderLatch(*r, slot, as_of, txn, mask, out);
+  Status s =
+      ResolveUnderLatch(*at.range, at.slot, ReadTime(txn), txn, mask, out);
   latch.UnlockShared();
   return s;
 }
@@ -355,9 +241,9 @@ Status IuhTable::SumColumn(ColumnId col, Timestamp as_of,
   const uint32_t ncols = schema_.num_columns();
   uint64_t acc = 0;
   std::vector<Value> tmp(ncols, kNull);
-  uint64_t nranges = num_ranges_.load(std::memory_order_acquire);
+  const uint64_t nranges = ranges_.size();
   for (uint64_t ri = 0; ri < nranges; ++ri) {
-    MainRange* r = GetRange(ri);
+    IuhRange* r = ranges_.Get(ri);
     if (r == nullptr) continue;
     uint32_t occ = r->occupied.load(std::memory_order_acquire);
     uint32_t pages = (occ + config_.base_page_slots - 1) /

@@ -25,26 +25,28 @@
 #include "common/latch.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/engine_core.h"
 #include "core/schema.h"
-#include "index/primary_index.h"
-#include "txn/transaction.h"
 #include "txn/transaction_manager.h"
 #include "txn/txn.h"
 
 namespace lstore {
 
-class IuhTable : public TxnContext {
+/// One range of the main store, updated in place.
+struct IuhRange {
+  IuhRange(const TableConfig& config, uint32_t ncols);
+  std::unique_ptr<std::atomic<Value>[]> data;        // range*ncols, in place
+  std::unique_ptr<std::atomic<Value>[]> start;       // per record
+  std::unique_ptr<std::atomic<uint64_t>[]> indirection;  // latest hist idx
+  std::unique_ptr<std::atomic<uint8_t>[]> deleted;
+  std::atomic<uint32_t> occupied{0};
+  std::vector<RWSpinLatch> page_latches;             // per page of rows
+};
+
+class IuhTable : public EngineCore<IuhRange> {
  public:
   IuhTable(Schema schema, TableConfig config,
            TransactionManager* txn_manager = nullptr);
-  ~IuhTable();
-
-  /// RAII session (same surface as Table): commit via txn.Commit(),
-  /// auto-abort on destruction.
-  Txn Begin(IsolationLevel iso = IsolationLevel::kReadCommitted);
-
-  /// Non-ticking read snapshot for scans.
-  Timestamp Now() const { return txn_manager_->SnapshotNow(); }
 
   Status Insert(Txn& txn, const std::vector<Value>& row);
   Status Update(Txn& txn, Value key, ColumnMask mask,
@@ -53,16 +55,14 @@ class IuhTable : public TxnContext {
   Status Read(Txn& txn, Value key, ColumnMask mask, std::vector<Value>* out);
   Status SumColumn(ColumnId col, Timestamp as_of, uint64_t* sum) const;
 
-  const Schema& schema() const { return schema_; }
-  TransactionManager& txn_manager() { return *txn_manager_; }
-  uint64_t num_rows() const { return next_row_.load(std::memory_order_acquire); }
-
   /// History entries appended so far (tests/stats).
   uint64_t history_size() const { return history_.size(); }
 
  private:
-  // Session plumbing (TxnContext).
-  Status CommitTxn(Transaction* txn) override;
+  std::atomic<Value>* StartSlot(IuhRange& r, const WriteEntry& w) override {
+    return &r.start[w.base_slot];
+  }
+  /// Undo, then the core's abort.
   void AbortTxn(Transaction* txn) override;
 
   // History entry fields (flat stride layout):
@@ -72,19 +72,7 @@ class IuhTable : public TxnContext {
   static constexpr uint32_t kHistChunk = 4096;
   static constexpr uint32_t kHistMaxChunks = 1u << 16;  // 2^28 entries
 
-  struct MainRange {
-    MainRange(uint32_t range_size, uint32_t ncols, uint32_t page_slots);
-    std::unique_ptr<std::atomic<Value>[]> data;        // range*ncols, in place
-    std::unique_ptr<std::atomic<Value>[]> start;       // per record
-    std::unique_ptr<std::atomic<uint64_t>[]> indirection;  // latest hist idx
-    std::unique_ptr<std::atomic<uint8_t>[]> deleted;
-    std::atomic<uint32_t> occupied{0};
-    std::vector<RWSpinLatch> page_latches;             // per page of rows
-  };
-
-  MainRange* GetRange(uint64_t id) const;
-  MainRange* EnsureRange(uint64_t id);
-  RWSpinLatch& PageLatch(MainRange& r, uint32_t slot) const {
+  RWSpinLatch& PageLatch(IuhRange& r, uint32_t slot) const {
     return r.page_latches[slot / config_.base_page_slots];
   }
 
@@ -92,27 +80,21 @@ class IuhTable : public TxnContext {
     return history_.Slot(idx, field);
   }
 
+  /// The one write step (Update, Delete): under the page latch, append
+  /// the pre-image of the masked columns to the history, then write
+  /// `row`'s masked columns in place, or mark the record deleted when
+  /// `row` is null.
+  Status WriteInPlace(Transaction* txn, Value key, ColumnMask mask,
+                      const std::vector<Value>* row);
   /// Under the slot's exclusive page latch: the start time a write by
   /// `txn` must save as its pre-image. False on a write-write conflict:
   /// another transaction is active (or undoing) or pre-committed.
-  bool CurrentStart(MainRange& r, uint32_t slot, Transaction* txn,
+  bool CurrentStart(IuhRange& r, uint32_t slot, Transaction* txn,
                     Value* raw) const;
   /// Resolve (possibly via history) the visible value of columns.
-  Status ResolveUnderLatch(MainRange& r, uint32_t slot, Timestamp as_of,
+  Status ResolveUnderLatch(IuhRange& r, uint32_t slot, Timestamp as_of,
                            Transaction* txn, ColumnMask mask,
                            std::vector<Value>* out) const;
-
-  Schema schema_;
-  TableConfig config_;
-  std::unique_ptr<TransactionManager> owned_txn_manager_;
-  TransactionManager* txn_manager_;
-  PrimaryIndex primary_;
-
-  static constexpr uint64_t kMaxRanges = 1 << 16;
-  std::atomic<uint64_t> next_row_{0};
-  mutable SpinLatch ranges_latch_;
-  std::unique_ptr<std::atomic<MainRange*>[]> ranges_;
-  std::atomic<uint64_t> num_ranges_{0};
 
   // History table (global, append-only; reduced read locality is part
   // of the baseline's cost profile, Section 6.2). Table-wide, so its

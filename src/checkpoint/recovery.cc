@@ -26,17 +26,6 @@
 
 namespace lstore {
 
-namespace {
-
-void AtomicMaxU32(std::atomic<uint32_t>& a, uint32_t v) {
-  uint32_t cur = a.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
-  }
-}
-
-}  // namespace
-
 std::vector<ColumnId> Table::SecondaryColumns() const {
   SpinGuard g(secondary_latch_);
   std::vector<ColumnId> out;
@@ -134,7 +123,7 @@ Status Table::ReplayAndRebuild(
         r->updates.AdvanceSeq(rec.seq);
       } else {
         r->inserts.AdvanceSeq(rec.seq);
-        AtomicMaxU32(r->occupied, rec.base_slot + 1);
+        AtomicMax(r->occupied, rec.base_slot + 1);
         uint64_t row_bound =
             rec.range_id * config_.range_size + rec.base_slot + 1;
         uint64_t cur = next_row_.load(std::memory_order_relaxed);

@@ -13,8 +13,18 @@
 
 #include <atomic>
 #include <thread>
+#include <type_traits>
 
 namespace lstore {
+
+/// Raise `a` to at least `v` (a monotone high-water mark).
+template <typename T>
+inline void AtomicMax(std::atomic<T>& a, std::type_identity_t<T> v) {
+  T cur = a.load(std::memory_order_relaxed);
+  while (cur < v &&
+         !a.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
+  }
+}
 
 /// Test-and-test-and-set spin latch for short critical sections.
 class SpinLatch {

@@ -212,13 +212,6 @@ bool Table::RunInsertMerge(Range& r) {
 
 namespace {
 
-void AtomicMaxU32Local(std::atomic<uint32_t>& a, uint32_t v) {
-  uint32_t cur = a.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
-  }
-}
-
 /// Per-slot consolidation state used by the reverse scan (Step 3).
 struct SlotMergeState {
   ColumnMask seen = 0;      ///< columns whose newest value was captured
@@ -393,7 +386,7 @@ bool Table::RunUpdateMerge(Range& r, ColumnMask data_cols, bool all_columns) {
       BaseSegment* seg = r.base[c].load(std::memory_order_acquire);
       if (seg != nullptr && seg->tps < min_tps) min_tps = seg->tps;
     }
-    AtomicMaxU32Local(r.merged_tps, min_tps);
+    AtomicMax(r.merged_tps, min_tps);
   }
 
   obs_.update_merges->Increment();

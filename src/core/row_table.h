@@ -18,30 +18,40 @@
 
 #include "common/chunked_store.h"
 #include "common/config.h"
-#include "common/epoch.h"
-#include "common/latch.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/engine_core.h"
 #include "core/schema.h"
-#include "index/primary_index.h"
-#include "txn/transaction.h"
 #include "txn/transaction_manager.h"
 #include "txn/txn.h"
 
 namespace lstore {
 
-class RowTable : public TxnContext {
+// Tail version layout (row-major): [start_time][backptr][c0..cN-1].
+struct RowRange {
+  RowRange(const TableConfig& config, uint32_t ncols);
+
+  std::atomic<uint32_t> occupied{0};
+  /// Base rows: range_size * ncols atomic values.
+  std::unique_ptr<std::atomic<Value>[]> base;
+  std::unique_ptr<std::atomic<Value>[]> base_start;
+  std::unique_ptr<std::atomic<uint64_t>[]> indirection;
+  /// Tail versions (seq = store index), ncols + 2 fields each. The
+  /// store allocates nothing until the range's first update.
+  static constexpr uint32_t kChunkRows = 256;
+  static constexpr uint32_t kMaxChunks = 1u << 14;
+  ChunkedStore versions;
+
+  std::atomic<Value>* VersionSlot(uint32_t seq, uint32_t field) const {
+    return versions.Slot(seq, field);
+  }
+};
+
+class RowTable : public EngineCore<RowRange> {
  public:
   RowTable(Schema schema, TableConfig config,
-           TransactionManager* txn_manager = nullptr);
-  ~RowTable();
-
-  /// RAII session (same surface as Table): commit via txn.Commit(),
-  /// auto-abort on destruction.
-  Txn Begin(IsolationLevel iso = IsolationLevel::kReadCommitted);
-
-  /// Non-ticking read snapshot for scans.
-  Timestamp Now() const { return txn_manager_->SnapshotNow(); }
+           TransactionManager* txn_manager = nullptr)
+      : EngineCore(std::move(schema), config, txn_manager) {}
 
   Status Insert(Txn& txn, const std::vector<Value>& row);
   Status Update(Txn& txn, Value key, ColumnMask mask,
@@ -52,54 +62,20 @@ class RowTable : public TxnContext {
   Status Read(Txn& txn, Value key, ColumnMask mask, std::vector<Value>* out);
   Status SumColumn(ColumnId col, Timestamp as_of, uint64_t* sum) const;
 
-  const Schema& schema() const { return schema_; }
-  TransactionManager& txn_manager() { return *txn_manager_; }
-  uint64_t num_rows() const { return next_row_.load(std::memory_order_acquire); }
-
  private:
-  // Session plumbing (TxnContext).
-  Status CommitTxn(Transaction* txn) override;
-  void AbortTxn(Transaction* txn) override;
+  std::atomic<Value>* StartSlot(RowRange& r, const WriteEntry& w) override {
+    return w.is_insert ? &r.base_start[w.base_slot] : r.VersionSlot(w.seq, 0);
+  }
 
-  // Tail version layout (row-major): [start_time][backptr][c0..cN-1].
-  struct RowRange {
-    RowRange(uint32_t range_size, uint32_t ncols);
-
-    std::atomic<uint32_t> occupied{0};
-    /// Base rows: range_size * ncols atomic values.
-    std::unique_ptr<std::atomic<Value>[]> base;
-    std::unique_ptr<std::atomic<Value>[]> base_start;
-    std::unique_ptr<std::atomic<uint64_t>[]> indirection;
-    /// Tail versions (seq = store index), ncols + 2 fields each. The
-    /// store allocates nothing until the range's first update.
-    static constexpr uint32_t kChunkRows = 256;
-    static constexpr uint32_t kMaxChunks = 1u << 14;
-    ChunkedStore versions;
-
-    std::atomic<Value>* VersionSlot(uint32_t seq, uint32_t field) const {
-      return versions.Slot(seq, field);
-    }
-  };
-
-  RowRange* GetRange(uint64_t id) const;
-  RowRange* EnsureRange(uint64_t id);
+  /// The one write step (Update, Delete): append a complete version of
+  /// `key`'s row, its current values with `row`'s masked columns, or
+  /// the delete marker when `row` is null.
+  Status WriteVersion(Transaction* txn, Value key, ColumnMask mask,
+                      const std::vector<Value>* row);
 
   Status ResolveRow(RowRange& r, uint32_t slot, Timestamp as_of,
                     Transaction* txn, ColumnMask mask,
                     std::vector<Value>* out) const;
-
-  Schema schema_;
-  TableConfig config_;
-  std::unique_ptr<TransactionManager> owned_txn_manager_;
-  TransactionManager* txn_manager_;
-  mutable EpochManager epochs_;
-  PrimaryIndex primary_;
-
-  static constexpr uint64_t kMaxRanges = 1 << 16;
-  std::atomic<uint64_t> next_row_{0};
-  mutable SpinLatch ranges_latch_;
-  std::unique_ptr<std::atomic<RowRange*>[]> ranges_;
-  std::atomic<uint64_t> num_ranges_{0};
 };
 
 }  // namespace lstore

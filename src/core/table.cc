@@ -17,17 +17,6 @@
 
 namespace lstore {
 
-namespace {
-
-void AtomicMaxU32(std::atomic<uint32_t>& a, uint32_t v) {
-  uint32_t cur = a.load(std::memory_order_relaxed);
-  while (cur < v &&
-         !a.compare_exchange_weak(cur, v, std::memory_order_acq_rel)) {
-  }
-}
-
-}  // namespace
-
 // ---------------------------------------------------------------------------
 // Range
 // ---------------------------------------------------------------------------
@@ -40,6 +29,12 @@ Table::Range::Range(uint64_t range_id, uint32_t range_size, uint32_t num_cols,
       updates(num_cols, tail_page_slots),
       base(num_cols + kBaseMetaColumns) {
   for (auto& b : base) b.store(nullptr, std::memory_order_relaxed);
+}
+
+Table::Range::~Range() {
+  for (auto& b : base) delete b.load(std::memory_order_acquire);
+  delete historic.load(std::memory_order_acquire);
+  delete[] meta.load(std::memory_order_acquire);
 }
 
 Table::SlotMeta* Table::Range::EnsureMeta() {
@@ -62,11 +57,7 @@ Table::Table(std::string name, Schema schema, TableConfig config,
              TransactionManager* txn_manager)
     : name_(std::move(name)),
       schema_(std::move(schema)),
-      config_(config),
-      chunks_(std::make_unique<std::atomic<RangeChunk*>[]>(kMaxRangeChunks)) {
-  for (uint32_t i = 0; i < kMaxRangeChunks; ++i) {
-    chunks_[i].store(nullptr, std::memory_order_relaxed);
-  }
+      config_(config) {
   if (txn_manager != nullptr) {
     txn_manager_ = txn_manager;
   } else {
@@ -184,55 +175,14 @@ Table::~Table() {
   // payloads). No readers can exist at this point.
   epochs_.DrainAllUnsafe();
   // Free ranges and their published structures.
-  for (uint64_t c = 0; c < kMaxRangeChunks; ++c) {
-    RangeChunk* chunk = chunks_[c].load(std::memory_order_acquire);
-    if (chunk == nullptr) continue;
-    for (uint32_t i = 0; i < kRangeChunkSize; ++i) {
-      Range* r = chunk->ranges[i].load(std::memory_order_acquire);
-      if (r == nullptr) continue;
-      for (auto& b : r->base) delete b.load(std::memory_order_acquire);
-      delete r->historic.load(std::memory_order_acquire);
-      delete r;
-    }
-    delete chunk;
-  }
-}
-
-Table::Range* Table::GetRange(uint64_t id) const {
-  uint64_t c = id / kRangeChunkSize;
-  if (c >= kMaxRangeChunks) return nullptr;
-  RangeChunk* chunk = chunks_[c].load(std::memory_order_acquire);
-  if (chunk == nullptr) return nullptr;
-  return chunk->ranges[id % kRangeChunkSize].load(std::memory_order_acquire);
+  ranges_.Teardown();
 }
 
 Table::Range* Table::EnsureRange(uint64_t id) {
-  if (id >= kMaxRanges) return nullptr;
-  Range* r = GetRange(id);
-  if (r != nullptr) return r;
-  SpinGuard g(ranges_latch_);
-  uint64_t c = id / kRangeChunkSize;
-  RangeChunk* chunk = chunks_[c].load(std::memory_order_acquire);
-  if (chunk == nullptr) {
-    chunk = new RangeChunk();
-    chunks_[c].store(chunk, std::memory_order_release);
-  }
-  auto& slot = chunk->ranges[id % kRangeChunkSize];
-  r = slot.load(std::memory_order_acquire);
-  if (r == nullptr) {
-    r = new Range(id, config_.range_size, schema_.num_columns(),
-                  config_.tail_page_slots);
-    slot.store(r, std::memory_order_release);
-    uint64_t n = num_ranges_.load(std::memory_order_relaxed);
-    while (n < id + 1 && !num_ranges_.compare_exchange_weak(
-                             n, id + 1, std::memory_order_acq_rel)) {
-    }
-  }
-  return r;
-}
-
-uint64_t Table::num_ranges() const {
-  return num_ranges_.load(std::memory_order_acquire);
+  return ranges_.Ensure(id, [&] {
+    return new Range(id, config_.range_size, schema_.num_columns(),
+                     config_.tail_page_slots);
+  });
 }
 
 uint32_t Table::RangeTps(uint64_t range_id) const {
@@ -801,6 +751,11 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
   if (reserved == 0) return status;
 
   const Rid first = next_row_.fetch_add(reserved, std::memory_order_relaxed);
+  // The rows' last range is the only one that can fall past the
+  // directory's capacity; such a batch fails whole, index unchanged.
+  if (EnsureRange(RangeOf(first + reserved - 1)) == nullptr) {
+    return Status::Busy("range space exhausted");
+  }
   InlineBuffer<Value> keys(reserved);
   InlineBuffer<Rid> rids(reserved);
   InlineBuffer<bool> ok(reserved);
@@ -858,7 +813,7 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
       }
       j += len;
     }
-    AtomicMaxU32(r->occupied, slot0 + static_cast<uint32_t>(range_end - i));
+    AtomicMax(r->occupied, slot0 + static_cast<uint32_t>(range_end - i));
     if (inserted > i) {
       const size_t count = std::min(range_end, inserted) - i;
       obs_.inserts->Add(count);

@@ -31,6 +31,7 @@
 #include "common/config.h"
 #include "common/epoch.h"
 #include "common/latch.h"
+#include "common/range_directory.h"
 #include "common/status.h"
 #include "common/types.h"
 #include "core/schema.h"
@@ -238,7 +239,7 @@ class Table : public TxnContext {
   /// about to publish is durable first. No-op without a durable store.
   Status SyncSegmentStore();
   uint64_t num_rows() const { return next_row_.load(std::memory_order_acquire); }
-  uint64_t num_ranges() const;
+  uint64_t num_ranges() const { return ranges_.size(); }
   uint32_t RangeTps(uint64_t range_id) const;
   uint32_t RangeTailLength(uint64_t range_id) const;
 
@@ -389,7 +390,8 @@ class Table : public TxnContext {
 
     Range(uint64_t id, uint32_t range_size, uint32_t num_cols,
           uint32_t tail_page_slots);
-    ~Range() { delete[] meta.load(std::memory_order_acquire); }
+    /// Frees the slot metadata, base segments and historic store.
+    ~Range();
 
     /// The installed metadata array, allocating it on first use. Racing
     /// callers install one array; the losers free theirs.
@@ -422,7 +424,7 @@ class Table : public TxnContext {
   Status ReadKey(Value key, const ReadSpec& spec, ColumnMask mask,
                  std::vector<Value>* out);
 
-  Range* GetRange(uint64_t id) const;
+  Range* GetRange(uint64_t id) const { return ranges_.Get(id); }
   /// The range `id`, created if absent; nullptr past kMaxRanges.
   Range* EnsureRange(uint64_t id);
   uint64_t RangeOf(Rid rid) const { return rid / config_.range_size; }
@@ -467,8 +469,9 @@ class Table : public TxnContext {
   /// their keys shard by shard, and fills table-level tail pages one
   /// page run at a time. Stops at the first duplicate key or bad-arity
   /// row: earlier rows stay inserted, later ones leave no index entry,
-  /// and their reserved slots are stamped aborted. Logs ONE frame: a
-  /// kInsertRun per range the inserted rows fill.
+  /// and their reserved slots are stamped aborted. Rows reaching past
+  /// kMaxRanges insert nothing (Busy). Logs ONE frame: a kInsertRun
+  /// per range the inserted rows fill.
   Status InsertRows(Transaction* txn, const std::vector<Value>* rows,
                     size_t n);
   /// Argument checks of Update and UpdateBatch: a non-empty mask of
@@ -595,19 +598,10 @@ class Table : public TxnContext {
 
   std::atomic<uint64_t> next_row_{0};  ///< next base RID to hand out
 
-  /// Two-level range directory with lock-free reads (growth under the
-  /// latch; chunks are never moved once published).
-  static constexpr uint32_t kRangeChunkSize = 1024;
-  static constexpr uint32_t kMaxRangeChunks = 4096;
-  /// Range ids the directory can hold; EnsureRange refuses the rest.
-  static constexpr uint64_t kMaxRanges =
-      uint64_t{kRangeChunkSize} * kMaxRangeChunks;
-  struct RangeChunk {
-    std::atomic<Range*> ranges[kRangeChunkSize] = {};
-  };
-  mutable SpinLatch ranges_latch_;
-  std::unique_ptr<std::atomic<RangeChunk*>[]> chunks_;
-  std::atomic<uint64_t> num_ranges_{0};
+  /// Two-level range directory with lock-free reads (Range ids past
+  /// kMaxRanges are refused).
+  RangeDirectory<Range> ranges_;
+  static constexpr uint64_t kMaxRanges = RangeDirectory<Range>::kCapacity;
 
   std::unique_ptr<MergeManager> merge_manager_;
   std::unique_ptr<RedoLog> log_;

@@ -11,6 +11,7 @@
 #include "common/clock.h"
 #include "common/latch.h"
 #include "common/random.h"
+#include "common/range_directory.h"
 #include "common/status.h"
 #include "common/types.h"
 
@@ -204,6 +205,54 @@ TEST(RWSpinLatchTest, ExclusiveExcludesReadersAndWriters) {
   }
   for (auto& th : threads) th.join();
   EXPECT_TRUE(ok.load());
+}
+
+TEST(RangeDirectoryTest, EnsureAndGetStopAtCapacity) {
+  using Dir = RangeDirectory<uint64_t>;
+  constexpr uint64_t kLast = Dir::kCapacity - 1;
+  Dir dir;
+  EXPECT_EQ(dir.Get(kLast), nullptr);
+  for (uint64_t id : {uint64_t{0}, kLast}) {
+    uint64_t* r = dir.Ensure(id, [id] { return new uint64_t(id); });
+    ASSERT_NE(r, nullptr);
+    EXPECT_EQ(*r, id);
+    EXPECT_EQ(dir.Get(id), r);
+    EXPECT_EQ(dir.Ensure(id, [] { return new uint64_t(0); }), r);
+  }
+  EXPECT_EQ(dir.size(), Dir::kCapacity);
+  bool built = false;
+  EXPECT_EQ(dir.Ensure(Dir::kCapacity,
+                       [&] {
+                         built = true;
+                         return new uint64_t(0);
+                       }),
+            nullptr);
+  EXPECT_FALSE(built);
+  EXPECT_EQ(dir.Get(Dir::kCapacity), nullptr);
+  EXPECT_EQ(dir.Get(~uint64_t{0}), nullptr);
+  EXPECT_EQ(dir.size(), Dir::kCapacity);
+}
+
+TEST(RangeDirectoryTest, ConcurrentEnsureBuildsOneRange) {
+  RangeDirectory<uint64_t> dir;
+  constexpr uint64_t kId = 1500;  // in the second chunk
+  std::atomic<int> built{0};
+  std::vector<uint64_t*> got(4, nullptr);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < got.size(); ++t) {
+    threads.emplace_back([&, t] {
+      got[t] = dir.Ensure(kId, [&] {
+        built.fetch_add(1);
+        return new uint64_t(kId);
+      });
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(built.load(), 1);
+  for (uint64_t* r : got) EXPECT_EQ(r, got[0]);
+  EXPECT_EQ(dir.Get(kId), got[0]);
+  EXPECT_EQ(dir.Get(kId - 1), nullptr);
+  EXPECT_EQ(dir.size(), kId + 1);
 }
 
 }  // namespace

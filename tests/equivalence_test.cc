@@ -56,6 +56,39 @@ TEST_P(EngineEquivalence, AllEnginesMatchReferenceModel) {
   Random rng(p.seed);
   Value next_key = 0;
 
+  const char* const kEngines[4] = {"L-Store col", "L-Store row", "IUH",
+                                   "DBM"};
+  constexpr ColumnMask kAll = (1ull << kCols) - 1;
+  // A point read of `key` on every engine matches the model.
+  auto check_read = [&](Value key) {
+    auto expect = model.find(key);
+    std::vector<Value> a, b, c, d;
+    Txn ta = col.Begin();
+    Txn tb = row.Begin();
+    Txn tc = iuh.Begin();
+    Txn td = dbm.Begin();
+    Status sa = col.Read(ta, key, kAll, &a);
+    Status sb = row.Read(tb, key, kAll, &b);
+    Status sc = iuh.Read(tc, key, kAll, &c);
+    Status sd = dbm.Read(td, key, kAll, &d);
+    (void)ta.Commit();
+    (void)tb.Commit();
+    (void)tc.Commit();
+    (void)td.Commit();
+    if (expect == model.end()) {
+      EXPECT_TRUE(sa.IsNotFound());
+      EXPECT_TRUE(sb.IsNotFound());
+      EXPECT_TRUE(sc.IsNotFound());
+      EXPECT_TRUE(sd.IsNotFound());
+    } else {
+      ASSERT_TRUE(sa.ok() && sb.ok() && sc.ok() && sd.ok());
+      EXPECT_EQ(a, expect->second) << "L-Store col, key " << key;
+      EXPECT_EQ(b, expect->second) << "L-Store row, key " << key;
+      EXPECT_EQ(c, expect->second) << "IUH, key " << key;
+      EXPECT_EQ(d, expect->second) << "DBM, key " << key;
+    }
+  };
+
   auto run_all = [&](auto&& fn) {
     // fn(table) -> Status; must succeed or fail identically everywhere.
     Status a = fn(col), b = fn(row), c = fn(iuh), d = fn(dbm);
@@ -82,7 +115,7 @@ TEST_P(EngineEquivalence, AllEnginesMatchReferenceModel) {
         return txn.Commit();
       });
       model[key] = r;
-    } else if (op < 75) {
+    } else if (op < 70) {
       // Update 1-3 random columns of an existing key.
       Value key = rng.Uniform(next_key);
       ColumnMask mask = 0;
@@ -105,7 +138,7 @@ TEST_P(EngineEquivalence, AllEnginesMatchReferenceModel) {
       if (exists) {
         for (BitIter it(mask); it; ++it) model[key][*it] = r[*it];
       }
-    } else if (op < 80) {
+    } else if (op < 75) {
       // Delete: all engines agree, including on double-deletes.
       Value key = rng.Uniform(next_key);
       run_all([&](auto& t) {
@@ -118,6 +151,78 @@ TEST_P(EngineEquivalence, AllEnginesMatchReferenceModel) {
         return txn.Commit();
       });
       model.erase(key);
+    } else if (op < 82) {
+      // One transaction of 2-3 writes to one key (updates of differing
+      // columns, update then delete, delete then update), committed or
+      // aborted. A write after the transaction's own delete fails with
+      // NotFound and the transaction aborts. Inside the transaction a
+      // read sees its own writes; the model takes them on commit only.
+      Value key = rng.Uniform(next_key);
+      const int n = 2 + static_cast<int>(rng.Uniform(2));
+      const bool commit = rng.Uniform(2) == 0;
+      struct Write {
+        bool del;
+        ColumnMask mask;
+        std::vector<Value> row;
+      };
+      std::vector<Write> writes;
+      ColumnMask last = 0;
+      for (int w = 0; w < n; ++w) {
+        Write wr{rng.Uniform(3) == 0, 0, std::vector<Value>(kCols, 0)};
+        do {
+          wr.mask = 1ull << (1 + rng.Uniform(kCols - 1));
+        } while (wr.mask == last);
+        last = wr.mask;
+        for (BitIter it(wr.mask); it; ++it) wr.row[*it] = rng.Uniform(100000);
+        writes.push_back(wr);
+      }
+      // The model's view of the transaction: the row after each write
+      // that succeeds, and whether every write succeeds.
+      std::optional<std::vector<Value>> cur;
+      if (model.count(key) > 0) cur = model[key];
+      bool writes_ok = true;
+      for (const Write& wr : writes) {
+        if (!cur) {
+          writes_ok = false;
+          break;
+        }
+        if (wr.del) {
+          cur.reset();
+        } else {
+          for (BitIter it(wr.mask); it; ++it) (*cur)[*it] = wr.row[*it];
+        }
+      }
+      auto multi = [&](auto& t) -> Status {
+        Txn txn = t.Begin();
+        for (const Write& wr : writes) {
+          Status s = wr.del ? t.Delete(txn, key)
+                            : t.Update(txn, key, wr.mask, wr.row);
+          if (!s.ok()) return s;  // auto-abort
+        }
+        std::vector<Value> own;
+        Status s = t.Read(txn, key, kAll, &own);
+        if (cur ? !s.ok() || own != *cur : !s.IsNotFound()) {
+          return Status::Corruption("own writes misread");
+        }
+        if (!commit) {
+          txn.Abort();
+          return Status::OK();
+        }
+        return txn.Commit();
+      };
+      Status st[4] = {multi(col), multi(row), multi(iuh), multi(dbm)};
+      for (int e = 0; e < 4; ++e) {
+        EXPECT_TRUE(writes_ok ? st[e].ok() : st[e].IsNotFound())
+            << kEngines[e] << ", key " << key << ": " << st[e].ToString();
+      }
+      if (writes_ok && commit) {
+        if (cur) {
+          model[key] = *cur;
+        } else {
+          model.erase(key);
+        }
+      }
+      check_read(key);
     } else if (op < 85) {
       // Aborted update: must leave no trace anywhere.
       Value key = rng.Uniform(next_key);
@@ -135,34 +240,7 @@ TEST_P(EngineEquivalence, AllEnginesMatchReferenceModel) {
       for (uint64_t rid = 0; rid < 4; ++rid) (void)dbm.MergeRange(rid);
     } else {
       // Point read of a random key: everyone matches the model.
-      Value key = rng.Uniform(next_key);
-      auto expect = model.find(key);
-      std::vector<Value> a, b, c, d;
-      Txn ta = col.Begin();
-      Txn tb = row.Begin();
-      Txn tc = iuh.Begin();
-      Txn td = dbm.Begin();
-      ColumnMask all = (1ull << kCols) - 1;
-      Status sa = col.Read(ta, key, all, &a);
-      Status sb = row.Read(tb, key, all, &b);
-      Status sc = iuh.Read(tc, key, all, &c);
-      Status sd = dbm.Read(td, key, all, &d);
-      (void)ta.Commit();
-      (void)tb.Commit();
-      (void)tc.Commit();
-      (void)td.Commit();
-      if (expect == model.end()) {
-        EXPECT_TRUE(sa.IsNotFound());
-        EXPECT_TRUE(sb.IsNotFound());
-        EXPECT_TRUE(sc.IsNotFound());
-        EXPECT_TRUE(sd.IsNotFound());
-      } else {
-        ASSERT_TRUE(sa.ok() && sb.ok() && sc.ok() && sd.ok());
-        EXPECT_EQ(a, expect->second) << "L-Store col, key " << key;
-        EXPECT_EQ(b, expect->second) << "L-Store row, key " << key;
-        EXPECT_EQ(c, expect->second) << "IUH, key " << key;
-        EXPECT_EQ(d, expect->second) << "DBM, key " << key;
-      }
+      check_read(rng.Uniform(next_key));
     }
   }
 
