@@ -1,6 +1,7 @@
 // Google-benchmark micro benchmarks of the primitive operations:
 // insert, point read (merged / tail-resident), update, merge, scan
-// fast path, and codec throughput. These are the building blocks the
+// fast path, codec throughput, and the primary index's bulk load and
+// point lookups. These are the building blocks the
 // paper's end-to-end numbers decompose into.
 
 #include <benchmark/benchmark.h>
@@ -8,6 +9,7 @@
 #include "common/random.h"
 #include "core/query.h"
 #include "core/table.h"
+#include "index/primary_index.h"
 #include "storage/compressed_column.h"
 
 namespace {
@@ -158,6 +160,56 @@ void BM_CompressedColumnGet(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CompressedColumnGet);
+
+constexpr Value kIndexKeys = 1u << 20;
+constexpr size_t kIndexBatch = 1024;
+
+/// kIndexKeys sequential keys in kIndexBatch-key InsertBatch calls,
+/// key k naming RID k.
+void LoadIndex(PrimaryIndex* idx) {
+  std::vector<Value> keys(kIndexBatch);
+  bool ok[kIndexBatch];
+  for (Value b = 0; b < kIndexKeys; b += kIndexBatch) {
+    for (size_t i = 0; i < kIndexBatch; ++i) keys[i] = b + i;
+    idx->InsertBatch(keys.data(), keys.data(), kIndexBatch, ok);
+  }
+}
+
+void BM_IndexLoad(benchmark::State& state) {
+  for (auto _ : state) {
+    PrimaryIndex idx;
+    LoadIndex(&idx);
+    benchmark::DoNotOptimize(idx.size());
+  }
+  state.SetItemsProcessed(state.iterations() * kIndexKeys);
+}
+BENCHMARK(BM_IndexLoad)->Unit(benchmark::kMillisecond);
+
+void BM_IndexGet(benchmark::State& state) {
+  PrimaryIndex idx;
+  LoadIndex(&idx);
+  Random rng(7);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(idx.Get(rng.Uniform(kIndexKeys)));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_IndexGet)->Iterations(4u << 20);
+
+void BM_IndexMultiGet8(benchmark::State& state) {
+  PrimaryIndex idx;
+  LoadIndex(&idx);
+  Random rng(8);
+  Value keys[8];
+  Rid out[8];
+  for (auto _ : state) {
+    for (Value& k : keys) k = rng.Uniform(kIndexKeys);
+    idx.MultiGet(keys, 8, out);
+    benchmark::DoNotOptimize(out);
+  }
+  state.SetItemsProcessed(state.iterations() * 8);
+}
+BENCHMARK(BM_IndexMultiGet8)->Iterations(1u << 19);
 
 }  // namespace
 

@@ -377,7 +377,7 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
         if (file_range_size != range_size) {
           return Status::Corruption("checkpoint range_size mismatch");
         }
-        if (nranges > Table::kMaxRanges) {
+        if (nranges > t->ranges_.limit()) {
           return Status::Corruption("checkpoint range count overflow");
         }
         t->next_row_.store(next_row, std::memory_order_release);

@@ -9,6 +9,7 @@
 #ifndef LSTORE_COMMON_RANGE_DIRECTORY_H_
 #define LSTORE_COMMON_RANGE_DIRECTORY_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -23,11 +24,14 @@ class RangeDirectory {
   static constexpr uint32_t kMaxChunks = 4096;
 
  public:
-  /// Range ids the directory can hold; Ensure refuses the rest.
+  /// Range ids the directory can hold at most.
   static constexpr uint64_t kCapacity = uint64_t{kChunkSize} * kMaxChunks;
 
-  RangeDirectory()
-      : chunks_(std::make_unique<std::atomic<Chunk*>[]>(kMaxChunks)) {
+  /// A directory of range ids below `limit` (at most kCapacity);
+  /// Ensure refuses the rest.
+  explicit RangeDirectory(uint64_t limit = kCapacity)
+      : limit_(std::min(limit, kCapacity)),
+        chunks_(std::make_unique<std::atomic<Chunk*>[]>(kMaxChunks)) {
     for (uint32_t c = 0; c < kMaxChunks; ++c) {
       chunks_[c].store(nullptr, std::memory_order_relaxed);
     }
@@ -47,10 +51,10 @@ class RangeDirectory {
   }
 
   /// The range `id`, built by `make()` (an owning `R*`) if absent;
-  /// nullptr past capacity. Racing callers build it once.
+  /// nullptr at or past the limit. Racing callers build it once.
   template <typename Make>
   R* Ensure(uint64_t id, Make&& make) {
-    if (id >= kCapacity) return nullptr;
+    if (id >= limit_) return nullptr;
     R* r = Get(id);
     if (r != nullptr) return r;
     SpinGuard g(latch_);
@@ -69,6 +73,9 @@ class RangeDirectory {
     }
     return r;
   }
+
+  /// Range ids below this can be ensured.
+  uint64_t limit() const { return limit_; }
 
   /// One past the highest id ever ensured (ids below may be absent).
   uint64_t size() const { return size_.load(std::memory_order_acquire); }
@@ -90,6 +97,7 @@ class RangeDirectory {
     std::atomic<R*> ranges[kChunkSize] = {};
   };
 
+  const uint64_t limit_;
   mutable SpinLatch latch_;
   std::unique_ptr<std::atomic<Chunk*>[]> chunks_;
   std::atomic<uint64_t> size_{0};

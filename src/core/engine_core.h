@@ -54,7 +54,9 @@ class EngineCore : public TxnContext {
  protected:
   EngineCore(Schema schema, TableConfig config,
              TransactionManager* txn_manager)
-      : schema_(std::move(schema)), config_(config) {
+      : schema_(std::move(schema)),
+        config_(config),
+        ranges_((PrimaryIndex::kMaxRid + 1) / config_.range_size) {
     if (txn_manager == nullptr) {
       owned_txn_manager_ = std::make_unique<TransactionManager>();
       txn_manager = owned_txn_manager_.get();

@@ -57,7 +57,8 @@ Table::Table(std::string name, Schema schema, TableConfig config,
              TransactionManager* txn_manager)
     : name_(std::move(name)),
       schema_(std::move(schema)),
-      config_(config) {
+      config_(config),
+      ranges_((PrimaryIndex::kMaxRid + 1) / config_.range_size) {
   if (txn_manager != nullptr) {
     txn_manager_ = txn_manager;
   } else {
@@ -752,7 +753,7 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
 
   const Rid first = next_row_.fetch_add(reserved, std::memory_order_relaxed);
   // The rows' last range is the only one that can fall past the
-  // directory's capacity; such a batch fails whole, index unchanged.
+  // directory's limit; such a batch fails whole, index unchanged.
   if (EnsureRange(RangeOf(first + reserved - 1)) == nullptr) {
     return Status::Busy("range space exhausted");
   }

@@ -243,7 +243,9 @@ class Table : public TxnContext {
   uint32_t RangeTps(uint64_t range_id) const;
   uint32_t RangeTailLength(uint64_t range_id) const;
 
-  /// Bytes of the primary index (key → base RID).
+  /// The primary index (key → base RID), read-only.
+  const PrimaryIndex& primary_index() const { return primary_; }
+  /// Bytes of the primary index.
   size_t PrimaryIndexBytes() const { return primary_.byte_size(); }
   /// Summed byte_size() of the resident base-segment payloads (cold
   /// pages count 0).
@@ -425,7 +427,8 @@ class Table : public TxnContext {
                  std::vector<Value>* out);
 
   Range* GetRange(uint64_t id) const { return ranges_.Get(id); }
-  /// The range `id`, created if absent; nullptr past kMaxRanges.
+  /// The range `id`, created if absent; nullptr past the directory's
+  /// limit.
   Range* EnsureRange(uint64_t id);
   uint64_t RangeOf(Rid rid) const { return rid / config_.range_size; }
   uint32_t SlotOf(Rid rid) const {
@@ -470,8 +473,8 @@ class Table : public TxnContext {
   /// page run at a time. Stops at the first duplicate key or bad-arity
   /// row: earlier rows stay inserted, later ones leave no index entry,
   /// and their reserved slots are stamped aborted. Rows reaching past
-  /// kMaxRanges insert nothing (Busy). Logs ONE frame: a kInsertRun
-  /// per range the inserted rows fill.
+  /// the directory's limit insert nothing (Busy). Logs ONE frame: a
+  /// kInsertRun per range the inserted rows fill.
   Status InsertRows(Transaction* txn, const std::vector<Value>* rows,
                     size_t n);
   /// Argument checks of Update and UpdateBatch: a non-empty mask of
@@ -598,10 +601,9 @@ class Table : public TxnContext {
 
   std::atomic<uint64_t> next_row_{0};  ///< next base RID to hand out
 
-  /// Two-level range directory with lock-free reads (Range ids past
-  /// kMaxRanges are refused).
+  /// Two-level range directory with lock-free reads. It refuses range
+  /// ids whose rows would pass PrimaryIndex::kMaxRid.
   RangeDirectory<Range> ranges_;
-  static constexpr uint64_t kMaxRanges = RangeDirectory<Range>::kCapacity;
 
   std::unique_ptr<MergeManager> merge_manager_;
   std::unique_ptr<RedoLog> log_;

@@ -1,7 +1,6 @@
 #include "index/primary_index.h"
 
 #include <algorithm>
-#include <cassert>
 #include <utility>
 
 #include "common/inline_buffer.h"
@@ -50,7 +49,7 @@ void PrimaryIndex::Shard::Reserve(size_t extra) {
 }
 
 bool PrimaryIndex::Shard::Place(Value key, Rid rid) {
-  assert(rid != kEmpty && rid != kTombstone);
+  if (rid > kMaxRid) return false;
   const size_t cap = slots.size();
   size_t target = cap;  // the first tombstone on the probe path
   for (size_t i = Home(Hash(key), cap);; i = Next(i, cap)) {
@@ -61,7 +60,7 @@ bool PrimaryIndex::Shard::Place(Value key, Rid rid) {
       } else {
         --tombstones;
       }
-      slots[target] = Slot{key, rid};
+      slots[target] = Slot{key, static_cast<uint32_t>(rid)};
       ++live;
       return true;
     }

@@ -4,8 +4,9 @@
 // which eliminates index maintenance on updates — the index is touched
 // only by inserts and (deferred) deletes. 64 shards with per-shard
 // spin latches; point lookups take one latch acquire. Each shard is a
-// flat linear-probing table of 16-byte {key, rid} slots (~20-24 bytes
-// per key at its 0.53-0.8 load).
+// flat linear-probing table of 12-byte {key, rid} slots (15-23 bytes
+// per key at its 0.53-0.8 load): a base RID is a dense row number, so
+// it is stored in 32 bits.
 
 #ifndef LSTORE_INDEX_PRIMARY_INDEX_H_
 #define LSTORE_INDEX_PRIMARY_INDEX_H_
@@ -20,10 +21,15 @@ namespace lstore {
 
 class PrimaryIndex {
  public:
+  /// The largest RID a slot holds; the two values above it mark empty
+  /// and erased slots. Tables bound their range directories so that
+  /// no row gets a larger one.
+  static constexpr Rid kMaxRid = (Rid{1} << 32) - 3;
+
   explicit PrimaryIndex(size_t num_shards = 64);
 
   /// Insert; fails (returns false) if the key already exists —
-  /// enforces primary-key uniqueness.
+  /// enforces primary-key uniqueness — or if `rid` is past kMaxRid.
   bool Insert(Value key, Rid rid);
 
   /// Batched insert: ok[i] = Insert(keys[i], rids[i]), where a key
@@ -50,15 +56,22 @@ class PrimaryIndex {
   size_t byte_size() const;
 
  private:
-  /// Empty and tombstone slots are marked in `rid` — base RIDs never
-  /// reach the top of the RID space — so every 64-bit key stays valid.
-  static constexpr Rid kEmpty = kInvalidRid;
-  static constexpr Rid kTombstone = kInvalidRid - 1;
+  /// Empty and tombstone slots are marked in `rid` — base RIDs stop at
+  /// kMaxRid — so every 64-bit key stays valid.
+  static constexpr uint32_t kEmpty = ~uint32_t{0};
+  static constexpr uint32_t kTombstone = kEmpty - 1;
+  static_assert(kMaxRid + 1 == kTombstone);
 
+  /// Packed to alignment 4, so a slot takes 12 bytes instead of 16.
+  /// Members are only read and written by value: a pointer or
+  /// reference to `key` could be misaligned.
+#pragma pack(push, 4)
   struct Slot {
     Value key;
-    Rid rid;
+    uint32_t rid;
   };
+#pragma pack(pop)
+  static_assert(sizeof(Slot) == 12 && alignof(Slot) == 4);
 
   /// One shard's linear-probing table. Once live plus tombstone slots
   /// would pass 0.8 of capacity it rehashes: at the same capacity when

@@ -12,6 +12,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -47,12 +48,17 @@ class CheckpointTest : public ::testing::Test {
     return cfg;
   }
 
-  /// Write a checkpoint of a Schema(2) SmallConfig() table: its header
-  /// (claiming `nranges` ranges), `frames`, and a footer counting their
-  /// range-state frames. Then restore it into a fresh table.
+  /// Write a checkpoint of a Schema(2) SmallConfig() table with
+  /// `range_size`: its header (claiming `nranges` ranges and
+  /// `next_row`), `frames`, and a footer counting their range-state
+  /// frames. Then restore it into a fresh table, kept in `restored`
+  /// when given.
   Status LoadCrafted(uint64_t nranges,
                      const std::vector<std::pair<FrameType, std::string>>&
-                         frames) {
+                         frames,
+                     uint32_t range_size = SmallConfig().range_size,
+                     uint64_t next_row = 0,
+                     std::unique_ptr<Table>* restored = nullptr) {
     std::filesystem::create_directories(dir_);
     const std::string path = dir_ + "/crafted.ckpt";
     {
@@ -64,8 +70,8 @@ class CheckpointTest : public ::testing::Test {
       PutVarint64(&p, 2);
       PutString(&p, "c0");
       PutString(&p, "c1");
-      PutVarint64(&p, SmallConfig().range_size);
-      PutVarint64(&p, 0);  // next row
+      PutVarint64(&p, range_size);
+      PutVarint64(&p, next_row);
       PutVarint64(&p, nranges);
       EXPECT_TRUE(w.WriteFrame(FrameType::kTableHeader, p).ok());
       uint64_t ranges = 0;
@@ -78,8 +84,12 @@ class CheckpointTest : public ::testing::Test {
       EXPECT_TRUE(w.WriteFrame(FrameType::kTableFooter, footer).ok());
       EXPECT_TRUE(w.Finish().ok());
     }
-    Table t("t", Schema(2), SmallConfig());
-    return CheckpointIO::LoadTable(&t, path);
+    TableConfig cfg = SmallConfig();
+    cfg.range_size = range_size;
+    auto t = std::make_unique<Table>("t", Schema(2), cfg);
+    Status s = CheckpointIO::LoadTable(t.get(), path);
+    if (restored != nullptr) *restored = std::move(t);
+    return s;
   }
 
   /// Varint fields, concatenated: a frame payload.
@@ -285,6 +295,77 @@ TEST_F(CheckpointTest, RedoRecordPastDirectoryOrRangeIsCorruption) {
     EXPECT_TRUE(s.IsCorruption())
         << range << "/" << slot << ": " << s.ToString();
   }
+}
+
+// ---------------------------------------------------------------------------
+// Row cap: primary-index slots hold RIDs up to PrimaryIndex::kMaxRid
+// ---------------------------------------------------------------------------
+
+/// With 65536-row ranges, the rows of range 65,535 would pass kMaxRid,
+/// so the table's directory stops below it, well inside its 4096-chunk
+/// capacity.
+constexpr uint32_t kWideRangeSize = 65536;
+constexpr uint64_t kWideRanges = 65535;
+constexpr Rid kLastRid = kWideRanges * kWideRangeSize - 1;
+static_assert(kLastRid <= PrimaryIndex::kMaxRid &&
+              kLastRid + kWideRangeSize > PrimaryIndex::kMaxRid);
+static_assert(kWideRanges < kDirectoryRanges);
+
+TEST_F(CheckpointTest, CraftedRangeIdPastRowCapIsCorruption) {
+  // The last range below the cap restores.
+  EXPECT_TRUE(LoadCrafted(kWideRanges, {RangeState(kWideRanges - 1, 1)},
+                          kWideRangeSize)
+                  .ok());
+  // The next one does not, nor does a header claiming it.
+  EXPECT_TRUE(LoadCrafted(kWideRanges, {RangeState(kWideRanges, 1)},
+                          kWideRangeSize)
+                  .IsCorruption());
+  EXPECT_TRUE(LoadCrafted(kWideRanges + 1, {RangeState(kWideRanges, 1)},
+                          kWideRangeSize)
+                  .IsCorruption());
+}
+
+TEST_F(CheckpointTest, RedoRecordPastRowCapIsCorruption) {
+  std::filesystem::create_directories(dir_);
+  const std::string path = dir_ + "/t.log";
+  {
+    RedoLog log;
+    ASSERT_TRUE(log.Open(path, true).ok());
+    LogRecord rec;
+    rec.type = LogRecordType::kInsertAppend;
+    rec.txn_id = kTxnIdTag | 7;
+    rec.range_id = kWideRanges;
+    rec.seq = 1;
+    rec.base_slot = 0;
+    rec.mask = 0b11;
+    rec.values = {1, 2};
+    log.Append(rec);
+    ASSERT_TRUE(log.Flush(false).ok());
+  }
+  TableConfig cfg = SmallConfig();
+  cfg.range_size = kWideRangeSize;
+  cfg.log_path = path;
+  cfg.enable_logging = true;
+  Table t("t", Schema(2), cfg);
+  Status s = t.RecoverFromLog();
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+}
+
+TEST_F(CheckpointTest, InsertsStopAtTheLastRid) {
+  std::unique_ptr<Table> t;
+  ASSERT_TRUE(LoadCrafted(0, {}, kWideRangeSize, kLastRid, &t).ok());
+  Txn txn = t->Begin();
+  ASSERT_TRUE(t->Insert(txn, {1, 10}).ok());
+  EXPECT_EQ(t->primary_index().Get(1), kLastRid);
+  const size_t indexed = t->primary_index().size();
+  EXPECT_TRUE(t->Insert(txn, {2, 20}).IsBusy());
+  EXPECT_TRUE(t->InsertBatch(txn, {{3, 30}, {4, 40}}).IsBusy());
+  EXPECT_EQ(t->primary_index().size(), indexed);
+  ASSERT_TRUE(txn.Commit().ok());
+  Txn reader = t->Begin();
+  std::vector<Value> row;
+  ASSERT_TRUE(t->Read(reader, 1, 0b11, &row).ok());
+  EXPECT_EQ(row, (std::vector<Value>{1, 10}));
 }
 
 // ---------------------------------------------------------------------------

@@ -233,6 +233,20 @@ TEST(RangeDirectoryTest, EnsureAndGetStopAtCapacity) {
   EXPECT_EQ(dir.size(), Dir::kCapacity);
 }
 
+TEST(RangeDirectoryTest, EnsureStopsAtAGivenLimit) {
+  using Dir = RangeDirectory<uint64_t>;
+  Dir dir(65535);
+  EXPECT_EQ(dir.limit(), 65535u);
+  uint64_t* r = dir.Ensure(65534, [] { return new uint64_t(65534); });
+  ASSERT_NE(r, nullptr);
+  EXPECT_EQ(dir.Get(65534), r);
+  EXPECT_EQ(dir.Ensure(65535, [] { return new uint64_t(0); }), nullptr);
+  EXPECT_EQ(dir.Get(65535), nullptr);
+  EXPECT_EQ(dir.size(), 65535u);
+  // A limit past the capacity is the capacity.
+  EXPECT_EQ(Dir(~uint64_t{0}).limit(), Dir::kCapacity);
+}
+
 TEST(RangeDirectoryTest, ConcurrentEnsureBuildsOneRange) {
   RangeDirectory<uint64_t> dir;
   constexpr uint64_t kId = 1500;  // in the second chunk

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <thread>
+#include <vector>
 
 #include "common/random.h"
 #include "index/primary_index.h"
@@ -57,9 +58,9 @@ TEST(PrimaryIndexTest, GrowsThroughRehashesAndKeepsEveryKey) {
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_EQ(idx.Get(keys[i]), static_cast<Rid>(i)) << i;
   }
-  // At most 0.8 and at least 0.53 full: 20-30 bytes per key.
-  EXPECT_LE(idx.byte_size(), keys.size() * 32);
-  EXPECT_GE(idx.byte_size(), keys.size() * 20);
+  // 12-byte slots at most 0.8 and at least 0.5 full: 15-24 bytes per key.
+  EXPECT_LE(idx.byte_size(), keys.size() * 24);
+  EXPECT_GE(idx.byte_size(), keys.size() * 15);
 }
 
 TEST(PrimaryIndexTest, ReinsertAfterEraseReusesTheTombstone) {
@@ -127,6 +128,59 @@ TEST(PrimaryIndexTest, ExtremeKeysAreOrdinaryKeys) {
   EXPECT_EQ(idx.size(), 0u);
 }
 
+TEST(PrimaryIndexTest, RidsUpToTheMaximumRoundTrip) {
+  // Slots store RIDs in 32 bits, with the two values above kMaxRid as
+  // the empty and tombstone markers; neither may come back as a RID.
+  constexpr Rid kMax = PrimaryIndex::kMaxRid;
+  static_assert(kMax == (Rid{1} << 32) - 3);
+  const std::vector<Rid> rids = {0, kMax - 1, kMax};
+  PrimaryIndex idx(1);
+  for (size_t i = 0; i < rids.size(); ++i) {
+    ASSERT_TRUE(idx.Insert(100 + i, rids[i]));
+  }
+  std::vector<Value> keys = {200, 201, 202};
+  bool ok[3];
+  idx.InsertBatch(keys.data(), rids.data(), keys.size(), ok);
+  for (bool b : ok) EXPECT_TRUE(b);
+  // Past the maximum: refused, nothing indexed.
+  EXPECT_FALSE(idx.Insert(300, kMax + 1));
+  const Value past_key = 301;
+  const Rid past = kMax + 2;
+  idx.InsertBatch(&past_key, &past, 1, ok);
+  EXPECT_FALSE(ok[0]);
+  EXPECT_EQ(idx.size(), 6u);
+
+  auto expect_all = [&] {
+    for (size_t i = 0; i < rids.size(); ++i) {
+      EXPECT_EQ(idx.Get(100 + i), rids[i]);
+      EXPECT_EQ(idx.Get(200 + i), rids[i]);
+    }
+    std::vector<Value> probe = {100, 101, 102, 200, 201, 202, 300, 301, 999};
+    std::vector<Rid> out(probe.size(), 0);
+    idx.MultiGet(probe.data(), probe.size(), out.data());
+    for (size_t i = 0; i < 6; ++i) EXPECT_EQ(out[i], rids[i % 3]) << i;
+    for (size_t i = 6; i < probe.size(); ++i) EXPECT_EQ(out[i], kInvalidRid);
+  };
+  expect_all();
+  // Erase leaves a tombstone that reads as absent, not as a RID.
+  ASSERT_TRUE(idx.Erase(202));
+  EXPECT_EQ(idx.Get(202), kInvalidRid);
+  ASSERT_TRUE(idx.Insert(202, kMax));
+  // Enough keys to rehash the one shard several times over.
+  const size_t bytes = idx.byte_size();
+  for (Value k = 1000; k < 5000; ++k) ASSERT_TRUE(idx.Insert(k, k));
+  EXPECT_GT(idx.byte_size(), bytes);
+  expect_all();
+  for (Value k = 1000; k < 5000; ++k) ASSERT_EQ(idx.Get(k), k);
+  for (size_t i = 0; i < rids.size(); ++i) {
+    EXPECT_TRUE(idx.Erase(100 + i));
+    EXPECT_TRUE(idx.Erase(200 + i));
+    EXPECT_EQ(idx.Get(100 + i), kInvalidRid);
+    EXPECT_EQ(idx.Get(200 + i), kInvalidRid);
+  }
+  EXPECT_EQ(idx.size(), 4000u);
+}
+
 TEST(PrimaryIndexTest, ConcurrentDisjointInserts) {
   PrimaryIndex idx;
   constexpr int kThreads = 4, kPer = 5000;
@@ -156,6 +210,54 @@ TEST(PrimaryIndexTest, ConcurrentDuplicateInsertsExactlyOneWins) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(wins.load(), 1);
+}
+
+TEST(PrimaryIndexTest, ConcurrentOverlappingInsertBatches) {
+  // Thread t inserts keys [t * kStride, t * kStride + kPer) in
+  // 1024-key batches, so neighbouring threads race for half their
+  // keys. Each key has one winner, whose RID it maps to.
+  PrimaryIndex idx;
+  constexpr int kThreads = 4;
+  constexpr Value kPer = 8192, kStride = kPer / 2, kBatch = 1024;
+  std::vector<std::vector<bool>> won(kThreads, std::vector<bool>(kPer));
+  auto rid_of = [](int t, Value k) { return k * kThreads + t; };
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<Value> keys(kBatch);
+      std::vector<Rid> rids(kBatch);
+      bool ok[kBatch];
+      for (Value b = 0; b < kPer; b += kBatch) {
+        for (Value i = 0; i < kBatch; ++i) {
+          keys[i] = t * kStride + b + i;
+          rids[i] = rid_of(t, keys[i]);
+        }
+        idx.InsertBatch(keys.data(), rids.data(), kBatch, ok);
+        for (Value i = 0; i < kBatch; ++i) won[t][b + i] = ok[i];
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  const Value distinct = (kThreads - 1) * kStride + kPer;
+  EXPECT_EQ(idx.size(), distinct);
+  std::vector<Rid> winner(distinct, kInvalidRid);
+  for (int t = 0; t < kThreads; ++t) {
+    for (Value i = 0; i < kPer; ++i) {
+      if (!won[t][i]) continue;
+      const Value k = t * kStride + i;
+      EXPECT_EQ(winner[k], kInvalidRid) << "two winners for key " << k;
+      winner[k] = rid_of(t, k);
+    }
+  }
+  std::vector<Value> keys(distinct);
+  for (Value k = 0; k < distinct; ++k) keys[k] = k;
+  std::vector<Rid> out(distinct, 0);
+  idx.MultiGet(keys.data(), distinct, out.data());
+  for (Value k = 0; k < distinct; ++k) {
+    ASSERT_NE(winner[k], kInvalidRid) << "no winner for key " << k;
+    ASSERT_EQ(out[k], winner[k]) << k;
+  }
 }
 
 TEST(SecondaryIndexTest, LookupReturnsCandidates) {
