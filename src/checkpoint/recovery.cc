@@ -19,8 +19,6 @@
 #include <vector>
 
 #include "checkpoint/serde.h"
-#include "common/bitutil.h"
-#include "core/historic.h"
 #include "core/table.h"
 #include "log/redo_log.h"
 
@@ -105,165 +103,53 @@ Status Table::ReplayAndRebuild(
     }
 
     // Overlapping archive segments (a crash between seal and truncate
-    // re-seals a longer prefix) can deliver a record twice; the writes
-    // below are idempotent, so duplicates are harmless.
+    // re-seals a longer prefix) can deliver a record twice; applying a
+    // record is idempotent, so duplicates are harmless.
     for (const LogRecord& rec : appends) {
       // A CRC-valid record can still name a range the directory cannot
-      // hold or a slot past the range.
-      Range* r = rec.base_slot < config_.range_size
-                     ? EnsureRange(rec.range_id)
-                     : nullptr;
+      // hold, or anything Range::Apply refuses.
+      Range* r = EnsureRange(rec.range_id);
       if (r == nullptr) {
-        return Status::Corruption("redo record range or slot overflow");
+        return Status::Corruption("redo record range overflow");
       }
-      TailSegment& seg = rec.type == LogRecordType::kInsertAppend
-                             ? r->inserts
-                             : r->updates;
-      if (rec.type == LogRecordType::kTailAppend) {
-        r->updates.AdvanceSeq(rec.seq);
-      } else {
-        r->inserts.AdvanceSeq(rec.seq);
-        AtomicMax(r->occupied, rec.base_slot + 1);
-        uint64_t row_bound =
-            rec.range_id * config_.range_size + rec.base_slot + 1;
-        uint64_t cur = next_row_.load(std::memory_order_relaxed);
-        while (cur < row_bound &&
-               !next_row_.compare_exchange_weak(cur, row_bound,
-                                                std::memory_order_relaxed)) {
-        }
-      }
-      int vi = 0;
-      for (BitIter it(rec.mask); it; ++it, ++vi) {
-        seg.Write(rec.seq, kTailMetaColumns + static_cast<uint32_t>(*it),
-                  rec.values[vi]);
-      }
-      seg.Write(rec.seq, kTailIndirection, rec.backptr);
-      seg.Write(rec.seq, kTailBaseRid, rec.base_slot);
-      seg.Write(rec.seq, kTailSchemaEncoding, rec.schema_encoding);
-
-      // Outcome: commit time, aborted stamp, or (crash before the
-      // outcome record) aborted stamp as well.
-      Value start;
+      const bool insert = rec.type == LogRecordType::kInsertAppend;
+      TailRecord t;
+      t.seq = rec.seq;
+      t.backptr = rec.backptr;
+      t.base_slot = rec.base_slot;
+      t.encoding = rec.schema_encoding;
+      t.cols = rec.mask;
+      std::copy(rec.values.begin(), rec.values.end(), t.values);
+      // Outcome: the commit time, else (aborted, or a crash before the
+      // outcome record) the aborted stamp. A pre-image snapshot record
+      // carries the old version's start time instead.
       auto it = commits.find(rec.txn_id);
-      if (it != commits.end()) {
-        start = it->second;
-      } else if (rec.start_raw != 0 && !IsTxnId(rec.start_raw)) {
-        // Pre-image snapshot record carrying an old commit time.
-        start = rec.start_raw;
-      } else {
-        start = kAbortedStamp;
+      t.start = it != commits.end() ? it->second : kAbortedStamp;
+      if ((it == commits.end() || IsSnapshotRecord(rec.schema_encoding)) &&
+          rec.start_raw != 0 && !IsTxnId(rec.start_raw)) {
+        t.start = rec.start_raw;
       }
-      // Snapshot records of committed transactions carry the *old*
-      // version's start time, not the commit time.
-      if (IsSnapshotRecord(rec.schema_encoding) && rec.start_raw != 0 &&
-          !IsTxnId(rec.start_raw)) {
-        start = rec.start_raw;
-      }
-      seg.StartTimeSlot(rec.seq)->store(start, std::memory_order_release);
-    }
-  }
-
-  // --- step 3: resolve outstanding transaction outcomes -------------------
-  // Checkpoint-captured records of transactions that were still active
-  // at capture time carry raw txn ids; their commit/abort records have
-  // LSNs beyond the watermark, so the maps above hold the verdict.
-  uint64_t nranges = num_ranges();
-  for (uint64_t id = 0; id < nranges; ++id) {
-    Range* r = GetRange(id);
-    if (r == nullptr) continue;
-    uint32_t boundary = r->historic_boundary.load(std::memory_order_acquire);
-    uint32_t last = r->updates.LastSeq();
-    for (uint32_t seq = std::max(boundary, 1u); seq <= last; ++seq) {
-      std::atomic<Value>* sref = r->updates.StartTimeSlot(seq);
-      Value raw = sref->load(std::memory_order_acquire);
-      if (IsTxnId(raw)) {
-        auto it = commits.find(raw);
-        sref->store(it != commits.end() ? it->second : kAbortedStamp,
-                    std::memory_order_release);
-      }
-    }
-    uint32_t occupied = r->occupied.load(std::memory_order_acquire);
-    uint32_t based = r->based.load(std::memory_order_acquire);
-    for (uint32_t slot = based; slot < occupied; ++slot) {
-      std::atomic<Value>* sref = r->inserts.StartTimeSlot(slot + 1);
-      Value raw = sref->load(std::memory_order_acquire);
-      if (IsTxnId(raw)) {
-        auto it = commits.find(raw);
-        sref->store(it != commits.end() ? it->second : kAbortedStamp,
-                    std::memory_order_release);
+      LSTORE_RETURN_IF_ERROR(
+          r->Apply(insert ? TailKind::kInsert : TailKind::kUpdate, t));
+      if (insert) {
+        AtomicMax(next_row_, rec.range_id * config_.range_size +
+                                 rec.base_slot + 1);
       }
     }
   }
 
-  // --- step 4: rebuild indexes + Indirection (recovery option 2) ----------
-  // The primary index is filled one range at a time through its batched
-  // insert (each shard latched and grown once per range).
+  // --- steps 3 and 4, one range at a time ---------------------------------
+  // Resolve outstanding transaction outcomes, then rebuild the primary
+  // index (one batched insert per range: each shard latched and grown
+  // once) and the Indirection column (recovery option 2).
   std::vector<Value> keys;
   std::vector<Rid> rids;
   std::unique_ptr<bool[]> ok(new bool[config_.range_size]);
-  for (uint64_t id = 0; id < nranges; ++id) {
+  for (uint64_t id = 0; id < num_ranges(); ++id) {
     Range* r = GetRange(id);
     if (r == nullptr) continue;
-    uint32_t occupied = r->occupied.load(std::memory_order_acquire);
-    uint32_t based = r->based.load(std::memory_order_acquire);
-    // The index rebuild only needs the key and Start Time columns —
-    // pin exactly those two per range (demand-loading them at most
-    // once); every other lazily mapped column segment stays cold, so
-    // restart cost for based data is O(hot set), not O(table).
-    BaseSegment* start_seg =
-        r->base[schema_.num_columns() + kBaseStartTime].load(
-            std::memory_order_acquire);
-    BaseSegment* key_seg = r->base[0].load(std::memory_order_acquire);
-    PageHandle start_page =
-        start_seg != nullptr ? start_seg->Pin() : PageHandle();
-    PageHandle key_page = key_seg != nullptr ? key_seg->Pin() : PageHandle();
-    keys.clear();
-    rids.clear();
-    for (uint32_t slot = 0; slot < occupied; ++slot) {
-      Value start =
-          (slot < based && start_seg != nullptr && slot < start_seg->num_slots)
-              ? start_page.Get(slot)
-              : r->inserts.Read(slot + 1, kTailStartTime);
-      if (start == kNull || IsAbortedStamp(start) || IsTxnId(start)) continue;
-      if (start > max_time) max_time = start;
-      keys.push_back((key_seg != nullptr && slot < key_seg->num_slots)
-                         ? key_page.Get(slot)
-                         : r->inserts.Read(slot + 1, kTailMetaColumns + 0));
-      rids.push_back(id * config_.range_size + slot);
-    }
+    r->Recover(commits, &keys, &rids, &max_time);
     primary_.InsertBatch(keys.data(), rids.data(), keys.size(), ok.get());
-
-    // A version (tail or historic) of `slot` numbered `seq` with column
-    // mask `cols`: raise the Indirection head and the ever-updated mask.
-    auto note_version = [r](uint32_t slot, uint32_t seq, ColumnMask cols) {
-      SlotMeta& m = r->EnsureMeta()[slot];
-      if (seq > IndirSeq(m.indirection.load(std::memory_order_relaxed))) {
-        m.indirection.store(seq, std::memory_order_release);
-      }
-      m.ever_updated.fetch_or(cols, std::memory_order_relaxed);
-    };
-    uint32_t boundary = r->historic_boundary.load(std::memory_order_acquire);
-    uint32_t last = r->updates.LastSeq();
-    for (uint32_t seq = std::max(boundary, 1u); seq <= last; ++seq) {
-      Value raw = r->updates.Read(seq, kTailStartTime);
-      if (raw == kNull || IsAbortedStamp(raw) || IsTxnId(raw)) continue;
-      if (raw > max_time) max_time = raw;
-      uint32_t slot =
-          static_cast<uint32_t>(r->updates.Read(seq, kTailBaseRid));
-      if (slot >= config_.range_size) continue;
-      note_version(slot, seq,
-                   SchemaColumns(r->updates.Read(seq, kTailSchemaEncoding)));
-    }
-    HistoricStore* hist = r->historic.load(std::memory_order_acquire);
-    if (hist != nullptr) {
-      for (uint32_t slot : hist->Slots()) {
-        if (slot >= config_.range_size) continue;
-        for (const HistoricStore::Version& v : hist->VersionsOf(slot)) {
-          if (v.start_time > max_time) max_time = v.start_time;
-          note_version(slot, v.seq, SchemaColumns(v.schema_encoding));
-        }
-      }
-    }
   }
 
   // Resume the clock beyond every replayed commit, including no-op

@@ -135,31 +135,6 @@ bool GetU64(std::string_view in, size_t* pos, uint64_t* v) {
 // CheckpointIO — capture
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Resolve the raw Start Time of one tail record for the snapshot,
-/// stamping a decided writer's outcome into the slot as readers do.
-/// Returns a commit time, the aborted stamp, a still-active txn id
-/// (a later commit/abort record necessarily has an LSN beyond the log
-/// watermark and resolves it during replay), or kNull for a record the
-/// writer has not published yet. kNull is safe to omit: writers
-/// publish the Start Time BEFORE appending to the redo log, so an
-/// unpublished record's log append (if it ever happens) necessarily
-/// has an LSN beyond the watermark taken before this capture, and the
-/// retained log tail replays it.
-Value ResolveStartForCapture(TransactionManager* tm,
-                             std::atomic<Value>* sref) {
-  Value raw = sref->load(std::memory_order_acquire);
-  // A pre-committing writer's commit record may already precede the
-  // watermark; wait out the validation window instead of guessing.
-  while (tm->Resolve(sref, &raw).outcome == Outcome::kPreCommit) {
-    tm->AwaitOutcome(raw);
-  }
-  return raw;
-}
-
-}  // namespace
-
 Status CheckpointIO::WriteTable(Table& t, const std::string& path,
                                 uint64_t* file_checksum) {
   File file;
@@ -186,113 +161,96 @@ Status CheckpointIO::WriteTable(Table& t, const std::string& path,
 
   uint64_t ranges_written = 0;
   for (uint64_t id = 0; id < nranges; ++id) {
-    Table::Range* r = t.GetRange(id);
+    Range* r = t.GetRange(id);
     if (r == nullptr) continue;
-    // Stable merge lineage: base segments, TPS, the based prefix and
-    // the historic boundary only move under this latch (merge,
-    // insert-merge, and historic compression all take it).
-    SpinGuard g(r->merge_latch);
-    const uint32_t occupied = r->occupied.load(std::memory_order_acquire);
-    const uint32_t based = r->based.load(std::memory_order_acquire);
-    const uint32_t tps = r->merged_tps.load(std::memory_order_acquire);
-    const uint32_t boundary =
-        r->historic_boundary.load(std::memory_order_acquire);
-    const uint32_t last = r->updates.LastSeq();
-
-    {
+    LSTORE_RETURN_IF_ERROR(r->Capture([&](const RangeState& st) -> Status {
       std::string p;
-      PutVarint64(&p, id);
-      PutVarint64(&p, occupied);
-      PutVarint64(&p, based);
-      PutVarint64(&p, tps);
-      PutVarint64(&p, boundary);
-      PutVarint64(&p, last);
-      LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kRangeState, p));
-    }
-
-    // Consolidated base segments (read-optimized columns + lineage).
-    // A segment already written through to the table's durable store
-    // is checkpointed by reference — no payload I/O, and a cold
-    // (evicted) segment is never faulted in just to checkpoint it.
-    // SyncSegmentStore() runs before the manifest is published, so
-    // every referenced byte range is durable first. Any other segment
-    // is copied inline in its serialized compressed form.
-    for (uint32_t pc = 0; pc < nphys; ++pc) {
-      BaseSegment* seg = r->base[pc].load(std::memory_order_acquire);
-      if (seg == nullptr) continue;
-      const SegmentPage* page = seg->page.get();
-      std::string p;
-      PutVarint64(&p, id);
-      PutVarint64(&p, pc);
-      PutVarint64(&p, seg->tps);
-      PutVarint64(&p, seg->num_slots);
-      if (page != nullptr && page->evictable() && page->store()->durable()) {
-        PutVarint64(&p, page->swap_offset());
-        PutVarint64(&p, page->swap_length());
-        PutVarint64(&p, page->swap_checksum());
-        CompressedColumn::PutHeader(&p, page->layout());
-        LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kBaseSegmentRef, p));
-        continue;
+      for (uint64_t f : {id, st.occupied, st.based, st.tps, st.boundary,
+                         st.last}) {
+        PutVarint64(&p, f);
       }
-      seg->Pin()->AppendTo(&p);
-      LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kBaseSegment, p));
-    }
+      LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kRangeState, p));
 
-    // Update-range tail records at or beyond the historic boundary
-    // (older versions live in the historic store, serialized below).
-    {
+      // Consolidated base segments (read-optimized columns + lineage).
+      // A segment already written through to the table's durable store
+      // is checkpointed by reference — no payload I/O, and a cold
+      // (evicted) segment is never faulted in just to checkpoint it.
+      // SyncSegmentStore() runs before the manifest is published, so
+      // every referenced byte range is durable first. Any other segment
+      // is copied inline in its serialized compressed form.
+      for (uint32_t pc = 0; pc < nphys; ++pc) {
+        const BaseSegment* seg = r->segment(pc);
+        if (seg == nullptr) continue;
+        const SegmentPage* page = seg->page.get();
+        p.clear();
+        for (uint64_t f : {id, uint64_t{pc}, uint64_t{seg->tps},
+                           uint64_t{seg->num_slots}}) {
+          PutVarint64(&p, f);
+        }
+        if (page != nullptr && page->evictable() && page->store()->durable()) {
+          PutVarint64(&p, page->swap_offset());
+          PutVarint64(&p, page->swap_length());
+          PutVarint64(&p, page->swap_checksum());
+          CompressedColumn::PutHeader(&p, page->layout());
+          LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kBaseSegmentRef, p));
+          continue;
+        }
+        seg->Pin()->AppendTo(&p);
+        LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kBaseSegment, p));
+      }
+
+      // Update-range tail records at or beyond the historic boundary
+      // (older versions live in the historic store, serialized below).
+      // A start time still holding an active txn id is captured as is:
+      // its commit or abort record lies beyond the log watermark and
+      // resolves it during replay. A record not published yet (start
+      // ∅) is omitted: writers publish the start time BEFORE appending
+      // to the redo log, so its append lies beyond the watermark taken
+      // before this capture, and the retained log tail replays it.
       std::string body;
       uint64_t count = 0;
-      for (uint32_t seq = boundary > 0 ? boundary : 1; seq <= last; ++seq) {
-        Value start =
-            ResolveStartForCapture(t.txn_manager_, r->updates.StartTimeSlot(seq));
-        if (start == kNull) continue;  // reserved, never published
-        Value enc = r->updates.Read(seq, kTailSchemaEncoding);
-        PutVarint64(&body, seq);
-        PutVarint64(&body, start);
-        PutVarint64(&body, r->updates.Read(seq, kTailIndirection));
-        PutVarint64(&body, r->updates.Read(seq, kTailBaseRid));
-        PutVarint64(&body, enc);
-        for (BitIter it(SchemaColumns(enc)); it; ++it) {
-          PutVarint64(&body, r->updates.Read(
-                                 seq, kTailMetaColumns +
-                                          static_cast<uint32_t>(*it)));
+      for (uint32_t seq = st.boundary; seq <= st.last; ++seq) {
+        const TailRecord rec =
+            r->ReadRecord(TailKind::kUpdate, seq, /*settle=*/true);
+        if (rec.start == kNull) continue;
+        for (uint64_t f : {uint64_t{seq}, rec.start, rec.backptr,
+                           rec.base_slot, rec.encoding}) {
+          PutVarint64(&body, f);
+        }
+        for (int i = 0; i < PopCount(rec.cols); ++i) {
+          PutVarint64(&body, rec.values[i]);
         }
         ++count;
       }
-      std::string p;
+      p.clear();
       PutVarint64(&p, id);
       PutVarint64(&p, count);
       p.append(body);
       LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kUpdateRecords, p));
-    }
 
-    // Table-level tail pages of the not-yet-based suffix (Section 3.2);
-    // the based prefix lives in the base segments above.
-    {
-      std::string p;
+      // Table-level tail pages of the not-yet-based suffix (Section 3.2);
+      // the based prefix lives in the base segments above.
+      p.clear();
       PutVarint64(&p, id);
-      PutVarint64(&p, based);
-      PutVarint64(&p, occupied > based ? occupied - based : 0);
-      for (uint32_t slot = based; slot < occupied; ++slot) {
-        Value start = ResolveStartForCapture(
-            t.txn_manager_, r->inserts.StartTimeSlot(slot + 1));
-        PutVarint64(&p, start);
-        for (ColumnId c = 0; c < ncols; ++c) {
-          PutVarint64(&p, r->inserts.Read(slot + 1, kTailMetaColumns + c));
-        }
+      PutVarint64(&p, st.based);
+      PutVarint64(&p, st.occupied > st.based ? st.occupied - st.based : 0);
+      for (uint32_t slot = st.based; slot < st.occupied; ++slot) {
+        const TailRecord rec =
+            r->ReadRecord(TailKind::kInsert, slot + 1, /*settle=*/true);
+        PutVarint64(&p, rec.start);
+        for (ColumnId c = 0; c < ncols; ++c) PutVarint64(&p, rec.Get(c));
       }
       LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kInsertRecords, p));
-    }
 
-    // Historic store (Section 4.3): versions below the boundary.
-    HistoricStore* hist = r->historic.load(std::memory_order_acquire);
-    if (hist != nullptr) {
-      std::string p;
-      PutVarint64(&p, id);
-      hist->EncodeTo(&p);
-      LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kHistoric, p));
-    }
+      // Historic store (Section 4.3): versions below the boundary.
+      if (const HistoricStore* hist = r->historic()) {
+        p.clear();
+        PutVarint64(&p, id);
+        hist->EncodeTo(&p);
+        LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kHistoric, p));
+      }
+      return Status::OK();
+    }));
     ++ranges_written;
   }
 
@@ -326,12 +284,12 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
   uint64_t ranges_seen = 0, nranges = 0;
   // A range named by a frame: only ids below the header's range count,
   // which the directory can hold.
-  auto range_of = [&](uint64_t id) -> Table::Range* {
+  auto range_of = [&](uint64_t id) -> Range* {
     return header_seen && id < nranges ? t->EnsureRange(id) : nullptr;
   };
   // The base segment frames' common prefix.
   auto segment_prefix = [&](std::string_view p, size_t* pos,
-                            Table::Range** r, uint64_t* pc,
+                            Range** r, uint64_t* pc,
                             std::unique_ptr<BaseSegment>* seg) -> Status {
     uint64_t id, tps, num_slots;
     if (!GetU64(p, pos, &id) || !GetU64(p, pos, pc) ||
@@ -391,25 +349,15 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
             !GetU64(p, &pos, &boundary) || !GetU64(p, &pos, &last)) {
           return Status::Corruption("bad range state");
         }
-        if (occupied > range_size || based > range_size) {
-          return Status::Corruption("range state slot past range_size");
-        }
-        Table::Range* r = range_of(id);
+        Range* r = range_of(id);
         if (r == nullptr) return Status::Corruption("range id overflow");
-        r->occupied.store(static_cast<uint32_t>(occupied),
-                          std::memory_order_release);
-        r->based.store(static_cast<uint32_t>(based),
-                       std::memory_order_release);
-        r->merged_tps.store(static_cast<uint32_t>(tps),
-                            std::memory_order_release);
-        r->historic_boundary.store(static_cast<uint32_t>(boundary),
-                                   std::memory_order_release);
-        r->updates.AdvanceSeq(static_cast<uint32_t>(last));
+        LSTORE_RETURN_IF_ERROR(
+            r->RestoreState(RangeState{occupied, based, tps, boundary, last}));
         ++ranges_seen;
         break;
       }
       case FrameType::kBaseSegment: {
-        Table::Range* r;
+        Range* r;
         uint64_t pc;
         std::unique_ptr<BaseSegment> seg;
         LSTORE_RETURN_IF_ERROR(segment_prefix(p, &pos, &r, &pc, &seg));
@@ -419,7 +367,7 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
           return Status::Corruption("base segment slot count mismatch");
         }
         seg->page = t->MakeSegmentPage(std::move(col));
-        delete r->base[pc].exchange(seg.release(), std::memory_order_acq_rel);
+        r->InstallSegment(static_cast<uint32_t>(pc), seg.release());
         break;
       }
       case FrameType::kBaseSegmentRef: {
@@ -428,7 +376,7 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
         // O(hot set), not O(table). Bounds are validated eagerly so a
         // truncated store fails recovery with a clean error instead of
         // a demand-load fault later.
-        Table::Range* r;
+        Range* r;
         uint64_t pc, offset, length, crc;
         std::unique_ptr<BaseSegment> seg;
         LSTORE_RETURN_IF_ERROR(segment_prefix(p, &pos, &r, &pc, &seg));
@@ -461,7 +409,7 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
         }
         seg->page = t->MakeColdSegmentPage(offset, length,
                                            static_cast<uint32_t>(crc), layout);
-        delete r->base[pc].exchange(seg.release(), std::memory_order_acq_rel);
+        r->InstallSegment(static_cast<uint32_t>(pc), seg.release());
         break;
       }
       case FrameType::kUpdateRecords: {
@@ -469,29 +417,23 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
         if (!GetU64(p, &pos, &id) || !GetU64(p, &pos, &count)) {
           return Status::Corruption("bad update records");
         }
-        Table::Range* r = range_of(id);
+        Range* r = range_of(id);
         if (r == nullptr) return Status::Corruption("range id overflow");
         for (uint64_t i = 0; i < count; ++i) {
-          uint64_t seq, start, backptr, base_rid, enc;
-          if (!GetU64(p, &pos, &seq) || !GetU64(p, &pos, &start) ||
-              !GetU64(p, &pos, &backptr) || !GetU64(p, &pos, &base_rid) ||
-              !GetU64(p, &pos, &enc)) {
+          TailRecord rec;
+          if (!GetU64(p, &pos, &rec.seq) || !GetU64(p, &pos, &rec.start) ||
+              !GetU64(p, &pos, &rec.backptr) ||
+              !GetU64(p, &pos, &rec.base_slot) ||
+              !GetU64(p, &pos, &rec.encoding)) {
             return Status::Corruption("bad update record");
           }
-          uint32_t s = static_cast<uint32_t>(seq);
-          r->updates.AdvanceSeq(s);
-          r->updates.Write(s, kTailIndirection, backptr);
-          r->updates.Write(s, kTailBaseRid, base_rid);
-          r->updates.Write(s, kTailSchemaEncoding, enc);
-          for (BitIter it(SchemaColumns(enc)); it; ++it) {
-            uint64_t v;
-            if (!GetU64(p, &pos, &v)) {
+          rec.cols = SchemaColumns(rec.encoding);
+          for (int c = 0; c < PopCount(rec.cols); ++c) {
+            if (!GetU64(p, &pos, &rec.values[c])) {
               return Status::Corruption("bad update record values");
             }
-            r->updates.Write(s, kTailMetaColumns + static_cast<uint32_t>(*it),
-                             v);
           }
-          r->updates.StartTimeSlot(s)->store(start, std::memory_order_release);
+          LSTORE_RETURN_IF_ERROR(r->Apply(TailKind::kUpdate, rec));
         }
         break;
       }
@@ -504,44 +446,38 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
         if (first_slot > range_size || count > range_size - first_slot) {
           return Status::Corruption("insert record slot past range_size");
         }
-        Table::Range* r = range_of(id);
+        Range* r = range_of(id);
         if (r == nullptr) return Status::Corruption("range id overflow");
         for (uint64_t i = 0; i < count; ++i) {
-          uint32_t slot = static_cast<uint32_t>(first_slot + i);
-          uint32_t seq = slot + 1;
-          uint64_t start;
-          if (!GetU64(p, &pos, &start)) {
+          TailRecord rec;
+          rec.base_slot = first_slot + i;
+          rec.seq = rec.base_slot + 1;
+          rec.cols = t->range_ctx_.all_columns;
+          if (!GetU64(p, &pos, &rec.start)) {
             return Status::Corruption("bad insert record");
           }
-          r->inserts.AdvanceSeq(seq);
           for (ColumnId c = 0; c < ncols; ++c) {
             uint64_t v;
             if (!GetU64(p, &pos, &v)) {
               return Status::Corruption("bad insert record values");
             }
-            r->inserts.Write(seq, kTailMetaColumns + c, v);
+            if (c < 64) rec.values[c] = v;
           }
-          r->inserts.Write(seq, kTailIndirection, 0);
-          r->inserts.Write(seq, kTailSchemaEncoding, 0);
-          r->inserts.Write(seq, kTailBaseRid, slot);
-          r->inserts.StartTimeSlot(seq)->store(start,
-                                               std::memory_order_release);
+          LSTORE_RETURN_IF_ERROR(r->Apply(TailKind::kInsert, rec));
         }
         break;
       }
       case FrameType::kHistoric: {
         uint64_t id;
         if (!GetU64(p, &pos, &id)) return Status::Corruption("bad historic");
-        Table::Range* r = range_of(id);
+        Range* r = range_of(id);
         if (r == nullptr) return Status::Corruption("range id overflow");
         HistoricStore* hist =
             HistoricStore::DecodeFrom(p.data() + pos, p.size() - pos);
         if (hist == nullptr) {
           return Status::Corruption("bad historic store encoding");
         }
-        HistoricStore* old =
-            r->historic.exchange(hist, std::memory_order_acq_rel);
-        delete old;
+        r->InstallHistoric(hist);
         break;
       }
       case FrameType::kTableFooter: {

@@ -12,10 +12,11 @@
 // checkpointed page fails recovery with a clean Corruption error
 // instead of resurrecting wrong data.
 //
-// CheckpointIO understands the Table internals (it is a friend): it
-// captures each update range at a stable merge lineage (under the
-// range's merge latch, pinned by an epoch guard) and restores the
-// captured state into a freshly constructed table.
+// CheckpointIO owns the checkpoint format. It captures each update
+// range through Range::Capture, at a stable merge lineage (under the
+// range's merge latch, pinned by an epoch guard), and restores the
+// captured state into a freshly constructed table through the range's
+// restore operations (Range::RestoreState, InstallSegment, Apply).
 
 #ifndef LSTORE_CHECKPOINT_SERDE_H_
 #define LSTORE_CHECKPOINT_SERDE_H_

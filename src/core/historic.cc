@@ -1,5 +1,5 @@
-// Historic compression (Section 4.3) and its driver,
-// Table::RunHistoricCompression.
+// Historic store of compressed tail records (Section 4.3); the pass
+// that fills it is Range::CompressHistoric.
 //
 // Encoded layout per base slot (written in ascending slot order):
 //   varint  slot
@@ -18,10 +18,9 @@
 
 #include <algorithm>
 #include <map>
+#include <memory>
 
 #include "common/bitutil.h"
-#include "core/table.h"
-#include "obs/span.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
@@ -196,104 +195,19 @@ HistoricStore* HistoricStore::DecodeFrom(const char* data, size_t size) {
   return store.release();
 }
 
-bool HistoricStore::ResolveColumn(uint32_t slot, uint32_t entry_seq,
-                                  ColumnId col, Timestamp as_of, Value* out,
-                                  bool* deleted) const {
-  auto versions = VersionsOf(slot);
-  if (deleted != nullptr) *deleted = false;
-  bool first = true;
-  for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
-    if (it->seq > entry_seq) continue;
-    if (!(it->start_time < as_of)) continue;
-    if (first) {
-      first = false;
-      if (IsDeleteRecord(it->schema_encoding)) {
-        if (deleted != nullptr) *deleted = true;
-        return false;
-      }
-    }
-    if ((it->mask & (1ull << col)) != 0) {
-      int vi = 0;
-      for (BitIter b(it->mask); b; ++b, ++vi) {
-        if (*b == static_cast<int>(col)) break;
-      }
-      *out = it->values[vi];
-      return true;
+const HistoricStore::Version* HistoricStore::Newest(
+    const std::vector<Version>& versions, uint32_t at_or_below,
+    Timestamp as_of) {
+  auto it = std::upper_bound(
+      versions.begin(), versions.end(), at_or_below,
+      [](uint32_t seq, const Version& v) { return seq < v.seq; });
+  while (it != versions.begin()) {
+    --it;
+    if (it->start_time < as_of && !IsSupersededRecord(it->schema_encoding)) {
+      return &*it;
     }
   }
-  return false;
-}
-
-// ---------------------------------------------------------------------------
-// Table::RunHistoricCompression (Section 4.3)
-// ---------------------------------------------------------------------------
-
-size_t Table::RunHistoricCompression(Range& r) {
-  // Timed manually — early returns (nothing to compress) are not
-  // samples in the duration histogram.
-  const uint64_t compress_t0 = Stage::Now();
-  SpinGuard g(r.merge_latch);
-  uint32_t old_boundary = r.historic_boundary.load(std::memory_order_acquire);
-  uint32_t tps = r.merged_tps.load(std::memory_order_acquire);
-  if (tps < old_boundary) return 0;
-
-  // Only versions outside every active snapshot may move: approximate
-  // the oldest query snapshot by the oldest live transaction's begin
-  // time (live entries include active scans' registering txns).
-  Timestamp oldest = kMaxTimestamp;
-  // A coarse, conservative bound: the current clock value. Readers
-  // that started earlier hold epoch pins; since we only *move* (not
-  // lose) versions and tail pages are reclaimed through the epoch
-  // manager, using the clock is safe for data, and commit times above
-  // the clock cannot exist.
-  (void)oldest;
-
-  uint32_t new_boundary = tps + 1;  // compress everything merged
-  if (new_boundary <= old_boundary) return 0;
-
-  // Collect versions [old_boundary, new_boundary).
-  std::unordered_map<uint32_t, std::vector<HistoricStore::Version>> per_slot;
-  size_t moved = 0;
-  for (uint32_t seq = old_boundary; seq < new_boundary; ++seq) {
-    Value raw = r.updates.Read(seq, kTailStartTime);
-    if (raw == kNull || IsAbortedStamp(raw) || IsTxnId(raw)) {
-      continue;  // tombstones are reclaimed here (Section 5.1.3)
-    }
-    HistoricStore::Version v;
-    v.seq = seq;
-    v.start_time = raw;
-    v.schema_encoding = r.updates.Read(seq, kTailSchemaEncoding);
-    v.mask = SchemaColumns(v.schema_encoding);
-    for (BitIter it(v.mask); it; ++it) {
-      v.values.push_back(
-          r.updates.Read(seq, kTailMetaColumns + static_cast<uint32_t>(*it)));
-    }
-    uint32_t slot = static_cast<uint32_t>(r.updates.Read(seq, kTailBaseRid));
-    per_slot[slot].push_back(std::move(v));
-    ++moved;
-  }
-
-  HistoricStore* old_store = r.historic.load(std::memory_order_acquire);
-  HistoricStore* fresh = HistoricStore::Build(
-      new_boundary - 1, per_slot, old_store, schema_.num_columns());
-
-  // Publish: store first, then the boundary, then reclaim the raw
-  // tail pages once readers drain (page-directory pointer swap
-  // analogue; Section 4.3 "the page directory is updated by swapping
-  // the pointers").
-  r.historic.store(fresh, std::memory_order_release);
-  r.historic_boundary.store(new_boundary, std::memory_order_release);
-  Range* rp = &r;
-  epochs_.Retire([rp, new_boundary, old_store] {
-    rp->updates.DropRecordsBelow(new_boundary);
-    delete old_store;
-  });
-
-  obs_.historic_compressions->Increment();
-  obs_.historic_versions->Add(moved);
-  Stage::Record(obs_.merge_historic_ns, nullptr, 0, compress_t0,
-                Stage::Now() - compress_t0);
-  return moved;
+  return nullptr;
 }
 
 }  // namespace lstore

@@ -46,12 +46,12 @@ class HistoricStore {
   /// returned seq-ascending. Cold path: decompresses on demand.
   std::vector<Version> VersionsOf(uint32_t slot) const;
 
-  /// Resolve the value of `col` for the version chain entered at
-  /// `entry_seq` (i.e. newest seq <= entry_seq that materializes the
-  /// column and whose start_time < as_of). Returns false if no such
-  /// version exists (caller falls through to the base record).
-  bool ResolveColumn(uint32_t slot, uint32_t entry_seq, ColumnId col,
-                     Timestamp as_of, Value* out, bool* deleted) const;
+  /// The one historic lookup: the newest of `versions` (a slot's
+  /// VersionsOf) with seq <= `at_or_below` that a reader at `as_of`
+  /// sees (start_time < as_of), skipping superseded versions; nullptr
+  /// if none. A chain walk continues at the found seq - 1.
+  static const Version* Newest(const std::vector<Version>& versions,
+                               uint32_t at_or_below, Timestamp as_of);
 
   size_t byte_size() const { return blob_.size(); }
   size_t num_records() const { return offsets_.size(); }

@@ -3,8 +3,8 @@
 // "Writer threads place candidate tail pages to be merged into the
 // merge queue while the merge thread continuously takes pages from
 // the queue and processes them." One background thread per table; the
-// merge itself is implemented in Table::RunUpdateMerge /
-// RunInsertMerge so it can also be driven synchronously by tests.
+// merge itself is the range's (Range::InsertMerge / UpdateMerge), so
+// tests can also drive it synchronously.
 
 #ifndef LSTORE_CORE_MERGE_H_
 #define LSTORE_CORE_MERGE_H_

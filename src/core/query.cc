@@ -226,170 +226,81 @@ Status Query::ExecuteWithIndex(ColumnId index_col, ColumnMask needed,
                    candidates.end());
 
   EpochGuard guard(table_->epochs_);
-  const uint32_t ncols = table_->schema_.num_columns();
-  std::vector<Value> tmp(ncols, kNull);
+  const ReadSpec spec{as_of, nullptr, /*speculative=*/false};
+  std::vector<Value> tmp(table_->schema_.num_columns(), kNull);
+  auto get = [&tmp](ColumnId c) { return tmp[c]; };
   for (Rid rid : candidates) {
-    Table::Range* r = table_->GetRange(table_->RangeOf(rid));
+    lstore::Range* r = table_->GetRange(table_->RangeOf(rid));
     if (r == nullptr) continue;
-    Table::ReadSpec spec{as_of, nullptr, /*speculative=*/false};
     std::fill(tmp.begin(), tmp.end(), kNull);
     // Re-evaluate every predicate on the visible version — index
     // candidates are only hints (Section 3.1).
-    Status s = table_->ResolveRecord(*r, table_->SlotOf(rid), spec,
-                                     needed | 1ull, &tmp, nullptr);
-    if (!s.ok()) continue;
-    bool pass = true;
-    for (const Filter& f : filters_) {
-      if (!f.Matches(tmp[f.col])) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
-    if (agg_col != kNoAggregation) {
-      if (sum != nullptr && tmp[agg_col] != kNull) Accumulate(sum, tmp[agg_col]);
-      if (rows != nullptr) ++*rows;
-    } else if (visit != nullptr) {
-      // Same delivery contract as the scan path: only projected
-      // columns are materialized, the rest read ∅.
-      Value key = tmp[0];
-      ColumnMask project = project_ & table_->schema_.AllColumns();
-      for (BitIter it((needed | 1ull) & ~project); it; ++it) {
-        tmp[*it] = kNull;
-      }
-      (*visit)(key, tmp);
+    if (r->Resolve(table_->SlotOf(rid), spec, needed | 1ull, &tmp, nullptr)
+            .ok()) {
+      Deliver(get, needed, agg_col, visit, sum, rows, &tmp);
     }
   }
   return Status::OK();
+}
+
+template <typename Get>
+void Query::Deliver(const Get& get, ColumnMask needed, ColumnId agg_col,
+                    const RowFn* visit, uint64_t* sum, uint64_t* rows,
+                    std::vector<Value>* row) const {
+  for (const Filter& f : filters_) {
+    if (!f.Matches(get(f.col))) return;
+  }
+  if (agg_col != kNoAggregation) {
+    Value v = get(agg_col);
+    if (v != kNull) Accumulate(sum, v);
+    ++*rows;
+  } else if (visit != nullptr) {
+    // Columns resolved for filters or the key but not projected must
+    // read ∅, also when `row` still holds another record's values.
+    const Value key = get(0);
+    const ColumnMask project = project_ & table_->schema_.AllColumns();
+    for (BitIter it((needed | 1ull) & ~project); it; ++it) (*row)[*it] = kNull;
+    for (BitIter it(project); it; ++it) (*row)[*it] = get(*it);
+    (*visit)(key, *row);
+  }
 }
 
 void Query::ScanPartition(uint64_t range_id, uint32_t slot_begin,
                           uint32_t slot_end, ColumnMask needed,
                           Timestamp as_of, ColumnId agg_col, const RowFn* visit,
                           uint64_t* sum, uint64_t* rows) const {
-  Table::Range* r = table_->GetRange(range_id);
+  lstore::Range* r = table_->GetRange(range_id);
   if (r == nullptr) return;
-  uint32_t occ = r->occupied.load(std::memory_order_acquire);
-  if (slot_end > occ) slot_end = occ;
+  slot_end = std::min(slot_end, r->occupied());
   if (slot_begin >= slot_end) return;
 
-  const uint32_t ncols = table_->schema_.num_columns();
-  const ColumnMask project = project_ & table_->schema_.AllColumns();
-  // Columns resolved for filters/keys but NOT projected must read ∅
-  // in delivered rows; `tmp` is reused across slots, so scrub them at
-  // every delivery or a fast-path row would leak the previous
-  // slow-path row's values.
-  const ColumnMask scrub =
-      visit != nullptr ? (needed | 1ull) & ~project : 0;
-
-  // Merged fast path setup (Section 4.2): every needed data column
-  // plus the lineage metadata must come from ONE merge generation —
-  // mixed generations are the inconsistent read of Lemma 3, repaired
-  // by the chain walk (Theorem 2). Every segment the partition scans
-  // is PINNED for the partition's duration: the cursors below read the
-  // compressed payloads directly, and the pins keep the eviction sweep
-  // away while this range is being consumed (demand-loading cold
-  // pages exactly once per partition, not once per slot).
-  BaseSegment* seg_lut =
-      r->base[ncols + kBaseLastUpdated].load(std::memory_order_acquire);
-  BaseSegment* seg_enc =
-      r->base[ncols + kBaseSchemaEnc].load(std::memory_order_acquire);
-  BaseSegment* seg_start =
-      r->base[ncols + kBaseStartTime].load(std::memory_order_acquire);
-  bool fast = seg_lut != nullptr && seg_enc != nullptr &&
-              seg_start != nullptr && seg_lut->tps == seg_enc->tps;
-  uint32_t tps = fast ? seg_enc->tps : 0;
-  uint32_t fast_slots =
-      fast ? std::min({seg_lut->num_slots, seg_enc->num_slots,
-                       seg_start->num_slots})
-           : 0;
-  std::vector<BaseSegment*> data_seg(ncols, nullptr);
-  std::vector<PageHandle> data_page(ncols);
-  std::vector<CompressedColumn::Cursor> data_cur(ncols);
-  for (BitIter it(needed); fast && it; ++it) {
-    uint32_t col = static_cast<uint32_t>(*it);
-    BaseSegment* seg = table_->Segment(*r, col);
-    if (seg == nullptr || seg->tps != tps) {
-      fast = false;
-      break;
-    }
-    data_seg[col] = seg;
-    data_page[col] = seg->Pin();
-    data_cur[col] = data_page[col].cursor();
-    fast_slots = std::min(fast_slots, seg->num_slots);
-  }
-  PageHandle lut_page, enc_page, start_page;
-  CompressedColumn::Cursor lut_cur, enc_cur, start_cur;
-  if (fast) {
-    lut_page = seg_lut->Pin();
-    enc_page = seg_enc->Pin();
-    start_page = seg_start->Pin();
-    lut_cur = lut_page.cursor();
-    enc_cur = enc_page.cursor();
-    start_cur = start_page.cursor();
-  }
-
-  // One load per partition: a range that was never updated carries no
-  // metadata array, and every chain head in it is 0.
-  const Table::SlotMeta* meta = r->meta.load(std::memory_order_acquire);
-  std::vector<Value> tmp(ncols, kNull);
+  // Merged fast path (Section 4.2) over one pinned merge generation;
+  // the slow path resolves through the lineage chain (also covering the
+  // historic store and in-flight writers).
+  lstore::Range::MergedView view(*r, needed);
+  const ReadSpec spec{as_of, nullptr, /*speculative=*/false};
+  std::vector<Value> tmp(table_->schema_.num_columns(), kNull);
+  auto resolved = [&tmp](ColumnId c) { return tmp[c]; };
   for (uint32_t slot = slot_begin; slot < slot_end; ++slot) {
-    if (fast && slot < fast_slots) {
-      if (Table::SlotMeta::HeadSeq(meta, slot) <= tps) {
-        Value lut = lut_cur.At(slot);
-        Value start = start_cur.At(slot);
-        bool horizon_ok =
-            as_of == kMaxTimestamp || (lut != kNull && lut < as_of);
-        if (horizon_ok && start != kNull && start < as_of) {
-          Value enc = enc_cur.At(slot);
-          if (IsDeleteRecord(enc)) continue;
-          // Predicate pushdown: evaluate directly on the compressed
-          // segments; rejected slots never materialize a row.
-          bool pass = true;
-          for (const Filter& f : filters_) {
-            if (!f.Matches(data_cur[f.col].At(slot))) {
-              pass = false;
-              break;
-            }
-          }
-          if (!pass) continue;
-          if (agg_col != kNoAggregation) {
-            Value v = data_cur[agg_col].At(slot);
-            if (v != kNull) Accumulate(sum, v);
-            ++*rows;
-          } else if (visit != nullptr) {
-            for (BitIter it(scrub); it; ++it) tmp[*it] = kNull;
-            for (BitIter it(project); it; ++it) {
-              tmp[*it] = data_cur[*it].At(slot);
-            }
-            (*visit)(data_cur[0].At(slot), tmp);
-          }
-          continue;
+    if (view.Covers(slot)) {
+      Value lut = view.LastUpdated(slot);
+      Value start = view.Start(slot);
+      bool horizon_ok =
+          as_of == kMaxTimestamp || (lut != kNull && lut < as_of);
+      if (horizon_ok && start != kNull && start < as_of) {
+        // Predicate pushdown: evaluated directly on the compressed
+        // segments; rejected slots never materialize a row.
+        if (!IsDeleteRecord(view.Encoding(slot))) {
+          Deliver([&](ColumnId c) { return view.Data(c, slot); }, needed,
+                  agg_col, visit, sum, rows, &tmp);
         }
-        if (start == kNull) continue;  // aborted insert slot
+        continue;
       }
+      if (start == kNull) continue;  // aborted insert slot
     }
-    // Slow path: resolve through the lineage chain (also covers the
-    // historic store and in-flight writers).
-    Table::ReadSpec spec{as_of, nullptr, /*speculative=*/false};
     for (BitIter it(needed); it; ++it) tmp[*it] = kNull;
-    Status s = table_->ResolveRecord(*r, slot, spec, needed, &tmp, nullptr);
-    if (!s.ok()) continue;
-    bool pass = true;
-    for (const Filter& f : filters_) {
-      if (!f.Matches(tmp[f.col])) {
-        pass = false;
-        break;
-      }
-    }
-    if (!pass) continue;
-    if (agg_col != kNoAggregation) {
-      if (tmp[agg_col] != kNull) Accumulate(sum, tmp[agg_col]);
-      ++*rows;
-    } else if (visit != nullptr) {
-      Value key = tmp[0];
-      for (BitIter it(scrub); it; ++it) tmp[*it] = kNull;
-      (*visit)(key, tmp);
+    if (r->Resolve(slot, spec, needed, &tmp, nullptr).ok()) {
+      Deliver(resolved, needed, agg_col, visit, sum, rows, &tmp);
     }
   }
 }

@@ -169,6 +169,16 @@ class Query {
                           Timestamp as_of, ColumnId agg_col, const RowFn* visit,
                           uint64_t* sum, uint64_t* rows) const;
 
+  /// The one filter-and-deliver step of every plan. `get(col)` reads a
+  /// resolved column of one record. Every predicate is checked, then
+  /// `agg_col` folds into sum/rows, or `visit` receives the row in
+  /// `row` (reused across records) with only the projected columns
+  /// materialized: the others of `needed` read ∅.
+  template <typename Get>
+  void Deliver(const Get& get, ColumnMask needed, ColumnId agg_col,
+               const RowFn* visit, uint64_t* sum, uint64_t* rows,
+               std::vector<Value>* row) const;
+
   /// Scan slots [slot_begin, slot_end) of one update range.
   void ScanPartition(uint64_t range_id, uint32_t slot_begin, uint32_t slot_end,
                      ColumnMask needed, Timestamp as_of, ColumnId agg_col,

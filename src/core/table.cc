@@ -1,53 +1,16 @@
 #include "core/table.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cstdio>
-#include <thread>
-#include <unordered_map>
 #include <unordered_set>
 
 #include "common/bitutil.h"
 #include "common/checksum.h"
 #include "common/inline_buffer.h"
 #include "core/commit_pipeline.h"
-#include "core/historic.h"
 #include "core/merge.h"
 #include "core/query.h"
 
 namespace lstore {
-
-// ---------------------------------------------------------------------------
-// Range
-// ---------------------------------------------------------------------------
-
-Table::Range::Range(uint64_t range_id, uint32_t range_size, uint32_t num_cols,
-                    uint32_t tail_page_slots)
-    : id(range_id),
-      size(range_size),
-      inserts(num_cols, tail_page_slots),
-      updates(num_cols, tail_page_slots),
-      base(num_cols + kBaseMetaColumns) {
-  for (auto& b : base) b.store(nullptr, std::memory_order_relaxed);
-}
-
-Table::Range::~Range() {
-  for (auto& b : base) delete b.load(std::memory_order_acquire);
-  delete historic.load(std::memory_order_acquire);
-  delete[] meta.load(std::memory_order_acquire);
-}
-
-Table::SlotMeta* Table::Range::EnsureMeta() {
-  SlotMeta* m = meta.load(std::memory_order_acquire);
-  if (m != nullptr) return m;
-  SlotMeta* fresh = new SlotMeta[size]();
-  if (meta.compare_exchange_strong(m, fresh, std::memory_order_acq_rel,
-                                   std::memory_order_acquire)) {
-    return fresh;
-  }
-  delete[] fresh;
-  return m;
-}
 
 // ---------------------------------------------------------------------------
 // Construction
@@ -122,6 +85,14 @@ Table::Table(std::string name, Schema schema, TableConfig config,
                                             "Insert merges completed");
   obs_.historic_compressions = metrics_->GetCounter(
       "lstore_historic_compressions_total", "Historic compressions completed");
+  const uint32_t ncols = schema_.num_columns();
+  range_ctx_ = RangeContext{
+      ncols, ncols >= 64 ? ~0ull : (1ull << ncols) - 1, &config_, txn_manager_,
+      &epochs_,
+      [this](std::unique_ptr<CompressedColumn> col) {
+        return MakeSegmentPage(std::move(col));
+      },
+      &obs_};
   if (config_.enable_logging && !config_.log_path.empty()) {
     log_ = std::make_unique<RedoLog>();
     FramedLogMetrics lm;
@@ -179,46 +150,35 @@ Table::~Table() {
   ranges_.Teardown();
 }
 
-Table::Range* Table::EnsureRange(uint64_t id) {
-  return ranges_.Ensure(id, [&] {
-    return new Range(id, config_.range_size, schema_.num_columns(),
-                     config_.tail_page_slots);
-  });
+Range* Table::EnsureRange(uint64_t id) {
+  return ranges_.Ensure(id, [&] { return new Range(id, &range_ctx_); });
 }
 
 uint32_t Table::RangeTps(uint64_t range_id) const {
   Range* r = GetRange(range_id);
-  return r == nullptr ? 0 : r->merged_tps.load(std::memory_order_acquire);
+  return r == nullptr ? 0 : r->merged_tps();
 }
 
 uint32_t Table::RangeTailLength(uint64_t range_id) const {
   Range* r = GetRange(range_id);
-  return r == nullptr ? 0 : r->updates.LastSeq();
+  return r == nullptr ? 0 : r->tail_length();
 }
 
 uint64_t Table::BaseResidentBytes() const {
   uint64_t bytes = 0;
   EpochGuard guard(epochs_);  // merges retire segments through epochs_
   for (uint64_t id = 0; id < num_ranges(); ++id) {
-    Range* r = GetRange(id);
-    if (r == nullptr) continue;
-    for (const auto& b : r->base) {
-      BaseSegment* seg = b.load(std::memory_order_acquire);
-      if (seg != nullptr) bytes += seg->page->resident_bytes();
-    }
+    if (Range* r = GetRange(id)) bytes += r->ResidentBytes();
   }
   return bytes;
 }
 
 uint64_t Table::UpdateMetaBytes() const {
-  uint64_t arrays = 0;
+  uint64_t bytes = 0;
   for (uint64_t id = 0; id < num_ranges(); ++id) {
-    Range* r = GetRange(id);
-    if (r != nullptr && r->meta.load(std::memory_order_acquire) != nullptr) {
-      ++arrays;
-    }
+    if (Range* r = GetRange(id)) bytes += r->MetaBytes();
   }
-  return arrays * config_.range_size * sizeof(SlotMeta);
+  return bytes;
 }
 
 void Table::CollectSizeGauges(MetricsRegistry& r,
@@ -245,71 +205,19 @@ void Table::CollectSizeGauges(MetricsRegistry& r,
 }
 
 std::vector<uint32_t> Table::RangeColumnTps(uint64_t range_id) const {
-  std::vector<uint32_t> out;
   Range* r = GetRange(range_id);
-  if (r == nullptr) return out;
+  if (r == nullptr) return {};
   EpochGuard guard(epochs_);
-  for (ColumnId c = 0; c < schema_.num_columns(); ++c) {
-    BaseSegment* seg = Segment(*r, c);
-    out.push_back(seg == nullptr ? 0 : seg->tps);
-  }
-  return out;
+  return r->ColumnTps();
 }
 
 std::vector<Table::ChainEntry> Table::DebugChain(Value key,
                                                  ColumnId col) const {
-  std::vector<ChainEntry> out;
-  Rid rid = primary_.Get(key);
-  if (rid == kInvalidRid) return out;
-  Range* r = GetRange(RangeOf(rid));
-  if (r == nullptr) return out;
-  uint32_t slot = SlotOf(rid);
+  Range* r = nullptr;
+  uint32_t slot = 0;
+  if (!Locate(primary_.Get(key), &r, &slot).ok()) return {};
   EpochGuard guard(epochs_);
-  uint32_t seq =
-      SlotMeta::HeadSeq(r->meta.load(std::memory_order_acquire), slot);
-  uint32_t boundary = r->historic_boundary.load(std::memory_order_acquire);
-  int hops = 0;
-  // Stop at the historic boundary: pages below it may be reclaimed
-  // (compressed versions live in the historic store instead).
-  while (seq >= boundary && seq != 0 && hops++ < 1000) {
-    ChainEntry e;
-    e.seq = seq;
-    e.raw_start = r->updates.Read(seq, kTailStartTime);
-    e.schema_encoding = r->updates.Read(seq, kTailSchemaEncoding);
-    e.col_value = r->updates.Read(seq, kTailMetaColumns + col);
-    out.push_back(e);
-    seq = static_cast<uint32_t>(r->updates.Read(seq, kTailIndirection));
-  }
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// Base record accessors
-// ---------------------------------------------------------------------------
-
-Value Table::BaseValue(const Range& r, uint32_t slot,
-                       uint32_t physical_col) const {
-  BaseSegment* seg = r.base[physical_col].load(std::memory_order_acquire);
-  if (seg != nullptr && slot < seg->num_slots) return seg->Get(slot);
-  // Not insert-merged yet: the record lives in the table-level tail
-  // pages (Section 3.2) at the aligned position slot+1.
-  uint32_t seq = slot + 1;
-  if (physical_col < schema_.num_columns()) {
-    return r.inserts.Read(seq, kTailMetaColumns + physical_col);
-  }
-  switch (physical_col - schema_.num_columns()) {
-    case kBaseStartTime:
-      return r.inserts.Read(seq, kTailStartTime);
-    case kBaseLastUpdated:
-      return r.inserts.Read(seq, kTailStartTime);
-    case kBaseSchemaEnc:
-      return 0;
-  }
-  return kNull;
-}
-
-Value Table::BaseStartRaw(const Range& r, uint32_t slot) const {
-  return BaseMetaValue(r, slot, kBaseStartTime);
+  return r->DebugChain(slot, col);
 }
 
 // ---------------------------------------------------------------------------
@@ -354,254 +262,6 @@ Status Table::SyncSegmentStore() {
   return segment_store_->Sync();
 }
 
-std::atomic<Value>* Table::BaseStartSlot(Range& r, uint32_t slot) const {
-  // Only meaningful while the slot is not insert-merged (the segment's
-  // start column is a stamped, stable commit time).
-  return r.inserts.StartTimeSlot(slot + 1);
-}
-
-// ---------------------------------------------------------------------------
-// Record resolution (the 2-hop read path of Section 2.2)
-// ---------------------------------------------------------------------------
-
-Status Table::ResolveRecord(Range& r, uint32_t slot, const ReadSpec& spec,
-                            ColumnMask needed, std::vector<Value>* out,
-                            uint32_t* observed_seq) const {
-  Status status = Status::OK();
-  for (int attempt = 0; attempt < 8; ++attempt) {
-    bool consistent = true;
-    status = ResolveRecordOnce(r, slot, spec, needed, out, observed_seq,
-                               &consistent);
-    if (consistent) return status;
-    // Theorem 2: an inconsistent read (detected via the in-page
-    // lineage) is repaired by re-resolving against fresh state.
-    std::this_thread::yield();
-    if (attempt == 6) {
-      std::fprintf(stderr,
-                   "lstore: ResolveRecord retries exhausted slot=%u as_of=%llu"
-                   " tps=%u\n",
-                   slot, (unsigned long long)spec.as_of,
-                   r.merged_tps.load(std::memory_order_acquire));
-    }
-  }
-  return status;
-}
-
-Status Table::ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
-                                ColumnMask needed, std::vector<Value>* out,
-                                uint32_t* observed_seq,
-                                bool* consistent) const {
-  constexpr uint32_t kInvisibleSeq = 0xFFFFFFFFu;
-  if (observed_seq != nullptr) *observed_seq = kInvisibleSeq;
-
-  // 1. Base record (original insert) visibility.
-  {
-    uint32_t based = r.based.load(std::memory_order_acquire);
-    if (slot < based) {
-      Value start = BaseMetaValue(r, slot, kBaseStartTime);
-      if (!(start != kNull && start < spec.as_of)) {
-        // Insert-merged starts are stable commit times; kNull marks an
-        // aborted insert.
-        return Status::NotFound("record not visible");
-      }
-    } else {
-      std::atomic<Value>* sref = BaseStartSlot(r, slot);
-      Value raw = sref->load(std::memory_order_acquire);
-      Visibility v = txn_manager_->Visible(sref, &raw, spec.as_of, spec.txn,
-                                           spec.speculative);
-      if (v == Visibility::kInvisible) {
-        return Status::NotFound("record not visible");
-      }
-      if (v == Visibility::kVisibleSpeculative && spec.txn != nullptr) {
-        spec.txn->commit_dependencies().push_back(raw);
-      }
-    }
-  }
-
-  // 2. Walk the lineage chain from the Indirection column. Columns
-  // whose base Schema Encoding bit is clear were never updated, so
-  // their value lives in base pages for every snapshot — serve them
-  // without touching the chain (the 0/2-hop property of Section 2.2).
-  const SlotMeta* meta = r.meta.load(std::memory_order_acquire);
-  uint32_t seq = SlotMeta::HeadSeq(meta, slot);
-  uint64_t ever = meta == nullptr ? 0
-                                  : meta[slot].ever_updated.load(
-                                        std::memory_order_acquire);
-  ColumnMask remaining = needed & ever;
-  ColumnMask base_resident = needed & ~ever;
-  bool first_found = false;
-  const bool latest_mode = spec.as_of == kMaxTimestamp;
-
-  // Fast path (0-hop): every requested column is covered by merged
-  // base segments at or beyond the chain head.
-  if (latest_mode && seq != 0) {
-    bool covered = true;
-    BaseSegment* enc_seg = r.base[schema_.num_columns() + kBaseSchemaEnc]
-                               .load(std::memory_order_acquire);
-    if (enc_seg == nullptr || slot >= enc_seg->num_slots ||
-        enc_seg->tps < seq) {
-      covered = false;
-    }
-    for (BitIter it(needed); covered && it; ++it) {
-      BaseSegment* seg = Segment(r, static_cast<uint32_t>(*it));
-      if (seg == nullptr || slot >= seg->num_slots || seg->tps < seq) {
-        covered = false;
-        break;
-      }
-    }
-    if (covered) {
-      Value enc = BaseMetaValue(r, slot, kBaseSchemaEnc);
-      if (IsDeleteRecord(enc)) return Status::NotFound("deleted");
-      for (BitIter it(needed); it; ++it) {
-        (*out)[*it] = BaseDataValue(r, slot, static_cast<ColumnId>(*it));
-      }
-      if (observed_seq != nullptr) *observed_seq = seq;
-      return Status::OK();
-    }
-  }
-
-  while (seq != 0 && (remaining != 0 || !first_found)) {
-    uint32_t boundary = r.historic_boundary.load(std::memory_order_acquire);
-    if (seq < boundary) {
-      // Continue inside the historic store (Section 4.3).
-      HistoricStore* hist = r.historic.load(std::memory_order_acquire);
-      if (hist != nullptr) {
-        obs_.tail_chain_hops->Increment();
-        auto versions = hist->VersionsOf(slot);
-        for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
-          if (it->seq > seq) continue;
-          if (!(it->start_time < spec.as_of)) continue;
-          if (IsSupersededRecord(it->schema_encoding)) continue;
-          if (!first_found) {
-            first_found = true;
-            if (observed_seq != nullptr) *observed_seq = it->seq;
-            if (IsDeleteRecord(it->schema_encoding)) {
-              return Status::NotFound("deleted");
-            }
-          }
-          ColumnMask take = it->mask & remaining;
-          if (take != 0) {
-            int vi = 0;
-            for (BitIter b(it->mask); b; ++b, ++vi) {
-              if (take & (1ull << *b)) (*out)[*b] = it->values[vi];
-            }
-            remaining &= ~take;
-          }
-          if (remaining == 0 && first_found) break;
-        }
-      }
-      break;  // chain fully consumed (older than historic = base)
-    }
-
-    std::atomic<Value>* sref = r.updates.StartTimeSlot(seq);
-    Value raw = sref->load(std::memory_order_acquire);
-    Visibility vis = txn_manager_->Visible(sref, &raw, spec.as_of, spec.txn,
-                                           spec.speculative);
-    uint32_t back = static_cast<uint32_t>(r.updates.Read(seq, kTailIndirection));
-    if (vis == Visibility::kInvisible) {
-      seq = back;
-      continue;
-    }
-    if (vis == Visibility::kVisibleSpeculative && spec.txn != nullptr) {
-      spec.txn->commit_dependencies().push_back(raw);
-    }
-    Value enc = r.updates.Read(seq, kTailSchemaEncoding);
-    if (IsSupersededRecord(enc)) {
-      seq = back;  // intermediate same-txn version: implicitly invalid
-      continue;
-    }
-    obs_.tail_chain_hops->Increment();
-    if (!first_found) {
-      first_found = true;
-      if (observed_seq != nullptr) *observed_seq = seq;
-      if (IsDeleteRecord(enc)) return Status::NotFound("deleted");
-    }
-    ColumnMask take = SchemaColumns(enc) & remaining;
-    for (BitIter it(take); it; ++it) {
-      (*out)[*it] = r.updates.Read(seq, kTailMetaColumns +
-                                            static_cast<uint32_t>(*it));
-    }
-    remaining &= ~take;
-
-    // Per-column TPS cut-off (latest reads only): once every remaining
-    // column's base segment already consolidates the rest of the
-    // chain, stop walking (Section 4.2).
-    if (latest_mode && remaining != 0 && back != 0) {
-      ColumnMask cut = 0;
-      for (BitIter it(remaining); it; ++it) {
-        BaseSegment* seg = Segment(r, static_cast<uint32_t>(*it));
-        if (seg != nullptr && slot < seg->num_slots && seg->tps >= back) {
-          (*out)[*it] = BaseDataValue(r, slot, static_cast<ColumnId>(*it));
-          cut |= 1ull << *it;
-        }
-      }
-      remaining &= ~cut;
-    }
-    seq = back;
-  }
-
-  if (!first_found && observed_seq != nullptr) *observed_seq = 0;
-
-  // 3. Remaining columns found no visible chain version: their value
-  // lives in base pages. For snapshot reads, serving them from a data
-  // segment is only sound when the record's merged horizon (the Last
-  // Updated Time of a segment generation at or beyond the data
-  // segment's lineage) lies below the snapshot — a newer merged state
-  // with an unmatched chain walk is exactly the inconsistent read of
-  // Lemma 3, so flag a retry (Theorem 2). Every value must come from
-  // the segment object the guard inspected or from the write-once
-  // table-level tail pages: this routine can be preempted arbitrarily
-  // long between its loads (the head/ever_updated/based samples may
-  // predate a record's first update while a later segment load sees
-  // many merges beyond the snapshot), so re-loading pointers or
-  // trusting earlier samples would serve too-new values.
-  //
-  // The guard applies only to columns this slot has ever updated, read
-  // *after* the segment loads: a merge publishes a segment (release)
-  // only after it saw the consolidated update committed, and the
-  // updater set the slot's ever-updated bit before its commit. So a
-  // bit still clear after the acquire loads of the segments means no
-  // loaded segment holds an update of that column for this slot; its
-  // value is the insert's in every generation, whatever the Last
-  // Updated Time says (a record updated and merged after the snapshot
-  // would otherwise fail the guard on every attempt).
-  ColumnMask fallback = remaining | base_resident;
-  if (fallback == 0) return Status::OK();
-  BaseSegment* lut_seg =
-      r.base[schema_.num_columns() + kBaseLastUpdated].load(
-          std::memory_order_acquire);
-  BaseSegment* segs[64];  // one per ColumnMask bit
-  for (BitIter it(fallback); it; ++it) {
-    segs[*it] = Segment(r, static_cast<uint32_t>(*it));
-  }
-  const SlotMeta* meta_now = r.meta.load(std::memory_order_acquire);
-  ColumnMask guarded =
-      spec.as_of == kMaxTimestamp || meta_now == nullptr
-          ? 0
-          : fallback &
-                meta_now[slot].ever_updated.load(std::memory_order_acquire);
-  const bool lut_covers = lut_seg != nullptr && slot < lut_seg->num_slots;
-  if (guarded != 0 && lut_covers) {
-    Value lut = lut_seg->Get(slot);
-    if (lut != kNull && (IsTxnId(lut) || lut >= spec.as_of)) {
-      *consistent = false;
-    }
-  }
-  for (BitIter it(fallback); it; ++it) {
-    uint32_t col = static_cast<uint32_t>(*it);
-    BaseSegment* seg = segs[col];
-    bool seg_covers = seg != nullptr && slot < seg->num_slots;
-    if ((guarded & (1ull << col)) != 0 && seg_covers &&
-        (!lut_covers || seg->tps > lut_seg->tps)) {
-      *consistent = false;
-    }
-    (*out)[*it] = seg_covers
-                      ? seg->Get(slot)
-                      : r.inserts.Read(slot + 1, kTailMetaColumns + col);
-  }
-  return Status::OK();
-}
-
 // ---------------------------------------------------------------------------
 // Transactions
 // ---------------------------------------------------------------------------
@@ -636,7 +296,7 @@ Status Table::ValidateReads(Transaction* txn, Timestamp commit_time) {
     // our own pre-commit versions (spec.txn = nullptr: they carry
     // our txn id and would otherwise shadow the committed version).
     ReadSpec spec{commit_time, nullptr, /*speculative=*/false};
-    Status s = ResolveRecord(*r, e.base_slot, spec, 0, &tmp, &now_seq);
+    Status s = r->Resolve(e.base_slot, spec, 0, &tmp, &now_seq);
     (void)s;  // NotFound encodes deletion; seq comparison covers it
     if (now_seq != e.observed_seq &&
         own.count((e.range_id << 24) | now_seq) == 0) {
@@ -677,33 +337,16 @@ void Table::StampWrites(Transaction* txn, Value outcome) {
     if (w.owner != this) continue;
     Range* r = GetRange(w.range_id);
     if (r == nullptr) continue;
-    if (w.is_insert &&
-        w.base_slot < r->based.load(std::memory_order_acquire)) {
-      // Insert-merge consumed the record: the outcome is already in
-      // the base segment's Start Time column and the table-level tail
-      // page may be reclaimed. Only the index rollback remains.
-      if (outcome == kAbortedStamp) primary_.Erase(w.inserted_key);
-      continue;
-    }
-    if (!w.is_insert &&
-        w.seq < r->historic_boundary.load(std::memory_order_acquire)) {
-      continue;  // compressed away; outcome was resolved before that
-    }
-    TailSegment& seg = w.is_insert ? r->inserts : r->updates;
-    std::atomic<Value>* slot = seg.StartTimeSlot(w.seq);
-    Value expected = txn->id();
-    slot->compare_exchange_strong(expected, outcome,
-                                  std::memory_order_acq_rel);
-    if (w.is_insert) {
-      if (outcome == kAbortedStamp) primary_.Erase(w.inserted_key);
-      // An insert-merge scheduled while this transaction was in flight
-      // stopped at its first record; with no later insert into the
-      // range nothing would schedule another, leaving the records in
-      // table-level tail pages. Schedule one now that they resolved.
-      if (r != scheduled) {
-        MaybeScheduleMerge(*r);
-        scheduled = r;
-      }
+    const bool stamped = r->Stamp(w, txn->id(), outcome);
+    if (!w.is_insert) continue;
+    if (outcome == kAbortedStamp) primary_.Erase(w.inserted_key);
+    // An insert-merge scheduled while this transaction was in flight
+    // stopped at its first record; with no later insert into the range
+    // nothing would schedule another, leaving the records in
+    // table-level tail pages. Schedule one now that they resolved.
+    if (stamped && r != scheduled) {
+      MaybeScheduleMerge(*r);
+      scheduled = r;
     }
   }
 }
@@ -777,54 +420,28 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
     }
   }
 
-  // Fill table-level tail pages (aligned base/tail RIDs: slot s is
-  // record s + 1) one page run at a time, each column's page resolved
-  // once per run. Start Times are published before logging
-  // (checkpoint watermark invariant; see WriteTailVersion); slots
-  // reserved past the failure are burned with the aborted stamp so
-  // scans and merges skip them, and only the inserted rows are logged.
+  // Fill table-level tail pages range by range. Start Times are
+  // published before logging (checkpoint watermark invariant; see
+  // Range::AppendVersion); slots reserved past the failure are burned
+  // with the aborted stamp so scans and merges skip them, and only the
+  // inserted rows are logged.
   RedoLog::Batch runs;
   for (size_t i = 0; i < reserved;) {
     Range* r = EnsureRange(RangeOf(first + i));
     const uint32_t slot0 = SlotOf(first + i);
-    const size_t range_end =
-        i + std::min<size_t>(reserved - i, config_.range_size - slot0);
-    TailSegment& tail = r->inserts;
-    for (size_t j = i; j < range_end;) {
-      const uint32_t slot = slot0 + static_cast<uint32_t>(j - i);
-      const uint32_t at = tail.SlotInPage(slot + 1);
-      const size_t len =
-          std::min<size_t>(range_end - j, tail.page_slots() - at);
-      const size_t filled = j < inserted ? std::min(len, inserted - j) : 0;
-      for (uint32_t c = 0; c < ncols; ++c) {
-        Page* p = tail.EnsurePageOf(slot + 1, kTailMetaColumns + c);
-        for (size_t k = 0; k < filled; ++k) p->Set(at + k, rows[j + k][c]);
-      }
-      Page* indirection = tail.EnsurePageOf(slot + 1, kTailIndirection);
-      Page* encoding = tail.EnsurePageOf(slot + 1, kTailSchemaEncoding);
-      Page* base_rid = tail.EnsurePageOf(slot + 1, kTailBaseRid);
-      Page* start = tail.EnsurePageOf(slot + 1, kTailStartTime);
-      for (size_t k = 0; k < filled; ++k) {
-        indirection->Set(at + k, 0);
-        encoding->Set(at + k, 0);
-        base_rid->Set(at + k, slot + k);
-      }
-      for (size_t k = 0; k < len; ++k) {
-        start->Set(at + k, k < filled ? txn->id() : kAbortedStamp);
-      }
-      j += len;
-    }
-    AtomicMax(r->occupied, slot0 + static_cast<uint32_t>(range_end - i));
-    if (inserted > i) {
-      const size_t count = std::min(range_end, inserted) - i;
-      obs_.inserts->Add(count);
+    const size_t count =
+        std::min<size_t>(reserved - i, config_.range_size - slot0);
+    const size_t filled = inserted > i ? std::min(count, inserted - i) : 0;
+    r->FillInserts(slot0, rows + i, count, filled, txn->id());
+    if (filled > 0) {
+      obs_.inserts->Add(filled);
       if (log_ != nullptr) {
-        runs.AddInsertRun(txn->id(), r->id, slot0, rows + i, count,
+        runs.AddInsertRun(txn->id(), r->id(), slot0, rows + i, filled,
                           schema_.AllColumns());
       }
     }
     MaybeScheduleMerge(*r);
-    i = range_end;
+    i += count;
   }
   if (!runs.empty()) log_->AppendBatch(runs);
 
@@ -918,197 +535,30 @@ Status Table::WriteKeys(Transaction* txn, const Value* keys, size_t n,
 Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
                                ColumnMask mask, const std::vector<Value>& row,
                                bool is_delete, RedoLog::Batch* log_sink) {
-  SlotMeta& meta = r.EnsureMeta()[slot];
-  auto& ind = meta.indirection;
-
-  // Step 1 of write-write conflict detection: CAS the latch bit
-  // (Section 5.1.1). A set latch bit means a concurrent writer.
-  uint64_t iv = ind.load(std::memory_order_acquire);
-  for (;;) {
-    if (IndirLatched(iv)) {
-      obs_.ww_conflicts->Increment();
-      return Status::Aborted("write-write conflict (latch)");
-    }
-    if (ind.compare_exchange_weak(iv, iv | kIndirLatchBit,
-                                  std::memory_order_acq_rel)) {
-      break;
-    }
-  }
-  uint32_t prev_seq = IndirSeq(iv);
-
-  // Step 2: inspect the start time of the latest version. A chain
-  // head below the historic boundary was compressed away: only
-  // records with RESOLVED outcomes (stamped commit time or aborted
-  // tombstone — the merge prefix scan guarantees it) are ever moved,
-  // so such a head cannot belong to an in-flight writer — and the
-  // tail page that held it may already be reclaimed, so it must not
-  // be read. (Readers that pinned before the compression's retire
-  // still read the live page; readers pinned after synchronize with
-  // the boundary store through the epoch counter and skip it.)
-  uint32_t head_boundary = r.historic_boundary.load(std::memory_order_acquire);
-  Value latest_raw;
-  if (prev_seq != 0) {
-    latest_raw = prev_seq >= head_boundary
-                     ? r.updates.Read(prev_seq, kTailStartTime)
-                     : Value{1};  // historic ⇒ committed long ago
-  } else {
-    latest_raw = slot < r.based.load(std::memory_order_acquire)
-                     ? BaseMetaValue(r, slot, kBaseStartTime)
-                     : r.inserts.Read(slot + 1, kTailStartTime);
-  }
-  if (txn_manager_->InFlightWriter(latest_raw, txn)) {
-    ind.store(iv, std::memory_order_release);  // release latch
-    obs_.ww_conflicts->Increment();
-    return Status::Aborted("write-write conflict (uncommitted version)");
-  }
-
-  // Reject updates of deleted records: find the newest non-aborted
-  // version and check its delete flag.
-  {
-    uint32_t boundary = r.historic_boundary.load(std::memory_order_acquire);
-    uint32_t s = prev_seq;
-    while (s != 0 && s >= boundary &&
-           IsAbortedStamp(r.updates.Read(s, kTailStartTime))) {
-      s = static_cast<uint32_t>(r.updates.Read(s, kTailIndirection));
-    }
-    bool deleted = false;
-    if (s != 0 && s >= boundary) {
-      deleted = IsDeleteRecord(r.updates.Read(s, kTailSchemaEncoding));
-    } else if (s != 0) {
-      HistoricStore* hist = r.historic.load(std::memory_order_acquire);
-      if (hist != nullptr) {
-        auto versions = hist->VersionsOf(slot);
-        for (auto it = versions.rbegin(); it != versions.rend(); ++it) {
-          if (it->seq > s) continue;
-          deleted = IsDeleteRecord(it->schema_encoding);
-          break;
-        }
-      }
-    } else if (slot < r.based.load(std::memory_order_acquire)) {
-      deleted = IsDeleteRecord(BaseMetaValue(r, slot, kBaseSchemaEnc)) &&
-                prev_seq == 0;
-    } else {
-      deleted = IsAbortedStamp(r.inserts.Read(slot + 1, kTailStartTime));
-    }
-    if (deleted) {
-      ind.store(iv, std::memory_order_release);
-      return Status::NotFound("record deleted");
-    }
-  }
-
-  uint64_t ever = meta.ever_updated.load(std::memory_order_relaxed);
-  ColumnMask newly = mask & ~ever;
-  uint32_t back = prev_seq;
-
-  // Pre-image snapshot on the first update of a column (Section 3.1 /
-  // Lemma 2): capture the original values so outdated base pages can
-  // be discarded after merges without information loss.
-  uint32_t snap_seq = 0;
-  if (newly != 0) {
-    snap_seq = r.updates.ReserveSeq();
-    if (snap_seq > kMaxTailSeq) {
-      ind.store(iv, std::memory_order_release);
-      return Status::Busy("tail sequence space exhausted for range");
-    }
-    for (BitIter it(newly); it; ++it) {
-      r.updates.Write(snap_seq, kTailMetaColumns + static_cast<uint32_t>(*it),
-                      BaseDataValue(r, slot, static_cast<ColumnId>(*it)));
-    }
-    r.updates.Write(snap_seq, kTailIndirection, back);
-    r.updates.Write(snap_seq, kTailBaseRid, slot);
-    r.updates.Write(snap_seq, kTailSchemaEncoding, newly | kSnapshotFlag);
-    back = snap_seq;
-  }
-
-  uint32_t new_seq = r.updates.ReserveSeq();
-  if (new_seq > kMaxTailSeq) {
-    ind.store(iv, std::memory_order_release);
-    return Status::Busy("tail sequence space exhausted for range");
-  }
-
-  // Cumulative updates (Section 3.1), reset at the TPS high-water mark
-  // (Section 4.2, Table 5).
-  ColumnMask carry = 0;
-  if (config_.cumulative_updates && prev_seq != 0 && !is_delete &&
-      prev_seq > r.merged_tps.load(std::memory_order_acquire) &&
-      prev_seq >= r.historic_boundary.load(std::memory_order_acquire)) {
-    Value prev_raw = r.updates.Read(prev_seq, kTailStartTime);
-    Value prev_enc = r.updates.Read(prev_seq, kTailSchemaEncoding);
-    // Carry only from versions with a known-good outcome: a stamped
-    // commit time or our own (an unstamped foreign txn id may belong
-    // to an aborted transaction whose tombstone is still in flight).
-    bool prev_trusted =
-        !IsAbortedStamp(prev_raw) &&
-        (!IsTxnId(prev_raw) || prev_raw == txn->id());
-    if (prev_trusted && !IsSnapshotRecord(prev_enc) &&
-        !IsDeleteRecord(prev_enc)) {
-      carry = SchemaColumns(prev_enc) & ~mask;
-    }
-  }
-
-  // Same-transaction stacking: if the new record covers every column
-  // of the previous own record, the old one is superseded and readers
-  // skip it even post-commit (Section 3.1). Written under the latch;
-  // the record is still invisible to others (our txn is uncommitted).
-  if (prev_seq != 0 && latest_raw == txn->id()) {
-    Value prev_enc2 = r.updates.Read(prev_seq, kTailSchemaEncoding);
-    ColumnMask prev_cols = SchemaColumns(prev_enc2);
-    if (!IsSnapshotRecord(prev_enc2) &&
-        ((mask | carry) & prev_cols) == prev_cols) {
-      r.updates.Write(prev_seq, kTailSchemaEncoding,
-                      prev_enc2 | kSupersededFlag);
-    }
-  }
-
-  uint64_t enc = mask | carry | (is_delete ? kDeleteFlag : 0);
-  for (BitIter it(carry); it; ++it) {
-    r.updates.Write(new_seq, kTailMetaColumns + static_cast<uint32_t>(*it),
-                    r.updates.Read(prev_seq, kTailMetaColumns +
-                                                 static_cast<uint32_t>(*it)));
-  }
-  if (!is_delete) {
-    for (BitIter it(mask); it; ++it) {
-      r.updates.Write(new_seq, kTailMetaColumns + static_cast<uint32_t>(*it),
-                      row[*it]);
-    }
-  }
-  r.updates.Write(new_seq, kTailIndirection, back);
-  r.updates.Write(new_seq, kTailBaseRid, slot);
-  r.updates.Write(new_seq, kTailSchemaEncoding, enc);
-
-  // The pre-image snapshot inherits the old version's start time
-  // (Table 2: t1 carries b2's 13:04).
-  Value base_start = 0;
-  if (snap_seq != 0) {
-    base_start = slot < r.based.load(std::memory_order_acquire)
-                     ? BaseMetaValue(r, slot, kBaseStartTime)
-                     : r.inserts.Read(slot + 1, kTailStartTime);
-  }
-
-  // Publish start times BEFORE the log append; the new version carries
-  // our txn id until the outcome is stamped. The order is a durability
-  // protocol invariant: a checkpoint takes its log watermark and then
-  // captures memory, so any record whose log append lies at or below
-  // the watermark must already be published — records still unpublished
-  // at capture are guaranteed to replay from the retained log tail.
-  if (snap_seq != 0) {
-    r.updates.StartTimeSlot(snap_seq)->store(base_start,
-                                             std::memory_order_release);
+  Range::TailVersion v;
+  LSTORE_RETURN_IF_ERROR(r.AppendVersion(txn, slot, mask, row, is_delete, &v));
+  if (v.snap_seq != 0) {
     txn->writeset().push_back(
-        WriteEntry{r.id, slot, snap_seq, /*is_insert=*/false, 0, this});
+        WriteEntry{r.id(), slot, v.snap_seq, /*is_insert=*/false, 0, this});
   }
-  r.updates.StartTimeSlot(new_seq)->store(txn->id(),
-                                          std::memory_order_release);
-
-  if (log_ != nullptr) {
-    if (snap_seq != 0) {
-      LogTailAppend(r, snap_seq, base_start, txn->id(), log_sink);
+  // The start times are published; the log append precedes the release
+  // of the chain head.
+  auto log = [&](uint32_t seq, Value start_raw) {
+    const TailRecord t = r.ReadRecord(TailKind::kUpdate, seq);
+    RedoLog::AppendWriter rec(LogRecordType::kTailAppend, txn->id(), r.id(),
+                              seq, static_cast<uint32_t>(t.base_slot),
+                              static_cast<uint32_t>(t.backptr), t.encoding,
+                              start_raw, t.cols);
+    for (int i = 0; i < PopCount(t.cols); ++i) rec.AddValue(t.values[i]);
+    if (log_sink != nullptr) {
+      log_sink->Add(rec);
+    } else {
+      log_->Append(rec);
     }
-    LogTailAppend(r, new_seq, txn->id(), txn->id(), log_sink);
-  }
-
-  if (mask != 0) {
-    meta.ever_updated.fetch_or(mask, std::memory_order_relaxed);
+  };
+  if (log_ != nullptr) {
+    if (v.snap_seq != 0) log(v.snap_seq, v.snap_start);
+    log(v.seq, txn->id());
   }
 
   // Secondary index maintenance: add new postings (old postings are
@@ -1117,41 +567,18 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
     SpinGuard sg(secondary_latch_);
     for (auto& s : secondaries_) {
       if (mask & (1ull << s.col)) {
-        s.index->Add(row[s.col], r.id * config_.range_size + slot);
+        s.index->Add(row[s.col], r.id() * config_.range_size + slot);
       }
     }
   }
 
   txn->writeset().push_back(
-      WriteEntry{r.id, slot, new_seq, /*is_insert=*/false, 0, this});
-
-  // Release the latch and publish the new chain head: the only
-  // in-place update in the architecture.
-  ind.store(new_seq, std::memory_order_release);
+      WriteEntry{r.id(), slot, v.seq, /*is_insert=*/false, 0, this});
+  r.PublishVersion(slot, v.seq, mask);
 
   (is_delete ? obs_.deletes : obs_.updates)->Increment();
   MaybeScheduleMerge(r);
   return Status::OK();
-}
-
-void Table::LogTailAppend(const Range& r, uint32_t seq, Value start_raw,
-                          TxnId txn_id, RedoLog::Batch* log_sink) {
-  const TailSegment& seg = r.updates;
-  uint64_t schema_encoding = seg.Read(seq, kTailSchemaEncoding);
-  ColumnMask cols = SchemaColumns(schema_encoding);
-  RedoLog::AppendWriter rec(
-      LogRecordType::kTailAppend, txn_id, r.id, seq,
-      static_cast<uint32_t>(seg.Read(seq, kTailBaseRid)),
-      static_cast<uint32_t>(seg.Read(seq, kTailIndirection)), schema_encoding,
-      start_raw, cols);
-  for (BitIter it(cols); it; ++it) {
-    rec.AddValue(seg.Read(seq, kTailMetaColumns + static_cast<uint32_t>(*it)));
-  }
-  if (log_sink != nullptr) {
-    log_sink->Add(rec);
-  } else {
-    log_->Append(rec);
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -1166,7 +593,7 @@ Status Table::Locate(Rid rid, Range** r, uint32_t* slot) const {
   return Status::OK();
 }
 
-Table::ReadSpec Table::SessionSpec(Transaction* txn, bool speculative) {
+ReadSpec Table::SessionSpec(Transaction* txn, bool speculative) {
   Timestamp as_of = txn->isolation() == IsolationLevel::kReadCommitted
                         ? kMaxTimestamp
                         : txn->begin_time();
@@ -1182,14 +609,14 @@ Status Table::ReadLocated(Range& r, uint32_t slot, const ReadSpec& spec,
   out->assign(schema_.num_columns(), kNull);
   obs_.reads->Increment();
   Transaction* txn = spec.txn;
-  if (txn == nullptr) return ResolveRecord(r, slot, spec, mask, out, nullptr);
+  if (txn == nullptr) return r.Resolve(slot, spec, mask, out, nullptr);
   size_t deps_before = txn->commit_dependencies().size();
   uint32_t observed = 0;
-  Status s = ResolveRecord(r, slot, spec, mask, out, &observed);
+  Status s = r.Resolve(slot, spec, mask, out, &observed);
   bool speculated = txn->commit_dependencies().size() > deps_before;
   TxnId dep = speculated ? txn->commit_dependencies().back() : 0;
   txn->readset().push_back(
-      ReadEntry{r.id, slot, observed, speculated, dep, this});
+      ReadEntry{r.id(), slot, observed, speculated, dep, this});
   return s;
 }
 
@@ -1278,54 +705,38 @@ void Table::CreateSecondaryIndex(ColumnId col) {
 // ---------------------------------------------------------------------------
 
 void Table::MaybeScheduleMerge(Range& r) {
-  if (!config_.enable_merge_thread || merge_manager_ == nullptr) return;
-  uint32_t unmerged =
-      r.updates.LastSeq() - r.merged_tps.load(std::memory_order_acquire);
-  uint32_t unbased = r.occupied.load(std::memory_order_acquire) -
-                     r.based.load(std::memory_order_acquire);
-  bool full = r.occupied.load(std::memory_order_acquire) >=
-              config_.range_size;
-  if (unmerged >= config_.merge_threshold ||
-      unbased >= std::min(config_.range_size, config_.merge_threshold) ||
-      (full && unbased > 0)) {
-    bool expected = false;
-    if (r.queued.compare_exchange_strong(expected, true)) {
-      merge_manager_->Enqueue(r.id);
-    }
+  if (config_.enable_merge_thread && merge_manager_ != nullptr &&
+      r.TakeMergeTrigger()) {
+    merge_manager_->Enqueue(r.id());
   }
 }
 
 bool Table::MergeRangeNow(uint64_t range_id) {
   Range* r = GetRange(range_id);
-  if (r == nullptr) return false;
-  return RunUpdateMerge(*r, schema_.AllColumns(), true);
+  return r != nullptr && r->UpdateMerge(schema_.AllColumns(), true);
 }
 
 bool Table::MergeRangeColumns(uint64_t range_id, ColumnMask cols) {
   Range* r = GetRange(range_id);
-  if (r == nullptr) return false;
-  return RunUpdateMerge(*r, cols, false);
+  return r != nullptr && r->UpdateMerge(cols, false);
 }
 
 bool Table::InsertMergeNow(uint64_t range_id) {
   Range* r = GetRange(range_id);
-  if (r == nullptr) return false;
-  return RunInsertMerge(*r);
+  return r != nullptr && r->InsertMerge();
 }
 
 size_t Table::CompressHistoricNow(uint64_t range_id) {
   Range* r = GetRange(range_id);
-  if (r == nullptr) return 0;
-  return RunHistoricCompression(*r);
+  return r == nullptr ? 0 : r->CompressHistoric();
 }
 
 void Table::FlushAll() {
-  uint64_t nranges = num_ranges();
-  for (uint64_t i = 0; i < nranges; ++i) {
-    Range* r = GetRange(i);
-    if (r == nullptr) continue;
-    RunInsertMerge(*r);
-    RunUpdateMerge(*r, schema_.AllColumns(), true);
+  for (uint64_t i = 0; i < num_ranges(); ++i) {
+    if (Range* r = GetRange(i)) {
+      r->InsertMerge();
+      r->UpdateMerge(schema_.AllColumns(), true);
+    }
   }
   epochs_.TryReclaim();
 }

@@ -1,13 +1,15 @@
 // L-Store table: the lineage-based storage architecture (Sections 2-5).
 //
 // One Table owns:
-//  * update ranges (base page segments + tail segments + the in-place
-//    Indirection column),
-//  * insert ranges backed by table-level tail pages (Section 3.2),
+//  * its update ranges (core/range.h): each one the unit of lineage,
+//    holding base segments, tail pages, the in-place Indirection column
+//    and the historic store, with the single-range operations — reads,
+//    tail appends, merges, historic compression, capture and replay,
+//  * the range directory and the context its ranges share,
 //  * a primary index (key -> base RID) and optional secondary indexes,
-//  * a background merge thread (Section 4.1) with epoch-based page
-//    reclamation (Figure 6),
-//  * historic compression of merged tail pages (Section 4.3),
+//  * sessions and the commit protocol's per-table phases,
+//  * a background merge queue (Section 4.1) with epoch-based page
+//    reclamation (Figure 6) and the segment-page factory,
 //  * optional redo-only logging with crash recovery (Section 5.1.3).
 //
 // Thread safety: all public operations are safe for concurrent use.
@@ -34,6 +36,7 @@
 #include "common/range_directory.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/range.h"
 #include "core/schema.h"
 #include "index/primary_index.h"
 #include "index/secondary_index.h"
@@ -48,7 +51,6 @@
 namespace lstore {
 
 class MergeManager;
-class HistoricStore;
 class Query;
 class Table;
 class GroupCommitQueue;
@@ -62,43 +64,6 @@ Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
 void AbortAcrossTables(TransactionManager& tm, Transaction* txn,
                        const std::vector<Table*>& tables,
                        bool durable_abort);
-
-/// Read-optimized form of one physical column of one update range,
-/// carrying its in-page lineage (Section 4.2). The payload lives in a
-/// buffer-managed SegmentPage: possibly cold (evicted to the table's
-/// segment store) and demand-loaded through Pin(). Merge generations
-/// that leave a column untouched share the page.
-struct BaseSegment {
-  /// Tail-page sequence number: how many tail records of the range
-  /// have been consolidated into this segment.
-  uint32_t tps = 0;
-  /// Number of base slots covered (== insert-merged prefix length).
-  uint32_t num_slots = 0;
-  std::shared_ptr<SegmentPage> page;
-
-  /// Pin the payload (demand-loading if cold). Callers must hold an
-  /// EpochGuard of the owning table for the handle's lifetime.
-  PageHandle Pin() const { return PageHandle(page.get()); }
-
-  /// One slot's value, as a point read: a cold page reads just that
-  /// slot's bytes from the store instead of loading the whole column
-  /// (resident pages go through Pin). Same epoch contract as Pin.
-  Value Get(uint32_t slot) const {
-    Value v;
-    if (BufferPool::ReadColdSlot(page.get(), slot, &v)) return v;
-    return Pin().Get(slot);
-  }
-};
-
-/// Physical base columns beyond the data columns.
-/// (The Indirection column is *not* a segment: it is the in-place
-/// updated atomic array.)
-enum BaseMetaColumn : uint32_t {
-  kBaseStartTime = 0,   ///< original insertion commit time (preserved)
-  kBaseLastUpdated = 1, ///< start time of the newest merged tail record
-  kBaseSchemaEnc = 2,   ///< merged schema encoding (incl. delete flag)
-};
-inline constexpr uint32_t kBaseMetaColumns = 3;
 
 class Table : public TxnContext {
  public:
@@ -259,12 +224,7 @@ class Table : public TxnContext {
   std::vector<uint32_t> RangeColumnTps(uint64_t range_id) const;
 
   /// Debug introspection: the version chain of a key, newest first.
-  struct ChainEntry {
-    uint32_t seq;
-    Value raw_start;
-    uint64_t schema_encoding;
-    Value col_value;  ///< value of `col` in that record (∅ if absent)
-  };
+  using ChainEntry = Range::ChainEntry;
   std::vector<ChainEntry> DebugChain(Value key, ColumnId col) const;
 
   /// Recover table contents by replaying the redo log at
@@ -344,70 +304,6 @@ class Table : public TxnContext {
   /// kAbortedStamp); rolls back inserted index keys on abort.
   void StampWrites(Transaction* txn, Value outcome);
 
-  /// Update metadata of one base record. The two words are
-  /// interleaved so an updated row's pair shares a cache line.
-  struct SlotMeta {
-    /// The in-place Indirection column (latch bit + latest tail seq).
-    std::atomic<uint64_t> indirection{0};
-    /// Ever-updated column mask (base Schema Encoding, maintained
-    /// under the indirection latch).
-    std::atomic<uint64_t> ever_updated{0};
-
-    /// Chain head of `slot` in a range's array; a null array (the
-    /// range was never updated) reads 0.
-    static uint32_t HeadSeq(const SlotMeta* meta, uint32_t slot) {
-      return meta == nullptr ? 0
-                             : IndirSeq(meta[slot].indirection.load(
-                                   std::memory_order_acquire));
-    }
-  };
-
-  struct Range {
-    uint64_t id = 0;
-    /// Slots per range (the length of the `meta` array).
-    uint32_t size = 0;
-    /// Inserted slots (monotone).
-    std::atomic<uint32_t> occupied{0};
-    /// Slots covered by base segments (insert-merged prefix).
-    std::atomic<uint32_t> based{0};
-    /// One SlotMeta per slot, installed by the range's first update
-    /// (EnsureMeta). Null means no slot was ever updated: every
-    /// Indirection word and every ever-updated mask reads 0.
-    std::atomic<SlotMeta*> meta{nullptr};
-    /// Table-level tail pages (inserts; all columns materialized).
-    TailSegment inserts;
-    /// Regular tail pages (updates; lazy per-column allocation).
-    TailSegment updates;
-    /// Base segments: [0..num_cols) data, then kBaseMetaColumns.
-    std::vector<std::atomic<BaseSegment*>> base;
-    /// Highest TPS across segments (merge bookkeeping).
-    std::atomic<uint32_t> merged_tps{0};
-    /// Tail seqs < boundary live in the historic store.
-    std::atomic<uint32_t> historic_boundary{1};
-    std::atomic<HistoricStore*> historic{nullptr};
-    /// Set while queued for background merge.
-    std::atomic<bool> queued{false};
-    /// Serializes merges of this range.
-    SpinLatch merge_latch;
-
-    Range(uint64_t id, uint32_t range_size, uint32_t num_cols,
-          uint32_t tail_page_slots);
-    /// Frees the slot metadata, base segments and historic store.
-    ~Range();
-
-    /// The installed metadata array, allocating it on first use. Racing
-    /// callers install one array; the losers free theirs.
-    SlotMeta* EnsureMeta();
-  };
-
-  // Internal read machinery -------------------------------------------------
-
-  struct ReadSpec {
-    Timestamp as_of;        ///< kMaxTimestamp = latest committed
-    Transaction* txn;       ///< may be null (pure snapshot read)
-    bool speculative;       ///< allow pre-commit versions
-  };
-
   /// The record a primary-index probe result names: its range and
   /// slot, or NotFound for an absent key.
   Status Locate(Rid rid, Range** r, uint32_t* slot) const;
@@ -433,33 +329,6 @@ class Table : public TxnContext {
   uint64_t RangeOf(Rid rid) const { return rid / config_.range_size; }
   uint32_t SlotOf(Rid rid) const {
     return static_cast<uint32_t>(rid % config_.range_size);
-  }
-
-  /// Resolve the visible version of (range, slot): fills out[col] for
-  /// the requested mask; reports the visible version's seq (0 = base)
-  /// and whether the record is deleted / not visible.
-  Status ResolveRecord(Range& r, uint32_t slot, const ReadSpec& spec,
-                       ColumnMask needed, std::vector<Value>* out,
-                       uint32_t* observed_seq) const;
-  Status ResolveRecordOnce(Range& r, uint32_t slot, const ReadSpec& spec,
-                           ColumnMask needed, std::vector<Value>* out,
-                           uint32_t* observed_seq, bool* consistent) const;
-
-  /// Value of a base (pre-update) column: from the base segment when
-  /// the slot is insert-merged, else from the table-level tail pages.
-  Value BaseValue(const Range& r, uint32_t slot, uint32_t physical_col) const;
-  Value BaseDataValue(const Range& r, uint32_t slot, ColumnId col) const {
-    return BaseValue(r, slot, col);
-  }
-  Value BaseMetaValue(const Range& r, uint32_t slot, uint32_t meta) const {
-    return BaseValue(r, slot, schema_.num_columns() + meta);
-  }
-  /// Raw (possibly txn-id) start time of the base record.
-  Value BaseStartRaw(const Range& r, uint32_t slot) const;
-  std::atomic<Value>* BaseStartSlot(Range& r, uint32_t slot) const;
-
-  BaseSegment* Segment(const Range& r, uint32_t physical_col) const {
-    return r.base[physical_col].load(std::memory_order_acquire);
   }
 
   // Write machinery ----------------------------------------------------------
@@ -488,32 +357,23 @@ class Table : public TxnContext {
   /// log ONE frame, and nothing is allocated per key.
   Status WriteKeys(Transaction* txn, const Value* keys, size_t n,
                    ColumnMask mask, const std::vector<Value>* rows);
+  /// The table half of a tail version: the range appends it
+  /// (Range::AppendVersion), then the redo records are logged and the
+  /// writeset and secondary indexes updated before the chain head is
+  /// released (Range::PublishVersion).
   Status WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
                           ColumnMask mask, const std::vector<Value>& row,
                           bool is_delete, RedoLog::Batch* log_sink);
-  void LogTailAppend(const Range& r, uint32_t seq, Value start_raw,
-                     TxnId txn_id,
-                     RedoLog::Batch* log_sink);
+  /// Queue `r` for the background merge when it asks for one.
   void MaybeScheduleMerge(Range& r);
-
-  // Merge machinery (called by MergeManager and *_Now) -----------------------
-
-  bool RunUpdateMerge(Range& r, ColumnMask data_cols, bool all_columns);
-  bool RunInsertMerge(Range& r);
-  size_t RunHistoricCompression(Range& r);
 
   // Buffer-managed segment pages ---------------------------------------------
 
-  /// Build the read-optimized page for `vals`: writes its serialized
-  /// form through to the segment store (so it is evictable — and
-  /// checkpointable by reference — immediately) and registers it with
-  /// the pool. With no pool/store configured the page is plainly
-  /// resident, as before.
-  std::shared_ptr<SegmentPage> MakeSegmentPage(std::vector<Value> vals) {
-    return MakeSegmentPage(CompressedColumn::Build(
-        std::move(vals), config_.compress_merged_pages));
-  }
-  /// The same for an already built (or parsed) column.
+  /// The segment-page factory: build the read-optimized page of a built
+  /// (or parsed) column, writing its serialized form through to the
+  /// segment store (so it is evictable — and checkpointable by
+  /// reference — immediately) and registering it with the pool. With no
+  /// pool/store configured the page is plainly resident.
   std::shared_ptr<SegmentPage> MakeSegmentPage(
       std::unique_ptr<CompressedColumn> col);
 
@@ -544,33 +404,10 @@ class Table : public TxnContext {
 
   /// Observability (src/obs/): injected by the owning Database or
   /// owned (standalone tables). Handles used on recording paths are
-  /// looked up once here and cached — the hot paths never take the
-  /// registry mutex.
+  /// looked up once here and cached.
   std::unique_ptr<MetricsRegistry> owned_metrics_;
   MetricsRegistry* metrics_ = nullptr;
-  struct MetricHandles {
-    Histogram* merge_update_ns = nullptr;    ///< update-merge duration
-    Histogram* merge_insert_ns = nullptr;    ///< insert-merge duration
-    Histogram* merge_historic_ns = nullptr;  ///< historic compression
-    Histogram* query_partition_ns = nullptr; ///< per-partition scan time
-    Counter* merge_rows = nullptr;           ///< tail records consolidated
-    Counter* insert_rows_merged = nullptr;   ///< insert rows based
-    Counter* historic_versions = nullptr;    ///< versions moved to historic
-    Histogram* commit_publish_ns = nullptr;  ///< state flip + write stamping
-    Counter* commits = nullptr;              ///< pipeline commits
-    Counter* aborts = nullptr;               ///< pipeline aborts
-    Counter* reads = nullptr;                ///< located point reads
-    Counter* inserts = nullptr;
-    Counter* updates = nullptr;              ///< update tail versions
-    Counter* deletes = nullptr;
-    Counter* ww_conflicts = nullptr;         ///< write-write conflicts
-    Counter* validation_aborts = nullptr;
-    Counter* tail_chain_hops = nullptr;      ///< reads that left base pages
-    Counter* segments_retired = nullptr;
-    Counter* update_merges = nullptr;
-    Counter* insert_merges = nullptr;
-    Counter* historic_compressions = nullptr;
-  } obs_;
+  TableCounters obs_;
 
   /// Set the size gauges (epoch queue depth, index, resident base and
   /// update-metadata bytes) to their sums over `tables`: the
@@ -591,6 +428,8 @@ class Table : public TxnContext {
   TransactionManager* txn_manager_;
 
   mutable EpochManager epochs_;
+  /// What every range of this table shares.
+  RangeContext range_ctx_;
   PrimaryIndex primary_;
   struct SecondaryEntry {
     ColumnId col;

@@ -103,6 +103,14 @@ class CheckpointTest : public ::testing::Test {
                                                       uint64_t occupied) {
     return {FrameType::kRangeState, Fields({id, occupied, 0, 0, 0, 0})};
   }
+  /// A kUpdateRecords frame of range 0 holding one record: seq, start,
+  /// backptr, base slot, encoding, then one value per encoded column.
+  static std::pair<FrameType, std::string> Updates(
+      std::initializer_list<uint64_t> record) {
+    std::string p = Fields({0, 1});
+    for (uint64_t f : record) PutVarint64(&p, f);
+    return {FrameType::kUpdateRecords, p};
+  }
   /// A kBaseSegment frame of range `id`, column 1, claiming `num_slots`
   /// slots, carrying a serialized column of `vals`.
   static std::pair<FrameType, std::string> Segment(
@@ -206,7 +214,8 @@ constexpr uint64_t kDirectoryRanges = 4096ull * 1024;
 
 TEST_F(CheckpointTest, CraftedCheckpointWithinBoundsLoads) {
   // The control for the cases below: the same frames, in bounds.
-  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 3), Segment(0, 3, {7, 8, 9})})
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 3), Segment(0, 3, {7, 8, 9}),
+                              Updates({1, 5, 0, 2, 0b10, 7})})
                   .ok());
 }
 
@@ -245,6 +254,10 @@ TEST_F(CheckpointTest, CraftedSlotPastRangeSizeIsCorruption) {
                               {FrameType::kInsertRecords,
                                Fields({0, 1, ~0ull, 0, 0, 0})}})
                   .IsCorruption());
+  // An update record of a base slot past the range.
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 1),
+                              Updates({1, 5, 0, range_size, 0b10, 7})})
+                  .IsCorruption());
 }
 
 TEST_F(CheckpointTest, CraftedSegmentSlotCountPastRangeSizeIsCorruption) {
@@ -267,23 +280,53 @@ TEST_F(CheckpointTest, CraftedSegmentSlotCountPastRangeSizeIsCorruption) {
                   .IsCorruption());
 }
 
+TEST_F(CheckpointTest, CraftedTailSeqPastLimitIsCorruption) {
+  // A range state whose last tail seq is past kMaxTailSeq.
+  EXPECT_TRUE(LoadCrafted(1, {{FrameType::kRangeState,
+                               Fields({0, 1, 0, 0, 0, kMaxTailSeq + 1ull})}})
+                  .IsCorruption());
+  // Update records of seq 0 and with a backpointer not below the seq.
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 1), Updates({0, 5, 0, 0, 0b10, 7})})
+                  .IsCorruption());
+  EXPECT_TRUE(LoadCrafted(1, {RangeState(0, 1), Updates({1, 5, 1, 0, 0b10, 7})})
+                  .IsCorruption());
+}
+
 TEST_F(CheckpointTest, RedoRecordPastDirectoryOrRangeIsCorruption) {
   std::filesystem::create_directories(dir_);
   const uint32_t range_size = SmallConfig().range_size;
-  for (auto [range, slot] : {std::pair<uint64_t, uint32_t>{kDirectoryRanges, 0},
-                             {0, range_size}}) {
+  struct Crafted {
+    LogRecordType type;
+    uint64_t range;
+    uint32_t seq, slot, backptr;
+  };
+  constexpr LogRecordType kInsert = LogRecordType::kInsertAppend;
+  constexpr LogRecordType kUpdate = LogRecordType::kTailAppend;
+  for (const Crafted& c : std::vector<Crafted>{
+           {kInsert, kDirectoryRanges, 1, 0, 0},       // past the directory
+           {kInsert, 0, range_size + 1, range_size, 0},  // past the range
+           {kInsert, 0, 5, 0, 0},                    // seq != slot + 1
+           {kUpdate, 0, 1, 0, 1},                    // backptr == seq
+           {kUpdate, 0, 3, 0, 4},                    // backptr past seq
+           {kUpdate, 0, 0, 0, 0},                    // seq 0
+           {kUpdate, 0, kMaxTailSeq + 2, 0, 0},      // past kMaxTailSeq
+           {kUpdate, 0, 1, range_size, 0}}) {        // slot past the range
     const std::string path = dir_ + "/t.log";
     {
       RedoLog log;
       ASSERT_TRUE(log.Open(path, true).ok());
       LogRecord rec;
-      rec.type = LogRecordType::kInsertAppend;
+      rec.type = c.type;
       rec.txn_id = kTxnIdTag | 7;
-      rec.range_id = range;
-      rec.seq = slot + 1;
-      rec.base_slot = slot;
-      rec.mask = 0b11;
-      rec.values = {1, 2};
+      rec.range_id = c.range;
+      rec.seq = c.seq;
+      rec.base_slot = c.slot;
+      rec.backptr = c.backptr;
+      rec.schema_encoding = c.type == kInsert ? 0 : 0b10;
+      rec.start_raw = rec.txn_id;
+      rec.mask = c.type == kInsert ? 0b11 : 0b10;
+      rec.values = c.type == kInsert ? std::vector<Value>{1, 2}
+                                     : std::vector<Value>{5};
       log.Append(rec);
       ASSERT_TRUE(log.Flush(false).ok());
     }
@@ -292,8 +335,8 @@ TEST_F(CheckpointTest, RedoRecordPastDirectoryOrRangeIsCorruption) {
     cfg.enable_logging = true;
     Table t("t", Schema(2), cfg);
     Status s = t.RecoverFromLog();
-    EXPECT_TRUE(s.IsCorruption())
-        << range << "/" << slot << ": " << s.ToString();
+    EXPECT_TRUE(s.IsCorruption()) << c.range << "/" << c.seq << "/" << c.slot
+                                  << "/" << c.backptr << ": " << s.ToString();
   }
 }
 

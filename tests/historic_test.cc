@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "core/historic.h"
 #include "core/table.h"
 
@@ -45,22 +49,28 @@ TEST(HistoricStoreTest, ResolveColumnHonorsSeqAndTime) {
   per_slot[0] = {
       {1, 100, 0b0010, 0b0010, {10}},
       {3, 300, 0b0010, 0b0010, {30}},
+      {4, 350, 0b0010 | kSupersededFlag, 0b0010, {40}},
   };
   std::unique_ptr<HistoricStore> store(
-      HistoricStore::Build(3, per_slot, nullptr, 4));
-  Value v = 0;
-  bool deleted = false;
+      HistoricStore::Build(4, per_slot, nullptr, 4));
+  const auto versions = store->VersionsOf(0);
+  auto newest = [&](uint32_t at_or_below, Timestamp as_of) {
+    return HistoricStore::Newest(versions, at_or_below, as_of);
+  };
   // Entry at seq 3, as_of after both: newest wins.
-  ASSERT_TRUE(store->ResolveColumn(0, 3, 1, 1000, &v, &deleted));
-  EXPECT_EQ(v, 30u);
+  ASSERT_NE(newest(3, 1000), nullptr);
+  EXPECT_EQ(newest(3, 1000)->values[0], 30u);
+  // A superseded version is skipped.
+  EXPECT_EQ(newest(4, 1000)->seq, 3u);
   // Entry at seq 2 (between versions): only seq 1 qualifies.
-  ASSERT_TRUE(store->ResolveColumn(0, 2, 1, 1000, &v, &deleted));
-  EXPECT_EQ(v, 10u);
+  EXPECT_EQ(newest(2, 1000)->values[0], 10u);
   // as_of before version 3's start: version 1.
-  ASSERT_TRUE(store->ResolveColumn(0, 3, 1, 250, &v, &deleted));
-  EXPECT_EQ(v, 10u);
-  // Column never materialized.
-  EXPECT_FALSE(store->ResolveColumn(0, 3, 2, 1000, &v, &deleted));
+  EXPECT_EQ(newest(3, 250)->values[0], 10u);
+  // Nothing at or below seq 0, nor visible before version 1's start.
+  EXPECT_EQ(newest(0, 1000), nullptr);
+  EXPECT_EQ(newest(3, 100), nullptr);
+  // Column never materialized: the newest version does not carry it.
+  EXPECT_EQ(newest(3, 1000)->mask & 0b0100, 0u);
 }
 
 TEST(HistoricStoreTest, RebuildCarriesPreviousContents) {
@@ -202,6 +212,113 @@ TEST_F(TableHistoricTest, DeletedRecordHistoryRetained) {
   table_.epochs().TryReclaim();
   std::vector<Value> out;
   EXPECT_TRUE(table_.ReadAsOf(5, after_delete, 0b0010, &out).IsNotFound());
+}
+
+TEST(HistoricConcurrencyTest, CompressionRacesReadersAndWriters) {
+  // One range of counters: writers bump their own keys while a
+  // maintenance thread merges and compresses the range in a loop, and
+  // readers check every latest read and every read at a past snapshot.
+  constexpr Value kKeys = 32;
+  constexpr int kWriters = 2;
+  constexpr int kBumpsPerWriter = 10000;
+  constexpr Value kAtSnapshot = 3;
+  Table table("h", Schema(2), Config());
+  {
+    Txn txn = table.Begin();
+    for (Value k = 0; k < kKeys; ++k) {
+      ASSERT_TRUE(table.Insert(txn, {k, 0}).ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  ASSERT_TRUE(table.InsertMergeNow(0));
+  for (Value v = 1; v <= kAtSnapshot; ++v) {
+    Txn txn = table.Begin();
+    for (Value k = 0; k < kKeys; ++k) {
+      ASSERT_TRUE(table.Update(txn, k, 0b10, {0, v}).ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  const Timestamp snapshot = table.Now();
+
+  // committed[k]: the newest value known committed; started[k]: the
+  // newest value a writer began to write.
+  std::vector<std::atomic<Value>> committed(kKeys), started(kKeys);
+  for (Value k = 0; k < kKeys; ++k) {
+    committed[k].store(kAtSnapshot);
+    started[k].store(kAtSnapshot);
+  }
+  std::atomic<int> writers_left{kWriters};
+  std::atomic<int> failures{0};
+  auto fail = [&failures](const char* what, Value key, Value got) {
+    if (failures.fetch_add(1) < 5) {
+      ADD_FAILURE() << what << ": key " << key << " read " << got;
+    }
+  };
+
+  std::vector<std::thread> threads;
+  for (int w = 0; w < kWriters; ++w) {
+    threads.emplace_back([&, w] {
+      for (int i = 0; i < kBumpsPerWriter; ++i) {
+        const Value key =
+            static_cast<Value>(w + kWriters * (i % (kKeys / kWriters)));
+        const Value next = committed[key].load() + 1;
+        started[key].store(next);
+        Txn txn = table.Begin();
+        if (table.Update(txn, key, 0b10, {0, next}).ok() && txn.Commit().ok()) {
+          committed[key].store(next);
+        } else {
+          fail("update refused", key, next);
+        }
+      }
+      writers_left.fetch_sub(1);
+    });
+  }
+  threads.emplace_back([&] {
+    while (writers_left.load() > 0) {
+      table.MergeRangeNow(0);
+      table.CompressHistoricNow(0);
+      table.epochs().TryReclaim();
+    }
+  });
+  for (int r = 0; r < 2; ++r) {
+    threads.emplace_back([&, r] {
+      std::vector<Value> last_seen(kKeys, 0);
+      std::vector<Value> row;
+      for (Value i = r; writers_left.load() > 0; ++i) {
+        const Value key = i % kKeys;
+        const Value low = committed[key].load();
+        Txn txn = table.Begin();
+        if (!table.Read(txn, key, 0b10, &row).ok()) {
+          fail("live key not found", key, 0);
+          continue;
+        }
+        (void)txn.Commit();
+        const Value high = started[key].load();
+        if (row[1] < low || row[1] > high) {
+          fail("uncommitted value", key, row[1]);
+        }
+        if (row[1] < last_seen[key]) fail("latest read went back", key, row[1]);
+        last_seen[key] = row[1];
+        if (!table.ReadAsOf(key, snapshot, 0b10, &row).ok()) {
+          fail("snapshot read not found", key, 0);
+        } else if (row[1] != kAtSnapshot) {
+          fail("snapshot read changed", key, row[1]);
+        }
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_GT(table.metrics()
+                ->GetCounter("lstore_historic_compressions_total")
+                ->value(),
+            0u);
+  // After the race, every key reads its last committed value.
+  std::vector<Value> row;
+  for (Value k = 0; k < kKeys; ++k) {
+    ASSERT_TRUE(table.ReadAsOf(k, table.Now(), 0b10, &row).ok());
+    EXPECT_EQ(row[1], committed[k].load()) << k;
+  }
 }
 
 }  // namespace
