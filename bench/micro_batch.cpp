@@ -40,10 +40,18 @@ TableConfig BatchConfig(bool logging, const std::string& log_path) {
   return cfg;
 }
 
+/// A fresh table; with logging, its log opens through recovery.
+std::unique_ptr<Table> NewTable(const std::string& name, bool logging,
+                                const std::string& log_path) {
+  auto table =
+      std::make_unique<Table>(name, Schema(5), BatchConfig(logging, log_path));
+  if (logging) Must(table->RecoverFromLog(), "open log");
+  return table;
+}
+
 std::unique_ptr<Table> LoadedTable(uint64_t rows, bool logging,
                                    const std::string& log_path) {
-  auto table =
-      std::make_unique<Table>("m", Schema(5), BatchConfig(logging, log_path));
+  auto table = NewTable("m", logging, log_path);
   Txn txn = table->Begin();
   std::vector<std::vector<Value>> batch;
   for (Value k = 0; k < rows; ++k) {
@@ -113,8 +121,7 @@ int main(int argc, char** argv) {
   {
     double looped, batched;
     {
-      auto table = std::make_unique<Table>(
-          "ins1", Schema(5), BatchConfig(true, dir + "/ins1.log"));
+      auto table = NewTable("ins1", true, dir + "/ins1.log");
       Txn txn = table->Begin();
       auto t0 = Clk::now();
       for (Value k = 0; k < kOps; ++k) {
@@ -124,8 +131,7 @@ int main(int argc, char** argv) {
       (void)txn.Commit();
     }
     {
-      auto table = std::make_unique<Table>(
-          "ins2", Schema(5), BatchConfig(true, dir + "/ins2.log"));
+      auto table = NewTable("ins2", true, dir + "/ins2.log");
       Txn txn = table->Begin();
       auto t0 = Clk::now();
       std::vector<std::vector<Value>> rows;

@@ -28,6 +28,8 @@ int main() {
   {
     Table inventory("inventory", Schema({"sku", "stock", "price_cents"}),
                     config);
+    // A logging table's log opens through recovery (of an empty log).
+    if (!inventory.RecoverFromLog().ok()) return 1;
     // Seed and evolve the data through four "days".
     Txn txn = inventory.Begin();
     for (Value sku = 0; sku < 200; ++sku) {

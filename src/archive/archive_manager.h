@@ -6,7 +6,9 @@
 //   <table>.redo.<lo>-<hi>.arc   sealed redo-log prefix covering LSNs
 //                                [lo, hi] — a self-describing framed
 //                                file (leading truncation point), so it
-//                                replays through RedoLog::Replay
+//                                replays through RedoLog::Replay, the
+//                                read-only scan (a live log replays as
+//                                it opens, RedoLog::Open)
 //   commit.<lo>-<hi>.arc         sealed commit-log prefix, same scheme
 //   MANIFEST.<id>                the manifest as published by
 //                                checkpoint <id> (carries the archive

@@ -100,8 +100,13 @@ HealthReport Database::Health() {
 // Table registry
 // ---------------------------------------------------------------------------
 
-Status Database::CreateTableInternal(const std::string& name, Schema schema,
-                                     TableConfig config, Table** out) {
+Status Database::CreateTableInternal(
+    const std::string& name, Schema schema, TableConfig config,
+    const ManifestEntry* me,
+    const std::unordered_map<TxnId, Timestamp>* db_commits, Table** out) {
+  // Creations are serialized (ddl_mu_, or Open before it returns), so
+  // a name free here is still free at the publish below.
+  if (GetTable(name) != nullptr) return Status::AlreadyExists("table exists");
   // Buffer-managed base storage: with a pool, every table shares it
   // and gets its own swap store under the directory. WITHOUT a pool,
   // an existing .segs file is still opened — a database checkpointed
@@ -109,10 +114,8 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
   // segments hydrate on first touch and then stay resident. Opening
   // an existing file keeps previously recorded offsets valid, so a
   // manifest that references them recovers lazily. The filesystem
-  // work runs BEFORE the registry spin latch (GetTable callers must
-  // not spin through syscalls); duplicate creations are already
-  // serialized by ddl_mu_, and on the duplicate-name path below the
-  // freshly opened handle is simply dropped.
+  // work, construction and recovery run BEFORE the registry spin
+  // latch (GetTable callers must not spin through syscalls).
   std::unique_ptr<SegmentStore> store;
   if (durable()) {
     std::string segs_path = dir_ + "/" + name + ".segs";
@@ -128,14 +131,17 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
   // its merge thread heartbeats into the shared health registry.
   config.metrics = &metrics_;
   config.health = &health_;
-  SpinGuard g(latch_);
-  for (const auto& e : tables_) {
-    if (e.name == name) return Status::AlreadyExists("table exists");
+  auto table = std::make_unique<Table>(name, std::move(schema),
+                                       std::move(config), &txn_manager_);
+  if (durable()) {
+    LSTORE_RETURN_IF_ERROR(table->RecoverDurable(
+        me != nullptr ? dir_ + "/" + me->file : "",
+        me != nullptr ? me->log_watermark : 0,
+        me != nullptr ? me->file_checksum : 0, db_commits));
   }
+  SpinGuard g(latch_);
   if (store != nullptr) segment_stores_[name] = std::move(store);
-  tables_.push_back(Entry{
-      name, std::make_unique<Table>(name, std::move(schema),
-                                    std::move(config), &txn_manager_)});
+  tables_.push_back(Entry{name, std::move(table)});
   // Sessions begun on this database are valid on the member table,
   // and commits on the member table share the database's group-commit
   // stage (single-table sessions batch fsyncs with everyone else).
@@ -167,8 +173,10 @@ Status Database::CreateTable(const std::string& name, Schema schema,
     // at LSN 1, so old sealed prefixes would poison any future stitch.
     if (archive_ != nullptr) archive_->ForgetTable(name);
   }
-  LSTORE_RETURN_IF_ERROR(
-      CreateTableInternal(name, std::move(schema), std::move(config), nullptr));
+  // A durable table's fresh log opens through recovery of the log just
+  // removed.
+  LSTORE_RETURN_IF_ERROR(CreateTableInternal(
+      name, std::move(schema), std::move(config), nullptr, nullptr, nullptr));
   if (durable()) return PersistCatalog();
   return Status::OK();
 }
@@ -380,22 +388,15 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
     cfg.enable_logging = true;
     cfg.log_path = dir + "/" + ce.name + ".log";
     cfg.sync_commit = opts.sync_commit;
-    Table* t = nullptr;
-    LSTORE_RETURN_IF_ERROR(
-        db->CreateTableInternal(ce.name, Schema(ce.columns), cfg, &t));
-
+    // A table created after the last checkpoint has no manifest entry:
+    // the log alone carries it.
     const ManifestEntry* me = nullptr;
     for (const ManifestEntry& e : manifest.entries) {
       if (e.table == ce.name) me = &e;
     }
-    if (me != nullptr) {
-      LSTORE_RETURN_IF_ERROR(t->RecoverDurable(dir + "/" + me->file,
-                                               me->log_watermark,
-                                               me->file_checksum, &db_commits));
-    } else {
-      // Created after the last checkpoint: the log alone carries it.
-      LSTORE_RETURN_IF_ERROR(t->RecoverDurable("", 0, 0, &db_commits));
-    }
+    Table* t = nullptr;
+    LSTORE_RETURN_IF_ERROR(db->CreateTableInternal(
+        ce.name, Schema(ce.columns), cfg, me, &db_commits, &t));
     // Secondary indexes: union of the catalog (kept current by
     // Database::CreateSecondaryIndex) and the manifest (covers
     // indexes created directly on the Table before a checkpoint).

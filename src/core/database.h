@@ -42,6 +42,7 @@ class ArchiveManager;
 class CheckpointManager;
 class CommitLog;
 class GroupCommitQueue;
+struct ManifestEntry;
 class SlowOpLog;
 class StatsReporter;
 
@@ -230,8 +231,14 @@ class Database : public TxnContext {
   /// Same, omitting `skip` (DropTable persists before erasing memory).
   Status PersistCatalogExcluding(const std::string& skip);
 
-  Status CreateTableInternal(const std::string& name, Schema schema,
-                             TableConfig config, Table** out);
+  /// Build a table and publish it in the registry. A durable table
+  /// recovers first, from its manifest entry `me` (null: its log
+  /// alone) against the commit log's verdicts: that is where its log
+  /// opens (Table::RecoverDurable), so no session reaches it before.
+  Status CreateTableInternal(
+      const std::string& name, Schema schema, TableConfig config,
+      const ManifestEntry* me,
+      const std::unordered_map<TxnId, Timestamp>* db_commits, Table** out);
 
   TransactionManager txn_manager_;
   mutable SpinLatch latch_;

@@ -941,6 +941,8 @@ Status Range::Apply(TailKind kind, const TailRecord& rec) {
     return Status::Corruption("tail record out of range");
   }
   Tail(kind).AdvanceSeq(static_cast<uint32_t>(rec.seq));
+  uint32_t& low = applied_low_[static_cast<int>(kind)];
+  low = std::min(low, static_cast<uint32_t>(rec.seq));
   if (insert) AtomicMax(occupied_, static_cast<uint32_t>(rec.base_slot) + 1);
   WriteRecord(kind, rec);
   return Status::OK();
@@ -950,21 +952,25 @@ void Range::Recover(const std::unordered_map<TxnId, Timestamp>& commits,
                     std::vector<Value>* keys, std::vector<Rid>* rids,
                     Timestamp* max_time) {
   const RangeState st = State();
-  // Step 3: records of transactions still active at capture carry raw
-  // txn ids; their commit/abort records lie beyond the watermark, so
-  // `commits` holds the verdict.
-  auto settle = [&](TailSegment& seg, uint64_t first, uint64_t last) {
-    for (uint64_t seq = first; seq <= last; ++seq) {
-      std::atomic<Value>* sref = seg.StartTimeSlot(seq);
-      Value raw = sref->load(std::memory_order_acquire);
-      if (!IsTxnId(raw)) continue;
+  // Step 3: every replayed record, and every captured record of a
+  // transaction still active at capture, carries a raw txn id whose
+  // verdict `commits` holds. The captured window [first, last] is
+  // settled whole; below it, where the checkpoint had already merged or
+  // compressed a record the replay wrote again, only written seqs are.
+  auto settle = [&](TailKind kind, uint64_t first, uint64_t last) {
+    TailSegment& seg = Tail(kind);
+    const uint64_t low = applied_low_[static_cast<int>(kind)];
+    for (uint64_t seq = std::min(first, low); seq <= last; ++seq) {
+      const Value raw = seg.Read(static_cast<uint32_t>(seq), kTailStartTime);
+      if (!IsTxnId(raw) || (seq < first && raw == kNull)) continue;
       auto it = commits.find(raw);
-      sref->store(it != commits.end() ? it->second : kAbortedStamp,
+      seg.StartTimeSlot(static_cast<uint32_t>(seq))
+          ->store(it != commits.end() ? it->second : kAbortedStamp,
                   std::memory_order_release);
     }
   };
-  settle(updates_, st.boundary, st.last);
-  settle(inserts_, st.based + 1, st.occupied);
+  settle(TailKind::kUpdate, st.boundary, st.last);
+  settle(TailKind::kInsert, st.based + 1, st.occupied);
 
   // Step 4: the live rows' keys, for the primary index. Only the key
   // and Start Time columns are pinned (demand-loading them at most

@@ -276,9 +276,11 @@ class Range {
   Status Apply(TailKind kind, const TailRecord& rec);
   /// Recovery steps 3 and 4 for this range: stamp every start time
   /// still holding a txn id with its outcome in `commits` (aborted when
-  /// absent), rebuild the Indirection column and ever-updated masks, and
-  /// fill `keys` and `rids` with the key and RID of every live row.
-  /// Raises *max_time to the newest commit time seen.
+  /// absent): the one outcome resolver of restart, covering every
+  /// record Apply wrote. Then rebuild the Indirection column and
+  /// ever-updated masks, and fill `keys` and `rids` with the key and
+  /// RID of every live row. Raises *max_time to the newest commit time
+  /// seen.
   void Recover(const std::unordered_map<TxnId, Timestamp>& commits,
                std::vector<Value>* keys, std::vector<Rid>* rids,
                Timestamp* max_time);
@@ -371,6 +373,9 @@ class Range {
   std::atomic<HistoricStore*> historic_{nullptr};
   /// Set while queued for background merge.
   std::atomic<bool> queued_{false};
+  /// Lowest seq Apply wrote, per TailKind (recovery runs on one
+  /// thread): Recover settles from there.
+  uint32_t applied_low_[2] = {UINT32_MAX, UINT32_MAX};
   /// Serializes merges of this range.
   SpinLatch merge_latch_;
 };

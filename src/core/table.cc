@@ -109,9 +109,9 @@ Table::Table(std::string name, Schema schema, TableConfig config,
     lm.truncate_read_bytes = metrics_->GetCounter(
         "lstore_redo_truncate_read_bytes_total",
         "Redo-log bytes read back by checkpoint truncation");
+    // Opened by recovery (RecoverDurable), which replays it in the
+    // same scan; until then a commit fails at its flush.
     log_->set_metrics(lm);
-    Status s = log_->Open(config_.log_path, /*truncate=*/false);
-    if (!s.ok()) log_.reset();
   }
   buffer_pool_ = config_.buffer_pool;
   segment_store_ = config_.segment_store;

@@ -229,6 +229,8 @@ class Table : public TxnContext {
 
   /// Recover table contents by replaying the redo log at
   /// config.log_path (call on a freshly constructed, empty table).
+  /// RecoverDurable with no checkpoint: a logging table must run one
+  /// of the two before it writes, since that is where its log opens.
   Status RecoverFromLog();
 
   /// Full restart recovery (Section 5.1.3): load the checkpoint file
@@ -236,19 +238,23 @@ class Table : public TxnContext {
   /// `log_watermark`, resolve pending transaction outcomes, and
   /// rebuild the primary index and the Indirection column from Base
   /// RID backpointers (recovery option 2). Call on a freshly
-  /// constructed, empty table. `db_commits` carries the database
-  /// commit log's verdicts: cross-table transactions leave no commit
-  /// record in the per-table logs, so their outcome resolves from it —
-  /// on every participant or none.
+  /// constructed, empty table. This is the one place a logging
+  /// table's log is opened: the open-time scan that restores its LSN
+  /// counter and cuts a torn tail also delivers the records replayed,
+  /// so the file is read once. Until then, and after a failed
+  /// recovery, its commits fail at the log flush. `db_commits` carries
+  /// the database commit log's verdicts: cross-table transactions leave
+  /// no commit record in the per-table logs, so their outcome resolves
+  /// from it — on every participant or none.
   ///
-  /// `log_paths` (optional) overrides the replay source with an
-  /// ordered list of framed log files — the archive stitcher passes
-  /// sealed segments followed by the live log, forming one
-  /// LSN-continuous stream. `commit_horizon` truncates the outcome
-  /// map for point-in-time restores: per-table commit records with
-  /// commit_time > horizon are treated as never having committed
-  /// (their tail records become aborted tombstones, exactly like a
-  /// crash before the commit record).
+  /// `log_paths` (optional, for tables that do not log) overrides the
+  /// replay source with an ordered list of framed log files, read
+  /// only: the archive stitcher passes sealed segments followed by the
+  /// live log, forming one LSN-continuous stream. `commit_horizon`
+  /// truncates the outcome map for point-in-time restores: per-table
+  /// commit records with commit_time > horizon are treated as never
+  /// having committed (their tail records become aborted tombstones,
+  /// exactly like a crash before the commit record).
   Status RecoverDurable(const std::string& checkpoint_file,
                         uint64_t log_watermark,
                         uint64_t checkpoint_checksum = 0,
@@ -387,11 +393,13 @@ class Table : public TxnContext {
 
   // Recovery machinery (bodies in checkpoint/recovery.cc) ---------------------
 
-  /// Replay the redo log beyond `watermark`, stamp every unresolved
-  /// Start Time with its logged outcome (or the aborted tombstone,
-  /// seeding the outcome map with the database commit log's verdicts),
-  /// rebuild indexes + Indirection, and fast-forward the clock.
-  /// See RecoverDurable for `log_paths` / `commit_horizon`.
+  /// Replay the redo log beyond `watermark`, each append applied as
+  /// the scan delivers it (opening a logging table's log), then stamp
+  /// every unresolved Start Time with its logged outcome (or the
+  /// aborted tombstone, seeding the outcome map with the database
+  /// commit log's verdicts) through Range::Recover, rebuild indexes +
+  /// Indirection, and fast-forward the clock. See RecoverDurable for
+  /// `log_paths` / `commit_horizon`.
   Status ReplayAndRebuild(uint64_t watermark,
                           const std::unordered_map<TxnId, Timestamp>*
                               db_commits = nullptr,

@@ -114,7 +114,8 @@ class FramedLog {
   /// new appends are not hidden behind garbage. A read error fails the
   /// open and leaves the file as it was. `replay_fn` (optional)
   /// receives every well-formed frame during that same scan, so
-  /// restart recovery reads the file once.
+  /// restart recovery reads the file once: RedoLog::Open and
+  /// CommitLog::Open deliver their records through it.
   Status Open(const std::string& path, bool truncate,
               const FrameFn& replay_fn = nullptr);
   void Close();

@@ -134,7 +134,26 @@ bool WalkPayload(const char* data, size_t len, uint64_t* lsn_count, Fn fn) {
   return true;
 }
 
+/// The frame callback delivering each record of a validated payload
+/// (each row of a run) to `fn` with its own LSN; null without `fn`.
+FramedLog::FrameFn Deliver(const RedoLog::RecordFn& fn) {
+  if (!fn) return nullptr;
+  return [&fn](std::string_view payload, uint64_t first_lsn, uint64_t,
+               size_t, size_t) {
+    uint64_t lsns = 0;
+    WalkPayload<true>(payload.data(), payload.size(), &lsns,
+                      [&fn, first_lsn](const LogRecord& rec, uint64_t i) {
+                        fn(rec, first_lsn + i);
+                      });
+  };
+}
+
 }  // namespace
+
+Status RedoLog::Open(const std::string& path, bool truncate,
+                     const RecordFn& replay_fn) {
+  return framed_.Open(path, truncate, Deliver(replay_fn));
+}
 
 void RedoLog::EncodePayload(const LogRecord& rec, std::string* out) {
   if (rec.type == LogRecordType::kTailAppend ||
@@ -213,24 +232,10 @@ uint64_t RedoLog::AppendBatch(const std::vector<LogRecord>& recs) {
   return AppendBatch(batch);
 }
 
-Status RedoLog::Replay(
-    const std::string& path,
-    const std::function<void(const LogRecord&, uint64_t lsn)>& fn,
-    ReplayStats* stats) {
-  Status s = FramedLog::ScanFile(
-      path, &RedoLog::ValidatePayload,
-      [&fn](std::string_view payload, uint64_t first_lsn, uint64_t, size_t,
-            size_t) {
-        if (!fn) return;
-        // Already validated by the codec; deliver each record (each
-        // row of a run) with its own LSN.
-        uint64_t lsns = 0;
-        WalkPayload<true>(payload.data(), payload.size(), &lsns,
-                          [&fn, first_lsn](const LogRecord& rec, uint64_t i) {
-                            fn(rec, first_lsn + i);
-                          });
-      },
-      stats);
+Status RedoLog::Replay(const std::string& path, const RecordFn& fn,
+                       ReplayStats* stats) {
+  Status s = FramedLog::ScanFile(path, &RedoLog::ValidatePayload,
+                                 Deliver(fn), stats);
   if (!s.ok()) return Status::IOError("cannot open log for replay");
   return Status::OK();
 }

@@ -98,12 +98,17 @@ class RedoLog {
   RedoLog(const RedoLog&) = delete;
   RedoLog& operator=(const RedoLog&) = delete;
 
+  /// Receives one record (each row of a run as its own record) with
+  /// its LSN.
+  using RecordFn = std::function<void(const LogRecord&, uint64_t lsn)>;
+
   /// Open for appending. An existing file is scanned to restore the
   /// LSN counter; a torn tail (crash mid-write) is truncated away so
-  /// new appends are not hidden behind garbage.
-  Status Open(const std::string& path, bool truncate) {
-    return framed_.Open(path, truncate);
-  }
+  /// new appends are not hidden behind garbage. `replay_fn` (optional)
+  /// receives every well-formed record during that same scan, so
+  /// restart recovery reads the live log once (Table::RecoverDurable).
+  Status Open(const std::string& path, bool truncate,
+              const RecordFn& replay_fn = nullptr);
   void Close() { framed_.Close(); }
   bool is_open() const { return framed_.is_open(); }
 
@@ -202,17 +207,16 @@ class RedoLog {
     return framed_.TruncateTo(watermark_lsn, seal);
   }
 
-  /// Replay every well-formed record, stopping cleanly at the first
-  /// torn or corrupt frame (crash tail). Static: operates on a closed
-  /// file. The extended overload reports each record's LSN and fills
-  /// `stats` (recovered-up-to LSN, torn-tail flag). Archive segments
-  /// sealed from this log replay through the same entry point.
+  /// Replay every well-formed record, read only: stops cleanly at the
+  /// first torn or corrupt frame (crash tail) and leaves the file as
+  /// it is. Reads sealed archive segments (point-in-time restore) and
+  /// serves tests; a log a table appends to replays through Open. The
+  /// extended overload reports each record's LSN and fills `stats`
+  /// (recovered-up-to LSN, torn-tail flag).
   static Status Replay(const std::string& path,
                        const std::function<void(const LogRecord&)>& fn);
-  static Status Replay(
-      const std::string& path,
-      const std::function<void(const LogRecord&, uint64_t lsn)>& fn,
-      ReplayStats* stats);
+  static Status Replay(const std::string& path, const RecordFn& fn,
+                       ReplayStats* stats);
 
   /// Serialize / deserialize one single-row payload (any type but
   /// kBatch and kInsertRun; exposed for tests).

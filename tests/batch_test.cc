@@ -148,6 +148,7 @@ TEST(BatchLogTest, DeleteBatchProducesOneFrameAndReplays) {
   cfg.log_path = path;
   {
     Table table("b", Schema(3), cfg);
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     Txn load = table.Begin();
     std::vector<std::vector<Value>> rows;
     for (Value k = 0; k < 20; ++k) rows.push_back({k, k + 1, 0});
@@ -445,6 +446,7 @@ TEST(BatchLogTest, BatchProducesOneFrameAndReplays) {
   cfg.log_path = path;
   {
     Table table("b", Schema(3), cfg);
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     Txn txn = table.Begin();
     std::vector<std::vector<Value>> rows;
     for (Value k = 0; k < 40; ++k) rows.push_back({k, k + 1, 0});

@@ -18,8 +18,10 @@
 #include <random>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "checkpoint/serde.h"
 #include "common/bitutil.h"
 #include "core/database.h"
 #include "core/query.h"
@@ -168,6 +170,7 @@ TEST(RedoLogTest, InsertBatchFrameGoldenBytes) {
   std::remove(path.c_str());
   {
     Table table("g", Schema(2), LogConfig(path));
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     Txn txn = table.Begin();
     ASSERT_TRUE(table.InsertBatch(txn, {{1, 300}, {2, 5}}).ok());
     ASSERT_TRUE(txn.Commit().ok());
@@ -191,6 +194,40 @@ TEST(RedoLogTest, InsertBatchFrameGoldenBytes) {
             "02" "05"
             "c89414f9");
   std::remove(path.c_str());
+}
+
+// What a replay delivered: each record's type, txn id and LSN.
+using Delivered = std::vector<std::tuple<LogRecordType, TxnId, uint64_t>>;
+
+// Replay the damaged log at `path`, then open it for appending with the
+// same delivery: the open-time scan must deliver exactly the records
+// and LSNs that Replay does, resume the LSN counter at the last good
+// record and cut the file at the last good frame. Returns what Replay
+// delivered.
+Delivered ReplayThenOpenAlike(const std::string& path) {
+  Delivered replayed, opened;
+  RedoLog::ReplayStats stats;
+  EXPECT_TRUE(RedoLog::Replay(
+                  path,
+                  [&](const LogRecord& rec, uint64_t lsn) {
+                    replayed.emplace_back(rec.type, rec.txn_id, lsn);
+                  },
+                  &stats)
+                  .ok());
+  EXPECT_FALSE(stats.clean_end);
+  RedoLog log;
+  EXPECT_TRUE(log.Open(path, /*truncate=*/false,
+                       [&](const LogRecord& rec, uint64_t lsn) {
+                         opened.emplace_back(rec.type, rec.txn_id, lsn);
+                       })
+                  .ok());
+  EXPECT_EQ(opened, replayed);
+  EXPECT_EQ(log.last_lsn(), stats.last_lsn);
+  EXPECT_EQ(log.last_lsn(),
+            replayed.empty() ? 0u : std::get<2>(replayed.back()));
+  log.Close();
+  EXPECT_EQ(FileSize(path), stats.bytes_consumed);
+  return replayed;
 }
 
 TEST(RedoLogTest, ReplayStopsAtTornTail) {
@@ -218,6 +255,11 @@ TEST(RedoLogTest, ReplayStopsAtTornTail) {
   int count = 0;
   ASSERT_TRUE(RedoLog::Replay(path, [&](const LogRecord&) { ++count; }).ok());
   EXPECT_EQ(count, 4);  // last frame torn, first four intact
+  // Opened for appending, the same file delivers the same four.
+  Delivered delivered = ReplayThenOpenAlike(path);
+  ASSERT_EQ(delivered.size(), 4u);
+  EXPECT_EQ(std::get<1>(delivered[3]), kTxnIdTag | 103);
+  EXPECT_EQ(std::get<2>(delivered[3]), 4u);
   std::remove(path.c_str());
 }
 
@@ -248,6 +290,8 @@ TEST(RedoLogTest, ReplayStopsAtCorruptChecksum) {
   int count = 0;
   ASSERT_TRUE(RedoLog::Replay(path, [&](const LogRecord&) { ++count; }).ok());
   EXPECT_LT(count, 3);
+  // Opened for appending, the same file delivers the same prefix.
+  EXPECT_EQ(ReplayThenOpenAlike(path).size(), static_cast<size_t>(count));
   std::remove(path.c_str());
 }
 
@@ -265,6 +309,7 @@ class RecoveryTest : public ::testing::Test {
 TEST_F(RecoveryTest, CommittedDataSurvivesRestart) {
   {
     Table table("t", Schema(3), LogConfig(path_));
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     Txn txn = table.Begin();
     for (Value k = 0; k < 10; ++k) {
       ASSERT_TRUE(table.Insert(txn, {k, k * 2, k * 3}).ok());
@@ -289,6 +334,7 @@ TEST_F(RecoveryTest, CommittedDataSurvivesRestart) {
 TEST_F(RecoveryTest, UncommittedTransactionRolledBackOnRecovery) {
   {
     Table table("t", Schema(3), LogConfig(path_));
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     Txn setup = table.Begin();
     ASSERT_TRUE(table.Insert(setup, {1, 10, 20}).ok());
     ASSERT_TRUE(setup.Commit().ok());
@@ -315,6 +361,7 @@ TEST_F(RecoveryTest, UncommittedTransactionRolledBackOnRecovery) {
 TEST_F(RecoveryTest, AbortRecordHonoredOnRecovery) {
   {
     Table table("t", Schema(3), LogConfig(path_));
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     Txn setup = table.Begin();
     ASSERT_TRUE(table.Insert(setup, {1, 10, 20}).ok());
     ASSERT_TRUE(setup.Commit().ok());
@@ -337,6 +384,7 @@ TEST_F(RecoveryTest, AbortRecordHonoredOnRecovery) {
 TEST_F(RecoveryTest, RecoveredTableAcceptsNewTransactions) {
   {
     Table table("t", Schema(3), LogConfig(path_));
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     Txn txn = table.Begin();
     ASSERT_TRUE(table.Insert(txn, {1, 10, 20}).ok());
     ASSERT_TRUE(txn.Commit().ok());
@@ -360,6 +408,7 @@ TEST_F(RecoveryTest, RecoveredTableAcceptsNewTransactions) {
 TEST_F(RecoveryTest, DoubleRecoveryIsIdempotent) {
   {
     Table table("t", Schema(3), LogConfig(path_));
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     Txn txn = table.Begin();
     for (Value k = 0; k < 5; ++k) {
       ASSERT_TRUE(table.Insert(txn, {k, k, k}).ok());
@@ -385,6 +434,7 @@ TEST_F(RecoveryTest, MergeAfterRecoveryIsConsistent) {
   // merge re-runs from TPS 0 and must produce the same visible state.
   {
     Table table("t", Schema(3), LogConfig(path_));
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     Txn txn = table.Begin();
     for (Value k = 0; k < 32; ++k) {
       ASSERT_TRUE(table.Insert(txn, {k, k, k}).ok());
@@ -438,6 +488,7 @@ TEST_F(RecoveryTest, IndexRebuildKeepsRidsPastAbortedAndBurnedSlots) {
   std::vector<std::pair<Value, Value>> before;
   {
     Table table("t", Schema(3), LogConfig(path_));
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     Txn load = table.Begin();
     ASSERT_TRUE(table.InsertBatch(load, batch(0, 100)).ok());  // RIDs 0..99
     ASSERT_TRUE(load.Commit().ok());
@@ -564,6 +615,7 @@ std::vector<LoggedRun> RunsInFirstFrame(const std::string& path) {
 TEST_F(RecoveryTest, BatchAcrossRangesLogsOneRunPerRangeInOneFrame) {
   {
     Table table("t", Schema(3), LogConfig(path_));  // 32-slot ranges
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     Txn txn = table.Begin();
     ASSERT_TRUE(table.InsertBatch(txn, KeyRows(0, 50)).ok());
     ASSERT_TRUE(txn.Commit().ok());
@@ -604,6 +656,7 @@ TEST_F(RecoveryTest, DuplicateKeyBatchLogsOnlyTheInsertedPrefix) {
   std::vector<std::vector<Value>> before;
   {
     Table table("t", Schema(3), LogConfig(path_));
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     Txn load = table.Begin();  // RIDs 0..9
     ASSERT_TRUE(table.InsertBatch(load, KeyRows(0, 10)).ok());
     ASSERT_TRUE(load.Commit().ok());
@@ -752,6 +805,7 @@ TEST_F(RecoveryTest, MixedLogReplaysAlikeFromLogAndFromCheckpoint) {
   std::vector<std::vector<Value>> live;
   {
     Table table("t", Schema(3), LogConfig(path_));
+    ASSERT_TRUE(table.RecoverFromLog().ok());
     auto begin = [&table] { return table.Begin(); };
     MixedRound(&table, begin, 0);
     MixedRound(&table, begin, 10000);
@@ -798,6 +852,98 @@ TEST_F(RecoveryTest, MixedLogReplaysAlikeFromLogAndFromCheckpoint) {
   std::filesystem::remove_all(dir);
 }
 
+// Replaying the WHOLE log (watermark 0) over a checkpoint that already
+// holds its records, insert-merged into base segments, update-merged
+// and compressed into the historic store, writes each of them again
+// with its raw txn id; Range::Recover alone resolves them. The table
+// must come back exactly as it was: rows, snapshot sums, time-travel
+// reads and version chains.
+TEST_F(RecoveryTest, ReplayOverCapturedAndCompressedRecordsIsIdempotent) {
+  Table table("t", Schema(3), LogConfig(path_));
+  ASSERT_TRUE(table.RecoverFromLog().ok());
+  auto begin = [&table] { return table.Begin(); };
+  std::vector<Timestamp> snapshots;
+  // Insert runs, first updates with their pre-image snapshots, a
+  // delete and aborted transactions; then second versions of a third
+  // of the rows.
+  MixedRound(&table, begin, 0);
+  snapshots.push_back(table.Now());
+  {
+    Txn txn = table.Begin();
+    for (Value k = 0; k < 45; k += 3) {
+      ASSERT_TRUE(table.Update(txn, k, 0b110, {0, 500 + k, 600 + k}).ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  snapshots.push_back(table.Now());
+  size_t compressed = 0;
+  for (uint64_t id = 0; id < table.num_ranges(); ++id) {
+    table.InsertMergeNow(id);
+    table.MergeRangeNow(id);
+    compressed += table.CompressHistoricNow(id);
+  }
+  ASSERT_GT(compressed, 0u);
+  // A second round lands above the historic boundary; the last write
+  // to each key MixedRound aborts an update of is a committed one.
+  MixedRound(&table, begin, 10000);
+  snapshots.push_back(table.Now());
+  {
+    Txn txn = table.Begin();
+    ASSERT_TRUE(table.Update(txn, 2, 0b100, {0, 0, 22}).ok());
+    ASSERT_TRUE(table.Update(txn, 10002, 0b100, {0, 0, 23}).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+
+  const std::string ckpt = path_ + ".ckpt";
+  uint64_t checksum = 0;
+  ASSERT_TRUE(CheckpointIO::WriteTable(table, ckpt, &checksum).ok());
+  Table recovered("t", Schema(3), LogConfig(path_));
+  ASSERT_TRUE(recovered.RecoverDurable(ckpt, /*log_watermark=*/0, checksum)
+                  .ok());
+  std::remove(ckpt.c_str());
+
+  EXPECT_EQ(RowsOf(recovered), RowsOf(table));
+  auto sums = [](const Table& t, Timestamp ts) {
+    uint64_t a = 0, b = 0;
+    EXPECT_TRUE(t.NewQuery().AsOf(ts).Sum(1, &a).ok());
+    EXPECT_TRUE(t.NewQuery().AsOf(ts).Sum(2, &b).ok());
+    return std::make_pair(a, b);
+  };
+  EXPECT_EQ(sums(recovered, recovered.Now()), sums(table, table.Now()));
+  snapshots.push_back(table.Now());
+  std::vector<Value> keys;
+  for (Value base : {0, 10000}) {
+    for (Value k = base; k < base + 500; ++k) keys.push_back(k);
+  }
+  for (Timestamp ts : snapshots) {
+    EXPECT_EQ(sums(recovered, ts), sums(table, ts)) << ts;
+    for (Value k : keys) {
+      std::vector<Value> want, got;
+      Status ws = table.ReadAsOf(k, ts, 0b111, &want);
+      Status gs = recovered.ReadAsOf(k, ts, 0b111, &got);
+      ASSERT_EQ(gs.ok(), ws.ok()) << k << " @" << ts;
+      if (ws.ok()) {
+        EXPECT_EQ(got, want) << k << " @" << ts;
+      }
+    }
+  }
+  auto chain = [](const Table& t, Value key, ColumnId col) {
+    std::vector<std::tuple<uint32_t, Value, uint64_t, Value>> out;
+    for (const Table::ChainEntry& e : t.DebugChain(key, col)) {
+      out.emplace_back(e.seq, e.raw_start, e.schema_encoding, e.col_value);
+    }
+    return out;
+  };
+  size_t versions = 0;
+  for (Value k : keys) {
+    for (ColumnId col : {1u, 2u}) {
+      EXPECT_EQ(chain(recovered, k, col), chain(table, k, col)) << k;
+      versions += chain(table, k, col).size();
+    }
+  }
+  EXPECT_GT(versions, 0u);
+}
+
 TEST(RecoveryOutcomeTest, AbortRecordAfterCommitRecordWins) {
   std::string path = TempLogPath("abort_after_commit");
   std::remove(path.c_str());
@@ -834,6 +980,21 @@ TEST(RecoveryOutcomeTest, AbortRecordAfterCommitRecordWins) {
   std::vector<Value> out;
   EXPECT_TRUE(table.Read(r, 5, 0b111, &out).IsNotFound());
   std::remove(path.c_str());
+}
+
+// A log that cannot be opened fails recovery, and the table then
+// refuses commits instead of acknowledging writes it never logged.
+TEST(RecoveryOutcomeTest, UnopenableLogRefusesCommits) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "lstore_missing_log_dir";
+  std::filesystem::remove_all(dir);
+  const std::string path = dir + "/t.log";
+  Table table("t", Schema(3), LogConfig(path));
+  EXPECT_FALSE(table.RecoverFromLog().ok());
+  Txn txn = table.Begin();
+  ASSERT_TRUE(table.Insert(txn, {1, 2, 3}).ok());
+  EXPECT_FALSE(txn.Commit().ok());
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 // --- truncation under load -------------------------------------------------
