@@ -164,52 +164,84 @@ BENCHMARK(BM_CompressedColumnGet);
 constexpr Value kIndexKeys = 1u << 20;
 constexpr size_t kIndexBatch = 1024;
 
-/// kIndexKeys sequential keys in kIndexBatch-key InsertBatch calls,
-/// key k naming RID k.
-void LoadIndex(PrimaryIndex* idx) {
+/// Key i of an index benchmark. Narrow keys are sequential and below
+/// 2^32 (8-byte slots); wide keys (state.range(0) == 1) are i
+/// scrambled within 40 bits with bit 40 set, so each is distinct and
+/// takes a 12-byte slot.
+Value IndexKey(Value i, bool wide) {
+  if (!wide) return i;
+  constexpr Value kLow40 = (Value{1} << 40) - 1;
+  return (Value{1} << 40) | ((i * 0xbf58476d1ce4e5b9ull) & kLow40);
+}
+
+/// kIndexKeys keys in kIndexBatch-key InsertBatch calls, key i naming
+/// RID i.
+void LoadIndex(PrimaryIndex* idx, bool wide) {
   std::vector<Value> keys(kIndexBatch);
+  std::vector<Rid> rids(kIndexBatch);
   bool ok[kIndexBatch];
   for (Value b = 0; b < kIndexKeys; b += kIndexBatch) {
-    for (size_t i = 0; i < kIndexBatch; ++i) keys[i] = b + i;
-    idx->InsertBatch(keys.data(), keys.data(), kIndexBatch, ok);
+    for (size_t i = 0; i < kIndexBatch; ++i) {
+      rids[i] = b + i;
+      keys[i] = IndexKey(b + i, wide);
+    }
+    idx->InsertBatch(keys.data(), rids.data(), kIndexBatch, ok);
   }
+}
+
+/// Index space: byte_size() over kIndexKeys.
+void SetBytesPerKey(benchmark::State& state, size_t bytes) {
+  state.counters["bytes_per_key"] = static_cast<double>(bytes) / kIndexKeys;
 }
 
 void BM_IndexLoad(benchmark::State& state) {
+  const bool wide = state.range(0) != 0;
+  size_t bytes = 0;
   for (auto _ : state) {
     PrimaryIndex idx;
-    LoadIndex(&idx);
+    LoadIndex(&idx, wide);
     benchmark::DoNotOptimize(idx.size());
+    bytes = idx.byte_size();
   }
+  SetBytesPerKey(state, bytes);
   state.SetItemsProcessed(state.iterations() * kIndexKeys);
 }
-BENCHMARK(BM_IndexLoad)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IndexLoad)->ArgName("wide")->Arg(0)->Arg(1)->Unit(
+    benchmark::kMillisecond);
 
 void BM_IndexGet(benchmark::State& state) {
+  const bool wide = state.range(0) != 0;
   PrimaryIndex idx;
-  LoadIndex(&idx);
+  LoadIndex(&idx, wide);
   Random rng(7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.Get(rng.Uniform(kIndexKeys)));
+    benchmark::DoNotOptimize(idx.Get(IndexKey(rng.Uniform(kIndexKeys), wide)));
   }
+  SetBytesPerKey(state, idx.byte_size());
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IndexGet)->Iterations(4u << 20);
+BENCHMARK(BM_IndexGet)->ArgName("wide")->Arg(0)->Arg(1)->Iterations(4u << 20);
 
 void BM_IndexMultiGet8(benchmark::State& state) {
+  const bool wide = state.range(0) != 0;
   PrimaryIndex idx;
-  LoadIndex(&idx);
+  LoadIndex(&idx, wide);
   Random rng(8);
   Value keys[8];
   Rid out[8];
   for (auto _ : state) {
-    for (Value& k : keys) k = rng.Uniform(kIndexKeys);
+    for (Value& k : keys) k = IndexKey(rng.Uniform(kIndexKeys), wide);
     idx.MultiGet(keys, 8, out);
     benchmark::DoNotOptimize(out);
   }
+  SetBytesPerKey(state, idx.byte_size());
   state.SetItemsProcessed(state.iterations() * 8);
 }
-BENCHMARK(BM_IndexMultiGet8)->Iterations(1u << 19);
+BENCHMARK(BM_IndexMultiGet8)
+    ->ArgName("wide")
+    ->Arg(0)
+    ->Arg(1)
+    ->Iterations(1u << 19);
 
 }  // namespace
 

@@ -14,7 +14,8 @@
 //      Range::Recover is the one resolver,
 //   4. rebuild the primary index and the in-place Indirection column
 //      from the Base RID backpointers of the tail records — neither is
-//      logged nor checkpointed, exactly as the paper prescribes.
+//      logged nor checkpointed, exactly as the paper prescribes. Two
+//      live rows with one key fail the restart with Corruption.
 
 #include <algorithm>
 #include <memory>
@@ -149,6 +150,12 @@ Status Table::ReplayAndRebuild(
     if (r == nullptr) continue;
     r->Recover(commits, &keys, &rids, &max_time);
     primary_.InsertBatch(keys.data(), rids.data(), keys.size(), ok.get());
+    bool* end = ok.get() + keys.size();
+    if (std::find(ok.get(), end, false) != end) {
+      // Two live rows share a key: no run of the engine writes that.
+      if (log_ != nullptr) log_->Close();
+      return Status::Corruption("duplicate primary key in recovered rows");
+    }
   }
 
   // Resume the clock beyond every replayed commit, including no-op

@@ -25,7 +25,8 @@ size_t Next(size_t i, size_t capacity) { return i + 1 == capacity ? 0 : i + 1; }
 
 PrimaryIndex::PrimaryIndex(size_t num_shards) : shards_(num_shards) {}
 
-Rid PrimaryIndex::Shard::Find(Value key) const {
+template <typename Slot>
+Rid PrimaryIndex::SlotTable<Slot>::Find(Value key) const {
   const size_t cap = slots.size();
   if (cap == 0) return kInvalidRid;
   for (size_t i = Home(Hash(key), cap);; i = Next(i, cap)) {
@@ -35,7 +36,8 @@ Rid PrimaryIndex::Shard::Find(Value key) const {
   }
 }
 
-void PrimaryIndex::Shard::Reserve(size_t extra) {
+template <typename Slot>
+void PrimaryIndex::SlotTable<Slot>::Reserve(size_t extra) {
   const size_t cap = slots.size();
   // Probes end at an empty slot, so some must always remain.
   if ((live + tombstones + extra) * 5 <= cap * 4) return;
@@ -48,7 +50,8 @@ void PrimaryIndex::Shard::Reserve(size_t extra) {
   Rehash(grown);
 }
 
-bool PrimaryIndex::Shard::Place(Value key, Rid rid) {
+template <typename Slot>
+bool PrimaryIndex::SlotTable<Slot>::Place(Value key, Rid rid) {
   if (rid > kMaxRid) return false;
   const size_t cap = slots.size();
   size_t target = cap;  // the first tombstone on the probe path
@@ -60,7 +63,8 @@ bool PrimaryIndex::Shard::Place(Value key, Rid rid) {
       } else {
         --tombstones;
       }
-      slots[target] = Slot{key, static_cast<uint32_t>(rid)};
+      slots[target] = Slot{static_cast<decltype(Slot::key)>(key),
+                           static_cast<uint32_t>(rid)};
       ++live;
       return true;
     }
@@ -72,7 +76,8 @@ bool PrimaryIndex::Shard::Place(Value key, Rid rid) {
   }
 }
 
-bool PrimaryIndex::Shard::Erase(Value key) {
+template <typename Slot>
+bool PrimaryIndex::SlotTable<Slot>::Erase(Value key) {
   const size_t cap = slots.size();
   if (cap == 0) return false;
   for (size_t i = Home(Hash(key), cap);; i = Next(i, cap)) {
@@ -87,7 +92,8 @@ bool PrimaryIndex::Shard::Erase(Value key) {
   }
 }
 
-void PrimaryIndex::Shard::Rehash(size_t capacity) {
+template <typename Slot>
+void PrimaryIndex::SlotTable<Slot>::Rehash(size_t capacity) {
   std::vector<Slot> old =
       std::exchange(slots, std::vector<Slot>(capacity, Slot{0, kEmpty}));
   tombstones = 0;
@@ -97,6 +103,11 @@ void PrimaryIndex::Shard::Rehash(size_t capacity) {
     while (slots[i].rid != kEmpty) i = Next(i, capacity);
     slots[i] = s;
   }
+}
+
+template <typename Slot>
+void PrimaryIndex::SlotTable<Slot>::Prefetch(Value key) const {
+  __builtin_prefetch(&slots[Home(Hash(key), slots.size())], 1);
 }
 
 template <typename Fn>
@@ -131,8 +142,12 @@ void PrimaryIndex::ForEachShardGroup(const Value* keys, size_t n,
 bool PrimaryIndex::Insert(Value key, Rid rid) {
   Shard& s = shards_[ShardOf(key)];
   SpinGuard g(s.latch);
-  s.Reserve(1);
-  return s.Place(key, rid);
+  if (IsNarrow(key)) {
+    s.narrow.Reserve(1);
+    return s.narrow.Place(key, rid);
+  }
+  s.wide.Reserve(1);
+  return s.wide.Place(key, rid);
 }
 
 void PrimaryIndex::InsertBatch(const Value* keys, const Rid* rids, size_t n,
@@ -143,17 +158,25 @@ void PrimaryIndex::InsertBatch(const Value* keys, const Rid* rids, size_t n,
   ForEachShardGroup(keys, n, [&](Shard& s, const uint32_t* pos,
                                  size_t count) {
     SpinGuard g(s.latch);
-    s.Reserve(count);
-    const size_t cap = s.slots.size();
+    size_t narrow = 0;
+    for (size_t j = 0; j < count; ++j) narrow += IsNarrow(keys[pos[j]]);
+    s.narrow.Reserve(narrow);
+    s.wide.Reserve(count - narrow);
     auto prefetch = [&](size_t j) {
-      if (j < count) {
-        __builtin_prefetch(&s.slots[Home(Hash(keys[pos[j]]), cap)], 1);
+      if (j >= count) return;
+      const Value key = keys[pos[j]];
+      if (IsNarrow(key)) {
+        s.narrow.Prefetch(key);
+      } else {
+        s.wide.Prefetch(key);
       }
     };
     for (size_t j = 0; j < kPrefetchAhead; ++j) prefetch(j);
     for (size_t j = 0; j < count; ++j) {
       prefetch(j + kPrefetchAhead);
-      ok[pos[j]] = s.Place(keys[pos[j]], rids[pos[j]]);
+      const Value key = keys[pos[j]];
+      ok[pos[j]] = IsNarrow(key) ? s.narrow.Place(key, rids[pos[j]])
+                                 : s.wide.Place(key, rids[pos[j]]);
     }
   });
 }
@@ -161,7 +184,7 @@ void PrimaryIndex::InsertBatch(const Value* keys, const Rid* rids, size_t n,
 Rid PrimaryIndex::Get(Value key) const {
   const Shard& s = shards_[ShardOf(key)];
   SpinGuard g(s.latch);
-  return s.Find(key);
+  return IsNarrow(key) ? s.narrow.Find(key) : s.wide.Find(key);
 }
 
 void PrimaryIndex::MultiGet(const Value* keys, size_t n, Rid* out) const {
@@ -172,21 +195,24 @@ void PrimaryIndex::MultiGet(const Value* keys, size_t n, Rid* out) const {
   ForEachShardGroup(keys, n, [&](const Shard& s, const uint32_t* pos,
                                  size_t count) {
     SpinGuard g(s.latch);
-    for (size_t j = 0; j < count; ++j) out[pos[j]] = s.Find(keys[pos[j]]);
+    for (size_t j = 0; j < count; ++j) {
+      const Value key = keys[pos[j]];
+      out[pos[j]] = IsNarrow(key) ? s.narrow.Find(key) : s.wide.Find(key);
+    }
   });
 }
 
 bool PrimaryIndex::Erase(Value key) {
   Shard& s = shards_[ShardOf(key)];
   SpinGuard g(s.latch);
-  return s.Erase(key);
+  return IsNarrow(key) ? s.narrow.Erase(key) : s.wide.Erase(key);
 }
 
 size_t PrimaryIndex::size() const {
   size_t n = 0;
   for (const auto& s : shards_) {
     SpinGuard g(s.latch);
-    n += s.live;
+    n += s.narrow.live + s.wide.live;
   }
   return n;
 }
@@ -195,7 +221,8 @@ size_t PrimaryIndex::byte_size() const {
   size_t bytes = shards_.size() * sizeof(Shard);
   for (const auto& s : shards_) {
     SpinGuard g(s.latch);
-    bytes += s.slots.capacity() * sizeof(Slot);
+    bytes += s.narrow.slots.capacity() * sizeof(NarrowSlot) +
+             s.wide.slots.capacity() * sizeof(WideSlot);
   }
   return bytes;
 }

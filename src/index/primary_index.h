@@ -3,10 +3,13 @@
 // Section 2.2: "all indexes only reference base records (base RIDs)",
 // which eliminates index maintenance on updates — the index is touched
 // only by inserts and (deferred) deletes. 64 shards with per-shard
-// spin latches; point lookups take one latch acquire. Each shard is a
-// flat linear-probing table of 12-byte {key, rid} slots (15-23 bytes
-// per key at its 0.53-0.8 load): a base RID is a dense row number, so
-// it is stored in 32 bits.
+// spin latches; point lookups take one latch acquire. A base RID is a
+// dense row number, so it is stored in 32 bits. Each shard holds two
+// flat linear-probing tables under its latch, and the key alone picks
+// one: 8-byte {key, rid} slots for keys below 2^32 (10-15 bytes per
+// key at the 0.53-0.8 load) and 12-byte slots for every other key
+// (15-23 bytes per key) — frame of reference with exceptions, as in
+// PFOR (Zukowski et al., ICDE 2006).
 
 #ifndef LSTORE_INDEX_PRIMARY_INDEX_H_
 #define LSTORE_INDEX_PRIMARY_INDEX_H_
@@ -34,8 +37,9 @@ class PrimaryIndex {
 
   /// Batched insert: ok[i] = Insert(keys[i], rids[i]), where a key
   /// repeated within the batch is kept at its first occurrence. Each
-  /// touched shard is latched once and grown at most once, and its
-  /// slots are prefetched a few keys ahead of the probes.
+  /// touched shard is latched once and each of its tables grown at
+  /// most once, and slots are prefetched a few keys ahead of the
+  /// probes.
   void InsertBatch(const Value* keys, const Rid* rids, size_t n, bool* ok);
 
   /// Point lookup. Returns kInvalidRid if absent.
@@ -62,23 +66,33 @@ class PrimaryIndex {
   static constexpr uint32_t kTombstone = kEmpty - 1;
   static_assert(kMaxRid + 1 == kTombstone);
 
-  /// Packed to alignment 4, so a slot takes 12 bytes instead of 16.
-  /// Members are only read and written by value: a pointer or
-  /// reference to `key` could be misaligned.
+  /// The slot of a key below 2^32: aligned, so none straddles a cache
+  /// line.
+  struct NarrowSlot {
+    uint32_t key;
+    uint32_t rid;
+  };
+  static_assert(sizeof(NarrowSlot) == 8);
+
+  /// The slot of every other key, packed to alignment 4 so it takes 12
+  /// bytes instead of 16. Members are only read and written by value:
+  /// a pointer or reference to `key` could be misaligned.
 #pragma pack(push, 4)
-  struct Slot {
+  struct WideSlot {
     Value key;
     uint32_t rid;
   };
 #pragma pack(pop)
-  static_assert(sizeof(Slot) == 12 && alignof(Slot) == 4);
+  static_assert(sizeof(WideSlot) == 12 && alignof(WideSlot) == 4);
 
-  /// One shard's linear-probing table. Once live plus tombstone slots
-  /// would pass 0.8 of capacity it rehashes: at the same capacity when
+  static bool IsNarrow(Value key) { return key >> 32 == 0; }
+
+  /// One linear-probing table. Once live plus tombstone slots would
+  /// pass 0.8 of capacity it rehashes: at the same capacity when
   /// dropping the tombstones leaves it at most half full, else x1.5
   /// (repeatedly, until a batch's share fits).
-  struct Shard {
-    mutable SpinLatch latch;
+  template <typename Slot>
+  struct SlotTable {
     std::vector<Slot> slots;
     size_t live = 0;
     size_t tombstones = 0;
@@ -91,6 +105,16 @@ class PrimaryIndex {
     bool Place(Value key, Rid rid);
     bool Erase(Value key);
     void Rehash(size_t capacity);
+    /// Touch the key's home slot ahead of a Place (needs a capacity).
+    void Prefetch(Value key) const;
+  };
+
+  /// Line-aligned, so a probe finds the latch and either table's slot
+  /// array in one cache line.
+  struct alignas(64) Shard {
+    mutable SpinLatch latch;
+    SlotTable<NarrowSlot> narrow;  // keys below 2^32
+    SlotTable<WideSlot> wide;      // every other key
   };
 
   /// Visit the batch shard by shard: fn(shard, positions, count) gets

@@ -15,6 +15,9 @@
 namespace lstore {
 namespace {
 
+/// A base for keys past 2^32, which take the index's 12-byte slots.
+constexpr Value kWideKeys = Value{1} << 40;
+
 TEST(PrimaryIndexTest, InsertGetErase) {
   PrimaryIndex idx;
   EXPECT_TRUE(idx.Insert(10, 100));
@@ -40,27 +43,35 @@ TEST(PrimaryIndexTest, SizeAcrossShards) {
 }
 
 TEST(PrimaryIndexTest, GrowsThroughRehashesAndKeepsEveryKey) {
-  // One shard, so its table rehashes a couple of dozen times.
-  PrimaryIndex idx(1);
-  Random rng(17);
-  std::vector<Value> keys;
-  size_t rehashes = 0, last_bytes = idx.byte_size();
-  for (int i = 0; i < 50000; ++i) {
-    keys.push_back(rng.Next());
-    ASSERT_TRUE(idx.Insert(keys.back(), static_cast<Rid>(i)));
-    if (idx.byte_size() != last_bytes) {
-      ++rehashes;
-      last_bytes = idx.byte_size();
+  // Random 64-bit keys take 12-byte slots, dense keys below 2^32 take
+  // 8-byte ones; either table is at most 0.8 and at least 0.5 full.
+  struct Case {
+    bool dense;
+    size_t min_bytes, max_bytes;  // per key
+  };
+  for (const Case& c : {Case{false, 15, 24}, Case{true, 10, 16}}) {
+    SCOPED_TRACE(c.dense ? "dense" : "random");
+    // One shard, so its table rehashes a couple of dozen times.
+    PrimaryIndex idx(1);
+    Random rng(17);
+    std::vector<Value> keys;
+    size_t rehashes = 0, last_bytes = idx.byte_size();
+    for (int i = 0; i < 50000; ++i) {
+      keys.push_back(c.dense ? static_cast<Value>(i) : rng.Next());
+      ASSERT_TRUE(idx.Insert(keys.back(), static_cast<Rid>(i)));
+      if (idx.byte_size() != last_bytes) {
+        ++rehashes;
+        last_bytes = idx.byte_size();
+      }
     }
+    EXPECT_GT(rehashes, 15u);
+    EXPECT_EQ(idx.size(), keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(idx.Get(keys[i]), static_cast<Rid>(i)) << i;
+    }
+    EXPECT_LE(idx.byte_size(), keys.size() * c.max_bytes);
+    EXPECT_GE(idx.byte_size(), keys.size() * c.min_bytes);
   }
-  EXPECT_GT(rehashes, 15u);
-  EXPECT_EQ(idx.size(), keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    ASSERT_EQ(idx.Get(keys[i]), static_cast<Rid>(i)) << i;
-  }
-  // 12-byte slots at most 0.8 and at least 0.5 full: 15-24 bytes per key.
-  EXPECT_LE(idx.byte_size(), keys.size() * 24);
-  EXPECT_GE(idx.byte_size(), keys.size() * 15);
 }
 
 TEST(PrimaryIndexTest, ReinsertAfterEraseReusesTheTombstone) {
@@ -81,104 +92,125 @@ TEST(PrimaryIndexTest, ReinsertAfterEraseReusesTheTombstone) {
 
 TEST(PrimaryIndexTest, InsertEraseChurnKeepsCapacityBounded) {
   // A sliding window of 1000 live keys: tombstones pile up and are
-  // purged in place instead of growing the table.
-  PrimaryIndex idx(1);
+  // purged in place instead of growing the table. Keys from `base`, so
+  // both slot widths churn.
   constexpr Value kLive = 1000;
-  for (Value k = 0; k < kLive; ++k) ASSERT_TRUE(idx.Insert(k, k));
-  size_t peak = 0;
-  for (Value k = kLive; k < 100 * kLive; ++k) {
-    ASSERT_TRUE(idx.Erase(k - kLive));
-    ASSERT_TRUE(idx.Insert(k, k));
-    peak = std::max(peak, idx.byte_size());
+  for (const Value base : {Value{0}, kWideKeys}) {
+    PrimaryIndex idx(1);
+    for (Value k = 0; k < kLive; ++k) ASSERT_TRUE(idx.Insert(base + k, k));
+    size_t peak = 0;
+    for (Value k = kLive; k < 100 * kLive; ++k) {
+      ASSERT_TRUE(idx.Erase(base + k - kLive));
+      ASSERT_TRUE(idx.Insert(base + k, k));
+      peak = std::max(peak, idx.byte_size());
+    }
+    EXPECT_EQ(idx.size(), kLive);
+    EXPECT_LE(peak, kLive * 40);
+    for (Value k = 99 * kLive; k < 100 * kLive; ++k) {
+      ASSERT_EQ(idx.Get(base + k), k);
+    }
+    EXPECT_EQ(idx.Get(base + 99 * kLive - 1), kInvalidRid);
   }
-  EXPECT_EQ(idx.size(), kLive);
-  EXPECT_LE(peak, kLive * 40);
-  for (Value k = 99 * kLive; k < 100 * kLive; ++k) ASSERT_EQ(idx.Get(k), k);
-  EXPECT_EQ(idx.Get(99 * kLive - 1), kInvalidRid);
 }
 
 TEST(PrimaryIndexTest, MultiGetLargeBatchWithMisses) {
-  PrimaryIndex idx;
-  for (Value k = 0; k < 2000; k += 2) ASSERT_TRUE(idx.Insert(k, k + 1));
-  // Beyond the 256-key stack batch: every odd key misses.
-  std::vector<Value> keys;
-  for (Value k = 0; k < 1200; ++k) keys.push_back((k * 7919) % 2400);
-  std::vector<Rid> out(keys.size(), 0);
-  idx.MultiGet(keys.data(), keys.size(), out.data());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    const Value k = keys[i];
-    EXPECT_EQ(out[i], k % 2 == 0 && k < 2000 ? k + 1 : kInvalidRid) << k;
+  for (const Value base : {Value{0}, kWideKeys}) {
+    PrimaryIndex idx;
+    for (Value k = 0; k < 2000; k += 2) {
+      ASSERT_TRUE(idx.Insert(base + k, k + 1));
+    }
+    // Beyond the 256-key stack batch: every odd key misses.
+    std::vector<Value> keys;
+    for (Value k = 0; k < 1200; ++k) keys.push_back(base + (k * 7919) % 2400);
+    std::vector<Rid> out(keys.size(), 0);
+    idx.MultiGet(keys.data(), keys.size(), out.data());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const Value k = keys[i] - base;
+      EXPECT_EQ(out[i], k % 2 == 0 && k < 2000 ? k + 1 : kInvalidRid) << k;
+    }
   }
 }
 
 TEST(PrimaryIndexTest, ExtremeKeysAreOrdinaryKeys) {
-  // Slot sentinels live in the RID, so 0 and ~0 are valid keys.
+  // Slot sentinels live in the RID, so 0 and ~0 are valid keys, as are
+  // the last key of the 8-byte slots and the first of the 12-byte ones.
+  const std::vector<Value> keys = {0, (Value{1} << 32) - 1, Value{1} << 32,
+                                   ~0ull};
   PrimaryIndex idx(1);
-  EXPECT_EQ(idx.Get(0), kInvalidRid);
-  EXPECT_EQ(idx.Get(~0ull), kInvalidRid);
-  ASSERT_TRUE(idx.Insert(0, 10));
-  ASSERT_TRUE(idx.Insert(~0ull, 20));
-  EXPECT_FALSE(idx.Insert(~0ull, 30));
-  EXPECT_EQ(idx.Get(0), 10u);
-  EXPECT_EQ(idx.Get(~0ull), 20u);
-  EXPECT_TRUE(idx.Erase(~0ull));
-  EXPECT_EQ(idx.Get(~0ull), kInvalidRid);
-  EXPECT_EQ(idx.Get(0), 10u);
-  EXPECT_TRUE(idx.Erase(0));
+  for (Value k : keys) EXPECT_EQ(idx.Get(k), kInvalidRid);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(idx.Insert(keys[i], 10 + i));
+  }
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_FALSE(idx.Insert(keys[i], 30));
+    EXPECT_EQ(idx.Get(keys[i]), 10 + i);
+  }
+  // Erase from the top: each erased key reads as absent, the rest stay.
+  for (size_t i = keys.size(); i-- > 0;) {
+    EXPECT_TRUE(idx.Erase(keys[i]));
+    EXPECT_EQ(idx.Get(keys[i]), kInvalidRid);
+    for (size_t j = 0; j < i; ++j) EXPECT_EQ(idx.Get(keys[j]), 10 + j);
+  }
   EXPECT_EQ(idx.size(), 0u);
 }
 
 TEST(PrimaryIndexTest, RidsUpToTheMaximumRoundTrip) {
   // Slots store RIDs in 32 bits, with the two values above kMaxRid as
   // the empty and tombstone markers; neither may come back as a RID.
+  // Keys from `base`, so both slot widths hold them.
   constexpr Rid kMax = PrimaryIndex::kMaxRid;
   static_assert(kMax == (Rid{1} << 32) - 3);
   const std::vector<Rid> rids = {0, kMax - 1, kMax};
-  PrimaryIndex idx(1);
-  for (size_t i = 0; i < rids.size(); ++i) {
-    ASSERT_TRUE(idx.Insert(100 + i, rids[i]));
-  }
-  std::vector<Value> keys = {200, 201, 202};
-  bool ok[3];
-  idx.InsertBatch(keys.data(), rids.data(), keys.size(), ok);
-  for (bool b : ok) EXPECT_TRUE(b);
-  // Past the maximum: refused, nothing indexed.
-  EXPECT_FALSE(idx.Insert(300, kMax + 1));
-  const Value past_key = 301;
-  const Rid past = kMax + 2;
-  idx.InsertBatch(&past_key, &past, 1, ok);
-  EXPECT_FALSE(ok[0]);
-  EXPECT_EQ(idx.size(), 6u);
-
-  auto expect_all = [&] {
+  for (const Value base : {Value{0}, kWideKeys}) {
+    PrimaryIndex idx(1);
     for (size_t i = 0; i < rids.size(); ++i) {
-      EXPECT_EQ(idx.Get(100 + i), rids[i]);
-      EXPECT_EQ(idx.Get(200 + i), rids[i]);
+      ASSERT_TRUE(idx.Insert(base + 100 + i, rids[i]));
     }
-    std::vector<Value> probe = {100, 101, 102, 200, 201, 202, 300, 301, 999};
-    std::vector<Rid> out(probe.size(), 0);
-    idx.MultiGet(probe.data(), probe.size(), out.data());
-    for (size_t i = 0; i < 6; ++i) EXPECT_EQ(out[i], rids[i % 3]) << i;
-    for (size_t i = 6; i < probe.size(); ++i) EXPECT_EQ(out[i], kInvalidRid);
-  };
-  expect_all();
-  // Erase leaves a tombstone that reads as absent, not as a RID.
-  ASSERT_TRUE(idx.Erase(202));
-  EXPECT_EQ(idx.Get(202), kInvalidRid);
-  ASSERT_TRUE(idx.Insert(202, kMax));
-  // Enough keys to rehash the one shard several times over.
-  const size_t bytes = idx.byte_size();
-  for (Value k = 1000; k < 5000; ++k) ASSERT_TRUE(idx.Insert(k, k));
-  EXPECT_GT(idx.byte_size(), bytes);
-  expect_all();
-  for (Value k = 1000; k < 5000; ++k) ASSERT_EQ(idx.Get(k), k);
-  for (size_t i = 0; i < rids.size(); ++i) {
-    EXPECT_TRUE(idx.Erase(100 + i));
-    EXPECT_TRUE(idx.Erase(200 + i));
-    EXPECT_EQ(idx.Get(100 + i), kInvalidRid);
-    EXPECT_EQ(idx.Get(200 + i), kInvalidRid);
+    std::vector<Value> keys = {base + 200, base + 201, base + 202};
+    bool ok[3];
+    idx.InsertBatch(keys.data(), rids.data(), keys.size(), ok);
+    for (bool b : ok) EXPECT_TRUE(b);
+    // Past the maximum: refused, nothing indexed.
+    EXPECT_FALSE(idx.Insert(base + 300, kMax + 1));
+    const Value past_key = base + 301;
+    const Rid past = kMax + 2;
+    idx.InsertBatch(&past_key, &past, 1, ok);
+    EXPECT_FALSE(ok[0]);
+    EXPECT_EQ(idx.size(), 6u);
+
+    auto expect_all = [&] {
+      for (size_t i = 0; i < rids.size(); ++i) {
+        EXPECT_EQ(idx.Get(base + 100 + i), rids[i]);
+        EXPECT_EQ(idx.Get(base + 200 + i), rids[i]);
+      }
+      std::vector<Value> probe = {100, 101, 102, 200, 201, 202, 300, 301, 999};
+      for (Value& k : probe) k += base;
+      std::vector<Rid> out(probe.size(), 0);
+      idx.MultiGet(probe.data(), probe.size(), out.data());
+      for (size_t i = 0; i < 6; ++i) EXPECT_EQ(out[i], rids[i % 3]) << i;
+      for (size_t i = 6; i < probe.size(); ++i) {
+        EXPECT_EQ(out[i], kInvalidRid);
+      }
+    };
+    expect_all();
+    // Erase leaves a tombstone that reads as absent, not as a RID.
+    ASSERT_TRUE(idx.Erase(base + 202));
+    EXPECT_EQ(idx.Get(base + 202), kInvalidRid);
+    ASSERT_TRUE(idx.Insert(base + 202, kMax));
+    // Enough keys to rehash the one shard several times over.
+    const size_t bytes = idx.byte_size();
+    for (Value k = 1000; k < 5000; ++k) ASSERT_TRUE(idx.Insert(base + k, k));
+    EXPECT_GT(idx.byte_size(), bytes);
+    expect_all();
+    for (Value k = 1000; k < 5000; ++k) ASSERT_EQ(idx.Get(base + k), k);
+    for (size_t i = 0; i < rids.size(); ++i) {
+      EXPECT_TRUE(idx.Erase(base + 100 + i));
+      EXPECT_TRUE(idx.Erase(base + 200 + i));
+      EXPECT_EQ(idx.Get(base + 100 + i), kInvalidRid);
+      EXPECT_EQ(idx.Get(base + 200 + i), kInvalidRid);
+    }
+    EXPECT_EQ(idx.size(), 4000u);
   }
-  EXPECT_EQ(idx.size(), 4000u);
 }
 
 TEST(PrimaryIndexTest, ConcurrentDisjointInserts) {
@@ -215,12 +247,14 @@ TEST(PrimaryIndexTest, ConcurrentDuplicateInsertsExactlyOneWins) {
 TEST(PrimaryIndexTest, ConcurrentOverlappingInsertBatches) {
   // Thread t inserts keys [t * kStride, t * kStride + kPer) in
   // 1024-key batches, so neighbouring threads race for half their
-  // keys. Each key has one winner, whose RID it maps to.
+  // keys. Each key has one winner, whose RID it maps to. Every third
+  // key is moved past 2^32, so each batch mixes both slot widths.
   PrimaryIndex idx;
   constexpr int kThreads = 4;
   constexpr Value kPer = 8192, kStride = kPer / 2, kBatch = 1024;
   std::vector<std::vector<bool>> won(kThreads, std::vector<bool>(kPer));
   auto rid_of = [](int t, Value k) { return k * kThreads + t; };
+  auto key_of = [](Value k) { return k % 3 == 0 ? kWideKeys + k : k; };
   std::vector<std::thread> threads;
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
@@ -229,8 +263,9 @@ TEST(PrimaryIndexTest, ConcurrentOverlappingInsertBatches) {
       bool ok[kBatch];
       for (Value b = 0; b < kPer; b += kBatch) {
         for (Value i = 0; i < kBatch; ++i) {
-          keys[i] = t * kStride + b + i;
-          rids[i] = rid_of(t, keys[i]);
+          const Value k = t * kStride + b + i;
+          keys[i] = key_of(k);
+          rids[i] = rid_of(t, k);
         }
         idx.InsertBatch(keys.data(), rids.data(), kBatch, ok);
         for (Value i = 0; i < kBatch; ++i) won[t][b + i] = ok[i];
@@ -251,7 +286,7 @@ TEST(PrimaryIndexTest, ConcurrentOverlappingInsertBatches) {
     }
   }
   std::vector<Value> keys(distinct);
-  for (Value k = 0; k < distinct; ++k) keys[k] = k;
+  for (Value k = 0; k < distinct; ++k) keys[k] = key_of(k);
   std::vector<Rid> out(distinct, 0);
   idx.MultiGet(keys.data(), distinct, out.data());
   for (Value k = 0; k < distinct; ++k) {

@@ -751,6 +751,37 @@ TEST_F(RecoveryTest, TornRunFrameIsCutAtItsFrameStart) {
   EXPECT_EQ(RowsOf(table), KeyRows(0, 20));
 }
 
+// Two committed transactions that each insert key 7, into ranges 0
+// and 1, make a log no run of the engine writes. Restart refuses it,
+// instead of indexing one of the rows while scans count both, and
+// appends nothing after it.
+TEST_F(RecoveryTest, DuplicateLiveKeyIsCorruption) {
+  const std::vector<std::vector<Value>> row = {{7, 70, 700}};
+  {
+    RedoLog log;
+    ASSERT_TRUE(log.Open(path_, /*truncate=*/true).ok());
+    for (uint64_t range = 0; range < 2; ++range) {
+      const TxnId txn = kTxnIdTag | (range + 1);
+      RedoLog::Batch batch;
+      batch.AddInsertRun(txn, range, 0, row.data(), 1, 0b111);
+      log.AppendBatch(batch);
+      LogRecord commit;
+      commit.type = LogRecordType::kCommit;
+      commit.txn_id = txn;
+      commit.commit_time = 5 + range;
+      log.Append(commit);
+    }
+    ASSERT_TRUE(log.Flush(false).ok());
+  }
+  const uint64_t size = FileSize(path_);
+  Table table("t", Schema(3), LogConfig(path_));
+  EXPECT_TRUE(table.RecoverFromLog().IsCorruption());
+  Txn txn = table.Begin();
+  ASSERT_TRUE(table.Insert(txn, {8, 80, 800}).ok());
+  EXPECT_FALSE(txn.Commit().ok());
+  EXPECT_EQ(FileSize(path_), size);
+}
+
 // One round of every logged write shape: insert runs across ranges,
 // single-row inserts, an UpdateBatch, a delete, two aborted
 // transactions, and a batch stopped at a duplicate key.
