@@ -30,7 +30,7 @@ DbmRange::DbmRange(const TableConfig& config, uint32_t ncols)
 
 DbmTable::DbmTable(Schema schema, TableConfig config,
                    TransactionManager* txn_manager)
-    : EngineCore(std::move(schema), config, txn_manager) {
+    : EngineCore("dbm", std::move(schema), config, txn_manager) {
   if (config_.enable_merge_thread) {
     running_ = true;
     merge_thread_ = std::thread([this] { MergeLoop(); });
@@ -112,14 +112,14 @@ Status DbmTable::Insert(Txn& session, const std::vector<Value>& row) {
   r.indirection[at.slot].store(idx, std::memory_order_release);
   txn->writeset().push_back(WriteEntry{at.range_id, at.slot,
                                        static_cast<uint32_t>(idx),
-                                       /*is_insert=*/true, row[0]});
+                                       /*is_insert=*/true, row[0], this});
   return Status::OK();
 }
 
 Status DbmTable::Update(Txn& session, Value key, ColumnMask mask,
                         const std::vector<Value>& row) {
   LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
-  LSTORE_RETURN_IF_ERROR(CheckMask(mask));
+  LSTORE_RETURN_IF_ERROR(CheckUpdate(mask, &row, 1));
   return WriteDelta(session.raw(), key, mask, &row);
 }
 
@@ -131,7 +131,7 @@ Status DbmTable::Delete(Txn& session, Value key) {
 Status DbmTable::WriteDelta(Transaction* txn, Value key, ColumnMask mask,
                             const std::vector<Value>* row) {
   Located at;
-  LSTORE_RETURN_IF_ERROR(Locate(key, &at));
+  LSTORE_RETURN_IF_ERROR(Locate(primary_.Get(key), &at));
   DbmRange& r = *at.range;
   const uint32_t slot = at.slot;
 
@@ -189,7 +189,7 @@ Status DbmTable::WriteDelta(Transaction* txn, Value key, ColumnMask mask,
   r.delta.Slot(idx, 0)->store(txn->id(), std::memory_order_release);
   txn->writeset().push_back(WriteEntry{at.range_id, slot,
                                        static_cast<uint32_t>(idx),
-                                       /*is_insert=*/false, 0});
+                                       /*is_insert=*/false, 0, this});
   ind.store(idx, std::memory_order_release);
 
   // Merge trigger: delta reached the threshold.
@@ -268,7 +268,7 @@ Status DbmTable::Read(Txn& session, Value key, ColumnMask mask,
   Transaction* txn = session.raw();
   out->assign(schema_.num_columns(), kNull);
   Located at;
-  LSTORE_RETURN_IF_ERROR(Locate(key, &at));
+  LSTORE_RETURN_IF_ERROR(Locate(primary_.Get(key), &at));
   return ResolveRecord(*at.range, at.slot, ReadTime(txn), txn, mask, out);
 }
 

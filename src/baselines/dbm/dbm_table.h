@@ -88,8 +88,12 @@ class DbmTable : public EngineCore<DbmRange> {
  private:
   static constexpr uint32_t kDeltaHeader = DbmRange::kDeltaHeader;
 
-  std::atomic<Value>* StartSlot(DbmRange& r, const WriteEntry& w) override {
-    return r.delta.Slot(w.seq, 0);
+  DbmRange* NewRange(uint64_t) override {
+    return new DbmRange(config_, schema_.num_columns());
+  }
+  bool StampWrite(DbmRange& r, const WriteEntry& w, TxnId txn,
+                  Value outcome) override {
+    return StampSlot(r.delta.Slot(w.seq, 0), txn, outcome);
   }
   Status CommitTxn(Transaction* txn) override;
   void AbortTxn(Transaction* txn) override;

@@ -26,7 +26,7 @@ IuhRange::IuhRange(const TableConfig& config, uint32_t ncols)
 
 IuhTable::IuhTable(Schema schema, TableConfig config,
                    TransactionManager* txn_manager)
-    : EngineCore(std::move(schema), config, txn_manager),
+    : EngineCore("iuh", std::move(schema), config, txn_manager),
       history_(kHistHeader + schema_.num_columns(), kHistChunk,
                kHistMaxChunks) {}
 
@@ -94,7 +94,7 @@ Status IuhTable::Insert(Txn& session, const std::vector<Value>& row) {
   r.start[at.slot].store(txn->id(), std::memory_order_release);
   latch.UnlockExclusive();
   txn->writeset().push_back(
-      WriteEntry{at.range_id, at.slot, 0, /*is_insert=*/true, row[0]});
+      WriteEntry{at.range_id, at.slot, 0, /*is_insert=*/true, row[0], this});
   return Status::OK();
 }
 
@@ -156,7 +156,7 @@ bool IuhTable::CurrentStart(IuhRange& r, uint32_t slot, Transaction* txn,
 Status IuhTable::Update(Txn& session, Value key, ColumnMask mask,
                         const std::vector<Value>& row) {
   LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
-  LSTORE_RETURN_IF_ERROR(CheckMask(mask));
+  LSTORE_RETURN_IF_ERROR(CheckUpdate(mask, &row, 1));
   return WriteInPlace(session.raw(), key, mask, &row);
 }
 
@@ -168,7 +168,7 @@ Status IuhTable::Delete(Txn& session, Value key) {
 Status IuhTable::WriteInPlace(Transaction* txn, Value key, ColumnMask mask,
                               const std::vector<Value>* row) {
   Located at;
-  LSTORE_RETURN_IF_ERROR(Locate(key, &at));
+  LSTORE_RETURN_IF_ERROR(Locate(primary_.Get(key), &at));
   IuhRange& r = *at.range;
   const uint32_t slot = at.slot;
   const uint32_t ncols = schema_.num_columns();
@@ -215,7 +215,7 @@ Status IuhTable::WriteInPlace(Transaction* txn, Value key, ColumnMask mask,
   latch.UnlockExclusive();
 
   txn->writeset().push_back(
-      WriteEntry{at.range_id, slot, 0, /*is_insert=*/false, hist_idx});
+      WriteEntry{at.range_id, slot, 0, /*is_insert=*/false, hist_idx, this});
   return Status::OK();
 }
 
@@ -225,7 +225,7 @@ Status IuhTable::Read(Txn& session, Value key, ColumnMask mask,
   Transaction* txn = session.raw();
   out->assign(schema_.num_columns(), kNull);
   Located at;
-  LSTORE_RETURN_IF_ERROR(Locate(key, &at));
+  LSTORE_RETURN_IF_ERROR(Locate(primary_.Get(key), &at));
   // Readers pay the shared page latch — this is the structural
   // contention with in-place writers (Section 6.2).
   RWSpinLatch& latch = PageLatch(*at.range, at.slot);

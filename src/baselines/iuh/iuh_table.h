@@ -59,8 +59,12 @@ class IuhTable : public EngineCore<IuhRange> {
   uint64_t history_size() const { return history_.size(); }
 
  private:
-  std::atomic<Value>* StartSlot(IuhRange& r, const WriteEntry& w) override {
-    return &r.start[w.base_slot];
+  IuhRange* NewRange(uint64_t) override {
+    return new IuhRange(config_, schema_.num_columns());
+  }
+  bool StampWrite(IuhRange& r, const WriteEntry& w, TxnId txn,
+                  Value outcome) override {
+    return StampSlot(&r.start[w.base_slot], txn, outcome);
   }
   /// Undo, then the core's abort.
   void AbortTxn(Transaction* txn) override;

@@ -30,7 +30,7 @@ void PutConfig(std::string* p, const TableConfig& c) {
   PutVarint64(p, c.base_page_slots);
   PutVarint64(p, c.tail_page_slots);
   PutVarint64(p, c.merge_threshold);
-  PutVarint64(p, c.merge_fanin);
+  PutVarint64(p, 1);  // retired merge fan-in: always 1
   PutVarint64(p, c.insert_range_size);
   uint64_t flags = (c.cumulative_updates ? 1u : 0) |
                    (c.compress_merged_pages ? 2u : 0) |
@@ -48,8 +48,7 @@ bool GetConfig(std::string_view p, size_t* pos, TableConfig* c) {
   c->tail_page_slots = static_cast<uint32_t>(v);
   if (!GetU64(p, pos, &v)) return false;
   c->merge_threshold = static_cast<uint32_t>(v);
-  if (!GetU64(p, pos, &v)) return false;
-  c->merge_fanin = static_cast<uint32_t>(v);
+  if (!GetU64(p, pos, &v)) return false;  // retired merge fan-in
   if (!GetU64(p, pos, &v)) return false;
   c->insert_range_size = static_cast<uint32_t>(v);
   if (!GetU64(p, pos, &flags)) return false;

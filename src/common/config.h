@@ -37,11 +37,6 @@ struct TableConfig {
   /// accumulated. Figure 8: best around 50% of the range size.
   uint32_t merge_threshold = 1u << 11;
 
-  /// Coarser granularity for the merge: merge N consecutive update
-  /// ranges together (Section 4.4: fine ranges for update locality,
-  /// coarse merges for space utilization). 1 = merge range by range.
-  uint32_t merge_fanin = 1;
-
   /// Cumulative updates (Section 3.1): a new tail record repeats the
   /// latest values of all columns updated since the last cumulation
   /// reset. Reset happens at merge boundaries (TPS high-water mark,

@@ -3,39 +3,73 @@
 #include <algorithm>
 #include <chrono>
 
-#include "core/table.h"
+#include "common/inline_buffer.h"
+#include "core/range.h"
+#include "log/redo_log.h"
 #include "obs/span.h"
 
 namespace lstore {
 
 namespace {
 
-/// Tables of `tables` that appear as an owner in the readset
-/// (`readers`) or writeset (`writers`). Owners outside `tables` are
-/// ignored: they belong to another engine sharing the manager and are
-/// committed by that engine's own pipeline invocation.
-void Participants(const Transaction& txn, const std::vector<Table*>& tables,
-                  std::vector<Table*>* readers, std::vector<Table*>* writers) {
-  auto add = [](std::vector<Table*>* v, Table* t) {
-    if (std::find(v->begin(), v->end(), t) == v->end()) v->push_back(t);
-  };
-  for (Table* t : tables) {
-    for (const WriteEntry& w : txn.writeset()) {
-      if (w.owner == t) {
-        add(writers, t);
-        add(readers, t);  // validation also covers own-write tables
-        break;
-      }
-    }
+/// The part a candidate engine plays in a transaction.
+enum class Role : uint8_t { kNone, kReader, kWriter };
+
+/// The role of each of the `n` `engines` in `txn`: a writer owns a
+/// writeset entry (its reads validate too), a reader only readset
+/// entries. Owners outside `engines` are ignored: they belong to
+/// another engine sharing the manager, committed by that engine's own
+/// pipeline invocation, or to a table dropped since.
+void Classify(const Transaction& txn, EngineBase* const* engines, size_t n,
+              Role* roles) {
+  for (size_t i = 0; i < n; ++i) {
+    auto owns = [e = engines[i]](const auto& set) {
+      return std::any_of(set.begin(), set.end(),
+                         [e](const auto& entry) { return entry.owner == e; });
+    };
+    roles[i] = owns(txn.writeset())  ? Role::kWriter
+               : owns(txn.readset()) ? Role::kReader
+                                     : Role::kNone;
   }
-  for (Table* t : tables) {
-    for (const ReadEntry& e : txn.readset()) {
-      if (e.owner == t) {
-        add(readers, t);
-        break;
-      }
-    }
+}
+
+/// Where the pipeline counts a transaction: its first writer, else its
+/// first reader. Tables of a database share one registry, so the
+/// choice is cosmetic there.
+EngineBase* Metered(EngineBase* const* engines, size_t n, const Role* roles) {
+  EngineBase* reader = nullptr;
+  for (size_t i = 0; i < n; ++i) {
+    if (roles[i] == Role::kWriter) return engines[i];
+    if (roles[i] == Role::kReader && reader == nullptr) reader = engines[i];
   }
+  return reader;
+}
+
+/// Append a commit record to `log` WITHOUT flushing.
+void AppendCommitRecord(RedoLog* log, const Transaction* txn,
+                        Timestamp commit_time) {
+  LogRecord rec;
+  rec.type = LogRecordType::kCommit;
+  rec.txn_id = txn->id();
+  rec.commit_time = commit_time;
+  log->Append(rec);
+}
+
+/// Append an abort record to `log`; `flush` pushes it to the OS (fsync
+/// under `sync`). The flush matters ONLY when the durability step
+/// already appended/flushed a commit record for this transaction
+/// (per-table record whose pipeline failed later, or a commit-log
+/// record whose flush failed) — replay treats the later abort as
+/// authoritative, so it must not sit in the buffer when the process
+/// dies. Ordinary aborts (user abort, validation failure) skip the
+/// flush: with no commit record anywhere, replay aborts them anyway.
+void WriteAbortRecord(RedoLog* log, const Transaction* txn, bool flush,
+                      bool sync) {
+  LogRecord rec;
+  rec.type = LogRecordType::kAbort;
+  rec.txn_id = txn->id();
+  log->Append(rec);
+  if (flush) (void)log->Flush(sync);
 }
 
 }  // namespace
@@ -45,20 +79,21 @@ void Participants(const Transaction& txn, const std::vector<Table*>& tables,
 // ---------------------------------------------------------------------------
 
 Status GroupCommitQueue::Commit(Transaction* txn, Timestamp commit_time,
-                                const std::vector<Table*>& writers,
+                                EngineBase* const* writers, size_t n,
                                 bool cross) {
   Request req;
   req.writers = writers;
+  req.num_writers = n;
   req.cross = cross;
   if (cross) {
     req.record.txn_id = txn->id();
     req.record.commit_time = commit_time;
-    for (Table* t : writers) {
+    for (size_t i = 0; i < n; ++i) {
       // last_lsn is an upper bound on this transaction's payload LSNs
       // in that log (our appends are already in); a concurrent append
       // raising it merely delays commit-log truncation.
       req.record.participants.push_back(
-          {t->name(), t->log_->last_lsn()});
+          {writers[i]->name(), writers[i]->redo_log()->last_lsn()});
     }
   }
 
@@ -122,9 +157,10 @@ void GroupCommitQueue::ProcessBatch(const std::vector<Request*>& batch) {
   // request become durable before any commit-log record can.
   std::vector<RedoLog*> logs;
   for (Request* r : batch) {
-    for (Table* t : r->writers) {
-      if (std::find(logs.begin(), logs.end(), t->log_.get()) == logs.end()) {
-        logs.push_back(t->log_.get());
+    for (size_t w = 0; w < r->num_writers; ++w) {
+      RedoLog* log = r->writers[w]->redo_log();
+      if (std::find(logs.begin(), logs.end(), log) == logs.end()) {
+        logs.push_back(log);
       }
     }
   }
@@ -133,8 +169,9 @@ void GroupCommitQueue::ProcessBatch(const std::vector<Request*>& batch) {
     log_status[i] = logs[i]->Flush(sync_);
   }
   for (Request* r : batch) {
-    for (Table* t : r->writers) {
-      size_t i = std::find(logs.begin(), logs.end(), t->log_.get()) -
+    for (size_t w = 0; w < r->num_writers; ++w) {
+      size_t i = std::find(logs.begin(), logs.end(),
+                           r->writers[w]->redo_log()) -
                  logs.begin();
       if (!log_status[i].ok()) {
         r->result = log_status[i];
@@ -191,22 +228,25 @@ void GroupCommitQueue::AbortCross(TxnId txn_id) {
 // Commit / abort
 // ---------------------------------------------------------------------------
 
-Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
-                          const std::vector<Table*>& tables,
-                          GroupCommitQueue* group) {
+Status CommitAcross(TransactionManager& tm, Transaction* txn,
+                    EngineBase* const* engines, size_t n,
+                    GroupCommitQueue* group) {
   if (txn->finished()) return Status::InvalidArgument("already finished");
-  std::vector<Table*> readers, writers;
-  Participants(*txn, tables, &readers, &writers);
+  InlineBuffer<Role, 16> roles(n);
+  Classify(*txn, engines, n, roles.data());
 
   // 1. Acquire commit time and enter pre-commit (Section 5.1.1).
   Timestamp commit_time = tm.EnterPreCommit(txn);
 
   // 2. Validation (per isolation level) against every participant.
-  for (Table* t : readers) {
-    Status s = t->ValidateReads(txn, commit_time);
+  for (size_t i = 0; i < n; ++i) {
+    if (roles[i] == Role::kNone) continue;
+    Status s = engines[i]->ValidateReads(txn, commit_time);
     if (!s.ok()) {
-      t->obs_.validation_aborts->Increment();
-      AbortAcrossTables(tm, txn, writers);
+      if (const TableCounters* obs = engines[i]->counters()) {
+        obs->validation_aborts->Increment();
+      }
+      AbortAcross(tm, txn, engines, n, /*durable_abort=*/false);
       return s;
     }
   }
@@ -217,19 +257,22 @@ Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
   // commit record (fast path); several logged writers commit through
   // ONE database commit-log record — all-or-nothing across tables —
   // and both flush through the group-commit queue when present.
-  std::vector<Table*> logged;
-  for (Table* t : writers) {
-    if (t->log_ != nullptr) logged.push_back(t);
+  InlineBuffer<EngineBase*, 16> logged(n);
+  size_t num_logged = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (roles[i] == Role::kWriter && engines[i]->redo_log() != nullptr) {
+      logged[num_logged++] = engines[i];
+    }
   }
   Status ds = Status::OK();
-  if (group != nullptr && !logged.empty()) {
-    bool cross = logged.size() > 1;
-    if (!cross) logged[0]->AppendCommitRecord(txn, commit_time);
-    ds = group->Commit(txn, commit_time, logged, cross);
+  if (group != nullptr && num_logged > 0) {
+    bool cross = num_logged > 1;
+    if (!cross) AppendCommitRecord(logged[0]->redo_log(), txn, commit_time);
+    ds = group->Commit(txn, commit_time, logged.data(), num_logged, cross);
   } else {
-    for (Table* t : writers) {
-      ds = t->WriteCommitRecord(txn, commit_time);
-      if (!ds.ok()) break;
+    for (size_t i = 0; i < num_logged && ds.ok(); ++i) {
+      AppendCommitRecord(logged[i]->redo_log(), txn, commit_time);
+      ds = logged[i]->redo_log()->Flush(logged[i]->config().sync_commit);
     }
   }
   if (!ds.ok()) {
@@ -238,48 +281,54 @@ Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
     // cross-table transaction the authoritative abort is ONE marker in
     // the commit log — per-table abort records could land on a subset
     // of participants and re-split the transaction.
-    if (group != nullptr && logged.size() > 1) group->AbortCross(txn->id());
-    AbortAcrossTables(tm, txn, writers, /*durable_abort=*/true);
+    if (group != nullptr && num_logged > 1) group->AbortCross(txn->id());
+    AbortAcross(tm, txn, engines, n, /*durable_abort=*/true);
     return ds;
   }
 
   // 4. Publish: the state flip is the in-memory commit point for all
-  // tables (readers that race see either the entry or the stamp).
-  // Stage metrics land in the first participant's registry — tables of
-  // a database share one registry, so the choice is cosmetic there.
-  Table* metered = !writers.empty() ? writers[0]
-                   : !readers.empty() ? readers[0]
-                                      : nullptr;
-  Stage publish(metered != nullptr ? metered->obs_.commit_publish_ns : nullptr,
-                nullptr);
+  // participants (readers that race see either the entry or the stamp).
+  EngineBase* metered = Metered(engines, n, roles.data());
+  const TableCounters* obs = metered != nullptr ? metered->counters() : nullptr;
+  Stage publish(obs != nullptr ? obs->commit_publish_ns : nullptr, nullptr);
   tm.MarkCommitted(txn);
 
   // 5. Post-commit: stamp Start Time slots so the manager entry can
   // be retired.
-  for (Table* t : writers) t->StampWrites(txn, commit_time);
+  for (size_t i = 0; i < n; ++i) {
+    if (roles[i] == Role::kWriter) engines[i]->StampWrites(txn, commit_time);
+  }
   tm.Retire(txn->id());
   txn->set_finished();
-  if (metered != nullptr) metered->obs_.commits->Add(1);
+  if (obs != nullptr) obs->commits->Add(1);
   return Status::OK();
 }
 
-void AbortAcrossTables(TransactionManager& tm, Transaction* txn,
-                       const std::vector<Table*>& tables,
-                       bool durable_abort) {
+void AbortAcross(TransactionManager& tm, Transaction* txn,
+                 EngineBase* const* engines, size_t n, bool durable_abort) {
   if (txn->finished()) return;
-  std::vector<Table*> readers, writers;
-  Participants(*txn, tables, &readers, &writers);
+  InlineBuffer<Role, 16> roles(n);
+  Classify(*txn, engines, n, roles.data());
   tm.MarkAborted(txn);
-  for (Table* t : writers) t->WriteAbortRecord(txn, durable_abort);
+  for (size_t i = 0; i < n; ++i) {
+    RedoLog* log = engines[i]->redo_log();
+    if (roles[i] == Role::kWriter && log != nullptr) {
+      WriteAbortRecord(log, txn, durable_abort,
+                       engines[i]->config().sync_commit);
+    }
+  }
   // Tombstone the writeset (Section 5.1.3: aborted tail records are
   // only marked invalid; space is reclaimed by compression).
-  for (Table* t : writers) t->StampWrites(txn, kAbortedStamp);
+  for (size_t i = 0; i < n; ++i) {
+    if (roles[i] == Role::kWriter) {
+      engines[i]->StampWrites(txn, kAbortedStamp);
+    }
+  }
   tm.Retire(txn->id());
   txn->set_finished();
-  Table* metered = !writers.empty() ? writers[0]
-                   : !readers.empty() ? readers[0]
-                                      : nullptr;
-  if (metered != nullptr) metered->obs_.aborts->Add(1);
+  EngineBase* metered = Metered(engines, n, roles.data());
+  const TableCounters* obs = metered != nullptr ? metered->counters() : nullptr;
+  if (obs != nullptr) obs->aborts->Add(1);
 }
 
 }  // namespace lstore

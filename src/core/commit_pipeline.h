@@ -1,15 +1,19 @@
 // The single commit pipeline (Section 5.1.1 / 5.1.3).
 //
-// One code path serves single-table commits (Table::CommitTxn is a
-// thin wrapper passing {this}) and cross-table transactions
-// (Database::CommitTxn passes every registered table). The pipeline
-// filters the actual participants out of the transaction's read and
-// write sets, so a database-wide commit touches only the tables the
-// transaction used:
+// One code path serves every commit and abort of all four engines:
+// an engine's own sessions (EngineBase::CommitTxn, core/engine_core.h,
+// passes the engine as the only candidate) and cross-table
+// transactions (Database::CommitTxn passes every registered table).
+// The pipeline filters the actual participants out of the
+// transaction's read and write sets, so a database-wide commit touches
+// only the tables the transaction used, and owners outside the
+// candidates (a table dropped since) are ignored:
 //
 //   1. acquire the commit time, enter pre-commit,
-//   2. validate each read participant's share of the readset,
-//   3. reach the durability point:
+//   2. validate each participant's share of the readset (empty for
+//      the comparison engines),
+//   3. reach the durability point (empty without a redo log, as for
+//      the comparison engines):
 //        - one logged writer: a commit record in that table's log
 //          (the existing fast path),
 //        - several logged writers: payload records stay in the table
@@ -20,7 +24,11 @@
 //      has one, sharing fsyncs with concurrent committers,
 //   4. flip the state in the shared manager — the in-memory commit
 //      point,
-//   5. stamp Start Time slots and retire the manager entry.
+//   5. stamp Start Time slots through each engine's one stamping loop
+//      (unindexing aborted inserts) and retire the manager entry.
+//
+// An abort flips the state, appends abort records to the written
+// logs, and runs the same stamping loop with the aborted stamp.
 
 #ifndef LSTORE_CORE_COMMIT_PIPELINE_H_
 #define LSTORE_CORE_COMMIT_PIPELINE_H_
@@ -35,15 +43,13 @@
 #include <memory>
 
 #include "common/status.h"
+#include "core/engine_core.h"
 #include "log/commit_log.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
 #include "txn/transaction.h"
 
 namespace lstore {
-
-class Table;
-class TransactionManager;
 
 /// Group-commit stage: concurrent committers enqueue their durability
 /// work; the first waiting request becomes the batch leader, which
@@ -75,15 +81,16 @@ class GroupCommitQueue {
     }
   }
 
-  /// Make `txn` durable: flush `writers`' logs (payloads, plus the
-  /// per-table commit record a single-table commit already appended);
-  /// when `cross`, additionally append + flush the one commit-log
-  /// record that commits the transaction on every participant. The
-  /// table-log flushes ALWAYS precede the commit-log flush, so a
-  /// durable commit record implies durable payloads. Returns once the
-  /// transaction's durability point is reached (or failed).
+  /// Make `txn` durable: flush the logs of the `n` `writers`
+  /// (payloads, plus the per-table commit record a single-table commit
+  /// already appended); when `cross`, additionally append + flush the
+  /// one commit-log record that commits the transaction on every
+  /// participant. The table-log flushes ALWAYS precede the commit-log
+  /// flush, so a durable commit record implies durable payloads.
+  /// Returns once the transaction's durability point is reached (or
+  /// failed). `writers` must stay valid until then.
   Status Commit(Transaction* txn, Timestamp commit_time,
-                const std::vector<Table*>& writers, bool cross);
+                EngineBase* const* writers, size_t n, bool cross);
 
   /// Append + flush ONE authoritative abort marker for a cross-table
   /// transaction whose commit-log flush failed: the commit record may
@@ -115,7 +122,8 @@ class GroupCommitQueue {
 
  private:
   struct Request {
-    std::vector<Table*> writers;
+    EngineBase* const* writers = nullptr;  ///< the caller's, for the wait
+    size_t num_writers = 0;
     CommitLogRecord record;  ///< prepared when `cross`
     bool cross = false;
     bool done = false;
@@ -152,14 +160,14 @@ class GroupCommitQueue {
   Counter* batches_total_ = nullptr;
 };
 
-/// Commit `txn` across whichever of `tables` it actually read or
-/// wrote. With several logged writers the commit-log record appended
-/// via `group` is the single atomic durability point; `group` may be
-/// null (standalone tables, in-memory databases), falling back to
-/// per-table commit records flushed inline.
-Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
-                          const std::vector<Table*>& tables,
-                          GroupCommitQueue* group = nullptr);
+/// Commit `txn` across whichever of the `n` `engines` it actually read
+/// or wrote. With several logged writers the commit-log record
+/// appended via `group` is the single atomic durability point; `group`
+/// may be null (standalone engines, in-memory databases), falling back
+/// to per-table commit records flushed inline.
+Status CommitAcross(TransactionManager& tm, Transaction* txn,
+                    EngineBase* const* engines, size_t n,
+                    GroupCommitQueue* group = nullptr);
 
 /// Abort `txn`: append abort records to write participants' logs and
 /// tombstone the writeset (Section 5.1.3 — no physical removal).
@@ -168,9 +176,9 @@ Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
 /// transaction (replay treats the later abort as authoritative, so it
 /// must not die in the buffer); ordinary aborts have no commit record
 /// anywhere and replay aborts them regardless.
-void AbortAcrossTables(TransactionManager& tm, Transaction* txn,
-                       const std::vector<Table*>& tables,
-                       bool durable_abort = false);
+void AbortAcross(TransactionManager& tm, Transaction* txn,
+                 EngineBase* const* engines, size_t n,
+                 bool durable_abort = false);
 
 }  // namespace lstore
 

@@ -469,24 +469,23 @@ Txn Database::Begin(IsolationLevel iso) {
 }
 
 Status Database::CommitTxn(Transaction* txn) {
-  // Snapshot the table list (tables are not dropped mid-transaction);
-  // the pipeline filters the actual participants from the read and
-  // write sets.
-  std::vector<Table*> tables;
-  {
-    SpinGuard g(latch_);
-    for (auto& e : tables_) tables.push_back(e.table.get());
-  }
-  return CommitAcrossTables(txn_manager_, txn, tables, group_commit_.get());
+  // The pipeline filters the actual participants from the read and
+  // write sets; entries of a table dropped since are ignored.
+  std::vector<EngineBase*> tables = LiveTables();
+  return CommitAcross(txn_manager_, txn, tables.data(), tables.size(),
+                      group_commit_.get());
 }
 
 void Database::AbortTxn(Transaction* txn) {
-  std::vector<Table*> tables;
-  {
-    SpinGuard g(latch_);
-    for (auto& e : tables_) tables.push_back(e.table.get());
-  }
-  AbortAcrossTables(txn_manager_, txn, tables);
+  std::vector<EngineBase*> tables = LiveTables();
+  AbortAcross(txn_manager_, txn, tables.data(), tables.size());
+}
+
+std::vector<EngineBase*> Database::LiveTables() const {
+  std::vector<EngineBase*> tables;
+  SpinGuard g(latch_);
+  for (const auto& e : tables_) tables.push_back(e.table.get());
+  return tables;
 }
 
 }  // namespace lstore

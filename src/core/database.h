@@ -222,6 +222,8 @@ class Database : public TxnContext {
   /// these through TxnContext).
   Status CommitTxn(Transaction* txn) override;
   void AbortTxn(Transaction* txn) override;
+  /// A snapshot of the registered tables: the pipeline's candidates.
+  std::vector<EngineBase*> LiveTables() const;
 
   /// Registered tables, in creation order (checkpoint + catalog use).
   std::vector<std::pair<std::string, Table*>> TableHandles() const;

@@ -1,22 +1,28 @@
-// The session core shared by the comparison engines of Section 6:
-// L-Store (Row), In-place Update + History and Delta + Blocking Merge.
+// The engine core shared by all four engines of Section 6: L-Store
+// (`Table`), L-Store (Row), In-place Update + History and Delta +
+// Blocking Merge.
 //
 // Section 6.1 runs every engine on one transaction manager "for
 // fairness", so that measured differences come from the storage
 // architecture alone. This core is everything else an engine needs:
 // the schema and config, the (owned or shared) transaction manager,
-// the primary index, the range directory, insert row reservation,
-// key lookup, and the commit/abort lifecycle. An engine keeps its
-// range layout (a `Range` built as `Range(config, num_columns)` with
-// an `occupied` high-water mark), one write step, its resolve, its
-// scan and its merge, and names the Start Time slot of each write
-// through `StartSlot`.
+// the primary index, the range directory and its one range factory,
+// insert row reservation, rid lookup, and the session lifecycle. Every
+// commit and abort of every engine runs the one commit pipeline
+// (core/commit_pipeline.cc): pre-commit, validate, durability point,
+// publish, stamp, retire. An engine keeps its range layout, its write
+// steps, its resolve, its scan and its merge, and supplies the
+// pipeline the stamp step of one write (`StampWrite`). L-Store also
+// supplies read validation and a redo log; for the comparison engines
+// those steps are empty.
 
 #ifndef LSTORE_CORE_ENGINE_CORE_H_
 #define LSTORE_CORE_ENGINE_CORE_H_
 
 #include <atomic>
+#include <cstddef>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -33,36 +39,140 @@
 
 namespace lstore {
 
-template <typename Range>
-class EngineCore : public TxnContext {
+class EngineBase;
+class GroupCommitQueue;
+class RedoLog;
+struct TableCounters;
+
+// The commit pipeline (documented, with its defaults, in
+// core/commit_pipeline.h).
+Status CommitAcross(TransactionManager& tm, Transaction* txn,
+                    EngineBase* const* engines, size_t n,
+                    GroupCommitQueue* group);
+void AbortAcross(TransactionManager& tm, Transaction* txn,
+                 EngineBase* const* engines, size_t n, bool durable_abort);
+
+/// The part of the core that does not depend on the range layout: what
+/// the commit pipeline sees of each participant.
+class EngineBase : public TxnContext {
  public:
-  /// RAII session (same surface as Table): commit via txn.Commit(),
-  /// auto-abort on destruction.
+  /// Begin an RAII session bound to this engine: commit with
+  /// txn.Commit(); a session destroyed while active aborts
+  /// automatically (Section 5.1.1).
   Txn Begin(IsolationLevel iso = IsolationLevel::kReadCommitted) {
     return Txn(this, txn_manager_->Begin(iso));
   }
 
-  /// Non-ticking read snapshot for scans.
+  /// A read snapshot covering every currently-committed transaction,
+  /// WITHOUT advancing the logical clock — scans are not events in
+  /// the commit order, so they must not inflate it.
   Timestamp Now() const { return txn_manager_->SnapshotNow(); }
 
+  const std::string& name() const { return name_; }
   const Schema& schema() const { return schema_; }
+  const TableConfig& config() const { return config_; }
   TransactionManager& txn_manager() { return *txn_manager_; }
+  /// The primary index (key → base RID), read-only.
+  const PrimaryIndex& primary_index() const { return primary_; }
   uint64_t num_rows() const {
     return next_row_.load(std::memory_order_acquire);
   }
 
  protected:
-  EngineCore(Schema schema, TableConfig config,
+  EngineBase(std::string name, Schema schema, TableConfig config,
              TransactionManager* txn_manager)
-      : schema_(std::move(schema)),
-        config_(config),
-        ranges_((PrimaryIndex::kMaxRid + 1) / config_.range_size) {
+      : name_(std::move(name)), schema_(std::move(schema)), config_(config) {
     if (txn_manager == nullptr) {
       owned_txn_manager_ = std::make_unique<TransactionManager>();
       txn_manager = owned_txn_manager_.get();
     }
     txn_manager_ = txn_manager;
   }
+  ~EngineBase() = default;
+
+  /// The snapshot a session reads: the latest committed version under
+  /// read committed, else its begin time.
+  static Timestamp ReadTime(const Transaction* txn) {
+    return txn->isolation() == IsolationLevel::kReadCommitted
+               ? kMaxTimestamp
+               : txn->begin_time();
+  }
+
+  /// Argument checks of an update: a non-empty mask of known non-key
+  /// columns, and `n` rows of full arity.
+  Status CheckUpdate(ColumnMask mask, const std::vector<Value>* rows,
+                     size_t n) const {
+    if (mask == 0 || (mask & 1ull) != 0) {
+      return Status::InvalidArgument("cannot update key column / empty mask");
+    }
+    if ((mask & ~schema_.AllColumns()) != 0) {
+      return Status::InvalidArgument("mask has unknown columns");
+    }
+    for (size_t i = 0; i < n; ++i) {
+      if (rows[i].size() != schema_.num_columns()) {
+        return Status::InvalidArgument("row arity mismatch");
+      }
+    }
+    return Status::OK();
+  }
+
+  // Steps the commit pipeline runs on each participant. The defaults
+  // are the comparison engines' empty ones.
+
+  /// Validate this engine's share of the readset at `commit_time`.
+  virtual Status ValidateReads(Transaction*, Timestamp) {
+    return Status::OK();
+  }
+  /// The redo log commit and abort records go to (null: none).
+  virtual RedoLog* redo_log() { return nullptr; }
+  /// Where the pipeline counts commits, aborts and its publish stage.
+  virtual const TableCounters* counters() const { return nullptr; }
+  /// Stamp this engine's writes with the outcome (commit time or
+  /// kAbortedStamp) and unindex an aborted transaction's inserts.
+  virtual void StampWrites(Transaction* txn, Value outcome) = 0;
+
+  // Session lifecycle (TxnContext): the pipeline with this engine as
+  // the only candidate.
+  Status CommitTxn(Transaction* txn) override {
+    EngineBase* self = this;
+    return CommitAcross(*txn_manager_, txn, &self, 1, group_commit_);
+  }
+  void AbortTxn(Transaction* txn) override {
+    EngineBase* self = this;
+    AbortAcross(*txn_manager_, txn, &self, 1, /*durable_abort=*/false);
+  }
+
+  std::string name_;
+  Schema schema_;
+  TableConfig config_;
+  std::unique_ptr<TransactionManager> owned_txn_manager_;
+  TransactionManager* txn_manager_;
+  /// The owning database's group-commit queue: commits on this engine
+  /// share fsyncs through it (null: flush inline).
+  GroupCommitQueue* group_commit_ = nullptr;
+  PrimaryIndex primary_;
+  std::atomic<uint64_t> next_row_{0};  ///< next base RID to hand out
+
+ private:
+  friend Status CommitAcross(TransactionManager& tm, Transaction* txn,
+                             EngineBase* const* engines, size_t n,
+                             GroupCommitQueue* group);
+  friend void AbortAcross(TransactionManager& tm, Transaction* txn,
+                          EngineBase* const* engines, size_t n,
+                          bool durable_abort);
+  friend class GroupCommitQueue;
+};
+
+template <typename Range>
+class EngineCore : public EngineBase {
+ public:
+  uint64_t num_ranges() const { return ranges_.size(); }
+
+ protected:
+  EngineCore(std::string name, Schema schema, TableConfig config,
+             TransactionManager* txn_manager)
+      : EngineBase(std::move(name), std::move(schema), config, txn_manager),
+        ranges_((PrimaryIndex::kMaxRid + 1) / config_.range_size) {}
   ~EngineCore() = default;
 
   /// Where a record lives.
@@ -72,13 +182,41 @@ class EngineCore : public TxnContext {
     uint32_t slot = 0;
   };
 
-  /// The record `key` names, or NotFound.
-  Status Locate(Value key, Located* at) const {
-    Rid rid = primary_.Get(key);
+  /// The range factory: build range `id` (EnsureRange's one caller).
+  virtual Range* NewRange(uint64_t id) = 0;
+  /// The stamp step of one write: CAS its Start Time slot from the
+  /// transaction id to `outcome`. False when the write's version was
+  /// already consumed (merged or compressed) with its outcome.
+  virtual bool StampWrite(Range& r, const WriteEntry& w, TxnId txn,
+                          Value outcome) = 0;
+  /// Called once per range in which the stamping loop stamped inserts.
+  virtual void InsertsStamped(Range&) {}
+
+  /// The CAS of a StampWrite step.
+  static bool StampSlot(std::atomic<Value>* slot, TxnId txn, Value outcome) {
+    slot->compare_exchange_strong(txn, outcome, std::memory_order_acq_rel);
+    return true;
+  }
+
+  Range* GetRange(uint64_t id) const { return ranges_.Get(id); }
+  /// The range `id`, created if absent; nullptr past the directory's
+  /// limit.
+  Range* EnsureRange(uint64_t id) {
+    return ranges_.Ensure(id, [&] { return NewRange(id); });
+  }
+  uint64_t RangeOf(Rid rid) const { return rid / config_.range_size; }
+  uint32_t SlotOf(Rid rid) const {
+    return static_cast<uint32_t>(rid % config_.range_size);
+  }
+
+  /// The record a primary-index probe result names, or NotFound for an
+  /// absent key.
+  Status Locate(Rid rid, Located* at) const {
     if (rid == kInvalidRid) return Status::NotFound("no such key");
-    *at = At(rid);
-    at->range = ranges_.Get(at->range_id);
-    if (at->range == nullptr) return Status::NotFound("no range");
+    at->range_id = RangeOf(rid);
+    at->slot = SlotOf(rid);
+    at->range = GetRange(at->range_id);
+    if (at->range == nullptr) return Status::NotFound("no such range");
     return Status::OK();
   }
 
@@ -91,10 +229,9 @@ class EngineCore : public TxnContext {
       return Status::InvalidArgument("row arity mismatch");
     }
     Rid rid = next_row_.fetch_add(1, std::memory_order_relaxed);
-    *at = At(rid);
-    at->range = ranges_.Ensure(at->range_id, [this] {
-      return new Range(config_, schema_.num_columns());
-    });
+    at->range_id = RangeOf(rid);
+    at->slot = SlotOf(rid);
+    at->range = EnsureRange(at->range_id);
     if (at->range == nullptr) return Status::Busy("range space exhausted");
     AtomicMax(at->range->occupied, at->slot + 1);
     if (!primary_.Insert(row[0], rid)) {
@@ -103,70 +240,24 @@ class EngineCore : public TxnContext {
     return Status::OK();
   }
 
-  /// The snapshot a session reads: the latest committed version under
-  /// read committed, else its begin time.
-  static Timestamp ReadTime(const Transaction* txn) {
-    return txn->isolation() == IsolationLevel::kReadCommitted
-               ? kMaxTimestamp
-               : txn->begin_time();
-  }
-
-  /// Whether `mask` names an update: non-empty, key column untouched.
-  static Status CheckMask(ColumnMask mask) {
-    if (mask == 0 || (mask & 1ull) != 0) {
-      return Status::InvalidArgument("bad mask");
-    }
-    return Status::OK();
-  }
-
-  /// The Start Time slot of the version `w` wrote in `r`.
-  virtual std::atomic<Value>* StartSlot(Range& r, const WriteEntry& w) = 0;
-
-  // Session lifecycle (TxnContext). Every write's Start Time slot is
-  // stamped with the outcome before the id is retired.
-  Status CommitTxn(Transaction* txn) override {
-    if (txn->finished()) return Status::InvalidArgument("finished");
-    Timestamp commit_time = txn_manager_->EnterPreCommit(txn);
-    txn_manager_->MarkCommitted(txn);
-    Finish(txn, commit_time);
-    return Status::OK();
-  }
-  void AbortTxn(Transaction* txn) override {
-    if (txn->finished()) return;
-    txn_manager_->MarkAborted(txn);
-    Finish(txn, kAbortedStamp);
-  }
-
-  Schema schema_;
-  TableConfig config_;
-  std::unique_ptr<TransactionManager> owned_txn_manager_;
-  TransactionManager* txn_manager_;
-  PrimaryIndex primary_;
-  std::atomic<uint64_t> next_row_{0};
-  RangeDirectory<Range> ranges_;
-
- private:
-  Located At(Rid rid) const {
-    return {nullptr, rid / config_.range_size,
-            static_cast<uint32_t>(rid % config_.range_size)};
-  }
-
-  /// Stamp every write with `outcome` (a commit time or kAbortedStamp),
-  /// unindex an aborted transaction's inserts, and retire it.
-  void Finish(Transaction* txn, Value outcome) {
+  /// The one stamping loop, for commits and aborts alike.
+  void StampWrites(Transaction* txn, Value outcome) override {
+    Range* stamped_inserts = nullptr;
     for (const WriteEntry& w : txn->writeset()) {
-      Range* r = ranges_.Get(w.range_id);
+      if (w.owner != this) continue;
+      Range* r = GetRange(w.range_id);
       if (r == nullptr) continue;
-      Value expected = txn->id();
-      StartSlot(*r, w)->compare_exchange_strong(expected, outcome,
-                                                std::memory_order_acq_rel);
-      if (w.is_insert && outcome == kAbortedStamp) {
-        primary_.Erase(w.inserted_key);
+      const bool stamped = StampWrite(*r, w, txn->id(), outcome);
+      if (!w.is_insert) continue;
+      if (outcome == kAbortedStamp) primary_.Erase(w.inserted_key);
+      if (stamped && r != stamped_inserts) {
+        InsertsStamped(*r);
+        stamped_inserts = r;
       }
     }
-    txn_manager_->Retire(txn->id());
-    txn->set_finished();
   }
+
+  RangeDirectory<Range> ranges_;
 };
 
 }  // namespace lstore

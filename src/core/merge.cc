@@ -81,16 +81,8 @@ void MergeManager::Loop() {
       }
     }
 
-    // Section 4.4: updates may use fine-grained ranges while merges
-    // operate at coarser granularity — one task consolidates
-    // `merge_fanin` consecutive ranges.
-    uint32_t fanin = table_->config().merge_fanin;
-    if (fanin < 1) fanin = 1;
-    uint64_t first = (range_id / fanin) * fanin;
-    for (uint64_t id = first; id < first + fanin; ++id) {
-      if (hb != nullptr) hb->Beat();  // progress between ranges
-      Range* r = table_->GetRange(id);
-      if (r == nullptr) continue;
+    if (hb != nullptr) hb->Beat();  // progress: the merge itself starts
+    if (Range* r = table_->GetRange(range_id)) {
       // Allow re-enqueueing while we work so no trigger is lost.
       r->ReleaseMergeTrigger();
       r->InsertMerge();

@@ -40,7 +40,7 @@ Status RowTable::Insert(Txn& session, const std::vector<Value>& row) {
   }
   r.base_start[at.slot].store(txn->id(), std::memory_order_release);
   txn->writeset().push_back(
-      WriteEntry{at.range_id, at.slot, 0, /*is_insert=*/true, row[0]});
+      WriteEntry{at.range_id, at.slot, 0, /*is_insert=*/true, row[0], this});
   return Status::OK();
 }
 
@@ -89,7 +89,7 @@ Status RowTable::ResolveRow(RowRange& r, uint32_t slot, Timestamp as_of,
 Status RowTable::Update(Txn& session, Value key, ColumnMask mask,
                         const std::vector<Value>& row) {
   LSTORE_RETURN_IF_ERROR(CheckActive(session, this));
-  LSTORE_RETURN_IF_ERROR(CheckMask(mask));
+  LSTORE_RETURN_IF_ERROR(CheckUpdate(mask, &row, 1));
   return WriteVersion(session.raw(), key, mask, &row);
 }
 
@@ -101,7 +101,7 @@ Status RowTable::Delete(Txn& session, Value key) {
 Status RowTable::WriteVersion(Transaction* txn, Value key, ColumnMask mask,
                               const std::vector<Value>* row) {
   Located at;
-  LSTORE_RETURN_IF_ERROR(Locate(key, &at));
+  LSTORE_RETURN_IF_ERROR(Locate(primary_.Get(key), &at));
   RowRange& r = *at.range;
   const uint32_t slot = at.slot;
   const uint32_t ncols = schema_.num_columns();
@@ -157,7 +157,7 @@ Status RowTable::WriteVersion(Transaction* txn, Value key, ColumnMask mask,
   r.VersionSlot(seq, 1)->store(prev_seq, std::memory_order_release);
   r.VersionSlot(seq, 0)->store(txn->id(), std::memory_order_release);
   txn->writeset().push_back(
-      WriteEntry{at.range_id, slot, seq, /*is_insert=*/false, 0});
+      WriteEntry{at.range_id, slot, seq, /*is_insert=*/false, 0, this});
   ind.store(seq, std::memory_order_release);
   return Status::OK();
 }
@@ -168,7 +168,7 @@ Status RowTable::Read(Txn& session, Value key, ColumnMask mask,
   Transaction* txn = session.raw();
   out->assign(schema_.num_columns(), kNull);
   Located at;
-  LSTORE_RETURN_IF_ERROR(Locate(key, &at));
+  LSTORE_RETURN_IF_ERROR(Locate(primary_.Get(key), &at));
   return ResolveRow(*at.range, at.slot, ReadTime(txn), txn, mask, out);
 }
 

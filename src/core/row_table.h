@@ -51,7 +51,7 @@ class RowTable : public EngineCore<RowRange> {
  public:
   RowTable(Schema schema, TableConfig config,
            TransactionManager* txn_manager = nullptr)
-      : EngineCore(std::move(schema), config, txn_manager) {}
+      : EngineCore("row", std::move(schema), config, txn_manager) {}
 
   Status Insert(Txn& txn, const std::vector<Value>& row);
   Status Update(Txn& txn, Value key, ColumnMask mask,
@@ -63,8 +63,14 @@ class RowTable : public EngineCore<RowRange> {
   Status SumColumn(ColumnId col, Timestamp as_of, uint64_t* sum) const;
 
  private:
-  std::atomic<Value>* StartSlot(RowRange& r, const WriteEntry& w) override {
-    return w.is_insert ? &r.base_start[w.base_slot] : r.VersionSlot(w.seq, 0);
+  RowRange* NewRange(uint64_t) override {
+    return new RowRange(config_, schema_.num_columns());
+  }
+  bool StampWrite(RowRange& r, const WriteEntry& w, TxnId txn,
+                  Value outcome) override {
+    return StampSlot(
+        w.is_insert ? &r.base_start[w.base_slot] : r.VersionSlot(w.seq, 0),
+        txn, outcome);
   }
 
   /// The one write step (Update, Delete): append a complete version of

@@ -6,7 +6,6 @@
 #include "common/bitutil.h"
 #include "common/checksum.h"
 #include "common/inline_buffer.h"
-#include "core/commit_pipeline.h"
 #include "core/merge.h"
 #include "core/query.h"
 
@@ -18,16 +17,7 @@ namespace lstore {
 
 Table::Table(std::string name, Schema schema, TableConfig config,
              TransactionManager* txn_manager)
-    : name_(std::move(name)),
-      schema_(std::move(schema)),
-      config_(config),
-      ranges_((PrimaryIndex::kMaxRid + 1) / config_.range_size) {
-  if (txn_manager != nullptr) {
-    txn_manager_ = txn_manager;
-  } else {
-    owned_txn_manager_ = std::make_unique<TransactionManager>();
-    txn_manager_ = owned_txn_manager_.get();
-  }
+    : EngineCore(std::move(name), std::move(schema), config, txn_manager) {
   metrics_ = config_.metrics;
   if (metrics_ == nullptr) {
     // Standalone table: own a registry so metrics() is always valid,
@@ -150,10 +140,6 @@ Table::~Table() {
   ranges_.Teardown();
 }
 
-Range* Table::EnsureRange(uint64_t id) {
-  return ranges_.Ensure(id, [&] { return new Range(id, &range_ctx_); });
-}
-
 uint32_t Table::RangeTps(uint64_t range_id) const {
   Range* r = GetRange(range_id);
   return r == nullptr ? 0 : r->merged_tps();
@@ -213,11 +199,10 @@ std::vector<uint32_t> Table::RangeColumnTps(uint64_t range_id) const {
 
 std::vector<Table::ChainEntry> Table::DebugChain(Value key,
                                                  ColumnId col) const {
-  Range* r = nullptr;
-  uint32_t slot = 0;
-  if (!Locate(primary_.Get(key), &r, &slot).ok()) return {};
+  Located at;
+  if (!Locate(primary_.Get(key), &at).ok()) return {};
   EpochGuard guard(epochs_);
-  return r->DebugChain(slot, col);
+  return at.range->DebugChain(at.slot, col);
 }
 
 // ---------------------------------------------------------------------------
@@ -266,12 +251,6 @@ Status Table::SyncSegmentStore() {
 // Transactions
 // ---------------------------------------------------------------------------
 
-Txn Table::Begin(IsolationLevel iso) {
-  return Txn(this, txn_manager_->Begin(iso));
-}
-
-Timestamp Table::Now() const { return txn_manager_->SnapshotNow(); }
-
 Status Table::ValidateReads(Transaction* txn, Timestamp commit_time) {
   bool validate_all = txn->isolation() == IsolationLevel::kSerializable;
   bool validate_spec = txn->isolation() != IsolationLevel::kReadCommitted;
@@ -310,62 +289,6 @@ Status Table::ValidateReads(Transaction* txn, Timestamp commit_time) {
     }
   }
   return Status::OK();
-}
-
-Status Table::WriteCommitRecord(Transaction* txn, Timestamp commit_time) {
-  if (log_ == nullptr) return Status::OK();
-  AppendCommitRecord(txn, commit_time);
-  return log_->Flush(config_.sync_commit);
-}
-
-uint64_t Table::AppendCommitRecord(Transaction* txn, Timestamp commit_time) {
-  if (log_ == nullptr) return 0;
-  LogRecord rec;
-  rec.type = LogRecordType::kCommit;
-  rec.txn_id = txn->id();
-  rec.commit_time = commit_time;
-  return log_->Append(rec);
-}
-
-void Table::StampWrites(Transaction* txn, Value outcome) {
-  // The pin keeps tail pages alive: without it, an insert-merge (or
-  // historic compression) that already resolved this transaction's
-  // outcome via the manager could reclaim the pages under our feet.
-  EpochGuard guard(epochs_);
-  Range* scheduled = nullptr;
-  for (const WriteEntry& w : txn->writeset()) {
-    if (w.owner != this) continue;
-    Range* r = GetRange(w.range_id);
-    if (r == nullptr) continue;
-    const bool stamped = r->Stamp(w, txn->id(), outcome);
-    if (!w.is_insert) continue;
-    if (outcome == kAbortedStamp) primary_.Erase(w.inserted_key);
-    // An insert-merge scheduled while this transaction was in flight
-    // stopped at its first record; with no later insert into the range
-    // nothing would schedule another, leaving the records in
-    // table-level tail pages. Schedule one now that they resolved.
-    if (stamped && r != scheduled) {
-      MaybeScheduleMerge(*r);
-      scheduled = r;
-    }
-  }
-}
-
-Status Table::CommitTxn(Transaction* txn) {
-  return CommitAcrossTables(*txn_manager_, txn, {this}, group_commit_);
-}
-
-void Table::AbortTxn(Transaction* txn) {
-  AbortAcrossTables(*txn_manager_, txn, {this});
-}
-
-void Table::WriteAbortRecord(Transaction* txn, bool flush) {
-  if (log_ == nullptr) return;
-  LogRecord rec;
-  rec.type = LogRecordType::kAbort;
-  rec.txn_id = txn->id();
-  log_->Append(rec);
-  if (flush) (void)log_->Flush(config_.sync_commit);
 }
 
 // ---------------------------------------------------------------------------
@@ -493,22 +416,6 @@ Status Table::DeleteBatch(Txn& txn, const std::vector<Value>& keys) {
   return WriteKeys(txn.raw(), keys.data(), keys.size(), 0, nullptr);
 }
 
-Status Table::CheckUpdate(ColumnMask mask, const std::vector<Value>* rows,
-                          size_t n) const {
-  if (mask == 0 || (mask & 1ull) != 0) {
-    return Status::InvalidArgument("cannot update key column / empty mask");
-  }
-  if ((mask & ~schema_.AllColumns()) != 0) {
-    return Status::InvalidArgument("mask has unknown columns");
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (rows[i].size() != schema_.num_columns()) {
-      return Status::InvalidArgument("row arity mismatch");
-    }
-  }
-  return Status::OK();
-}
-
 Status Table::WriteKeys(Transaction* txn, const Value* keys, size_t n,
                         ColumnMask mask, const std::vector<Value>* rows) {
   static const std::vector<Value> kEmpty;
@@ -519,13 +426,13 @@ Status Table::WriteKeys(Transaction* txn, const Value* keys, size_t n,
   EpochGuard guard(epochs_);
   Status s = Status::OK();
   for (size_t i = 0; i < n && s.ok(); ++i) {
-    Range* r = nullptr;
-    uint32_t slot = 0;
-    s = Locate(rids[i], &r, &slot);
+    Located at;
+    s = Locate(rids[i], &at);
     if (s.ok()) {
-      s = rows == nullptr
-              ? WriteTailVersion(txn, *r, slot, 0, kEmpty, true, sink)
-              : WriteTailVersion(txn, *r, slot, mask, rows[i], false, sink);
+      s = rows == nullptr ? WriteTailVersion(txn, *at.range, at.slot, 0,
+                                             kEmpty, true, sink)
+                          : WriteTailVersion(txn, *at.range, at.slot, mask,
+                                             rows[i], false, sink);
     }
   }
   if (sink != nullptr && !recs.empty()) log_->AppendBatch(recs);
@@ -585,21 +492,6 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
 // Reads, single and batched
 // ---------------------------------------------------------------------------
 
-Status Table::Locate(Rid rid, Range** r, uint32_t* slot) const {
-  if (rid == kInvalidRid) return Status::NotFound("no such key");
-  *r = GetRange(RangeOf(rid));
-  if (*r == nullptr) return Status::NotFound("no such range");
-  *slot = SlotOf(rid);
-  return Status::OK();
-}
-
-ReadSpec Table::SessionSpec(Transaction* txn, bool speculative) {
-  Timestamp as_of = txn->isolation() == IsolationLevel::kReadCommitted
-                        ? kMaxTimestamp
-                        : txn->begin_time();
-  return ReadSpec{as_of, txn, speculative};
-}
-
 Status Table::ReadLocated(Range& r, uint32_t slot, const ReadSpec& spec,
                           ColumnMask mask, std::vector<Value>* out) {
   // Unknown mask bits are ignored, so ~0ull reads every column — and
@@ -622,27 +514,28 @@ Status Table::ReadLocated(Range& r, uint32_t slot, const ReadSpec& spec,
 
 Status Table::ReadKey(Value key, const ReadSpec& spec, ColumnMask mask,
                       std::vector<Value>* out) {
-  Range* r = nullptr;
-  uint32_t slot = 0;
-  Status s = Locate(primary_.Get(key), &r, &slot);
+  Located at;
+  Status s = Locate(primary_.Get(key), &at);
   if (!s.ok()) {
     out->assign(schema_.num_columns(), kNull);
     return s;
   }
   EpochGuard guard(epochs_);
-  return ReadLocated(*r, slot, spec, mask, out);
+  return ReadLocated(*at.range, at.slot, spec, mask, out);
 }
 
 Status Table::Read(Txn& txn, Value key, ColumnMask mask,
                    std::vector<Value>* out) {
   LSTORE_RETURN_IF_ERROR(CheckActive(txn, this, txn_scope_));
-  return ReadKey(key, SessionSpec(txn.raw(), false), mask, out);
+  return ReadKey(key, ReadSpec{ReadTime(txn.raw()), txn.raw(), false}, mask,
+                 out);
 }
 
 Status Table::SpeculativeRead(Txn& txn, Value key, ColumnMask mask,
                               std::vector<Value>* out) {
   LSTORE_RETURN_IF_ERROR(CheckActive(txn, this, txn_scope_));
-  return ReadKey(key, SessionSpec(txn.raw(), true), mask, out);
+  return ReadKey(key, ReadSpec{ReadTime(txn.raw()), txn.raw(), true}, mask,
+                 out);
 }
 
 Status Table::ReadAsOf(Value key, Timestamp as_of, ColumnMask mask,
@@ -661,14 +554,13 @@ Status Table::MultiRead(Txn& txn, const std::vector<Value>& keys,
   InlineBuffer<Rid> rids(keys.size());
   primary_.MultiGet(keys.data(), keys.size(), rids.data());
   EpochGuard guard(epochs_);
-  const ReadSpec spec = SessionSpec(txn.raw(), false);
+  const ReadSpec spec{ReadTime(txn.raw()), txn.raw(), false};
   Status first = Status::OK();
   for (size_t i = 0; i < keys.size(); ++i) {
-    Range* r = nullptr;
-    uint32_t slot = 0;
-    Status s = Locate(rids[i], &r, &slot);
+    Located at;
+    Status s = Locate(rids[i], &at);
     if (s.ok()) {
-      s = ReadLocated(*r, slot, spec, mask, &(*rows)[i]);
+      s = ReadLocated(*at.range, at.slot, spec, mask, &(*rows)[i]);
       if (!s.ok()) (*rows)[i].clear();
     }
     if (!s.ok() && first.ok()) first = s;

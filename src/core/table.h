@@ -1,13 +1,17 @@
 // L-Store table: the lineage-based storage architecture (Sections 2-5).
 //
-// One Table owns:
+// A Table is an engine on the shared core (core/engine_core.h), which
+// holds its schema, config, transaction manager, primary index, range
+// directory and sessions; its commits and aborts run the one commit
+// pipeline of all four engines (core/commit_pipeline.cc). On top of
+// the core, one Table owns:
 //  * its update ranges (core/range.h): each one the unit of lineage,
 //    holding base segments, tail pages, the in-place Indirection column
 //    and the historic store, with the single-range operations — reads,
 //    tail appends, merges, historic compression, capture and replay,
-//  * the range directory and the context its ranges share,
-//  * a primary index (key -> base RID) and optional secondary indexes,
-//  * sessions and the commit protocol's per-table phases,
+//  * the context its ranges share, and optional secondary indexes,
+//  * the pipeline steps only L-Store fills in: read validation, the
+//    redo log the durability point writes, and epoch-pinned stamping,
 //  * a background merge queue (Section 4.1) with epoch-based page
 //    reclamation (Figure 6) and the segment-page factory,
 //  * optional redo-only logging with crash recovery (Section 5.1.3).
@@ -33,9 +37,9 @@
 #include "common/config.h"
 #include "common/epoch.h"
 #include "common/latch.h"
-#include "common/range_directory.h"
 #include "common/status.h"
 #include "common/types.h"
+#include "core/engine_core.h"
 #include "core/range.h"
 #include "core/schema.h"
 #include "index/primary_index.h"
@@ -52,20 +56,8 @@ namespace lstore {
 
 class MergeManager;
 class Query;
-class Table;
-class GroupCommitQueue;
 
-// Forward declarations for the friend grants below; the public
-// surface (documentation + default arguments) lives in
-// core/commit_pipeline.h — call sites should include that header.
-Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
-                          const std::vector<Table*>& tables,
-                          GroupCommitQueue* group);
-void AbortAcrossTables(TransactionManager& tm, Transaction* txn,
-                       const std::vector<Table*>& tables,
-                       bool durable_abort);
-
-class Table : public TxnContext {
+class Table : public EngineCore<Range> {
  public:
   Table(std::string name, Schema schema, TableConfig config,
         TransactionManager* txn_manager = nullptr);
@@ -79,17 +71,7 @@ class Table : public TxnContext {
   Table(const Table&) = delete;
   Table& operator=(const Table&) = delete;
 
-  // --- sessions ------------------------------------------------------------
-
-  /// Begin an RAII transaction session bound to this table: commit
-  /// with txn.Commit(); a session destroyed while active aborts
-  /// automatically (Section 5.1.1).
-  Txn Begin(IsolationLevel iso = IsolationLevel::kReadCommitted);
-
-  /// A read snapshot covering every currently-committed transaction,
-  /// WITHOUT advancing the logical clock — scans are not events in
-  /// the commit order, so they must not inflate it.
-  Timestamp Now() const;
+  // Sessions (Begin, Now) come from the engine core.
 
   // --- fine-grained manipulation (Section 3) -------------------------------
   // Every session operation rejects a finished (committed/aborted)
@@ -188,10 +170,6 @@ class Table : public TxnContext {
 
   // --- introspection ---------------------------------------------------------
 
-  const Schema& schema() const { return schema_; }
-  const TableConfig& config() const { return config_; }
-  const std::string& name() const { return name_; }
-  TransactionManager& txn_manager() { return *txn_manager_; }
   EpochManager& epochs() const { return epochs_; }
   /// The metrics registry this table records into: the owning
   /// database's (shared across its tables) or an owned one for
@@ -203,13 +181,9 @@ class Table : public TxnContext {
   /// fsync the swap store so every segment reference a checkpoint is
   /// about to publish is durable first. No-op without a durable store.
   Status SyncSegmentStore();
-  uint64_t num_rows() const { return next_row_.load(std::memory_order_acquire); }
-  uint64_t num_ranges() const { return ranges_.size(); }
   uint32_t RangeTps(uint64_t range_id) const;
   uint32_t RangeTailLength(uint64_t range_id) const;
 
-  /// The primary index (key → base RID), read-only.
-  const PrimaryIndex& primary_index() const { return primary_; }
   /// Bytes of the primary index.
   size_t PrimaryIndexBytes() const { return primary_.byte_size(); }
   /// Summed byte_size() of the resident base-segment payloads (cold
@@ -268,54 +242,40 @@ class Table : public TxnContext {
   std::vector<ColumnId> SecondaryColumns() const;
 
  private:
+  // The commit pipeline needs no grant: it reaches a table through the
+  // engine steps below, which EngineBase (core/engine_core.h) declares.
   friend class MergeManager;
   friend class CheckpointIO;       ///< capture/restore (checkpoint/serde.cc)
   friend class CheckpointManager;  ///< log watermarks + truncation
   friend class Query;              ///< scan executor (core/query.cc)
   friend class Database;           ///< cross-table sessions share the ops
-  friend class GroupCommitQueue;   ///< flushes log_ on behalf of commits
-  friend Status CommitAcrossTables(TransactionManager& tm, Transaction* txn,
-                                   const std::vector<Table*>& tables,
-                                   GroupCommitQueue* group);
-  friend void AbortAcrossTables(TransactionManager& tm, Transaction* txn,
-                                const std::vector<Table*>& tables,
-                                bool durable_abort);
 
-  // --- session plumbing (TxnContext) ---------------------------------------
+  // --- engine steps (core/engine_core.h) -------------------------------------
 
-  /// Single-table commit: a thin wrapper over the unified pipeline
-  /// (core/commit_pipeline.cc) with {this} as the only candidate.
-  Status CommitTxn(Transaction* txn) override;
-  void AbortTxn(Transaction* txn) override;
+  Range* NewRange(uint64_t id) override {
+    return new Range(id, &range_ctx_);
+  }
+  bool StampWrite(Range& r, const WriteEntry& w, TxnId txn,
+                  Value outcome) override {
+    return r.Stamp(w, txn, outcome);
+  }
+  /// An insert-merge scheduled while the transaction was in flight
+  /// stopped at its first record; with no later insert into the range
+  /// nothing would schedule another, leaving the records in
+  /// table-level tail pages. Schedule one now that they resolved.
+  void InsertsStamped(Range& r) override { MaybeScheduleMerge(r); }
+  /// The core's stamping loop under an epoch pin: without it, an
+  /// insert-merge (or historic compression) that already resolved the
+  /// transaction's outcome via the manager could reclaim tail pages
+  /// under the loop.
+  void StampWrites(Transaction* txn, Value outcome) override {
+    EpochGuard guard(epochs_);
+    EngineCore::StampWrites(txn, outcome);
+  }
+  Status ValidateReads(Transaction* txn, Timestamp commit_time) override;
+  RedoLog* redo_log() override { return log_.get(); }
+  const TableCounters* counters() const override { return &obs_; }
 
-  // Commit protocol phases, invoked by the pipeline.
-
-  /// Validate this table's share of the readset at `commit_time`.
-  Status ValidateReads(Transaction* txn, Timestamp commit_time);
-  /// Append + flush the commit record to this table's redo log.
-  Status WriteCommitRecord(Transaction* txn, Timestamp commit_time);
-  /// Append the commit record WITHOUT flushing — the group-commit
-  /// queue performs the (shared) flush. Returns its LSN (0 = no log).
-  uint64_t AppendCommitRecord(Transaction* txn, Timestamp commit_time);
-  /// Append an abort record; `flush` pushes it to the OS (fsync under
-  /// sync_commit). The flush matters ONLY when the durability step
-  /// already appended/flushed a commit record for this transaction
-  /// (per-table record whose pipeline failed later, or a commit-log
-  /// record whose flush failed) — replay treats the later abort as
-  /// authoritative, so it must not sit in the buffer when the process
-  /// dies. Ordinary aborts (user abort, validation failure) skip the
-  /// flush: with no commit record anywhere, replay aborts them anyway.
-  void WriteAbortRecord(Transaction* txn, bool flush);
-  /// Stamp this table's writes with the outcome (commit time or
-  /// kAbortedStamp); rolls back inserted index keys on abort.
-  void StampWrites(Transaction* txn, Value outcome);
-
-  /// The record a primary-index probe result names: its range and
-  /// slot, or NotFound for an absent key.
-  Status Locate(Rid rid, Range** r, uint32_t* slot) const;
-  /// A session read's spec: the latest committed version under read
-  /// committed, else the transaction's begin snapshot.
-  static ReadSpec SessionSpec(Transaction* txn, bool speculative);
   /// The one point-read step (Read, SpeculativeRead, ReadAsOf and each
   /// key of MultiRead): resolve a located record under `spec` into
   /// `out` (sized to num_columns; mask bits past the schema are
@@ -327,15 +287,6 @@ class Table : public TxnContext {
   /// Probe `key` and read it through ReadLocated.
   Status ReadKey(Value key, const ReadSpec& spec, ColumnMask mask,
                  std::vector<Value>* out);
-
-  Range* GetRange(uint64_t id) const { return ranges_.Get(id); }
-  /// The range `id`, created if absent; nullptr past the directory's
-  /// limit.
-  Range* EnsureRange(uint64_t id);
-  uint64_t RangeOf(Rid rid) const { return rid / config_.range_size; }
-  uint32_t SlotOf(Rid rid) const {
-    return static_cast<uint32_t>(rid % config_.range_size);
-  }
 
   // Write machinery ----------------------------------------------------------
   // `log_sink` != nullptr collects redo records instead of appending
@@ -352,10 +303,6 @@ class Table : public TxnContext {
   /// kInsertRun per range the inserted rows fill.
   Status InsertRows(Transaction* txn, const std::vector<Value>* rows,
                     size_t n);
-  /// Argument checks of Update and UpdateBatch: a non-empty mask of
-  /// known non-key columns, and rows of full arity.
-  Status CheckUpdate(ColumnMask mask, const std::vector<Value>* rows,
-                     size_t n) const;
   /// The one keyed write step (Update, Delete, UpdateBatch,
   /// DeleteBatch): one index probe pass and one epoch pin for the n
   /// keys, then a tail version per key, stopping at the first failure.
@@ -406,10 +353,6 @@ class Table : public TxnContext {
                           const std::vector<std::string>* log_paths = nullptr,
                           Timestamp commit_horizon = kMaxTimestamp);
 
-  std::string name_;
-  Schema schema_;
-  TableConfig config_;
-
   /// Observability (src/obs/): injected by the owning Database or
   /// owned (standalone tables). Handles used on recording paths are
   /// looked up once here and cached.
@@ -427,30 +370,15 @@ class Table : public TxnContext {
   /// owning Database); set at registration, null for standalone tables.
   TxnContext* txn_scope_ = nullptr;
 
-  /// The owning database's group-commit queue: single- and cross-table
-  /// commits on this table share fsyncs through it (null for
-  /// standalone tables and in-memory databases — inline flush).
-  GroupCommitQueue* group_commit_ = nullptr;
-
-  std::unique_ptr<TransactionManager> owned_txn_manager_;
-  TransactionManager* txn_manager_;
-
   mutable EpochManager epochs_;
   /// What every range of this table shares.
   RangeContext range_ctx_;
-  PrimaryIndex primary_;
   struct SecondaryEntry {
     ColumnId col;
     std::unique_ptr<SecondaryIndex> index;
   };
   std::vector<SecondaryEntry> secondaries_;
   mutable SpinLatch secondary_latch_;
-
-  std::atomic<uint64_t> next_row_{0};  ///< next base RID to hand out
-
-  /// Two-level range directory with lock-free reads. It refuses range
-  /// ids whose rows would pass PrimaryIndex::kMaxRid.
-  RangeDirectory<Range> ranges_;
 
   std::unique_ptr<MergeManager> merge_manager_;
   std::unique_ptr<RedoLog> log_;

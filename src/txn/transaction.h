@@ -11,6 +11,8 @@
 
 namespace lstore {
 
+class TxnContext;
+
 enum class IsolationLevel {
   kReadCommitted,  ///< reads latest committed; no validation
   kSnapshot,       ///< reads as of begin time; validates speculative reads
@@ -32,7 +34,7 @@ struct ReadEntry {
   uint32_t observed_seq;    ///< visible version when read (0 = base record)
   bool speculative;         ///< read a pre-committed version ([18])
   TxnId dependency;         ///< writer we speculated on (0 = none)
-  const void* owner = nullptr;  ///< table that recorded the entry
+  const TxnContext* owner = nullptr;  ///< engine that recorded the entry
 };
 
 /// One entry of the writeset: a tail record this transaction appended.
@@ -42,7 +44,7 @@ struct WriteEntry {
   uint32_t seq;             ///< tail sequence of the appended version
   bool is_insert;           ///< insert into an insert range
   Value inserted_key;       ///< for index rollback on abort
-  const void* owner = nullptr;  ///< table that recorded the entry
+  const TxnContext* owner = nullptr;  ///< engine that recorded the entry
 };
 
 class Transaction {

@@ -106,6 +106,39 @@ TEST(DatabaseTest, CrossTableAbortRollsBackEverything) {
   ASSERT_TRUE(check.Commit().ok());
 }
 
+// A table dropped while a session holds writes in it is no longer a
+// participant: the pipeline ignores that table's entries and finishes
+// the session on the tables still registered.
+TEST(DatabaseTest, DroppedTableLeavesTheSessionToTheRest) {
+  for (bool commit : {true, false}) {
+    SCOPED_TRACE(commit ? "commit" : "abort");
+    Database db;
+    ASSERT_TRUE(db.CreateTable("a", Schema(2), Cfg()).ok());
+    ASSERT_TRUE(db.CreateTable("b", Schema(2), Cfg()).ok());
+    Table* b = db.GetTable("b");
+    Txn txn = db.Begin();
+    ASSERT_TRUE(db.GetTable("a")->Insert(txn, {1, 10}).ok());
+    ASSERT_TRUE(b->Insert(txn, {2, 20}).ok());
+    ASSERT_TRUE(db.DropTable("a").ok());
+    if (commit) {
+      ASSERT_TRUE(txn.Commit().ok());
+    } else {
+      txn.Abort();
+    }
+
+    Txn check = db.Begin();
+    std::vector<Value> out;
+    Status s = b->Read(check, 2, 0b10, &out);
+    if (commit) {
+      ASSERT_TRUE(s.ok());
+      EXPECT_EQ(out[1], 20u);
+    } else {
+      EXPECT_FALSE(s.ok());
+    }
+    ASSERT_TRUE(check.Commit().ok());
+  }
+}
+
 TEST(DatabaseTest, CrossTableSerializableValidation) {
   Database db;
   ASSERT_TRUE(db.CreateTable("a", Schema(2), Cfg()).ok());
