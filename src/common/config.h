@@ -163,16 +163,6 @@ struct DurabilityOptions {
   /// reporter thread.
   uint64_t metrics_report_interval_ms = 0;
 
-  /// Worker-thread count of the process-wide scan pool
-  /// (ThreadPool::Shared) that parallel Query partitions execute on.
-  /// 0 = leave the pool's own sizing (hardware_concurrency - 1, or
-  /// LSTORE_SCAN_THREADS). Non-zero requests that exact count so the
-  /// scan pool and a co-resident Server's worker pool can split the
-  /// cores instead of both sizing to the whole machine. Applied at
-  /// Open via ThreadPool::ConfigureShared — first configuration wins,
-  /// and it only takes effect before the pool's first use.
-  uint32_t scan_threads = 0;
-
   /// Slow-op log (src/obs/slow_op_log.h): a traced request whose total
   /// latency exceeds this many microseconds dumps its span timeline as
   /// one JSON line to <dir>/slowops.log. 0 (default) = no slow-op log.

@@ -60,6 +60,10 @@ class Status {
   static Status Busy(std::string_view msg = "") {
     return Status(Code::kBusy, msg);
   }
+  /// Rebuild a status from its code and message (e.g. off the wire).
+  static Status FromCode(Code code, std::string_view msg = "") {
+    return Status(code, msg);
+  }
 
   bool ok() const { return code_ == Code::kOk; }
   bool IsNotFound() const { return code_ == Code::kNotFound; }

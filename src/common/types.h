@@ -23,9 +23,11 @@ namespace lstore {
 using Value = uint64_t;
 using Rid = uint64_t;
 using ColumnId = uint32_t;
-/// Bitmap over data columns (Schema Encoding payload). Supports up to
-/// 56 data columns; the top byte is reserved for flags.
+/// Bitmap over data columns (Schema Encoding payload), one bit per
+/// column; the top byte is reserved for flags.
 using ColumnMask = uint64_t;
+/// Most data columns a table can have: one ColumnMask bit each.
+inline constexpr uint32_t kMaxColumns = 56;
 
 /// The special null value ∅: pre-assigned to never-updated columns of
 /// tail records and to all data columns of delete records.
@@ -116,7 +118,7 @@ inline constexpr uint64_t kDeleteFlag = 1ull << 63;
 /// invalidated and skipped by readers"). Readers treat such records
 /// as invisible even after the transaction commits.
 inline constexpr uint64_t kSupersededFlag = 1ull << 61;
-inline constexpr uint64_t kSchemaMaskBits = (1ull << 56) - 1;
+inline constexpr uint64_t kSchemaMaskBits = (1ull << kMaxColumns) - 1;
 
 constexpr ColumnMask SchemaColumns(uint64_t enc) {
   return enc & kSchemaMaskBits;

@@ -13,7 +13,6 @@
 #include "archive/archive_manager.h"
 #include "checkpoint/checkpoint_manager.h"
 #include "common/file.h"
-#include "common/thread_pool.h"
 #include "core/commit_pipeline.h"
 #include "log/commit_log.h"
 #include "obs/flight_recorder.h"
@@ -104,6 +103,10 @@ Status Database::CreateTableInternal(
     const std::string& name, Schema schema, TableConfig config,
     const ManifestEntry* me,
     const std::unordered_map<TxnId, Timestamp>* db_commits, Table** out) {
+  if (schema.num_columns() == 0 || schema.num_columns() > kMaxColumns) {
+    return Status::InvalidArgument("a table has 1 to " +
+                                   std::to_string(kMaxColumns) + " columns");
+  }
   // Creations are serialized (ddl_mu_, or Open before it returns), so
   // a name free here is still free at the publish below.
   if (GetTable(name) != nullptr) return Status::AlreadyExists("table exists");
@@ -268,10 +271,7 @@ Status Database::PersistCatalogExcluding(const std::string& skip) {
       if (!skip.empty() && e.name == skip) continue;
       CatalogEntry ce;
       ce.name = e.name;
-      const Schema& s = e.table->schema();
-      for (ColumnId c = 0; c < s.num_columns(); ++c) {
-        ce.columns.push_back(s.name(c));
-      }
+      ce.columns = e.table->schema().names();
       ce.config = e.table->config();
       ce.secondary_columns = e.table->SecondaryColumns();
       entries.push_back(std::move(ce));
@@ -303,12 +303,6 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
                               "Structured engine events emitted"),
       opts.event_ring_capacity);
   db->watchdog_->set_dump_dir(dir);
-
-  // Size the shared scan pool before anything can lazily build it
-  // (first-configuration-wins; see ThreadPool::ConfigureShared).
-  if (opts.scan_threads != 0) {
-    ThreadPool::ConfigureShared(opts.scan_threads);
-  }
 
   // Buffer-managed base storage: a byte budget (option, or the
   // LSTORE_BUFFER_POOL_BYTES test knob) turns on demand paging of base

@@ -25,6 +25,7 @@ class Schema {
 
   uint32_t num_columns() const { return static_cast<uint32_t>(names_.size()); }
   const std::string& name(ColumnId c) const { return names_[c]; }
+  const std::vector<std::string>& names() const { return names_; }
 
   /// Column id by name; returns num_columns() if absent.
   ColumnId Find(const std::string& name) const {
@@ -36,8 +37,8 @@ class Schema {
 
   /// Mask with every data column set.
   ColumnMask AllColumns() const {
-    return num_columns() >= 56 ? kSchemaMaskBits
-                               : ((1ull << num_columns()) - 1);
+    return num_columns() >= kMaxColumns ? kSchemaMaskBits
+                                        : ((1ull << num_columns()) - 1);
   }
 
  private:

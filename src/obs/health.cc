@@ -204,14 +204,10 @@ HealthReport Watchdog::SweepOnce() {
               return a.name < b.name;
             });
 
+  CountVerdicts(&report);
+
   for (auto& kv : state_) kv.second.seen = false;
   for (const ActorHealth& row : report.actors) {
-    switch (row.verdict) {
-      case HealthVerdict::kHealthy: ++report.healthy; break;
-      case HealthVerdict::kSlow: ++report.slow; break;
-      case HealthVerdict::kStalled: ++report.stalled; break;
-    }
-
     ActorState& st = state_[row.name];
     st.seen = true;
     HealthVerdict prev = st.verdict;
@@ -266,6 +262,17 @@ HealthReport Watchdog::SweepOnce() {
     g_actors_->Set(static_cast<int64_t>(report.actors.size()));
   }
   return report;
+}
+
+void CountVerdicts(HealthReport* report) {
+  report->healthy = report->slow = report->stalled = 0;
+  for (const ActorHealth& a : report->actors) {
+    switch (a.verdict) {
+      case HealthVerdict::kHealthy: ++report->healthy; break;
+      case HealthVerdict::kSlow: ++report->slow; break;
+      case HealthVerdict::kStalled: ++report->stalled; break;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -189,6 +189,9 @@ struct HealthReport {
   std::vector<Event> recent_events;  ///< oldest first
 };
 
+/// Set the report's healthy/slow/stalled counts from its actors.
+void CountVerdicts(HealthReport* report);
+
 /// Render a report as one JSON document (the `lstore_cli status
 /// --json` shape, also scraped by CI).
 std::string RenderHealthJson(const HealthReport& report);

@@ -4,413 +4,51 @@
 
 namespace lstore {
 
-namespace {
-
-// --- request-body encoders (shared by blocking and pipelined paths) --------
-
-std::string EncodeRead(const std::string& table, Value key, ColumnMask mask) {
-  std::string body;
-  wire::PutString(&body, table);
-  wire::PutU64(&body, key);
-  wire::PutU64(&body, mask);
-  return body;
-}
-
-std::string EncodeInsert(const std::string& table,
-                         const std::vector<Value>& row) {
-  std::string body;
-  wire::PutString(&body, table);
-  wire::PutValues(&body, row);
-  return body;
-}
-
-std::string EncodeUpdate(const std::string& table, Value key, ColumnMask mask,
-                         const std::vector<Value>& row) {
-  std::string body;
-  wire::PutString(&body, table);
-  wire::PutU64(&body, key);
-  wire::PutU64(&body, mask);
-  wire::PutValues(&body, row);
-  return body;
-}
-
-std::string EncodeDelete(const std::string& table, Value key) {
-  std::string body;
-  wire::PutString(&body, table);
-  wire::PutU64(&body, key);
-  return body;
-}
-
-std::string EncodeMultiRead(const std::string& table,
-                            const std::vector<Value>& keys, ColumnMask mask) {
-  std::string body;
-  wire::PutString(&body, table);
-  wire::PutU64(&body, mask);
-  wire::PutValues(&body, keys);
-  return body;
-}
-
-// --- response-body decoders ------------------------------------------------
-
-Status DecodeRead(const std::string& resp, std::vector<Value>* row) {
-  wire::Reader in(resp);
-  if (!in.Values(row)) return Status::Corruption("malformed Read response");
-  return Status::OK();
-}
-
-Status DecodeMultiRead(const std::string& resp, size_t num_keys,
-                       std::vector<std::vector<Value>>* rows,
-                       std::vector<Status>* statuses) {
-  wire::Reader in(resp);
-  uint32_t ncodes = 0;
-  if (!in.Rows(rows) || !in.U32(&ncodes) || ncodes != num_keys) {
-    return Status::Corruption("malformed MultiRead response");
-  }
-  if (statuses != nullptr) statuses->clear();
-  for (uint32_t i = 0; i < ncodes; ++i) {
-    uint8_t code = 0;
-    if (!in.U8(&code)) {
-      return Status::Corruption("malformed MultiRead response");
-    }
-    if (statuses != nullptr) statuses->push_back(StatusFromWire(code, ""));
-  }
-  return Status::OK();
-}
-
-Status DecodeAggregate(const std::string& resp, uint64_t* value,
-                       uint64_t* visible_rows) {
-  wire::Reader in(resp);
-  uint64_t v = 0, rows = 0;
-  if (!in.U64(&v) || !in.U64(&rows)) {
-    return Status::Corruption("malformed Query response");
-  }
-  if (value != nullptr) *value = v;
-  if (visible_rows != nullptr) *visible_rows = rows;
-  return Status::OK();
-}
-
-}  // namespace
-
-Status Client::Call(wire::Op op, const std::string& body,
-                    std::string* resp_body) {
-  RequestId id = 0;
-  LSTORE_RETURN_IF_ERROR(channel_.Submit(op, body, &id));
-  return channel_.Await(id, resp_body);
-}
-
-Status Client::Ping() { return Call(wire::Op::kPing, {}, nullptr); }
-
-Status Client::Begin(IsolationLevel iso) {
-  std::string body;
-  wire::PutU8(&body, static_cast<uint8_t>(iso));
-  return Call(wire::Op::kBegin, body, nullptr);
-}
-
-Status Client::Commit() { return Call(wire::Op::kCommit, {}, nullptr); }
-
-Status Client::Abort() { return Call(wire::Op::kAbort, {}, nullptr); }
-
-Status Client::CreateTable(const std::string& table,
-                           const std::vector<std::string>& columns) {
-  std::string body;
-  wire::PutString(&body, table);
-  wire::PutU32(&body, static_cast<uint32_t>(columns.size()));
-  for (const auto& c : columns) wire::PutString(&body, c);
-  return Call(wire::Op::kCreateTable, body, nullptr);
-}
-
-Status Client::ListTables(std::vector<std::string>* names) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(Call(wire::Op::kListTables, {}, &resp));
-  wire::Reader in(resp);
-  uint32_t n = 0;
-  if (!in.U32(&n)) return Status::Corruption("malformed ListTables response");
-  names->clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string s;
-    if (!in.String(&s)) {
-      return Status::Corruption("malformed ListTables response");
-    }
-    names->push_back(std::move(s));
-  }
-  return Status::OK();
-}
-
-Status Client::GetSchema(const std::string& table,
-                         std::vector<std::string>* columns) {
-  std::string body, resp;
-  wire::PutString(&body, table);
-  LSTORE_RETURN_IF_ERROR(Call(wire::Op::kSchema, body, &resp));
-  wire::Reader in(resp);
-  uint32_t n = 0;
-  if (!in.U32(&n)) return Status::Corruption("malformed Schema response");
-  columns->clear();
-  for (uint32_t i = 0; i < n; ++i) {
-    std::string s;
-    if (!in.String(&s)) return Status::Corruption("malformed Schema response");
-    columns->push_back(std::move(s));
-  }
-  return Status::OK();
-}
-
-// --- blocking point/batch ops: thin Submit+Await wrappers ------------------
-
-Status Client::Insert(const std::string& table,
-                      const std::vector<Value>& row) {
-  return Call(wire::Op::kInsert, EncodeInsert(table, row), nullptr);
-}
-
-Status Client::Read(const std::string& table, Value key, ColumnMask mask,
-                    std::vector<Value>* row) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(
-      Call(wire::Op::kRead, EncodeRead(table, key, mask), &resp));
-  return DecodeRead(resp, row);
-}
-
-Status Client::Update(const std::string& table, Value key, ColumnMask mask,
-                      const std::vector<Value>& row) {
-  return Call(wire::Op::kUpdate, EncodeUpdate(table, key, mask, row), nullptr);
-}
-
-Status Client::Delete(const std::string& table, Value key) {
-  return Call(wire::Op::kDelete, EncodeDelete(table, key), nullptr);
-}
-
-Status Client::MultiRead(const std::string& table,
-                         const std::vector<Value>& keys, ColumnMask mask,
-                         std::vector<std::vector<Value>>* rows,
-                         std::vector<Status>* statuses) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(
-      Call(wire::Op::kMultiRead, EncodeMultiRead(table, keys, mask), &resp));
-  return DecodeMultiRead(resp, keys.size(), rows, statuses);
-}
-
-Status Client::InsertBatch(const std::string& table,
-                           const std::vector<std::vector<Value>>& rows) {
-  std::string body;
-  wire::PutString(&body, table);
-  wire::PutRows(&body, rows);
-  return Call(wire::Op::kInsertBatch, body, nullptr);
-}
-
-Status Client::UpdateBatch(const std::string& table,
-                           const std::vector<Value>& keys, ColumnMask mask,
-                           const std::vector<std::vector<Value>>& rows) {
-  std::string body;
-  wire::PutString(&body, table);
-  wire::PutU64(&body, mask);
-  wire::PutValues(&body, keys);
-  wire::PutRows(&body, rows);
-  return Call(wire::Op::kUpdateBatch, body, nullptr);
-}
-
-Status Client::DeleteBatch(const std::string& table,
-                           const std::vector<Value>& keys) {
-  std::string body;
-  wire::PutString(&body, table);
-  wire::PutValues(&body, keys);
-  return Call(wire::Op::kDeleteBatch, body, nullptr);
-}
-
-// --- pipelined point ops ---------------------------------------------------
-
-Status Client::SubmitRead(const std::string& table, Value key,
-                          ColumnMask mask, RequestId* id) {
-  return channel_.Submit(wire::Op::kRead, EncodeRead(table, key, mask), id);
-}
-
-Status Client::AwaitRead(RequestId id, std::vector<Value>* row) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(channel_.Await(id, &resp));
-  // nullptr row = await the status, discard the body.
-  std::vector<Value> scratch;
-  return DecodeRead(resp, row != nullptr ? row : &scratch);
-}
-
-Status Client::SubmitInsert(const std::string& table,
-                            const std::vector<Value>& row, RequestId* id) {
-  return channel_.Submit(wire::Op::kInsert, EncodeInsert(table, row), id);
-}
-
-Status Client::SubmitUpdate(const std::string& table, Value key,
-                            ColumnMask mask, const std::vector<Value>& row,
-                            RequestId* id) {
-  return channel_.Submit(wire::Op::kUpdate,
-                         EncodeUpdate(table, key, mask, row), id);
-}
-
-Status Client::SubmitDelete(const std::string& table, Value key,
-                            RequestId* id) {
-  return channel_.Submit(wire::Op::kDelete, EncodeDelete(table, key), id);
-}
-
-Status Client::SubmitMultiRead(const std::string& table,
-                               const std::vector<Value>& keys,
-                               ColumnMask mask, RequestId* id) {
-  return channel_.Submit(wire::Op::kMultiRead,
-                         EncodeMultiRead(table, keys, mask), id);
-}
+using wire::Op;
 
 Status Client::AwaitMultiRead(RequestId id, size_t num_keys,
                               std::vector<std::vector<Value>>* rows,
                               std::vector<Status>* statuses) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(channel_.Await(id, &resp));
-  return DecodeMultiRead(resp, num_keys, rows, statuses);
-}
-
-// --- queries ---------------------------------------------------------------
-
-Status Client::SubmitQuery(const std::string& table, wire::QueryKind kind,
-                           ColumnId col, const QuerySpec& spec,
-                           RequestId* id) {
-  std::string body;
-  wire::PutString(&body, table);
-  wire::PutU8(&body, static_cast<uint8_t>(kind));
-  wire::PutU32(&body, col);
-  wire::PutU64(&body, spec.first_row);
-  wire::PutU64(&body, spec.row_count);
-  wire::PutU64(&body, spec.as_of);
-  wire::PutU32(&body, static_cast<uint32_t>(spec.where.size()));
-  for (const auto& [fcol, fval] : spec.where) {
-    wire::PutU32(&body, fcol);
-    wire::PutU64(&body, fval);
+  wire::MultiReadResponse resp;
+  LSTORE_RETURN_IF_ERROR(Await<Op::kMultiRead>(id, &resp));
+  if (resp.codes.size() != num_keys) {
+    return Status::Corruption("malformed multiread response");
   }
-  return channel_.Submit(wire::Op::kQuery, body, id);
+  *rows = std::move(resp.rows);
+  if (statuses != nullptr) {
+    statuses->clear();
+    for (Status::Code code : resp.codes) {
+      statuses->push_back(Status::FromCode(code));
+    }
+  }
+  return Status::OK();
 }
 
 Status Client::AwaitAggregate(RequestId id, uint64_t* value,
                               uint64_t* visible_rows) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(channel_.Await(id, &resp));
-  return DecodeAggregate(resp, value, visible_rows);
-}
-
-Status Client::RunQuery(const std::string& table, wire::QueryKind kind,
-                        ColumnId col, const QuerySpec& spec,
-                        std::string* resp) {
-  RequestId id = 0;
-  LSTORE_RETURN_IF_ERROR(SubmitQuery(table, kind, col, spec, &id));
-  return channel_.Await(id, resp);
-}
-
-Status Client::Sum(const std::string& table, ColumnId col,
-                   const QuerySpec& spec, uint64_t* sum,
-                   uint64_t* visible_rows) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(
-      RunQuery(table, wire::QueryKind::kSum, col, spec, &resp));
-  return DecodeAggregate(resp, sum, visible_rows);
-}
-
-Status Client::Count(const std::string& table, const QuerySpec& spec,
-                     uint64_t* count) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(
-      RunQuery(table, wire::QueryKind::kCount, 0, spec, &resp));
-  return DecodeAggregate(resp, count, nullptr);
-}
-
-Status Client::Min(const std::string& table, ColumnId col,
-                   const QuerySpec& spec, Value* out,
-                   uint64_t* visible_rows) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(
-      RunQuery(table, wire::QueryKind::kMin, col, spec, &resp));
-  return DecodeAggregate(resp, out, visible_rows);
-}
-
-Status Client::Max(const std::string& table, ColumnId col,
-                   const QuerySpec& spec, Value* out,
-                   uint64_t* visible_rows) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(
-      RunQuery(table, wire::QueryKind::kMax, col, spec, &resp));
-  return DecodeAggregate(resp, out, visible_rows);
+  wire::QueryResponse resp;  // holds the Aggregate shape
+  LSTORE_RETURN_IF_ERROR(Await<Op::kQuery>(id, &resp));
+  const wire::Aggregate& a = std::get<wire::Aggregate>(resp);
+  if (value != nullptr) *value = a.value;
+  if (visible_rows != nullptr) *visible_rows = a.rows;
+  return Status::OK();
 }
 
 Status Client::Keys(const std::string& table, const QuerySpec& spec,
                     std::vector<Value>* keys) {
-  std::string resp;
+  wire::QueryResponse resp = wire::Row{};  // the kKeys shape
   LSTORE_RETURN_IF_ERROR(
-      RunQuery(table, wire::QueryKind::kKeys, 0, spec, &resp));
-  wire::Reader in(resp);
-  if (!in.Values(keys)) return Status::Corruption("malformed Keys response");
-  return Status::OK();
-}
-
-Status Client::Metrics(std::string* prometheus_text) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(Call(wire::Op::kMetrics, {}, &resp));
-  wire::Reader in(resp);
-  if (!in.String(prometheus_text)) {
-    return Status::Corruption("malformed Metrics response");
-  }
-  return Status::OK();
-}
-
-Status Client::Trace(std::string* trace_json) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(Call(wire::Op::kTrace, {}, &resp));
-  wire::Reader in(resp);
-  if (!in.String(trace_json)) {
-    return Status::Corruption("malformed Trace response");
-  }
+      Call<Op::kQuery>({table, wire::QueryKind::kKeys, 0, spec}, &resp));
+  *keys = std::move(std::get<wire::Row>(resp));
   return Status::OK();
 }
 
 Status Client::Health(HealthReport* report) {
-  std::string resp;
-  LSTORE_RETURN_IF_ERROR(Call(wire::Op::kHealth, {}, &resp));
-  wire::Reader in(resp);
-  uint32_t actor_count = 0;
-  if (!in.U32(&actor_count)) {
-    return Status::Corruption("malformed Health response");
-  }
-  report->actors.clear();
-  report->recent_events.clear();
-  report->healthy = report->slow = report->stalled = 0;
-  for (uint32_t i = 0; i < actor_count; ++i) {
-    ActorHealth a;
-    uint8_t verdict = 0, busy = 0;
-    if (!in.String(&a.name) || !in.U8(&verdict) || !in.U8(&busy) ||
-        !in.U64(&a.since_beat_ms) || !in.U64(&a.beats) || !in.U64(&a.slow_ms) ||
-        !in.U64(&a.stall_ms) ||
-        verdict > static_cast<uint8_t>(HealthVerdict::kStalled)) {
-      return Status::Corruption("malformed Health response");
-    }
-    a.verdict = static_cast<HealthVerdict>(verdict);
-    a.busy = busy != 0;
-    switch (a.verdict) {
-      case HealthVerdict::kHealthy: ++report->healthy; break;
-      case HealthVerdict::kSlow: ++report->slow; break;
-      case HealthVerdict::kStalled: ++report->stalled; break;
-    }
-    report->actors.push_back(std::move(a));
-  }
-  uint32_t event_count = 0;
-  if (!in.U32(&event_count)) {
-    return Status::Corruption("malformed Health response");
-  }
-  for (uint32_t i = 0; i < event_count; ++i) {
-    Event e;
-    uint8_t severity = 0;
-    if (!in.U64(&e.ts_ms) || !in.U8(&severity) || !in.String(&e.actor) ||
-        !in.String(&e.kind) || !in.String(&e.fields) ||
-        severity > static_cast<uint8_t>(EventSeverity::kError)) {
-      return Status::Corruption("malformed Health response");
-    }
-    e.severity = static_cast<EventSeverity>(severity);
-    report->recent_events.push_back(std::move(e));
-  }
-  if (!in.done()) return Status::Corruption("malformed Health response");
+  HealthReport r;
+  LSTORE_RETURN_IF_ERROR(Call<Op::kHealth>({}, &r));
+  CountVerdicts(&r);
+  *report = std::move(r);
   return Status::OK();
-}
-
-void Client::set_next_trace_id(uint64_t trace_id) {
-  channel_.set_next_trace_id(trace_id);
 }
 
 }  // namespace lstore

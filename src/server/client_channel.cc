@@ -13,21 +13,6 @@
 
 namespace lstore {
 
-Status StatusFromWire(uint8_t code, const std::string& msg) {
-  switch (static_cast<Status::Code>(code)) {
-    case Status::Code::kOk: return Status::OK();
-    case Status::Code::kNotFound: return Status::NotFound(msg);
-    case Status::Code::kAlreadyExists: return Status::AlreadyExists(msg);
-    case Status::Code::kAborted: return Status::Aborted(msg);
-    case Status::Code::kInvalidArgument: return Status::InvalidArgument(msg);
-    case Status::Code::kIOError: return Status::IOError(msg);
-    case Status::Code::kCorruption: return Status::Corruption(msg);
-    case Status::Code::kNotSupported: return Status::NotSupported(msg);
-    case Status::Code::kBusy: return Status::Busy(msg);
-  }
-  return Status::Corruption("unknown status code");
-}
-
 Status ClientChannel::Connect(const std::string& host, uint16_t port) {
   if (fd_ >= 0) return Status::InvalidArgument("already connected");
   int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -74,29 +59,16 @@ Status ClientChannel::Break(const Status& s) {
   return s;
 }
 
-Status ClientChannel::Submit(wire::Op op, std::string_view body,
-                             RequestId* id) {
+Status ClientChannel::CanSubmit() const {
   if (!broken_.ok()) return broken_;
   if (fd_ < 0) return Status::IOError("not connected");
   if (in_flight() >= max_in_flight_) {
     return Status::Busy("client pipeline full");
   }
-  RequestId rid = next_request_id_++;
-  std::string payload;
-  payload.reserve(body.size() + 13);
-  wire::PutU32(&payload, rid);
-  // One-shot trace stamping: flag the op byte and append the id. Sent
-  // regardless of this binary's tracing build — stamping expresses the
-  // CLIENT's intent; whether spans get recorded is the server's build.
-  if (next_trace_id_ != 0) {
-    wire::PutU8(&payload, static_cast<uint8_t>(op) | wire::kTracedOpFlag);
-    wire::PutU64(&payload, next_trace_id_);
-    next_trace_id_ = 0;
-  } else {
-    wire::PutU8(&payload, static_cast<uint8_t>(op));
-  }
-  payload.append(body);
-  Status s = wire::WriteFrame(fd_, payload);
+  return Status::OK();
+}
+
+Status ClientChannel::Sent(const Status& s, RequestId rid, RequestId* id) {
   if (!s.ok()) return Break(s);
   inflight_.insert(rid);
   order_.push_back(rid);
@@ -105,28 +77,25 @@ Status ClientChannel::Submit(wire::Op op, std::string_view body,
 }
 
 Status ClientChannel::ReadOne() {
-  std::string resp;
-  Status s = wire::ReadFrame(fd_, max_frame_bytes_, &resp);
+  std::string payload;
+  Status s = wire::ReadFrame(fd_, max_frame_bytes_, &payload);
   if (!s.ok()) {
     return Break(s.IsNotFound()
                      ? Status::IOError("server closed the connection")
                      : s);
   }
-  wire::Reader in(resp);
-  Ready r;
-  uint32_t resp_id = 0;
-  if (!in.U32(&resp_id) || !in.U8(&r.code) || !in.String(&r.message) ||
-      r.code > static_cast<uint8_t>(Status::Code::kBusy)) {
+  wire::ResponseHeader h;
+  if (!wire::ParseResponseHeader(&payload, &h)) {
     return Break(Status::Corruption("malformed response"));
   }
-  if (inflight_.erase(resp_id) == 0) {
+  if (inflight_.erase(h.id) == 0) {
     // A response for an id we never submitted (or already consumed):
     // the stream is out of step, which a pipelined matcher cannot
     // recover from any more than a blocking one could.
     return Break(Status::Corruption("response id mismatch"));
   }
-  r.body = std::string(in.rest());
-  ready_.emplace(resp_id, std::move(r));
+  ready_.emplace(h.id, Ready{Status::FromCode(h.code, h.message),
+                             std::move(payload)});
   return Status::OK();
 }
 
@@ -138,7 +107,7 @@ Status ClientChannel::Await(RequestId id, std::string* resp_body) {
       ready_.erase(it);
       if (!order_.empty() && order_.front() == id) order_.pop_front();
       else order_.erase(std::find(order_.begin(), order_.end(), id));
-      if (r.code != 0) return StatusFromWire(r.code, r.message);
+      if (!r.status.ok()) return r.status;
       if (resp_body != nullptr) *resp_body = std::move(r.body);
       return Status::OK();
     }

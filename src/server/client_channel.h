@@ -14,11 +14,12 @@
 // ClientChannel is the pipelined core:
 //
 //   RequestId id;
-//   channel.Submit(wire::Op::kRead, body, &id);   // send, don't wait
+//   channel.Submit(wire::Op::kRead, request, &id);  // send, don't wait
 //   ... submit more, up to max_in_flight() ...
-//   Status s = channel.Await(id, &resp_body);     // match by id
+//   Status s = channel.Await(id, &resp_body);       // match by id
 //
-// Submit writes the request frame and records the id as in flight;
+// Submit encodes the request (a wire.h layout) straight into its frame,
+// writes it, and records the id as in flight;
 // it never reads the socket. Await reads response frames until the
 // requested id's response arrives, parking responses for *other*
 // in-flight ids in a ready buffer — so requests can be awaited in
@@ -45,9 +46,9 @@
 #include <cstdint>
 #include <deque>
 #include <string>
-#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 #include "common/status.h"
 #include "server/wire.h"
@@ -75,11 +76,19 @@ class ClientChannel {
   void Close();
   bool connected() const { return fd_ >= 0; }
 
-  /// Send [id][op][body] without waiting for the response. Returns
-  /// the id to Await on via *id. Fails with Busy when in_flight() is
-  /// already at max_in_flight() (await something first), and with the
-  /// channel's breaking status once it is broken.
-  Status Submit(wire::Op op, std::string_view body, RequestId* id);
+  /// Send [id][op][req] without waiting for the response; `req` is
+  /// the op's request layout (wire::RequestOf<op>). Returns the id to
+  /// Await on via *id. Fails with Busy when in_flight() is already at
+  /// max_in_flight() (await something first), and with the channel's
+  /// breaking status once it is broken.
+  template <typename Req>
+  Status Submit(wire::Op op, const Req& req, RequestId* id) {
+    LSTORE_RETURN_IF_ERROR(CanSubmit());
+    const RequestId rid = next_request_id_++;
+    // The trace stamp is one-shot: this request consumes it.
+    wire::RequestHeader h{rid, op, std::exchange(next_trace_id_, 0)};
+    return Sent(wire::SendFrame(fd_, wire::RequestFrame(h, req)), rid, id);
+  }
 
   /// Block until `id`'s response arrives (or is already parked in the
   /// ready buffer), then return the operation's status; an OK body is
@@ -113,10 +122,16 @@ class ClientChannel {
 
  private:
   struct Ready {
-    uint8_t code = 0;
-    std::string message;
+    Status status;
     std::string body;
   };
+
+  /// OK when a request may be submitted now (connected, not broken,
+  /// pipeline not full).
+  Status CanSubmit() const;
+  /// Record request `rid` as in flight once its frame was written (`s`
+  /// OK), or break the channel with the write's failure.
+  Status Sent(const Status& s, RequestId rid, RequestId* id);
 
   /// Read one response frame and park it in ready_. Breaks the
   /// channel on any framing/matching failure.
@@ -140,10 +155,6 @@ class ClientChannel {
   /// Breaking status once the channel failed (OK while healthy).
   Status broken_;
 };
-
-/// Rebuild a Status from its wire code + message (shared by the
-/// channel and the typed decode helpers in client.cc).
-Status StatusFromWire(uint8_t code, const std::string& msg);
 
 }  // namespace lstore
 

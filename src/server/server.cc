@@ -40,8 +40,7 @@ Status Server::Start() {
     // Keep server workers + Query scan partitions inside one core
     // budget: by default the scan pool gets whatever the workers
     // don't. First-configuration-wins (see ThreadPool::ConfigureShared),
-    // so an explicit DurabilityOptions::scan_threads set at Open
-    // still takes precedence.
+    // so a pool already sized or used in this process keeps its size.
     uint32_t scan = cfg_.scan_threads != 0
                         ? cfg_.scan_threads
                         : (hw > cfg_.workers ? hw - cfg_.workers : 1);
@@ -210,47 +209,41 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
   std::shared_ptr<Heartbeat> hb =
       db_->health().Register("server.reader." + std::to_string(session->id));
   for (;;) {
-    std::string payload;
-    Status s = wire::ReadFrame(session->fd, cfg_.max_frame_bytes, &payload);
+    Request req;
+    Status s = wire::ReadFrame(session->fd, cfg_.max_frame_bytes, &req.body);
     HeartbeatWorkScope work(hb.get());
     if (!s.ok()) {
       if (s.IsCorruption() || s.IsInvalidArgument()) {
         // A checksum mismatch or a hostile length header leaves the
         // stream position unknowable: report once, then hang up.
         m_errors_->Increment();
-        SendResponse(session.get(), 0, s);
+        Send(session.get(), wire::ResponseFrame(0, s));
       }
       break;
     }
-    m_bytes_in_->Add(payload.size() + wire::kFrameOverhead);
+    m_bytes_in_->Add(req.body.size() + wire::kFrameOverhead);
     uint64_t t0 = Stage::Now();
 
-    wire::Reader hdr(payload);
-    uint32_t request_id = 0;
-    uint8_t op = 0;
-    uint64_t trace_id = 0;
-    // The trace-id header field is parsed UNCONDITIONALLY — wire
-    // compatibility cannot depend on the tracing build; an untraced
-    // build still has to skip the 8 bytes a stamping client sent.
-    if (!hdr.U32(&request_id) || !hdr.U8(&op) ||
-        ((op & wire::kTracedOpFlag) != 0 && !hdr.U64(&trace_id))) {
+    if (!wire::ParseRequestHeader(&req.body, &req.header)) {
       // The *frame* was well-formed, so the stream stays in sync: a
       // clean error response, not a hangup.
       m_errors_->Increment();
-      SendResponse(session.get(), request_id,
-                   Status::InvalidArgument("short request header"));
+      Status bad = Status::InvalidArgument("short request header");
+      Send(session.get(), wire::ResponseFrame(req.header.id, bad));
       continue;
     }
 
     // Sample-profile mode: stamp a server-minted trace id on every Nth
     // otherwise-untraced request, so span timelines and slow-op dumps
     // exist without client cooperation. Client-stamped ids win.
-    if (kTraceEnabled && trace_id == 0 && cfg_.trace_sample_every > 0 &&
+    if (kTraceEnabled && req.header.trace_id == 0 &&
+        cfg_.trace_sample_every > 0 &&
         sample_counter_.fetch_add(1, std::memory_order_relaxed) %
                 cfg_.trace_sample_every ==
             0) {
-      trace_id = TraceContext::NewTraceId();
+      req.header.trace_id = TraceContext::NewTraceId();
     }
+    const uint64_t trace_id = req.header.trace_id;
 
     // Admission control — decided here, before anything queues, so
     // overload turns into immediate Busy responses while the backlog
@@ -275,16 +268,11 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
       } else if (session->pending.size() >= cfg_.max_inflight_per_session) {
         busy_reason = "session pipeline full";
       } else {
-        Request req;
-        req.payload = std::move(payload);
-        // Every ADMITTED request is stamped here; Busy rejections never
-        // construct a Request at all — so the worker records its
-        // queue-wait sample unconditionally, with no runtime zero-check
-        // (which used to conflate "untraced build" with "rejected
-        // request" and could skip real samples).
+        // Every ADMITTED request is stamped here (Busy rejections never
+        // reach a worker), so the worker records its queue-wait sample
+        // unconditionally, with no runtime zero-check.
         enqueue_ns = Stage::Now();
         req.enqueue_ns = enqueue_ns;
-        req.trace_id = trace_id;
         req.t0_ns = t0;
         session->pending.push_back(std::move(req));
         ++queued_;
@@ -316,7 +304,8 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
       work_cv_.notify_one();
     } else {
       m_rejected_->Increment();
-      SendResponse(session.get(), request_id, Status::Busy(busy_reason));
+      Send(session.get(),
+           wire::ResponseFrame(req.header.id, Status::Busy(busy_reason)));
     }
   }
 
@@ -369,7 +358,7 @@ void Server::WorkerLoop(Heartbeat* hb) {
     // The stamp is trusted: every Request that reaches a worker was
     // stamped at admission (see ReaderLoop) — a zero check here would
     // only hide missing samples.
-    Stage::Record(h_queue_wait_ns_, "queue_wait", req.trace_id,
+    Stage::Record(h_queue_wait_ns_, "queue_wait", req.header.trace_id,
                   req.enqueue_ns, Stage::Now() - req.enqueue_ns);
     if (cfg_.test_delay_us != 0) {
       std::this_thread::sleep_for(std::chrono::microseconds(cfg_.test_delay_us));
@@ -378,7 +367,7 @@ void Server::WorkerLoop(Heartbeat* hb) {
       // Propagate the request's trace id to everything this worker
       // calls into (commit pipeline, logs) for the request's duration.
       HeartbeatWorkScope work(hb);
-      TraceContext::Scope trace_scope(req.trace_id);
+      TraceContext::Scope trace_scope(req.header.trace_id);
       Stage stage(h_request_ns_, nullptr);
       HandleRequest(session.get(), req);
     }
@@ -414,396 +403,255 @@ void Server::FinalizeSessionLocked(const std::shared_ptr<Session>& session) {
   g_sessions_->Add(-1);
 }
 
-void Server::SendResponse(Session* session, uint32_t request_id,
-                          const Status& s, std::string_view body) {
-  std::string payload;
-  payload.reserve(body.size() + 16);
-  wire::PutU32(&payload, request_id);
-  wire::PutU8(&payload, static_cast<uint8_t>(s.code()));
-  wire::PutString(&payload, s.message());
-  if (s.ok()) payload.append(body.data(), body.size());
+void Server::Send(Session* session, const std::string& frame) {
   std::lock_guard<std::mutex> g(session->write_mu);
   if (session->fd < 0) return;
   // A failed write means the peer vanished; the reader thread will
   // observe the same and run the disconnect path.
-  if (wire::WriteFrame(session->fd, payload).ok()) {
-    m_bytes_out_->Add(payload.size() + wire::kFrameOverhead);
+  if (wire::SendFrame(session->fd, frame).ok()) {
+    m_bytes_out_->Add(frame.size());
   }
 }
-
-namespace {
-
-/// Static name of an op, for slow-op log lines (span-name lifetime
-/// rules: the string must outlive any snapshot).
-const char* OpName(wire::Op op) {
-  switch (op) {
-    case wire::Op::kPing: return "ping";
-    case wire::Op::kCreateTable: return "create_table";
-    case wire::Op::kListTables: return "list_tables";
-    case wire::Op::kSchema: return "schema";
-    case wire::Op::kBegin: return "begin";
-    case wire::Op::kCommit: return "commit";
-    case wire::Op::kAbort: return "abort";
-    case wire::Op::kInsert: return "insert";
-    case wire::Op::kRead: return "read";
-    case wire::Op::kUpdate: return "update";
-    case wire::Op::kDelete: return "delete";
-    case wire::Op::kMultiRead: return "multiread";
-    case wire::Op::kInsertBatch: return "insert_batch";
-    case wire::Op::kUpdateBatch: return "update_batch";
-    case wire::Op::kDeleteBatch: return "delete_batch";
-    case wire::Op::kQuery: return "query";
-    case wire::Op::kMetrics: return "metrics";
-    case wire::Op::kTrace: return "trace";
-    case wire::Op::kHealth: return "health";
-  }
-  return "unknown";
-}
-
-}  // namespace
 
 void Server::HandleRequest(Session* session, const Request& req) {
-  wire::Reader in(req.payload);
-  uint32_t request_id = 0;
-  uint8_t op = 0;
-  in.U32(&request_id);
-  in.U8(&op);  // both validated at admission
-  if ((op & wire::kTracedOpFlag) != 0) {
-    op &= static_cast<uint8_t>(~wire::kTracedOpFlag);
-    uint64_t skip_trace_id = 0;
-    in.U64(&skip_trace_id);  // validated and captured at admission
-  }
-
-  std::string body;
+  std::string frame;
   Status s;
   {
     Stage stage(nullptr, "execute");
-    s = Execute(session, static_cast<wire::Op>(op), &in, &body);
+    s = Execute(session, req, &frame);
   }
   if (s.IsInvalidArgument()) m_errors_->Increment();
   {
     Stage stage(nullptr, "reply");
-    SendResponse(session, request_id, s, body);
+    if (!s.ok()) frame = wire::ResponseFrame(req.header.id, s);
+    Send(session, frame);
   }
 
-  if (req.trace_id != 0) {
+  const wire::RequestHeader& h = req.header;
+  if (h.trace_id != 0) {
     // Close the root span (frame arrival -> response written), then
     // dump the assembled timeline if the request blew the slow-op
     // threshold. Root first, so the dump includes it. (An untraced
     // build has no slow-op log.)
     uint64_t total_ns = Stage::Now() - req.t0_ns;
-    Stage::Record(nullptr, "request", req.trace_id, req.t0_ns, total_ns);
+    Stage::Record(nullptr, "request", h.trace_id, req.t0_ns, total_ns);
     SlowOpLog* slow = db_->slow_op_log();
     if (slow != nullptr && total_ns >= slow->threshold_ns()) {
-      slow->Dump(req.trace_id, OpName(static_cast<wire::Op>(op)), request_id,
-                 total_ns,
-                 FlightRecorder::Instance().SnapshotTrace(req.trace_id));
+      slow->Dump(h.trace_id, wire::OpName(h.op), h.id, total_ns,
+                 FlightRecorder::Instance().SnapshotTrace(h.trace_id));
     }
   }
 }
 
 namespace {
 
-/// Run `fn` inside the session's open transaction if it has one,
-/// else inside a fresh auto-committed one (the CLI's one-shot mode).
+/// Run `fn(table, txn)` inside the session's open transaction if it has
+/// one, else inside a fresh auto-committed one (the CLI's one-shot
+/// mode).
 template <typename Fn>
-Status WithTxn(Database* db, std::optional<Txn>* open, Fn&& fn) {
-  if (open->has_value()) return fn(**open);
+Status WithTable(Database* db, std::optional<Txn>* open,
+                 const std::string& name, Fn&& fn) {
+  Table* table = db->GetTable(name);
+  if (table == nullptr) return Status::NotFound("no such table: " + name);
+  if (open->has_value()) return fn(*table, **open);
   Txn txn = db->Begin();
-  Status s = fn(txn);
-  if (!s.ok()) {
-    txn.Abort();
-    return s;
-  }
-  return txn.Commit();
+  Status s = fn(*table, txn);
+  // A failed op leaves txn to abort as it goes out of scope.
+  return s.ok() ? txn.Commit() : s;
 }
 
 }  // namespace
 
-Status Server::Execute(Session* session, wire::Op op, wire::Reader* in,
-                       std::string* resp) {
-  switch (op) {
-    case wire::Op::kPing:
-      return Status::OK();
+template <wire::Op op, typename Fn>
+Status Server::Serve(const Request& req, std::string* frame, Fn&& fn) {
+  wire::RequestOf<op> in;
+  if (!wire::Decode(req.body, &in)) {
+    return Status::InvalidArgument(std::string("bad ") + wire::OpName(op) +
+                                   " request");
+  }
+  wire::ResponseOf<op> out;
+  Status s = fn(in, &out);
+  if (s.ok()) *frame = wire::ResponseFrame(req.header.id, s, out);
+  return s;
+}
 
-    case wire::Op::kCreateTable: {
-      std::string name;
-      uint32_t ncols = 0;
-      if (!in->String(&name) || !in->U32(&ncols) || ncols == 0 ||
-          ncols > 56) {
-        return Status::InvalidArgument("bad CreateTable request");
-      }
-      std::vector<std::string> cols(ncols);
-      for (auto& c : cols) {
-        if (!in->String(&c)) {
-          return Status::InvalidArgument("bad CreateTable request");
+Status Server::Execute(Session* session, const Request& req,
+                       std::string* frame) {
+  using wire::Op;
+  std::optional<Txn>* txn = &session->txn;
+  switch (req.header.op) {
+    case Op::kPing:
+      return Serve<Op::kPing>(req, frame,
+                              [](auto&, auto*) { return Status::OK(); });
+
+    case Op::kCreateTable:
+      return Serve<Op::kCreateTable>(req, frame, [&](auto& r, auto*) {
+        return db_->CreateTable(r.table, Schema(std::move(r.columns)),
+                                TableConfig{});
+      });
+
+    case Op::kListTables:
+      return Serve<Op::kListTables>(req, frame, [&](auto&, auto* names) {
+        *names = db_->TableNames();
+        return Status::OK();
+      });
+
+    case Op::kSchema:
+      return Serve<Op::kSchema>(req, frame, [&](auto& name, auto* columns) {
+        Table* table = db_->GetTable(name);
+        if (table == nullptr) return Status::NotFound("no such table: " + name);
+        *columns = table->schema().names();
+        return Status::OK();
+      });
+
+    case Op::kBegin:
+      return Serve<Op::kBegin>(req, frame, [&](auto& iso, auto*) {
+        if (txn->has_value()) {
+          return Status::InvalidArgument("transaction already open");
         }
-      }
-      return db_->CreateTable(name, Schema(std::move(cols)), TableConfig{});
-    }
-
-    case wire::Op::kListTables: {
-      std::vector<std::string> names = db_->TableNames();
-      wire::PutU32(resp, static_cast<uint32_t>(names.size()));
-      for (const auto& n : names) wire::PutString(resp, n);
-      return Status::OK();
-    }
-
-    case wire::Op::kSchema: {
-      std::string name;
-      if (!in->String(&name)) return Status::InvalidArgument("bad request");
-      Table* table = db_->GetTable(name);
-      if (table == nullptr) return Status::NotFound("no such table: " + name);
-      const Schema& schema = table->schema();
-      wire::PutU32(resp, schema.num_columns());
-      for (ColumnId c = 0; c < schema.num_columns(); ++c) {
-        wire::PutString(resp, schema.name(c));
-      }
-      return Status::OK();
-    }
-
-    case wire::Op::kBegin: {
-      uint8_t iso = 0;
-      if (!in->U8(&iso) || iso > 2) {
-        return Status::InvalidArgument("bad isolation level");
-      }
-      if (session->txn.has_value()) {
-        return Status::InvalidArgument("transaction already open");
-      }
-      session->txn.emplace(db_->Begin(static_cast<IsolationLevel>(iso)));
-      return Status::OK();
-    }
-
-    case wire::Op::kCommit: {
-      if (!session->txn.has_value()) {
-        return Status::InvalidArgument("no open transaction");
-      }
-      Status s = session->txn->Commit();
-      session->txn.reset();
-      return s;
-    }
-
-    case wire::Op::kAbort: {
-      if (!session->txn.has_value()) {
-        return Status::InvalidArgument("no open transaction");
-      }
-      session->txn->Abort();
-      session->txn.reset();
-      return Status::OK();
-    }
-
-    case wire::Op::kInsert: {
-      std::string name;
-      std::vector<Value> row;
-      if (!in->String(&name) || !in->Values(&row)) {
-        return Status::InvalidArgument("bad Insert request");
-      }
-      Table* table = db_->GetTable(name);
-      if (table == nullptr) return Status::NotFound("no such table: " + name);
-      return WithTxn(db_, &session->txn,
-                     [&](Txn& txn) { return table->Insert(txn, row); });
-    }
-
-    case wire::Op::kRead: {
-      std::string name;
-      uint64_t key = 0, mask = 0;
-      if (!in->String(&name) || !in->U64(&key) || !in->U64(&mask)) {
-        return Status::InvalidArgument("bad Read request");
-      }
-      Table* table = db_->GetTable(name);
-      if (table == nullptr) return Status::NotFound("no such table: " + name);
-      std::vector<Value> row;
-      Status s = WithTxn(db_, &session->txn, [&](Txn& txn) {
-        return table->Read(txn, key, mask, &row);
+        txn->emplace(db_->Begin(iso));
+        return Status::OK();
       });
-      if (s.ok()) wire::PutValues(resp, row);
-      return s;
-    }
 
-    case wire::Op::kUpdate: {
-      std::string name;
-      uint64_t key = 0, mask = 0;
-      std::vector<Value> row;
-      if (!in->String(&name) || !in->U64(&key) || !in->U64(&mask) ||
-          !in->Values(&row)) {
-        return Status::InvalidArgument("bad Update request");
-      }
-      Table* table = db_->GetTable(name);
-      if (table == nullptr) return Status::NotFound("no such table: " + name);
-      return WithTxn(db_, &session->txn, [&](Txn& txn) {
-        return table->Update(txn, key, mask, row);
+    case Op::kCommit:
+      return Serve<Op::kCommit>(req, frame, [&](auto&, auto*) {
+        if (!txn->has_value()) {
+          return Status::InvalidArgument("no open transaction");
+        }
+        Status s = (*txn)->Commit();
+        txn->reset();
+        return s;
       });
-    }
 
-    case wire::Op::kDelete: {
-      std::string name;
-      uint64_t key = 0;
-      if (!in->String(&name) || !in->U64(&key)) {
-        return Status::InvalidArgument("bad Delete request");
-      }
-      Table* table = db_->GetTable(name);
-      if (table == nullptr) return Status::NotFound("no such table: " + name);
-      return WithTxn(db_, &session->txn,
-                     [&](Txn& txn) { return table->Delete(txn, key); });
-    }
-
-    case wire::Op::kMultiRead: {
-      std::string name;
-      uint64_t mask = 0;
-      std::vector<Value> keys;
-      if (!in->String(&name) || !in->U64(&mask) || !in->Values(&keys)) {
-        return Status::InvalidArgument("bad MultiRead request");
-      }
-      Table* table = db_->GetTable(name);
-      if (table == nullptr) return Status::NotFound("no such table: " + name);
-      std::vector<std::vector<Value>> rows;
-      std::vector<Status> statuses;
-      Status s = WithTxn(db_, &session->txn, [&](Txn& txn) {
-        Status rs = table->MultiRead(txn, keys, mask, &rows, &statuses);
-        // Per-key misses travel as per-key codes; only a call-level
-        // failure (inactive txn) aborts the whole response.
-        return rows.size() == keys.size() ? Status::OK() : rs;
+    case Op::kAbort:
+      return Serve<Op::kAbort>(req, frame, [&](auto&, auto*) {
+        if (!txn->has_value()) {
+          return Status::InvalidArgument("no open transaction");
+        }
+        (*txn)->Abort();
+        txn->reset();
+        return Status::OK();
       });
-      if (!s.ok()) return s;
-      wire::PutRows(resp, rows);
-      wire::PutU32(resp, static_cast<uint32_t>(statuses.size()));
-      for (const Status& ks : statuses) {
-        wire::PutU8(resp, static_cast<uint8_t>(ks.code()));
-      }
-      return Status::OK();
-    }
 
-    case wire::Op::kInsertBatch: {
-      std::string name;
-      std::vector<std::vector<Value>> rows;
-      if (!in->String(&name) || !in->Rows(&rows)) {
-        return Status::InvalidArgument("bad InsertBatch request");
-      }
-      Table* table = db_->GetTable(name);
-      if (table == nullptr) return Status::NotFound("no such table: " + name);
-      return WithTxn(db_, &session->txn,
-                     [&](Txn& txn) { return table->InsertBatch(txn, rows); });
-    }
-
-    case wire::Op::kUpdateBatch: {
-      std::string name;
-      uint64_t mask = 0;
-      std::vector<Value> keys;
-      std::vector<std::vector<Value>> rows;
-      if (!in->String(&name) || !in->U64(&mask) || !in->Values(&keys) ||
-          !in->Rows(&rows) || rows.size() != keys.size()) {
-        return Status::InvalidArgument("bad UpdateBatch request");
-      }
-      Table* table = db_->GetTable(name);
-      if (table == nullptr) return Status::NotFound("no such table: " + name);
-      return WithTxn(db_, &session->txn, [&](Txn& txn) {
-        return table->UpdateBatch(txn, keys, mask, rows);
+    case Op::kInsert:
+      return Serve<Op::kInsert>(req, frame, [&](auto& r, auto*) {
+        return WithTable(db_, txn, r.table, [&](Table& t, Txn& tx) {
+          return t.Insert(tx, r.row);
+        });
       });
-    }
 
-    case wire::Op::kDeleteBatch: {
-      std::string name;
-      std::vector<Value> keys;
-      if (!in->String(&name) || !in->Values(&keys)) {
-        return Status::InvalidArgument("bad DeleteBatch request");
-      }
-      Table* table = db_->GetTable(name);
-      if (table == nullptr) return Status::NotFound("no such table: " + name);
-      return WithTxn(db_, &session->txn,
-                     [&](Txn& txn) { return table->DeleteBatch(txn, keys); });
-    }
+    case Op::kRead:
+      return Serve<Op::kRead>(req, frame, [&](auto& r, auto* row) {
+        return WithTable(db_, txn, r.table, [&](Table& t, Txn& tx) {
+          return t.Read(tx, r.key, r.mask, row);
+        });
+      });
 
-    case wire::Op::kQuery:
-      return ExecuteQuery(in, resp);
+    case Op::kUpdate:
+      return Serve<Op::kUpdate>(req, frame, [&](auto& r, auto*) {
+        return WithTable(db_, txn, r.table, [&](Table& t, Txn& tx) {
+          return t.Update(tx, r.key, r.mask, r.row);
+        });
+      });
 
-    case wire::Op::kMetrics:
-      wire::PutString(resp, db_->Metrics().RenderPrometheus());
-      return Status::OK();
+    case Op::kDelete:
+      return Serve<Op::kDelete>(req, frame, [&](auto& r, auto*) {
+        return WithTable(db_, txn, r.table, [&](Table& t, Txn& tx) {
+          return t.Delete(tx, r.key);
+        });
+      });
 
-    case wire::Op::kTrace:
-      wire::PutString(resp, db_->DumpTrace());
-      return Status::OK();
+    case Op::kMultiRead:
+      return Serve<Op::kMultiRead>(req, frame, [&](auto& r, auto* out) {
+        std::vector<Status> statuses;
+        LSTORE_RETURN_IF_ERROR(
+            WithTable(db_, txn, r.table, [&](Table& t, Txn& tx) {
+              Status rs = t.MultiRead(tx, r.keys, r.mask, &out->rows,
+                                      &statuses);
+              // Per-key misses travel as per-key codes; only a
+              // call-level failure (inactive txn) fails the response.
+              return out->rows.size() == r.keys.size() ? Status::OK() : rs;
+            }));
+        for (const Status& ks : statuses) out->codes.push_back(ks.code());
+        return Status::OK();
+      });
 
-    case wire::Op::kHealth: {
-      HealthReport report = db_->Health();
-      wire::PutU32(resp, static_cast<uint32_t>(report.actors.size()));
-      for (const ActorHealth& a : report.actors) {
-        wire::PutString(resp, a.name);
-        wire::PutU8(resp, static_cast<uint8_t>(a.verdict));
-        wire::PutU8(resp, a.busy ? 1 : 0);
-        wire::PutU64(resp, a.since_beat_ms);
-        wire::PutU64(resp, a.beats);
-        wire::PutU64(resp, a.slow_ms);
-        wire::PutU64(resp, a.stall_ms);
-      }
-      wire::PutU32(resp, static_cast<uint32_t>(report.recent_events.size()));
-      for (const Event& e : report.recent_events) {
-        wire::PutU64(resp, e.ts_ms);
-        wire::PutU8(resp, static_cast<uint8_t>(e.severity));
-        wire::PutString(resp, e.actor);
-        wire::PutString(resp, e.kind);
-        wire::PutString(resp, e.fields);
-      }
-      return Status::OK();
-    }
+    case Op::kInsertBatch:
+      return Serve<Op::kInsertBatch>(req, frame, [&](auto& r, auto*) {
+        return WithTable(db_, txn, r.table, [&](Table& t, Txn& tx) {
+          return t.InsertBatch(tx, r.rows);
+        });
+      });
+
+    case Op::kUpdateBatch:
+      return Serve<Op::kUpdateBatch>(req, frame, [&](auto& r, auto*) {
+        if (r.rows.size() != r.keys.size()) {
+          return Status::InvalidArgument("bad update_batch request");
+        }
+        return WithTable(db_, txn, r.table, [&](Table& t, Txn& tx) {
+          return t.UpdateBatch(tx, r.keys, r.mask, r.rows);
+        });
+      });
+
+    case Op::kDeleteBatch:
+      return Serve<Op::kDeleteBatch>(req, frame, [&](auto& r, auto*) {
+        return WithTable(db_, txn, r.table, [&](Table& t, Txn& tx) {
+          return t.DeleteBatch(tx, r.keys);
+        });
+      });
+
+    case Op::kQuery:
+      return Serve<Op::kQuery>(req, frame, [&](auto& q, auto* out) {
+        return RunQuery(q, out);
+      });
+
+    case Op::kMetrics:
+      return Serve<Op::kMetrics>(req, frame, [&](auto&, auto* text) {
+        *text = db_->Metrics().RenderPrometheus();
+        return Status::OK();
+      });
+
+    case Op::kTrace:
+      return Serve<Op::kTrace>(req, frame, [&](auto&, auto* json) {
+        *json = db_->DumpTrace();
+        return Status::OK();
+      });
+
+    case Op::kHealth:
+      return Serve<Op::kHealth>(req, frame, [&](auto&, auto* report) {
+        *report = db_->Health();
+        return Status::OK();
+      });
   }
   return Status::InvalidArgument("unknown opcode");
 }
 
-Status Server::ExecuteQuery(wire::Reader* in, std::string* resp) {
-  std::string name;
-  uint8_t kind = 0;
-  uint32_t col = 0, nfilters = 0;
-  uint64_t first_row = 0, row_count = 0, as_of = 0;
-  if (!in->String(&name) || !in->U8(&kind) ||
-      kind > static_cast<uint8_t>(wire::QueryKind::kKeys) || !in->U32(&col) ||
-      !in->U64(&first_row) || !in->U64(&row_count) || !in->U64(&as_of) ||
-      !in->U32(&nfilters)) {
-    return Status::InvalidArgument("bad Query request");
-  }
-  Table* table = db_->GetTable(name);
-  if (table == nullptr) return Status::NotFound("no such table: " + name);
+Status Server::RunQuery(const wire::QueryRequest& q,
+                        wire::QueryResponse* out) {
+  Table* table = db_->GetTable(q.table);
+  if (table == nullptr) return Status::NotFound("no such table: " + q.table);
+  Query query = table->NewQuery();
+  query.Range(q.spec.first_row, q.spec.row_count);
+  if (q.spec.as_of != 0) query.AsOf(q.spec.as_of);
+  for (const auto& [col, value] : q.spec.where) query.Where(col, value);
 
-  Query q = table->NewQuery();
-  q.Range(first_row, row_count);
-  if (as_of != 0) q.AsOf(as_of);
-  for (uint32_t i = 0; i < nfilters; ++i) {
-    uint32_t fcol = 0;
-    uint64_t fval = 0;
-    if (!in->U32(&fcol) || !in->U64(&fval)) {
-      return Status::InvalidArgument("bad Query filter");
-    }
-    q.Where(fcol, fval);
-  }
-
-  uint64_t value = 0, rows = 0;
-  Status s;
-  switch (static_cast<wire::QueryKind>(kind)) {
+  wire::Aggregate& agg = std::get<wire::Aggregate>(*out);
+  switch (q.kind) {
+    case wire::QueryKind::kKeys:
+      return query.Keys(&out->emplace<wire::Row>());
     case wire::QueryKind::kSum:
-      s = q.Sum(col, &value, &rows);
-      break;
-    case wire::QueryKind::kCount:
-      s = q.Count(&value);
-      rows = value;
-      break;
-    case wire::QueryKind::kMin:
-      s = q.Min(col, &value, &rows);
-      break;
-    case wire::QueryKind::kMax:
-      s = q.Max(col, &value, &rows);
-      break;
-    case wire::QueryKind::kKeys: {
-      std::vector<Value> keys;
-      s = q.Keys(&keys);
-      if (s.ok()) wire::PutValues(resp, keys);
+      return query.Sum(q.column, &agg.value, &agg.rows);
+    case wire::QueryKind::kCount: {
+      Status s = query.Count(&agg.value);
+      agg.rows = agg.value;
       return s;
     }
+    case wire::QueryKind::kMin:
+      return query.Min(q.column, &agg.value, &agg.rows);
+    case wire::QueryKind::kMax:
+      return query.Max(q.column, &agg.value, &agg.rows);
   }
-  if (s.ok()) {
-    wire::PutU64(resp, value);
-    wire::PutU64(resp, rows);
-  }
-  return s;
+  return Status::OK();
 }
 
 }  // namespace lstore

@@ -131,10 +131,11 @@ class Server {
 
  private:
   struct Request {
-    std::string payload;
+    /// Parsed once, by the reader: id, op and trace id (0 = untraced).
+    wire::RequestHeader header;
+    std::string body;        ///< the payload after the header
     uint64_t enqueue_ns = 0;
-    uint64_t trace_id = 0;  ///< wire-header trace id (0 = untraced)
-    uint64_t t0_ns = 0;     ///< frame arrival; origin of the root span
+    uint64_t t0_ns = 0;      ///< frame arrival; origin of the root span
   };
 
   /// One connected client: its socket, transaction state, and queued
@@ -163,16 +164,19 @@ class Server {
   void ReaderLoop(std::shared_ptr<Session> session);
   void WorkerLoop(Heartbeat* hb);
 
-  /// Decode and execute one request, writing its response.
+  /// Execute one request and write its response.
   void HandleRequest(Session* session, const Request& req);
-  /// Execute `op` against db_, appending the response body to *resp.
-  Status Execute(Session* session, wire::Op op, wire::Reader* in,
-                 std::string* resp);
-  Status ExecuteQuery(wire::Reader* in, std::string* resp);
+  /// Execute req against db_; an OK reply's frame goes to *frame.
+  Status Execute(Session* session, const Request& req, std::string* frame);
+  /// Decode req's body as op's request, run fn(request, &response), and
+  /// on success encode the reply frame: one Execute case per op.
+  template <wire::Op op, typename Fn>
+  static Status Serve(const Request& req, std::string* frame, Fn&& fn);
+  /// kQuery: run the request's Query into the reply shape its kind picks.
+  Status RunQuery(const wire::QueryRequest& q, wire::QueryResponse* resp);
 
-  /// Write a [request_id][code][message] (+body) response frame.
-  void SendResponse(Session* session, uint32_t request_id, const Status& s,
-                    std::string_view body = {});
+  /// Write one response frame onto the session's socket.
+  void Send(Session* session, const std::string& frame);
 
   /// Abort the open txn, close the socket, and drop the map entry.
   /// Caller holds mu_; runs at most once per session.

@@ -9,6 +9,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -884,6 +885,39 @@ TEST_F(CheckpointTest, BackgroundCheckpointThreadTriggers) {
   ASSERT_TRUE(t->Read(r, 42, 0b010, &out).ok());
   EXPECT_EQ(out[1], 42u);
   (void)r.Commit();
+}
+
+// With no timed interval, the size trigger alone checkpoints once the
+// redo logs pass checkpoint_log_bytes, and the checkpoint truncates the
+// log prefix it covers.
+TEST_F(CheckpointTest, LogSizeTriggerCheckpointsAndShrinksTheLog) {
+  DurabilityOptions opts;
+  opts.checkpoint_interval_ms = 0;
+  opts.checkpoint_log_bytes = 4096;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(dir_, opts, &db).ok());
+  ASSERT_TRUE(db->CreateTable("t", Schema(3), SmallConfig()).ok());
+  Table* t = db->GetTable("t");
+  CheckpointManager* cm = db->checkpoint_manager();
+  const std::string log = dir_ + "/t.log";
+
+  uint64_t peak = 0;
+  for (Value k = 0; peak <= opts.checkpoint_log_bytes &&
+                    cm->checkpoints_taken() == 0;
+       ++k) {
+    ASSERT_LT(k, 100000u) << "the log never passed the bound";
+    Txn txn = db->Begin();
+    ASSERT_TRUE(t->Insert(txn, {k, k, 0}).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+    peak = std::max(peak, LogFileBytes(log));
+  }
+  for (int i = 0; i < 500 && cm->checkpoints_taken() == 0; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(cm->checkpoints_taken(), 0u);
+  EXPECT_TRUE(cm->last_background_status().ok());
+  EXPECT_LT(LogFileBytes(log), peak);
+  EXPECT_LE(LogFileBytes(log), opts.checkpoint_log_bytes);
 }
 
 TEST_F(CheckpointTest, RepeatedCheckpointsPruneOldFiles) {

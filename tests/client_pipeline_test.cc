@@ -149,7 +149,8 @@ TEST(ClientPipeline, ServerBusyArrivesOutOfOrderMidPipeline) {
 
   RequestId ids[6];
   for (int i = 0; i < 6; ++i) {
-    ASSERT_TRUE(c.channel().Submit(wire::Op::kPing, "", &ids[i]).ok());
+    ASSERT_TRUE(
+        c.channel().Submit(wire::Op::kPing, wire::Empty{}, &ids[i]).ok());
   }
   // Await in SUBMIT order. The first awaits force the channel to read
   // (and park) the Busy responses the reader already wrote for the
@@ -183,7 +184,8 @@ TEST(ClientPipeline, ServerStopBreaksChannelOncePerOutstandingId) {
   ASSERT_TRUE(Connect(ts, &c).ok());
   RequestId ids[3];
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(c.channel().Submit(wire::Op::kPing, "", &ids[i]).ok());
+    ASSERT_TRUE(
+        c.channel().Submit(wire::Op::kPing, wire::Empty{}, &ids[i]).ok());
   }
   ts.server->Stop();
 

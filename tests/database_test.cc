@@ -9,6 +9,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "checkpoint/serde.h"
 #include "common/checksum.h"
@@ -37,6 +38,29 @@ TEST(DatabaseTest, CreateGetDropTables) {
   EXPECT_TRUE(db.DropTable("b").ok());
   EXPECT_TRUE(db.DropTable("b").IsNotFound());
   EXPECT_EQ(db.TableNames().size(), 1u);
+}
+
+// A table has 1 to kMaxColumns columns, one ColumnMask bit each. A
+// wider one would take inserts and read its extra columns back as
+// kNull; one with no columns would crash its first insert.
+TEST(DatabaseTest, CreateTableRejectsColumnCountsOutsideTheMask) {
+  Database db;
+  EXPECT_TRUE(db.CreateTable("none", Schema(0u), Cfg()).IsInvalidArgument());
+  EXPECT_TRUE(db.CreateTable("wide", Schema(kMaxColumns + 1), Cfg())
+                  .IsInvalidArgument());
+  EXPECT_TRUE(db.TableNames().empty());
+
+  ASSERT_TRUE(db.CreateTable("widest", Schema(kMaxColumns), Cfg()).ok());
+  Table* t = db.GetTable("widest");
+  std::vector<Value> row(kMaxColumns);
+  for (uint32_t c = 0; c < kMaxColumns; ++c) row[c] = c + 1;
+  Txn txn = db.Begin();
+  ASSERT_TRUE(t->Insert(txn, row).ok());
+  ASSERT_TRUE(txn.Commit().ok());
+  std::vector<Value> out;
+  Txn reader = db.Begin();
+  ASSERT_TRUE(t->Read(reader, 1, t->schema().AllColumns(), &out).ok());
+  EXPECT_EQ(out, row);
 }
 
 TEST(DatabaseTest, TablesShareTheClock) {

@@ -13,6 +13,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -20,7 +21,10 @@
 #include <functional>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 #include "common/checksum.h"
@@ -90,7 +94,7 @@ void SendRaw(int fd, const std::string& bytes) {
   }
 }
 
-/// Frame a payload exactly as wire::WriteFrame does.
+/// Frame a payload exactly as wire::SealFrame does.
 std::string Frame(const std::string& payload) {
   std::string f;
   wire::PutU32(&f, static_cast<uint32_t>(payload.size()));
@@ -183,6 +187,277 @@ TEST(WireCodec, RoundTrip) {
   EXPECT_EQ(s, "hello");
   EXPECT_EQ(vs, (std::vector<Value>{1, kNull, 3}));
   EXPECT_EQ(rows, (std::vector<std::vector<Value>>{{4, 5}, {}}));
+}
+
+// --- per-op wire layouts --------------------------------------------------
+//
+// Every op's request body and every response shape, encoded by the
+// codec, must equal the bytes pinned here, and those bytes must decode
+// back to the same fields. The pinned bytes are what the hand-written
+// per-op encoders that preceded the generic codec wrote for the same
+// values, so any change to an op's layout fails here.
+
+using namespace std::string_view_literals;
+
+/// Field-by-field equality over wire layouts (they declare no ==).
+template <typename T>
+bool SameFields(const T& a, const T& b) {
+  if constexpr (wire::kIsVector<T>) {
+    return std::equal(
+        a.begin(), a.end(), b.begin(), b.end(),
+        [](const auto& x, const auto& y) { return SameFields(x, y); });
+  } else if constexpr (wire::kIsVariant<T>) {
+    if (a.index() != b.index()) return false;
+    return std::visit(
+        [&](const auto& x) {
+          return SameFields(x, std::get<std::decay_t<decltype(x)>>(b));
+        },
+        a);
+  } else if constexpr (std::is_scalar_v<T> || std::is_same_v<T, std::string>) {
+    return a == b;
+  } else {
+    return wire::ApplyFields(a, [&](const auto&... fa) {
+      return wire::ApplyFields(
+          b, [&](const auto&... fb) { return (SameFields(fa, fb) && ...); });
+    });
+  }
+}
+
+/// `value` encodes to exactly `bytes`, and `bytes` decode to `value`.
+template <typename T>
+void ExpectPinned(const T& value, std::string_view bytes) {
+  std::string encoded;
+  wire::Encode(&encoded, value);
+  EXPECT_EQ(encoded, bytes);
+  T decoded{};
+  if constexpr (wire::kIsVariant<T>) {  // decode the shape `value` holds
+    decoded = std::visit(
+        [](const auto& alt) { return T(std::decay_t<decltype(alt)>{}); },
+        value);
+  }
+  ASSERT_TRUE(wire::Decode(bytes, &decoded));
+  EXPECT_TRUE(SameFields(decoded, value));
+}
+
+template <wire::Op op>
+void ExpectRequest(const wire::RequestOf<op>& req, std::string_view bytes) {
+  SCOPED_TRACE(std::string(wire::OpName(op)) + " request");
+  ExpectPinned(req, bytes);
+}
+
+template <wire::Op op>
+void ExpectResponse(const wire::ResponseOf<op>& resp, std::string_view bytes) {
+  SCOPED_TRACE(std::string(wire::OpName(op)) + " response");
+  ExpectPinned(resp, bytes);
+}
+
+TEST(WireLayout, EveryRequestBodyMatchesItsPinnedBytes) {
+  using wire::Op;
+  ExpectRequest<Op::kPing>({}, ""sv);
+  ExpectRequest<Op::kCreateTable>(
+      {"t", {"k", "v"}},
+      "\x01\x00\x00\x00\x74\x02\x00\x00\x00\x01\x00\x00\x00\x6b\x01"
+      "\x00\x00\x00\x76"sv);
+  ExpectRequest<Op::kListTables>({}, ""sv);
+  ExpectRequest<Op::kSchema>("t", "\x01\x00\x00\x00\x74"sv);
+  ExpectRequest<Op::kBegin>(IsolationLevel::kSnapshot, "\x01"sv);
+  ExpectRequest<Op::kCommit>({}, ""sv);
+  ExpectRequest<Op::kAbort>({}, ""sv);
+  ExpectRequest<Op::kInsert>(
+      {"t", {1, 2}},
+      "\x01\x00\x00\x00\x74\x02\x00\x00\x00\x01\x00\x00\x00\x00\x00"
+      "\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00"sv);
+  ExpectRequest<Op::kRead>(
+      {"t", 7, 3},
+      "\x01\x00\x00\x00\x74\x07\x00\x00\x00\x00\x00\x00\x00\x03\x00"
+      "\x00\x00\x00\x00\x00\x00"sv);
+  ExpectRequest<Op::kUpdate>(
+      {"t", 7, 2, {7, 9}},
+      "\x01\x00\x00\x00\x74\x07\x00\x00\x00\x00\x00\x00\x00\x02\x00"
+      "\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x07\x00\x00\x00\x00"
+      "\x00\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00"sv);
+  ExpectRequest<Op::kDelete>(
+      {"t", 7}, "\x01\x00\x00\x00\x74\x07\x00\x00\x00\x00\x00\x00\x00"sv);
+  ExpectRequest<Op::kMultiRead>(
+      {"t", 3, {1, 2}},
+      "\x01\x00\x00\x00\x74\x03\x00\x00\x00\x00\x00\x00\x00\x02\x00"
+      "\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00"
+      "\x00\x00\x00"sv);
+  ExpectRequest<Op::kInsertBatch>(
+      {"t", {{1, 2}, {3, 4}}},
+      "\x01\x00\x00\x00\x74\x02\x00\x00\x00\x02\x00\x00\x00\x01\x00"
+      "\x00\x00\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x02"
+      "\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00\x00"
+      "\x00\x00\x00\x00"sv);
+  ExpectRequest<Op::kUpdateBatch>(
+      {"t", 2, {1}, {{1, 5}}},
+      "\x01\x00\x00\x00\x74\x02\x00\x00\x00\x00\x00\x00\x00\x01\x00"
+      "\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x02"
+      "\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00"
+      "\x00\x00\x00\x00"sv);
+  ExpectRequest<Op::kDeleteBatch>(
+      {"t", {1, 2}},
+      "\x01\x00\x00\x00\x74\x02\x00\x00\x00\x01\x00\x00\x00\x00\x00"
+      "\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00"sv);
+  ExpectRequest<Op::kQuery>(
+      {"t", wire::QueryKind::kSum, 1, {2, 10, 5, {{0, 4}}}},
+      "\x01\x00\x00\x00\x74\x00\x01\x00\x00\x00\x02\x00\x00\x00\x00"
+      "\x00\x00\x00\x0a\x00\x00\x00\x00\x00\x00\x00\x05\x00\x00\x00"
+      "\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x04\x00\x00"
+      "\x00\x00\x00\x00\x00"sv);
+  ExpectRequest<Op::kMetrics>({}, ""sv);
+  ExpectRequest<Op::kTrace>({}, ""sv);
+  ExpectRequest<Op::kHealth>({}, ""sv);
+}
+
+TEST(WireLayout, EveryResponseShapeMatchesItsPinnedBytes) {
+  using wire::Op;
+  // Ack-only ops answer with an empty body.
+  ExpectResponse<Op::kPing>({}, ""sv);
+  ExpectResponse<Op::kCreateTable>({}, ""sv);
+  ExpectResponse<Op::kBegin>({}, ""sv);
+  ExpectResponse<Op::kCommit>({}, ""sv);
+  ExpectResponse<Op::kAbort>({}, ""sv);
+  ExpectResponse<Op::kInsert>({}, ""sv);
+  ExpectResponse<Op::kUpdate>({}, ""sv);
+  ExpectResponse<Op::kDelete>({}, ""sv);
+  ExpectResponse<Op::kInsertBatch>({}, ""sv);
+  ExpectResponse<Op::kUpdateBatch>({}, ""sv);
+  ExpectResponse<Op::kDeleteBatch>({}, ""sv);
+
+  constexpr std::string_view kNames =
+      "\x02\x00\x00\x00\x01\x00\x00\x00\x61\x01\x00\x00\x00\x62"sv;
+  ExpectResponse<Op::kListTables>({"a", "b"}, kNames);
+  ExpectResponse<Op::kSchema>({"a", "b"}, kNames);
+  ExpectResponse<Op::kRead>(
+      {5, kNull},
+      "\x02\x00\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00\xff\xff\xff"
+      "\xff\xff\xff\xff\xff"sv);
+  ExpectResponse<Op::kMultiRead>(
+      {{{1, 2}, {}}, {Status::Code::kOk, Status::Code::kNotFound}},
+      "\x02\x00\x00\x00\x02\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00"
+      "\x00\x02\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x00\x02\x00"
+      "\x00\x00\x00\x01"sv);
+  // A query answers an aggregate, or keys for QueryKind::kKeys.
+  ExpectResponse<Op::kQuery>(
+      wire::Aggregate{42, 3},
+      "\x2a\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00\x00\x00\x00\x00"
+      "\x00"sv);
+  ExpectResponse<Op::kQuery>(
+      wire::Row{100, 101},
+      "\x02\x00\x00\x00\x64\x00\x00\x00\x00\x00\x00\x00\x65\x00\x00"
+      "\x00\x00\x00\x00\x00"sv);
+  constexpr std::string_view kText = "\x04\x00\x00\x00\x6d\x20\x31\x0a"sv;
+  ExpectResponse<Op::kMetrics>("m 1\n", kText);
+  ExpectResponse<Op::kTrace>("m 1\n", kText);
+
+  HealthReport report;
+  ActorHealth actor;
+  actor.name = "a";
+  actor.verdict = HealthVerdict::kSlow;
+  actor.busy = true;
+  actor.since_beat_ms = 1;
+  actor.beats = 2;
+  actor.slow_ms = 3;
+  actor.stall_ms = 4;
+  report.actors.push_back(actor);
+  Event event;
+  event.ts_ms = 9;
+  event.severity = EventSeverity::kWarn;
+  event.actor = "x";
+  event.kind = "y";
+  event.fields = "\"z\":1";
+  report.recent_events.push_back(event);
+  ExpectResponse<Op::kHealth>(
+      report,
+      "\x01\x00\x00\x00\x01\x00\x00\x00\x61\x01\x01\x01\x00\x00\x00"
+      "\x00\x00\x00\x00\x02\x00\x00\x00\x00\x00\x00\x00\x03\x00\x00"
+      "\x00\x00\x00\x00\x00\x04\x00\x00\x00\x00\x00\x00\x00\x01\x00"
+      "\x00\x00\x09\x00\x00\x00\x00\x00\x00\x00\x01\x01\x00\x00\x00"
+      "\x78\x01\x00\x00\x00\x79\x05\x00\x00\x00\x22\x7a\x22\x3a\x31"sv);
+}
+
+/// The payload of a frame built as [len][payload][crc].
+std::string PayloadOf(std::string_view frame) {
+  return std::string(frame.substr(4, frame.size() - wire::kFrameOverhead));
+}
+
+TEST(WireLayout, HeadersAndFramesMatchPinnedBytes) {
+  // A traced read, request id 1, trace id 0xabc.
+  constexpr std::string_view kTracedRead =
+      "\x22\x00\x00\x00\x01\x00\x00\x00\x89\xbc\x0a\x00\x00\x00\x00"
+      "\x00\x00\x01\x00\x00\x00\x74\x07\x00\x00\x00\x00\x00\x00\x00"
+      "\x03\x00\x00\x00\x00\x00\x00\x00\x9a\x53\x02\xa9"sv;
+  EXPECT_EQ(wire::RequestFrame({1, wire::Op::kRead, 0xabc},
+                               wire::ReadRequest{"t", 7, 3}),
+            kTracedRead);
+  std::string payload = PayloadOf(kTracedRead);
+  wire::RequestHeader req;
+  ASSERT_TRUE(wire::ParseRequestHeader(&payload, &req));
+  EXPECT_EQ(req.id, 1u);
+  EXPECT_EQ(req.op, wire::Op::kRead);
+  EXPECT_EQ(req.trace_id, 0xabcu);
+  wire::ReadRequest read;
+  ASSERT_TRUE(wire::Decode(payload, &read));
+  EXPECT_TRUE(SameFields(read, wire::ReadRequest{"t", 7, 3}));
+
+  // An untraced ping, request id 2: no trace field.
+  constexpr std::string_view kPing =
+      "\x05\x00\x00\x00\x02\x00\x00\x00\x01\x6e\x2a\x3b\xc7"sv;
+  EXPECT_EQ(wire::RequestFrame({2, wire::Op::kPing, 0}, wire::Empty{}), kPing);
+  payload = PayloadOf(kPing);
+  ASSERT_TRUE(wire::ParseRequestHeader(&payload, &req));
+  EXPECT_EQ(req.id, 2u);
+  EXPECT_EQ(req.op, wire::Op::kPing);
+  EXPECT_EQ(req.trace_id, 0u);
+  EXPECT_TRUE(payload.empty());
+
+  // An OK read reply carries its body...
+  constexpr std::string_view kOkRead =
+      "\x15\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x00\x01\x00"
+      "\x00\x00\x05\x00\x00\x00\x00\x00\x00\x00\x06\x36\x00\x9a"sv;
+  EXPECT_EQ(wire::ResponseFrame(1, Status::OK(), wire::Row{5}), kOkRead);
+  payload = PayloadOf(kOkRead);
+  wire::ResponseHeader resp;
+  ASSERT_TRUE(wire::ParseResponseHeader(&payload, &resp));
+  EXPECT_EQ(resp.id, 1u);
+  EXPECT_EQ(resp.code, Status::Code::kOk);
+  EXPECT_EQ(resp.message, "");
+  wire::Row row;
+  ASSERT_TRUE(wire::Decode(payload, &row));
+  EXPECT_EQ(row, wire::Row{5});
+
+  // ...and an error reply carries its message and no body, even when
+  // one was produced.
+  constexpr std::string_view kNotFound =
+      "\x0b\x00\x00\x00\x02\x00\x00\x00\x01\x02\x00\x00\x00\x6e\x6f"
+      "\x4a\xbb\xc3\x79"sv;
+  EXPECT_EQ(wire::ResponseFrame(2, Status::NotFound("no"), wire::Row{5}),
+            kNotFound);
+  payload = PayloadOf(kNotFound);
+  ASSERT_TRUE(wire::ParseResponseHeader(&payload, &resp));
+  EXPECT_EQ(resp.id, 2u);
+  EXPECT_EQ(resp.code, Status::Code::kNotFound);
+  EXPECT_EQ(resp.message, "no");
+  EXPECT_TRUE(payload.empty());
+}
+
+// A body with bytes left over, a truncated one, or an enum past its
+// last value is malformed.
+TEST(WireLayout, DecodeRejectsTrailingTruncatedAndOutOfRange) {
+  wire::ReadRequest read;
+  const std::string_view body =
+      "\x01\x00\x00\x00\x74\x07\x00\x00\x00\x00\x00\x00\x00\x03\x00"
+      "\x00\x00\x00\x00\x00\x00"sv;
+  EXPECT_TRUE(wire::Decode(body, &read));
+  EXPECT_FALSE(wire::Decode(std::string(body) + "x", &read));
+  EXPECT_FALSE(wire::Decode(body.substr(0, body.size() - 1), &read));
+  IsolationLevel iso;
+  EXPECT_TRUE(wire::Decode("\x02"sv, &iso));
+  EXPECT_FALSE(wire::Decode("\x03"sv, &iso));
+  // A count no remaining byte could cover fails before any growth.
+  wire::Strings names;
+  EXPECT_FALSE(wire::Decode("\xff\xff\xff\xff"sv, &names));
 }
 
 // --- full request surface over one connection ------------------------------

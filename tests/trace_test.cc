@@ -448,7 +448,7 @@ void SendRaw(int fd, const std::string& bytes) {
   }
 }
 
-/// Frame a payload exactly as wire::WriteFrame does.
+/// Frame a payload exactly as wire::SealFrame does.
 std::string Frame(const std::string& payload) {
   std::string f;
   wire::PutU32(&f, static_cast<uint32_t>(payload.size()));
