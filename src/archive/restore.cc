@@ -1,38 +1,37 @@
 // Point-in-time recovery: Database::RestoreToPoint.
 //
-// A restore point T (an inclusive commit time, or a commit-log LSN
-// resolved to one) is rebuilt as:
-//   1. collect every commit-log record — sealed commit segments in LSN
-//      order, then the live COMMIT_LOG — and fold them into ONE
-//      outcome map truncated at T (abort markers stay authoritative);
-//      every table replays against this map, so a cross-table
-//      transaction lands on all of its participants or none,
-//   2. pick the newest checkpoint manifest (archived or live) whose
+// A restore is restart recovery (Database::Recover) over a different
+// source. Only the choice of inputs lives here:
+//   1. the outcome map: every commit-log record — sealed commit
+//      segments in LSN order, then the live COMMIT_LOG — folded
+//      through FoldOutcome with the horizon T, the restore point (an
+//      inclusive commit time, or a commit-log LSN resolved to one);
+//      abort markers stay authoritative, and every table replays
+//      against this map, so a cross-table transaction lands on all of
+//      its participants or none,
+//   2. the checkpoint: the newest manifest (live or archived) whose
 //      capture_time watermark proves it contains no commit beyond T;
 //      with none, the restore starts from the empty state,
-//   3. per table: stitch the sealed redo segments and the live log
-//      into one LSN-continuous stream from the checkpoint watermark
-//      (a gap at the front means retention evicted the point —
-//      NotFound; a gap in the middle or a torn segment is Corruption;
-//      overlaps replay idempotently), and run the ordinary restart
-//      recovery over the stitched stream with the outcome horizon T,
-//   4. fast-forward the clock past every included commit, so the
-//      restored database's Now() IS the point: commits at or before T
-//      are visible, everything later never happened.
+//   3. each table's redo stream: the sealed redo segments and the live
+//      log stitched into one LSN-continuous stream from the checkpoint
+//      watermark (a gap at the front means retention evicted the point
+//      — NotFound; a gap in the middle or a torn segment is
+//      Corruption; overlaps replay idempotently), read only.
+// The shared step then recovers every cataloged table against the
+// horizon and resumes the clock past the newest included commit, so
+// the restored database's Now() IS the point: commits at or before T
+// are visible, everything later never happened.
 //
 // The restored Database is in-memory (no logs, no checkpoints); the
 // target directory is only read — checkpoint-referenced base segments
 // map lazily onto a read-only handle of the table's .segs store.
 
-#include <algorithm>
 #include <map>
-#include <unordered_map>
 
 #include "archive/archive_manager.h"
 #include "checkpoint/checkpoint_manager.h"
 #include "common/file.h"
 #include "core/database.h"
-#include "core/table.h"
 #include "log/commit_log.h"
 #include "log/framed_log.h"
 #include "log/redo_log.h"
@@ -136,62 +135,46 @@ Status Database::RestoreToPoint(const std::string& dir,
   const std::string commit_live = dir + "/COMMIT_LOG";
   LSTORE_RETURN_IF_ERROR(CommitLog::Replay(commit_live, collect));
 
-  Timestamp T = point.commit_time;
+  RecoverySource src;
+  src.dir = dir;
+  src.horizon = point.commit_time;
   if (point.commit_lsn != 0) {
     auto it = commit_records.find(point.commit_lsn);
     if (it == commit_records.end() || it->second.aborted) {
       return Status::NotFound("no committed commit-log record at LSN " +
                               std::to_string(point.commit_lsn));
     }
-    T = it->second.commit_time;
+    src.horizon = it->second.commit_time;
   }
+  const Timestamp T = src.horizon;
   if (T == 0) {
     return Status::InvalidArgument(
         "restore point needs a commit_time or commit_lsn");
   }
-
-  std::unordered_map<TxnId, Timestamp> db_commits;
   for (const auto& [lsn, rec] : commit_records) {
     (void)lsn;
-    if (rec.aborted) {
-      // Authoritative: the commit record's flush failed and the client
-      // saw the abort — regardless of any restore point.
-      db_commits.erase(rec.txn_id);
-    } else if (rec.commit_time <= T) {
-      db_commits[rec.txn_id] = rec.commit_time;
-    }
+    FoldOutcome(&src.commits, rec.txn_id, rec.aborted, rec.commit_time, T);
   }
 
   // --- step 2: newest checkpoint provably at or before the point ----------
-  Manifest chosen;
-  bool have_manifest = false;
-  {
-    Manifest live;
-    bool exists = false;
-    LSTORE_RETURN_IF_ERROR(ReadManifest(dir, &live, &exists));
-    // capture_time is a STRICT upper bound on every stamped commit
-    // time in the checkpoint, so capture_time <= T + 1 proves nothing
-    // beyond T is baked in. A pre-archive manifest (capture_time 0)
-    // proves nothing and never qualifies.
-    auto qualifies = [T](const Manifest& m) {
-      return m.capture_time != 0 && m.capture_time <= T + 1;
-    };
-    if (exists && qualifies(live)) {
-      chosen = std::move(live);
-      have_manifest = true;
-    }
-    if (!have_manifest) {
-      std::vector<ArchivedManifest> archived =
-          ArchiveManager::ListManifests(dir);
-      for (auto it = archived.rbegin(); it != archived.rend(); ++it) {
-        Manifest m;
-        bool m_exists = false;
-        LSTORE_RETURN_IF_ERROR(ReadManifestFile(it->path, &m, &m_exists));
-        if (m_exists && qualifies(m)) {
-          chosen = std::move(m);
-          have_manifest = true;
-          break;
-        }
+  // capture_time is a STRICT upper bound on every stamped commit time
+  // in the checkpoint, so capture_time <= T + 1 proves nothing beyond T
+  // is baked in. A pre-archive manifest (capture_time 0) proves nothing
+  // and never qualifies; with none, the restore starts empty.
+  auto qualifies = [T](const Manifest& m) {
+    return m.capture_time != 0 && m.capture_time <= T + 1;
+  };
+  bool exists = false;
+  LSTORE_RETURN_IF_ERROR(ReadManifest(dir, &src.manifest, &exists));
+  if (!exists || !qualifies(src.manifest)) {
+    src.manifest = Manifest{};
+    std::vector<ArchivedManifest> archived = ArchiveManager::ListManifests(dir);
+    for (auto it = archived.rbegin(); it != archived.rend(); ++it) {
+      Manifest m;
+      LSTORE_RETURN_IF_ERROR(ReadManifestFile(it->path, &m, &exists));
+      if (exists && qualifies(m)) {
+        src.manifest = std::move(m);
+        break;
       }
     }
   }
@@ -202,82 +185,19 @@ Status Database::RestoreToPoint(const std::string& dir,
   {
     std::vector<std::string> unused;
     LSTORE_RETURN_IF_ERROR(StitchSegments(
-        commit_segments, have_manifest ? chosen.commit_log_mark : 0,
-        commit_live, &CommitLog::ValidatePayload, &unused));
+        commit_segments, src.manifest.commit_log_mark, commit_live,
+        &CommitLog::ValidatePayload, &unused));
   }
 
-  // --- steps 3+4: per-table stitched recovery ------------------------------
+  // --- steps 3+4: the one recovery step over stitched redo streams ---------
+  src.redo_stream = [&dir](const std::string& table, uint64_t watermark,
+                           std::vector<std::string>* paths) {
+    return StitchSegments(ArchiveManager::ListRedoSegments(dir, table),
+                          watermark, dir + "/" + table + ".log",
+                          &RedoLog::ValidatePayload, paths);
+  };
   auto db = std::unique_ptr<Database>(new Database());
-  for (const CatalogEntry& ce : catalog) {
-    TableConfig cfg = ce.config;
-    cfg.enable_logging = false;
-    cfg.log_path.clear();
-    cfg.sync_commit = false;
-    cfg.buffer_pool = nullptr;
-    cfg.segment_store = nullptr;
-    std::string segs_path = dir + "/" + ce.name + ".segs";
-    if (FileExists(segs_path)) {
-      auto store = std::make_unique<SegmentStore>();
-      LSTORE_RETURN_IF_ERROR(store->Open(segs_path, /*read_only=*/true));
-      cfg.segment_store = store.get();
-      db->segment_stores_[ce.name] = std::move(store);
-    }
-
-    Table* t;
-    {
-      SpinGuard g(db->latch_);
-      db->tables_.push_back(Entry{
-          ce.name, std::make_unique<Table>(ce.name, Schema(ce.columns),
-                                           std::move(cfg),
-                                           &db->txn_manager_)});
-      db->tables_.back().table->txn_scope_ = db.get();
-      t = db->tables_.back().table.get();
-    }
-
-    const ManifestEntry* me = nullptr;
-    if (have_manifest) {
-      for (const ManifestEntry& e : chosen.entries) {
-        if (e.table == ce.name) me = &e;
-      }
-    }
-    std::string ckpt_path;
-    uint64_t watermark = 0, checksum = 0;
-    if (me != nullptr) {
-      ckpt_path = ArchiveManager::ResolveCheckpointFile(dir, me->file);
-      if (ckpt_path.empty()) {
-        return Status::Corruption("checkpoint file missing: " + me->file);
-      }
-      watermark = me->log_watermark;
-      checksum = me->file_checksum;
-    }
-
-    std::vector<std::string> paths;
-    LSTORE_RETURN_IF_ERROR(
-        StitchSegments(ArchiveManager::ListRedoSegments(dir, ce.name),
-                       watermark, dir + "/" + ce.name + ".log",
-                       &RedoLog::ValidatePayload, &paths));
-    LSTORE_RETURN_IF_ERROR(t->RecoverDurable(ckpt_path, watermark, checksum,
-                                             &db_commits, &paths, T));
-
-    std::vector<ColumnId> secs = ce.secondary_columns;
-    if (me != nullptr) {
-      secs.insert(secs.end(), me->secondary_columns.begin(),
-                  me->secondary_columns.end());
-    }
-    std::sort(secs.begin(), secs.end());
-    secs.erase(std::unique(secs.begin(), secs.end()), secs.end());
-    for (ColumnId col : secs) t->CreateSecondaryIndex(col);
-  }
-
-  // The clock lands just past the newest included commit, so Now()
-  // reads see exactly the state at the point — mirrors Open's resume,
-  // bounded by T instead of the full history.
-  Timestamp max_commit = 0;
-  for (const auto& [txn, ct] : db_commits) {
-    (void)txn;
-    if (ct > max_commit) max_commit = ct;
-  }
-  if (max_commit > 0) db->txn_manager_.clock().AdvanceTo(max_commit + 1);
+  LSTORE_RETURN_IF_ERROR(db->Recover(catalog, src));
 
   Histogram* restore_ns = db->metrics_.GetHistogram(
       "lstore_restore_ns", "Point-in-time restore duration (ns)");

@@ -486,18 +486,19 @@ Status CheckpointManager::ForgetTable(const std::string& table) {
   bool exists = false;
   LSTORE_RETURN_IF_ERROR(ReadManifest(dir_, &m, &exists));
   if (!exists) return Status::OK();
-  Manifest keep;
-  keep.checkpoint_id = m.checkpoint_id;
+  // Rewrite the manifest itself, archive watermarks included: without
+  // them the live manifest would never qualify as a restore start.
   std::vector<std::string> dead;
-  for (ManifestEntry& e : m.entries) {
-    if (e.table == table) {
-      dead.push_back(e.file);
-    } else {
-      keep.entries.push_back(std::move(e));
+  for (auto it = m.entries.begin(); it != m.entries.end();) {
+    if (it->table != table) {
+      ++it;
+      continue;
     }
+    dead.push_back(it->file);
+    it = m.entries.erase(it);
   }
   if (dead.empty()) return Status::OK();
-  LSTORE_RETURN_IF_ERROR(WriteManifest(dir_, keep));
+  LSTORE_RETURN_IF_ERROR(WriteManifest(dir_, m));
   for (const std::string& f : dead) {
     std::remove((dir_ + "/" + f).c_str());
   }

@@ -28,6 +28,26 @@
 
 namespace lstore {
 
+void FoldOutcome(CommitOutcomes* outcomes, TxnId txn, bool aborted,
+                 Timestamp commit_time, Timestamp horizon) {
+  if (aborted) {
+    outcomes->erase(txn);
+  } else if (commit_time <= horizon) {
+    // Commits beyond a restore horizon never happened in the restored
+    // timeline: their tail records resolve to aborted tombstones.
+    (*outcomes)[txn] = commit_time;
+  }
+}
+
+void ResumeClock(const CommitOutcomes& outcomes, Timestamp newest,
+                 TransactionManager* txn_manager) {
+  for (const auto& [txn, ct] : outcomes) {
+    (void)txn;
+    newest = std::max(newest, ct);
+  }
+  if (newest > 0) txn_manager->clock().AdvanceTo(newest + 1);
+}
+
 std::vector<ColumnId> Table::SecondaryColumns() const {
   SpinGuard g(secondary_latch_);
   std::vector<ColumnId> out;
@@ -36,10 +56,10 @@ std::vector<ColumnId> Table::SecondaryColumns() const {
   return out;
 }
 
-Status Table::ReplayAndRebuild(
-    uint64_t watermark,
-    const std::unordered_map<TxnId, Timestamp>* db_commits,
-    const std::vector<std::string>* log_paths, Timestamp commit_horizon) {
+Status Table::ReplayAndRebuild(uint64_t watermark,
+                               const CommitOutcomes* db_commits,
+                               const std::vector<std::string>* log_paths,
+                               Timestamp commit_horizon) {
   // Buffer-managed segments: recovery reads through pinned page
   // handles (an already-recovered table's merge thread can evict our
   // cold pages through the shared pool), so hold the epoch pin the
@@ -49,7 +69,7 @@ Status Table::ReplayAndRebuild(
   // cross-table transactions leave no commit record in this table's
   // log, and every participant recovers against the same map, so a
   // cross-table transaction replays on all of them or none.
-  std::unordered_map<TxnId, Timestamp> commits;
+  CommitOutcomes commits;
   if (db_commits != nullptr) commits = *db_commits;
 
   // --- step 2: apply the redo-log tail as the scan delivers it -------------
@@ -61,22 +81,9 @@ Status Table::ReplayAndRebuild(
   auto apply = [&](const LogRecord& rec, uint64_t lsn) {
     switch (rec.type) {
       case LogRecordType::kCommit:
-        // Commits beyond the restore horizon never happened in the
-        // restored timeline: their tail records resolve to aborted
-        // tombstones in step 3.
-        if (rec.commit_time <= commit_horizon) {
-          commits[rec.txn_id] = rec.commit_time;
-        }
-        break;
       case LogRecordType::kAbort:
-        // An abort record can FOLLOW a commit record of the same
-        // transaction (a per-table commit record whose pipeline failed
-        // later, or a commit-log record whose flush failed), so the
-        // later abort is authoritative: the in-memory commit point, the
-        // manager state flip, never happened and the client saw the
-        // abort. Txn ids are never reused, so erasing cannot drop a
-        // commit that comes later in the log.
-        commits.erase(rec.txn_id);
+        FoldOutcome(&commits, rec.txn_id, rec.type == LogRecordType::kAbort,
+                    rec.commit_time, commit_horizon);
         break;
       case LogRecordType::kTailAppend:
       case LogRecordType::kInsertAppend: {
@@ -158,21 +165,13 @@ Status Table::ReplayAndRebuild(
     }
   }
 
-  // Resume the clock beyond every replayed commit, including no-op
-  // commits that left no tail records; a table that replayed none
-  // leaves it alone.
-  for (const auto& [txn, ct] : commits) {
-    (void)txn;
-    if (ct > max_time) max_time = ct;
-  }
-  if (max_time > 0) txn_manager_->clock().AdvanceTo(max_time + 1);
+  ResumeClock(commits, max_time, txn_manager_);
   return Status::OK();
 }
 
 Status Table::RecoverDurable(
     const std::string& checkpoint_file, uint64_t log_watermark,
-    uint64_t checkpoint_checksum,
-    const std::unordered_map<TxnId, Timestamp>* db_commits,
+    uint64_t checkpoint_checksum, const CommitOutcomes* db_commits,
     const std::vector<std::string>* log_paths, Timestamp commit_horizon) {
   if (!checkpoint_file.empty()) {
     LSTORE_RETURN_IF_ERROR(

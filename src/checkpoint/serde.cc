@@ -2,13 +2,13 @@
 
 #include "checkpoint/serde.h"
 
-#include <cstring>
 #include <memory>
 
 #include "common/bitutil.h"
 #include "common/checksum.h"
 #include "core/historic.h"
 #include "core/table.h"
+#include "log/framed_log.h"
 #include "storage/compressed_column.h"
 #include "storage/compression/varint.h"
 
@@ -40,11 +40,8 @@ Status FrameWriter::WriteFrame(FrameType type, const std::string& payload) {
     LSTORE_RETURN_IF_ERROR(WriteBatch());
   }
   const size_t start = batch_.size();
-  PutVarint64(&batch_, body);
-  batch_.push_back(static_cast<char>(type));
-  batch_.append(payload);
-  uint32_t crc = Crc32c(batch_.data() + batch_.size() - body, body);
-  batch_.append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+  const char tag = static_cast<char>(type);
+  FramedLog::AppendFrame(&batch_, payload, std::string_view(&tag, 1));
   checksum_ = Crc32c(batch_.data() + start, frame, checksum_);
   return batch_.size() >= kWriteBatch ? WriteBatch() : Status::OK();
 }
@@ -85,27 +82,15 @@ Status FrameReader::Open(const std::string& path, uint32_t expected_magic) {
 
 bool FrameReader::Next(FrameType* type, std::string_view* payload) {
   if (!status_.ok() || pos_ >= data_.size()) return false;
-  size_t pos = pos_;
-  uint64_t len;
-  if (!GetVarint64(data_.data(), data_.size(), &pos, &len) || len == 0) {
-    status_ = Status::Corruption("torn checkpoint frame");
-    return false;
-  }
-  size_t remain = data_.size() - pos;
-  if (remain < sizeof(uint32_t) || len > remain - sizeof(uint32_t)) {
-    status_ = Status::Corruption("torn checkpoint frame");
-    return false;
-  }
-  const char* frame = data_.data() + pos;
-  uint32_t stored;
-  std::memcpy(&stored, data_.data() + pos + len, sizeof(stored));
-  if (Crc32c(frame, len) != stored) {
-    status_ = Status::Corruption("checkpoint frame checksum mismatch");
+  // Unlike a log's torn tail, a torn or corrupt frame here is never a
+  // clean end: these files are published whole.
+  std::string_view frame;
+  if (!FramedLog::ParseFrame(data_, &pos_, &frame) || frame.empty()) {
+    status_ = Status::Corruption("torn or corrupt checkpoint frame");
     return false;
   }
   *type = static_cast<FrameType>(frame[0]);
-  *payload = std::string_view(frame + 1, len - 1);
-  pos_ = pos + len + sizeof(uint32_t);
+  *payload = frame.substr(1);
   return true;
 }
 

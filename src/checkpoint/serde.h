@@ -1,16 +1,16 @@
 // Binary serialization layer of the durability subsystem.
 //
-// Checkpoint files, the manifest, and the catalog all share one frame
-// format, mirroring the redo log (Section 5.1.3):
+// Checkpoint files, the manifest, and the catalog all share the redo
+// log's frame codec (FramedLog::AppendFrame/ParseFrame, Section 5.1.3):
 //
 //   [payload_len varint][type byte + payload][crc32c over payload]
 //
 // so a torn or bit-flipped frame is detected exactly like a torn log
-// record. In addition the writer folds every byte it emits into a
-// running crc32c whole-file checksum that the checkpoint manifest
-// stores next to the file name — a flipped byte anywhere in a
-// checkpointed page fails recovery with a clean Corruption error
-// instead of resurrecting wrong data.
+// record, but fails the read with Corruption. In addition the writer
+// folds every byte it emits into a running crc32c whole-file checksum
+// that the checkpoint manifest stores next to the file name — a
+// flipped byte anywhere in a checkpointed page fails recovery with a
+// clean Corruption error instead of resurrecting wrong data.
 //
 // CheckpointIO owns the checkpoint format. It captures each update
 // range through Range::Capture, at a stable merge lineage (under the

@@ -6,8 +6,6 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
-
-#include <unordered_map>
 #include <utility>
 
 #include "archive/archive_manager.h"
@@ -99,36 +97,41 @@ HealthReport Database::Health() {
 // Table registry
 // ---------------------------------------------------------------------------
 
-Status Database::CreateTableInternal(
-    const std::string& name, Schema schema, TableConfig config,
-    const ManifestEntry* me,
-    const std::unordered_map<TxnId, Timestamp>* db_commits, Table** out) {
+Status Database::CreateTableInternal(const std::string& name, Schema schema,
+                                     TableConfig config,
+                                     const RecoverySource* src,
+                                     const ManifestEntry* me, Table** out) {
   if (schema.num_columns() == 0 || schema.num_columns() > kMaxColumns) {
     return Status::InvalidArgument("a table has 1 to " +
                                    std::to_string(kMaxColumns) + " columns");
   }
-  // Creations are serialized (ddl_mu_, or Open before it returns), so
-  // a name free here is still free at the publish below.
+  // Creations are serialized (ddl_mu_, or recovery before it returns),
+  // so a name free here is still free at the publish below.
   if (GetTable(name) != nullptr) return Status::AlreadyExists("table exists");
+  if (durable()) {
+    config.enable_logging = true;
+    config.log_path = dir_ + "/" + name + ".log";
+    config.sync_commit = durability_.sync_commit;
+  }
   // Buffer-managed base storage: with a pool, every table shares it
   // and gets its own swap store under the directory. WITHOUT a pool,
   // an existing .segs file is still opened — a database checkpointed
   // with paging on must reopen with paging off: its lazily restored
   // segments hydrate on first touch and then stay resident. Opening
   // an existing file keeps previously recorded offsets valid, so a
-  // manifest that references them recovers lazily. The filesystem
-  // work, construction and recovery run BEFORE the registry spin
-  // latch (GetTable callers must not spin through syscalls).
+  // manifest that references them recovers lazily; a restore maps the
+  // store read-only. The filesystem work, construction and recovery
+  // run BEFORE the registry spin latch (GetTable callers must not spin
+  // through syscalls).
+  const std::string& from = src != nullptr ? src->dir : dir_;
+  const std::string segs_path = from + "/" + name + ".segs";
   std::unique_ptr<SegmentStore> store;
-  if (durable()) {
-    std::string segs_path = dir_ + "/" + name + ".segs";
-    if (buffer_pool_ != nullptr || FileExists(segs_path)) {
-      store = std::make_unique<SegmentStore>();
-      LSTORE_RETURN_IF_ERROR(store->Open(segs_path));
-      config.buffer_pool = buffer_pool_.get();
-      config.segment_store = store.get();
-      config.verify_segment_refs = durability_.verify_segment_store_on_open;
-    }
+  if (!from.empty() && (buffer_pool_ != nullptr || FileExists(segs_path))) {
+    store = std::make_unique<SegmentStore>();
+    LSTORE_RETURN_IF_ERROR(store->Open(segs_path, /*read_only=*/!durable()));
+    config.buffer_pool = buffer_pool_.get();
+    config.segment_store = store.get();
+    config.verify_segment_refs = durability_.verify_segment_store_on_open;
   }
   // Every table of a database records into the shared registry, and
   // its merge thread heartbeats into the shared health registry.
@@ -136,11 +139,26 @@ Status Database::CreateTableInternal(
   config.health = &health_;
   auto table = std::make_unique<Table>(name, std::move(schema),
                                        std::move(config), &txn_manager_);
-  if (durable()) {
+  if (src != nullptr) {
+    std::string ckpt;
+    uint64_t watermark = 0, checksum = 0;
+    if (me != nullptr) {
+      ckpt = ArchiveManager::ResolveCheckpointFile(src->dir, me->file);
+      if (ckpt.empty()) {
+        return Status::Corruption("checkpoint file missing: " + me->file);
+      }
+      watermark = me->log_watermark;
+      checksum = me->file_checksum;
+    }
+    std::vector<std::string> paths;
+    if (src->redo_stream) {
+      LSTORE_RETURN_IF_ERROR(src->redo_stream(name, watermark, &paths));
+    }
     LSTORE_RETURN_IF_ERROR(table->RecoverDurable(
-        me != nullptr ? dir_ + "/" + me->file : "",
-        me != nullptr ? me->log_watermark : 0,
-        me != nullptr ? me->file_checksum : 0, db_commits));
+        ckpt, watermark, checksum, &src->commits,
+        src->redo_stream ? &paths : nullptr, src->horizon));
+  } else if (durable()) {
+    LSTORE_RETURN_IF_ERROR(table->RecoverFromLog());
   }
   SpinGuard g(latch_);
   if (store != nullptr) segment_stores_[name] = std::move(store);
@@ -151,6 +169,38 @@ Status Database::CreateTableInternal(
   tables_.back().table->txn_scope_ = this;
   tables_.back().table->group_commit_ = group_commit_.get();
   if (out != nullptr) *out = tables_.back().table.get();
+  return Status::OK();
+}
+
+Status Database::Recover(const std::vector<CatalogEntry>& catalog,
+                         const RecoverySource& src) {
+  for (const CatalogEntry& ce : catalog) {
+    // A table created after the checkpoint has no manifest entry: its
+    // logs alone carry it.
+    const ManifestEntry* me = nullptr;
+    for (const ManifestEntry& e : src.manifest.entries) {
+      if (e.table == ce.name) me = &e;
+    }
+    Table* t = nullptr;
+    LSTORE_RETURN_IF_ERROR(CreateTableInternal(ce.name, Schema(ce.columns),
+                                               ce.config, &src, me, &t));
+    // Secondary indexes: union of the catalog (kept current by
+    // Database::CreateSecondaryIndex) and the manifest (covers
+    // indexes created directly on the Table before a checkpoint).
+    std::vector<ColumnId> secs = ce.secondary_columns;
+    if (me != nullptr) {
+      secs.insert(secs.end(), me->secondary_columns.begin(),
+                  me->secondary_columns.end());
+    }
+    std::sort(secs.begin(), secs.end());
+    secs.erase(std::unique(secs.begin(), secs.end()), secs.end());
+    for (ColumnId col : secs) t->CreateSecondaryIndex(col);
+  }
+  // Beyond every commit even when no table replayed it (e.g. all
+  // tables dropped): a fresh transaction id must never collide with a
+  // retained commit-log record. A restore's clock lands just past the
+  // newest commit at or before its point, so Now() IS the point.
+  ResumeClock(src.commits, 0, &txn_manager_);
   return Status::OK();
 }
 
@@ -165,10 +215,7 @@ Status Database::CreateTable(const std::string& name, Schema schema,
     if (checkpoint_manager_ != nullptr) {
       LSTORE_RETURN_IF_ERROR(checkpoint_manager_->ForgetTable(name));
     }
-    config.enable_logging = true;
-    config.log_path = dir_ + "/" + name + ".log";
-    config.sync_commit = durability_.sync_commit;
-    std::remove(config.log_path.c_str());
+    std::remove((dir_ + "/" + name + ".log").c_str());
     // A stale swap store of a previously dropped table must not be
     // appended to: its old offsets are garbage for the new table.
     std::remove((dir_ + "/" + name + ".segs").c_str());
@@ -330,17 +377,17 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
   bool catalog_exists = false;
   LSTORE_RETURN_IF_ERROR(ReadCatalog(dir, &catalog, &catalog_exists));
 
-  Manifest manifest;
+  // Restart recovers from the live manifest, commit log and redo logs.
+  RecoverySource src;
+  src.dir = dir;
   bool manifest_exists = false;
-  LSTORE_RETURN_IF_ERROR(ReadManifest(dir, &manifest, &manifest_exists));
+  LSTORE_RETURN_IF_ERROR(ReadManifest(dir, &src.manifest, &manifest_exists));
 
   // Cross-table outcomes first: a commit record here commits the
   // transaction on EVERY participant; its absence (including a torn
   // final record) aborts it on every participant. Every table below
   // recovers against this one map, so no crash can split a
   // cross-table transaction.
-  const std::string commit_log_path = dir + "/" + kCommitLogFile;
-  std::unordered_map<TxnId, Timestamp> db_commits;
   db->commit_log_ = std::make_unique<CommitLog>();
   {
     FramedLogMetrics clm;
@@ -361,63 +408,21 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
     db->commit_log_->set_metrics(clm);
   }
   LSTORE_RETURN_IF_ERROR(db->commit_log_->Open(
-      commit_log_path, /*truncate=*/false,
-      [&db_commits](const CommitLogRecord& rec, uint64_t) {
-        // A later abort marker is authoritative: it is only written
-        // when the commit record's own flush failed (the client saw
-        // the abort). Txn ids are never reused.
-        if (rec.aborted) {
-          db_commits.erase(rec.txn_id);
-        } else {
-          db_commits[rec.txn_id] = rec.commit_time;
-        }
+      dir + "/" + kCommitLogFile, /*truncate=*/false,
+      [&src](const CommitLogRecord& rec, uint64_t) {
+        FoldOutcome(&src.commits, rec.txn_id, rec.aborted, rec.commit_time);
       }));
   db->group_commit_ = std::make_unique<GroupCommitQueue>(
       db->commit_log_.get(), opts.group_commit_window_us, opts.sync_commit,
       &db->metrics_);
   db->group_commit_->RegisterHeartbeat(&db->health_);
 
-  for (const CatalogEntry& ce : catalog) {
-    TableConfig cfg = ce.config;
-    cfg.enable_logging = true;
-    cfg.log_path = dir + "/" + ce.name + ".log";
-    cfg.sync_commit = opts.sync_commit;
-    // A table created after the last checkpoint has no manifest entry:
-    // the log alone carries it.
-    const ManifestEntry* me = nullptr;
-    for (const ManifestEntry& e : manifest.entries) {
-      if (e.table == ce.name) me = &e;
-    }
-    Table* t = nullptr;
-    LSTORE_RETURN_IF_ERROR(db->CreateTableInternal(
-        ce.name, Schema(ce.columns), cfg, me, &db_commits, &t));
-    // Secondary indexes: union of the catalog (kept current by
-    // Database::CreateSecondaryIndex) and the manifest (covers
-    // indexes created directly on the Table before a checkpoint).
-    std::vector<ColumnId> secs = ce.secondary_columns;
-    if (me != nullptr) {
-      secs.insert(secs.end(), me->secondary_columns.begin(),
-                  me->secondary_columns.end());
-    }
-    std::sort(secs.begin(), secs.end());
-    secs.erase(std::unique(secs.begin(), secs.end()), secs.end());
-    for (ColumnId col : secs) t->CreateSecondaryIndex(col);
-  }
-
-  // Resume the clock beyond every cross-table commit even when no
-  // table replayed it (e.g. all tables dropped): a fresh transaction
-  // id must never collide with a retained commit-log record.
-  Timestamp max_commit = 0;
-  for (const auto& [txn, ct] : db_commits) {
-    (void)txn;
-    if (ct > max_commit) max_commit = ct;
-  }
-  if (max_commit > 0) db->txn_manager_.clock().AdvanceTo(max_commit + 1);
+  LSTORE_RETURN_IF_ERROR(db->Recover(catalog, src));
 
   db->checkpoint_manager_ =
       std::make_unique<CheckpointManager>(db.get(), dir, opts);
   if (manifest_exists) {
-    db->checkpoint_manager_->SetRecoveredManifest(manifest);
+    db->checkpoint_manager_->SetRecoveredManifest(src.manifest);
   }
   db->checkpoint_manager_->Start();
   if (opts.metrics_report_interval_ms > 0) {

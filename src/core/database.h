@@ -18,6 +18,7 @@
 #define LSTORE_CORE_DATABASE_H_
 
 #include <atomic>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -27,6 +28,7 @@
 
 #include "buffer/buffer_pool.h"
 #include "buffer/segment_store.h"
+#include "checkpoint/checkpoint_manager.h"
 #include "common/config.h"
 #include "common/latch.h"
 #include "common/status.h"
@@ -42,7 +44,6 @@ class ArchiveManager;
 class CheckpointManager;
 class CommitLog;
 class GroupCommitQueue;
-struct ManifestEntry;
 class SlowOpLog;
 class StatsReporter;
 
@@ -233,14 +234,36 @@ class Database : public TxnContext {
   /// Same, omitting `skip` (DropTable persists before erasing memory).
   Status PersistCatalogExcluding(const std::string& skip);
 
-  /// Build a table and publish it in the registry. A durable table
-  /// recovers first, from its manifest entry `me` (null: its log
-  /// alone) against the commit log's verdicts: that is where its log
+  /// What a recovery reads. Restart (Open) and point-in-time restore
+  /// (RestoreToPoint) differ only in these inputs; both then run the
+  /// one recovery step, Recover.
+  struct RecoverySource {
+    std::string dir;  ///< directory holding the checkpoints and logs
+    Manifest manifest;  ///< the checkpoint to start from (none: empty)
+    CommitOutcomes commits;  ///< the commit log, through FoldOutcome
+    Timestamp horizon = kMaxTimestamp;  ///< the restore point, if any
+    /// Restore: fill `paths` with the table's redo stream past
+    /// `watermark`, replayed read-only. Null (restart): each table
+    /// opens its live log for append.
+    std::function<Status(const std::string& table, uint64_t watermark,
+                         std::vector<std::string>* paths)>
+        redo_stream;
+  };
+
+  /// The one recovery step: build, recover and register every table of
+  /// `catalog` from `src` (CreateTableInternal), rebuild its secondary
+  /// indexes, and resume the clock past every recovered commit.
+  Status Recover(const std::vector<CatalogEntry>& catalog,
+                 const RecoverySource& src);
+
+  /// Build a table and publish it in the registry. A recovering table
+  /// (`src` set) first recovers from its manifest entry `me` (null: its
+  /// logs alone) against `src`'s outcomes; a new durable table opens
+  /// its fresh log. Either way that is where a logging table's log
   /// opens (Table::RecoverDurable), so no session reaches it before.
-  Status CreateTableInternal(
-      const std::string& name, Schema schema, TableConfig config,
-      const ManifestEntry* me,
-      const std::unordered_map<TxnId, Timestamp>* db_commits, Table** out);
+  Status CreateTableInternal(const std::string& name, Schema schema,
+                             TableConfig config, const RecoverySource* src,
+                             const ManifestEntry* me, Table** out);
 
   TransactionManager txn_manager_;
   mutable SpinLatch latch_;

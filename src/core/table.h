@@ -57,6 +57,26 @@ namespace lstore {
 class MergeManager;
 class Query;
 
+/// Recovered transaction outcomes: the commit time of every
+/// transaction that committed (absent = aborted or never finished).
+using CommitOutcomes = std::unordered_map<TxnId, Timestamp>;
+
+/// The one outcome fold of recovery (restart, point-in-time restore,
+/// and each table's own commit/abort records): a commit at or before
+/// `horizon` records its commit time; a later abort is authoritative.
+/// An abort is only logged after the commit record's flush or the
+/// pipeline failed, so the client saw the abort; txn ids are never
+/// reused, so the erase cannot drop a commit that comes later.
+void FoldOutcome(CommitOutcomes* outcomes, TxnId txn, bool aborted,
+                 Timestamp commit_time, Timestamp horizon = kMaxTimestamp);
+
+/// The one clock resume of recovery: advance past `newest` and past
+/// every recovered commit (no-op commits that left no tail records
+/// included), so no fresh transaction id or commit time collides with
+/// a recovered one.
+void ResumeClock(const CommitOutcomes& outcomes, Timestamp newest,
+                 TransactionManager* txn_manager);
+
 class Table : public EngineCore<Range> {
  public:
   Table(std::string name, Schema schema, TableConfig config,
@@ -232,8 +252,7 @@ class Table : public EngineCore<Range> {
   Status RecoverDurable(const std::string& checkpoint_file,
                         uint64_t log_watermark,
                         uint64_t checkpoint_checksum = 0,
-                        const std::unordered_map<TxnId, Timestamp>*
-                            db_commits = nullptr,
+                        const CommitOutcomes* db_commits = nullptr,
                         const std::vector<std::string>* log_paths = nullptr,
                         Timestamp commit_horizon = kMaxTimestamp);
 
@@ -347,11 +366,9 @@ class Table : public EngineCore<Range> {
   /// commit log's verdicts) through Range::Recover, rebuild indexes +
   /// Indirection, and fast-forward the clock. See RecoverDurable for
   /// `log_paths` / `commit_horizon`.
-  Status ReplayAndRebuild(uint64_t watermark,
-                          const std::unordered_map<TxnId, Timestamp>*
-                              db_commits = nullptr,
-                          const std::vector<std::string>* log_paths = nullptr,
-                          Timestamp commit_horizon = kMaxTimestamp);
+  Status ReplayAndRebuild(uint64_t watermark, const CommitOutcomes* db_commits,
+                          const std::vector<std::string>* log_paths,
+                          Timestamp commit_horizon);
 
   /// Observability (src/obs/): injected by the owning Database or
   /// owned (standalone tables). Handles used on recording paths are

@@ -14,11 +14,33 @@ namespace lstore {
 // Static framing helpers
 // ---------------------------------------------------------------------------
 
-void FramedLog::AppendFrame(std::string* out, std::string_view payload) {
-  PutVarint64(out, payload.size());
+void FramedLog::AppendFrame(std::string* out, std::string_view payload,
+                            std::string_view type) {
+  PutVarint64(out, type.size() + payload.size());
+  const size_t body = out->size();
+  out->append(type);
   out->append(payload);
-  uint32_t crc = Crc32c(payload.data(), payload.size());
+  uint32_t crc = Crc32c(out->data() + body, out->size() - body);
   out->append(reinterpret_cast<const char*>(&crc), sizeof(crc));
+}
+
+bool FramedLog::ParseFrame(std::string_view data, size_t* pos,
+                           std::string_view* payload) {
+  size_t p = *pos;
+  uint64_t len;
+  if (!GetVarint64(data.data(), data.size(), &p, &len)) return false;
+  size_t remain = data.size() - p;
+  // Overflow-safe: a torn tail can present an absurd length whose
+  // naive `p + len` bound check would wrap around.
+  if (remain < sizeof(uint32_t) || len > remain - sizeof(uint32_t)) {
+    return false;
+  }
+  uint32_t stored;
+  std::memcpy(&stored, data.data() + p + len, sizeof(stored));
+  if (Crc32c(data.data() + p, len) != stored) return false;
+  *payload = data.substr(p, len);
+  *pos = p + len + sizeof(uint32_t);
+  return true;
 }
 
 std::string FramedLog::TruncationPointFrame(uint64_t base_lsn) {
@@ -40,53 +62,33 @@ void FramedLog::ScanFrames(std::string_view data, const Codec& codec,
   stats->clean_end = true;
   while (pos < data.size()) {
     size_t frame_start = pos;
-    uint64_t len;
-    if (!GetVarint64(data.data(), data.size(), &pos, &len)) {
-      stats->clean_end = false;  // torn length varint
-      pos = frame_start;
+    std::string_view payload;
+    if (!ParseFrame(data, &pos, &payload)) {
+      stats->clean_end = false;  // torn or corrupt frame
       break;
     }
-    size_t remain = data.size() - pos;
-    // Overflow-safe: a torn tail can present an absurd length whose
-    // naive `pos + len` bound check would wrap around.
-    if (remain < sizeof(uint32_t) || len > remain - sizeof(uint32_t)) {
-      stats->clean_end = false;
-      pos = frame_start;
-      break;
-    }
-    const char* payload = data.data() + pos;
-    uint32_t stored;
-    std::memcpy(&stored, data.data() + pos + len, sizeof(stored));
-    if (Crc32c(payload, len) != stored) {  // corrupt frame
-      stats->clean_end = false;
-      pos = frame_start;
-      break;
-    }
-    if (len > 0 &&
+    if (!payload.empty() &&
         static_cast<uint8_t>(payload[0]) == kTruncationPointTag) {
       size_t sub = 1;
       uint64_t base = 0;
-      if (!GetVarint64(payload, len, &sub, &base) || sub != len) {
+      if (!GetVarint64(payload.data(), payload.size(), &sub, &base) ||
+          sub != payload.size()) {
         stats->clean_end = false;
         pos = frame_start;
         break;
       }
-      pos += len + sizeof(uint32_t);
       lsn = base;
       stats->base_lsn = base;
       stats->last_lsn = lsn;
       continue;
     }
     uint64_t count = 0;
-    if (!codec(payload, len, &count)) {  // malformed payload
+    if (!codec(payload.data(), payload.size(), &count)) {  // malformed
       stats->clean_end = false;
       pos = frame_start;
       break;
     }
-    pos += len + sizeof(uint32_t);
-    if (fn) {
-      fn(std::string_view(payload, len), lsn + 1, count, frame_start, pos);
-    }
+    if (fn) fn(payload, lsn + 1, count, frame_start, pos);
     lsn += count;
     if (count > 0) stats->last_lsn = lsn;
   }

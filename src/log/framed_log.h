@@ -1,6 +1,7 @@
 // Shared framed-log core: the one implementation of the durability
 // frame format used by the redo log, the commit log, and the archive
-// stitcher.
+// stitcher; checkpoint, manifest and catalog files (checkpoint/serde.h)
+// write and parse their frames with its AppendFrame/ParseFrame.
 //
 // Frame format: [payload_len varint][payload][crc32c over payload].
 // Records carry implicit LSNs, numbered 1, 2, ... in append order; a
@@ -157,8 +158,18 @@ class FramedLog {
 
   // --- static framing helpers ----------------------------------------------
 
-  /// Frame `payload` ([len][payload][crc32c]) onto `out`.
-  static void AppendFrame(std::string* out, std::string_view payload);
+  /// Frame `type` + `payload` ([len][type payload][crc32c]) onto
+  /// `out`. Log records leave `type` empty; checkpoint, manifest and
+  /// catalog frames (checkpoint/serde.h) put their type byte there.
+  static void AppendFrame(std::string* out, std::string_view payload,
+                          std::string_view type = {});
+
+  /// Parse the frame at `*pos` of `data` (every log scan and every
+  /// checkpoint, manifest and catalog read goes through it): true with
+  /// `*payload` set and `*pos` past the frame; false, `*pos` unmoved,
+  /// at a torn or checksum-failing one.
+  static bool ParseFrame(std::string_view data, size_t* pos,
+                         std::string_view* payload);
 
   /// A complete truncation-point frame restoring `base_lsn`.
   static std::string TruncationPointFrame(uint64_t base_lsn);

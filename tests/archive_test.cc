@@ -26,6 +26,7 @@
 #include "archive/archive_manager.h"
 #include "checkpoint/checkpoint_manager.h"
 #include "core/database.h"
+#include "core/query.h"
 #include "core/table.h"
 #include "log/commit_log.h"
 #include "log/framed_log.h"
@@ -605,6 +606,71 @@ TEST_F(ArchiveTest, ManifestCarriesArchiveWatermarks) {
   EXPECT_EQ(am.capture_time, m.capture_time);
   EXPECT_EQ(am.commit_log_mark, m.commit_log_mark);
   EXPECT_EQ(am.checkpoint_id, m.checkpoint_id);
+  // Dropping a table rewrites the live manifest without its entry but
+  // keeps both watermarks, so it still qualifies as a restore start.
+  ASSERT_TRUE(db->DropTable("B").ok());
+  Manifest dropped;
+  ASSERT_TRUE(ReadManifest(dir_, &dropped, &exists).ok());
+  ASSERT_TRUE(exists);
+  EXPECT_EQ(dropped.entries.size(), m.entries.size() - 1);
+  EXPECT_EQ(dropped.capture_time, m.capture_time);
+  EXPECT_EQ(dropped.commit_log_mark, m.commit_log_mark);
+}
+
+// Restoring to the newest commit and restarting are two sources for
+// one recovery: both must rebuild the same rows and secondary index
+// from a history with both tables, cross-table commits, an abort, a
+// merge and a checkpoint.
+TEST_F(ArchiveTest, RestoreAtNewestPointEqualsRestart) {
+  Oracle oracle;
+  {
+    std::unique_ptr<Database> db;
+    OpenWithTables(ArchiveOpts(), &db);
+    ASSERT_TRUE(db->CreateSecondaryIndex("A", 1).ok());
+    RunSchedule(db.get(), &oracle, 30, 12, /*seed=*/11);
+    Txn aborted = db->Begin();
+    ASSERT_TRUE(db->GetTable("A")->Update(aborted, 100, 0b010, {0, 7, 0}).ok());
+    ASSERT_TRUE(db->GetTable("B")->Insert(aborted, {9999, 7}).ok());
+    aborted.Abort();
+    RunSchedule(db.get(), &oracle, 6, 0, /*seed=*/12);
+  }
+  const std::string copy = dir_ + "_crash";
+  fs::remove_all(copy);
+  fs::copy(dir_, copy, fs::copy_options::recursive);
+
+  std::unique_ptr<Database> rdb, odb;
+  ASSERT_TRUE(Database::RestoreToPoint(
+                  dir_, RestorePoint::AtTime(oracle.points.back().t), &rdb)
+                  .ok());
+  ASSERT_TRUE(Database::Open(copy, ArchiveOpts(), &odb).ok());
+  for (const char* name : {"A", "B"}) {
+    Table* r = rdb->GetTable(name);
+    Table* o = odb->GetTable(name);
+    ASSERT_NE(r, nullptr);
+    ASSERT_NE(o, nullptr);
+    const std::vector<Value>& keys =
+        name[0] == 'A' ? oracle.keys_a : oracle.keys_b;
+    EXPECT_EQ(Snapshot(r, keys, r->Now()), Snapshot(o, keys, o->Now()))
+        << name;
+    EXPECT_EQ(r->SecondaryColumns(), o->SecondaryColumns()) << name;
+  }
+  // The aborted transaction's insert exists in neither.
+  Table* rb = rdb->GetTable("B");
+  EXPECT_TRUE(Snapshot(rb, {9999}, rb->Now()).empty());
+  Table* ob = odb->GetTable("B");
+  EXPECT_TRUE(Snapshot(ob, {9999}, ob->Now()).empty());
+  Table* ra = rdb->GetTable("A");
+  Table* oa = odb->GetTable("A");
+  EXPECT_EQ(ra->SecondaryColumns(), std::vector<ColumnId>{1});
+  size_t hits = 0;
+  for (const auto& [key, row] : Snapshot(oa, oracle.keys_a, oa->Now())) {
+    std::vector<Value> rk, ok;
+    ASSERT_TRUE(ra->NewQuery().Where(1, row[1]).Keys(&rk).ok());
+    ASSERT_TRUE(oa->NewQuery().Where(1, row[1]).Keys(&ok).ok());
+    EXPECT_EQ(rk, ok) << "A.v1 == " << row[1];
+    hits += ok.size();
+  }
+  EXPECT_GT(hits, 0u);
 }
 
 }  // namespace

@@ -434,7 +434,9 @@ TEST_F(DatabaseMetricsTest, RestoreRecordsDuration) {
   opts.archive_enabled = true;
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(dir_, opts, &db).ok());
-  ASSERT_TRUE(db->CreateTable("A", Schema({"k", "v"}), SmallConfig()).ok());
+  TableConfig cfg = SmallConfig();
+  cfg.enable_merge_thread = true;
+  ASSERT_TRUE(db->CreateTable("A", Schema({"k", "v"}), cfg).ok());
   Table* a = db->GetTable("A");
   Txn txn = db->Begin();
   ASSERT_TRUE(a->Insert(txn, {1, 2}).ok());
@@ -452,6 +454,25 @@ TEST_F(DatabaseMetricsTest, RestoreRecordsDuration) {
     ASSERT_NE(h, nullptr);
     EXPECT_EQ(h->hist.count, 1u);
   }
+  // A restored table is observable like an opened one: it records into
+  // the database's registry and its merge thread beats into Health().
+  Table* ra = rdb->GetTable("A");
+  ASSERT_NE(ra, nullptr);
+  Txn rtxn = rdb->Begin();
+  ASSERT_TRUE(ra->Insert(rtxn, {3, 4}).ok());
+  ASSERT_TRUE(rtxn.Commit().ok());
+  EXPECT_EQ(rdb->Metrics().CounterValue("lstore_inserts_total"), 1u);
+  // The merge thread registers its heartbeat once it runs.
+  bool merge_listed = false;
+  for (int i = 0; i < 500 && !merge_listed; ++i) {
+    for (const ActorHealth& actor : rdb->Health().actors) {
+      merge_listed = merge_listed || actor.name == "merge:A";
+    }
+    if (!merge_listed) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    }
+  }
+  EXPECT_TRUE(merge_listed);
 }
 
 // --- reporter --------------------------------------------------------------
