@@ -47,8 +47,8 @@ int main() {
   Table* audit = db->GetTable("audit");
 
   // Concurrent cross-table commits: every order insert pairs with an
-  // audit row in ONE transaction, so the group-commit queue batches
-  // real multi-writer work.
+  // audit row in ONE transaction, so the logs' group commit shares
+  // fsyncs across real multi-writer work.
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([&, t] {

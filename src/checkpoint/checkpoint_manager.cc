@@ -3,12 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <shared_mutex>
 #include <unordered_map>
 
 #include "archive/archive_manager.h"
 #include "checkpoint/serde.h"
 #include "common/file.h"
-#include "core/commit_pipeline.h"
 #include "core/database.h"
 #include "core/table.h"
 #include "log/commit_log.h"
@@ -275,18 +275,18 @@ Status CheckpointManager::RunCheckpoint() {
   Status status = Status::OK();
 
   // Phase 1 — quiesce through the commit log: every table's watermark
-  // and the commit-log position are snapshotted inside the
-  // group-commit window, so no commit can be half-way through its
-  // durability sequence (some participant logs flushed, commit-log
-  // record not yet) while the watermarks are taken. The lock covers
+  // and the commit-log position are snapshotted under its gate, held
+  // exclusive, so no cross-table commit can be half-way through its
+  // durability sequence (participant logs synced, commit-log record
+  // not yet appended) while the watermarks are taken. The gate covers
   // only the LSN reads — the fsyncs below run with commits flowing.
   // Watermarks BEFORE capture: anything the capture might miss has a
   // higher LSN and will be replayed at recovery (idempotently).
   uint64_t commit_quiesce_lsn = 0;
   {
-    std::unique_lock<std::mutex> quiesce;
-    if (db_->group_commit_ != nullptr) {
-      quiesce = std::unique_lock<std::mutex>(db_->group_commit_->window_mu());
+    std::unique_lock<std::shared_mutex> quiesce;
+    if (db_->commit_log_ != nullptr) {
+      quiesce = std::unique_lock<std::shared_mutex>(db_->commit_log_->gate());
     }
     for (auto& [name, t] : tables) {
       ManifestEntry e;

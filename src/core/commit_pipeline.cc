@@ -1,7 +1,7 @@
 #include "core/commit_pipeline.h"
 
 #include <algorithm>
-#include <chrono>
+#include <shared_mutex>
 
 #include "common/inline_buffer.h"
 #include "core/range.h"
@@ -45,192 +45,80 @@ EngineBase* Metered(EngineBase* const* engines, size_t n, const Role* roles) {
   return reader;
 }
 
-/// Append a commit record to `log` WITHOUT flushing.
-void AppendCommitRecord(RedoLog* log, const Transaction* txn,
-                        Timestamp commit_time) {
+/// Append a commit record to `log`; returns its LSN.
+uint64_t AppendCommitRecord(RedoLog* log, const Transaction* txn,
+                            Timestamp commit_time) {
   LogRecord rec;
   rec.type = LogRecordType::kCommit;
   rec.txn_id = txn->id();
   rec.commit_time = commit_time;
-  log->Append(rec);
+  return log->Append(rec);
 }
 
-/// Append an abort record to `log`; `flush` pushes it to the OS (fsync
-/// under `sync`). The flush matters ONLY when the durability step
-/// already appended/flushed a commit record for this transaction
-/// (per-table record whose pipeline failed later, or a commit-log
-/// record whose flush failed) — replay treats the later abort as
-/// authoritative, so it must not sit in the buffer when the process
+/// Append an abort record to `log`; `durable` syncs it (fsync under
+/// `sync`). That matters ONLY when the durability step already
+/// appended/synced a commit record for this transaction (per-table
+/// record whose pipeline failed later) — replay treats the later abort
+/// as authoritative, so it must not sit in the buffer when the process
 /// dies. Ordinary aborts (user abort, validation failure) skip the
-/// flush: with no commit record anywhere, replay aborts them anyway.
-void WriteAbortRecord(RedoLog* log, const Transaction* txn, bool flush,
+/// sync: with no commit record anywhere, replay aborts them anyway.
+void WriteAbortRecord(RedoLog* log, const Transaction* txn, bool durable,
                       bool sync) {
   LogRecord rec;
   rec.type = LogRecordType::kAbort;
   rec.txn_id = txn->id();
-  log->Append(rec);
-  if (flush) (void)log->Flush(sync);
+  const uint64_t lsn = log->Append(rec);
+  if (durable) (void)log->Sync(lsn, sync);
+}
+
+/// The durability point of a transaction with `n` > 1 logged writers:
+/// sync each participant log at its LSN, then append ONE commit-log
+/// record and sync it. The gate is held shared from the participant
+/// syncs through the append, the checkpoint's quiesce. On failure the
+/// commit record may or may not be durable, so ONE abort marker in the
+/// commit log decides the outcome for every participant: per-table
+/// abort records could land on a subset of them and re-split the
+/// transaction (best effort: if neither record persists, recovery
+/// aborts it everywhere anyway).
+Status CommitCross(CommitLog& commit_log, const Transaction* txn,
+                   Timestamp commit_time, EngineBase* const* writers,
+                   RedoLog* const* logs, size_t n, Histogram* fanout_ns) {
+  // The tables of a database share its sync_commit.
+  const bool sync = writers[0]->config().sync_commit;
+  CommitLogRecord rec;
+  rec.txn_id = txn->id();
+  rec.commit_time = commit_time;
+  Status s = Status::OK();
+  uint64_t lsn = 0;
+  {
+    std::shared_lock<std::shared_mutex> gate(commit_log.gate());
+    Stage fanout(fanout_ns, nullptr);
+    for (size_t i = 0; i < n && s.ok(); ++i) {
+      // last_lsn bounds this transaction's payload LSNs in that log (its
+      // appends are in); a concurrent append raising it merely delays
+      // commit-log truncation.
+      const uint64_t at = logs[i]->last_lsn();
+      rec.participants.push_back({writers[i]->name(), at});
+      s = logs[i]->Sync(at, sync);
+    }
+    fanout.End();
+    if (s.ok()) lsn = commit_log.Append(rec);
+  }
+  if (s.ok()) s = commit_log.Sync(lsn, sync);
+  if (!s.ok()) {
+    CommitLogRecord abort;
+    abort.txn_id = txn->id();
+    abort.aborted = true;
+    (void)commit_log.Sync(commit_log.Append(abort), sync);
+  }
+  return s;
 }
 
 }  // namespace
 
-// ---------------------------------------------------------------------------
-// GroupCommitQueue
-// ---------------------------------------------------------------------------
-
-Status GroupCommitQueue::Commit(Transaction* txn, Timestamp commit_time,
-                                EngineBase* const* writers, size_t n,
-                                bool cross) {
-  Request req;
-  req.writers = writers;
-  req.num_writers = n;
-  req.cross = cross;
-  if (cross) {
-    req.record.txn_id = txn->id();
-    req.record.commit_time = commit_time;
-    for (size_t i = 0; i < n; ++i) {
-      // last_lsn is an upper bound on this transaction's payload LSNs
-      // in that log (our appends are already in); a concurrent append
-      // raising it merely delays commit-log truncation.
-      req.record.participants.push_back(
-          {writers[i]->name(), writers[i]->redo_log()->last_lsn()});
-    }
-  }
-
-  // Stamped for every request, not only when the histogram is wired:
-  // the stamp also anchors the gc_queue_wait span of a traced request,
-  // which the leader records on the submitter's behalf.
-  req.enqueue_ns = Stage::Now();
-  req.trace_id = TraceContext::Current();
-  std::unique_lock<std::mutex> lk(mu_);
-  queue_.push_back(&req);
-  cv_.notify_all();
-  for (;;) {
-    cv_.wait(lk, [&] {
-      return req.done || (!leader_active_ && queue_.front() == &req);
-    });
-    if (req.done) return req.result;
-
-    // Become the leader. A lone leader waits up to the group-commit
-    // window for followers; wake-ups from new arrivals keep it parked
-    // until the deadline so the batch can grow.
-    leader_active_ = true;
-    if (window_us_ > 0 && queue_.size() == 1) {
-      auto deadline = std::chrono::steady_clock::now() +
-                      std::chrono::microseconds(window_us_);
-      while (std::chrono::steady_clock::now() < deadline) {
-        cv_.wait_until(lk, deadline);
-      }
-    }
-    std::vector<Request*> batch(queue_.begin(), queue_.end());
-    queue_.clear();
-    lk.unlock();
-
-    ProcessBatch(batch);
-
-    lk.lock();
-    for (Request* r : batch) r->done = true;
-    leader_active_ = false;
-    cv_.notify_all();
-    return req.result;
-  }
-}
-
-void GroupCommitQueue::ProcessBatch(const std::vector<Request*>& batch) {
-  std::lock_guard<std::mutex> window(window_mu_);
-  HeartbeatWorkScope work(hb_.get());
-  batches_.fetch_add(1, std::memory_order_relaxed);
-  if (batches_total_ != nullptr) batches_total_->Add(1);
-  if (batch_size_ != nullptr) batch_size_->Record(batch.size());
-  // The batch windows below are timed whenever tracing is compiled in,
-  // not only when the leader is traced: any follower may be, and its
-  // spans need the real shared durations. Queue waits end where the
-  // fan-out starts.
-  const uint64_t fanout_t0 = Stage::Now();
-  for (Request* r : batch) {
-    Stage::Record(queue_wait_ns_, "gc_queue_wait", r->trace_id, r->enqueue_ns,
-                  fanout_t0 - r->enqueue_ns);
-  }
-
-  // 1. Flush every distinct table log touched by the batch exactly
-  // once: the payloads (and single-table commit records) of every
-  // request become durable before any commit-log record can.
-  std::vector<RedoLog*> logs;
-  for (Request* r : batch) {
-    for (size_t w = 0; w < r->num_writers; ++w) {
-      RedoLog* log = r->writers[w]->redo_log();
-      if (std::find(logs.begin(), logs.end(), log) == logs.end()) {
-        logs.push_back(log);
-      }
-    }
-  }
-  std::vector<Status> log_status(logs.size(), Status::OK());
-  for (size_t i = 0; i < logs.size(); ++i) {
-    log_status[i] = logs[i]->Flush(sync_);
-  }
-  for (Request* r : batch) {
-    for (size_t w = 0; w < r->num_writers; ++w) {
-      size_t i = std::find(logs.begin(), logs.end(),
-                           r->writers[w]->redo_log()) -
-                 logs.begin();
-      if (!log_status[i].ok()) {
-        r->result = log_status[i];
-        break;
-      }
-    }
-  }
-  // The fan-out is shared work: every traced request in the batch gets
-  // the whole window on its timeline (that IS its wait).
-  const uint64_t fanout_dur = Stage::Now() - fanout_t0;
-  Stage::Record(fanout_flush_ns_, nullptr, 0, fanout_t0, fanout_dur);
-  for (Request* r : batch) {
-    Stage::Record(nullptr, "log_flush", r->trace_id, fanout_t0, fanout_dur);
-  }
-
-  // 2. One commit-log record per surviving cross-table request; the
-  // single flush below is their shared durability point.
-  bool any_cross = false;
-  for (Request* r : batch) {
-    if (r->cross && r->result.ok()) {
-      commit_log_->Append(r->record);
-      any_cross = true;
-    }
-  }
-  if (any_cross) {
-    // The flush's histogram is the commit log's own
-    // (lstore_commit_log_flush_ns); the batch adds only the spans.
-    const uint64_t flush_t0 = Stage::Now();
-    Status cs = commit_log_->Flush(sync_);
-    const uint64_t flush_dur = Stage::Now() - flush_t0;
-    for (Request* r : batch) {
-      if (r->cross && r->result.ok()) {
-        Stage::Record(nullptr, "commit_fsync", r->trace_id, flush_t0,
-                      flush_dur);
-      }
-    }
-    if (!cs.ok()) {
-      for (Request* r : batch) {
-        if (r->cross && r->result.ok()) r->result = cs;
-      }
-    }
-  }
-}
-
-void GroupCommitQueue::AbortCross(TxnId txn_id) {
-  CommitLogRecord rec;
-  rec.txn_id = txn_id;
-  rec.aborted = true;
-  commit_log_->Append(rec);
-  (void)commit_log_->Flush(sync_);
-}
-
-// ---------------------------------------------------------------------------
-// Commit / abort
-// ---------------------------------------------------------------------------
-
 Status CommitAcross(TransactionManager& tm, Transaction* txn,
                     EngineBase* const* engines, size_t n,
-                    GroupCommitQueue* group) {
+                    CommitLog* commit_log) {
   if (txn->finished()) return Status::InvalidArgument("already finished");
   InlineBuffer<Role, 16> roles(n);
   Classify(*txn, engines, n, roles.data());
@@ -253,43 +141,40 @@ Status CommitAcross(TransactionManager& tm, Transaction* txn,
 
   // 3. Durability point (Section 5.1.3). Read-only participants write
   // nothing: their logs carry no records of this transaction to
-  // resolve at replay. A single logged writer keeps its per-table
-  // commit record (fast path); several logged writers commit through
-  // ONE database commit-log record — all-or-nothing across tables —
-  // and both flush through the group-commit queue when present.
+  // resolve at replay. Several logged writers commit through ONE
+  // database commit-log record — all-or-nothing across tables; a
+  // single one (or any without a commit log) through its own commit
+  // record. Every log is synced through the group commit.
+  EngineBase* metered = Metered(engines, n, roles.data());
+  const TableCounters* obs = metered != nullptr ? metered->counters() : nullptr;
   InlineBuffer<EngineBase*, 16> logged(n);
+  InlineBuffer<RedoLog*, 16> logs(n);
   size_t num_logged = 0;
   for (size_t i = 0; i < n; ++i) {
     if (roles[i] == Role::kWriter && engines[i]->redo_log() != nullptr) {
-      logged[num_logged++] = engines[i];
+      logged[num_logged] = engines[i];
+      logs[num_logged++] = engines[i]->redo_log();
     }
   }
-  Status ds = Status::OK();
-  if (group != nullptr && num_logged > 0) {
-    bool cross = num_logged > 1;
-    if (!cross) AppendCommitRecord(logged[0]->redo_log(), txn, commit_time);
-    ds = group->Commit(txn, commit_time, logged.data(), num_logged, cross);
-  } else {
-    for (size_t i = 0; i < num_logged && ds.ok(); ++i) {
-      AppendCommitRecord(logged[i]->redo_log(), txn, commit_time);
-      ds = logged[i]->redo_log()->Flush(logged[i]->config().sync_commit);
-    }
+  const bool cross = num_logged > 1 && commit_log != nullptr;
+  Status ds = cross ? CommitCross(*commit_log, txn, commit_time, logged.data(),
+                                  logs.data(), num_logged,
+                                  obs != nullptr ? obs->commit_fanout_ns
+                                                 : nullptr)
+                    : Status::OK();
+  for (size_t i = 0; !cross && i < num_logged && ds.ok(); ++i) {
+    ds = logs[i]->Sync(AppendCommitRecord(logs[i], txn, commit_time),
+                       logged[i]->config().sync_commit);
   }
   if (!ds.ok()) {
-    // A commit record may already be flushed (per-table) or appended
-    // (commit log); the abort must be durable to override it. For a
-    // cross-table transaction the authoritative abort is ONE marker in
-    // the commit log — per-table abort records could land on a subset
-    // of participants and re-split the transaction.
-    if (group != nullptr && num_logged > 1) group->AbortCross(txn->id());
+    // A per-table commit record may already be durable: the abort must
+    // be durable to override it.
     AbortAcross(tm, txn, engines, n, /*durable_abort=*/true);
     return ds;
   }
 
   // 4. Publish: the state flip is the in-memory commit point for all
   // participants (readers that race see either the entry or the stamp).
-  EngineBase* metered = Metered(engines, n, roles.data());
-  const TableCounters* obs = metered != nullptr ? metered->counters() : nullptr;
   Stage publish(obs != nullptr ? obs->commit_publish_ns : nullptr, nullptr);
   tm.MarkCommitted(txn);
 

@@ -139,6 +139,12 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
   config.health = &health_;
   auto table = std::make_unique<Table>(name, std::move(schema),
                                        std::move(config), &txn_manager_);
+  // Commits on the table share fsyncs with everyone else's (the
+  // group-commit window), single-table sessions included.
+  if (table->log_ != nullptr) {
+    table->log_->set_group_commit(durability_.group_commit_window_us,
+                                  group_commit_hb_.get());
+  }
   if (src != nullptr) {
     std::string ckpt;
     uint64_t watermark = 0, checksum = 0;
@@ -163,11 +169,8 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
   SpinGuard g(latch_);
   if (store != nullptr) segment_stores_[name] = std::move(store);
   tables_.push_back(Entry{name, std::move(table)});
-  // Sessions begun on this database are valid on the member table,
-  // and commits on the member table share the database's group-commit
-  // stage (single-table sessions batch fsyncs with everyone else).
+  // Sessions begun on this database are valid on the member table.
   tables_.back().table->txn_scope_ = this;
-  tables_.back().table->group_commit_ = group_commit_.get();
   if (out != nullptr) *out = tables_.back().table.get();
   return Status::OK();
 }
@@ -389,33 +392,16 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
   // recovers against this one map, so no crash can split a
   // cross-table transaction.
   db->commit_log_ = std::make_unique<CommitLog>();
-  {
-    FramedLogMetrics clm;
-    clm.appends = db->metrics_.GetCounter("lstore_commit_log_appends_total",
-                                          "Commit-log records appended");
-    clm.append_bytes =
-        db->metrics_.GetCounter("lstore_commit_log_append_bytes_total",
-                                "Commit-log framed bytes appended");
-    clm.fsyncs = db->metrics_.GetCounter("lstore_commit_log_fsyncs_total",
-                                         "Commit-log commit-path fsyncs");
-    clm.append_ns = db->metrics_.GetHistogram(
-        "lstore_commit_log_append_ns", "Commit-log append latency (ns)");
-    clm.flush_ns = db->metrics_.GetHistogram(
-        "lstore_commit_log_flush_ns", "Commit-log flush latency (ns)");
-    clm.truncate_read_bytes = db->metrics_.GetCounter(
-        "lstore_commit_log_truncate_read_bytes_total",
-        "Commit-log bytes read back by checkpoint truncation");
-    db->commit_log_->set_metrics(clm);
-  }
+  db->commit_log_->set_metrics(FramedLogMetrics::In(
+      &db->metrics_, "lstore_commit_log", "Commit-log", "commit_fsync"));
+  db->group_commit_hb_ = db->health_.Register("group_commit");
+  db->commit_log_->set_group_commit(opts.group_commit_window_us,
+                                    db->group_commit_hb_.get());
   LSTORE_RETURN_IF_ERROR(db->commit_log_->Open(
       dir + "/" + kCommitLogFile, /*truncate=*/false,
       [&src](const CommitLogRecord& rec, uint64_t) {
         FoldOutcome(&src.commits, rec.txn_id, rec.aborted, rec.commit_time);
       }));
-  db->group_commit_ = std::make_unique<GroupCommitQueue>(
-      db->commit_log_.get(), opts.group_commit_window_us, opts.sync_commit,
-      &db->metrics_);
-  db->group_commit_->RegisterHeartbeat(&db->health_);
 
   LSTORE_RETURN_IF_ERROR(db->Recover(catalog, src));
 
@@ -472,7 +458,7 @@ Status Database::CommitTxn(Transaction* txn) {
   // write sets; entries of a table dropped since are ignored.
   std::vector<EngineBase*> tables = LiveTables();
   return CommitAcross(txn_manager_, txn, tables.data(), tables.size(),
-                      group_commit_.get());
+                      commit_log_.get());
 }
 
 void Database::AbortTxn(Transaction* txn) {

@@ -7,9 +7,9 @@
 // A database opened on a directory is *durable* (Section 5.1.3):
 // every table gets a redo log under the directory, a database-level
 // COMMIT_LOG is the single atomic commit point for cross-table
-// transactions (per-table logs carry only their payloads), a
-// group-commit queue batches the commit fsyncs of concurrent
-// committers, `Checkpoint()` writes lineage-consistent snapshots and
+// transactions (per-table logs carry only their payloads), every
+// log's Sync shares commit fsyncs among concurrent committers (group
+// commit), `Checkpoint()` writes lineage-consistent snapshots and
 // truncates the logs (including the commit log's covered prefix), and
 // `Open()` performs full restart recovery (catalog -> commit log ->
 // checkpoints -> log-tail replay -> index/Indirection rebuild).
@@ -43,7 +43,7 @@ namespace lstore {
 class ArchiveManager;
 class CheckpointManager;
 class CommitLog;
-class GroupCommitQueue;
+class Heartbeat;
 class SlowOpLog;
 class StatsReporter;
 
@@ -122,9 +122,6 @@ class Database : public TxnContext {
   CommitLog* commit_log() { return commit_log_.get(); }
   /// The log archive (null unless DurabilityOptions::archive_enabled).
   ArchiveManager* archive_manager() { return archive_.get(); }
-  /// The group-commit stage shared by every commit on this database
-  /// (null on an in-memory database).
-  GroupCommitQueue* group_commit() { return group_commit_.get(); }
 
   /// Create a table registered under `name`. Fails if the name exists.
   /// On a durable database, logging is forced on (log under the
@@ -199,8 +196,8 @@ class Database : public TxnContext {
 
   /// The heartbeat registry every background actor of this engine
   /// registers with (src/obs/health.h) — merge threads, the
-  /// checkpointer, the group-commit leader, the stats reporter, and a
-  /// co-resident Server's workers/readers.
+  /// checkpointer, the logs' group-commit writes, the stats reporter,
+  /// and a co-resident Server's workers/readers.
   HealthRegistry& health() { return health_; }
 
   /// The structured event log (src/obs/event_log.h): in-memory ring
@@ -279,6 +276,9 @@ class Database : public TxnContext {
   HealthRegistry health_;
   EventLog events_;
   std::unique_ptr<Watchdog> watchdog_;
+  /// "group_commit" actor: busy while any log's Sync writes (durable
+  /// only). Declared before the logs that hold it raw.
+  std::shared_ptr<Heartbeat> group_commit_hb_;
   /// Serializes durable DDL (CreateTable/DropTable/CreateSecondaryIndex)
   /// against checkpoints: a checkpoint iterates raw Table pointers, so
   /// a concurrent drop must not destroy a table mid-capture. Ordering:
@@ -302,9 +302,8 @@ class Database : public TxnContext {
   DurabilityOptions durability_;
   /// Log archiving / PITR (durable + archive_enabled only).
   std::unique_ptr<ArchiveManager> archive_;
-  /// Cross-table commit point + shared fsync stage (durable only).
+  /// Cross-table commit point (durable only).
   std::unique_ptr<CommitLog> commit_log_;
-  std::unique_ptr<GroupCommitQueue> group_commit_;
   // Declared last: destroyed (and therefore stopped) before tables_.
   std::unique_ptr<CheckpointManager> checkpoint_manager_;
   /// Slow-op dump sink (<dir>/slowops.log); created by Open when

@@ -39,8 +39,8 @@
 
 namespace lstore {
 
+class CommitLog;
 class EngineBase;
-class GroupCommitQueue;
 class RedoLog;
 struct TableCounters;
 
@@ -48,7 +48,7 @@ struct TableCounters;
 // core/commit_pipeline.h).
 Status CommitAcross(TransactionManager& tm, Transaction* txn,
                     EngineBase* const* engines, size_t n,
-                    GroupCommitQueue* group);
+                    CommitLog* commit_log);
 void AbortAcross(TransactionManager& tm, Transaction* txn,
                  EngineBase* const* engines, size_t n, bool durable_abort);
 
@@ -135,7 +135,7 @@ class EngineBase : public TxnContext {
   // the only candidate.
   Status CommitTxn(Transaction* txn) override {
     EngineBase* self = this;
-    return CommitAcross(*txn_manager_, txn, &self, 1, group_commit_);
+    return CommitAcross(*txn_manager_, txn, &self, 1, nullptr);
   }
   void AbortTxn(Transaction* txn) override {
     EngineBase* self = this;
@@ -147,20 +147,16 @@ class EngineBase : public TxnContext {
   TableConfig config_;
   std::unique_ptr<TransactionManager> owned_txn_manager_;
   TransactionManager* txn_manager_;
-  /// The owning database's group-commit queue: commits on this engine
-  /// share fsyncs through it (null: flush inline).
-  GroupCommitQueue* group_commit_ = nullptr;
   PrimaryIndex primary_;
   std::atomic<uint64_t> next_row_{0};  ///< next base RID to hand out
 
  private:
   friend Status CommitAcross(TransactionManager& tm, Transaction* txn,
                              EngineBase* const* engines, size_t n,
-                             GroupCommitQueue* group);
+                             CommitLog* commit_log);
   friend void AbortAcross(TransactionManager& tm, Transaction* txn,
                           EngineBase* const* engines, size_t n,
                           bool durable_abort);
-  friend class GroupCommitQueue;
 };
 
 template <typename Range>

@@ -49,6 +49,9 @@ Table::Table(std::string name, Schema schema, TableConfig config,
   obs_.commit_publish_ns = metrics_->GetHistogram(
       "lstore_commit_publish_ns",
       "Commit publish stage: state flip + write stamping (ns)");
+  obs_.commit_fanout_ns = metrics_->GetHistogram(
+      "lstore_commit_fanout_flush_ns",
+      "Cross-table commit: participant-log syncs (ns)");
   obs_.commits =
       metrics_->GetCounter("lstore_commits_total", "Pipeline commits");
   obs_.aborts =
@@ -85,23 +88,10 @@ Table::Table(std::string name, Schema schema, TableConfig config,
       &obs_};
   if (config_.enable_logging && !config_.log_path.empty()) {
     log_ = std::make_unique<RedoLog>();
-    FramedLogMetrics lm;
-    lm.appends = metrics_->GetCounter("lstore_redo_appends_total",
-                                      "Redo-log record frames appended");
-    lm.append_bytes = metrics_->GetCounter("lstore_redo_append_bytes_total",
-                                           "Redo-log framed bytes appended");
-    lm.fsyncs = metrics_->GetCounter("lstore_redo_fsyncs_total",
-                                     "Redo-log commit-path fsyncs");
-    lm.append_ns = metrics_->GetHistogram("lstore_redo_append_ns",
-                                          "Redo-log append latency (ns)");
-    lm.flush_ns = metrics_->GetHistogram("lstore_redo_flush_ns",
-                                         "Redo-log flush latency (ns)");
-    lm.truncate_read_bytes = metrics_->GetCounter(
-        "lstore_redo_truncate_read_bytes_total",
-        "Redo-log bytes read back by checkpoint truncation");
     // Opened by recovery (RecoverDurable), which replays it in the
-    // same scan; until then a commit fails at its flush.
-    log_->set_metrics(lm);
+    // same scan; until then a commit fails at its sync.
+    log_->set_metrics(
+        FramedLogMetrics::In(metrics_, "lstore_redo", "Redo-log", "log_flush"));
   }
   buffer_pool_ = config_.buffer_pool;
   segment_store_ = config_.segment_store;

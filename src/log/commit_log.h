@@ -4,10 +4,10 @@
 // The per-table redo logs carry only payload records (tail/insert
 // appends) for a cross-table transaction; whether the transaction
 // committed is decided by exactly ONE record here. The durability
-// order is: flush every participant's redo log first, then append and
-// flush the commit record — so a commit record's presence implies all
+// order is: sync every participant's redo log first, then append and
+// sync the commit record — so a commit record's presence implies all
 // of its payloads are durable, and its absence (crash anywhere before
-// the commit-log flush, including a torn final record) aborts the
+// the commit-log sync, including a torn final record) aborts the
 // transaction on every participant at recovery. Single-table commits
 // keep their per-table commit records and never touch this log.
 //
@@ -26,6 +26,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <shared_mutex>
 #include <string>
 #include <vector>
 
@@ -74,15 +75,27 @@ class CommitLog {
   /// Append one commit record (buffered); returns its LSN.
   uint64_t Append(const CommitLogRecord& rec);
 
-  /// Flush buffered records to the OS; fsync when `sync`. The fsync
-  /// that returns from here IS the commit point of every record
-  /// flushed by it.
+  /// Flush buffered records to the OS; fsync when `sync`.
   Status Flush(bool sync) { return framed_.Flush(sync); }
+
+  /// Group commit (FramedLog::Sync): the fsync that covers `lsn` IS
+  /// the commit point of the record appended there.
+  Status Sync(uint64_t lsn, bool fsync) { return framed_.Sync(lsn, fsync); }
 
   uint64_t last_lsn() const { return framed_.last_lsn(); }
 
   /// Wire registry metrics (obs/metrics.h) into the framed core.
   void set_metrics(const FramedLogMetrics& m) { framed_.set_metrics(m); }
+  /// Group-commit window and busy heartbeat (FramedLog).
+  void set_group_commit(uint64_t window_us, Heartbeat* busy) {
+    framed_.set_group_commit(window_us, busy);
+  }
+
+  /// The checkpoint quiesce gate. A cross-table commit holds it shared
+  /// from its participant syncs through its record's append here; the
+  /// checkpoint holds it exclusive while it reads log watermarks, so no
+  /// commit is half-way between the two while they are read.
+  std::shared_mutex& gate() { return gate_; }
 
   /// Deliver every well-formed record of the live log in append order
   /// (flushes the buffer first; does not fsync).
@@ -117,6 +130,7 @@ class CommitLog {
 
  private:
   FramedLog framed_;
+  std::shared_mutex gate_;
 };
 
 }  // namespace lstore

@@ -1,14 +1,46 @@
 #include "log/framed_log.h"
 
 #include <algorithm>
+#include <chrono>
 #include <cstring>
 #include <iterator>
 
 #include "common/checksum.h"
+#include "obs/health.h"
 #include "obs/span.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
+
+FramedLogMetrics FramedLogMetrics::In(MetricsRegistry* registry,
+                                      const std::string& prefix,
+                                      const std::string& label,
+                                      const char* sync_span) {
+  FramedLogMetrics m;
+  m.appends = registry->GetCounter(prefix + "_appends_total",
+                                   label + " record frames appended");
+  m.append_bytes = registry->GetCounter(prefix + "_append_bytes_total",
+                                        label + " framed bytes appended");
+  m.fsyncs = registry->GetCounter(prefix + "_fsyncs_total",
+                                  label + " commit-path fsyncs");
+  m.append_ns = registry->GetHistogram(prefix + "_append_ns",
+                                       label + " append latency (ns)");
+  m.flush_ns = registry->GetHistogram(prefix + "_flush_ns",
+                                      label + " flush latency (ns)");
+  m.truncate_read_bytes =
+      registry->GetCounter(prefix + "_truncate_read_bytes_total",
+                           label + " bytes read back by checkpoint truncation");
+  m.sync_wait_ns = registry->GetHistogram(
+      "lstore_commit_queue_wait_ns",
+      "Group-commit wait before the log write covering a sync (ns)");
+  m.batch_size =
+      registry->GetHistogram("lstore_group_commit_batch_size",
+                             "Log syncs one group-commit write released");
+  m.batches = registry->GetCounter("lstore_group_commit_batches_total",
+                                   "Group-commit log writes");
+  m.sync_span = sync_span;
+  return m;
+}
 
 // ---------------------------------------------------------------------------
 // Static framing helpers
@@ -134,6 +166,8 @@ Status FramedLog::Open(const std::string& path, bool truncate,
   Close();
   path_ = path;
   last_lsn_.store(0, std::memory_order_release);
+  written_lsn_.store(0, std::memory_order_release);
+  synced_lsn_.store(0, std::memory_order_release);
   size_ = 0;
   marks_.clear();
   if (!truncate) {
@@ -239,16 +273,81 @@ Status FramedLog::FlushBufferLocked() {
   return s;
 }
 
-Status FramedLog::Flush(bool sync) {
-  Stage stage(metrics_.flush_ns, nullptr);
-  std::lock_guard<std::mutex> g(mu_);
-  PublishPendingLocked();  // flush = a snapshot-visible point
-  LSTORE_RETURN_IF_ERROR(FlushBufferLocked());
-  if (sync) {
-    if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Add(1);
-    LSTORE_RETURN_IF_ERROR(file_.Sync());
+Status FramedLog::Sync(uint64_t lsn, bool fsync) {
+  const std::atomic<uint64_t>& mark = fsync ? synced_lsn_ : written_lsn_;
+  auto covered = [&] { return mark.load(std::memory_order_acquire) >= lsn; };
+  if (covered()) {
+    late_riders_.fetch_add(1, std::memory_order_relaxed);
+    return Status::OK();
   }
-  return Status::OK();
+  const uint64_t trace = TraceContext::Current();
+  const uint64_t arrived = Stage::Now();
+  std::unique_lock<std::mutex> lk(sync_mu_);
+  ++waiting_;
+  if (parked_) sync_cv_.notify_all();  // the parked holder counts arrivals
+  sync_cv_.wait(lk, [&] { return !syncing_ || covered(); });
+  --waiting_;
+  if (covered()) {
+    // Another caller's write covered this one: its window is this
+    // caller's flush, and the time up to it this caller's wait.
+    const uint64_t t1 = std::max(arrived, write_end_);
+    const uint64_t t0 = std::clamp(write_t0_, arrived, t1);
+    Stage::Record(metrics_.sync_wait_ns, "gc_queue_wait", trace, arrived,
+                  t0 - arrived);
+    Stage::Record(nullptr, metrics_.sync_span, trace, t0, t1 - t0);
+    return Status::OK();
+  }
+
+  // Take the token. Alone, park for up to the window first: callers
+  // that append meanwhile wait on the token and share this write. The
+  // park ends early once the group is as large as the last write's
+  // (at least two), so a steady group of committers waits only for
+  // its own members.
+  syncing_ = true;
+  if (waiting_ == 0 && window_us_ > 0) {
+    parked_ = true;
+    sync_cv_.wait_for(lk, std::chrono::microseconds(window_us_), [&] {
+      return waiting_ + 1 >= std::max<uint64_t>(last_batch_, 2);
+    });
+    parked_ = false;
+  }
+  lk.unlock();
+  HeartbeatWorkScope work(busy_);
+  const uint64_t t0 = Stage::Now();
+  Stage::Record(metrics_.sync_wait_ns, "gc_queue_wait", trace, arrived,
+                t0 - arrived);
+  std::unique_lock<std::mutex> g(mu_);
+  PublishPendingLocked();  // a write-out = a snapshot-visible point
+  const uint64_t reached = last_lsn_.load(std::memory_order_relaxed);
+  Status s = FlushBufferLocked();
+  if (s.ok()) written_lsn_.store(reached, std::memory_order_release);
+  if (s.ok() && fsync) {
+    if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Add(1);
+    s = file_.Sync();
+    if (s.ok()) synced_lsn_.store(reached, std::memory_order_release);
+  }
+  const uint64_t t1 = Stage::Now();
+  Stage::Record(metrics_.flush_ns, metrics_.sync_span, trace, t0, t1 - t0);
+
+  // Publish under mu_ as well: a caller waiting now appended before
+  // this write, so the write covered it (every caller of one log
+  // passes the same `fsync`), and it counts in this batch.
+  lk.lock();
+  g.unlock();
+  syncing_ = false;
+  write_t0_ = t0;
+  write_end_ = t1;
+  last_batch_ = 1 + waiting_;
+  if (s.ok()) {
+    if (metrics_.batches != nullptr) metrics_.batches->Add(1);
+    if (metrics_.batch_size != nullptr) {
+      metrics_.batch_size->Record(
+          1 + waiting_ + late_riders_.exchange(0, std::memory_order_relaxed));
+    }
+  }
+  lk.unlock();
+  sync_cv_.notify_all();
+  return s;
 }
 
 Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {

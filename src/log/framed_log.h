@@ -12,14 +12,14 @@
 //
 // The core owns: buffered appends written at tracked offsets through
 // the file layer (common/file.h), resumed byte-exact after a short
-// write (ENOSPC); fsync; open-time LSN restore + torn-tail repair; the
-// three-phase low-lock truncation; and the frame scan that every
-// reader shares. The log's own frame buffer is the only buffer: each
-// flush is one positional write of it. What a payload *means* is the
-// wrapper's business: the core calls a Codec to validate a record
-// payload and learn how many LSNs it carries — so RedoLog, CommitLog,
-// and the archive reader cannot diverge on framing, torn-tail, or
-// truncation behavior.
+// write (ENOSPC); fsync; group commit; open-time LSN restore +
+// torn-tail repair; the three-phase low-lock truncation; and the frame
+// scan that every reader shares. The log's own frame buffer is the
+// only buffer: each write-out is one positional write of it. What a
+// payload *means* is the wrapper's business: the core calls a Codec
+// to validate a record payload and learn how many LSNs it carries —
+// so RedoLog, CommitLog, and the archive reader cannot diverge on
+// framing, torn-tail, or truncation behavior.
 //
 // Truncation reads back only what it keeps: the appender records a
 // sparse frame index of marks (a frame-aligned offset plus the LSN
@@ -33,11 +33,23 @@
 // framed byte string (leading truncation point + the retired frames),
 // which is exactly the content of an archive segment — replayable by
 // the same scan as a live log.
+//
+// Group commit lives here too (Section 5.1.3: a commit is durable once
+// its records are on disk). Every write-out publishes the LSN it
+// reached, written and, with an fsync, durable. Sync(lsn) returns at
+// once when an earlier write-out already covered `lsn`; otherwise one
+// caller at a time (the sync token) writes the whole buffer, fsyncs
+// and publishes, so every caller that appended before that write
+// shares its one fsync. A holder that finds nobody waiting parks for
+// up to the group-commit window first, letting callers that append
+// meanwhile join; the park ends once the group is as large as the
+// last write's.
 
 #ifndef LSTORE_LOG_FRAMED_LOG_H_
 #define LSTORE_LOG_FRAMED_LOG_H_
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <mutex>
@@ -51,18 +63,31 @@
 
 namespace lstore {
 
+class Heartbeat;
+
 /// Registry handles a framed log records into (all optional): frames /
-/// bytes appended, commit-path fsyncs, and append/flush latencies.
-/// Wired by the owner (Table for redo logs, Database for the commit
-/// log) with per-log metric names; a default-constructed struct (all
-/// null) records nothing.
+/// bytes appended, fsyncs, append/flush latencies, and the group-commit
+/// handles every log of a registry shares. A default-constructed
+/// struct (all null) records nothing.
 struct FramedLogMetrics {
   Counter* appends = nullptr;       ///< record frames appended
   Counter* append_bytes = nullptr;  ///< framed bytes appended
-  Counter* fsyncs = nullptr;        ///< Flush(sync=true) calls
+  Counter* fsyncs = nullptr;        ///< fsyncs
   Histogram* append_ns = nullptr;   ///< Append latency (lock + buffer)
-  Histogram* flush_ns = nullptr;    ///< Flush latency (write [+ fsync])
+  Histogram* flush_ns = nullptr;    ///< write (+ fsync) latency
   Counter* truncate_read_bytes = nullptr;  ///< bytes TruncateTo read back
+  Histogram* sync_wait_ns = nullptr;  ///< Sync: wait before the covering write
+  Histogram* batch_size = nullptr;    ///< Sync: callers one write released
+  Counter* batches = nullptr;         ///< Sync: write-outs made
+  /// Span of Sync's write window on a traced caller's timeline.
+  const char* sync_span = nullptr;
+
+  /// The handles of the log `prefix` ("lstore_redo") in `registry`,
+  /// described as `label` ("Redo-log"), plus the shared group-commit
+  /// ones; `sync_span` must be a string literal.
+  static FramedLogMetrics In(MetricsRegistry* registry,
+                             const std::string& prefix,
+                             const std::string& label, const char* sync_span);
 };
 
 class FramedLog {
@@ -127,8 +152,25 @@ class FramedLog {
   /// Returns the last LSN it received (0 when lsn_count == 0).
   uint64_t Append(std::string_view payload, uint64_t lsn_count);
 
-  /// Flush buffered frames to the OS; fsync when `sync`.
-  Status Flush(bool sync);
+  /// Flush every frame appended so far to the OS; fsync when `sync`.
+  Status Flush(bool sync) { return Sync(last_lsn(), sync); }
+
+  /// Group commit: return once every record up to `lsn` is written to
+  /// the OS and, with `fsync`, durable. Returns at once when an earlier
+  /// write-out covered `lsn`; otherwise waits for the sync token and
+  /// writes (and fsyncs) the whole buffer, covering every caller that
+  /// appended before. A failed write publishes nothing: each waiter it
+  /// did not cover writes again and returns its own result.
+  Status Sync(uint64_t lsn, bool fsync);
+
+  /// Group-commit knobs: how long at most a token holder that finds
+  /// nobody waiting parks before it writes (DurabilityOptions::
+  /// group_commit_window_us), and the heartbeat marked busy during each
+  /// of Sync's write-outs. Set before the log sees concurrent use.
+  void set_group_commit(uint64_t window_us, Heartbeat* busy) {
+    window_us_ = window_us;
+    busy_ = busy;
+  }
 
   /// LSN of the most recently appended record (0 = empty log).
   uint64_t last_lsn() const {
@@ -225,6 +267,21 @@ class FramedLog {
   uint64_t size_ = 0;          ///< under mu_: file bytes + buffer_
   std::vector<Mark> marks_;    ///< under mu_: ascending, all <= size_
   std::atomic<uint64_t> last_lsn_{0};
+  std::atomic<uint64_t> written_lsn_{0};  ///< every LSN <= it is in the OS
+  std::atomic<uint64_t> synced_lsn_{0};   ///< every LSN <= it is durable
+  /// The sync token and its waiters. Ordering: mu_ before sync_mu_
+  /// (the holder publishes under both).
+  std::mutex sync_mu_;
+  std::condition_variable sync_cv_;
+  bool syncing_ = false;      ///< under sync_mu_: the token is held
+  uint64_t waiting_ = 0;      ///< under sync_mu_: callers waiting on it
+  uint64_t last_batch_ = 0;   ///< under sync_mu_: callers last write covered
+  bool parked_ = false;       ///< under sync_mu_: the holder is parked
+  uint64_t write_t0_ = 0;     ///< under sync_mu_: last write window, for
+  uint64_t write_end_ = 0;    ///< the spans of the callers it covered
+  std::atomic<uint64_t> late_riders_{0};  ///< covered on arrival
+  uint64_t window_us_ = 0;
+  Heartbeat* busy_ = nullptr;
   FramedLogMetrics metrics_;
   uint64_t pending_appends_ = 0;      ///< under mu_, batched to metrics_
   uint64_t pending_append_bytes_ = 0; ///< under mu_, batched to metrics_

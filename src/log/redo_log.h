@@ -195,8 +195,17 @@ class RedoLog {
   /// Flush buffered records to the OS; fsync when `sync`.
   Status Flush(bool sync) { return framed_.Flush(sync); }
 
+  /// Group commit: make every record up to `lsn` written (and, with
+  /// `fsync`, durable), sharing one write with concurrent callers
+  /// (FramedLog::Sync).
+  Status Sync(uint64_t lsn, bool fsync) { return framed_.Sync(lsn, fsync); }
+
   /// Wire registry metrics (obs/metrics.h) into the framed core.
   void set_metrics(const FramedLogMetrics& m) { framed_.set_metrics(m); }
+  /// Group-commit window and busy heartbeat (FramedLog).
+  void set_group_commit(uint64_t window_us, Heartbeat* busy) {
+    framed_.set_group_commit(window_us, busy);
+  }
 
   /// Drop every record with LSN <= watermark (checkpoint truncation,
   /// Section 5.1.3) via the framed core's three-phase low-lock

@@ -65,7 +65,9 @@ std::string RenderEventJson(const Event& e);
 void AppendLineRotated(const std::string& path, uint64_t max_bytes,
                        std::string_view line);
 
-/// Escape `s` for embedding inside a JSON string literal.
+/// Escape `s` for embedding inside a JSON string literal: the one
+/// escaper of every JSON writer in obs/ (events, health, trace dumps,
+/// slow-op lines).
 std::string JsonEscape(std::string_view s);
 
 class EventLog {

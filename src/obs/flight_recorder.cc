@@ -5,36 +5,9 @@
 #include <cstdio>
 #include <cstring>
 
+#include "obs/event_log.h"
+
 namespace lstore {
-
-namespace {
-
-// JSON string escaping for span names. Names are static literals under
-// our control, but the renderer also feeds files consumed by external
-// viewers — escape defensively rather than trust every future literal.
-void AppendJsonEscaped(std::string* out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    unsigned char c = static_cast<unsigned char>(*s);
-    switch (c) {
-      case '"':
-        *out += "\\\"";
-        break;
-      case '\\':
-        *out += "\\\\";
-        break;
-      default:
-        if (c < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
-        } else {
-          out->push_back(static_cast<char>(c));
-        }
-    }
-  }
-}
-
-}  // namespace
 
 std::string RenderChromeTraceJson(std::vector<TraceSpan> spans) {
   std::sort(spans.begin(), spans.end(),
@@ -49,7 +22,7 @@ std::string RenderChromeTraceJson(std::vector<TraceSpan> spans) {
     if (!first) out += ',';
     first = false;
     out += "{\"name\":\"";
-    AppendJsonEscaped(&out, s.name != nullptr ? s.name : "?");
+    out += JsonEscape(s.name != nullptr ? s.name : "?");
     // Complete events with microsecond ts/dur (the unit trace viewers
     // expect); 3 decimals preserves the underlying nanoseconds.
     std::snprintf(buf, sizeof(buf),

@@ -59,13 +59,13 @@ void Heartbeat::Beat() {
 }
 
 void Heartbeat::BeginWork() {
-  busy_.store(true, std::memory_order_relaxed);
+  busy_.fetch_add(1, std::memory_order_relaxed);
   Beat();
 }
 
 void Heartbeat::EndWork() {
   Beat();
-  busy_.store(false, std::memory_order_relaxed);
+  busy_.fetch_sub(1, std::memory_order_relaxed);
 }
 
 HealthRegistry::HealthRegistry() : clock_(&NowNanos) {}

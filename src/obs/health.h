@@ -5,9 +5,9 @@
 // op / `lstore_cli status`.
 //
 // Model: each background loop (merge threads, the checkpointer, the
-// group-commit leader, the stats reporter, server workers,
-// per-connection readers) registers a named Heartbeat and brackets
-// its work:
+// stats reporter, server workers, per-connection readers) and the
+// logs' group-commit writes register a named Heartbeat and bracket
+// their work:
 //
 //   auto hb = registry->Register("merge:orders");
 //   ...
@@ -78,15 +78,17 @@ class Heartbeat {
   /// Record liveness (while busy, at natural progress points).
   void Beat();
   /// Enter a unit of work: beat + mark busy. Only busy actors can be
-  /// classified slow/stalled.
+  /// classified slow/stalled. Units may overlap (several threads
+  /// sharing one actor, as the group-commit writes do): the actor is
+  /// busy until the last one ends.
   void BeginWork();
-  /// Leave the unit of work: beat + mark idle.
+  /// Leave the unit of work: beat + mark idle once none is open.
   void EndWork();
 
   const std::string& name() const { return name_; }
   uint64_t slow_ms() const { return slow_ms_; }
   uint64_t stall_ms() const { return stall_ms_; }
-  bool busy() const { return busy_.load(std::memory_order_relaxed); }
+  bool busy() const { return busy_.load(std::memory_order_relaxed) > 0; }
   uint64_t beats() const { return beats_.load(std::memory_order_relaxed); }
   uint64_t last_beat_ns() const {
     return last_beat_ns_.load(std::memory_order_relaxed);
@@ -102,7 +104,7 @@ class Heartbeat {
   const uint64_t slow_ms_;
   const uint64_t stall_ms_;
   std::atomic<uint64_t> last_beat_ns_;
-  std::atomic<bool> busy_{false};
+  std::atomic<uint32_t> busy_{0};  ///< open units of work
   std::atomic<uint64_t> beats_{0};
 };
 

@@ -25,20 +25,24 @@ void SlowOpLog::Dump(uint64_t trace_id, const char* op, uint32_t request_id,
   std::string line;
   line.reserve(256 + spans.size() * 64);
   char buf[160];
+  std::snprintf(buf, sizeof(buf), "{\"ts_ms\":%" PRIu64 ",\"op\":\"", ts_ms);
+  line += buf;
+  line += JsonEscape(op != nullptr ? op : "?");
   std::snprintf(buf, sizeof(buf),
-                "{\"ts_ms\":%" PRIu64 ",\"op\":\"%s\",\"request_id\":%u,"
-                "\"trace_id\":\"0x%" PRIx64 "\",\"total_us\":%.3f,\"spans\":[",
-                ts_ms, op != nullptr ? op : "?", request_id, trace_id,
-                static_cast<double>(total_ns) / 1000.0);
+                "\",\"request_id\":%u,\"trace_id\":\"0x%" PRIx64
+                "\",\"total_us\":%.3f,\"spans\":[",
+                request_id, trace_id, static_cast<double>(total_ns) / 1000.0);
   line += buf;
   bool first = true;
   for (const TraceSpan& s : spans) {
     if (!first) line += ',';
     first = false;
+    line += "{\"name\":\"";
+    line += JsonEscape(s.name != nullptr ? s.name : "?");
     std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"%s\",\"t0_ns\":%" PRIu64 ",\"dur_ns\":%" PRIu64
+                  "\",\"t0_ns\":%" PRIu64 ",\"dur_ns\":%" PRIu64
                   ",\"tid\":%" PRIu64 "}",
-                  s.name != nullptr ? s.name : "?", s.t0_ns, s.dur_ns, s.tid);
+                  s.t0_ns, s.dur_ns, s.tid);
     line += buf;
   }
   line += "]}\n";

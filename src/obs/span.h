@@ -6,8 +6,9 @@
 // A trace id is minted once at the request's origin (client stamping a
 // wire frame, or the harness wrapping an in-process op), travels with
 // the request across threads (wire header field → server Request →
-// worker thread-local → group-commit Request), and tags every span the
-// request touches. Propagation inside a thread is a thread-local:
+// worker thread-local), and tags every span the request touches, the
+// log syncs its worker runs included. Propagation inside a thread is a
+// thread-local:
 //
 //   TraceContext::Scope scope(trace_id);   // set for this stage
 //   ...                                     // anything called here

@@ -15,6 +15,7 @@
 
 #include <sys/stat.h>
 
+#include <chrono>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -198,6 +199,55 @@ class ArchiveTest : public ::testing::Test {
       ASSERT_TRUE(
           (*db)->CreateTable("B", Schema({"k", "v"}), SmallConfig()).ok());
     }
+  }
+
+  /// Bytes under the archive directory (what archive_max_bytes bounds).
+  uint64_t ArchiveBytes() const {
+    uint64_t bytes = 0;
+    for (const auto& entry :
+         fs::directory_iterator(ArchiveManager::ArchiveDirOf(dir_))) {
+      bytes += entry.file_size();
+    }
+    return bytes;
+  }
+
+  /// Retention kept the floor, the oldest retained archived manifest:
+  /// every point at or after its capture restores exactly (the live
+  /// checkpoint and every point after it included); older points fail
+  /// with a clean NotFound, never wrong data. Expects both kinds.
+  void ExpectRetentionFloorHolds(const Oracle& oracle) {
+    auto manifests = ArchiveManager::ListManifests(dir_);
+    ASSERT_FALSE(manifests.empty());
+    Manifest floor;
+    bool exists = false;
+    ASSERT_TRUE(
+        ReadManifestFile(manifests.front().path, &floor, &exists).ok());
+    ASSERT_TRUE(exists);
+    ASSERT_GT(floor.capture_time, 0u);
+
+    size_t restored = 0, evicted = 0;
+    for (const OraclePoint& p : oracle.points) {
+      std::unique_ptr<Database> rdb;
+      Status s =
+          Database::RestoreToPoint(dir_, RestorePoint::AtTime(p.t), &rdb);
+      if (p.t + 1 >= floor.capture_time) {
+        ASSERT_TRUE(s.ok()) << "point " << p.t << " at/after floor "
+                            << floor.capture_time << ": " << s.ToString();
+        EXPECT_EQ(Snapshot(rdb->GetTable("A"), oracle.keys_a, p.t + 1), p.a);
+        EXPECT_EQ(Snapshot(rdb->GetTable("B"), oracle.keys_b, p.t + 1), p.b);
+        ++restored;
+      } else if (s.ok()) {
+        // An older point may still be coincidentally coverable; if the
+        // restore claims success it must be exact.
+        EXPECT_EQ(Snapshot(rdb->GetTable("A"), oracle.keys_a, p.t + 1), p.a);
+        EXPECT_EQ(Snapshot(rdb->GetTable("B"), oracle.keys_b, p.t + 1), p.b);
+      } else {
+        EXPECT_TRUE(s.IsNotFound()) << s.ToString();
+        ++evicted;
+      }
+    }
+    EXPECT_GT(restored, 0u);
+    EXPECT_GT(evicted, 0u);
   }
 
   /// Restore `point` and compare both tables exactly; also check the
@@ -444,40 +494,56 @@ TEST_F(ArchiveTest, RetentionEvictsOldestEpochsOnly) {
            ArchiveManager::ListCommitSegments(dir_).size();
   };
   EXPECT_LE(count_segments(), 6u + 3u);  // at most one fresh cycle over
+  ExpectRetentionFloorHolds(oracle);
+}
 
-  // The floor: the oldest retained archived manifest. Everything at or
-  // after its capture time restores exactly; sufficiently old points
-  // are gone — with a clean NotFound, never wrong data.
-  auto manifests = ArchiveManager::ListManifests(dir_);
-  ASSERT_FALSE(manifests.empty());
-  Manifest floor;
-  bool exists = false;
-  ASSERT_TRUE(ReadManifestFile(manifests.front().path, &floor, &exists).ok());
-  ASSERT_TRUE(exists);
-  ASSERT_GT(floor.capture_time, 0u);
-
-  size_t restored = 0, evicted = 0;
-  for (const OraclePoint& p : oracle.points) {
-    std::unique_ptr<Database> rdb;
-    Status s = Database::RestoreToPoint(dir_, RestorePoint::AtTime(p.t), &rdb);
-    if (p.t + 1 >= floor.capture_time) {
-      ASSERT_TRUE(s.ok()) << "point " << p.t << " at/after floor "
-                          << floor.capture_time << ": " << s.ToString();
-      EXPECT_EQ(Snapshot(rdb->GetTable("A"), oracle.keys_a, p.t + 1), p.a);
-      EXPECT_EQ(Snapshot(rdb->GetTable("B"), oracle.keys_b, p.t + 1), p.b);
-      ++restored;
-    } else if (s.ok()) {
-      // An older point may still be coincidentally coverable; if the
-      // restore claims success it must be exact.
-      EXPECT_EQ(Snapshot(rdb->GetTable("A"), oracle.keys_a, p.t + 1), p.a);
-      EXPECT_EQ(Snapshot(rdb->GetTable("B"), oracle.keys_b, p.t + 1), p.b);
-    } else {
-      EXPECT_TRUE(s.IsNotFound()) << s.ToString();
-      ++evicted;
-    }
+TEST_F(ArchiveTest, RetentionByBytesEvictsOldestEpochsOnly) {
+  // The same schedule unbounded first, to size the bound: half of
+  // what it archives.
+  uint64_t unbounded = 0;
+  {
+    std::unique_ptr<Database> db;
+    OpenWithTables(ArchiveOpts(), &db);
+    Oracle probe;
+    RunSchedule(db.get(), &probe, 80, 8, /*seed=*/5);
+    db.reset();
+    unbounded = ArchiveBytes();
   }
-  EXPECT_GT(restored, 0u);
-  EXPECT_GT(evicted, 0u);
+  fs::remove_all(dir_);
+  DurabilityOptions opts = ArchiveOpts();
+  opts.archive_max_bytes = unbounded / 2;
+  Oracle oracle;
+  {
+    std::unique_ptr<Database> db;
+    OpenWithTables(opts, &db);
+    RunSchedule(db.get(), &oracle, 80, 8, /*seed=*/5);
+  }
+  EXPECT_LE(ArchiveBytes(), opts.archive_max_bytes);  // the policy held
+  ExpectRetentionFloorHolds(oracle);
+}
+
+TEST_F(ArchiveTest, RetentionByAgeEvictsOldestEpochsOnly) {
+  Oracle oracle;
+  {
+    std::unique_ptr<Database> db;
+    OpenWithTables(ArchiveOpts(), &db);
+    RunSchedule(db.get(), &oracle, 40, 8, /*seed=*/5);
+  }
+  // Age what the first run archived past the horizon; the resumed
+  // run's checkpoints then evict it, oldest epoch first.
+  const auto old = fs::file_time_type::clock::now() - std::chrono::hours(2);
+  for (const auto& entry :
+       fs::directory_iterator(ArchiveManager::ArchiveDirOf(dir_))) {
+    fs::last_write_time(entry.path(), old);
+  }
+  DurabilityOptions opts = ArchiveOpts();
+  opts.archive_max_age_seconds = 3600;
+  {
+    std::unique_ptr<Database> db;
+    OpenWithTables(opts, &db);
+    RunSchedule(db.get(), &oracle, 40, 8, /*seed=*/6);
+  }
+  ExpectRetentionFloorHolds(oracle);
 }
 
 TEST_F(ArchiveTest, ArchivingOffKeepsDeleteBehavior) {

@@ -1,8 +1,9 @@
 // Group commit + database commit log (the single atomic commit point
-// for cross-table transactions): fsync sharing across concurrent
-// committers, torn-commit-log fault injection (all-or-nothing
-// recovery on every participant), mixed single-/cross-table recovery
-// equivalence, and commit-log truncation at checkpoints.
+// for cross-table transactions): FramedLog::Sync sharing fsyncs
+// across concurrent committers, torn-commit-log fault injection
+// (all-or-nothing recovery on every participant), mixed
+// single-/cross-table recovery equivalence, and commit-log truncation
+// at checkpoints.
 
 #include <gtest/gtest.h>
 
@@ -18,12 +19,12 @@
 #include <vector>
 
 #include "checkpoint/checkpoint_manager.h"
-#include "core/commit_pipeline.h"
 #include "core/database.h"
 #include "core/table.h"
 #include "log/commit_log.h"
 #include "log/redo_log.h"
 #include "obs/flight_recorder.h"
+#include "obs/metrics.h"
 #include "obs/span.h"
 
 namespace lstore {
@@ -364,16 +365,53 @@ TEST_F(GroupCommitTest, MixedSingleAndCrossTableCommitsRecoverEquivalently) {
 // Group commit: concurrent committers share fsyncs
 // ---------------------------------------------------------------------------
 
+// Sync returns at once for a record an earlier write-out covered: two
+// appends, the later one synced, then the earlier one — one fsync.
+TEST_F(GroupCommitTest, SyncCoveredByAnEarlierFsyncAddsNone) {
+  std::filesystem::create_directories(dir_);
+  const std::string path = dir_ + "/clog";
+  MetricsRegistry registry;
+  CommitLog log;
+  log.set_metrics(FramedLogMetrics::In(&registry, "lstore_commit_log",
+                                       "Commit-log", "commit_fsync"));
+  ASSERT_TRUE(log.Open(path, true).ok());
+  auto fsyncs = [&registry] {
+    return registry.Snapshot().CounterValue("lstore_commit_log_fsyncs_total");
+  };
+  CommitLogRecord rec;
+  rec.txn_id = kTxnIdTag | 1;
+  rec.commit_time = 10;
+  rec.participants = {{"a", 1}};
+  const uint64_t first = log.Append(rec);
+  const uint64_t second = log.Append(rec);
+  ASSERT_TRUE(log.Sync(second, /*fsync=*/true).ok());
+  ASSERT_TRUE(log.Sync(first, /*fsync=*/true).ok());
+  EXPECT_EQ(fsyncs(), 1u);
+
+  // With fsync off, Sync writes the bytes but adds no fsync.
+  const uint64_t written = FileBytes(path);
+  const uint64_t third = log.Append(rec);
+  ASSERT_TRUE(log.Sync(third, /*fsync=*/false).ok());
+  EXPECT_GT(FileBytes(path), written);
+  EXPECT_EQ(fsyncs(), 1u);
+  // Written is not durable: an fsync'd Sync of it still fsyncs.
+  ASSERT_TRUE(log.Sync(third, /*fsync=*/true).ok());
+  EXPECT_EQ(fsyncs(), 2u);
+}
+
 TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
   DurabilityOptions opts;
   opts.sync_commit = true;
-  opts.group_commit_window_us = 50000;  // 50 ms: let followers join
+  opts.group_commit_window_us = 50000;  // 50 ms: let other callers append
   auto db = OpenDb(opts);
   // Every commit-path fsync: the commit log's and every redo log's.
   auto fsyncs = [&db] {
     MetricsSnapshot s = db->Metrics();
     return s.CounterValue("lstore_redo_fsyncs_total") +
            s.CounterValue("lstore_commit_log_fsyncs_total");
+  };
+  auto batches = [&db] {
+    return db->Metrics().CounterValue("lstore_group_commit_batches_total");
   };
 
   // Load one row per thread in each table (these commits also fsync;
@@ -384,7 +422,7 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
   }
 
   uint64_t before_fsyncs = fsyncs();
-  uint64_t before_batches = db->group_commit()->batches();
+  uint64_t before_batches = batches();
   std::atomic<int> ready{0};
   std::atomic<bool> go{false};
   std::atomic<int> ok{0};
@@ -407,15 +445,16 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
   ASSERT_EQ(ok.load(), kThreads);
 
   uint64_t delta_fsyncs = fsyncs() - before_fsyncs;
-  uint64_t delta_batches = db->group_commit()->batches() - before_batches;
-  // Unshared, 8 cross-table commits over 2 tables would cost
-  // 8 * (2 table fsyncs + 1 commit-log fsync) = 24. Group commit
-  // must do better than one batch per committer.
+  uint64_t delta_batches = batches() - before_batches;
+  // Unshared, 8 cross-table commits over 2 tables would sync 8 * (2
+  // table logs + 1 commit log) = 24 times, each with its own write and
+  // fsync. Some of those syncs must find their records covered by
+  // another caller's write.
   EXPECT_GT(delta_fsyncs, 0u);
   EXPECT_LT(delta_fsyncs, 3u * kThreads);
-  EXPECT_LT(delta_batches, static_cast<uint64_t>(kThreads));
+  EXPECT_LT(delta_batches, 3u * kThreads);
 
-  // And the shared flushes really committed everyone.
+  // And the shared fsyncs really committed everyone.
   for (int i = 0; i < kThreads; ++i) {
     Txn txn = db->Begin();
     std::vector<Value> row;
@@ -425,33 +464,47 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
   }
 }
 
-// A traced request that joins an UNTRACED leader's batch still gets its
-// write-path spans with real durations: the batch windows are timed
-// whenever tracing is compiled in, not only when the leader is traced.
-TEST_F(GroupCommitTest, TracedFollowerOfUntracedLeaderGetsWritePathSpans) {
+// A traced commit whose records another, untraced caller's write
+// covers still gets its write-path spans with real durations: the
+// covering write's window is published to every caller it released.
+TEST_F(GroupCommitTest,
+       TracedCommitterCoveredByUntracedSyncGetsWritePathSpans) {
   DurabilityOptions opts;
   opts.sync_commit = true;
-  opts.group_commit_window_us = 50000;  // 50 ms: the leader parks
+  opts.group_commit_window_us = 50000;  // 50 ms: a lone syncer parks
   auto db = OpenDb(opts);
-  uint64_t before_batches = db->group_commit()->batches();
+  auto counter = [&db](const char* name) {
+    return db->Metrics().CounterValue(name);
+  };
+  const uint64_t before_batches =
+      counter("lstore_group_commit_batches_total");
+  const uint64_t before_fsyncs = counter("lstore_redo_fsyncs_total") +
+                                 counter("lstore_commit_log_fsyncs_total");
 
-  std::atomic<bool> leader_started{false};
-  Status leader_status;
-  std::thread leader([&] {
-    leader_started.store(true);
-    leader_status = CrossInsert(db.get(), 1, 1);  // untraced
+  std::atomic<bool> started{false};
+  Status untraced_status;
+  std::thread untraced([&] {
+    started.store(true);
+    untraced_status = CrossInsert(db.get(), 1, 1);
   });
-  while (!leader_started.load()) std::this_thread::yield();
-  // Well inside the leader's window: this commit joins its batch.
+  while (!started.load()) std::this_thread::yield();
+  // Well inside the untraced caller's window: this commit's records
+  // land before its write.
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   const uint64_t id = TraceContext::NewTraceId();
   {
     TraceContext::Scope scope(id);
     ASSERT_TRUE(CrossInsert(db.get(), 2, 2).ok());
   }
-  leader.join();
-  ASSERT_TRUE(leader_status.ok()) << leader_status.ToString();
-  EXPECT_EQ(db->group_commit()->batches() - before_batches, 1u);
+  untraced.join();
+  ASSERT_TRUE(untraced_status.ok()) << untraced_status.ToString();
+  // One write and one fsync per log (a, b, the commit log) served both
+  // commits.
+  EXPECT_EQ(counter("lstore_group_commit_batches_total") - before_batches,
+            3u);
+  EXPECT_EQ(counter("lstore_redo_fsyncs_total") +
+                counter("lstore_commit_log_fsyncs_total") - before_fsyncs,
+            3u);
 
   std::vector<TraceSpan> spans = FlightRecorder::Instance().SnapshotTrace(id);
   if (!kTraceEnabled) {
@@ -470,8 +523,8 @@ TEST_F(GroupCommitTest, TracedFollowerOfUntracedLeaderGetsWritePathSpans) {
       EXPECT_GT(s.dur_ns, 0u) << name;
     }
   }
-  EXPECT_EQ(queue_wait, 1u);
-  EXPECT_EQ(log_flush, 1u);
+  EXPECT_EQ(queue_wait, 3u);  // one per log synced
+  EXPECT_EQ(log_flush, 2u);   // one per participant log
   EXPECT_EQ(commit_fsync, 1u);
   EXPECT_GE(log_append, 1u);
 }

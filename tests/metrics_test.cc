@@ -335,7 +335,7 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   Table* a = db->GetTable("A");
   Table* b = db->GetTable("B");
 
-  // Cross-table commits from several threads so the group-commit queue
+  // Cross-table commits from several threads so the logs' group commit
   // actually batches; then merges and a checkpoint (seals archives).
   std::vector<std::thread> workers;
   for (int t = 0; t < 4; ++t) {
