@@ -174,13 +174,13 @@ Value IndexKey(Value i, bool wide) {
   return (Value{1} << 40) | ((i * 0xbf58476d1ce4e5b9ull) & kLow40);
 }
 
-/// kIndexKeys keys in kIndexBatch-key InsertBatch calls, key i naming
-/// RID i.
-void LoadIndex(PrimaryIndex* idx, bool wide) {
+/// `n` keys (a multiple of kIndexBatch) in kIndexBatch-key InsertBatch
+/// calls, key i naming RID i.
+void LoadIndex(PrimaryIndex* idx, bool wide, Value n) {
   std::vector<Value> keys(kIndexBatch);
   std::vector<Rid> rids(kIndexBatch);
   bool ok[kIndexBatch];
-  for (Value b = 0; b < kIndexKeys; b += kIndexBatch) {
+  for (Value b = 0; b < n; b += kIndexBatch) {
     for (size_t i = 0; i < kIndexBatch; ++i) {
       rids[i] = b + i;
       keys[i] = IndexKey(b + i, wide);
@@ -189,43 +189,52 @@ void LoadIndex(PrimaryIndex* idx, bool wide) {
   }
 }
 
-/// Index space: byte_size() over kIndexKeys.
-void SetBytesPerKey(benchmark::State& state, size_t bytes) {
-  state.counters["bytes_per_key"] = static_cast<double>(bytes) / kIndexKeys;
+/// Index space: byte_size() over the `n` keys.
+void SetBytesPerKey(benchmark::State& state, size_t bytes, Value n) {
+  state.counters["bytes_per_key"] = static_cast<double>(bytes) / n;
+}
+
+/// Both slot widths at 2^16, 2^18, 2^20 and 2^22 keys.
+void IndexSizes(benchmark::internal::Benchmark* b) {
+  b->ArgNames({"wide", "keys"});
+  for (int64_t wide : {0, 1}) {
+    for (int shift : {16, 18, 20, 22}) b->Args({wide, int64_t{1} << shift});
+  }
 }
 
 void BM_IndexLoad(benchmark::State& state) {
   const bool wide = state.range(0) != 0;
+  const Value n = static_cast<Value>(state.range(1));
   size_t bytes = 0;
   for (auto _ : state) {
     PrimaryIndex idx;
-    LoadIndex(&idx, wide);
+    LoadIndex(&idx, wide, n);
     benchmark::DoNotOptimize(idx.size());
     bytes = idx.byte_size();
   }
-  SetBytesPerKey(state, bytes);
-  state.SetItemsProcessed(state.iterations() * kIndexKeys);
+  SetBytesPerKey(state, bytes, n);
+  state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_IndexLoad)->ArgName("wide")->Arg(0)->Arg(1)->Unit(
-    benchmark::kMillisecond);
+BENCHMARK(BM_IndexLoad)->Apply(IndexSizes)->Unit(benchmark::kMillisecond);
 
 void BM_IndexGet(benchmark::State& state) {
   const bool wide = state.range(0) != 0;
+  const Value n = static_cast<Value>(state.range(1));
   PrimaryIndex idx;
-  LoadIndex(&idx, wide);
+  LoadIndex(&idx, wide, n);
   Random rng(7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.Get(IndexKey(rng.Uniform(kIndexKeys), wide)));
+    benchmark::DoNotOptimize(idx.Get(IndexKey(rng.Uniform(n), wide)));
   }
-  SetBytesPerKey(state, idx.byte_size());
+  SetBytesPerKey(state, idx.byte_size(), n);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IndexGet)->ArgName("wide")->Arg(0)->Arg(1)->Iterations(4u << 20);
+BENCHMARK(BM_IndexGet)->Apply(IndexSizes)->Iterations(4u << 20);
 
 void BM_IndexMultiGet8(benchmark::State& state) {
   const bool wide = state.range(0) != 0;
   PrimaryIndex idx;
-  LoadIndex(&idx, wide);
+  LoadIndex(&idx, wide, kIndexKeys);
   Random rng(8);
   Value keys[8];
   Rid out[8];
@@ -234,7 +243,7 @@ void BM_IndexMultiGet8(benchmark::State& state) {
     idx.MultiGet(keys, 8, out);
     benchmark::DoNotOptimize(out);
   }
-  SetBytesPerKey(state, idx.byte_size());
+  SetBytesPerKey(state, idx.byte_size(), kIndexKeys);
   state.SetItemsProcessed(state.iterations() * 8);
 }
 BENCHMARK(BM_IndexMultiGet8)

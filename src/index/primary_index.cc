@@ -9,105 +9,203 @@ namespace lstore {
 
 namespace {
 
+/// A fresh run's least capacity, and the least key count a merge
+/// waits for.
 constexpr size_t kMinCapacity = 16;
+constexpr size_t kMinMerge = 32;
+/// A merge waits for fresh keys (and static tombstones) past a quarter
+/// of the static run's live keys, and leaves one empty home slot per
+/// 19 keys, so the static run is 0.95 full.
+constexpr size_t kMergeDiv = 4;
+constexpr size_t kRunSlackDiv = 19;
+/// Slots a probe compares at once from the key's home.
+constexpr size_t kWindow = 8;
+
+/// Slots past a run's homes, for the probe window and for keys
+/// displaced past the last home. A merge that needs more retries with
+/// a longer tail.
+size_t Tail(size_t homes) { return kWindow + std::min<size_t>(56, homes / 16); }
 
 /// Multiply-shift onto [0, capacity) from the hash's top 32 bits, so
-/// capacities need not be powers of two. The shard choice fixes bits
-/// 32..37 within a shard; they move the home slot by less than one
-/// for any capacity below 2^26.
+/// capacities need not be powers of two and the home rises with those
+/// bits. The shard choice fixes bits 32..37 within a shard; they move
+/// the home slot by less than one for any capacity below 2^26.
 size_t Home(uint64_t hash, size_t capacity) {
   return static_cast<size_t>(((hash >> 32) * capacity) >> 32);
 }
-
-size_t Next(size_t i, size_t capacity) { return i + 1 == capacity ? 0 : i + 1; }
 
 }  // namespace
 
 PrimaryIndex::PrimaryIndex(size_t num_shards) : shards_(num_shards) {}
 
 template <typename Slot>
-Rid PrimaryIndex::SlotTable<Slot>::Find(Value key) const {
-  const size_t cap = slots.size();
-  if (cap == 0) return kInvalidRid;
-  for (size_t i = Home(Hash(key), cap);; i = Next(i, cap)) {
+size_t PrimaryIndex::Run<Slot>::Seek(Value key) const {
+  const size_t end = slots.size();
+  if (key < lo || key > hi) return end;
+  const uint64_t hash = Hash(key);
+  const size_t home = Home(hash, homes);
+  // Most keys lie within kWindow slots of home. Find the window's first
+  // slot holding the key's value without branching on the slots (the
+  // tail keeps the window in bounds): a branch on where the key lies
+  // mispredicts, and the misprediction stalls the next probe behind
+  // this one's cache miss. An empty slot's key can equal this one, but
+  // the key, when present, lies before every empty slot.
+  const Slot* w = slots.data() + home;
+  size_t hit = kWindow;
+  for (size_t j = kWindow; j-- > 0;) hit = w[j].key == key ? j : hit;
+  if (hit != kWindow) return w[hit].rid == kEmpty ? end : home + hit;
+  // Absent unless the window's last key still orders before this one.
+  const uint64_t order = hash >> 32;
+  for (size_t i = home + kWindow - 1; i < end; ++i) {
     const Slot& s = slots[i];
-    if (s.rid == kEmpty) return kInvalidRid;
-    if (s.key == key && s.rid != kTombstone) return s.rid;
+    if (s.rid == kEmpty || Hash(s.key) >> 32 > order) return end;
+    if (s.key == key) return i;
   }
+  return end;
 }
 
 template <typename Slot>
-void PrimaryIndex::SlotTable<Slot>::Reserve(size_t extra) {
-  const size_t cap = slots.size();
-  // Probes end at an empty slot, so some must always remain.
-  if ((live + tombstones + extra) * 5 <= cap * 4) return;
-  if (cap > 0 && (live + extra) * 2 <= cap) {
-    Rehash(cap);  // dropping the tombstones is enough
-    return;
+bool PrimaryIndex::Run<Slot>::Place(Value key, Rid rid) {
+  const uint64_t hash = Hash(key);
+  const size_t end = slots.size();
+  size_t i = Home(hash, homes);
+  for (; i < end && slots[i].rid != kEmpty; ++i) {
+    if (slots[i].key == key) return Revive(i, rid);
+    if (Hash(slots[i].key) >> 32 > hash >> 32) break;
   }
-  size_t grown = std::max(kMinCapacity, cap * 3 / 2);
-  while ((live + extra) * 5 > grown * 4) grown = grown * 3 / 2;
-  Rehash(grown);
+  size_t e = i;
+  while (e < end && slots[e].rid != kEmpty) ++e;
+  if (e == end) {
+    *this = Merge(*this, Run(), homes * 3 / 2);
+    return Place(key, rid);
+  }
+  for (; e > i; --e) slots[e] = slots[e - 1];
+  slots[i] = Slot{static_cast<decltype(Slot::key)>(key),
+                  static_cast<uint32_t>(rid) + kRidBias};
+  ++live;
+  lo = std::min(lo, key);
+  hi = std::max(hi, key);
+  return true;
 }
 
 template <typename Slot>
-bool PrimaryIndex::SlotTable<Slot>::Place(Value key, Rid rid) {
-  if (rid > kMaxRid) return false;
-  const size_t cap = slots.size();
-  size_t target = cap;  // the first tombstone on the probe path
-  for (size_t i = Home(Hash(key), cap);; i = Next(i, cap)) {
-    Slot& s = slots[i];
-    if (s.rid == kEmpty) {
-      if (target == cap) {
-        target = i;
-      } else {
-        --tombstones;
+bool PrimaryIndex::Run<Slot>::Revive(size_t i, Rid rid) {
+  if (slots[i].rid != kTombstone) return false;
+  slots[i].rid = static_cast<uint32_t>(rid) + kRidBias;
+  --tombstones;
+  ++live;
+  return true;
+}
+
+template <typename Slot>
+bool PrimaryIndex::Run<Slot>::Erase(Value key) {
+  const size_t i = Seek(key);
+  if (i == slots.size() || slots[i].rid == kTombstone) return false;
+  slots[i].rid = kTombstone;
+  --live;
+  ++tombstones;
+  return true;
+}
+
+template <typename Slot>
+void PrimaryIndex::Run<Slot>::Prefetch(Value key) const {
+  if (homes > 0) __builtin_prefetch(&slots[Home(Hash(key), homes)], 1);
+}
+
+template <typename Slot>
+PrimaryIndex::Run<Slot> PrimaryIndex::Run<Slot>::Merge(const Run& a,
+                                                       const Run& b,
+                                                       size_t homes) {
+  // Walk both runs in hash order; each key goes to its home slot, or
+  // to the slot after the previous key when that is further. Empty
+  // slots (hash order 0) and tombstones take the same path but leave a
+  // zeroed slot that the next key may take, so the pass never
+  // branches on them.
+  Run out;
+  out.homes = homes;
+  out.live = a.live + b.live;
+  out.lo = std::min(a.lo, b.lo);
+  out.hi = std::max(a.hi, b.hi);
+  auto build = [&](std::vector<Slot>& to) {
+    const size_t size = to.size();
+    size_t pos = 0;
+    auto put = [&](uint64_t order, Slot s) {
+      const size_t p = std::max(pos, Home(order << 32, homes));
+      if (p >= size) return false;
+      const bool keep = s.rid >= kRidBias;
+      s.key &= decltype(s.key){0} - keep;
+      s.rid &= uint32_t{0} - keep;
+      to[p] = s;
+      pos = p + keep;
+      return true;
+    };
+    const Slot* bs = b.slots.data();
+    const Slot* bend = bs + b.slots.size();
+    for (const Slot& s : a.slots) {
+      const uint64_t order = Hash(s.key) >> 32;
+      for (; bs != bend && Hash(bs->key) >> 32 < order; ++bs) {
+        if (!put(Hash(bs->key) >> 32, *bs)) return false;
       }
-      slots[target] = Slot{static_cast<decltype(Slot::key)>(key),
-                           static_cast<uint32_t>(rid)};
-      ++live;
-      return true;
+      if (!put(order, s)) return false;
     }
-    if (s.rid == kTombstone) {
-      if (target == cap) target = i;
-    } else if (s.key == key) {
-      return false;
+    for (; bs != bend; ++bs) {
+      if (!put(Hash(bs->key) >> 32, *bs)) return false;
     }
+    return true;
+  };
+  for (size_t tail = Tail(homes);; tail *= 2) {
+    out.slots = std::vector<Slot>(homes + tail);
+    if (build(out.slots)) return out;
   }
 }
 
 template <typename Slot>
-bool PrimaryIndex::SlotTable<Slot>::Erase(Value key) {
-  const size_t cap = slots.size();
-  if (cap == 0) return false;
-  for (size_t i = Home(Hash(key), cap);; i = Next(i, cap)) {
-    Slot& s = slots[i];
-    if (s.rid == kEmpty) return false;
-    if (s.key == key && s.rid != kTombstone) {
-      s.rid = kTombstone;
-      --live;
-      ++tombstones;
-      return true;
-    }
+Rid PrimaryIndex::Stages<Slot>::Find(Value key) const {
+  for (const Run<Slot>* r : {&run, &fresh}) {
+    const size_t i = r->Seek(key);
+    if (i == r->slots.size()) continue;
+    const uint32_t rid = r->slots[i].rid;
+    return rid == kTombstone ? kInvalidRid : rid - kRidBias;
   }
+  return kInvalidRid;
 }
 
 template <typename Slot>
-void PrimaryIndex::SlotTable<Slot>::Rehash(size_t capacity) {
-  std::vector<Slot> old =
-      std::exchange(slots, std::vector<Slot>(capacity, Slot{0, kEmpty}));
-  tombstones = 0;
-  for (const Slot& s : old) {
-    if (s.rid == kEmpty || s.rid == kTombstone) continue;
-    size_t i = Home(Hash(s.key), capacity);
-    while (slots[i].rid != kEmpty) i = Next(i, capacity);
-    slots[i] = s;
+void PrimaryIndex::Stages<Slot>::Reserve(size_t extra) {
+  auto threshold = [&] { return std::max(kMinMerge, run.live / kMergeDiv); };
+  if (fresh.live + run.tombstones + extra > threshold()) {
+    const size_t live = run.live + fresh.live;
+    run = Run<Slot>::Merge(run, fresh, live + live / kRunSlackDiv);
+    fresh = Run<Slot>();
   }
+  // Keep the fresh run at most 0.9 full, growing x1.5 at a time
+  // (dropping its tombstones). It starts two steps below the size
+  // that holds the merge threshold.
+  auto fits = [](size_t keys, size_t homes) { return keys * 10 <= homes * 9; };
+  if (fits(fresh.live + fresh.tombstones + extra, fresh.homes)) return;
+  size_t homes = fresh.homes > 0 ? fresh.homes * 3 / 2
+                                 : threshold() * 10 / 9 * 4 / 9;
+  homes = std::max(kMinCapacity, homes);
+  while (!fits(fresh.live + extra, homes)) homes = homes * 3 / 2;
+  fresh = Run<Slot>::Merge(fresh, Run<Slot>(), homes);
 }
 
 template <typename Slot>
-void PrimaryIndex::SlotTable<Slot>::Prefetch(Value key) const {
-  __builtin_prefetch(&slots[Home(Hash(key), slots.size())], 1);
+bool PrimaryIndex::Stages<Slot>::Place(Value key, Rid rid) {
+  if (rid > kMaxRid) return false;
+  const size_t i = run.Seek(key);
+  return i == run.slots.size() ? fresh.Place(key, rid) : run.Revive(i, rid);
+}
+
+template <typename Slot>
+bool PrimaryIndex::Stages<Slot>::Erase(Value key) {
+  return run.Erase(key) || fresh.Erase(key);
+}
+
+template <typename Slot>
+void PrimaryIndex::Stages<Slot>::Prefetch(Value key) const {
+  if (key >= run.lo && key <= run.hi) run.Prefetch(key);
+  fresh.Prefetch(key);
 }
 
 template <typename Fn>
@@ -212,7 +310,7 @@ size_t PrimaryIndex::size() const {
   size_t n = 0;
   for (const auto& s : shards_) {
     SpinGuard g(s.latch);
-    n += s.narrow.live + s.wide.live;
+    n += s.narrow.live() + s.wide.live();
   }
   return n;
 }
@@ -221,8 +319,7 @@ size_t PrimaryIndex::byte_size() const {
   size_t bytes = shards_.size() * sizeof(Shard);
   for (const auto& s : shards_) {
     SpinGuard g(s.latch);
-    bytes += s.narrow.slots.capacity() * sizeof(NarrowSlot) +
-             s.wide.slots.capacity() * sizeof(WideSlot);
+    bytes += s.narrow.bytes() + s.wide.bytes();
   }
   return bytes;
 }

@@ -44,14 +44,16 @@ TEST(PrimaryIndexTest, SizeAcrossShards) {
 
 TEST(PrimaryIndexTest, GrowsThroughRehashesAndKeepsEveryKey) {
   // Random 64-bit keys take 12-byte slots, dense keys below 2^32 take
-  // 8-byte ones; either table is at most 0.8 and at least 0.5 full.
+  // 8-byte ones. Most keys sit in the static run (0.95 full), the rest
+  // in a fresh run (at most 0.9 full) that merges into it once it
+  // holds a quarter as many.
   struct Case {
     bool dense;
-    size_t min_bytes, max_bytes;  // per key
+    double min_bytes, max_bytes;  // per key
   };
-  for (const Case& c : {Case{false, 15, 24}, Case{true, 10, 16}}) {
+  for (const Case& c : {Case{false, 12, 14.5}, Case{true, 8, 9.5}}) {
     SCOPED_TRACE(c.dense ? "dense" : "random");
-    // One shard, so its table rehashes a couple of dozen times.
+    // One shard, so its runs grow and merge a few dozen times.
     PrimaryIndex idx(1);
     Random rng(17);
     std::vector<Value> keys;
@@ -71,6 +73,80 @@ TEST(PrimaryIndexTest, GrowsThroughRehashesAndKeepsEveryKey) {
     }
     EXPECT_LE(idx.byte_size(), keys.size() * c.max_bytes);
     EXPECT_GE(idx.byte_size(), keys.size() * c.min_bytes);
+  }
+}
+
+/// Keys [base, base + n) in one shard: enough for several merges, so
+/// the low keys sit in the static run and the last ones in the fresh
+/// run.
+void LoadOneShard(PrimaryIndex* idx, Value base, Value n) {
+  for (Value k = 0; k < n; ++k) ASSERT_TRUE(idx->Insert(base + k, k));
+}
+
+TEST(PrimaryIndexTest, ReinsertingAMergedKeyTakesBackItsStaticSlot) {
+  for (const Value base : {Value{0}, kWideKeys}) {
+    PrimaryIndex idx(1);
+    LoadOneShard(&idx, base, 2000);
+    const size_t bytes = idx.byte_size();
+    // Erase and re-insert the first 1500 keys one at a time. Had they
+    // gone to the fresh run, it would have grown and merged; each takes
+    // back its slot in the static run instead.
+    for (Value k = 0; k < 1500; ++k) {
+      ASSERT_TRUE(idx.Erase(base + k));
+      EXPECT_EQ(idx.Get(base + k), kInvalidRid);
+      ASSERT_TRUE(idx.Insert(base + k, 10000 + k));
+    }
+    EXPECT_EQ(idx.byte_size(), bytes);
+    EXPECT_EQ(idx.size(), 2000u);
+    for (Value k = 0; k < 2000; ++k) {
+      ASSERT_EQ(idx.Get(base + k), k < 1500 ? 10000 + k : k) << k;
+    }
+  }
+}
+
+TEST(PrimaryIndexTest, InsertBatchRefusesDuplicatesAcrossStages) {
+  for (const Value base : {Value{0}, kWideKeys}) {
+    PrimaryIndex idx(1);
+    LoadOneShard(&idx, base, 2000);
+    // A merged key, a fresh-run key, a new key twice, another new key,
+    // and the merged key again.
+    const std::vector<Value> keys = {base + 5,    base + 1999, base + 5000,
+                                     base + 5000, base + 5001, base + 5};
+    const std::vector<Rid> rids = {1, 2, 3, 4, 5, 6};
+    bool ok[6];
+    idx.InsertBatch(keys.data(), rids.data(), keys.size(), ok);
+    EXPECT_FALSE(ok[0]);
+    EXPECT_FALSE(ok[1]);
+    EXPECT_TRUE(ok[2]);
+    EXPECT_FALSE(ok[3]);
+    EXPECT_TRUE(ok[4]);
+    EXPECT_FALSE(ok[5]);
+    EXPECT_EQ(idx.Get(base + 5), 5u);
+    EXPECT_EQ(idx.Get(base + 1999), 1999u);
+    EXPECT_EQ(idx.Get(base + 5000), 3u);
+    EXPECT_EQ(idx.Get(base + 5001), 5u);
+    EXPECT_EQ(idx.size(), 2002u);
+  }
+}
+
+TEST(PrimaryIndexTest, MultiGetReadsBothStages) {
+  for (const Value base : {Value{0}, kWideKeys}) {
+    PrimaryIndex idx(1);
+    LoadOneShard(&idx, base, 2000);
+    // Erased keys miss in either stage.
+    ASSERT_TRUE(idx.Erase(base + 10));
+    ASSERT_TRUE(idx.Erase(base + 1990));
+    std::vector<Value> keys;
+    for (Value k = 0; k < 4000; k += 3) keys.push_back(base + k);
+    keys.push_back(base + 10);
+    keys.push_back(base + 1990);
+    std::vector<Rid> out(keys.size(), 0);
+    idx.MultiGet(keys.data(), keys.size(), out.data());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const Value k = keys[i] - base;
+      const bool hit = k < 2000 && k != 10 && k != 1990;
+      EXPECT_EQ(out[i], hit ? k : kInvalidRid) << k;
+    }
   }
 }
 
@@ -249,9 +325,11 @@ TEST(PrimaryIndexTest, ConcurrentOverlappingInsertBatches) {
   // 1024-key batches, so neighbouring threads race for half their
   // keys. Each key has one winner, whose RID it maps to. Every third
   // key is moved past 2^32, so each batch mixes both slot widths.
+  // Each shard takes about 2,500 keys, so both widths' runs merge
+  // while the threads race.
   PrimaryIndex idx;
   constexpr int kThreads = 4;
-  constexpr Value kPer = 8192, kStride = kPer / 2, kBatch = 1024;
+  constexpr Value kPer = 65536, kStride = kPer / 2, kBatch = 1024;
   std::vector<std::vector<bool>> won(kThreads, std::vector<bool>(kPer));
   auto rid_of = [](int t, Value k) { return k * kThreads + t; };
   auto key_of = [](Value k) { return k % 3 == 0 ? kWideKeys + k : k; };

@@ -22,6 +22,7 @@
 #include "core/database.h"
 #include "core/query.h"
 #include "core/table.h"
+#include "index/primary_index.h"
 #include "obs/metrics.h"
 #include "obs/reporter.h"
 #include "obs/span.h"
@@ -391,13 +392,20 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   ASSERT_NE(s.FindGauge("lstore_buffer_misses"), nullptr);
   ASSERT_NE(s.FindGauge("lstore_buffer_evictions"), nullptr);
   ASSERT_NE(s.FindGauge("lstore_epoch_pending"), nullptr);
-  // Resident-memory gauges, summed over tables: 512 keys at >= 16
-  // bytes each; only A has merged base segments.
+  // Resident-memory gauges, summed over tables; only A has merged base
+  // segments. The indexes hold 512 keys below 2^32 in 8-byte slots, at
+  // most 9.5 bytes per key beside each shard's header and first run
+  // (about 4 keys per shard here).
   const auto* index_bytes = s.FindGauge("lstore_primary_index_bytes");
   ASSERT_NE(index_bytes, nullptr);
   EXPECT_EQ(index_bytes->value, static_cast<int64_t>(a->PrimaryIndexBytes() +
                                                       b->PrimaryIndexBytes()));
-  EXPECT_GE(index_bytes->value, 512 * 16);
+  EXPECT_GE(index_bytes->value, 512 * 8);
+  PrimaryIndex one_shard(1);
+  const size_t shard_header = one_shard.byte_size();
+  ASSERT_TRUE(one_shard.Insert(0, 0));
+  const size_t first_run = one_shard.byte_size() - shard_header;
+  EXPECT_LE(index_bytes->value, 512 * 9.5 + 2 * 64 * (shard_header + first_run));
   const auto* base_bytes = s.FindGauge("lstore_base_resident_bytes");
   ASSERT_NE(base_bytes, nullptr);
   EXPECT_EQ(base_bytes->value, static_cast<int64_t>(a->BaseResidentBytes()));

@@ -609,6 +609,38 @@ std::vector<LoggedRun> RunsInFirstFrame(const std::string& path) {
   return runs;
 }
 
+// A restart rebuilds the primary index with one batched insert per
+// range. The rebuilt index must take a loaded index's bytes per key,
+// not leave its keys in the fresh runs that new keys go to first: at
+// this row count a fresh run holding a shard's every key has just
+// grown, to 0.6 full, and would take over 13 bytes per key.
+TEST_F(RecoveryTest, RebuiltPrimaryIndexKeepsTheLoadedFootprint) {
+  constexpr Value kRows = 264 * 1024;
+  TableConfig cfg = LogConfig(path_);
+  cfg.range_size = 4096;
+  cfg.insert_range_size = 4096;
+  cfg.tail_page_slots = 64;
+  size_t loaded = 0;
+  {
+    Table table("t", Schema(3), cfg);
+    ASSERT_TRUE(table.RecoverFromLog().ok());
+    for (Value k = 0; k < kRows; k += 1024) {
+      Txn txn = table.Begin();
+      ASSERT_TRUE(table.InsertBatch(txn, KeyRows(k, 1024)).ok());
+      ASSERT_TRUE(txn.Commit().ok());
+    }
+    loaded = table.PrimaryIndexBytes();
+  }
+  Table table("t", Schema(3), cfg);
+  ASSERT_TRUE(table.RecoverFromLog().ok());
+  ASSERT_EQ(table.num_rows(), kRows);
+  // 8-byte slots, 0.95 full in the static runs.
+  for (const size_t bytes : {loaded, table.PrimaryIndexBytes()}) {
+    EXPECT_GE(bytes, kRows * 8);
+    EXPECT_LE(bytes, kRows * 9.5);
+  }
+}
+
 // A batch that crosses a range boundary is ONE frame holding one run
 // per range, and replay hands back one record per row, each with its
 // own LSN.
