@@ -85,19 +85,35 @@ inline constexpr Timestamp kMaxTimestamp = kTxnIdTag - 1;
 
 // ---------------------------------------------------------------------------
 // Indirection slot encoding (base records). The Indirection column is
-// the only in-place-updated column (Section 3.1). Bit 63 is the write
-// latch used for write-write conflict detection via CAS (Section
-// 5.1.1: "Each indirection pointer reserves one bit for latching").
-// The low 24 bits hold the latest tail sequence number (0 = ⊥).
+// the only in-place-updated column (Section 3.1), one 8-byte word per
+// record. Bit 63 is the write latch used for write-write conflict
+// detection via CAS (Section 5.1.1: "Each indirection pointer reserves
+// one bit for latching"). The low 24 bits hold the latest tail
+// sequence number (0 = ⊥). L-Store's word keeps its base Schema
+// Encoding in bits 24-62: the ever-updated bits of data columns 0-38
+// (a wider table keeps the rest beside the word), so one load yields
+// a consistent chain head and mask.
 // ---------------------------------------------------------------------------
 
 inline constexpr uint64_t kIndirLatchBit = 1ull << 63;
+/// Data columns whose ever-updated bit lives in the word.
+inline constexpr uint32_t kIndirEverColumns = 63 - kTailSeqBits;
+inline constexpr ColumnMask kIndirEverMask = (1ull << kIndirEverColumns) - 1;
 
 constexpr uint32_t IndirSeq(uint64_t indir_raw) {
   return static_cast<uint32_t>(indir_raw & kMaxTailSeq);
 }
 constexpr bool IndirLatched(uint64_t indir_raw) {
   return (indir_raw & kIndirLatchBit) != 0;
+}
+/// The ever-updated bits of columns 0-38 the word carries.
+constexpr ColumnMask IndirEver(uint64_t indir_raw) {
+  return (indir_raw >> kTailSeqBits) & kIndirEverMask;
+}
+/// An unlatched word: chain head `seq`, ever-updated `ever` (bits past
+/// column 38 are dropped).
+constexpr uint64_t IndirWord(uint32_t seq, ColumnMask ever) {
+  return (ever & kIndirEverMask) << kTailSeqBits | seq;
 }
 
 // ---------------------------------------------------------------------------

@@ -52,18 +52,19 @@ Range::Range(uint64_t id, const RangeContext* ctx)
 Range::~Range() {
   for (auto& b : base_) delete b.load(std::memory_order_acquire);
   delete historic_.load(std::memory_order_acquire);
-  delete[] meta_.load(std::memory_order_acquire);
+  delete meta_.load(std::memory_order_acquire);
 }
 
 Range::SlotMeta* Range::EnsureMeta() {
   SlotMeta* m = meta_.load(std::memory_order_acquire);
   if (m != nullptr) return m;
-  SlotMeta* fresh = new SlotMeta[ctx_->config->range_size]();
+  auto* fresh = new SlotMeta(ctx_->config->range_size,
+                             ctx_->num_columns > kIndirEverColumns);
   if (meta_.compare_exchange_strong(m, fresh, std::memory_order_acq_rel,
                                     std::memory_order_acquire)) {
     return fresh;
   }
-  delete[] fresh;
+  delete fresh;
   return m;
 }
 
@@ -94,19 +95,17 @@ Status Range::Resolve(uint32_t slot, const ReadSpec& spec, ColumnMask needed,
                       std::vector<Value>* out, uint32_t* observed_seq) {
   Status status = Status::OK();
   for (int attempt = 0; attempt < 8; ++attempt) {
+    if (attempt > 0) std::this_thread::yield();
     bool consistent = true;
     status = ResolveOnce(slot, spec, needed, out, observed_seq, &consistent);
-    if (consistent) return status;
     // Theorem 2: an inconsistent read (detected via the in-page
     // lineage) is repaired by re-resolving against fresh state.
-    std::this_thread::yield();
-    if (attempt == 6) {
-      std::fprintf(stderr,
-                   "lstore: ResolveRecord retries exhausted slot=%u as_of=%llu"
-                   " tps=%u\n",
-                   slot, (unsigned long long)spec.as_of, merged_tps());
-    }
+    if (consistent) return status;
   }
+  std::fprintf(stderr,
+               "lstore: ResolveRecord retries exhausted slot=%u as_of=%llu"
+               " tps=%u\n",
+               slot, (unsigned long long)spec.as_of, merged_tps());
   return status;
 }
 
@@ -143,11 +142,12 @@ Status Range::ResolveOnce(uint32_t slot, const ReadSpec& spec,
   // whose base Schema Encoding bit is clear were never updated, so
   // their value lives in base pages for every snapshot — serve them
   // without touching the chain (the 0/2-hop property of Section 2.2).
+  // The head and the ever-updated mask come from one load of the word.
   const SlotMeta* meta = meta_.load(std::memory_order_acquire);
-  uint32_t seq = SlotMeta::HeadSeq(meta, slot);
-  uint64_t ever = meta == nullptr ? 0
-                                  : meta[slot].ever_updated.load(
-                                        std::memory_order_acquire);
+  const uint64_t word =
+      meta == nullptr ? 0 : meta->word[slot].load(std::memory_order_acquire);
+  uint32_t seq = IndirSeq(word);
+  const ColumnMask ever = meta == nullptr ? 0 : meta->Ever(slot, word);
   ColumnMask remaining = needed & ever;
   ColumnMask base_resident = needed & ~ever;
   bool first_found = false;
@@ -207,7 +207,7 @@ Status Range::ResolveOnce(uint32_t slot, const ReadSpec& spec,
     Value raw = sref->load(std::memory_order_acquire);
     Visibility vis = tm->Visible(sref, &raw, spec.as_of, spec.txn,
                                  spec.speculative);
-    uint32_t back = static_cast<uint32_t>(updates_.Read(seq, kTailIndirection));
+    uint32_t back = TailLinkBack(updates_.Read(seq, kTailLink));
     if (vis == Visibility::kInvisible) {
       seq = back;
       continue;
@@ -259,15 +259,16 @@ Status Range::ResolveOnce(uint32_t slot, const ReadSpec& spec,
   // Lemma 3, so flag a retry (Theorem 2). Every value must come from
   // the segment object the guard inspected or from the write-once
   // table-level tail pages: this routine can be preempted arbitrarily
-  // long between its loads (the head/ever_updated/based samples may
+  // long between its loads (the word and based samples may
   // predate a record's first update while a later segment load sees
   // many merges beyond the snapshot), so re-loading pointers or
   // trusting earlier samples would serve too-new values.
   //
-  // The guard applies only to columns this slot has ever updated, read
-  // *after* the segment loads: a merge publishes a segment (release)
-  // only after it saw the consolidated update committed, and the
-  // updater set the slot's ever-updated bit before its commit. So a
+  // The guard applies only to columns this slot has ever updated, from
+  // a fresh load of its word *after* the segment loads: a merge
+  // publishes a segment (release) only after it saw the consolidated
+  // update committed, and the updater set the slot's ever-updated bit
+  // before its commit. So a
   // bit still clear after the acquire loads of the segments means no
   // loaded segment holds an update of that column for this slot; its
   // value is the insert's in every generation, whatever the Last
@@ -285,7 +286,8 @@ Status Range::ResolveOnce(uint32_t slot, const ReadSpec& spec,
       spec.as_of == kMaxTimestamp || meta_now == nullptr
           ? 0
           : fallback &
-                meta_now[slot].ever_updated.load(std::memory_order_acquire);
+                meta_now->Ever(slot, meta_now->word[slot].load(
+                                         std::memory_order_acquire));
   const bool lut_covers = lut_seg != nullptr && slot < lut_seg->num_slots;
   if (guarded != 0 && lut_covers) {
     Value lut = lut_seg->Get(slot);
@@ -309,8 +311,10 @@ Status Range::ResolveOnce(uint32_t slot, const ReadSpec& spec,
 }
 
 Range::MergedView::MergedView(const Range& r, ColumnMask needed)
-    : meta_(r.meta_.load(std::memory_order_acquire)),
-      data_(r.ctx_->num_columns) {
+    : data_(r.ctx_->num_columns) {
+  if (const SlotMeta* meta = r.meta_.load(std::memory_order_acquire)) {
+    word_ = meta->word.get();
+  }
   const uint32_t ncols = r.ctx_->num_columns;
   const BaseSegment* lut = r.segment(ncols + kBaseLastUpdated);
   const BaseSegment* enc = r.segment(ncols + kBaseSchemaEnc);
@@ -358,8 +362,9 @@ TailRecord Range::ReadRecord(TailKind kind, uint32_t seq, bool settle) {
   } else {
     rec.start = seg.Read(seq, kTailStartTime);
   }
-  rec.backptr = seg.Read(seq, kTailIndirection);
-  rec.base_slot = seg.Read(seq, kTailBaseRid);
+  const Value link = seg.Read(seq, kTailLink);
+  rec.backptr = TailLinkBack(link);
+  rec.base_slot = TailLinkSlot(link);
   rec.encoding = seg.Read(seq, kTailSchemaEncoding);
   rec.cols = kind == TailKind::kInsert ? ctx_->all_columns
                                        : SchemaColumns(rec.encoding);
@@ -379,8 +384,9 @@ void Range::WriteRecord(TailKind kind, const TailRecord& rec) {
     seg.Write(seq, kTailMetaColumns + static_cast<uint32_t>(*it),
               rec.values[i++]);
   }
-  seg.Write(seq, kTailIndirection, rec.backptr);
-  seg.Write(seq, kTailBaseRid, rec.base_slot);
+  seg.Write(seq, kTailLink,
+            TailLink(static_cast<uint32_t>(rec.backptr),
+                     static_cast<uint32_t>(rec.base_slot)));
   seg.Write(seq, kTailSchemaEncoding, rec.encoding);
   seg.StartTimeSlot(seq)->store(rec.start, std::memory_order_release);
 }
@@ -402,14 +408,12 @@ void Range::FillInserts(uint32_t slot0, const std::vector<Value>* rows,
       Page* p = inserts_.EnsurePageOf(slot + 1, kTailMetaColumns + c);
       for (size_t k = 0; k < fill; ++k) p->Set(at + k, rows[j + k][c]);
     }
-    Page* indirection = inserts_.EnsurePageOf(slot + 1, kTailIndirection);
+    Page* link = inserts_.EnsurePageOf(slot + 1, kTailLink);
     Page* encoding = inserts_.EnsurePageOf(slot + 1, kTailSchemaEncoding);
-    Page* base_rid = inserts_.EnsurePageOf(slot + 1, kTailBaseRid);
     Page* start = inserts_.EnsurePageOf(slot + 1, kTailStartTime);
     for (size_t k = 0; k < fill; ++k) {
-      indirection->Set(at + k, 0);
+      link->Set(at + k, TailLink(0, slot + static_cast<uint32_t>(k)));
       encoding->Set(at + k, 0);
-      base_rid->Set(at + k, slot + k);
     }
     for (size_t k = 0; k < len; ++k) {
       start->Set(at + k, k < fill ? txn : kAbortedStamp);
@@ -422,8 +426,8 @@ void Range::FillInserts(uint32_t slot0, const std::vector<Value>* rows,
 Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
                             const std::vector<Value>& row, bool is_delete,
                             TailVersion* v) {
-  SlotMeta& meta = EnsureMeta()[slot];
-  auto& ind = meta.indirection;
+  SlotMeta* meta = EnsureMeta();
+  auto& ind = meta->word[slot];
 
   // Step 1 of write-write conflict detection: CAS the latch bit
   // (Section 5.1.1). A set latch bit means a concurrent writer.
@@ -473,7 +477,7 @@ Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
   uint32_t s = prev_seq;
   while (s != 0 && s >= boundary &&
          IsAbortedStamp(updates_.Read(s, kTailStartTime))) {
-    s = static_cast<uint32_t>(updates_.Read(s, kTailIndirection));
+    s = TailLinkBack(updates_.Read(s, kTailLink));
   }
   bool deleted = false;
   if (s != 0 && s >= boundary) {
@@ -494,8 +498,7 @@ Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
   // A pre-image snapshot precedes the first update of a column
   // (Section 3.1 / Lemma 2). Both seqs are reserved before either
   // record is written, so a refused reservation publishes nothing.
-  const ColumnMask newly =
-      mask & ~meta.ever_updated.load(std::memory_order_relaxed);
+  const ColumnMask newly = mask & ~meta->Ever(slot, iv);
   v->snap_seq = newly != 0 ? updates_.ReserveSeq() : 0;
   v->seq = v->snap_seq <= kMaxTailSeq ? updates_.ReserveSeq() : 0;
   if (v->seq == 0 || v->seq > kMaxTailSeq) {
@@ -582,9 +585,7 @@ Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
 }
 
 void Range::PublishVersion(uint32_t slot, uint32_t seq, ColumnMask mask) {
-  SlotMeta& meta = meta_.load(std::memory_order_acquire)[slot];
-  if (mask != 0) meta.ever_updated.fetch_or(mask, std::memory_order_relaxed);
-  meta.indirection.store(seq, std::memory_order_release);
+  meta_.load(std::memory_order_acquire)->Publish(slot, seq, mask);
 }
 
 bool Range::Stamp(const WriteEntry& w, TxnId txn, Value outcome) {
@@ -731,7 +732,7 @@ bool Range::UpdateMerge(ColumnMask data_cols, bool all_columns) {
     // is not insert-merged yet end the prefix. A tombstone is processed
     // but not applied.
     if (res.outcome != Outcome::kAborted &&
-        updates_.Read(seq, kTailBaseRid) >= based) {
+        TailLinkSlot(updates_.Read(seq, kTailLink)) >= based) {
       break;
     }
     new_tps = seq;
@@ -745,7 +746,7 @@ bool Range::UpdateMerge(ColumnMask data_cols, bool all_columns) {
   for (uint32_t seq = new_tps; seq > old_tps; --seq) {
     Value raw = updates_.Read(seq, kTailStartTime);
     if (IsAbortedStamp(raw) || raw == kNull) continue;
-    uint32_t slot = static_cast<uint32_t>(updates_.Read(seq, kTailBaseRid));
+    uint32_t slot = TailLinkSlot(updates_.Read(seq, kTailLink));
     Value enc = updates_.Read(seq, kTailSchemaEncoding);
     if (IsSupersededRecord(enc)) continue;  // implicitly invalidated
     SlotMergeState& st = latest[slot];
@@ -999,17 +1000,14 @@ void Range::Recover(const std::unordered_map<TxnId, Timestamp>& commits,
   // ... and the Indirection column: each version (tail or historic) of
   // a slot raises its chain head and ever-updated mask.
   auto note_version = [this](uint32_t slot, uint32_t seq, ColumnMask cols) {
-    SlotMeta& m = EnsureMeta()[slot];
-    if (seq > IndirSeq(m.indirection.load(std::memory_order_relaxed))) {
-      m.indirection.store(seq, std::memory_order_release);
-    }
-    m.ever_updated.fetch_or(cols, std::memory_order_relaxed);
+    SlotMeta* meta = EnsureMeta();
+    meta->Publish(slot, std::max(SlotMeta::HeadSeq(meta, slot), seq), cols);
   };
   for (uint32_t seq = st.boundary; seq <= st.last; ++seq) {
     Value raw = updates_.Read(seq, kTailStartTime);
     if (raw == kNull || IsAbortedStamp(raw) || IsTxnId(raw)) continue;
     *max_time = std::max(*max_time, raw);
-    note_version(static_cast<uint32_t>(updates_.Read(seq, kTailBaseRid)), seq,
+    note_version(TailLinkSlot(updates_.Read(seq, kTailLink)), seq,
                  SchemaColumns(updates_.Read(seq, kTailSchemaEncoding)));
   }
   if (const HistoricStore* hist = historic()) {

@@ -9,6 +9,10 @@
 // replay (Section 5.1.3) all act on one range through the operations
 // below; its state is private.
 //
+// Lineage metadata costs one 8-byte Indirection word per slot of an
+// updated range (12 bytes in tables wider than 39 columns) and three
+// words per tail record (tail_segment.h).
+//
 // Thread safety: reads never latch; a writer latches one record through
 // its Indirection word (Section 5.1.1); merges, historic compression
 // and checkpoint capture serialize on the range's merge latch.
@@ -215,7 +219,8 @@ class Range {
                        const std::vector<Value>& row, bool is_delete,
                        TailVersion* v);
   /// Mark `mask` ever updated and release the latch with `seq` as the
-  /// new chain head: the only in-place update of the architecture.
+  /// new chain head in one store: the only in-place update of the
+  /// architecture.
   void PublishVersion(uint32_t slot, uint32_t seq, ColumnMask mask);
 
   /// Stamp the record a writeset entry names with its outcome (commit
@@ -294,9 +299,15 @@ class Range {
   uint64_t ResidentBytes() const;
   /// Bytes of the per-slot update metadata: 0 until the first update.
   uint64_t MetaBytes() const {
-    return meta_.load(std::memory_order_acquire) == nullptr
-               ? 0
-               : uint64_t{ctx_->config->range_size} * sizeof(SlotMeta);
+    const SlotMeta* meta = meta_.load(std::memory_order_acquire);
+    return meta == nullptr ? 0
+                           : uint64_t{ctx_->config->range_size} *
+                                 (meta->high != nullptr ? 12 : 8);
+  }
+  /// Bytes of the allocated tail pages, inserts and updates.
+  uint64_t TailBytes() const {
+    return uint64_t{inserts_.allocated_pages() + updates_.allocated_pages()} *
+           ctx_->config->tail_page_slots * sizeof(Value);
   }
   struct ChainEntry {
     uint32_t seq;
@@ -309,22 +320,46 @@ class Range {
   std::vector<ChainEntry> DebugChain(uint32_t slot, ColumnId col);
 
  private:
-  /// Update metadata of one base record. The two words are
-  /// interleaved so an updated row's pair shares a cache line.
+  /// The Indirection column of an updated range (types.h): one word
+  /// per slot holding the latch, the chain head and the ever-updated
+  /// bits of columns 0-38 (the base Schema Encoding, maintained under
+  /// the latch), plus, only in tables wider than 39 columns, the higher
+  /// columns' bits in a side array, published before the word.
   struct SlotMeta {
-    /// The in-place Indirection column (latch bit + latest tail seq).
-    std::atomic<uint64_t> indirection{0};
-    /// Ever-updated column mask (base Schema Encoding, maintained
-    /// under the indirection latch).
-    std::atomic<uint64_t> ever_updated{0};
+    SlotMeta(uint32_t slots, bool wide)
+        : word(new std::atomic<uint64_t>[slots]()),
+          high(wide ? new std::atomic<uint32_t>[slots]() : nullptr) {}
 
-    /// Chain head of `slot` in a range's array; a null array (the
+    /// Chain head of `slot` in a range's metadata; a null one (the
     /// range was never updated) reads 0.
     static uint32_t HeadSeq(const SlotMeta* meta, uint32_t slot) {
       return meta == nullptr ? 0
-                             : IndirSeq(meta[slot].indirection.load(
+                             : IndirSeq(meta->word[slot].load(
                                    std::memory_order_acquire));
     }
+    /// Ever-updated columns of `slot`, given its word `w`.
+    ColumnMask Ever(uint32_t slot, uint64_t w) const {
+      return IndirEver(w) |
+             (high == nullptr ? 0
+                              : ColumnMask{high[slot].load(
+                                    std::memory_order_acquire)}
+                                    << kIndirEverColumns);
+    }
+    /// Store `slot`'s word unlatched, with chain head `seq` and `mask`
+    /// added to its ever-updated columns (side-array bits set first).
+    /// The latch holder (or recovery, alone) is the word's only writer.
+    void Publish(uint32_t slot, uint32_t seq, ColumnMask mask) {
+      if (high != nullptr && (mask >> kIndirEverColumns) != 0) {
+        high[slot].fetch_or(static_cast<uint32_t>(mask >> kIndirEverColumns),
+                            std::memory_order_relaxed);
+      }
+      const uint64_t w = word[slot].load(std::memory_order_relaxed);
+      word[slot].store(IndirWord(seq, IndirEver(w) | mask),
+                       std::memory_order_release);
+    }
+
+    std::unique_ptr<std::atomic<uint64_t>[]> word;
+    std::unique_ptr<std::atomic<uint32_t>[]> high;  ///< columns 39 and up
   };
 
   Status ResolveOnce(uint32_t slot, const ReadSpec& spec, ColumnMask needed,
@@ -357,7 +392,7 @@ class Range {
   std::atomic<uint32_t> occupied_{0};
   /// Slots covered by base segments (insert-merged prefix).
   std::atomic<uint32_t> based_{0};
-  /// One SlotMeta per slot, installed by the range's first update
+  /// The Indirection column, installed by the range's first update
   /// (EnsureMeta). Null means no slot was ever updated: every
   /// Indirection word and every ever-updated mask reads 0.
   std::atomic<SlotMeta*> meta_{nullptr};
@@ -395,7 +430,9 @@ class Range::MergedView {
   /// Whether `slot` is based in this generation with no tail record
   /// past it.
   bool Covers(uint32_t slot) const {
-    return slot < slots_ && SlotMeta::HeadSeq(meta_, slot) <= tps_;
+    return slot < slots_ &&
+           (word_ == nullptr ||
+            IndirSeq(word_[slot].load(std::memory_order_acquire)) <= tps_);
   }
   Value LastUpdated(uint32_t slot) { return lut_.At(slot); }
   Value Start(uint32_t slot) { return start_.At(slot); }
@@ -405,8 +442,9 @@ class Range::MergedView {
  private:
   uint32_t tps_ = 0;
   uint32_t slots_ = 0;  ///< 0 = no consistent generation
-  /// Loaded once: a never-updated range has no array.
-  const SlotMeta* meta_;
+  /// The Indirection words, loaded once (null: the range was never
+  /// updated).
+  const std::atomic<uint64_t>* word_ = nullptr;
   std::vector<PageHandle> pins_;
   CompressedColumn::Cursor lut_, enc_, start_;
   std::vector<CompressedColumn::Cursor> data_;

@@ -140,32 +140,29 @@ uint32_t Table::RangeTailLength(uint64_t range_id) const {
   return r == nullptr ? 0 : r->tail_length();
 }
 
-uint64_t Table::BaseResidentBytes() const {
-  uint64_t bytes = 0;
-  EpochGuard guard(epochs_);  // merges retire segments through epochs_
+uint64_t Table::SumRanges(uint64_t (Range::*bytes)() const) const {
+  uint64_t sum = 0;
   for (uint64_t id = 0; id < num_ranges(); ++id) {
-    if (Range* r = GetRange(id)) bytes += r->ResidentBytes();
+    if (Range* r = GetRange(id)) sum += (r->*bytes)();
   }
-  return bytes;
+  return sum;
 }
 
-uint64_t Table::UpdateMetaBytes() const {
-  uint64_t bytes = 0;
-  for (uint64_t id = 0; id < num_ranges(); ++id) {
-    if (Range* r = GetRange(id)) bytes += r->MetaBytes();
-  }
-  return bytes;
+uint64_t Table::BaseResidentBytes() const {
+  EpochGuard guard(epochs_);  // merges retire segments through epochs_
+  return SumRanges(&Range::ResidentBytes);
 }
 
 void Table::CollectSizeGauges(MetricsRegistry& r,
                               const std::vector<const Table*>& tables) {
   size_t epoch_pending = 0, index_bytes = 0;
-  uint64_t base_bytes = 0, update_meta_bytes = 0;
+  uint64_t base_bytes = 0, update_meta_bytes = 0, tail_bytes = 0;
   for (const Table* t : tables) {
     epoch_pending += t->epochs_.pending();
     index_bytes += t->PrimaryIndexBytes();
     base_bytes += t->BaseResidentBytes();
     update_meta_bytes += t->UpdateMetaBytes();
+    tail_bytes += t->TailBytes();
   }
   r.GetGauge("lstore_epoch_pending",
              "Retired-but-unreclaimed epoch entries across tables")
@@ -178,6 +175,9 @@ void Table::CollectSizeGauges(MetricsRegistry& r,
   r.GetGauge("lstore_update_meta_bytes",
              "Per-slot update metadata bytes of updated ranges across tables")
       ->Set(static_cast<int64_t>(update_meta_bytes));
+  r.GetGauge("lstore_tail_bytes",
+             "Allocated update and insert tail-page bytes across tables")
+      ->Set(static_cast<int64_t>(tail_bytes));
 }
 
 std::vector<uint32_t> Table::RangeColumnTps(uint64_t range_id) const {

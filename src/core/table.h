@@ -209,10 +209,12 @@ class Table : public EngineCore<Range> {
   /// Summed byte_size() of the resident base-segment payloads (cold
   /// pages count 0).
   uint64_t BaseResidentBytes() const;
-  /// Bytes of the per-slot update metadata (Indirection + ever-updated
-  /// mask) of the ranges that have been updated; 0 for a table that
-  /// was only loaded.
-  uint64_t UpdateMetaBytes() const;
+  /// Bytes of the Indirection column (8 bytes a slot, 12 in tables
+  /// wider than 39 columns) of the ranges that have been updated; 0
+  /// for a table that was only loaded.
+  uint64_t UpdateMetaBytes() const { return SumRanges(&Range::MetaBytes); }
+  /// Bytes of the allocated tail pages, update and insert.
+  uint64_t TailBytes() const { return SumRanges(&Range::TailBytes); }
 
   /// For tests (Lemma 3): per-data-column TPS of a range.
   std::vector<uint32_t> RangeColumnTps(uint64_t range_id) const;
@@ -268,6 +270,9 @@ class Table : public EngineCore<Range> {
   friend class CheckpointManager;  ///< log watermarks + truncation
   friend class Query;              ///< scan executor (core/query.cc)
   friend class Database;           ///< cross-table sessions share the ops
+
+  /// `bytes` summed over the table's ranges.
+  uint64_t SumRanges(uint64_t (Range::*bytes)() const) const;
 
   // --- engine steps (core/engine_core.h) -------------------------------------
 

@@ -9,8 +9,10 @@
 //    special null value ∅,
 //  * tail records span aligned columns: record `seq` occupies slot
 //    `seq % page_slots` of page `seq / page_slots` in every column,
-//  * meta-data columns mirror base pages (Section 2.2): Indirection
-//    (backpointer), Start Time, Schema Encoding, Base RID.
+//  * meta-data columns mirror base pages (Section 2.2) in three words:
+//    one link word holding the Indirection backpointer and the Base RID
+//    (the record's slot within its range), Start Time, and Schema
+//    Encoding. A one-column update record thus takes 32 bytes.
 //
 // The same structure backs the *table-level tail pages* of insert
 // ranges (Section 3.2), where all columns are materialized.
@@ -32,12 +34,24 @@ namespace lstore {
 /// Physical positions of the tail meta-data columns; data column `c`
 /// lives at physical index kTailMetaColumns + c.
 enum TailMetaColumn : uint32_t {
-  kTailIndirection = 0,  ///< backpointer: previous version's seq (0 = base)
-  kTailStartTime = 1,    ///< commit time, txn id, or aborted stamp
+  kTailLink = 0,       ///< TailLink(backpointer, base slot)
+  kTailStartTime = 1,  ///< commit time, txn id, or aborted stamp
   kTailSchemaEncoding = 2,
-  kTailBaseRid = 3,      ///< slot of the base record within the range
 };
-inline constexpr uint32_t kTailMetaColumns = 4;
+inline constexpr uint32_t kTailMetaColumns = 3;
+
+/// A record's link word: the Indirection backpointer (the previous
+/// version's seq, 0 = base) in the low 32 bits, the slot of its base
+/// record within the range in the high 32.
+constexpr Value TailLink(uint32_t backptr, uint32_t base_slot) {
+  return Value{base_slot} << 32 | backptr;
+}
+constexpr uint32_t TailLinkBack(Value link) {
+  return static_cast<uint32_t>(link);
+}
+constexpr uint32_t TailLinkSlot(Value link) {
+  return static_cast<uint32_t>(link >> 32);
+}
 
 /// Lock-free-readable, lazily grown list of pages for one column.
 /// Growth uses copy-on-write of the pointer directory so readers

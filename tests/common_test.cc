@@ -76,6 +76,16 @@ TEST(TypesTest, IndirectionLatchBit) {
   EXPECT_EQ(IndirSeq(v | kIndirLatchBit), 99u);
 }
 
+TEST(TypesTest, IndirectionWordPacksHeadAndEverUpdatedBits) {
+  const ColumnMask ever = 1ull << 1 | 1ull << 38 | 1ull << 39;
+  const uint64_t w = IndirWord(kMaxTailSeq, ever);
+  EXPECT_EQ(IndirSeq(w), kMaxTailSeq);
+  EXPECT_EQ(IndirEver(w), ever & ~(1ull << 39));  // column 39 is not in it
+  EXPECT_FALSE(IndirLatched(w));
+  EXPECT_EQ(IndirEver(w | kIndirLatchBit), IndirEver(w));
+  EXPECT_EQ(IndirSeq(w | kIndirLatchBit), kMaxTailSeq);
+}
+
 TEST(TypesTest, SchemaEncodingFlags) {
   uint64_t enc = 0b0101 | kSnapshotFlag;
   EXPECT_TRUE(IsSnapshotRecord(enc));

@@ -287,9 +287,9 @@ TEST(TableMetricsTest, StandaloneTableOwnsARegistry) {
             static_cast<int64_t>(table.PrimaryIndexBytes()));
   ASSERT_NE(s.FindGauge("lstore_base_resident_bytes"), nullptr);
   EXPECT_GT(s.FindGauge("lstore_base_resident_bytes")->value, 0);
-  // Every one of the 8 ranges was updated: one 16-byte pair per slot.
+  // Every one of the 8 ranges was updated: one 8-byte word per slot.
   ASSERT_NE(s.FindGauge("lstore_update_meta_bytes"), nullptr);
-  EXPECT_EQ(s.FindGauge("lstore_update_meta_bytes")->value, 8 * 64 * 16);
+  EXPECT_EQ(s.FindGauge("lstore_update_meta_bytes")->value, 8 * 64 * 8);
   if (kTraceEnabled) {
     const auto* q = s.FindHistogram("lstore_query_partition_ns");
     ASSERT_NE(q, nullptr);
@@ -298,6 +298,43 @@ TEST(TableMetricsTest, StandaloneTableOwnsARegistry) {
     ASSERT_NE(m, nullptr);
     EXPECT_GT(m->hist.count, 0u);
   }
+}
+
+// The byte budget of L-Store's lineage metadata: an updated range pays
+// one 8-byte Indirection word a slot, and a tail record three metadata
+// words beside the columns it carries.
+TEST(TableMetricsTest, LineageMetadataByteBudget) {
+  TableConfig cfg;  // range_size 4096, tail pages of 512 slots
+  cfg.enable_merge_thread = false;
+  Table table("t", Schema(3), cfg);
+  auto tail_bytes = [&] {
+    return table.metrics()->Snapshot().GaugeValue("lstore_tail_bytes");
+  };
+  constexpr int64_t kPage = 512 * sizeof(Value);
+  Txn txn = table.Begin();
+  for (Value k = 0; k < 512; ++k) {
+    ASSERT_TRUE(table.Insert(txn, {k, k, k}).ok());
+  }
+  ASSERT_TRUE(txn.Commit().ok());
+  // One insert page for each of 3 data and 3 metadata columns.
+  EXPECT_EQ(tail_bytes(), 6 * kPage);
+  EXPECT_EQ(table.UpdateMetaBytes(), 0u);
+
+  // Each key's first update of column 1 appends a pre-image and the new
+  // version: 1,024 records, 2 pages in each of the 4 columns they touch
+  // (link, start time, schema encoding, column 1).
+  Txn u = table.Begin();
+  for (Value k = 0; k < 512; ++k) {
+    ASSERT_TRUE(table.Update(u, k, 0b010, {0, k + 1, 0}).ok());
+  }
+  ASSERT_TRUE(u.Commit().ok());
+  EXPECT_EQ(table.RangeTailLength(0), 1024u);
+  EXPECT_EQ(tail_bytes(), 6 * kPage + 4 * 2 * kPage);
+  EXPECT_EQ(table.TailBytes(), static_cast<uint64_t>(tail_bytes()));
+  EXPECT_EQ(table.UpdateMetaBytes(), uint64_t{cfg.range_size} * 8);
+  EXPECT_EQ(
+      table.metrics()->Snapshot().GaugeValue("lstore_update_meta_bytes"),
+      int64_t{cfg.range_size} * 8);
 }
 
 // --- database integration --------------------------------------------------
@@ -414,9 +451,15 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   // Update metadata: A's 8 ranges were all updated, B never was.
   const auto* meta_bytes = s.FindGauge("lstore_update_meta_bytes");
   ASSERT_NE(meta_bytes, nullptr);
-  EXPECT_EQ(meta_bytes->value, 8 * 32 * 16);
-  EXPECT_EQ(a->UpdateMetaBytes(), 8u * 32 * 16);
+  EXPECT_EQ(meta_bytes->value, 8 * 32 * 8);
+  EXPECT_EQ(a->UpdateMetaBytes(), 8u * 32 * 8);
   EXPECT_EQ(b->UpdateMetaBytes(), 0u);
+  // Tail pages: B's inserts were never merged, so its pages remain.
+  const auto* tail_bytes = s.FindGauge("lstore_tail_bytes");
+  ASSERT_NE(tail_bytes, nullptr);
+  EXPECT_EQ(tail_bytes->value,
+            static_cast<int64_t>(a->TailBytes() + b->TailBytes()));
+  EXPECT_GT(b->TailBytes(), 0u);
   // Stage timings (compiled in by default).
   if (kTraceEnabled) {
     for (const char* name :

@@ -101,12 +101,13 @@ TEST(TailSegmentTest, RecordsSpanAlignedColumns) {
     uint32_t seq = seg.ReserveSeq();
     seg.Write(seq, kTailMetaColumns + 0, seq * 10);
     seg.Write(seq, kTailMetaColumns + 1, seq * 100);
-    seg.Write(seq, kTailBaseRid, seq);
+    seg.Write(seq, kTailLink, TailLink(seq - 1, 1000 + seq));
   }
   for (uint32_t seq = 1; seq <= 20; ++seq) {
     EXPECT_EQ(seg.Read(seq, kTailMetaColumns + 0), seq * 10);
     EXPECT_EQ(seg.Read(seq, kTailMetaColumns + 1), seq * 100);
-    EXPECT_EQ(seg.Read(seq, kTailBaseRid), seq);
+    EXPECT_EQ(TailLinkBack(seg.Read(seq, kTailLink)), seq - 1);
+    EXPECT_EQ(TailLinkSlot(seg.Read(seq, kTailLink)), 1000 + seq);
   }
 }
 

@@ -333,10 +333,10 @@ TEST_F(TableBasicTest, SecondaryIndexSelectsAndReevaluates) {
 }
 
 // --- lazy update metadata --------------------------------------------------
-// A range allocates its per-slot Indirection + ever-updated array on its
-// first update (16 bytes a slot); never-updated ranges carry none.
+// A range allocates its Indirection column on its first update (one
+// 8-byte word a slot); never-updated ranges carry none.
 
-constexpr uint64_t kMetaArrayBytes = 64 * 16;  // SmallConfig range_size
+constexpr uint64_t kMetaArrayBytes = 64 * 8;  // SmallConfig range_size
 
 // Loads `rows` rows {k, 10k, 20k, 30k} in one transaction.
 void LoadRows(Table& t, Value rows) {
@@ -509,6 +509,87 @@ TEST(LazyUpdateMetaTest, ReopenRebuildsMetadataOfUpdatedRangesOnly) {
     uint64_t sum = 0;
     ASSERT_TRUE(t->NewQuery().Sum(1, &sum).ok());
     EXPECT_EQ(sum, 10u * 383 * 384 / 2 - 1000 + 5);
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A table wider than 39 columns keeps the ever-updated bits of columns
+// 39 and up beside the Indirection word. Updates of an in-word column
+// (1, and 38, the last one) and of side-array columns (39, the first,
+// and 55, the last) each take one pre-image and stay readable as of
+// every earlier time, through an update merge and a durable reopen.
+TEST(LazyUpdateMetaTest, WideTableKeepsEveryColumnsHistory) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "lstore_wide_update_meta";
+  std::filesystem::remove_all(dir);
+  constexpr Value kKey = 5;
+  const ColumnId cols[] = {1, 2, 38, 39, 55};  // 2 is never updated
+  ColumnMask read_mask = 0;
+  for (ColumnId c : cols) read_mask |= 1ull << c;
+  // The row as of each stamp, one stamp before the first update and
+  // one after each.
+  std::vector<Timestamp> stamps;
+  std::vector<std::vector<Value>> rows;
+  auto check = [&](Table* t, const char* phase) {
+    for (size_t i = 0; i < stamps.size(); ++i) {
+      std::vector<Value> out;
+      ASSERT_TRUE(t->ReadAsOf(kKey, stamps[i], read_mask, &out).ok());
+      for (ColumnId c : cols) {
+        EXPECT_EQ(out[c], rows[i][c]) << phase << " as of " << i << " " << c;
+      }
+    }
+    Txn txn = t->Begin();
+    std::vector<Value> out;
+    ASSERT_TRUE(t->Read(txn, kKey, read_mask, &out).ok());
+    for (ColumnId c : cols) {
+      EXPECT_EQ(out[c], rows.back()[c]) << phase << " latest " << c;
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+    EXPECT_EQ(t->UpdateMetaBytes(), 64u * 12);
+  };
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, &db).ok());
+    ASSERT_TRUE(db->CreateTable("w", Schema(kMaxColumns), SmallConfig()).ok());
+    Table* t = db->GetTable("w");
+    std::vector<std::vector<Value>> batch;
+    for (Value k = 0; k < 8; ++k) {
+      batch.emplace_back(kMaxColumns);
+      batch.back()[0] = k;
+      for (ColumnId c = 1; c < kMaxColumns; ++c) {
+        batch.back()[c] = 1000 * k + c;
+      }
+    }
+    Txn load = db->Begin();
+    ASSERT_TRUE(t->InsertBatch(load, batch).ok());
+    ASSERT_TRUE(load.Commit().ok());
+    t->FlushAll();
+    rows.push_back(batch[kKey]);
+    stamps.push_back(db->ReadTimestamp());
+    // The last update rewrites two side-array columns already updated:
+    // it takes no pre-image.
+    for (ColumnMask mask : {1ull << 1, 1ull << 38, 1ull << 39, 1ull << 55,
+                            1ull << 39 | 1ull << 55}) {
+      std::vector<Value> row = rows.back();
+      for (BitIter it(mask); it; ++it) row[*it] += 100;
+      Txn txn = db->Begin();
+      ASSERT_TRUE(t->Update(txn, kKey, mask, row).ok());
+      ASSERT_TRUE(txn.Commit().ok());
+      rows.push_back(row);
+      stamps.push_back(db->ReadTimestamp());
+    }
+    // Four pre-images and five versions.
+    EXPECT_EQ(t->DebugChain(kKey, 39).size(), 9u);
+    check(t, "tail");
+    t->FlushAll();
+    check(t, "merged");
+  }
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, &db).ok());
+    Table* t = db->GetTable("w");
+    ASSERT_NE(t, nullptr);
+    check(t, "reopened");
   }
   std::filesystem::remove_all(dir);
 }
