@@ -1,10 +1,14 @@
 // Google-benchmark micro benchmarks of the primitive operations:
 // insert, point read (merged / tail-resident), update, merge, scan
-// fast path, codec throughput, and the primary index's bulk load and
-// point lookups. These are the building blocks the
-// paper's end-to-end numbers decompose into.
+// fast path, codec build/point-read/scan over four column shapes, and
+// the primary index's bulk load and point lookups. These are the
+// building blocks the paper's end-to-end numbers decompose into.
 
 #include <benchmark/benchmark.h>
+
+#include <iterator>
+#include <memory>
+#include <vector>
 
 #include "common/random.h"
 #include "core/query.h"
@@ -148,18 +152,78 @@ void BM_ScanMerged(benchmark::State& state) {
 }
 BENCHMARK(BM_ScanMerged);
 
-void BM_CompressedColumnGet(benchmark::State& state) {
+/// The codec benchmarks' column shapes, one 4096-slot segment each.
+constexpr size_t kSegmentSlots = 4096;
+constexpr const char* kColumnShapes[] = {"k+c", "jittered_linear",
+                                         "random_44bit", "for_with_null"};
+
+/// Shape `shape` of kColumnShapes: k + c (a line, 0-bit codes); 2i plus
+/// 0-2 (a line, 2-bit codes); random 44-bit values (plain); 12-bit
+/// random offsets with ∅ in every 50th slot (stride-0 FOR, 13 bits).
+std::vector<Value> ColumnShape(int64_t shape) {
   Random rng(6);
-  std::vector<Value> vals;
-  for (int i = 0; i < 4096; ++i) vals.push_back(rng.Uniform(16));
-  auto col = CompressedColumn::Build(vals, true);
+  std::vector<Value> vals(kSegmentSlots);
+  for (Value i = 0; i < kSegmentSlots; ++i) {
+    switch (shape) {
+      case 0: vals[i] = 3 * kSegmentSlots + i + 7; break;
+      case 1: vals[i] = 2 * i + rng.Uniform(3); break;
+      case 2: vals[i] = rng.Next() >> 20; break;
+      default:
+        vals[i] = i % 50 == 7 ? kNull : 1000000 + rng.Uniform(4096);
+        break;
+    }
+  }
+  return vals;
+}
+
+void ColumnShapes(benchmark::internal::Benchmark* b) {
+  b->ArgName("shape")->DenseRange(0, std::size(kColumnShapes) - 1);
+}
+
+/// Label the run with its shape and report the segment's bytes per
+/// value beside `items` values processed.
+void ReportColumn(benchmark::State& state, const CompressedColumn& col,
+                  int64_t items) {
+  state.SetLabel(kColumnShapes[state.range(0)]);
+  state.counters["bytes_per_value"] =
+      static_cast<double>(col.byte_size()) / kSegmentSlots;
+  state.SetItemsProcessed(items);
+}
+
+void BM_ColumnBuild(benchmark::State& state) {
+  const std::vector<Value> vals = ColumnShape(state.range(0));
+  std::unique_ptr<CompressedColumn> col;
+  for (auto _ : state) {
+    col = CompressedColumn::Build(vals, true);
+    benchmark::DoNotOptimize(col.get());
+  }
+  ReportColumn(state, *col, state.iterations() * kSegmentSlots);
+}
+BENCHMARK(BM_ColumnBuild)->Apply(ColumnShapes);
+
+void BM_ColumnGet(benchmark::State& state) {
+  auto col = CompressedColumn::Build(ColumnShape(state.range(0)), true);
   size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(col->Get(i++ & 4095));
+    // An odd step visits every slot in a scattered order.
+    i = (i + 1237) % kSegmentSlots;
+    benchmark::DoNotOptimize(col->Get(i));
   }
-  state.SetItemsProcessed(state.iterations());
+  ReportColumn(state, *col, state.iterations());
 }
-BENCHMARK(BM_CompressedColumnGet);
+BENCHMARK(BM_ColumnGet)->Apply(ColumnShapes);
+
+void BM_ColumnScan(benchmark::State& state) {
+  auto col = CompressedColumn::Build(ColumnShape(state.range(0)), true);
+  for (auto _ : state) {
+    auto cur = col->cursor();
+    Value sum = 0;
+    for (size_t i = 0; i < kSegmentSlots; ++i) sum += cur.At(i);
+    benchmark::DoNotOptimize(sum);
+  }
+  ReportColumn(state, *col, state.iterations() * kSegmentSlots);
+}
+BENCHMARK(BM_ColumnScan)->Apply(ColumnShapes);
 
 constexpr Value kIndexKeys = 1u << 20;
 constexpr size_t kIndexBatch = 1024;

@@ -22,8 +22,10 @@
 // Keys come from KeyGenerator(active set, theta); theta 0 is uniform.
 // The engines' merge threads run throughout (Section 6.1). A load
 // whose SUM misses the closed form of its cells, or an op failing
-// other than by abort, exits 1. With LSTORE_BENCH_JSON set, every
-// table cell is also one JSON row (bench "paper").
+// other than by abort, exits 1. Every table row ends with its points'
+// write-write aborts, in cell order. With LSTORE_BENCH_JSON set, every
+// table cell and every point's aborts (`<point>.aborts`) is also one
+// JSON row (bench "paper").
 
 #include <algorithm>
 #include <cinttypes>
@@ -252,6 +254,22 @@ void Report(const char* fmt, const std::string& metric, double value,
   EmitMetric("paper", metric, value, unit);
 }
 
+/// The aborts of the points on the table row being printed.
+std::string row_aborts;
+
+/// Emit point `point`'s write-write aborts as a JSON row and keep them
+/// for the row's trailing aborts list.
+void ReportAborts(const std::string& point, const WorkloadResult& r) {
+  EmitMetric("paper", point + ".aborts", r.stats.aborts, "txns");
+  row_aborts += " " + std::to_string(r.stats.aborts);
+}
+
+/// End a table row with its points' aborts, in cell order.
+void EndRow() {
+  std::printf("   aborts:%s\n", row_aborts.c_str());
+  row_aborts.clear();
+}
+
 uint32_t MaxThreads(const BenchArgs& args) {
   return *std::max_element(args.threads.begin(), args.threads.end());
 }
@@ -286,12 +304,13 @@ void Fig7(const BenchArgs& args) {
         std::printf("%-28s", EngineName(k));
         for (uint32_t t : args.threads) {
           WorkloadResult r = Run(args, e, wl, {t, 1, 0});
-          Report(" %10.1f",
-                 std::string("fig7.") + level.name + "." + EngineKey(k) +
-                     ".t" + std::to_string(t) + ".update_ktps",
-                 Ktps(r, kOpUpdate), "Ktxn/s");
+          const std::string point = std::string("fig7.") + level.name + "." +
+                                    EngineKey(k) + ".t" + std::to_string(t);
+          Report(" %10.1f", point + ".update_ktps", Ktps(r, kOpUpdate),
+                 "Ktxn/s");
+          ReportAborts(point, r);
         }
-        std::printf("\n");
+        EndRow();
       });
     }
   }
@@ -317,13 +336,13 @@ void Fig8(const BenchArgs& args) {
       WithEngine(Kind::kLStore, PaperConfig(kRange, m), args.rows,
                  [&](auto& e) {
                    WorkloadResult r = Run(args, e, wl, {w, 1, 0});
-                   Report(" %9.3f",
-                          "fig8.t" + std::to_string(w) + ".m" +
-                              std::to_string(m) + ".scan_ms",
-                          ScanMs(r), "ms");
+                   const std::string point = "fig8.t" + std::to_string(w) +
+                                             ".m" + std::to_string(m);
+                   Report(" %9.3f", point + ".scan_ms", ScanMs(r), "ms");
+                   ReportAborts(point, r);
                  });
     }
-    std::printf("\n");
+    EndRow();
   }
 }
 
@@ -349,12 +368,13 @@ void Fig9(const BenchArgs& args) {
           wl.shape.reads = pct / 10;
           wl.shape.writes = 10 - wl.shape.reads;
           WorkloadResult r = Run(args, e, wl, {threads, 1, 0});
-          Report(" %9.1f",
-                 std::string("fig9.") + level.name + "." + EngineKey(k) +
-                     ".r" + std::to_string(pct) + ".update_ktps",
-                 Ktps(r, kOpUpdate), "Ktxn/s");
+          const std::string point = std::string("fig9.") + level.name + "." +
+                                    EngineKey(k) + ".r" + std::to_string(pct);
+          Report(" %9.1f", point + ".update_ktps", Ktps(r, kOpUpdate),
+                 "Ktxn/s");
+          ReportAborts(point, r);
         }
-        std::printf("\n");
+        EndRow();
       });
     }
   }
@@ -390,7 +410,8 @@ void Fig10(const BenchArgs& args) {
                  "Ktxn/s");
           Report(" %14.1f", key + ".scans_s", Ktps(r, kOpScan) * 1000,
                  "1/s");
-          std::printf("\n");
+          ReportAborts(key, r);
+          EndRow();
         }
       });
     }
@@ -408,9 +429,11 @@ void Table7(const BenchArgs& args) {
   for (Kind k : kPaperEngines) {
     WithEngine(k, PaperConfig(), args.rows, [&](auto& e) {
       WorkloadResult r = Run(args, e, wl, {writers, 1, 0});
+      const std::string point = std::string("table7.") + EngineKey(k);
       std::printf("%-32s", EngineName(k));
-      Report(" %16.3f\n", std::string("table7.") + EngineKey(k) + ".scan_ms",
-             ScanMs(r), "ms");
+      Report(" %16.3f", point + ".scan_ms", ScanMs(r), "ms");
+      ReportAborts(point, r);
+      EndRow();
     });
   }
 }
@@ -427,11 +450,13 @@ void Table8(const BenchArgs& args) {
     WithEngine(k, PaperConfig(), args.rows, [&](auto& e) {
       std::string key = std::string("table8.") + EngineKey(k);
       std::printf("%-24s", EngineName(k));
-      Report(" %22.3f", key + ".idle_scan_ms",
-             ScanMs(Run(args, e, wl, {0, 1, 0})), "ms");
-      Report(" %22.3f", key + ".busy_scan_ms",
-             ScanMs(Run(args, e, wl, {writers, 1, 0})), "ms");
-      std::printf("\n");
+      WorkloadResult idle = Run(args, e, wl, {0, 1, 0});
+      Report(" %22.3f", key + ".idle_scan_ms", ScanMs(idle), "ms");
+      WorkloadResult busy = Run(args, e, wl, {writers, 1, 0});
+      Report(" %22.3f", key + ".busy_scan_ms", ScanMs(busy), "ms");
+      ReportAborts(key + ".idle", idle);
+      ReportAborts(key + ".busy", busy);
+      EndRow();
     });
   }
 }
@@ -453,12 +478,12 @@ void Table9(const BenchArgs& args) {
         Workload wl{args.rows};
         wl.read_mask = ((1ull << ncols) - 1) << 1;  // columns 1..ncols
         WorkloadResult r = Run(args, e, wl, {0, 0, readers});
-        Report(" %10.1f",
-               std::string("table9.") + EngineKey(k) + ".c" +
-                   std::to_string(ncols) + ".read_ktps",
-               Ktps(r, kOpRead), "Ktxn/s");
+        const std::string point = std::string("table9.") + EngineKey(k) +
+                                  ".c" + std::to_string(ncols);
+        Report(" %10.1f", point + ".read_ktps", Ktps(r, kOpRead), "Ktxn/s");
+        ReportAborts(point, r);
       }
-      std::printf("\n");
+      EndRow();
     });
   }
 }
@@ -480,7 +505,9 @@ void RangeSize(const BenchArgs& args) {
                  std::printf("%-14u", rs);
                  Report(" %16.1f", key + ".update_ktps", Ktps(r, kOpUpdate),
                         "Ktxn/s");
-                 Report(" %16.3f\n", key + ".scan_ms", ScanMs(r), "ms");
+                 Report(" %16.3f", key + ".scan_ms", ScanMs(r), "ms");
+                 ReportAborts(key, r);
+                 EndRow();
                });
   }
 }
@@ -501,12 +528,14 @@ void Skew(const BenchArgs& args) {
       for (double th : thetas) {
         Workload wl{args.rows, th};
         WorkloadResult r = Run(args, e, wl, {writers, 1, 0});
-        char key[64];
-        std::snprintf(key, sizeof(key), "skew.%s.theta%.2f.update_ktps",
+        char point[64];
+        std::snprintf(point, sizeof(point), "skew.%s.theta%.2f",
                       EngineKey(k), th);
-        Report(" %9.1f", key, Ktps(r, kOpUpdate), "Ktxn/s");
+        Report(" %9.1f", std::string(point) + ".update_ktps",
+               Ktps(r, kOpUpdate), "Ktxn/s");
+        ReportAborts(point, r);
       }
-      std::printf("\n");
+      EndRow();
     });
   }
 }
@@ -542,8 +571,11 @@ void Cumulation(const BenchArgs& args) {
     uint64_t reads = point_reads->value() - reads0;
     Report(" %20.2f", key + ".read_txn_p50_us",
            r.stats.lat[kOpRead].PercentileUs(0.5), "us");
-    Report(" %16.2f\n", key + ".hops_per_read",
+    Report(" %16.2f", key + ".hops_per_read",
            reads == 0 ? 0.0 : static_cast<double>(hops) / reads, "hops");
+    ReportAborts(key + ".update", w);
+    ReportAborts(key + ".read", r);
+    EndRow();
   }
 }
 

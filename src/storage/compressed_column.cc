@@ -29,6 +29,12 @@ std::vector<uint64_t> TakeWords(const char** p, uint64_t n) {
   return words;
 }
 
+/// Code width of a FOR frame whose offsets span [0, span]: ∅ takes the
+/// all-ones code, one above the largest offset.
+int ForWidth(uint64_t span, bool has_null) {
+  return span == ~0ull ? 64 : BitsNeeded(span + (has_null ? 1 : 0));
+}
+
 /// Bytes of a dictionary of `distinct` values coding `n` slots.
 size_t DictionaryBytes(size_t n, size_t distinct) {
   return distinct * sizeof(Value) +
@@ -47,8 +53,9 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
   }
   const size_t n = values.size();
 
-  // One pass: the run count, and the frame [lo, hi] of the non-∅ values.
-  size_t runs = 0;
+  // One pass: the run count, the frame [lo, hi] of the non-∅ values,
+  // and the first and last non-∅ slots.
+  size_t runs = 0, first = n, last = 0;
   Value lo = kNull, hi = 0;
   bool has_null = false;
   for (size_t i = 0; i < n; ++i) {
@@ -59,11 +66,43 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
     } else {
       lo = std::min(lo, v);
       hi = std::max(hi, v);
+      first = std::min(first, i);
+      last = i;
     }
   }
   if (lo > hi) lo = hi = 0;  // every slot is ∅
-  // ∅ takes the all-ones code, one above the largest offset.
-  const int for_width = BitsNeeded(hi - lo + (has_null ? 1 : 0));
+  const int for_width = ForWidth(hi - lo, has_null);
+
+  // The strided frame: offsets from the line through the first and
+  // last non-∅ values, measured as signed distances so that values on
+  // both sides of the line stay near it.
+  Value stride = 0, stride_base = 0;
+  int stride_width = 64;
+  if (last > first) {
+    // Their slope, rounded to the nearest integer (modulo 2^64).
+    const Value rise = values[last] - values[first], run = last - first;
+    const bool down = static_cast<int64_t>(rise) < 0;
+    const Value step = ((down ? 0 - rise : rise) + run / 2) / run;
+    stride = down ? 0 - step : step;
+  }
+  if (stride != 0) {
+    const Value anchor = values[first] - stride * first;
+    int64_t below = 0, above = 0;
+    for (size_t i = first; i <= last; ++i) {
+      if (values[i] == kNull) continue;
+      const auto d = static_cast<int64_t>(values[i] - stride * i - anchor);
+      below = std::min(below, d);
+      above = std::max(above, d);
+    }
+    stride_base = anchor + static_cast<Value>(below);
+    stride_width = ForWidth(
+        static_cast<Value>(above) - static_cast<Value>(below), has_null);
+  }
+  const size_t for_bytes =
+      kForHeaderBytes + BitPackedArray::PackedBytes(n, for_width);
+  const size_t stride_bytes = kForHeaderBytes + sizeof(Value) +
+                              BitPackedArray::PackedBytes(n, stride_width);
+  const bool strided = stride_bytes < for_bytes;
 
   // The smallest encoding wins; a tie keeps the earlier candidate.
   Encoding best = Encoding::kPlain;
@@ -75,8 +114,7 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
     }
   };
   consider(Encoding::kRle, runs * 2 * sizeof(uint64_t));
-  consider(Encoding::kFor,
-           kForHeaderBytes + BitPackedArray::PackedBytes(n, for_width));
+  consider(Encoding::kFor, strided ? stride_bytes : for_bytes);
   // A dictionary grows with its distinct count: count distinct values
   // only while a dictionary of that many could still be the smallest.
   size_t limit = 1;
@@ -101,11 +139,17 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
       col->dict_ = DictionaryColumn(values);
       break;
     case Encoding::kFor: {
-      // FOR beat plain, so for_width < 64 and the shift is defined.
-      col->for_base_ = lo;
-      if (has_null) col->for_null_code_ = (1ull << for_width) - 1;
-      for (Value& v : values) v = v == kNull ? col->for_null_code_ : v - lo;
-      col->for_codes_ = BitPackedArray(values, for_width);
+      // FOR beat plain, so its width < 64 and the shift is defined.
+      const int width = strided ? stride_width : for_width;
+      col->for_base_ = strided ? stride_base : lo;
+      col->for_stride_ = strided ? stride : 0;
+      if (has_null) col->for_null_code_ = (1ull << width) - 1;
+      for (size_t i = 0; i < n; ++i) {
+        Value& v = values[i];
+        v = v == kNull ? col->for_null_code_
+                       : v - col->for_stride_ * i - col->for_base_;
+      }
+      col->for_codes_ = BitPackedArray(values, width);
       break;
     }
   }
@@ -113,14 +157,15 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
 }
 
 void CompressedColumn::DecodeForBlock(size_t block, Value* out) const {
-  for_codes_.UnpackBlock(block, for_base_, out);
+  const size_t first = block * BitPackedArray::kBlock;
+  const Value line = for_base_ + for_stride_ * first;
+  for_codes_.UnpackBlock(block, line, out, for_stride_);
   if (for_null_code_ == kNull) return;  // no ∅ in this segment
   // Codes are narrower than 64 bits, so only the null code decodes to
-  // base + null code (modulo 2^64).
-  const Value null_value = for_base_ + for_null_code_;
-  const size_t n =
-      std::min(BitPackedArray::kBlock, size_ - block * BitPackedArray::kBlock);
-  for (size_t j = 0; j < n; ++j) {
+  // the slot's line + null code (modulo 2^64).
+  Value null_value = line + for_null_code_;
+  const size_t n = std::min(BitPackedArray::kBlock, size_ - first);
+  for (size_t j = 0; j < n; ++j, null_value += for_stride_) {
     if (out[j] == null_value) out[j] = kNull;
   }
 }
@@ -181,6 +226,7 @@ CompressedColumn::Header CompressedColumn::header() const {
     case Encoding::kFor:
       h.width = static_cast<uint8_t>(for_codes_.width());
       h.has_null = for_null_code_ != kNull;
+      h.strided = for_stride_ != 0;
       h.aux = for_base_;
       break;
   }
@@ -194,8 +240,8 @@ void CompressedColumn::PutHeader(std::string* out, const Header& h) {
 bool CompressedColumn::GetHeader(std::string_view in, Header* h) {
   if (in.size() < kHeaderBytes) return false;
   std::memcpy(h, in.data(), kHeaderBytes);
-  if (h->reserved != 0 || h->has_null > 1 ||
-      (h->has_null && h->encoding != Encoding::kFor)) {
+  if (h->has_null > 1 || h->strided > 1 ||
+      ((h->has_null || h->strided) && h->encoding != Encoding::kFor)) {
     return false;
   }
   switch (h->encoding) {
@@ -218,7 +264,8 @@ uint64_t CompressedColumn::SerializedBytes(const Header& h) {
   switch (h.encoding) {
     case Encoding::kPlain: return kHeaderBytes + h.size * sizeof(Value);
     case Encoding::kRle: return kHeaderBytes + h.aux * 2 * sizeof(Value);
-    case Encoding::kFor: return kHeaderBytes + packed;
+    case Encoding::kFor:
+      return kHeaderBytes + h.strided * sizeof(Value) + packed;
     case Encoding::kDictionary:
       return kHeaderBytes + h.aux * sizeof(Value) + packed;
   }
@@ -238,6 +285,7 @@ void CompressedColumn::AppendTo(std::string* out) const {
       AppendWords(out, rle_.values());
       break;
     case Encoding::kFor:
+      if (for_stride_ != 0) AppendWords(out, {for_stride_});
       AppendWords(out, for_codes_.words());
       break;
     case Encoding::kDictionary:
@@ -279,6 +327,12 @@ Status CompressedColumn::Parse(std::string_view in,
     }
     case Encoding::kFor:
       col->for_base_ = h.aux;
+      if (h.strided) {
+        col->for_stride_ = TakeWords(&p, 1)[0];
+        if (col->for_stride_ == 0) {
+          return Status::Corruption("compressed column zero FOR stride");
+        }
+      }
       if (h.has_null) col->for_null_code_ = (1ull << h.width) - 1;
       col->for_codes_ =
           BitPackedArray(TakeWords(&p, code_words), h.size, h.width);
@@ -332,10 +386,17 @@ bool CompressedColumn::ReadSlot(const Header& h, uint32_t slot,
   switch (h.encoding) {
     case Encoding::kPlain:
       return word_at(kHeaderBytes + uint64_t{slot} * sizeof(Value), out);
-    case Encoding::kFor:
-      if (!code_at(kHeaderBytes, &code)) return false;
-      *out = h.has_null && code == (1ull << h.width) - 1 ? kNull : h.aux + code;
+    case Encoding::kFor: {
+      Value stride = 0;
+      if ((h.strided && !word_at(kHeaderBytes, &stride)) ||
+          !code_at(kHeaderBytes + h.strided * sizeof(Value), &code)) {
+        return false;
+      }
+      *out = h.has_null && code == (1ull << h.width) - 1
+                 ? kNull
+                 : h.aux + stride * slot + code;
       return true;
+    }
     case Encoding::kDictionary:
       return code_at(kHeaderBytes + h.aux * sizeof(Value), &code) &&
              code < h.aux && word_at(kHeaderBytes + code * sizeof(Value), out);
@@ -358,7 +419,9 @@ size_t CompressedColumn::byte_size() const {
     case Encoding::kPlain: return plain_.size() * sizeof(Value);
     case Encoding::kDictionary: return dict_.byte_size();
     case Encoding::kRle: return rle_.byte_size();
-    case Encoding::kFor: return kForHeaderBytes + for_codes_.byte_size();
+    case Encoding::kFor:
+      return kForHeaderBytes + (for_stride_ != 0 ? sizeof(Value) : 0) +
+             for_codes_.byte_size();
   }
   return 0;
 }

@@ -8,9 +8,14 @@
 // earlier one in this order):
 //  * plain — 8 bytes per value;
 //  * RLE — one (start, value) pair per run;
-//  * frame of reference (FOR) — a base plus each value's offset from
-//    it, bit-packed at the width of the largest offset. ∅ takes the
-//    all-ones code, so aborted-insert slots do not widen the frame;
+//  * frame of reference (FOR) — each value's offset from the line
+//    base + stride·slot, bit-packed at the width of the largest offset.
+//    Build tries stride 0 (classic FOR) and the stride through the
+//    first and last non-∅ values, and keeps the smaller: a column that
+//    climbs with the slot (keys loaded in order, k + c) then packs at
+//    ~0 bits instead of paying for its span (LeCo, Liu et al., SIGMOD
+//    2024). ∅ takes the all-ones code, so aborted-insert slots do not
+//    widen the frame;
 //  * dictionary — sorted distinct values plus bit-packed codes.
 // Point reads stay O(1) for every encoding but RLE (O(log #runs)).
 //
@@ -20,11 +25,16 @@
 // little-endian arrays, so writing and loading copy bytes instead of
 // re-encoding values.
 //
-//   [tag u8][width u8][has_null u8][0 u8][slots u32][aux u64]  header
+//   [tag u8][width u8][has_null u8][strided u8][slots u32][aux u64]
 //   plain: slots values
 //   RLE:   aux run starts, then aux run values
-//   FOR:   the codes' packed words (aux = base; has_null: ∅ = all-ones)
+//   FOR:   strided: the stride word (nonzero); then the codes' packed
+//          words (aux = base; has_null: ∅ = all-ones)
 //   dict:  aux dictionary values, then the codes' packed words
+//
+// strided is 0 on every other column, so a stride-0 FOR column keeps
+// the form of builds that predate strides; those builds refuse a
+// strided one (Corruption).
 
 #ifndef LSTORE_STORAGE_COMPRESSED_COLUMN_H_
 #define LSTORE_STORAGE_COMPRESSED_COLUMN_H_
@@ -56,7 +66,7 @@ class CompressedColumn {
     Encoding encoding = Encoding::kPlain;
     uint8_t width = 0;     ///< FOR / dictionary code width in bits
     uint8_t has_null = 0;  ///< FOR: 1 when the all-ones code is ∅
-    uint8_t reserved = 0;
+    uint8_t strided = 0;   ///< FOR: 1 when a stride word precedes the codes
     uint32_t size = 0;     ///< slots
     uint64_t aux = 0;      ///< FOR base, dictionary entries or RLE runs
     bool operator==(const Header&) const = default;
@@ -88,9 +98,9 @@ class CompressedColumn {
       std::function<bool(uint64_t offset, uint64_t length, std::string* out)>;
   /// Read slot `slot` of a stored column with header `h` through
   /// `read`, fetching only the bytes that slot needs: one word for
-  /// plain, one or two for FOR, those plus one dictionary entry, or
-  /// the run starts plus one run value for RLE. False when `read`
-  /// fails or the stored bytes are inconsistent.
+  /// plain, one or two for FOR (plus its stride), those plus one
+  /// dictionary entry, or the run starts plus one run value for RLE.
+  /// False when `read` fails or the stored bytes are inconsistent.
   static bool ReadSlot(const Header& h, uint32_t slot, const ReadFn& read,
                        Value* out);
 
@@ -99,7 +109,7 @@ class CompressedColumn {
       case Encoding::kPlain: return plain_[i];
       case Encoding::kDictionary: return dict_.Get(i);
       case Encoding::kRle: return rle_.Get(i);
-      case Encoding::kFor: return ForValue(for_codes_.Get(i));
+      case Encoding::kFor: return ForValue(for_codes_.Get(i), i);
     }
     return kNull;
   }
@@ -143,11 +153,13 @@ class CompressedColumn {
  private:
   CompressedColumn() = default;
 
-  /// FOR's fixed fields: the base and the null code.
+  /// FOR's fixed fields: the base and the null code (a strided frame
+  /// adds its stride).
   static constexpr size_t kForHeaderBytes = 2 * sizeof(Value);
 
-  Value ForValue(uint64_t code) const {
-    return code == for_null_code_ ? kNull : for_base_ + code;
+  Value ForValue(uint64_t code, size_t slot) const {
+    return code == for_null_code_ ? kNull
+                                  : for_base_ + for_stride_ * slot + code;
   }
   /// Decode one block of FOR values (see BitPackedArray::UnpackBlock).
   void DecodeForBlock(size_t block, Value* out) const;
@@ -158,6 +170,7 @@ class CompressedColumn {
   DictionaryColumn dict_;
   RleColumn rle_;
   Value for_base_ = 0;
+  Value for_stride_ = 0;  ///< added once per slot (modulo 2^64)
   /// The all-ones code when the segment holds ∅; otherwise kNull,
   /// which no code narrower than 64 bits can equal.
   uint64_t for_null_code_ = kNull;

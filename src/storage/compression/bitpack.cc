@@ -9,11 +9,12 @@ namespace lstore {
 namespace {
 
 /// Unpack one full block of W-bit values from its W words, adding
-/// `base` to each. With W a constant and the loop unrolled, every word
-/// index, shift and mask folds: about 3x faster than a loop over a
-/// runtime width.
+/// base + stride·j to value j. With W a constant and the loop unrolled,
+/// every word index, shift and mask folds: about 3x faster than a loop
+/// over a runtime width.
 template <int W>
-void UnpackFullBlock(const uint64_t* in, uint64_t base, uint64_t* out) {
+void UnpackFullBlock(const uint64_t* in, uint64_t base, uint64_t stride,
+                     uint64_t* out) {
   constexpr uint64_t kMask = W == 64 ? ~0ull : (1ull << W) - 1;
 #pragma GCC unroll 64
   for (int j = 0; j < static_cast<int>(BitPackedArray::kBlock); ++j) {
@@ -24,10 +25,11 @@ void UnpackFullBlock(const uint64_t* in, uint64_t base, uint64_t* out) {
     // range where the branch is dead.
     if (off + W > 64) v |= in[word + 1] << ((64 - off) & 63);
     out[j] = (v & kMask) + base;
+    base += stride;
   }
 }
 
-using Unpacker = void (*)(const uint64_t*, uint64_t, uint64_t*);
+using Unpacker = void (*)(const uint64_t*, uint64_t, uint64_t, uint64_t*);
 
 template <int... W>
 constexpr std::array<Unpacker, sizeof...(W)> MakeUnpackers(
@@ -57,17 +59,17 @@ BitPackedArray::BitPackedArray(const std::vector<uint64_t>& values, int width)
   }
 }
 
-void BitPackedArray::UnpackBlock(size_t block, uint64_t base,
-                                 uint64_t* out) const {
+void BitPackedArray::UnpackBlock(size_t block, uint64_t base, uint64_t* out,
+                                 uint64_t stride) const {
   const size_t first = block * kBlock;
   const size_t n = std::min(kBlock, size_ - first);
   if (width_ == 0) {
-    std::fill_n(out, n, base);
+    for (size_t j = 0; j < n; ++j) out[j] = base + stride * j;
   } else if (n < kBlock) {
-    for (size_t j = 0; j < n; ++j) out[j] = Get(first + j) + base;
+    for (size_t j = 0; j < n; ++j) out[j] = Get(first + j) + base + stride * j;
   } else {
     // A full block is exactly width_ words, from word block * width_.
-    kUnpackers[width_ - 1](words_.data() + block * width_, base, out);
+    kUnpackers[width_ - 1](words_.data() + block * width_, base, stride, out);
   }
 }
 

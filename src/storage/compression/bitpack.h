@@ -48,9 +48,10 @@ class BitPackedArray {
   }
 
   /// Decode values [kBlock * block, kBlock * block + kBlock) into
-  /// `out`, adding `base` to each (modulo 2^64); the last, partial
-  /// block fills only its remaining values.
-  void UnpackBlock(size_t block, uint64_t base, uint64_t* out) const;
+  /// `out`, adding base + stride·j to the block's j-th value (modulo
+  /// 2^64); the last, partial block fills only its remaining values.
+  void UnpackBlock(size_t block, uint64_t base, uint64_t* out,
+                   uint64_t stride = 0) const;
 
   size_t size() const { return size_; }
   int width() const { return width_; }

@@ -187,13 +187,17 @@ TEST(BufferPoolTest, ScansRacingEvictionAndMergesStayExact) {
   constexpr uint64_t kRows = 2000;
   TableConfig cfg = SmallConfig();
   cfg.enable_merge_thread = true;
-  // The frame-of-reference coded base is ~10 KB: a 4 KB budget keeps
-  // evicting.
+  // Columns 1 and 2 hold a permutation of the keys (1237 is coprime to
+  // kRows), which no line fits: the frame-of-reference coded base is
+  // ~10 KB, and a 4 KB budget keeps evicting.
   PooledTable pt(/*budget=*/4096, cfg);
   {
     Txn txn = pt.table->Begin();
     std::vector<std::vector<Value>> batch;
-    for (Value k = 0; k < kRows; ++k) batch.push_back({k, k + 1, k * 2, 0});
+    for (Value k = 0; k < kRows; ++k) {
+      const Value p = k * 1237 % kRows;
+      batch.push_back({k, p + 1, p * 2, 0});
+    }
     ASSERT_TRUE(pt.table->InsertBatch(txn, batch).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
@@ -655,10 +659,14 @@ TEST(BufferPoolTest, ColdSlotLayoutSurvivesCheckpointRestart) {
   // The column header travels through the checkpoint's segment-ref
   // frames: after a restart the lazily mapped segments still serve
   // one-slot cold point reads. Restart hydrates the key and Start Time
-  // segments of every range; keys spaced 2^40 apart keep the key column
-  // (~9 KB even frame-of-reference coded) larger than the 2 KB pool, so
-  // that hydration evicts and the read below finds cold segments.
-  constexpr Value kKeyStride = 1ull << 40;
+  // segments of every range; keys scrambled within 40 bits fit no line,
+  // so the key column (~7.5 KB frame-of-reference coded) is larger than
+  // the 2 KB pool, hydration evicts, and the read below finds cold
+  // segments.
+  auto key = [](Value i) {
+    constexpr Value kLow40 = (Value{1} << 40) - 1;
+    return (Value{1} << 40) | ((i * 0xbf58476d1ce4e5b9ull) & kLow40);
+  };
   std::string dir = ScratchDir("layout_restart");
   DurabilityOptions opts;
   opts.buffer_pool_bytes = 2048;
@@ -671,7 +679,7 @@ TEST(BufferPoolTest, ColdSlotLayoutSurvivesCheckpointRestart) {
     Txn txn = t->Begin();
     std::vector<std::vector<Value>> batch;
     for (Value k = 0; k < kRows; ++k) {
-      batch.push_back({k * kKeyStride, 20000 + 2 * k, 50000 + k});
+      batch.push_back({key(k), 20000 + 2 * k, 50000 + k});
     }
     ASSERT_TRUE(t->InsertBatch(txn, batch).ok());
     ASSERT_TRUE(txn.Commit().ok());
@@ -685,11 +693,13 @@ TEST(BufferPoolTest, ColdSlotLayoutSurvivesCheckpointRestart) {
     ASSERT_NE(t, nullptr);
     Txn txn = t->Begin();
     std::vector<Value> row;
-    ASSERT_TRUE(t->Read(txn, 444 * kKeyStride, 0b110, &row).ok());
+    ASSERT_TRUE(t->Read(txn, key(444), 0b110, &row).ok());
     EXPECT_EQ(row[1], 20000 + 2 * 444);
     EXPECT_EQ(row[2], 50000 + 444);
     ASSERT_TRUE(txn.Commit().ok());
-    EXPECT_GT(db->Metrics().GaugeValue("lstore_buffer_cold_point_reads"), 0);
+    const MetricsSnapshot m = db->Metrics();
+    EXPECT_GT(m.GaugeValue("lstore_buffer_evictions"), 0);
+    EXPECT_GT(m.GaugeValue("lstore_buffer_cold_point_reads"), 0);
   }
   std::filesystem::remove_all(dir);
 }

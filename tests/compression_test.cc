@@ -87,14 +87,18 @@ TEST(BitPackTest, UnpackBlockMatchesGet) {
     BitPackedArray arr(vals, width);
     EXPECT_EQ(arr.byte_size(), BitPackedArray::PackedBytes(300, width));
     uint64_t block[BitPackedArray::kBlock];
-    for (size_t b = 0; b * BitPackedArray::kBlock < vals.size(); ++b) {
-      arr.UnpackBlock(b, /*base=*/1000, block);
-      for (size_t j = 0; j < BitPackedArray::kBlock &&
-                         b * BitPackedArray::kBlock + j < vals.size();
-           ++j) {
-        const size_t i = b * BitPackedArray::kBlock + j;
-        ASSERT_EQ(block[j], vals[i] + 1000) << "width " << width << " at " << i;
-        ASSERT_EQ(arr.Get(i), vals[i]) << "width " << width << " at " << i;
+    // Stride ~0 adds base − j: the sum wraps modulo 2^64.
+    for (uint64_t stride : {0ull, 5ull, ~0ull}) {
+      for (size_t b = 0; b * BitPackedArray::kBlock < vals.size(); ++b) {
+        arr.UnpackBlock(b, /*base=*/1000, block, stride);
+        for (size_t j = 0; j < BitPackedArray::kBlock &&
+                           b * BitPackedArray::kBlock + j < vals.size();
+             ++j) {
+          const size_t i = b * BitPackedArray::kBlock + j;
+          ASSERT_EQ(block[j], vals[i] + 1000 + stride * j)
+              << "width " << width << " stride " << stride << " at " << i;
+          ASSERT_EQ(arr.Get(i), vals[i]) << "width " << width << " at " << i;
+        }
       }
     }
   }
@@ -131,6 +135,8 @@ TEST(RleTest, SingleElementAndAlternating) {
 
 /// A FOR segment's fixed fields: its base and its null code.
 constexpr size_t kForHeader = 2 * sizeof(Value);
+/// A strided FOR segment's: those plus its stride.
+constexpr size_t kStridedHeader = kForHeader + sizeof(Value);
 
 /// Values lo + offsets, with offsets spanning exactly `width` bits.
 std::vector<Value> FrameOfWidth(Value lo, int width, size_t n, uint64_t seed) {
@@ -162,19 +168,34 @@ TEST(CompressedColumnTest, ForRoundTripsEachWidth) {
 
 TEST(CompressedColumnTest, ForCodesNullWithoutWideningTheFrame) {
   // Aborted-insert slots merge as ∅: one extra code, not a 64-bit frame.
-  std::vector<Value> vals;
-  for (Value i = 0; i < 4096; ++i) vals.push_back(1000000 + i);
-  vals[7] = kNull;
-  vals[100] = kNull;
+  // The values 1000000..1004095 in a scrambled order (1237 is odd, so
+  // i * 1237 mod 4096 is a permutation) fit no line: a stride-0 frame.
+  std::vector<Value> vals, sequential;
+  for (Value i = 0; i < 4096; ++i) {
+    vals.push_back(1000000 + i * 1237 % 4096);
+    sequential.push_back(1000000 + i);
+  }
+  for (auto* v : {&vals, &sequential}) (*v)[7] = (*v)[100] = kNull;
   auto col = CompressedColumn::Build(vals, true);
   ASSERT_EQ(col->encoding(), CompressedColumn::Encoding::kFor);
+  EXPECT_EQ(col->header().strided, 0);
   // Offsets need 12 bits; ∅ takes the all-ones code of 13.
   EXPECT_EQ(col->byte_size(),
             kForHeader + BitPackedArray::PackedBytes(4096, 13));
-  auto cur = col->cursor();
-  for (size_t i = 0; i < vals.size(); ++i) {
-    ASSERT_EQ(col->Get(i), vals[i]) << i;
-    ASSERT_EQ(cur.At(i), vals[i]) << i;
+  // In slot order the same values sit on the line 1000000 + slot: every
+  // offset is 0, and ∅ takes the all-ones code of 1 bit.
+  auto line = CompressedColumn::Build(sequential, true);
+  ASSERT_EQ(line->encoding(), CompressedColumn::Encoding::kFor);
+  EXPECT_EQ(line->header().strided, 1);
+  EXPECT_EQ(line->byte_size(),
+            kStridedHeader + BitPackedArray::PackedBytes(4096, 1));
+  for (const auto& [c, want] : {std::pair{col.get(), &vals},
+                                std::pair{line.get(), &sequential}}) {
+    auto cur = c->cursor();
+    for (size_t i = 0; i < want->size(); ++i) {
+      ASSERT_EQ(c->Get(i), (*want)[i]) << i;
+      ASSERT_EQ(cur.At(i), (*want)[i]) << i;
+    }
   }
 
   // A segment of nothing but ∅ (every insert aborted) still decodes.
@@ -255,10 +276,33 @@ TEST(CompressedColumnTest, ChoosesRleForLongRuns) {
 }
 
 TEST(CompressedColumnTest, ChoosesFrameForAdjacentValues) {
-  // One update range of k + c: 4096 unique values, 12-bit offsets.
+  // 4096 unique values within 12 bits, in no order a line fits.
   std::vector<Value> vals;
-  for (Value k = 0; k < 4096; ++k) vals.push_back(3 * 4096 + k);
+  for (Value k = 0; k < 4096; ++k) vals.push_back(3 * 4096 + k * 1237 % 4096);
   ExpectSmallestChoice(vals, CompressedColumn::Encoding::kFor);
+  EXPECT_EQ(CompressedColumn::Build(vals, true)->byte_size(),
+            kForHeader + BitPackedArray::PackedBytes(4096, 12));
+}
+
+TEST(CompressedColumnTest, StridedFrameFollowsTheSlot) {
+  // One update range of k + c climbs by one per slot: the line
+  // base + slot leaves every offset 0, so the column is its header.
+  std::vector<Value> kc, jitter, down;
+  Random rng(8);
+  for (Value k = 0; k < 4096; ++k) {
+    kc.push_back(3 * 4096 + k);
+    jitter.push_back(2 * k + rng.Uniform(3));  // offsets 0..2
+    down.push_back((1ull << 50) - 7 * k + rng.Uniform(4));  // stride -7
+  }
+  const std::pair<const std::vector<Value>*, int> cases[] = {
+      {&kc, 0}, {&jitter, 2}, {&down, 2}};
+  for (const auto& [vals, width] : cases) {
+    ExpectSmallestChoice(*vals, CompressedColumn::Encoding::kFor);
+    auto col = CompressedColumn::Build(*vals, true);
+    EXPECT_EQ(col->header().strided, 1) << width;
+    EXPECT_LE(col->byte_size(),
+              kStridedHeader + BitPackedArray::PackedBytes(4096, width));
+  }
 }
 
 TEST(CompressedColumnTest, ChoosesDictionaryForLowCardinality) {
@@ -327,12 +371,19 @@ std::vector<std::pair<std::string, std::vector<Value>>> SerdeSamples() {
   Random rng(21);
   std::vector<std::pair<std::string, std::vector<Value>>> out;
   std::vector<Value> plain, runs, frame, frame_null, dict;
+  std::vector<Value> line, line_null, falling, wide_stride;
   for (Value i = 0; i < 1000; ++i) {
+    // 7919 is coprime to 1000: offsets 0..999 in an order no line fits.
+    const Value scrambled = i * 7919 % 1000;
     plain.push_back(rng.Next());
     runs.push_back((i / 100) * 1000003);
-    frame.push_back(3 * 4096 + i);
-    frame_null.push_back(i % 9 == 4 ? kNull : 70000 + i);
+    frame.push_back(3 * 4096 + scrambled);
+    frame_null.push_back(i % 9 == 4 ? kNull : 70000 + scrambled);
     dict.push_back(i % 3 == 0 ? (1ull << 55) : i % 3 == 1 ? 9 : 123456);
+    line.push_back(3 * 4096 + i);
+    line_null.push_back(i % 9 == 4 ? kNull : 70000 + 3 * i);
+    falling.push_back(5000000 - 7 * i + rng.Uniform(4));
+    wide_stride.push_back(12345 + (i << 40) + rng.Uniform(16));
   }
   out.emplace_back("plain", plain);
   out.emplace_back("rle", runs);
@@ -341,26 +392,73 @@ std::vector<std::pair<std::string, std::vector<Value>>> SerdeSamples() {
   out.emplace_back("dictionary", dict);
   out.emplace_back("empty", std::vector<Value>{});
   out.emplace_back("one", std::vector<Value>{kNull - 1});
+  out.emplace_back("strided_width0", line);
+  out.emplace_back("strided_null", line_null);
+  out.emplace_back("strided_negative", falling);
+  out.emplace_back("strided_2^40", wide_stride);
   return out;
+}
+
+/// A ReadSlot reader over serialized bytes.
+CompressedColumn::ReadFn ReaderOf(const std::string& bytes) {
+  return [&bytes](uint64_t offset, uint64_t length, std::string* out) {
+    if (offset > bytes.size() || length > bytes.size() - offset) return false;
+    out->assign(bytes, offset, length);
+    return true;
+  };
 }
 
 TEST(CompressedColumnSerdeTest, EveryEncodingRoundTrips) {
   using E = CompressedColumn::Encoding;
-  const E want[] = {E::kPlain, E::kRle,   E::kFor,  E::kFor,
-                    E::kDictionary, E::kPlain, E::kPlain};
+  const E want[] = {E::kPlain, E::kRle,   E::kFor, E::kFor,
+                    E::kDictionary, E::kPlain, E::kPlain,
+                    E::kFor,   E::kFor,   E::kFor, E::kFor};
+  const int want_width[] = {0, 0, 10, 10, 2, 0, 0, 0, 1, 2, 4};
   auto samples = SerdeSamples();
+  ASSERT_EQ(samples.size(), std::size(want));
   for (size_t k = 0; k < samples.size(); ++k) {
-    SCOPED_TRACE(samples[k].first);
-    auto col = CompressedColumn::Build(samples[k].second, true);
+    const auto& [name, vals] = samples[k];
+    SCOPED_TRACE(name);
+    auto col = CompressedColumn::Build(vals, true);
     EXPECT_EQ(col->encoding(), want[k]);
-    EXPECT_EQ(col->header().has_null != 0, samples[k].first == "for_null");
-    ExpectSerializedRoundTrip(*col);
+    EXPECT_EQ(col->header().width, want_width[k]);
+    EXPECT_EQ(col->header().has_null != 0,
+              name == "for_null" || name == "strided_null");
+    EXPECT_EQ(col->header().strided != 0, name.starts_with("strided"));
+    const std::string bytes = ExpectSerializedRoundTrip(*col);
+    // A cold point read of any slot decodes what Get does.
+    for (uint32_t i = 0; i < vals.size(); ++i) {
+      Value v = 0;
+      ASSERT_TRUE(
+          CompressedColumn::ReadSlot(col->header(), i, ReaderOf(bytes), &v))
+          << i;
+      ASSERT_EQ(v, vals[i]) << i;
+      ASSERT_EQ(col->Get(i), vals[i]) << i;
+    }
   }
 }
 
+TEST(CompressedColumnSerdeTest, UnstridedFrameBytesArePinned) {
+  // A stride-0 frame keeps the form of builds that predate strides,
+  // byte for byte: the 16-byte header, then the packed codes.
+  auto col = CompressedColumn::Build({10, 12, kNull, 13, 10}, true);
+  ASSERT_EQ(col->encoding(), CompressedColumn::Encoding::kFor);
+  std::string bytes;
+  col->AppendTo(&bytes);
+  const unsigned char want[] = {
+      3, 3, 1, 0,              // FOR, 3-bit codes, has ∅, no stride
+      5, 0, 0, 0,              // 5 slots
+      10, 0, 0, 0, 0, 0, 0, 0,  // base 10
+      // codes 0, 2, 7 (∅), 3, 0 at 3 bits each: 0x7d0
+      0xd0, 0x07, 0, 0, 0, 0, 0, 0};
+  EXPECT_EQ(bytes, std::string(reinterpret_cast<const char*>(want),
+                               sizeof(want)));
+}
+
 TEST(CompressedColumnSerdeTest, ForWidthZeroRoundTrips) {
-  // Build never picks a zero-width frame (a one-entry dictionary is
-  // smaller), yet the form allows it: every slot is the base.
+  // Build picks a zero-width frame only with a stride (a constant
+  // column is a smaller one-entry dictionary), yet the form allows a
+  // stride-0 one too: every slot is the base.
   CompressedColumn::Header h;
   h.encoding = CompressedColumn::Encoding::kFor;
   h.size = 130;
@@ -376,7 +474,7 @@ TEST(CompressedColumnSerdeTest, ForWidthZeroRoundTrips) {
 
 TEST(CompressedColumnSerdeTest, ParserRejectsMalformedInput) {
   std::unique_ptr<CompressedColumn> col;
-  std::string rle, dict;
+  std::string rle, dict, strided;
   for (const auto& [name, vals] : SerdeSamples()) {
     SCOPED_TRACE(name);
     std::string bytes;
@@ -392,9 +490,33 @@ TEST(CompressedColumnSerdeTest, ParserRejectsMalformedInput) {
       bad[0] = tag;
       EXPECT_FALSE(ParseExact(bad, &col).ok());
     }
+    // The stride flag is 0 or 1; set, it is FOR's and brings a word.
+    std::string flagged = bytes;
+    flagged[3] = 2;
+    EXPECT_FALSE(ParseExact(flagged, &col).ok());
+    if (bytes[3] == 0) {
+      flagged[3] = 1;
+      EXPECT_FALSE(ParseExact(flagged, &col).ok());
+    }
     if (name == "rle") rle = bytes;
     if (name == "dictionary") dict = bytes;
+    if (name == "strided_negative") strided = bytes;
   }
+
+  // Strided: a zero stride word is no stride; a cut-off one is short.
+  constexpr size_t kHdr = CompressedColumn::kHeaderBytes;
+  ASSERT_TRUE(ParseExact(strided, &col).ok());
+  std::string zero = strided;
+  std::memset(zero.data() + kHdr, 0, sizeof(Value));
+  EXPECT_FALSE(ParseExact(zero, &col).ok());
+  CompressedColumn::Header h;
+  h.encoding = CompressedColumn::Encoding::kFor;
+  h.strided = 1;
+  h.size = 10;
+  std::string header_only;
+  CompressedColumn::PutHeader(&header_only, h);
+  EXPECT_FALSE(ParseExact(header_only + std::string(4, '\1'), &col).ok());
+  EXPECT_TRUE(ParseExact(header_only + std::string(8, '\1'), &col).ok());
 
   // A frame of 64 or more bits is never smaller than plain.
   for (int width : {64, 65, 255}) {
@@ -409,7 +531,6 @@ TEST(CompressedColumnSerdeTest, ParserRejectsMalformedInput) {
   }
 
   // RLE: run starts must rise from 0 below the slot count.
-  constexpr size_t kHdr = CompressedColumn::kHeaderBytes;
   auto with_start = [&](size_t run, uint64_t start) {
     std::string bad = rle;
     std::memcpy(bad.data() + kHdr + run * sizeof(uint64_t), &start,

@@ -594,5 +594,109 @@ TEST(LazyUpdateMetaTest, WideTableKeepsEveryColumnsHistory) {
   std::filesystem::remove_all(dir);
 }
 
+
+// Base segments code each value as its offset from base + stride·slot.
+// Keys inserted one row at a time in ascending order climb with the
+// slot, and so do their Start Times: both columns pack at ~0 bits. The
+// same keys shuffled within each range pay for their span in the key
+// column. Random keys loaded by one batch (one Start Time) fit no line
+// and keep the bytes of a build without strides. Reads, time travel and
+// sums stay exact before the merge, after it and after a durable reopen.
+TEST(StridedBaseTest, InsertOrderedColumnsPackOnALine) {
+  constexpr Value kRange = 256, kRows = 4 * kRange;
+  TableConfig cfg = SmallConfig();
+  cfg.range_size = cfg.insert_range_size = kRange;
+  const std::string dir =
+      std::string(::testing::TempDir()) + "lstore_strided_base";
+  std::filesystem::remove_all(dir);
+  constexpr Value kLow44 = (Value{1} << 44) - 1;
+  auto ordered = [](Value i) { return 1000 + i; };
+  // 97 is odd, so i * 97 mod kRange permutes each range's keys.
+  auto shuffled = [](Value i) {
+    return 1000 + i / kRange * kRange + i * 97 % kRange;
+  };
+  auto random = [](Value i) { return (i * 0xbf58476d1ce4e5b9ull) & kLow44; };
+  auto payload = [](Value i) { return (i * 0x9e3779b97f4a7c15ull) & kLow44; };
+  auto row = [&](Value key, Value i) {
+    return std::vector<Value>{key, payload(i), payload(i) + 1};
+  };
+  Timestamp mid = 0;  // half of "ordered" loaded, nothing of "random"
+  auto check = [&](Database* db, const char* phase) {
+    for (const char* name : {"ordered", "random"}) {
+      SCOPED_TRACE(std::string(phase) + " " + name);
+      Table* t = db->GetTable(name);
+      ASSERT_NE(t, nullptr);
+      const bool is_ordered = name == std::string("ordered");
+      uint64_t want_sum = 0;
+      Txn txn = t->Begin();
+      for (Value i = 0; i < kRows; ++i) {
+        const Value key = is_ordered ? ordered(i) : random(i);
+        std::vector<Value> out;
+        ASSERT_TRUE(t->Read(txn, key, 0b111, &out).ok()) << i;
+        ASSERT_EQ(out, row(key, i)) << i;
+        Status s = t->ReadAsOf(key, mid, 0b111, &out);
+        ASSERT_EQ(s.ok(), is_ordered && i < kRows / 2) << i;
+        want_sum += payload(i);
+      }
+      ASSERT_TRUE(txn.Commit().ok());
+      uint64_t sum = 0, n = 0;
+      ASSERT_TRUE(t->NewQuery().Sum(1, &sum, &n).ok());
+      EXPECT_EQ(sum, want_sum);
+      EXPECT_EQ(n, kRows);
+    }
+  };
+  uint64_t merged_bytes[2] = {0, 0};  // "ordered", "random"
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, &db).ok());
+    for (const char* name : {"ordered", "shuffled", "random"}) {
+      ASSERT_TRUE(db->CreateTable(name, Schema(3), cfg).ok());
+    }
+    for (const char* name : {"ordered", "shuffled"}) {
+      const bool in_order = name == std::string("ordered");
+      Table* t = db->GetTable(name);
+      for (Value i = 0; i < kRows; ++i) {
+        Txn txn = t->Begin();
+        const Value key = in_order ? ordered(i) : shuffled(i);
+        ASSERT_TRUE(t->Insert(txn, row(key, i)).ok());
+        ASSERT_TRUE(txn.Commit().ok());
+        if (in_order && i + 1 == kRows / 2) mid = db->ReadTimestamp();
+      }
+    }
+    std::vector<std::vector<Value>> batch;
+    for (Value i = 0; i < kRows; ++i) batch.push_back(row(random(i), i));
+    Txn load = db->Begin();
+    ASSERT_TRUE(db->GetTable("random")->InsertBatch(load, batch).ok());
+    ASSERT_TRUE(load.Commit().ok());
+    check(db.get(), "tail");
+    for (const char* name : {"ordered", "shuffled", "random"}) {
+      db->GetTable(name)->FlushAll();
+    }
+    check(db.get(), "merged");
+    const uint64_t shuffled_bytes =
+        db->GetTable("shuffled")->BaseResidentBytes();
+    merged_bytes[0] = db->GetTable("ordered")->BaseResidentBytes();
+    merged_bytes[1] = db->GetTable("random")->BaseResidentBytes();
+    // Per range, only the key column differs: a 24-byte line (base,
+    // null code, stride) against an 8-bit stride-0 frame.
+    constexpr uint64_t kFrame8 = 16 + kRange;
+    EXPECT_EQ(shuffled_bytes - merged_bytes[0], 4 * (kFrame8 - 24));
+    // Random: three 44-bit stride-0 frames and three one-entry
+    // dictionaries (Start Time, Last Updated, schema encoding) per
+    // range, as without strides.
+    constexpr uint64_t kFrame44 = 16 + kRange * 44 / 8;
+    EXPECT_EQ(merged_bytes[1], 4 * (3 * kFrame44 + 3 * 8));
+    ASSERT_TRUE(db->Checkpoint().ok());
+  }
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, &db).ok());
+    check(db.get(), "reopened");
+    EXPECT_EQ(db->GetTable("ordered")->BaseResidentBytes(), merged_bytes[0]);
+    EXPECT_EQ(db->GetTable("random")->BaseResidentBytes(), merged_bytes[1]);
+  }
+  std::filesystem::remove_all(dir);
+}
+
 }  // namespace
 }  // namespace lstore
