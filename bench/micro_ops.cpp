@@ -8,6 +8,7 @@
 
 #include <iterator>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -228,26 +229,46 @@ BENCHMARK(BM_ColumnScan)->Apply(ColumnShapes);
 constexpr Value kIndexKeys = 1u << 20;
 constexpr size_t kIndexBatch = 1024;
 
-/// Key i of an index benchmark. Narrow keys are sequential and below
-/// 2^32 (8-byte slots); wide keys (state.range(0) == 1) are i
-/// scrambled within 40 bits with bit 40 set, so each is distinct and
-/// takes a 12-byte slot.
-Value IndexKey(Value i, bool wide) {
-  if (!wide) return i;
+/// The keys of an index benchmark, each naming RID = its number i:
+///   line:   key i is i, loaded in order, so the keys and RIDs lie on
+///           one line and take one line entry;
+///   narrow: the same keys, loaded in one fixed shuffled order, so they
+///           stay in the shards' 8-byte slots;
+///   wide:   i scrambled within 40 bits with bit 40 set, each distinct
+///           and in a 12-byte slot, loaded in order of i.
+enum class IndexShape { kLine, kNarrow, kWide };
+
+Value IndexKey(Value i, IndexShape shape) {
+  if (shape != IndexShape::kWide) return i;
   constexpr Value kLow40 = (Value{1} << 40) - 1;
   return (Value{1} << 40) | ((i * 0xbf58476d1ce4e5b9ull) & kLow40);
 }
 
-/// `n` keys (a multiple of kIndexBatch) in kIndexBatch-key InsertBatch
-/// calls, key i naming RID i.
-void LoadIndex(PrimaryIndex* idx, bool wide, Value n) {
+/// The order in which key numbers are loaded: 0..n-1, or a fixed
+/// shuffle of them for the narrow shape.
+std::vector<Value> LoadOrder(IndexShape shape, Value n) {
+  std::vector<Value> order(n);
+  for (Value i = 0; i < n; ++i) order[i] = i;
+  if (shape == IndexShape::kNarrow) {
+    Random rng(11);
+    for (Value i = n; i > 1; --i) {
+      std::swap(order[i - 1], order[rng.Uniform(i)]);
+    }
+  }
+  return order;
+}
+
+/// The keys in `order` in kIndexBatch-key InsertBatch calls (`order`'s
+/// size is a multiple of kIndexBatch).
+void LoadIndex(PrimaryIndex* idx, IndexShape shape,
+               const std::vector<Value>& order) {
   std::vector<Value> keys(kIndexBatch);
   std::vector<Rid> rids(kIndexBatch);
   bool ok[kIndexBatch];
-  for (Value b = 0; b < n; b += kIndexBatch) {
+  for (size_t b = 0; b < order.size(); b += kIndexBatch) {
     for (size_t i = 0; i < kIndexBatch; ++i) {
-      rids[i] = b + i;
-      keys[i] = IndexKey(b + i, wide);
+      rids[i] = order[b + i];
+      keys[i] = IndexKey(order[b + i], shape);
     }
     idx->InsertBatch(keys.data(), rids.data(), kIndexBatch, ok);
   }
@@ -258,62 +279,75 @@ void SetBytesPerKey(benchmark::State& state, size_t bytes, Value n) {
   state.counters["bytes_per_key"] = static_cast<double>(bytes) / n;
 }
 
-/// Both slot widths at 2^16, 2^18, 2^20 and 2^22 keys.
+/// 2^16, 2^18, 2^20 and 2^22 keys.
 void IndexSizes(benchmark::internal::Benchmark* b) {
-  b->ArgNames({"wide", "keys"});
-  for (int64_t wide : {0, 1}) {
-    for (int shift : {16, 18, 20, 22}) b->Args({wide, int64_t{1} << shift});
-  }
+  b->ArgName("keys");
+  for (int shift : {16, 18, 20, 22}) b->Arg(int64_t{1} << shift);
 }
 
-void BM_IndexLoad(benchmark::State& state) {
-  const bool wide = state.range(0) != 0;
-  const Value n = static_cast<Value>(state.range(1));
+void BM_IndexLoad(benchmark::State& state, IndexShape shape) {
+  const Value n = static_cast<Value>(state.range(0));
+  const std::vector<Value> order = LoadOrder(shape, n);
   size_t bytes = 0;
   for (auto _ : state) {
     PrimaryIndex idx;
-    LoadIndex(&idx, wide, n);
+    LoadIndex(&idx, shape, order);
     benchmark::DoNotOptimize(idx.size());
     bytes = idx.byte_size();
   }
   SetBytesPerKey(state, bytes, n);
   state.SetItemsProcessed(state.iterations() * n);
 }
-BENCHMARK(BM_IndexLoad)->Apply(IndexSizes)->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_IndexLoad, line, IndexShape::kLine)
+    ->Apply(IndexSizes)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_IndexLoad, narrow, IndexShape::kNarrow)
+    ->Apply(IndexSizes)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_IndexLoad, wide, IndexShape::kWide)
+    ->Apply(IndexSizes)
+    ->Unit(benchmark::kMillisecond);
 
-void BM_IndexGet(benchmark::State& state) {
-  const bool wide = state.range(0) != 0;
-  const Value n = static_cast<Value>(state.range(1));
+void BM_IndexGet(benchmark::State& state, IndexShape shape) {
+  const Value n = static_cast<Value>(state.range(0));
   PrimaryIndex idx;
-  LoadIndex(&idx, wide, n);
+  LoadIndex(&idx, shape, LoadOrder(shape, n));
   Random rng(7);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(idx.Get(IndexKey(rng.Uniform(n), wide)));
+    benchmark::DoNotOptimize(idx.Get(IndexKey(rng.Uniform(n), shape)));
   }
   SetBytesPerKey(state, idx.byte_size(), n);
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_IndexGet)->Apply(IndexSizes)->Iterations(4u << 20);
+BENCHMARK_CAPTURE(BM_IndexGet, line, IndexShape::kLine)
+    ->Apply(IndexSizes)
+    ->Iterations(4u << 20);
+BENCHMARK_CAPTURE(BM_IndexGet, narrow, IndexShape::kNarrow)
+    ->Apply(IndexSizes)
+    ->Iterations(4u << 20);
+BENCHMARK_CAPTURE(BM_IndexGet, wide, IndexShape::kWide)
+    ->Apply(IndexSizes)
+    ->Iterations(4u << 20);
 
-void BM_IndexMultiGet8(benchmark::State& state) {
-  const bool wide = state.range(0) != 0;
+void BM_IndexMultiGet8(benchmark::State& state, IndexShape shape) {
   PrimaryIndex idx;
-  LoadIndex(&idx, wide, kIndexKeys);
+  LoadIndex(&idx, shape, LoadOrder(shape, kIndexKeys));
   Random rng(8);
   Value keys[8];
   Rid out[8];
   for (auto _ : state) {
-    for (Value& k : keys) k = IndexKey(rng.Uniform(kIndexKeys), wide);
+    for (Value& k : keys) k = IndexKey(rng.Uniform(kIndexKeys), shape);
     idx.MultiGet(keys, 8, out);
     benchmark::DoNotOptimize(out);
   }
   SetBytesPerKey(state, idx.byte_size(), kIndexKeys);
   state.SetItemsProcessed(state.iterations() * 8);
 }
-BENCHMARK(BM_IndexMultiGet8)
-    ->ArgName("wide")
-    ->Arg(0)
-    ->Arg(1)
+BENCHMARK_CAPTURE(BM_IndexMultiGet8, line, IndexShape::kLine)
+    ->Iterations(1u << 19);
+BENCHMARK_CAPTURE(BM_IndexMultiGet8, narrow, IndexShape::kNarrow)
+    ->Iterations(1u << 19);
+BENCHMARK_CAPTURE(BM_IndexMultiGet8, wide, IndexShape::kWide)
     ->Iterations(1u << 19);
 
 }  // namespace

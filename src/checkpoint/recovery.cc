@@ -145,9 +145,10 @@ Status Table::ReplayAndRebuild(uint64_t watermark,
 
   // --- steps 3 and 4, one range at a time ---------------------------------
   // Resolve every raw Start Time against the outcome map, then rebuild
-  // the primary index (one batched insert per range: each shard
-  // latched and grown once) and the Indirection column (recovery
-  // option 2).
+  // the primary index and the Indirection column (recovery option 2).
+  // The index takes one batched insert per range, in slot order: keys
+  // that lie on a line with their RIDs extend one line entry range
+  // after range, and every other key's shard is latched and grown once.
   Timestamp max_time = 0;
   std::vector<Value> keys;
   std::vector<Rid> rids;

@@ -1,6 +1,7 @@
 #include "index/primary_index.h"
 
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 #include "common/inline_buffer.h"
@@ -237,9 +238,199 @@ void PrimaryIndex::ForEachShardGroup(const Value* keys, size_t n,
   }
 }
 
+// --- line directory -------------------------------------------------------
+
+namespace {
+
+/// Entries of `a[0, n)` whose key0 is at most `key` (they come first).
+template <typename Entry>
+size_t Rank(const Entry* a, size_t n, Value key) {
+  size_t lo = 0, hi = n;
+  while (lo < hi) {
+    const size_t mid = (lo + hi) / 2;
+    if (a[mid].w[0].load(std::memory_order_acquire) <= key) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+}  // namespace
+
+PrimaryIndex::Line PrimaryIndex::LineDirectory::Load(const Entry& e) {
+  return Line{e.w[0].load(std::memory_order_acquire),
+              e.w[1].load(std::memory_order_acquire),
+              e.w[2].load(std::memory_order_acquire),
+              e.w[3].load(std::memory_order_acquire)};
+}
+
+void PrimaryIndex::LineDirectory::Store(Entry& e, const Line& line) {
+  // Release stores: a reader that loads one of them also sees the odd
+  // sequence count stored before it, and retries.
+  e.w[0].store(line.key0, std::memory_order_release);
+  e.w[1].store(line.stride, std::memory_order_release);
+  e.w[2].store(line.rid0, std::memory_order_release);
+  e.w[3].store(line.count, std::memory_order_release);
+}
+
+bool PrimaryIndex::LineDirectory::Floor(Value key, Line* line) const {
+  for (;;) {
+    const uint64_t seq = seq_.load(std::memory_order_acquire);
+    if ((seq & 1) == 0) {
+      // The size before the array: an array loaded after a size holds
+      // at least that many entries.
+      const size_t n = size_.load(std::memory_order_acquire);
+      const Entry* a = entries_.load(std::memory_order_acquire);
+      const size_t rank = Rank(a, n, key);
+      if (rank > 0) *line = Load(a[rank - 1]);
+      // The loads above are acquires, so this one is not hoisted
+      // before them.
+      if (seq_.load(std::memory_order_relaxed) == seq) return rank > 0;
+    }
+    std::this_thread::yield();
+  }
+}
+
+Rid PrimaryIndex::LineDirectory::Find(Value key) const {
+  Line line;
+  if (empty() || !Floor(key, &line)) return kInvalidRid;
+  const uint64_t i = line.IndexOf(key);
+  return i < line.count ? line.rid0 + i : kInvalidRid;
+}
+
+bool PrimaryIndex::LineDirectory::Continued(Value key, Rid rid) const {
+  Line line;
+  return !empty() && Floor(key, &line) && line.Continues(key, rid);
+}
+
+size_t PrimaryIndex::LineDirectory::Locate(Value key) const {
+  const size_t n = size();
+  const size_t rank = Rank(entries_.load(std::memory_order_relaxed), n, key);
+  return rank > 0 ? rank - 1 : n;
+}
+
+PrimaryIndex::Line PrimaryIndex::LineDirectory::At(size_t i) const {
+  return Load(entries_.load(std::memory_order_relaxed)[i]);
+}
+
+void PrimaryIndex::LineDirectory::Splice(size_t at, size_t remove,
+                                         const Line* lines, size_t add) {
+  const size_t n = size();
+  const size_t m = n - remove + add;
+  if (m > capacity_) {
+    // Readers may be searching the old array: it stays, and so do its
+    // entries, so they need no retry.
+    size_t capacity = std::max<size_t>(1, capacity_ * 2);
+    while (capacity < m) capacity *= 2;
+    auto grown = std::make_unique<Entry[]>(capacity);
+    for (size_t i = 0; i < n; ++i) Store(grown[i], At(i));
+    entries_.store(grown.get(), std::memory_order_release);
+    arrays_.push_back(std::move(grown));
+    capacity_ = capacity;
+    bytes_ += capacity * sizeof(Entry);
+  }
+  Entry* a = entries_.load(std::memory_order_relaxed);
+  const uint64_t seq = seq_.load(std::memory_order_relaxed);
+  seq_.store(seq + 1, std::memory_order_relaxed);
+  // Move the entries after the replaced ones, away from the side they
+  // move to first.
+  const size_t tail = at + remove;
+  if (add > remove) {
+    for (size_t j = n; j-- > tail;) Store(a[j + add - remove], Load(a[j]));
+  } else {
+    for (size_t j = tail; j < n; ++j) Store(a[j + add - remove], Load(a[j]));
+  }
+  for (size_t i = 0; i < add; ++i) Store(a[at + i], lines[i]);
+  size_.store(m, std::memory_order_release);
+  seq_.store(seq + 2, std::memory_order_release);
+}
+
+bool PrimaryIndex::LineDirectory::Erase(Value key) {
+  SpinGuard w(writer);
+  const size_t at = Locate(key);
+  if (at == size()) return false;
+  const Line line = At(at);
+  const uint64_t i = line.IndexOf(key);
+  if (i == line.count) return false;
+  // The keys before the erased one and the keys after it.
+  Line parts[2];
+  size_t k = 0;
+  if (i > 0) parts[k++] = Line{line.key0, line.stride, line.rid0, i};
+  if (i + 1 < line.count) {
+    parts[k++] = Line{key + line.stride, line.stride, line.rid0 + i + 1,
+                      line.count - i - 1};
+  }
+  Splice(at, 1, parts, k);
+  return true;
+}
+
+uint64_t PrimaryIndex::LineDirectory::keys() const {
+  uint64_t n = 0;
+  for (size_t i = 0; i < size(); ++i) n += At(i).count;
+  return n;
+}
+
+// --- index -----------------------------------------------------------------
+
+bool PrimaryIndex::PublishLine(const Value* keys, Rid rid0, size_t n,
+                               Value stride) {
+  if (rid0 > kMaxRid || n - 1 > kMaxRid - rid0) return false;
+  const Value first = keys[0], last = keys[n - 1];
+  SpinGuard w(lines_.writer);
+  const size_t size = lines_.size();
+  const size_t at = lines_.Locate(first);
+  Line line{first, stride, rid0, n};
+  bool extend = false;
+  if (at != size) {
+    const Line prev = lines_.At(at);
+    extend = prev.Continues(first, rid0) && (n == 1 || stride == prev.stride);
+    if (extend) {
+      line = prev;
+      line.count += n;
+    } else if (prev.last() >= first) {
+      return false;
+    }
+  }
+  if (!extend && n < kMinLine) return false;
+  const size_t next = at == size ? 0 : at + 1;
+  if (next < size && lines_.At(next).key0 <= last) return false;
+
+  // Hold the latch of every shard the keys hash to (every shard, for a
+  // line of as many keys) from the probe through the publish, so no
+  // insert into a shard slips a key in between.
+  const size_t nshards = shards_.size();
+  InlineBuffer<bool, 64> held(nshards);
+  std::fill(held.data(), held.data() + nshards, n >= nshards);
+  if (n < nshards) {
+    for (size_t i = 0; i < n; ++i) held[ShardOf(keys[i])] = true;
+  }
+  bool probe = false;
+  for (size_t s = 0; s < nshards; ++s) {
+    if (!held[s]) continue;
+    shards_[s].latch.Lock();
+    probe |= shards_[s].narrow.Spans(first, last) ||
+             shards_[s].wide.Spans(first, last);
+  }
+  // A shard whose runs never held a key between the line's ends holds
+  // none of its keys: an ascending load probes no slot.
+  bool clear = true;
+  for (size_t i = 0; probe && clear && i < n; ++i) {
+    clear = FindIn(shards_[ShardOf(keys[i])], keys[i]) == kInvalidRid;
+  }
+  if (clear) lines_.Splice(extend ? at : next, extend ? 1 : 0, &line, 1);
+  for (size_t s = 0; s < nshards; ++s) {
+    if (held[s]) shards_[s].latch.Unlock();
+  }
+  return clear;
+}
+
 bool PrimaryIndex::Insert(Value key, Rid rid) {
+  if (lines_.Continued(key, rid) && PublishLine(&key, rid, 1, 1)) return true;
   Shard& s = shards_[ShardOf(key)];
   SpinGuard g(s.latch);
+  if (lines_.Find(key) != kInvalidRid) return false;
   if (IsNarrow(key)) {
     s.narrow.Reserve(1);
     return s.narrow.Place(key, rid);
@@ -248,14 +439,70 @@ bool PrimaryIndex::Insert(Value key, Rid rid) {
   return s.wide.Place(key, rid);
 }
 
+namespace {
+
+/// The first position from `i` whose key and RID do not follow the
+/// previous position's on a line of `stride`.
+size_t LineEnd(const Value* keys, const Rid* rids, size_t i, size_t n,
+               Value stride) {
+  while (i < n && keys[i] > keys[i - 1] && keys[i] - keys[i - 1] == stride &&
+         rids[i] == rids[i - 1] + 1) {
+    ++i;
+  }
+  return i;
+}
+
+}  // namespace
+
 void PrimaryIndex::InsertBatch(const Value* keys, const Rid* rids, size_t n,
                                bool* ok) {
+  // Cut the batch, in order, into lines and the positions between
+  // them. Each piece is inserted before the next, so a repeated key
+  // keeps its first occurrence.
+  size_t done = 0;  // positions inserted
+  auto line = [&](size_t begin, size_t end, Value stride) {
+    InsertRuns(keys + done, rids + done, begin - done, ok + done);
+    done = begin;
+    if (PublishLine(keys + begin, rids[begin], end - begin, stride)) {
+      std::fill(ok + begin, ok + end, true);
+      done = end;
+    }
+  };
+  if (n > 0 && lines_.Continued(keys[0], rids[0])) {
+    const Value stride = n > 1 ? keys[1] - keys[0] : 1;
+    line(0, LineEnd(keys, rids, 1, n, stride), stride);
+  }
+  // `len` positions up to i lie on a line of `stride`. The scan does
+  // not branch on the keys until a line reaches kMinLine positions.
+  size_t len = 1;
+  Value stride = 0;
+  for (size_t i = done + 1; i < n; ++i) {
+    const Value d = keys[i] - keys[i - 1];
+    const bool step = (keys[i] > keys[i - 1]) & (rids[i] == rids[i - 1] + 1);
+    len = step ? (d == stride ? len + 1 : 2) : 1;
+    stride = d;
+    if (len == kMinLine) {
+      const size_t end = LineEnd(keys, rids, i + 1, n, stride);
+      line(i + 1 - kMinLine, end, stride);
+      i = end;
+      len = 1;
+    }
+  }
+  InsertRuns(keys + done, rids + done, n - done, ok + done);
+}
+
+void PrimaryIndex::InsertRuns(const Value* keys, const Rid* rids, size_t n,
+                              bool* ok) {
+  if (n == 0) return;
   // Home slots are random cache misses in a large index: touch each
   // one this many keys ahead of its probe.
   constexpr size_t kPrefetchAhead = 8;
   ForEachShardGroup(keys, n, [&](Shard& s, const uint32_t* pos,
                                  size_t count) {
     SpinGuard g(s.latch);
+    // A line publish holds the latch of every shard its keys hash to,
+    // so an empty directory seen under this one holds none of them.
+    const bool lines = !lines_.empty();
     size_t narrow = 0;
     for (size_t j = 0; j < count; ++j) narrow += IsNarrow(keys[pos[j]]);
     s.narrow.Reserve(narrow);
@@ -273,6 +520,10 @@ void PrimaryIndex::InsertBatch(const Value* keys, const Rid* rids, size_t n,
     for (size_t j = 0; j < count; ++j) {
       prefetch(j + kPrefetchAhead);
       const Value key = keys[pos[j]];
+      if (lines && lines_.Find(key) != kInvalidRid) {
+        ok[pos[j]] = false;
+        continue;
+      }
       ok[pos[j]] = IsNarrow(key) ? s.narrow.Place(key, rids[pos[j]])
                                  : s.wide.Place(key, rids[pos[j]]);
     }
@@ -280,9 +531,14 @@ void PrimaryIndex::InsertBatch(const Value* keys, const Rid* rids, size_t n,
 }
 
 Rid PrimaryIndex::Get(Value key) const {
+  // An empty directory costs a random-key lookup one load, no call.
+  if (!lines_.empty()) {
+    const Rid rid = lines_.Find(key);
+    if (rid != kInvalidRid) return rid;
+  }
   const Shard& s = shards_[ShardOf(key)];
   SpinGuard g(s.latch);
-  return IsNarrow(key) ? s.narrow.Find(key) : s.wide.Find(key);
+  return FindIn(s, key);
 }
 
 void PrimaryIndex::MultiGet(const Value* keys, size_t n, Rid* out) const {
@@ -290,17 +546,38 @@ void PrimaryIndex::MultiGet(const Value* keys, size_t n, Rid* out) const {
     out[0] = Get(keys[0]);
     return;
   }
+  if (lines_.empty()) {
+    GetRuns(keys, n, out);
+    return;
+  }
+  // Keys on a line resolve without a latch; the rest go to the shards.
+  InlineBuffer<Value> rest(n);
+  InlineBuffer<uint32_t> at(n);
+  size_t m = 0;
+  for (size_t i = 0; i < n; ++i) {
+    out[i] = lines_.Find(keys[i]);
+    if (out[i] != kInvalidRid) continue;
+    rest[m] = keys[i];
+    at[m++] = static_cast<uint32_t>(i);
+  }
+  if (m == 0) return;
+  InlineBuffer<Rid> found(m);
+  GetRuns(rest.data(), m, found.data());
+  for (size_t k = 0; k < m; ++k) out[at[k]] = found[k];
+}
+
+void PrimaryIndex::GetRuns(const Value* keys, size_t n, Rid* out) const {
   ForEachShardGroup(keys, n, [&](const Shard& s, const uint32_t* pos,
                                  size_t count) {
     SpinGuard g(s.latch);
     for (size_t j = 0; j < count; ++j) {
-      const Value key = keys[pos[j]];
-      out[pos[j]] = IsNarrow(key) ? s.narrow.Find(key) : s.wide.Find(key);
+      out[pos[j]] = FindIn(s, keys[pos[j]]);
     }
   });
 }
 
 bool PrimaryIndex::Erase(Value key) {
+  if (lines_.Find(key) != kInvalidRid && lines_.Erase(key)) return true;
   Shard& s = shards_[ShardOf(key)];
   SpinGuard g(s.latch);
   return IsNarrow(key) ? s.narrow.Erase(key) : s.wide.Erase(key);
@@ -308,6 +585,10 @@ bool PrimaryIndex::Erase(Value key) {
 
 size_t PrimaryIndex::size() const {
   size_t n = 0;
+  {
+    SpinGuard w(lines_.writer);
+    n += lines_.keys();
+  }
   for (const auto& s : shards_) {
     SpinGuard g(s.latch);
     n += s.narrow.live() + s.wide.live();
@@ -317,6 +598,10 @@ size_t PrimaryIndex::size() const {
 
 size_t PrimaryIndex::byte_size() const {
   size_t bytes = shards_.size() * sizeof(Shard);
+  {
+    SpinGuard w(lines_.writer);
+    bytes += lines_.bytes();
+  }
   for (const auto& s : shards_) {
     SpinGuard g(s.latch);
     bytes += s.narrow.bytes() + s.wide.bytes();

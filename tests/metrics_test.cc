@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/random.h"
 #include "core/database.h"
 #include "core/query.h"
 #include "core/table.h"
@@ -430,9 +431,11 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   ASSERT_NE(s.FindGauge("lstore_buffer_evictions"), nullptr);
   ASSERT_NE(s.FindGauge("lstore_epoch_pending"), nullptr);
   // Resident-memory gauges, summed over tables; only A has merged base
-  // segments. The indexes hold 512 keys below 2^32 in 8-byte slots, at
-  // most 9.5 bytes per key beside each shard's header and first run
-  // (about 4 keys per shard here).
+  // segments. The indexes hold 512 keys below 2^32, inserted one at a
+  // time by racing threads, so in the shards' 8-byte slots (a single
+  // insert only extends a line entry, and there is none): at most 9.5
+  // bytes per key beside each shard's header and first run (about 4
+  // keys per shard here). IndexGaugeCountsLineEntries covers batches.
   const auto* index_bytes = s.FindGauge("lstore_primary_index_bytes");
   ASSERT_NE(index_bytes, nullptr);
   EXPECT_EQ(index_bytes->value, static_cast<int64_t>(a->PrimaryIndexBytes() +
@@ -478,6 +481,42 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   EXPECT_NE(s.RenderPrometheus().find("lstore_commits_total"),
             std::string::npos);
   EXPECT_NE(s.RenderJson().find("lstore_commits_total"), std::string::npos);
+}
+
+// The primary-index gauge over a table loaded in key order, whose keys
+// lie on one line and take one entry, and over one loaded with each
+// batch shuffled, whose keys stay in the shards' 8-byte slots.
+TEST_F(DatabaseMetricsTest, IndexGaugeCountsLineEntries) {
+  constexpr Value kRows = Value{1} << 16;
+  Database db;
+  for (const char* name : {"ordered", "shuffled"}) {
+    ASSERT_TRUE(db.CreateTable(name, Schema({"k", "v"}), SmallConfig()).ok());
+  }
+  Table* ordered = db.GetTable("ordered");
+  Table* shuffled = db.GetTable("shuffled");
+  Random rng(3);
+  for (Value b = 0; b < kRows; b += 1024) {
+    std::vector<std::vector<Value>> rows;
+    for (Value k = b; k < b + 1024; ++k) rows.push_back({k, k});
+    Txn txn = db.Begin();
+    ASSERT_TRUE(ordered->InsertBatch(txn, rows).ok());
+    for (size_t i = rows.size(); i > 1; --i) {
+      std::swap(rows[i - 1], rows[rng.Uniform(i)]);
+    }
+    ASSERT_TRUE(shuffled->InsertBatch(txn, rows).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  const size_t headers = PrimaryIndex().byte_size();
+  EXPECT_EQ(ordered->PrimaryIndexBytes(), headers + PrimaryIndex::kLineBytes);
+  const size_t runs = shuffled->PrimaryIndexBytes() - headers;
+  EXPECT_GE(runs, kRows * 8);
+  EXPECT_LE(runs, kRows * 9.5);
+  MetricsSnapshot s = db.Metrics();
+  const auto* index_bytes = s.FindGauge("lstore_primary_index_bytes");
+  ASSERT_NE(index_bytes, nullptr);
+  EXPECT_EQ(index_bytes->value,
+            static_cast<int64_t>(ordered->PrimaryIndexBytes() +
+                                 shuffled->PrimaryIndexBytes()));
 }
 
 TEST_F(DatabaseMetricsTest, RestoreRecordsDuration) {

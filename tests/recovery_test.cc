@@ -610,34 +610,49 @@ std::vector<LoggedRun> RunsInFirstFrame(const std::string& path) {
 }
 
 // A restart rebuilds the primary index with one batched insert per
-// range. The rebuilt index must take a loaded index's bytes per key,
-// not leave its keys in the fresh runs that new keys go to first: at
-// this row count a fresh run holding a shard's every key has just
-// grown, to 0.6 full, and would take over 13 bytes per key.
+// range. The rebuilt index must take a loaded index's bytes. Keys
+// loaded in order lie on one line, which the loaded and the rebuilt
+// index both keep as one entry. Keys shuffled within each batch stay
+// in the shards, and the rebuilt index must not leave them in the
+// fresh runs that new keys go to first: at this row count a fresh run
+// holding a shard's every key has just grown, to 0.6 full, and would
+// take over 13 bytes per key.
 TEST_F(RecoveryTest, RebuiltPrimaryIndexKeepsTheLoadedFootprint) {
   constexpr Value kRows = 264 * 1024;
   TableConfig cfg = LogConfig(path_);
   cfg.range_size = 4096;
   cfg.insert_range_size = 4096;
   cfg.tail_page_slots = 64;
-  size_t loaded = 0;
-  {
+  const size_t one_line = PrimaryIndex().byte_size() + PrimaryIndex::kLineBytes;
+  for (const bool shuffled : {false, true}) {
+    SCOPED_TRACE(shuffled ? "shuffled" : "in order");
+    std::remove(path_.c_str());
+    size_t loaded = 0;
+    {
+      Table table("t", Schema(3), cfg);
+      ASSERT_TRUE(table.RecoverFromLog().ok());
+      std::mt19937_64 rng(5);
+      for (Value k = 0; k < kRows; k += 1024) {
+        std::vector<std::vector<Value>> rows = KeyRows(k, 1024);
+        if (shuffled) std::shuffle(rows.begin(), rows.end(), rng);
+        Txn txn = table.Begin();
+        ASSERT_TRUE(table.InsertBatch(txn, rows).ok());
+        ASSERT_TRUE(txn.Commit().ok());
+      }
+      loaded = table.PrimaryIndexBytes();
+    }
     Table table("t", Schema(3), cfg);
     ASSERT_TRUE(table.RecoverFromLog().ok());
-    for (Value k = 0; k < kRows; k += 1024) {
-      Txn txn = table.Begin();
-      ASSERT_TRUE(table.InsertBatch(txn, KeyRows(k, 1024)).ok());
-      ASSERT_TRUE(txn.Commit().ok());
+    ASSERT_EQ(table.num_rows(), kRows);
+    for (const size_t bytes : {loaded, table.PrimaryIndexBytes()}) {
+      if (shuffled) {
+        // 8-byte slots, 0.95 full in the static runs.
+        EXPECT_GE(bytes, kRows * 8);
+        EXPECT_LE(bytes, kRows * 9.5);
+      } else {
+        EXPECT_EQ(bytes, one_line);
+      }
     }
-    loaded = table.PrimaryIndexBytes();
-  }
-  Table table("t", Schema(3), cfg);
-  ASSERT_TRUE(table.RecoverFromLog().ok());
-  ASSERT_EQ(table.num_rows(), kRows);
-  // 8-byte slots, 0.95 full in the static runs.
-  for (const size_t bytes : {loaded, table.PrimaryIndexBytes()}) {
-    EXPECT_GE(bytes, kRows * 8);
-    EXPECT_LE(bytes, kRows * 9.5);
   }
 }
 
@@ -812,6 +827,58 @@ TEST_F(RecoveryTest, DuplicateLiveKeyIsCorruption) {
   ASSERT_TRUE(table.Insert(txn, {8, 80, 800}).ok());
   EXPECT_FALSE(txn.Commit().ok());
   EXPECT_EQ(FileSize(path_), size);
+}
+
+// The same refusal through Database::Open: range 0 holds keys 0..127,
+// committed by the database, and a crafted transaction appended to the
+// table's log inserts key 7 again into range 1. Restart fails whether
+// range 0's keys lie on a line (a line entry holds key 7 when range 1
+// is rebuilt) or were shuffled (a shard holds it).
+TEST_F(RecoveryTest, DatabaseOpenRefusesADuplicateKeyAcrossRanges) {
+  constexpr Value kRows = 128;
+  static_assert(kRows >= PrimaryIndex::kMinLine);
+  const std::string dir =
+      std::string(::testing::TempDir()) + "lstore_duplicate_across_ranges";
+  TableConfig cfg = LogConfig("");
+  cfg.range_size = kRows;
+  cfg.insert_range_size = kRows;
+  for (const bool shuffled : {false, true}) {
+    SCOPED_TRACE(shuffled ? "shuffled" : "line");
+    std::filesystem::remove_all(dir);
+    {
+      std::unique_ptr<Database> db;
+      ASSERT_TRUE(Database::Open(dir, &db).ok());
+      ASSERT_TRUE(db->CreateTable("t", Schema(3), cfg).ok());
+      std::vector<std::vector<Value>> rows = KeyRows(0, kRows);
+      std::mt19937_64 rng(9);
+      if (shuffled) std::shuffle(rows.begin(), rows.end(), rng);
+      Txn txn = db->Begin();
+      ASSERT_TRUE(db->GetTable("t")->InsertBatch(txn, rows).ok());
+      ASSERT_TRUE(txn.Commit().ok());
+    }
+    {
+      RedoLog log;
+      ASSERT_TRUE(log.Open(dir + "/t.log", /*truncate=*/false).ok());
+      const TxnId txn = kTxnIdTag | 4242;
+      const std::vector<std::vector<Value>> row = {{7, 70, 700}};
+      RedoLog::Batch batch;
+      batch.AddInsertRun(txn, /*range=*/1, 0, row.data(), 1, 0b111);
+      log.AppendBatch(batch);
+      LogRecord commit;
+      commit.type = LogRecordType::kCommit;
+      commit.txn_id = txn;
+      commit.commit_time = 1u << 20;
+      log.Append(commit);
+      ASSERT_TRUE(log.Flush(false).ok());
+    }
+    std::unique_ptr<Database> db;
+    const Status s = Database::Open(dir, &db);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_NE(s.ToString().find("duplicate primary key in recovered rows"),
+              std::string::npos)
+        << s.ToString();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // One round of every logged write shape: insert runs across ranges,
