@@ -89,11 +89,10 @@ int main() {
   db.reset();  // stop the writer before restoring from its directory
 
   // --- 4. Rewind: restore the pre-incident commit point -----------------
-  // RestoreToPoint stitches archived + live log segments into one
-  // LSN-continuous stream per table, replays the commit log into an
-  // outcome map truncated at the point, and lands on the exact
-  // cross-table-consistent state: every transfer is in BOTH tables or
-  // in neither.
+  // RestoreToPoint stitches the archived segments and the live log
+  // into one LSN-continuous stream, replays it with its outcomes
+  // truncated at the point, and lands on the exact cross-table-
+  // consistent state: every transfer is in BOTH tables or in neither.
   std::unique_ptr<Database> rewound;
   Status s = Database::RestoreToPoint(
       dir, RestorePoint::AtTime(before_incident), &rewound);

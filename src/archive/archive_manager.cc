@@ -6,7 +6,6 @@
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
-#include <unordered_map>
 
 #include "checkpoint/checkpoint_manager.h"
 #include "common/file.h"
@@ -21,8 +20,7 @@ namespace {
 
 constexpr char kArcSuffix[] = ".arc";
 constexpr char kManifestPrefix[] = "MANIFEST.";
-constexpr char kCommitStem[] = "commit";
-constexpr char kRedoStemSuffix[] = ".redo";
+constexpr char kRedoPrefix[] = "redo.";
 
 bool AllDigits(std::string_view s) {
   if (s.empty()) return false;
@@ -38,30 +36,29 @@ uint64_t ParseU64(std::string_view s) {
   return v;
 }
 
-/// Parse "<stem>.<lo>-<hi>.arc"; false for anything else.
-bool ParseArcName(std::string_view name, std::string* stem, uint64_t* lo,
-                  uint64_t* hi) {
-  if (name.size() <= sizeof(kArcSuffix) - 1 ||
-      name.substr(name.size() - 4) != kArcSuffix) {
+/// Parse "redo.<lo>-<hi>.arc"; false for anything else.
+bool ParseArcName(std::string_view name, uint64_t* lo, uint64_t* hi) {
+  constexpr size_t kPrefix = sizeof(kRedoPrefix) - 1;
+  constexpr size_t kSuffix = sizeof(kArcSuffix) - 1;
+  if (name.size() <= kPrefix + kSuffix ||
+      name.substr(0, kPrefix) != kRedoPrefix ||
+      name.substr(name.size() - kSuffix) != kArcSuffix) {
     return false;
   }
-  name.remove_suffix(4);
-  size_t dot = name.rfind('.');
-  if (dot == std::string_view::npos) return false;
-  std::string_view range = name.substr(dot + 1);
+  std::string_view range =
+      name.substr(kPrefix, name.size() - kPrefix - kSuffix);
   size_t dash = range.find('-');
   if (dash == std::string_view::npos) return false;
   std::string_view lo_s = range.substr(0, dash);
   std::string_view hi_s = range.substr(dash + 1);
   if (!AllDigits(lo_s) || !AllDigits(hi_s)) return false;
-  *stem = std::string(name.substr(0, dot));
   *lo = ParseU64(lo_s);
   *hi = ParseU64(hi_s);
   return *lo != 0 && *hi >= *lo;
 }
 
-std::string SegmentName(const std::string& stem, uint64_t lo, uint64_t hi) {
-  return stem + "." + std::to_string(lo) + "-" + std::to_string(hi) +
+std::string SegmentName(uint64_t lo, uint64_t hi) {
+  return kRedoPrefix + std::to_string(lo) + "-" + std::to_string(hi) +
          kArcSuffix;
 }
 
@@ -72,7 +69,6 @@ uint64_t FileMtime(const std::string& path) {
 }
 
 struct RawSegment {
-  std::string stem;
   uint64_t lo = 0, hi = 0;
   std::string path;
   uint64_t bytes = 0;
@@ -85,7 +81,7 @@ std::vector<RawSegment> ListSegmentsRaw(const std::string& archive_dir) {
   for (const auto& entry : fs::directory_iterator(archive_dir, ec)) {
     RawSegment seg;
     std::string name = entry.path().filename().string();
-    if (!ParseArcName(name, &seg.stem, &seg.lo, &seg.hi)) continue;
+    if (!ParseArcName(name, &seg.lo, &seg.hi)) continue;
     seg.path = entry.path().string();
     std::error_code sec;
     seg.bytes = static_cast<uint64_t>(fs::file_size(entry.path(), sec));
@@ -128,58 +124,29 @@ Status ArchiveManager::EnsureDir() {
   return Status::OK();
 }
 
-void ArchiveManager::PruneSubsumed(const std::string& stem, uint64_t lo,
-                                   uint64_t hi, const std::string& keep) {
+Status ArchiveManager::SealRedoPrefix(uint64_t lo, uint64_t hi,
+                                      std::string_view bytes) {
+  std::lock_guard<std::mutex> g(mu_);
+  Stage stage(seal_ns_, nullptr);
+  const std::string path = archive_dir_ + "/" + SegmentName(lo, hi);
+  LSTORE_RETURN_IF_ERROR(
+      WriteFileAtomic(path, [bytes](File& f) { return f.WriteAt(0, bytes); }));
   for (const RawSegment& seg : ListSegmentsRaw(archive_dir_)) {
-    if (seg.stem != stem || seg.path == keep) continue;
-    if (seg.lo >= lo && seg.hi <= hi) {
-      // Fully covered by the new seal (a crash between an earlier seal
-      // and its log truncation re-seals a longer prefix): every LSN it
-      // carries replays identically from the superseding segment.
+    // Fully covered by the new seal (a crash between an earlier seal
+    // and its log truncation re-seals a longer prefix): every LSN it
+    // carries replays identically from the superseding segment.
+    if (seg.path != path && seg.lo >= lo && seg.hi <= hi) {
       std::remove(seg.path.c_str());
     }
   }
-}
-
-Status ArchiveManager::SealSegment(const std::string& name,
-                                   std::string_view bytes) {
-  Stage stage(seal_ns_, nullptr);
-  std::string path = archive_dir_ + "/" + name;
-  LSTORE_RETURN_IF_ERROR(
-      WriteFileAtomic(path, [bytes](File& f) { return f.WriteAt(0, bytes); }));
-  std::string stem;
-  uint64_t lo = 0, hi = 0;
-  if (ParseArcName(name, &stem, &lo, &hi)) {
-    PruneSubsumed(stem, lo, hi, path);
-  }
   if (seals_total_ != nullptr) seals_total_->Add(1);
-  return Status::OK();
-}
-
-Status ArchiveManager::SealRedoPrefix(const std::string& table, uint64_t lo,
-                                      uint64_t hi, std::string_view bytes) {
-  std::lock_guard<std::mutex> g(mu_);
-  Status s = SealSegment(SegmentName(table + kRedoStemSuffix, lo, hi), bytes);
-  if (s.ok() && events_ != nullptr) {
+  if (events_ != nullptr) {
     events_->Emit(EventSeverity::kInfo, "archive", "archive_seal",
-                  "\"log\":\"" + JsonEscape(table) + ".redo\",\"lo\":" +
-                      std::to_string(lo) + ",\"hi\":" + std::to_string(hi) +
-                      ",\"bytes\":" + std::to_string(bytes.size()));
-  }
-  return s;
-}
-
-Status ArchiveManager::SealCommitPrefix(uint64_t lo, uint64_t hi,
-                                        std::string_view bytes) {
-  std::lock_guard<std::mutex> g(mu_);
-  Status s = SealSegment(SegmentName(kCommitStem, lo, hi), bytes);
-  if (s.ok() && events_ != nullptr) {
-    events_->Emit(EventSeverity::kInfo, "archive", "archive_seal",
-                  "\"log\":\"commit\",\"lo\":" + std::to_string(lo) +
+                  "\"log\":\"redo\",\"lo\":" + std::to_string(lo) +
                       ",\"hi\":" + std::to_string(hi) +
                       ",\"bytes\":" + std::to_string(bytes.size()));
   }
-  return s;
+  return Status::OK();
 }
 
 Status ArchiveManager::ArchiveManifestCopy(uint64_t checkpoint_id) {
@@ -203,21 +170,9 @@ Status ArchiveManager::ArchiveCheckpointFile(const std::string& file) {
 // ---------------------------------------------------------------------------
 
 std::vector<ArchiveSegment> ArchiveManager::ListRedoSegments(
-    const std::string& db_dir, const std::string& table) {
-  std::vector<ArchiveSegment> out;
-  std::string want = table + kRedoStemSuffix;
-  for (const RawSegment& seg : ListSegmentsRaw(ArchiveDirOf(db_dir))) {
-    if (seg.stem != want) continue;
-    out.push_back(ArchiveSegment{seg.lo, seg.hi, seg.path});
-  }
-  return out;
-}
-
-std::vector<ArchiveSegment> ArchiveManager::ListCommitSegments(
     const std::string& db_dir) {
   std::vector<ArchiveSegment> out;
   for (const RawSegment& seg : ListSegmentsRaw(ArchiveDirOf(db_dir))) {
-    if (seg.stem != kCommitStem) continue;
     out.push_back(ArchiveSegment{seg.lo, seg.hi, seg.path});
   }
   return out;
@@ -250,14 +205,6 @@ std::string ArchiveManager::ResolveCheckpointFile(const std::string& db_dir,
   std::string archived = ArchiveDirOf(db_dir) + "/" + file;
   if (FileExists(archived)) return archived;
   return "";
-}
-
-void ArchiveManager::ForgetTable(const std::string& table) {
-  std::lock_guard<std::mutex> g(mu_);
-  std::string want = table + kRedoStemSuffix;
-  for (const RawSegment& seg : ListSegmentsRaw(archive_dir_)) {
-    if (seg.stem == want) std::remove(seg.path.c_str());
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -305,7 +252,7 @@ Status ArchiveManager::EnforceRetention() {
 
     // Evict the oldest restore epoch. The floor is the oldest retained
     // manifest (archived, falling back to the live one): segments at
-    // or below ITS watermarks only serve points older than the oldest
+    // or below ITS watermark only serve points older than the oldest
     // restorable checkpoint, so they go first; once none remain, the
     // oldest archived manifest itself (with its checkpoint files) is
     // retired — unless it IS the live checkpoint, which always stays.
@@ -319,38 +266,17 @@ Status ArchiveManager::EnforceRetention() {
     }
     if (!exists) return Status::OK();  // nothing to anchor eviction on
 
-    std::unordered_map<std::string, uint64_t> watermarks;
-    for (const ManifestEntry& e : floor.entries) {
-      watermarks[e.table] = e.log_watermark;
-    }
     bool dropped = false;
     for (const RawSegment& seg : segments) {
-      uint64_t mark = 0;
-      if (seg.stem == kCommitStem) {
-        mark = floor.commit_log_mark;
-      } else if (seg.stem.size() > sizeof(kRedoStemSuffix) - 1 &&
-                 seg.stem.substr(seg.stem.size() -
-                                 (sizeof(kRedoStemSuffix) - 1)) ==
-                     kRedoStemSuffix) {
-        std::string table = seg.stem.substr(
-            0, seg.stem.size() - (sizeof(kRedoStemSuffix) - 1));
-        auto it = watermarks.find(table);
-        if (it == watermarks.end()) continue;  // not covered by the floor
-        mark = it->second;
-      } else {
-        continue;
+      if (seg.hi > floor.log_watermark) continue;
+      std::remove(seg.path.c_str());
+      if (events_ != nullptr) {
+        events_->Emit(EventSeverity::kInfo, "archive", "retention_evict",
+                      "\"what\":\"segment\",\"lo\":" +
+                          std::to_string(seg.lo) + ",\"hi\":" +
+                          std::to_string(seg.hi));
       }
-      if (seg.hi <= mark) {
-        std::remove(seg.path.c_str());
-        if (events_ != nullptr) {
-          events_->Emit(EventSeverity::kInfo, "archive", "retention_evict",
-                        "\"what\":\"segment\",\"stem\":\"" +
-                            JsonEscape(seg.stem) + "\",\"lo\":" +
-                            std::to_string(seg.lo) + ",\"hi\":" +
-                            std::to_string(seg.hi));
-        }
-        dropped = true;
-      }
+      dropped = true;
     }
     if (dropped) continue;
 

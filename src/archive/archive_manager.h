@@ -1,19 +1,19 @@
 // Log archiving: turns checkpoint truncation from deletion into
-// archival, so the database can be restored to any archived
-// cross-table-consistent commit point (Database::RestoreToPoint).
+// archival, so the database can be restored to any archived commit
+// point (Database::RestoreToPoint).
 //
 // Layout under <db_dir>/archive/:
-//   <table>.redo.<lo>-<hi>.arc   sealed redo-log prefix covering LSNs
-//                                [lo, hi] — a self-describing framed
-//                                file (leading truncation point), so it
-//                                replays through RedoLog::Replay, the
-//                                read-only scan (a live log replays as
-//                                it opens, RedoLog::Open)
-//   commit.<lo>-<hi>.arc         sealed commit-log prefix, same scheme
+//   redo.<lo>-<hi>.arc           sealed prefix of the database's one
+//                                redo log covering LSNs [lo, hi] — a
+//                                self-describing framed file (leading
+//                                truncation point), so it replays
+//                                through RedoLog::Replay, the read-only
+//                                scan (the live log replays as it
+//                                opens, RedoLog::Open)
 //   MANIFEST.<id>                the manifest as published by
 //                                checkpoint <id> (carries the archive
 //                                watermarks: capture_time +
-//                                commit_log_mark)
+//                                log_watermark)
 //   ckpt_<id>_<table>.ckpt       superseded checkpoint files, moved
 //                                here instead of deleted
 //
@@ -26,8 +26,8 @@
 // Retention (DurabilityOptions::archive_max_*) evicts whole restore
 // epochs oldest-first: the oldest archived manifest, its checkpoint
 // files, and exactly the segments that only serve points older than
-// the next retained manifest — never a segment newer than the oldest
-// restorable checkpoint.
+// the next retained manifest — those at or below its one watermark,
+// never a segment newer than the oldest restorable checkpoint.
 
 #ifndef LSTORE_ARCHIVE_ARCHIVE_MANAGER_H_
 #define LSTORE_ARCHIVE_ARCHIVE_MANAGER_H_
@@ -88,14 +88,10 @@ class ArchiveManager {
   /// not-yet-truncated log). Called once at Database::Open.
   Status EnsureDir();
 
-  /// Seal the retired prefix of `table`'s redo log covering [lo, hi]
+  /// Seal the retired prefix of the redo log covering [lo, hi]
   /// (FramedLog::SealSink contract: bytes are durable on OK return).
   /// Segments this one subsumes are pruned afterwards.
-  Status SealRedoPrefix(const std::string& table, uint64_t lo, uint64_t hi,
-                        std::string_view bytes);
-
-  /// Same for the database commit log.
-  Status SealCommitPrefix(uint64_t lo, uint64_t hi, std::string_view bytes);
+  Status SealRedoPrefix(uint64_t lo, uint64_t hi, std::string_view bytes);
 
   /// Copy the just-published live MANIFEST to MANIFEST.<id> (atomic),
   /// making checkpoint `id` a restorable epoch boundary.
@@ -111,21 +107,12 @@ class ArchiveManager {
   /// Apply the retention policy (no-op when every limit is 0).
   Status EnforceRetention();
 
-  /// Drop every archived redo segment of `table`: called when the
-  /// table is dropped or its name is reused — a recreated table's log
-  /// restarts at LSN 1, so stale segments would poison the stitch.
-  void ForgetTable(const std::string& table);
-
   // --- restore-side listings (static: need no live database) ---------------
 
   static std::string ArchiveDirOf(const std::string& db_dir);
 
-  /// Sealed redo segments of `table`, sorted by lo.
+  /// Sealed redo segments, sorted by lo.
   static std::vector<ArchiveSegment> ListRedoSegments(
-      const std::string& db_dir, const std::string& table);
-
-  /// Sealed commit-log segments, sorted by lo.
-  static std::vector<ArchiveSegment> ListCommitSegments(
       const std::string& db_dir);
 
   /// Archived manifests, sorted by checkpoint id.
@@ -138,11 +125,6 @@ class ArchiveManager {
                                            const std::string& file);
 
  private:
-  Status SealSegment(const std::string& name, std::string_view bytes);
-  /// Delete segments of `stem` ("<table>.redo" / "commit") fully
-  /// contained in [lo, hi], except `keep`.
-  void PruneSubsumed(const std::string& stem, uint64_t lo, uint64_t hi,
-                     const std::string& keep);
 
   std::string db_dir_;
   std::string archive_dir_;

@@ -2,37 +2,32 @@
 //
 // A restore is restart recovery (Database::Recover) over a different
 // source. Only the choice of inputs lives here:
-//   1. the outcome map: every commit-log record — sealed commit
-//      segments in LSN order, then the live COMMIT_LOG — folded
-//      through FoldOutcome with the horizon T, the restore point (an
-//      inclusive commit time, or a commit-log LSN resolved to one);
-//      abort markers stay authoritative, and every table replays
-//      against this map, so a cross-table transaction lands on all of
-//      its participants or none,
+//   1. the horizon T: the restore point, an inclusive commit time, or
+//      the LSN of a commit record resolved to its commit time by
+//      scanning the one file (sealed segment or live log) holding it,
 //   2. the checkpoint: the newest manifest (live or archived) whose
 //      capture_time watermark proves it contains no commit beyond T;
 //      with none, the restore starts from the empty state,
-//   3. each table's redo stream: the sealed redo segments and the live
-//      log stitched into one LSN-continuous stream from the checkpoint
-//      watermark (a gap at the front means retention evicted the point
-//      — NotFound; a gap in the middle or a torn segment is
-//      Corruption; overlaps replay idempotently), read only.
-// The shared step then recovers every cataloged table against the
-// horizon and resumes the clock past the newest included commit, so
-// the restored database's Now() IS the point: commits at or before T
-// are visible, everything later never happened.
+//   3. the redo stream: the sealed segments and the live log stitched
+//      into one LSN-continuous stream from the checkpoint's watermark
+//      (a gap at the front means retention evicted the point —
+//      NotFound; a gap in the middle or a torn segment is Corruption;
+//      overlaps replay once), read only.
+// The shared step then replays that stream into every cataloged table,
+// folding its commit and abort records into one outcome map up to T
+// (a transaction lands on all of its tables or none), and resumes the
+// clock past the newest included commit, so the restored database's
+// Now() IS the point: commits at or before T are visible, everything
+// later never happened.
 //
 // The restored Database is in-memory (no logs, no checkpoints); the
 // target directory is only read — checkpoint-referenced base segments
 // map lazily onto a read-only handle of the table's .segs store.
 
-#include <map>
-
 #include "archive/archive_manager.h"
 #include "checkpoint/checkpoint_manager.h"
 #include "common/file.h"
 #include "core/database.h"
-#include "log/commit_log.h"
 #include "log/framed_log.h"
 #include "log/redo_log.h"
 #include "obs/span.h"
@@ -44,10 +39,10 @@ namespace {
 /// Verify a sealed segment really carries LSNs up to the hi its name
 /// claims: a torn tail or truncated file scans clean-short and would
 /// otherwise silently drop committed records into the stitch.
-Status ValidateSegment(const ArchiveSegment& seg,
-                       const FramedLog::Codec& codec) {
+Status ValidateSegment(const ArchiveSegment& seg) {
   FramedLog::ScanStats stats;
-  Status s = FramedLog::ScanFile(seg.path, codec, nullptr, &stats);
+  Status s = FramedLog::ScanFile(seg.path, &RedoLog::ValidatePayload, nullptr,
+                                 &stats);
   if (!s.ok()) {
     return Status::IOError("cannot read archive segment: " + seg.path);
   }
@@ -65,7 +60,6 @@ Status ValidateSegment(const ArchiveSegment& seg,
 /// and the writes are idempotent).
 Status StitchSegments(const std::vector<ArchiveSegment>& segments,
                       uint64_t from, const std::string& live_path,
-                      const FramedLog::Codec& codec,
                       std::vector<std::string>* paths) {
   uint64_t covered = from;
   bool first_needed = true;
@@ -81,7 +75,7 @@ Status StitchSegments(const std::vector<ArchiveSegment>& segments,
                  : Status::Corruption("gap in archived log segments before " +
                                       seg.path);
     }
-    LSTORE_RETURN_IF_ERROR(ValidateSegment(seg, codec));
+    LSTORE_RETURN_IF_ERROR(ValidateSegment(seg));
     paths->push_back(seg.path);
     covered = seg.hi;
     first_needed = false;
@@ -101,6 +95,32 @@ Status StitchSegments(const std::vector<ArchiveSegment>& segments,
   return Status::OK();
 }
 
+/// The commit time of the commit record at `lsn`: scans the sealed
+/// segments that hold that LSN, then the live log. NotFound when no
+/// file holds a commit record there.
+Status CommitTimeAt(const std::vector<ArchiveSegment>& segments,
+                    const std::string& live_path, uint64_t lsn,
+                    Timestamp* commit_time) {
+  std::vector<std::string> files;
+  for (const ArchiveSegment& seg : segments) {
+    if (seg.lo <= lsn && lsn <= seg.hi) files.push_back(seg.path);
+  }
+  if (FileExists(live_path)) files.push_back(live_path);
+  *commit_time = 0;
+  for (const std::string& path : files) {
+    LSTORE_RETURN_IF_ERROR(RedoLog::Replay(
+        path,
+        [lsn, commit_time](const LogRecord& rec, uint64_t at) {
+          if (at == lsn && rec.type == LogRecordType::kCommit) {
+            *commit_time = rec.commit_time;
+          }
+        },
+        nullptr));
+    if (*commit_time != 0) return Status::OK();
+  }
+  return Status::NotFound("no commit record at LSN " + std::to_string(lsn));
+}
+
 }  // namespace
 
 Status Database::RestoreToPoint(const std::string& dir,
@@ -109,58 +129,34 @@ Status Database::RestoreToPoint(const std::string& dir,
   // Manual timing: the duration lands in the RESTORED database's
   // registry, which only exists on the success path.
   const uint64_t restore_t0 = Stage::Now();
-  std::vector<CatalogEntry> catalog;
+  Catalog catalog;
   bool catalog_exists = false;
   LSTORE_RETURN_IF_ERROR(ReadCatalog(dir, &catalog, &catalog_exists));
   if (!catalog_exists) {
     return Status::NotFound("not a durable database directory: " + dir);
   }
 
-  // --- step 1: one cross-table outcome map, truncated at the point --------
-  std::vector<ArchiveSegment> commit_segments =
-      ArchiveManager::ListCommitSegments(dir);
-  for (const ArchiveSegment& seg : commit_segments) {
-    LSTORE_RETURN_IF_ERROR(
-        ValidateSegment(seg, &CommitLog::ValidatePayload));
-  }
-  // Ordered by LSN so later abort markers override, and overlapping
-  // segments (crash between seal and truncate) dedup naturally.
-  std::map<uint64_t, CommitLogRecord> commit_records;
-  auto collect = [&commit_records](const CommitLogRecord& rec, uint64_t lsn) {
-    commit_records[lsn] = rec;
-  };
-  for (const ArchiveSegment& seg : commit_segments) {
-    LSTORE_RETURN_IF_ERROR(CommitLog::Replay(seg.path, collect));
-  }
-  const std::string commit_live = dir + "/COMMIT_LOG";
-  LSTORE_RETURN_IF_ERROR(CommitLog::Replay(commit_live, collect));
-
+  // --- step 1: the horizon ------------------------------------------------
+  const std::vector<ArchiveSegment> segments =
+      ArchiveManager::ListRedoSegments(dir);
+  const std::string live = RedoLogPath(dir);
   RecoverySource src;
   src.dir = dir;
   src.horizon = point.commit_time;
   if (point.commit_lsn != 0) {
-    auto it = commit_records.find(point.commit_lsn);
-    if (it == commit_records.end() || it->second.aborted) {
-      return Status::NotFound("no committed commit-log record at LSN " +
-                              std::to_string(point.commit_lsn));
-    }
-    src.horizon = it->second.commit_time;
+    LSTORE_RETURN_IF_ERROR(
+        CommitTimeAt(segments, live, point.commit_lsn, &src.horizon));
   }
   const Timestamp T = src.horizon;
   if (T == 0) {
     return Status::InvalidArgument(
         "restore point needs a commit_time or commit_lsn");
   }
-  for (const auto& [lsn, rec] : commit_records) {
-    (void)lsn;
-    FoldOutcome(&src.commits, rec.txn_id, rec.aborted, rec.commit_time, T);
-  }
 
   // --- step 2: newest checkpoint provably at or before the point ----------
   // capture_time is a STRICT upper bound on every stamped commit time
   // in the checkpoint, so capture_time <= T + 1 proves nothing beyond T
-  // is baked in. A pre-archive manifest (capture_time 0) proves nothing
-  // and never qualifies; with none, the restore starts empty.
+  // is baked in. With none, the restore starts empty.
   auto qualifies = [T](const Manifest& m) {
     return m.capture_time != 0 && m.capture_time <= T + 1;
   };
@@ -179,23 +175,11 @@ Status Database::RestoreToPoint(const std::string& dir,
     }
   }
 
-  // Commit-record coverage: the stitch must reach from the chosen
-  // checkpoint's commit-log mark to the live log without a hole
-  // (records below the mark are stamped into the checkpoint itself).
-  {
-    std::vector<std::string> unused;
-    LSTORE_RETURN_IF_ERROR(StitchSegments(
-        commit_segments, src.manifest.commit_log_mark, commit_live,
-        &CommitLog::ValidatePayload, &unused));
-  }
-
-  // --- steps 3+4: the one recovery step over stitched redo streams ---------
-  src.redo_stream = [&dir](const std::string& table, uint64_t watermark,
-                           std::vector<std::string>* paths) {
-    return StitchSegments(ArchiveManager::ListRedoSegments(dir, table),
-                          watermark, dir + "/" + table + ".log",
-                          &RedoLog::ValidatePayload, paths);
-  };
+  // --- steps 3+4: the one recovery step over the stitched stream ----------
+  std::vector<std::string> stream;
+  LSTORE_RETURN_IF_ERROR(StitchSegments(
+      segments, src.manifest.log_watermark, live, &stream));
+  src.stream = &stream;
   auto db = std::unique_ptr<Database>(new Database());
   LSTORE_RETURN_IF_ERROR(db->Recover(catalog, src));
 

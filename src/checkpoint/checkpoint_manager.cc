@@ -3,15 +3,12 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <shared_mutex>
-#include <unordered_map>
 
 #include "archive/archive_manager.h"
 #include "checkpoint/serde.h"
 #include "common/file.h"
 #include "core/database.h"
 #include "core/table.h"
-#include "log/commit_log.h"
 #include "log/redo_log.h"
 #include "obs/span.h"
 #include "storage/compression/varint.h"
@@ -22,6 +19,7 @@ namespace {
 
 constexpr char kManifestFile[] = "MANIFEST";
 constexpr char kCatalogFile[] = "CATALOG";
+constexpr char kRedoLogFile[] = "redo.log";
 
 /// Pack the restart-relevant TableConfig fields (logging fields are
 /// re-derived from the directory at Open time).
@@ -68,6 +66,10 @@ std::string ManifestPath(const std::string& dir) {
   return dir + "/" + kManifestFile;
 }
 
+std::string RedoLogPath(const std::string& dir) {
+  return dir + "/" + kRedoLogFile;
+}
+
 Status WriteManifest(const std::string& dir, const Manifest& m) {
   return WriteFileAtomic(ManifestPath(dir), [&](File& f) {
     FrameWriter w(&f, kManifestMagic);
@@ -75,14 +77,13 @@ Status WriteManifest(const std::string& dir, const Manifest& m) {
     PutVarint64(&p, m.checkpoint_id);
     PutVarint64(&p, m.entries.size());
     PutVarint64(&p, m.capture_time);
-    PutVarint64(&p, m.commit_log_mark);
+    PutVarint64(&p, m.log_watermark);
     LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kManifestHeader, p));
     for (const ManifestEntry& e : m.entries) {
       std::string q;
-      PutString(&q, e.table);
+      PutVarint64(&q, e.table_id);
       PutString(&q, e.file);
       PutVarint64(&q, e.file_checksum);
-      PutVarint64(&q, e.log_watermark);
       PutVarint64(&q, e.secondary_columns.size());
       for (ColumnId c : e.secondary_columns) PutVarint64(&q, c);
       LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kManifestEntry, q));
@@ -108,22 +109,17 @@ Status ReadManifestFile(const std::string& path, Manifest* m, bool* exists) {
     size_t pos = 0;
     if (type == FrameType::kManifestHeader) {
       if (!GetU64(p, &pos, &m->checkpoint_id) ||
-          !GetU64(p, &pos, &expected_entries)) {
-        return Status::Corruption("bad manifest header");
-      }
-      // Archive watermarks (absent in pre-archive manifests = 0).
-      if (pos < p.size() &&
-          (!GetU64(p, &pos, &m->capture_time) ||
-           !GetU64(p, &pos, &m->commit_log_mark))) {
+          !GetU64(p, &pos, &expected_entries) ||
+          !GetU64(p, &pos, &m->capture_time) ||
+          !GetU64(p, &pos, &m->log_watermark)) {
         return Status::Corruption("bad manifest header");
       }
       header_seen = true;
     } else if (type == FrameType::kManifestEntry) {
       ManifestEntry e;
       uint64_t nsec;
-      if (!GetString(p, &pos, &e.table) || !GetString(p, &pos, &e.file) ||
-          !GetU64(p, &pos, &e.file_checksum) ||
-          !GetU64(p, &pos, &e.log_watermark) || !GetU64(p, &pos, &nsec)) {
+      if (!GetU64(p, &pos, &e.table_id) || !GetString(p, &pos, &e.file) ||
+          !GetU64(p, &pos, &e.file_checksum) || !GetU64(p, &pos, &nsec)) {
         return Status::Corruption("bad manifest entry");
       }
       for (uint64_t i = 0; i < nsec; ++i) {
@@ -145,15 +141,16 @@ Status ReadManifestFile(const std::string& path, Manifest* m, bool* exists) {
 // Catalog
 // ---------------------------------------------------------------------------
 
-Status WriteCatalog(const std::string& dir,
-                    const std::vector<CatalogEntry>& entries) {
+Status WriteCatalog(const std::string& dir, const Catalog& catalog) {
   return WriteFileAtomic(dir + "/" + kCatalogFile, [&](File& f) {
     FrameWriter w(&f, kCatalogMagic);
     std::string p;
-    PutVarint64(&p, entries.size());
+    PutVarint64(&p, catalog.entries.size());
+    PutVarint64(&p, catalog.next_id);
     LSTORE_RETURN_IF_ERROR(w.WriteFrame(FrameType::kCatalogHeader, p));
-    for (const CatalogEntry& e : entries) {
+    for (const CatalogEntry& e : catalog.entries) {
       std::string q;
+      PutVarint64(&q, e.id);
       PutString(&q, e.name);
       PutVarint64(&q, e.columns.size());
       for (const std::string& col : e.columns) PutString(&q, col);
@@ -166,8 +163,7 @@ Status WriteCatalog(const std::string& dir,
   });
 }
 
-Status ReadCatalog(const std::string& dir, std::vector<CatalogEntry>* entries,
-                   bool* exists) {
+Status ReadCatalog(const std::string& dir, Catalog* catalog, bool* exists) {
   std::string path = dir + "/" + kCatalogFile;
   *exists = FileExists(path);
   if (!*exists) return Status::OK();
@@ -180,14 +176,16 @@ Status ReadCatalog(const std::string& dir, std::vector<CatalogEntry>* entries,
   while (r.Next(&type, &p)) {
     size_t pos = 0;
     if (type == FrameType::kCatalogHeader) {
-      if (!GetU64(p, &pos, &expected)) {
+      if (!GetU64(p, &pos, &expected) ||
+          !GetU64(p, &pos, &catalog->next_id)) {
         return Status::Corruption("bad catalog header");
       }
       header_seen = true;
     } else if (type == FrameType::kCatalogEntry) {
       CatalogEntry e;
       uint64_t ncols;
-      if (!GetString(p, &pos, &e.name) || !GetU64(p, &pos, &ncols)) {
+      if (!GetU64(p, &pos, &e.id) || !GetString(p, &pos, &e.name) ||
+          !GetU64(p, &pos, &ncols)) {
         return Status::Corruption("bad catalog entry");
       }
       for (uint64_t c = 0; c < ncols; ++c) {
@@ -207,11 +205,11 @@ Status ReadCatalog(const std::string& dir, std::vector<CatalogEntry>* entries,
         if (!GetU64(p, &pos, &c)) return Status::Corruption("bad catalog");
         e.secondary_columns.push_back(static_cast<ColumnId>(c));
       }
-      entries->push_back(std::move(e));
+      catalog->entries.push_back(std::move(e));
     }
   }
   LSTORE_RETURN_IF_ERROR(r.status());
-  if (!header_seen || entries->size() != expected) {
+  if (!header_seen || catalog->entries.size() != expected) {
     return Status::Corruption("catalog truncated");
   }
   return Status::OK();
@@ -255,8 +253,8 @@ Status CheckpointManager::last_background_status() const {
 }
 
 Status CheckpointManager::RunCheckpoint() {
-  // DDL first, then checkpoint_mu_ (same order as ForgetTable callers):
-  // tables must not be dropped while we hold raw pointers to them.
+  // DDL first, then checkpoint_mu_: tables must not be dropped while
+  // we hold raw pointers to them.
   std::lock_guard<std::mutex> ddl(db_->ddl_mu_);
   std::lock_guard<std::mutex> serialize(checkpoint_mu_);
   HeartbeatWorkScope work(hb_.get());
@@ -274,43 +272,22 @@ Status CheckpointManager::RunCheckpoint() {
   std::vector<std::string> new_files;
   Status status = Status::OK();
 
-  // Phase 1 — quiesce through the commit log: every table's watermark
-  // and the commit-log position are snapshotted under its gate, held
-  // exclusive, so no cross-table commit can be half-way through its
-  // durability sequence (participant logs synced, commit-log record
-  // not yet appended) while the watermarks are taken. The gate covers
-  // only the LSN reads — the fsyncs below run with commits flowing.
-  // Watermarks BEFORE capture: anything the capture might miss has a
-  // higher LSN and will be replayed at recovery (idempotently).
-  uint64_t commit_quiesce_lsn = 0;
-  {
-    std::unique_lock<std::shared_mutex> quiesce;
-    if (db_->commit_log_ != nullptr) {
-      quiesce = std::unique_lock<std::shared_mutex>(db_->commit_log_->gate());
-    }
-    for (auto& [name, t] : tables) {
-      ManifestEntry e;
-      e.table = name;
-      if (t->log_ != nullptr) e.log_watermark = t->log_->last_lsn();
-      e.file = "ckpt_" + std::to_string(id) + "_" + name + ".ckpt";
-      m.entries.push_back(std::move(e));
-    }
-    if (db_->commit_log_ != nullptr) {
-      commit_quiesce_lsn = db_->commit_log_->last_lsn();
-    }
-  }
-  // Make the snapshotted prefixes durable (Flush syncs everything up
-  // to and beyond the watermark; extra records are harmless).
+  // Phase 1 — the one watermark, read BEFORE capture: anything the
+  // capture might miss has a higher LSN and is replayed at recovery
+  // (idempotently). A write applies its tail record before appending
+  // the log record, so every record at or below the watermark is in
+  // the memory the capture reads. Then make the prefix durable (Flush
+  // syncs everything up to and beyond the watermark; extra records
+  // are harmless).
+  RedoLog* log = db_->log_.get();
+  m.log_watermark = log->last_lsn();
   for (auto& [name, t] : tables) {
-    (void)name;
-    if (t->log_ != nullptr) {
-      status = t->log_->Flush(/*sync=*/true);
-      if (!status.ok()) break;
-    }
+    ManifestEntry e;
+    e.table_id = t->log_id_;
+    e.file = "ckpt_" + std::to_string(id) + "_" + name + ".ckpt";
+    m.entries.push_back(std::move(e));
   }
-  if (status.ok() && db_->commit_log_ != nullptr) {
-    status = db_->commit_log_->Flush(/*sync=*/true);
-  }
+  status = log->Flush(/*sync=*/true);
   if (!status.ok()) {
     db_->events_.Emit(EventSeverity::kError, "checkpointer", "checkpoint_end",
                       "\"id\":" + std::to_string(id) + ",\"ok\":false");
@@ -339,48 +316,11 @@ Status CheckpointManager::RunCheckpoint() {
   }
   capture.End();
 
-  // Archive watermarks, recorded in the manifest BEFORE it publishes:
-  //  * capture_time — a SnapshotNow taken after the capture loop, a
-  //    strict upper bound on every commit time the checkpoint files
-  //    can contain (RestoreToPoint's qualification bound), and
-  //  * commit_log_mark — the commit-log low-water mark: a record is
-  //    covered once every participant's payloads sit at or below that
-  //    table's checkpoint watermark (the capture resolved their
-  //    outcomes, so the record is dead weight). Only records that
-  //    existed when the watermarks were taken
-  //    (lsn <= commit_quiesce_lsn) are candidates — a commit racing
-  //    the capture keeps its record until the next checkpoint. Only
-  //    the contiguous covered prefix counts, so truncated table-log
-  //    prefixes can never orphan a still-needed record.
-  if (status.ok()) {
-    m.capture_time = db_->txn_manager_.SnapshotNow();
-    if (db_->commit_log_ != nullptr) {
-      std::unordered_map<std::string, uint64_t> watermarks;
-      for (const ManifestEntry& e : m.entries) {
-        watermarks[e.table] = e.log_watermark;
-      }
-      uint64_t low = 0;
-      bool stop = false;
-      status = db_->commit_log_->Scan(
-          [&](const CommitLogRecord& rec, uint64_t lsn) {
-            if (stop || lsn > commit_quiesce_lsn) {
-              stop = true;
-              return;
-            }
-            for (const CommitLogRecord::Participant& p : rec.participants) {
-              auto it = watermarks.find(p.table);
-              // A participant missing from the manifest was dropped;
-              // nothing remains to recover for it.
-              if (it != watermarks.end() && p.last_lsn > it->second) {
-                stop = true;
-                return;
-              }
-            }
-            low = lsn;
-          });
-      if (status.ok()) m.commit_log_mark = low;
-    }
-  }
+  // The archive watermark, recorded in the manifest BEFORE it
+  // publishes: a SnapshotNow taken after the capture loop, a strict
+  // upper bound on every commit time the checkpoint files can contain
+  // (RestoreToPoint's qualification bound).
+  if (status.ok()) m.capture_time = db_->txn_manager_.SnapshotNow();
 
   if (status.ok()) status = WriteManifest(dir_, m);
   if (!status.ok()) {
@@ -406,44 +346,27 @@ Status CheckpointManager::RunCheckpoint() {
     if (!as.ok() && status.ok()) status = as;
   }
 
-  // The manifest is durable: the log prefix below each watermark is
+  // The manifest is durable: the log prefix below the watermark is
   // dead weight now (Section 5.1.3's log truncation) — deleted, or,
-  // with archiving on, sealed into LSN-range-named segments (durable
-  // before each truncated log publishes, so no crash point loses log
+  // with archiving on, sealed into an LSN-range-named segment (durable
+  // before the truncated log publishes, so no crash point loses log
   // bytes).
   Stage truncation(truncate_ns_, nullptr);
   if (opts_.truncate_log_after_checkpoint) {
-    for (size_t i = 0; i < tables.size(); ++i) {
-      Table* t = tables[i].second;
-      if (t->log_ != nullptr) {
-        FramedLog::SealSink sink;
-        if (archive != nullptr) {
-          const std::string& table_name = tables[i].first;
-          sink = [archive, &table_name](uint64_t lo, uint64_t hi,
-                                        std::string_view bytes) {
-            return archive->SealRedoPrefix(table_name, lo, hi, bytes);
-          };
-        }
-        Status ts = t->log_->TruncateTo(m.entries[i].log_watermark, sink);
-        if (!ts.ok() && status.ok()) status = ts;
-      }
+    FramedLog::SealSink sink;
+    if (archive != nullptr) {
+      sink = [archive](uint64_t lo, uint64_t hi, std::string_view bytes) {
+        return archive->SealRedoPrefix(lo, hi, bytes);
+      };
     }
-    if (db_->commit_log_ != nullptr && m.commit_log_mark > 0) {
-      FramedLog::SealSink sink;
-      if (archive != nullptr) {
-        sink = [archive](uint64_t lo, uint64_t hi, std::string_view bytes) {
-          return archive->SealCommitPrefix(lo, hi, bytes);
-        };
-      }
-      Status ss = db_->commit_log_->TruncateTo(m.commit_log_mark, sink);
-      if (!ss.ok() && status.ok()) status = ss;
-    }
+    Status ts = log->TruncateTo(m.log_watermark, sink);
+    if (!ts.ok() && status.ok()) status = ts;
   }
   truncation.End();
   if (opts_.truncate_log_after_checkpoint) {
     db_->events_.Emit(EventSeverity::kInfo, "checkpointer", "log_truncate",
-                      "\"id\":" + std::to_string(id) + ",\"commit_log_mark\":" +
-                          std::to_string(m.commit_log_mark));
+                      "\"id\":" + std::to_string(id) + ",\"watermark\":" +
+                          std::to_string(m.log_watermark));
   }
   db_->metrics_
       .GetCounter("lstore_checkpoints_total", "Checkpoints published")
@@ -478,51 +401,6 @@ Status CheckpointManager::RunCheckpoint() {
       "\"id\":" + std::to_string(id) +
           (status.ok() ? ",\"ok\":true" : ",\"ok\":false"));
   return status;
-}
-
-Status CheckpointManager::ForgetTable(const std::string& table) {
-  std::lock_guard<std::mutex> serialize(checkpoint_mu_);
-  Manifest m;
-  bool exists = false;
-  LSTORE_RETURN_IF_ERROR(ReadManifest(dir_, &m, &exists));
-  if (!exists) return Status::OK();
-  // Rewrite the manifest itself, archive watermarks included: without
-  // them the live manifest would never qualify as a restore start.
-  std::vector<std::string> dead;
-  for (auto it = m.entries.begin(); it != m.entries.end();) {
-    if (it->table != table) {
-      ++it;
-      continue;
-    }
-    dead.push_back(it->file);
-    it = m.entries.erase(it);
-  }
-  if (dead.empty()) return Status::OK();
-  LSTORE_RETURN_IF_ERROR(WriteManifest(dir_, m));
-  for (const std::string& f : dead) {
-    std::remove((dir_ + "/" + f).c_str());
-  }
-  std::lock_guard<std::mutex> g(mu_);
-  for (const std::string& f : dead) {
-    previous_files_.erase(
-        std::remove(previous_files_.begin(), previous_files_.end(), f),
-        previous_files_.end());
-  }
-  return Status::OK();
-}
-
-uint64_t CheckpointManager::TotalLogBytes() const {
-  std::lock_guard<std::mutex> ddl(db_->ddl_mu_);
-  uint64_t total = 0;
-  for (auto& [name, t] : db_->TableHandles()) {
-    (void)name;
-    uint64_t bytes = 0;
-    if (!t->config().log_path.empty() &&
-        FileExists(t->config().log_path, &bytes)) {
-      total += bytes;
-    }
-  }
-  return total;
 }
 
 void CheckpointManager::Start() {
@@ -568,8 +446,10 @@ void CheckpointManager::Loop() {
                          .count();
       due = elapsed >= static_cast<int64_t>(opts_.checkpoint_interval_ms);
     }
-    if (!due && opts_.checkpoint_log_bytes != 0) {
-      due = TotalLogBytes() > opts_.checkpoint_log_bytes;
+    uint64_t log_bytes = 0;
+    if (!due && opts_.checkpoint_log_bytes != 0 &&
+        FileExists(RedoLogPath(dir_), &log_bytes)) {
+      due = log_bytes > opts_.checkpoint_log_bytes;
     }
     Status s = Status::OK();
     if (due) {

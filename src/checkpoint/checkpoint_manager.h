@@ -3,24 +3,21 @@
 // checkpoint trigger.
 //
 // A checkpoint of a database directory proceeds as:
-//   1. quiesce through the database commit log: inside the
-//      group-commit window (so no commit is half-way between its
-//      table-log flushes and its commit-log flush), fsync every
-//      table's redo log and record its last LSN as the table's
-//      watermark, then fsync the commit log and record its position,
+//   1. record the database log's last LSN as the one watermark and
+//      fsync the log — every record at or below it is already applied
+//      in memory, since a write appends its record after applying it,
 //   2. capture each table's state and write ckpt_<id>_<table>.ckpt
 //      files (fsynced, checksummed) — any record the capture misses
-//      has an LSN beyond its watermark and is replayed at recovery,
+//      has an LSN beyond the watermark and is replayed at recovery,
 //   3. atomically publish MANIFEST via temp file + rename,
-//   4. truncate each redo log to its watermark, then drop the commit
-//      log's covered prefix (records whose participants all sit at or
-//      below their watermarks; crash between 3 and 4 merely leaves
-//      extra log records whose replay is idempotent),
-//   5. delete the previous checkpoint's files.
+//   4. truncate the log to the watermark (a crash between 3 and 4
+//      merely leaves extra log records whose replay is idempotent),
+//   5. delete the previous checkpoint's files — a dropped table's
+//      among them.
 //
-// The catalog (schema + config per table) is maintained separately by
-// Database::CreateTable/DropTable, so tables created after the last
-// checkpoint still recover from their logs alone.
+// The catalog (schema + config + id per table) is maintained
+// separately by Database::CreateTable/DropTable, so tables created
+// after the last checkpoint still recover from the log alone.
 
 #ifndef LSTORE_CHECKPOINT_CHECKPOINT_MANAGER_H_
 #define LSTORE_CHECKPOINT_CHECKPOINT_MANAGER_H_
@@ -45,10 +42,9 @@ class Database;
 
 /// One table's entry in the checkpoint manifest.
 struct ManifestEntry {
-  std::string table;
+  uint64_t table_id = 0;       ///< the table's catalog id
   std::string file;            ///< checkpoint file name, relative to dir
   uint64_t file_checksum = 0;  ///< crc32c of the checkpoint file
-  uint64_t log_watermark = 0;  ///< redo LSNs <= this are covered
   std::vector<ColumnId> secondary_columns;
 };
 
@@ -61,20 +57,27 @@ struct Manifest {
   /// capture_time <= T + 1 — everything stamped in it then lies at or
   /// before T, and the stitched log replay supplies the rest.
   Timestamp capture_time = 0;
-  /// Archive watermark: commit-log LSNs at or below this are fully
-  /// covered by the checkpoint (their participants' outcomes are
-  /// stamped in the captured state). Truncation drops them; a restore
-  /// starting here needs commit records beyond this mark only.
-  uint64_t commit_log_mark = 0;
+  /// Redo LSNs at or below this are covered by every entry's file:
+  /// truncation drops them, and replay applies appends beyond it only.
+  uint64_t log_watermark = 0;
   std::vector<ManifestEntry> entries;
 };
 
 /// One table's entry in the durable catalog.
 struct CatalogEntry {
+  uint64_t id = 0;  ///< names the table in log records and the manifest
   std::string name;
   std::vector<std::string> columns;
   TableConfig config;  ///< logging fields are re-derived at Open
   std::vector<ColumnId> secondary_columns;  ///< durable secondary indexes
+};
+
+/// The durable catalog: every table, and the id the next one gets. Ids
+/// are never reused, so a recreated name never matches a dropped
+/// table's log records or checkpoint.
+struct Catalog {
+  uint64_t next_id = 0;
+  std::vector<CatalogEntry> entries;
 };
 
 /// Manifest / catalog files (temp + atomic rename). A missing file
@@ -84,16 +87,17 @@ struct CatalogEntry {
 /// home of the file name, shared by checkpointing, archiving, and
 /// restore.
 std::string ManifestPath(const std::string& dir);
+/// Path of the database's one redo log under `dir`, shared by
+/// recovery, checkpointing, and restore.
+std::string RedoLogPath(const std::string& dir);
 
 Status WriteManifest(const std::string& dir, const Manifest& m);
 Status ReadManifest(const std::string& dir, Manifest* m, bool* exists);
 /// Read a manifest by full path (archived copies under <dir>/archive
 /// are plain manifest files named MANIFEST.<id>).
 Status ReadManifestFile(const std::string& path, Manifest* m, bool* exists);
-Status WriteCatalog(const std::string& dir,
-                    const std::vector<CatalogEntry>& entries);
-Status ReadCatalog(const std::string& dir, std::vector<CatalogEntry>* entries,
-                   bool* exists);
+Status WriteCatalog(const std::string& dir, const Catalog& catalog);
+Status ReadCatalog(const std::string& dir, Catalog* catalog, bool* exists);
 
 class CheckpointManager {
  public:
@@ -112,20 +116,11 @@ class CheckpointManager {
   /// Seed bookkeeping from the manifest found at Open time.
   void SetRecoveredManifest(const Manifest& m);
 
-  /// Remove `table` from the durable manifest and delete its
-  /// checkpoint files. Called on DropTable, and on CreateTable before
-  /// reusing a name: a stale entry would otherwise be matched by name
-  /// at the next Open and resurrect the dropped table's data (its
-  /// watermark also exceeds the fresh log's LSNs, which would mask
-  /// every new record).
-  Status ForgetTable(const std::string& table);
-
   uint64_t checkpoints_taken() const;
   Status last_background_status() const;
 
  private:
   void Loop();
-  uint64_t TotalLogBytes() const;
 
   Database* db_;
   std::string dir_;

@@ -1,21 +1,28 @@
 // Restart recovery (Section 5.1.3, recovery option 2).
 //
-// A table recovers in four steps:
-//   1. load the latest checkpoint file (lineage-consistent snapshot of
-//      base segments, tail pages, and the historic store),
-//   2. open the redo log: its one scan restores the LSN counter, cuts a
-//      torn or corrupt final record, and delivers every record. Each
-//      append beyond the checkpoint's LSN watermark is applied as it
-//      arrives, with its raw Start Time; commit and abort records
-//      collect into the outcome map. Nothing is resolved yet, since a
-//      record's outcome may lie later in the log,
-//   3. resolve every Start Time still holding a transaction id using
-//      that map (crash before the outcome record = aborted tombstone):
-//      Range::Recover is the one resolver,
-//   4. rebuild the primary index and the in-place Indirection column
-//      from the Base RID backpointers of the tail records — neither is
-//      logged nor checkpointed, exactly as the paper prescribes. Two
-//      live rows with one key fail the restart with Corruption.
+// Recovery runs in four steps over one redo stream — a Database's one
+// log, shared by all of its tables, or a standalone table's own:
+//   1. load each table's latest checkpoint (lineage-consistent
+//      snapshot of base segments, tail pages, and the historic store),
+//   2. read the stream once: the live log opens (its one scan restores
+//      the LSN counter, cuts a torn or corrupt final record, and
+//      delivers every record), or a restore reads its stitched
+//      segments. Each append beyond the checkpoint's LSN watermark goes
+//      to the table its catalog id names, with its raw Start Time, as
+//      it arrives; ids missing from the catalog belong to dropped
+//      tables and are skipped. Every commit and abort record folds into
+//      one outcome map. Nothing is resolved yet, since a record's
+//      outcome may lie later in the log,
+//   3. each table resolves every Start Time still holding a
+//      transaction id using that map (crash before the outcome record =
+//      aborted tombstone): Range::Recover is the one resolver,
+//   4. each table rebuilds its primary index and in-place Indirection
+//      column from the Base RID backpointers of the tail records —
+//      neither is logged nor checkpointed, exactly as the paper
+//      prescribes. Two live rows with one key fail the restart with
+//      Corruption.
+// Database::Recover runs step 1 per cataloged table, then these; a
+// standalone table runs all four in RecoverDurable.
 
 #include <algorithm>
 #include <memory>
@@ -56,62 +63,39 @@ std::vector<ColumnId> Table::SecondaryColumns() const {
   return out;
 }
 
-Status Table::ReplayAndRebuild(uint64_t watermark,
-                               const CommitOutcomes* db_commits,
-                               const std::vector<std::string>* log_paths,
-                               Timestamp commit_horizon) {
-  // Buffer-managed segments: recovery reads through pinned page
-  // handles (an already-recovered table's merge thread can evict our
-  // cold pages through the shared pool), so hold the epoch pin the
-  // handle contract requires.
-  EpochGuard guard(epochs_);
-  // Seed the outcome map with the database commit log's verdicts:
-  // cross-table transactions leave no commit record in this table's
-  // log, and every participant recovers against the same map, so a
-  // cross-table transaction replays on all of them or none.
-  CommitOutcomes commits;
-  if (db_commits != nullptr) commits = *db_commits;
-
-  // --- step 2: apply the redo-log tail as the scan delivers it -------------
-  // Each append lands with its raw Start Time (the writer's txn id, or
-  // a pre-image snapshot's copied start time); step 3 resolves it once
-  // the scan has collected every outcome.
+Status Table::ReplayLog(const LogTables& tables, uint64_t watermark,
+                        Timestamp horizon, RedoLog* live,
+                        const std::vector<std::string>& paths,
+                        CommitOutcomes* commits) {
+  // Buffer-managed segments: replay reads through pinned page handles
+  // (a table's merge thread can evict cold pages through the shared
+  // pool), so hold the epoch pin the handle contract requires.
+  std::vector<EpochGuard> pins;
+  pins.reserve(tables.size());
+  for (const auto& entry : tables) pins.emplace_back(entry.second->epochs_);
   Status applied = Status::OK();
-  TailRecord t;
+  uint64_t delivered = 0;
+  TailRecord scratch;
   auto apply = [&](const LogRecord& rec, uint64_t lsn) {
+    // Overlapping archive segments (a crash between seal and truncate
+    // re-seals a longer prefix) deliver some LSNs twice: each counts
+    // once, in LSN order.
+    if (lsn <= delivered || !applied.ok()) return;
+    delivered = lsn;
     switch (rec.type) {
       case LogRecordType::kCommit:
       case LogRecordType::kAbort:
-        FoldOutcome(&commits, rec.txn_id, rec.type == LogRecordType::kAbort,
-                    rec.commit_time, commit_horizon);
+        FoldOutcome(commits, rec.txn_id, rec.type == LogRecordType::kAbort,
+                    rec.commit_time, horizon);
         break;
       case LogRecordType::kTailAppend:
       case LogRecordType::kInsertAppend: {
         // Records at or below the watermark are covered by the
         // checkpoint; replaying beyond it is idempotent even for
-        // records the checkpoint also captured, and so is a record
-        // that overlapping archive segments (a crash between seal and
-        // truncate re-seals a longer prefix) deliver twice.
-        if (lsn <= watermark || !applied.ok()) break;
-        // A CRC-valid record can still name a range the directory
-        // cannot hold, or anything Range::Apply refuses.
-        Range* r = EnsureRange(rec.range_id);
-        if (r == nullptr) {
-          applied = Status::Corruption("redo record range overflow");
-          break;
-        }
-        const bool insert = rec.type == LogRecordType::kInsertAppend;
-        t.seq = rec.seq;
-        t.backptr = rec.backptr;
-        t.base_slot = rec.base_slot;
-        t.encoding = rec.schema_encoding;
-        t.start = rec.start_raw;
-        t.cols = rec.mask;
-        std::copy(rec.values.begin(), rec.values.end(), t.values);
-        applied = r->Apply(insert ? TailKind::kInsert : TailKind::kUpdate, t);
-        if (insert && applied.ok()) {
-          AtomicMax(next_row_, rec.range_id * config_.range_size +
-                                   rec.base_slot + 1);
+        // records the checkpoint also captured.
+        auto it = tables.find(rec.table_id);
+        if (lsn > watermark && it != tables.end()) {
+          applied = it->second->ApplyLogged(rec, &scratch);
         }
         break;
       }
@@ -119,36 +103,48 @@ Status Table::ReplayAndRebuild(uint64_t watermark,
         break;
     }
   };
-  if (log_paths == nullptr && log_ != nullptr) {
-    // The live log opens here, once: its open-time scan restores the
-    // LSN counter, cuts a torn tail and delivers the records.
+  if (live != nullptr) {
     LSTORE_RETURN_IF_ERROR(
-        log_->Open(config_.log_path, /*truncate=*/false, apply));
+        live->Open(paths.front(), /*truncate=*/false, apply));
   } else {
-    // A point-in-time restore's stitched stream (sealed archive
-    // segments in LSN order, then the live log: each one a
-    // self-describing framed file), or the log of a table that does
-    // not append to it, is only read.
-    std::vector<std::string> own;
-    if (log_paths == nullptr && !config_.log_path.empty()) {
-      own.push_back(config_.log_path);
-    }
-    for (const std::string& path : log_paths != nullptr ? *log_paths : own) {
+    for (const std::string& path : paths) {
       LSTORE_RETURN_IF_ERROR(RedoLog::Replay(path, apply, nullptr));
     }
   }
-  if (!applied.ok()) {
-    // Append nothing after a log this table could not replay.
-    if (log_ != nullptr) log_->Close();
-    return applied;
-  }
+  // Append nothing after a log that could not be replayed.
+  if (!applied.ok() && live != nullptr) live->Close();
+  return applied;
+}
 
-  // --- steps 3 and 4, one range at a time ---------------------------------
+Status Table::ApplyLogged(const LogRecord& rec, TailRecord* t) {
+  // A CRC-valid record can still name a range the directory cannot
+  // hold, or anything Range::Apply refuses.
+  Range* r = EnsureRange(rec.range_id);
+  if (r == nullptr) return Status::Corruption("redo record range overflow");
+  const bool insert = rec.type == LogRecordType::kInsertAppend;
+  t->seq = rec.seq;
+  t->backptr = rec.backptr;
+  t->base_slot = rec.base_slot;
+  t->encoding = rec.schema_encoding;
+  t->start = rec.start_raw;
+  t->cols = rec.mask;
+  std::copy(rec.values.begin(), rec.values.end(), t->values);
+  Status s = r->Apply(insert ? TailKind::kInsert : TailKind::kUpdate, *t);
+  if (insert && s.ok()) {
+    AtomicMax(next_row_,
+              rec.range_id * config_.range_size + rec.base_slot + 1);
+  }
+  return s;
+}
+
+Status Table::ResolveAndRebuild(const CommitOutcomes& commits) {
+  EpochGuard guard(epochs_);
   // Resolve every raw Start Time against the outcome map, then rebuild
-  // the primary index and the Indirection column (recovery option 2).
-  // The index takes one batched insert per range, in slot order: keys
-  // that lie on a line with their RIDs extend one line entry range
-  // after range, and every other key's shard is latched and grown once.
+  // the primary index and the Indirection column (recovery option 2),
+  // one range at a time. The index takes one batched insert per range,
+  // in slot order: keys that lie on a line with their RIDs extend one
+  // line entry range after range, and every other key's shard is
+  // latched and grown once.
   Timestamp max_time = 0;
   std::vector<Value> keys;
   std::vector<Rid> rids;
@@ -161,25 +157,29 @@ Status Table::ReplayAndRebuild(uint64_t watermark,
     bool* end = ok.get() + keys.size();
     if (std::find(ok.get(), end, false) != end) {
       // Two live rows share a key: no run of the engine writes that.
-      if (log_ != nullptr) log_->Close();
       return Status::Corruption("duplicate primary key in recovered rows");
     }
   }
-
   ResumeClock(commits, max_time, txn_manager_);
   return Status::OK();
 }
 
-Status Table::RecoverDurable(
-    const std::string& checkpoint_file, uint64_t log_watermark,
-    uint64_t checkpoint_checksum, const CommitOutcomes* db_commits,
-    const std::vector<std::string>* log_paths, Timestamp commit_horizon) {
+Status Table::RecoverDurable(const std::string& checkpoint_file,
+                             uint64_t log_watermark,
+                             uint64_t checkpoint_checksum) {
   if (!checkpoint_file.empty()) {
     LSTORE_RETURN_IF_ERROR(
         CheckpointIO::LoadTable(this, checkpoint_file, checkpoint_checksum));
   }
-  return ReplayAndRebuild(log_watermark, db_commits, log_paths,
-                          commit_horizon);
+  // The log of a table that does not append to it is only read.
+  std::vector<std::string> paths;
+  if (!config_.log_path.empty()) paths.push_back(config_.log_path);
+  CommitOutcomes commits;
+  Status s = ReplayLog({{log_id_, this}}, log_watermark, kMaxTimestamp, log_,
+                       paths, &commits);
+  if (s.ok()) s = ResolveAndRebuild(commits);
+  if (!s.ok() && log_ != nullptr) log_->Close();
+  return s;
 }
 
 Status Table::RecoverFromLog() {

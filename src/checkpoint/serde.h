@@ -60,8 +60,11 @@ inline constexpr uint32_t kCheckpointMagic = 0x4b43534c;  // "LSCK"
 inline constexpr uint32_t kManifestMagic = 0x464d534c;    // "LSMF"
 inline constexpr uint32_t kCatalogMagic = 0x4754534c;     // "LSTG"
 /// Version 2 stores base segments in their compressed serialized form
-/// (CompressedColumn::AppendTo); readers accept only this version.
-inline constexpr uint32_t kCheckpointFormatVersion = 2;
+/// (CompressedColumn::AppendTo). Version 3 gives each table a catalog
+/// id (CATALOG: ids and the next id; MANIFEST: one log watermark,
+/// entries by id) for the database's one redo log, whose append
+/// records name their table by it. Readers accept only this version.
+inline constexpr uint32_t kCheckpointFormatVersion = 3;
 
 /// Frame-oriented writer into an open File, from offset 0, with a
 /// running whole-file checksum. The file header frame is written

@@ -117,12 +117,12 @@ struct DurabilityOptions {
   /// `checkpoint_interval_ms` milliseconds (0 = no timed trigger).
   uint64_t checkpoint_interval_ms = 0;
 
-  /// Background checkpoint thread: take a checkpoint once the total
-  /// redo-log bytes across tables exceed this (0 = no size trigger).
+  /// Background checkpoint thread: take a checkpoint once the redo
+  /// log exceeds this many bytes (0 = no size trigger).
   uint64_t checkpoint_log_bytes = 0;
 
-  /// Group commit: how long a log sync that finds no other committer
-  /// waiting parks (microseconds) before it writes, so callers that
+  /// Group commit: how long a log sync that takes the write token
+  /// parks at most (microseconds) before it writes, so callers that
   /// append meanwhile share its fsync (FramedLog::Sync). 0 = no
   /// explicit wait; sharing still happens naturally while another
   /// caller's write is in flight.
@@ -140,12 +140,12 @@ struct DurabilityOptions {
   uint64_t buffer_pool_bytes = 0;
 
   /// Log archiving / point-in-time recovery (src/archive/): when
-  /// enabled, checkpoint truncation seals the retired log prefixes
-  /// (per-table redo logs and the commit log) into checksummed,
-  /// LSN-range-named segments under <dir>/archive, and superseded
-  /// checkpoints/manifests move there instead of being deleted — so
-  /// Database::RestoreToPoint can rebuild the exact cross-table-
-  /// consistent state at any archived commit point. Off (default) =
+  /// enabled, checkpoint truncation seals the retired prefix of the
+  /// database's redo log into checksummed, LSN-range-named segments
+  /// under <dir>/archive, and superseded checkpoints/manifests move
+  /// there instead of being deleted — so Database::RestoreToPoint can
+  /// rebuild the exact cross-table-consistent state at any archived
+  /// commit point. Off (default) =
   /// truncation deletes the prefix, exactly the pre-archive behavior.
   bool archive_enabled = false;
 

@@ -1,7 +1,6 @@
 #include "core/commit_pipeline.h"
 
 #include <algorithm>
-#include <shared_mutex>
 
 #include "common/inline_buffer.h"
 #include "core/range.h"
@@ -45,83 +44,38 @@ EngineBase* Metered(EngineBase* const* engines, size_t n, const Role* roles) {
   return reader;
 }
 
-/// Append a commit record to `log`; returns its LSN.
-uint64_t AppendCommitRecord(RedoLog* log, const Transaction* txn,
-                            Timestamp commit_time) {
-  LogRecord rec;
-  rec.type = LogRecordType::kCommit;
-  rec.txn_id = txn->id();
-  rec.commit_time = commit_time;
-  return log->Append(rec);
-}
-
-/// Append an abort record to `log`; `durable` syncs it (fsync under
-/// `sync`). That matters ONLY when the durability step already
-/// appended/synced a commit record for this transaction (per-table
-/// record whose pipeline failed later) — replay treats the later abort
-/// as authoritative, so it must not sit in the buffer when the process
-/// dies. Ordinary aborts (user abort, validation failure) skip the
-/// sync: with no commit record anywhere, replay aborts them anyway.
-void WriteAbortRecord(RedoLog* log, const Transaction* txn, bool durable,
-                      bool sync) {
-  LogRecord rec;
-  rec.type = LogRecordType::kAbort;
-  rec.txn_id = txn->id();
-  const uint64_t lsn = log->Append(rec);
-  if (durable) (void)log->Sync(lsn, sync);
-}
-
-/// The durability point of a transaction with `n` > 1 logged writers:
-/// sync each participant log at its LSN, then append ONE commit-log
-/// record and sync it. The gate is held shared from the participant
-/// syncs through the append, the checkpoint's quiesce. On failure the
-/// commit record may or may not be durable, so ONE abort marker in the
-/// commit log decides the outcome for every participant: per-table
-/// abort records could land on a subset of them and re-split the
-/// transaction (best effort: if neither record persists, recovery
-/// aborts it everywhere anyway).
-Status CommitCross(CommitLog& commit_log, const Transaction* txn,
-                   Timestamp commit_time, EngineBase* const* writers,
-                   RedoLog* const* logs, size_t n, Histogram* fanout_ns) {
-  // The tables of a database share its sync_commit.
-  const bool sync = writers[0]->config().sync_commit;
-  CommitLogRecord rec;
-  rec.txn_id = txn->id();
-  rec.commit_time = commit_time;
-  Status s = Status::OK();
-  uint64_t lsn = 0;
-  {
-    std::shared_lock<std::shared_mutex> gate(commit_log.gate());
-    Stage fanout(fanout_ns, nullptr);
-    for (size_t i = 0; i < n && s.ok(); ++i) {
-      // last_lsn bounds this transaction's payload LSNs in that log (its
-      // appends are in); a concurrent append raising it merely delays
-      // commit-log truncation.
-      const uint64_t at = logs[i]->last_lsn();
-      rec.participants.push_back({writers[i]->name(), at});
-      s = logs[i]->Sync(at, sync);
-    }
-    fanout.End();
-    if (s.ok()) lsn = commit_log.Append(rec);
+/// The writer whose redo log every logged writer shares, given each
+/// engine's log in `logs` (null for an engine that does not write or
+/// log): n when no writer logs. Sets `*split` when two writers name
+/// different logs.
+size_t SharedLog(RedoLog* const* logs, size_t n, bool* split) {
+  size_t shared = n;
+  *split = false;
+  for (size_t i = 0; i < n; ++i) {
+    if (logs[i] == nullptr) continue;
+    if (shared != n && logs[shared] != logs[i]) *split = true;
+    shared = i;
   }
-  if (s.ok()) s = commit_log.Sync(lsn, sync);
-  if (!s.ok()) {
-    CommitLogRecord abort;
-    abort.txn_id = txn->id();
-    abort.aborted = true;
-    (void)commit_log.Sync(commit_log.Append(abort), sync);
-  }
-  return s;
+  return shared;
 }
 
 }  // namespace
 
 Status CommitAcross(TransactionManager& tm, Transaction* txn,
-                    EngineBase* const* engines, size_t n,
-                    CommitLog* commit_log) {
+                    EngineBase* const* engines, size_t n) {
   if (txn->finished()) return Status::InvalidArgument("already finished");
   InlineBuffer<Role, 16> roles(n);
   Classify(*txn, engines, n, roles.data());
+  InlineBuffer<RedoLog*, 16> logs(n);
+  for (size_t i = 0; i < n; ++i) {
+    logs[i] = roles[i] == Role::kWriter ? engines[i]->redo_log() : nullptr;
+  }
+  bool split = false;
+  const size_t logged = SharedLog(logs.data(), n, &split);
+  if (split) {
+    AbortAcross(tm, txn, engines, n, /*durable_abort=*/false);
+    return Status::InvalidArgument("writers log to different redo logs");
+  }
 
   // 1. Acquire commit time and enter pre-commit (Section 5.1.1).
   Timestamp commit_time = tm.EnterPreCommit(txn);
@@ -139,39 +93,27 @@ Status CommitAcross(TransactionManager& tm, Transaction* txn,
     }
   }
 
-  // 3. Durability point (Section 5.1.3). Read-only participants write
-  // nothing: their logs carry no records of this transaction to
-  // resolve at replay. Several logged writers commit through ONE
-  // database commit-log record — all-or-nothing across tables; a
-  // single one (or any without a commit log) through its own commit
-  // record. Every log is synced through the group commit.
-  EngineBase* metered = Metered(engines, n, roles.data());
-  const TableCounters* obs = metered != nullptr ? metered->counters() : nullptr;
-  InlineBuffer<EngineBase*, 16> logged(n);
-  InlineBuffer<RedoLog*, 16> logs(n);
-  size_t num_logged = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (roles[i] == Role::kWriter && engines[i]->redo_log() != nullptr) {
-      logged[num_logged] = engines[i];
-      logs[num_logged++] = engines[i]->redo_log();
+  // 3. Durability point (Section 5.1.3): ONE commit record, whatever
+  // the number of tables, synced through the group commit. Read-only
+  // participants write nothing: the log carries no records of theirs
+  // to resolve at replay.
+  if (logged != n) {
+    RedoLog* log = logs[logged];
+    LogRecord rec;
+    rec.type = LogRecordType::kCommit;
+    rec.txn_id = txn->id();
+    rec.commit_time = commit_time;
+    Status ds =
+        log->Sync(log->Append(rec), engines[logged]->config().sync_commit);
+    if (!ds.ok()) {
+      // The commit record may already be durable: the abort must be
+      // durable to override it.
+      AbortAcross(tm, txn, engines, n, /*durable_abort=*/true);
+      return ds;
     }
   }
-  const bool cross = num_logged > 1 && commit_log != nullptr;
-  Status ds = cross ? CommitCross(*commit_log, txn, commit_time, logged.data(),
-                                  logs.data(), num_logged,
-                                  obs != nullptr ? obs->commit_fanout_ns
-                                                 : nullptr)
-                    : Status::OK();
-  for (size_t i = 0; !cross && i < num_logged && ds.ok(); ++i) {
-    ds = logs[i]->Sync(AppendCommitRecord(logs[i], txn, commit_time),
-                       logged[i]->config().sync_commit);
-  }
-  if (!ds.ok()) {
-    // A per-table commit record may already be durable: the abort must
-    // be durable to override it.
-    AbortAcross(tm, txn, engines, n, /*durable_abort=*/true);
-    return ds;
-  }
+  EngineBase* metered = Metered(engines, n, roles.data());
+  const TableCounters* obs = metered != nullptr ? metered->counters() : nullptr;
 
   // 4. Publish: the state flip is the in-memory commit point for all
   // participants (readers that race see either the entry or the stamp).
@@ -195,11 +137,27 @@ void AbortAcross(TransactionManager& tm, Transaction* txn,
   InlineBuffer<Role, 16> roles(n);
   Classify(*txn, engines, n, roles.data());
   tm.MarkAborted(txn);
+  // One abort record in the writers' log. `durable_abort` syncs it:
+  // that matters ONLY when the durability step already appended a
+  // commit record for this transaction — replay treats the later
+  // abort as authoritative, so it must not sit in the buffer when the
+  // process dies. Ordinary aborts (user abort, validation failure)
+  // skip the sync: with no commit record, replay aborts them anyway.
+  // Writers refused for naming two logs left no commit record either.
+  InlineBuffer<RedoLog*, 16> logs(n);
   for (size_t i = 0; i < n; ++i) {
-    RedoLog* log = engines[i]->redo_log();
-    if (roles[i] == Role::kWriter && log != nullptr) {
-      WriteAbortRecord(log, txn, durable_abort,
-                       engines[i]->config().sync_commit);
+    logs[i] = roles[i] == Role::kWriter ? engines[i]->redo_log() : nullptr;
+  }
+  bool split = false;
+  const size_t logged = SharedLog(logs.data(), n, &split);
+  if (logged != n) {
+    RedoLog* log = logs[logged];
+    LogRecord rec;
+    rec.type = LogRecordType::kAbort;
+    rec.txn_id = txn->id();
+    const uint64_t lsn = log->Append(rec);
+    if (durable_abort) {
+      (void)log->Sync(lsn, engines[logged]->config().sync_commit);
     }
   }
   // Tombstone the writeset (Section 5.1.3: aborted tail records are

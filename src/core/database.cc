@@ -10,18 +10,15 @@
 
 #include "archive/archive_manager.h"
 #include "checkpoint/checkpoint_manager.h"
+#include "checkpoint/serde.h"
 #include "common/file.h"
 #include "core/commit_pipeline.h"
-#include "log/commit_log.h"
+#include "log/redo_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/reporter.h"
 #include "obs/slow_op_log.h"
 
 namespace lstore {
-
-/// Database commit-log file name. Table logs are "<name>.log", so no
-/// table name can collide with it.
-static constexpr char kCommitLogFile[] = "COMMIT_LOG";
 
 Database::Database() {
   // The watchdog exists on every database (in-memory ones get
@@ -98,9 +95,9 @@ HealthReport Database::Health() {
 // ---------------------------------------------------------------------------
 
 Status Database::CreateTableInternal(const std::string& name, Schema schema,
-                                     TableConfig config,
-                                     const RecoverySource* src,
-                                     const ManifestEntry* me, Table** out) {
+                                     TableConfig config, uint64_t id,
+                                     const std::string& store_dir,
+                                     Table** out) {
   if (schema.num_columns() == 0 || schema.num_columns() > kMaxColumns) {
     return Status::InvalidArgument("a table has 1 to " +
                                    std::to_string(kMaxColumns) + " columns");
@@ -109,8 +106,9 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
   // so a name free here is still free at the publish below.
   if (GetTable(name) != nullptr) return Status::AlreadyExists("table exists");
   if (durable()) {
+    // The table logs into the database's one log, not a file of its own.
     config.enable_logging = true;
-    config.log_path = dir_ + "/" + name + ".log";
+    config.log_path.clear();
     config.sync_commit = durability_.sync_commit;
   }
   // Buffer-managed base storage: with a pool, every table shares it
@@ -120,13 +118,13 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
   // segments hydrate on first touch and then stay resident. Opening
   // an existing file keeps previously recorded offsets valid, so a
   // manifest that references them recovers lazily; a restore maps the
-  // store read-only. The filesystem work, construction and recovery
-  // run BEFORE the registry spin latch (GetTable callers must not spin
-  // through syscalls).
-  const std::string& from = src != nullptr ? src->dir : dir_;
-  const std::string segs_path = from + "/" + name + ".segs";
+  // store read-only. The filesystem work and construction run BEFORE
+  // the registry spin latch (GetTable callers must not spin through
+  // syscalls).
+  const std::string segs_path = store_dir + "/" + name + ".segs";
   std::unique_ptr<SegmentStore> store;
-  if (!from.empty() && (buffer_pool_ != nullptr || FileExists(segs_path))) {
+  if (!store_dir.empty() &&
+      (buffer_pool_ != nullptr || FileExists(segs_path))) {
     store = std::make_unique<SegmentStore>();
     LSTORE_RETURN_IF_ERROR(store->Open(segs_path, /*read_only=*/!durable()));
     config.buffer_pool = buffer_pool_.get();
@@ -139,33 +137,10 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
   config.health = &health_;
   auto table = std::make_unique<Table>(name, std::move(schema),
                                        std::move(config), &txn_manager_);
-  // Commits on the table share fsyncs with everyone else's (the
-  // group-commit window), single-table sessions included.
-  if (table->log_ != nullptr) {
-    table->log_->set_group_commit(durability_.group_commit_window_us,
-                                  group_commit_hb_.get());
-  }
-  if (src != nullptr) {
-    std::string ckpt;
-    uint64_t watermark = 0, checksum = 0;
-    if (me != nullptr) {
-      ckpt = ArchiveManager::ResolveCheckpointFile(src->dir, me->file);
-      if (ckpt.empty()) {
-        return Status::Corruption("checkpoint file missing: " + me->file);
-      }
-      watermark = me->log_watermark;
-      checksum = me->file_checksum;
-    }
-    std::vector<std::string> paths;
-    if (src->redo_stream) {
-      LSTORE_RETURN_IF_ERROR(src->redo_stream(name, watermark, &paths));
-    }
-    LSTORE_RETURN_IF_ERROR(table->RecoverDurable(
-        ckpt, watermark, checksum, &src->commits,
-        src->redo_stream ? &paths : nullptr, src->horizon));
-  } else if (durable()) {
-    LSTORE_RETURN_IF_ERROR(table->RecoverFromLog());
-  }
+  // Its records name it by its catalog id in the one log; until
+  // recovery opens the log, its commits fail at the sync.
+  if (durable()) table->log_ = log_.get();
+  table->log_id_ = id;
   SpinGuard g(latch_);
   if (store != nullptr) segment_stores_[name] = std::move(store);
   tables_.push_back(Entry{name, std::move(table)});
@@ -175,23 +150,54 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
   return Status::OK();
 }
 
-Status Database::Recover(const std::vector<CatalogEntry>& catalog,
-                         const RecoverySource& src) {
-  for (const CatalogEntry& ce : catalog) {
-    // A table created after the checkpoint has no manifest entry: its
-    // logs alone carry it.
-    const ManifestEntry* me = nullptr;
-    for (const ManifestEntry& e : src.manifest.entries) {
-      if (e.table == ce.name) me = &e;
+Status Database::Recover(const Catalog& catalog, const RecoverySource& src) {
+  next_table_id_ = catalog.next_id;
+  // A table's manifest entry is the one under its id: a table created
+  // after the checkpoint has none (the log alone carries it), and a
+  // dropped table's entry matches no catalog id.
+  auto entry_of = [&src](uint64_t id) -> const ManifestEntry* {
+    for (const ManifestEntry& me : src.manifest.entries) {
+      if (me.table_id == id) return &me;
     }
+    return nullptr;
+  };
+  // Step 1: every cataloged table, from its checkpoint if it has one.
+  Table::LogTables tables;
+  for (const CatalogEntry& ce : catalog.entries) {
     Table* t = nullptr;
-    LSTORE_RETURN_IF_ERROR(CreateTableInternal(ce.name, Schema(ce.columns),
-                                               ce.config, &src, me, &t));
+    LSTORE_RETURN_IF_ERROR(CreateTableInternal(
+        ce.name, Schema(ce.columns), ce.config, ce.id, src.dir, &t));
+    if (const ManifestEntry* me = entry_of(ce.id)) {
+      const std::string ckpt =
+          ArchiveManager::ResolveCheckpointFile(src.dir, me->file);
+      if (ckpt.empty()) {
+        return Status::Corruption("checkpoint file missing: " + me->file);
+      }
+      LSTORE_RETURN_IF_ERROR(
+          CheckpointIO::LoadTable(t, ckpt, me->file_checksum));
+    }
+    tables[ce.id] = t;
+  }
+  // Step 2: the one redo stream, read once.
+  CommitOutcomes commits;
+  const uint64_t watermark = src.manifest.log_watermark;
+  if (src.stream != nullptr) {
+    LSTORE_RETURN_IF_ERROR(Table::ReplayLog(tables, watermark, src.horizon,
+                                            nullptr, *src.stream, &commits));
+  } else {
+    LSTORE_RETURN_IF_ERROR(Table::ReplayLog(tables, watermark, src.horizon,
+                                            log_.get(), {RedoLogPath(dir_)},
+                                            &commits));
+  }
+  // Steps 3 and 4, table by table against the one outcome map.
+  for (const CatalogEntry& ce : catalog.entries) {
+    Table* t = tables[ce.id];
+    LSTORE_RETURN_IF_ERROR(t->ResolveAndRebuild(commits));
     // Secondary indexes: union of the catalog (kept current by
     // Database::CreateSecondaryIndex) and the manifest (covers
     // indexes created directly on the Table before a checkpoint).
     std::vector<ColumnId> secs = ce.secondary_columns;
-    if (me != nullptr) {
+    if (const ManifestEntry* me = entry_of(ce.id)) {
       secs.insert(secs.end(), me->secondary_columns.begin(),
                   me->secondary_columns.end());
     }
@@ -201,9 +207,9 @@ Status Database::Recover(const std::vector<CatalogEntry>& catalog,
   }
   // Beyond every commit even when no table replayed it (e.g. all
   // tables dropped): a fresh transaction id must never collide with a
-  // retained commit-log record. A restore's clock lands just past the
-  // newest commit at or before its point, so Now() IS the point.
-  ResumeClock(src.commits, 0, &txn_manager_);
+  // retained log record. A restore's clock lands just past the newest
+  // commit at or before its point, so Now() IS the point.
+  ResumeClock(commits, 0, &txn_manager_);
   return Status::OK();
 }
 
@@ -212,24 +218,14 @@ Status Database::CreateTable(const std::string& name, Schema schema,
   std::lock_guard<std::mutex> ddl(ddl_mu_);
   if (durable()) {
     if (GetTable(name) != nullptr) return Status::AlreadyExists("table exists");
-    // A previously dropped table of the same name must leave no trace:
-    // a stale manifest entry or log file would be matched by name at
-    // the next Open and resurrect the old data.
-    if (checkpoint_manager_ != nullptr) {
-      LSTORE_RETURN_IF_ERROR(checkpoint_manager_->ForgetTable(name));
-    }
-    std::remove((dir_ + "/" + name + ".log").c_str());
     // A stale swap store of a previously dropped table must not be
     // appended to: its old offsets are garbage for the new table.
     std::remove((dir_ + "/" + name + ".segs").c_str());
-    // Stale archived segments likewise: the new table's log restarts
-    // at LSN 1, so old sealed prefixes would poison any future stitch.
-    if (archive_ != nullptr) archive_->ForgetTable(name);
   }
-  // A durable table's fresh log opens through recovery of the log just
-  // removed.
-  LSTORE_RETURN_IF_ERROR(CreateTableInternal(
-      name, std::move(schema), std::move(config), nullptr, nullptr, nullptr));
+  LSTORE_RETURN_IF_ERROR(CreateTableInternal(name, std::move(schema),
+                                             std::move(config),
+                                             next_table_id_, dir_, nullptr));
+  ++next_table_id_;
   if (durable()) return PersistCatalog();
   return Status::OK();
 }
@@ -246,27 +242,13 @@ Status Database::DropTable(const std::string& name) {
   // Serialize against checkpoints: RunCheckpoint walks raw Table
   // pointers and must never see one destroyed mid-capture.
   std::lock_guard<std::mutex> ddl(ddl_mu_);
-  std::string log_path;
-  {
-    SpinGuard g(latch_);
-    auto it = std::find_if(tables_.begin(), tables_.end(),
-                           [&](const Entry& e) { return e.name == name; });
-    if (it == tables_.end()) return Status::NotFound("no such table");
-    log_path = it->table->config().log_path;
-  }
-  if (durable()) {
-    // Durable state first, memory last, so a failed persist (e.g.
-    // ENOSPC) leaves the drop cleanly retryable. Order within the
-    // durable state: the catalog rules existence, so rewrite it
-    // first; then the manifest entry + checkpoint files; the log
-    // last (a crash in between leaves only ignorable orphans).
-    LSTORE_RETURN_IF_ERROR(PersistCatalogExcluding(name));
-    if (checkpoint_manager_ != nullptr) {
-      LSTORE_RETURN_IF_ERROR(checkpoint_manager_->ForgetTable(name));
-    }
-    if (!log_path.empty()) std::remove(log_path.c_str());
-    if (archive_ != nullptr) archive_->ForgetTable(name);
-  }
+  Table* table = GetTable(name);
+  if (table == nullptr) return Status::NotFound("no such table");
+  // Durable state first, memory last, so a failed persist (e.g.
+  // ENOSPC) leaves the drop cleanly retryable. The catalog rules
+  // existence: once it lacks the id, recovery skips the table's log
+  // records and checkpoint file, and the next checkpoint drops both.
+  if (durable()) LSTORE_RETURN_IF_ERROR(PersistCatalogExcluding(table));
   {
     SpinGuard g(latch_);
     auto it = std::find_if(tables_.begin(), tables_.end(),
@@ -311,23 +293,23 @@ std::vector<std::pair<std::string, Table*>> Database::TableHandles() const {
   return out;
 }
 
-Status Database::PersistCatalog() { return PersistCatalogExcluding(""); }
-
-Status Database::PersistCatalogExcluding(const std::string& skip) {
-  std::vector<CatalogEntry> entries;
+Status Database::PersistCatalogExcluding(const Table* skip) {
+  Catalog catalog;
+  catalog.next_id = next_table_id_;
   {
     SpinGuard g(latch_);
     for (const auto& e : tables_) {
-      if (!skip.empty() && e.name == skip) continue;
+      if (e.table.get() == skip) continue;
       CatalogEntry ce;
+      ce.id = e.table->log_id_;
       ce.name = e.name;
       ce.columns = e.table->schema().names();
       ce.config = e.table->config();
       ce.secondary_columns = e.table->SecondaryColumns();
-      entries.push_back(std::move(ce));
+      catalog.entries.push_back(std::move(ce));
     }
   }
-  return WriteCatalog(dir_, entries);
+  return WriteCatalog(dir_, catalog);
 }
 
 // ---------------------------------------------------------------------------
@@ -376,33 +358,26 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
     LSTORE_RETURN_IF_ERROR(db->archive_->EnsureDir());
   }
 
-  std::vector<CatalogEntry> catalog;
+  // The catalog first: a directory in another format is refused here,
+  // before the log is opened (and its tail possibly cut).
+  Catalog catalog;
   bool catalog_exists = false;
   LSTORE_RETURN_IF_ERROR(ReadCatalog(dir, &catalog, &catalog_exists));
 
-  // Restart recovers from the live manifest, commit log and redo logs.
+  // Restart recovers from the live manifest and the one redo log.
   RecoverySource src;
   src.dir = dir;
   bool manifest_exists = false;
   LSTORE_RETURN_IF_ERROR(ReadManifest(dir, &src.manifest, &manifest_exists));
 
-  // Cross-table outcomes first: a commit record here commits the
-  // transaction on EVERY participant; its absence (including a torn
-  // final record) aborts it on every participant. Every table below
-  // recovers against this one map, so no crash can split a
-  // cross-table transaction.
-  db->commit_log_ = std::make_unique<CommitLog>();
-  db->commit_log_->set_metrics(FramedLogMetrics::In(
-      &db->metrics_, "lstore_commit_log", "Commit-log", "commit_fsync"));
+  // Every table's commits share the log's fsyncs (the group-commit
+  // window), single- and cross-table sessions alike.
+  db->log_ = std::make_unique<RedoLog>();
+  db->log_->set_metrics(FramedLogMetrics::In(&db->metrics_, "lstore_redo",
+                                             "Redo-log", "log_flush"));
   db->group_commit_hb_ = db->health_.Register("group_commit");
-  db->commit_log_->set_group_commit(opts.group_commit_window_us,
-                                    db->group_commit_hb_.get());
-  LSTORE_RETURN_IF_ERROR(db->commit_log_->Open(
-      dir + "/" + kCommitLogFile, /*truncate=*/false,
-      [&src](const CommitLogRecord& rec, uint64_t) {
-        FoldOutcome(&src.commits, rec.txn_id, rec.aborted, rec.commit_time);
-      }));
-
+  db->log_->set_group_commit(opts.group_commit_window_us,
+                             db->group_commit_hb_.get());
   LSTORE_RETURN_IF_ERROR(db->Recover(catalog, src));
 
   db->checkpoint_manager_ =
@@ -428,7 +403,7 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
         opts.slow_op_log_max_bytes);
   }
   db->events_.Emit(EventSeverity::kInfo, "db", "open",
-                   "\"tables\":" + std::to_string(catalog.size()));
+                   "\"tables\":" + std::to_string(catalog.entries.size()));
   db->watchdog_->Start(opts.watchdog_interval_ms);
   *out = std::move(db);
   return Status::OK();
@@ -457,8 +432,7 @@ Status Database::CommitTxn(Transaction* txn) {
   // The pipeline filters the actual participants from the read and
   // write sets; entries of a table dropped since are ignored.
   std::vector<EngineBase*> tables = LiveTables();
-  return CommitAcross(txn_manager_, txn, tables.data(), tables.size(),
-                      commit_log_.get());
+  return CommitAcross(txn_manager_, txn, tables.data(), tables.size());
 }
 
 void Database::AbortTxn(Transaction* txn) {

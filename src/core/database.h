@@ -4,15 +4,15 @@
 // storage layer; Section 3: "we support multi-statement transactions
 // through L-Store's transaction layer").
 //
-// A database opened on a directory is *durable* (Section 5.1.3):
-// every table gets a redo log under the directory, a database-level
-// COMMIT_LOG is the single atomic commit point for cross-table
-// transactions (per-table logs carry only their payloads), every
-// log's Sync shares commit fsyncs among concurrent committers (group
-// commit), `Checkpoint()` writes lineage-consistent snapshots and
-// truncates the logs (including the commit log's covered prefix), and
-// `Open()` performs full restart recovery (catalog -> commit log ->
-// checkpoints -> log-tail replay -> index/Indirection rebuild).
+// A database opened on a directory is *durable* (Section 5.1.3): all
+// of its tables append to ONE redo log, <dir>/redo.log, each record
+// naming its table by a catalog id that is never reused. A commit or
+// abort record is one frame whatever the number of tables, so one
+// Sync makes any transaction durable, and Sync shares fsyncs among
+// concurrent committers (group commit). `Checkpoint()` writes
+// lineage-consistent snapshots and truncates the log to one watermark,
+// and `Open()` performs full restart recovery (catalog -> checkpoints
+// -> one log scan -> outcome resolution -> index/Indirection rebuild).
 
 #ifndef LSTORE_CORE_DATABASE_H_
 #define LSTORE_CORE_DATABASE_H_
@@ -42,14 +42,14 @@ namespace lstore {
 
 class ArchiveManager;
 class CheckpointManager;
-class CommitLog;
 class Heartbeat;
+class RedoLog;
 class SlowOpLog;
 class StatsReporter;
 
 /// A point to restore to (Database::RestoreToPoint): either an
-/// inclusive commit time, or the LSN of a cross-table commit-log
-/// record (resolved to that record's commit time).
+/// inclusive commit time, or the LSN of a commit record in the redo
+/// log — any transaction's (resolved to that record's commit time).
 struct RestorePoint {
   Timestamp commit_time = 0;
   uint64_t commit_lsn = 0;
@@ -86,29 +86,26 @@ class Database : public TxnContext {
   }
 
   /// Take a lineage-consistent checkpoint of every table and truncate
-  /// the redo logs to the recorded watermarks. NotSupported on an
+  /// the redo log to the recorded watermark. NotSupported on an
   /// in-memory database.
   Status Checkpoint();
 
   /// Point-in-time recovery (requires a directory whose checkpoints
   /// ran with DurabilityOptions::archive_enabled): open `dir`
   /// read-only, load the newest checkpoint at or before the point,
-  /// stitch archived + live log segments into one LSN-continuous
-  /// stream per participant, replay the commit log into an outcome
-  /// map truncated at the point, and replay each table against it —
-  /// the result is an in-memory Database holding the exact
-  /// cross-table-consistent committed state at the point (a
-  /// transaction is present with ALL of its writes, on every
-  /// participant, or none). The point is inclusive: commits with
-  /// commit_time <= point are present. Fails with NotFound when the
-  /// point precedes the archived history (retention evicted it) and
-  /// with Corruption when a sealed segment is torn or a gap breaks
-  /// the LSN stitch — never silently missing data. Scope: the restore
-  /// covers the tables in the CURRENT catalog — DropTable permanently
-  /// removes a table from history (its archived segments are
-  /// reclaimed with it), and reusing a dropped table's name
-  /// invalidates that name's pre-reuse history (those restores fail
-  /// cleanly). `dir` must not have a writing Database attached.
+  /// stitch the archived log segments and the live log into one
+  /// LSN-continuous stream, and replay it with its outcomes truncated
+  /// at the point — the result is an in-memory Database holding the
+  /// exact committed state at the point (a transaction is present with
+  /// ALL of its writes, on every table, or none). The point is
+  /// inclusive: commits with commit_time <= point are present. Fails
+  /// with NotFound when the point precedes the archived history
+  /// (retention evicted it) and with Corruption when a sealed segment
+  /// is torn or a gap breaks the LSN stitch — never silently missing
+  /// data. Scope: the restore covers the tables in the CURRENT catalog
+  /// — a dropped table's records are skipped, even under a name
+  /// reused since, since catalog ids are never reused. `dir` must not
+  /// have a writing Database attached.
   static Status RestoreToPoint(const std::string& dir,
                                const RestorePoint& point,
                                std::unique_ptr<Database>* out);
@@ -117,16 +114,15 @@ class Database : public TxnContext {
   const std::string& directory() const { return dir_; }
   CheckpointManager* checkpoint_manager() { return checkpoint_manager_.get(); }
 
-  /// The database commit log — the single atomic commit point for
-  /// cross-table transactions (null on an in-memory database).
-  CommitLog* commit_log() { return commit_log_.get(); }
+  /// The database's one redo log (null on an in-memory database).
+  RedoLog* redo_log() { return log_.get(); }
   /// The log archive (null unless DurabilityOptions::archive_enabled).
   ArchiveManager* archive_manager() { return archive_.get(); }
 
   /// Create a table registered under `name`. Fails if the name exists.
-  /// On a durable database, logging is forced on (log under the
-  /// database directory) and the schema/config are persisted to the
-  /// catalog so the table survives restarts even before its first
+  /// On a durable database, logging is forced on (into the database's
+  /// one log) and the schema/config are persisted to the catalog under
+  /// a fresh id, so the table survives restarts even before its first
   /// checkpoint.
   Status CreateTable(const std::string& name, Schema schema,
                      TableConfig config);
@@ -135,7 +131,8 @@ class Database : public TxnContext {
   Table* GetTable(const std::string& name);
 
   /// Drop a table (must not have in-flight transactions touching it).
-  /// On a durable database also removes its log and catalog entry.
+  /// On a durable database also removes its catalog entry; its log
+  /// records and checkpoint file leave at the next checkpoint.
   Status DropTable(const std::string& name);
 
   /// Create a secondary index on `table`.`col`. On a durable database
@@ -151,7 +148,7 @@ class Database : public TxnContext {
   /// this database: commit with txn.Commit(); a session destroyed
   /// while active aborts automatically. The commit runs the same
   /// pipeline as single-table sessions — validation against each
-  /// participating table, one commit record per written log, and the
+  /// participating table, one commit record in the one log, and the
   /// state flip in the shared manager as the single atomic commit
   /// point for all of them.
   Txn Begin(IsolationLevel iso = IsolationLevel::kReadCommitted);
@@ -177,7 +174,7 @@ class Database : public TxnContext {
   MetricsRegistry& metrics() { return metrics_; }
 
   /// One consistent snapshot of every engine metric: commit-stage and
-  /// group-commit timings, redo/commit-log traffic, merge durations,
+  /// group-commit timings, redo-log traffic, merge durations,
   /// buffer-pool and epoch levels, checkpoint/archive phases. Render
   /// with MetricsSnapshot::RenderPrometheus() / RenderJson().
   MetricsSnapshot Metrics() const { return metrics_.Snapshot(); }
@@ -196,7 +193,7 @@ class Database : public TxnContext {
 
   /// The heartbeat registry every background actor of this engine
   /// registers with (src/obs/health.h) — merge threads, the
-  /// checkpointer, the logs' group-commit writes, the stats reporter,
+  /// checkpointer, the log's group-commit writes, the stats reporter,
   /// and a co-resident Server's workers/readers.
   HealthRegistry& health() { return health_; }
 
@@ -227,9 +224,9 @@ class Database : public TxnContext {
   std::vector<std::pair<std::string, Table*>> TableHandles() const;
 
   /// Rewrite the catalog from the current table set (atomic rename).
-  Status PersistCatalog();
+  Status PersistCatalog() { return PersistCatalogExcluding(nullptr); }
   /// Same, omitting `skip` (DropTable persists before erasing memory).
-  Status PersistCatalogExcluding(const std::string& skip);
+  Status PersistCatalogExcluding(const Table* skip);
 
   /// What a recovery reads. Restart (Open) and point-in-time restore
   /// (RestoreToPoint) differ only in these inputs; both then run the
@@ -237,30 +234,27 @@ class Database : public TxnContext {
   struct RecoverySource {
     std::string dir;  ///< directory holding the checkpoints and logs
     Manifest manifest;  ///< the checkpoint to start from (none: empty)
-    CommitOutcomes commits;  ///< the commit log, through FoldOutcome
     Timestamp horizon = kMaxTimestamp;  ///< the restore point, if any
-    /// Restore: fill `paths` with the table's redo stream past
-    /// `watermark`, replayed read-only. Null (restart): each table
-    /// opens its live log for append.
-    std::function<Status(const std::string& table, uint64_t watermark,
-                         std::vector<std::string>* paths)>
-        redo_stream;
+    /// Restore: the redo stream past the manifest's watermark (sealed
+    /// segments, then the live log), read only. Null (restart): the
+    /// live log opens for appending.
+    const std::vector<std::string>* stream = nullptr;
   };
 
-  /// The one recovery step: build, recover and register every table of
-  /// `catalog` from `src` (CreateTableInternal), rebuild its secondary
-  /// indexes, and resume the clock past every recovered commit.
-  Status Recover(const std::vector<CatalogEntry>& catalog,
-                 const RecoverySource& src);
+  /// The one recovery step: build and register every table of
+  /// `catalog` (CreateTableInternal), load its checkpoint from `src`'s
+  /// manifest, replay the one redo stream into every table
+  /// (Table::ReplayLog), resolve and rebuild each table against the
+  /// outcomes, rebuild its secondary indexes, and resume the clock
+  /// past every recovered commit.
+  Status Recover(const Catalog& catalog, const RecoverySource& src);
 
-  /// Build a table and publish it in the registry. A recovering table
-  /// (`src` set) first recovers from its manifest entry `me` (null: its
-  /// logs alone) against `src`'s outcomes; a new durable table opens
-  /// its fresh log. Either way that is where a logging table's log
-  /// opens (Table::RecoverDurable), so no session reaches it before.
+  /// Build a table with catalog id `id`, publish it in the registry,
+  /// and attach it to the database log. `store_dir` (empty: none) holds
+  /// its segment store.
   Status CreateTableInternal(const std::string& name, Schema schema,
-                             TableConfig config, const RecoverySource* src,
-                             const ManifestEntry* me, Table** out);
+                             TableConfig config, uint64_t id,
+                             const std::string& store_dir, Table** out);
 
   TransactionManager txn_manager_;
   mutable SpinLatch latch_;
@@ -276,9 +270,12 @@ class Database : public TxnContext {
   HealthRegistry health_;
   EventLog events_;
   std::unique_ptr<Watchdog> watchdog_;
-  /// "group_commit" actor: busy while any log's Sync writes (durable
-  /// only). Declared before the logs that hold it raw.
+  /// "group_commit" actor: busy while the log's Sync writes (durable
+  /// only). Declared before the log that holds it raw.
   std::shared_ptr<Heartbeat> group_commit_hb_;
+  /// The one redo log every table appends to (durable only). Declared
+  /// before tables_, which hold it raw, so it outlives them.
+  std::unique_ptr<RedoLog> log_;
   /// Serializes durable DDL (CreateTable/DropTable/CreateSecondaryIndex)
   /// against checkpoints: a checkpoint iterates raw Table pointers, so
   /// a concurrent drop must not destroy a table mid-capture. Ordering:
@@ -298,12 +295,14 @@ class Database : public TxnContext {
   };
   std::vector<Entry> tables_;
 
+  /// The id the next created table gets (persisted in the catalog).
+  uint64_t next_table_id_ = 0;
+
   std::string dir_;  ///< empty = in-memory
   DurabilityOptions durability_;
   /// Log archiving / PITR (durable + archive_enabled only).
   std::unique_ptr<ArchiveManager> archive_;
-  /// Cross-table commit point (durable only).
-  std::unique_ptr<CommitLog> commit_log_;
+
   // Declared last: destroyed (and therefore stopped) before tables_.
   std::unique_ptr<CheckpointManager> checkpoint_manager_;
   /// Slow-op dump sink (<dir>/slowops.log); created by Open when

@@ -39,7 +39,6 @@
 
 namespace lstore {
 
-class CommitLog;
 class EngineBase;
 class RedoLog;
 struct TableCounters;
@@ -47,8 +46,7 @@ struct TableCounters;
 // The commit pipeline (documented, with its defaults, in
 // core/commit_pipeline.h).
 Status CommitAcross(TransactionManager& tm, Transaction* txn,
-                    EngineBase* const* engines, size_t n,
-                    CommitLog* commit_log);
+                    EngineBase* const* engines, size_t n);
 void AbortAcross(TransactionManager& tm, Transaction* txn,
                  EngineBase* const* engines, size_t n, bool durable_abort);
 
@@ -135,7 +133,7 @@ class EngineBase : public TxnContext {
   // the only candidate.
   Status CommitTxn(Transaction* txn) override {
     EngineBase* self = this;
-    return CommitAcross(*txn_manager_, txn, &self, 1, nullptr);
+    return CommitAcross(*txn_manager_, txn, &self, 1);
   }
   void AbortTxn(Transaction* txn) override {
     EngineBase* self = this;
@@ -152,8 +150,7 @@ class EngineBase : public TxnContext {
 
  private:
   friend Status CommitAcross(TransactionManager& tm, Transaction* txn,
-                             EngineBase* const* engines, size_t n,
-                             CommitLog* commit_log);
+                             EngineBase* const* engines, size_t n);
   friend void AbortAcross(TransactionManager& tm, Transaction* txn,
                           EngineBase* const* engines, size_t n,
                           bool durable_abort);

@@ -100,7 +100,6 @@ struct TableCounters {
   Counter* insert_rows_merged = nullptr;   ///< insert rows based
   Counter* historic_versions = nullptr;    ///< versions moved to historic
   Histogram* commit_publish_ns = nullptr;  ///< state flip + write stamping
-  Histogram* commit_fanout_ns = nullptr;   ///< cross-table participant syncs
   Counter* commits = nullptr;              ///< pipeline commits
   Counter* aborts = nullptr;               ///< pipeline aborts
   Counter* reads = nullptr;                ///< located point reads

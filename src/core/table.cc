@@ -49,9 +49,6 @@ Table::Table(std::string name, Schema schema, TableConfig config,
   obs_.commit_publish_ns = metrics_->GetHistogram(
       "lstore_commit_publish_ns",
       "Commit publish stage: state flip + write stamping (ns)");
-  obs_.commit_fanout_ns = metrics_->GetHistogram(
-      "lstore_commit_fanout_flush_ns",
-      "Cross-table commit: participant-log syncs (ns)");
   obs_.commits =
       metrics_->GetCounter("lstore_commits_total", "Pipeline commits");
   obs_.aborts =
@@ -87,7 +84,8 @@ Table::Table(std::string name, Schema schema, TableConfig config,
       },
       &obs_};
   if (config_.enable_logging && !config_.log_path.empty()) {
-    log_ = std::make_unique<RedoLog>();
+    owned_log_ = std::make_unique<RedoLog>();
+    log_ = owned_log_.get();
     // Opened by recovery (RecoverDurable), which replays it in the
     // same scan; until then a commit fails at its sync.
     log_->set_metrics(
@@ -349,8 +347,8 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
     if (filled > 0) {
       obs_.inserts->Add(filled);
       if (log_ != nullptr) {
-        runs.AddInsertRun(txn->id(), r->id(), slot0, rows + i, filled,
-                          schema_.AllColumns());
+        runs.AddInsertRun(log_id_, txn->id(), r->id(), slot0, rows + i,
+                          filled, schema_.AllColumns());
       }
     }
     MaybeScheduleMerge(*r);
@@ -442,8 +440,8 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
   // of the chain head.
   auto log = [&](uint32_t seq, Value start_raw) {
     const TailRecord t = r.ReadRecord(TailKind::kUpdate, seq);
-    RedoLog::AppendWriter rec(LogRecordType::kTailAppend, txn->id(), r.id(),
-                              seq, static_cast<uint32_t>(t.base_slot),
+    RedoLog::AppendWriter rec(LogRecordType::kTailAppend, log_id_, txn->id(),
+                              r.id(), seq, static_cast<uint32_t>(t.base_slot),
                               static_cast<uint32_t>(t.backptr), t.encoding,
                               start_raw, t.cols);
     for (int i = 0; i < PopCount(t.cols); ++i) rec.AddValue(t.values[i]);
@@ -629,7 +627,7 @@ void Table::WaitForMergeQueue() {
 
 // ---------------------------------------------------------------------------
 // Recovery (Section 5.1.3): see src/checkpoint/recovery.cc for
-// RecoverFromLog / RecoverDurable / ReplayAndRebuild.
+// RecoverFromLog / RecoverDurable / ReplayLog / ResolveAndRebuild.
 // ---------------------------------------------------------------------------
 
 }  // namespace lstore

@@ -61,9 +61,10 @@ class Query;
 /// transaction that committed (absent = aborted or never finished).
 using CommitOutcomes = std::unordered_map<TxnId, Timestamp>;
 
-/// The one outcome fold of recovery (restart, point-in-time restore,
-/// and each table's own commit/abort records): a commit at or before
-/// `horizon` records its commit time; a later abort is authoritative.
+/// The one outcome fold of recovery (restart and point-in-time
+/// restore), fed by every commit and abort record of the redo stream
+/// in LSN order: a commit at or before `horizon` records its commit
+/// time; a later abort is authoritative.
 /// An abort is only logged after the commit record's flush or the
 /// pipeline failed, so the client saw the abort; txn ids are never
 /// reused, so the erase cannot drop a commit that comes later.
@@ -223,40 +224,25 @@ class Table : public EngineCore<Range> {
   using ChainEntry = Range::ChainEntry;
   std::vector<ChainEntry> DebugChain(Value key, ColumnId col) const;
 
-  /// Recover table contents by replaying the redo log at
-  /// config.log_path (call on a freshly constructed, empty table).
-  /// RecoverDurable with no checkpoint: a logging table must run one
-  /// of the two before it writes, since that is where its log opens.
+  /// Recover a standalone logging table by replaying the redo log at
+  /// config.log_path (call on a freshly constructed, empty table):
+  /// RecoverDurable with no checkpoint. A logging table must run one of
+  /// the two before it writes, since that is where its log opens.
   Status RecoverFromLog();
 
-  /// Full restart recovery (Section 5.1.3): load the checkpoint file
-  /// (may be empty = none), replay the redo-log tail beyond
-  /// `log_watermark`, resolve pending transaction outcomes, and
+  /// Full restart recovery of a standalone table (Section 5.1.3): load
+  /// the checkpoint file (may be empty = none), replay its redo log
+  /// beyond `log_watermark`, resolve pending transaction outcomes, and
   /// rebuild the primary index and the Indirection column from Base
   /// RID backpointers (recovery option 2). Call on a freshly
-  /// constructed, empty table. This is the one place a logging
-  /// table's log is opened: the open-time scan that restores its LSN
-  /// counter and cuts a torn tail also delivers the records replayed,
-  /// so the file is read once. Until then, and after a failed
-  /// recovery, its commits fail at the log flush. `db_commits` carries
-  /// the database commit log's verdicts: cross-table transactions leave
-  /// no commit record in the per-table logs, so their outcome resolves
-  /// from it — on every participant or none.
-  ///
-  /// `log_paths` (optional, for tables that do not log) overrides the
-  /// replay source with an ordered list of framed log files, read
-  /// only: the archive stitcher passes sealed segments followed by the
-  /// live log, forming one LSN-continuous stream. `commit_horizon`
-  /// truncates the outcome map for point-in-time restores: per-table
-  /// commit records with commit_time > horizon are treated as never
-  /// having committed (their tail records become aborted tombstones,
-  /// exactly like a crash before the commit record).
+  /// constructed, empty table. The log's open-time scan, which restores
+  /// its LSN counter and cuts a torn tail, is the replay, so the file is
+  /// read once. Until then, and after a failed recovery, its commits
+  /// fail at the log sync. A Database's tables recover together through
+  /// the same steps (Database::Recover), over the database's one log.
   Status RecoverDurable(const std::string& checkpoint_file,
                         uint64_t log_watermark,
-                        uint64_t checkpoint_checksum = 0,
-                        const CommitOutcomes* db_commits = nullptr,
-                        const std::vector<std::string>* log_paths = nullptr,
-                        Timestamp commit_horizon = kMaxTimestamp);
+                        uint64_t checkpoint_checksum = 0);
 
   /// Columns carrying a secondary index (recorded in the checkpoint
   /// manifest so recovery can rebuild them).
@@ -297,7 +283,7 @@ class Table : public EngineCore<Range> {
     EngineCore::StampWrites(txn, outcome);
   }
   Status ValidateReads(Transaction* txn, Timestamp commit_time) override;
-  RedoLog* redo_log() override { return log_.get(); }
+  RedoLog* redo_log() override { return log_; }
   const TableCounters* counters() const override { return &obs_; }
 
   /// The one point-read step (Read, SpeculativeRead, ReadAsOf and each
@@ -364,16 +350,26 @@ class Table : public EngineCore<Range> {
 
   // Recovery machinery (bodies in checkpoint/recovery.cc) ---------------------
 
-  /// Replay the redo log beyond `watermark`, each append applied as
-  /// the scan delivers it (opening a logging table's log), then stamp
-  /// every unresolved Start Time with its logged outcome (or the
-  /// aborted tombstone, seeding the outcome map with the database
-  /// commit log's verdicts) through Range::Recover, rebuild indexes +
-  /// Indirection, and fast-forward the clock. See RecoverDurable for
-  /// `log_paths` / `commit_horizon`.
-  Status ReplayAndRebuild(uint64_t watermark, const CommitOutcomes* db_commits,
-                          const std::vector<std::string>* log_paths,
-                          Timestamp commit_horizon);
+  /// The tables one redo stream carries, by the id their records name.
+  using LogTables = std::unordered_map<uint64_t, Table*>;
+
+  /// Step 2 of recovery, one scan of one redo stream. Each append
+  /// beyond `watermark` goes, as the scan delivers it, to the table its
+  /// id names; ids missing from `tables` (dropped tables) are skipped.
+  /// Every commit and abort record folds into `commits` (FoldOutcome,
+  /// up to `horizon`). With `live`, the log at paths[0] opens for
+  /// appending and its open-time scan is the replay; without, every
+  /// file of `paths` (a restore's stitched stream) is only read.
+  static Status ReplayLog(const LogTables& tables, uint64_t watermark,
+                          Timestamp horizon, RedoLog* live,
+                          const std::vector<std::string>& paths,
+                          CommitOutcomes* commits);
+  /// Apply one replayed append record (`scratch`: its tail record).
+  Status ApplyLogged(const LogRecord& rec, TailRecord* scratch);
+  /// Steps 3 and 4: resolve every raw Start Time against `commits`
+  /// (Range::Recover; no outcome = aborted tombstone), rebuild the
+  /// primary index and Indirection, and fast-forward the clock.
+  Status ResolveAndRebuild(const CommitOutcomes& commits);
 
   /// Observability (src/obs/): injected by the owning Database or
   /// owned (standalone tables). Handles used on recording paths are
@@ -403,7 +399,12 @@ class Table : public EngineCore<Range> {
   mutable SpinLatch secondary_latch_;
 
   std::unique_ptr<MergeManager> merge_manager_;
-  std::unique_ptr<RedoLog> log_;
+  /// The redo log this table appends to (null: no logging): its own
+  /// (standalone, config.log_path) or its Database's one log, in which
+  /// its records carry `log_id_`, its catalog id.
+  std::unique_ptr<RedoLog> owned_log_;
+  RedoLog* log_ = nullptr;
+  uint64_t log_id_ = 0;
 
   /// Buffer-managed base storage: injected by the owning Database via
   /// TableConfig, or owned (env-knob fallback / standalone spill).

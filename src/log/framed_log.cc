@@ -284,6 +284,7 @@ Status FramedLog::Sync(uint64_t lsn, bool fsync) {
   const uint64_t arrived = Stage::Now();
   std::unique_lock<std::mutex> lk(sync_mu_);
   ++waiting_;
+  ++arrivals_;
   if (parked_) sync_cv_.notify_all();  // the parked holder counts arrivals
   sync_cv_.wait(lk, [&] { return !syncing_ || covered(); });
   --waiting_;
@@ -298,16 +299,19 @@ Status FramedLog::Sync(uint64_t lsn, bool fsync) {
     return Status::OK();
   }
 
-  // Take the token. Alone, park for up to the window first: callers
-  // that append meanwhile wait on the token and share this write. The
-  // park ends early once the group is as large as the last write's
-  // (at least two), so a steady group of committers waits only for
-  // its own members.
+  // Take the token and park for up to the window first: callers that
+  // append meanwhile wait on the token and share this write. The park
+  // ends early once the callers arrived since, with this one, make a
+  // group as large as the last write's (at least two), so a steady
+  // group of committers waits only for its own members. Callers
+  // already waiting do not count: the last write covered them (none can
+  // append while a write holds mu_); they just have not woken yet.
   syncing_ = true;
-  if (waiting_ == 0 && window_us_ > 0) {
+  if (window_us_ > 0) {
+    const uint64_t base = arrivals_;
     parked_ = true;
     sync_cv_.wait_for(lk, std::chrono::microseconds(window_us_), [&] {
-      return waiting_ + 1 >= std::max<uint64_t>(last_batch_, 2);
+      return arrivals_ - base + 1 >= std::max<uint64_t>(last_batch_, 2);
     });
     parked_ = false;
   }

@@ -1,7 +1,7 @@
 // Shared framed-log core: the one implementation of the durability
-// frame format used by the redo log, the commit log, and the archive
-// stitcher; checkpoint, manifest and catalog files (checkpoint/serde.h)
-// write and parse their frames with its AppendFrame/ParseFrame.
+// frame format used by the redo log and the archive stitcher;
+// checkpoint, manifest and catalog files (checkpoint/serde.h) write and
+// parse their frames with its AppendFrame/ParseFrame.
 //
 // Frame format: [payload_len varint][payload][crc32c over payload].
 // Records carry implicit LSNs, numbered 1, 2, ... in append order; a
@@ -18,8 +18,8 @@
 // only buffer: each write-out is one positional write of it. What a
 // payload *means* is the wrapper's business: the core calls a Codec
 // to validate a record payload and learn how many LSNs it carries —
-// so RedoLog, CommitLog, and the archive reader cannot diverge on
-// framing, torn-tail, or truncation behavior.
+// so RedoLog and the archive reader cannot diverge on framing,
+// torn-tail, or truncation behavior.
 //
 // Truncation reads back only what it keeps: the appender records a
 // sparse frame index of marks (a frame-aligned offset plus the LSN
@@ -40,10 +40,10 @@
 // once when an earlier write-out already covered `lsn`; otherwise one
 // caller at a time (the sync token) writes the whole buffer, fsyncs
 // and publishes, so every caller that appended before that write
-// shares its one fsync. A holder that finds nobody waiting parks for
-// up to the group-commit window first, letting callers that append
-// meanwhile join; the park ends once the group is as large as the
-// last write's.
+// shares its one fsync. The holder parks for up to the group-commit
+// window first, letting callers that append meanwhile join; the park
+// ends once as many callers have arrived since it took the token as
+// the last write covered.
 
 #ifndef LSTORE_LOG_FRAMED_LOG_H_
 #define LSTORE_LOG_FRAMED_LOG_H_
@@ -140,8 +140,8 @@ class FramedLog {
   /// new appends are not hidden behind garbage. A read error fails the
   /// open and leaves the file as it was. `replay_fn` (optional)
   /// receives every well-formed frame during that same scan, so
-  /// restart recovery reads the file once: RedoLog::Open and
-  /// CommitLog::Open deliver their records through it.
+  /// restart recovery reads the file once: RedoLog::Open delivers its
+  /// records through it.
   Status Open(const std::string& path, bool truncate,
               const FrameFn& replay_fn = nullptr);
   void Close();
@@ -163,10 +163,10 @@ class FramedLog {
   /// did not cover writes again and returns its own result.
   Status Sync(uint64_t lsn, bool fsync);
 
-  /// Group-commit knobs: how long at most a token holder that finds
-  /// nobody waiting parks before it writes (DurabilityOptions::
-  /// group_commit_window_us), and the heartbeat marked busy during each
-  /// of Sync's write-outs. Set before the log sees concurrent use.
+  /// Group-commit knobs: how long at most a token holder parks before
+  /// it writes (DurabilityOptions::group_commit_window_us), and the
+  /// heartbeat marked busy during each of Sync's write-outs. Set before
+  /// the log sees concurrent use.
   void set_group_commit(uint64_t window_us, Heartbeat* busy) {
     window_us_ = window_us;
     busy_ = busy;
@@ -275,6 +275,7 @@ class FramedLog {
   std::condition_variable sync_cv_;
   bool syncing_ = false;      ///< under sync_mu_: the token is held
   uint64_t waiting_ = 0;      ///< under sync_mu_: callers waiting on it
+  uint64_t arrivals_ = 0;     ///< under sync_mu_: callers that ever waited
   uint64_t last_batch_ = 0;   ///< under sync_mu_: callers last write covered
   bool parked_ = false;       ///< under sync_mu_: the holder is parked
   uint64_t write_t0_ = 0;     ///< under sync_mu_: last write window, for

@@ -22,27 +22,31 @@ bool DecodeRecord(const char* data, size_t size, size_t* pos,
     rec->base_lsn = v;
     return true;
   }
-  rec->txn_id = v;
   switch (rec->type) {
     case LogRecordType::kCommit:
+      rec->txn_id = v;
       if (!GetVarint64(data, size, pos, &v)) return false;
       rec->commit_time = v;
       return true;
     case LogRecordType::kAbort:
+      rec->txn_id = v;
       return true;
     case LogRecordType::kTailAppend:
     case LogRecordType::kInsertAppend: {
-      uint64_t f[7];  // range, seq, base slot, backptr, encoding, start, mask
+      rec->table_id = v;
+      // txn, range, seq, base slot, backptr, encoding, start, mask
+      uint64_t f[8];
       for (uint64_t& field : f) {
         if (!GetVarint64(data, size, pos, &field)) return false;
       }
-      rec->range_id = f[0];
-      rec->seq = static_cast<uint32_t>(f[1]);
-      rec->base_slot = static_cast<uint32_t>(f[2]);
-      rec->backptr = static_cast<uint32_t>(f[3]);
-      rec->schema_encoding = f[4];
-      rec->start_raw = f[5];
-      rec->mask = f[6];
+      rec->txn_id = f[0];
+      rec->range_id = f[1];
+      rec->seq = static_cast<uint32_t>(f[2]);
+      rec->base_slot = static_cast<uint32_t>(f[3]);
+      rec->backptr = static_cast<uint32_t>(f[4]);
+      rec->schema_encoding = f[5];
+      rec->start_raw = f[6];
+      rec->mask = f[7];
       int n = PopCount(rec->mask);
       rec->values.clear();
       for (int i = 0; i < n; ++i) {
@@ -63,8 +67,8 @@ template <bool kDeliver, typename Fn>
 bool WalkRun(const char* data, size_t size, size_t* pos, uint64_t* rows,
              LogRecord* rec, Fn& fn) {
   ++*pos;  // the type byte
-  uint64_t txn, range, first, count, mask;
-  for (uint64_t* field : {&txn, &range, &first, &count, &mask}) {
+  uint64_t table, txn, range, first, count, mask;
+  for (uint64_t* field : {&table, &txn, &range, &first, &count, &mask}) {
     if (!GetVarint64(data, size, pos, field)) return false;
   }
   // Every row's slot and seq (slot + 1) must fit the 32-bit fields.
@@ -74,6 +78,7 @@ bool WalkRun(const char* data, size_t size, size_t* pos, uint64_t* rows,
   const int width = PopCount(mask);
   if constexpr (kDeliver) {
     rec->type = LogRecordType::kInsertAppend;
+    rec->table_id = table;
     rec->txn_id = txn;
     rec->range_id = range;
     rec->backptr = 0;
@@ -158,7 +163,7 @@ Status RedoLog::Open(const std::string& path, bool truncate,
 void RedoLog::EncodePayload(const LogRecord& rec, std::string* out) {
   if (rec.type == LogRecordType::kTailAppend ||
       rec.type == LogRecordType::kInsertAppend) {
-    AppendWriter w(rec.type, rec.txn_id, rec.range_id, rec.seq,
+    AppendWriter w(rec.type, rec.table_id, rec.txn_id, rec.range_id, rec.seq,
                    rec.base_slot, rec.backptr, rec.schema_encoding,
                    rec.start_raw, rec.mask);
     for (Value v : rec.values) w.AddValue(v);
@@ -192,8 +197,8 @@ uint64_t RedoLog::Append(const LogRecord& rec) {
   return framed_.Append(payload, 1);
 }
 
-void RedoLog::Batch::AddInsertRun(TxnId txn, uint64_t range_id,
-                                  uint32_t first_slot,
+void RedoLog::Batch::AddInsertRun(uint64_t table_id, TxnId txn,
+                                  uint64_t range_id, uint32_t first_slot,
                                   const std::vector<Value>* rows,
                                   size_t count, ColumnMask mask) {
   // Rows are encoded into a stack chunk that joins the body whenever
@@ -201,8 +206,8 @@ void RedoLog::Batch::AddInsertRun(TxnId txn, uint64_t range_id,
   char chunk[4096];
   size_t len = 0;
   chunk[len++] = static_cast<char>(LogRecordType::kInsertRun);
-  for (uint64_t field :
-       {txn, range_id, uint64_t{first_slot}, uint64_t{count}, mask}) {
+  for (uint64_t field : {table_id, txn, range_id, uint64_t{first_slot},
+                         uint64_t{count}, mask}) {
     len = PutVarint(chunk, len, field);
   }
   const size_t row_max = PopCount(mask) * kMaxVarintBytes;

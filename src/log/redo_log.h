@@ -1,4 +1,6 @@
-// Redo-only write-ahead log for tail pages.
+// Redo-only write-ahead log for tail pages: one per durable Database
+// (<dir>/redo.log), shared by all of its tables, or one per standalone
+// logging Table.
 //
 // Section 5.1.3: base pages are read-only (no logging); tail pages are
 // append-only and never updated in place, so only *redo* records are
@@ -7,9 +9,16 @@
 // rebuilt at recovery from the Base RID column / backpointers, so it
 // needs no log of its own (recovery option 2 in the paper).
 //
+// Every append record names the table it writes by a catalog id
+// ([type][table id][txn id]...; a standalone table's records say 0),
+// so one stream carries every table of a database and replay routes
+// each record by that id. A commit or abort record names only its
+// transaction: one frame commits (or aborts) it on every table it
+// wrote, and one Sync makes that frame durable.
+//
 // A bulk insert logs its data and little more: one kInsertRun record
-// per range a batch fills — [type][txn id][range][first slot][count]
-// [mask], then count x popcount(mask) varint values, row by row — in
+// per range a batch fills — [type][table id][txn id][range][first slot]
+// [count][mask], then count x popcount(mask) varint values, row by row — in
 // place of one self-describing record per row. Each row of a run still
 // owns an LSN (first slot's row gets the run's first LSN, and so on),
 // and replay expands the run into per-row kInsertAppend records, so
@@ -59,6 +68,7 @@ enum class LogRecordType : uint8_t {
 /// and insert runs through RedoLog::Batch::AddInsertRun.
 struct LogRecord {
   LogRecordType type;
+  uint64_t table_id = 0;      // append records: the writing table's id
   TxnId txn_id = 0;
   Timestamp commit_time = 0;  // kCommit only
   uint64_t range_id = 0;
@@ -119,12 +129,12 @@ class RedoLog {
   /// high, then hand the writer to Append or Batch::Add.
   class AppendWriter {
    public:
-    AppendWriter(LogRecordType type, TxnId txn_id, uint64_t range_id,
-                 uint32_t seq, uint32_t base_slot, uint32_t backptr,
-                 uint64_t schema_encoding, uint64_t start_raw,
-                 ColumnMask mask) {
+    AppendWriter(LogRecordType type, uint64_t table_id, TxnId txn_id,
+                 uint64_t range_id, uint32_t seq, uint32_t base_slot,
+                 uint32_t backptr, uint64_t schema_encoding,
+                 uint64_t start_raw, ColumnMask mask) {
       buf_[len_++] = static_cast<char>(type);
-      for (uint64_t field : {txn_id, range_id, uint64_t{seq},
+      for (uint64_t field : {table_id, txn_id, range_id, uint64_t{seq},
                              uint64_t{base_slot}, uint64_t{backptr},
                              schema_encoding, start_raw, mask}) {
         Put(field);
@@ -144,8 +154,8 @@ class RedoLog {
    private:
     void Put(uint64_t v) { len_ = PutVarint(buf_, len_, v); }
 
-    /// Tag, eight header fields, and up to 64 values.
-    char buf_[1 + 8 * kMaxVarintBytes + 64 * kMaxVarintBytes];
+    /// Tag, nine header fields, and up to 64 values.
+    char buf_[1 + 9 * kMaxVarintBytes + 64 * kMaxVarintBytes];
     size_t len_ = 0;
   };
 
@@ -168,10 +178,12 @@ class RedoLog {
       body_.append(rec.payload());
       ++lsns_;
     }
-    /// Encode rows[0, count), inserted by `txn` into `range_id` at slots
-    /// first_slot, first_slot + 1, ..., as one kInsertRun record: the
-    /// columns of `mask` of each row, low to high. count >= 1.
-    void AddInsertRun(TxnId txn, uint64_t range_id, uint32_t first_slot,
+    /// Encode rows[0, count), inserted by `txn` into range `range_id`
+    /// of table `table_id` at slots first_slot, first_slot + 1, ..., as
+    /// one kInsertRun record: the columns of `mask` of each row, low to
+    /// high. count >= 1.
+    void AddInsertRun(uint64_t table_id, TxnId txn, uint64_t range_id,
+                      uint32_t first_slot,
                       const std::vector<Value>* rows, size_t count,
                       ColumnMask mask);
     bool empty() const { return lsns_ == 0; }

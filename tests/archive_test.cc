@@ -29,7 +29,6 @@
 #include "core/database.h"
 #include "core/query.h"
 #include "core/table.h"
-#include "log/commit_log.h"
 #include "log/framed_log.h"
 #include "log/redo_log.h"
 
@@ -81,7 +80,8 @@ class ArchiveTest : public ::testing::Test {
 
   struct OraclePoint {
     Timestamp t = 0;          ///< restore point (inclusive commit time)
-    uint64_t commit_lsn = 0;  ///< commit-log LSN when the op was cross-table
+    uint64_t commit_lsn = 0;  ///< its commit record's LSN (0: none logged)
+    bool cross = false;       ///< the transaction wrote both tables
     TableState a, b;
   };
 
@@ -109,17 +109,17 @@ class ArchiveTest : public ::testing::Test {
         Txn txn = db->Begin();
         ASSERT_TRUE(a->Insert(txn, {100 + j, 0, 0}).ok());
         ASSERT_TRUE(b->Insert(txn, {200 + j, 0}).ok());
+        const uint64_t before = db->redo_log()->last_lsn();
         ASSERT_TRUE(txn.Commit().ok());
         oracle->keys_a.push_back(100 + j);
         oracle->keys_b.push_back(200 + j);
-        Record(db, oracle, 0);
+        Record(db, oracle, before, /*cross=*/true);
       }
     }
     Value next_a = 1000 + static_cast<Value>(oracle->points.size());
     Value next_b = 2000 + static_cast<Value>(oracle->points.size());
     for (int i = 0; i < nops; ++i) {
       int op = static_cast<int>(rng() % 5);
-      uint64_t cross_lsn = 0;
       Txn txn = db->Begin();
       switch (op) {
         case 0: {  // insert into A
@@ -161,12 +161,10 @@ class ArchiveTest : public ::testing::Test {
           break;
         }
       }
+      const uint64_t before = db->redo_log()->last_lsn();
       Status cs = txn.Commit();
       ASSERT_TRUE(cs.ok()) << cs.ToString();
-      if (op == 4 && db->commit_log() != nullptr) {
-        cross_lsn = db->commit_log()->last_lsn();
-      }
-      Record(db, oracle, cross_lsn);
+      Record(db, oracle, before, /*cross=*/op == 4);
       if (i % 9 == 5) {
         a->FlushAll();  // merges: base segments + lineage move
         b->FlushAll();
@@ -177,13 +175,17 @@ class ArchiveTest : public ::testing::Test {
     }
   }
 
-  void Record(Database* db, Oracle* oracle, uint64_t cross_lsn) {
+  /// Record the point of the commit just made; `before` is the log's
+  /// last LSN before it, so a commit record appended since is its own.
+  void Record(Database* db, Oracle* oracle, uint64_t before, bool cross) {
     OraclePoint p;
     // db->Now() = clock + 1 (covers every commit); the point itself is
     // the newest commit time, so restore-inclusive matches the
     // snapshot read at as_of = t + 1.
     p.t = db->Now() - 1;
-    p.commit_lsn = cross_lsn;
+    const uint64_t last = db->redo_log()->last_lsn();
+    p.commit_lsn = last > before ? last : 0;
+    p.cross = cross;
     p.a = Snapshot(db->GetTable("A"), oracle->keys_a, p.t + 1);
     p.b = Snapshot(db->GetTable("B"), oracle->keys_b, p.t + 1);
     oracle->points.push_back(std::move(p));
@@ -292,7 +294,7 @@ TEST_F(ArchiveTest, RestoreToEveryCommitPointMatchesOracle) {
     RunSchedule(db.get(), &oracle, 60, 12, /*seed=*/7);
     // >= 2 checkpoint/truncation cycles with sealed segments.
     ASSERT_GE(ArchiveManager::ListManifests(dir_).size(), 2u);
-    ASSERT_FALSE(ArchiveManager::ListRedoSegments(dir_, "A").empty());
+    ASSERT_FALSE(ArchiveManager::ListRedoSegments(dir_).empty());
   }
   ASSERT_GT(oracle.points.size(), 60u);
   for (const OraclePoint& p : oracle.points) VerifyPoint(p, oracle);
@@ -321,18 +323,20 @@ TEST_F(ArchiveTest, RestoreByCommitLsn) {
     OpenWithTables(ArchiveOpts(), &db);
     RunSchedule(db.get(), &oracle, 40, 10, /*seed=*/21);
   }
-  size_t checked = 0;
+  // Every commit record names a point, single-table commits included.
+  size_t single = 0, cross = 0;
   for (const OraclePoint& p : oracle.points) {
     if (p.commit_lsn == 0) continue;
     std::unique_ptr<Database> rdb;
-    ASSERT_TRUE(Database::RestoreToPoint(
-                    dir_, RestorePoint::AtCommitLsn(p.commit_lsn), &rdb)
-                    .ok());
+    Status s = Database::RestoreToPoint(
+        dir_, RestorePoint::AtCommitLsn(p.commit_lsn), &rdb);
+    ASSERT_TRUE(s.ok()) << "LSN " << p.commit_lsn << ": " << s.ToString();
     EXPECT_EQ(Snapshot(rdb->GetTable("A"), oracle.keys_a, p.t + 1), p.a);
     EXPECT_EQ(Snapshot(rdb->GetTable("B"), oracle.keys_b, p.t + 1), p.b);
-    ++checked;
+    ++(p.cross ? cross : single);
   }
-  EXPECT_GT(checked, 3u);
+  EXPECT_GT(cross, 3u);
+  EXPECT_GT(single, 3u);
 
   std::unique_ptr<Database> rdb;
   EXPECT_TRUE(Database::RestoreToPoint(dir_, RestorePoint::AtCommitLsn(1u << 20),
@@ -351,7 +355,7 @@ TEST_F(ArchiveTest, TornArchiveSegmentRejectedNeverSilentlyWrong) {
     OpenWithTables(ArchiveOpts(), &db);
     RunSchedule(db.get(), &oracle, 40, 10, /*seed=*/3);
   }
-  auto segs = ArchiveManager::ListRedoSegments(dir_, "A");
+  auto segs = ArchiveManager::ListRedoSegments(dir_);
   ASSERT_FALSE(segs.empty());
   const std::string victim = segs.front().path;
   std::string original;
@@ -403,7 +407,7 @@ TEST_F(ArchiveTest, StaleSealTempSweptAtOpen) {
     std::unique_ptr<Database> db;
     OpenWithTables(ArchiveOpts(), &db);
   }
-  std::string stale = ArchiveManager::ArchiveDirOf(dir_) + "/A.redo.1-9.arc.tmp";
+  std::string stale = ArchiveManager::ArchiveDirOf(dir_) + "/redo.1-9.arc.tmp";
   {
     std::ofstream out(stale, std::ios::binary);
     out << "torn seal";
@@ -488,12 +492,8 @@ TEST_F(ArchiveTest, RetentionEvictsOldestEpochsOnly) {
     RunSchedule(db.get(), &oracle, 80, 8, /*seed=*/5);
   }
   // The policy held: segments were evicted down toward the cap.
-  auto count_segments = [&] {
-    return ArchiveManager::ListRedoSegments(dir_, "A").size() +
-           ArchiveManager::ListRedoSegments(dir_, "B").size() +
-           ArchiveManager::ListCommitSegments(dir_).size();
-  };
-  EXPECT_LE(count_segments(), 6u + 3u);  // at most one fresh cycle over
+  EXPECT_LE(ArchiveManager::ListRedoSegments(dir_).size(),
+            6u + 1u);  // at most one fresh seal over
   ExpectRetentionFloorHolds(oracle);
 }
 
@@ -670,17 +670,24 @@ TEST_F(ArchiveTest, ManifestCarriesArchiveWatermarks) {
   Manifest am;
   ASSERT_TRUE(ReadManifestFile(archived.front().path, &am, &exists).ok());
   EXPECT_EQ(am.capture_time, m.capture_time);
-  EXPECT_EQ(am.commit_log_mark, m.commit_log_mark);
+  EXPECT_EQ(am.log_watermark, m.log_watermark);
+  EXPECT_GT(m.log_watermark, 0u);
   EXPECT_EQ(am.checkpoint_id, m.checkpoint_id);
-  // Dropping a table rewrites the live manifest without its entry but
-  // keeps both watermarks, so it still qualifies as a restore start.
+  // Dropping a table leaves the live manifest as it is (recovery skips
+  // the entry, whose id the catalog no longer holds); the next
+  // checkpoint publishes one without it, with both watermarks.
   ASSERT_TRUE(db->DropTable("B").ok());
   Manifest dropped;
   ASSERT_TRUE(ReadManifest(dir_, &dropped, &exists).ok());
   ASSERT_TRUE(exists);
-  EXPECT_EQ(dropped.entries.size(), m.entries.size() - 1);
-  EXPECT_EQ(dropped.capture_time, m.capture_time);
-  EXPECT_EQ(dropped.commit_log_mark, m.commit_log_mark);
+  EXPECT_EQ(dropped.entries.size(), m.entries.size());
+  ASSERT_TRUE(db->Checkpoint().ok());
+  Manifest next;
+  ASSERT_TRUE(ReadManifest(dir_, &next, &exists).ok());
+  ASSERT_TRUE(exists);
+  EXPECT_EQ(next.entries.size(), m.entries.size() - 1);
+  EXPECT_GE(next.capture_time, m.capture_time);
+  EXPECT_GE(next.log_watermark, m.log_watermark);
 }
 
 // Restoring to the newest commit and restarting are two sources for

@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -418,7 +419,7 @@ TEST_F(CheckpointTest, InsertsStopAtTheLastRid) {
 
 TEST_F(CheckpointTest, RoundTripAcrossTwoTablesWithTimeTravel) {
   Timestamp before_update = 0, after_update = 0;
-  uint64_t accounts_watermark = 0;
+  uint64_t watermark = 0;
   {
     std::unique_ptr<Database> db;
     ASSERT_TRUE(Database::Open(dir_, &db).ok());
@@ -454,12 +455,12 @@ TEST_F(CheckpointTest, RoundTripAcrossTwoTablesWithTimeTravel) {
     int replayed = 0;
     RedoLog::ReplayStats stats;
     ASSERT_TRUE(RedoLog::Replay(
-                    dir_ + "/accounts.log",
+                    dir_ + "/redo.log",
                     [&](const LogRecord&, uint64_t) { ++replayed; }, &stats)
                     .ok());
     EXPECT_EQ(replayed, 0);
     EXPECT_GT(stats.base_lsn, 0u);
-    accounts_watermark = stats.base_lsn;
+    watermark = stats.base_lsn;
     // Crash: the database object dies with all in-memory state.
   }
 
@@ -502,10 +503,10 @@ TEST_F(CheckpointTest, RoundTripAcrossTwoTablesWithTimeTravel) {
   ASSERT_TRUE(w.Commit().ok());
   RedoLog::ReplayStats stats;
   ASSERT_TRUE(RedoLog::Replay(
-                  dir_ + "/accounts.log", [](const LogRecord&, uint64_t) {},
+                  dir_ + "/redo.log", [](const LogRecord&, uint64_t) {},
                   &stats)
                   .ok());
-  EXPECT_GT(stats.last_lsn, accounts_watermark);
+  EXPECT_GT(stats.last_lsn, watermark);
 }
 
 TEST_F(CheckpointTest, RecoversFromLogAloneWithoutCheckpoint) {
@@ -619,7 +620,7 @@ TEST_F(CheckpointTest, TornLogTailRecoversCommittedPrefix) {
     ASSERT_TRUE(b.Commit().ok());
   }
   // Crash mid-write: the final bytes of the log are torn off.
-  std::string log = dir_ + "/t.log";
+  std::string log = dir_ + "/redo.log";
   ASSERT_EQ(0, ::truncate(log.c_str(), LogFileBytes(log) - 3));
 
   std::unique_ptr<Database> db;
@@ -690,7 +691,7 @@ TEST_F(CheckpointTest, CrashBetweenCheckpointAndTruncationConverges) {
     // The full log is still on disk (manifest written, truncation
     // "crashed"): replay below the watermark must be idempotent.
     int replayed = 0;
-    ASSERT_TRUE(RedoLog::Replay(dir_ + "/t.log",
+    ASSERT_TRUE(RedoLog::Replay(dir_ + "/redo.log",
                                 [&](const LogRecord&) { ++replayed; })
                     .ok());
     EXPECT_GT(replayed, 0);
@@ -855,6 +856,84 @@ TEST_F(CheckpointTest, RecreatedTableDoesNotResurrectDroppedData) {
   (void)r.Commit();
 }
 
+// A dropped table's records stay in the one log, below the last
+// checkpoint (sealed into the archive) and above it (in the live log),
+// until a later checkpoint. The table recreated under the same name
+// gets a fresh catalog id: a reopen and a point-in-time restore both
+// skip every record of the old id and return only the new rows.
+TEST_F(CheckpointTest, DropAndRecreateSkipsTheDroppedIdInOneLog) {
+  DurabilityOptions opts;
+  opts.archive_enabled = true;
+  auto keys_of = [](Database* db, const char* table = "a") {
+    std::vector<Value> keys;
+    EXPECT_TRUE(db->GetTable(table)->NewQuery().Keys(&keys).ok());
+    std::sort(keys.begin(), keys.end());
+    return keys;
+  };
+  Timestamp end = 0;
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir_, opts, &db).ok());
+    ASSERT_TRUE(db->CreateTable("a", Schema(3), SmallConfig()).ok());
+    ASSERT_TRUE(db->CreateTable("keep", Schema(3), SmallConfig()).ok());
+    Txn below = db->Begin();
+    for (Value k = 0; k < 20; ++k) {
+      ASSERT_TRUE(db->GetTable("a")->Insert(below, {k, 111, 0}).ok());
+    }
+    ASSERT_TRUE(db->GetTable("keep")->Insert(below, {1, 1, 1}).ok());
+    ASSERT_TRUE(below.Commit().ok());
+    ASSERT_TRUE(db->Checkpoint().ok());
+    Txn above = db->Begin();
+    for (Value k = 20; k < 30; ++k) {
+      ASSERT_TRUE(db->GetTable("a")->Insert(above, {k, 111, 0}).ok());
+    }
+    ASSERT_TRUE(db->GetTable("a")->Update(above, 3, 0b010, {0, 333, 0}).ok());
+    ASSERT_TRUE(above.Commit().ok());
+    ASSERT_TRUE(db->DropTable("a").ok());
+    ASSERT_TRUE(db->CreateTable("a", Schema(3), SmallConfig()).ok());
+    Txn fresh = db->Begin();
+    ASSERT_TRUE(db->GetTable("a")->Insert(fresh, {5, 222, 0}).ok());
+    ASSERT_TRUE(db->GetTable("a")->Insert(fresh, {100, 222, 0}).ok());
+    ASSERT_TRUE(fresh.Commit().ok());
+    EXPECT_EQ(keys_of(db.get()), (std::vector<Value>{5, 100}));
+    end = db->Now();
+  }
+  // The old incarnation (id 0) still has records in the live log; the
+  // new one writes under id 2.
+  std::set<uint64_t> ids;
+  ASSERT_TRUE(RedoLog::Replay(dir_ + "/redo.log",
+                              [&](const LogRecord& rec) {
+                                if (rec.type == LogRecordType::kInsertAppend) {
+                                  ids.insert(rec.table_id);
+                                }
+                              })
+                  .ok());
+  EXPECT_EQ(ids, (std::set<uint64_t>{0, 2}));
+
+  auto check = [&](Database* db) {
+    ASSERT_NE(db->GetTable("a"), nullptr);
+    EXPECT_EQ(keys_of(db), (std::vector<Value>{5, 100}));
+    EXPECT_EQ(keys_of(db, "keep"), (std::vector<Value>{1}));
+    Txn r = db->Begin();
+    std::vector<Value> out;
+    ASSERT_TRUE(db->GetTable("a")->Read(r, 5, 0b010, &out).ok());
+    EXPECT_EQ(out[1], 222u);
+    EXPECT_TRUE(db->GetTable("a")->Read(r, 3, 0b010, &out).IsNotFound());
+    ASSERT_TRUE(db->GetTable("keep")->Read(r, 1, 0b010, &out).ok());
+    (void)r.Commit();
+  };
+  {
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir_, opts, &db).ok());
+    check(db.get());
+  }
+  std::unique_ptr<Database> restored;
+  Status s = Database::RestoreToPoint(dir_, RestorePoint::AtTime(end),
+                                      &restored);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  check(restored.get());
+}
+
 TEST_F(CheckpointTest, BackgroundCheckpointThreadTriggers) {
   DurabilityOptions opts;
   opts.checkpoint_interval_ms = 20;
@@ -899,7 +978,7 @@ TEST_F(CheckpointTest, LogSizeTriggerCheckpointsAndShrinksTheLog) {
   ASSERT_TRUE(db->CreateTable("t", Schema(3), SmallConfig()).ok());
   Table* t = db->GetTable("t");
   CheckpointManager* cm = db->checkpoint_manager();
-  const std::string log = dir_ + "/t.log";
+  const std::string log = dir_ + "/redo.log";
 
   uint64_t peak = 0;
   for (Value k = 0; peak <= opts.checkpoint_log_bytes &&

@@ -305,7 +305,7 @@ TEST(DatabaseFormatTest, ForeignChecksumDirectoryIsRefusedBeforeAnyLog) {
     ASSERT_TRUE(Database::Open(dir, &db).ok());
     ASSERT_TRUE(db->CreateTable("a", Schema(2), Cfg()).ok());
     ASSERT_TRUE(db->CreateTable("b", Schema(2), Cfg()).ok());
-    Txn both = db->Begin();  // cross-table: a COMMIT_LOG record
+    Txn both = db->Begin();  // cross-table: one commit record
     ASSERT_TRUE(db->GetTable("a")->Insert(both, {1, 10}).ok());
     ASSERT_TRUE(db->GetTable("b")->Insert(both, {2, 20}).ok());
     ASSERT_TRUE(both.Commit().ok());
@@ -313,24 +313,19 @@ TEST(DatabaseFormatTest, ForeignChecksumDirectoryIsRefusedBeforeAnyLog) {
     ASSERT_TRUE(db->GetTable("a")->Insert(one, {3, 30}).ok());
     ASSERT_TRUE(one.Commit().ok());
   }
-  const std::string logs[] = {dir + "/a.log", dir + "/b.log",
-                              dir + "/COMMIT_LOG"};
+  const std::string log = dir + "/redo.log";
   EXPECT_GT(ForeignChecksums(dir + "/CATALOG"), 0);
-  std::string before[3];
-  for (int i = 0; i < 3; ++i) {
-    EXPECT_GT(ForeignChecksums(logs[i]), 0) << logs[i];
-    ASSERT_TRUE(ReadFile(logs[i], &before[i]).ok());
-  }
+  std::string before;
+  EXPECT_GT(ForeignChecksums(log), 0);
+  ASSERT_TRUE(ReadFile(log, &before).ok());
 
   std::unique_ptr<Database> db;
   Status s = Database::Open(dir, &db);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_EQ(db, nullptr);
-  for (int i = 0; i < 3; ++i) {
-    std::string after;
-    ASSERT_TRUE(ReadFile(logs[i], &after).ok());
-    EXPECT_EQ(after, before[i]) << logs[i];
-  }
+  std::string after;
+  ASSERT_TRUE(ReadFile(log, &after).ok());
+  EXPECT_EQ(after, before);
   std::filesystem::remove_all(dir);
 }
 
@@ -353,14 +348,15 @@ void SetFormatVersion(const std::string& path, uint8_t version) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << data;
 }
 
-// A directory written in the previous checkpoint format (version 1:
-// base segments as varints) is refused with Corruption at the CATALOG,
-// before any log is opened or cut; its checkpoint and MANIFEST carry
-// the old version too, so no reader would take their segments for the
-// current form.
+// A directory written in the previous checkpoint format (one version
+// back: a catalog without table ids, beside per-table logs) is refused
+// with Corruption at the CATALOG, before the log is opened or cut; its
+// checkpoint and MANIFEST carry the old version too, so no reader would
+// take them for the current form.
 TEST(DatabaseFormatTest, OlderFormatVersionIsRefusedBeforeAnyLog) {
   const std::string dir =
-      std::string(::testing::TempDir()) + "lstore_format_v1";
+      std::string(::testing::TempDir()) + "lstore_format_previous";
+  constexpr uint8_t kPrevious = kCheckpointFormatVersion - 1;
   std::filesystem::remove_all(dir);
   {
     std::unique_ptr<Database> db;
@@ -380,15 +376,15 @@ TEST(DatabaseFormatTest, OlderFormatVersionIsRefusedBeforeAnyLog) {
   int checkpoints = 0;
   for (const auto& e : std::filesystem::directory_iterator(dir)) {
     if (e.path().extension() == ".ckpt") {
-      SetFormatVersion(e.path().string(), 1);
+      SetFormatVersion(e.path().string(), kPrevious);
       ++checkpoints;
     }
   }
   ASSERT_EQ(checkpoints, 1);
-  SetFormatVersion(dir + "/CATALOG", 1);
-  SetFormatVersion(dir + "/MANIFEST", 1);
+  SetFormatVersion(dir + "/CATALOG", kPrevious);
+  SetFormatVersion(dir + "/MANIFEST", kPrevious);
   std::string before;
-  ASSERT_TRUE(ReadFile(dir + "/a.log", &before).ok());
+  ASSERT_TRUE(ReadFile(dir + "/redo.log", &before).ok());
   ASSERT_FALSE(before.empty());
 
   std::unique_ptr<Database> db;
@@ -396,7 +392,7 @@ TEST(DatabaseFormatTest, OlderFormatVersionIsRefusedBeforeAnyLog) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
   EXPECT_EQ(db, nullptr);
   std::string after;
-  ASSERT_TRUE(ReadFile(dir + "/a.log", &after).ok());
+  ASSERT_TRUE(ReadFile(dir + "/redo.log", &after).ok());
   EXPECT_EQ(after, before);
   std::filesystem::remove_all(dir);
 }

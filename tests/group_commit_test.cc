@@ -1,9 +1,10 @@
-// Group commit + database commit log (the single atomic commit point
-// for cross-table transactions): FramedLog::Sync sharing fsyncs
-// across concurrent committers, torn-commit-log fault injection
-// (all-or-nothing recovery on every participant), mixed
-// single-/cross-table recovery equivalence, and commit-log truncation
-// at checkpoints.
+// Group commit + the database's one redo log (a commit record there is
+// the single atomic commit point of every transaction, cross-table
+// ones included): FramedLog::Sync sharing fsyncs across concurrent
+// committers, one commit frame and one fsync per cross-table commit,
+// torn-commit-frame fault injection (all-or-nothing recovery on every
+// table), mixed single-/cross-table recovery equivalence, and log
+// truncation at checkpoints.
 
 #include <gtest/gtest.h>
 
@@ -21,7 +22,7 @@
 #include "checkpoint/checkpoint_manager.h"
 #include "core/database.h"
 #include "core/table.h"
-#include "log/commit_log.h"
+#include "log/framed_log.h"
 #include "log/redo_log.h"
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
@@ -88,191 +89,101 @@ class GroupCommitTest : public ::testing::Test {
     return s.ok();
   }
 
-  /// Number of records currently in the live commit log.
-  static size_t CommitLogRecords(Database* db) {
+  /// Number of records of `type` in the database's log file (flushed
+  /// first when `db` is open).
+  size_t LogRecords(Database* db, LogRecordType type) const {
+    if (db != nullptr) {
+      EXPECT_TRUE(db->redo_log()->Flush(false).ok());
+    }
     size_t n = 0;
-    EXPECT_TRUE(db->commit_log()
-                    ->Scan([&n](const CommitLogRecord&, uint64_t) { ++n; })
+    EXPECT_TRUE(RedoLog::Replay(dir_ + "/redo.log",
+                                [&n, type](const LogRecord& rec) {
+                                  if (rec.type == type) ++n;
+                                })
                     .ok());
     return n;
+  }
+
+  /// Byte offset where the log file's last frame starts.
+  size_t LastFrameStart() const {
+    size_t start = 0;
+    EXPECT_TRUE(FramedLog::ScanFile(
+                    dir_ + "/redo.log", &RedoLog::ValidatePayload,
+                    [&start](std::string_view, uint64_t, uint64_t,
+                             size_t begin, size_t) { start = begin; },
+                    nullptr)
+                    .ok());
+    return start;
   }
 
   std::string dir_;
 };
 
 // ---------------------------------------------------------------------------
-// CommitLog unit: framing, LSNs, torn-tail repair, truncation
+// The single commit point: one frame, one fsync
 // ---------------------------------------------------------------------------
 
-TEST_F(GroupCommitTest, CommitLogRoundTripAndTruncation) {
-  std::filesystem::create_directories(dir_);
-  std::string path = dir_ + "/clog";
+TEST_F(GroupCommitTest, CrossTableCommitAppendsOneCommitFrameAndOneFsync) {
+  DurabilityOptions opts;
+  opts.sync_commit = true;
   {
-    CommitLog log;
-    ASSERT_TRUE(log.Open(path, true).ok());
-    for (uint64_t i = 0; i < 5; ++i) {
-      CommitLogRecord rec;
-      rec.txn_id = kTxnIdTag | (10 + i);
-      rec.commit_time = 100 + i;
-      rec.participants = {{"a", 7 + i}, {"b", 9 + i}};
-      EXPECT_EQ(log.Append(rec), i + 1);
-    }
-    ASSERT_TRUE(log.Flush(false).ok());
-    ASSERT_TRUE(log.TruncateTo(3).ok());
-    CommitLogRecord rec;
-    rec.txn_id = kTxnIdTag | 77;
-    rec.commit_time = 200;
-    rec.participants = {{"a", 20}};
-    EXPECT_EQ(log.Append(rec), 6u);  // LSNs continue across truncation
-    ASSERT_TRUE(log.Flush(false).ok());
-  }
-  std::vector<uint64_t> lsns;
-  std::vector<Timestamp> times;
-  CommitLog::ReplayStats stats;
-  ASSERT_TRUE(CommitLog::Replay(
-                  path,
-                  [&](const CommitLogRecord& rec, uint64_t lsn) {
-                    lsns.push_back(lsn);
-                    times.push_back(rec.commit_time);
-                    ASSERT_FALSE(rec.participants.empty());
-                    EXPECT_EQ(rec.participants[0].table, "a");
-                  },
-                  &stats)
-                  .ok());
-  EXPECT_EQ(lsns, (std::vector<uint64_t>{4, 5, 6}));
-  EXPECT_EQ(times, (std::vector<Timestamp>{103, 104, 200}));
-  EXPECT_EQ(stats.base_lsn, 3u);
-  EXPECT_TRUE(stats.clean_end);
-}
-
-TEST_F(GroupCommitTest, CommitLogAbortMarkerOverridesCommitRecord) {
-  std::filesystem::create_directories(dir_);
-  std::string path = dir_ + "/clog";
-  {
-    CommitLog log;
-    ASSERT_TRUE(log.Open(path, true).ok());
-    CommitLogRecord commit;
-    commit.txn_id = kTxnIdTag | 7;
-    commit.commit_time = 42;
-    commit.participants = {{"a", 1}, {"b", 2}};
-    log.Append(commit);
-    // The commit record's flush failed at runtime: the authoritative
-    // abort marker follows it in the log.
-    CommitLogRecord abort;
-    abort.txn_id = kTxnIdTag | 7;
-    abort.aborted = true;
-    log.Append(abort);
-    ASSERT_TRUE(log.Flush(false).ok());
-  }
-  std::vector<bool> aborted;
-  ASSERT_TRUE(CommitLog::Replay(path,
-                                [&](const CommitLogRecord& rec, uint64_t) {
-                                  aborted.push_back(rec.aborted);
-                                  EXPECT_EQ(rec.txn_id, kTxnIdTag | 7);
-                                })
-                  .ok());
-  EXPECT_EQ(aborted, (std::vector<bool>{false, true}));
-}
-
-TEST_F(GroupCommitTest, CommitLogOpenRepairsTornTail) {
-  std::filesystem::create_directories(dir_);
-  std::string path = dir_ + "/clog";
-  {
-    CommitLog log;
-    ASSERT_TRUE(log.Open(path, true).ok());
-    for (uint64_t i = 0; i < 3; ++i) {
-      CommitLogRecord rec;
-      rec.txn_id = kTxnIdTag | (10 + i);
-      rec.commit_time = 100 + i;
-      rec.participants = {{"table_with_a_long_name", i}};
-      log.Append(rec);
-    }
-    ASSERT_TRUE(log.Flush(false).ok());
-  }
-  // Crash mid-append: chop into the final frame.
-  ASSERT_EQ(0, ::truncate(path.c_str(), FileBytes(path) - 3));
-  {
-    CommitLog log;
-    ASSERT_TRUE(log.Open(path, false).ok());
-    EXPECT_EQ(log.last_lsn(), 2u);  // torn record discarded
-  }
-  size_t n = 0;
-  CommitLog::ReplayStats stats;
-  ASSERT_TRUE(CommitLog::Replay(
-                  path, [&n](const CommitLogRecord&, uint64_t) { ++n; },
-                  &stats)
-                  .ok());
-  EXPECT_EQ(n, 2u);
-  EXPECT_TRUE(stats.clean_end);
-}
-
-// ---------------------------------------------------------------------------
-// The single commit point: record placement
-// ---------------------------------------------------------------------------
-
-TEST_F(GroupCommitTest, CrossTableCommitWritesOneCommitLogRecordAndNoPerTableOnes) {
-  {
-    auto db = OpenDb(DurabilityOptions{});
+    auto db = OpenDb(opts);
+    auto fsyncs = [&db] {
+      return db->Metrics().CounterValue("lstore_redo_fsyncs_total");
+    };
+    const uint64_t before = fsyncs();
     ASSERT_TRUE(CrossInsert(db.get(), 1, 11).ok());
-    // A single-table commit keeps its per-table commit record.
+    EXPECT_EQ(fsyncs() - before, 1u);
+    EXPECT_EQ(LogRecords(db.get(), LogRecordType::kCommit), 1u);
+    // A single-table commit takes one frame and one fsync too.
     Txn txn = db->Begin();
     ASSERT_TRUE(db->GetTable("a")->Insert(txn, {2, 22, 0}).ok());
     ASSERT_TRUE(txn.Commit().ok());
-    EXPECT_EQ(CommitLogRecords(db.get()), 1u);
+    EXPECT_EQ(fsyncs() - before, 2u);
+    EXPECT_EQ(LogRecords(db.get(), LogRecordType::kCommit), 2u);
   }
-  // Inspect the closed logs: the cross-table transaction must have
-  // NO commit record in either table log; its only commit point is
-  // the database commit log.
-  size_t a_commits = 0, b_commits = 0;
-  ASSERT_TRUE(RedoLog::Replay(dir_ + "/a.log",
+  // Both tables' payloads and the commit records share the one file:
+  // the cross-table transaction's only commit point is its one frame.
+  std::vector<std::pair<LogRecordType, uint64_t>> records;
+  ASSERT_TRUE(RedoLog::Replay(dir_ + "/redo.log",
                               [&](const LogRecord& rec) {
-                                if (rec.type == LogRecordType::kCommit) {
-                                  ++a_commits;
-                                }
+                                records.emplace_back(
+                                    rec.type,
+                                    rec.type == LogRecordType::kCommit
+                                        ? 0
+                                        : rec.table_id);
                               })
                   .ok());
-  ASSERT_TRUE(RedoLog::Replay(dir_ + "/b.log",
-                              [&](const LogRecord& rec) {
-                                if (rec.type == LogRecordType::kCommit) {
-                                  ++b_commits;
-                                }
-                              })
-                  .ok());
-  EXPECT_EQ(a_commits, 1u);  // only the single-table commit
-  EXPECT_EQ(b_commits, 0u);
-
-  size_t clog_records = 0;
-  ASSERT_TRUE(CommitLog::Replay(dir_ + "/COMMIT_LOG",
-                                [&](const CommitLogRecord& rec, uint64_t) {
-                                  ++clog_records;
-                                  EXPECT_EQ(rec.participants.size(), 2u);
-                                })
-                  .ok());
-  EXPECT_EQ(clog_records, 1u);
+  EXPECT_EQ(records, (std::vector<std::pair<LogRecordType, uint64_t>>{
+                         {LogRecordType::kInsertAppend, 0},
+                         {LogRecordType::kInsertAppend, 1},
+                         {LogRecordType::kCommit, 0},
+                         {LogRecordType::kInsertAppend, 0},
+                         {LogRecordType::kCommit, 0}}));
 
   // Everything recovers.
-  auto db = OpenDb(DurabilityOptions{}, /*create_tables=*/false);
+  auto db = OpenDb(opts, /*create_tables=*/false);
   EXPECT_TRUE(Visible(db.get(), "a", 1));
   EXPECT_TRUE(Visible(db.get(), "b", 1001));
   EXPECT_TRUE(Visible(db.get(), "a", 2));
 }
 
 // ---------------------------------------------------------------------------
-// Fault injection: all-or-nothing across participants
+// Fault injection: all-or-nothing across tables
 // ---------------------------------------------------------------------------
 
-TEST_F(GroupCommitTest, TornCommitLogTailDropsTxnOnEveryParticipant) {
+TEST_F(GroupCommitTest, TornFinalCommitFrameDropsTxnOnBothTables) {
   {
     auto db = OpenDb(DurabilityOptions{});
     ASSERT_TRUE(CrossInsert(db.get(), 1, 11).ok());  // survives
     ASSERT_TRUE(CrossInsert(db.get(), 2, 22).ok());  // torn below
   }
   // Crash while appending the second commit record: tear into the
-  // commit log's final frame. Both participants' payloads are intact
-  // in a.log / b.log — only the commit point is gone.
-  std::string clog = dir_ + "/COMMIT_LOG";
-  ASSERT_GT(FileBytes(clog), 4u);
-  ASSERT_EQ(0, ::truncate(clog.c_str(), FileBytes(clog) - 4));
+  // log's final frame, its commit record. Both tables' payloads before
+  // it are intact — only the commit point is gone.
+  std::string log = dir_ + "/redo.log";
+  ASSERT_GT(FileBytes(log), 4u);
+  ASSERT_EQ(0, ::truncate(log.c_str(), FileBytes(log) - 4));
 
   auto db = OpenDb(DurabilityOptions{}, /*create_tables=*/false);
   EXPECT_TRUE(Visible(db.get(), "a", 1));
@@ -282,16 +193,17 @@ TEST_F(GroupCommitTest, TornCommitLogTailDropsTxnOnEveryParticipant) {
   EXPECT_FALSE(Visible(db.get(), "b", 1002));
 }
 
-TEST_F(GroupCommitTest, CrashBetweenParticipantWritesRecoversAllOrNothing) {
+TEST_F(GroupCommitTest, CrashBeforeTheCommitFrameRecoversAllOrNothing) {
   {
     auto db = OpenDb(DurabilityOptions{});
     ASSERT_TRUE(CrossInsert(db.get(), 1, 11).ok());
   }
-  // Crash before the commit-log append: participant logs carry the
-  // payloads (in any flushed subset), the commit log has no record.
-  // Deleting the commit log wholesale models the strongest version:
-  // every participant write landed, the commit point didn't.
-  ASSERT_EQ(0, std::remove((dir_ + "/COMMIT_LOG").c_str()));
+  // Crash right before the commit frame: every payload of both tables
+  // landed, the commit point didn't.
+  std::string log = dir_ + "/redo.log";
+  ASSERT_EQ(0, ::truncate(log.c_str(), LastFrameStart()));
+  EXPECT_EQ(LogRecords(nullptr, LogRecordType::kCommit), 0u);
+  EXPECT_EQ(LogRecords(nullptr, LogRecordType::kInsertAppend), 2u);
 
   auto db = OpenDb(DurabilityOptions{}, /*create_tables=*/false);
   EXPECT_FALSE(Visible(db.get(), "a", 1));
@@ -369,19 +281,19 @@ TEST_F(GroupCommitTest, MixedSingleAndCrossTableCommitsRecoverEquivalently) {
 // appends, the later one synced, then the earlier one — one fsync.
 TEST_F(GroupCommitTest, SyncCoveredByAnEarlierFsyncAddsNone) {
   std::filesystem::create_directories(dir_);
-  const std::string path = dir_ + "/clog";
+  const std::string path = dir_ + "/redo.log";
   MetricsRegistry registry;
-  CommitLog log;
-  log.set_metrics(FramedLogMetrics::In(&registry, "lstore_commit_log",
-                                       "Commit-log", "commit_fsync"));
+  RedoLog log;
+  log.set_metrics(FramedLogMetrics::In(&registry, "lstore_redo", "Redo-log",
+                                       "log_flush"));
   ASSERT_TRUE(log.Open(path, true).ok());
   auto fsyncs = [&registry] {
-    return registry.Snapshot().CounterValue("lstore_commit_log_fsyncs_total");
+    return registry.Snapshot().CounterValue("lstore_redo_fsyncs_total");
   };
-  CommitLogRecord rec;
+  LogRecord rec;
+  rec.type = LogRecordType::kCommit;
   rec.txn_id = kTxnIdTag | 1;
   rec.commit_time = 10;
-  rec.participants = {{"a", 1}};
   const uint64_t first = log.Append(rec);
   const uint64_t second = log.Append(rec);
   ASSERT_TRUE(log.Sync(second, /*fsync=*/true).ok());
@@ -404,11 +316,9 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
   opts.sync_commit = true;
   opts.group_commit_window_us = 50000;  // 50 ms: let other callers append
   auto db = OpenDb(opts);
-  // Every commit-path fsync: the commit log's and every redo log's.
+  // Every commit-path fsync is the one log's.
   auto fsyncs = [&db] {
-    MetricsSnapshot s = db->Metrics();
-    return s.CounterValue("lstore_redo_fsyncs_total") +
-           s.CounterValue("lstore_commit_log_fsyncs_total");
+    return db->Metrics().CounterValue("lstore_redo_fsyncs_total");
   };
   auto batches = [&db] {
     return db->Metrics().CounterValue("lstore_group_commit_batches_total");
@@ -446,13 +356,12 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
 
   uint64_t delta_fsyncs = fsyncs() - before_fsyncs;
   uint64_t delta_batches = batches() - before_batches;
-  // Unshared, 8 cross-table commits over 2 tables would sync 8 * (2
-  // table logs + 1 commit log) = 24 times, each with its own write and
-  // fsync. Some of those syncs must find their records covered by
-  // another caller's write.
+  // Unshared, 8 cross-table commits would sync the one log 8 times,
+  // each with its own write and fsync. Some of those syncs must find
+  // their records covered by another caller's write.
   EXPECT_GT(delta_fsyncs, 0u);
-  EXPECT_LT(delta_fsyncs, 3u * kThreads);
-  EXPECT_LT(delta_batches, 3u * kThreads);
+  EXPECT_LT(delta_fsyncs, 1u * kThreads);
+  EXPECT_LT(delta_batches, 1u * kThreads);
 
   // And the shared fsyncs really committed everyone.
   for (int i = 0; i < kThreads; ++i) {
@@ -478,8 +387,7 @@ TEST_F(GroupCommitTest,
   };
   const uint64_t before_batches =
       counter("lstore_group_commit_batches_total");
-  const uint64_t before_fsyncs = counter("lstore_redo_fsyncs_total") +
-                                 counter("lstore_commit_log_fsyncs_total");
+  const uint64_t before_fsyncs = counter("lstore_redo_fsyncs_total");
 
   std::atomic<bool> started{false};
   Status untraced_status;
@@ -498,39 +406,33 @@ TEST_F(GroupCommitTest,
   }
   untraced.join();
   ASSERT_TRUE(untraced_status.ok()) << untraced_status.ToString();
-  // One write and one fsync per log (a, b, the commit log) served both
-  // commits.
+  // One write and one fsync of the one log served both commits.
   EXPECT_EQ(counter("lstore_group_commit_batches_total") - before_batches,
-            3u);
-  EXPECT_EQ(counter("lstore_redo_fsyncs_total") +
-                counter("lstore_commit_log_fsyncs_total") - before_fsyncs,
-            3u);
+            1u);
+  EXPECT_EQ(counter("lstore_redo_fsyncs_total") - before_fsyncs, 1u);
 
   std::vector<TraceSpan> spans = FlightRecorder::Instance().SnapshotTrace(id);
   if (!kTraceEnabled) {
     EXPECT_TRUE(spans.empty());
     return;
   }
-  size_t queue_wait = 0, log_flush = 0, commit_fsync = 0, log_append = 0;
+  size_t queue_wait = 0, log_flush = 0, log_append = 0;
   for (const TraceSpan& s : spans) {
     const std::string name = s.name;
     if (name == "gc_queue_wait") ++queue_wait;
     if (name == "log_flush") ++log_flush;
-    if (name == "commit_fsync") ++commit_fsync;
     if (name == "log_append") ++log_append;
-    if (name == "gc_queue_wait" || name == "log_flush" ||
-        name == "commit_fsync") {
+    if (name == "gc_queue_wait" || name == "log_flush") {
       EXPECT_GT(s.dur_ns, 0u) << name;
     }
   }
-  EXPECT_EQ(queue_wait, 3u);  // one per log synced
-  EXPECT_EQ(log_flush, 2u);   // one per participant log
-  EXPECT_EQ(commit_fsync, 1u);
+  EXPECT_EQ(queue_wait, 1u);  // one sync of the one log
+  EXPECT_EQ(log_flush, 1u);
   EXPECT_GE(log_append, 1u);
 }
 
-// A reopened database keeps counting redo-log fsyncs: recovery resumes
-// logging on each table's instrumented log, not on a bare one.
+// A reopened database keeps counting redo-log fsyncs: recovery opens
+// the instrumented log, not a bare one.
 TEST_F(GroupCommitTest, ReopenedTablesCountRedoFsyncs) {
   DurabilityOptions opts;
   opts.sync_commit = true;
@@ -544,33 +446,36 @@ TEST_F(GroupCommitTest, ReopenedTablesCountRedoFsyncs) {
   };
   uint64_t before = redo_fsyncs();
   ASSERT_TRUE(CrossInsert(db.get(), 2, 22).ok());
-  EXPECT_GE(redo_fsyncs() - before, 2u);  // one per participant log
+  EXPECT_EQ(redo_fsyncs() - before, 1u);  // one per commit
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint integration: quiesce + commit-log truncation
+// Checkpoint integration: one log truncated, LSNs stable
 // ---------------------------------------------------------------------------
 
-TEST_F(GroupCommitTest, CheckpointTruncatesCoveredCommitLogPrefix) {
+TEST_F(GroupCommitTest, CheckpointTruncatesTheOneLogAndKeepsLsnsStable) {
   auto db = OpenDb(DurabilityOptions{});
   for (Value k = 0; k < 4; ++k) {
     ASSERT_TRUE(CrossInsert(db.get(), k, k).ok());
   }
-  EXPECT_EQ(CommitLogRecords(db.get()), 4u);
-  uint64_t lsn_before = db->commit_log()->last_lsn();
+  EXPECT_EQ(LogRecords(db.get(), LogRecordType::kCommit), 4u);
+  const uint64_t lsn_before = db->redo_log()->last_lsn();
 
-  // The checkpoint covers every participant payload, so all four
-  // records are dead weight and the covered prefix is dropped.
+  // The checkpoint covers every record, so the whole prefix goes.
   ASSERT_TRUE(db->Checkpoint().ok());
-  EXPECT_EQ(CommitLogRecords(db.get()), 0u);
-  EXPECT_EQ(db->commit_log()->last_lsn(), lsn_before);  // LSNs stable
+  EXPECT_EQ(LogRecords(db.get(), LogRecordType::kCommit), 0u);
+  EXPECT_EQ(LogRecords(db.get(), LogRecordType::kInsertAppend), 0u);
+  EXPECT_EQ(db->redo_log()->last_lsn(), lsn_before);  // LSNs stable
 
-  // New cross-table commits append afresh and replay on restart.
+  // New cross-table commits append afresh, numbered on from there, and
+  // replay on restart.
   ASSERT_TRUE(CrossInsert(db.get(), 10, 1).ok());
-  EXPECT_EQ(CommitLogRecords(db.get()), 1u);
+  EXPECT_EQ(db->redo_log()->last_lsn(), lsn_before + 3);
+  EXPECT_EQ(LogRecords(db.get(), LogRecordType::kCommit), 1u);
   db.reset();
 
   auto db2 = OpenDb(DurabilityOptions{}, /*create_tables=*/false);
+  EXPECT_EQ(db2->redo_log()->last_lsn(), lsn_before + 3);
   for (Value k = 0; k < 4; ++k) {
     EXPECT_TRUE(Visible(db2.get(), "a", k));
     EXPECT_TRUE(Visible(db2.get(), "b", k + 1000));
@@ -579,10 +484,10 @@ TEST_F(GroupCommitTest, CheckpointTruncatesCoveredCommitLogPrefix) {
   EXPECT_TRUE(Visible(db2.get(), "b", 1010));
 }
 
-TEST_F(GroupCommitTest, CheckpointDoesNotOrphanPostQuiesceCommits) {
-  // Commits racing a checkpoint keep their commit-log record until
-  // the NEXT checkpoint covers them; a restart right after the first
-  // checkpoint must see them on every participant.
+TEST_F(GroupCommitTest, CheckpointDoesNotOrphanPostWatermarkCommits) {
+  // Commits racing a checkpoint keep their records past its watermark
+  // until the NEXT checkpoint covers them; a restart right after the
+  // first checkpoint must see them on every table.
   auto db = OpenDb(DurabilityOptions{});
   ASSERT_TRUE(CrossInsert(db.get(), 1, 11).ok());
 

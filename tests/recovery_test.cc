@@ -95,9 +95,10 @@ uint64_t FileSize(const std::string& path) {
 std::string ReferenceAppendPayload(const LogRecord& rec) {
   std::string out;
   out.push_back(static_cast<char>(rec.type));
-  for (uint64_t field : {rec.txn_id, rec.range_id, uint64_t{rec.seq},
-                         uint64_t{rec.base_slot}, uint64_t{rec.backptr},
-                         rec.schema_encoding, rec.start_raw, rec.mask}) {
+  for (uint64_t field :
+       {rec.table_id, rec.txn_id, rec.range_id, uint64_t{rec.seq},
+        uint64_t{rec.base_slot}, uint64_t{rec.backptr}, rec.schema_encoding,
+        rec.start_raw, rec.mask}) {
     PutVarint64(&out, field);
   }
   for (Value v : rec.values) PutVarint64(&out, v);
@@ -105,9 +106,9 @@ std::string ReferenceAppendPayload(const LogRecord& rec) {
 }
 
 RedoLog::AppendWriter WriterFor(const LogRecord& rec) {
-  RedoLog::AppendWriter w(rec.type, rec.txn_id, rec.range_id, rec.seq,
-                          rec.base_slot, rec.backptr, rec.schema_encoding,
-                          rec.start_raw, rec.mask);
+  RedoLog::AppendWriter w(rec.type, rec.table_id, rec.txn_id, rec.range_id,
+                          rec.seq, rec.base_slot, rec.backptr,
+                          rec.schema_encoding, rec.start_raw, rec.mask);
   for (Value v : rec.values) w.AddValue(v);
   return w;
 }
@@ -123,6 +124,7 @@ TEST(RedoLogTest, AppendWriterMatchesReferenceEncoding) {
     LogRecord rec;
     rec.type = i % 2 == 0 ? LogRecordType::kTailAppend
                           : LogRecordType::kInsertAppend;
+    rec.table_id = i % 11 == 0 ? ~0ull : any();
     rec.txn_id = i % 5 == 0 ? ~0ull : kTxnIdTag | any();
     rec.range_id = i % 7 == 0 ? ~0ull : any();
     rec.seq = i % 3 == 0 ? ~0u : static_cast<uint32_t>(any());
@@ -146,6 +148,7 @@ TEST(RedoLogTest, AppendWriterMatchesReferenceEncoding) {
     LogRecord out;
     ASSERT_TRUE(RedoLog::DecodePayload(encoded.data(), encoded.size(), &out));
     EXPECT_EQ(out.type, rec.type);
+    EXPECT_EQ(out.table_id, rec.table_id);
     EXPECT_EQ(out.txn_id, rec.txn_id);
     EXPECT_EQ(out.range_id, rec.range_id);
     EXPECT_EQ(out.seq, rec.seq);
@@ -159,12 +162,12 @@ TEST(RedoLogTest, AppendWriterMatchesReferenceEncoding) {
 }
 
 // The on-disk bytes of a small InsertBatch frame, pinned so any drift
-// in the redo format fails loudly. Frame: [len 15][kBatch 06], then ONE
-// insert run for the range the two rows share: [kInsertRun 07][txn id]
-// [range 00][first slot 00][count 02][mask 03], then the values row by
-// row (1, 300 = ac02; 2, 5), then the crc32c of the payload (f91494c8,
-// little-endian). The first transaction's id is kTxnIdTag | 1, a
-// 10-byte varint.
+// in the redo format fails loudly. Frame: [len 16][kBatch 06], then ONE
+// insert run for the range the two rows share: [kInsertRun 07][table id
+// 00][txn id][range 00][first slot 00][count 02][mask 03], then the
+// values row by row (1, 300 = ac02; 2, 5), then the crc32c of the
+// payload (little-endian). The first transaction's id is kTxnIdTag | 1,
+// a 10-byte varint.
 TEST(RedoLogTest, InsertBatchFrameGoldenBytes) {
   std::string path = TempLogPath("golden_batch");
   std::remove(path.c_str());
@@ -188,11 +191,11 @@ TEST(RedoLogTest, InsertBatchFrameGoldenBytes) {
     hex.push_back(kDigits[c & 15]);
   }
   EXPECT_EQ(hex,
-            "1506"
-            "07" "81808080808080808001" "00" "00" "02" "03"
+            "1606"
+            "07" "00" "81808080808080808001" "00" "00" "02" "03"
             "01" "ac02"
             "02" "05"
-            "c89414f9");
+            "eb286f41");
   std::remove(path.c_str());
 }
 
@@ -578,8 +581,8 @@ struct LoggedRun {
 };
 
 // The insert runs of the log's first frame, which must hold nothing
-// else: [kBatch], then per run [kInsertRun][txn][range][first slot]
-// [count][mask] and count x popcount(mask) values.
+// else: [kBatch], then per run [kInsertRun][table][txn][range]
+// [first slot][count][mask] and count x popcount(mask) values.
 std::vector<LoggedRun> RunsInFirstFrame(const std::string& path) {
   std::string data = ReadWholeFile(path);
   size_t pos = 0;
@@ -595,10 +598,10 @@ std::vector<LoggedRun> RunsInFirstFrame(const std::string& path) {
       ADD_FAILURE() << "not an insert run at byte " << pos - 1;
       break;
     }
-    uint64_t txn = 0, mask = 0, v = 0;
+    uint64_t table = 0, txn = 0, mask = 0, v = 0;
     LoggedRun run{};
     for (uint64_t* field :
-         {&txn, &run.range, &run.first_slot, &run.count, &mask}) {
+         {&table, &txn, &run.range, &run.first_slot, &run.count, &mask}) {
       EXPECT_TRUE(GetVarint64(payload, &pos, field));
     }
     for (uint64_t i = 0; i < run.count * PopCount(mask); ++i) {
@@ -756,7 +759,7 @@ TEST_F(RecoveryTest, TornRunFrameIsCutAtItsFrameStart) {
     RedoLog log;
     ASSERT_TRUE(log.Open(path_, /*truncate=*/true).ok());
     RedoLog::Batch first;
-    first.AddInsertRun(a, 0, 0, rows.data(), 20, 0b111);
+    first.AddInsertRun(/*table=*/0, a, 0, 0, rows.data(), 20, 0b111);
     EXPECT_EQ(log.AppendBatch(first), 20u);
     LogRecord commit;
     commit.type = LogRecordType::kCommit;
@@ -766,7 +769,7 @@ TEST_F(RecoveryTest, TornRunFrameIsCutAtItsFrameStart) {
     ASSERT_TRUE(log.Flush(false).ok());
     intact = FileSize(path_);
     RedoLog::Batch second;
-    second.AddInsertRun(b, 0, 20, rows.data() + 20, 12, 0b111);
+    second.AddInsertRun(/*table=*/0, b, 0, 20, rows.data() + 20, 12, 0b111);
     EXPECT_EQ(log.AppendBatch(second), 33u);
     ASSERT_TRUE(log.Flush(false).ok());
     full = FileSize(path_);
@@ -810,7 +813,7 @@ TEST_F(RecoveryTest, DuplicateLiveKeyIsCorruption) {
     for (uint64_t range = 0; range < 2; ++range) {
       const TxnId txn = kTxnIdTag | (range + 1);
       RedoLog::Batch batch;
-      batch.AddInsertRun(txn, range, 0, row.data(), 1, 0b111);
+      batch.AddInsertRun(/*table=*/0, txn, range, 0, row.data(), 1, 0b111);
       log.AppendBatch(batch);
       LogRecord commit;
       commit.type = LogRecordType::kCommit;
@@ -858,11 +861,12 @@ TEST_F(RecoveryTest, DatabaseOpenRefusesADuplicateKeyAcrossRanges) {
     }
     {
       RedoLog log;
-      ASSERT_TRUE(log.Open(dir + "/t.log", /*truncate=*/false).ok());
+      ASSERT_TRUE(log.Open(dir + "/redo.log", /*truncate=*/false).ok());
       const TxnId txn = kTxnIdTag | 4242;
       const std::vector<std::vector<Value>> row = {{7, 70, 700}};
       RedoLog::Batch batch;
-      batch.AddInsertRun(txn, /*range=*/1, 0, row.data(), 1, 0b111);
+      batch.AddInsertRun(/*table=*/0, txn, /*range=*/1, 0, row.data(), 1,
+                         0b111);
       log.AppendBatch(batch);
       LogRecord commit;
       commit.type = LogRecordType::kCommit;
@@ -966,7 +970,7 @@ TEST_F(RecoveryTest, MixedLogReplaysAlikeFromLogAndFromCheckpoint) {
     RedoLog::ReplayStats stats;
     uint64_t records = 0;
     ASSERT_TRUE(RedoLog::Replay(
-                    dir + "/t.log",
+                    dir + "/redo.log",
                     [&](const LogRecord&, uint64_t) { ++records; }, &stats)
                     .ok());
     EXPECT_GT(stats.base_lsn, 0u);
@@ -1311,7 +1315,8 @@ class NumberedLog {
  private:
   static RedoLog::AppendWriter Record(uint64_t lsn, int width) {
     ColumnMask mask = (1ull << width) - 1;
-    RedoLog::AppendWriter w(LogRecordType::kTailAppend, kTxnIdTag | lsn,
+    RedoLog::AppendWriter w(LogRecordType::kTailAppend, /*table_id=*/0,
+                            kTxnIdTag | lsn,
                             /*range_id=*/lsn, /*seq=*/1, /*base_slot=*/0,
                             /*backptr=*/0, mask, /*start_raw=*/lsn, mask);
     for (int c = 0; c < width; ++c) w.AddValue(lsn * 1000 + c);
