@@ -17,6 +17,7 @@
 
 #include "bench_common.h"
 #include "common/random.h"
+#include "core/database.h"
 #include "core/query.h"
 #include "core/table.h"
 
@@ -29,29 +30,26 @@ namespace {
 // the shared BenchClock) rather than a private clock alias.
 using Clk = BenchClock;
 
-TableConfig BatchConfig(bool logging, const std::string& log_path) {
+TableConfig BatchConfig() {
   TableConfig cfg;
   cfg.range_size = 1u << 12;
   cfg.insert_range_size = 1u << 12;
   cfg.merge_threshold = 1u << 11;
   cfg.enable_merge_thread = false;
-  cfg.enable_logging = logging;
-  cfg.log_path = log_path;
   return cfg;
 }
 
-/// A fresh table; with logging, its log opens through recovery.
-std::unique_ptr<Table> NewTable(const std::string& name, bool logging,
-                                const std::string& log_path) {
-  auto table =
-      std::make_unique<Table>(name, Schema(5), BatchConfig(logging, log_path));
-  if (logging) Must(table->RecoverFromLog(), "open log");
-  return table;
+/// The one table of a fresh durable database at `dir`: its writes log
+/// to the database's redo log (sync_commit off, the default).
+Table* NewLoggedTable(const std::string& dir, std::unique_ptr<Database>* db) {
+  std::filesystem::remove_all(dir);
+  Must(Database::Open(dir, db), "open database");
+  Must((*db)->CreateTable("m", Schema(5), BatchConfig()), "create table");
+  return (*db)->GetTable("m");
 }
 
-std::unique_ptr<Table> LoadedTable(uint64_t rows, bool logging,
-                                   const std::string& log_path) {
-  auto table = NewTable("m", logging, log_path);
+/// Insert `rows` rows in key order, 4096 to a batch, then merge.
+void Load(Table* table, uint64_t rows) {
   Txn txn = table->Begin();
   std::vector<std::vector<Value>> batch;
   for (Value k = 0; k < rows; ++k) {
@@ -64,6 +62,12 @@ std::unique_ptr<Table> LoadedTable(uint64_t rows, bool logging,
   if (!batch.empty()) (void)table->InsertBatch(txn, batch);
   (void)txn.Commit();
   table->FlushAll();
+}
+
+/// A loaded in-memory table.
+std::unique_ptr<Table> LoadedTable(uint64_t rows) {
+  auto table = std::make_unique<Table>("m", Schema(5), BatchConfig());
+  Load(table.get(), rows);
   return table;
 }
 
@@ -83,7 +87,7 @@ int main(int argc, char** argv) {
 
   // --- MultiRead vs looped Read (no logging) -----------------------------
   {
-    auto table = LoadedTable(kRows, false, "");
+    auto table = LoadedTable(kRows);
     Random rng(args.seed);
     std::vector<Value> keys(kOps);
     for (auto& k : keys) k = rng.Uniform(kRows);
@@ -121,7 +125,8 @@ int main(int argc, char** argv) {
   {
     double looped, batched;
     {
-      auto table = NewTable("ins1", true, dir + "/ins1.log");
+      std::unique_ptr<Database> db;
+      Table* table = NewLoggedTable(dir + "/ins1", &db);
       Txn txn = table->Begin();
       auto t0 = Clk::now();
       for (Value k = 0; k < kOps; ++k) {
@@ -131,7 +136,8 @@ int main(int argc, char** argv) {
       (void)txn.Commit();
     }
     {
-      auto table = NewTable("ins2", true, dir + "/ins2.log");
+      std::unique_ptr<Database> db;
+      Table* table = NewLoggedTable(dir + "/ins2", &db);
       Txn txn = table->Begin();
       auto t0 = Clk::now();
       std::vector<std::vector<Value>> rows;
@@ -156,7 +162,9 @@ int main(int argc, char** argv) {
 
   // --- UpdateBatch vs looped Update (logging ON) -------------------------
   {
-    auto table = LoadedTable(kRows, true, dir + "/upd.log");
+    std::unique_ptr<Database> db;
+    Table* table = NewLoggedTable(dir + "/upd", &db);
+    Load(table, kRows);
     // A stride walk gives distinct keys spread across ranges.
     std::vector<Value> keys(kOps);
     for (uint64_t i = 0; i < kOps; ++i) keys[i] = (i * 7919) % kRows;
@@ -190,7 +198,7 @@ int main(int argc, char** argv) {
   // worker count, >= 3x at 8 workers on sufficiently parallel hardware.
   {
     const uint64_t scan_rows = kRows * 10;
-    auto table = LoadedTable(scan_rows, false, "");
+    auto table = LoadedTable(scan_rows);
     std::printf("\nParallel Query::Sum over %llu rows\n",
                 static_cast<unsigned long long>(scan_rows));
     std::printf("%-12s %12s %14s %10s\n", "workers", "time (s)", "rows/s",

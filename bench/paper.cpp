@@ -90,7 +90,6 @@ TableConfig PaperConfig(uint32_t range_size = 1u << 12,
   tc.insert_range_size = range_size;
   tc.merge_threshold = merge_threshold;
   tc.enable_merge_thread = true;
-  tc.enable_logging = false;
   return tc;
 }
 

@@ -2,34 +2,46 @@
 // "querying and retaining the current and historic data"), merged tail
 // pages are delta-compressed into the historic store (Section 4.3),
 // and time-travel queries reconstruct any past snapshot — including
-// across merges and compression, and after a crash via the redo log.
+// across merges and compression, and after a restart from a checkpoint
+// plus the redo-log tail (Section 5.1.3).
 
 #include <cstdio>
+#include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/database.h"
 #include "core/query.h"
 #include "core/table.h"
 
 using namespace lstore;
 
 int main() {
-  std::string log_path = "/tmp/lstore_time_travel.log";
-  std::remove(log_path.c_str());
+  const std::string dir =
+      std::filesystem::temp_directory_path().string() + "/lstore_time_travel";
+  std::filesystem::remove_all(dir);
 
   TableConfig config;
   config.range_size = 256;
   config.merge_threshold = 64;
   config.enable_merge_thread = false;
-  config.enable_logging = true;
-  config.log_path = log_path;
 
   std::vector<Timestamp> checkpoints;
   {
-    Table inventory("inventory", Schema({"sku", "stock", "price_cents"}),
-                    config);
-    // A logging table's log opens through recovery (of an empty log).
-    if (!inventory.RecoverFromLog().ok()) return 1;
+    // A table is durable as the table of a database directory: its
+    // writes go to the directory's one redo log.
+    std::unique_ptr<Database> db;
+    Status s = Database::Open(dir, &db);
+    if (s.ok()) {
+      s = db->CreateTable("inventory",
+                          Schema({"sku", "stock", "price_cents"}), config);
+    }
+    if (!s.ok()) {
+      std::printf("open failed: %s\n", s.ToString().c_str());
+      return 1;
+    }
+    Table& inventory = *db->GetTable("inventory");
     // Seed and evolve the data through four "days".
     Txn txn = inventory.Begin();
     for (Value sku = 0; sku < 200; ++sku) {
@@ -51,6 +63,9 @@ int main() {
       inventory.FlushAll();
       inventory.CompressHistoricNow(0);
       inventory.epochs().TryReclaim();
+      // After day 2, a checkpoint: the restart loads it and replays
+      // only the later days from the log.
+      if (day == 1 && !db->Checkpoint().ok()) return 1;
     }
     checkpoints.push_back(inventory.Now());
 
@@ -78,27 +93,30 @@ int main() {
                     inventory.metrics()
                         ->GetCounter("lstore_historic_compressions_total")
                         ->value()));
-    // Table destructs here = clean shutdown. Now simulate restart.
+    // The database closes here = clean shutdown. Now simulate restart.
   }
 
-  std::printf("\nrestarting from the redo log (%s)...\n", log_path.c_str());
-  Table recovered("inventory", Schema({"sku", "stock", "price_cents"}),
-                  config);
-  Status s = recovered.RecoverFromLog();
+  std::printf("\nrestarting from the checkpoint and the redo-log tail (%s)...\n",
+              dir.c_str());
+  std::unique_ptr<Database> db;
+  Status s = Database::Open(dir, &db);
   if (!s.ok()) {
     std::printf("recovery failed: %s\n", s.ToString().c_str());
     return 1;
   }
+  Table& recovered = *db->GetTable("inventory");
   std::printf("recovered %llu rows; history still queryable:\n",
               static_cast<unsigned long long>(recovered.num_rows()));
   for (size_t day = 0; day < checkpoints.size(); ++day) {
     std::vector<Value> row;
-    if (recovered.ReadAsOf(0, checkpoints[day], 0b010, &row).ok()) {
-      std::printf("  day %zu: stock=%llu\n", day,
-                  static_cast<unsigned long long>(row[1]));
+    if (recovered.ReadAsOf(0, checkpoints[day], 0b110, &row).ok()) {
+      std::printf("  day %zu: stock=%llu price=%llu\n", day,
+                  static_cast<unsigned long long>(row[1]),
+                  static_cast<unsigned long long>(row[2]));
     }
   }
-  std::remove(log_path.c_str());
+  db.reset();
+  std::filesystem::remove_all(dir);
   std::printf("time-travel example done.\n");
   return 0;
 }

@@ -21,8 +21,8 @@ constexpr char kManifestFile[] = "MANIFEST";
 constexpr char kCatalogFile[] = "CATALOG";
 constexpr char kRedoLogFile[] = "redo.log";
 
-/// Pack the restart-relevant TableConfig fields (logging fields are
-/// re-derived from the directory at Open time).
+/// Pack the restart-relevant TableConfig fields (the wiring fields,
+/// pool, store and registries, come from the Database at Open).
 void PutConfig(std::string* p, const TableConfig& c) {
   PutVarint64(p, c.range_size);
   PutVarint64(p, c.base_page_slots);

@@ -68,7 +68,7 @@ struct CatalogEntry {
   uint64_t id = 0;  ///< names the table in log records and the manifest
   std::string name;
   std::vector<std::string> columns;
-  TableConfig config;  ///< logging fields are re-derived at Open
+  TableConfig config;  ///< the restart-relevant fields (PutConfig)
   std::vector<ColumnId> secondary_columns;  ///< durable secondary indexes
 };
 

@@ -1,7 +1,7 @@
 // Restart recovery (Section 5.1.3, recovery option 2).
 //
-// Recovery runs in four steps over one redo stream — a Database's one
-// log, shared by all of its tables, or a standalone table's own:
+// Recovery runs in four steps over one redo stream, a Database's one
+// log, shared by all of its tables:
 //   1. load each table's latest checkpoint (lineage-consistent
 //      snapshot of base segments, tail pages, and the historic store),
 //   2. read the stream once: the live log opens (its one scan restores
@@ -21,15 +21,15 @@
 //      neither is logged nor checkpointed, exactly as the paper
 //      prescribes. Two live rows with one key fail the restart with
 //      Corruption.
-// Database::Recover runs step 1 per cataloged table, then these; a
-// standalone table runs all four in RecoverDurable.
+// Database::Recover runs step 1 per cataloged table, then these; it is
+// the only recovery entry point, since a table is durable only as a
+// table of a database directory.
 
 #include <algorithm>
 #include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "checkpoint/serde.h"
 #include "core/table.h"
 #include "log/redo_log.h"
 
@@ -162,31 +162,6 @@ Status Table::ResolveAndRebuild(const CommitOutcomes& commits) {
   }
   ResumeClock(commits, max_time, txn_manager_);
   return Status::OK();
-}
-
-Status Table::RecoverDurable(const std::string& checkpoint_file,
-                             uint64_t log_watermark,
-                             uint64_t checkpoint_checksum) {
-  if (!checkpoint_file.empty()) {
-    LSTORE_RETURN_IF_ERROR(
-        CheckpointIO::LoadTable(this, checkpoint_file, checkpoint_checksum));
-  }
-  // The log of a table that does not append to it is only read.
-  std::vector<std::string> paths;
-  if (!config_.log_path.empty()) paths.push_back(config_.log_path);
-  CommitOutcomes commits;
-  Status s = ReplayLog({{log_id_, this}}, log_watermark, kMaxTimestamp, log_,
-                       paths, &commits);
-  if (s.ok()) s = ResolveAndRebuild(commits);
-  if (!s.ok() && log_ != nullptr) log_->Close();
-  return s;
-}
-
-Status Table::RecoverFromLog() {
-  if (config_.log_path.empty()) {
-    return Status::InvalidArgument("no log path configured");
-  }
-  return RecoverDurable(/*checkpoint_file=*/"", /*log_watermark=*/0);
 }
 
 }  // namespace lstore

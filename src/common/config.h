@@ -11,7 +11,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 
 namespace lstore {
 
@@ -56,15 +55,6 @@ struct TableConfig {
   /// Run the asynchronous merge thread (true in all experiments).
   bool enable_merge_thread = true;
 
-  /// Redo logging of tail appends (Section 5.1.3). Off by default to
-  /// match the evaluation ("logging has been turned off for all
-  /// systems"); recovery tests enable it.
-  bool enable_logging = false;
-  std::string log_path;  ///< file path when logging is enabled
-
-  /// fsync the log on commit (group commit still batches writes).
-  bool sync_commit = false;
-
   /// Buffer-managed base storage (src/buffer/): the pool that owns the
   /// table's base-segment frames and the swap store behind them. Wired
   /// by the owning Database (buffer_pool_bytes > 0) or by tests; both
@@ -102,10 +92,12 @@ struct TableConfig {
 };
 
 /// Durability knobs of a database directory (Section 5.1.3). A durable
-/// database pairs the per-table redo logs with lineage-consistent
-/// checkpoints; recovery = load latest checkpoint + replay log tail.
+/// database pairs its one redo log with lineage-consistent checkpoints;
+/// recovery = load latest checkpoint + replay log tail. A table is
+/// durable only as a table of a database directory.
 struct DurabilityOptions {
-  /// fsync redo logs on every commit (propagated to TableConfig).
+  /// fsync the redo log on every commit (group commit still shares
+  /// fsyncs): the log's own policy, set once at Open.
   bool sync_commit = false;
 
   /// Drop redo records at or below the checkpoint watermark once the

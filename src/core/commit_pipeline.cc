@@ -44,21 +44,6 @@ EngineBase* Metered(EngineBase* const* engines, size_t n, const Role* roles) {
   return reader;
 }
 
-/// The writer whose redo log every logged writer shares, given each
-/// engine's log in `logs` (null for an engine that does not write or
-/// log): n when no writer logs. Sets `*split` when two writers name
-/// different logs.
-size_t SharedLog(RedoLog* const* logs, size_t n, bool* split) {
-  size_t shared = n;
-  *split = false;
-  for (size_t i = 0; i < n; ++i) {
-    if (logs[i] == nullptr) continue;
-    if (shared != n && logs[shared] != logs[i]) *split = true;
-    shared = i;
-  }
-  return shared;
-}
-
 }  // namespace
 
 Status CommitAcross(TransactionManager& tm, Transaction* txn,
@@ -66,16 +51,6 @@ Status CommitAcross(TransactionManager& tm, Transaction* txn,
   if (txn->finished()) return Status::InvalidArgument("already finished");
   InlineBuffer<Role, 16> roles(n);
   Classify(*txn, engines, n, roles.data());
-  InlineBuffer<RedoLog*, 16> logs(n);
-  for (size_t i = 0; i < n; ++i) {
-    logs[i] = roles[i] == Role::kWriter ? engines[i]->redo_log() : nullptr;
-  }
-  bool split = false;
-  const size_t logged = SharedLog(logs.data(), n, &split);
-  if (split) {
-    AbortAcross(tm, txn, engines, n, /*durable_abort=*/false);
-    return Status::InvalidArgument("writers log to different redo logs");
-  }
 
   // 1. Acquire commit time and enter pre-commit (Section 5.1.1).
   Timestamp commit_time = tm.EnterPreCommit(txn);
@@ -96,15 +71,18 @@ Status CommitAcross(TransactionManager& tm, Transaction* txn,
   // 3. Durability point (Section 5.1.3): ONE commit record, whatever
   // the number of tables, synced through the group commit. Read-only
   // participants write nothing: the log carries no records of theirs
-  // to resolve at replay.
-  if (logged != n) {
-    RedoLog* log = logs[logged];
+  // to resolve at replay. The candidates are one engine or the tables
+  // of one Database, so every writer that logs names the same log.
+  RedoLog* log = nullptr;
+  for (size_t i = 0; i < n && log == nullptr; ++i) {
+    if (roles[i] == Role::kWriter) log = engines[i]->redo_log();
+  }
+  if (log != nullptr) {
     LogRecord rec;
     rec.type = LogRecordType::kCommit;
     rec.txn_id = txn->id();
     rec.commit_time = commit_time;
-    Status ds =
-        log->Sync(log->Append(rec), engines[logged]->config().sync_commit);
+    Status ds = log->SyncCommit(log->Append(rec));
     if (!ds.ok()) {
       // The commit record may already be durable: the abort must be
       // durable to override it.
@@ -143,22 +121,16 @@ void AbortAcross(TransactionManager& tm, Transaction* txn,
   // abort as authoritative, so it must not sit in the buffer when the
   // process dies. Ordinary aborts (user abort, validation failure)
   // skip the sync: with no commit record, replay aborts them anyway.
-  // Writers refused for naming two logs left no commit record either.
-  InlineBuffer<RedoLog*, 16> logs(n);
-  for (size_t i = 0; i < n; ++i) {
-    logs[i] = roles[i] == Role::kWriter ? engines[i]->redo_log() : nullptr;
+  RedoLog* log = nullptr;
+  for (size_t i = 0; i < n && log == nullptr; ++i) {
+    if (roles[i] == Role::kWriter) log = engines[i]->redo_log();
   }
-  bool split = false;
-  const size_t logged = SharedLog(logs.data(), n, &split);
-  if (logged != n) {
-    RedoLog* log = logs[logged];
+  if (log != nullptr) {
     LogRecord rec;
     rec.type = LogRecordType::kAbort;
     rec.txn_id = txn->id();
     const uint64_t lsn = log->Append(rec);
-    if (durable_abort) {
-      (void)log->Sync(lsn, engines[logged]->config().sync_commit);
-    }
+    if (durable_abort) (void)log->SyncCommit(lsn);
   }
   // Tombstone the writeset (Section 5.1.3: aborted tail records are
   // only marked invalid; space is reclaimed by compression).

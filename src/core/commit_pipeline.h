@@ -13,21 +13,23 @@
 //   2. validate each participant's share of the readset (empty for
 //      the comparison engines),
 //   3. reach the durability point (empty without a redo log, as for
-//      the comparison engines): ONE commit record in the one log the
-//      logged writers share — a database's tables all append to its
-//      one redo log — synced once through FramedLog::Sync, whatever
-//      the number of tables. Sync is the group commit: a caller whose
-//      record an earlier write already covered returns at once, so
-//      concurrent committers share fsyncs,
+//      the comparison engines and in-memory tables): ONE commit record
+//      in the one log the writers share — a database's tables all
+//      append to its one redo log — synced once under that log's fsync
+//      policy through FramedLog::Sync, whatever the number of tables.
+//      Sync is the group commit: a caller whose record an earlier
+//      write already covered returns at once, so concurrent committers
+//      share fsyncs,
 //   4. flip the state in the shared manager — the in-memory commit
 //      point,
 //   5. stamp Start Time slots through each engine's one stamping loop
 //      (unindexing aborted inserts) and retire the manager entry.
 //
-// Writers that log to two different logs are a caller bug: the commit
-// is refused (and aborted) before its durability point. An abort flips
-// the state, appends one abort record to the shared log, and runs the
-// same stamping loop with the aborted stamp.
+// The candidates never span two logs: a database passes only its own
+// tables, and a session used on an engine outside its scope is refused
+// at its first operation (CheckActive, txn/txn.h). An abort flips the
+// state, appends one abort record to the shared log, and runs the same
+// stamping loop with the aborted stamp.
 
 #ifndef LSTORE_CORE_COMMIT_PIPELINE_H_
 #define LSTORE_CORE_COMMIT_PIPELINE_H_

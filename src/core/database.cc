@@ -105,12 +105,6 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
   // Creations are serialized (ddl_mu_, or recovery before it returns),
   // so a name free here is still free at the publish below.
   if (GetTable(name) != nullptr) return Status::AlreadyExists("table exists");
-  if (durable()) {
-    // The table logs into the database's one log, not a file of its own.
-    config.enable_logging = true;
-    config.log_path.clear();
-    config.sync_commit = durability_.sync_commit;
-  }
   // Buffer-managed base storage: with a pool, every table shares it
   // and gets its own swap store under the directory. WITHOUT a pool,
   // an existing .segs file is still opened — a database checkpointed
@@ -139,7 +133,7 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
                                        std::move(config), &txn_manager_);
   // Its records name it by its catalog id in the one log; until
   // recovery opens the log, its commits fail at the sync.
-  if (durable()) table->log_ = log_.get();
+  table->log_ = log_.get();
   table->log_id_ = id;
   SpinGuard g(latch_);
   if (store != nullptr) segment_stores_[name] = std::move(store);
@@ -371,12 +365,13 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
   LSTORE_RETURN_IF_ERROR(ReadManifest(dir, &src.manifest, &manifest_exists));
 
   // Every table's commits share the log's fsyncs (the group-commit
-  // window), single- and cross-table sessions alike.
+  // window) and its one fsync policy, single- and cross-table sessions
+  // alike.
   db->log_ = std::make_unique<RedoLog>();
   db->log_->set_metrics(FramedLogMetrics::In(&db->metrics_, "lstore_redo",
                                              "Redo-log", "log_flush"));
   db->group_commit_hb_ = db->health_.Register("group_commit");
-  db->log_->set_group_commit(opts.group_commit_window_us,
+  db->log_->set_group_commit(opts.sync_commit, opts.group_commit_window_us,
                              db->group_commit_hb_.get());
   LSTORE_RETURN_IF_ERROR(db->Recover(catalog, src));
 

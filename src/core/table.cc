@@ -83,14 +83,6 @@ Table::Table(std::string name, Schema schema, TableConfig config,
         return MakeSegmentPage(std::move(col));
       },
       &obs_};
-  if (config_.enable_logging && !config_.log_path.empty()) {
-    owned_log_ = std::make_unique<RedoLog>();
-    log_ = owned_log_.get();
-    // Opened by recovery (RecoverDurable), which replays it in the
-    // same scan; until then a commit fails at its sync.
-    log_->set_metrics(
-        FramedLogMetrics::In(metrics_, "lstore_redo", "Redo-log", "log_flush"));
-  }
   buffer_pool_ = config_.buffer_pool;
   segment_store_ = config_.segment_store;
   if (buffer_pool_ == nullptr && segment_store_ == nullptr) {
@@ -627,7 +619,7 @@ void Table::WaitForMergeQueue() {
 
 // ---------------------------------------------------------------------------
 // Recovery (Section 5.1.3): see src/checkpoint/recovery.cc for
-// RecoverFromLog / RecoverDurable / ReplayLog / ResolveAndRebuild.
+// ReplayLog / ResolveAndRebuild, which Database::Recover runs.
 // ---------------------------------------------------------------------------
 
 }  // namespace lstore

@@ -224,26 +224,6 @@ class Table : public EngineCore<Range> {
   using ChainEntry = Range::ChainEntry;
   std::vector<ChainEntry> DebugChain(Value key, ColumnId col) const;
 
-  /// Recover a standalone logging table by replaying the redo log at
-  /// config.log_path (call on a freshly constructed, empty table):
-  /// RecoverDurable with no checkpoint. A logging table must run one of
-  /// the two before it writes, since that is where its log opens.
-  Status RecoverFromLog();
-
-  /// Full restart recovery of a standalone table (Section 5.1.3): load
-  /// the checkpoint file (may be empty = none), replay its redo log
-  /// beyond `log_watermark`, resolve pending transaction outcomes, and
-  /// rebuild the primary index and the Indirection column from Base
-  /// RID backpointers (recovery option 2). Call on a freshly
-  /// constructed, empty table. The log's open-time scan, which restores
-  /// its LSN counter and cuts a torn tail, is the replay, so the file is
-  /// read once. Until then, and after a failed recovery, its commits
-  /// fail at the log sync. A Database's tables recover together through
-  /// the same steps (Database::Recover), over the database's one log.
-  Status RecoverDurable(const std::string& checkpoint_file,
-                        uint64_t log_watermark,
-                        uint64_t checkpoint_checksum = 0);
-
   /// Columns carrying a secondary index (recorded in the checkpoint
   /// manifest so recovery can rebuild them).
   std::vector<ColumnId> SecondaryColumns() const;
@@ -399,10 +379,9 @@ class Table : public EngineCore<Range> {
   mutable SpinLatch secondary_latch_;
 
   std::unique_ptr<MergeManager> merge_manager_;
-  /// The redo log this table appends to (null: no logging): its own
-  /// (standalone, config.log_path) or its Database's one log, in which
-  /// its records carry `log_id_`, its catalog id.
-  std::unique_ptr<RedoLog> owned_log_;
+  /// The redo log this table appends to: its Database's one log, in
+  /// which its records carry `log_id_`, its catalog id (null: an
+  /// in-memory table, which logs nothing).
   RedoLog* log_ = nullptr;
   uint64_t log_id_ = 0;
 

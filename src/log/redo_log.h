@@ -1,6 +1,5 @@
 // Redo-only write-ahead log for tail pages: one per durable Database
-// (<dir>/redo.log), shared by all of its tables, or one per standalone
-// logging Table.
+// (<dir>/redo.log), shared by all of its tables.
 //
 // Section 5.1.3: base pages are read-only (no logging); tail pages are
 // append-only and never updated in place, so only *redo* records are
@@ -10,11 +9,11 @@
 // needs no log of its own (recovery option 2 in the paper).
 //
 // Every append record names the table it writes by a catalog id
-// ([type][table id][txn id]...; a standalone table's records say 0),
-// so one stream carries every table of a database and replay routes
-// each record by that id. A commit or abort record names only its
-// transaction: one frame commits (or aborts) it on every table it
-// wrote, and one Sync makes that frame durable.
+// ([type][table id][txn id]...), so one stream carries every table of
+// a database and replay routes each record by that id. A commit or
+// abort record names only its transaction: one frame commits (or
+// aborts) it on every table it wrote, and one Sync makes that frame
+// durable.
 //
 // A bulk insert logs its data and little more: one kInsertRun record
 // per range a batch fills — [type][table id][txn id][range][first slot]
@@ -116,7 +115,7 @@ class RedoLog {
   /// LSN counter; a torn tail (crash mid-write) is truncated away so
   /// new appends are not hidden behind garbage. `replay_fn` (optional)
   /// receives every well-formed record during that same scan, so
-  /// restart recovery reads the live log once (Table::RecoverDurable).
+  /// restart recovery reads the live log once (Database::Recover).
   Status Open(const std::string& path, bool truncate,
               const RecordFn& replay_fn = nullptr);
   void Close() { framed_.Close(); }
@@ -211,11 +210,17 @@ class RedoLog {
   /// `fsync`, durable), sharing one write with concurrent callers
   /// (FramedLog::Sync).
   Status Sync(uint64_t lsn, bool fsync) { return framed_.Sync(lsn, fsync); }
+  /// Sync under the log's own commit policy (set_group_commit): what a
+  /// commit, or an abort that overrides one, waits on.
+  Status SyncCommit(uint64_t lsn) { return Sync(lsn, sync_commit_); }
 
   /// Wire registry metrics (obs/metrics.h) into the framed core.
   void set_metrics(const FramedLogMetrics& m) { framed_.set_metrics(m); }
-  /// Group-commit window and busy heartbeat (FramedLog).
-  void set_group_commit(uint64_t window_us, Heartbeat* busy) {
+  /// Commit policy: fsync every commit or not
+  /// (DurabilityOptions::sync_commit), then the group-commit window and
+  /// busy heartbeat (FramedLog).
+  void set_group_commit(bool fsync, uint64_t window_us, Heartbeat* busy) {
+    sync_commit_ = fsync;
     framed_.set_group_commit(window_us, busy);
   }
 
@@ -252,6 +257,7 @@ class RedoLog {
 
  private:
   FramedLog framed_;
+  bool sync_commit_ = false;
 };
 
 }  // namespace lstore

@@ -7,6 +7,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <random>
 #include <string>
 #include <thread>
@@ -30,6 +31,50 @@ TableConfig SmallConfig() {
   cfg.merge_threshold = 1u << 30;
   cfg.enable_merge_thread = false;
   return cfg;
+}
+
+// A fresh durable directory under the test temp dir.
+std::string FreshDir(const char* name) {
+  const std::string dir = std::string(::testing::TempDir()) + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+// Open (or restart) the durable database at `dir` holding one table,
+// "b" (Schema(3), SmallConfig), created on the directory's first open.
+Table& OpenOneTable(const std::string& dir, std::unique_ptr<Database>* db) {
+  db->reset();
+  Status s = Database::Open(dir, db);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  if ((*db)->GetTable("b") == nullptr) {
+    EXPECT_TRUE((*db)->CreateTable("b", Schema(3), SmallConfig()).ok());
+  }
+  return *(*db)->GetTable("b");
+}
+
+// Physical frames in the log file at `path`: [len][payload][crc32c].
+size_t FramesIn(const std::string& path) {
+  std::string data;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  EXPECT_NE(f, nullptr);
+  if (f == nullptr) return 0;
+  char chunk[4096];
+  size_t n;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    data.append(chunk, n);
+  }
+  std::fclose(f);
+  size_t frames = 0, pos = 0;
+  while (pos < data.size()) {
+    uint64_t len = 0;
+    if (!GetVarint64(data, &pos, &len)) {
+      ADD_FAILURE() << "torn frame length at byte " << pos;
+      break;
+    }
+    pos += len + sizeof(uint32_t);  // payload + checksum
+    ++frames;
+  }
+  return frames;
 }
 
 class BatchTest : public ::testing::Test {
@@ -141,14 +186,10 @@ TEST_F(BatchTest, DeleteBatchStopsAtMissingKey) {
 }
 
 TEST(BatchLogTest, DeleteBatchProducesOneFrameAndReplays) {
-  std::string path = "/tmp/lstore_delete_batch_log_test.log";
-  std::remove(path.c_str());
-  TableConfig cfg = SmallConfig();
-  cfg.enable_logging = true;
-  cfg.log_path = path;
+  const std::string dir = FreshDir("lstore_delete_batch_log_test");
+  std::unique_ptr<Database> db;
   {
-    Table table("b", Schema(3), cfg);
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = OpenOneTable(dir, &db);
     Txn load = table.Begin();
     std::vector<std::vector<Value>> rows;
     for (Value k = 0; k < 20; ++k) rows.push_back({k, k + 1, 0});
@@ -160,30 +201,12 @@ TEST(BatchLogTest, DeleteBatchProducesOneFrameAndReplays) {
     EXPECT_EQ(table.metrics()->GetCounter("lstore_deletes_total")->value(),
               5u);
   }
+  db.reset();
   // Physical framing: insert batch + commit + delete batch + commit =
   // exactly FOUR frames (one latch/log envelope per batch).
-  {
-    std::string data;
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char chunk[4096];
-    size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-      data.append(chunk, n);
-    }
-    std::fclose(f);
-    size_t frames = 0, pos = 0;
-    while (pos < data.size()) {
-      uint64_t len = 0;
-      ASSERT_TRUE(GetVarint64(data, &pos, &len));
-      pos += len + sizeof(uint32_t);  // payload + checksum
-      ++frames;
-    }
-    EXPECT_EQ(frames, 4u);
-  }
-  // Recovery replays the batched deletes.
-  Table recovered("b", Schema(3), cfg);
-  ASSERT_TRUE(recovered.RecoverFromLog().ok());
+  EXPECT_EQ(FramesIn(dir + "/redo.log"), 4u);
+  // A restart replays the batched deletes.
+  Table& recovered = OpenOneTable(dir, &db);
   uint64_t count = 0;
   ASSERT_TRUE(recovered.NewQuery().Count(&count).ok());
   EXPECT_EQ(count, 15u);
@@ -192,7 +215,8 @@ TEST(BatchLogTest, DeleteBatchProducesOneFrameAndReplays) {
   EXPECT_TRUE(recovered.Read(check, 3, 0b010, &out).IsNotFound());
   EXPECT_TRUE(recovered.Read(check, 5, 0b010, &out).ok());
   ASSERT_TRUE(check.Commit().ok());
-  std::remove(path.c_str());
+  db.reset();
+  std::filesystem::remove_all(dir);
 }
 
 TEST_F(BatchTest, ForeignHostSessionsAreRejected) {
@@ -208,6 +232,52 @@ TEST_F(BatchTest, ForeignHostSessionsAreRejected) {
   Txn scoped = db.Begin();
   EXPECT_TRUE(db.GetTable("m")->Insert(scoped, {1, 2, 3}).ok());
   ASSERT_TRUE(scoped.Commit().ok());
+}
+
+// Two durable databases, two redo logs: a session begun on A is refused
+// by every write op on a table of B before anything is logged, so no
+// commit ever spans two logs. Both logs keep their sizes, and A's own
+// write then commits.
+TEST(SessionTest, SessionOfOneDurableDatabaseIsRefusedByAnother) {
+  const std::string dir_a = FreshDir("lstore_foreign_db_a");
+  const std::string dir_b = FreshDir("lstore_foreign_db_b");
+  std::unique_ptr<Database> a, b;
+  Table& ta = OpenOneTable(dir_a, &a);
+  Table& tb = OpenOneTable(dir_b, &b);
+  {
+    Txn load = b->Begin();
+    ASSERT_TRUE(tb.InsertBatch(load, {{1, 1, 1}, {2, 2, 2}, {3, 3, 3}}).ok());
+    ASSERT_TRUE(load.Commit().ok());
+  }
+  ASSERT_TRUE(a->redo_log()->Flush(false).ok());
+  ASSERT_TRUE(b->redo_log()->Flush(false).ok());
+  const uintmax_t size_a = std::filesystem::file_size(dir_a + "/redo.log");
+  const uintmax_t size_b = std::filesystem::file_size(dir_b + "/redo.log");
+
+  Txn txn = a->Begin();
+  EXPECT_TRUE(tb.Insert(txn, {10, 1, 1}).IsInvalidArgument());
+  EXPECT_TRUE(tb.InsertBatch(txn, {{11, 1, 1}}).IsInvalidArgument());
+  EXPECT_TRUE(tb.Update(txn, 1, 0b010, {0, 9, 0}).IsInvalidArgument());
+  EXPECT_TRUE(
+      tb.UpdateBatch(txn, {2}, 0b010, {{0, 9, 0}}).IsInvalidArgument());
+  EXPECT_TRUE(tb.Delete(txn, 1).IsInvalidArgument());
+  EXPECT_TRUE(tb.DeleteBatch(txn, {2, 3}).IsInvalidArgument());
+  ASSERT_TRUE(a->redo_log()->Flush(false).ok());
+  ASSERT_TRUE(b->redo_log()->Flush(false).ok());
+  EXPECT_EQ(std::filesystem::file_size(dir_a + "/redo.log"), size_a);
+  EXPECT_EQ(std::filesystem::file_size(dir_b + "/redo.log"), size_b);
+
+  ASSERT_TRUE(ta.Insert(txn, {10, 1, 1}).ok());
+  ASSERT_TRUE(txn.Commit().ok());
+  uint64_t rows_b = 0;
+  ASSERT_TRUE(tb.NewQuery().Count(&rows_b).ok());
+  EXPECT_EQ(rows_b, 3u);
+  a.reset();
+  b.reset();
+  EXPECT_EQ(std::filesystem::file_size(dir_b + "/redo.log"), size_b);
+  EXPECT_GT(std::filesystem::file_size(dir_a + "/redo.log"), size_a);
+  std::filesystem::remove_all(dir_a);
+  std::filesystem::remove_all(dir_b);
 }
 
 TEST_F(BatchTest, BatchAbortTombstonesEverything) {
@@ -439,41 +509,21 @@ TEST(InsertPathTest, ConcurrentOverlappingBatchesLandEveryKeyOnce) {
 // N tail appends plus the commit record make exactly TWO physical
 // frames, yet every record keeps its own LSN and replays individually.
 TEST(BatchLogTest, BatchProducesOneFrameAndReplays) {
-  std::string path = "/tmp/lstore_batch_log_test.log";
-  std::remove(path.c_str());
-  TableConfig cfg = SmallConfig();
-  cfg.enable_logging = true;
-  cfg.log_path = path;
+  const std::string dir = FreshDir("lstore_batch_log_test");
+  const std::string path = dir + "/redo.log";
+  std::unique_ptr<Database> db;
   {
-    Table table("b", Schema(3), cfg);
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = OpenOneTable(dir, &db);
     Txn txn = table.Begin();
     std::vector<std::vector<Value>> rows;
     for (Value k = 0; k < 40; ++k) rows.push_back({k, k + 1, 0});
     ASSERT_TRUE(table.InsertBatch(txn, rows).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
+  db.reset();
   // Frame-level inspection: parse the physical framing directly.
   // 40 batched inserts + 1 commit record = exactly TWO frames.
-  {
-    std::string data;
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    ASSERT_NE(f, nullptr);
-    char chunk[4096];
-    size_t n;
-    while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
-      data.append(chunk, n);
-    }
-    std::fclose(f);
-    size_t frames = 0, pos = 0;
-    while (pos < data.size()) {
-      uint64_t len = 0;
-      ASSERT_TRUE(GetVarint64(data, &pos, &len));
-      pos += len + sizeof(uint32_t);  // payload + checksum
-      ++frames;
-    }
-    EXPECT_EQ(frames, 2u);
-  }
+  EXPECT_EQ(FramesIn(path), 2u);
   // Logically the batch frame still carries 40 individually-numbered
   // records.
   size_t records = 0;
@@ -491,14 +541,14 @@ TEST(BatchLogTest, BatchProducesOneFrameAndReplays) {
   EXPECT_EQ(records, 41u);  // 40 inserts + 1 commit
   EXPECT_EQ(max_lsn, 41u);  // every record carries its own LSN
 
-  // And recovery rebuilds the table from the batch frame.
-  Table recovered("b", Schema(3), cfg);
-  ASSERT_TRUE(recovered.RecoverFromLog().ok());
+  // And a restart rebuilds the table from the batch frame.
+  Table& recovered = OpenOneTable(dir, &db);
   EXPECT_EQ(recovered.num_rows(), 40u);
   uint64_t sum = 0;
   ASSERT_TRUE(recovered.NewQuery().Sum(1, &sum).ok());
   EXPECT_EQ(sum, 40u * 41u / 2);
-  std::remove(path.c_str());
+  db.reset();
+  std::filesystem::remove_all(dir);
 }
 
 // Cross-table sessions run the same pipeline: only written tables get

@@ -50,6 +50,24 @@ class CheckpointTest : public ::testing::Test {
     return cfg;
   }
 
+  /// Restart a durable directory whose redo.log holds only `rec`: the
+  /// directory's one table "t" (Schema(2), `cfg`, catalog id 0) is
+  /// created and closed, the crafted record replaces the log, and the
+  /// reopen's status is returned.
+  Status OpenOverCraftedLog(const TableConfig& cfg, const LogRecord& rec) {
+    std::filesystem::remove_all(dir_);
+    std::unique_ptr<Database> db;
+    LSTORE_RETURN_IF_ERROR(Database::Open(dir_, &db));
+    LSTORE_RETURN_IF_ERROR(db->CreateTable("t", Schema(2), cfg));
+    db.reset();
+    RedoLog log;
+    LSTORE_RETURN_IF_ERROR(log.Open(dir_ + "/redo.log", /*truncate=*/true));
+    log.Append(rec);
+    LSTORE_RETURN_IF_ERROR(log.Flush(false));
+    log.Close();
+    return Database::Open(dir_, &db);
+  }
+
   /// Write a checkpoint of a Schema(2) SmallConfig() table with
   /// `range_size`: its header (claiming `nranges` ranges and
   /// `next_row`), `frames`, and a footer counting their range-state
@@ -295,7 +313,6 @@ TEST_F(CheckpointTest, CraftedTailSeqPastLimitIsCorruption) {
 }
 
 TEST_F(CheckpointTest, RedoRecordPastDirectoryOrRangeIsCorruption) {
-  std::filesystem::create_directories(dir_);
   const uint32_t range_size = SmallConfig().range_size;
   struct Crafted {
     LogRecordType type;
@@ -313,30 +330,19 @@ TEST_F(CheckpointTest, RedoRecordPastDirectoryOrRangeIsCorruption) {
            {kUpdate, 0, 0, 0, 0},                    // seq 0
            {kUpdate, 0, kMaxTailSeq + 2, 0, 0},      // past kMaxTailSeq
            {kUpdate, 0, 1, range_size, 0}}) {        // slot past the range
-    const std::string path = dir_ + "/t.log";
-    {
-      RedoLog log;
-      ASSERT_TRUE(log.Open(path, true).ok());
-      LogRecord rec;
-      rec.type = c.type;
-      rec.txn_id = kTxnIdTag | 7;
-      rec.range_id = c.range;
-      rec.seq = c.seq;
-      rec.base_slot = c.slot;
-      rec.backptr = c.backptr;
-      rec.schema_encoding = c.type == kInsert ? 0 : 0b10;
-      rec.start_raw = rec.txn_id;
-      rec.mask = c.type == kInsert ? 0b11 : 0b10;
-      rec.values = c.type == kInsert ? std::vector<Value>{1, 2}
-                                     : std::vector<Value>{5};
-      log.Append(rec);
-      ASSERT_TRUE(log.Flush(false).ok());
-    }
-    TableConfig cfg = SmallConfig();
-    cfg.log_path = path;
-    cfg.enable_logging = true;
-    Table t("t", Schema(2), cfg);
-    Status s = t.RecoverFromLog();
+    LogRecord rec;
+    rec.type = c.type;
+    rec.txn_id = kTxnIdTag | 7;
+    rec.range_id = c.range;
+    rec.seq = c.seq;
+    rec.base_slot = c.slot;
+    rec.backptr = c.backptr;
+    rec.schema_encoding = c.type == kInsert ? 0 : 0b10;
+    rec.start_raw = rec.txn_id;
+    rec.mask = c.type == kInsert ? 0b11 : 0b10;
+    rec.values = c.type == kInsert ? std::vector<Value>{1, 2}
+                                   : std::vector<Value>{5};
+    Status s = OpenOverCraftedLog(SmallConfig(), rec);
     EXPECT_TRUE(s.IsCorruption()) << c.range << "/" << c.seq << "/" << c.slot
                                   << "/" << c.backptr << ": " << s.ToString();
   }
@@ -371,28 +377,17 @@ TEST_F(CheckpointTest, CraftedRangeIdPastRowCapIsCorruption) {
 }
 
 TEST_F(CheckpointTest, RedoRecordPastRowCapIsCorruption) {
-  std::filesystem::create_directories(dir_);
-  const std::string path = dir_ + "/t.log";
-  {
-    RedoLog log;
-    ASSERT_TRUE(log.Open(path, true).ok());
-    LogRecord rec;
-    rec.type = LogRecordType::kInsertAppend;
-    rec.txn_id = kTxnIdTag | 7;
-    rec.range_id = kWideRanges;
-    rec.seq = 1;
-    rec.base_slot = 0;
-    rec.mask = 0b11;
-    rec.values = {1, 2};
-    log.Append(rec);
-    ASSERT_TRUE(log.Flush(false).ok());
-  }
+  LogRecord rec;
+  rec.type = LogRecordType::kInsertAppend;
+  rec.txn_id = kTxnIdTag | 7;
+  rec.range_id = kWideRanges;
+  rec.seq = 1;
+  rec.base_slot = 0;
+  rec.mask = 0b11;
+  rec.values = {1, 2};
   TableConfig cfg = SmallConfig();
   cfg.range_size = kWideRangeSize;
-  cfg.log_path = path;
-  cfg.enable_logging = true;
-  Table t("t", Schema(2), cfg);
-  Status s = t.RecoverFromLog();
+  Status s = OpenOverCraftedLog(cfg, rec);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 

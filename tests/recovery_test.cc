@@ -37,15 +37,34 @@ std::string TempLogPath(const char* name) {
   return std::string(::testing::TempDir()) + "lstore_" + name + ".log";
 }
 
-TableConfig LogConfig(const std::string& path) {
+TableConfig LogConfig() {
   TableConfig cfg;
   cfg.range_size = 32;
   cfg.insert_range_size = 32;
   cfg.tail_page_slots = 8;
   cfg.enable_merge_thread = false;
-  cfg.enable_logging = true;
-  cfg.log_path = path;
   return cfg;
+}
+
+// A fresh durable directory under the test temp dir.
+std::string TempDbDir(const std::string& name) {
+  const std::string dir = std::string(::testing::TempDir()) + "lstore_" + name;
+  std::filesystem::remove_all(dir);
+  return dir;
+}
+
+// A restart of the one-table durable database at `dir`: close `*db`
+// (if open), then Database::Open the directory. Its table "t"
+// (Schema(cols), `cfg`, catalog id 0) is created on the first open.
+Table& Restart(const std::string& dir, std::unique_ptr<Database>* db,
+               const TableConfig& cfg = LogConfig(), uint32_t cols = 3) {
+  db->reset();
+  const Status s = Database::Open(dir, db);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  if ((*db)->GetTable("t") == nullptr) {
+    EXPECT_TRUE((*db)->CreateTable("t", Schema(cols), cfg).ok());
+  }
+  return *(*db)->GetTable("t");
 }
 
 TEST(RedoLogTest, PayloadRoundTrip) {
@@ -169,16 +188,15 @@ TEST(RedoLogTest, AppendWriterMatchesReferenceEncoding) {
 // payload (little-endian). The first transaction's id is kTxnIdTag | 1,
 // a 10-byte varint.
 TEST(RedoLogTest, InsertBatchFrameGoldenBytes) {
-  std::string path = TempLogPath("golden_batch");
-  std::remove(path.c_str());
+  const std::string dir = TempDbDir("golden_batch");
   {
-    Table table("g", Schema(2), LogConfig(path));
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    std::unique_ptr<Database> db;
+    Table& table = Restart(dir, &db, LogConfig(), /*cols=*/2);
     Txn txn = table.Begin();
     ASSERT_TRUE(table.InsertBatch(txn, {{1, 300}, {2, 5}}).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
-  std::string data = ReadWholeFile(path);
+  std::string data = ReadWholeFile(dir + "/redo.log");
   size_t pos = 0;
   uint64_t len = 0;
   ASSERT_TRUE(GetVarint64(data, &pos, &len));
@@ -196,7 +214,7 @@ TEST(RedoLogTest, InsertBatchFrameGoldenBytes) {
             "01" "ac02"
             "02" "05"
             "eb286f41");
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 // What a replay delivered: each record's type, txn id and LSN.
@@ -298,21 +316,35 @@ TEST(RedoLogTest, ReplayStopsAtCorruptChecksum) {
   std::remove(path.c_str());
 }
 
+// Each case runs on a one-table durable database in a fresh directory;
+// `path_` is its one redo log. Restart() closes and reopens it.
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = TempLogPath(
+    dir_ = TempDbDir(
         ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    std::remove(path_.c_str());
+    path_ = dir_ + "/redo.log";
   }
-  void TearDown() override { std::remove(path_.c_str()); }
-  std::string path_;
+  void TearDown() override {
+    db_.reset();
+    std::filesystem::remove_all(dir_);
+  }
+  Table& Restart(const TableConfig& cfg = LogConfig()) {
+    return lstore::Restart(dir_, &db_, cfg);
+  }
+  // Create the table and close, so that a log crafted at `path_` next
+  // replays into table id 0.
+  void CreateAndClose() {
+    Restart();
+    db_.reset();
+  }
+  std::string dir_, path_;
+  std::unique_ptr<Database> db_;
 };
 
 TEST_F(RecoveryTest, CommittedDataSurvivesRestart) {
   {
-    Table table("t", Schema(3), LogConfig(path_));
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart();
     Txn txn = table.Begin();
     for (Value k = 0; k < 10; ++k) {
       ASSERT_TRUE(table.Insert(txn, {k, k * 2, k * 3}).ok());
@@ -321,10 +353,9 @@ TEST_F(RecoveryTest, CommittedDataSurvivesRestart) {
     Txn u = table.Begin();
     ASSERT_TRUE(table.Update(u, 4, 0b010, {0, 999, 0}).ok());
     ASSERT_TRUE(u.Commit().ok());
-    // Destructor closes the log; the "crash" discards all memory.
+    // The restart below closes the database and discards all memory.
   }
-  Table table("t", Schema(3), LogConfig(path_));
-  ASSERT_TRUE(table.RecoverFromLog().ok());
+  Table& table = Restart();
   Txn r = table.Begin();
   std::vector<Value> out;
   ASSERT_TRUE(table.Read(r, 4, 0b111, &out).ok());
@@ -336,8 +367,7 @@ TEST_F(RecoveryTest, CommittedDataSurvivesRestart) {
 
 TEST_F(RecoveryTest, UncommittedTransactionRolledBackOnRecovery) {
   {
-    Table table("t", Schema(3), LogConfig(path_));
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart();
     Txn setup = table.Begin();
     ASSERT_TRUE(table.Insert(setup, {1, 10, 20}).ok());
     ASSERT_TRUE(setup.Commit().ok());
@@ -351,8 +381,7 @@ TEST_F(RecoveryTest, UncommittedTransactionRolledBackOnRecovery) {
     Txn noop = table.Begin();
     ASSERT_TRUE(noop.Commit().ok());
   }
-  Table table("t", Schema(3), LogConfig(path_));
-  ASSERT_TRUE(table.RecoverFromLog().ok());
+  Table& table = Restart();
   Txn r = table.Begin();
   std::vector<Value> out;
   ASSERT_TRUE(table.Read(r, 1, 0b010, &out).ok());
@@ -363,8 +392,7 @@ TEST_F(RecoveryTest, UncommittedTransactionRolledBackOnRecovery) {
 
 TEST_F(RecoveryTest, AbortRecordHonoredOnRecovery) {
   {
-    Table table("t", Schema(3), LogConfig(path_));
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart();
     Txn setup = table.Begin();
     ASSERT_TRUE(table.Insert(setup, {1, 10, 20}).ok());
     ASSERT_TRUE(setup.Commit().ok());
@@ -375,8 +403,7 @@ TEST_F(RecoveryTest, AbortRecordHonoredOnRecovery) {
     ASSERT_TRUE(table.Update(good, 1, 0b010, {0, 42, 0}).ok());
     ASSERT_TRUE(good.Commit().ok());
   }
-  Table table("t", Schema(3), LogConfig(path_));
-  ASSERT_TRUE(table.RecoverFromLog().ok());
+  Table& table = Restart();
   Txn r = table.Begin();
   std::vector<Value> out;
   ASSERT_TRUE(table.Read(r, 1, 0b010, &out).ok());
@@ -386,14 +413,12 @@ TEST_F(RecoveryTest, AbortRecordHonoredOnRecovery) {
 
 TEST_F(RecoveryTest, RecoveredTableAcceptsNewTransactions) {
   {
-    Table table("t", Schema(3), LogConfig(path_));
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart();
     Txn txn = table.Begin();
     ASSERT_TRUE(table.Insert(txn, {1, 10, 20}).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
-  Table table("t", Schema(3), LogConfig(path_));
-  ASSERT_TRUE(table.RecoverFromLog().ok());
+  Table& table = Restart();
   // The clock resumed beyond replayed times: new updates win.
   Txn u = table.Begin();
   ASSERT_TRUE(table.Update(u, 1, 0b010, {0, 11, 0}).ok());
@@ -410,8 +435,7 @@ TEST_F(RecoveryTest, RecoveredTableAcceptsNewTransactions) {
 
 TEST_F(RecoveryTest, DoubleRecoveryIsIdempotent) {
   {
-    Table table("t", Schema(3), LogConfig(path_));
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart();
     Txn txn = table.Begin();
     for (Value k = 0; k < 5; ++k) {
       ASSERT_TRUE(table.Insert(txn, {k, k, k}).ok());
@@ -419,8 +443,7 @@ TEST_F(RecoveryTest, DoubleRecoveryIsIdempotent) {
     ASSERT_TRUE(txn.Commit().ok());
   }
   for (int round = 0; round < 2; ++round) {
-    Table table("t", Schema(3), LogConfig(path_));
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart();
     EXPECT_EQ(table.num_rows(), 5u);
     Txn r = table.Begin();
     std::vector<Value> out;
@@ -436,8 +459,7 @@ TEST_F(RecoveryTest, MergeAfterRecoveryIsConsistent) {
   // merge can be restarted." Merges are not logged; after recovery the
   // merge re-runs from TPS 0 and must produce the same visible state.
   {
-    Table table("t", Schema(3), LogConfig(path_));
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart();
     Txn txn = table.Begin();
     for (Value k = 0; k < 32; ++k) {
       ASSERT_TRUE(table.Insert(txn, {k, k, k}).ok());
@@ -450,8 +472,7 @@ TEST_F(RecoveryTest, MergeAfterRecoveryIsConsistent) {
     }
     table.FlushAll();  // merge ran before the crash
   }
-  Table table("t", Schema(3), LogConfig(path_));
-  ASSERT_TRUE(table.RecoverFromLog().ok());
+  Table& table = Restart();
   table.FlushAll();  // restart the merge from scratch
   for (Value k = 0; k < 32; ++k) {
     Txn r = table.Begin();
@@ -490,8 +511,7 @@ TEST_F(RecoveryTest, IndexRebuildKeepsRidsPastAbortedAndBurnedSlots) {
   };
   std::vector<std::pair<Value, Value>> before;
   {
-    Table table("t", Schema(3), LogConfig(path_));
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart();
     Txn load = table.Begin();
     ASSERT_TRUE(table.InsertBatch(load, batch(0, 100)).ok());  // RIDs 0..99
     ASSERT_TRUE(load.Commit().ok());
@@ -520,8 +540,7 @@ TEST_F(RecoveryTest, IndexRebuildKeepsRidsPastAbortedAndBurnedSlots) {
   EXPECT_EQ(before[115].first, kNull);
   EXPECT_EQ(before[160].first, 3000u);
 
-  Table table("t", Schema(3), LogConfig(path_));
-  ASSERT_TRUE(table.RecoverFromLog().ok());
+  Table& table = Restart();
   ASSERT_EQ(table.num_rows(), 200u);
   EXPECT_EQ(RowsByRid(table), before);
   // The index maps each key to the RID that holds it: updating every
@@ -622,18 +641,18 @@ std::vector<LoggedRun> RunsInFirstFrame(const std::string& path) {
 // take over 13 bytes per key.
 TEST_F(RecoveryTest, RebuiltPrimaryIndexKeepsTheLoadedFootprint) {
   constexpr Value kRows = 264 * 1024;
-  TableConfig cfg = LogConfig(path_);
+  TableConfig cfg = LogConfig();
   cfg.range_size = 4096;
   cfg.insert_range_size = 4096;
   cfg.tail_page_slots = 64;
   const size_t one_line = PrimaryIndex().byte_size() + PrimaryIndex::kLineBytes;
   for (const bool shuffled : {false, true}) {
     SCOPED_TRACE(shuffled ? "shuffled" : "in order");
-    std::remove(path_.c_str());
+    db_.reset();
+    std::filesystem::remove_all(dir_);
     size_t loaded = 0;
     {
-      Table table("t", Schema(3), cfg);
-      ASSERT_TRUE(table.RecoverFromLog().ok());
+      Table& table = Restart(cfg);
       std::mt19937_64 rng(5);
       for (Value k = 0; k < kRows; k += 1024) {
         std::vector<std::vector<Value>> rows = KeyRows(k, 1024);
@@ -644,8 +663,7 @@ TEST_F(RecoveryTest, RebuiltPrimaryIndexKeepsTheLoadedFootprint) {
       }
       loaded = table.PrimaryIndexBytes();
     }
-    Table table("t", Schema(3), cfg);
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart(cfg);
     ASSERT_EQ(table.num_rows(), kRows);
     for (const size_t bytes : {loaded, table.PrimaryIndexBytes()}) {
       if (shuffled) {
@@ -664,12 +682,12 @@ TEST_F(RecoveryTest, RebuiltPrimaryIndexKeepsTheLoadedFootprint) {
 // own LSN.
 TEST_F(RecoveryTest, BatchAcrossRangesLogsOneRunPerRangeInOneFrame) {
   {
-    Table table("t", Schema(3), LogConfig(path_));  // 32-slot ranges
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart();  // 32-slot ranges
     Txn txn = table.Begin();
     ASSERT_TRUE(table.InsertBatch(txn, KeyRows(0, 50)).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
+  db_.reset();
   EXPECT_EQ(RunsInFirstFrame(path_),
             (std::vector<LoggedRun>{{0, 0, 32}, {1, 0, 18}}));
 
@@ -694,8 +712,7 @@ TEST_F(RecoveryTest, BatchAcrossRangesLogsOneRunPerRangeInOneFrame) {
   EXPECT_EQ(next_key, 50u);
   EXPECT_EQ(next_lsn, 52u);  // 50 rows + the commit record
 
-  Table table("t", Schema(3), LogConfig(path_));
-  ASSERT_TRUE(table.RecoverFromLog().ok());
+  Table& table = Restart();
   EXPECT_EQ(RowsOf(table), KeyRows(0, 50));
 }
 
@@ -705,8 +722,7 @@ TEST_F(RecoveryTest, BatchAcrossRangesLogsOneRunPerRangeInOneFrame) {
 TEST_F(RecoveryTest, DuplicateKeyBatchLogsOnlyTheInsertedPrefix) {
   std::vector<std::vector<Value>> before;
   {
-    Table table("t", Schema(3), LogConfig(path_));
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart();
     Txn load = table.Begin();  // RIDs 0..9
     ASSERT_TRUE(table.InsertBatch(load, KeyRows(0, 10)).ok());
     ASSERT_TRUE(load.Commit().ok());
@@ -722,6 +738,7 @@ TEST_F(RecoveryTest, DuplicateKeyBatchLogsOnlyTheInsertedPrefix) {
     ASSERT_TRUE(tail.Commit().ok());
     before = RowsOf(table);
   }
+  db_.reset();
   ASSERT_EQ(before.size(), 31u);
   EXPECT_EQ(before[15], (std::vector<Value>{105, 1050, 10500}));
   for (size_t rid = 16; rid < 30; ++rid) EXPECT_TRUE(before[rid].empty());
@@ -738,8 +755,7 @@ TEST_F(RecoveryTest, DuplicateKeyBatchLogsOnlyTheInsertedPrefix) {
   expected_keys.push_back(500);
   EXPECT_EQ(logged_keys, expected_keys);
 
-  Table table("t", Schema(3), LogConfig(path_));
-  ASSERT_TRUE(table.RecoverFromLog().ok());
+  Table& table = Restart();
   EXPECT_EQ(RowsOf(table), before);
   Txn again = table.Begin();
   std::vector<Value> out;
@@ -755,6 +771,7 @@ TEST_F(RecoveryTest, TornRunFrameIsCutAtItsFrameStart) {
   const TxnId a = kTxnIdTag | 1, b = kTxnIdTag | 2;
   const std::vector<std::vector<Value>> rows = KeyRows(0, 32);
   uint64_t intact = 0, full = 0;
+  CreateAndClose();
   {
     RedoLog log;
     ASSERT_TRUE(log.Open(path_, /*truncate=*/true).ok());
@@ -796,8 +813,7 @@ TEST_F(RecoveryTest, TornRunFrameIsCutAtItsFrameStart) {
   EXPECT_EQ(records, 22u);
   EXPECT_EQ(stats.last_lsn, 22u);
 
-  Table table("t", Schema(3), LogConfig(path_));
-  ASSERT_TRUE(table.RecoverFromLog().ok());
+  Table& table = Restart();
   EXPECT_EQ(RowsOf(table), KeyRows(0, 20));
 }
 
@@ -807,6 +823,7 @@ TEST_F(RecoveryTest, TornRunFrameIsCutAtItsFrameStart) {
 // appends nothing after it.
 TEST_F(RecoveryTest, DuplicateLiveKeyIsCorruption) {
   const std::vector<std::vector<Value>> row = {{7, 70, 700}};
+  CreateAndClose();
   {
     RedoLog log;
     ASSERT_TRUE(log.Open(path_, /*truncate=*/true).ok());
@@ -824,11 +841,9 @@ TEST_F(RecoveryTest, DuplicateLiveKeyIsCorruption) {
     ASSERT_TRUE(log.Flush(false).ok());
   }
   const uint64_t size = FileSize(path_);
-  Table table("t", Schema(3), LogConfig(path_));
-  EXPECT_TRUE(table.RecoverFromLog().IsCorruption());
-  Txn txn = table.Begin();
-  ASSERT_TRUE(table.Insert(txn, {8, 80, 800}).ok());
-  EXPECT_FALSE(txn.Commit().ok());
+  const Status s = Database::Open(dir_, &db_);
+  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_EQ(db_, nullptr);
   EXPECT_EQ(FileSize(path_), size);
 }
 
@@ -842,7 +857,7 @@ TEST_F(RecoveryTest, DatabaseOpenRefusesADuplicateKeyAcrossRanges) {
   static_assert(kRows >= PrimaryIndex::kMinLine);
   const std::string dir =
       std::string(::testing::TempDir()) + "lstore_duplicate_across_ranges";
-  TableConfig cfg = LogConfig("");
+  TableConfig cfg = LogConfig();
   cfg.range_size = kRows;
   cfg.insert_range_size = kRows;
   for (const bool shuffled : {false, true}) {
@@ -938,8 +953,7 @@ void MixedRound(Table* t, const std::function<Txn()>& begin, Value base) {
 TEST_F(RecoveryTest, MixedLogReplaysAlikeFromLogAndFromCheckpoint) {
   std::vector<std::vector<Value>> live;
   {
-    Table table("t", Schema(3), LogConfig(path_));
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart();
     auto begin = [&table] { return table.Begin(); };
     MixedRound(&table, begin, 0);
     MixedRound(&table, begin, 10000);
@@ -947,8 +961,7 @@ TEST_F(RecoveryTest, MixedLogReplaysAlikeFromLogAndFromCheckpoint) {
   }
   ASSERT_FALSE(live.empty());
   {
-    Table table("t", Schema(3), LogConfig(path_));
-    ASSERT_TRUE(table.RecoverFromLog().ok());
+    Table& table = Restart();
     EXPECT_EQ(RowsOf(table), live);
   }
 
@@ -958,7 +971,7 @@ TEST_F(RecoveryTest, MixedLogReplaysAlikeFromLogAndFromCheckpoint) {
   {
     std::unique_ptr<Database> db;
     ASSERT_TRUE(Database::Open(dir, &db).ok());
-    ASSERT_TRUE(db->CreateTable("t", Schema(3), LogConfig("")).ok());
+    ASSERT_TRUE(db->CreateTable("t", Schema(3), LogConfig()).ok());
     Table* table = db->GetTable("t");
     auto begin = [&db] { return db->Begin(); };
     MixedRound(table, begin, 0);
@@ -989,12 +1002,17 @@ TEST_F(RecoveryTest, MixedLogReplaysAlikeFromLogAndFromCheckpoint) {
 // Replaying the WHOLE log (watermark 0) over a checkpoint that already
 // holds its records, insert-merged into base segments, update-merged
 // and compressed into the historic store, writes each of them again
-// with its raw txn id; Range::Recover alone resolves them. The table
-// must come back exactly as it was: rows, snapshot sums, time-travel
-// reads and version chains.
+// with its raw txn id; Range::Recover alone resolves them. The
+// database checkpoints with its log kept whole, and the manifest's
+// watermark is then rewritten to 0, so the reopen replays every record
+// over the checkpoint. The table must come back exactly as it was:
+// rows, snapshot sums, time-travel reads and version chains.
 TEST_F(RecoveryTest, ReplayOverCapturedAndCompressedRecordsIsIdempotent) {
-  Table table("t", Schema(3), LogConfig(path_));
-  ASSERT_TRUE(table.RecoverFromLog().ok());
+  DurabilityOptions opts;
+  opts.truncate_log_after_checkpoint = false;
+  ASSERT_TRUE(Database::Open(dir_, opts, &db_).ok());
+  ASSERT_TRUE(db_->CreateTable("t", Schema(3), LogConfig()).ok());
+  Table& table = *db_->GetTable("t");
   auto begin = [&table] { return table.Begin(); };
   std::vector<Timestamp> snapshots;
   // Insert runs, first updates with their pre-image snapshots, a
@@ -1027,64 +1045,98 @@ TEST_F(RecoveryTest, ReplayOverCapturedAndCompressedRecordsIsIdempotent) {
     ASSERT_TRUE(table.Update(txn, 10002, 0b100, {0, 0, 23}).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
+  ASSERT_TRUE(db_->Checkpoint().ok());
+  snapshots.push_back(table.Now());
 
-  const std::string ckpt = path_ + ".ckpt";
-  uint64_t checksum = 0;
-  ASSERT_TRUE(CheckpointIO::WriteTable(table, ckpt, &checksum).ok());
-  Table recovered("t", Schema(3), LogConfig(path_));
-  ASSERT_TRUE(recovered.RecoverDurable(ckpt, /*log_watermark=*/0, checksum)
-                  .ok());
-  std::remove(ckpt.c_str());
-
-  EXPECT_EQ(RowsOf(recovered), RowsOf(table));
+  std::vector<Value> keys;
+  for (Value base : {0, 10000}) {
+    for (Value k = base; k < base + 500; ++k) keys.push_back(k);
+  }
+  // What a table answers: its rows, the snapshot sums and time-travel
+  // reads (empty when absent) at every snapshot, and every key's
+  // version chains.
+  using Chain = std::vector<std::tuple<uint32_t, Value, uint64_t, Value>>;
+  struct Answers {
+    std::vector<std::vector<Value>> rows;
+    std::vector<std::pair<uint64_t, uint64_t>> sums;
+    std::vector<std::vector<Value>> reads;
+    std::vector<Chain> chains;
+  };
   auto sums = [](const Table& t, Timestamp ts) {
     uint64_t a = 0, b = 0;
     EXPECT_TRUE(t.NewQuery().AsOf(ts).Sum(1, &a).ok());
     EXPECT_TRUE(t.NewQuery().AsOf(ts).Sum(2, &b).ok());
     return std::make_pair(a, b);
   };
-  EXPECT_EQ(sums(recovered, recovered.Now()), sums(table, table.Now()));
-  snapshots.push_back(table.Now());
-  std::vector<Value> keys;
-  for (Value base : {0, 10000}) {
-    for (Value k = base; k < base + 500; ++k) keys.push_back(k);
-  }
-  for (Timestamp ts : snapshots) {
-    EXPECT_EQ(sums(recovered, ts), sums(table, ts)) << ts;
-    for (Value k : keys) {
-      std::vector<Value> want, got;
-      Status ws = table.ReadAsOf(k, ts, 0b111, &want);
-      Status gs = recovered.ReadAsOf(k, ts, 0b111, &got);
-      ASSERT_EQ(gs.ok(), ws.ok()) << k << " @" << ts;
-      if (ws.ok()) {
-        EXPECT_EQ(got, want) << k << " @" << ts;
+  auto answers = [&](Table& t) {
+    Answers out;
+    out.rows = RowsOf(t);
+    for (Timestamp ts : snapshots) {
+      out.sums.push_back(sums(t, ts));
+      for (Value k : keys) {
+        std::vector<Value> row;
+        if (!t.ReadAsOf(k, ts, 0b111, &row).ok()) row.clear();
+        out.reads.push_back(row);
       }
     }
-  }
-  auto chain = [](const Table& t, Value key, ColumnId col) {
-    std::vector<std::tuple<uint32_t, Value, uint64_t, Value>> out;
-    for (const Table::ChainEntry& e : t.DebugChain(key, col)) {
-      out.emplace_back(e.seq, e.raw_start, e.schema_encoding, e.col_value);
+    for (Value k : keys) {
+      for (ColumnId col : {1u, 2u}) {
+        Chain chain;
+        for (const Table::ChainEntry& e : t.DebugChain(k, col)) {
+          chain.emplace_back(e.seq, e.raw_start, e.schema_encoding,
+                             e.col_value);
+        }
+        out.chains.push_back(chain);
+      }
     }
     return out;
   };
+  const Answers want = answers(table);
   size_t versions = 0;
-  for (Value k : keys) {
-    for (ColumnId col : {1u, 2u}) {
-      EXPECT_EQ(chain(recovered, k, col), chain(table, k, col)) << k;
-      versions += chain(table, k, col).size();
-    }
-  }
+  for (const Chain& chain : want.chains) versions += chain.size();
   EXPECT_GT(versions, 0u);
+  db_.reset();
+
+  // The log still holds every record the checkpoint captured; with the
+  // watermark at 0 the reopen replays them all over it.
+  Manifest manifest;
+  bool exists = false;
+  ASSERT_TRUE(ReadManifest(dir_, &manifest, &exists).ok());
+  ASSERT_TRUE(exists);
+  RedoLog::ReplayStats stats;
+  ASSERT_TRUE(
+      RedoLog::Replay(path_, [](const LogRecord&, uint64_t) {}, &stats).ok());
+  EXPECT_EQ(stats.base_lsn, 0u);
+  ASSERT_GT(manifest.log_watermark, 0u);
+  EXPECT_EQ(stats.last_lsn, manifest.log_watermark);
+  manifest.log_watermark = 0;
+  ASSERT_TRUE(WriteManifest(dir_, manifest).ok());
+  ASSERT_TRUE(Database::Open(dir_, opts, &db_).ok());
+  Table& recovered = *db_->GetTable("t");
+
+  const Answers got = answers(recovered);
+  EXPECT_EQ(got.rows, want.rows);
+  EXPECT_EQ(sums(recovered, recovered.Now()), want.sums.back());
+  EXPECT_EQ(got.sums, want.sums);
+  ASSERT_EQ(got.reads.size(), want.reads.size());
+  for (size_t i = 0; i < want.reads.size(); ++i) {
+    EXPECT_EQ(got.reads[i], want.reads[i])
+        << keys[i % keys.size()] << " @" << snapshots[i / keys.size()];
+  }
+  ASSERT_EQ(got.chains.size(), want.chains.size());
+  for (size_t i = 0; i < want.chains.size(); ++i) {
+    EXPECT_EQ(got.chains[i], want.chains[i]) << keys[i / 2];
+  }
 }
 
-TEST(RecoveryOutcomeTest, AbortRecordAfterCommitRecordWins) {
-  std::string path = TempLogPath("abort_after_commit");
-  std::remove(path.c_str());
+using RecoveryOutcomeTest = RecoveryTest;
+
+TEST_F(RecoveryOutcomeTest, AbortRecordAfterCommitRecordWins) {
   const TxnId txn_id = kTxnIdTag | 77;
+  CreateAndClose();
   {
     RedoLog log;
-    ASSERT_TRUE(log.Open(path, /*truncate=*/true).ok());
+    ASSERT_TRUE(log.Open(path_, /*truncate=*/true).ok());
     LogRecord ins;
     ins.type = LogRecordType::kInsertAppend;
     ins.txn_id = txn_id;
@@ -1108,27 +1160,44 @@ TEST(RecoveryOutcomeTest, AbortRecordAfterCommitRecordWins) {
     log.Append(abort);
     ASSERT_TRUE(log.Flush(true).ok());
   }
-  Table table("t", Schema(3), LogConfig(path));
-  ASSERT_TRUE(table.RecoverFromLog().ok());
+  Table& table = Restart();
   Txn r = table.Begin();
   std::vector<Value> out;
   EXPECT_TRUE(table.Read(r, 5, 0b111, &out).IsNotFound());
-  std::remove(path.c_str());
 }
 
-// A log that cannot be opened fails recovery, and the table then
-// refuses commits instead of acknowledging writes it never logged.
-TEST(RecoveryOutcomeTest, UnopenableLogRefusesCommits) {
-  const std::string dir =
-      std::string(::testing::TempDir()) + "lstore_missing_log_dir";
-  std::filesystem::remove_all(dir);
-  const std::string path = dir + "/t.log";
-  Table table("t", Schema(3), LogConfig(path));
-  EXPECT_FALSE(table.RecoverFromLog().ok());
-  Txn txn = table.Begin();
-  ASSERT_TRUE(table.Insert(txn, {1, 2, 3}).ok());
-  EXPECT_FALSE(txn.Commit().ok());
-  EXPECT_FALSE(std::filesystem::exists(path));
+// A redo log that cannot be opened (here a directory stands in its
+// place) fails Database::Open: no database comes back to acknowledge
+// writes it could not log, and nothing is appended anywhere.
+TEST_F(RecoveryOutcomeTest, UnopenableLogFailsTheOpen) {
+  {
+    Table& table = Restart();
+    Txn txn = table.Begin();
+    ASSERT_TRUE(table.Insert(txn, {1, 2, 3}).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  db_.reset();
+  std::filesystem::remove(path_);
+  std::filesystem::create_directory(path_);
+  // Every file of the directory with its size; the event log, which
+  // records the attempt, aside.
+  auto files = [this] {
+    std::vector<std::pair<std::string, uintmax_t>> out;
+    for (const auto& e : std::filesystem::recursive_directory_iterator(dir_)) {
+      if (e.is_regular_file() && e.path().filename() != "events.log") {
+        out.emplace_back(e.path().string(), e.file_size());
+      }
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const auto before = files();
+  ASSERT_FALSE(before.empty());
+  const Status s = Database::Open(dir_, &db_);
+  EXPECT_FALSE(s.ok());
+  EXPECT_EQ(db_, nullptr);
+  EXPECT_TRUE(std::filesystem::is_empty(path_));
+  EXPECT_EQ(files(), before);
 }
 
 // --- truncation under load -------------------------------------------------
