@@ -20,7 +20,7 @@
 // transaction (`update`), then scanners a full-table snapshot SUM
 // (`scan`), then point readers 10 reads under a column mask (`read`).
 // Keys come from KeyGenerator(active set, theta); theta 0 is uniform.
-// The engines' merge threads run throughout (Section 6.1). A load
+// The engines' background merges run throughout (Section 6.1). A load
 // whose SUM misses the closed form of its cells, or an op failing
 // other than by abort, exits 1. Every table row ends with its points'
 // write-write aborts, in cell order. With LSTORE_BENCH_JSON set, every

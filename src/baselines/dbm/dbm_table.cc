@@ -30,21 +30,9 @@ DbmRange::DbmRange(const TableConfig& config, uint32_t ncols)
 
 DbmTable::DbmTable(Schema schema, TableConfig config,
                    TransactionManager* txn_manager)
-    : EngineCore("dbm", std::move(schema), config, txn_manager) {
-  if (config_.enable_merge_thread) {
-    running_ = true;
-    merge_thread_ = std::thread([this] { MergeLoop(); });
-  }
-}
+    : EngineCore("dbm", std::move(schema), config, txn_manager) {}
 
-DbmTable::~DbmTable() {
-  {
-    std::lock_guard<std::mutex> g(queue_mu_);
-    running_ = false;
-  }
-  queue_cv_.notify_all();
-  if (merge_thread_.joinable()) merge_thread_.join();
-}
+DbmTable::~DbmTable() { merge_tasks_.Stop(); }
 
 // ---------------------------------------------------------------------------
 // Gate: the blocking drain
@@ -194,15 +182,9 @@ Status DbmTable::WriteDelta(Transaction* txn, Value key, ColumnMask mask,
 
   // Merge trigger: delta reached the threshold.
   if (config_.enable_merge_thread &&
-      r.delta.size() >= config_.merge_threshold) {
-    bool expected = false;
-    if (r.queued.compare_exchange_strong(expected, true)) {
-      {
-        std::lock_guard<std::mutex> g(queue_mu_);
-        merge_queue_.push_back(at.range_id);
-      }
-      queue_cv_.notify_one();
-    }
+      r.delta.size() >= config_.merge_threshold &&
+      !r.queued.exchange(true)) {
+    merge_tasks_.Post([this, id = at.range_id] { MergeRange(id); });
   }
   return Status::OK();
 }
@@ -377,20 +359,6 @@ bool DbmTable::MergeRange(uint64_t range_id) {
   }
   gate_cv_.notify_all();
   return true;
-}
-
-void DbmTable::MergeLoop() {
-  for (;;) {
-    uint64_t range_id;
-    {
-      std::unique_lock<std::mutex> lk(queue_mu_);
-      queue_cv_.wait(lk, [this] { return !running_ || !merge_queue_.empty(); });
-      if (!running_) return;
-      range_id = merge_queue_.front();
-      merge_queue_.pop_front();
-    }
-    MergeRange(range_id);
-  }
 }
 
 }  // namespace lstore

@@ -18,15 +18,14 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <deque>
 #include <memory>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 #include "common/chunked_store.h"
 #include "common/config.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "common/types.h"
 #include "core/engine_core.h"
 #include "core/schema.h"
@@ -75,7 +74,7 @@ class DbmTable : public EngineCore<DbmRange> {
 
   /// Merge one range's delta into its main store, draining all active
   /// transactions (the blocking behaviour under test). Exposed for
-  /// tests; normally driven by the background thread.
+  /// tests; normally a background task on the shared pool.
   bool MergeRange(uint64_t range_id);
 
   uint64_t merges_performed() const {
@@ -111,23 +110,18 @@ class DbmTable : public EngineCore<DbmRange> {
                        Transaction* txn, ColumnMask mask,
                        std::vector<Value>* out);
 
-  void MergeLoop();
-
   // Gate state.
   std::mutex gate_mu_;
   std::condition_variable gate_cv_;
   uint64_t active_txns_ = 0;
   bool merge_pending_ = false;
 
-  // Background merge thread.
-  std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
-  std::deque<uint64_t> merge_queue_;
-  bool running_ = false;
-  std::thread merge_thread_;
-
   std::atomic<uint64_t> merges_{0};
   std::atomic<uint64_t> drain_wait_us_{0};
+
+  /// Background merge tasks, one range at a time; stopped first in
+  /// ~DbmTable.
+  SerialQueue merge_tasks_;
 };
 
 }  // namespace lstore

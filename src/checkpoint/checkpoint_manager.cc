@@ -1,12 +1,12 @@
 #include "checkpoint/checkpoint_manager.h"
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 
 #include "archive/archive_manager.h"
 #include "checkpoint/serde.h"
+#include "common/executor.h"
 #include "common/file.h"
+#include "common/thread_pool.h"
 #include "core/database.h"
 #include "core/table.h"
 #include "log/redo_log.h"
@@ -233,8 +233,6 @@ CheckpointManager::CheckpointManager(Database* db, std::string dir,
   hb_ = db_->health_.Register("checkpointer");
 }
 
-CheckpointManager::~CheckpointManager() { Stop(); }
-
 void CheckpointManager::SetRecoveredManifest(const Manifest& m) {
   std::lock_guard<std::mutex> g(mu_);
   next_checkpoint_id_ = m.checkpoint_id + 1;
@@ -403,62 +401,34 @@ Status CheckpointManager::RunCheckpoint() {
   return status;
 }
 
-void CheckpointManager::Start() {
-  if (opts_.checkpoint_interval_ms == 0 && opts_.checkpoint_log_bytes == 0) {
-    return;
-  }
-  std::lock_guard<std::mutex> g(mu_);
-  if (running_) return;
-  running_ = true;
-  worker_ = std::thread([this] { Loop(); });
-}
-
-void CheckpointManager::Stop() {
-  {
+void CheckpointManager::Schedule(Executor* executor, SerialQueue* queue) {
+  constexpr uint64_t kLogPollMs = 50;  // the size trigger's poll
+  // At most one background checkpoint is posted or running: a trigger
+  // firing meanwhile posts nothing, and the interval counts from the
+  // end of the last one.
+  auto post = [this, executor, queue] {
+    if (queued_.exchange(true)) return;
+    queue->Post([this, executor] {
+      Status s = RunCheckpoint();
+      std::lock_guard<std::mutex> g(mu_);
+      last_background_status_ = s;
+      executor->Restart(interval_timer_);
+      queued_.store(false);
+    });
+  };
+  if (opts_.checkpoint_interval_ms != 0) {
+    size_t id = executor->Every(opts_.checkpoint_interval_ms, post);
     std::lock_guard<std::mutex> g(mu_);
-    if (!running_) return;
-    running_ = false;
+    interval_timer_ = id;
   }
-  cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
-}
-
-void CheckpointManager::Loop() {
-  using Clock = std::chrono::steady_clock;
-  auto last_checkpoint = Clock::now();
-  std::unique_lock<std::mutex> lk(mu_);
-  while (running_) {
-    // Poll at a fraction of the interval so the size trigger stays
-    // responsive even with a long timed interval.
-    uint64_t poll_ms = opts_.checkpoint_interval_ms != 0
-                           ? std::max<uint64_t>(opts_.checkpoint_interval_ms / 4, 1)
-                           : 50;
-    cv_.wait_for(lk, std::chrono::milliseconds(poll_ms),
-                 [this] { return !running_; });
-    if (!running_) break;
-    lk.unlock();
-    if (hb_ != nullptr) hb_->Beat();  // liveness per poll, even when idle
-
-    bool due = false;
-    if (opts_.checkpoint_interval_ms != 0) {
-      auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
-                         Clock::now() - last_checkpoint)
-                         .count();
-      due = elapsed >= static_cast<int64_t>(opts_.checkpoint_interval_ms);
-    }
-    uint64_t log_bytes = 0;
-    if (!due && opts_.checkpoint_log_bytes != 0 &&
-        FileExists(RedoLogPath(dir_), &log_bytes)) {
-      due = log_bytes > opts_.checkpoint_log_bytes;
-    }
-    Status s = Status::OK();
-    if (due) {
-      s = RunCheckpoint();
-      last_checkpoint = Clock::now();
-    }
-
-    lk.lock();
-    if (due) last_background_status_ = s;
+  if (opts_.checkpoint_log_bytes != 0) {
+    executor->Every(kLogPollMs, [this, post] {
+      uint64_t bytes = 0;
+      if (FileExists(RedoLogPath(dir_), &bytes) &&
+          bytes > opts_.checkpoint_log_bytes) {
+        post();
+      }
+    });
   }
 }
 

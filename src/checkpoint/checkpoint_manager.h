@@ -1,6 +1,6 @@
 // CheckpointManager: lineage-consistent snapshots, the durable
 // manifest/catalog, redo-log truncation, and the optional background
-// checkpoint trigger.
+// checkpoint trigger (timers on the database's executor).
 //
 // A checkpoint of a database directory proceeds as:
 //   1. record the database log's last LSN as the one watermark and
@@ -22,12 +22,12 @@
 #ifndef LSTORE_CHECKPOINT_CHECKPOINT_MANAGER_H_
 #define LSTORE_CHECKPOINT_CHECKPOINT_MANAGER_H_
 
-#include <condition_variable>
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/config.h"
@@ -39,6 +39,8 @@
 namespace lstore {
 
 class Database;
+class Executor;
+class SerialQueue;
 
 /// One table's entry in the checkpoint manifest.
 struct ManifestEntry {
@@ -102,16 +104,16 @@ Status ReadCatalog(const std::string& dir, Catalog* catalog, bool* exists);
 class CheckpointManager {
  public:
   CheckpointManager(Database* db, std::string dir, DurabilityOptions opts);
-  ~CheckpointManager();
 
   /// Take one checkpoint now (synchronous; serialized against the
   /// background trigger).
   Status RunCheckpoint();
 
-  /// Start/stop the background trigger thread (no-op when neither the
-  /// interval nor the log-size trigger is configured).
-  void Start();
-  void Stop();
+  /// Register the background trigger on `executor`: a timer per
+  /// configured trigger (the interval; a poll of the log size). A due
+  /// checkpoint is posted to `queue`, at most one at a time, never run
+  /// on the timer thread; the interval counts from its end.
+  void Schedule(Executor* executor, SerialQueue* queue);
 
   /// Seed bookkeeping from the manifest found at Open time.
   void SetRecoveredManifest(const Manifest& m);
@@ -120,8 +122,6 @@ class CheckpointManager {
   Status last_background_status() const;
 
  private:
-  void Loop();
-
   Database* db_;
   std::string dir_;
   DurabilityOptions opts_;
@@ -130,17 +130,18 @@ class CheckpointManager {
   Histogram* truncate_ns_;
 
   /// "checkpointer" heartbeat: busy across each RunCheckpoint, beaten
-  /// per captured table and per background poll.
+  /// per captured table.
   std::shared_ptr<Heartbeat> hb_;
+  /// A background checkpoint is posted or running.
+  std::atomic<bool> queued_{false};
   std::mutex checkpoint_mu_;  ///< serializes RunCheckpoint
   mutable std::mutex mu_;     ///< guards the fields below
-  std::condition_variable cv_;
-  std::thread worker_;
-  bool running_ = false;
   uint64_t next_checkpoint_id_ = 1;
   std::vector<std::string> previous_files_;
   uint64_t checkpoints_taken_ = 0;
   Status last_background_status_;
+  /// The interval trigger's executor timer (none: SIZE_MAX).
+  size_t interval_timer_ = SIZE_MAX;
 };
 
 }  // namespace lstore

@@ -68,7 +68,7 @@ Status Table::ReplayLog(const LogTables& tables, uint64_t watermark,
                         const std::vector<std::string>& paths,
                         CommitOutcomes* commits) {
   // Buffer-managed segments: replay reads through pinned page handles
-  // (a table's merge thread can evict cold pages through the shared
+  // (a table's merge tasks can evict cold pages through the shared
   // pool), so hold the epoch pin the handle contract requires.
   std::vector<EpochGuard> pins;
   pins.reserve(tables.size());

@@ -52,7 +52,9 @@ struct TableConfig {
   /// exercise multiple insert ranges).
   uint32_t insert_range_size = 1u << 16;
 
-  /// Run the asynchronous merge thread (true in all experiments).
+  /// Run asynchronous merges (true in all experiments): a range that
+  /// asks for a merge becomes a task on the table's serial queue on the
+  /// shared pool, one range at a time. The name is the catalog flag's.
   bool enable_merge_thread = true;
 
   /// Buffer-managed base storage (src/buffer/): the pool that owns the
@@ -78,16 +80,16 @@ struct TableConfig {
   /// the catalog.
   MetricsRegistry* metrics = nullptr;
 
-  /// Health registry (src/obs/health.h) the table's merge thread
-  /// registers its heartbeat with ("merge:<table>"). Wired by the
+  /// Health registry (src/obs/health.h) the table's merge tasks
+  /// register their heartbeat with ("merge:<table>"). Wired by the
   /// owning Database like `metrics`; nullptr = no heartbeat (the
   /// standalone-table case). Not persisted to the catalog.
   HealthRegistry* health = nullptr;
 
-  /// Test hook: while non-null and set, the merge loop parks right
-  /// after claiming a task (busy, not beating) — how health tests
-  /// inject a deterministic stall without touching merge internals.
-  /// Not persisted to the catalog.
+  /// Test hook: while non-null and set, a merge task parks as it
+  /// starts (busy, not beating) — how health tests inject a
+  /// deterministic stall without touching merge internals. Not
+  /// persisted to the catalog.
   std::atomic<int>* merge_test_park = nullptr;
 };
 
@@ -105,12 +107,15 @@ struct DurabilityOptions {
   /// checkpoint write and truncation (recovery must still converge).
   bool truncate_log_after_checkpoint = true;
 
-  /// Background checkpoint thread: take a checkpoint every
-  /// `checkpoint_interval_ms` milliseconds (0 = no timed trigger).
+  /// Background checkpoint: a timer on the database's executor posts
+  /// a checkpoint to its background queue `checkpoint_interval_ms`
+  /// milliseconds of its clock after the last background checkpoint
+  /// ended (0 = no timed trigger).
   uint64_t checkpoint_interval_ms = 0;
 
-  /// Background checkpoint thread: take a checkpoint once the redo
-  /// log exceeds this many bytes (0 = no size trigger).
+  /// Background checkpoint: a timer on the database's executor polls
+  /// the redo log and posts a checkpoint once it exceeds this many
+  /// bytes (0 = no size trigger).
   uint64_t checkpoint_log_bytes = 0;
 
   /// Group commit: how long a log sync that takes the write token
@@ -150,10 +155,10 @@ struct DurabilityOptions {
   uint64_t archive_max_segments = 0;     ///< number of .arc segments
   uint64_t archive_max_age_seconds = 0;  ///< age horizon (file mtimes)
 
-  /// Background stats reporter (src/obs/reporter.h): every this many
-  /// milliseconds, append one JSON MetricsSnapshot line to
-  /// <dir>/metrics.log for post-mortem timelines. 0 (default) = no
-  /// reporter thread.
+  /// Stats reporter, a timer on the database's executor: every this
+  /// many milliseconds it posts to the background queue one JSON
+  /// MetricsSnapshot line for <dir>/metrics.log (post-mortem
+  /// timelines), plus a final line at close. 0 (default) = no reporter.
   uint64_t metrics_report_interval_ms = 0;
 
   /// Slow-op log (src/obs/slow_op_log.h): a traced request whose total
@@ -169,11 +174,10 @@ struct DurabilityOptions {
   uint64_t slow_op_log_max_bytes = 0;
 
   /// Watchdog sweep interval (src/obs/health.h): every this many
-  /// milliseconds the background watchdog classifies each registered
-  /// actor healthy|slow|stalled, publishes lstore_health_* gauges,
-  /// and on a new stall emits an event + one flight-recorder dump.
-  /// 0 = no background thread (Database::Health() still sweeps on
-  /// demand).
+  /// milliseconds a timer on the database's executor classifies each
+  /// registered actor healthy|slow|stalled, publishes lstore_health_*
+  /// gauges, and on a new stall emits an event + one flight-recorder
+  /// dump. 0 = no timer (Database::Health() still sweeps on demand).
   uint64_t watchdog_interval_ms = 1000;
 
   /// Per-actor watchdog deadlines applied at heartbeat registration:

@@ -1,5 +1,6 @@
 #include "common/thread_pool.h"
 
+#include <algorithm>
 #include <cstdlib>
 
 namespace lstore {
@@ -42,10 +43,11 @@ void ThreadPool::Execute(const std::shared_ptr<Job>& job) {
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::shared_ptr<Job> job;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> g(mu_);
       cv_.wait(g, [this, &job] {
-        if (stop_) return true;
+        if (stop_ || !tasks_.empty()) return true;
         // Drop fully-claimed jobs from the front, then join the first
         // job still accepting executors.
         while (!jobs_.empty() &&
@@ -62,11 +64,28 @@ void ThreadPool::WorkerLoop() {
         return false;
       });
       if (stop_) return;
-      job->executors.fetch_add(1, std::memory_order_relaxed);
+      if (!tasks_.empty()) {
+        task = std::move(tasks_.front());
+        tasks_.pop_front();
+      } else {
+        job->executors.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
+    if (task) {
+      task();
+      continue;
     }
     Execute(job);
     job->executors.fetch_sub(1, std::memory_order_relaxed);
   }
+}
+
+void ThreadPool::Post(std::function<void()> fn) {
+  {
+    std::lock_guard<std::mutex> g(mu_);
+    tasks_.push_back(std::move(fn));
+  }
+  cv_.notify_one();
 }
 
 void ThreadPool::ParallelFor(uint64_t num_tasks, uint32_t max_workers,
@@ -99,36 +118,62 @@ void ThreadPool::ParallelFor(uint64_t num_tasks, uint32_t max_workers,
   }
 }
 
-namespace {
-/// Desired shared-pool size from ConfigureShared: -1 = unset, else the
-/// exact worker count. -2 marks "pool already built" so later calls
-/// can report that configuration no longer applies.
-std::atomic<int64_t> g_shared_pool_threads{-1};
-}  // namespace
-
-bool ThreadPool::ConfigureShared(uint32_t threads) {
-  int64_t expected = -1;
-  return g_shared_pool_threads.compare_exchange_strong(
-             expected, static_cast<int64_t>(threads),
-             std::memory_order_acq_rel) ||
-         expected == static_cast<int64_t>(threads);
-}
-
 ThreadPool& ThreadPool::Shared() {
   static ThreadPool* pool = [] {
     uint32_t n = std::thread::hardware_concurrency();
-    uint32_t workers = n > 0 ? n - 1 : 0;
-    int64_t configured = g_shared_pool_threads.load(std::memory_order_acquire);
-    if (configured >= 0) workers = static_cast<uint32_t>(configured);
+    long workers = n > 1 ? n - 1 : 1;
     if (const char* env = std::getenv("LSTORE_SCAN_THREADS")) {
-      long v = std::atol(env);
-      if (v >= 0) workers = static_cast<uint32_t>(v);
+      workers = std::atol(env);
     }
-    // Later ConfigureShared calls must see that the size is frozen.
-    g_shared_pool_threads.store(-2, std::memory_order_release);
-    return new ThreadPool(workers);
+    return new ThreadPool(static_cast<uint32_t>(std::max(workers, 1L)));
   }();
   return *pool;
+}
+
+// ---------------------------------------------------------------------------
+// SerialQueue
+// ---------------------------------------------------------------------------
+
+void SerialQueue::Post(std::function<void()> fn) {
+  std::lock_guard<std::mutex> g(s_->mu);
+  if (s_->stopped) return;
+  s_->tasks.push_back(std::move(fn));
+  if (!s_->scheduled) {
+    s_->scheduled = true;
+    ThreadPool::Shared().Post([s = s_] { RunFront(s); });
+  }
+}
+
+void SerialQueue::RunFront(const std::shared_ptr<State>& s) {
+  std::unique_lock<std::mutex> lk(s->mu);
+  if (!s->tasks.empty()) {
+    std::function<void()> fn = std::move(s->tasks.front());
+    s->tasks.pop_front();
+    s->running = true;
+    lk.unlock();
+    fn();
+    fn = nullptr;  // what it captured goes before Stop may return
+    lk.lock();
+    s->running = false;
+  }
+  if (s->tasks.empty()) {
+    s->scheduled = false;
+  } else {
+    ThreadPool::Shared().Post([s] { RunFront(s); });
+  }
+  s->cv.notify_all();
+}
+
+void SerialQueue::Drain() {
+  std::unique_lock<std::mutex> lk(s_->mu);
+  s_->cv.wait(lk, [this] { return !s_->scheduled; });
+}
+
+void SerialQueue::Stop() {
+  std::unique_lock<std::mutex> lk(s_->mu);
+  s_->stopped = true;
+  s_->tasks.clear();
+  s_->cv.wait(lk, [this] { return !s_->running; });
 }
 
 }  // namespace lstore

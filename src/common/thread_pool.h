@@ -1,11 +1,13 @@
-// Shared worker pool for parallel snapshot scans (Section 6.2: the
-// scan workload partitions naturally along update-range boundaries).
+// Shared worker pool: parallel snapshot scans (Section 6.2: the scan
+// workload partitions naturally along update-range boundaries) and the
+// engine's background tasks (merges, checkpoints).
 //
-// One process-wide pool is shared by every Query so that concurrent
-// analytical queries multiplex a bounded set of threads instead of
-// each spawning its own. The submitting thread always participates in
-// its own job, so ParallelFor makes progress even when every pool
-// thread is busy (or the pool has size 0).
+// One process-wide pool is shared by every Query and every table, so
+// concurrent analytical queries and background work multiplex a
+// bounded set of threads instead of each spawning its own. The
+// submitting thread always participates in its own ParallelFor job,
+// so a scan makes progress even when every pool thread is busy (or
+// the pool has size 0). Posted tasks run on pool threads only.
 
 #ifndef LSTORE_COMMON_THREAD_POOL_H_
 #define LSTORE_COMMON_THREAD_POOL_H_
@@ -39,24 +41,19 @@ class ThreadPool {
   void ParallelFor(uint64_t num_tasks, uint32_t max_workers,
                    const std::function<void(uint64_t task)>& fn);
 
+  /// Run `fn` once on a pool thread; nobody waits for it. Tasks start
+  /// in FIFO order, ahead of scan jobs. A task never waits for another
+  /// posted task (the pool may have one thread).
+  void Post(std::function<void()> fn);
+
   uint32_t num_threads() const {
     return static_cast<uint32_t>(workers_.size());
   }
 
   /// Process-wide pool, lazily constructed with hardware_concurrency-1
-  /// workers (overridable via LSTORE_SCAN_THREADS).
+  /// workers (LSTORE_SCAN_THREADS overrides), at least one, so posted
+  /// work never runs on a writer's thread.
   static ThreadPool& Shared();
-
-  /// Set the worker-thread count the shared pool is built with, so
-  /// co-resident executors (server workers vs. parallel Query
-  /// partitions) can split the core budget instead of both sizing to
-  /// the whole machine. Takes effect only BEFORE the pool's lazy
-  /// construction (first Shared() call); the first configuration
-  /// wins, and the LSTORE_SCAN_THREADS env knob overrides both.
-  /// Returns false when the pool was already built (or already
-  /// configured) with a different count — callers treat that as
-  /// advisory, not an error.
-  static bool ConfigureShared(uint32_t threads);
 
  private:
   struct Job {
@@ -80,8 +77,48 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   std::deque<std::shared_ptr<Job>> jobs_;  ///< jobs accepting executors
+  std::deque<std::function<void()>> tasks_;  ///< posted, not yet started
   bool stop_ = false;
   std::vector<std::thread> workers_;
+};
+
+/// A FIFO of tasks on the shared pool that runs at most one at a time:
+/// a table's merges, a database's checkpoints and reporter lines. Each
+/// task is posted to the pool on its own, so queues of different
+/// tables interleave. The pool task holds the queue's state, not the
+/// queue, so Stop waits only for a task already running, never for a
+/// pool thread to become free.
+class SerialQueue {
+ public:
+  SerialQueue() = default;
+  ~SerialQueue() { Stop(); }
+
+  SerialQueue(const SerialQueue&) = delete;
+  SerialQueue& operator=(const SerialQueue&) = delete;
+
+  /// Append `fn`; ignored once stopped.
+  void Post(std::function<void()> fn);
+  /// Block until the queue is empty and no task runs. Never from a
+  /// posted task.
+  void Drain();
+  /// Drop the pending tasks, refuse new ones, and wait for the running
+  /// one: afterwards no task touches what it captured. Idempotent.
+  void Stop();
+
+ private:
+  struct State {
+    std::mutex mu;
+    std::condition_variable cv;  ///< signalled when `running` or `scheduled` clears
+    std::deque<std::function<void()>> tasks;
+    bool scheduled = false;  ///< a RunFront is posted or running
+    bool running = false;    ///< a task is inside its body
+    bool stopped = false;
+  };
+
+  /// Pool task: run the front task, then hand the next to the pool.
+  static void RunFront(const std::shared_ptr<State>& s);
+
+  const std::shared_ptr<State> s_ = std::make_shared<State>();
 };
 
 }  // namespace lstore

@@ -15,15 +15,14 @@
 #include "core/commit_pipeline.h"
 #include "log/redo_log.h"
 #include "obs/flight_recorder.h"
-#include "obs/reporter.h"
 #include "obs/slow_op_log.h"
 
 namespace lstore {
 
-Database::Database() {
+Database::Database() : executor_([this] { return health_.NowNs(); }) {
   // The watchdog exists on every database (in-memory ones get
-  // on-demand sweeps via Health(); only durable opens start its
-  // thread). DumpTrace reads the process-wide flight recorder, so the
+  // on-demand sweeps via Health(); only durable opens make it a
+  // timer). DumpTrace reads the process-wide flight recorder, so the
   // capture is safe for the watchdog's whole lifetime.
   watchdog_ = std::make_unique<Watchdog>(&health_, &events_, &metrics_,
                                          [this] { return DumpTrace(); });
@@ -70,18 +69,23 @@ Database::Database() {
 }
 
 Database::~Database() {
-  // The watchdog stops BEFORE the subsystems it watches: no sweep may
-  // observe a half-destroyed actor or emit into a dying event log.
-  if (watchdog_ != nullptr) watchdog_->Stop();
+  // Background work stops BEFORE the subsystems it runs over: no
+  // watchdog sweep may observe a half-destroyed actor, and no queued
+  // checkpoint starts on tables about to go.
+  executor_.Stop();
+  background_.Stop();
   if (durable()) {
     events_.Emit(EventSeverity::kInfo, "db", "close");
+    // One final line, so short-lived runs still leave a record.
+    if (durability_.metrics_report_interval_ms > 0) ReportMetrics();
   }
-  // Stop the reporter first: its snapshot callback walks tables and
-  // the buffer pool.
-  if (reporter_ != nullptr) reporter_->Stop();
-  // Stop background checkpointing before tables are torn down (the
-  // unique_ptr member order would do it too; be explicit).
-  if (checkpoint_manager_ != nullptr) checkpoint_manager_->Stop();
+}
+
+void Database::ReportMetrics() {
+  HeartbeatWorkScope work(reporter_hb_.get());
+  std::string line = Metrics().RenderJson();
+  line.push_back('\n');
+  AppendLineRotated(dir_ + "/metrics.log", /*max_bytes=*/0, line);
 }
 
 HealthReport Database::Health() {
@@ -126,7 +130,7 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
     config.verify_segment_refs = durability_.verify_segment_store_on_open;
   }
   // Every table of a database records into the shared registry, and
-  // its merge thread heartbeats into the shared health registry.
+  // its merge tasks heartbeat into the shared health registry.
   config.metrics = &metrics_;
   config.health = &health_;
   auto table = std::make_unique<Table>(name, std::move(schema),
@@ -243,12 +247,19 @@ Status Database::DropTable(const std::string& name) {
   // existence: once it lacks the id, recovery skips the table's log
   // records and checkpoint file, and the next checkpoint drops both.
   if (durable()) LSTORE_RETURN_IF_ERROR(PersistCatalogExcluding(table));
+  std::unique_ptr<Table> dropped;
   {
     SpinGuard g(latch_);
     auto it = std::find_if(tables_.begin(), tables_.end(),
                            [&](const Entry& e) { return e.name == name; });
-    if (it != tables_.end()) tables_.erase(it);
+    if (it != tables_.end()) {
+      dropped = std::move(it->table);
+      tables_.erase(it);
+    }
   }
+  // Destroyed outside the latch. ~Table waits only for a merge task
+  // already running, and a merge takes neither lock held here.
+  dropped.reset();
   // The table (and with it every cold page referencing the store) is
   // gone; drop the swap store last.
   segment_stores_.erase(name);
@@ -380,12 +391,21 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
   if (manifest_exists) {
     db->checkpoint_manager_->SetRecoveredManifest(src.manifest);
   }
-  db->checkpoint_manager_->Start();
+  // The periodic actors are timers on the executor; its thread starts
+  // with the first of them.
+  Database* raw = db.get();
+  db->checkpoint_manager_->Schedule(&db->executor_, &db->background_);
   if (opts.metrics_report_interval_ms > 0) {
-    Database* raw = db.get();
-    db->reporter_ = std::make_unique<StatsReporter>(
-        dir + "/metrics.log", opts.metrics_report_interval_ms,
-        [raw] { return raw->Metrics(); }, db->health_.Register("reporter"));
+    db->reporter_hb_ = db->health_.Register("reporter");
+    // Posted, not run on the timer thread: a line stuck on a stalled
+    // disk leaves the watchdog sweeping, and its busy heartbeat seen.
+    db->executor_.Every(opts.metrics_report_interval_ms, [raw] {
+      if (raw->report_queued_.exchange(true)) return;
+      raw->background_.Post([raw] {
+        raw->ReportMetrics();
+        raw->report_queued_.store(false);
+      });
+    });
   }
   if (kTraceEnabled && opts.slow_op_threshold_us > 0) {
     // Same directory (and rotation idiom) as metrics.log; the counter
@@ -399,7 +419,10 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
   }
   db->events_.Emit(EventSeverity::kInfo, "db", "open",
                    "\"tables\":" + std::to_string(catalog.entries.size()));
-  db->watchdog_->Start(opts.watchdog_interval_ms);
+  if (opts.watchdog_interval_ms > 0) {
+    db->executor_.Every(opts.watchdog_interval_ms,
+                        [raw] { raw->watchdog_->SweepOnce(); });
+  }
   *out = std::move(db);
   return Status::OK();
 }

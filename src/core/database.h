@@ -30,8 +30,10 @@
 #include "buffer/segment_store.h"
 #include "checkpoint/checkpoint_manager.h"
 #include "common/config.h"
+#include "common/executor.h"
 #include "common/latch.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/table.h"
 #include "obs/event_log.h"
 #include "obs/health.h"
@@ -45,7 +47,6 @@ class CheckpointManager;
 class Heartbeat;
 class RedoLog;
 class SlowOpLog;
-class StatsReporter;
 
 /// A point to restore to (Database::RestoreToPoint): either an
 /// inclusive commit time, or the LSN of a commit record in the redo
@@ -77,8 +78,8 @@ class Database : public TxnContext {
   /// Open (or create) a durable database rooted at directory `dir`.
   /// Recovers every cataloged table from its latest checkpoint plus
   /// the redo-log tail; a corrupt manifest or checkpoint fails with a
-  /// clean Corruption status. Background checkpointing starts when
-  /// `opts` configures a trigger.
+  /// clean Corruption status. The checkpoint trigger, the reporter and
+  /// the watchdog that `opts` configures become executor timers.
   static Status Open(const std::string& dir, const DurabilityOptions& opts,
                      std::unique_ptr<Database>* out);
   static Status Open(const std::string& dir, std::unique_ptr<Database>* out) {
@@ -192,19 +193,30 @@ class Database : public TxnContext {
   SlowOpLog* slow_op_log() { return slow_op_log_.get(); }
 
   /// The heartbeat registry every background actor of this engine
-  /// registers with (src/obs/health.h) — merge threads, the
+  /// registers with (src/obs/health.h) — each table's merge tasks, the
   /// checkpointer, the log's group-commit writes, the stats reporter,
-  /// and a co-resident Server's workers/readers.
+  /// and a co-resident Server's workers/readers. Its clock is also the
+  /// executor's.
   HealthRegistry& health() { return health_; }
 
   /// The structured event log (src/obs/event_log.h): in-memory ring
   /// always; plus <dir>/events.log JSON lines when durable.
   EventLog& event_log() { return events_; }
 
-  /// The watchdog sweeping the health registry. Its background thread
-  /// runs only on a durable database with watchdog_interval_ms > 0;
-  /// Health() sweeps on demand either way.
+  /// The watchdog sweeping the health registry. It sweeps as an
+  /// executor timer only on a durable database with
+  /// watchdog_interval_ms > 0; Health() sweeps on demand either way.
   Watchdog* watchdog() { return watchdog_.get(); }
+
+  /// The background executor (src/common/executor.h): the timers of a
+  /// durable database (checkpoint trigger, reporter, watchdog). Its
+  /// timer thread runs only when a timer exists; an in-memory database
+  /// has none.
+  Executor& executor() { return executor_; }
+
+  /// The serial queue on the shared pool that the timers post the
+  /// database's background checkpoints and metrics.log lines to.
+  SerialQueue& background() { return background_; }
 
   /// One on-demand watchdog sweep plus the newest retained events:
   /// the typed report behind the HEALTH wire op / `lstore_cli status`.
@@ -219,6 +231,10 @@ class Database : public TxnContext {
   void AbortTxn(Transaction* txn) override;
   /// A snapshot of the registered tables: the pipeline's candidates.
   std::vector<EngineBase*> LiveTables() const;
+
+  /// Append one JSON MetricsSnapshot line to <dir>/metrics.log, opened
+  /// per line so an operator can rotate the file at any moment.
+  void ReportMetrics();
 
   /// Registered tables, in creation order (checkpoint + catalog use).
   std::vector<std::pair<std::string, Table*>> TableHandles() const;
@@ -265,8 +281,8 @@ class Database : public TxnContext {
   /// Health registry + event log: declared right after metrics_ (and
   /// before every subsystem) for the same reason — actors hold
   /// heartbeat handles and emit events for their whole lifetime. The
-  /// watchdog itself only reads these members, but its thread is
-  /// stopped FIRST in ~Database so no sweep races subsystem teardown.
+  /// watchdog itself only reads these members, but its timer stops
+  /// FIRST in ~Database so no sweep races subsystem teardown.
   HealthRegistry health_;
   EventLog events_;
   std::unique_ptr<Watchdog> watchdog_;
@@ -313,10 +329,16 @@ class Database : public TxnContext {
   /// Last-seen FlightRecorder::dropped() value, so the registry
   /// collector can mirror the delta into the monotonic counter.
   std::atomic<uint64_t> trace_dropped_seen_{0};
-  /// Background JSON-lines reporter (DurabilityOptions::
-  /// metrics_report_interval_ms). Last: stopped before anything it
-  /// samples is torn down (~Database also stops it explicitly).
-  std::unique_ptr<StatsReporter> reporter_;
+  /// "reporter" actor: busy while a metrics.log line is written
+  /// (DurabilityOptions::metrics_report_interval_ms > 0 only).
+  std::shared_ptr<Heartbeat> reporter_hb_;
+  /// Background checkpoints and metrics.log lines, one at a time;
+  /// `report_queued_`: a line is posted or being written.
+  SerialQueue background_;
+  std::atomic<bool> report_queued_{false};
+  /// Last: ~Database stops it, then `background_`, before anything
+  /// their timers and tasks touch is torn down.
+  Executor executor_;
 };
 
 }  // namespace lstore

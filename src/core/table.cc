@@ -1,13 +1,15 @@
 #include "core/table.h"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 #include <unordered_set>
 
 #include "common/bitutil.h"
 #include "common/checksum.h"
 #include "common/inline_buffer.h"
-#include "core/merge.h"
 #include "core/query.h"
+#include "obs/health.h"
 
 namespace lstore {
 
@@ -102,12 +104,14 @@ Table::Table(std::string name, Schema schema, TableConfig config,
       }
     }
   }
-  merge_manager_ = std::make_unique<MergeManager>(this);
-  if (config_.enable_merge_thread) merge_manager_->Start();
+  if (config_.enable_merge_thread && config_.health != nullptr) {
+    merge_hb_ = config_.health->Register("merge:" + name_);
+  }
 }
 
 Table::~Table() {
-  if (merge_manager_) merge_manager_->Stop();
+  // No merge task may run over what the body below tears down.
+  merges_.Stop();
   // Detach this table's pages from the (shared) buffer pool first: a
   // concurrent eviction on behalf of another table must not retire a
   // payload into an epoch manager that is about to be destroyed.
@@ -573,14 +577,37 @@ void Table::CreateSecondaryIndex(ColumnId col) {
 }
 
 // ---------------------------------------------------------------------------
-// Maintenance entry points (bodies in merge.cc / historic.cc)
+// Maintenance entry points (merge bodies in range.cc / historic.cc)
 // ---------------------------------------------------------------------------
 
 void Table::MaybeScheduleMerge(Range& r) {
-  if (config_.enable_merge_thread && merge_manager_ != nullptr &&
-      r.TakeMergeTrigger()) {
-    merge_manager_->Enqueue(r.id());
+  if (config_.enable_merge_thread && r.TakeMergeTrigger()) {
+    merges_.Post([this, id = r.id()] { RunMerge(id); });
   }
+}
+
+void Table::RunMerge(uint64_t range_id) {
+  // Busy-scoped: an idle queue is healthy; only time inside a task
+  // counts against the watchdog's deadlines.
+  HeartbeatWorkScope work(merge_hb_.get());
+  // Test hook: park here — busy, not beating — so health tests can
+  // simulate a stalled merge deterministically.
+  if (std::atomic<int>* park = config_.merge_test_park;
+      park != nullptr && park->load(std::memory_order_acquire) != 0) {
+    park->store(2, std::memory_order_release);  // ack: parked
+    while (park->load(std::memory_order_acquire) != 0) {
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  }
+  if (merge_hb_ != nullptr) merge_hb_->Beat();  // the merge itself starts
+  if (Range* r = GetRange(range_id)) {
+    // Release first: a trigger taken while this task merges queues the
+    // next task, so none is lost.
+    r->ReleaseMergeTrigger();
+    r->InsertMerge();
+    r->UpdateMerge(schema_.AllColumns(), true);
+  }
+  epochs_.TryReclaim();
 }
 
 bool Table::MergeRangeNow(uint64_t range_id) {
@@ -611,10 +638,6 @@ void Table::FlushAll() {
     }
   }
   epochs_.TryReclaim();
-}
-
-void Table::WaitForMergeQueue() {
-  if (merge_manager_) merge_manager_->Drain();
 }
 
 // ---------------------------------------------------------------------------

@@ -12,9 +12,12 @@
 //  * the context its ranges share, and optional secondary indexes,
 //  * the pipeline steps only L-Store fills in: read validation, the
 //    redo log the durability point writes, and epoch-pinned stamping,
-//  * a background merge queue (Section 4.1) with epoch-based page
-//    reclamation (Figure 6) and the segment-page factory,
-//  * optional redo-only logging with crash recovery (Section 5.1.3).
+//  * a background merge queue (Section 4.1, Figure 5): writers hand
+//    ranges to a serial queue of tasks on the shared pool, which
+//    merges one range at a time, with epoch-based page reclamation
+//    (Figure 6), and the segment-page factory,
+//  * redo-only logging to its Database's log, with crash recovery
+//    (Section 5.1.3).
 //
 // Thread safety: all public operations are safe for concurrent use.
 // Readers never latch pages; writers synchronize per record through
@@ -38,6 +41,7 @@
 #include "common/epoch.h"
 #include "common/latch.h"
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "common/types.h"
 #include "core/engine_core.h"
 #include "core/range.h"
@@ -54,7 +58,7 @@
 
 namespace lstore {
 
-class MergeManager;
+class Heartbeat;
 class Query;
 
 /// Recovered transaction outcomes: the commit time of every
@@ -186,8 +190,8 @@ class Table : public EngineCore<Range> {
   /// merges until quiescent. For loading phases and tests.
   void FlushAll();
 
-  /// Drain the merge queue (waits for the background thread).
-  void WaitForMergeQueue();
+  /// Wait until every queued merge task has run.
+  void WaitForMergeQueue() { merges_.Drain(); }
 
   // --- introspection ---------------------------------------------------------
 
@@ -231,7 +235,6 @@ class Table : public EngineCore<Range> {
  private:
   // The commit pipeline needs no grant: it reaches a table through the
   // engine steps below, which EngineBase (core/engine_core.h) declares.
-  friend class MergeManager;
   friend class CheckpointIO;       ///< capture/restore (checkpoint/serde.cc)
   friend class CheckpointManager;  ///< log watermarks + truncation
   friend class Query;              ///< scan executor (core/query.cc)
@@ -309,6 +312,9 @@ class Table : public EngineCore<Range> {
                           bool is_delete, RedoLog::Batch* log_sink);
   /// Queue `r` for the background merge when it asks for one.
   void MaybeScheduleMerge(Range& r);
+  /// The merge task (Section 4.1): release the range's trigger, then
+  /// insert-merge, update-merge and reclaim, busy on `merge_hb_`.
+  void RunMerge(uint64_t range_id);
 
   // Buffer-managed segment pages ---------------------------------------------
 
@@ -378,7 +384,11 @@ class Table : public EngineCore<Range> {
   std::vector<SecondaryEntry> secondaries_;
   mutable SpinLatch secondary_latch_;
 
-  std::unique_ptr<MergeManager> merge_manager_;
+  /// "merge:<table>" actor, busy per merge task (null: no health
+  /// registry, or merges off).
+  std::shared_ptr<Heartbeat> merge_hb_;
+  /// Merge tasks, one at a time; stopped first in ~Table.
+  SerialQueue merges_;
   /// The redo log this table appends to: its Database's one log, in
   /// which its records carry `log_id_`, its catalog id (null: an
   /// in-memory table, which logs nothing).

@@ -133,42 +133,9 @@ Watchdog::Watchdog(HealthRegistry* registry, EventLog* events,
   }
 }
 
-Watchdog::~Watchdog() { Stop(); }
-
 void Watchdog::set_dump_dir(std::string dir) {
   std::lock_guard<std::mutex> g(sweep_mu_);
   dump_dir_ = std::move(dir);
-}
-
-void Watchdog::Start(uint64_t interval_ms) {
-  if (interval_ms == 0) return;
-  std::lock_guard<std::mutex> g(thread_mu_);
-  if (running_) return;
-  running_ = true;
-  interval_ms_ = interval_ms;
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void Watchdog::Stop() {
-  {
-    std::lock_guard<std::mutex> g(thread_mu_);
-    if (!running_) return;
-    running_ = false;
-  }
-  cv_.notify_all();
-  if (thread_.joinable()) thread_.join();
-}
-
-void Watchdog::Loop() {
-  std::unique_lock<std::mutex> lk(thread_mu_);
-  while (running_) {
-    cv_.wait_for(lk, std::chrono::milliseconds(interval_ms_),
-                 [this] { return !running_; });
-    if (!running_) break;
-    lk.unlock();
-    SweepOnce();
-    lk.lock();
-  }
 }
 
 HealthReport Watchdog::SweepOnce() {

@@ -4,10 +4,10 @@
 // health report surfaced through Database::Health() / the HEALTH wire
 // op / `lstore_cli status`.
 //
-// Model: each background loop (merge threads, the checkpointer, the
-// stats reporter, server workers, per-connection readers) and the
-// logs' group-commit writes register a named Heartbeat and bracket
-// their work:
+// Model: each background actor (a table's merge tasks, the
+// checkpointer, the stats reporter, server workers, per-connection
+// readers) and the logs' group-commit writes register a named
+// Heartbeat and bracket their work:
 //
 //   auto hb = registry->Register("merge:orders");
 //   ...
@@ -16,22 +16,23 @@
 //   hb->EndWork();     // beat, busy = false
 //
 // A beat is one relaxed atomic store of the registry clock — zero
-// hot-path cost. Classification is busy-scoped: an IDLE actor (parked
-// on its condition variable waiting for work) is always healthy no
+// hot-path cost. Classification is busy-scoped: an IDLE actor (no
+// task running, or parked waiting for work) is always healthy no
 // matter how long ago it beat — only an actor that began work and
 // then went silent past its deadline is slow (past `slow_ms`) or
-// stalled (past `stall_ms`). That distinction is what lets the merge
-// thread block indefinitely on an empty queue without tripping the
-// watchdog.
+// stalled (past `stall_ms`). That distinction is what lets a table
+// with an empty merge queue go without a task indefinitely without
+// tripping the watchdog.
 //
 // The registry holds weak_ptrs, so an actor's teardown (dropping its
 // shared_ptr) unregisters it implicitly — no teardown-order
 // obligations between actors and the watchdog beyond "stop the
-// watchdog before destroying the registry".
+// watchdog's timer before destroying the registry".
 //
 // The clock is injectable (a plain function pointer, swapped
-// atomically) and shared by beats and sweeps, so tests drive
-// stall/recovery transitions with a fake clock and zero wall-clock
+// atomically) and shared by beats, sweeps and the database executor's
+// timers (common/executor.h), so tests drive stall/recovery
+// transitions and timed work with a fake clock and zero wall-clock
 // sleeps.
 //
 // The Watchdog publishes verdict counts as lstore_health_* gauges,
@@ -44,13 +45,11 @@
 #define LSTORE_OBS_HEALTH_H_
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
@@ -201,9 +200,9 @@ std::string RenderHealthJson(const HealthReport& report);
 /// Sweeps the registry: classifies every actor, publishes
 /// lstore_health_{healthy,slow,stalled} gauges, emits a `watchdog`
 /// event on each verdict change, and dumps the flight recorder once
-/// per new stall episode. SweepOnce() is public so fake-clock tests
-/// (and Database::Health()) drive sweeps without the background
-/// thread.
+/// per new stall episode. A durable Database runs SweepOnce() as an
+/// executor timer; fake-clock tests (and Database::Health()) call it
+/// directly.
 class Watchdog {
  public:
   /// `dump_fn` supplies the flight-recorder JSON written on a new
@@ -211,7 +210,6 @@ class Watchdog {
   /// are nullable.
   Watchdog(HealthRegistry* registry, EventLog* events,
            MetricsRegistry* metrics, std::function<std::string()> dump_fn);
-  ~Watchdog();
 
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
@@ -219,11 +217,6 @@ class Watchdog {
   /// Directory receiving stall-<actor>-<ts>.trace.json dumps; unset
   /// (empty) on an in-memory database.
   void set_dump_dir(std::string dir);
-
-  /// Start/stop the background sweep thread (interval 0 = no thread;
-  /// SweepOnce is still usable). Stop() joins; idempotent.
-  void Start(uint64_t interval_ms);
-  void Stop();
 
   /// One sweep: classify, publish, emit, dump. Returns the actor rows
   /// (sorted by name) with verdict counts via the report fields.
@@ -235,8 +228,6 @@ class Watchdog {
   }
 
  private:
-  void Loop();
-
   /// Per-actor episode memory, keyed by name: previous verdict (for
   /// change events) and whether this stall episode already dumped.
   struct ActorState {
@@ -259,12 +250,6 @@ class Watchdog {
   std::mutex sweep_mu_;  ///< serializes sweeps; guards state_/dump_dir_
   std::unordered_map<std::string, ActorState> state_;
   std::string dump_dir_;
-
-  std::mutex thread_mu_;
-  std::condition_variable cv_;
-  bool running_ = false;
-  uint64_t interval_ms_ = 0;
-  std::thread thread_;
 };
 
 }  // namespace lstore

@@ -12,7 +12,6 @@
 #include <cstring>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "core/query.h"
 #include "obs/slow_op_log.h"
 #include "obs/span.h"
@@ -29,23 +28,12 @@ Status Server::Start() {
     return Status::InvalidArgument("server already running");
   }
 
-  uint32_t hw = std::thread::hardware_concurrency();
-  if (hw == 0) hw = 4;
   if (cfg_.workers == 0) {
-    cfg_.workers = std::clamp<uint32_t>(hw / 2, 2, 8);
+    uint32_t hw = std::thread::hardware_concurrency();
+    cfg_.workers = std::clamp<uint32_t>((hw == 0 ? 4 : hw) / 2, 2, 8);
   }
   if (cfg_.max_queue_depth == 0) cfg_.max_queue_depth = 1;
   if (cfg_.max_inflight_per_session == 0) cfg_.max_inflight_per_session = 1;
-  if (cfg_.scan_threads != UINT32_MAX) {
-    // Keep server workers + Query scan partitions inside one core
-    // budget: by default the scan pool gets whatever the workers
-    // don't. First-configuration-wins (see ThreadPool::ConfigureShared),
-    // so a pool already sized or used in this process keeps its size.
-    uint32_t scan = cfg_.scan_threads != 0
-                        ? cfg_.scan_threads
-                        : (hw > cfg_.workers ? hw - cfg_.workers : 1);
-    ThreadPool::ConfigureShared(scan);
-  }
 
   MetricsRegistry& reg = db_->metrics();
   m_accepted_ = reg.GetCounter("lstore_server_requests_total",

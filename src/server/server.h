@@ -80,12 +80,6 @@ struct ServerConfig {
   /// Per-frame payload cap for requests arriving on a connection.
   uint32_t max_frame_bytes = wire::kDefaultMaxFrameBytes;
 
-  /// Resize the process-wide scan pool (ThreadPool::Shared) so server
-  /// workers + Query partitions together match the core budget:
-  /// 0 = auto (hardware threads minus resolved worker count, min 1),
-  /// UINT32_MAX = leave the shared pool alone.
-  uint32_t scan_threads = 0;
-
   /// Sample-profile mode: mint a server-side trace id on every Nth
   /// un-flagged request (0 = off), so a fleet gets span timelines and
   /// slow-op dumps without any client stamping ids. Client-stamped

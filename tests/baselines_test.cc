@@ -388,5 +388,26 @@ TEST_F(DbmTest, BackgroundMergeTriggersOnThreshold) {
   EXPECT_GT(t.merges_performed(), 0u);
 }
 
+// A DBM merge task holds its table's pointer, as an L-Store one does:
+// a table destroyed right after updates that queued a merge per range
+// drops the pending tasks and waits for the running one.
+TEST(DbmLifetimeTest, TableDestroyedWithMergesQueued) {
+  TableConfig cfg = BaselineConfig(/*merge_thread=*/true);
+  cfg.merge_threshold = 4;
+  for (int round = 0; round < 50; ++round) {
+    DbmTable t(Schema(3), cfg);
+    Txn load = t.Begin();
+    for (Value k = 0; k < 64 * 16; ++k) {
+      ASSERT_TRUE(t.Insert(load, {k, k, k}).ok());
+    }
+    ASSERT_TRUE(load.Commit().ok());
+    Txn txn = t.Begin();
+    for (Value range = 0; range < 16; ++range) {
+      ASSERT_TRUE(t.Update(txn, range * 64, 0b010, {0, range, 0}).ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());  // the first merge drains it
+  }
+}
+
 }  // namespace
 }  // namespace lstore

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -929,27 +930,44 @@ TEST_F(CheckpointTest, DropAndRecreateSkipsTheDroppedIdInOneLog) {
   check(restored.get());
 }
 
-TEST_F(CheckpointTest, BackgroundCheckpointThreadTriggers) {
+std::atomic<uint64_t> g_fake_now_ns{0};
+uint64_t FakeNow() { return g_fake_now_ns.load(); }
+
+// The timed trigger is a timer on the database's executor: on a fake
+// clock, each interval that passes takes exactly one checkpoint, run
+// on the database's background queue, with no sleeps.
+TEST_F(CheckpointTest, BackgroundCheckpointTimerTriggers) {
+  constexpr uint64_t kMsNs = 1000000;
   DurabilityOptions opts;
   opts.checkpoint_interval_ms = 20;
   {
     std::unique_ptr<Database> db;
     ASSERT_TRUE(Database::Open(dir_, opts, &db).ok());
+    g_fake_now_ns.store(1 * kMsNs);
+    db->health().SetClockForTest(&FakeNow);
+    Executor& ex = db->executor();
+    ex.RunDue();  // re-arms the timer on the fake clock
+    db->background().Drain();
     ASSERT_TRUE(db->CreateTable("t", Schema(3), SmallConfig()).ok());
     Table* t = db->GetTable("t");
     for (Value k = 0; k < 50; ++k) {
       Txn txn = db->Begin();
       ASSERT_TRUE(t->Insert(txn, {k, k, 0}).ok());
       ASSERT_TRUE(txn.Commit().ok());
-      std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
-    for (int i = 0; i < 100 &&
-                    db->checkpoint_manager()->checkpoints_taken() == 0;
-         ++i) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    CheckpointManager* cm = db->checkpoint_manager();
+    const uint64_t base = cm->checkpoints_taken();
+    g_fake_now_ns.fetch_add(19 * kMsNs);
+    ex.RunDue();
+    db->background().Drain();
+    EXPECT_EQ(cm->checkpoints_taken(), base);  // not yet an interval
+    for (uint64_t n = 1; n <= 3; ++n) {
+      g_fake_now_ns.fetch_add(20 * kMsNs);
+      ex.RunDue();
+      db->background().Drain();
+      EXPECT_EQ(cm->checkpoints_taken(), base + n);
     }
-    EXPECT_GT(db->checkpoint_manager()->checkpoints_taken(), 0u);
-    EXPECT_TRUE(db->checkpoint_manager()->last_background_status().ok());
+    EXPECT_TRUE(cm->last_background_status().ok());
   }
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(dir_, &db).ok());
@@ -961,9 +979,54 @@ TEST_F(CheckpointTest, BackgroundCheckpointThreadTriggers) {
   (void)r.Commit();
 }
 
+// A background checkpoint that outlasts the interval is not followed at
+// once by another: while it is posted or running a tick posts nothing,
+// and the next one is due a full interval after it ends. The database's
+// background queue is held by a gate task from 21 ms to 75 ms of the
+// fake clock, so the checkpoint due at 21 ms ends at 75 ms.
+TEST_F(CheckpointTest, IntervalCountsFromTheEndOfALongCheckpoint) {
+  constexpr uint64_t kMsNs = 1000000;
+  DurabilityOptions opts;
+  opts.checkpoint_interval_ms = 20;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(dir_, opts, &db).ok());
+  g_fake_now_ns.store(1 * kMsNs);
+  db->health().SetClockForTest(&FakeNow);
+  Executor& ex = db->executor();
+  SerialQueue& background = db->background();
+  ex.RunDue();  // re-arms the timer on the fake clock
+  CheckpointManager* cm = db->checkpoint_manager();
+  const uint64_t base = cm->checkpoints_taken();
+  auto step_to = [&](uint64_t ms) {
+    g_fake_now_ns.store(ms * kMsNs);
+    ex.RunDue();
+  };
+
+  std::atomic<bool> gate{true};
+  background.Post([&] {
+    while (gate.load()) std::this_thread::yield();
+  });
+  step_to(21);  // due: posted behind the gate
+  step_to(41);  // ticks while it is pending post nothing
+  step_to(61);
+  step_to(75);
+  gate.store(false);
+  background.Drain();
+  EXPECT_EQ(cm->checkpoints_taken(), base + 1);
+
+  step_to(81);  // 20 ms after the last tick, 6 ms after the end
+  background.Drain();
+  EXPECT_EQ(cm->checkpoints_taken(), base + 1);
+  step_to(95);  // a full interval after the end
+  background.Drain();
+  EXPECT_EQ(cm->checkpoints_taken(), base + 2);
+  EXPECT_TRUE(cm->last_background_status().ok());
+}
+
 // With no timed interval, the size trigger alone checkpoints once the
-// redo logs pass checkpoint_log_bytes, and the checkpoint truncates the
-// log prefix it covers.
+// redo log passes checkpoint_log_bytes, and the checkpoint truncates the
+// log prefix it covers. It runs in real time: the executor's timer
+// thread polls the log.
 TEST_F(CheckpointTest, LogSizeTriggerCheckpointsAndShrinksTheLog) {
   DurabilityOptions opts;
   opts.checkpoint_interval_ms = 0;

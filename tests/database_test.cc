@@ -14,6 +14,7 @@
 #include "checkpoint/serde.h"
 #include "common/checksum.h"
 #include "common/file.h"
+#include "common/thread_pool.h"
 #include "core/database.h"
 #include "storage/compression/varint.h"
 
@@ -394,6 +395,59 @@ TEST(DatabaseFormatTest, OlderFormatVersionIsRefusedBeforeAnyLog) {
   std::string after;
   ASSERT_TRUE(ReadFile(dir + "/redo.log", &after).ok());
   EXPECT_EQ(after, before);
+  std::filesystem::remove_all(dir);
+}
+
+// Threads of this process.
+size_t CountThreads() {
+  size_t n = 0;
+  for (const auto& e : std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)e;
+    ++n;
+  }
+  return n;
+}
+
+// Background work runs as tasks on the shared pool and as timers on one
+// executor thread: with the pool built, eight merging tables start no
+// thread in memory, and at most one beside checkpoints, the reporter and
+// the watchdog once durable.
+TEST(DatabaseThreadsTest, BackgroundWorkAddsAtMostTheTimerThread) {
+  ThreadPool::Shared();  // its workers are not counted
+  const size_t before = CountThreads();
+  TableConfig cfg = Cfg();
+  cfg.insert_range_size = 64;
+  cfg.merge_threshold = 8;
+  cfg.enable_merge_thread = true;
+  auto load = [&](Database* db) {
+    for (int i = 0; i < 8; ++i) {
+      const std::string name = "t" + std::to_string(i);
+      ASSERT_TRUE(db->CreateTable(name, Schema(2), cfg).ok());
+      Txn txn = db->Begin();
+      for (Value k = 0; k < 256; ++k) {
+        ASSERT_TRUE(db->GetTable(name)->Insert(txn, {k, k}).ok());
+      }
+      ASSERT_TRUE(txn.Commit().ok());
+    }
+  };
+  {
+    Database db;
+    load(&db);
+    EXPECT_EQ(CountThreads(), before);
+  }
+  const std::string dir =
+      std::string(::testing::TempDir()) + "lstore_thread_count";
+  std::filesystem::remove_all(dir);
+  {
+    DurabilityOptions opts;
+    opts.checkpoint_interval_ms = 1000;
+    opts.metrics_report_interval_ms = 1000;
+    opts.watchdog_interval_ms = 1000;
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, opts, &db).ok());
+    load(db.get());
+    EXPECT_LE(CountThreads(), before + 1);
+  }
   std::filesystem::remove_all(dir);
 }
 

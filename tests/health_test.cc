@@ -4,9 +4,10 @@
 // actors never flagged; slow-but-beating actors never false-positive),
 // exactly one flight-recorder dump per stall episode, event-ring
 // wraparound and severity filtering, events.log JSON schema + size
-// rotation, a deterministic end-to-end merge-thread stall injected
+// rotation, a deterministic end-to-end merge-task stall injected
 // through TableConfig::merge_test_park, HEALTH over the wire, and
-// clean teardown ordering (watchdog stops before watched subsystems).
+// clean teardown ordering (the watchdog's timer stops before watched
+// subsystems).
 
 #include <gtest/gtest.h>
 
@@ -341,8 +342,8 @@ TEST(HealthDatabaseTest, MergeStallDetectedDumpedOnceAndRecovers) {
       ASSERT_TRUE(txn.Commit().ok());
     }
 
-    // Wait (bounded, real time) for the merge thread to claim the task
-    // and ack the park — it is now busy and silent, by construction.
+    // Wait (bounded, real time) for the merge task to start and ack
+    // the park — it is now busy and silent, by construction.
     auto deadline = std::chrono::steady_clock::now() +
                     std::chrono::seconds(30);
     while (park.load(std::memory_order_acquire) != 2 &&
@@ -350,7 +351,7 @@ TEST(HealthDatabaseTest, MergeStallDetectedDumpedOnceAndRecovers) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     ASSERT_EQ(park.load(std::memory_order_acquire), 2)
-        << "merge thread never claimed the parked task";
+        << "the parked merge task never started";
 
     // Cross the stall deadline on the fake clock: detected within one
     // sweep, gauge flips 0 -> 1, exactly one flight-recorder dump.
@@ -516,8 +517,8 @@ TEST(HealthDatabaseTest, BackgroundWatchdogTearsDownBeforeActors) {
       }
       ASSERT_TRUE(txn.Commit().ok());
     }
-    // Let the watchdog thread overlap live merge/commit actors, then
-    // destroy the Database: ~Database stops the watchdog FIRST, so no
+    // Let the watchdog's timer overlap live merge/commit actors, then
+    // destroy the Database: ~Database stops the executor FIRST, so no
     // sweep may observe a half-destroyed actor (the TSan target).
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
   }

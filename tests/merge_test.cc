@@ -292,6 +292,20 @@ TEST_F(MergeTest, CommitSchedulesInsertMergeThatRanMidTransaction) {
             64u);
 }
 
+// A merge task holds its table's pointer: a table destroyed right
+// after a load that queued many ranges' merges drops the pending tasks
+// and waits for the running one (the ASan and TSan target).
+TEST(MergeLifetimeTest, TableDestroyedWithMergesQueued) {
+  for (int round = 0; round < 50; ++round) {
+    Table t("life", Schema(4), MergeConfig(/*merge_thread=*/true));
+    Txn txn = t.Begin();
+    for (Value k = 0; k < 64 * 32; ++k) {
+      ASSERT_TRUE(t.Insert(txn, {k, k, k, k}).ok());
+    }
+    ASSERT_TRUE(txn.Commit().ok());  // schedules all 32 insert-merges
+  }
+}
+
 TEST_F(MergeTest, BackgroundMergeKeepsUpWithWriters) {
   TableConfig cfg = MergeConfig(/*merge_thread=*/true);
   Table t("bg", Schema(4), cfg);

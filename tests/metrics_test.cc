@@ -25,7 +25,6 @@
 #include "core/table.h"
 #include "index/primary_index.h"
 #include "obs/metrics.h"
-#include "obs/reporter.h"
 #include "obs/span.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -544,14 +543,14 @@ TEST_F(DatabaseMetricsTest, RestoreRecordsDuration) {
     EXPECT_EQ(h->hist.count, 1u);
   }
   // A restored table is observable like an opened one: it records into
-  // the database's registry and its merge thread beats into Health().
+  // the database's registry and its merge tasks beat into Health().
   Table* ra = rdb->GetTable("A");
   ASSERT_NE(ra, nullptr);
   Txn rtxn = rdb->Begin();
   ASSERT_TRUE(ra->Insert(rtxn, {3, 4}).ok());
   ASSERT_TRUE(rtxn.Commit().ok());
   EXPECT_EQ(rdb->Metrics().CounterValue("lstore_inserts_total"), 1u);
-  // The merge thread registers its heartbeat once it runs.
+  // The table registers its merge heartbeat.
   bool merge_listed = false;
   for (int i = 0; i < 500 && !merge_listed; ++i) {
     for (const ActorHealth& actor : rdb->Health().actors) {
@@ -712,27 +711,6 @@ TEST_F(DatabaseMetricsTest, ReporterAndSlowOpLogCoexistAcrossRotation) {
     EXPECT_EQ(line.find("ts_ms"), std::string::npos) << line;
   }
   EXPECT_GE(rep_lines, 1u);
-}
-
-TEST(ReporterTest, StandaloneStopIsIdempotent) {
-  MetricsRegistry reg;
-  reg.GetCounter("x_total")->Add(1);
-  std::string path = std::string(::testing::TempDir()) + "lstore_rep.log";
-  fs::remove(path);
-  {
-    StatsReporter rep(path, 2, [&reg] { return reg.Snapshot(); });
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    rep.Stop();
-    rep.Stop();  // idempotent
-  }  // dtor stops again
-  std::ifstream in(path);
-  std::string line;
-  size_t lines = 0;
-  while (std::getline(in, line)) {
-    if (!line.empty()) ++lines;
-  }
-  EXPECT_GE(lines, 1u);
-  fs::remove(path);
 }
 
 }  // namespace

@@ -337,7 +337,7 @@ TEST(QueryMaintenanceRaceTest, ParallelScansRaceMergesAndCompression) {
     }
   });
   // Maintenance thread: forces merges and historic compression under
-  // the scans (beyond what the background merge thread does).
+  // the scans (beyond what the background merge tasks do).
   std::thread maintenance([&] {
     Random rng(99);
     while (!stop.load()) {

@@ -17,7 +17,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <functional>
 #include <random>
 #include <string>
@@ -28,7 +27,6 @@
 #include <vector>
 
 #include "common/checksum.h"
-#include "common/thread_pool.h"
 #include "core/database.h"
 #include "core/query.h"
 #include "server/client.h"
@@ -119,23 +117,6 @@ bool ReadResponse(int fd, uint32_t* id, uint8_t* code) {
   wire::Reader in(payload);
   std::string msg;
   return in.U32(id) && in.U8(code) && in.String(&msg);
-}
-
-// --- scan-pool sizing (must run first: the pool is built lazily) -----------
-
-TEST(ScanPoolConfig, FirstConfigurationWins) {
-  if (std::getenv("LSTORE_SCAN_THREADS") != nullptr) {
-    GTEST_SKIP() << "LSTORE_SCAN_THREADS overrides ConfigureShared";
-  }
-  // First configuration (before any Shared() use in this process)
-  // sticks; re-stating the same value is still accepted.
-  EXPECT_TRUE(ThreadPool::ConfigureShared(2));
-  EXPECT_TRUE(ThreadPool::ConfigureShared(2));
-  EXPECT_EQ(ThreadPool::Shared().num_threads(), 2u);
-  // The pool exists now: later reconfiguration attempts (e.g. a
-  // Server::Start in the tests below) are advisory no-ops.
-  EXPECT_FALSE(ThreadPool::ConfigureShared(5));
-  EXPECT_EQ(ThreadPool::Shared().num_threads(), 2u);
 }
 
 // --- wire codec ------------------------------------------------------------
