@@ -422,12 +422,10 @@ void CheckpointManager::Schedule(Executor* executor, SerialQueue* queue) {
     interval_timer_ = id;
   }
   if (opts_.checkpoint_log_bytes != 0) {
+    // The log's appended length, not its file size: the open file runs
+    // ahead by its zero tail.
     executor->Every(kLogPollMs, [this, post] {
-      uint64_t bytes = 0;
-      if (FileExists(RedoLogPath(dir_), &bytes) &&
-          bytes > opts_.checkpoint_log_bytes) {
-        post();
-      }
+      if (db_->log_->bytes() > opts_.checkpoint_log_bytes) post();
     });
   }
 }

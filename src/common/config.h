@@ -98,8 +98,8 @@ struct TableConfig {
 /// recovery = load latest checkpoint + replay log tail. A table is
 /// durable only as a table of a database directory.
 struct DurabilityOptions {
-  /// fsync the redo log on every commit (group commit still shares
-  /// fsyncs): the log's own policy, set once at Open.
+  /// Sync the redo log's data (File::SyncData) on every commit (group
+  /// commit still shares syncs): the log's own policy, set once at Open.
   bool sync_commit = false;
 
   /// Drop redo records at or below the checkpoint watermark once the
@@ -114,8 +114,8 @@ struct DurabilityOptions {
   uint64_t checkpoint_interval_ms = 0;
 
   /// Background checkpoint: a timer on the database's executor polls
-  /// the redo log and posts a checkpoint once it exceeds this many
-  /// bytes (0 = no size trigger).
+  /// the redo log's appended length and posts a checkpoint once it
+  /// exceeds this many bytes (0 = no size trigger).
   uint64_t checkpoint_log_bytes = 0;
 
   /// Group commit: how long a log sync that takes the write token

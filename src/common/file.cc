@@ -2,8 +2,10 @@
 
 #include <fcntl.h>
 #include <sys/stat.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <utility>
@@ -94,6 +96,32 @@ Status File::WriteAt(uint64_t offset, std::string_view bytes,
   return s;
 }
 
+Status File::WriteZerosAt(uint64_t offset, size_t len, size_t* written) {
+  static const char kZeros[4096] = {};
+  constexpr size_t kPages = 64;  // one pwritev covers up to 256 KiB
+  iovec iov[kPages];
+  size_t done = 0;
+  Status s;
+  while (done < len) {
+    const size_t chunk = std::min(len - done, kPages * sizeof(kZeros));
+    int count = 0;
+    for (size_t at = 0; at < chunk; at += sizeof(kZeros)) {
+      iov[count++] = {const_cast<char*>(kZeros),
+                      std::min(chunk - at, sizeof(kZeros))};
+    }
+    ssize_t n = ::pwritev(fd_, iov, count, static_cast<off_t>(offset + done));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) {
+      if (n == 0) errno = ENOSPC;
+      s = Error("short write to", path_);
+      break;
+    }
+    done += static_cast<size_t>(n);
+  }
+  if (written != nullptr) *written = done;
+  return s;
+}
+
 Status File::ReadAt(uint64_t offset, size_t len, std::string* out) const {
   out->resize(len);
   size_t done = 0;
@@ -113,6 +141,11 @@ Status File::ReadAt(uint64_t offset, size_t len, std::string* out) const {
 
 Status File::Sync() {
   if (::fsync(fd_) != 0) return Error("cannot fsync", path_);
+  return Status::OK();
+}
+
+Status File::SyncData() {
+  if (::fdatasync(fd_) != 0) return Error("cannot fdatasync", path_);
   return Status::OK();
 }
 

@@ -58,11 +58,19 @@ class File {
   Status WriteAt(uint64_t offset, std::string_view bytes,
                  size_t* written = nullptr);
 
+  /// Write `len` zero bytes at `offset` (pre-extending a log), from one
+  /// static zero page; `*written` as for WriteAt.
+  Status WriteZerosAt(uint64_t offset, size_t len, size_t* written = nullptr);
+
   /// Read exactly `len` bytes at `offset` into `out`; IOError when the
   /// file ends first or the read fails.
   Status ReadAt(uint64_t offset, size_t len, std::string* out) const;
 
   Status Sync();
+  /// Sync the data and the metadata needed to read it back (the
+  /// length), not the timestamps: no journal commit when a write
+  /// changed neither the length nor the block map.
+  Status SyncData();
   Status Truncate(uint64_t size);
   /// Byte length of the file; IOError for a directory.
   Status Size(uint64_t* size) const;

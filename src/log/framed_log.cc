@@ -1,6 +1,7 @@
 #include "log/framed_log.h"
 
 #include <algorithm>
+#include <cassert>
 #include <chrono>
 #include <cstring>
 #include <iterator>
@@ -22,7 +23,7 @@ FramedLogMetrics FramedLogMetrics::In(MetricsRegistry* registry,
   m.append_bytes = registry->GetCounter(prefix + "_append_bytes_total",
                                         label + " framed bytes appended");
   m.fsyncs = registry->GetCounter(prefix + "_fsyncs_total",
-                                  label + " commit-path fsyncs");
+                                  label + " commit-path data syncs");
   m.append_ns = registry->GetHistogram(prefix + "_append_ns",
                                        label + " append latency (ns)");
   m.flush_ns = registry->GetHistogram(prefix + "_flush_ns",
@@ -48,6 +49,7 @@ FramedLogMetrics FramedLogMetrics::In(MetricsRegistry* registry,
 
 void FramedLog::AppendFrame(std::string* out, std::string_view payload,
                             std::string_view type) {
+  assert(type.size() + payload.size() > 0);  // length 0 ends a log
   PutVarint64(out, type.size() + payload.size());
   const size_t body = out->size();
   out->append(type);
@@ -93,6 +95,12 @@ void FramedLog::ScanFrames(std::string_view data, const Codec& codec,
   stats->last_lsn = start_lsn;
   stats->clean_end = true;
   while (pos < data.size()) {
+    if (data[pos] == 0) {
+      // Length 0: the end of the log. Past it lies the zero tail of an
+      // open log; any other byte there is a torn tail.
+      stats->clean_end = data.find_first_not_of('\0', pos) == data.npos;
+      break;
+    }
     size_t frame_start = pos;
     std::string_view payload;
     if (!ParseFrame(data, &pos, &payload)) {
@@ -194,10 +202,12 @@ Status FramedLog::Open(const std::string& path, bool truncate,
       last_lsn_.store(stats.last_lsn, std::memory_order_release);
     }
   }
+  allocated_ = size_;
+  bytes_.store(size_, std::memory_order_release);
   LSTORE_RETURN_IF_ERROR(file_.Open(
       path, truncate ? File::Mode::kCreateTruncate
                      : File::Mode::kReadWriteCreate));
-  // Appends continue at size_: cut the torn tail beyond it, if any.
+  // Appends continue at size_: cut the torn or zero tail beyond it.
   Status s = file_.Truncate(size_);
   if (!s.ok()) file_.Close();
   return s;
@@ -206,6 +216,10 @@ Status FramedLog::Open(const std::string& path, bool truncate,
 void FramedLog::Close() {
   if (file_.is_open()) {
     Flush(false);
+    // Trim the zero tail. Should the trim fail, the next Open cuts it.
+    std::lock_guard<std::mutex> g(mu_);
+    const uint64_t end = size_ - buffer_.size();
+    if (allocated_ > end && file_.Truncate(end).ok()) allocated_ = end;
     file_.Close();
   }
 }
@@ -236,6 +250,7 @@ uint64_t FramedLog::Append(std::string_view payload, uint64_t lsn_count) {
     last = last_lsn_.load(std::memory_order_relaxed) + lsn_count;
     last_lsn_.store(last, std::memory_order_release);
     size_ += framed;
+    bytes_.store(size_, std::memory_order_release);
     MaybeMarkLocked(last);
     ++pending_appends_;
     pending_append_bytes_ += framed;
@@ -262,6 +277,17 @@ void FramedLog::PublishPendingLocked() {
 Status FramedLog::FlushBufferLocked() {
   if (!file_.is_open()) return Status::IOError("log not open");
   if (buffer_.empty()) return Status::OK();
+  // Extend before writing past the file's end, so the frames land in
+  // blocks that are already allocated. A short extension writes no
+  // frame byte, and the next write-out extends from where it stopped.
+  if (size_ > allocated_) {
+    const uint64_t end =
+        (size_ + kPreExtend - 1) / kPreExtend * kPreExtend + kPreExtend;
+    size_t zeroed = 0;
+    Status s = file_.WriteZerosAt(allocated_, end - allocated_, &zeroed);
+    allocated_ += zeroed;
+    if (!s.ok()) return s;
+  }
   // Drop exactly the written prefix on a short write (ENOSPC): the file
   // holds a partial frame, and a later retry must continue at the same
   // byte — re-writing the whole buffer after the partial prefix would
@@ -327,7 +353,7 @@ Status FramedLog::Sync(uint64_t lsn, bool fsync) {
   if (s.ok()) written_lsn_.store(reached, std::memory_order_release);
   if (s.ok() && fsync) {
     if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Add(1);
-    s = file_.Sync();
+    s = file_.SyncData();
     if (s.ok()) synced_lsn_.store(reached, std::memory_order_release);
   }
   const uint64_t t1 = Stage::Now();
@@ -459,6 +485,8 @@ Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {
                             [drop](const Mark& m) { return m.offset > drop; }));
   for (Mark& m : marks_) m.offset = m.offset - drop + head.size();
   size_ = size_ - drop + head.size();
+  allocated_ = size_;  // the new file has no zero tail
+  bytes_.store(size_, std::memory_order_release);
   file_ = std::move(next);
   return s;
 }

@@ -4,15 +4,16 @@
 // parse their frames with its AppendFrame/ParseFrame.
 //
 // Frame format: [payload_len varint][payload][crc32c over payload].
-// Records carry implicit LSNs, numbered 1, 2, ... in append order; a
-// frame may carry several LSNs (batch frames). A log whose prefix was
+// A length of 0 is no frame: it marks the end of the log. Records
+// carry implicit LSNs, numbered 1, 2, ... in append order; a frame may
+// carry several LSNs (batch frames). A log whose prefix was
 // truncated starts with a truncation-point frame (payload tag 5 +
 // varint base) restoring the numbering, so LSNs are stable across
 // truncations and archival.
 //
 // The core owns: buffered appends written at tracked offsets through
 // the file layer (common/file.h), resumed byte-exact after a short
-// write (ENOSPC); fsync; group commit; open-time LSN restore +
+// write (ENOSPC); data syncs; group commit; open-time LSN restore +
 // torn-tail repair; the three-phase low-lock truncation; and the frame
 // scan that every reader shares. The log's own frame buffer is the
 // only buffer: each write-out is one positional write of it. What a
@@ -20,6 +21,17 @@
 // to validate a record payload and learn how many LSNs it carries —
 // so RedoLog and the archive reader cannot diverge on framing,
 // torn-tail, or truncation behavior.
+//
+// An open log keeps its file pre-extended with zeros: a write-out that
+// would pass the file's end first writes zeros up to the kPreExtend
+// boundary above its frames plus kPreExtend more. Commits then
+// overwrite blocks that are already allocated, so their data sync
+// (File::SyncData) has no file length or block map to commit to the
+// file system journal. The scan reads the zero tail as the end of the
+// log (length 0), and a torn tail only where a non-zero byte follows.
+// Open cuts the zero tail with a torn one, TruncateTo publishes a file
+// without it, and Close trims it, so a closed log ends at its last
+// frame and its bytes are those of a log never pre-extended.
 //
 // Truncation reads back only what it keeps: the appender records a
 // sparse frame index of marks (a frame-aligned offset plus the LSN
@@ -38,9 +50,9 @@
 // its records are on disk). Every write-out publishes the LSN it
 // reached, written and, with an fsync, durable. Sync(lsn) returns at
 // once when an earlier write-out already covered `lsn`; otherwise one
-// caller at a time (the sync token) writes the whole buffer, fsyncs
-// and publishes, so every caller that appended before that write
-// shares its one fsync. The holder parks for up to the group-commit
+// caller at a time (the sync token) writes the whole buffer, syncs it
+// (File::SyncData) and publishes, so every caller that appended before
+// that write shares its one sync. The holder parks for up to the group-commit
 // window first, letting callers that append meanwhile join; the park
 // ends once as many callers have arrived since it took the token as
 // the last write covered.
@@ -66,15 +78,15 @@ namespace lstore {
 class Heartbeat;
 
 /// Registry handles a framed log records into (all optional): frames /
-/// bytes appended, fsyncs, append/flush latencies, and the group-commit
-/// handles every log of a registry shares. A default-constructed
+/// bytes appended, data syncs, append/flush latencies, and the
+/// group-commit handles every log of a registry shares. A default-constructed
 /// struct (all null) records nothing.
 struct FramedLogMetrics {
   Counter* appends = nullptr;       ///< record frames appended
   Counter* append_bytes = nullptr;  ///< framed bytes appended
-  Counter* fsyncs = nullptr;        ///< fsyncs
+  Counter* fsyncs = nullptr;        ///< commit-path data syncs
   Histogram* append_ns = nullptr;   ///< Append latency (lock + buffer)
-  Histogram* flush_ns = nullptr;    ///< write (+ fsync) latency
+  Histogram* flush_ns = nullptr;    ///< write (+ sync) latency
   Counter* truncate_read_bytes = nullptr;  ///< bytes TruncateTo read back
   Histogram* sync_wait_ns = nullptr;  ///< Sync: wait before the covering write
   Histogram* batch_size = nullptr;    ///< Sync: callers one write released
@@ -129,6 +141,9 @@ class FramedLog {
   /// at most this much of the retired prefix, for 16 B of index each.
   static constexpr uint64_t kMarkSpacing = 64 * 1024;
 
+  /// Granule of the zero tail an open log keeps past its last frame.
+  static constexpr uint64_t kPreExtend = 1024 * 1024;
+
   explicit FramedLog(Codec codec) : codec_(std::move(codec)) {}
   ~FramedLog() { Close(); }
 
@@ -136,14 +151,15 @@ class FramedLog {
   FramedLog& operator=(const FramedLog&) = delete;
 
   /// Open for appending. An existing file is scanned to restore the
-  /// LSN counter; a torn tail (crash mid-write) is truncated away so
-  /// new appends are not hidden behind garbage. A read error fails the
-  /// open and leaves the file as it was. `replay_fn` (optional)
-  /// receives every well-formed frame during that same scan, so
-  /// restart recovery reads the file once: RedoLog::Open delivers its
-  /// records through it.
+  /// LSN counter; a torn tail (crash mid-write) and a zero tail are
+  /// truncated away so new appends are not hidden behind garbage. A
+  /// read error fails the open and leaves the file as it was.
+  /// `replay_fn` (optional) receives every well-formed frame during
+  /// that same scan, so restart recovery reads the file once:
+  /// RedoLog::Open delivers its records through it.
   Status Open(const std::string& path, bool truncate,
               const FrameFn& replay_fn = nullptr);
+  /// Flush and close; the file is trimmed to its last written frame.
   void Close();
   bool is_open() const { return file_.is_open(); }
   const std::string& path() const { return path_; }
@@ -152,15 +168,16 @@ class FramedLog {
   /// Returns the last LSN it received (0 when lsn_count == 0).
   uint64_t Append(std::string_view payload, uint64_t lsn_count);
 
-  /// Flush every frame appended so far to the OS; fsync when `sync`.
+  /// Flush every frame appended so far to the OS; sync when `sync`.
   Status Flush(bool sync) { return Sync(last_lsn(), sync); }
 
   /// Group commit: return once every record up to `lsn` is written to
-  /// the OS and, with `fsync`, durable. Returns at once when an earlier
-  /// write-out covered `lsn`; otherwise waits for the sync token and
-  /// writes (and fsyncs) the whole buffer, covering every caller that
-  /// appended before. A failed write publishes nothing: each waiter it
-  /// did not cover writes again and returns its own result.
+  /// the OS and, with `fsync`, durable (File::SyncData). Returns at
+  /// once when an earlier write-out covered `lsn`; otherwise waits for
+  /// the sync token and writes (and syncs) the whole buffer, covering
+  /// every caller that appended before. A failed write publishes
+  /// nothing: each waiter it did not cover writes again and returns its
+  /// own result.
   Status Sync(uint64_t lsn, bool fsync);
 
   /// Group-commit knobs: how long at most a token holder parks before
@@ -176,6 +193,10 @@ class FramedLog {
   uint64_t last_lsn() const {
     return last_lsn_.load(std::memory_order_acquire);
   }
+
+  /// The log's length in frame bytes, buffered ones included: its
+  /// content, where the open file's size runs ahead by the zero tail.
+  uint64_t bytes() const { return bytes_.load(std::memory_order_acquire); }
 
   /// Wire registry metrics (obs/metrics.h). Must be called before the
   /// log sees concurrent use (handles are read without a lock).
@@ -216,8 +237,9 @@ class FramedLog {
   /// A complete truncation-point frame restoring `base_lsn`.
   static std::string TruncationPointFrame(uint64_t base_lsn);
 
-  /// Scan `data`, invoking `fn` per good record frame; stops cleanly
-  /// at the first torn or corrupt frame. The single source of truth
+  /// Scan `data`, invoking `fn` per good record frame; stops at a
+  /// length-0 frame (clean only if every byte from there on is zero)
+  /// or at the first torn or corrupt frame. The single source of truth
   /// for frame parsing. `start_lsn` is the LSN reached before `data`
   /// (non-zero when the scan starts mid-log, at a mark).
   static void ScanFrames(std::string_view data, const Codec& codec,
@@ -233,7 +255,8 @@ class FramedLog {
   static uint64_t ReadBaseLsn(const std::string& path);
 
  private:
-  /// Write `buffer_` at its file offset, size_ - buffer_.size() (caller
+  /// Write `buffer_` at its file offset, size_ - buffer_.size(), first
+  /// pre-extending the file when the write would pass its end (caller
   /// holds mu_).
   Status FlushBufferLocked();
 
@@ -264,7 +287,9 @@ class FramedLog {
   /// Ordering: truncate_mu_ before mu_.
   std::mutex truncate_mu_;
   std::string buffer_;
-  uint64_t size_ = 0;          ///< under mu_: file bytes + buffer_
+  uint64_t size_ = 0;          ///< under mu_: written frames + buffer_
+  uint64_t allocated_ = 0;     ///< under mu_: file length, zero tail included
+  std::atomic<uint64_t> bytes_{0};  ///< size_, set under mu_ for bytes()
   std::vector<Mark> marks_;    ///< under mu_: ascending, all <= size_
   std::atomic<uint64_t> last_lsn_{0};
   std::atomic<uint64_t> written_lsn_{0};  ///< every LSN <= it is in the OS

@@ -202,8 +202,12 @@ class RedoLog {
 
   /// LSN of the most recently appended record (0 = empty log).
   uint64_t last_lsn() const { return framed_.last_lsn(); }
+  /// Bytes appended (FramedLog::bytes): the log's length without the
+  /// zero tail its open file keeps.
+  uint64_t bytes() const { return framed_.bytes(); }
 
-  /// Flush buffered records to the OS; fsync when `sync`.
+  /// Flush buffered records to the OS; sync its data (File::SyncData) when
+  /// `sync`.
   Status Flush(bool sync) { return framed_.Flush(sync); }
 
   /// Group commit: make every record up to `lsn` written (and, with

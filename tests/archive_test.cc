@@ -15,6 +15,7 @@
 
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -694,6 +695,37 @@ TEST_F(ArchiveTest, ManifestCarriesArchiveWatermarks) {
 // one recovery: both must rebuild the same rows and secondary index
 // from a history with both tables, cross-table commits, an abort, a
 // merge and a checkpoint.
+// RestoreToPoint reads the live log of a database that is still open,
+// its file pre-extended with zeros past the last frame: the restore
+// ends the live log at the zero tail and returns the same rows as the
+// oracle, by time and by commit LSN.
+TEST_F(ArchiveTest, RestoreReadsAPreExtendedLiveLog) {
+  Oracle oracle;
+  std::unique_ptr<Database> db;
+  OpenWithTables(ArchiveOpts(), &db);
+  RunSchedule(db.get(), &oracle, 40, 12, /*seed=*/31);
+  ASSERT_FALSE(ArchiveManager::ListRedoSegments(dir_).empty());
+  ASSERT_GT(fs::file_size(RedoLogPath(dir_)), db->redo_log()->bytes());
+  for (size_t i = 0; i < oracle.points.size(); i += 5) {
+    VerifyPoint(oracle.points[i], oracle);
+  }
+  VerifyPoint(oracle.points.back(), oracle);
+  // The newest commit that logged a record: past the last checkpoint,
+  // so its commit record is in the live log.
+  auto logged = std::find_if(
+      oracle.points.rbegin(), oracle.points.rend(),
+      [](const OraclePoint& p) { return p.commit_lsn != 0; });
+  ASSERT_NE(logged, oracle.points.rend());
+  const OraclePoint& last = *logged;
+  ASSERT_GT(last.commit_lsn, FramedLog::ReadBaseLsn(RedoLogPath(dir_)));
+  std::unique_ptr<Database> rdb;
+  ASSERT_TRUE(Database::RestoreToPoint(
+                  dir_, RestorePoint::AtCommitLsn(last.commit_lsn), &rdb)
+                  .ok());
+  EXPECT_EQ(Snapshot(rdb->GetTable("A"), oracle.keys_a, last.t + 1), last.a);
+  EXPECT_EQ(Snapshot(rdb->GetTable("B"), oracle.keys_b, last.t + 1), last.b);
+}
+
 TEST_F(ArchiveTest, RestoreAtNewestPointEqualsRestart) {
   Oracle oracle;
   {

@@ -1026,7 +1026,8 @@ TEST_F(CheckpointTest, IntervalCountsFromTheEndOfALongCheckpoint) {
 // With no timed interval, the size trigger alone checkpoints once the
 // redo log passes checkpoint_log_bytes, and the checkpoint truncates the
 // log prefix it covers. It runs in real time: the executor's timer
-// thread polls the log.
+// thread polls the log. The log's length is its appended bytes (the
+// open file also holds a zero tail); closed, the file is that long.
 TEST_F(CheckpointTest, LogSizeTriggerCheckpointsAndShrinksTheLog) {
   DurabilityOptions opts;
   opts.checkpoint_interval_ms = 0;
@@ -1046,15 +1047,69 @@ TEST_F(CheckpointTest, LogSizeTriggerCheckpointsAndShrinksTheLog) {
     Txn txn = db->Begin();
     ASSERT_TRUE(t->Insert(txn, {k, k, 0}).ok());
     ASSERT_TRUE(txn.Commit().ok());
-    peak = std::max(peak, LogFileBytes(log));
+    peak = std::max(peak, db->redo_log()->bytes());
   }
   for (int i = 0; i < 500 && cm->checkpoints_taken() == 0; ++i) {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   ASSERT_GT(cm->checkpoints_taken(), 0u);
   EXPECT_TRUE(cm->last_background_status().ok());
+  EXPECT_LT(db->redo_log()->bytes(), peak);
+  EXPECT_LE(db->redo_log()->bytes(), opts.checkpoint_log_bytes);
+  db.reset();
   EXPECT_LT(LogFileBytes(log), peak);
   EXPECT_LE(LogFileBytes(log), opts.checkpoint_log_bytes);
+}
+
+// The size trigger reads the log's appended length, not its file: the
+// open file's zero tail takes it past a 1 MiB bound while the log holds
+// ~100 KiB, and the polls post nothing until the records pass the bound.
+// The polls run on a fake clock.
+TEST_F(CheckpointTest, LogSizeTriggerIgnoresTheZeroTail) {
+  constexpr uint64_t kMsNs = 1000000;
+  DurabilityOptions opts;
+  opts.checkpoint_log_bytes = 1 << 20;
+  std::unique_ptr<Database> db;
+  ASSERT_TRUE(Database::Open(dir_, opts, &db).ok());
+  TableConfig cfg = SmallConfig();
+  cfg.range_size = cfg.insert_range_size = 4096;
+  ASSERT_TRUE(db->CreateTable("t", Schema(3), cfg).ok());
+  Table* t = db->GetTable("t");
+  g_fake_now_ns.store(1 * kMsNs);
+  db->health().SetClockForTest(&FakeNow);
+  db->executor().RunDue();  // re-arms the poll on the fake clock
+  CheckpointManager* cm = db->checkpoint_manager();
+  const uint64_t base = cm->checkpoints_taken();
+  auto polls = [&] {
+    for (int i = 0; i < 4; ++i) {
+      g_fake_now_ns.fetch_add(50 * kMsNs);
+      db->executor().RunDue();
+      db->background().Drain();
+    }
+  };
+  Value next = 0;
+  auto load_until = [&](uint64_t bytes) {
+    while (db->redo_log()->bytes() < bytes) {
+      std::vector<std::vector<Value>> rows;
+      for (int i = 0; i < 256; ++i, ++next) {
+        rows.push_back({next, ~next, ~uint64_t{0} - next});  // 10-byte varints
+      }
+      Txn txn = db->Begin();
+      ASSERT_TRUE(t->InsertBatch(txn, rows).ok());
+      ASSERT_TRUE(txn.Commit().ok());
+    }
+  };
+
+  load_until(100 * 1024);
+  ASSERT_GT(LogFileBytes(dir_ + "/redo.log"), opts.checkpoint_log_bytes);
+  polls();
+  EXPECT_EQ(cm->checkpoints_taken(), base);
+
+  load_until(opts.checkpoint_log_bytes + 1);
+  polls();
+  EXPECT_EQ(cm->checkpoints_taken(), base + 1);
+  EXPECT_TRUE(cm->last_background_status().ok());
+  EXPECT_LT(db->redo_log()->bytes(), opts.checkpoint_log_bytes);
 }
 
 TEST_F(CheckpointTest, RepeatedCheckpointsPruneOldFiles) {

@@ -55,6 +55,17 @@ class GroupCommitTest : public ::testing::Test {
     return ::stat(path.c_str(), &st) == 0 ? st.st_size : 0;
   }
 
+  /// Bytes of well-formed frames in the log file at `path`: what was
+  /// written of it, without the zero tail of an open log.
+  static uint64_t WrittenFrameBytes(const std::string& path) {
+    RedoLog::ReplayStats stats;
+    EXPECT_TRUE(RedoLog::Replay(path, [](const LogRecord&, uint64_t) {},
+                                &stats)
+                    .ok());
+    EXPECT_TRUE(stats.clean_end);
+    return stats.bytes_consumed;
+  }
+
   /// Open a durable database with tables "a" and "b".
   std::unique_ptr<Database> OpenDb(const DurabilityOptions& opts,
                                    bool create_tables = true) {
@@ -300,11 +311,14 @@ TEST_F(GroupCommitTest, SyncCoveredByAnEarlierFsyncAddsNone) {
   ASSERT_TRUE(log.Sync(first, /*fsync=*/true).ok());
   EXPECT_EQ(fsyncs(), 1u);
 
-  // With fsync off, Sync writes the bytes but adds no fsync.
-  const uint64_t written = FileBytes(path);
+  // With fsync off, Sync writes the bytes but adds no fsync: the
+  // appended frame reaches the file, which then holds the whole log.
+  const uint64_t written = log.bytes();
   const uint64_t third = log.Append(rec);
+  EXPECT_EQ(WrittenFrameBytes(path), written);
   ASSERT_TRUE(log.Sync(third, /*fsync=*/false).ok());
-  EXPECT_GT(FileBytes(path), written);
+  EXPECT_GT(log.bytes(), written);
+  EXPECT_EQ(WrittenFrameBytes(path), log.bytes());
   EXPECT_EQ(fsyncs(), 1u);
   // Written is not durable: an fsync'd Sync of it still fsyncs.
   ASSERT_TRUE(log.Sync(third, /*fsync=*/true).ok());

@@ -17,15 +17,18 @@
 #include <numeric>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <tuple>
 #include <vector>
 
 #include "checkpoint/serde.h"
 #include "common/bitutil.h"
+#include "common/file.h"
 #include "core/database.h"
 #include "core/query.h"
 #include "core/table.h"
+#include "log/framed_log.h"
 #include "log/redo_log.h"
 #include "obs/metrics.h"
 #include "storage/compression/varint.h"
@@ -313,6 +316,147 @@ TEST(RedoLogTest, ReplayStopsAtCorruptChecksum) {
   EXPECT_LT(count, 3);
   // Opened for appending, the same file delivers the same prefix.
   EXPECT_EQ(ReplayThenOpenAlike(path).size(), static_cast<size_t>(count));
+  std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// The zero tail: an open log's file runs ahead of its frames by zeros
+// (FramedLog::kPreExtend), so commits overwrite allocated blocks.
+// ---------------------------------------------------------------------------
+
+LogRecord CommitRecord(uint64_t i) {
+  LogRecord rec;
+  rec.type = LogRecordType::kCommit;
+  rec.txn_id = kTxnIdTag | i;
+  rec.commit_time = i;
+  return rec;
+}
+
+// How many records a replay of `path` delivers; fills `stats`.
+uint64_t ReplayCount(const std::string& path, RedoLog::ReplayStats* stats) {
+  uint64_t records = 0;
+  EXPECT_TRUE(RedoLog::Replay(
+                  path, [&](const LogRecord&, uint64_t) { ++records; }, stats)
+                  .ok());
+  return records;
+}
+
+// Write `bytes` at `offset` of the file at `path` (a crash image).
+void Scribble(const std::string& path, uint64_t offset,
+              std::string_view bytes) {
+  File f;
+  ASSERT_TRUE(f.Open(path, File::Mode::kReadWriteCreate).ok());
+  ASSERT_TRUE(f.WriteAt(offset, bytes).ok());
+}
+
+// While open, the log's file reaches one kPreExtend step past the
+// boundary above its frames; a replay of it delivers every record and
+// ends clean at the first zero. Close trims the zero tail: the closed
+// file ends at the last frame.
+TEST(RedoLogZeroTailTest, OpenLogReplaysCleanAndCloseTrims) {
+  const std::string path = TempLogPath("zero_tail");
+  RedoLog log;
+  ASSERT_TRUE(log.Open(path, /*truncate=*/true).ok());
+  for (uint64_t i = 1; i <= 100; ++i) log.Append(CommitRecord(i));
+  ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
+  EXPECT_EQ(FileSize(path), 2 * FramedLog::kPreExtend);
+  RedoLog::ReplayStats stats;
+  EXPECT_EQ(ReplayCount(path, &stats), 100u);
+  EXPECT_TRUE(stats.clean_end);
+  EXPECT_EQ(stats.last_lsn, 100u);
+  EXPECT_EQ(stats.bytes_consumed, log.bytes());
+  log.Close();
+  EXPECT_EQ(FileSize(path), stats.bytes_consumed);
+  EXPECT_EQ(ReplayCount(path, &stats), 100u);
+  EXPECT_TRUE(stats.clean_end);
+  std::remove(path.c_str());
+}
+
+// A non-zero byte past the end-of-log zero is damage, not a zero tail:
+// the replay keeps every record before it and reports a torn tail, and
+// Open cuts the file back to the last frame.
+TEST(RedoLogZeroTailTest, GarbagePastTheZerosIsATornTail) {
+  const std::string path = TempLogPath("zero_tail_live");
+  const std::string crash = TempLogPath("zero_tail_garbage");
+  RedoLog log;
+  ASSERT_TRUE(log.Open(path, /*truncate=*/true).ok());
+  for (uint64_t i = 1; i <= 10; ++i) log.Append(CommitRecord(i));
+  ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
+  std::filesystem::copy_file(path, crash,
+                             std::filesystem::copy_options::overwrite_existing);
+  Scribble(crash, log.bytes() + 4096, "garbage");
+  RedoLog::ReplayStats stats;
+  EXPECT_EQ(ReplayCount(crash, &stats), 10u);
+  EXPECT_FALSE(stats.clean_end);
+  EXPECT_EQ(stats.last_lsn, 10u);
+  EXPECT_EQ(stats.bytes_consumed, log.bytes());
+  EXPECT_EQ(ReplayThenOpenAlike(crash).size(), 10u);
+  std::remove(crash.c_str());
+  log.Close();
+  std::remove(path.c_str());
+}
+
+// A crash mid-write leaves part of a frame in the zero tail: Open cuts
+// the log back to where that frame began, and appends after the cut
+// replay clean.
+TEST(RedoLogZeroTailTest, PartialFrameInTheZeroTailIsCutOnOpen) {
+  const std::string path = TempLogPath("zero_tail_live");
+  const std::string crash = TempLogPath("zero_tail_crash");
+  uint64_t intact = 0;
+  {
+    RedoLog log;
+    ASSERT_TRUE(log.Open(path, /*truncate=*/true).ok());
+    for (uint64_t i = 1; i <= 10; ++i) log.Append(CommitRecord(i));
+    ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
+    intact = log.bytes();
+    std::filesystem::copy_file(
+        path, crash, std::filesystem::copy_options::overwrite_existing);
+  }
+  std::string payload, frame;
+  RedoLog::EncodePayload(CommitRecord(11), &payload);
+  FramedLog::AppendFrame(&frame, payload);
+  Scribble(crash, intact, std::string_view(frame).substr(0, frame.size() - 3));
+  EXPECT_EQ(ReplayThenOpenAlike(crash).size(), 10u);  // cut at `intact`
+  EXPECT_EQ(FileSize(crash), intact);
+  {
+    RedoLog log;
+    ASSERT_TRUE(log.Open(crash, /*truncate=*/false).ok());
+    EXPECT_EQ(log.last_lsn(), 10u);
+    for (uint64_t i = 11; i <= 15; ++i) log.Append(CommitRecord(i));
+    ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
+    RedoLog::ReplayStats stats;
+    EXPECT_EQ(ReplayCount(crash, &stats), 15u);
+    EXPECT_TRUE(stats.clean_end);
+  }
+  RedoLog::ReplayStats stats;
+  EXPECT_EQ(ReplayCount(crash, &stats), 15u);
+  EXPECT_TRUE(stats.clean_end);
+  EXPECT_EQ(stats.last_lsn, 15u);
+  std::remove(crash.c_str());
+  std::remove(path.c_str());
+}
+
+// TruncateTo publishes the retained frames with no zero tail; the next
+// write-out extends the new file again.
+TEST(RedoLogZeroTailTest, AppendAfterTruncateExtendsAgain) {
+  const std::string path = TempLogPath("zero_tail_truncate");
+  RedoLog log;
+  ASSERT_TRUE(log.Open(path, /*truncate=*/true).ok());
+  for (uint64_t i = 1; i <= 50; ++i) log.Append(CommitRecord(i));
+  ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
+  ASSERT_GT(FileSize(path), log.bytes());
+  ASSERT_TRUE(log.TruncateTo(40).ok());
+  EXPECT_EQ(FileSize(path), log.bytes());
+  log.Append(CommitRecord(51));
+  ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
+  EXPECT_EQ(FileSize(path), 2 * FramedLog::kPreExtend);
+  RedoLog::ReplayStats stats;
+  EXPECT_EQ(ReplayCount(path, &stats), 11u);  // 41..51
+  EXPECT_TRUE(stats.clean_end);
+  EXPECT_EQ(stats.last_lsn, 51u);
+  EXPECT_EQ(stats.bytes_consumed, log.bytes());
+  log.Close();
+  EXPECT_EQ(FileSize(path), stats.bytes_consumed);
   std::remove(path.c_str());
 }
 
@@ -784,13 +928,14 @@ TEST_F(RecoveryTest, TornRunFrameIsCutAtItsFrameStart) {
     commit.commit_time = 5;
     EXPECT_EQ(log.Append(commit), 21u);
     ASSERT_TRUE(log.Flush(false).ok());
-    intact = FileSize(path_);
+    intact = log.bytes();
     RedoLog::Batch second;
     second.AddInsertRun(/*table=*/0, b, 0, 20, rows.data() + 20, 12, 0b111);
     EXPECT_EQ(log.AppendBatch(second), 33u);
     ASSERT_TRUE(log.Flush(false).ok());
-    full = FileSize(path_);
+    full = log.bytes();
   }
+  ASSERT_EQ(FileSize(path_), full);  // Close trimmed the zero tail
   ASSERT_GT(full, intact + 5);
   ASSERT_EQ(::truncate(path_.c_str(), full - 5), 0);  // crc + last values
   {
@@ -1396,7 +1541,7 @@ class NumberedLog {
     frame_first_.push_back(appended_ + 1);
     appended_ += n;
     EXPECT_TRUE(log_.Flush(false).ok());
-    frame_end_.push_back(FileSize(path_));
+    frame_end_.push_back(log_.bytes());
   }
 
   std::string path_;
@@ -1455,14 +1600,14 @@ TEST(RedoLogTruncateTest, WatermarksAtMarkEdges) {
   std::string path = TempLogPath("mark_edges");
   uint64_t a_first = 0, b_first = 0;
   auto build = [&](NumberedLog* nl) {
-    while (FileSize(path) < FramedLog::kMarkSpacing - 2000) {
+    while (nl->log().bytes() < FramedLog::kMarkSpacing - 2000) {
       nl->AppendSingle(8);
     }
     a_first = nl->appended() + 1;
     nl->AppendBatch(100, 8);
     b_first = nl->appended() + 1;
     nl->AppendBatch(100, 8);
-    while (FileSize(path) < 2 * FramedLog::kMarkSpacing + 5000) {
+    while (nl->log().bytes() < 2 * FramedLog::kMarkSpacing + 5000) {
       nl->AppendSingle(8);
     }
   };
@@ -1491,7 +1636,7 @@ TEST(RedoLogTruncateTest, WatermarksAtMarkEdges) {
     SCOPED_TRACE(c.name);
     NumberedLog nl(path);
     build(&nl);
-    uint64_t size = FileSize(path);
+    uint64_t size = nl.log().bytes();
     uint64_t from = 0;
     for (const auto& [offset, lsn] : nl.Marks()) {
       if (lsn <= c.watermark) from = offset;
