@@ -114,6 +114,15 @@ void AbortAcross(TransactionManager& tm, Transaction* txn,
   if (txn->finished()) return;
   InlineBuffer<Role, 16> roles(n);
   Classify(*txn, engines, n, roles.data());
+  // Tombstone the writeset (Section 5.1.3: aborted tail records are
+  // only marked invalid; space is reclaimed by compression) while no
+  // other thread can stamp or consume the records: the stamping loop
+  // reads the keys of the inserts it unindexes from their tail pages.
+  for (size_t i = 0; i < n; ++i) {
+    if (roles[i] == Role::kWriter) {
+      engines[i]->StampWrites(txn, kAbortedStamp);
+    }
+  }
   tm.MarkAborted(txn);
   // One abort record in the writers' log. `durable_abort` syncs it:
   // that matters ONLY when the durability step already appended a
@@ -131,13 +140,6 @@ void AbortAcross(TransactionManager& tm, Transaction* txn,
     rec.txn_id = txn->id();
     const uint64_t lsn = log->Append(rec);
     if (durable_abort) (void)log->SyncCommit(lsn);
-  }
-  // Tombstone the writeset (Section 5.1.3: aborted tail records are
-  // only marked invalid; space is reclaimed by compression).
-  for (size_t i = 0; i < n; ++i) {
-    if (roles[i] == Role::kWriter) {
-      engines[i]->StampWrites(txn, kAbortedStamp);
-    }
   }
   tm.Retire(txn->id());
   txn->set_finished();

@@ -27,9 +27,10 @@
 //
 // The candidates never span two logs: a database passes only its own
 // tables, and a session used on an engine outside its scope is refused
-// at its first operation (CheckActive, txn/txn.h). An abort flips the
-// state, appends one abort record to the shared log, and runs the same
-// stamping loop with the aborted stamp.
+// at its first operation (CheckActive, txn/txn.h). An abort runs the
+// same stamping loop with the aborted stamp (unindexing the inserts)
+// before it flips the state, then appends one abort record to the
+// shared log.
 
 #ifndef LSTORE_CORE_COMMIT_PIPELINE_H_
 #define LSTORE_CORE_COMMIT_PIPELINE_H_
@@ -48,8 +49,8 @@ namespace lstore {
 Status CommitAcross(TransactionManager& tm, Transaction* txn,
                     EngineBase* const* engines, size_t n);
 
-/// Abort `txn`: append an abort record to the writers' log and
-/// tombstone the writeset (Section 5.1.3 — no physical removal).
+/// Abort `txn`: tombstone the writeset (Section 5.1.3 — no physical
+/// removal), then append an abort record to the writers' log.
 /// `durable_abort` syncs the abort record — required only when the
 /// durability step may already have synced a commit record for this
 /// transaction (replay treats the later abort as authoritative, so it

@@ -177,13 +177,18 @@ class EngineCore : public EngineBase {
 
   /// The range factory: build range `id` (EnsureRange's one caller).
   virtual Range* NewRange(uint64_t id) = 0;
-  /// The stamp step of one write: CAS its Start Time slot from the
-  /// transaction id to `outcome`. False when the write's version was
-  /// already consumed (merged or compressed) with its outcome.
+  /// The stamp step of one write: swap its Start Time slot (each slot
+  /// of an insert run) from the transaction id to `outcome`. False when
+  /// the write's versions were already consumed (merged or compressed).
   virtual bool StampWrite(Range& r, const WriteEntry& w, TxnId txn,
                           Value outcome) = 0;
   /// Called once per range in which the stamping loop stamped inserts.
   virtual void InsertsStamped(Range&) {}
+  /// Unindex the keys an aborted insert entry inserted; the stamping
+  /// loop calls it while the entry's slots still hold the txn id.
+  virtual void EraseInserted(Range&, const WriteEntry& w) {
+    primary_.Erase(w.inserted_key);
+  }
 
   /// The CAS of a StampWrite step.
   static bool StampSlot(std::atomic<Value>* slot, TxnId txn, Value outcome) {
@@ -233,16 +238,22 @@ class EngineCore : public EngineBase {
     return Status::OK();
   }
 
-  /// The one stamping loop, for commits and aborts alike.
+  /// The one stamping loop, for commits and aborts alike: one step per
+  /// writeset entry, so an L-Store insert run is stamped a tail page at
+  /// a time (Range::Stamp). A commit runs it after the manager learns
+  /// the outcome, so a reader that resolves a slot first writes the same
+  /// commit time; an abort runs it before (core/commit_pipeline.cc), so
+  /// no reader writes a slot and no insert merge consumes the run while
+  /// EraseInserted reads its keys back.
   void StampWrites(Transaction* txn, Value outcome) override {
     Range* stamped_inserts = nullptr;
     for (const WriteEntry& w : txn->writeset()) {
       if (w.owner != this) continue;
       Range* r = GetRange(w.range_id);
       if (r == nullptr) continue;
+      if (w.is_insert && outcome == kAbortedStamp) EraseInserted(*r, w);
       const bool stamped = StampWrite(*r, w, txn->id(), outcome);
       if (!w.is_insert) continue;
-      if (outcome == kAbortedStamp) primary_.Erase(w.inserted_key);
       if (stamped && r != stamped_inserts) {
         InsertsStamped(*r);
         stamped_inserts = r;

@@ -11,6 +11,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/inline_buffer.h"
 #include "core/historic.h"
 #include "obs/span.h"
 
@@ -19,13 +20,14 @@ namespace lstore {
 namespace {
 
 /// A merge's working copy of `old`'s first `n` slots (∅ past them),
-/// read through one pin.
+/// read through one pin and decoded a block at a time.
 std::vector<Value> CopySegment(const BaseSegment* old, uint32_t n) {
   std::vector<Value> vals(n, kNull);
   if (old == nullptr) return vals;
   PageHandle page = old->Pin();
+  CompressedColumn::Cursor cur = page.cursor();
   for (uint32_t s = 0; s < std::min(n, old->num_slots); ++s) {
-    vals[s] = page.Get(s);
+    vals[s] = cur.At(s);
   }
   return vals;
 }
@@ -398,26 +400,30 @@ void Range::WriteRecord(TailKind kind, const TailRecord& rec) {
 void Range::FillInserts(uint32_t slot0, const std::vector<Value>* rows,
                         size_t count, size_t filled, TxnId txn) {
   // Aligned base/tail RIDs: slot s is record s + 1. Each column's page
-  // is resolved once per page run.
+  // is resolved once per page run, and each row is read once, across
+  // its columns (the rows are separate allocations).
+  const uint32_t ncols = ctx_->num_columns;
+  InlineBuffer<Page*, 64> data(ncols);
   for (size_t j = 0; j < count;) {
     const uint32_t slot = slot0 + static_cast<uint32_t>(j);
     const uint32_t at = inserts_.SlotInPage(slot + 1);
     const size_t len = std::min<size_t>(count - j, inserts_.page_slots() - at);
     const size_t fill = j < filled ? std::min(len, filled - j) : 0;
-    for (uint32_t c = 0; c < ctx_->num_columns; ++c) {
-      Page* p = inserts_.EnsurePageOf(slot + 1, kTailMetaColumns + c);
-      for (size_t k = 0; k < fill; ++k) p->Set(at + k, rows[j + k][c]);
+    for (uint32_t c = 0; c < ncols; ++c) {
+      data[c] = inserts_.EnsurePageOf(slot + 1, kTailMetaColumns + c);
     }
     Page* link = inserts_.EnsurePageOf(slot + 1, kTailLink);
     Page* encoding = inserts_.EnsurePageOf(slot + 1, kTailSchemaEncoding);
     Page* start = inserts_.EnsurePageOf(slot + 1, kTailStartTime);
     for (size_t k = 0; k < fill; ++k) {
-      link->Set(at + k, TailLink(0, slot + static_cast<uint32_t>(k)));
-      encoding->Set(at + k, 0);
+      const Value* row = rows[j + k].data();
+      const auto i = static_cast<uint32_t>(at + k);
+      for (uint32_t c = 0; c < ncols; ++c) data[c]->Set(i, row[c]);
+      link->Set(i, TailLink(0, slot + static_cast<uint32_t>(k)));
+      encoding->Set(i, 0);
+      start->Set(i, txn);  // publishes the record (release)
     }
-    for (size_t k = 0; k < len; ++k) {
-      start->Set(at + k, k < fill ? txn : kAbortedStamp);
-    }
+    for (size_t k = fill; k < len; ++k) start->Set(at + k, kAbortedStamp);
     j += len;
   }
   AtomicMax(occupied_, slot0 + static_cast<uint32_t>(count));
@@ -592,14 +598,30 @@ bool Range::Stamp(const WriteEntry& w, TxnId txn, Value outcome) {
   // An insert-merged insert already carries its outcome in the base
   // segment's Start Time column, and the table-level tail page may be
   // reclaimed; a compressed update resolved its outcome before moving.
-  const uint32_t consumed =
-      w.is_insert ? based_.load(std::memory_order_acquire)
-                  : historic_boundary_.load(std::memory_order_acquire);
-  if ((w.is_insert ? w.base_slot : w.seq) < consumed) return false;
-  Value expected = txn;
-  Tail(w.is_insert ? TailKind::kInsert : TailKind::kUpdate)
-      .StartTimeSlot(w.seq)
-      ->compare_exchange_strong(expected, outcome, std::memory_order_acq_rel);
+  // The rest of the entry is stamped a tail page at a time.
+  TailSegment& tail = Tail(w.is_insert ? TailKind::kInsert : TailKind::kUpdate);
+  const uint32_t end = w.seq + w.count;
+  uint32_t seq = std::max(
+      w.seq, w.is_insert ? based_.load(std::memory_order_acquire) + 1
+                         : historic_boundary_.load(std::memory_order_acquire));
+  if (seq >= end) return false;
+  for (uint32_t len = 0; seq < end; seq += len) {
+    std::atomic<Value>* slots =
+        &tail.EnsurePageOf(seq, kTailStartTime)->AtomicSlot(0);
+    const uint32_t at = tail.SlotInPage(seq);
+    len = std::min(end - seq, tail.page_slots() - at);
+    // A load and a store, not a CAS: the one other writer of a slot
+    // that holds `txn` is TransactionManager::ResolveTxnId, and it
+    // writes the same outcome (an abort stamps before the manager
+    // learns it, so no reader writes then; a commit stamps after, so a
+    // reader writes the same commit time). A slot holding anything
+    // else (a burned slot's aborted stamp) is left alone.
+    for (uint32_t k = at; k < at + len; ++k) {
+      if (slots[k].load(std::memory_order_relaxed) == txn) {
+        slots[k].store(outcome, std::memory_order_release);
+      }
+    }
+  }
   return true;
 }
 
@@ -635,10 +657,16 @@ bool Range::InsertMerge() {
   const uint32_t based = based_.load(std::memory_order_acquire);
 
   // Decided prefix of the insert range: stop at the first insert that
-  // is unpublished or whose transaction is still in flight.
+  // is unpublished (an unallocated page reads ∅) or whose transaction
+  // is still in flight. Each tail page is resolved once.
   uint32_t new_based = based;
-  for (; new_based < occ; ++new_based) {
-    std::atomic<Value>* sref = inserts_.StartTimeSlot(new_based + 1);
+  for (Page* start = nullptr; new_based < occ; ++new_based) {
+    const uint32_t at = inserts_.SlotInPage(new_based + 1);
+    if (at == 0 || new_based == based) {
+      start = inserts_.PageOf(new_based + 1, kTailStartTime);
+    }
+    if (start == nullptr) break;
+    std::atomic<Value>* sref = &start->AtomicSlot(at);
     Value raw = sref->load(std::memory_order_acquire);
     if (!ctx_->txn_manager->Resolve(sref, &raw).decided()) break;
   }
@@ -651,16 +679,24 @@ bool Range::InsertMerge() {
     const BaseSegment* old = segment(pc);
     std::vector<Value> vals = CopySegment(old, new_based);
     uint32_t slot = old != nullptr ? std::min(old->num_slots, new_based) : 0;
-    for (; slot < new_based; ++slot) {
-      Value raw = inserts_.Read(slot + 1, kTailStartTime);
-      bool aborted = IsAbortedStamp(raw) || raw == kNull;
-      if (pc < ncols) {
-        vals[slot] =
-            aborted ? kNull : inserts_.Read(slot + 1, kTailMetaColumns + pc);
-      } else if (pc - ncols == kBaseSchemaEnc) {
-        vals[slot] = aborted ? kDeleteFlag : 0;
-      } else {  // Start Time and Last Updated Time
-        vals[slot] = aborted ? kNull : raw;
+    while (slot < new_based) {
+      const uint32_t seq = slot + 1;
+      const Page* start = inserts_.PageOf(seq, kTailStartTime);
+      const Page* data =
+          pc < ncols ? inserts_.PageOf(seq, kTailMetaColumns + pc) : nullptr;
+      const uint32_t at0 = inserts_.SlotInPage(seq);
+      const uint32_t end = at0 + std::min(new_based - slot,
+                                          inserts_.page_slots() - at0);
+      for (uint32_t at = at0; at < end; ++at, ++slot) {
+        const Value raw = start != nullptr ? start->Get(at) : kNull;
+        const bool aborted = IsAbortedStamp(raw) || raw == kNull;
+        if (pc < ncols) {
+          vals[slot] = aborted || data == nullptr ? kNull : data->Get(at);
+        } else if (pc - ncols == kBaseSchemaEnc) {
+          vals[slot] = aborted ? kDeleteFlag : 0;
+        } else {  // Start Time and Last Updated Time
+          vals[slot] = aborted ? kNull : raw;
+        }
       }
     }
     fresh[pc] = NewSegment(*ctx_, tps, std::move(vals));

@@ -222,10 +222,10 @@ class Range {
   /// architecture.
   void PublishVersion(uint32_t slot, uint32_t seq, ColumnMask mask);
 
-  /// Stamp the record a writeset entry names with its outcome (commit
-  /// time or kAbortedStamp) unless it still holds another value. False
-  /// when the record was already consumed: an insert-merged insert or
-  /// an update compressed into the historic store.
+  /// Stamp the records a writeset entry names (an update or a run of
+  /// inserts) with their outcome (commit time or kAbortedStamp) unless
+  /// they hold another value. False when all were consumed already:
+  /// insert-merged inserts or an update in the historic store.
   bool Stamp(const WriteEntry& w, TxnId txn, Value outcome);
 
   /// The one tail-record reader. `settle` resolves the start time as a

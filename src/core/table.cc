@@ -239,6 +239,11 @@ Status Table::ValidateReads(Transaction* txn, Timestamp commit_time) {
   bool validate_all = txn->isolation() == IsolationLevel::kSerializable;
   bool validate_spec = txn->isolation() != IsolationLevel::kReadCommitted;
   if (!validate_all && !validate_spec) return Status::OK();
+  if (txn->commit_dependencies().empty() &&
+      std::none_of(txn->readset().begin(), txn->readset().end(),
+                   [this](const ReadEntry& e) { return e.owner == this; })) {
+    return Status::OK();  // a blind writer here: nothing to validate
+  }
   EpochGuard guard(epochs_);
   // Reads of this transaction's own writes trivially validate.
   std::unordered_set<uint64_t> own;
@@ -295,8 +300,13 @@ Status Table::InsertBatch(Txn& txn,
 Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
                          size_t n) {
   const uint32_t ncols = schema_.num_columns();
-  size_t reserved = 0;  // rows before the first bad-arity row
-  while (reserved < n && rows[reserved].size() == ncols) ++reserved;
+  // One pass over the rows finds the first bad-arity row and reads the
+  // keys before it.
+  InlineBuffer<Value> keys(n);
+  size_t reserved = 0;
+  for (; reserved < n && rows[reserved].size() == ncols; ++reserved) {
+    keys[reserved] = rows[reserved][0];
+  }
   Status status = reserved < n ? Status::InvalidArgument("row arity mismatch")
                                : Status::OK();
   if (reserved == 0) return status;
@@ -307,13 +317,9 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
   if (EnsureRange(RangeOf(first + reserved - 1)) == nullptr) {
     return Status::Busy("range space exhausted");
   }
-  InlineBuffer<Value> keys(reserved);
   InlineBuffer<Rid> rids(reserved);
   InlineBuffer<bool> ok(reserved);
-  for (size_t i = 0; i < reserved; ++i) {
-    keys[i] = rows[i][0];
-    rids[i] = first + i;
-  }
+  for (size_t i = 0; i < reserved; ++i) rids[i] = first + i;
   primary_.InsertBatch(keys.data(), rids.data(), reserved, ok.data());
   size_t inserted = 0;
   while (inserted < reserved && ok[inserted]) ++inserted;
@@ -342,6 +348,9 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
     r->FillInserts(slot0, rows + i, count, filled, txn->id());
     if (filled > 0) {
       obs_.inserts->Add(filled);
+      txn->writeset().push_back(WriteEntry{r->id(), slot0, slot0 + 1,
+                                           /*is_insert=*/true, 0, this,
+                                           static_cast<uint32_t>(filled)});
       if (log_ != nullptr) {
         runs.AddInsertRun(log_id_, txn->id(), r->id(), slot0, rows + i,
                           filled, schema_.AllColumns());
@@ -352,11 +361,6 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
   }
   if (!runs.empty()) log_->AppendBatch(runs);
 
-  for (size_t i = 0; i < inserted; ++i) {
-    const uint32_t slot = SlotOf(first + i);
-    txn->writeset().push_back(WriteEntry{RangeOf(first + i), slot, slot + 1,
-                                         /*is_insert=*/true, keys[i], this});
-  }
   {
     SpinGuard sg(secondary_latch_);
     for (auto& s : secondaries_) {

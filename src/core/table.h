@@ -257,6 +257,12 @@ class Table : public EngineCore<Range> {
   /// nothing would schedule another, leaving the records in
   /// table-level tail pages. Schedule one now that they resolved.
   void InsertsStamped(Range& r) override { MaybeScheduleMerge(r); }
+  /// An insert run's keys are column 0 of its tail records.
+  void EraseInserted(Range& r, const WriteEntry& w) override {
+    for (uint32_t seq = w.seq; seq < w.seq + w.count; ++seq) {
+      primary_.Erase(r.ReadRecord(TailKind::kInsert, seq).Get(0));
+    }
+  }
   /// The core's stamping loop under an epoch pin: without it, an
   /// insert-merge (or historic compression) that already resolved the
   /// transaction's outcome via the manager could reclaim tail pages

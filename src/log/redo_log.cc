@@ -201,25 +201,26 @@ void RedoLog::Batch::AddInsertRun(uint64_t table_id, TxnId txn,
                                   uint64_t range_id, uint32_t first_slot,
                                   const std::vector<Value>* rows,
                                   size_t count, ColumnMask mask) {
-  // Rows are encoded into a stack chunk that joins the body whenever
-  // the next row might not fit: one append per ~4 KiB, none per value.
-  char chunk[4096];
+  // The mask's columns, listed once for every row.
+  uint32_t cols[64];
+  size_t ncols = 0;
+  for (BitIter it(mask); it; ++it) cols[ncols++] = static_cast<uint32_t>(*it);
+  // Encode straight into the body, grown once by the run's bound and
+  // cut back to the bytes written.
+  const size_t head = body_.size();
+  body_.resize(head + 1 + (6 + count * ncols) * kMaxVarintBytes);
+  char* out = body_.data() + head;
   size_t len = 0;
-  chunk[len++] = static_cast<char>(LogRecordType::kInsertRun);
+  out[len++] = static_cast<char>(LogRecordType::kInsertRun);
   for (uint64_t field : {table_id, txn, range_id, uint64_t{first_slot},
                          uint64_t{count}, mask}) {
-    len = PutVarint(chunk, len, field);
+    len = PutVarint(out, len, field);
   }
-  const size_t row_max = PopCount(mask) * kMaxVarintBytes;
   for (size_t i = 0; i < count; ++i) {
-    if (len + row_max > sizeof(chunk)) {
-      body_.append(chunk, len);
-      len = 0;
-    }
-    const std::vector<Value>& row = rows[i];
-    for (BitIter it(mask); it; ++it) len = PutVarint(chunk, len, row[*it]);
+    const Value* row = rows[i].data();
+    for (size_t c = 0; c < ncols; ++c) len = PutVarint(out, len, row[cols[c]]);
   }
-  body_.append(chunk, len);
+  body_.resize(head + len);
   lsns_ += count;
 }
 

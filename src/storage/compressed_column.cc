@@ -53,24 +53,24 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
   }
   const size_t n = values.size();
 
-  // One pass: the run count, the frame [lo, hi] of the non-∅ values,
-  // and the first and last non-∅ slots.
-  size_t runs = 0, first = n, last = 0;
-  Value lo = kNull, hi = 0;
+  // One branch-free pass: the run count and the frame [lo, hi] of the
+  // non-∅ values (∅ is the largest value, so it never lowers lo).
+  size_t runs = 1;
+  Value lo = values[0], hi = 0;
   bool has_null = false;
   for (size_t i = 0; i < n; ++i) {
     const Value v = values[i];
-    if (i == 0 || v != values[i - 1]) ++runs;
-    if (v == kNull) {
-      has_null = true;
-    } else {
-      lo = std::min(lo, v);
-      hi = std::max(hi, v);
-      first = std::min(first, i);
-      last = i;
-    }
+    runs += i > 0 && v != values[i - 1];
+    has_null |= v == kNull;
+    lo = std::min(lo, v);
+    hi = std::max(hi, v == kNull ? 0 : v);
   }
   if (lo > hi) lo = hi = 0;  // every slot is ∅
+  // The first and last non-∅ slots (first == n when there is none).
+  size_t first = 0, last = n - 1;
+  while (first < n && values[first] == kNull) ++first;
+  while (last > first && values[last] == kNull) --last;
+  if (first == n) last = 0;
   const int for_width = ForWidth(hi - lo, has_null);
 
   // The strided frame: offsets from the line through the first and
@@ -117,14 +117,22 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
   consider(Encoding::kFor, strided ? stride_bytes : for_bytes);
   // A dictionary grows with its distinct count: count distinct values
   // only while a dictionary of that many could still be the smallest.
+  // A value equal to its predecessor adds nothing, so only run heads
+  // are counted: a one-run column needs no hash set.
   size_t limit = 1;
   while (DictionaryBytes(n, limit) < best_bytes) ++limit;
-  std::unordered_set<Value> distinct;
-  for (size_t i = 0; i < n && distinct.size() < limit; ++i) {
-    distinct.insert(values[i]);
+  std::vector<Value> dict;
+  if (runs == 1) {
+    dict.push_back(values[0]);
+  } else {
+    std::unordered_set<Value> distinct;
+    for (size_t i = 0; i < n && distinct.size() < limit; ++i) {
+      if (i == 0 || values[i] != values[i - 1]) distinct.insert(values[i]);
+    }
+    dict.assign(distinct.begin(), distinct.end());
   }
-  if (distinct.size() < limit) {
-    consider(Encoding::kDictionary, DictionaryBytes(n, distinct.size()));
+  if (dict.size() < limit) {
+    consider(Encoding::kDictionary, DictionaryBytes(n, dict.size()));
   }
 
   col->encoding_ = best;
@@ -136,7 +144,9 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
       col->rle_ = RleColumn(values);
       break;
     case Encoding::kDictionary:
-      col->dict_ = DictionaryColumn(values);
+      // Built from the distinct values counted above: all of them.
+      std::sort(dict.begin(), dict.end());
+      col->dict_ = DictionaryColumn(std::move(dict), values);
       break;
     case Encoding::kFor: {
       // FOR beat plain, so its width < 64 and the shift is defined.
@@ -144,7 +154,8 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
       col->for_base_ = strided ? stride_base : lo;
       col->for_stride_ = strided ? stride : 0;
       if (has_null) col->for_null_code_ = (1ull << width) - 1;
-      for (size_t i = 0; i < n; ++i) {
+      // Zero-width codes (every value on the line) need no offsets.
+      for (size_t i = 0; width > 0 && i < n; ++i) {
         Value& v = values[i];
         v = v == kNull ? col->for_null_code_
                        : v - col->for_stride_ * i - col->for_base_;

@@ -1,24 +1,44 @@
 #include "storage/compression/dictionary.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "common/bitutil.h"
 
 namespace lstore {
 
-DictionaryColumn::DictionaryColumn(const std::vector<Value>& values) {
-  dict_ = values;
-  std::sort(dict_.begin(), dict_.end());
-  dict_.erase(std::unique(dict_.begin(), dict_.end()), dict_.end());
-  dict_.shrink_to_fit();  // the copy held every value, not every distinct one
+namespace {
 
-  std::vector<uint64_t> codes;
-  codes.reserve(values.size());
-  for (Value v : values) {
-    codes.push_back(static_cast<uint64_t>(
-        std::lower_bound(dict_.begin(), dict_.end(), v) - dict_.begin()));
+std::vector<Value> SortedDistinct(std::vector<Value> values) {
+  std::sort(values.begin(), values.end());
+  values.erase(std::unique(values.begin(), values.end()), values.end());
+  return values;
+}
+
+}  // namespace
+
+DictionaryColumn::DictionaryColumn(const std::vector<Value>& values)
+    : DictionaryColumn(SortedDistinct(values), values) {}
+
+DictionaryColumn::DictionaryColumn(std::vector<Value> dict,
+                                   const std::vector<Value>& values)
+    : dict_(std::move(dict)) {
+  dict_.shrink_to_fit();
+  const int width = BitsNeeded(dict_.empty() ? 0 : dict_.size() - 1);
+  if (width == 0) {  // at most one value: every code is 0
+    codes_ = BitPackedArray({}, values.size(), 0);
+    return;
   }
-  int width = BitsNeeded(dict_.empty() ? 0 : dict_.size() - 1);
+  // Runs of equal values share one search.
+  std::vector<uint64_t> codes(values.size());
+  for (size_t i = 0; i < values.size(); ++i) {
+    codes[i] = i > 0 && values[i] == values[i - 1]
+                   ? codes[i - 1]
+                   : static_cast<uint64_t>(
+                         std::lower_bound(dict_.begin(), dict_.end(),
+                                          values[i]) -
+                         dict_.begin());
+  }
   codes_ = BitPackedArray(codes, width);
 }
 

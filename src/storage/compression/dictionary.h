@@ -26,6 +26,9 @@ class DictionaryColumn {
   /// distinct values is small relative to the page (callers decide via
   /// byte_size()).
   explicit DictionaryColumn(const std::vector<Value>& values);
+  /// Build from raw values and their distinct values, sorted: `dict`
+  /// holds every value of `values` once. No copy or sort of `values`.
+  DictionaryColumn(std::vector<Value> dict, const std::vector<Value>& values);
   /// Adopt a dictionary and codes into it (the serialized form).
   DictionaryColumn(std::vector<Value> dict, BitPackedArray codes)
       : dict_(std::move(dict)), codes_(std::move(codes)) {}

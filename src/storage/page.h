@@ -23,6 +23,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
 
 #include "common/types.h"
 
@@ -31,7 +32,9 @@ namespace lstore {
 class Page {
  public:
   /// Creates a page with all slots initialized to `fill` (tail pages
-  /// pre-assign the special null value ∅, Section 2.1).
+  /// pre-assign the special null value ∅, Section 2.1). Each slot is
+  /// written once: a memset when every byte of `fill` is equal (∅ and
+  /// 0), a placement loop otherwise.
   explicit Page(uint32_t capacity, Value fill = kNull);
 
   uint32_t capacity() const { return capacity_; }
@@ -53,12 +56,22 @@ class Page {
   std::atomic<Value>& AtomicSlot(uint32_t slot) { return slots_[slot]; }
 
  private:
+  /// The slots are raw storage from operator new: no value-initializing
+  /// constructor runs ahead of the fill.
+  struct FreeSlots {
+    void operator()(std::atomic<Value>* p) const { ::operator delete(p); }
+  };
+
   uint32_t capacity_;
-  std::unique_ptr<std::atomic<Value>[]> slots_;
+  std::unique_ptr<std::atomic<Value>[], FreeSlots> slots_;
 };
 
 static_assert(std::atomic<Value>::is_always_lock_free,
               "L-Store requires lock-free 64-bit atomics");
+static_assert(sizeof(std::atomic<Value>) == sizeof(Value),
+              "a page's fill writes a slot's bytes directly");
+static_assert(std::is_trivially_destructible_v<std::atomic<Value>>,
+              "a page frees its slots without destroying them");
 
 }  // namespace lstore
 

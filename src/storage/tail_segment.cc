@@ -89,7 +89,7 @@ void TailSegment::Write(uint32_t seq, uint32_t col, Value v) {
 }
 
 Value TailSegment::Read(uint32_t seq, uint32_t col) const {
-  Page* p = columns_[col].GetPage(PageIndex(seq));
+  Page* p = PageOf(seq, col);
   if (p == nullptr) return kNull;
   return p->Get(SlotInPage(seq));
 }

@@ -139,6 +139,11 @@ class TailSegment {
     return columns_[col].EnsurePage(PageIndex(seq), page_slots_);
   }
   uint32_t SlotInPage(uint32_t seq) const { return (seq - 1) % page_slots_; }
+  /// Column `col`'s page holding record `seq`, or nullptr if never
+  /// allocated (all ∅): a reader of a run resolves it once per page.
+  Page* PageOf(uint32_t seq, uint32_t col) const {
+    return columns_[col].GetPage(PageIndex(seq));
+  }
 
   uint32_t num_data_columns() const { return num_data_columns_; }
   uint32_t page_slots() const { return page_slots_; }

@@ -37,14 +37,21 @@ struct ReadEntry {
   const TxnContext* owner = nullptr;  ///< engine that recorded the entry
 };
 
-/// One entry of the writeset: a tail record this transaction appended.
+/// One entry of the writeset: a tail record this transaction appended,
+/// or an L-Store insert run: `count` records from `seq`, in consecutive
+/// slots of one range from `base_slot`. An InsertBatch pushes one entry
+/// per range it fills, so the writeset, the commit's stamping loop and
+/// an abort's unindexing scale with ranges, not rows; the run's keys
+/// are read back from its tail records (column 0) when it aborts.
+/// IUH, DBM and L-Store (Row) keep one entry per row, with its key.
 struct WriteEntry {
   uint64_t range_id;
   uint32_t base_slot;
   uint32_t seq;             ///< tail sequence of the appended version
   bool is_insert;           ///< insert into an insert range
-  Value inserted_key;       ///< for index rollback on abort
+  Value inserted_key;       ///< for index rollback on abort (per-row entries)
   const TxnContext* owner = nullptr;  ///< engine that recorded the entry
+  uint32_t count = 1;       ///< slots the entry covers
 };
 
 class Transaction {

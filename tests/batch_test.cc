@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <filesystem>
 #include <random>
@@ -14,14 +17,35 @@
 #include <utility>
 #include <vector>
 
+#include "baselines/dbm/dbm_table.h"
+#include "baselines/iuh/iuh_table.h"
 #include "core/database.h"
 #include "core/query.h"
+#include "core/row_table.h"
 #include "core/table.h"
 #include "log/redo_log.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
 namespace {
+
+// A test still running after this many seconds ends the binary
+// (SIGALRM) at once instead of at ctest's timeout: a Start Time left
+// holding a retired transaction's id makes its readers spin
+// (TransactionManager::ResolveTxnId), so that defect shows as a hang.
+constexpr unsigned kTestDeadlineS = 60;
+
+class TestDeadline : public ::testing::EmptyTestEventListener {
+  void OnTestStart(const ::testing::TestInfo&) override {
+    alarm(kTestDeadlineS);
+  }
+  void OnTestEnd(const ::testing::TestInfo&) override { alarm(0); }
+};
+
+[[maybe_unused]] const bool kTestDeadlineSet = [] {
+  ::testing::UnitTest::GetInstance()->listeners().Append(new TestDeadline);
+  return true;
+}();
 
 TableConfig SmallConfig() {
   TableConfig cfg;
@@ -500,6 +524,179 @@ TEST(InsertPathTest, ConcurrentOverlappingBatchesLandEveryKeyOnce) {
   std::vector<std::vector<Value>> out;
   ASSERT_TRUE(t.MultiRead(txn, keys, 0b010, &out).ok());
   ASSERT_TRUE(txn.Commit().ok());
+}
+
+/// The count of each of `txn`'s writeset entries, in order.
+std::vector<uint32_t> EntryCounts(Txn& txn) {
+  std::vector<uint32_t> counts;
+  for (const WriteEntry& w : txn.raw()->writeset()) {
+    EXPECT_TRUE(w.is_insert);
+    counts.push_back(w.count);
+  }
+  return counts;
+}
+
+TEST(InsertPathTest, OneWritesetEntryPerRangeRun) {
+  // Default geometry: 512-slot tail pages, 4096-slot ranges.
+  TableConfig cfg;
+  cfg.enable_merge_thread = false;
+  Table t("w", Schema(3), cfg);
+  auto rows_for = [](Value first, Value count) {
+    std::vector<std::vector<Value>> rows;
+    for (Value k = first; k < first + count; ++k) rows.push_back({k, k, 0});
+    return rows;
+  };
+  using Counts = std::vector<uint32_t>;
+  {  // RIDs 0..499.
+    Txn txn = t.Begin();
+    ASSERT_TRUE(t.InsertBatch(txn, rows_for(0, 500)).ok());
+    EXPECT_EQ(EntryCounts(txn), Counts{500});
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  {  // RIDs 500..4199: seven page boundaries and the range boundary.
+    Txn txn = t.Begin();
+    ASSERT_TRUE(t.InsertBatch(txn, rows_for(500, 3700)).ok());
+    ASSERT_EQ(EntryCounts(txn), (Counts{3596, 104}));
+    const WriteEntry& second = txn.raw()->writeset()[1];
+    EXPECT_EQ(second.range_id, 1u);
+    EXPECT_EQ(second.base_slot, 0u);
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  {  // RIDs 4200..5223: two page boundaries inside range 1.
+    Txn txn = t.Begin();
+    ASSERT_TRUE(t.InsertBatch(txn, rows_for(4200, 1024)).ok());
+    ASSERT_EQ(EntryCounts(txn), Counts{1024});
+    EXPECT_EQ(txn.raw()->writeset()[0].base_slot, 104u);
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  {  // Fails at row 100: the entry covers the 100 rows before it.
+    std::vector<std::vector<Value>> failing = rows_for(5224, 700);
+    failing[100][0] = 7;
+    Txn txn = t.Begin();
+    EXPECT_TRUE(t.InsertBatch(txn, failing).IsAlreadyExists());
+    EXPECT_EQ(EntryCounts(txn), Counts{100});
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  {
+    Txn txn = t.Begin();
+    ASSERT_TRUE(t.Insert(txn, {9000, 9000, 0}).ok());
+    EXPECT_EQ(EntryCounts(txn), Counts{1});
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  // Every stamped row reads back, on both sides of each page boundary.
+  const uint64_t n = 5324;
+  EXPECT_EQ(CountAndSum(t), std::make_pair(n + 1, n * (n - 1) / 2 + 9000));
+  t.FlushAll();
+  EXPECT_EQ(CountAndSum(t), std::make_pair(n + 1, n * (n - 1) / 2 + 9000));
+}
+
+TEST(InsertPathTest, ComparisonEnginesRecordOneEntryPerInsertedRow) {
+  TableConfig cfg = SmallConfig();
+  IuhTable iuh(Schema(3), cfg);
+  DbmTable dbm(Schema(3), cfg);
+  RowTable row(Schema(3), cfg);
+  auto insert_three = [](auto& engine) {
+    Txn txn = engine.Begin();
+    for (Value k = 0; k < 3; ++k) {
+      EXPECT_TRUE(engine.Insert(txn, {k, k, k}).ok());
+    }
+    std::vector<Value> keys;
+    for (const WriteEntry& w : txn.raw()->writeset()) {
+      EXPECT_TRUE(w.is_insert);
+      EXPECT_EQ(w.count, 1u);
+      keys.push_back(w.inserted_key);
+    }
+    EXPECT_EQ(keys, (std::vector<Value>{0, 1, 2}));
+    EXPECT_TRUE(txn.Commit().ok());
+  };
+  insert_three(iuh);
+  insert_three(dbm);
+  insert_three(row);
+}
+
+TEST(InsertPathTest, StampsAndAbortsRaceInsertMerges) {
+  // One thread commits and aborts (alternately) batches that straddle
+  // tail pages and ranges, while a second merges them into base
+  // segments and a third scans snapshots. A snapshot holds every row
+  // of a committed batch or none.
+  TableConfig cfg;
+  cfg.enable_merge_thread = false;
+  Table t("r", Schema(3), cfg);
+  constexpr Value kFirst = 100;  // shifts every batch off the boundaries
+  constexpr Value kBatch = 4096;
+  constexpr int kBatches = 12;
+  {
+    Txn txn = t.Begin();
+    std::vector<std::vector<Value>> rows;
+    for (Value k = 0; k < kFirst; ++k) rows.push_back({k, 1, 0});
+    ASSERT_TRUE(t.InsertBatch(txn, rows).ok());
+    ASSERT_TRUE(txn.Commit().ok());
+  }
+  auto batch_rows = [](int b) {
+    std::vector<std::vector<Value>> rows;
+    for (Value k = kFirst + b * kBatch; k < kFirst + (b + 1) * kBatch; ++k) {
+      rows.push_back({k, 1, 0});
+    }
+    return rows;
+  };
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> merge_passes{0};
+  std::thread writer([&] {
+    for (int b = 0; b < kBatches; ++b) {
+      // Let a merge pass run between batches, so merges overlap them.
+      const uint64_t seen = merge_passes.load();
+      while (merge_passes.load() == seen) std::this_thread::yield();
+      Txn txn = t.Begin();
+      EXPECT_TRUE(t.InsertBatch(txn, batch_rows(b)).ok());
+      if (b % 2 == 0) {
+        EXPECT_TRUE(txn.Commit().ok());
+      } else {
+        txn.Abort();
+      }
+    }
+    done.store(true);
+  });
+  std::thread merger([&] {
+    while (!done.load()) {
+      for (uint64_t r = 0; r < t.num_ranges(); ++r) t.InsertMergeNow(r);
+      t.FlushAll();
+      merge_passes.fetch_add(1);
+    }
+  });
+  std::thread scanner([&] {
+    while (!done.load()) {
+      uint64_t sum = 0, rows = 0;
+      EXPECT_TRUE(t.NewQuery().Sum(1, &sum, &rows).ok());
+      EXPECT_EQ(rows % kBatch, uint64_t{kFirst});
+      EXPECT_EQ(sum, rows);
+    }
+  });
+  writer.join();
+  merger.join();
+  scanner.join();
+
+  Txn txn = t.Begin();
+  for (int b = 0; b < kBatches; ++b) {
+    std::vector<Value> keys;
+    for (const std::vector<Value>& row : batch_rows(b)) keys.push_back(row[0]);
+    std::vector<std::vector<Value>> out;
+    std::vector<Status> statuses;
+    Status s = t.MultiRead(txn, keys, 0b010, &out, &statuses);
+    if (b % 2 == 0) {
+      EXPECT_TRUE(s.ok()) << "batch " << b;
+    } else {
+      for (const Status& st : statuses) ASSERT_TRUE(st.IsNotFound());
+      // No index entry is left behind: the keys insert again.
+      EXPECT_TRUE(t.InsertBatch(txn, batch_rows(b)).ok()) << "batch " << b;
+    }
+  }
+  ASSERT_TRUE(txn.Commit().ok());
+  const uint64_t total = kFirst + kBatches * kBatch;
+  EXPECT_EQ(CountAndSum(t), std::make_pair(total, total));
+  t.FlushAll();
+  EXPECT_EQ(
+      t.metrics()->Snapshot().CounterValue("lstore_merge_insert_rows_total"),
+      t.num_rows());
 }
 
 // One frame per batch, verified at the log-frame level: the batch of

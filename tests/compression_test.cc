@@ -9,6 +9,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -453,6 +454,44 @@ TEST(CompressedColumnSerdeTest, UnstridedFrameBytesArePinned) {
       0xd0, 0x07, 0, 0, 0, 0, 0, 0};
   EXPECT_EQ(bytes, std::string(reinterpret_cast<const char*>(want),
                                sizeof(want)));
+}
+
+TEST(CompressedColumnSerdeTest, MergeShapesKeepTheirBytes) {
+  // The three column shapes an insert merge builds: a constant column
+  // (the Schema Encoding), a few distinct values, and k + c. Their
+  // encodings and bytes are pinned as earlier builds wrote them.
+  std::vector<Value> constant(100, 42), three, kc;
+  for (int i = 0; i < 100; ++i) {
+    three.push_back(std::vector<Value>{900, 5, 77}[i * 7 / 3 % 3]);
+    kc.push_back(1003 + i);
+  }
+  using E = CompressedColumn::Encoding;
+  const std::vector<unsigned char> want_constant = {
+      1, 0, 0, 0, 100, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0,  // one entry
+      42, 0, 0, 0, 0, 0, 0, 0};                         // zero-width codes
+  const std::vector<unsigned char> want_three = {
+      1, 2, 0, 0, 100, 0, 0, 0, 3, 0, 0, 0, 0, 0, 0, 0,  // 2-bit codes
+      5, 0, 0, 0, 0, 0, 0, 0, 77, 0, 0, 0, 0, 0, 0, 0,  // sorted entries
+      132, 3, 0, 0, 0, 0, 0, 0, 6, 22, 26, 88, 104, 96, 161, 129,
+      133, 6, 22, 26, 88, 104, 96, 161, 129, 133, 6, 22, 26, 88, 104, 96,
+      161, 0, 0, 0, 0, 0, 0, 0};
+  const std::vector<unsigned char> want_kc = {
+      3, 0, 0, 1, 100, 0, 0, 0, 235, 3, 0, 0, 0, 0, 0, 0,  // strided FOR
+      1, 0, 0, 0, 0, 0, 0, 0};                            // stride 1
+  const std::tuple<const std::vector<Value>*, E,
+                   const std::vector<unsigned char>*>
+      cases[] = {{&constant, E::kDictionary, &want_constant},
+                 {&three, E::kDictionary, &want_three},
+                 {&kc, E::kFor, &want_kc}};
+  for (const auto& [vals, encoding, want] : cases) {
+    auto col = CompressedColumn::Build(*vals, true);
+    EXPECT_EQ(col->encoding(), encoding);
+    const std::string bytes = ExpectSerializedRoundTrip(*col);
+    EXPECT_EQ(bytes, std::string(want->begin(), want->end()));
+    for (size_t i = 0; i < vals->size(); ++i) {
+      ASSERT_EQ(col->Get(i), (*vals)[i]) << i;
+    }
+  }
 }
 
 TEST(CompressedColumnSerdeTest, ForWidthZeroRoundTrips) {

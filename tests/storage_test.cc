@@ -18,6 +18,14 @@ TEST(PageTest, FillValueIsSpecialNull) {
   for (uint32_t i = 0; i < 64; ++i) EXPECT_EQ(page.Get(i), kNull);
 }
 
+TEST(PageTest, EveryFillReadsBackAtEverySlot) {
+  // ∅ and 0 take the uniform-byte fill, 7 the per-slot one.
+  for (Value fill : {kNull, Value{0}, Value{7}}) {
+    Page page(512, fill);
+    for (uint32_t i = 0; i < 512; ++i) ASSERT_EQ(page.Get(i), fill) << i;
+  }
+}
+
 TEST(PageTest, SetGetRoundTrip) {
   Page page(16, 0);
   page.Set(3, 12345);
