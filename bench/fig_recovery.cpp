@@ -121,16 +121,15 @@ void Run(const BenchArgs& args) {
   // One commit frame in the database's one log, synced once, is the
   // durability point of a cross-table transaction (1.00 fsync per
   // transaction alone); concurrent committers share that fsync through
-  // the log's Sync, so fsyncs-per-commit should FALL as committers are
-  // added, and the mean group-commit batch (syncs one write released)
-  // RISE.
+  // the log's Sync (commits that append during one sync share the
+  // next), so fsyncs-per-commit should FALL as committers are added,
+  // and the mean group-commit batch (syncs one write released) RISE.
   std::printf("group_commit    | %8s %12s %14s %10s\n", "threads", "commits_s",
               "fsyncs_per_txn", "batch_mean");
-  for (uint32_t threads : {1u, 4u}) {
+  for (uint32_t threads : {1u, 2u, 4u, 8u}) {
     std::filesystem::remove_all(dir);
     DurabilityOptions opts;
     opts.sync_commit = true;
-    opts.group_commit_window_us = 200;
     std::unique_ptr<Database> db;
     Must(Database::Open(dir, opts, &db), "open database (group commit)");
     (void)db->CreateTable("x", Schema(kColumns), TableConfig{});

@@ -25,7 +25,6 @@ int main() {
 
   DurabilityOptions opts;
   opts.sync_commit = true;
-  opts.group_commit_window_us = 100;
   opts.archive_enabled = true;
   opts.metrics_report_interval_ms = 50;  // <dir>/metrics.log timeline
 

@@ -98,8 +98,10 @@ struct TableConfig {
 /// recovery = load latest checkpoint + replay log tail. A table is
 /// durable only as a table of a database directory.
 struct DurabilityOptions {
-  /// Sync the redo log's data (File::SyncData) on every commit (group
-  /// commit still shares syncs): the log's own policy, set once at Open.
+  /// Sync the redo log's data (File::SyncData) on every commit: the
+  /// log's own policy, set once at Open. Group commit shares syncs
+  /// without a knob: commits that append while one sync runs share the
+  /// next (FramedLog::Sync).
   bool sync_commit = false;
 
   /// Drop redo records at or below the checkpoint watermark once the
@@ -117,13 +119,6 @@ struct DurabilityOptions {
   /// the redo log's appended length and posts a checkpoint once it
   /// exceeds this many bytes (0 = no size trigger).
   uint64_t checkpoint_log_bytes = 0;
-
-  /// Group commit: how long a log sync that takes the write token
-  /// parks at most (microseconds) before it writes, so callers that
-  /// append meanwhile share its fsync (FramedLog::Sync). 0 = no
-  /// explicit wait; sharing still happens naturally while another
-  /// caller's write is in flight.
-  uint64_t group_commit_window_us = 0;
 
   /// Byte budget of the database-wide buffer pool for read-optimized
   /// base segments (src/buffer/buffer_pool.h). 0 = no pool: base

@@ -375,15 +375,13 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
   bool manifest_exists = false;
   LSTORE_RETURN_IF_ERROR(ReadManifest(dir, &src.manifest, &manifest_exists));
 
-  // Every table's commits share the log's fsyncs (the group-commit
-  // window) and its one fsync policy, single- and cross-table sessions
-  // alike.
+  // Every table's commits share the log's fsyncs (group commit) and
+  // its one fsync policy, single- and cross-table sessions alike.
   db->log_ = std::make_unique<RedoLog>();
   db->log_->set_metrics(FramedLogMetrics::In(&db->metrics_, "lstore_redo",
                                              "Redo-log", "log_flush"));
   db->group_commit_hb_ = db->health_.Register("group_commit");
-  db->log_->set_group_commit(opts.sync_commit, opts.group_commit_window_us,
-                             db->group_commit_hb_.get());
+  db->log_->set_group_commit(opts.sync_commit, db->group_commit_hb_.get());
   LSTORE_RETURN_IF_ERROR(db->Recover(catalog, src));
 
   db->checkpoint_manager_ =

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
 #include <cstring>
 #include <iterator>
 
@@ -217,6 +216,7 @@ void FramedLog::Close() {
   if (file_.is_open()) {
     Flush(false);
     // Trim the zero tail. Should the trim fail, the next Open cuts it.
+    std::lock_guard<SyncToken> token(token_);
     std::lock_guard<std::mutex> g(mu_);
     const uint64_t end = size_ - buffer_.size();
     if (allocated_ > end && file_.Truncate(end).ok()) allocated_ = end;
@@ -299,6 +299,18 @@ Status FramedLog::FlushBufferLocked() {
   return s;
 }
 
+void FramedLog::SyncToken::lock() {
+  std::unique_lock<std::mutex> lk(log->sync_mu_);
+  log->sync_cv_.wait(lk, [this] { return !log->syncing_; });
+  log->syncing_ = true;
+}
+
+void FramedLog::SyncToken::unlock() {
+  std::lock_guard<std::mutex> lk(log->sync_mu_);
+  log->syncing_ = false;
+  log->sync_cv_.notify_all();
+}
+
 Status FramedLog::Sync(uint64_t lsn, bool fsync) {
   const std::atomic<uint64_t>& mark = fsync ? synced_lsn_ : written_lsn_;
   auto covered = [&] { return mark.load(std::memory_order_acquire) >= lsn; };
@@ -309,11 +321,9 @@ Status FramedLog::Sync(uint64_t lsn, bool fsync) {
   const uint64_t trace = TraceContext::Current();
   const uint64_t arrived = Stage::Now();
   std::unique_lock<std::mutex> lk(sync_mu_);
-  ++waiting_;
-  ++arrivals_;
-  if (parked_) sync_cv_.notify_all();  // the parked holder counts arrivals
+  waiters_.push_back(lsn);
   sync_cv_.wait(lk, [&] { return !syncing_ || covered(); });
-  --waiting_;
+  waiters_.erase(std::find(waiters_.begin(), waiters_.end(), lsn));
   if (covered()) {
     // Another caller's write covered this one: its window is this
     // caller's flush, and the time up to it this caller's wait.
@@ -325,22 +335,10 @@ Status FramedLog::Sync(uint64_t lsn, bool fsync) {
     return Status::OK();
   }
 
-  // Take the token and park for up to the window first: callers that
-  // append meanwhile wait on the token and share this write. The park
-  // ends early once the callers arrived since, with this one, make a
-  // group as large as the last write's (at least two), so a steady
-  // group of committers waits only for its own members. Callers
-  // already waiting do not count: the last write covered them (none can
-  // append while a write holds mu_); they just have not woken yet.
+  // Take the token: write the whole buffer under mu_, then sync it
+  // holding the token only. Callers keep appending during the sync and
+  // wait for the token, so the next holder's one write covers them all.
   syncing_ = true;
-  if (window_us_ > 0) {
-    const uint64_t base = arrivals_;
-    parked_ = true;
-    sync_cv_.wait_for(lk, std::chrono::microseconds(window_us_), [&] {
-      return arrivals_ - base + 1 >= std::max<uint64_t>(last_batch_, 2);
-    });
-    parked_ = false;
-  }
   lk.unlock();
   HeartbeatWorkScope work(busy_);
   const uint64_t t0 = Stage::Now();
@@ -351,6 +349,7 @@ Status FramedLog::Sync(uint64_t lsn, bool fsync) {
   const uint64_t reached = last_lsn_.load(std::memory_order_relaxed);
   Status s = FlushBufferLocked();
   if (s.ok()) written_lsn_.store(reached, std::memory_order_release);
+  g.unlock();
   if (s.ok() && fsync) {
     if (metrics_.fsyncs != nullptr) metrics_.fsyncs->Add(1);
     s = file_.SyncData();
@@ -359,20 +358,19 @@ Status FramedLog::Sync(uint64_t lsn, bool fsync) {
   const uint64_t t1 = Stage::Now();
   Stage::Record(metrics_.flush_ns, metrics_.sync_span, trace, t0, t1 - t0);
 
-  // Publish under mu_ as well: a caller waiting now appended before
-  // this write, so the write covered it (every caller of one log
-  // passes the same `fsync`), and it counts in this batch.
+  // The waiters this write released are those it reached; the others
+  // appended during the sync and wait for the next holder.
   lk.lock();
-  g.unlock();
   syncing_ = false;
   write_t0_ = t0;
   write_end_ = t1;
-  last_batch_ = 1 + waiting_;
   if (s.ok()) {
     if (metrics_.batches != nullptr) metrics_.batches->Add(1);
     if (metrics_.batch_size != nullptr) {
       metrics_.batch_size->Record(
-          1 + waiting_ + late_riders_.exchange(0, std::memory_order_relaxed));
+          1 + std::count_if(waiters_.begin(), waiters_.end(),
+                            [reached](uint64_t w) { return w <= reached; }) +
+          late_riders_.exchange(0, std::memory_order_relaxed));
     }
   }
   lk.unlock();
@@ -454,7 +452,10 @@ Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {
   // proceed), then takes it for good: phase 3 (O(appends since phase
   // 1)) drains the buffer and copies the live suffix [snap_size, EOF),
   // and the mutex stays held through the publish and the handle swap.
+  // Phase 3 takes the sync token first: no data sync may run on the
+  // handle it swaps.
   std::string head = TruncationPointFrame(base_lsn);
+  std::unique_lock<SyncToken> token(token_, std::defer_lock);
   std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
   File next;
   Status s = WriteFileAtomic(
@@ -463,6 +464,7 @@ Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {
         std::string_view kept = std::string_view(data).substr(cut);
         LSTORE_RETURN_IF_ERROR(out.WriteAt(0, head));
         LSTORE_RETURN_IF_ERROR(out.WriteAt(head.size(), kept));
+        token.lock();
         lk.lock();
         LSTORE_RETURN_IF_ERROR(FlushBufferLocked());
         std::string suffix;

@@ -50,12 +50,15 @@
 // its records are on disk). Every write-out publishes the LSN it
 // reached, written and, with an fsync, durable. Sync(lsn) returns at
 // once when an earlier write-out already covered `lsn`; otherwise one
-// caller at a time (the sync token) writes the whole buffer, syncs it
-// (File::SyncData) and publishes, so every caller that appended before
-// that write shares its one sync. The holder parks for up to the group-commit
-// window first, letting callers that append meanwhile join; the park
-// ends once as many callers have arrived since it took the token as
-// the last write covered.
+// caller at a time (the sync token) writes the whole buffer under mu_,
+// releases mu_, syncs (File::SyncData) holding only the token, and
+// publishes, so every caller that appended before that write shares
+// its one sync. The sync is pipelined with appends: callers append
+// while it runs, wait for the token, and the next holder's one write
+// and sync covers all of them. Whoever swaps or closes the descriptor
+// (TruncateTo, Close) holds the token, so no data sync runs on a
+// closed file. Lock order: truncate_mu_, then the token, then mu_;
+// sync_mu_, which guards the token, is never held with another lock.
 
 #ifndef LSTORE_LOG_FRAMED_LOG_H_
 #define LSTORE_LOG_FRAMED_LOG_H_
@@ -180,14 +183,9 @@ class FramedLog {
   /// own result.
   Status Sync(uint64_t lsn, bool fsync);
 
-  /// Group-commit knobs: how long at most a token holder parks before
-  /// it writes (DurabilityOptions::group_commit_window_us), and the
-  /// heartbeat marked busy during each of Sync's write-outs. Set before
-  /// the log sees concurrent use.
-  void set_group_commit(uint64_t window_us, Heartbeat* busy) {
-    window_us_ = window_us;
-    busy_ = busy;
-  }
+  /// The heartbeat marked busy during each of Sync's write-outs. Set
+  /// before the log sees concurrent use.
+  void set_group_commit(Heartbeat* busy) { busy_ = busy; }
 
   /// LSN of the most recently appended record (0 = empty log).
   uint64_t last_lsn() const {
@@ -272,6 +270,14 @@ class FramedLog {
   /// (caller holds mu_, or has the log to itself, as Open does).
   void MaybeMarkLocked(uint64_t lsn);
 
+  /// The sync token as a lockable, for whoever must keep data syncs
+  /// off file_: lock() waits out a holder's write and sync.
+  struct SyncToken {
+    FramedLog* log;
+    void lock();
+    void unlock();
+  };
+
   /// A frame-aligned log offset and the last LSN before it.
   struct Mark {
     uint64_t offset;
@@ -284,7 +290,7 @@ class FramedLog {
   std::mutex mu_;
   /// Serializes whole truncations against each other (mu_ still
   /// protects every write through file_ and every buffer_ touch).
-  /// Ordering: truncate_mu_ before mu_.
+  /// Ordering: truncate_mu_ before the sync token before mu_.
   std::mutex truncate_mu_;
   std::string buffer_;
   uint64_t size_ = 0;          ///< under mu_: written frames + buffer_
@@ -294,19 +300,16 @@ class FramedLog {
   std::atomic<uint64_t> last_lsn_{0};
   std::atomic<uint64_t> written_lsn_{0};  ///< every LSN <= it is in the OS
   std::atomic<uint64_t> synced_lsn_{0};   ///< every LSN <= it is durable
-  /// The sync token and its waiters. Ordering: mu_ before sync_mu_
-  /// (the holder publishes under both).
+  /// The sync token and its waiters. The token's holder writes under
+  /// mu_ and syncs file_ holding neither mutex.
   std::mutex sync_mu_;
   std::condition_variable sync_cv_;
   bool syncing_ = false;      ///< under sync_mu_: the token is held
-  uint64_t waiting_ = 0;      ///< under sync_mu_: callers waiting on it
-  uint64_t arrivals_ = 0;     ///< under sync_mu_: callers that ever waited
-  uint64_t last_batch_ = 0;   ///< under sync_mu_: callers last write covered
-  bool parked_ = false;       ///< under sync_mu_: the holder is parked
+  SyncToken token_{this};
+  std::vector<uint64_t> waiters_;  ///< under sync_mu_: LSNs waiting on it
   uint64_t write_t0_ = 0;     ///< under sync_mu_: last write window, for
   uint64_t write_end_ = 0;    ///< the spans of the callers it covered
   std::atomic<uint64_t> late_riders_{0};  ///< covered on arrival
-  uint64_t window_us_ = 0;
   Heartbeat* busy_ = nullptr;
   FramedLogMetrics metrics_;
   uint64_t pending_appends_ = 0;      ///< under mu_, batched to metrics_

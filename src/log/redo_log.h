@@ -221,11 +221,11 @@ class RedoLog {
   /// Wire registry metrics (obs/metrics.h) into the framed core.
   void set_metrics(const FramedLogMetrics& m) { framed_.set_metrics(m); }
   /// Commit policy: fsync every commit or not
-  /// (DurabilityOptions::sync_commit), then the group-commit window and
-  /// busy heartbeat (FramedLog).
-  void set_group_commit(bool fsync, uint64_t window_us, Heartbeat* busy) {
+  /// (DurabilityOptions::sync_commit), then the busy heartbeat of the
+  /// group-commit write-outs (FramedLog).
+  void set_group_commit(bool fsync, Heartbeat* busy) {
     sync_commit_ = fsync;
-    framed_.set_group_commit(window_us, busy);
+    framed_.set_group_commit(busy);
   }
 
   /// Drop every record with LSN <= watermark (checkpoint truncation,

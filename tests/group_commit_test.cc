@@ -1,10 +1,11 @@
 // Group commit + the database's one redo log (a commit record there is
 // the single atomic commit point of every transaction, cross-table
 // ones included): FramedLog::Sync sharing fsyncs across concurrent
-// committers, one commit frame and one fsync per cross-table commit,
+// committers, appends proceeding while a sync runs (sync_pause.h parks
+// the token holder between its write and its sync), one commit frame and one fsync per cross-table commit,
 // torn-commit-frame fault injection (all-or-nothing recovery on every
 // table), mixed single-/cross-table recovery equivalence, and log
-// truncation at checkpoints.
+// truncation at checkpoints, racing synced commits included.
 
 #include <gtest/gtest.h>
 
@@ -27,6 +28,7 @@
 #include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "sync_pause.h"
 
 namespace lstore {
 namespace {
@@ -325,10 +327,113 @@ TEST_F(GroupCommitTest, SyncCoveredByAnEarlierFsyncAddsNone) {
   EXPECT_EQ(fsyncs(), 2u);
 }
 
+// While the token holder syncs, appends proceed: a second and a third
+// caller append and wait for the token, and the next holder's one write
+// and sync releases both. Two fsyncs for three commits, and the first
+// write's batch counts its holder alone.
+TEST_F(GroupCommitTest, AppendsProceedDuringAnInFlightSync) {
+  std::filesystem::create_directories(dir_);
+  MetricsRegistry registry;
+  RedoLog log;
+  log.set_metrics(FramedLogMetrics::In(&registry, "lstore_redo", "Redo-log",
+                                       "log_flush"));
+  ASSERT_TRUE(log.Open(dir_ + "/redo.log", true).ok());
+  LogRecord rec;
+  rec.type = LogRecordType::kCommit;
+  rec.txn_id = kTxnIdTag | 1;
+  rec.commit_time = 10;
+
+  const uint64_t first = log.Append(rec);
+  test::SyncPause pause;
+  Status holder_status;
+  std::thread holder([&] { holder_status = log.Sync(first, true); });
+  EXPECT_TRUE(pause.WaitParked(std::chrono::seconds(10)));
+
+  // Two committers append during the paused sync, then sync.
+  std::atomic<int> appended{0};
+  std::atomic<int> synced{0};
+  std::vector<std::thread> committers;
+  for (int i = 0; i < 2; ++i) {
+    committers.emplace_back([&] {
+      const uint64_t lsn = log.Append(rec);
+      appended.fetch_add(1);
+      if (log.Sync(lsn, true).ok()) synced.fetch_add(1);
+    });
+  }
+  // At a log whose sync holds the append mutex, the appends wait out
+  // the pause: the check times out, and the release below frees them.
+  EXPECT_TRUE(test::WaitUntil([&] { return appended.load() == 2; },
+                              std::chrono::seconds(5)))
+      << "Append waited for the in-flight sync";
+  // Let both reach the token before the holder publishes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_EQ(synced.load(), 0);  // the paused sync reached neither
+  pause.Release();
+  holder.join();
+  for (auto& t : committers) t.join();
+  ASSERT_TRUE(holder_status.ok()) << holder_status.ToString();
+  EXPECT_EQ(synced.load(), 2);
+
+  MetricsSnapshot snap = registry.Snapshot();
+  EXPECT_EQ(snap.CounterValue("lstore_redo_fsyncs_total"), 2u);
+  EXPECT_EQ(snap.CounterValue("lstore_group_commit_batches_total"), 2u);
+  const auto* batch = snap.FindHistogram("lstore_group_commit_batch_size");
+  ASSERT_NE(batch, nullptr);
+  // The first write released its holder only (the waiters appended
+  // after it), the second both: 1 + 2 syncs.
+  EXPECT_EQ(batch->hist.count, 2u);
+  EXPECT_EQ(batch->hist.sum, 3u);
+}
+
+// A truncation swaps the log's file only holding the sync token: while
+// a holder's sync is in flight, TruncateTo waits, and appends made
+// meanwhile survive the swap.
+TEST_F(GroupCommitTest, TruncationWaitsForAnInFlightSync) {
+  std::filesystem::create_directories(dir_);
+  RedoLog log;
+  ASSERT_TRUE(log.Open(dir_ + "/redo.log", true).ok());
+  LogRecord rec;
+  rec.type = LogRecordType::kCommit;
+  rec.txn_id = kTxnIdTag | 1;
+  rec.commit_time = 10;
+
+  const uint64_t first = log.Append(rec);
+  test::SyncPause pause;
+  Status holder_status;
+  std::thread holder([&] { holder_status = log.Sync(first, true); });
+  EXPECT_TRUE(pause.WaitParked(std::chrono::seconds(10)));
+  std::atomic<bool> truncated{false};
+  Status truncate_status;
+  std::thread truncator([&] {
+    truncate_status = log.TruncateTo(first);
+    truncated.store(true);
+  });
+  const uint64_t second = log.Append(rec);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_FALSE(truncated.load()) << "the file was swapped under a sync";
+  pause.Release();
+  holder.join();
+  truncator.join();
+  ASSERT_TRUE(holder_status.ok()) << holder_status.ToString();
+  ASSERT_TRUE(truncate_status.ok()) << truncate_status.ToString();
+  ASSERT_TRUE(log.Sync(second, true).ok());
+  log.Close();
+
+  std::vector<uint64_t> lsns;
+  RedoLog::ReplayStats stats;
+  ASSERT_TRUE(RedoLog::Replay(dir_ + "/redo.log",
+                              [&lsns](const LogRecord&, uint64_t lsn) {
+                                lsns.push_back(lsn);
+                              },
+                              &stats)
+                  .ok());
+  EXPECT_TRUE(stats.clean_end);
+  EXPECT_EQ(lsns, std::vector<uint64_t>{second});
+}
+
 TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
   DurabilityOptions opts;
   opts.sync_commit = true;
-  opts.group_commit_window_us = 50000;  // 50 ms: let other callers append
   auto db = OpenDb(opts);
   // Every commit-path fsync is the one log's.
   auto fsyncs = [&db] {
@@ -337,45 +442,62 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
   auto batches = [&db] {
     return db->Metrics().CounterValue("lstore_group_commit_batches_total");
   };
+  auto commit = [&db](int i, Value v) {
+    Txn txn = db->Begin();
+    std::vector<Value> row{0, v, 0};
+    Status s = db->GetTable("a")->Update(txn, i, 0b010, row);
+    if (s.ok()) s = db->GetTable("b")->Update(txn, i + 1000, 0b010, row);
+    if (s.ok()) s = txn.Commit();
+    return s;
+  };
 
-  // Load one row per thread in each table (these commits also fsync;
-  // measure only around the concurrent phase).
+  // Load and update one row per thread in each table (these commits
+  // also fsync; measure only around the concurrent phase), and learn
+  // how many LSNs a later update commit appends (a record's first
+  // update appends more).
   constexpr int kThreads = 8;
+  uint64_t lsn = 0;
   for (int i = 0; i < kThreads; ++i) {
     ASSERT_TRUE(CrossInsert(db.get(), i, i).ok());
+    ASSERT_TRUE(commit(i, 50).ok());
+    lsn = db->redo_log()->last_lsn();
+    ASSERT_TRUE(commit(i, 60).ok());
   }
+  const uint64_t per_commit = db->redo_log()->last_lsn() - lsn;
 
+  // The first committer's sync parks between its write and its fsync;
+  // the other seven append meanwhile and wait for the token.
   uint64_t before_fsyncs = fsyncs();
   uint64_t before_batches = batches();
-  std::atomic<int> ready{0};
-  std::atomic<bool> go{false};
+  lsn = db->redo_log()->last_lsn();
   std::atomic<int> ok{0};
   std::vector<std::thread> threads;
+  test::SyncPause pause;
   for (int i = 0; i < kThreads; ++i) {
     threads.emplace_back([&, i] {
-      ready.fetch_add(1);
-      while (!go.load()) std::this_thread::yield();
-      Txn txn = db->Begin();
-      std::vector<Value> row{0, static_cast<Value>(100 + i), 0};
-      Status s = db->GetTable("a")->Update(txn, i, 0b010, row);
-      if (s.ok()) s = db->GetTable("b")->Update(txn, i + 1000, 0b010, row);
-      if (s.ok()) s = txn.Commit();
-      if (s.ok()) ok.fetch_add(1);
+      if (commit(i, 100 + i).ok()) ok.fetch_add(1);
     });
+    if (i == 0) {
+      EXPECT_TRUE(pause.WaitParked(std::chrono::seconds(10)));
+    }
   }
-  while (ready.load() != kThreads) std::this_thread::yield();
-  go.store(true);
+  const bool all_appended = test::WaitUntil(
+      [&] { return db->redo_log()->last_lsn() >= lsn + kThreads * per_commit; },
+      std::chrono::seconds(10));
+  pause.Release();
   for (auto& t : threads) t.join();
+  EXPECT_TRUE(all_appended);
   ASSERT_EQ(ok.load(), kThreads);
 
   uint64_t delta_fsyncs = fsyncs() - before_fsyncs;
   uint64_t delta_batches = batches() - before_batches;
   // Unshared, 8 cross-table commits would sync the one log 8 times,
-  // each with its own write and fsync. Some of those syncs must find
-  // their records covered by another caller's write.
+  // each with its own write and fsync. Here the seven that appended
+  // during the first sync share the next write and fsync.
   EXPECT_GT(delta_fsyncs, 0u);
   EXPECT_LT(delta_fsyncs, 1u * kThreads);
   EXPECT_LT(delta_batches, 1u * kThreads);
+  EXPECT_EQ(delta_fsyncs, 2u);
 
   // And the shared fsyncs really committed everyone.
   for (int i = 0; i < kThreads; ++i) {
@@ -387,62 +509,86 @@ TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
   }
 }
 
-// A traced commit whose records another, untraced caller's write
-// covers still gets its write-path spans with real durations: the
-// covering write's window is published to every caller it released.
+// A traced commit whose records another caller's write covers still
+// gets its write-path spans with real durations: the covering write's
+// window is published to every caller it released. Two traced
+// committers wait for the token while an untraced one's sync is
+// paused; whichever takes it next writes both, so one of them is
+// covered by the other's write, and each needs its spans.
 TEST_F(GroupCommitTest,
-       TracedCommitterCoveredByUntracedSyncGetsWritePathSpans) {
+       TracedCommitterCoveredByAnotherSyncGetsWritePathSpans) {
   DurabilityOptions opts;
   opts.sync_commit = true;
-  opts.group_commit_window_us = 50000;  // 50 ms: a lone syncer parks
   auto db = OpenDb(opts);
   auto counter = [&db](const char* name) {
     return db->Metrics().CounterValue(name);
   };
+  // The LSNs one commit appends.
+  uint64_t lsn = db->redo_log()->last_lsn();
+  ASSERT_TRUE(CrossInsert(db.get(), 0, 0).ok());
+  const uint64_t per_commit = db->redo_log()->last_lsn() - lsn;
   const uint64_t before_batches =
       counter("lstore_group_commit_batches_total");
   const uint64_t before_fsyncs = counter("lstore_redo_fsyncs_total");
 
-  std::atomic<bool> started{false};
+  test::SyncPause pause;
   Status untraced_status;
-  std::thread untraced([&] {
-    started.store(true);
-    untraced_status = CrossInsert(db.get(), 1, 1);
-  });
-  while (!started.load()) std::this_thread::yield();
-  // Well inside the untraced caller's window: this commit's records
-  // land before its write.
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  const uint64_t id = TraceContext::NewTraceId();
-  {
-    TraceContext::Scope scope(id);
-    ASSERT_TRUE(CrossInsert(db.get(), 2, 2).ok());
+  std::thread untraced(
+      [&] { untraced_status = CrossInsert(db.get(), 1, 1); });
+  EXPECT_TRUE(pause.WaitParked(std::chrono::seconds(10)));
+  // Both traced commits append during the paused sync and wait for the
+  // token: the next write covers both.
+  lsn = db->redo_log()->last_lsn();
+  const uint64_t ids[2] = {TraceContext::NewTraceId(),
+                           TraceContext::NewTraceId()};
+  Status traced_status[2];
+  std::vector<std::thread> traced;
+  for (int i = 0; i < 2; ++i) {
+    traced.emplace_back([&, i] {
+      TraceContext::Scope scope(ids[i]);
+      traced_status[i] = CrossInsert(db.get(), 2 + i, 2 + i);
+    });
   }
+  EXPECT_TRUE(test::WaitUntil(
+      [&] { return db->redo_log()->last_lsn() >= lsn + 2 * per_commit; },
+      std::chrono::seconds(10)));
+  // Let both reach the token: a caller that arrives after the next
+  // write has started waits for no write of its own.
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  pause.Release();
   untraced.join();
+  for (auto& t : traced) t.join();
   ASSERT_TRUE(untraced_status.ok()) << untraced_status.ToString();
-  // One write and one fsync of the one log served both commits.
+  for (const Status& s : traced_status) {
+    ASSERT_TRUE(s.ok()) << s.ToString();
+  }
+  // One write and one fsync of the one log served both traced commits
+  // (the other write and fsync are the paused untraced commit's).
   EXPECT_EQ(counter("lstore_group_commit_batches_total") - before_batches,
-            1u);
-  EXPECT_EQ(counter("lstore_redo_fsyncs_total") - before_fsyncs, 1u);
+            2u);
+  EXPECT_EQ(counter("lstore_redo_fsyncs_total") - before_fsyncs, 2u);
 
-  std::vector<TraceSpan> spans = FlightRecorder::Instance().SnapshotTrace(id);
-  if (!kTraceEnabled) {
-    EXPECT_TRUE(spans.empty());
-    return;
-  }
-  size_t queue_wait = 0, log_flush = 0, log_append = 0;
-  for (const TraceSpan& s : spans) {
-    const std::string name = s.name;
-    if (name == "gc_queue_wait") ++queue_wait;
-    if (name == "log_flush") ++log_flush;
-    if (name == "log_append") ++log_append;
-    if (name == "gc_queue_wait" || name == "log_flush") {
-      EXPECT_GT(s.dur_ns, 0u) << name;
+  for (const uint64_t id : ids) {
+    std::vector<TraceSpan> spans =
+        FlightRecorder::Instance().SnapshotTrace(id);
+    if (!kTraceEnabled) {
+      EXPECT_TRUE(spans.empty());
+      continue;
     }
+    size_t queue_wait = 0, log_flush = 0, log_append = 0;
+    for (const TraceSpan& s : spans) {
+      const std::string name = s.name;
+      if (name == "gc_queue_wait") ++queue_wait;
+      if (name == "log_flush") ++log_flush;
+      if (name == "log_append") ++log_append;
+      if (name == "gc_queue_wait" || name == "log_flush") {
+        EXPECT_GT(s.dur_ns, 0u) << name;
+      }
+    }
+    EXPECT_EQ(queue_wait, 1u);  // one sync of the one log
+    EXPECT_EQ(log_flush, 1u);
+    EXPECT_GE(log_append, 1u);
   }
-  EXPECT_EQ(queue_wait, 1u);  // one sync of the one log
-  EXPECT_EQ(log_flush, 1u);
-  EXPECT_GE(log_append, 1u);
 }
 
 // A reopened database keeps counting redo-log fsyncs: recovery opens
@@ -544,6 +690,58 @@ TEST_F(GroupCommitTest, CheckpointDoesNotOrphanPostWatermarkCommits) {
   for (Value k = 10; k < last; ++k) {
     EXPECT_EQ(Visible(db2.get(), "a", k), Visible(db2.get(), "b", k + 1000))
         << "split transaction at key " << k;
+  }
+}
+
+// Checkpoint truncations swap the log's file while synced commits are
+// in flight: eight sync_commit committers run beside a checkpoint loop
+// until it has truncated the log kCheckpoints times. Every acknowledged
+// commit survives close and reopen on both tables, and LSNs are stable.
+TEST_F(GroupCommitTest, CheckpointsRacingSyncedCommitsKeepEveryAck) {
+  DurabilityOptions opts;
+  opts.sync_commit = true;
+  auto db = OpenDb(opts);
+  constexpr int kThreads = 8;
+  constexpr int kCheckpoints = 20;
+  constexpr Value kMaxPerThread = 250;
+  std::atomic<int> checkpoints{0};
+  std::vector<std::vector<Value>> acked(kThreads);
+  std::atomic<int> failed{0};
+  std::atomic<int> running{kThreads};
+  std::vector<std::thread> committers;
+  for (int t = 0; t < kThreads; ++t) {
+    committers.emplace_back([&, t] {
+      for (Value i = 0; i < kMaxPerThread &&
+                        (i < 20 || checkpoints.load() < kCheckpoints);
+           ++i) {
+        const Value k = 10 + t * kMaxPerThread + i;
+        if (CrossInsert(db.get(), k, k).ok()) {
+          acked[t].push_back(k);
+        } else {
+          failed.fetch_add(1);
+        }
+      }
+      running.fetch_sub(1);
+    });
+  }
+  while (running.load() > 0) {
+    Status s = db->Checkpoint();
+    EXPECT_TRUE(s.ok()) << s.ToString();
+    checkpoints.fetch_add(1);
+  }
+  for (auto& t : committers) t.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_GE(checkpoints.load(), 1);
+  const uint64_t lsn = db->redo_log()->last_lsn();
+  db.reset();
+
+  auto db2 = OpenDb(opts, /*create_tables=*/false);
+  EXPECT_EQ(db2->redo_log()->last_lsn(), lsn);
+  for (int t = 0; t < kThreads; ++t) {
+    for (const Value k : acked[t]) {
+      EXPECT_TRUE(Visible(db2.get(), "a", k)) << k;
+      EXPECT_TRUE(Visible(db2.get(), "b", k + 1000)) << k;
+    }
   }
 }
 

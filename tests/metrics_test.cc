@@ -28,6 +28,7 @@
 #include "obs/span.h"
 #include "server/client.h"
 #include "server/server.h"
+#include "sync_pause.h"
 
 namespace lstore {
 namespace {
@@ -364,7 +365,6 @@ class DatabaseMetricsTest : public ::testing::Test {
 TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   DurabilityOptions opts;
   opts.sync_commit = true;
-  opts.group_commit_window_us = 100;
   opts.archive_enabled = true;
   std::unique_ptr<Database> db;
   ASSERT_TRUE(Database::Open(dir_, opts, &db).ok());
@@ -373,9 +373,14 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   Table* a = db->GetTable("A");
   Table* b = db->GetTable("B");
 
-  // Cross-table commits from several threads so the logs' group commit
-  // actually batches; then merges and a checkpoint (seals archives).
+  // Cross-table commits from several threads so the log's group commit
+  // actually batches: the first sync parks between its write and its
+  // fsync until all four threads have appended a commit (three LSNs
+  // each: an insert per table, then the commit record). Then
+  // merges and a checkpoint (seals archives).
   std::vector<std::thread> workers;
+  const uint64_t lsn0 = db->redo_log()->last_lsn();
+  test::SyncPause pause;
   for (int t = 0; t < 4; ++t) {
     workers.emplace_back([&, t] {
       for (Value i = 0; i < 64; ++i) {
@@ -387,6 +392,11 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
       }
     });
   }
+  EXPECT_TRUE(pause.WaitParked(std::chrono::seconds(10)));
+  EXPECT_TRUE(test::WaitUntil(
+      [&] { return db->redo_log()->last_lsn() >= lsn0 + 4 * 3; },
+      std::chrono::seconds(10)));
+  pause.Release();
   for (auto& w : workers) w.join();
   {
     Txn txn = db->Begin();
@@ -406,8 +416,10 @@ TEST_F(DatabaseMetricsTest, EverySubsystemReports) {
   EXPECT_GE(s.CounterValue("lstore_commits_total"), 257u);
   EXPECT_GT(s.CounterValue("lstore_group_commit_batches_total"), 0u);
   ASSERT_NE(s.FindHistogram("lstore_group_commit_batch_size"), nullptr);
-  EXPECT_GT(s.FindHistogram("lstore_group_commit_batch_size")->hist.count,
-            0u);
+  const HistogramSnapshot& batch =
+      s.FindHistogram("lstore_group_commit_batch_size")->hist;
+  EXPECT_GT(batch.count, 0u);
+  EXPECT_GT(batch.sum, batch.count);  // some write released several syncs
   // The one log: appends and fsyncs. Each cross-table commit appends
   // three frames (an insert run per table, then its one commit frame),
   // and no commit takes more than one fsync (the checkpoint adds one).
