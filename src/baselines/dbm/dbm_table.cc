@@ -179,14 +179,15 @@ Status DbmTable::WriteDelta(Transaction* txn, Value key, ColumnMask mask,
                                        static_cast<uint32_t>(idx),
                                        /*is_insert=*/false, 0, this});
   ind.store(idx, std::memory_order_release);
+  return Status::OK();
+}
 
-  // Merge trigger: delta reached the threshold.
+void DbmTable::WritesStamped(DbmRange& r, uint64_t id) {
   if (config_.enable_merge_thread &&
       r.delta.size() >= config_.merge_threshold &&
       !r.queued.exchange(true)) {
-    merge_tasks_.Post([this, id = at.range_id] { MergeRange(id); });
+    merge_tasks_.Post([this, id] { MergeRange(id); });
   }
-  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------

@@ -90,10 +90,12 @@ class DbmTable : public EngineCore<DbmRange> {
   DbmRange* NewRange(uint64_t) override {
     return new DbmRange(config_, schema_.num_columns());
   }
-  bool StampWrite(DbmRange& r, const WriteEntry& w, TxnId txn,
+  void StampWrite(DbmRange& r, const WriteEntry& w, TxnId txn,
                   Value outcome) override {
-    return StampSlot(r.delta.Slot(w.seq, 0), txn, outcome);
+    StampSlot(r.delta.Slot(w.seq, 0), txn, outcome);
   }
+  /// Queue the range's merge once its delta reached the threshold.
+  void WritesStamped(DbmRange& r, uint64_t id) override;
   Status CommitTxn(Transaction* txn) override;
   void AbortTxn(Transaction* txn) override;
 
@@ -102,8 +104,7 @@ class DbmTable : public EngineCore<DbmRange> {
   void GateExit();
 
   /// The one write step (Update, Delete): append a delta entry with
-  /// `row`'s masked columns, or a tombstone when `row` is null, then
-  /// queue the range for merge once its delta reaches the threshold.
+  /// `row`'s masked columns, or a tombstone when `row` is null.
   Status WriteDelta(Transaction* txn, Value key, ColumnMask mask,
                     const std::vector<Value>* row);
   Status ResolveRecord(DbmRange& r, uint32_t slot, Timestamp as_of,

@@ -62,9 +62,9 @@ class IuhTable : public EngineCore<IuhRange> {
   IuhRange* NewRange(uint64_t) override {
     return new IuhRange(config_, schema_.num_columns());
   }
-  bool StampWrite(IuhRange& r, const WriteEntry& w, TxnId txn,
+  void StampWrite(IuhRange& r, const WriteEntry& w, TxnId txn,
                   Value outcome) override {
-    return StampSlot(&r.start[w.base_slot], txn, outcome);
+    StampSlot(&r.start[w.base_slot], txn, outcome);
   }
   /// Undo, then the core's abort.
   void AbortTxn(Transaction* txn) override;

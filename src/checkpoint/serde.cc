@@ -255,7 +255,8 @@ Status CheckpointIO::WriteTable(Table& t, const std::string& path,
 // ---------------------------------------------------------------------------
 
 Status CheckpointIO::LoadTable(Table* t, const std::string& path,
-                               uint64_t expected_checksum) {
+                               uint64_t expected_checksum,
+                               bool verify_segment_refs) {
   FrameReader reader;
   LSTORE_RETURN_IF_ERROR(reader.Open(path, kCheckpointMagic));
   if (expected_checksum != 0 && reader.file_checksum() != expected_checksum) {
@@ -379,7 +380,7 @@ Status CheckpointIO::LoadTable(Table* t, const std::string& path,
           return Status::Corruption(
               "checkpoint references missing segment store bytes: " + path);
         }
-        if (t->config_.verify_segment_refs) {
+        if (verify_segment_refs) {
           // Opt-in eager integrity check: read the range back and
           // compare checksums so store corruption surfaces as a clean
           // recovery error (the segment still restores cold below).

@@ -131,8 +131,12 @@ class CheckpointIO {
   /// rebuilds them from Base RID backpointers (recovery option 2).
   /// A nonzero `expected_checksum` (from the manifest) is compared
   /// against the file's crc32c; mismatch fails with Corruption.
+  /// `verify_segment_refs` reads back every segment-store byte range
+  /// the checkpoint references and checks its checksum
+  /// (DurabilityOptions::verify_segment_store_on_open).
   static Status LoadTable(Table* table, const std::string& path,
-                          uint64_t expected_checksum = 0);
+                          uint64_t expected_checksum = 0,
+                          bool verify_segment_refs = false);
 };
 
 }  // namespace lstore

@@ -32,8 +32,12 @@ struct TableConfig {
   /// 32 KB").
   uint32_t tail_page_slots = 512;
 
-  /// Merge a range once this many committed-but-unmerged tail records
-  /// accumulated. Figure 8: best around 50% of the range size.
+  /// Merge a range once this many unmerged update tail records
+  /// accumulated. Figure 8: best around 50% of the range size. Inserts
+  /// do not count: a range's inserts merge once, when the range is
+  /// full; a partial range's rows stay in table-level tail pages until
+  /// its updates reach the threshold (or a foreground merge). The
+  /// check runs when a commit or abort stamps the range's writes.
   uint32_t merge_threshold = 1u << 11;
 
   /// Cumulative updates (Section 3.1): a new tail record repeats the
@@ -67,11 +71,6 @@ struct TableConfig {
   /// persisted to the catalog.
   BufferPool* buffer_pool = nullptr;
   SegmentStore* segment_store = nullptr;
-
-  /// Verify the checksum of every checkpoint-referenced segment-store
-  /// byte range while loading the checkpoint (wired from
-  /// DurabilityOptions::verify_segment_store_on_open).
-  bool verify_segment_refs = false;
 
   /// Metrics registry the table records into (src/obs/metrics.h).
   /// Wired by the owning Database so every table of a database shares

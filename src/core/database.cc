@@ -127,7 +127,6 @@ Status Database::CreateTableInternal(const std::string& name, Schema schema,
     LSTORE_RETURN_IF_ERROR(store->Open(segs_path, /*read_only=*/!durable()));
     config.buffer_pool = buffer_pool_.get();
     config.segment_store = store.get();
-    config.verify_segment_refs = durability_.verify_segment_store_on_open;
   }
   // Every table of a database records into the shared registry, and
   // its merge tasks heartbeat into the shared health registry.
@@ -172,7 +171,8 @@ Status Database::Recover(const Catalog& catalog, const RecoverySource& src) {
         return Status::Corruption("checkpoint file missing: " + me->file);
       }
       LSTORE_RETURN_IF_ERROR(
-          CheckpointIO::LoadTable(t, ckpt, me->file_checksum));
+          CheckpointIO::LoadTable(t, ckpt, me->file_checksum,
+                                  durability_.verify_segment_store_on_open));
     }
     tables[ce.id] = t;
   }

@@ -178,12 +178,15 @@ class EngineCore : public EngineBase {
   /// The range factory: build range `id` (EnsureRange's one caller).
   virtual Range* NewRange(uint64_t id) = 0;
   /// The stamp step of one write: swap its Start Time slot (each slot
-  /// of an insert run) from the transaction id to `outcome`. False when
-  /// the write's versions were already consumed (merged or compressed).
-  virtual bool StampWrite(Range& r, const WriteEntry& w, TxnId txn,
+  /// of an insert run) from the transaction id to `outcome`, unless the
+  /// write's versions were already consumed (merged or compressed).
+  virtual void StampWrite(Range& r, const WriteEntry& w, TxnId txn,
                           Value outcome) = 0;
-  /// Called once per range in which the stamping loop stamped inserts.
-  virtual void InsertsStamped(Range&) {}
+  /// Called by the stamping loop once per range whose writes it
+  /// stamped (range `id`), commit or abort, insert or update: the one
+  /// place an engine queues a merge, so a write asks for one only once
+  /// decided.
+  virtual void WritesStamped(Range&, uint64_t /*id*/) {}
   /// Unindex the keys an aborted insert entry inserted; the stamping
   /// loop calls it while the entry's slots still hold the txn id.
   virtual void EraseInserted(Range&, const WriteEntry& w) {
@@ -191,9 +194,8 @@ class EngineCore : public EngineBase {
   }
 
   /// The CAS of a StampWrite step.
-  static bool StampSlot(std::atomic<Value>* slot, TxnId txn, Value outcome) {
+  static void StampSlot(std::atomic<Value>* slot, TxnId txn, Value outcome) {
     slot->compare_exchange_strong(txn, outcome, std::memory_order_acq_rel);
-    return true;
   }
 
   Range* GetRange(uint64_t id) const { return ranges_.Get(id); }
@@ -246,18 +248,15 @@ class EngineCore : public EngineBase {
   /// no reader writes a slot and no insert merge consumes the run while
   /// EraseInserted reads its keys back.
   void StampWrites(Transaction* txn, Value outcome) override {
-    Range* stamped_inserts = nullptr;
+    Range* last = nullptr;
     for (const WriteEntry& w : txn->writeset()) {
       if (w.owner != this) continue;
       Range* r = GetRange(w.range_id);
       if (r == nullptr) continue;
       if (w.is_insert && outcome == kAbortedStamp) EraseInserted(*r, w);
-      const bool stamped = StampWrite(*r, w, txn->id(), outcome);
-      if (!w.is_insert) continue;
-      if (stamped && r != stamped_inserts) {
-        InsertsStamped(*r);
-        stamped_inserts = r;
-      }
+      StampWrite(*r, w, txn->id(), outcome);
+      if (r != last) WritesStamped(*r, w.range_id);
+      last = r;
     }
   }
 

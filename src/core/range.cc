@@ -594,7 +594,7 @@ void Range::PublishVersion(uint32_t slot, uint32_t seq, ColumnMask mask) {
   meta_.load(std::memory_order_acquire)->Publish(slot, seq, mask);
 }
 
-bool Range::Stamp(const WriteEntry& w, TxnId txn, Value outcome) {
+void Range::Stamp(const WriteEntry& w, TxnId txn, Value outcome) {
   // An insert-merged insert already carries its outcome in the base
   // segment's Start Time column, and the table-level tail page may be
   // reclaimed; a compressed update resolved its outcome before moving.
@@ -604,7 +604,6 @@ bool Range::Stamp(const WriteEntry& w, TxnId txn, Value outcome) {
   uint32_t seq = std::max(
       w.seq, w.is_insert ? based_.load(std::memory_order_acquire) + 1
                          : historic_boundary_.load(std::memory_order_acquire));
-  if (seq >= end) return false;
   for (uint32_t len = 0; seq < end; seq += len) {
     std::atomic<Value>* slots =
         &tail.EnsurePageOf(seq, kTailStartTime)->AtomicSlot(0);
@@ -622,20 +621,15 @@ bool Range::Stamp(const WriteEntry& w, TxnId txn, Value outcome) {
       }
     }
   }
-  return true;
 }
 
 bool Range::TakeMergeTrigger() {
   const TableConfig& cfg = *ctx_->config;
   const uint32_t occupied = this->occupied();
   const uint32_t unmerged = updates_.LastSeq() - merged_tps();
-  const uint32_t unbased = occupied - based_.load(std::memory_order_acquire);
-  const bool full = occupied >= cfg.range_size;
-  if (unmerged < cfg.merge_threshold &&
-      unbased < std::min(cfg.range_size, cfg.merge_threshold) &&
-      !(full && unbased > 0)) {
-    return false;
-  }
+  const bool full_unbased = occupied >= cfg.range_size &&
+                            based_.load(std::memory_order_acquire) < occupied;
+  if (unmerged < cfg.merge_threshold && !full_unbased) return false;
   bool expected = false;
   return queued_.compare_exchange_strong(expected, true);
 }

@@ -224,9 +224,9 @@ class Range {
 
   /// Stamp the records a writeset entry names (an update or a run of
   /// inserts) with their outcome (commit time or kAbortedStamp) unless
-  /// they hold another value. False when all were consumed already:
-  /// insert-merged inserts or an update in the historic store.
-  bool Stamp(const WriteEntry& w, TxnId txn, Value outcome);
+  /// they hold another value or were consumed already (insert-merged
+  /// inserts, an update in the historic store).
+  void Stamp(const WriteEntry& w, TxnId txn, Value outcome);
 
   /// The one tail-record reader. `settle` resolves the start time as a
   /// checkpoint must: decided outcomes are stamped and a pre-committing
@@ -234,7 +234,10 @@ class Range {
   TailRecord ReadRecord(TailKind kind, uint32_t seq, bool settle = false);
 
   /// Whether the range now needs a merge that is not queued yet (marks
-  /// it queued); ReleaseMergeTrigger re-arms it.
+  /// it queued): its unmerged update records reached merge_threshold,
+  /// or it is full and holds rows not yet insert-merged. Asked when a
+  /// commit or abort stamped the range's writes; ReleaseMergeTrigger
+  /// re-arms it.
   bool TakeMergeTrigger();
   void ReleaseMergeTrigger() {
     queued_.store(false, std::memory_order_release);

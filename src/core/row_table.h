@@ -66,9 +66,9 @@ class RowTable : public EngineCore<RowRange> {
   RowRange* NewRange(uint64_t) override {
     return new RowRange(config_, schema_.num_columns());
   }
-  bool StampWrite(RowRange& r, const WriteEntry& w, TxnId txn,
+  void StampWrite(RowRange& r, const WriteEntry& w, TxnId txn,
                   Value outcome) override {
-    return StampSlot(
+    StampSlot(
         w.is_insert ? &r.base_start[w.base_slot] : r.VersionSlot(w.seq, 0),
         txn, outcome);
   }

@@ -111,7 +111,7 @@ Table::Table(std::string name, Schema schema, TableConfig config,
 
 Table::~Table() {
   // No merge task may run over what the body below tears down.
-  merges_.Stop();
+  merge_tasks_.Stop();
   // Detach this table's pages from the (shared) buffer pool first: a
   // concurrent eviction on behalf of another table must not retire a
   // payload into an epoch manager that is about to be destroyed.
@@ -356,7 +356,6 @@ Status Table::InsertRows(Transaction* txn, const std::vector<Value>* rows,
                           filled, schema_.AllColumns());
       }
     }
-    MaybeScheduleMerge(*r);
     i += count;
   }
   if (!runs.empty()) log_->AppendBatch(runs);
@@ -472,7 +471,6 @@ Status Table::WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
   r.PublishVersion(slot, v.seq, mask);
 
   (is_delete ? obs_.deletes : obs_.updates)->Increment();
-  MaybeScheduleMerge(r);
   return Status::OK();
 }
 
@@ -584,9 +582,9 @@ void Table::CreateSecondaryIndex(ColumnId col) {
 // Maintenance entry points (merge bodies in range.cc / historic.cc)
 // ---------------------------------------------------------------------------
 
-void Table::MaybeScheduleMerge(Range& r) {
+void Table::WritesStamped(Range& r, uint64_t id) {
   if (config_.enable_merge_thread && r.TakeMergeTrigger()) {
-    merges_.Post([this, id = r.id()] { RunMerge(id); });
+    merge_tasks_.Post([this, id] { RunMerge(id); });
   }
 }
 

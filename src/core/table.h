@@ -12,10 +12,11 @@
 //  * the context its ranges share, and optional secondary indexes,
 //  * the pipeline steps only L-Store fills in: read validation, the
 //    redo log the durability point writes, and epoch-pinned stamping,
-//  * a background merge queue (Section 4.1, Figure 5): writers hand
-//    ranges to a serial queue of tasks on the shared pool, which
-//    merges one range at a time, with epoch-based page reclamation
-//    (Figure 6), and the segment-page factory,
+//  * a background merge queue (Section 4.1, Figure 5): commits and
+//    aborts hand the ranges they stamped to a serial queue of tasks on
+//    the shared pool, which merges one range at a time, with
+//    epoch-based page reclamation (Figure 6), and the segment-page
+//    factory,
 //  * redo-only logging to its Database's log, with crash recovery
 //    (Section 5.1.3).
 //
@@ -191,7 +192,7 @@ class Table : public EngineCore<Range> {
   void FlushAll();
 
   /// Wait until every queued merge task has run.
-  void WaitForMergeQueue() { merges_.Drain(); }
+  void WaitForMergeQueue() { merge_tasks_.Drain(); }
 
   // --- introspection ---------------------------------------------------------
 
@@ -248,15 +249,16 @@ class Table : public EngineCore<Range> {
   Range* NewRange(uint64_t id) override {
     return new Range(id, &range_ctx_);
   }
-  bool StampWrite(Range& r, const WriteEntry& w, TxnId txn,
+  void StampWrite(Range& r, const WriteEntry& w, TxnId txn,
                   Value outcome) override {
-    return r.Stamp(w, txn, outcome);
+    r.Stamp(w, txn, outcome);
   }
-  /// An insert-merge scheduled while the transaction was in flight
-  /// stopped at its first record; with no later insert into the range
-  /// nothing would schedule another, leaving the records in
-  /// table-level tail pages. Schedule one now that they resolved.
-  void InsertsStamped(Range& r) override { MaybeScheduleMerge(r); }
+  /// Queue `r`'s merge when it asks for one (Range::TakeMergeTrigger).
+  /// The writes just stamped are decided, so the commit that fills a
+  /// range queues one insert merge that reaches every row it stamped;
+  /// rows of other writers still undecided then are left to the merge
+  /// their own commits queue.
+  void WritesStamped(Range& r, uint64_t id) override;
   /// An insert run's keys are column 0 of its tail records.
   void EraseInserted(Range& r, const WriteEntry& w) override {
     for (uint32_t seq = w.seq; seq < w.seq + w.count; ++seq) {
@@ -316,8 +318,6 @@ class Table : public EngineCore<Range> {
   Status WriteTailVersion(Transaction* txn, Range& r, uint32_t slot,
                           ColumnMask mask, const std::vector<Value>& row,
                           bool is_delete, RedoLog::Batch* log_sink);
-  /// Queue `r` for the background merge when it asks for one.
-  void MaybeScheduleMerge(Range& r);
   /// The merge task (Section 4.1): release the range's trigger, then
   /// insert-merge, update-merge and reclaim, busy on `merge_hb_`.
   void RunMerge(uint64_t range_id);
@@ -394,7 +394,7 @@ class Table : public EngineCore<Range> {
   /// registry, or merges off).
   std::shared_ptr<Heartbeat> merge_hb_;
   /// Merge tasks, one at a time; stopped first in ~Table.
-  SerialQueue merges_;
+  SerialQueue merge_tasks_;
   /// The redo log this table appends to: its Database's one log, in
   /// which its records carry `log_id_`, its catalog id (null: an
   /// in-memory table, which logs nothing).

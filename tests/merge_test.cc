@@ -4,10 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <memory>
+#include <string>
 #include <thread>
 
 #include "common/random.h"
+#include "core/database.h"
 #include "core/query.h"
 #include "core/table.h"
 
@@ -271,11 +276,11 @@ TEST_F(MergeTest, NonCumulativeModeStillCorrect) {
   (void)r.Commit();
 }
 
-TEST_F(MergeTest, CommitSchedulesInsertMergeThatRanMidTransaction) {
-  // Filling a range schedules its insert-merge while the inserting
-  // transaction is still open; that merge stops at the first
-  // uncommitted record. Nothing else writes to the range afterwards,
-  // so the commit itself must schedule the merge again.
+TEST_F(MergeTest, InsertMergeIsQueuedByTheCommitNotTheFill) {
+  // Merges are queued only when a commit or abort stamps a range's
+  // writes. Filling a range inside an open transaction queues nothing;
+  // its commit queues the range's one insert merge, which finds every
+  // record decided.
   Table t("bg", Schema(4), MergeConfig(/*merge_thread=*/true));
   Txn txn = t.Begin();
   for (Value k = 0; k < 64; ++k) {
@@ -290,6 +295,54 @@ TEST_F(MergeTest, CommitSchedulesInsertMergeThatRanMidTransaction) {
   EXPECT_EQ(t.metrics()->Snapshot().CounterValue(
                 "lstore_merge_insert_rows_total"),
             64u);
+}
+
+// Under sync_commit a load commits a quarter of a range at a time, and
+// the merge worker keeps up while each commit syncs. A range's inserts
+// still merge once, when it is full: none of its quarter commits before
+// the last queues a merge that would encode its prefix again, and a
+// partial range stays in table-level tail pages.
+TEST_F(MergeTest, SyncCommitLoadMergesEachRangeOnce) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "lstore_merge_sync_load";
+  std::filesystem::remove_all(dir);
+  {
+    DurabilityOptions opts;
+    opts.sync_commit = true;
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(dir, opts, &db).ok());
+    const TableConfig cfg = MergeConfig(/*merge_thread=*/true);
+    ASSERT_TRUE(db->CreateTable("t", Schema(4), cfg).ok());
+    Table* t = db->GetTable("t");
+    constexpr uint64_t kFullRanges = 3;
+    const uint64_t rows = kFullRanges * cfg.range_size + 40;
+    for (Value k = 0; k < rows;) {
+      std::vector<std::vector<Value>> batch;
+      for (const Value end = std::min<Value>(rows, k + cfg.range_size / 4);
+           k < end; ++k) {
+        batch.push_back({k, k * 10, k * 100, k * 1000});
+      }
+      Txn txn = db->Begin();
+      ASSERT_TRUE(t->InsertBatch(txn, batch).ok());
+      ASSERT_TRUE(txn.Commit().ok());
+      t->WaitForMergeQueue();
+    }
+    const MetricsSnapshot snap = db->Metrics();
+    EXPECT_EQ(snap.CounterValue("lstore_insert_merges_total"), kFullRanges);
+    EXPECT_EQ(snap.CounterValue("lstore_merge_insert_rows_total"),
+              kFullRanges * cfg.range_size);
+    Txn txn = db->Begin();
+    for (Value k = 0; k < rows; ++k) {
+      std::vector<Value> out;
+      ASSERT_TRUE(t->Read(txn, k, 0b1111, &out).ok()) << "key " << k;
+      EXPECT_EQ(out, (std::vector<Value>{k, k * 10, k * 100, k * 1000}));
+    }
+    ASSERT_TRUE(txn.Commit().ok());
+    // The partial range's rows were read from its tail pages: a
+    // foreground insert merge still finds them there.
+    EXPECT_TRUE(t->InsertMergeNow(kFullRanges));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // A merge task holds its table's pointer: a table destroyed right
