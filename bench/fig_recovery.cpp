@@ -271,11 +271,11 @@ void Run(const BenchArgs& args) {
   }
 
   // --- (e) point-in-time recovery: restore time vs archive length -----
-  // With archiving on, every checkpoint seals the truncated log prefix
-  // instead of deleting it. Restore cost then has two regimes: a point
-  // near the newest checkpoint replays a short stitched tail, while an
-  // old point walks back to an older archived checkpoint and replays
-  // a longer stretch of sealed segments.
+  // With archiving on, every checkpoint moves the log segments it
+  // retires into the archive instead of deleting them. Restore cost
+  // then has two regimes: a point near the newest checkpoint replays a
+  // short chain, while an old point walks back to an older archived
+  // checkpoint and replays a longer stretch of archived segments.
   std::printf("pitr            | %10s %12s %12s %10s\n", "point", "cycles",
               "arc_bytes", "restore_ms");
   {

@@ -195,7 +195,7 @@ void BM_ColumnBuild(benchmark::State& state) {
   const std::vector<Value> vals = ColumnShape(state.range(0));
   std::unique_ptr<CompressedColumn> col;
   for (auto _ : state) {
-    col = CompressedColumn::Build(vals, true);
+    col = CompressedColumn::Build(vals);
     benchmark::DoNotOptimize(col.get());
   }
   ReportColumn(state, *col, state.iterations() * kSegmentSlots);
@@ -203,7 +203,7 @@ void BM_ColumnBuild(benchmark::State& state) {
 BENCHMARK(BM_ColumnBuild)->Apply(ColumnShapes);
 
 void BM_ColumnGet(benchmark::State& state) {
-  auto col = CompressedColumn::Build(ColumnShape(state.range(0)), true);
+  auto col = CompressedColumn::Build(ColumnShape(state.range(0)));
   size_t i = 0;
   for (auto _ : state) {
     // An odd step visits every slot in a scattered order.
@@ -215,7 +215,7 @@ void BM_ColumnGet(benchmark::State& state) {
 BENCHMARK(BM_ColumnGet)->Apply(ColumnShapes);
 
 void BM_ColumnScan(benchmark::State& state) {
-  auto col = CompressedColumn::Build(ColumnShape(state.range(0)), true);
+  auto col = CompressedColumn::Build(ColumnShape(state.range(0)));
   for (auto _ : state) {
     auto cur = col->cursor();
     Value sum = 0;

@@ -72,7 +72,8 @@ int main() {
   }
   orders->FlushAll();
 
-  // A checkpoint seals archive segments and truncates logs.
+  // A checkpoint rolls the log and moves its closed segment into the
+  // archive.
   (void)db->Checkpoint();
 
   // Parallel snapshot scan (per-partition latencies).

@@ -6,8 +6,9 @@
 // The demo opens a durable database with archiving on, runs transfers
 // between an accounts table and an audit ledger (cross-table
 // transactions: both tables move together or not at all), checkpoints
-// twice so the log prefix is sealed into <dir>/archive, then restores
-// the pre-incident state and shows the two timelines side by side.
+// twice so the log segments each closes move into <dir>/archive, then
+// restores the pre-incident state and shows the two timelines side by
+// side.
 //
 // Build & run:  ./build/examples/pitr_walkthrough
 
@@ -50,7 +51,7 @@ int main() {
 
   // --- 1. A durable database with log archiving on ----------------------
   DurabilityOptions opts;
-  opts.archive_enabled = true;  // truncation seals instead of deletes
+  opts.archive_enabled = true;  // retired log segments move, not deleted
   std::unique_ptr<Database> db;
   if (!Database::Open(dir, opts, &db).ok()) return 1;
   (void)db->CreateTable("accounts", Schema({"id", "balance"}),
@@ -65,11 +66,11 @@ int main() {
     txn.Commit();
   }
 
-  // --- 2. Healthy traffic, checkpointed (log prefix -> archive) ---------
+  // --- 2. Healthy traffic, checkpointed (log segment -> archive) --------
   for (Value i = 0; i < 8; ++i) {
     Transfer(db.get(), accounts, audit, i % 4, (i + 1) % 4, 10 + i, i);
   }
-  (void)db->Checkpoint();  // seals <dir>/archive/*.arc + MANIFEST.1
+  (void)db->Checkpoint();  // moves <dir>/archive/*.arc + MANIFEST.1
   std::printf("healthy: balances %lld %lld %lld %lld\n",
               (long long)Balance(accounts, 0), (long long)Balance(accounts, 1),
               (long long)Balance(accounts, 2), (long long)Balance(accounts, 3));

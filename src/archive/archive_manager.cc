@@ -22,20 +22,6 @@ constexpr char kArcSuffix[] = ".arc";
 constexpr char kManifestPrefix[] = "MANIFEST.";
 constexpr char kRedoPrefix[] = "redo.";
 
-bool AllDigits(std::string_view s) {
-  if (s.empty()) return false;
-  for (char c : s) {
-    if (c < '0' || c > '9') return false;
-  }
-  return true;
-}
-
-uint64_t ParseU64(std::string_view s) {
-  uint64_t v = 0;
-  for (char c : s) v = v * 10 + static_cast<uint64_t>(c - '0');
-  return v;
-}
-
 /// Parse "redo.<lo>-<hi>.arc"; false for anything else.
 bool ParseArcName(std::string_view name, uint64_t* lo, uint64_t* hi) {
   constexpr size_t kPrefix = sizeof(kRedoPrefix) - 1;
@@ -49,12 +35,8 @@ bool ParseArcName(std::string_view name, uint64_t* lo, uint64_t* hi) {
       name.substr(kPrefix, name.size() - kPrefix - kSuffix);
   size_t dash = range.find('-');
   if (dash == std::string_view::npos) return false;
-  std::string_view lo_s = range.substr(0, dash);
-  std::string_view hi_s = range.substr(dash + 1);
-  if (!AllDigits(lo_s) || !AllDigits(hi_s)) return false;
-  *lo = ParseU64(lo_s);
-  *hi = ParseU64(hi_s);
-  return *lo != 0 && *hi >= *lo;
+  return ParseDecimal(range.substr(0, dash), lo) &&
+         ParseDecimal(range.substr(dash + 1), hi) && *lo != 0 && *hi >= *lo;
 }
 
 std::string SegmentName(uint64_t lo, uint64_t hi) {
@@ -112,39 +94,19 @@ Status ArchiveManager::EnsureDir() {
   if (ec) {
     return Status::IOError("cannot create archive directory: " + archive_dir_);
   }
-  // A crash mid-seal leaves a .tmp whose content still lives in the
-  // not-yet-truncated live log; sweeping it keeps the directory clean
-  // and guarantees a stale temp can never shadow a future seal.
-  for (const auto& entry : fs::directory_iterator(archive_dir_, ec)) {
-    if (entry.path().extension() == ".tmp") {
-      std::error_code rec;
-      fs::remove(entry.path(), rec);
-    }
-  }
   return Status::OK();
 }
 
-Status ArchiveManager::SealRedoPrefix(uint64_t lo, uint64_t hi,
-                                      std::string_view bytes) {
+Status ArchiveManager::ArchiveSegment(const FramedLog::Segment& seg) {
   std::lock_guard<std::mutex> g(mu_);
   Stage stage(seal_ns_, nullptr);
-  const std::string path = archive_dir_ + "/" + SegmentName(lo, hi);
-  LSTORE_RETURN_IF_ERROR(
-      WriteFileAtomic(path, [bytes](File& f) { return f.WriteAt(0, bytes); }));
-  for (const RawSegment& seg : ListSegmentsRaw(archive_dir_)) {
-    // Fully covered by the new seal (a crash between an earlier seal
-    // and its log truncation re-seals a longer prefix): every LSN it
-    // carries replays identically from the superseding segment.
-    if (seg.path != path && seg.lo >= lo && seg.hi <= hi) {
-      std::remove(seg.path.c_str());
-    }
-  }
+  LSTORE_RETURN_IF_ERROR(RenameDurably(
+      seg.path, archive_dir_ + "/" + SegmentName(seg.lo, seg.hi)));
   if (seals_total_ != nullptr) seals_total_->Add(1);
   if (events_ != nullptr) {
     events_->Emit(EventSeverity::kInfo, "archive", "archive_seal",
-                  "\"log\":\"redo\",\"lo\":" + std::to_string(lo) +
-                      ",\"hi\":" + std::to_string(hi) +
-                      ",\"bytes\":" + std::to_string(bytes.size()));
+                  "\"log\":\"redo\",\"lo\":" + std::to_string(seg.lo) +
+                      ",\"hi\":" + std::to_string(seg.hi));
   }
   return Status::OK();
 }
@@ -169,11 +131,11 @@ Status ArchiveManager::ArchiveCheckpointFile(const std::string& file) {
 // Listings
 // ---------------------------------------------------------------------------
 
-std::vector<ArchiveSegment> ArchiveManager::ListRedoSegments(
+std::vector<FramedLog::Segment> ArchiveManager::ListRedoSegments(
     const std::string& db_dir) {
-  std::vector<ArchiveSegment> out;
+  std::vector<FramedLog::Segment> out;
   for (const RawSegment& seg : ListSegmentsRaw(ArchiveDirOf(db_dir))) {
-    out.push_back(ArchiveSegment{seg.lo, seg.hi, seg.path});
+    out.push_back(FramedLog::Segment{seg.lo, seg.hi, seg.path});
   }
   return out;
 }
@@ -186,10 +148,12 @@ std::vector<ArchivedManifest> ArchiveManager::ListManifests(
        fs::directory_iterator(ArchiveDirOf(db_dir), ec)) {
     std::string name = entry.path().filename().string();
     if (name.rfind(kManifestPrefix, 0) != 0) continue;
-    std::string_view id = std::string_view(name).substr(
-        sizeof(kManifestPrefix) - 1);
-    if (!AllDigits(id)) continue;
-    out.push_back(ArchivedManifest{ParseU64(id), entry.path().string()});
+    uint64_t id = 0;
+    if (!ParseDecimal(
+            std::string_view(name).substr(sizeof(kManifestPrefix) - 1), &id)) {
+      continue;
+    }
+    out.push_back(ArchivedManifest{id, entry.path().string()});
   }
   std::sort(out.begin(), out.end(),
             [](const ArchivedManifest& a, const ArchivedManifest& b) {

@@ -3,13 +3,13 @@
 // point (Database::RestoreToPoint).
 //
 // Layout under <db_dir>/archive/:
-//   redo.<lo>-<hi>.arc           sealed prefix of the database's one
-//                                redo log covering LSNs [lo, hi] — a
-//                                self-describing framed file (leading
-//                                truncation point), so it replays
-//                                through RedoLog::Replay, the read-only
-//                                scan (the live log replays as it
-//                                opens, RedoLog::Open)
+//   redo.<lo>-<hi>.arc           a closed segment of the database's one
+//                                redo log, carrying LSNs [lo, hi],
+//                                renamed here whole from the live
+//                                redo.<lo>.log once a checkpoint's
+//                                watermark covers it — the same bytes,
+//                                so it replays through the same scan
+//                                (RedoLog::Replay)
 //   MANIFEST.<id>                the manifest as published by
 //                                checkpoint <id> (carries the archive
 //                                watermarks: capture_time +
@@ -17,11 +17,10 @@
 //   ckpt_<id>_<table>.ckpt       superseded checkpoint files, moved
 //                                here instead of deleted
 //
-// Every seal is atomic (tmp + rename + directory fsync) and happens
-// BEFORE the truncated log is published, so a crash anywhere in the
-// checkpoint sequence loses nothing: the prefix exists in the archive,
-// the live log, or both — overlapping segments from a crash replay
-// idempotently and are pruned by the next seal that subsumes them.
+// Every move is a durable rename (RenameDurably), so each log segment
+// lies in the archive or in the live directory, never both, and a
+// crash midway through a checkpoint's moves leaves the rest live for
+// the next one to archive.
 //
 // Retention (DurabilityOptions::archive_max_*) evicts whole restore
 // epochs oldest-first: the oldest archived manifest, its checkpoint
@@ -40,18 +39,12 @@
 
 #include "common/config.h"
 #include "common/status.h"
+#include "log/framed_log.h"
 #include "obs/metrics.h"
 
 namespace lstore {
 
 class EventLog;
-
-/// One sealed log segment, parsed from its file name.
-struct ArchiveSegment {
-  uint64_t lo = 0;     ///< first LSN the segment carries
-  uint64_t hi = 0;     ///< last LSN the segment carries
-  std::string path;    ///< absolute path
-};
 
 /// One archived manifest, parsed from its file name.
 struct ArchivedManifest {
@@ -66,14 +59,15 @@ class ArchiveManager {
   bool enabled() const { return opts_.archive_enabled; }
   const std::string& archive_dir() const { return archive_dir_; }
 
-  /// Wire registry metrics: seal counts/durations and retention-pass
-  /// durations. Call before concurrent use (Database::Open does).
+  /// Wire registry metrics: seal (segment move) counts/durations and
+  /// retention-pass durations. Call before concurrent use
+  /// (Database::Open does).
   void set_metrics(MetricsRegistry* registry) {
     if (registry == nullptr) return;
     seals_total_ = registry->GetCounter("lstore_archive_seals_total",
-                                        "Log prefixes sealed into segments");
+                                        "Closed log segments archived");
     seal_ns_ = registry->GetHistogram("lstore_archive_seal_ns",
-                                      "Segment seal duration (ns)");
+                                      "Segment archive move duration (ns)");
     retention_ns_ = registry->GetHistogram(
         "lstore_archive_retention_ns", "Retention enforcement pass (ns)");
   }
@@ -83,15 +77,13 @@ class ArchiveManager {
   /// concurrent use (Database::Open does, next to set_metrics).
   void set_event_log(EventLog* events) { events_ = events; }
 
-  /// Create the archive directory and sweep stale .tmp files (a crash
-  /// mid-seal leaves at most one; the sealed data still lives in the
-  /// not-yet-truncated log). Called once at Database::Open.
+  /// Create the archive directory. Called once at Database::Open.
   Status EnsureDir();
 
-  /// Seal the retired prefix of the redo log covering [lo, hi]
-  /// (FramedLog::SealSink contract: bytes are durable on OK return).
-  /// Segments this one subsumes are pruned afterwards.
-  Status SealRedoPrefix(uint64_t lo, uint64_t hi, std::string_view bytes);
+  /// Move the closed live log segment `seg` (its lo and hi known) to
+  /// redo.<lo>-<hi>.arc, durably. On failure it stays live, and the
+  /// next checkpoint retires it again.
+  Status ArchiveSegment(const FramedLog::Segment& seg);
 
   /// Copy the just-published live MANIFEST to MANIFEST.<id> (atomic),
   /// making checkpoint `id` a restorable epoch boundary.
@@ -111,8 +103,8 @@ class ArchiveManager {
 
   static std::string ArchiveDirOf(const std::string& db_dir);
 
-  /// Sealed redo segments, sorted by lo.
-  static std::vector<ArchiveSegment> ListRedoSegments(
+  /// Archived redo segments, sorted by lo.
+  static std::vector<FramedLog::Segment> ListRedoSegments(
       const std::string& db_dir);
 
   /// Archived manifests, sorted by checkpoint id.
@@ -125,11 +117,10 @@ class ArchiveManager {
                                            const std::string& file);
 
  private:
-
   std::string db_dir_;
   std::string archive_dir_;
   DurabilityOptions opts_;
-  /// Serializes mutations (seals, retention) — checkpoints already
+  /// Serializes mutations (moves, retention) — checkpoints already
   /// serialize them, this is belt-and-braces for direct test use.
   std::mutex mu_;
   Counter* seals_total_ = nullptr;

@@ -4,15 +4,16 @@
 // source. Only the choice of inputs lives here:
 //   1. the horizon T: the restore point, an inclusive commit time, or
 //      the LSN of a commit record resolved to its commit time by
-//      scanning the one file (sealed segment or live log) holding it,
+//      scanning the one segment (archived or live) holding it,
 //   2. the checkpoint: the newest manifest (live or archived) whose
 //      capture_time watermark proves it contains no commit beyond T;
 //      with none, the restore starts from the empty state,
-//   3. the redo stream: the sealed segments and the live log stitched
-//      into one LSN-continuous stream from the checkpoint's watermark
-//      (a gap at the front means retention evicted the point —
-//      NotFound; a gap in the middle or a torn segment is Corruption;
-//      overlaps replay once), read only.
+//   3. the redo stream: the archived and the live segments, one chain
+//      ordered by first LSN, from the one holding the LSN after the
+//      checkpoint's watermark (a gap at the front means retention
+//      evicted the point — NotFound; the chain rule of
+//      FramedLog::ScanChain makes a gap in the middle or a torn segment
+//      Corruption), read only.
 // The shared step then replays that stream into every cataloged table,
 // folding its commit and abort records into one outcome map up to T
 // (a transaction lands on all of its tables or none), and resumes the
@@ -23,6 +24,8 @@
 // The restored Database is in-memory (no logs, no checkpoints); the
 // target directory is only read — checkpoint-referenced base segments
 // map lazily onto a read-only handle of the table's .segs store.
+
+#include <algorithm>
 
 #include "archive/archive_manager.h"
 #include "checkpoint/checkpoint_manager.h"
@@ -36,88 +39,48 @@ namespace lstore {
 
 namespace {
 
-/// Verify a sealed segment really carries LSNs up to the hi its name
-/// claims: a torn tail or truncated file scans clean-short and would
-/// otherwise silently drop committed records into the stitch.
-Status ValidateSegment(const ArchiveSegment& seg) {
-  FramedLog::ScanStats stats;
-  Status s = FramedLog::ScanFile(seg.path, &RedoLog::ValidatePayload, nullptr,
-                                 &stats);
-  if (!s.ok()) {
-    return Status::IOError("cannot read archive segment: " + seg.path);
-  }
-  if (!stats.clean_end || stats.last_lsn != seg.hi ||
-      stats.bytes_consumed == 0) {
-    return Status::Corruption("torn or truncated archive segment: " +
-                              seg.path);
-  }
-  return Status::OK();
-}
-
-/// Select the segments that cover (from, ...] and verify the chain is
-/// LSN-continuous through to the live log's truncation base. Subsumed
-/// segments are skipped; partial overlaps stay (replay filters by LSN
-/// and the writes are idempotent).
-Status StitchSegments(const std::vector<ArchiveSegment>& segments,
-                      uint64_t from, const std::string& live_path,
-                      std::vector<std::string>* paths) {
-  uint64_t covered = from;
-  bool first_needed = true;
-  for (const ArchiveSegment& seg : segments) {
-    if (seg.hi <= covered) continue;  // below the watermark or subsumed
-    if (seg.lo > covered + 1) {
-      // LSNs (covered, seg.lo) are gone. At the very front of the
-      // chain that means retention (or never-enabled archiving) aged
-      // the point out; mid-chain it means a segment vanished.
-      return first_needed
-                 ? Status::NotFound(
-                       "restore point precedes the archived history")
-                 : Status::Corruption("gap in archived log segments before " +
-                                      seg.path);
-    }
-    LSTORE_RETURN_IF_ERROR(ValidateSegment(seg));
-    paths->push_back(seg.path);
-    covered = seg.hi;
-    first_needed = false;
-  }
-  if (FileExists(live_path)) {
-    uint64_t live_base = FramedLog::ReadBaseLsn(live_path);
-    if (live_base > covered) {
-      return first_needed
-                 ? Status::NotFound(
-                       "restore point precedes the archived history")
-                 : Status::Corruption(
-                       "gap between archived segments and live log: " +
-                       live_path);
-    }
-    paths->push_back(live_path);
+/// The archived and the live log segments of `dir` holding LSNs
+/// above `from`, as one chain ascending by lo (FramedLog::Link: a crash
+/// midway through a checkpoint's moves may leave them interleaved);
+/// NotFound when the first begins past from + 1 (retention, or
+/// archiving never on, dropped the LSNs in between).
+Status Chain(const std::string& dir, uint64_t from,
+             std::vector<FramedLog::Segment>* chain) {
+  *chain = ArchiveManager::ListRedoSegments(dir);
+  std::vector<FramedLog::Segment> live;
+  LSTORE_RETURN_IF_ERROR(FramedLog::ListSegments(dir, &live));
+  chain->insert(chain->end(), live.begin(), live.end());
+  FramedLog::Link(chain);
+  chain->erase(chain->begin(),
+               std::find_if(chain->begin(), chain->end(),
+                            [from](const FramedLog::Segment& s) {
+                              return s.hi > from;
+                            }));
+  if (chain->empty() || chain->front().lo > from + 1) {
+    return Status::NotFound("restore point precedes the archived history");
   }
   return Status::OK();
 }
 
-/// The commit time of the commit record at `lsn`: scans the sealed
-/// segments that hold that LSN, then the live log. NotFound when no
-/// file holds a commit record there.
-Status CommitTimeAt(const std::vector<ArchiveSegment>& segments,
-                    const std::string& live_path, uint64_t lsn,
+/// The commit time of the commit record at `lsn`, read from the one
+/// segment holding it. NotFound when no commit record is there.
+Status CommitTimeAt(const std::string& dir, uint64_t lsn,
                     Timestamp* commit_time) {
-  std::vector<std::string> files;
-  for (const ArchiveSegment& seg : segments) {
-    if (seg.lo <= lsn && lsn <= seg.hi) files.push_back(seg.path);
-  }
-  if (FileExists(live_path)) files.push_back(live_path);
+  std::vector<FramedLog::Segment> chain;
   *commit_time = 0;
-  for (const std::string& path : files) {
+  Status s = Chain(dir, lsn - 1, &chain);
+  if (s.ok()) {
+    chain.resize(1);
     LSTORE_RETURN_IF_ERROR(RedoLog::Replay(
-        path,
+        chain,
         [lsn, commit_time](const LogRecord& rec, uint64_t at) {
           if (at == lsn && rec.type == LogRecordType::kCommit) {
             *commit_time = rec.commit_time;
           }
         },
         nullptr));
-    if (*commit_time != 0) return Status::OK();
   }
+  if (*commit_time != 0) return Status::OK();
   return Status::NotFound("no commit record at LSN " + std::to_string(lsn));
 }
 
@@ -137,15 +100,11 @@ Status Database::RestoreToPoint(const std::string& dir,
   }
 
   // --- step 1: the horizon ------------------------------------------------
-  const std::vector<ArchiveSegment> segments =
-      ArchiveManager::ListRedoSegments(dir);
-  const std::string live = RedoLogPath(dir);
   RecoverySource src;
   src.dir = dir;
   src.horizon = point.commit_time;
   if (point.commit_lsn != 0) {
-    LSTORE_RETURN_IF_ERROR(
-        CommitTimeAt(segments, live, point.commit_lsn, &src.horizon));
+    LSTORE_RETURN_IF_ERROR(CommitTimeAt(dir, point.commit_lsn, &src.horizon));
   }
   const Timestamp T = src.horizon;
   if (T == 0) {
@@ -176,9 +135,8 @@ Status Database::RestoreToPoint(const std::string& dir,
   }
 
   // --- steps 3+4: the one recovery step over the stitched stream ----------
-  std::vector<std::string> stream;
-  LSTORE_RETURN_IF_ERROR(StitchSegments(
-      segments, src.manifest.log_watermark, live, &stream));
+  std::vector<FramedLog::Segment> stream;
+  LSTORE_RETURN_IF_ERROR(Chain(dir, src.manifest.log_watermark, &stream));
   src.stream = &stream;
   auto db = std::unique_ptr<Database>(new Database());
   LSTORE_RETURN_IF_ERROR(db->Recover(catalog, src));

@@ -19,7 +19,6 @@ namespace {
 
 constexpr char kManifestFile[] = "MANIFEST";
 constexpr char kCatalogFile[] = "CATALOG";
-constexpr char kRedoLogFile[] = "redo.log";
 
 /// Pack the restart-relevant TableConfig fields (the wiring fields,
 /// pool, store and registries, come from the Database at Open).
@@ -28,11 +27,9 @@ void PutConfig(std::string* p, const TableConfig& c) {
   PutVarint64(p, c.base_page_slots);
   PutVarint64(p, c.tail_page_slots);
   PutVarint64(p, c.merge_threshold);
-  PutVarint64(p, 1);  // retired merge fan-in: always 1
   PutVarint64(p, c.insert_range_size);
-  uint64_t flags = (c.cumulative_updates ? 1u : 0) |
-                   (c.compress_merged_pages ? 2u : 0) |
-                   (c.enable_merge_thread ? 4u : 0);
+  uint64_t flags =
+      (c.cumulative_updates ? 1u : 0) | (c.enable_merge_thread ? 2u : 0);
   PutVarint64(p, flags);
 }
 
@@ -46,13 +43,11 @@ bool GetConfig(std::string_view p, size_t* pos, TableConfig* c) {
   c->tail_page_slots = static_cast<uint32_t>(v);
   if (!GetU64(p, pos, &v)) return false;
   c->merge_threshold = static_cast<uint32_t>(v);
-  if (!GetU64(p, pos, &v)) return false;  // retired merge fan-in
   if (!GetU64(p, pos, &v)) return false;
   c->insert_range_size = static_cast<uint32_t>(v);
   if (!GetU64(p, pos, &flags)) return false;
   c->cumulative_updates = (flags & 1u) != 0;
-  c->compress_merged_pages = (flags & 2u) != 0;
-  c->enable_merge_thread = (flags & 4u) != 0;
+  c->enable_merge_thread = (flags & 2u) != 0;
   return true;
 }
 
@@ -64,10 +59,6 @@ bool GetConfig(std::string_view p, size_t* pos, TableConfig* c) {
 
 std::string ManifestPath(const std::string& dir) {
   return dir + "/" + kManifestFile;
-}
-
-std::string RedoLogPath(const std::string& dir) {
-  return dir + "/" + kRedoLogFile;
 }
 
 Status WriteManifest(const std::string& dir, const Manifest& m) {
@@ -229,7 +220,8 @@ CheckpointManager::CheckpointManager(Database* db, std::string dir,
           "Checkpoint capture phase: table files + store fsyncs (ns)")),
       truncate_ns_(db_->metrics_.GetHistogram(
           "lstore_checkpoint_truncate_ns",
-          "Checkpoint truncation phase: log seal + rewrite (ns)")) {
+          "Checkpoint truncation phase: closed log segments deleted or "
+          "archived (ns)")) {
   hb_ = db_->health_.Register("checkpointer");
 }
 
@@ -274,18 +266,17 @@ Status CheckpointManager::RunCheckpoint() {
   // capture might miss has a higher LSN and is replayed at recovery
   // (idempotently). A write applies its tail record before appending
   // the log record, so every record at or below the watermark is in
-  // the memory the capture reads. Then make the prefix durable (Flush
-  // syncs everything up to and beyond the watermark; extra records
-  // are harmless).
+  // the memory the capture reads. The roll closes the log's open
+  // segment at the watermark, durable, so the segments retired below
+  // hold exactly the LSNs up to it.
   RedoLog* log = db_->log_.get();
-  m.log_watermark = log->last_lsn();
+  status = log->Roll(&m.log_watermark);
   for (auto& [name, t] : tables) {
     ManifestEntry e;
     e.table_id = t->log_id_;
     e.file = "ckpt_" + std::to_string(id) + "_" + name + ".ckpt";
     m.entries.push_back(std::move(e));
   }
-  status = log->Flush(/*sync=*/true);
   if (!status.ok()) {
     db_->events_.Emit(EventSeverity::kError, "checkpointer", "checkpoint_end",
                       "\"id\":" + std::to_string(id) + ",\"ok\":false");
@@ -344,28 +335,30 @@ Status CheckpointManager::RunCheckpoint() {
     if (!as.ok() && status.ok()) status = as;
   }
 
-  // The manifest is durable: the log prefix below the watermark is
-  // dead weight now (Section 5.1.3's log truncation) — deleted, or,
-  // with archiving on, sealed into an LSN-range-named segment (durable
-  // before the truncated log publishes, so no crash point loses log
-  // bytes).
+  // The manifest is durable: the closed segments at or below the
+  // watermark are dead weight now (Section 5.1.3's log truncation),
+  // those an earlier checkpoint's crash left behind among them. Each
+  // leaves whole — deleted, or, with archiving on, renamed into the
+  // archive. A crash midway leaves some in place; a restart skips them
+  // and the next checkpoint retires them.
   Stage truncation(truncate_ns_, nullptr);
   if (opts_.truncate_log_after_checkpoint) {
-    FramedLog::SealSink sink;
-    if (archive != nullptr) {
-      sink = [archive](uint64_t lo, uint64_t hi, std::string_view bytes) {
-        return archive->SealRedoPrefix(lo, hi, bytes);
-      };
+    std::vector<FramedLog::Segment> retired;
+    Status ts = FramedLog::RetiredSegments(dir_, m.log_watermark, &retired);
+    for (const FramedLog::Segment& seg : retired) {
+      if (!ts.ok()) break;
+      if (archive != nullptr) {
+        ts = archive->ArchiveSegment(seg);
+      } else if (std::remove(seg.path.c_str()) != 0) {
+        ts = Status::IOError("cannot delete log segment: " + seg.path);
+      }
     }
-    Status ts = log->TruncateTo(m.log_watermark, sink);
     if (!ts.ok() && status.ok()) status = ts;
-  }
-  truncation.End();
-  if (opts_.truncate_log_after_checkpoint) {
     db_->events_.Emit(EventSeverity::kInfo, "checkpointer", "log_truncate",
                       "\"id\":" + std::to_string(id) + ",\"watermark\":" +
                           std::to_string(m.log_watermark));
   }
+  truncation.End();
   db_->metrics_
       .GetCounter("lstore_checkpoints_total", "Checkpoints published")
       ->Add(1);

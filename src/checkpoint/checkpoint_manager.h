@@ -3,15 +3,18 @@
 // checkpoint trigger (timers on the database's executor).
 //
 // A checkpoint of a database directory proceeds as:
-//   1. record the database log's last LSN as the one watermark and
-//      fsync the log — every record at or below it is already applied
-//      in memory, since a write appends its record after applying it,
+//   1. roll the database log (RedoLog::Roll): its last LSN becomes the
+//      one watermark, and the open segment closes there, durable —
+//      every record at or below it is already applied in memory, since
+//      a write appends its record after applying it,
 //   2. capture each table's state and write ckpt_<id>_<table>.ckpt
 //      files (fsynced, checksummed) — any record the capture misses
 //      has an LSN beyond the watermark and is replayed at recovery,
 //   3. atomically publish MANIFEST via temp file + rename,
-//   4. truncate the log to the watermark (a crash between 3 and 4
-//      merely leaves extra log records whose replay is idempotent),
+//   4. retire every closed segment at or below the watermark: delete
+//      it, or with archiving on rename it into the archive (a crash
+//      between 3 and 4, or midway through 4, leaves segments a restart
+//      skips and the next checkpoint retires),
 //   5. delete the previous checkpoint's files — a dropped table's
 //      among them.
 //
@@ -60,7 +63,8 @@ struct Manifest {
   /// before T, and the stitched log replay supplies the rest.
   Timestamp capture_time = 0;
   /// Redo LSNs at or below this are covered by every entry's file:
-  /// truncation drops them, and replay applies appends beyond it only.
+  /// truncation retires the segments holding only them, and replay
+  /// applies appends beyond it only.
   uint64_t log_watermark = 0;
   std::vector<ManifestEntry> entries;
 };
@@ -89,9 +93,6 @@ struct Catalog {
 /// home of the file name, shared by checkpointing, archiving, and
 /// restore.
 std::string ManifestPath(const std::string& dir);
-/// Path of the database's one redo log under `dir`, shared by
-/// recovery, checkpointing, and restore.
-std::string RedoLogPath(const std::string& dir);
 
 Status WriteManifest(const std::string& dir, const Manifest& m);
 Status ReadManifest(const std::string& dir, Manifest* m, bool* exists);

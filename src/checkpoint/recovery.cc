@@ -4,9 +4,10 @@
 // log, shared by all of its tables:
 //   1. load each table's latest checkpoint (lineage-consistent
 //      snapshot of base segments, tail pages, and the historic store),
-//   2. read the stream once: the live log opens (its one scan restores
-//      the LSN counter, cuts a torn or corrupt final record, and
-//      delivers every record), or a restore reads its stitched
+//   2. read the stream once: the live log opens (its one scan of the
+//      segments past the checkpoint's watermark restores the LSN
+//      counter, cuts a torn or corrupt final record, and delivers every
+//      record), or a restore reads its chain of archived and live
 //      segments. Each append beyond the checkpoint's LSN watermark goes
 //      to the table its catalog id names, with its raw Start Time, as
 //      it arrives; ids missing from the catalog belong to dropped
@@ -64,8 +65,7 @@ std::vector<ColumnId> Table::SecondaryColumns() const {
 }
 
 Status Table::ReplayLog(const LogTables& tables, uint64_t watermark,
-                        Timestamp horizon, RedoLog* live,
-                        const std::vector<std::string>& paths,
+                        Timestamp horizon, const LogReader& read,
                         CommitOutcomes* commits) {
   // Buffer-managed segments: replay reads through pinned page handles
   // (a table's merge tasks can evict cold pages through the shared
@@ -77,9 +77,9 @@ Status Table::ReplayLog(const LogTables& tables, uint64_t watermark,
   uint64_t delivered = 0;
   TailRecord scratch;
   auto apply = [&](const LogRecord& rec, uint64_t lsn) {
-    // Overlapping archive segments (a crash between seal and truncate
-    // re-seals a longer prefix) deliver some LSNs twice: each counts
-    // once, in LSN order.
+    // Segments chain without overlap, so each LSN arrives once and in
+    // order; the guard keeps any record delivered out of order (a
+    // stream that repeats an LSN) from applying twice.
     if (lsn <= delivered || !applied.ok()) return;
     delivered = lsn;
     switch (rec.type) {
@@ -103,16 +103,7 @@ Status Table::ReplayLog(const LogTables& tables, uint64_t watermark,
         break;
     }
   };
-  if (live != nullptr) {
-    LSTORE_RETURN_IF_ERROR(
-        live->Open(paths.front(), /*truncate=*/false, apply));
-  } else {
-    for (const std::string& path : paths) {
-      LSTORE_RETURN_IF_ERROR(RedoLog::Replay(path, apply, nullptr));
-    }
-  }
-  // Append nothing after a log that could not be replayed.
-  if (!applied.ok() && live != nullptr) live->Close();
+  LSTORE_RETURN_IF_ERROR(read(apply));
   return applied;
 }
 

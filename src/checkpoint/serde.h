@@ -63,8 +63,11 @@ inline constexpr uint32_t kCatalogMagic = 0x4754534c;     // "LSTG"
 /// (CompressedColumn::AppendTo). Version 3 gives each table a catalog
 /// id (CATALOG: ids and the next id; MANIFEST: one log watermark,
 /// entries by id) for the database's one redo log, whose append
-/// records name their table by it. Readers accept only this version.
-inline constexpr uint32_t kCheckpointFormatVersion = 3;
+/// records name their table by it. Version 4 keeps that log as segment
+/// files named by their first LSN (redo.<lo>.log, no truncation-point
+/// frame), and its catalog config drops the retired merge fan-in and
+/// compression switch. Readers accept only this version.
+inline constexpr uint32_t kCheckpointFormatVersion = 4;
 
 /// Frame-oriented writer into an open File, from offset 0, with a
 /// running whole-file checksum. The file header frame is written

@@ -46,10 +46,6 @@ struct TableConfig {
   /// Section 4.2). Disabling forces readers to walk the full chain.
   bool cumulative_updates = true;
 
-  /// Compress base pages produced by the merge (the smallest of
-  /// plain/RLE/frame of reference/dictionary, chosen per page).
-  bool compress_merged_pages = true;
-
   /// Size of an insert range: the pre-allocated block of base RIDs
   /// backed by table-level tail pages (Section 3.2; "at least a
   /// million RIDs" in production — smaller default here so tests
@@ -115,8 +111,9 @@ struct DurabilityOptions {
   uint64_t checkpoint_interval_ms = 0;
 
   /// Background checkpoint: a timer on the database's executor polls
-  /// the redo log's appended length and posts a checkpoint once it
-  /// exceeds this many bytes (0 = no size trigger).
+  /// the appended length of the redo log's open segment (a checkpoint
+  /// starts the next) and posts a checkpoint once it exceeds this many
+  /// bytes (0 = no size trigger).
   uint64_t checkpoint_log_bytes = 0;
 
   /// Byte budget of the database-wide buffer pool for read-optimized
@@ -131,13 +128,12 @@ struct DurabilityOptions {
   uint64_t buffer_pool_bytes = 0;
 
   /// Log archiving / point-in-time recovery (src/archive/): when
-  /// enabled, checkpoint truncation seals the retired prefix of the
-  /// database's redo log into checksummed, LSN-range-named segments
-  /// under <dir>/archive, and superseded checkpoints/manifests move
-  /// there instead of being deleted — so Database::RestoreToPoint can
-  /// rebuild the exact cross-table-consistent state at any archived
-  /// commit point. Off (default) =
-  /// truncation deletes the prefix, exactly the pre-archive behavior.
+  /// enabled, checkpoint truncation renames the redo log's retired
+  /// segments to LSN-range-named files under <dir>/archive, and
+  /// superseded checkpoints/manifests move there instead of being
+  /// deleted — so Database::RestoreToPoint can rebuild the exact
+  /// cross-table-consistent state at any archived commit point. Off
+  /// (default) = truncation deletes the retired segments.
   bool archive_enabled = false;
 
   /// Retention policy of the archive (each 0 = unbounded on that

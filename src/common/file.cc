@@ -212,4 +212,17 @@ bool FileExists(const std::string& path, uint64_t* size) {
   return true;
 }
 
+bool ParseDecimal(std::string_view digits, uint64_t* value) {
+  if (digits.empty()) return false;
+  uint64_t v = 0;
+  for (char c : digits) {
+    if (c < '0' || c > '9') return false;
+    const auto d = static_cast<uint64_t>(c - '0');
+    if (v > (UINT64_MAX - d) / 10) return false;
+    v = v * 10 + d;
+  }
+  *value = v;
+  return true;
+}
+
 }  // namespace lstore

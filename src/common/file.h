@@ -106,6 +106,12 @@ Status SyncDir(const std::string& dir);
 /// Whether `path` exists; `*size` (optional) receives its byte length.
 bool FileExists(const std::string& path, uint64_t* size = nullptr);
 
+/// Parse the number in a file name (a log segment's LSN, an archived
+/// manifest's id): one or more decimal digits whose value is at most
+/// UINT64_MAX. Anything else — a longer number included, which would
+/// otherwise wrap — is no number.
+bool ParseDecimal(std::string_view digits, uint64_t* value);
+
 }  // namespace lstore
 
 #endif  // LSTORE_COMMON_FILE_H_

@@ -180,12 +180,22 @@ Status Database::Recover(const Catalog& catalog, const RecoverySource& src) {
   CommitOutcomes commits;
   const uint64_t watermark = src.manifest.log_watermark;
   if (src.stream != nullptr) {
-    LSTORE_RETURN_IF_ERROR(Table::ReplayLog(tables, watermark, src.horizon,
-                                            nullptr, *src.stream, &commits));
+    LSTORE_RETURN_IF_ERROR(Table::ReplayLog(
+        tables, watermark, src.horizon,
+        [&src](const RedoLog::RecordFn& fn) {
+          return RedoLog::Replay(*src.stream, fn, nullptr);
+        },
+        &commits));
   } else {
-    LSTORE_RETURN_IF_ERROR(Table::ReplayLog(tables, watermark, src.horizon,
-                                            log_.get(), {RedoLogPath(dir_)},
-                                            &commits));
+    Status s = Table::ReplayLog(
+        tables, watermark, src.horizon,
+        [this, watermark](const RedoLog::RecordFn& fn) {
+          return log_->Open(dir_, watermark, fn);
+        },
+        &commits);
+    // Append nothing after a log that could not be replayed.
+    if (!s.ok()) log_->Close();
+    LSTORE_RETURN_IF_ERROR(s);
   }
   // Steps 3 and 4, table by table against the one outcome map.
   for (const CatalogEntry& ce : catalog.entries) {
@@ -354,20 +364,21 @@ Status Database::Open(const std::string& dir, const DurabilityOptions& opts,
     db->buffer_pool_->set_event_log(&db->events_);
   }
 
-  // Log archiving: the manager exists (and its directory is swept of
-  // stale temp files) before the first checkpoint can truncate.
+  // The catalog first: a directory in another format is refused here,
+  // before the archive directory is made or the log opened (and its
+  // tail possibly cut).
+  Catalog catalog;
+  bool catalog_exists = false;
+  LSTORE_RETURN_IF_ERROR(ReadCatalog(dir, &catalog, &catalog_exists));
+
+  // Log archiving: the manager exists before the first checkpoint can
+  // retire a log segment.
   if (opts.archive_enabled) {
     db->archive_ = std::make_unique<ArchiveManager>(dir, opts);
     db->archive_->set_metrics(&db->metrics_);
     db->archive_->set_event_log(&db->events_);
     LSTORE_RETURN_IF_ERROR(db->archive_->EnsureDir());
   }
-
-  // The catalog first: a directory in another format is refused here,
-  // before the log is opened (and its tail possibly cut).
-  Catalog catalog;
-  bool catalog_exists = false;
-  LSTORE_RETURN_IF_ERROR(ReadCatalog(dir, &catalog, &catalog_exists));
 
   // Restart recovers from the live manifest and the one redo log.
   RecoverySource src;

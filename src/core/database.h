@@ -5,12 +5,14 @@
 // through L-Store's transaction layer").
 //
 // A database opened on a directory is *durable* (Section 5.1.3): all
-// of its tables append to ONE redo log, <dir>/redo.log, each record
-// naming its table by a catalog id that is never reused. A commit or
-// abort record is one frame whatever the number of tables, so one
-// Sync makes any transaction durable, and Sync shares fsyncs among
-// concurrent committers (group commit). `Checkpoint()` writes
-// lineage-consistent snapshots and truncates the log to one watermark,
+// of its tables append to ONE redo log, the segments
+// <dir>/redo.<first LSN>.log, each record naming its table by a
+// catalog id that is never reused. A commit or abort record is one
+// frame whatever the number of tables, so one Sync makes any
+// transaction durable, and Sync shares fsyncs among concurrent
+// committers (group commit). `Checkpoint()` rolls the log to a new
+// segment at one watermark, writes lineage-consistent snapshots, and
+// retires the segments below the watermark,
 // and `Open()` performs full restart recovery (catalog -> checkpoints
 // -> one log scan -> outcome resolution -> index/Indirection rebuild).
 
@@ -101,8 +103,8 @@ class Database : public TxnContext {
   /// ALL of its writes, on every table, or none). The point is
   /// inclusive: commits with commit_time <= point are present. Fails
   /// with NotFound when the point precedes the archived history
-  /// (retention evicted it) and with Corruption when a sealed segment
-  /// is torn or a gap breaks the LSN stitch — never silently missing
+  /// (retention evicted it) and with Corruption when a segment before
+  /// the newest is torn or a gap breaks the chain — never silently missing
   /// data. Scope: the restore covers the tables in the CURRENT catalog
   /// — a dropped table's records are skipped, even under a name
   /// reused since, since catalog ids are never reused. `dir` must not
@@ -251,10 +253,10 @@ class Database : public TxnContext {
     std::string dir;  ///< directory holding the checkpoints and logs
     Manifest manifest;  ///< the checkpoint to start from (none: empty)
     Timestamp horizon = kMaxTimestamp;  ///< the restore point, if any
-    /// Restore: the redo stream past the manifest's watermark (sealed
-    /// segments, then the live log), read only. Null (restart): the
-    /// live log opens for appending.
-    const std::vector<std::string>* stream = nullptr;
+    /// Restore: the redo stream past the manifest's watermark (the
+    /// archived and live segments in one chain), read only. Null
+    /// (restart): the live log opens for appending.
+    const std::vector<FramedLog::Segment>* stream = nullptr;
   };
 
   /// The one recovery step: build and register every table of

@@ -37,9 +37,8 @@ std::vector<Value> CopySegment(const BaseSegment* old, uint32_t n) {
 BaseSegment* NewSegment(const RangeContext& ctx, uint32_t tps,
                         std::vector<Value> vals) {
   const auto slots = static_cast<uint32_t>(vals.size());
-  return new BaseSegment{tps, slots, ctx.make_page(CompressedColumn::Build(
-                                         std::move(vals),
-                                         ctx.config->compress_merged_pages))};
+  return new BaseSegment{
+      tps, slots, ctx.make_page(CompressedColumn::Build(std::move(vals)))};
 }
 
 }  // namespace

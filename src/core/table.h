@@ -349,12 +349,11 @@ class Table : public EngineCore<Range> {
   /// beyond `watermark` goes, as the scan delivers it, to the table its
   /// id names; ids missing from `tables` (dropped tables) are skipped.
   /// Every commit and abort record folds into `commits` (FoldOutcome,
-  /// up to `horizon`). With `live`, the log at paths[0] opens for
-  /// appending and its open-time scan is the replay; without, every
-  /// file of `paths` (a restore's stitched stream) is only read.
+  /// up to `horizon`). `read` delivers the stream: the live log's open,
+  /// whose scan is the replay, or a restore's read-only chain.
+  using LogReader = std::function<Status(const RedoLog::RecordFn&)>;
   static Status ReplayLog(const LogTables& tables, uint64_t watermark,
-                          Timestamp horizon, RedoLog* live,
-                          const std::vector<std::string>& paths,
+                          Timestamp horizon, const LogReader& read,
                           CommitOutcomes* commits);
   /// Apply one replayed append record (`scratch`: its tail record).
   Status ApplyLogged(const LogRecord& rec, TailRecord* scratch);

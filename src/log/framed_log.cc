@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <iterator>
+#include <filesystem>
 
 #include "common/checksum.h"
 #include "obs/health.h"
@@ -11,6 +11,13 @@
 #include "storage/compression/varint.h"
 
 namespace lstore {
+
+namespace {
+
+constexpr char kSegmentPrefix[] = "redo.";
+constexpr char kSegmentSuffix[] = ".log";
+
+}  // namespace
 
 FramedLogMetrics FramedLogMetrics::In(MetricsRegistry* registry,
                                       const std::string& prefix,
@@ -27,9 +34,6 @@ FramedLogMetrics FramedLogMetrics::In(MetricsRegistry* registry,
                                        label + " append latency (ns)");
   m.flush_ns = registry->GetHistogram(prefix + "_flush_ns",
                                       label + " flush latency (ns)");
-  m.truncate_read_bytes =
-      registry->GetCounter(prefix + "_truncate_read_bytes_total",
-                           label + " bytes read back by checkpoint truncation");
   m.sync_wait_ns = registry->GetHistogram(
       "lstore_commit_queue_wait_ns",
       "Group-commit wait before the log write covering a sync (ns)");
@@ -76,21 +80,11 @@ bool FramedLog::ParseFrame(std::string_view data, size_t* pos,
   return true;
 }
 
-std::string FramedLog::TruncationPointFrame(uint64_t base_lsn) {
-  std::string payload;
-  payload.push_back(static_cast<char>(kTruncationPointTag));
-  PutVarint64(&payload, base_lsn);
-  std::string frame;
-  AppendFrame(&frame, payload);
-  return frame;
-}
-
 void FramedLog::ScanFrames(std::string_view data, const Codec& codec,
                            const FrameFn& fn, ScanStats* stats,
                            uint64_t start_lsn) {
   size_t pos = 0;
   uint64_t lsn = start_lsn;
-  stats->base_lsn = start_lsn;
   stats->last_lsn = start_lsn;
   stats->clean_end = true;
   while (pos < data.size()) {
@@ -106,21 +100,6 @@ void FramedLog::ScanFrames(std::string_view data, const Codec& codec,
       stats->clean_end = false;  // torn or corrupt frame
       break;
     }
-    if (!payload.empty() &&
-        static_cast<uint8_t>(payload[0]) == kTruncationPointTag) {
-      size_t sub = 1;
-      uint64_t base = 0;
-      if (!GetVarint64(payload.data(), payload.size(), &sub, &base) ||
-          sub != payload.size()) {
-        stats->clean_end = false;
-        pos = frame_start;
-        break;
-      }
-      lsn = base;
-      stats->base_lsn = base;
-      stats->last_lsn = lsn;
-      continue;
-    }
     uint64_t count = 0;
     if (!codec(payload.data(), payload.size(), &count)) {  // malformed
       stats->clean_end = false;
@@ -135,79 +114,127 @@ void FramedLog::ScanFrames(std::string_view data, const Codec& codec,
 }
 
 Status FramedLog::ScanFile(const std::string& path, const Codec& codec,
-                           const FrameFn& fn, ScanStats* stats) {
+                           const FrameFn& fn, ScanStats* stats,
+                           uint64_t start_lsn) {
   std::string data;
   LSTORE_RETURN_IF_ERROR(ReadFile(path, &data));
   ScanStats local;
-  ScanFrames(data, codec, fn, stats != nullptr ? stats : &local);
+  ScanFrames(data, codec, fn, stats != nullptr ? stats : &local, start_lsn);
   return Status::OK();
 }
 
-uint64_t FramedLog::ReadBaseLsn(const std::string& path) {
-  File f;
-  uint64_t size = 0;
-  std::string head;
-  if (!f.Open(path, File::Mode::kRead).ok() || !f.Size(&size).ok() ||
-      !f.ReadAt(0, std::min<uint64_t>(size, 32), &head).ok()) {
-    return 0;
+Status FramedLog::ScanChain(const std::vector<Segment>& chain,
+                            const Codec& codec, const FrameFn& fn,
+                            ScanStats* stats) {
+  for (size_t i = 0; i < chain.size(); ++i) {
+    const Segment& seg = chain[i];
+    LSTORE_RETURN_IF_ERROR(ScanFile(seg.path, codec, fn, stats, seg.lo - 1));
+    if (i + 1 < chain.size() &&
+        (!stats->clean_end || stats->last_lsn != seg.hi ||
+         seg.hi + 1 != chain[i + 1].lo)) {
+      return Status::Corruption("log segment " + seg.path +
+                                " does not end where the next begins");
+    }
   }
-  size_t pos = 0;
-  uint64_t len;
-  if (!GetVarint64(head.data(), head.size(), &pos, &len) || len == 0 ||
-      len > head.size() - pos) {
-    return 0;
+  return Status::OK();
+}
+
+std::string FramedLog::SegmentPath(const std::string& dir, uint64_t lo) {
+  return dir + "/" + kSegmentPrefix + std::to_string(lo) + kSegmentSuffix;
+}
+
+Status FramedLog::ListSegments(const std::string& dir,
+                               std::vector<Segment>* out) {
+  out->clear();
+  constexpr size_t kPrefix = sizeof(kSegmentPrefix) - 1;
+  constexpr size_t kSuffix = sizeof(kSegmentSuffix) - 1;
+  std::error_code ec;
+  for (const auto& entry : std::filesystem::directory_iterator(dir, ec)) {
+    const std::string name = entry.path().filename().string();
+    Segment seg;
+    if (name.size() <= kPrefix + kSuffix ||
+        name.compare(0, kPrefix, kSegmentPrefix) != 0 ||
+        name.compare(name.size() - kSuffix, kSuffix, kSegmentSuffix) != 0 ||
+        !ParseDecimal(std::string_view(name).substr(
+                          kPrefix, name.size() - kPrefix - kSuffix),
+                      &seg.lo) ||
+        seg.lo == 0) {
+      continue;
+    }
+    seg.path = entry.path().string();
+    out->push_back(std::move(seg));
   }
-  if (static_cast<uint8_t>(head[pos]) != kTruncationPointTag) return 0;
-  size_t sub = pos + 1;
-  uint64_t base = 0;
-  if (!GetVarint64(head.data(), pos + len, &sub, &base)) return 0;
-  return base;
+  if (ec) return Status::IOError("cannot list log directory: " + dir);
+  Link(out);
+  return Status::OK();
+}
+
+void FramedLog::Link(std::vector<Segment>* segments) {
+  std::vector<Segment>& s = *segments;
+  std::sort(s.begin(), s.end(),
+            [](const Segment& a, const Segment& b) { return a.lo < b.lo; });
+  for (size_t i = 0; i < s.size(); ++i) {
+    s[i].hi = i + 1 < s.size() ? s[i + 1].lo - 1 : UINT64_MAX;
+  }
+}
+
+Status FramedLog::RetiredSegments(const std::string& dir, uint64_t watermark,
+                                  std::vector<Segment>* out) {
+  LSTORE_RETURN_IF_ERROR(ListSegments(dir, out));
+  out->erase(std::find_if(out->begin(), out->end(),
+                          [watermark](const Segment& s) {
+                            return s.hi > watermark;
+                          }),
+             out->end());
+  return Status::OK();
 }
 
 // ---------------------------------------------------------------------------
 // Appender
 // ---------------------------------------------------------------------------
 
-Status FramedLog::Open(const std::string& path, bool truncate,
+Status FramedLog::Open(const std::string& dir, uint64_t watermark,
                        const FrameFn& replay_fn) {
   Close();
-  path_ = path;
-  last_lsn_.store(0, std::memory_order_release);
+  std::vector<Segment> chain;
+  LSTORE_RETURN_IF_ERROR(ListSegments(dir, &chain));
+  chain.erase(chain.begin(),
+              std::find_if(chain.begin(), chain.end(),
+                           [watermark](const Segment& s) {
+                             return s.hi > watermark;
+                           }));
+  const bool fresh = chain.empty();
+  if (fresh) {
+    chain.push_back(
+        Segment{watermark + 1, UINT64_MAX, SegmentPath(dir, watermark + 1)});
+  } else if (chain.front().lo > watermark + 1) {
+    return Status::Corruption("log records after LSN " +
+                              std::to_string(watermark) + " are missing");
+  }
+  // Restore the LSN counter from the existing records and find the
+  // newest segment's torn tail: appending after garbage would hide the
+  // new records from every future replay. A read error fails the open:
+  // taken for end-of-file, it would make that repair cut acknowledged
+  // records off the log.
+  ScanStats stats;
+  stats.last_lsn = watermark;
+  if (!fresh) {
+    LSTORE_RETURN_IF_ERROR(ScanChain(chain, codec_, replay_fn, &stats));
+  }
+  dir_ = dir;
+  first_lsn_ = chain.back().lo;
+  last_lsn_.store(stats.last_lsn, std::memory_order_release);
   written_lsn_.store(0, std::memory_order_release);
   synced_lsn_.store(0, std::memory_order_release);
-  size_ = 0;
-  marks_.clear();
-  if (!truncate) {
-    // Restore the LSN counter and the truncation marks from the
-    // existing records and repair a torn tail: appending after garbage
-    // would hide the new records from every future replay. A read
-    // error fails the open: taken for end-of-file, it would make that
-    // repair cut acknowledged records off the log.
-    std::string data;
-    Status read = ReadFile(path, &data);
-    if (!read.ok() && !read.IsNotFound()) return read;
-    if (!data.empty()) {
-      ScanStats stats;
-      ScanFrames(
-          data, codec_,
-          [&](std::string_view payload, uint64_t first_lsn, uint64_t count,
-              size_t begin, size_t end) {
-            if (replay_fn) replay_fn(payload, first_lsn, count, begin, end);
-            size_ = end;
-            MaybeMarkLocked(first_lsn - 1 + count);
-          },
-          &stats);
-      size_ = stats.bytes_consumed;
-      last_lsn_.store(stats.last_lsn, std::memory_order_release);
-    }
-  }
+  size_ = stats.bytes_consumed;
   allocated_ = size_;
   bytes_.store(size_, std::memory_order_release);
-  LSTORE_RETURN_IF_ERROR(file_.Open(
-      path, truncate ? File::Mode::kCreateTruncate
-                     : File::Mode::kReadWriteCreate));
-  // Appends continue at size_: cut the torn or zero tail beyond it.
+  LSTORE_RETURN_IF_ERROR(
+      file_.Open(chain.back().path, File::Mode::kReadWriteCreate));
+  // Appends continue at size_: cut the torn or zero tail beyond it. A
+  // new segment's name must survive a crash before its first sync.
   Status s = file_.Truncate(size_);
+  if (s.ok() && fresh) s = SyncDir(dir);
   if (!s.ok()) file_.Close();
   return s;
 }
@@ -251,17 +278,11 @@ uint64_t FramedLog::Append(std::string_view payload, uint64_t lsn_count) {
     last_lsn_.store(last, std::memory_order_release);
     size_ += framed;
     bytes_.store(size_, std::memory_order_release);
-    MaybeMarkLocked(last);
     ++pending_appends_;
     pending_append_bytes_ += framed;
     if (pending_appends_ >= 64) PublishPendingLocked();
   }
   return last;
-}
-
-void FramedLog::MaybeMarkLocked(uint64_t lsn) {
-  uint64_t prev = marks_.empty() ? 0 : marks_.back().offset;
-  if (size_ - prev >= kMarkSpacing) marks_.push_back(Mark{size_, lsn});
 }
 
 void FramedLog::PublishPendingLocked() {
@@ -378,118 +399,37 @@ Status FramedLog::Sync(uint64_t lsn, bool fsync) {
   return s;
 }
 
-Status FramedLog::TruncateTo(uint64_t watermark_lsn, const SealSink& seal) {
-  std::lock_guard<std::mutex> tg(truncate_mu_);
-
-  // Phase 1 (mutex, O(pending appends)): make every appended frame
-  // file-resident, snapshot the frame-aligned log length, and pick
-  // where the scan starts: the last mark at or below the watermark
-  // (every frame before it is retired), or offset 0 when the retired
-  // bytes go to a seal sink.
-  uint64_t snap_size = 0;
-  Mark from{0, 0};
+Status FramedLog::Roll(uint64_t* watermark) {
+  std::lock_guard<SyncToken> token(token_);
+  uint64_t end = 0;
   {
     std::lock_guard<std::mutex> g(mu_);
+    PublishPendingLocked();
     LSTORE_RETURN_IF_ERROR(FlushBufferLocked());
-    snap_size = size_;
-    if (seal == nullptr) {
-      auto after = std::upper_bound(
-          marks_.begin(), marks_.end(), watermark_lsn,
-          [](uint64_t lsn, const Mark& m) { return lsn < m.lsn; });
-      if (after != marks_.begin()) from = *std::prev(after);
-    }
+    *watermark = last_lsn_.load(std::memory_order_relaxed);
+    end = size_;
   }
+  written_lsn_.store(*watermark, std::memory_order_release);
+  if (*watermark < first_lsn_) return Status::OK();  // nothing to close
+  // The token keeps every write-out off file_, so allocated_ and the
+  // old segment are this caller's until the swap. Should the trim
+  // fail, the zero tail reads as the segment's clean end.
+  if (allocated_ > end && file_.Truncate(end).ok()) allocated_ = end;
+  LSTORE_RETURN_IF_ERROR(file_.SyncData());
+  synced_lsn_.store(*watermark, std::memory_order_release);
 
-  // Phase 2 (NO mutex — appends proceed): scan [from, snapshot end),
-  // locate the byte offset of the first frame that must survive, and
-  // write the new head (truncation point + retained bytes) to a temp
-  // file. Frames appended after phase 1 are untouched: they live in
-  // the old file beyond snap_size and are copied in phase 3.
-  std::string data;
-  LSTORE_RETURN_IF_ERROR(
-      file_.ReadAt(from.offset, snap_size - from.offset, &data));
-  if (metrics_.truncate_read_bytes != nullptr) {
-    metrics_.truncate_read_bytes->Add(data.size());
-  }
-  ScanStats stats;
-  size_t cut = 0;
-  uint64_t base_lsn = 0;
-  bool found_cut = false;
-  uint64_t prefix_first_lsn = 0;  ///< first LSN scanned (the file's, if seal)
-  ScanFrames(
-      data, codec_,
-      [&](std::string_view, uint64_t first_lsn, uint64_t count, size_t begin,
-          size_t) {
-        if (count == 0) return;
-        if (prefix_first_lsn == 0) prefix_first_lsn = first_lsn;
-        if (!found_cut && first_lsn + count - 1 > watermark_lsn) {
-          // A batch frame straddling the watermark is kept whole; the
-          // LSN base backs up to renumber its first record correctly.
-          found_cut = true;
-          cut = begin;
-          base_lsn = first_lsn - 1;
-        }
-      },
-      &stats, from.lsn);
-  if (!found_cut) {
-    cut = stats.bytes_consumed;
-    base_lsn = stats.last_lsn;
-  }
-
-  // Archive the retired prefix before anything is dropped: the sink
-  // must have it durable before the truncated log below is published,
-  // so a crash anywhere in between loses nothing (the prefix exists in
-  // the archive, the live log, or both).
-  if (seal != nullptr && cut > 0 && prefix_first_lsn != 0 &&
-      prefix_first_lsn <= base_lsn) {
-    std::string sealed = TruncationPointFrame(prefix_first_lsn - 1);
-    sealed.append(data.data(), cut);
-    LSTORE_RETURN_IF_ERROR(seal(prefix_first_lsn, base_lsn, sealed));
-  }
-
-  // Publish head + retained bytes + live suffix as the new log. The
-  // fill writes head and retained bytes without the mutex (appends
-  // proceed), then takes it for good: phase 3 (O(appends since phase
-  // 1)) drains the buffer and copies the live suffix [snap_size, EOF),
-  // and the mutex stays held through the publish and the handle swap.
-  // Phase 3 takes the sync token first: no data sync may run on the
-  // handle it swaps.
-  std::string head = TruncationPointFrame(base_lsn);
-  std::unique_lock<SyncToken> token(token_, std::defer_lock);
-  std::unique_lock<std::mutex> lk(mu_, std::defer_lock);
+  const std::string next_path = SegmentPath(dir_, *watermark + 1);
   File next;
-  Status s = WriteFileAtomic(
-      path_,
-      [&](File& out) {
-        std::string_view kept = std::string_view(data).substr(cut);
-        LSTORE_RETURN_IF_ERROR(out.WriteAt(0, head));
-        LSTORE_RETURN_IF_ERROR(out.WriteAt(head.size(), kept));
-        token.lock();
-        lk.lock();
-        LSTORE_RETURN_IF_ERROR(FlushBufferLocked());
-        std::string suffix;
-        LSTORE_RETURN_IF_ERROR(
-            file_.ReadAt(snap_size, size_ - snap_size, &suffix));
-        if (metrics_.truncate_read_bytes != nullptr) {
-          metrics_.truncate_read_bytes->Add(suffix.size());
-        }
-        return out.WriteAt(head.size() + kept.size(), suffix);
-      },
-      &next);
-  // Not published: the old log stands. Published: the path names the
-  // new file even if the directory fsync failed, so the handle moves
-  // to it either way and that failure surfaces as the result.
-  if (!next.is_open()) return s;
-  // Rebase the marks: old offset `drop` is new offset head.size().
-  uint64_t drop = from.offset + cut;
-  marks_.erase(marks_.begin(),
-               std::find_if(marks_.begin(), marks_.end(),
-                            [drop](const Mark& m) { return m.offset > drop; }));
-  for (Mark& m : marks_) m.offset = m.offset - drop + head.size();
-  size_ = size_ - drop + head.size();
-  allocated_ = size_;  // the new file has no zero tail
-  bytes_.store(size_, std::memory_order_release);
+  LSTORE_RETURN_IF_ERROR(next.Open(next_path, File::Mode::kCreateTruncate));
+  // The next segment exists: the log continues there even if the
+  // directory sync fails, and that failure is the result.
+  Status s = SyncDir(dir_);
+  std::lock_guard<std::mutex> g(mu_);
   file_ = std::move(next);
+  first_lsn_ = *watermark + 1;
+  size_ = buffer_.size();
+  allocated_ = 0;
+  bytes_.store(size_, std::memory_order_release);
   return s;
 }
 

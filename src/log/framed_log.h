@@ -6,45 +6,37 @@
 // Frame format: [payload_len varint][payload][crc32c over payload].
 // A length of 0 is no frame: it marks the end of the log. Records
 // carry implicit LSNs, numbered 1, 2, ... in append order; a frame may
-// carry several LSNs (batch frames). A log whose prefix was
-// truncated starts with a truncation-point frame (payload tag 5 +
-// varint base) restoring the numbering, so LSNs are stable across
-// truncations and archival.
+// carry several LSNs (batch frames).
+//
+// A log is a chain of segment files in one directory,
+// <dir>/redo.<first LSN>.log, each continuing the one before: a
+// segment's name holds the LSN its first record gets, so LSNs are
+// stable however many segments before it are gone. Only the newest
+// segment is open for appending. Roll closes it at a watermark (a
+// checkpoint's) and starts the next; the closed segments then leave
+// whole — deleted, or renamed into the archive — and no log byte is
+// ever rewritten or read back.
 //
 // The core owns: buffered appends written at tracked offsets through
 // the file layer (common/file.h), resumed byte-exact after a short
-// write (ENOSPC); data syncs; group commit; open-time LSN restore +
-// torn-tail repair; the three-phase low-lock truncation; and the frame
-// scan that every reader shares. The log's own frame buffer is the
-// only buffer: each write-out is one positional write of it. What a
-// payload *means* is the wrapper's business: the core calls a Codec
-// to validate a record payload and learn how many LSNs it carries —
-// so RedoLog and the archive reader cannot diverge on framing,
-// torn-tail, or truncation behavior.
+// write (ENOSPC); data syncs; group commit; the roll; open-time LSN
+// restore + torn-tail repair; and the frame scan that every reader
+// shares. The log's own frame buffer is the only buffer: each
+// write-out is one positional write of it. What a payload *means* is
+// the wrapper's business: the core calls a Codec to validate a record
+// payload and learn how many LSNs it carries — so RedoLog and the
+// archive reader cannot diverge on framing or torn-tail behavior.
 //
-// An open log keeps its file pre-extended with zeros: a write-out that
-// would pass the file's end first writes zeros up to the kPreExtend
-// boundary above its frames plus kPreExtend more. Commits then
-// overwrite blocks that are already allocated, so their data sync
+// An open segment keeps its file pre-extended with zeros: a write-out
+// that would pass the file's end first writes zeros up to the
+// kPreExtend boundary above its frames plus kPreExtend more. Commits
+// then overwrite blocks that are already allocated, so their data sync
 // (File::SyncData) has no file length or block map to commit to the
 // file system journal. The scan reads the zero tail as the end of the
 // log (length 0), and a torn tail only where a non-zero byte follows.
-// Open cuts the zero tail with a torn one, TruncateTo publishes a file
-// without it, and Close trims it, so a closed log ends at its last
-// frame and its bytes are those of a log never pre-extended.
-//
-// Truncation reads back only what it keeps: the appender records a
-// sparse frame index of marks (a frame-aligned offset plus the LSN
-// reached there), one per kMarkSpacing appended bytes, seeded by
-// Open's scan. TruncateTo starts its scan at the last mark at or below
-// the watermark, so it reads the retained tail plus < kMarkSpacing
-// retired bytes, never the whole retired prefix.
-//
-// Truncation can archive instead of delete: TruncateTo accepts a
-// SealSink that receives the retired prefix as a self-describing
-// framed byte string (leading truncation point + the retired frames),
-// which is exactly the content of an archive segment — replayable by
-// the same scan as a live log.
+// Open cuts the zero tail with a torn one, and Roll and Close trim it,
+// so a closed segment ends at its last frame and its bytes are those
+// of a log never pre-extended.
 //
 // Group commit lives here too (Section 5.1.3: a commit is durable once
 // its records are on disk). Every write-out publishes the LSN it
@@ -56,9 +48,9 @@
 // its one sync. The sync is pipelined with appends: callers append
 // while it runs, wait for the token, and the next holder's one write
 // and sync covers all of them. Whoever swaps or closes the descriptor
-// (TruncateTo, Close) holds the token, so no data sync runs on a
-// closed file. Lock order: truncate_mu_, then the token, then mu_;
-// sync_mu_, which guards the token, is never held with another lock.
+// (Roll, Close) holds the token, so no data sync runs on a closed
+// file. Lock order: the token, then mu_; sync_mu_, which guards the
+// token, is never held with another lock.
 
 #ifndef LSTORE_LOG_FRAMED_LOG_H_
 #define LSTORE_LOG_FRAMED_LOG_H_
@@ -90,7 +82,6 @@ struct FramedLogMetrics {
   Counter* fsyncs = nullptr;        ///< commit-path data syncs
   Histogram* append_ns = nullptr;   ///< Append latency (lock + buffer)
   Histogram* flush_ns = nullptr;    ///< write (+ sync) latency
-  Counter* truncate_read_bytes = nullptr;  ///< bytes TruncateTo read back
   Histogram* sync_wait_ns = nullptr;  ///< Sync: wait before the covering write
   Histogram* batch_size = nullptr;    ///< Sync: callers one write released
   Counter* batches = nullptr;         ///< Sync: write-outs made
@@ -107,9 +98,8 @@ struct FramedLogMetrics {
 
 class FramedLog {
  public:
-  /// Outcome of scanning a framed file (replay, open repair, truncate).
+  /// Outcome of scanning a framed file (replay, open repair).
   struct ScanStats {
-    uint64_t base_lsn = 0;     ///< LSN numbering base (truncation point)
     uint64_t last_lsn = 0;     ///< LSN of the last well-formed record
     size_t bytes_consumed = 0; ///< file prefix covered by good frames
     bool clean_end = true;     ///< false: stopped at a torn/corrupt frame
@@ -118,8 +108,7 @@ class FramedLog {
   /// Validates one record payload and reports how many LSNs it
   /// carries (1 for plain records, N for batch frames). Returning
   /// false marks the frame malformed: the scan stops there and treats
-  /// the rest of the file as a torn tail. Truncation-point frames are
-  /// handled by the core and never reach the codec.
+  /// the rest of the file as a torn tail.
   using Codec =
       std::function<bool(const char* payload, size_t len, uint64_t* lsn_count)>;
 
@@ -129,20 +118,14 @@ class FramedLog {
                                      uint64_t first_lsn, uint64_t lsn_count,
                                      size_t begin, size_t end)>;
 
-  /// Archive sink for TruncateTo: receives the retired prefix covering
-  /// LSNs [lo, hi] as a self-describing framed byte string (leading
-  /// truncation point + retired frames). Must make the bytes durable
-  /// before returning OK; an error aborts the truncation, leaving the
-  /// log intact (retried at the next checkpoint).
-  using SealSink =
-      std::function<Status(uint64_t lo, uint64_t hi, std::string_view bytes)>;
-
-  /// Payload tag of a truncation-point frame (shared by every log).
-  static constexpr uint8_t kTruncationPointTag = 5;
-
-  /// Appended bytes between two truncation marks: a truncation reads
-  /// at most this much of the retired prefix, for 16 B of index each.
-  static constexpr uint64_t kMarkSpacing = 64 * 1024;
+  /// One segment file of a log: the LSNs [lo, hi] it carries.
+  struct Segment {
+    uint64_t lo = 0;  ///< LSN of its first record (named in its file name)
+    /// LSN of its last record: its successor's lo - 1 (UINT64_MAX for
+    /// the newest live segment, which is still open).
+    uint64_t hi = 0;
+    std::string path;
+  };
 
   /// Granule of the zero tail an open log keeps past its last frame.
   static constexpr uint64_t kPreExtend = 1024 * 1024;
@@ -153,19 +136,23 @@ class FramedLog {
   FramedLog(const FramedLog&) = delete;
   FramedLog& operator=(const FramedLog&) = delete;
 
-  /// Open for appending. An existing file is scanned to restore the
-  /// LSN counter; a torn tail (crash mid-write) and a zero tail are
-  /// truncated away so new appends are not hidden behind garbage. A
-  /// read error fails the open and leaves the file as it was.
+  /// Open the log in `dir` for appending. Segments wholly at or below
+  /// `watermark` (retired by a checkpoint, left by a crash before their
+  /// deletion) are skipped unread; the rest are scanned in order
+  /// (ScanChain) to restore the LSN counter, and the newest opens for
+  /// appending, a torn tail (crash mid-write) and its zero tail cut
+  /// away so new appends are not hidden behind garbage. A directory
+  /// with none starts segment redo.<watermark + 1>.log. A broken chain,
+  /// or one starting past watermark + 1, fails with Corruption, and a
+  /// read error with IOError, both before any file is changed.
   /// `replay_fn` (optional) receives every well-formed frame during
-  /// that same scan, so restart recovery reads the file once:
+  /// that same scan, so restart recovery reads the log once:
   /// RedoLog::Open delivers its records through it.
-  Status Open(const std::string& path, bool truncate,
+  Status Open(const std::string& dir, uint64_t watermark = 0,
               const FrameFn& replay_fn = nullptr);
-  /// Flush and close; the file is trimmed to its last written frame.
+  /// Flush and close; the open segment is trimmed to its last frame.
   void Close();
   bool is_open() const { return file_.is_open(); }
-  const std::string& path() const { return path_; }
 
   /// Append one framed payload carrying `lsn_count` LSNs (buffered).
   /// Returns the last LSN it received (0 when lsn_count == 0).
@@ -192,30 +179,33 @@ class FramedLog {
     return last_lsn_.load(std::memory_order_acquire);
   }
 
-  /// The log's length in frame bytes, buffered ones included: its
-  /// content, where the open file's size runs ahead by the zero tail.
+  /// The open segment's length in frame bytes, buffered ones included:
+  /// its content, where the file's size runs ahead by the zero tail.
   uint64_t bytes() const { return bytes_.load(std::memory_order_acquire); }
 
   /// Wire registry metrics (obs/metrics.h). Must be called before the
   /// log sees concurrent use (handles are read without a lock).
   void set_metrics(const FramedLogMetrics& m) { metrics_ = m; }
 
-  /// Drop every record with LSN <= watermark: the retained tail is
-  /// republished behind a truncation-point record with WriteFileAtomic
-  /// (a read or write error leaves the log as it was). The scan for the
-  /// cut starts at the last mark at or below the watermark, so it reads
-  /// the retained tail plus < kMarkSpacing retired bytes. That scan and the write of the
-  /// retained tail run WITHOUT the log mutex, so concurrent appends are
-  /// stalled only for the O(appends-since-scan) handle swap. A batch
-  /// frame straddling the watermark is retained whole; the truncation
-  /// point's LSN base backs up accordingly so numbering stays stable.
-  ///
-  /// With a `seal` sink, the scan reads the whole prefix (the sink
-  /// needs its bytes), which is handed over (durably) BEFORE the
-  /// truncated log is published — archival turns the deletion into a
-  /// move, and a crash between the two leaves at worst an overlapping
-  /// segment that the next seal supersedes.
-  Status TruncateTo(uint64_t watermark_lsn, const SealSink& seal = nullptr);
+  /// Close the open segment at the log's last LSN, returned as
+  /// `*watermark`, and start the next one, redo.<watermark + 1>.log.
+  /// Holding the sync token, so no write-out or data sync touches
+  /// either file meanwhile (appends keep filling the buffer): write the
+  /// buffer to the open segment and take the watermark (under mu_),
+  /// trim its zero tail and sync its data, create the next segment and
+  /// sync the directory, then swap the handle and publish the watermark
+  /// as written and synced. The old segment is durable before any byte
+  /// reaches the new one, so a crash never leaves a gap in front of a
+  /// later segment. A roll with nothing appended since the open
+  /// segment began creates no file. An error before the next segment
+  /// exists leaves the log appending to the old one; a failed directory
+  /// sync after it still swaps, and is returned.
+  Status Roll(uint64_t* watermark);
+
+  /// The closed segments of the log in `dir` whose records all lie at
+  /// or below `watermark`: what a checkpoint at that watermark retires.
+  static Status RetiredSegments(const std::string& dir, uint64_t watermark,
+                                std::vector<Segment>* out);
 
   // --- static framing helpers ----------------------------------------------
 
@@ -232,25 +222,41 @@ class FramedLog {
   static bool ParseFrame(std::string_view data, size_t* pos,
                          std::string_view* payload);
 
-  /// A complete truncation-point frame restoring `base_lsn`.
-  static std::string TruncationPointFrame(uint64_t base_lsn);
-
   /// Scan `data`, invoking `fn` per good record frame; stops at a
   /// length-0 frame (clean only if every byte from there on is zero)
   /// or at the first torn or corrupt frame. The single source of truth
   /// for frame parsing. `start_lsn` is the LSN reached before `data`
-  /// (non-zero when the scan starts mid-log, at a mark).
+  /// (a segment's lo - 1).
   static void ScanFrames(std::string_view data, const Codec& codec,
                          const FrameFn& fn, ScanStats* stats,
                          uint64_t start_lsn = 0);
 
-  /// Scan a whole file (missing file = NotFound, read error = IOError).
+  /// Scan a whole file whose first record gets LSN start_lsn + 1
+  /// (missing file = NotFound, read error = IOError).
   static Status ScanFile(const std::string& path, const Codec& codec,
-                         const FrameFn& fn, ScanStats* stats);
+                         const FrameFn& fn, ScanStats* stats,
+                         uint64_t start_lsn = 0);
 
-  /// LSN base of the file's leading truncation-point frame (0 when
-  /// the file is missing, empty, or starts with a record frame).
-  static uint64_t ReadBaseLsn(const std::string& path);
+  /// Scan `chain` — segments ascending by lo — as one stream. Every
+  /// segment but the last must end clean at its hi, and the next must
+  /// begin at hi + 1: Corruption otherwise. `*stats` receives the last
+  /// segment's scan (which may end torn). Read only.
+  static Status ScanChain(const std::vector<Segment>& chain,
+                          const Codec& codec, const FrameFn& fn,
+                          ScanStats* stats);
+
+  /// The path of the segment of the log in `dir` whose first LSN is
+  /// `lo`, and the log's segments, ascending (IOError when `dir` cannot
+  /// be listed). Each one's hi is its successor's lo - 1; the newest's
+  /// is UINT64_MAX.
+  static std::string SegmentPath(const std::string& dir, uint64_t lo);
+  static Status ListSegments(const std::string& dir,
+                             std::vector<Segment>* out);
+
+  /// Order `segments` by lo and set each one's hi to its successor's
+  /// lo - 1 (UINT64_MAX for the last): what each must carry for them to
+  /// chain (ScanChain checks it).
+  static void Link(std::vector<Segment>* segments);
 
  private:
   /// Write `buffer_` at its file offset, size_ - buffer_.size(), first
@@ -265,11 +271,6 @@ class FramedLog {
   /// traffic of its own.
   void PublishPendingLocked();
 
-  /// Mark the frame boundary at `size_`, where the log has reached
-  /// `lsn`, once kMarkSpacing bytes were appended since the last mark
-  /// (caller holds mu_, or has the log to itself, as Open does).
-  void MaybeMarkLocked(uint64_t lsn);
-
   /// The sync token as a lockable, for whoever must keep data syncs
   /// off file_: lock() waits out a holder's write and sync.
   struct SyncToken {
@@ -278,25 +279,15 @@ class FramedLog {
     void unlock();
   };
 
-  /// A frame-aligned log offset and the last LSN before it.
-  struct Mark {
-    uint64_t offset;
-    uint64_t lsn;
-  };
-
   Codec codec_;
   File file_;
-  std::string path_;
+  std::string dir_;
+  uint64_t first_lsn_ = 0;     ///< the open segment's lo (token holder)
   std::mutex mu_;
-  /// Serializes whole truncations against each other (mu_ still
-  /// protects every write through file_ and every buffer_ touch).
-  /// Ordering: truncate_mu_ before the sync token before mu_.
-  std::mutex truncate_mu_;
   std::string buffer_;
   uint64_t size_ = 0;          ///< under mu_: written frames + buffer_
-  uint64_t allocated_ = 0;     ///< under mu_: file length, zero tail included
+  uint64_t allocated_ = 0;     ///< token holder: file length, zero tail too
   std::atomic<uint64_t> bytes_{0};  ///< size_, set under mu_ for bytes()
-  std::vector<Mark> marks_;    ///< under mu_: ascending, all <= size_
   std::atomic<uint64_t> last_lsn_{0};
   std::atomic<uint64_t> written_lsn_{0};  ///< every LSN <= it is in the OS
   std::atomic<uint64_t> synced_lsn_{0};   ///< every LSN <= it is durable

@@ -18,10 +18,6 @@ bool DecodeRecord(const char* data, size_t size, size_t* pos,
   rec->type = static_cast<LogRecordType>(data[(*pos)++]);
   uint64_t v;
   if (!GetVarint64(data, size, pos, &v)) return false;
-  if (rec->type == LogRecordType::kTruncationPoint) {
-    rec->base_lsn = v;
-    return true;
-  }
   switch (rec->type) {
     case LogRecordType::kCommit:
       rec->txn_id = v;
@@ -127,10 +123,7 @@ bool WalkPayload(const char* data, size_t len, uint64_t* lsn_count, Fn fn) {
       lsns += rows;
       continue;
     }
-    if ((batch && type == LogRecordType::kTruncationPoint) ||
-        !DecodeRecord(data, len, &pos, &rec)) {
-      return false;
-    }
+    if (!DecodeRecord(data, len, &pos, &rec)) return false;
     if constexpr (kDeliver) fn(rec, lsns);
     ++lsns;
   } while (batch && pos < len);
@@ -155,9 +148,9 @@ FramedLog::FrameFn Deliver(const RedoLog::RecordFn& fn) {
 
 }  // namespace
 
-Status RedoLog::Open(const std::string& path, bool truncate,
+Status RedoLog::Open(const std::string& dir, uint64_t watermark,
                      const RecordFn& replay_fn) {
-  return framed_.Open(path, truncate, Deliver(replay_fn));
+  return framed_.Open(dir, watermark, Deliver(replay_fn));
 }
 
 void RedoLog::EncodePayload(const LogRecord& rec, std::string* out) {
@@ -171,10 +164,6 @@ void RedoLog::EncodePayload(const LogRecord& rec, std::string* out) {
     return;
   }
   out->push_back(static_cast<char>(rec.type));
-  if (rec.type == LogRecordType::kTruncationPoint) {
-    PutVarint64(out, rec.base_lsn);
-    return;
-  }
   PutVarint64(out, rec.txn_id);
   // kAbort carries nothing more; batches are framed by AppendBatch.
   if (rec.type == LogRecordType::kCommit) PutVarint64(out, rec.commit_time);
@@ -238,18 +227,27 @@ uint64_t RedoLog::AppendBatch(const std::vector<LogRecord>& recs) {
   return AppendBatch(batch);
 }
 
-Status RedoLog::Replay(const std::string& path, const RecordFn& fn,
-                       ReplayStats* stats) {
-  Status s = FramedLog::ScanFile(path, &RedoLog::ValidatePayload,
-                                 Deliver(fn), stats);
-  if (!s.ok()) return Status::IOError("cannot open log for replay");
-  return Status::OK();
+Status RedoLog::Replay(const std::vector<FramedLog::Segment>& chain,
+                       const RecordFn& fn, ReplayStats* stats) {
+  ReplayStats local;
+  Status s =
+      FramedLog::ScanChain(chain, &RedoLog::ValidatePayload, Deliver(fn),
+                           stats != nullptr ? stats : &local);
+  if (s.IsNotFound()) return Status::IOError("cannot open log for replay");
+  return s;
 }
 
-Status RedoLog::Replay(const std::string& path,
+Status RedoLog::Replay(const std::string& dir, const RecordFn& fn,
+                       ReplayStats* stats) {
+  std::vector<FramedLog::Segment> chain;
+  LSTORE_RETURN_IF_ERROR(FramedLog::ListSegments(dir, &chain));
+  return Replay(chain, fn, stats);
+}
+
+Status RedoLog::Replay(const std::string& dir,
                        const std::function<void(const LogRecord&)>& fn) {
   return Replay(
-      path, [&fn](const LogRecord& rec, uint64_t) { fn(rec); }, nullptr);
+      dir, [&fn](const LogRecord& rec, uint64_t) { fn(rec); }, nullptr);
 }
 
 }  // namespace lstore

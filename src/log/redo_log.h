@@ -1,5 +1,6 @@
 // Redo-only write-ahead log for tail pages: one per durable Database
-// (<dir>/redo.log), shared by all of its tables.
+// (the segments <dir>/redo.<first LSN>.log), shared by all of its
+// tables.
 //
 // Section 5.1.3: base pages are read-only (no logging); tail pages are
 // append-only and never updated in place, so only *redo* records are
@@ -23,13 +24,13 @@
 // and replay expands the run into per-row kInsertAppend records, so
 // watermarks, truncation and recovery see one record per row.
 //
-// Record framing, LSN numbering, torn-tail repair, and truncation are
-// the shared framed-log core's (log/framed_log.h): this class is a
-// thin wrapper that owns only the redo payload codec — what the bytes
-// of a record MEAN. Records are numbered 1, 2, ... in append order; a
-// truncated log starts with a truncation-point record whose base_lsn
-// restores the numbering, so LSNs are stable across truncations and a
-// checkpoint manifest can reference its watermark by LSN alone.
+// Record framing, LSN numbering, segments, torn-tail repair, and the
+// roll are the shared framed-log core's (log/framed_log.h): this class
+// is a thin wrapper that owns only the redo payload codec — what the
+// bytes of a record MEAN. Records are numbered 1, 2, ... in append
+// order, and each segment's name holds its first LSN, so LSNs are
+// stable as segments retire and a checkpoint manifest can reference
+// its watermark by LSN alone.
 
 #ifndef LSTORE_LOG_REDO_LOG_H_
 #define LSTORE_LOG_REDO_LOG_H_
@@ -55,7 +56,6 @@ enum class LogRecordType : uint8_t {
   kInsertAppend = 2,
   kCommit = 3,
   kAbort = 4,
-  kTruncationPoint = 5, ///< head of a truncated log; carries the LSN base
   kBatch = 6,        ///< one frame holding N records back to back
   /// Consecutive rows one transaction inserted into one range; one LSN
   /// per row. Written by Batch::AddInsertRun only.
@@ -80,7 +80,6 @@ struct LogRecord {
   uint64_t start_raw = 0;
   ColumnMask mask = 0;              // materialized data columns
   std::vector<Value> values;        // one per set bit of mask, low→high
-  uint64_t base_lsn = 0;            // kTruncationPoint only
 };
 
 /// Append-only log writer with group commit: appends accumulate in a
@@ -111,12 +110,14 @@ class RedoLog {
   /// its LSN.
   using RecordFn = std::function<void(const LogRecord&, uint64_t lsn)>;
 
-  /// Open for appending. An existing file is scanned to restore the
-  /// LSN counter; a torn tail (crash mid-write) is truncated away so
-  /// new appends are not hidden behind garbage. `replay_fn` (optional)
-  /// receives every well-formed record during that same scan, so
-  /// restart recovery reads the live log once (Database::Recover).
-  Status Open(const std::string& path, bool truncate,
+  /// Open the log in `dir` for appending (FramedLog::Open): segments
+  /// wholly at or below `watermark` are skipped, the rest scanned to
+  /// restore the LSN counter, and a torn tail (crash mid-write) is cut
+  /// so new appends are not hidden behind garbage. `replay_fn`
+  /// (optional) receives every well-formed record during that same
+  /// scan, so restart recovery reads the live log once
+  /// (Database::Recover).
+  Status Open(const std::string& dir, uint64_t watermark = 0,
               const RecordFn& replay_fn = nullptr);
   void Close() { framed_.Close(); }
   bool is_open() const { return framed_.is_open(); }
@@ -202,8 +203,8 @@ class RedoLog {
 
   /// LSN of the most recently appended record (0 = empty log).
   uint64_t last_lsn() const { return framed_.last_lsn(); }
-  /// Bytes appended (FramedLog::bytes): the log's length without the
-  /// zero tail its open file keeps.
+  /// The open segment's length (FramedLog::bytes), without the zero
+  /// tail its file keeps.
   uint64_t bytes() const { return framed_.bytes(); }
 
   /// Flush buffered records to the OS; sync its data (File::SyncData) when
@@ -228,25 +229,25 @@ class RedoLog {
     framed_.set_group_commit(busy);
   }
 
-  /// Drop every record with LSN <= watermark (checkpoint truncation,
-  /// Section 5.1.3) via the framed core's three-phase low-lock
-  /// rewrite. With a `seal` sink (log archiving), the retired prefix
-  /// is handed over durably before the truncated log is published.
-  Status TruncateTo(uint64_t watermark_lsn,
-                    const FramedLog::SealSink& seal = nullptr) {
-    return framed_.TruncateTo(watermark_lsn, seal);
-  }
+  /// Close the open segment at the log's last LSN (the checkpoint
+  /// watermark, Section 5.1.3) and continue in the next
+  /// (FramedLog::Roll): the closed segments can then retire whole.
+  Status Roll(uint64_t* watermark) { return framed_.Roll(watermark); }
 
-  /// Replay every well-formed record, read only: stops cleanly at the
-  /// first torn or corrupt frame (crash tail) and leaves the file as
-  /// it is. Reads sealed archive segments (point-in-time restore) and
-  /// serves tests; a log a table appends to replays through Open. The
-  /// extended overload reports each record's LSN and fills `stats`
+  /// Replay every well-formed record of a segment chain, read only
+  /// (FramedLog::ScanChain): a break between segments is Corruption,
+  /// and the last one stops cleanly at its first torn or corrupt frame
+  /// (crash tail), leaving every file as it is. Reads a restore's
+  /// archived and live segments; the directory overloads read the
+  /// live log of `dir` (tests), which a database replays through Open.
+  /// The extended overloads report each record's LSN and fill `stats`
   /// (recovered-up-to LSN, torn-tail flag).
-  static Status Replay(const std::string& path,
-                       const std::function<void(const LogRecord&)>& fn);
-  static Status Replay(const std::string& path, const RecordFn& fn,
+  static Status Replay(const std::vector<FramedLog::Segment>& chain,
+                       const RecordFn& fn, ReplayStats* stats);
+  static Status Replay(const std::string& dir, const RecordFn& fn,
                        ReplayStats* stats);
+  static Status Replay(const std::string& dir,
+                       const std::function<void(const LogRecord&)>& fn);
 
   /// Serialize / deserialize one single-row payload (any type but
   /// kBatch and kInsertRun; exposed for tests).
@@ -254,8 +255,7 @@ class RedoLog {
   static bool DecodePayload(const char* data, size_t size, LogRecord* rec);
 
   /// The framed-log codec for redo payloads: full validation (batch
-  /// records and run values included) + LSN count. Exposed so the
-  /// archive stitcher can scan sealed redo segments.
+  /// records and run values included) + LSN count.
   static bool ValidatePayload(const char* payload, size_t len,
                               uint64_t* lsn_count);
 

@@ -44,10 +44,10 @@ size_t DictionaryBytes(size_t n, size_t distinct) {
 }  // namespace
 
 std::unique_ptr<CompressedColumn> CompressedColumn::Build(
-    std::vector<Value> values, bool try_compress) {
+    std::vector<Value> values) {
   auto col = std::unique_ptr<CompressedColumn>(new CompressedColumn());
   col->size_ = values.size();
-  if (!try_compress || values.empty()) {
+  if (values.empty()) {
     col->plain_ = std::move(values);
     return col;
   }

@@ -74,10 +74,9 @@ class CompressedColumn {
   static constexpr size_t kHeaderBytes = sizeof(Header);
   static_assert(kHeaderBytes == 16);
 
-  /// Build the read-optimized form of `values`. When `try_compress` is
-  /// false (or no codec is smaller), the plain layout is kept.
-  static std::unique_ptr<CompressedColumn> Build(std::vector<Value> values,
-                                                 bool try_compress);
+  /// Build the read-optimized form of `values`: the smallest of the
+  /// plain layout and every codec.
+  static std::unique_ptr<CompressedColumn> Build(std::vector<Value> values);
 
   /// Append the serialized form to `out`.
   void AppendTo(std::string* out) const;

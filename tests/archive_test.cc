@@ -4,12 +4,14 @@
 // cross-table workload that records, after EVERY commit, the point's
 // timestamp and the full expected state of both tables. Each recorded
 // point is then restored with Database::RestoreToPoint and compared
-// exactly — across multiple checkpoint/truncation cycles, merges, and
-// crash-shaped archive states. Fault injection covers torn archive
-// segments (clean Corruption, never silent loss), stale seal temps,
-// crash-between-seal-and-truncate overlaps, and retention eviction
-// (points behind the floor fail cleanly; everything at or after the
-// floor stays exactly restorable).
+// exactly — across multiple checkpoint cycles (each rolls the log and
+// renames its closed segments into the archive), merges, and
+// crash-shaped states. Fault injection covers torn archive segments
+// (clean Corruption, never silent loss), the crash states around a
+// checkpoint's roll and segment moves, a failed move, stray files whose
+// names only look like segments, and retention eviction (points behind
+// the floor fail cleanly; everything at or after the floor stays
+// exactly restorable).
 
 #include <gtest/gtest.h>
 
@@ -403,80 +405,140 @@ TEST_F(ArchiveTest, TornArchiveSegmentRejectedNeverSilentlyWrong) {
   VerifyPoint(oracle.points.back(), oracle);
 }
 
-TEST_F(ArchiveTest, StaleSealTempSweptAtOpen) {
-  {
-    std::unique_ptr<Database> db;
-    OpenWithTables(ArchiveOpts(), &db);
-  }
-  std::string stale = ArchiveManager::ArchiveDirOf(dir_) + "/redo.1-9.arc.tmp";
-  {
-    std::ofstream out(stale, std::ios::binary);
-    out << "torn seal";
-  }
-  {
-    std::unique_ptr<Database> db;
-    OpenWithTables(ArchiveOpts(), &db);
-  }
-  EXPECT_FALSE(fs::exists(stale));
-}
-
-TEST_F(ArchiveTest, CrashBetweenSealAndTruncateReplaysIdempotently) {
-  // Simulate the crash window where archive segments (and the
-  // manifest copy) are durable but the live logs were never
-  // truncated: snapshot the directory BEFORE a checkpoint, take the
-  // checkpoint on the live tree, then overlay only the archive
-  // artifacts onto the snapshot. The snapshot now holds sealed
-  // prefixes AND full live logs — the overlap crash state.
-  const std::string crash_dir = dir_ + "_crash";
-  Oracle oracle;
-  for (uint32_t seed = 40; seed < 43; ++seed) {
+// The on-disk states a crash during an archiving checkpoint can leave,
+// built by copying files from a database whose checkpoints keep their
+// closed segments live (truncation off; manifests are still archived):
+//   kRolled        the next segment created and empty, its manifest not
+//                  yet published;
+//   kNoneArchived  the manifest published, every retired segment still
+//                  live;
+//   kHalfArchived  the manifest published, every other retired segment
+//                  renamed into the archive.
+// In each, RestoreToPoint answers every point alike, read only; the
+// reopen (truncation on) reads every acknowledged commit; its next
+// checkpoint archives every retired segment under the bytes it had
+// live, leaving one live segment; and every point still restores.
+TEST_F(ArchiveTest, CrashStatesAroundArchivingCheckpointRestoreAlike) {
+  enum class State { kRolled, kNoneArchived, kHalfArchived };
+  std::string crash_dir = dir_ + "_crash";
+  for (State state :
+       {State::kRolled, State::kNoneArchived, State::kHalfArchived}) {
+    SCOPED_TRACE(static_cast<int>(state));
     fs::remove_all(dir_);
     fs::remove_all(crash_dir);
-    oracle = Oracle{};
+    Oracle oracle;
+    DurabilityOptions keep = ArchiveOpts();
+    keep.truncate_log_after_checkpoint = false;
+    uint64_t last_lsn = 0;
     {
       std::unique_ptr<Database> db;
-      OpenWithTables(ArchiveOpts(), &db);
-      std::mt19937 rng(seed);
-      RunSchedule(db.get(), &oracle, 10 + static_cast<int>(rng() % 12),
-                  /*ckpt_every=*/9, seed);
-      db->GetTable("A")->FlushAll();
-      // Pre-checkpoint snapshot = the state a crash rolls back to.
-      fs::copy(dir_, crash_dir, fs::copy_options::recursive);
-      ASSERT_TRUE(db->Checkpoint().ok());
-      // Overlay a random subset of the sealed artifacts (a crash can
-      // land between any two seals).
-      fs::create_directories(crash_dir + "/archive");
-      for (const auto& entry :
-           fs::directory_iterator(ArchiveManager::ArchiveDirOf(dir_))) {
-        if (rng() % 2 == 0) continue;
-        fs::copy(entry.path(),
-                 crash_dir + "/archive/" + entry.path().filename().string(),
-                 fs::copy_options::overwrite_existing);
+      OpenWithTables(keep, &db);
+      RunSchedule(db.get(), &oracle, 36, /*ckpt_every=*/9,
+                  /*seed=*/40 + static_cast<uint32_t>(state));
+      RunSchedule(db.get(), &oracle, 4, 0, /*seed=*/50);
+      last_lsn = db->redo_log()->last_lsn();
+    }
+    fs::copy(dir_, crash_dir, fs::copy_options::recursive);
+    std::vector<FramedLog::Segment> live;
+    ASSERT_TRUE(FramedLog::ListSegments(crash_dir, &live).ok());
+    ASSERT_EQ(live.size(), 5u);
+    // Every closed segment's bytes, by first LSN.
+    std::map<uint64_t, std::string> closed;
+    for (const FramedLog::Segment& seg : live) {
+      if (seg.hi == UINT64_MAX) continue;
+      std::ifstream in(seg.path, std::ios::binary);
+      closed[seg.lo].assign(std::istreambuf_iterator<char>(in), {});
+    }
+    if (state == State::kRolled) {
+      std::ofstream(FramedLog::SegmentPath(crash_dir, last_lsn + 1));
+    } else if (state == State::kHalfArchived) {
+      for (size_t i = 0; i + 1 < live.size(); i += 2) {
+        fs::rename(live[i].path, crash_dir + "/archive/redo." +
+                                     std::to_string(live[i].lo) + "-" +
+                                     std::to_string(live[i].hi) + ".arc");
       }
     }
-    size_t pre_crash_points = oracle.points.size();
-    {
-      // Reopen the crash image: recovery must converge, later
-      // checkpoints must re-seal (superseding the overlap), and the
-      // whole pre-crash history stays restorable.
-      std::unique_ptr<Database> db;
-      ASSERT_TRUE(Database::Open(crash_dir, ArchiveOpts(), &db).ok());
-      Table* a = db->GetTable("A");
-      ASSERT_NE(a, nullptr);
-      EXPECT_EQ(Snapshot(a, oracle.keys_a,
-                         oracle.points.back().t + 1),
-                oracle.points.back().a);
-      Oracle more = oracle;
-      RunSchedule(db.get(), &more, 12, 6, seed + 1000);
-      oracle = std::move(more);
-    }
-    std::swap(dir_, const_cast<std::string&>(crash_dir));
-    for (size_t i = 0; i < pre_crash_points; i += 2) {
+
+    std::swap(dir_, crash_dir);  // the fixture reads dir_
+    for (size_t i = 0; i < oracle.points.size(); i += 3) {
       VerifyPoint(oracle.points[i], oracle);
     }
     VerifyPoint(oracle.points.back(), oracle);
-    std::swap(dir_, const_cast<std::string&>(crash_dir));
+    {
+      std::unique_ptr<Database> db;
+      ASSERT_TRUE(Database::Open(dir_, ArchiveOpts(), &db).ok());
+      const OraclePoint& acked = oracle.points.back();
+      EXPECT_EQ(Snapshot(db->GetTable("A"), oracle.keys_a, acked.t + 1),
+                acked.a);
+      EXPECT_EQ(Snapshot(db->GetTable("B"), oracle.keys_b, acked.t + 1),
+                acked.b);
+      RunSchedule(db.get(), &oracle, 6, 0, /*seed=*/60);
+      ASSERT_TRUE(db->Checkpoint().ok());
+      std::vector<FramedLog::Segment> after;
+      ASSERT_TRUE(FramedLog::ListSegments(dir_, &after).ok());
+      EXPECT_EQ(after.size(), 1u);
+      RunSchedule(db.get(), &oracle, 6, 0, /*seed=*/61);
+    }
+    size_t compared = 0;
+    for (const FramedLog::Segment& seg :
+         ArchiveManager::ListRedoSegments(dir_)) {
+      auto it = closed.find(seg.lo);
+      if (it == closed.end()) continue;
+      std::ifstream in(seg.path, std::ios::binary);
+      EXPECT_EQ(std::string(std::istreambuf_iterator<char>(in), {}),
+                it->second)
+          << seg.path;
+      ++compared;
+    }
+    EXPECT_EQ(compared, closed.size());
+    for (size_t i = 0; i < oracle.points.size(); i += 3) {
+      VerifyPoint(oracle.points[i], oracle);
+    }
+    VerifyPoint(oracle.points.back(), oracle);
+    std::swap(dir_, crash_dir);  // the fixture reads dir_
   }
+  fs::remove_all(crash_dir);
+}
+
+// Files whose names look like segments but whose number passes
+// UINT64_MAX are no segments: a parser that wrapped would read
+// redo.1-(2^64 + 5).arc as LSNs [1, 5] and redo.(2^64 + 1).log as a
+// live segment starting at LSN 1, breaking the chains. Restart and
+// restore ignore them and leave them as they are.
+TEST_F(ArchiveTest, OverlongSegmentNumbersAreNoSegments) {
+  Oracle oracle;
+  {
+    std::unique_ptr<Database> db;
+    OpenWithTables(ArchiveOpts(), &db);
+    RunSchedule(db.get(), &oracle, 30, 10, /*seed=*/9);
+  }
+  const std::string arc = ArchiveManager::ArchiveDirOf(dir_) +
+                          "/redo.1-18446744073709551621.arc";
+  const std::string log = dir_ + "/redo.18446744073709551617.log";
+  std::ofstream(arc) << "not a segment";
+  std::ofstream(log) << "not a segment";
+  std::vector<FramedLog::Segment> segments;
+  ASSERT_TRUE(FramedLog::ListSegments(dir_, &segments).ok());
+  for (const FramedLog::Segment& seg : segments) EXPECT_NE(seg.path, log);
+  for (const FramedLog::Segment& seg :
+       ArchiveManager::ListRedoSegments(dir_)) {
+    EXPECT_NE(seg.path, arc);
+  }
+  for (size_t i = 0; i < oracle.points.size(); i += 4) {
+    VerifyPoint(oracle.points[i], oracle);
+  }
+  VerifyPoint(oracle.points.back(), oracle);
+  {
+    std::unique_ptr<Database> db;
+    OpenWithTables(ArchiveOpts(), &db);
+    const OraclePoint& last = oracle.points.back();
+    EXPECT_EQ(Snapshot(db->GetTable("A"), oracle.keys_a, last.t + 1),
+              last.a);
+    RunSchedule(db.get(), &oracle, 10, 5, /*seed=*/10);
+  }
+  EXPECT_TRUE(fs::exists(arc));
+  EXPECT_TRUE(fs::exists(log));
+  VerifyPoint(oracle.points.back(), oracle);
 }
 
 // ---------------------------------------------------------------------------
@@ -562,71 +624,53 @@ TEST_F(ArchiveTest, ArchivingOffKeepsDeleteBehavior) {
 }
 
 // ---------------------------------------------------------------------------
-// Framed-core seal mechanics
+// Segment moves
 // ---------------------------------------------------------------------------
 
-TEST_F(ArchiveTest, SealSinkFailureLeavesLogIntact) {
-  fs::create_directories(dir_);
-  std::string path = dir_ + "/t.log";
-  RedoLog log;
-  ASSERT_TRUE(log.Open(path, true).ok());
-  for (int i = 0; i < 8; ++i) {
-    LogRecord rec;
-    rec.type = LogRecordType::kCommit;
-    rec.txn_id = kTxnIdTag | (10 + i);
-    rec.commit_time = 10 + i;
-    log.Append(rec);
-  }
-  ASSERT_TRUE(log.Flush(false).ok());
-
-  // A failing sink aborts the truncation before anything is dropped.
-  Status s = log.TruncateTo(5, [](uint64_t, uint64_t, std::string_view) {
-    return Status::IOError("archive disk full");
-  });
-  EXPECT_FALSE(s.ok());
-  size_t seen = 0;
-  ASSERT_TRUE(
-      RedoLog::Replay(path, [&](const LogRecord&) { ++seen; }).ok());
-  EXPECT_EQ(seen, 8u);
-
-  // A successful sink receives a self-describing framed prefix: the
-  // sealed bytes replay standalone with the original LSNs.
-  std::string sealed;
-  uint64_t lo = 0, hi = 0;
-  ASSERT_TRUE(log.TruncateTo(5,
-                             [&](uint64_t l, uint64_t h,
-                                 std::string_view bytes) {
-                               lo = l;
-                               hi = h;
-                               sealed.assign(bytes.data(), bytes.size());
-                               return Status::OK();
-                             })
-                  .ok());
-  EXPECT_EQ(lo, 1u);
-  EXPECT_EQ(hi, 5u);
-  std::string seg_path = dir_ + "/sealed.arc";
+// A segment whose move into the archive fails stays live: the
+// checkpoint reports the failure, a restart still reads the segment's
+// commits, and the next checkpoint archives it with the segment it
+// closes itself, leaving one live segment.
+TEST_F(ArchiveTest, FailedSegmentMoveLeavesItLiveForTheNextCheckpoint) {
+  Oracle oracle;
   {
-    std::ofstream out(seg_path, std::ios::binary);
-    out.write(sealed.data(), static_cast<std::streamsize>(sealed.size()));
+    std::unique_ptr<Database> db;
+    OpenWithTables(ArchiveOpts(), &db);
+    RunSchedule(db.get(), &oracle, 12, 6, /*seed=*/70);
+    RunSchedule(db.get(), &oracle, 5, 0, /*seed=*/71);
+    std::vector<FramedLog::Segment> live;
+    ASSERT_TRUE(FramedLog::ListSegments(dir_, &live).ok());
+    ASSERT_EQ(live.size(), 1u);
+    // A non-empty directory at the segment's archive name: the rename
+    // onto it fails.
+    const FramedLog::Segment open = live[0];
+    const std::string blocker = ArchiveManager::ArchiveDirOf(dir_) +
+                                "/redo." + std::to_string(open.lo) + "-" +
+                                std::to_string(db->redo_log()->last_lsn()) +
+                                ".arc";
+    fs::create_directories(blocker + "/blocker");
+    Status s = db->Checkpoint();
+    EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    ASSERT_TRUE(FramedLog::ListSegments(dir_, &live).ok());
+    ASSERT_EQ(live.size(), 2u);
+    EXPECT_EQ(live[0].path, open.path);
+    fs::remove_all(blocker);
   }
-  std::vector<uint64_t> lsns;
-  RedoLog::ReplayStats stats;
-  ASSERT_TRUE(RedoLog::Replay(
-                  seg_path,
-                  [&](const LogRecord&, uint64_t lsn) { lsns.push_back(lsn); },
-                  &stats)
-                  .ok());
-  EXPECT_EQ(lsns, (std::vector<uint64_t>{1, 2, 3, 4, 5}));
-  EXPECT_TRUE(stats.clean_end);
-  EXPECT_EQ(stats.last_lsn, 5u);
-  // And the live log kept exactly the suffix.
-  std::vector<uint64_t> live;
-  ASSERT_TRUE(RedoLog::Replay(
-                  path,
-                  [&](const LogRecord&, uint64_t lsn) { live.push_back(lsn); },
-                  nullptr)
-                  .ok());
-  EXPECT_EQ(live, (std::vector<uint64_t>{6, 7, 8}));
+  {
+    std::unique_ptr<Database> db;
+    OpenWithTables(ArchiveOpts(), &db);
+    const OraclePoint& last = oracle.points.back();
+    EXPECT_EQ(Snapshot(db->GetTable("A"), oracle.keys_a, last.t + 1),
+              last.a);
+    EXPECT_EQ(Snapshot(db->GetTable("B"), oracle.keys_b, last.t + 1),
+              last.b);
+    RunSchedule(db.get(), &oracle, 5, 0, /*seed=*/72);
+    ASSERT_TRUE(db->Checkpoint().ok());
+    std::vector<FramedLog::Segment> live;
+    ASSERT_TRUE(FramedLog::ListSegments(dir_, &live).ok());
+    EXPECT_EQ(live.size(), 1u);
+  }
+  for (const OraclePoint& p : oracle.points) VerifyPoint(p, oracle);
 }
 
 // Only "already moved" may pass silently when a superseded checkpoint
@@ -705,7 +749,10 @@ TEST_F(ArchiveTest, RestoreReadsAPreExtendedLiveLog) {
   OpenWithTables(ArchiveOpts(), &db);
   RunSchedule(db.get(), &oracle, 40, 12, /*seed=*/31);
   ASSERT_FALSE(ArchiveManager::ListRedoSegments(dir_).empty());
-  ASSERT_GT(fs::file_size(RedoLogPath(dir_)), db->redo_log()->bytes());
+  std::vector<FramedLog::Segment> live;
+  ASSERT_TRUE(FramedLog::ListSegments(dir_, &live).ok());
+  ASSERT_EQ(live.size(), 1u);
+  ASSERT_GT(fs::file_size(live[0].path), db->redo_log()->bytes());
   for (size_t i = 0; i < oracle.points.size(); i += 5) {
     VerifyPoint(oracle.points[i], oracle);
   }
@@ -717,7 +764,7 @@ TEST_F(ArchiveTest, RestoreReadsAPreExtendedLiveLog) {
       [](const OraclePoint& p) { return p.commit_lsn != 0; });
   ASSERT_NE(logged, oracle.points.rend());
   const OraclePoint& last = *logged;
-  ASSERT_GT(last.commit_lsn, FramedLog::ReadBaseLsn(RedoLogPath(dir_)));
+  ASSERT_GE(last.commit_lsn, live[0].lo);
   std::unique_ptr<Database> rdb;
   ASSERT_TRUE(Database::RestoreToPoint(
                   dir_, RestorePoint::AtCommitLsn(last.commit_lsn), &rdb)

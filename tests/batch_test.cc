@@ -76,7 +76,7 @@ Table& OpenOneTable(const std::string& dir, std::unique_ptr<Database>* db) {
   return *(*db)->GetTable("b");
 }
 
-// Physical frames in the log file at `path`: [len][payload][crc32c].
+// Physical frames in the log segment file at `path`: [len][payload][crc32c].
 size_t FramesIn(const std::string& path) {
   std::string data;
   std::FILE* f = std::fopen(path.c_str(), "rb");
@@ -228,7 +228,7 @@ TEST(BatchLogTest, DeleteBatchProducesOneFrameAndReplays) {
   db.reset();
   // Physical framing: insert batch + commit + delete batch + commit =
   // exactly FOUR frames (one latch/log envelope per batch).
-  EXPECT_EQ(FramesIn(dir + "/redo.log"), 4u);
+  EXPECT_EQ(FramesIn(FramedLog::SegmentPath(dir, 1)), 4u);
   // A restart replays the batched deletes.
   Table& recovered = OpenOneTable(dir, &db);
   uint64_t count = 0;
@@ -295,8 +295,10 @@ TEST(SessionTest, SessionOfOneDurableDatabaseIsRefusedByAnother) {
   EXPECT_EQ(rows_b, 3u);
   a.reset();
   b.reset();
-  EXPECT_EQ(std::filesystem::file_size(dir_b + "/redo.log"), size_b);
-  EXPECT_GT(std::filesystem::file_size(dir_a + "/redo.log"), size_a);
+  EXPECT_EQ(std::filesystem::file_size(FramedLog::SegmentPath(dir_b, 1)),
+            size_b);
+  EXPECT_GT(std::filesystem::file_size(FramedLog::SegmentPath(dir_a, 1)),
+            size_a);
   std::filesystem::remove_all(dir_a);
   std::filesystem::remove_all(dir_b);
 }
@@ -704,7 +706,7 @@ TEST(InsertPathTest, StampsAndAbortsRaceInsertMerges) {
 // frames, yet every record keeps its own LSN and replays individually.
 TEST(BatchLogTest, BatchProducesOneFrameAndReplays) {
   const std::string dir = FreshDir("lstore_batch_log_test");
-  const std::string path = dir + "/redo.log";
+  const std::string path = FramedLog::SegmentPath(dir, 1);
   std::unique_ptr<Database> db;
   {
     Table& table = OpenOneTable(dir, &db);
@@ -724,7 +726,7 @@ TEST(BatchLogTest, BatchProducesOneFrameAndReplays) {
   uint64_t max_lsn = 0;
   RedoLog::ReplayStats stats;
   ASSERT_TRUE(RedoLog::Replay(
-                  path,
+                  dir,
                   [&](const LogRecord&, uint64_t lsn) {
                     ++records;
                     max_lsn = lsn;

@@ -492,7 +492,7 @@ TEST(BufferPoolTest, ColdSlotReadDecodesOneSlotWithoutInflating) {
   constexpr uint32_t kSlots = 300;
   std::vector<Value> vals(kSlots);
   for (uint32_t i = 0; i < kSlots; ++i) vals[i] = 20000 + i;
-  auto built = CompressedColumn::Build(vals, /*try_compress=*/true);
+  auto built = CompressedColumn::Build(vals);
   ASSERT_EQ(built->encoding(), CompressedColumn::Encoding::kFor);
   std::unique_ptr<SegmentPage> page = ColdPage(&epochs, &store, *built);
   for (uint32_t slot : {0u, 1u, 137u, kSlots - 1}) {
@@ -542,7 +542,7 @@ TEST(BufferPoolTest, ColdSlotReadServesEveryEncoding) {
       {&plain, CompressedColumn::Encoding::kPlain},
       {&nulls, CompressedColumn::Encoding::kFor}};
   for (const auto& [vals, encoding] : cases) {
-    auto built = CompressedColumn::Build(*vals, /*try_compress=*/true);
+    auto built = CompressedColumn::Build(*vals);
     ASSERT_EQ(built->encoding(), encoding);
     std::unique_ptr<SegmentPage> page = ColdPage(&epochs, &store, *built);
     // At most kColdReadPromotion reads: the gate hydrates after that.

@@ -1,8 +1,8 @@
 // Durability subsystem tests (Section 5.1.3): lineage-consistent
-// checkpoints, redo-log LSNs + truncation, full restart recovery
+// checkpoints, redo-log LSNs + rolls, full restart recovery
 // through Database::Open, and fault injection (torn log tails, bit
-// flips in checkpointed pages, crash between checkpoint and log
-// truncation).
+// flips in checkpointed pages, the crash states around a checkpoint's
+// roll and retirement, broken segment chains).
 
 #include <gtest/gtest.h>
 
@@ -14,6 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
@@ -51,10 +52,10 @@ class CheckpointTest : public ::testing::Test {
     return cfg;
   }
 
-  /// Restart a durable directory whose redo.log holds only `rec`: the
+  /// Restart a durable directory whose log holds only `rec`: the
   /// directory's one table "t" (Schema(2), `cfg`, catalog id 0) is
-  /// created and closed, the crafted record replaces the log, and the
-  /// reopen's status is returned.
+  /// created and closed, the crafted record is the log's one record,
+  /// and the reopen's status is returned.
   Status OpenOverCraftedLog(const TableConfig& cfg, const LogRecord& rec) {
     std::filesystem::remove_all(dir_);
     std::unique_ptr<Database> db;
@@ -62,7 +63,7 @@ class CheckpointTest : public ::testing::Test {
     LSTORE_RETURN_IF_ERROR(db->CreateTable("t", Schema(2), cfg));
     db.reset();
     RedoLog log;
-    LSTORE_RETURN_IF_ERROR(log.Open(dir_ + "/redo.log", /*truncate=*/true));
+    LSTORE_RETURN_IF_ERROR(log.Open(dir_));
     log.Append(rec);
     LSTORE_RETURN_IF_ERROR(log.Flush(false));
     log.Close();
@@ -137,7 +138,7 @@ class CheckpointTest : public ::testing::Test {
   static std::pair<FrameType, std::string> Segment(
       uint64_t id, uint64_t num_slots, std::vector<Value> vals) {
     std::string p = Fields({id, 1, 0, num_slots});
-    CompressedColumn::Build(std::move(vals), true)->AppendTo(&p);
+    CompressedColumn::Build(std::move(vals))->AppendTo(&p);
     return {FrameType::kBaseSegment, p};
   }
 
@@ -146,30 +147,55 @@ class CheckpointTest : public ::testing::Test {
     return ::stat(path.c_str(), &st) == 0 ? st.st_size : 0;
   }
 
+  /// The segments of the log in `dir` (default: the test's directory).
+  std::vector<FramedLog::Segment> Segments(const std::string& dir = {}) const {
+    std::vector<FramedLog::Segment> segments;
+    EXPECT_TRUE(
+        FramedLog::ListSegments(dir.empty() ? dir_ : dir, &segments).ok());
+    return segments;
+  }
+
+  /// The newest segment of the database's log: the file it appends to.
+  std::string LogFile() const {
+    const std::vector<FramedLog::Segment> segments = Segments();
+    return segments.empty() ? dir_ : segments.back().path;
+  }
+
   std::string dir_;
 };
 
 // ---------------------------------------------------------------------------
-// RedoLog: LSNs, truncation, tail repair
+// RedoLog: LSNs, rolls, tail repair
 // ---------------------------------------------------------------------------
 
-TEST_F(CheckpointTest, LogAssignsLsnsAndTruncates) {
+TEST_F(CheckpointTest, LogAssignsLsnsAcrossRolls) {
   std::filesystem::create_directories(dir_);
-  std::string path = dir_ + "/t.log";
+  auto commit = [](int i) {
+    LogRecord rec;
+    rec.type = LogRecordType::kCommit;
+    rec.txn_id = kTxnIdTag | (10 + i);
+    rec.commit_time = 10 + i;
+    return rec;
+  };
   {
     RedoLog log;
-    ASSERT_TRUE(log.Open(path, true).ok());
-    for (int i = 0; i < 6; ++i) {
-      LogRecord rec;
-      rec.type = LogRecordType::kCommit;
-      rec.txn_id = kTxnIdTag | (10 + i);
-      rec.commit_time = 10 + i;
-      EXPECT_EQ(log.Append(rec), static_cast<uint64_t>(i + 1));
+    ASSERT_TRUE(log.Open(dir_).ok());
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(log.Append(commit(i)), static_cast<uint64_t>(i + 1));
     }
+    uint64_t watermark = 0;
+    ASSERT_TRUE(log.Roll(&watermark).ok());
+    EXPECT_EQ(watermark, 4u);
+    for (int i = 4; i < 6; ++i) log.Append(commit(i));
     ASSERT_TRUE(log.Flush(false).ok());
     EXPECT_EQ(log.last_lsn(), 6u);
-    ASSERT_TRUE(log.TruncateTo(4).ok());
-    // LSNs continue across the truncation.
+    // Retiring the closed segment leaves the LSNs of the open one.
+    std::vector<FramedLog::Segment> retired;
+    ASSERT_TRUE(FramedLog::RetiredSegments(dir_, watermark, &retired).ok());
+    ASSERT_EQ(retired.size(), 1u);
+    EXPECT_EQ(retired[0].lo, 1u);
+    EXPECT_EQ(retired[0].hi, 4u);
+    ASSERT_EQ(std::remove(retired[0].path.c_str()), 0);
     LogRecord rec;
     rec.type = LogRecordType::kAbort;
     rec.txn_id = kTxnIdTag | 99;
@@ -179,22 +205,27 @@ TEST_F(CheckpointTest, LogAssignsLsnsAndTruncates) {
   std::vector<uint64_t> lsns;
   RedoLog::ReplayStats stats;
   ASSERT_TRUE(RedoLog::Replay(
-                  path,
+                  dir_,
                   [&](const LogRecord&, uint64_t lsn) { lsns.push_back(lsn); },
                   &stats)
                   .ok());
   EXPECT_EQ(lsns, (std::vector<uint64_t>{5, 6, 7}));
-  EXPECT_EQ(stats.base_lsn, 4u);
   EXPECT_EQ(stats.last_lsn, 7u);
   EXPECT_TRUE(stats.clean_end);
+  // Reopened past the retired LSNs, the log resumes after its last
+  // record; from LSN 0 it misses them, and refuses to open.
+  RedoLog log;
+  EXPECT_TRUE(log.Open(dir_).IsCorruption());
+  ASSERT_TRUE(log.Open(dir_, /*watermark=*/4).ok());
+  EXPECT_EQ(log.last_lsn(), 7u);
 }
 
 TEST_F(CheckpointTest, LogOpenRestoresLsnAndRepairsTornTail) {
   std::filesystem::create_directories(dir_);
-  std::string path = dir_ + "/t.log";
+  const std::string path = FramedLog::SegmentPath(dir_, 1);
   {
     RedoLog log;
-    ASSERT_TRUE(log.Open(path, true).ok());
+    ASSERT_TRUE(log.Open(dir_).ok());
     for (int i = 0; i < 3; ++i) {
       LogRecord rec;
       rec.type = LogRecordType::kCommit;
@@ -208,7 +239,7 @@ TEST_F(CheckpointTest, LogOpenRestoresLsnAndRepairsTornTail) {
   ASSERT_EQ(0, ::truncate(path.c_str(), LogFileBytes(path) - 2));
   {
     RedoLog log;
-    ASSERT_TRUE(log.Open(path, false).ok());
+    ASSERT_TRUE(log.Open(dir_).ok());
     EXPECT_EQ(log.last_lsn(), 2u);  // torn record discarded
     LogRecord rec;
     rec.type = LogRecordType::kAbort;
@@ -220,7 +251,7 @@ TEST_F(CheckpointTest, LogOpenRestoresLsnAndRepairsTornTail) {
   int count = 0;
   RedoLog::ReplayStats stats;
   ASSERT_TRUE(RedoLog::Replay(
-                  path, [&](const LogRecord&, uint64_t) { ++count; }, &stats)
+                  dir_, [&](const LogRecord&, uint64_t) { ++count; }, &stats)
                   .ok());
   EXPECT_EQ(count, 3);
   EXPECT_TRUE(stats.clean_end);
@@ -446,17 +477,18 @@ TEST_F(CheckpointTest, RoundTripAcrossTwoTablesWithTimeTravel) {
     ASSERT_TRUE(del.Commit().ok());
 
     ASSERT_TRUE(db->Checkpoint().ok());
-    // The redo log is truncated to the checkpoint watermark: nothing
-    // is left to replay.
+    // The redo log rolled at the checkpoint watermark and its closed
+    // segment is gone: nothing is left to replay.
     int replayed = 0;
-    RedoLog::ReplayStats stats;
     ASSERT_TRUE(RedoLog::Replay(
-                    dir_ + "/redo.log",
-                    [&](const LogRecord&, uint64_t) { ++replayed; }, &stats)
+                    dir_, [&](const LogRecord&, uint64_t) { ++replayed; },
+                    nullptr)
                     .ok());
     EXPECT_EQ(replayed, 0);
-    EXPECT_GT(stats.base_lsn, 0u);
-    watermark = stats.base_lsn;
+    const std::vector<FramedLog::Segment> segments = Segments();
+    ASSERT_EQ(segments.size(), 1u);
+    EXPECT_GT(segments[0].lo, 1u);
+    watermark = segments[0].lo - 1;
     // Crash: the database object dies with all in-memory state.
   }
 
@@ -499,8 +531,7 @@ TEST_F(CheckpointTest, RoundTripAcrossTwoTablesWithTimeTravel) {
   ASSERT_TRUE(w.Commit().ok());
   RedoLog::ReplayStats stats;
   ASSERT_TRUE(RedoLog::Replay(
-                  dir_ + "/redo.log", [](const LogRecord&, uint64_t) {},
-                  &stats)
+                  dir_, [](const LogRecord&, uint64_t) {}, &stats)
                   .ok());
   EXPECT_GT(stats.last_lsn, watermark);
 }
@@ -616,7 +647,7 @@ TEST_F(CheckpointTest, TornLogTailRecoversCommittedPrefix) {
     ASSERT_TRUE(b.Commit().ok());
   }
   // Crash mid-write: the final bytes of the log are torn off.
-  std::string log = dir_ + "/redo.log";
+  const std::string log = LogFile();
   ASSERT_EQ(0, ::truncate(log.c_str(), LogFileBytes(log) - 3));
 
   std::unique_ptr<Database> db;
@@ -667,41 +698,159 @@ TEST_F(CheckpointTest, FlippedByteInCheckpointFailsCleanly) {
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
 }
 
-TEST_F(CheckpointTest, CrashBetweenCheckpointAndTruncationConverges) {
-  DurabilityOptions opts;
-  opts.truncate_log_after_checkpoint = false;  // simulate the crash
-  {
-    std::unique_ptr<Database> db;
-    ASSERT_TRUE(Database::Open(dir_, opts, &db).ok());
-    ASSERT_TRUE(db->CreateTable("t", Schema(3), SmallConfig()).ok());
-    Table* t = db->GetTable("t");
-    Txn a = db->Begin();
-    for (Value k = 0; k < 10; ++k) {
-      ASSERT_TRUE(t->Insert(a, {k, k * 3, 0}).ok());
+// The on-disk states a crash during a checkpoint can leave, built by
+// copying files from a database whose checkpoints keep their closed
+// segments, then reopened with truncation on:
+//   kRolled       the next segment created and empty, its manifest not
+//                 yet published;
+//   kNoneRetired  the manifest published, every retired segment (this
+//                 checkpoint's and earlier ones') still present;
+//   kHalfRetired  the manifest published, half of them deleted.
+// Every acknowledged commit reads back; the next checkpoint retires all
+// the crash left, so one segment remains; and a restart after it still
+// reads every commit.
+TEST_F(CheckpointTest, CrashStatesAroundCheckpointConverge) {
+  enum class State { kRolled, kNoneRetired, kHalfRetired };
+  const std::string crash = dir_ + "_crash";
+  for (State state :
+       {State::kRolled, State::kNoneRetired, State::kHalfRetired}) {
+    SCOPED_TRACE(static_cast<int>(state));
+    std::filesystem::remove_all(dir_);
+    std::filesystem::remove_all(crash);
+    std::map<Value, Value> acked;  // key -> column 1, committed
+    Value next = 0;
+    auto round = [&](Database* db) {
+      Table* t = db->GetTable("t");
+      Txn txn = db->Begin();
+      std::map<Value, Value> wrote;
+      for (int i = 0; i < 6; ++i, ++next) {
+        ASSERT_TRUE(t->Insert(txn, {next, next * 3, 0}).ok());
+        wrote[next] = next * 3;
+      }
+      if (next > 10) {
+        ASSERT_TRUE(t->Update(txn, next - 10, 0b010, {0, next * 7, 0}).ok());
+        wrote[next - 10] = next * 7;
+      }
+      ASSERT_TRUE(txn.Commit().ok());
+      for (const auto& [k, v] : wrote) acked[k] = v;
+    };
+    auto expect_acked = [&](Database* db) {
+      Table* t = db->GetTable("t");
+      ASSERT_NE(t, nullptr);
+      Txn r = db->Begin();
+      std::vector<Value> out;
+      for (const auto& [k, v] : acked) {
+        ASSERT_TRUE(t->Read(r, k, 0b010, &out).ok()) << k;
+        EXPECT_EQ(out[1], v) << k;
+      }
+      (void)r.Commit();
+    };
+
+    DurabilityOptions keep;
+    keep.truncate_log_after_checkpoint = false;
+    uint64_t last_lsn = 0;
+    {
+      std::unique_ptr<Database> db;
+      ASSERT_TRUE(Database::Open(dir_, keep, &db).ok());
+      ASSERT_TRUE(db->CreateTable("t", Schema(3), SmallConfig()).ok());
+      for (int i = 0; i < 4; ++i) {
+        round(db.get());
+        ASSERT_TRUE(db->Checkpoint().ok());
+      }
+      round(db.get());
+      last_lsn = db->redo_log()->last_lsn();
     }
-    ASSERT_TRUE(a.Commit().ok());
-    Txn u = db->Begin();
-    ASSERT_TRUE(t->Update(u, 5, 0b010, {0, 500, 0}).ok());
-    ASSERT_TRUE(u.Commit().ok());
-    ASSERT_TRUE(db->Checkpoint().ok());
-    // The full log is still on disk (manifest written, truncation
-    // "crashed"): replay below the watermark must be idempotent.
-    int replayed = 0;
-    ASSERT_TRUE(RedoLog::Replay(dir_ + "/redo.log",
-                                [&](const LogRecord&) { ++replayed; })
-                    .ok());
-    EXPECT_GT(replayed, 0);
+    ASSERT_EQ(Segments().size(), 5u);
+    std::filesystem::copy(dir_, crash,
+                          std::filesystem::copy_options::recursive);
+    if (state == State::kRolled) {
+      File next_segment;
+      ASSERT_TRUE(next_segment
+                      .Open(FramedLog::SegmentPath(crash, last_lsn + 1),
+                            File::Mode::kCreateTruncate)
+                      .ok());
+    } else {
+      Manifest m;
+      bool exists = false;
+      ASSERT_TRUE(ReadManifest(crash, &m, &exists).ok());
+      ASSERT_TRUE(exists);
+      std::vector<FramedLog::Segment> retired;
+      ASSERT_TRUE(
+          FramedLog::RetiredSegments(crash, m.log_watermark, &retired).ok());
+      ASSERT_EQ(retired.size(), 4u);
+      for (size_t i = 0; state == State::kHalfRetired && i < retired.size();
+           i += 2) {
+        ASSERT_EQ(std::remove(retired[i].path.c_str()), 0);
+      }
+    }
+
+    {
+      std::unique_ptr<Database> db;
+      ASSERT_TRUE(Database::Open(crash, &db).ok());
+      expect_acked(db.get());
+      round(db.get());
+      ASSERT_TRUE(db->Checkpoint().ok());
+      EXPECT_EQ(Segments(crash).size(), 1u);
+      round(db.get());
+    }
+    std::unique_ptr<Database> db;
+    ASSERT_TRUE(Database::Open(crash, &db).ok());
+    expect_acked(db.get());
   }
-  std::unique_ptr<Database> db;
-  ASSERT_TRUE(Database::Open(dir_, opts, &db).ok());
-  Table* t = db->GetTable("t");
-  Txn r = db->Begin();
-  std::vector<Value> out;
-  ASSERT_TRUE(t->Read(r, 5, 0b010, &out).ok());
-  EXPECT_EQ(out[1], 500u);
-  ASSERT_TRUE(t->Read(r, 9, 0b010, &out).ok());
-  EXPECT_EQ(out[1], 27u);
-  (void)r.Commit();
+  std::filesystem::remove_all(crash);
+}
+
+// Every file under `dir` with its bytes; the event log, which records
+// each open attempt, aside.
+std::map<std::string, std::string> FilesOf(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+    if (!e.is_regular_file() || e.path().filename() == "events.log") continue;
+    EXPECT_TRUE(ReadFile(e.path().string(), &out[e.path().string()]).ok());
+  }
+  return out;
+}
+
+// A log whose segments do not chain past the checkpoint fails
+// Database::Open with Corruption before any file changes: a missing
+// middle segment, and a torn frame in a segment that is not the newest.
+TEST_F(CheckpointTest, BrokenSegmentChainFailsOpenAndChangesNoFile) {
+  for (const bool torn : {false, true}) {
+    SCOPED_TRACE(torn ? "torn" : "missing");
+    std::filesystem::remove_all(dir_);
+    {
+      std::unique_ptr<Database> db;
+      ASSERT_TRUE(Database::Open(dir_, &db).ok());
+      ASSERT_TRUE(db->CreateTable("t", Schema(3), SmallConfig()).ok());
+      Table* t = db->GetTable("t");
+      for (Value k = 0; k < 4; ++k) {
+        Txn txn = db->Begin();
+        ASSERT_TRUE(t->Insert(txn, {k, k, k}).ok());
+        ASSERT_TRUE(txn.Commit().ok());
+        uint64_t watermark = 0;
+        if (k < 3) {
+          ASSERT_TRUE(db->redo_log()->Roll(&watermark).ok());
+        }
+      }
+    }
+    const std::vector<FramedLog::Segment> segments = Segments();
+    ASSERT_EQ(segments.size(), 4u);
+    if (torn) {
+      ASSERT_EQ(::truncate(segments[1].path.c_str(),
+                           LogFileBytes(segments[1].path) - 3),
+                0);
+    } else {
+      ASSERT_EQ(std::remove(segments[1].path.c_str()), 0);
+    }
+    const auto before = FilesOf(dir_);
+    std::unique_ptr<Database> db;
+    Status s = Database::Open(dir_, &db);
+    EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    EXPECT_EQ(db, nullptr);
+    EXPECT_EQ(FilesOf(dir_), before);
+    EXPECT_TRUE(
+        RedoLog::Replay(dir_, [](const LogRecord&) {}).IsCorruption());
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -897,7 +1046,7 @@ TEST_F(CheckpointTest, DropAndRecreateSkipsTheDroppedIdInOneLog) {
   // The old incarnation (id 0) still has records in the live log; the
   // new one writes under id 2.
   std::set<uint64_t> ids;
-  ASSERT_TRUE(RedoLog::Replay(dir_ + "/redo.log",
+  ASSERT_TRUE(RedoLog::Replay(dir_,
                               [&](const LogRecord& rec) {
                                 if (rec.type == LogRecordType::kInsertAppend) {
                                   ids.insert(rec.table_id);
@@ -1024,8 +1173,8 @@ TEST_F(CheckpointTest, IntervalCountsFromTheEndOfALongCheckpoint) {
 }
 
 // With no timed interval, the size trigger alone checkpoints once the
-// redo log passes checkpoint_log_bytes, and the checkpoint truncates the
-// log prefix it covers. It runs in real time: the executor's timer
+// redo log passes checkpoint_log_bytes, and the checkpoint retires the
+// segment it closes. It runs in real time: the executor's timer
 // thread polls the log. The log's length is its appended bytes (the
 // open file also holds a zero tail); closed, the file is that long.
 TEST_F(CheckpointTest, LogSizeTriggerCheckpointsAndShrinksTheLog) {
@@ -1037,7 +1186,6 @@ TEST_F(CheckpointTest, LogSizeTriggerCheckpointsAndShrinksTheLog) {
   ASSERT_TRUE(db->CreateTable("t", Schema(3), SmallConfig()).ok());
   Table* t = db->GetTable("t");
   CheckpointManager* cm = db->checkpoint_manager();
-  const std::string log = dir_ + "/redo.log";
 
   uint64_t peak = 0;
   for (Value k = 0; peak <= opts.checkpoint_log_bytes &&
@@ -1057,8 +1205,8 @@ TEST_F(CheckpointTest, LogSizeTriggerCheckpointsAndShrinksTheLog) {
   EXPECT_LT(db->redo_log()->bytes(), peak);
   EXPECT_LE(db->redo_log()->bytes(), opts.checkpoint_log_bytes);
   db.reset();
-  EXPECT_LT(LogFileBytes(log), peak);
-  EXPECT_LE(LogFileBytes(log), opts.checkpoint_log_bytes);
+  EXPECT_LT(LogFileBytes(LogFile()), peak);
+  EXPECT_LE(LogFileBytes(LogFile()), opts.checkpoint_log_bytes);
 }
 
 // The size trigger reads the log's appended length, not its file: the
@@ -1101,7 +1249,7 @@ TEST_F(CheckpointTest, LogSizeTriggerIgnoresTheZeroTail) {
   };
 
   load_until(100 * 1024);
-  ASSERT_GT(LogFileBytes(dir_ + "/redo.log"), opts.checkpoint_log_bytes);
+  ASSERT_GT(LogFileBytes(LogFile()), opts.checkpoint_log_bytes);
   polls();
   EXPECT_EQ(cm->checkpoints_taken(), base);
 

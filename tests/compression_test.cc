@@ -155,7 +155,7 @@ TEST(CompressedColumnTest, ForRoundTripsEachWidth) {
     // The base sits high so offsets, not raw values, set the width.
     const Value lo = width == 63 ? 5 : (1ull << 62) + 12345;
     auto vals = FrameOfWidth(lo, width, 1000, width);
-    auto col = CompressedColumn::Build(vals, true);
+    auto col = CompressedColumn::Build(vals);
     ASSERT_EQ(col->encoding(), CompressedColumn::Encoding::kFor) << width;
     EXPECT_EQ(col->byte_size(),
               kForHeader + BitPackedArray::PackedBytes(1000, width));
@@ -177,7 +177,7 @@ TEST(CompressedColumnTest, ForCodesNullWithoutWideningTheFrame) {
     sequential.push_back(1000000 + i);
   }
   for (auto* v : {&vals, &sequential}) (*v)[7] = (*v)[100] = kNull;
-  auto col = CompressedColumn::Build(vals, true);
+  auto col = CompressedColumn::Build(vals);
   ASSERT_EQ(col->encoding(), CompressedColumn::Encoding::kFor);
   EXPECT_EQ(col->header().strided, 0);
   // Offsets need 12 bits; ∅ takes the all-ones code of 13.
@@ -185,7 +185,7 @@ TEST(CompressedColumnTest, ForCodesNullWithoutWideningTheFrame) {
             kForHeader + BitPackedArray::PackedBytes(4096, 13));
   // In slot order the same values sit on the line 1000000 + slot: every
   // offset is 0, and ∅ takes the all-ones code of 1 bit.
-  auto line = CompressedColumn::Build(sequential, true);
+  auto line = CompressedColumn::Build(sequential);
   ASSERT_EQ(line->encoding(), CompressedColumn::Encoding::kFor);
   EXPECT_EQ(line->header().strided, 1);
   EXPECT_EQ(line->byte_size(),
@@ -202,7 +202,7 @@ TEST(CompressedColumnTest, ForCodesNullWithoutWideningTheFrame) {
   // A segment of nothing but ∅ (every insert aborted) still decodes.
   std::vector<Value> nulls(1000, kNull);
   nulls[0] = 5;
-  auto one = CompressedColumn::Build(nulls, true);
+  auto one = CompressedColumn::Build(nulls);
   for (size_t i = 0; i < nulls.size(); ++i) ASSERT_EQ(one->Get(i), nulls[i]);
 }
 
@@ -228,7 +228,7 @@ TEST(CompressedColumnTest, CursorStartsMidBlockAndSkipsBlocks) {
 
   std::set<CompressedColumn::Encoding> seen;
   for (const auto& vals : shapes) {
-    auto col = CompressedColumn::Build(vals, true);
+    auto col = CompressedColumn::Build(vals);
     seen.insert(col->encoding());
     auto cur = col->cursor();
     for (size_t i : {37u, 38u, 63u, 64u, 65u, 200u, 201u, 640u, 959u, 960u,
@@ -243,7 +243,7 @@ TEST(CompressedColumnTest, CursorStartsMidBlockAndSkipsBlocks) {
 /// smaller, and read every value back through Get and a cursor.
 void ExpectSmallestChoice(const std::vector<Value>& vals,
                           CompressedColumn::Encoding want) {
-  auto col = CompressedColumn::Build(vals, true);
+  auto col = CompressedColumn::Build(vals);
   EXPECT_EQ(col->encoding(), want);
   const Value lo = *std::min_element(vals.begin(), vals.end());
   const Value hi = *std::max_element(vals.begin(), vals.end());
@@ -265,7 +265,7 @@ TEST(CompressedColumnTest, ConstantColumnIsOneDictionaryEntry) {
   // than a zero-width frame (base + null code).
   std::vector<Value> vals(4096, 42);
   ExpectSmallestChoice(vals, CompressedColumn::Encoding::kDictionary);
-  EXPECT_EQ(CompressedColumn::Build(vals, true)->byte_size(), sizeof(Value));
+  EXPECT_EQ(CompressedColumn::Build(vals)->byte_size(), sizeof(Value));
 }
 
 TEST(CompressedColumnTest, ChoosesRleForLongRuns) {
@@ -281,7 +281,7 @@ TEST(CompressedColumnTest, ChoosesFrameForAdjacentValues) {
   std::vector<Value> vals;
   for (Value k = 0; k < 4096; ++k) vals.push_back(3 * 4096 + k * 1237 % 4096);
   ExpectSmallestChoice(vals, CompressedColumn::Encoding::kFor);
-  EXPECT_EQ(CompressedColumn::Build(vals, true)->byte_size(),
+  EXPECT_EQ(CompressedColumn::Build(vals)->byte_size(),
             kForHeader + BitPackedArray::PackedBytes(4096, 12));
 }
 
@@ -299,7 +299,7 @@ TEST(CompressedColumnTest, StridedFrameFollowsTheSlot) {
       {&kc, 0}, {&jitter, 2}, {&down, 2}};
   for (const auto& [vals, width] : cases) {
     ExpectSmallestChoice(*vals, CompressedColumn::Encoding::kFor);
-    auto col = CompressedColumn::Build(*vals, true);
+    auto col = CompressedColumn::Build(*vals);
     EXPECT_EQ(col->header().strided, 1) << width;
     EXPECT_LE(col->byte_size(),
               kStridedHeader + BitPackedArray::PackedBytes(4096, width));
@@ -323,10 +323,16 @@ TEST(CompressedColumnTest, FallsBackToPlainForRandomData) {
   ExpectSmallestChoice(vals, CompressedColumn::Encoding::kPlain);
 }
 
-TEST(CompressedColumnTest, CompressionDisabledKeepsPlain) {
-  std::vector<Value> vals(1024, 1);
-  auto col = CompressedColumn::Build(vals, false);
+TEST(CompressedColumnTest, IncompressibleValuesStayPlain) {
+  // Distinct values spread over all 64 bits, no two adjacent alike: no
+  // frame, dictionary or run list is smaller than the plain page.
+  std::vector<Value> vals;
+  for (uint64_t i = 1; i <= 1024; ++i) {
+    vals.push_back(i * 0x9E3779B97F4A7C15ull);
+  }
+  auto col = CompressedColumn::Build(vals);
   EXPECT_EQ(col->encoding(), CompressedColumn::Encoding::kPlain);
+  for (size_t i = 0; i < vals.size(); ++i) ASSERT_EQ(col->Get(i), vals[i]);
 }
 
 // --- serialized form -------------------------------------------------------
@@ -420,7 +426,7 @@ TEST(CompressedColumnSerdeTest, EveryEncodingRoundTrips) {
   for (size_t k = 0; k < samples.size(); ++k) {
     const auto& [name, vals] = samples[k];
     SCOPED_TRACE(name);
-    auto col = CompressedColumn::Build(vals, true);
+    auto col = CompressedColumn::Build(vals);
     EXPECT_EQ(col->encoding(), want[k]);
     EXPECT_EQ(col->header().width, want_width[k]);
     EXPECT_EQ(col->header().has_null != 0,
@@ -442,7 +448,7 @@ TEST(CompressedColumnSerdeTest, EveryEncodingRoundTrips) {
 TEST(CompressedColumnSerdeTest, UnstridedFrameBytesArePinned) {
   // A stride-0 frame keeps the form of builds that predate strides,
   // byte for byte: the 16-byte header, then the packed codes.
-  auto col = CompressedColumn::Build({10, 12, kNull, 13, 10}, true);
+  auto col = CompressedColumn::Build({10, 12, kNull, 13, 10});
   ASSERT_EQ(col->encoding(), CompressedColumn::Encoding::kFor);
   std::string bytes;
   col->AppendTo(&bytes);
@@ -484,7 +490,7 @@ TEST(CompressedColumnSerdeTest, MergeShapesKeepTheirBytes) {
                  {&three, E::kDictionary, &want_three},
                  {&kc, E::kFor, &want_kc}};
   for (const auto& [vals, encoding, want] : cases) {
-    auto col = CompressedColumn::Build(*vals, true);
+    auto col = CompressedColumn::Build(*vals);
     EXPECT_EQ(col->encoding(), encoding);
     const std::string bytes = ExpectSerializedRoundTrip(*col);
     EXPECT_EQ(bytes, std::string(want->begin(), want->end()));
@@ -517,7 +523,7 @@ TEST(CompressedColumnSerdeTest, ParserRejectsMalformedInput) {
   for (const auto& [name, vals] : SerdeSamples()) {
     SCOPED_TRACE(name);
     std::string bytes;
-    CompressedColumn::Build(vals, true)->AppendTo(&bytes);
+    CompressedColumn::Build(vals)->AppendTo(&bytes);
     for (size_t len = 0; len < bytes.size(); ++len) {
       ASSERT_FALSE(
           ParseExact(std::string_view(bytes).substr(0, len), &col).ok())
@@ -622,7 +628,7 @@ class CodecRoundTrip : public ::testing::TestWithParam<CodecCase> {
 
 TEST_P(CodecRoundTrip, CompressedColumnPreservesEveryValue) {
   auto vals = MakeData();
-  auto col = CompressedColumn::Build(vals, true);
+  auto col = CompressedColumn::Build(vals);
   ASSERT_EQ(col->size(), vals.size());
   for (size_t i = 0; i < vals.size(); ++i) {
     ASSERT_EQ(col->Get(i), vals[i]) << "at " << i;
@@ -630,7 +636,7 @@ TEST_P(CodecRoundTrip, CompressedColumnPreservesEveryValue) {
 }
 
 TEST_P(CodecRoundTrip, SerializedFormRoundTrips) {
-  ExpectSerializedRoundTrip(*CompressedColumn::Build(MakeData(), true));
+  ExpectSerializedRoundTrip(*CompressedColumn::Build(MakeData()));
 }
 
 INSTANTIATE_TEST_SUITE_P(

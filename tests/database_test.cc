@@ -7,6 +7,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -314,7 +315,7 @@ TEST(DatabaseFormatTest, ForeignChecksumDirectoryIsRefusedBeforeAnyLog) {
     ASSERT_TRUE(db->GetTable("a")->Insert(one, {3, 30}).ok());
     ASSERT_TRUE(one.Commit().ok());
   }
-  const std::string log = dir + "/redo.log";
+  const std::string log = FramedLog::SegmentPath(dir, 1);
   EXPECT_GT(ForeignChecksums(dir + "/CATALOG"), 0);
   std::string before;
   EXPECT_GT(ForeignChecksums(log), 0);
@@ -349,11 +350,26 @@ void SetFormatVersion(const std::string& path, uint8_t version) {
   std::ofstream(path, std::ios::binary | std::ios::trunc) << data;
 }
 
+// Every entry under `dir`, with each regular file's bytes; the event
+// log, which records each open attempt, aside.
+std::map<std::string, std::string> EntriesOf(const std::string& dir) {
+  std::map<std::string, std::string> out;
+  for (const auto& e : std::filesystem::recursive_directory_iterator(dir)) {
+    if (e.path().filename() == "events.log") continue;
+    std::string& bytes = out[e.path().string()];
+    if (e.is_regular_file()) {
+      EXPECT_TRUE(ReadFile(e.path().string(), &bytes).ok());
+    }
+  }
+  return out;
+}
+
 // A directory written in the previous checkpoint format (one version
-// back: a catalog without table ids, beside per-table logs) is refused
-// with Corruption at the CATALOG, before the log is opened or cut; its
-// checkpoint and MANIFEST carry the old version too, so no reader would
-// take them for the current form.
+// back: the whole log in one redo.log, a truncated one behind a
+// truncation-point frame) is refused with Corruption at the CATALOG,
+// before the archive directory is made or any log is opened or cut, and
+// not one of its entries changes; its checkpoint and MANIFEST carry the
+// old version too, so no reader would take them for the current form.
 TEST(DatabaseFormatTest, OlderFormatVersionIsRefusedBeforeAnyLog) {
   const std::string dir =
       std::string(::testing::TempDir()) + "lstore_format_previous";
@@ -384,17 +400,21 @@ TEST(DatabaseFormatTest, OlderFormatVersionIsRefusedBeforeAnyLog) {
   ASSERT_EQ(checkpoints, 1);
   SetFormatVersion(dir + "/CATALOG", kPrevious);
   SetFormatVersion(dir + "/MANIFEST", kPrevious);
-  std::string before;
-  ASSERT_TRUE(ReadFile(dir + "/redo.log", &before).ok());
-  ASSERT_FALSE(before.empty());
+  std::vector<FramedLog::Segment> segments;
+  ASSERT_TRUE(FramedLog::ListSegments(dir, &segments).ok());
+  ASSERT_EQ(segments.size(), 1u);
+  std::filesystem::rename(segments[0].path, dir + "/redo.log");
+  const auto before = EntriesOf(dir);
+  ASSERT_FALSE(before.at(dir + "/redo.log").empty());
 
+  DurabilityOptions opts;
+  opts.archive_enabled = true;
   std::unique_ptr<Database> db;
-  Status s = Database::Open(dir, &db);
+  Status s = Database::Open(dir, opts, &db);
   EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+  EXPECT_NE(s.ToString().find("version"), std::string::npos) << s.ToString();
   EXPECT_EQ(db, nullptr);
-  std::string after;
-  ASSERT_TRUE(ReadFile(dir + "/redo.log", &after).ok());
-  EXPECT_EQ(after, before);
+  EXPECT_EQ(EntriesOf(dir), before);
   std::filesystem::remove_all(dir);
 }
 

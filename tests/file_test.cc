@@ -208,7 +208,7 @@ TEST_F(FileTest, WriteZerosAtResumesAfterPartialWrite) {
 // extends from where the short one stopped and writes every buffered
 // frame byte for byte.
 TEST_F(FileTest, FramedLogResumesAfterAShortExtension) {
-  const std::string path = dir_ + "/log";
+  const std::string path = FramedLog::SegmentPath(dir_, 1);
   const FramedLog::Codec codec = [](const char*, size_t, uint64_t* n) {
     *n = 1;
     return true;
@@ -228,7 +228,7 @@ TEST_F(FileTest, FramedLogResumesAfterAShortExtension) {
     frames.push_back(std::string(64 * 1024, static_cast<char>('a' + i % 26)));
   }
   FramedLog log(codec);
-  ASSERT_TRUE(log.Open(path, /*truncate=*/true).ok());
+  ASSERT_TRUE(log.Open(dir_).ok());
   for (int i = 0; i < 3; ++i) log.Append(frames[i], 1);
   ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
   ASSERT_EQ(Get(path).size(), 2 * FramedLog::kPreExtend);
@@ -267,6 +267,21 @@ TEST_F(FileTest, TruncateAndSize) {
   ASSERT_TRUE(f.Truncate(4).ok());
   ASSERT_TRUE(f.Sync().ok());
   EXPECT_EQ(Get(dir_ + "/f"), "0123");
+}
+
+// A number in a file name parses only when it fits in 64 bits: one
+// past UINT64_MAX, or a longer one, is no number (a parse that wrapped
+// would make it a small one and the file a segment of made-up LSNs).
+TEST(ParseDecimalTest, RejectsValuesAboveUint64Max) {
+  uint64_t v = 0;
+  EXPECT_TRUE(ParseDecimal("18446744073709551615", &v));
+  EXPECT_EQ(v, UINT64_MAX);
+  EXPECT_TRUE(ParseDecimal("007", &v));
+  EXPECT_EQ(v, 7u);
+  for (const char* bad : {"18446744073709551616", "18446744073709551621",
+                          "100000000000000000005", "", "12a", "-1"}) {
+    EXPECT_FALSE(ParseDecimal(bad, &v)) << bad;
+  }
 }
 
 }  // namespace

@@ -5,7 +5,7 @@
 // the token holder between its write and its sync), one commit frame and one fsync per cross-table commit,
 // torn-commit-frame fault injection (all-or-nothing recovery on every
 // table), mixed single-/cross-table recovery equivalence, and log
-// truncation at checkpoints, racing synced commits included.
+// rolls at checkpoints, racing synced commits included.
 
 #include <gtest/gtest.h>
 
@@ -57,11 +57,12 @@ class GroupCommitTest : public ::testing::Test {
     return ::stat(path.c_str(), &st) == 0 ? st.st_size : 0;
   }
 
-  /// Bytes of well-formed frames in the log file at `path`: what was
-  /// written of it, without the zero tail of an open log.
-  static uint64_t WrittenFrameBytes(const std::string& path) {
+  /// Bytes of well-formed frames in the newest segment of the log in
+  /// `dir`: what was written of it, without the zero tail of an open
+  /// log.
+  static uint64_t WrittenFrameBytes(const std::string& dir) {
     RedoLog::ReplayStats stats;
-    EXPECT_TRUE(RedoLog::Replay(path, [](const LogRecord&, uint64_t) {},
+    EXPECT_TRUE(RedoLog::Replay(dir, [](const LogRecord&, uint64_t) {},
                                 &stats)
                     .ok());
     EXPECT_TRUE(stats.clean_end);
@@ -102,14 +103,14 @@ class GroupCommitTest : public ::testing::Test {
     return s.ok();
   }
 
-  /// Number of records of `type` in the database's log file (flushed
-  /// first when `db` is open).
+  /// Number of records of `type` in the database's log (flushed first
+  /// when `db` is open).
   size_t LogRecords(Database* db, LogRecordType type) const {
     if (db != nullptr) {
       EXPECT_TRUE(db->redo_log()->Flush(false).ok());
     }
     size_t n = 0;
-    EXPECT_TRUE(RedoLog::Replay(dir_ + "/redo.log",
+    EXPECT_TRUE(RedoLog::Replay(dir_,
                                 [&n, type](const LogRecord& rec) {
                                   if (rec.type == type) ++n;
                                 })
@@ -117,11 +118,18 @@ class GroupCommitTest : public ::testing::Test {
     return n;
   }
 
+  /// The newest segment of the database's log: the file it appends to.
+  std::string LogFile() const {
+    std::vector<FramedLog::Segment> segments;
+    EXPECT_TRUE(FramedLog::ListSegments(dir_, &segments).ok());
+    return segments.empty() ? dir_ : segments.back().path;
+  }
+
   /// Byte offset where the log file's last frame starts.
   size_t LastFrameStart() const {
     size_t start = 0;
     EXPECT_TRUE(FramedLog::ScanFile(
-                    dir_ + "/redo.log", &RedoLog::ValidatePayload,
+                    LogFile(), &RedoLog::ValidatePayload,
                     [&start](std::string_view, uint64_t, uint64_t,
                              size_t begin, size_t) { start = begin; },
                     nullptr)
@@ -158,7 +166,7 @@ TEST_F(GroupCommitTest, CrossTableCommitAppendsOneCommitFrameAndOneFsync) {
   // Both tables' payloads and the commit records share the one file:
   // the cross-table transaction's only commit point is its one frame.
   std::vector<std::pair<LogRecordType, uint64_t>> records;
-  ASSERT_TRUE(RedoLog::Replay(dir_ + "/redo.log",
+  ASSERT_TRUE(RedoLog::Replay(dir_,
                               [&](const LogRecord& rec) {
                                 records.emplace_back(
                                     rec.type,
@@ -194,7 +202,7 @@ TEST_F(GroupCommitTest, TornFinalCommitFrameDropsTxnOnBothTables) {
   // Crash while appending the second commit record: tear into the
   // log's final frame, its commit record. Both tables' payloads before
   // it are intact — only the commit point is gone.
-  std::string log = dir_ + "/redo.log";
+  std::string log = LogFile();
   ASSERT_GT(FileBytes(log), 4u);
   ASSERT_EQ(0, ::truncate(log.c_str(), FileBytes(log) - 4));
 
@@ -213,7 +221,7 @@ TEST_F(GroupCommitTest, CrashBeforeTheCommitFrameRecoversAllOrNothing) {
   }
   // Crash right before the commit frame: every payload of both tables
   // landed, the commit point didn't.
-  std::string log = dir_ + "/redo.log";
+  std::string log = LogFile();
   ASSERT_EQ(0, ::truncate(log.c_str(), LastFrameStart()));
   EXPECT_EQ(LogRecords(nullptr, LogRecordType::kCommit), 0u);
   EXPECT_EQ(LogRecords(nullptr, LogRecordType::kInsertAppend), 2u);
@@ -294,12 +302,11 @@ TEST_F(GroupCommitTest, MixedSingleAndCrossTableCommitsRecoverEquivalently) {
 // appends, the later one synced, then the earlier one — one fsync.
 TEST_F(GroupCommitTest, SyncCoveredByAnEarlierFsyncAddsNone) {
   std::filesystem::create_directories(dir_);
-  const std::string path = dir_ + "/redo.log";
   MetricsRegistry registry;
   RedoLog log;
   log.set_metrics(FramedLogMetrics::In(&registry, "lstore_redo", "Redo-log",
                                        "log_flush"));
-  ASSERT_TRUE(log.Open(path, true).ok());
+  ASSERT_TRUE(log.Open(dir_).ok());
   auto fsyncs = [&registry] {
     return registry.Snapshot().CounterValue("lstore_redo_fsyncs_total");
   };
@@ -317,10 +324,10 @@ TEST_F(GroupCommitTest, SyncCoveredByAnEarlierFsyncAddsNone) {
   // appended frame reaches the file, which then holds the whole log.
   const uint64_t written = log.bytes();
   const uint64_t third = log.Append(rec);
-  EXPECT_EQ(WrittenFrameBytes(path), written);
+  EXPECT_EQ(WrittenFrameBytes(dir_), written);
   ASSERT_TRUE(log.Sync(third, /*fsync=*/false).ok());
   EXPECT_GT(log.bytes(), written);
-  EXPECT_EQ(WrittenFrameBytes(path), log.bytes());
+  EXPECT_EQ(WrittenFrameBytes(dir_), log.bytes());
   EXPECT_EQ(fsyncs(), 1u);
   // Written is not durable: an fsync'd Sync of it still fsyncs.
   ASSERT_TRUE(log.Sync(third, /*fsync=*/true).ok());
@@ -337,7 +344,7 @@ TEST_F(GroupCommitTest, AppendsProceedDuringAnInFlightSync) {
   RedoLog log;
   log.set_metrics(FramedLogMetrics::In(&registry, "lstore_redo", "Redo-log",
                                        "log_flush"));
-  ASSERT_TRUE(log.Open(dir_ + "/redo.log", true).ok());
+  ASSERT_TRUE(log.Open(dir_).ok());
   LogRecord rec;
   rec.type = LogRecordType::kCommit;
   rec.txn_id = kTxnIdTag | 1;
@@ -385,13 +392,13 @@ TEST_F(GroupCommitTest, AppendsProceedDuringAnInFlightSync) {
   EXPECT_EQ(batch->hist.sum, 3u);
 }
 
-// A truncation swaps the log's file only holding the sync token: while
-// a holder's sync is in flight, TruncateTo waits, and appends made
-// meanwhile survive the swap.
-TEST_F(GroupCommitTest, TruncationWaitsForAnInFlightSync) {
+// A roll swaps the log's file only holding the sync token: while a
+// holder's sync is in flight, Roll waits, and an append made meanwhile
+// lands in the segment it closes.
+TEST_F(GroupCommitTest, RollWaitsForAnInFlightSync) {
   std::filesystem::create_directories(dir_);
   RedoLog log;
-  ASSERT_TRUE(log.Open(dir_ + "/redo.log", true).ok());
+  ASSERT_TRUE(log.Open(dir_).ok());
   LogRecord rec;
   rec.type = LogRecordType::kCommit;
   rec.txn_id = kTxnIdTag | 1;
@@ -402,33 +409,42 @@ TEST_F(GroupCommitTest, TruncationWaitsForAnInFlightSync) {
   Status holder_status;
   std::thread holder([&] { holder_status = log.Sync(first, true); });
   EXPECT_TRUE(pause.WaitParked(std::chrono::seconds(10)));
-  std::atomic<bool> truncated{false};
-  Status truncate_status;
-  std::thread truncator([&] {
-    truncate_status = log.TruncateTo(first);
-    truncated.store(true);
+  std::atomic<bool> rolled{false};
+  Status roll_status;
+  uint64_t watermark = 0;
+  std::thread roller([&] {
+    roll_status = log.Roll(&watermark);
+    rolled.store(true);
   });
   const uint64_t second = log.Append(rec);
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_FALSE(truncated.load()) << "the file was swapped under a sync";
+  EXPECT_FALSE(rolled.load()) << "the file was swapped under a sync";
   pause.Release();
   holder.join();
-  truncator.join();
+  roller.join();
   ASSERT_TRUE(holder_status.ok()) << holder_status.ToString();
-  ASSERT_TRUE(truncate_status.ok()) << truncate_status.ToString();
-  ASSERT_TRUE(log.Sync(second, true).ok());
+  ASSERT_TRUE(roll_status.ok()) << roll_status.ToString();
+  // The roll ran after the sync: the append made during it is in the
+  // closed segment, and the next one starts past it.
+  EXPECT_EQ(watermark, second);
+  const uint64_t third = log.Append(rec);
+  ASSERT_TRUE(log.Sync(third, true).ok());
   log.Close();
 
+  std::vector<FramedLog::Segment> segments;
+  ASSERT_TRUE(FramedLog::ListSegments(dir_, &segments).ok());
+  ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(segments[1].lo, third);
   std::vector<uint64_t> lsns;
   RedoLog::ReplayStats stats;
-  ASSERT_TRUE(RedoLog::Replay(dir_ + "/redo.log",
+  ASSERT_TRUE(RedoLog::Replay(dir_,
                               [&lsns](const LogRecord&, uint64_t lsn) {
                                 lsns.push_back(lsn);
                               },
                               &stats)
                   .ok());
   EXPECT_TRUE(stats.clean_end);
-  EXPECT_EQ(lsns, std::vector<uint64_t>{second});
+  EXPECT_EQ(lsns, (std::vector<uint64_t>{first, second, third}));
 }
 
 TEST_F(GroupCommitTest, ConcurrentCommittersShareFsyncs) {
@@ -626,10 +642,10 @@ TEST_F(GroupCommitTest, ReopenedTablesCountRedoFsyncs) {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint integration: one log truncated, LSNs stable
+// Checkpoint integration: one log rolled and retired, LSNs stable
 // ---------------------------------------------------------------------------
 
-TEST_F(GroupCommitTest, CheckpointTruncatesTheOneLogAndKeepsLsnsStable) {
+TEST_F(GroupCommitTest, CheckpointRollsTheOneLogAndKeepsLsnsStable) {
   auto db = OpenDb(DurabilityOptions{});
   for (Value k = 0; k < 4; ++k) {
     ASSERT_TRUE(CrossInsert(db.get(), k, k).ok());
@@ -637,8 +653,13 @@ TEST_F(GroupCommitTest, CheckpointTruncatesTheOneLogAndKeepsLsnsStable) {
   EXPECT_EQ(LogRecords(db.get(), LogRecordType::kCommit), 4u);
   const uint64_t lsn_before = db->redo_log()->last_lsn();
 
-  // The checkpoint covers every record, so the whole prefix goes.
+  // The checkpoint covers every record, so the whole closed segment
+  // goes, and the log continues in one segment named past it.
   ASSERT_TRUE(db->Checkpoint().ok());
+  std::vector<FramedLog::Segment> segments;
+  ASSERT_TRUE(FramedLog::ListSegments(dir_, &segments).ok());
+  ASSERT_EQ(segments.size(), 1u);
+  EXPECT_EQ(segments[0].lo, lsn_before + 1);
   EXPECT_EQ(LogRecords(db.get(), LogRecordType::kCommit), 0u);
   EXPECT_EQ(LogRecords(db.get(), LogRecordType::kInsertAppend), 0u);
   EXPECT_EQ(db->redo_log()->last_lsn(), lsn_before);  // LSNs stable
@@ -693,9 +714,9 @@ TEST_F(GroupCommitTest, CheckpointDoesNotOrphanPostWatermarkCommits) {
   }
 }
 
-// Checkpoint truncations swap the log's file while synced commits are
-// in flight: eight sync_commit committers run beside a checkpoint loop
-// until it has truncated the log kCheckpoints times. Every acknowledged
+// Checkpoint rolls swap the log's file while synced commits are in
+// flight: eight sync_commit committers run beside a checkpoint loop
+// until it has rolled the log kCheckpoints times. Every acknowledged
 // commit survives close and reopen on both tables, and LSNs are stable.
 TEST_F(GroupCommitTest, CheckpointsRacingSyncedCommitsKeepEveryAck) {
   DurabilityOptions opts;

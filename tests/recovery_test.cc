@@ -36,8 +36,19 @@
 namespace lstore {
 namespace {
 
-std::string TempLogPath(const char* name) {
-  return std::string(::testing::TempDir()) + "lstore_" + name + ".log";
+// A fresh, empty log directory under the test temp dir.
+std::string TempLogDir(const char* name) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "lstore_" + name + "_log";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  return dir;
+}
+
+// The first segment of the log in `dir`: the file a log opened on an
+// empty directory appends to until its first roll.
+std::string FirstSegment(const std::string& dir) {
+  return FramedLog::SegmentPath(dir, 1);
 }
 
 TableConfig LogConfig() {
@@ -199,7 +210,7 @@ TEST(RedoLogTest, InsertBatchFrameGoldenBytes) {
     ASSERT_TRUE(table.InsertBatch(txn, {{1, 300}, {2, 5}}).ok());
     ASSERT_TRUE(txn.Commit().ok());
   }
-  std::string data = ReadWholeFile(dir + "/redo.log");
+  std::string data = ReadWholeFile(FirstSegment(dir));
   size_t pos = 0;
   uint64_t len = 0;
   ASSERT_TRUE(GetVarint64(data, &pos, &len));
@@ -223,16 +234,16 @@ TEST(RedoLogTest, InsertBatchFrameGoldenBytes) {
 // What a replay delivered: each record's type, txn id and LSN.
 using Delivered = std::vector<std::tuple<LogRecordType, TxnId, uint64_t>>;
 
-// Replay the damaged log at `path`, then open it for appending with the
-// same delivery: the open-time scan must deliver exactly the records
-// and LSNs that Replay does, resume the LSN counter at the last good
-// record and cut the file at the last good frame. Returns what Replay
-// delivered.
-Delivered ReplayThenOpenAlike(const std::string& path) {
+// Replay the damaged one-segment log in `dir`, then open it for
+// appending with the same delivery: the open-time scan must deliver
+// exactly the records and LSNs that Replay does, resume the LSN counter
+// at the last good record and cut the file at the last good frame.
+// Returns what Replay delivered.
+Delivered ReplayThenOpenAlike(const std::string& dir) {
   Delivered replayed, opened;
   RedoLog::ReplayStats stats;
   EXPECT_TRUE(RedoLog::Replay(
-                  path,
+                  dir,
                   [&](const LogRecord& rec, uint64_t lsn) {
                     replayed.emplace_back(rec.type, rec.txn_id, lsn);
                   },
@@ -240,7 +251,7 @@ Delivered ReplayThenOpenAlike(const std::string& path) {
                   .ok());
   EXPECT_FALSE(stats.clean_end);
   RedoLog log;
-  EXPECT_TRUE(log.Open(path, /*truncate=*/false,
+  EXPECT_TRUE(log.Open(dir, /*watermark=*/0,
                        [&](const LogRecord& rec, uint64_t lsn) {
                          opened.emplace_back(rec.type, rec.txn_id, lsn);
                        })
@@ -250,15 +261,16 @@ Delivered ReplayThenOpenAlike(const std::string& path) {
   EXPECT_EQ(log.last_lsn(),
             replayed.empty() ? 0u : std::get<2>(replayed.back()));
   log.Close();
-  EXPECT_EQ(FileSize(path), stats.bytes_consumed);
+  EXPECT_EQ(FileSize(FirstSegment(dir)), stats.bytes_consumed);
   return replayed;
 }
 
 TEST(RedoLogTest, ReplayStopsAtTornTail) {
-  std::string path = TempLogPath("torn");
+  const std::string dir = TempLogDir("torn");
+  const std::string path = FirstSegment(dir);
   {
     RedoLog log;
-    ASSERT_TRUE(log.Open(path, true).ok());
+    ASSERT_TRUE(log.Open(dir).ok());
     for (int i = 0; i < 5; ++i) {
       LogRecord rec;
       rec.type = LogRecordType::kCommit;
@@ -277,21 +289,22 @@ TEST(RedoLogTest, ReplayStopsAtTornTail) {
     std::fclose(f);
   }
   int count = 0;
-  ASSERT_TRUE(RedoLog::Replay(path, [&](const LogRecord&) { ++count; }).ok());
+  ASSERT_TRUE(RedoLog::Replay(dir, [&](const LogRecord&) { ++count; }).ok());
   EXPECT_EQ(count, 4);  // last frame torn, first four intact
   // Opened for appending, the same file delivers the same four.
-  Delivered delivered = ReplayThenOpenAlike(path);
+  Delivered delivered = ReplayThenOpenAlike(dir);
   ASSERT_EQ(delivered.size(), 4u);
   EXPECT_EQ(std::get<1>(delivered[3]), kTxnIdTag | 103);
   EXPECT_EQ(std::get<2>(delivered[3]), 4u);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 TEST(RedoLogTest, ReplayStopsAtCorruptChecksum) {
-  std::string path = TempLogPath("corrupt");
+  const std::string dir = TempLogDir("corrupt");
+  const std::string path = FirstSegment(dir);
   {
     RedoLog log;
-    ASSERT_TRUE(log.Open(path, true).ok());
+    ASSERT_TRUE(log.Open(dir).ok());
     for (int i = 0; i < 3; ++i) {
       LogRecord rec;
       rec.type = LogRecordType::kAbort;
@@ -312,11 +325,11 @@ TEST(RedoLogTest, ReplayStopsAtCorruptChecksum) {
     std::fclose(f);
   }
   int count = 0;
-  ASSERT_TRUE(RedoLog::Replay(path, [&](const LogRecord&) { ++count; }).ok());
+  ASSERT_TRUE(RedoLog::Replay(dir, [&](const LogRecord&) { ++count; }).ok());
   EXPECT_LT(count, 3);
   // Opened for appending, the same file delivers the same prefix.
-  EXPECT_EQ(ReplayThenOpenAlike(path).size(), static_cast<size_t>(count));
-  std::remove(path.c_str());
+  EXPECT_EQ(ReplayThenOpenAlike(dir).size(), static_cast<size_t>(count));
+  std::filesystem::remove_all(dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -332,11 +345,11 @@ LogRecord CommitRecord(uint64_t i) {
   return rec;
 }
 
-// How many records a replay of `path` delivers; fills `stats`.
-uint64_t ReplayCount(const std::string& path, RedoLog::ReplayStats* stats) {
+// How many records a replay of the log in `dir` delivers; fills `stats`.
+uint64_t ReplayCount(const std::string& dir, RedoLog::ReplayStats* stats) {
   uint64_t records = 0;
   EXPECT_TRUE(RedoLog::Replay(
-                  path, [&](const LogRecord&, uint64_t) { ++records; }, stats)
+                  dir, [&](const LogRecord&, uint64_t) { ++records; }, stats)
                   .ok());
   return records;
 }
@@ -354,73 +367,73 @@ void Scribble(const std::string& path, uint64_t offset,
 // ends clean at the first zero. Close trims the zero tail: the closed
 // file ends at the last frame.
 TEST(RedoLogZeroTailTest, OpenLogReplaysCleanAndCloseTrims) {
-  const std::string path = TempLogPath("zero_tail");
+  const std::string dir = TempLogDir("zero_tail");
+  const std::string path = FirstSegment(dir);
   RedoLog log;
-  ASSERT_TRUE(log.Open(path, /*truncate=*/true).ok());
+  ASSERT_TRUE(log.Open(dir).ok());
   for (uint64_t i = 1; i <= 100; ++i) log.Append(CommitRecord(i));
   ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
   EXPECT_EQ(FileSize(path), 2 * FramedLog::kPreExtend);
   RedoLog::ReplayStats stats;
-  EXPECT_EQ(ReplayCount(path, &stats), 100u);
+  EXPECT_EQ(ReplayCount(dir, &stats), 100u);
   EXPECT_TRUE(stats.clean_end);
   EXPECT_EQ(stats.last_lsn, 100u);
   EXPECT_EQ(stats.bytes_consumed, log.bytes());
   log.Close();
   EXPECT_EQ(FileSize(path), stats.bytes_consumed);
-  EXPECT_EQ(ReplayCount(path, &stats), 100u);
+  EXPECT_EQ(ReplayCount(dir, &stats), 100u);
   EXPECT_TRUE(stats.clean_end);
-  std::remove(path.c_str());
+  std::filesystem::remove_all(dir);
 }
 
 // A non-zero byte past the end-of-log zero is damage, not a zero tail:
 // the replay keeps every record before it and reports a torn tail, and
 // Open cuts the file back to the last frame.
 TEST(RedoLogZeroTailTest, GarbagePastTheZerosIsATornTail) {
-  const std::string path = TempLogPath("zero_tail_live");
-  const std::string crash = TempLogPath("zero_tail_garbage");
+  const std::string live = TempLogDir("zero_tail_live");
+  const std::string crash = TempLogDir("zero_tail_garbage");
   RedoLog log;
-  ASSERT_TRUE(log.Open(path, /*truncate=*/true).ok());
+  ASSERT_TRUE(log.Open(live).ok());
   for (uint64_t i = 1; i <= 10; ++i) log.Append(CommitRecord(i));
   ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
-  std::filesystem::copy_file(path, crash,
-                             std::filesystem::copy_options::overwrite_existing);
-  Scribble(crash, log.bytes() + 4096, "garbage");
+  std::filesystem::copy_file(FirstSegment(live), FirstSegment(crash));
+  Scribble(FirstSegment(crash), log.bytes() + 4096, "garbage");
   RedoLog::ReplayStats stats;
   EXPECT_EQ(ReplayCount(crash, &stats), 10u);
   EXPECT_FALSE(stats.clean_end);
   EXPECT_EQ(stats.last_lsn, 10u);
   EXPECT_EQ(stats.bytes_consumed, log.bytes());
   EXPECT_EQ(ReplayThenOpenAlike(crash).size(), 10u);
-  std::remove(crash.c_str());
+  std::filesystem::remove_all(crash);
   log.Close();
-  std::remove(path.c_str());
+  std::filesystem::remove_all(live);
 }
 
 // A crash mid-write leaves part of a frame in the zero tail: Open cuts
 // the log back to where that frame began, and appends after the cut
 // replay clean.
 TEST(RedoLogZeroTailTest, PartialFrameInTheZeroTailIsCutOnOpen) {
-  const std::string path = TempLogPath("zero_tail_live");
-  const std::string crash = TempLogPath("zero_tail_crash");
+  const std::string live = TempLogDir("zero_tail_live");
+  const std::string crash = TempLogDir("zero_tail_crash");
   uint64_t intact = 0;
   {
     RedoLog log;
-    ASSERT_TRUE(log.Open(path, /*truncate=*/true).ok());
+    ASSERT_TRUE(log.Open(live).ok());
     for (uint64_t i = 1; i <= 10; ++i) log.Append(CommitRecord(i));
     ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
     intact = log.bytes();
-    std::filesystem::copy_file(
-        path, crash, std::filesystem::copy_options::overwrite_existing);
+    std::filesystem::copy_file(FirstSegment(live), FirstSegment(crash));
   }
   std::string payload, frame;
   RedoLog::EncodePayload(CommitRecord(11), &payload);
   FramedLog::AppendFrame(&frame, payload);
-  Scribble(crash, intact, std::string_view(frame).substr(0, frame.size() - 3));
+  Scribble(FirstSegment(crash), intact,
+           std::string_view(frame).substr(0, frame.size() - 3));
   EXPECT_EQ(ReplayThenOpenAlike(crash).size(), 10u);  // cut at `intact`
-  EXPECT_EQ(FileSize(crash), intact);
+  EXPECT_EQ(FileSize(FirstSegment(crash)), intact);
   {
     RedoLog log;
-    ASSERT_TRUE(log.Open(crash, /*truncate=*/false).ok());
+    ASSERT_TRUE(log.Open(crash).ok());
     EXPECT_EQ(log.last_lsn(), 10u);
     for (uint64_t i = 11; i <= 15; ++i) log.Append(CommitRecord(i));
     ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
@@ -432,42 +445,49 @@ TEST(RedoLogZeroTailTest, PartialFrameInTheZeroTailIsCutOnOpen) {
   EXPECT_EQ(ReplayCount(crash, &stats), 15u);
   EXPECT_TRUE(stats.clean_end);
   EXPECT_EQ(stats.last_lsn, 15u);
-  std::remove(crash.c_str());
-  std::remove(path.c_str());
+  std::filesystem::remove_all(crash);
+  std::filesystem::remove_all(live);
 }
 
-// TruncateTo publishes the retained frames with no zero tail; the next
-// write-out extends the new file again.
-TEST(RedoLogZeroTailTest, AppendAfterTruncateExtendsAgain) {
-  const std::string path = TempLogPath("zero_tail_truncate");
+// A roll closes its segment trimmed to the last frame, and the next
+// segment's first write-out pre-extends the new file.
+TEST(RedoLogZeroTailTest, AppendAfterRollExtendsAgain) {
+  const std::string dir = TempLogDir("zero_tail_roll");
+  const std::string path = FirstSegment(dir);
   RedoLog log;
-  ASSERT_TRUE(log.Open(path, /*truncate=*/true).ok());
+  ASSERT_TRUE(log.Open(dir).ok());
   for (uint64_t i = 1; i <= 50; ++i) log.Append(CommitRecord(i));
   ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
-  ASSERT_GT(FileSize(path), log.bytes());
-  ASSERT_TRUE(log.TruncateTo(40).ok());
-  EXPECT_EQ(FileSize(path), log.bytes());
+  const uint64_t closed = log.bytes();
+  ASSERT_GT(FileSize(path), closed);
+  uint64_t watermark = 0;
+  ASSERT_TRUE(log.Roll(&watermark).ok());
+  EXPECT_EQ(watermark, 50u);
+  EXPECT_EQ(FileSize(path), closed);
+  const std::string next = FramedLog::SegmentPath(dir, 51);
+  EXPECT_EQ(FileSize(next), 0u);
+  EXPECT_EQ(log.bytes(), 0u);
   log.Append(CommitRecord(51));
   ASSERT_TRUE(log.Flush(/*sync=*/true).ok());
-  EXPECT_EQ(FileSize(path), 2 * FramedLog::kPreExtend);
+  EXPECT_EQ(FileSize(next), 2 * FramedLog::kPreExtend);
   RedoLog::ReplayStats stats;
-  EXPECT_EQ(ReplayCount(path, &stats), 11u);  // 41..51
+  EXPECT_EQ(ReplayCount(dir, &stats), 51u);
   EXPECT_TRUE(stats.clean_end);
   EXPECT_EQ(stats.last_lsn, 51u);
   EXPECT_EQ(stats.bytes_consumed, log.bytes());
   log.Close();
-  EXPECT_EQ(FileSize(path), stats.bytes_consumed);
-  std::remove(path.c_str());
+  EXPECT_EQ(FileSize(next), stats.bytes_consumed);
+  std::filesystem::remove_all(dir);
 }
 
 // Each case runs on a one-table durable database in a fresh directory;
-// `path_` is its one redo log. Restart() closes and reopens it.
+// `path_` is its log's first segment. Restart() closes and reopens it.
 class RecoveryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     dir_ = TempDbDir(
         ::testing::UnitTest::GetInstance()->current_test_info()->name());
-    path_ = dir_ + "/redo.log";
+    path_ = FirstSegment(dir_);
   }
   void TearDown() override {
     db_.reset();
@@ -476,7 +496,7 @@ class RecoveryTest : public ::testing::Test {
   Table& Restart(const TableConfig& cfg = LogConfig()) {
     return lstore::Restart(dir_, &db_, cfg);
   }
-  // Create the table and close, so that a log crafted at `path_` next
+  // Create the table and close, so that a log crafted in `dir_` next
   // replays into table id 0.
   void CreateAndClose() {
     Restart();
@@ -838,7 +858,7 @@ TEST_F(RecoveryTest, BatchAcrossRangesLogsOneRunPerRangeInOneFrame) {
   uint64_t next_lsn = 1;
   Value next_key = 0;
   ASSERT_TRUE(RedoLog::Replay(
-                  path_,
+                  dir_,
                   [&](const LogRecord& rec, uint64_t lsn) {
                     EXPECT_EQ(lsn, next_lsn++);
                     if (rec.type != LogRecordType::kInsertAppend) return;
@@ -888,7 +908,7 @@ TEST_F(RecoveryTest, DuplicateKeyBatchLogsOnlyTheInsertedPrefix) {
   for (size_t rid = 16; rid < 30; ++rid) EXPECT_TRUE(before[rid].empty());
 
   std::vector<Value> logged_keys;
-  ASSERT_TRUE(RedoLog::Replay(path_, [&](const LogRecord& rec) {
+  ASSERT_TRUE(RedoLog::Replay(dir_, [&](const LogRecord& rec) {
                 if (rec.type == LogRecordType::kInsertAppend) {
                   logged_keys.push_back(rec.values[0]);
                 }
@@ -918,7 +938,7 @@ TEST_F(RecoveryTest, TornRunFrameIsCutAtItsFrameStart) {
   CreateAndClose();
   {
     RedoLog log;
-    ASSERT_TRUE(log.Open(path_, /*truncate=*/true).ok());
+    ASSERT_TRUE(log.Open(dir_).ok());
     RedoLog::Batch first;
     first.AddInsertRun(/*table=*/0, a, 0, 0, rows.data(), 20, 0b111);
     EXPECT_EQ(log.AppendBatch(first), 20u);
@@ -940,7 +960,7 @@ TEST_F(RecoveryTest, TornRunFrameIsCutAtItsFrameStart) {
   ASSERT_EQ(::truncate(path_.c_str(), full - 5), 0);  // crc + last values
   {
     RedoLog log;
-    ASSERT_TRUE(log.Open(path_, /*truncate=*/false).ok());
+    ASSERT_TRUE(log.Open(dir_).ok());
     EXPECT_EQ(FileSize(path_), intact);
     EXPECT_EQ(log.last_lsn(), 21u);
     LogRecord abort;
@@ -951,7 +971,7 @@ TEST_F(RecoveryTest, TornRunFrameIsCutAtItsFrameStart) {
   RedoLog::ReplayStats stats;
   uint64_t records = 0;
   ASSERT_TRUE(RedoLog::Replay(
-                  path_, [&](const LogRecord&, uint64_t) { ++records; },
+                  dir_, [&](const LogRecord&, uint64_t) { ++records; },
                   &stats)
                   .ok());
   EXPECT_TRUE(stats.clean_end);
@@ -971,7 +991,7 @@ TEST_F(RecoveryTest, DuplicateLiveKeyIsCorruption) {
   CreateAndClose();
   {
     RedoLog log;
-    ASSERT_TRUE(log.Open(path_, /*truncate=*/true).ok());
+    ASSERT_TRUE(log.Open(dir_).ok());
     for (uint64_t range = 0; range < 2; ++range) {
       const TxnId txn = kTxnIdTag | (range + 1);
       RedoLog::Batch batch;
@@ -1021,7 +1041,7 @@ TEST_F(RecoveryTest, DatabaseOpenRefusesADuplicateKeyAcrossRanges) {
     }
     {
       RedoLog log;
-      ASSERT_TRUE(log.Open(dir + "/redo.log", /*truncate=*/false).ok());
+      ASSERT_TRUE(log.Open(dir).ok());
       const TxnId txn = kTxnIdTag | 4242;
       const std::vector<std::vector<Value>> row = {{7, 70, 700}};
       RedoLog::Batch batch;
@@ -1123,15 +1143,18 @@ TEST_F(RecoveryTest, MixedLogReplaysAlikeFromLogAndFromCheckpoint) {
     ASSERT_TRUE(db->Checkpoint().ok());
     MixedRound(table, begin, 10000);
     EXPECT_EQ(RowsOf(*table), live);
-    // The checkpoint truncated the log: what is left starts past a
-    // truncation point and holds the second round.
-    RedoLog::ReplayStats stats;
+    // The checkpoint retired the log's first segment: what is left is
+    // one segment, starting past the watermark, holding the second
+    // round.
+    std::vector<FramedLog::Segment> segments;
+    ASSERT_TRUE(FramedLog::ListSegments(dir, &segments).ok());
+    ASSERT_EQ(segments.size(), 1u);
+    EXPECT_GT(segments[0].lo, 1u);
     uint64_t records = 0;
     ASSERT_TRUE(RedoLog::Replay(
-                    dir + "/redo.log",
-                    [&](const LogRecord&, uint64_t) { ++records; }, &stats)
+                    dir, [&](const LogRecord&, uint64_t) { ++records; },
+                    nullptr)
                     .ok());
-    EXPECT_GT(stats.base_lsn, 0u);
     EXPECT_GT(records, 45u);
     // Crash: the database dies with all in-memory state.
   }
@@ -1242,17 +1265,22 @@ TEST_F(RecoveryTest, ReplayOverCapturedAndCompressedRecordsIsIdempotent) {
   EXPECT_GT(versions, 0u);
   db_.reset();
 
-  // The log still holds every record the checkpoint captured; with the
-  // watermark at 0 the reopen replays them all over it.
+  // The log still holds every record the checkpoint captured, in the
+  // segment its roll closed at the watermark; with the watermark at 0
+  // the reopen replays them all over it.
   Manifest manifest;
   bool exists = false;
   ASSERT_TRUE(ReadManifest(dir_, &manifest, &exists).ok());
   ASSERT_TRUE(exists);
+  std::vector<FramedLog::Segment> segments;
+  ASSERT_TRUE(FramedLog::ListSegments(dir_, &segments).ok());
+  ASSERT_EQ(segments.size(), 2u);
+  EXPECT_EQ(segments[0].lo, 1u);
+  ASSERT_GT(manifest.log_watermark, 0u);
+  EXPECT_EQ(segments[0].hi, manifest.log_watermark);
   RedoLog::ReplayStats stats;
   ASSERT_TRUE(
-      RedoLog::Replay(path_, [](const LogRecord&, uint64_t) {}, &stats).ok());
-  EXPECT_EQ(stats.base_lsn, 0u);
-  ASSERT_GT(manifest.log_watermark, 0u);
+      RedoLog::Replay(dir_, [](const LogRecord&, uint64_t) {}, &stats).ok());
   EXPECT_EQ(stats.last_lsn, manifest.log_watermark);
   manifest.log_watermark = 0;
   ASSERT_TRUE(WriteManifest(dir_, manifest).ok());
@@ -1281,7 +1309,7 @@ TEST_F(RecoveryOutcomeTest, AbortRecordAfterCommitRecordWins) {
   CreateAndClose();
   {
     RedoLog log;
-    ASSERT_TRUE(log.Open(path_, /*truncate=*/true).ok());
+    ASSERT_TRUE(log.Open(dir_).ok());
     LogRecord ins;
     ins.type = LogRecordType::kInsertAppend;
     ins.txn_id = txn_id;
@@ -1345,17 +1373,17 @@ TEST_F(RecoveryOutcomeTest, UnopenableLogFailsTheOpen) {
   EXPECT_EQ(files(), before);
 }
 
-// --- truncation under load -------------------------------------------------
+// --- rolls under load ------------------------------------------------------
 
-// Commits proceed while TruncateTo rewrites the log: the mutex-held
-// window is O(appends since the scan), so appends interleave with the
-// rewrite and every record beyond the watermark must survive with its
-// LSN intact.
-TEST(RedoLogTruncateTest, CommitsConcurrentWithTruncation) {
-  std::string path = TempLogPath("concurrent_truncate");
-  std::remove(path.c_str());
+// Commits proceed while Roll closes the open segment: appends keep
+// filling the buffer during the roll, and the records beyond each
+// roll's watermark land in the next segment. After each roll the
+// segments at or below the previous roll's watermark are deleted; every
+// record beyond them survives with its LSN intact.
+TEST(RedoLogRollTest, CommitsConcurrentWithRolls) {
+  const std::string dir = TempLogDir("concurrent_rolls");
   RedoLog log;
-  ASSERT_TRUE(log.Open(path, /*truncate=*/true).ok());
+  ASSERT_TRUE(log.Open(dir).ok());
 
   std::atomic<bool> stop{false};
   std::atomic<uint64_t> appended{0};
@@ -1365,34 +1393,44 @@ TEST(RedoLogTruncateTest, CommitsConcurrentWithTruncation) {
       rec.type = LogRecordType::kCommit;
       rec.txn_id = kTxnIdTag | (appended.load() + 1);
       rec.commit_time = appended.load() + 1;
-      log.Append(rec);
-      ASSERT_TRUE(log.Flush(false).ok());
+      const uint64_t lsn = log.Append(rec);
+      ASSERT_TRUE(log.Sync(lsn, /*fsync=*/lsn % 8 == 0).ok());
       appended.fetch_add(1);
     }
   });
 
-  // Interleave several truncations with the append stream.
-  uint64_t last_watermark = 0;
+  // Interleave rolls and retirements with the append stream.
+  uint64_t retired = 0, previous = 0;
   for (int i = 0; i < 20; ++i) {
     while (appended.load() < static_cast<uint64_t>(i + 1) * 20) {
       std::this_thread::yield();
     }
-    last_watermark = log.last_lsn() / 2;
-    ASSERT_TRUE(log.TruncateTo(last_watermark).ok());
+    uint64_t watermark = 0;
+    ASSERT_TRUE(log.Roll(&watermark).ok());
+    retired = previous;
+    previous = watermark;
+    std::vector<FramedLog::Segment> segments;
+    ASSERT_TRUE(FramedLog::RetiredSegments(dir, retired, &segments).ok());
+    for (const FramedLog::Segment& seg : segments) {
+      EXPECT_LE(seg.hi, retired);
+      ASSERT_EQ(std::remove(seg.path.c_str()), 0);
+    }
   }
+  // Keep a record past the last roll, so the open segment is not empty.
+  while (appended.load() <= previous) std::this_thread::yield();
   stop = true;
   committer.join();
   ASSERT_TRUE(log.Flush(false).ok());
   uint64_t total = appended.load();
   log.Close();
 
-  // Replay: LSNs are contiguous from the final truncation point and
-  // every record beyond it survived (commit_time encodes the append
-  // index, so continuity proves no loss and no duplication).
+  // Replay: the segments chain, LSNs are contiguous from the first kept
+  // segment, and every record beyond it survived (commit_time encodes
+  // the append index, so continuity proves no loss and no duplication).
   uint64_t prev_lsn = 0, first_lsn = 0, records = 0;
   RedoLog::ReplayStats stats;
   ASSERT_TRUE(RedoLog::Replay(
-                  path,
+                  dir,
                   [&](const LogRecord& rec, uint64_t lsn) {
                     if (records == 0) {
                       first_lsn = lsn;
@@ -1407,69 +1445,29 @@ TEST(RedoLogTruncateTest, CommitsConcurrentWithTruncation) {
                   .ok());
   EXPECT_TRUE(stats.clean_end);
   EXPECT_GT(records, 0u);
-  EXPECT_GT(first_lsn, last_watermark);  // prefix actually dropped
+  EXPECT_GT(first_lsn, 1u);              // retired segments are gone
+  EXPECT_LE(first_lsn, retired + 1);     // nothing past them went
   EXPECT_EQ(prev_lsn, total);            // tail fully retained
+  std::filesystem::remove_all(dir);
 }
 
-// A batch frame straddling the watermark is retained whole; the
-// truncation point's base LSN backs up so the numbering of the
-// surviving records does not shift.
-TEST(RedoLogTruncateTest, BatchFrameStraddlingWatermarkKeepsLsns) {
-  std::string path = TempLogPath("batch_straddle");
-  std::remove(path.c_str());
-  RedoLog log;
-  ASSERT_TRUE(log.Open(path, /*truncate=*/true).ok());
-  std::vector<LogRecord> batch;
-  for (int i = 0; i < 10; ++i) {
-    LogRecord rec;
-    rec.type = LogRecordType::kCommit;
-    rec.txn_id = kTxnIdTag | (i + 1);
-    rec.commit_time = i + 1;  // record i+1 carries its own LSN
-    batch.push_back(rec);
-  }
-  EXPECT_EQ(log.AppendBatch(batch), 10u);
-  ASSERT_TRUE(log.Flush(false).ok());
-  // Watermark falls INSIDE the batch: the whole frame must survive.
-  ASSERT_TRUE(log.TruncateTo(5).ok());
-  log.Close();
-  uint64_t records = 0;
-  std::vector<uint64_t> lsns;
-  ASSERT_TRUE(RedoLog::Replay(
-                  path,
-                  [&](const LogRecord& rec, uint64_t lsn) {
-                    EXPECT_EQ(rec.commit_time, lsn);  // numbering unshifted
-                    lsns.push_back(lsn);
-                    ++records;
-                  },
-                  nullptr)
-                  .ok());
-  EXPECT_EQ(records, 10u);  // retained whole; replay filters by LSN
-  EXPECT_EQ(lsns.front(), 1u);
-  EXPECT_EQ(lsns.back(), 10u);
-}
-
-// A redo log whose record with LSN n carries range id n, tracking the
-// first LSN and end offset of every frame, so a test knows which
-// records a truncation keeps (the whole frame holding watermark + 1)
-// and where the truncation marks fall. Every frame is flushed as it is
-// appended, so the file size is the log's length.
+// A redo log in a directory of its own whose record with LSN n carries
+// range id n. Every frame is flushed as it is appended.
 class NumberedLog {
  public:
-  explicit NumberedLog(const std::string& path) : path_(path) {
-    std::remove(path.c_str());
-    FramedLogMetrics m;
-    m.truncate_read_bytes = &read_bytes_;
-    log_.set_metrics(m);
-    EXPECT_TRUE(log_.Open(path, /*truncate=*/true).ok());
+  explicit NumberedLog(const std::string& dir) : dir_(dir) {
+    std::filesystem::remove_all(dir);
+    std::filesystem::create_directories(dir);
+    EXPECT_TRUE(log_.Open(dir).ok());
   }
   ~NumberedLog() {
     log_.Close();
-    std::remove(path_.c_str());
+    std::filesystem::remove_all(dir_);
   }
 
   RedoLog& log() { return log_; }
+  const std::string& dir() const { return dir_; }
   uint64_t appended() const { return appended_; }
-  uint64_t read_bytes() const { return read_bytes_.value(); }
 
   void AppendSingle(int width) {
     EXPECT_EQ(log_.Append(Record(appended_ + 1, width)), appended_ + 1);
@@ -1483,28 +1481,14 @@ class NumberedLog {
     Appended(n);
   }
 
-  /// First LSN kept by a truncation at `watermark` of the untruncated
-  /// log: the first LSN of the frame holding watermark + 1.
-  uint64_t KeptFrom(uint64_t watermark) const {
-    if (watermark >= appended_) return appended_ + 1;
-    auto it = std::upper_bound(frame_first_.begin(), frame_first_.end(),
-                               watermark + 1);
-    return *std::prev(it);
-  }
-
-  /// The marks of the untruncated log as {offset, LSN}: one at each
-  /// frame end where kMarkSpacing bytes were appended since the last.
-  std::vector<std::pair<uint64_t, uint64_t>> Marks() const {
-    std::vector<std::pair<uint64_t, uint64_t>> marks;
-    uint64_t prev = 0;
-    for (size_t i = 0; i < frame_end_.size(); ++i) {
-      if (frame_end_[i] - prev < FramedLog::kMarkSpacing) continue;
-      uint64_t last = i + 1 < frame_first_.size() ? frame_first_[i + 1] - 1
-                                                  : appended_;
-      marks.emplace_back(frame_end_[i], last);
-      prev = frame_end_[i];
+  /// Delete every closed segment at or below `watermark`, as a
+  /// checkpoint at that watermark does.
+  void Retire(uint64_t watermark) {
+    std::vector<FramedLog::Segment> retired;
+    ASSERT_TRUE(FramedLog::RetiredSegments(dir_, watermark, &retired).ok());
+    for (const FramedLog::Segment& seg : retired) {
+      ASSERT_EQ(std::remove(seg.path.c_str()), 0) << seg.path;
     }
-    return marks;
   }
 
   /// Replay holds exactly the records [first, appended()], in order,
@@ -1514,7 +1498,7 @@ class NumberedLog {
     uint64_t next = first;
     RedoLog::ReplayStats stats;
     ASSERT_TRUE(RedoLog::Replay(
-                    path_,
+                    dir_,
                     [&](const LogRecord& rec, uint64_t lsn) {
                       ASSERT_EQ(lsn, next);
                       ASSERT_EQ(rec.range_id, lsn);
@@ -1538,29 +1522,24 @@ class NumberedLog {
   }
 
   void Appended(uint64_t n) {
-    frame_first_.push_back(appended_ + 1);
     appended_ += n;
     EXPECT_TRUE(log_.Flush(false).ok());
-    frame_end_.push_back(log_.bytes());
   }
 
-  std::string path_;
-  Counter read_bytes_;
+  std::string dir_;
   RedoLog log_;
   uint64_t appended_ = 0;
-  std::vector<uint64_t> frame_first_;  ///< first LSN of each frame
-  std::vector<uint64_t> frame_end_;    ///< end offset of each frame
 };
 
-// A multi-MB log of mixed single and batch frames, truncated at random
-// watermarks (some below the previous cut) with reopens in between,
-// which re-seed the marks from the file: replay stays LSN-continuous
-// up to the append counter, and every truncation reads the retained
-// tail plus less than one mark spacing.
-TEST(RedoLogTruncateTest, RandomWatermarksAcrossReopens) {
-  std::string path = TempLogPath("random_truncate");
-  NumberedLog nl(path);
+// A multi-MB log of mixed single and batch frames, rolled once a round
+// and retired at random watermarks (some below an earlier retirement),
+// with reopens in between: every roll's watermark is the last LSN, a
+// roll with nothing appended creates no segment, and replay stays
+// LSN-continuous from the first kept segment up to the append counter.
+TEST(RedoLogRollTest, RandomWatermarksAcrossReopens) {
+  NumberedLog nl(std::string(::testing::TempDir()) + "lstore_random_rolls");
   std::mt19937_64 rng(14);
+  std::vector<uint64_t> rolls;  ///< every roll's watermark, ascending
   uint64_t kept_from = 1;
   for (int round = 0; round < 8; ++round) {
     for (int f = 0; f < 3000; ++f) {
@@ -1571,172 +1550,64 @@ TEST(RedoLogTruncateTest, RandomWatermarksAcrossReopens) {
         nl.AppendSingle(width);
       }
     }
-    uint64_t watermark =
-        round % 3 == 2
-            ? rng() % kept_from
-            : kept_from - 1 + rng() % (nl.appended() - kept_from + 2);
-    uint64_t before = nl.read_bytes();
-    ASSERT_TRUE(nl.log().TruncateTo(watermark).ok());
-    kept_from = std::max(kept_from, nl.KeptFrom(watermark));
-    EXPECT_LT(nl.read_bytes() - before,
-              FramedLog::kMarkSpacing + FileSize(path));
+    uint64_t watermark = 0;
+    ASSERT_TRUE(nl.log().Roll(&watermark).ok());
+    EXPECT_EQ(watermark, nl.appended());
+    rolls.push_back(watermark);
+    std::vector<FramedLog::Segment> segments;
+    ASSERT_TRUE(FramedLog::ListSegments(nl.dir(), &segments).ok());
+    const size_t count = segments.size();
+    EXPECT_EQ(segments.back().lo, watermark + 1);
+    uint64_t again = 0;
+    ASSERT_TRUE(nl.log().Roll(&again).ok());
+    EXPECT_EQ(again, watermark);
+    ASSERT_TRUE(FramedLog::ListSegments(nl.dir(), &segments).ok());
+    EXPECT_EQ(segments.size(), count);
+
+    const uint64_t retire = rng() % (watermark + 1);
+    nl.Retire(retire);
+    // The first segment left starts just past the last roll at or
+    // below `retire`.
+    auto after = std::upper_bound(rolls.begin(), rolls.end(), retire);
+    const uint64_t lo = after == rolls.begin() ? 1 : *std::prev(after) + 1;
+    kept_from = std::max(kept_from, lo);
     nl.ExpectReplays(kept_from);
     if (round % 2 == 1) {
       nl.log().Close();
-      ASSERT_TRUE(nl.log().Open(path, /*truncate=*/false).ok());
+      ASSERT_TRUE(nl.log().Open(nl.dir(), kept_from - 1).ok());
       EXPECT_EQ(nl.log().last_lsn(), nl.appended());
     }
   }
   EXPECT_GT(nl.appended(), 100000u);  // several MB went through the log
 }
 
-// Watermarks at the edges of the mark index. The log holds singles up
-// to just below the first kMarkSpacing boundary, batch A across it (so
-// the first mark falls at A's end), batch B starting at that mark, and
-// singles past a second mark. Each truncation reads exactly
-// [last mark at or below the watermark, end); a second truncation then
-// runs on the rebased marks.
-TEST(RedoLogTruncateTest, WatermarksAtMarkEdges) {
-  std::string path = TempLogPath("mark_edges");
-  uint64_t a_first = 0, b_first = 0;
-  auto build = [&](NumberedLog* nl) {
-    while (nl->log().bytes() < FramedLog::kMarkSpacing - 2000) {
-      nl->AppendSingle(8);
-    }
-    a_first = nl->appended() + 1;
-    nl->AppendBatch(100, 8);
-    b_first = nl->appended() + 1;
-    nl->AppendBatch(100, 8);
-    while (nl->log().bytes() < 2 * FramedLog::kMarkSpacing + 5000) {
-      nl->AppendSingle(8);
-    }
-  };
-  std::vector<std::pair<uint64_t, uint64_t>> marks;
-  uint64_t last = 0;
-  {
-    NumberedLog probe(path);
-    build(&probe);
-    marks = probe.Marks();
-    last = probe.appended();
-  }
-  ASSERT_GE(marks.size(), 2u);
-  ASSERT_EQ(marks[0].second, b_first - 1);  // batch A ends at mark 0
-  struct Case {
-    const char* name;
-    uint64_t watermark;
-  };
-  const Case cases[] = {
-      {"before the first mark", 10},
-      {"inside batch A, across the first boundary", a_first + 50},
-      {"inside batch B, right after mark 0", b_first + 50},
-      {"exactly at mark 1", marks[1].second},
-      {"at last_lsn", last},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.name);
-    NumberedLog nl(path);
-    build(&nl);
-    uint64_t size = nl.log().bytes();
-    uint64_t from = 0;
-    for (const auto& [offset, lsn] : nl.Marks()) {
-      if (lsn <= c.watermark) from = offset;
-    }
-    ASSERT_TRUE(nl.log().TruncateTo(c.watermark).ok());
-    EXPECT_EQ(nl.read_bytes(), size - from);
-    nl.ExpectReplays(nl.KeptFrom(c.watermark));
-    if (c.watermark == last) {
-      // Nothing is retained: less than one mark spacing is read.
-      EXPECT_LT(nl.read_bytes(), FramedLog::kMarkSpacing);
-    }
-    // Appends continue past the cut, and a second truncation runs on
-    // the rebased marks.
-    nl.AppendSingle(8);
-    uint64_t second = nl.appended() - 5;
-    uint64_t before = nl.read_bytes();
-    ASSERT_TRUE(nl.log().TruncateTo(second).ok());
-    EXPECT_LT(nl.read_bytes() - before,
-              FramedLog::kMarkSpacing + FileSize(path));
-    nl.ExpectReplays(std::max(nl.KeptFrom(c.watermark), nl.KeptFrom(second)));
-  }
-}
-
-// With a seal sink (archiving), the retired prefix handed over equals
-// a reference built from a full scan of the pre-truncation file: a
-// truncation point before the first retired LSN, then every retired
-// frame.
-TEST(RedoLogTruncateTest, SealedPrefixMatchesFullScanReference) {
-  std::string path = TempLogPath("seal_reference");
-  NumberedLog nl(path);
-  std::mt19937_64 rng(5);
-  for (int round = 0; round < 3; ++round) {
-    for (int f = 0; f < 2000; ++f) {
-      if (rng() % 4 == 0) {
-        nl.AppendBatch(1 + rng() % 20, 6);
-      } else {
-        nl.AppendSingle(6);
-      }
-    }
-    uint64_t watermark = nl.appended() - 1000;
-    std::string before = ReadWholeFile(path);
-    uint64_t first = 0, hi = 0;
-    size_t cut = 0;
-    FramedLog::ScanStats stats;
-    FramedLog::ScanFrames(
-        before, &RedoLog::ValidatePayload,
-        [&](std::string_view, uint64_t first_lsn, uint64_t count,
-            size_t begin, size_t) {
-          if (first == 0) first = first_lsn;
-          if (cut == 0 && first_lsn + count - 1 > watermark) {
-            cut = begin;
-            hi = first_lsn - 1;
-          }
-        },
-        &stats);
-    ASSERT_GT(cut, 0u);
-    std::string expected = FramedLog::TruncationPointFrame(first - 1);
-    expected.append(before, 0, cut);
-
-    std::string sealed;
-    uint64_t seal_lo = 0, seal_hi = 0;
-    FramedLog::SealSink sink = [&](uint64_t lo, uint64_t hi_lsn,
-                                   std::string_view bytes) {
-      seal_lo = lo;
-      seal_hi = hi_lsn;
-      sealed.assign(bytes);
-      return Status::OK();
-    };
-    ASSERT_TRUE(nl.log().TruncateTo(watermark, sink).ok());
-    EXPECT_EQ(seal_lo, first);
-    EXPECT_EQ(seal_hi, hi);
-    EXPECT_EQ(sealed, expected);
-    nl.ExpectReplays(hi + 1);
-    nl.log().Close();
-    ASSERT_TRUE(nl.log().Open(path, /*truncate=*/false).ok());
-  }
-}
-
-// A directory fsync that cannot run is the truncation's result, not
-// silently skipped. The directory is made unreadable: the rename still
-// works, opening the directory for its fsync does not. The handle
-// still moves to the truncated log, so appends that follow survive.
+// A directory fsync that cannot run is the roll's result, not silently
+// skipped. The directory is made unreadable: creating the next segment
+// still works, opening the directory for its fsync does not. The log
+// still moves to the next segment, so appends that follow survive.
 // Skips where directory permissions are not enforced (root).
-TEST(RedoLogTruncateTest, FailedDirectorySyncIsReported) {
-  std::string dir = std::string(::testing::TempDir()) + "lstore_dir_sync";
-  ASSERT_TRUE(::mkdir(dir.c_str(), 0700) == 0 || errno == EEXIST);
+TEST(RedoLogRollTest, FailedDirectorySyncIsReported) {
+  const std::string dir =
+      std::string(::testing::TempDir()) + "lstore_dir_sync";
   {
-    NumberedLog nl(dir + "/t.log");
+    NumberedLog nl(dir);
     for (int i = 0; i < 10; ++i) nl.AppendSingle(2);
     ASSERT_EQ(::chmod(dir.c_str(), 0300), 0);  // write + search, no read
     int probe = ::open(dir.c_str(), O_RDONLY);
-    Status s = probe < 0 ? nl.log().TruncateTo(4) : Status::OK();
+    uint64_t watermark = 0;
+    Status s = probe < 0 ? nl.log().Roll(&watermark) : Status::OK();
     if (probe >= 0) ::close(probe);
     ASSERT_EQ(::chmod(dir.c_str(), 0700), 0);
     if (probe >= 0) GTEST_SKIP() << "directory permissions not enforced";
     EXPECT_TRUE(s.IsIOError()) << s.ToString();
+    EXPECT_EQ(watermark, 10u);
     nl.AppendSingle(2);
-    nl.ExpectReplays(5);
+    nl.ExpectReplays(1);
+    std::vector<FramedLog::Segment> segments;
+    ASSERT_TRUE(FramedLog::ListSegments(dir, &segments).ok());
+    ASSERT_EQ(segments.size(), 2u);
+    EXPECT_EQ(segments[1].lo, 11u);
   }
-  ::rmdir(dir.c_str());
 }
 
 }  // namespace
