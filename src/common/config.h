@@ -46,10 +46,12 @@ struct TableConfig {
   /// Section 4.2). Disabling forces readers to walk the full chain.
   bool cumulative_updates = true;
 
-  /// Size of an insert range: the pre-allocated block of base RIDs
-  /// backed by table-level tail pages (Section 3.2; "at least a
-  /// million RIDs" in production — smaller default here so tests
-  /// exercise multiple insert ranges).
+  /// Unused by the engine: the catalog stores it (PutConfig) and reads
+  /// it back, and nothing else reads it. Inserts take RIDs from one
+  /// table-wide counter and keep each update range's rows in that
+  /// range's own table-level tail pages (Section 3.2), so there is no
+  /// separate insert range to size. Dropping the field changes the
+  /// catalog format, which waits for a pinned-format corpus.
   uint32_t insert_range_size = 1u << 16;
 
   /// Run asynchronous merges (true in all experiments): a range that

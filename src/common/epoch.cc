@@ -12,6 +12,7 @@ EpochManager::~EpochManager() {
 size_t EpochManager::DrainAllUnsafe() {
   // Swap out and run outside the lock (see TryReclaim); loop in case
   // a deleter retires further resources.
+  std::lock_guard<std::mutex> run(run_mu_);
   size_t n = 0;
   for (;;) {
     std::deque<Retired> ready;
@@ -99,6 +100,7 @@ uint64_t EpochManager::MinActiveEpoch() const {
 }
 
 size_t EpochManager::TryReclaim() {
+  std::lock_guard<std::mutex> run(run_mu_);
   uint64_t min_active = MinActiveEpoch();
   // Collect under the lock, run outside it: deleters may take foreign
   // locks (e.g. a segment page unregistering from the buffer pool,

@@ -68,6 +68,11 @@ class EpochManager {
   std::atomic<int> next_slot_hint_{0};
 
   mutable std::mutex retired_mu_;
+  /// Held while deleters run, so they run one at a time and in retire
+  /// order: a deleter may free what an earlier one of the same owner
+  /// still uses (a range's last insert-merge retire frees the tail
+  /// pages earlier ones trim). Deleters never reclaim.
+  std::mutex run_mu_;
   struct Retired {
     uint64_t epoch;
     std::function<void()> deleter;

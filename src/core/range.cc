@@ -44,29 +44,42 @@ BaseSegment* NewSegment(const RangeContext& ctx, uint32_t tps,
 }  // namespace
 
 Range::Range(uint64_t id, const RangeContext* ctx)
-    : id_(id),
-      ctx_(ctx),
-      inserts_(ctx->num_columns, ctx->config->tail_page_slots),
-      updates_(ctx->num_columns, ctx->config->tail_page_slots),
-      base_(ctx->num_columns + kBaseMetaColumns) {}
+    : id_(id), ctx_(ctx), base_(ctx->num_columns + kBaseMetaColumns) {}
 
 Range::~Range() {
   for (auto& b : base_) delete b.load(std::memory_order_acquire);
   delete historic_.load(std::memory_order_acquire);
-  delete meta_.load(std::memory_order_acquire);
+  delete updates_.load(std::memory_order_acquire);
+  delete inserts();
 }
 
-Range::SlotMeta* Range::EnsureMeta() {
-  SlotMeta* m = meta_.load(std::memory_order_acquire);
-  if (m != nullptr) return m;
-  auto* fresh = new SlotMeta(ctx_->config->range_size,
-                             ctx_->num_columns > kIndirEverColumns);
-  if (meta_.compare_exchange_strong(m, fresh, std::memory_order_acq_rel,
-                                    std::memory_order_acquire)) {
+namespace {
+
+/// Install a fresh `T` in `slot` unless one is there: racing callers
+/// install one, and the losers free theirs.
+template <typename T, typename Make>
+T* InstallOnce(std::atomic<T*>& slot, Make make) {
+  T* cur = slot.load(std::memory_order_acquire);
+  if (cur != nullptr) return cur;
+  T* fresh = make();
+  if (slot.compare_exchange_strong(cur, fresh, std::memory_order_acq_rel,
+                                   std::memory_order_acquire)) {
     return fresh;
   }
   delete fresh;
-  return m;
+  return cur;
+}
+
+}  // namespace
+
+Range::UpdateState* Range::EnsureUpdates() {
+  return InstallOnce(updates_, [this] { return new UpdateState(*ctx_); });
+}
+
+TailSegment* Range::EnsureInserts() {
+  return InstallOnce(inserts_, [this] {
+    return new TailSegment(ctx_->num_columns, ctx_->config->tail_page_slots);
+  });
 }
 
 Value Range::BaseValue(uint32_t slot, uint32_t physical_col) const {
@@ -76,12 +89,12 @@ Value Range::BaseValue(uint32_t slot, uint32_t physical_col) const {
   // pages (Section 3.2) at the aligned position slot+1.
   const uint32_t ncols = ctx_->num_columns;
   if (physical_col < ncols) {
-    return inserts_.Read(slot + 1, kTailMetaColumns + physical_col);
+    return InsertValue(slot + 1, kTailMetaColumns + physical_col);
   }
   switch (physical_col - ncols) {
     case kBaseStartTime:
     case kBaseLastUpdated:
-      return inserts_.Read(slot + 1, kTailStartTime);
+      return InsertValue(slot + 1, kTailStartTime);
     case kBaseSchemaEnc:
       return 0;
   }
@@ -127,7 +140,10 @@ Status Range::ResolveOnce(uint32_t slot, const ReadSpec& spec,
       return Status::NotFound("record not visible");
     }
   } else {
-    std::atomic<Value>* sref = inserts_.StartTimeSlot(slot + 1);
+    // Before the range's first insert nothing is published.
+    TailSegment* ins = inserts();
+    if (ins == nullptr) return Status::NotFound("record not visible");
+    std::atomic<Value>* sref = ins->StartTimeSlot(slot + 1);
     Value raw = sref->load(std::memory_order_acquire);
     Visibility v = tm->Visible(sref, &raw, spec.as_of, spec.txn,
                                spec.speculative);
@@ -144,7 +160,7 @@ Status Range::ResolveOnce(uint32_t slot, const ReadSpec& spec,
   // their value lives in base pages for every snapshot — serve them
   // without touching the chain (the 0/2-hop property of Section 2.2).
   // The head and the ever-updated mask come from one load of the word.
-  const SlotMeta* meta = meta_.load(std::memory_order_acquire);
+  UpdateState* meta = updates_.load(std::memory_order_acquire);
   const uint64_t word =
       meta == nullptr ? 0 : meta->word[slot].load(std::memory_order_acquire);
   uint32_t seq = IndirSeq(word);
@@ -204,11 +220,13 @@ Status Range::ResolveOnce(uint32_t slot, const ReadSpec& spec,
       break;  // chain fully consumed (older than historic = base)
     }
 
-    std::atomic<Value>* sref = updates_.StartTimeSlot(seq);
+    // A nonzero chain head was loaded from `meta`, so its tail exists.
+    TailSegment& tail = meta->tail;
+    std::atomic<Value>* sref = tail.StartTimeSlot(seq);
     Value raw = sref->load(std::memory_order_acquire);
     Visibility vis = tm->Visible(sref, &raw, spec.as_of, spec.txn,
                                  spec.speculative);
-    uint32_t back = TailLinkBack(updates_.Read(seq, kTailLink));
+    uint32_t back = TailLinkBack(tail.Read(seq, kTailLink));
     if (vis == Visibility::kInvisible) {
       seq = back;
       continue;
@@ -216,7 +234,7 @@ Status Range::ResolveOnce(uint32_t slot, const ReadSpec& spec,
     if (vis == Visibility::kVisibleSpeculative && spec.txn != nullptr) {
       spec.txn->commit_dependencies().push_back(raw);
     }
-    Value enc = updates_.Read(seq, kTailSchemaEncoding);
+    Value enc = tail.Read(seq, kTailSchemaEncoding);
     if (IsSupersededRecord(enc)) {
       seq = back;  // intermediate same-txn version: implicitly invalid
       continue;
@@ -230,7 +248,7 @@ Status Range::ResolveOnce(uint32_t slot, const ReadSpec& spec,
     ColumnMask take = SchemaColumns(enc) & remaining;
     for (BitIter it(take); it; ++it) {
       (*out)[*it] =
-          updates_.Read(seq, kTailMetaColumns + static_cast<uint32_t>(*it));
+          tail.Read(seq, kTailMetaColumns + static_cast<uint32_t>(*it));
     }
     remaining &= ~take;
 
@@ -282,7 +300,7 @@ Status Range::ResolveOnce(uint32_t slot, const ReadSpec& spec,
   for (BitIter it(fallback); it; ++it) {
     segs[*it] = segment(static_cast<uint32_t>(*it));
   }
-  const SlotMeta* meta_now = meta_.load(std::memory_order_acquire);
+  const UpdateState* meta_now = updates_.load(std::memory_order_acquire);
   ColumnMask guarded =
       spec.as_of == kMaxTimestamp || meta_now == nullptr
           ? 0
@@ -304,16 +322,15 @@ Status Range::ResolveOnce(uint32_t slot, const ReadSpec& spec,
         (!lut_covers || seg->tps > lut_seg->tps)) {
       *consistent = false;
     }
-    (*out)[*it] = seg_covers
-                      ? seg->Get(slot)
-                      : inserts_.Read(slot + 1, kTailMetaColumns + col);
+    (*out)[*it] = seg_covers ? seg->Get(slot)
+                             : InsertValue(slot + 1, kTailMetaColumns + col);
   }
   return Status::OK();
 }
 
 Range::MergedView::MergedView(const Range& r, ColumnMask needed)
     : data_(r.ctx_->num_columns) {
-  if (const SlotMeta* meta = r.meta_.load(std::memory_order_acquire)) {
+  if (const UpdateState* meta = r.updates_.load(std::memory_order_acquire)) {
     word_ = meta->word.get();
   }
   const uint32_t ncols = r.ctx_->num_columns;
@@ -377,8 +394,7 @@ TailRecord Range::ReadRecord(TailKind kind, uint32_t seq, bool settle) {
   return rec;
 }
 
-void Range::WriteRecord(TailKind kind, const TailRecord& rec) {
-  TailSegment& seg = Tail(kind);
+void Range::WriteRecord(TailSegment& seg, const TailRecord& rec) {
   const auto seq = static_cast<uint32_t>(rec.seq);
   int i = 0;
   for (BitIter it(rec.cols); it; ++it) {
@@ -402,18 +418,19 @@ void Range::FillInserts(uint32_t slot0, const std::vector<Value>* rows,
   // is resolved once per page run, and each row is read once, across
   // its columns (the rows are separate allocations).
   const uint32_t ncols = ctx_->num_columns;
+  TailSegment& ins = *EnsureInserts();
   InlineBuffer<Page*, 64> data(ncols);
   for (size_t j = 0; j < count;) {
     const uint32_t slot = slot0 + static_cast<uint32_t>(j);
-    const uint32_t at = inserts_.SlotInPage(slot + 1);
-    const size_t len = std::min<size_t>(count - j, inserts_.page_slots() - at);
+    const uint32_t at = ins.SlotInPage(slot + 1);
+    const size_t len = std::min<size_t>(count - j, ins.page_slots() - at);
     const size_t fill = j < filled ? std::min(len, filled - j) : 0;
     for (uint32_t c = 0; c < ncols; ++c) {
-      data[c] = inserts_.EnsurePageOf(slot + 1, kTailMetaColumns + c);
+      data[c] = ins.EnsurePageOf(slot + 1, kTailMetaColumns + c);
     }
-    Page* link = inserts_.EnsurePageOf(slot + 1, kTailLink);
-    Page* encoding = inserts_.EnsurePageOf(slot + 1, kTailSchemaEncoding);
-    Page* start = inserts_.EnsurePageOf(slot + 1, kTailStartTime);
+    Page* link = ins.EnsurePageOf(slot + 1, kTailLink);
+    Page* encoding = ins.EnsurePageOf(slot + 1, kTailSchemaEncoding);
+    Page* start = ins.EnsurePageOf(slot + 1, kTailStartTime);
     for (size_t k = 0; k < fill; ++k) {
       const Value* row = rows[j + k].data();
       const auto i = static_cast<uint32_t>(at + k);
@@ -431,7 +448,8 @@ void Range::FillInserts(uint32_t slot0, const std::vector<Value>* rows,
 Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
                             const std::vector<Value>& row, bool is_delete,
                             TailVersion* v) {
-  SlotMeta* meta = EnsureMeta();
+  UpdateState* meta = EnsureUpdates();
+  TailSegment& tail = meta->tail;
   auto& ind = meta->word[slot];
 
   // Step 1 of write-write conflict detection: CAS the latch bit
@@ -466,7 +484,7 @@ Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
   const uint32_t boundary = historic_boundary_.load(std::memory_order_acquire);
   Value latest_raw;
   if (prev_seq != 0) {
-    latest_raw = prev_seq >= boundary ? updates_.Read(prev_seq, kTailStartTime)
+    latest_raw = prev_seq >= boundary ? tail.Read(prev_seq, kTailStartTime)
                                       : Value{1};  // historic ⇒ committed
   } else {
     latest_raw = BaseMeta(slot, kBaseStartTime);
@@ -481,12 +499,12 @@ Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
   // version and check its delete flag.
   uint32_t s = prev_seq;
   while (s != 0 && s >= boundary &&
-         IsAbortedStamp(updates_.Read(s, kTailStartTime))) {
-    s = TailLinkBack(updates_.Read(s, kTailLink));
+         IsAbortedStamp(tail.Read(s, kTailStartTime))) {
+    s = TailLinkBack(tail.Read(s, kTailLink));
   }
   bool deleted = false;
   if (s != 0 && s >= boundary) {
-    deleted = IsDeleteRecord(updates_.Read(s, kTailSchemaEncoding));
+    deleted = IsDeleteRecord(tail.Read(s, kTailSchemaEncoding));
   } else if (s != 0) {
     if (HistoricStore* hist = historic_.load(std::memory_order_acquire)) {
       auto versions = hist->VersionsOf(slot);
@@ -496,7 +514,7 @@ Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
   } else if (slot < based_.load(std::memory_order_acquire)) {
     deleted = IsDeleteRecord(BaseMeta(slot, kBaseSchemaEnc)) && prev_seq == 0;
   } else {
-    deleted = IsAbortedStamp(inserts_.Read(slot + 1, kTailStartTime));
+    deleted = IsAbortedStamp(InsertValue(slot + 1, kTailStartTime));
   }
   if (deleted) return refuse(Status::NotFound("record deleted"));
 
@@ -504,8 +522,8 @@ Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
   // (Section 3.1 / Lemma 2). Both seqs are reserved before either
   // record is written, so a refused reservation publishes nothing.
   const ColumnMask newly = mask & ~meta->Ever(slot, iv);
-  v->snap_seq = newly != 0 ? updates_.ReserveSeq() : 0;
-  v->seq = v->snap_seq <= kMaxTailSeq ? updates_.ReserveSeq() : 0;
+  v->snap_seq = newly != 0 ? tail.ReserveSeq() : 0;
+  v->seq = v->snap_seq <= kMaxTailSeq ? tail.ReserveSeq() : 0;
   if (v->seq == 0 || v->seq > kMaxTailSeq) {
     return refuse(Status::Busy("tail sequence space exhausted for range"));
   }
@@ -515,8 +533,8 @@ Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
   ColumnMask carry = 0;
   if (ctx_->config->cumulative_updates && prev_seq != 0 && !is_delete &&
       prev_seq > merged_tps() && prev_seq >= boundary) {
-    Value prev_raw = updates_.Read(prev_seq, kTailStartTime);
-    Value prev_enc = updates_.Read(prev_seq, kTailSchemaEncoding);
+    Value prev_raw = tail.Read(prev_seq, kTailStartTime);
+    Value prev_enc = tail.Read(prev_seq, kTailSchemaEncoding);
     // Carry only from versions with a known-good outcome: a stamped
     // commit time or our own (an unstamped foreign txn id may belong
     // to an aborted transaction whose tombstone is still in flight).
@@ -552,7 +570,7 @@ Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
     for (BitIter it(newly); it; ++it) {
       rec.values[i++] = BaseValue(slot, static_cast<uint32_t>(*it));
     }
-    WriteRecord(TailKind::kUpdate, rec);
+    WriteRecord(tail, rec);
     rec.backptr = v->snap_seq;
   }
 
@@ -561,11 +579,11 @@ Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
   // skip it even post-commit (Section 3.1). Written under the latch;
   // the record is still invisible to others (our txn is uncommitted).
   if (prev_seq != 0 && latest_raw == txn->id()) {
-    Value prev_enc = updates_.Read(prev_seq, kTailSchemaEncoding);
+    Value prev_enc = tail.Read(prev_seq, kTailSchemaEncoding);
     ColumnMask prev_cols = SchemaColumns(prev_enc);
     if (!IsSnapshotRecord(prev_enc) &&
         ((mask | carry) & prev_cols) == prev_cols) {
-      updates_.Write(prev_seq, kTailSchemaEncoding, prev_enc | kSupersededFlag);
+      tail.Write(prev_seq, kTailSchemaEncoding, prev_enc | kSupersededFlag);
     }
   }
 
@@ -575,34 +593,37 @@ Status Range::AppendVersion(Transaction* txn, uint32_t slot, ColumnMask mask,
   // start time.
   for (BitIter it(carry); it; ++it) {
     const uint32_t col = kTailMetaColumns + static_cast<uint32_t>(*it);
-    updates_.Write(v->seq, col, updates_.Read(prev_seq, col));
+    tail.Write(v->seq, col, tail.Read(prev_seq, col));
   }
   for (BitIter it(is_delete ? 0 : mask); it; ++it) {
-    updates_.Write(v->seq, kTailMetaColumns + static_cast<uint32_t>(*it),
+    tail.Write(v->seq, kTailMetaColumns + static_cast<uint32_t>(*it),
                    row[*it]);
   }
   rec.seq = v->seq;
   rec.encoding = mask | carry | (is_delete ? kDeleteFlag : 0);
   rec.start = txn->id();
   rec.cols = 0;
-  WriteRecord(TailKind::kUpdate, rec);
+  WriteRecord(tail, rec);
   return Status::OK();
 }
 
 void Range::PublishVersion(uint32_t slot, uint32_t seq, ColumnMask mask) {
-  meta_.load(std::memory_order_acquire)->Publish(slot, seq, mask);
+  updates_.load(std::memory_order_acquire)->Publish(slot, seq, mask);
 }
 
 void Range::Stamp(const WriteEntry& w, TxnId txn, Value outcome) {
   // An insert-merged insert already carries its outcome in the base
   // segment's Start Time column, and the table-level tail page may be
   // reclaimed; a compressed update resolved its outcome before moving.
-  // The rest of the entry is stamped a tail page at a time.
-  TailSegment& tail = Tail(w.is_insert ? TailKind::kInsert : TailKind::kUpdate);
+  // The rest of the entry is stamped a tail page at a time (the caller
+  // holds the epoch pin, so a based range's insert state, retired
+  // through it, is still there for a stale `based_`).
   const uint32_t end = w.seq + w.count;
   uint32_t seq = std::max(
       w.seq, w.is_insert ? based_.load(std::memory_order_acquire) + 1
                          : historic_boundary_.load(std::memory_order_acquire));
+  if (seq >= end) return;
+  TailSegment& tail = Tail(w.is_insert ? TailKind::kInsert : TailKind::kUpdate);
   for (uint32_t len = 0; seq < end; seq += len) {
     std::atomic<Value>* slots =
         &tail.EnsurePageOf(seq, kTailStartTime)->AtomicSlot(0);
@@ -625,7 +646,7 @@ void Range::Stamp(const WriteEntry& w, TxnId txn, Value outcome) {
 bool Range::TakeMergeTrigger() {
   const TableConfig& cfg = *ctx_->config;
   const uint32_t occupied = this->occupied();
-  const uint32_t unmerged = updates_.LastSeq() - merged_tps();
+  const uint32_t unmerged = tail_length() - merged_tps();
   const bool full_unbased = occupied >= cfg.range_size &&
                             based_.load(std::memory_order_acquire) < occupied;
   if (unmerged < cfg.merge_threshold && !full_unbased) return false;
@@ -648,15 +669,17 @@ bool Range::InsertMerge() {
   EpochGuard eguard(*ctx_->epochs);
   const uint32_t occ = occupied();
   const uint32_t based = based_.load(std::memory_order_acquire);
+  TailSegment* const ins = inserts();
+  if (ins == nullptr) return false;  // no insert yet, or based whole
 
   // Decided prefix of the insert range: stop at the first insert that
   // is unpublished (an unallocated page reads ∅) or whose transaction
   // is still in flight. Each tail page is resolved once.
   uint32_t new_based = based;
   for (Page* start = nullptr; new_based < occ; ++new_based) {
-    const uint32_t at = inserts_.SlotInPage(new_based + 1);
+    const uint32_t at = ins->SlotInPage(new_based + 1);
     if (at == 0 || new_based == based) {
-      start = inserts_.PageOf(new_based + 1, kTailStartTime);
+      start = ins->PageOf(new_based + 1, kTailStartTime);
     }
     if (start == nullptr) break;
     std::atomic<Value>* sref = &start->AtomicSlot(at);
@@ -674,12 +697,12 @@ bool Range::InsertMerge() {
     uint32_t slot = old != nullptr ? std::min(old->num_slots, new_based) : 0;
     while (slot < new_based) {
       const uint32_t seq = slot + 1;
-      const Page* start = inserts_.PageOf(seq, kTailStartTime);
+      const Page* start = ins->PageOf(seq, kTailStartTime);
       const Page* data =
-          pc < ncols ? inserts_.PageOf(seq, kTailMetaColumns + pc) : nullptr;
-      const uint32_t at0 = inserts_.SlotInPage(seq);
-      const uint32_t end = at0 + std::min(new_based - slot,
-                                          inserts_.page_slots() - at0);
+          pc < ncols ? ins->PageOf(seq, kTailMetaColumns + pc) : nullptr;
+      const uint32_t at0 = ins->SlotInPage(seq);
+      const uint32_t end =
+          at0 + std::min(new_based - slot, ins->page_slots() - at0);
       for (uint32_t at = at0; at < end; ++at, ++slot) {
         const Value raw = start != nullptr ? start->Get(at) : kNull;
         const bool aborted = IsAbortedStamp(raw) || raw == kNull;
@@ -702,10 +725,18 @@ bool Range::InsertMerge() {
 
   // Table-level tail pages of the merged prefix can be discarded once
   // current readers drain (Section 4.1.1, "Merging Table-level
-  // Tail-pages").
-  ctx_->epochs->Retire([this, keep_from = new_based + 1] {
-    inserts_.DropRecordsBelow(keep_from);
-  });
+  // Tail-pages"); once the last slot is based, the whole insert state
+  // goes. A reader that loaded an older `based_` may still read it
+  // until then. The epoch manager runs its deleters in retire order,
+  // so an earlier trim never outlives the state.
+  if (new_based == ctx_->config->range_size) {
+    ctx_->epochs->Retire([this] {
+      delete inserts_.exchange(nullptr, std::memory_order_acq_rel);
+    });
+  } else {
+    ctx_->epochs->Retire(
+        [ins, keep_from = new_based + 1] { ins->DropRecordsBelow(keep_from); });
+  }
 
   const TableCounters& obs = *ctx_->obs;
   obs.insert_merges->Increment();
@@ -745,15 +776,18 @@ bool Range::UpdateMerge(ColumnMask data_cols, bool all_columns) {
   if (based == 0 || segment(ncols + kBaseSchemaEnc) == nullptr) {
     return false;  // nothing insert-merged yet
   }
+  UpdateState* const u = updates_.load(std::memory_order_acquire);
+  if (u == nullptr) return false;  // never updated
+  TailSegment& tail = u->tail;
   const uint32_t old_tps = merged_tps();
-  const uint32_t last = updates_.LastSeq();
+  const uint32_t last = tail.LastSeq();
   if (last <= old_tps) return false;
 
   // Step 1: identify the consecutive committed prefix of tail records
   // beyond the current TPS ("always operating on stable data").
   uint32_t new_tps = old_tps;
   for (uint32_t seq = old_tps + 1; seq <= last; ++seq) {
-    std::atomic<Value>* sref = updates_.StartTimeSlot(seq);
+    std::atomic<Value>* sref = tail.StartTimeSlot(seq);
     Value raw = sref->load(std::memory_order_acquire);
     Resolution res = ctx_->txn_manager->Resolve(sref, &raw);
     if (!res.decided()) break;  // unpublished, active or pre-commit
@@ -761,7 +795,7 @@ bool Range::UpdateMerge(ColumnMask data_cols, bool all_columns) {
     // is not insert-merged yet end the prefix. A tombstone is processed
     // but not applied.
     if (res.outcome != Outcome::kAborted &&
-        TailLinkSlot(updates_.Read(seq, kTailLink)) >= based) {
+        TailLinkSlot(tail.Read(seq, kTailLink)) >= based) {
       break;
     }
     new_tps = seq;
@@ -773,10 +807,10 @@ bool Range::UpdateMerge(ColumnMask data_cols, bool all_columns) {
   std::unordered_map<uint32_t, SlotMergeState> latest;
   ColumnMask touched = 0;
   for (uint32_t seq = new_tps; seq > old_tps; --seq) {
-    Value raw = updates_.Read(seq, kTailStartTime);
+    Value raw = tail.Read(seq, kTailStartTime);
     if (IsAbortedStamp(raw) || raw == kNull) continue;
-    uint32_t slot = TailLinkSlot(updates_.Read(seq, kTailLink));
-    Value enc = updates_.Read(seq, kTailSchemaEncoding);
+    uint32_t slot = TailLinkSlot(tail.Read(seq, kTailLink));
+    Value enc = tail.Read(seq, kTailSchemaEncoding);
     if (IsSupersededRecord(enc)) continue;  // implicitly invalidated
     SlotMergeState& st = latest[slot];
     if (st.deleted) continue;  // a newer delete shadows everything
@@ -790,7 +824,7 @@ bool Range::UpdateMerge(ColumnMask data_cols, bool all_columns) {
     if (take != 0) {
       for (BitIter it(take); it; ++it) {
         st.values[static_cast<uint32_t>(*it)] =
-            updates_.Read(seq, kTailMetaColumns + static_cast<uint32_t>(*it));
+            tail.Read(seq, kTailMetaColumns + static_cast<uint32_t>(*it));
       }
       st.seen |= take;
       st.applied |= take;
@@ -905,8 +939,9 @@ size_t Range::CompressHistoric() {
   // the pointers").
   historic_.store(fresh, std::memory_order_release);
   historic_boundary_.store(new_boundary, std::memory_order_release);
-  ctx_->epochs->Retire([this, new_boundary, old_store] {
-    updates_.DropRecordsBelow(new_boundary);
+  ctx_->epochs->Retire([tail = &Tail(TailKind::kUpdate), new_boundary,
+                        old_store] {
+    tail->DropRecordsBelow(new_boundary);
     delete old_store;
   });
 
@@ -928,7 +963,7 @@ RangeState Range::State() const {
   return RangeState{occupied(), based_.load(std::memory_order_acquire),
                     merged_tps(),
                     historic_boundary_.load(std::memory_order_acquire),
-                    std::min(updates_.LastSeq(), kMaxTailSeq)};
+                    std::min(tail_length(), kMaxTailSeq)};
 }
 
 Status Range::RestoreState(const RangeState& s) {
@@ -946,7 +981,9 @@ Status Range::RestoreState(const RangeState& s) {
   merged_tps_.store(static_cast<uint32_t>(s.tps), std::memory_order_release);
   historic_boundary_.store(std::max(static_cast<uint32_t>(s.boundary), 1u),
                            std::memory_order_release);
-  updates_.AdvanceSeq(static_cast<uint32_t>(s.last));
+  if (s.last != 0) {
+    EnsureUpdates()->tail.AdvanceSeq(static_cast<uint32_t>(s.last));
+  }
   return Status::OK();
 }
 
@@ -970,11 +1007,17 @@ Status Range::Apply(TailKind kind, const TailRecord& rec) {
       ((rec.cols | SchemaColumns(rec.encoding)) & ~ctx_->all_columns) != 0) {
     return Status::Corruption("tail record out of range");
   }
-  Tail(kind).AdvanceSeq(static_cast<uint32_t>(rec.seq));
+  // A based slot's outcome is in the base segments already: its insert
+  // state is not rebuilt.
+  if (insert && rec.base_slot < based_.load(std::memory_order_acquire)) {
+    return Status::OK();
+  }
+  TailSegment& seg = insert ? *EnsureInserts() : EnsureUpdates()->tail;
+  seg.AdvanceSeq(static_cast<uint32_t>(rec.seq));
   uint32_t& low = applied_low_[static_cast<int>(kind)];
   low = std::min(low, static_cast<uint32_t>(rec.seq));
   if (insert) AtomicMax(occupied_, static_cast<uint32_t>(rec.base_slot) + 1);
-  WriteRecord(kind, rec);
+  WriteRecord(seg, rec);
   return Status::OK();
 }
 
@@ -987,20 +1030,23 @@ void Range::Recover(const std::unordered_map<TxnId, Timestamp>& commits,
   // verdict `commits` holds. The captured window [first, last] is
   // settled whole; below it, where the checkpoint had already merged or
   // compressed a record the replay wrote again, only written seqs are.
-  auto settle = [&](TailKind kind, uint64_t first, uint64_t last) {
-    TailSegment& seg = Tail(kind);
+  auto settle = [&](TailSegment* seg, TailKind kind, uint64_t first,
+                    uint64_t last) {
+    if (seg == nullptr) return;  // nothing of this kind written
     const uint64_t low = applied_low_[static_cast<int>(kind)];
     for (uint64_t seq = std::min(first, low); seq <= last; ++seq) {
-      const Value raw = seg.Read(static_cast<uint32_t>(seq), kTailStartTime);
+      const Value raw = seg->Read(static_cast<uint32_t>(seq), kTailStartTime);
       if (!IsTxnId(raw) || (seq < first && raw == kNull)) continue;
       auto it = commits.find(raw);
-      seg.StartTimeSlot(static_cast<uint32_t>(seq))
+      seg->StartTimeSlot(static_cast<uint32_t>(seq))
           ->store(it != commits.end() ? it->second : kAbortedStamp,
                   std::memory_order_release);
     }
   };
-  settle(TailKind::kUpdate, st.boundary, st.last);
-  settle(TailKind::kInsert, st.based + 1, st.occupied);
+  UpdateState* const u = updates_.load(std::memory_order_acquire);
+  settle(u == nullptr ? nullptr : &u->tail, TailKind::kUpdate, st.boundary,
+         st.last);
+  settle(inserts(), TailKind::kInsert, st.based + 1, st.occupied);
 
   // Step 4: the live rows' keys, for the primary index. Only the key
   // and Start Time columns are pinned (demand-loading them at most
@@ -1017,27 +1063,27 @@ void Range::Recover(const std::unordered_map<TxnId, Timestamp>& commits,
     Value start = slot < st.based && start_seg != nullptr &&
                           slot < start_seg->num_slots
                       ? start_page.Get(slot)
-                      : inserts_.Read(slot + 1, kTailStartTime);
+                      : InsertValue(slot + 1, kTailStartTime);
     if (start == kNull || IsAbortedStamp(start) || IsTxnId(start)) continue;
     *max_time = std::max(*max_time, start);
     keys->push_back(key_seg != nullptr && slot < key_seg->num_slots
                         ? key_page.Get(slot)
-                        : inserts_.Read(slot + 1, kTailMetaColumns));
+                        : InsertValue(slot + 1, kTailMetaColumns));
     rids->push_back(id_ * ctx_->config->range_size + slot);
   }
 
   // ... and the Indirection column: each version (tail or historic) of
   // a slot raises its chain head and ever-updated mask.
   auto note_version = [this](uint32_t slot, uint32_t seq, ColumnMask cols) {
-    SlotMeta* meta = EnsureMeta();
-    meta->Publish(slot, std::max(SlotMeta::HeadSeq(meta, slot), seq), cols);
+    UpdateState* meta = EnsureUpdates();
+    meta->Publish(slot, std::max(UpdateState::HeadSeq(meta, slot), seq), cols);
   };
-  for (uint32_t seq = st.boundary; seq <= st.last; ++seq) {
-    Value raw = updates_.Read(seq, kTailStartTime);
+  for (uint32_t seq = st.boundary; u != nullptr && seq <= st.last; ++seq) {
+    Value raw = u->tail.Read(seq, kTailStartTime);
     if (raw == kNull || IsAbortedStamp(raw) || IsTxnId(raw)) continue;
     *max_time = std::max(*max_time, raw);
-    note_version(TailLinkSlot(updates_.Read(seq, kTailLink)), seq,
-                 SchemaColumns(updates_.Read(seq, kTailSchemaEncoding)));
+    note_version(TailLinkSlot(u->tail.Read(seq, kTailLink)), seq,
+                 SchemaColumns(u->tail.Read(seq, kTailSchemaEncoding)));
   }
   if (const HistoricStore* hist = historic()) {
     for (uint32_t slot : hist->Slots()) {
@@ -1063,6 +1109,20 @@ std::vector<uint32_t> Range::ColumnTps() const {
   return out;
 }
 
+uint64_t Range::TailBytes() const {
+  // Once the range is based whole its insert state is retired: a pin
+  // taken after that retire may not reach it (the pin orders this load
+  // of `based_` after the store that preceded the retire).
+  const TailSegment* ins =
+      based_.load(std::memory_order_acquire) < ctx_->config->range_size
+          ? inserts()
+          : nullptr;
+  const UpdateState* u = updates_.load(std::memory_order_acquire);
+  const size_t pages = (ins == nullptr ? 0 : ins->allocated_pages()) +
+                       (u == nullptr ? 0 : u->tail.allocated_pages());
+  return uint64_t{pages} * ctx_->config->tail_page_slots * sizeof(Value);
+}
+
 uint64_t Range::ResidentBytes() const {
   uint64_t bytes = 0;
   for (const auto& b : base_) {
@@ -1074,7 +1134,8 @@ uint64_t Range::ResidentBytes() const {
 
 std::vector<Range::ChainEntry> Range::DebugChain(uint32_t slot, ColumnId col) {
   std::vector<ChainEntry> out;
-  uint32_t seq = SlotMeta::HeadSeq(meta_.load(std::memory_order_acquire), slot);
+  uint32_t seq =
+      UpdateState::HeadSeq(updates_.load(std::memory_order_acquire), slot);
   const uint32_t boundary = historic_boundary_.load(std::memory_order_acquire);
   // Stop at the historic boundary: pages below it may be reclaimed
   // (compressed versions live in the historic store instead).

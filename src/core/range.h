@@ -9,6 +9,15 @@
 // replay (Section 5.1.3) all act on one range through the operations
 // below; its state is private.
 //
+// A range's memory follows its lineage. Its first insert builds the
+// table-level tail pages (the insert state); the insert merge that
+// bases its last slot retires them through the epoch manager, and a
+// range a checkpoint restores as based never builds them. Its first
+// update builds the update state: the Indirection column and the
+// update tail pages. A based, never-updated range thus holds only its
+// base segments, each one allocation of coded bytes
+// (compressed_column.h).
+//
 // Lineage metadata costs one 8-byte Indirection word per slot of an
 // updated range (12 bytes in tables wider than 39 columns) and three
 // words per tail record (tail_segment.h).
@@ -180,7 +189,10 @@ class Range {
     return merged_tps_.load(std::memory_order_acquire);
   }
   /// Highest update tail seq reserved.
-  uint32_t tail_length() const { return updates_.LastSeq(); }
+  uint32_t tail_length() const {
+    const UpdateState* u = updates_.load(std::memory_order_acquire);
+    return u == nullptr ? 0 : u->tail.LastSeq();
+  }
 
   // --- reads ----------------------------------------------------------------
   // Callers hold the table's epoch pin.
@@ -301,16 +313,15 @@ class Range {
   uint64_t ResidentBytes() const;
   /// Bytes of the per-slot update metadata: 0 until the first update.
   uint64_t MetaBytes() const {
-    const SlotMeta* meta = meta_.load(std::memory_order_acquire);
+    const UpdateState* meta = updates_.load(std::memory_order_acquire);
     return meta == nullptr ? 0
                            : uint64_t{ctx_->config->range_size} *
                                  (meta->high != nullptr ? 12 : 8);
   }
-  /// Bytes of the allocated tail pages, inserts and updates.
-  uint64_t TailBytes() const {
-    return uint64_t{inserts_.allocated_pages() + updates_.allocated_pages()} *
-           ctx_->config->tail_page_slots * sizeof(Value);
-  }
+  /// Bytes of the allocated tail pages, inserts and updates. The caller
+  /// holds the epoch pin: a based range's insert state is retired
+  /// through it.
+  uint64_t TailBytes() const;
   struct ChainEntry {
     uint32_t seq;
     Value raw_start;
@@ -322,19 +333,23 @@ class Range {
   std::vector<ChainEntry> DebugChain(uint32_t slot, ColumnId col);
 
  private:
-  /// The Indirection column of an updated range (types.h): one word
-  /// per slot holding the latch, the chain head and the ever-updated
-  /// bits of columns 0-38 (the base Schema Encoding, maintained under
-  /// the latch), plus, only in tables wider than 39 columns, the higher
-  /// columns' bits in a side array, published before the word.
-  struct SlotMeta {
-    SlotMeta(uint32_t slots, bool wide)
-        : word(new std::atomic<uint64_t>[slots]()),
-          high(wide ? new std::atomic<uint32_t>[slots]() : nullptr) {}
+  /// The update state of an updated range: its update tail pages and
+  /// its Indirection column (types.h), one word per slot holding the
+  /// latch, the chain head and the ever-updated bits of columns 0-38
+  /// (the base Schema Encoding, maintained under the latch), plus, only
+  /// in tables wider than 39 columns, the higher columns' bits in a
+  /// side array, published before the word.
+  struct UpdateState {
+    explicit UpdateState(const RangeContext& ctx)
+        : word(new std::atomic<uint64_t>[ctx.config->range_size]()),
+          high(ctx.num_columns > kIndirEverColumns
+                   ? new std::atomic<uint32_t>[ctx.config->range_size]()
+                   : nullptr),
+          tail(ctx.num_columns, ctx.config->tail_page_slots) {}
 
     /// Chain head of `slot` in a range's metadata; a null one (the
     /// range was never updated) reads 0.
-    static uint32_t HeadSeq(const SlotMeta* meta, uint32_t slot) {
+    static uint32_t HeadSeq(const UpdateState* meta, uint32_t slot) {
       return meta == nullptr ? 0
                              : IndirSeq(meta->word[slot].load(
                                    std::memory_order_acquire));
@@ -362,26 +377,44 @@ class Range {
 
     std::unique_ptr<std::atomic<uint64_t>[]> word;
     std::unique_ptr<std::atomic<uint32_t>[]> high;  ///< columns 39 and up
+    TailSegment tail;  ///< update tail pages (lazy per-column pages)
   };
 
   Status ResolveOnce(uint32_t slot, const ReadSpec& spec, ColumnMask needed,
                      std::vector<Value>* out, uint32_t* observed_seq,
                      bool* consistent);
-  /// The installed metadata array, allocating it on first use. Racing
-  /// callers install one array; the losers free theirs.
-  SlotMeta* EnsureMeta();
+  /// The installed update state, built on first use. Racing callers
+  /// install one; the losers free theirs.
+  UpdateState* EnsureUpdates();
+  /// The insert state (table-level tail pages), built the same way by
+  /// the range's first insert.
+  TailSegment* EnsureInserts();
+  /// The insert state: null before the first insert and once the
+  /// insert merge's retire has run.
+  TailSegment* inserts() const {
+    return inserts_.load(std::memory_order_acquire);
+  }
+  /// Physical column `col` of insert record `seq`: ∅ before the range's
+  /// first insert.
+  Value InsertValue(uint32_t seq, uint32_t col) const {
+    const TailSegment* ins = inserts();
+    return ins == nullptr ? kNull : ins->Read(seq, col);
+  }
   /// Value of a base (pre-update) column: from the base segment when
   /// the slot is insert-merged, else from the table-level tail pages.
   Value BaseValue(uint32_t slot, uint32_t physical_col) const;
   Value BaseMeta(uint32_t slot, uint32_t meta) const {
     return BaseValue(slot, ctx_->num_columns + meta);
   }
+  /// The tail pages of `kind`, which the caller knows exist.
   TailSegment& Tail(TailKind kind) {
-    return kind == TailKind::kInsert ? inserts_ : updates_;
+    return kind == TailKind::kInsert
+               ? *inserts()
+               : updates_.load(std::memory_order_acquire)->tail;
   }
   /// The one tail-record writer: the values of rec.cols, the metadata,
   /// then the start time, published last.
-  void WriteRecord(TailKind kind, const TailRecord& rec);
+  static void WriteRecord(TailSegment& seg, const TailRecord& rec);
   /// The merge prefix's page directory swap (Figure 6, steps 4/5):
   /// publish `fresh` and retire the replaced segments.
   void InstallSegments(const std::vector<BaseSegment*>& fresh);
@@ -394,14 +427,14 @@ class Range {
   std::atomic<uint32_t> occupied_{0};
   /// Slots covered by base segments (insert-merged prefix).
   std::atomic<uint32_t> based_{0};
-  /// The Indirection column, installed by the range's first update
-  /// (EnsureMeta). Null means no slot was ever updated: every
-  /// Indirection word and every ever-updated mask reads 0.
-  std::atomic<SlotMeta*> meta_{nullptr};
-  /// Table-level tail pages (inserts; all columns materialized).
-  TailSegment inserts_;
-  /// Regular tail pages (updates; lazy per-column allocation).
-  TailSegment updates_;
+  /// The Indirection column and the update tail pages, installed by
+  /// the range's first update (EnsureUpdates). Null means no slot was
+  /// ever updated: every Indirection word and every ever-updated mask
+  /// reads 0, and no update record exists.
+  std::atomic<UpdateState*> updates_{nullptr};
+  /// Table-level tail pages (inserts; all columns materialized), from
+  /// the first insert until the insert merge bases the last slot.
+  std::atomic<TailSegment*> inserts_{nullptr};
   /// Base segments: [0..num_cols) data, then kBaseMetaColumns.
   std::vector<std::atomic<BaseSegment*>> base_;
   /// Highest TPS across segments (merge bookkeeping).

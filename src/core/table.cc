@@ -135,16 +135,12 @@ uint32_t Table::RangeTailLength(uint64_t range_id) const {
 }
 
 uint64_t Table::SumRanges(uint64_t (Range::*bytes)() const) const {
+  EpochGuard guard(epochs_);
   uint64_t sum = 0;
   for (uint64_t id = 0; id < num_ranges(); ++id) {
     if (Range* r = GetRange(id)) sum += (r->*bytes)();
   }
   return sum;
-}
-
-uint64_t Table::BaseResidentBytes() const {
-  EpochGuard guard(epochs_);  // merges retire segments through epochs_
-  return SumRanges(&Range::ResidentBytes);
 }
 
 void Table::CollectSizeGauges(MetricsRegistry& r,

@@ -214,12 +214,16 @@ class Table : public EngineCore<Range> {
   size_t PrimaryIndexBytes() const { return primary_.byte_size(); }
   /// Summed byte_size() of the resident base-segment payloads (cold
   /// pages count 0).
-  uint64_t BaseResidentBytes() const;
+  uint64_t BaseResidentBytes() const {
+    return SumRanges(&Range::ResidentBytes);
+  }
   /// Bytes of the Indirection column (8 bytes a slot, 12 in tables
   /// wider than 39 columns) of the ranges that have been updated; 0
   /// for a table that was only loaded.
   uint64_t UpdateMetaBytes() const { return SumRanges(&Range::MetaBytes); }
-  /// Bytes of the allocated tail pages, update and insert.
+  /// Bytes of the allocated tail pages, update and insert: a full,
+  /// based range holds no insert pages, a never-updated one no update
+  /// pages.
   uint64_t TailBytes() const { return SumRanges(&Range::TailBytes); }
 
   /// For tests (Lemma 3): per-data-column TPS of a range.
@@ -241,7 +245,8 @@ class Table : public EngineCore<Range> {
   friend class Query;              ///< scan executor (core/query.cc)
   friend class Database;           ///< cross-table sessions share the ops
 
-  /// `bytes` summed over the table's ranges.
+  /// `bytes` summed over the table's ranges, under the epoch pin (merges
+  /// retire segments and insert state through it).
   uint64_t SumRanges(uint64_t (Range::*bytes)() const) const;
 
   // --- engine steps (core/engine_core.h) -------------------------------------

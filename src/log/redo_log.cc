@@ -194,22 +194,28 @@ void RedoLog::Batch::AddInsertRun(uint64_t table_id, TxnId txn,
   uint32_t cols[64];
   size_t ncols = 0;
   for (BitIter it(mask); it; ++it) cols[ncols++] = static_cast<uint32_t>(*it);
-  // Encode straight into the body, grown once by the run's bound and
-  // cut back to the bytes written.
-  const size_t head = body_.size();
-  body_.resize(head + 1 + (6 + count * ncols) * kMaxVarintBytes);
-  char* out = body_.data() + head;
+  // Encode into a bounded scratch, appended whenever the next row might
+  // not fit: the body grows by the bytes written only, where reserving
+  // the run's worst case (10 bytes a value) would zero several times
+  // the frame.
+  char buf[4096];
+  static_assert(sizeof(buf) >= 1 + (6 + 64) * kMaxVarintBytes);
+  const size_t row_bound = ncols * kMaxVarintBytes;
   size_t len = 0;
-  out[len++] = static_cast<char>(LogRecordType::kInsertRun);
+  buf[len++] = static_cast<char>(LogRecordType::kInsertRun);
   for (uint64_t field : {table_id, txn, range_id, uint64_t{first_slot},
                          uint64_t{count}, mask}) {
-    len = PutVarint(out, len, field);
+    len = PutVarint(buf, len, field);
   }
   for (size_t i = 0; i < count; ++i) {
+    if (len + row_bound > sizeof(buf)) {
+      body_.append(buf, len);
+      len = 0;
+    }
     const Value* row = rows[i].data();
-    for (size_t c = 0; c < ncols; ++c) len = PutVarint(out, len, row[cols[c]]);
+    for (size_t c = 0; c < ncols; ++c) len = PutVarint(buf, len, row[cols[c]]);
   }
-  body_.resize(head + len);
+  body_.append(buf, len);
   lsns_ += count;
 }
 

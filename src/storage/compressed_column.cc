@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
 #include <unordered_set>
 #include <utility>
 
@@ -14,20 +15,6 @@ namespace lstore {
 static_assert(std::endian::native == std::endian::little);
 
 namespace {
-
-void AppendWords(std::string* out, const std::vector<uint64_t>& words) {
-  out->append(reinterpret_cast<const char*>(words.data()),
-              words.size() * sizeof(uint64_t));
-}
-
-/// Copy `n` words from `*p` and advance it.
-std::vector<uint64_t> TakeWords(const char** p, uint64_t n) {
-  std::vector<uint64_t> words(n);
-  // An empty vector's data() may be null, which memcpy must not get.
-  if (n != 0) std::memcpy(words.data(), *p, n * sizeof(uint64_t));
-  *p += n * sizeof(uint64_t);
-  return words;
-}
 
 /// Code width of a FOR frame whose offsets span [0, span]: ∅ takes the
 /// all-ones code, one above the largest offset.
@@ -45,13 +32,10 @@ size_t DictionaryBytes(size_t n, size_t distinct) {
 
 std::unique_ptr<CompressedColumn> CompressedColumn::Build(
     std::vector<Value> values) {
-  auto col = std::unique_ptr<CompressedColumn>(new CompressedColumn());
-  col->size_ = values.size();
-  if (values.empty()) {
-    col->plain_ = std::move(values);
-    return col;
-  }
   const size_t n = values.size();
+  Header h;
+  h.size = static_cast<uint32_t>(n);
+  if (n == 0) return Allocate(h);
 
   // One branch-free pass: the run count and the frame [lo, hi] of the
   // non-∅ values (∅ is the largest value, so it never lowers lo).
@@ -135,48 +119,96 @@ std::unique_ptr<CompressedColumn> CompressedColumn::Build(
     consider(Encoding::kDictionary, DictionaryBytes(n, dict.size()));
   }
 
-  col->encoding_ = best;
+  // Encode into the one allocation.
+  h.encoding = best;
   switch (best) {
     case Encoding::kPlain:
-      col->plain_ = std::move(values);
       break;
     case Encoding::kRle:
-      col->rle_ = RleColumn(values);
+      h.aux = runs;
       break;
     case Encoding::kDictionary:
-      // Built from the distinct values counted above: all of them.
-      std::sort(dict.begin(), dict.end());
-      col->dict_ = DictionaryColumn(std::move(dict), values);
+      h.aux = dict.size();
+      h.width = static_cast<uint8_t>(BitsNeeded(dict.size() - 1));
       break;
-    case Encoding::kFor: {
+    case Encoding::kFor:
       // FOR beat plain, so its width < 64 and the shift is defined.
-      const int width = strided ? stride_width : for_width;
-      col->for_base_ = strided ? stride_base : lo;
-      col->for_stride_ = strided ? stride : 0;
-      if (has_null) col->for_null_code_ = (1ull << width) - 1;
-      // Zero-width codes (every value on the line) need no offsets.
-      for (size_t i = 0; width > 0 && i < n; ++i) {
-        Value& v = values[i];
-        v = v == kNull ? col->for_null_code_
-                       : v - col->for_stride_ * i - col->for_base_;
+      h.width = static_cast<uint8_t>(strided ? stride_width : for_width);
+      h.has_null = has_null;
+      h.strided = strided;
+      h.aux = strided ? stride_base : lo;
+      break;
+  }
+  std::unique_ptr<CompressedColumn> col = Allocate(h);
+  uint64_t* w = col->words();
+  switch (best) {
+    case Encoding::kPlain:
+      std::memcpy(w, values.data(), n * sizeof(Value));
+      return col;
+    case Encoding::kRle:
+      for (size_t i = 0, k = 0; i < n; ++i) {
+        if (i > 0 && values[i] == values[i - 1]) continue;
+        w[k] = i;
+        w[runs + k++] = values[i];
       }
-      col->for_codes_ = BitPackedArray(values, width);
+      return col;
+    case Encoding::kDictionary: {
+      // Built from the distinct values counted above: all of them. The
+      // codes replace the values in place; runs of equal values share
+      // one search.
+      std::sort(dict.begin(), dict.end());
+      std::copy(dict.begin(), dict.end(), w);
+      for (size_t i = 0, code = 0; i < n; ++i) {
+        if (i == 0 || values[i] != dict[code]) {
+          code = static_cast<size_t>(
+              std::lower_bound(dict.begin(), dict.end(), values[i]) -
+              dict.begin());
+        }
+        values[i] = code;
+      }
+      break;
+    }
+    case Encoding::kFor: {
+      const Value step = strided ? stride : 0;
+      if (strided) w[0] = step;
+      const uint64_t null_code = (1ull << h.width) - 1;
+      // Zero-width codes (every value on the line) need no offsets.
+      for (size_t i = 0; h.width > 0 && i < n; ++i) {
+        Value& v = values[i];
+        v = v == kNull ? null_code : v - step * i - h.aux;
+      }
       break;
     }
   }
+  BitPackedArray::Pack(values.data(), n, h.width, w + CodesWord(h));
   return col;
+}
+
+std::unique_ptr<CompressedColumn> CompressedColumn::Allocate(const Header& h) {
+  const uint64_t bytes = SerializedBytes(h);
+  void* mem = ::operator new(bytes);
+  std::memset(static_cast<char*>(mem) + kHeaderBytes, 0, bytes - kHeaderBytes);
+  return std::unique_ptr<CompressedColumn>(new (mem) CompressedColumn(h));
+}
+
+Value CompressedColumn::RunValue(size_t i) const {
+  const uint64_t* starts = words();
+  const size_t run = static_cast<size_t>(
+      std::upper_bound(starts, starts + h_.aux, i) - starts);
+  return starts[h_.aux + run - 1];
 }
 
 void CompressedColumn::DecodeForBlock(size_t block, Value* out) const {
   const size_t first = block * BitPackedArray::kBlock;
-  const Value line = for_base_ + for_stride_ * first;
-  for_codes_.UnpackBlock(block, line, out, for_stride_);
-  if (for_null_code_ == kNull) return;  // no ∅ in this segment
+  const Value stride = Stride();
+  const Value line = h_.aux + stride * first;
+  codes().UnpackBlock(block, line, out, stride);
+  if (!h_.has_null) return;
   // Codes are narrower than 64 bits, so only the null code decodes to
   // the slot's line + null code (modulo 2^64).
-  Value null_value = line + for_null_code_;
-  const size_t n = std::min(BitPackedArray::kBlock, size_ - first);
-  for (size_t j = 0; j < n; ++j, null_value += for_stride_) {
+  Value null_value = line + NullCode();
+  const size_t n = std::min<size_t>(BitPackedArray::kBlock, h_.size - first);
+  for (size_t j = 0; j < n; ++j, null_value += stride) {
     if (out[j] == null_value) out[j] = kNull;
   }
 }
@@ -185,31 +217,31 @@ void CompressedColumn::Cursor::Load(size_t block) {
   constexpr size_t kBlock = BitPackedArray::kBlock;
   block_ = block;
   const size_t first = block * kBlock;
-  if (col_->encoding_ == Encoding::kPlain) {
-    values_ = col_->plain_.data() + first;
+  const Header& h = col_->h_;
+  const uint64_t* w = col_->words();
+  if (h.encoding == Encoding::kPlain) {
+    values_ = w + first;
     return;
   }
   if (buf_ == nullptr) buf_ = std::make_unique_for_overwrite<Value[]>(kBlock);
   values_ = buf_.get();
-  const size_t n = std::min(kBlock, col_->size_ - first);
-  switch (col_->encoding_) {
+  const size_t n = std::min<size_t>(kBlock, h.size - first);
+  switch (h.encoding) {
     case Encoding::kPlain:
       break;
     case Encoding::kDictionary:
-      col_->dict_.DecodeBlock(block, buf_.get());
+      col_->codes().UnpackBlock(block, 0, buf_.get());
+      for (size_t j = 0; j < n; ++j) buf_[j] = w[buf_[j]];
       break;
     case Encoding::kRle: {
-      // Fill the block run by run; run_ only moves forward.
-      const RleColumn& r = col_->rle_;
+      // Fill the block run by run; run_ only moves forward. The starts
+      // are w[0, aux), the run values w[aux, 2·aux).
+      const size_t runs = h.aux;
       for (size_t j = 0; j < n;) {
-        while (run_ + 1 < r.run_count() &&
-               first + j >= r.starts()[run_ + 1]) {
-          ++run_;
-        }
-        const size_t end = run_ + 1 < r.run_count()
-                               ? std::min(n, r.starts()[run_ + 1] - first)
-                               : n;
-        std::fill(buf_.get() + j, buf_.get() + end, r.values()[run_]);
+        while (run_ + 1 < runs && first + j >= w[run_ + 1]) ++run_;
+        const size_t end =
+            run_ + 1 < runs ? std::min<size_t>(n, w[run_ + 1] - first) : n;
+        std::fill(buf_.get() + j, buf_.get() + end, w[runs + run_]);
         j = end;
       }
       break;
@@ -218,30 +250,6 @@ void CompressedColumn::Cursor::Load(size_t block) {
       col_->DecodeForBlock(block, buf_.get());
       break;
   }
-}
-
-CompressedColumn::Header CompressedColumn::header() const {
-  Header h;
-  h.encoding = encoding_;
-  h.size = static_cast<uint32_t>(size_);
-  switch (encoding_) {
-    case Encoding::kPlain:
-      break;
-    case Encoding::kDictionary:
-      h.width = static_cast<uint8_t>(dict_.codes().width());
-      h.aux = dict_.dictionary_size();
-      break;
-    case Encoding::kRle:
-      h.aux = rle_.run_count();
-      break;
-    case Encoding::kFor:
-      h.width = static_cast<uint8_t>(for_codes_.width());
-      h.has_null = for_null_code_ != kNull;
-      h.strided = for_stride_ != 0;
-      h.aux = for_base_;
-      break;
-  }
-  return h;
 }
 
 void CompressedColumn::PutHeader(std::string* out, const Header& h) {
@@ -283,29 +291,6 @@ uint64_t CompressedColumn::SerializedBytes(const Header& h) {
   return 0;
 }
 
-void CompressedColumn::AppendTo(std::string* out) const {
-  const Header h = header();
-  out->reserve(out->size() + SerializedBytes(h));
-  PutHeader(out, h);
-  switch (encoding_) {
-    case Encoding::kPlain:
-      AppendWords(out, plain_);
-      break;
-    case Encoding::kRle:
-      AppendWords(out, rle_.starts());
-      AppendWords(out, rle_.values());
-      break;
-    case Encoding::kFor:
-      if (for_stride_ != 0) AppendWords(out, {for_stride_});
-      AppendWords(out, for_codes_.words());
-      break;
-    case Encoding::kDictionary:
-      AppendWords(out, dict_.dictionary());
-      AppendWords(out, dict_.codes().words());
-      break;
-  }
-}
-
 Status CompressedColumn::Parse(std::string_view in,
                                std::unique_ptr<CompressedColumn>* out) {
   Header h;
@@ -316,51 +301,35 @@ Status CompressedColumn::Parse(std::string_view in,
   if (in.size() != SerializedBytes(h)) {
     return Status::Corruption("compressed column length mismatch");
   }
-  const char* p = in.data() + kHeaderBytes;
-  const uint64_t code_words =
-      BitPackedArray::PackedBytes(h.size, h.width) / sizeof(uint64_t);
-  auto col = std::unique_ptr<CompressedColumn>(new CompressedColumn());
-  col->encoding_ = h.encoding;
-  col->size_ = h.size;
+  // Adopt one copy, then check the arrays where they will be read.
+  std::unique_ptr<CompressedColumn> col = Allocate(h);
+  std::memcpy(col->words(), in.data() + kHeaderBytes, in.size() - kHeaderBytes);
+  const uint64_t* w = col->words();
   switch (h.encoding) {
     case Encoding::kPlain:
-      col->plain_ = TakeWords(&p, h.size);
       break;
-    case Encoding::kRle: {
-      std::vector<uint64_t> starts = TakeWords(&p, h.aux);
-      if (starts[0] != 0 || starts.back() >= h.size ||
-          std::adjacent_find(starts.begin(), starts.end(),
-                             std::greater_equal<>()) != starts.end()) {
+    case Encoding::kRle:
+      if (w[0] != 0 || w[h.aux - 1] >= h.size ||
+          std::adjacent_find(w, w + h.aux, std::greater_equal<>()) !=
+              w + h.aux) {
         return Status::Corruption("compressed column RLE starts out of order");
       }
-      col->rle_ = RleColumn(std::move(starts), TakeWords(&p, h.aux), h.size);
       break;
-    }
     case Encoding::kFor:
-      col->for_base_ = h.aux;
-      if (h.strided) {
-        col->for_stride_ = TakeWords(&p, 1)[0];
-        if (col->for_stride_ == 0) {
-          return Status::Corruption("compressed column zero FOR stride");
-        }
+      if (h.strided && w[0] == 0) {
+        return Status::Corruption("compressed column zero FOR stride");
       }
-      if (h.has_null) col->for_null_code_ = (1ull << h.width) - 1;
-      col->for_codes_ =
-          BitPackedArray(TakeWords(&p, code_words), h.size, h.width);
       break;
     case Encoding::kDictionary: {
-      std::vector<Value> dict = TakeWords(&p, h.aux);
-      BitPackedArray codes(TakeWords(&p, code_words), h.size, h.width);
       Value block[BitPackedArray::kBlock];
       for (size_t b = 0; b * BitPackedArray::kBlock < h.size; ++b) {
-        codes.UnpackBlock(b, 0, block);
-        const size_t n = std::min(BitPackedArray::kBlock,
-                                  h.size - b * BitPackedArray::kBlock);
+        col->codes().UnpackBlock(b, 0, block);
+        const size_t n = std::min<size_t>(BitPackedArray::kBlock,
+                                          h.size - b * BitPackedArray::kBlock);
         if (*std::max_element(block, block + n) >= h.aux) {
           return Status::Corruption("compressed column code past dictionary");
         }
       }
-      col->dict_ = DictionaryColumn(std::move(dict), std::move(codes));
       break;
     }
   }
@@ -400,7 +369,7 @@ bool CompressedColumn::ReadSlot(const Header& h, uint32_t slot,
     case Encoding::kFor: {
       Value stride = 0;
       if ((h.strided && !word_at(kHeaderBytes, &stride)) ||
-          !code_at(kHeaderBytes + h.strided * sizeof(Value), &code)) {
+          !code_at(kHeaderBytes + CodesWord(h) * sizeof(Value), &code)) {
         return false;
       }
       *out = h.has_null && code == (1ull << h.width) - 1
@@ -409,7 +378,7 @@ bool CompressedColumn::ReadSlot(const Header& h, uint32_t slot,
       return true;
     }
     case Encoding::kDictionary:
-      return code_at(kHeaderBytes + h.aux * sizeof(Value), &code) &&
+      return code_at(kHeaderBytes + CodesWord(h) * sizeof(Value), &code) &&
              code < h.aux && word_at(kHeaderBytes + code * sizeof(Value), out);
     case Encoding::kRle: {
       if (!read(kHeaderBytes, h.aux * sizeof(uint64_t), &buf)) return false;
@@ -423,18 +392,6 @@ bool CompressedColumn::ReadSlot(const Header& h, uint32_t slot,
     }
   }
   return false;
-}
-
-size_t CompressedColumn::byte_size() const {
-  switch (encoding_) {
-    case Encoding::kPlain: return plain_.size() * sizeof(Value);
-    case Encoding::kDictionary: return dict_.byte_size();
-    case Encoding::kRle: return rle_.byte_size();
-    case Encoding::kFor:
-      return kForHeaderBytes + (for_stride_ != 0 ? sizeof(Value) : 0) +
-             for_codes_.byte_size();
-  }
-  return 0;
 }
 
 }  // namespace lstore

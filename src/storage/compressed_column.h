@@ -19,11 +19,12 @@
 //  * dictionary — sorted distinct values plus bit-packed codes.
 // Point reads stay O(1) for every encoding but RLE (O(log #runs)).
 //
-// The column has one serialized form, used wherever a base segment
-// leaves memory (the segment store, checkpoint frames) and parsed
-// wherever it comes back: a 16-byte header, then the encoding's raw
-// little-endian arrays, so writing and loading copy bytes instead of
-// re-encoding values.
+// The column has one form, in memory and wherever a base segment
+// leaves memory (the segment store, checkpoint frames): one allocation
+// holding a 16-byte header, then the encoding's raw little-endian
+// arrays. Writing copies its bytes and loading adopts one checked copy,
+// so no value is re-encoded; Get, the cursor and ReadSlot address the
+// arrays by the same arithmetic.
 //
 //   [tag u8][width u8][has_null u8][strided u8][slots u32][aux u64]
 //   plain: slots values
@@ -49,8 +50,6 @@
 #include "common/status.h"
 #include "common/types.h"
 #include "storage/compression/bitpack.h"
-#include "storage/compression/dictionary.h"
-#include "storage/compression/rle.h"
 
 namespace lstore {
 
@@ -78,14 +77,16 @@ class CompressedColumn {
   /// plain layout and every codec.
   static std::unique_ptr<CompressedColumn> Build(std::vector<Value> values);
 
-  /// Append the serialized form to `out`.
-  void AppendTo(std::string* out) const;
+  /// Append the serialized form (the column's bytes) to `out`.
+  void AppendTo(std::string* out) const {
+    out->append(reinterpret_cast<const char*>(this), SerializedBytes(h_));
+  }
   /// Parse a serialized form, checking every length, width, run start
   /// and dictionary code; Corruption on any mismatch.
   static Status Parse(std::string_view in,
                       std::unique_ptr<CompressedColumn>* out);
 
-  Header header() const;
+  const Header& header() const { return h_; }
   static void PutHeader(std::string* out, const Header& h);
   /// Decode and check the header at the front of `in`.
   static bool GetHeader(std::string_view in, Header* h);
@@ -104,11 +105,15 @@ class CompressedColumn {
                        Value* out);
 
   Value Get(size_t i) const {
-    switch (encoding_) {
-      case Encoding::kPlain: return plain_[i];
-      case Encoding::kDictionary: return dict_.Get(i);
-      case Encoding::kRle: return rle_.Get(i);
-      case Encoding::kFor: return ForValue(for_codes_.Get(i), i);
+    const uint64_t* w = words();
+    switch (h_.encoding) {
+      case Encoding::kPlain: return w[i];
+      case Encoding::kDictionary: return w[codes().Get(i)];
+      case Encoding::kRle: return RunValue(i);
+      case Encoding::kFor: {
+        const uint64_t code = codes().Get(i);
+        return code == NullCode() ? kNull : h_.aux + Stride() * i + code;
+      }
     }
     return kNull;
   }
@@ -137,7 +142,7 @@ class CompressedColumn {
 
     const CompressedColumn* col_ = nullptr;
     size_t block_ = SIZE_MAX;
-    /// The slots of block_: into plain_ for a plain segment, else buf_.
+    /// The slots of block_: into the plain values, else buf_.
     const Value* values_ = nullptr;
     size_t run_ = 0;  ///< RLE: the run holding the last decoded slot
     std::unique_ptr<Value[]> buf_;
@@ -145,36 +150,60 @@ class CompressedColumn {
 
   Cursor cursor() const { return Cursor(this); }
 
-  size_t size() const { return size_; }
-  Encoding encoding() const { return encoding_; }
-  size_t byte_size() const;
+  size_t size() const { return h_.size; }
+  Encoding encoding() const { return h_.encoding; }
+  /// The codec's bytes: the arrays, plus for FOR the base and null code
+  /// it keeps in the header.
+  size_t byte_size() const {
+    return SerializedBytes(h_) -
+           (h_.encoding == Encoding::kFor ? 0 : kHeaderBytes);
+  }
+
+  /// The header and the arrays behind it are one allocation.
+  static void operator delete(void* p) { ::operator delete(p); }
 
  private:
-  CompressedColumn() = default;
+  explicit CompressedColumn(const Header& h) : h_(h) {}
+  /// A column of header `h`, its arrays zeroed.
+  static std::unique_ptr<CompressedColumn> Allocate(const Header& h);
 
   /// FOR's fixed fields: the base and the null code (a strided frame
   /// adds its stride).
   static constexpr size_t kForHeaderBytes = 2 * sizeof(Value);
 
-  Value ForValue(uint64_t code, size_t slot) const {
-    return code == for_null_code_ ? kNull
-                                  : for_base_ + for_stride_ * slot + code;
+  /// The arrays behind the header.
+  const uint64_t* words() const {
+    return reinterpret_cast<const uint64_t*>(
+        reinterpret_cast<const char*>(this) + kHeaderBytes);
   }
+  uint64_t* words() {
+    return reinterpret_cast<uint64_t*>(reinterpret_cast<char*>(this) +
+                                       kHeaderBytes);
+  }
+  /// Where the packed codes of a column with header `h` start, in words
+  /// past the header: after the dictionary, or after FOR's stride.
+  static uint64_t CodesWord(const Header& h) {
+    return h.encoding == Encoding::kDictionary ? h.aux : h.strided;
+  }
+  BitPackedArray codes() const {
+    return BitPackedArray(words() + CodesWord(h_), h_.size, h_.width);
+  }
+  /// FOR: the code of ∅ (all ones), or kNull, which no code narrower
+  /// than 64 bits equals, when the segment holds no ∅.
+  uint64_t NullCode() const {
+    return h_.has_null ? (1ull << h_.width) - 1 : kNull;
+  }
+  Value Stride() const { return h_.strided ? words()[0] : 0; }
+  /// RLE: the value of the run holding slot `i` (O(log #runs)).
+  Value RunValue(size_t i) const;
   /// Decode one block of FOR values (see BitPackedArray::UnpackBlock).
   void DecodeForBlock(size_t block, Value* out) const;
 
-  Encoding encoding_ = Encoding::kPlain;
-  size_t size_ = 0;
-  std::vector<Value> plain_;
-  DictionaryColumn dict_;
-  RleColumn rle_;
-  Value for_base_ = 0;
-  Value for_stride_ = 0;  ///< added once per slot (modulo 2^64)
-  /// The all-ones code when the segment holds ∅; otherwise kNull,
-  /// which no code narrower than 64 bits can equal.
-  uint64_t for_null_code_ = kNull;
-  BitPackedArray for_codes_;
+  Header h_;
 };
+
+static_assert(sizeof(CompressedColumn) == CompressedColumn::kHeaderBytes,
+              "the arrays start right after the header");
 
 }  // namespace lstore
 

@@ -43,19 +43,15 @@ constexpr auto kUnpackers =
 
 }  // namespace
 
-BitPackedArray::BitPackedArray(const std::vector<uint64_t>& values, int width)
-    : size_(values.size()), width_(width) {
-  if (width_ == 0 || size_ == 0) return;
-  words_.assign(PackedBytes(size_, width_) / sizeof(uint64_t), 0);
+void BitPackedArray::Pack(const uint64_t* values, size_t n, int width,
+                          uint64_t* out) {
+  if (width == 0) return;
   size_t bit = 0;
-  for (uint64_t v : values) {
-    size_t word = bit / 64;
-    int off = static_cast<int>(bit % 64);
-    words_[word] |= v << off;
-    if (off + width_ > 64) {
-      words_[word + 1] |= v >> (64 - off);
-    }
-    bit += static_cast<size_t>(width_);
+  for (size_t i = 0; i < n; ++i, bit += static_cast<size_t>(width)) {
+    const size_t word = bit / 64;
+    const int off = static_cast<int>(bit % 64);
+    out[word] |= values[i] << off;
+    if (off + width > 64) out[word + 1] |= values[i] >> (64 - off);
   }
 }
 
@@ -69,7 +65,7 @@ void BitPackedArray::UnpackBlock(size_t block, uint64_t base, uint64_t* out,
     for (size_t j = 0; j < n; ++j) out[j] = Get(first + j) + base + stride * j;
   } else {
     // A full block is exactly width_ words, from word block * width_.
-    kUnpackers[width_ - 1](words_.data() + block * width_, base, stride, out);
+    kUnpackers[width_ - 1](words_ + block * width_, base, stride, out);
   }
 }
 

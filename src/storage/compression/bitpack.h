@@ -3,14 +3,15 @@
 // base pages need to serve point reads without decompressing the page.
 // Sequential readers unpack 64 values at a time instead: a block of 64
 // values spans exactly `width` whole words.
+//
+// A BitPackedArray is a view: the words belong to the caller (a
+// compressed column's one allocation), and Pack writes them.
 
 #ifndef LSTORE_STORAGE_COMPRESSION_BITPACK_H_
 #define LSTORE_STORAGE_COMPRESSION_BITPACK_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <utility>
-#include <vector>
 
 #include "common/types.h"
 
@@ -21,20 +22,20 @@ class BitPackedArray {
   /// Values per UnpackBlock call.
   static constexpr size_t kBlock = 64;
 
-  BitPackedArray() = default;
+  /// View `words` as the packing of `size` values at `width` bits
+  /// (width in [0, 64]; width 0 means all values are zero); they must
+  /// hold PackedBytes(size, width) bytes.
+  BitPackedArray(const uint64_t* words, size_t size, int width)
+      : words_(words), size_(size), width_(width) {}
 
-  /// Pack `values`, each of which must fit in `width` bits (width in
-  /// [0, 64]; width 0 means all values are zero).
-  BitPackedArray(const std::vector<uint64_t>& values, int width);
-
-  /// Adopt `words` as the packing of `size` values at `width` bits;
-  /// it must hold PackedBytes(size, width) bytes.
-  BitPackedArray(std::vector<uint64_t> words, size_t size, int width)
-      : words_(std::move(words)), size_(size), width_(width) {}
+  /// Pack `values[0, n)`, each of which must fit in `width` bits, into
+  /// `out`: PackedBytes(n, width) bytes, zeroed.
+  static void Pack(const uint64_t* values, size_t n, int width,
+                   uint64_t* out);
 
   uint64_t Get(size_t i) const {
     if (width_ == 0) return 0;
-    return Extract(words_.data(), i * static_cast<size_t>(width_), width_);
+    return Extract(words_, i * static_cast<size_t>(width_), width_);
   }
 
   /// The `width`-bit value (width in [1, 64]) that starts `bit` bits
@@ -54,9 +55,6 @@ class BitPackedArray {
                    uint64_t stride = 0) const;
 
   size_t size() const { return size_; }
-  int width() const { return width_; }
-  size_t byte_size() const { return words_.size() * sizeof(uint64_t); }
-  const std::vector<uint64_t>& words() const { return words_; }
 
   /// Bytes a packing of `n` values at `width` bits occupies.
   static size_t PackedBytes(size_t n, int width) {
@@ -64,9 +62,9 @@ class BitPackedArray {
   }
 
  private:
-  std::vector<uint64_t> words_;
-  size_t size_ = 0;
-  int width_ = 0;
+  const uint64_t* words_;
+  size_t size_;
+  int width_;
 };
 
 }  // namespace lstore

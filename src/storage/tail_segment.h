@@ -14,8 +14,15 @@
 //    (the record's slot within its range), Start Time, and Schema
 //    Encoding. A one-column update record thus takes 32 bytes.
 //
-// The same structure backs the *table-level tail pages* of insert
-// ranges (Section 3.2), where all columns are materialized.
+// The same structure backs the *table-level tail pages* of a range's
+// inserts (Section 3.2), where all columns are materialized.
+//
+// A segment exists only while its range needs it (core/range.h): the
+// insert one from the range's first insert until the insert merge
+// bases its last slot, which retires it through the epoch manager; the
+// update one from the range's first update, built with the Indirection
+// column. Its per-column page lists and directories are the fixed cost
+// a based, never-updated range no longer pays.
 
 #ifndef LSTORE_STORAGE_TAIL_SEGMENT_H_
 #define LSTORE_STORAGE_TAIL_SEGMENT_H_

@@ -17,8 +17,6 @@
 #include "common/random.h"
 #include "storage/compressed_column.h"
 #include "storage/compression/bitpack.h"
-#include "storage/compression/dictionary.h"
-#include "storage/compression/rle.h"
 #include "storage/compression/varint.h"
 
 namespace lstore {
@@ -55,24 +53,38 @@ TEST(VarintTest, TruncatedInputFails) {
   EXPECT_FALSE(GetVarint64(buf, &pos, &v));
 }
 
+/// `vals` packed at `width` bits: the words and a view over them.
+struct Packed {
+  Packed(const std::vector<uint64_t>& vals, int width)
+      : words(BitPackedArray::PackedBytes(vals.size(), width) /
+                  sizeof(uint64_t),
+              0),
+        view(words.data(), vals.size(), width) {
+    BitPackedArray::Pack(vals.data(), vals.size(), width, words.data());
+  }
+  std::vector<uint64_t> words;
+  BitPackedArray view;
+};
+
 TEST(BitPackTest, WidthZeroMeansAllZeros) {
-  BitPackedArray arr(std::vector<uint64_t>(10, 0), 0);
-  EXPECT_EQ(arr.size(), 10u);
-  for (size_t i = 0; i < 10; ++i) EXPECT_EQ(arr.Get(i), 0u);
+  Packed p(std::vector<uint64_t>(10, 0), 0);
+  EXPECT_TRUE(p.words.empty());
+  EXPECT_EQ(p.view.size(), 10u);
+  for (size_t i = 0; i < 10; ++i) EXPECT_EQ(p.view.Get(i), 0u);
 }
 
 TEST(BitPackTest, CrossWordBoundaries) {
   // width 13 guarantees values straddle 64-bit word boundaries.
   std::vector<uint64_t> vals;
   for (uint64_t i = 0; i < 200; ++i) vals.push_back(i * 37 % 8192);
-  BitPackedArray arr(vals, 13);
-  for (size_t i = 0; i < vals.size(); ++i) EXPECT_EQ(arr.Get(i), vals[i]);
+  Packed p(vals, 13);
+  for (size_t i = 0; i < vals.size(); ++i) EXPECT_EQ(p.view.Get(i), vals[i]);
 }
 
 TEST(BitPackTest, FullWidth64) {
   std::vector<uint64_t> vals = {UINT64_MAX, 0, 0x123456789abcdef0ull};
-  BitPackedArray arr(vals, 64);
-  for (size_t i = 0; i < vals.size(); ++i) EXPECT_EQ(arr.Get(i), vals[i]);
+  Packed p(vals, 64);
+  for (size_t i = 0; i < vals.size(); ++i) EXPECT_EQ(p.view.Get(i), vals[i]);
 }
 
 TEST(BitPackTest, UnpackBlockMatchesGet) {
@@ -85,8 +97,8 @@ TEST(BitPackTest, UnpackBlockMatchesGet) {
       vals.push_back(width == 64 ? rng.Next() : rng.Next() >> (64 - width));
     }
     vals[5] = width == 64 ? ~0ull : (1ull << width) - 1;  // all ones
-    BitPackedArray arr(vals, width);
-    EXPECT_EQ(arr.byte_size(), BitPackedArray::PackedBytes(300, width));
+    Packed p(vals, width);
+    const BitPackedArray& arr = p.view;
     uint64_t block[BitPackedArray::kBlock];
     // Stride ~0 adds base − j: the sum wraps modulo 2^64.
     for (uint64_t stride : {0ull, 5ull, ~0ull}) {
@@ -103,35 +115,6 @@ TEST(BitPackTest, UnpackBlockMatchesGet) {
       }
     }
   }
-}
-
-TEST(DictionaryTest, LowCardinalityCompresses) {
-  std::vector<Value> vals;
-  for (int i = 0; i < 4096; ++i) vals.push_back(1000 + i % 4);
-  DictionaryColumn dict(vals);
-  EXPECT_EQ(dict.dictionary_size(), 4u);
-  EXPECT_LT(dict.byte_size(), vals.size() * sizeof(Value) / 8);
-  for (size_t i = 0; i < vals.size(); ++i) EXPECT_EQ(dict.Get(i), vals[i]);
-}
-
-TEST(RleTest, RunsCollapse) {
-  std::vector<Value> vals;
-  for (int run = 0; run < 8; ++run) {
-    for (int i = 0; i < 100; ++i) vals.push_back(run * 11);
-  }
-  RleColumn rle(vals);
-  EXPECT_EQ(rle.run_count(), 8u);
-  for (size_t i = 0; i < vals.size(); ++i) EXPECT_EQ(rle.Get(i), vals[i]);
-}
-
-TEST(RleTest, SingleElementAndAlternating) {
-  RleColumn one(std::vector<Value>{7});
-  EXPECT_EQ(one.Get(0), 7u);
-  std::vector<Value> alt;
-  for (int i = 0; i < 50; ++i) alt.push_back(i % 2);
-  RleColumn rle(alt);
-  EXPECT_EQ(rle.run_count(), 50u);
-  for (size_t i = 0; i < alt.size(); ++i) EXPECT_EQ(rle.Get(i), alt[i]);
 }
 
 /// A FOR segment's fixed fields: its base and its null code.
@@ -248,8 +231,14 @@ void ExpectSmallestChoice(const std::vector<Value>& vals,
   const Value lo = *std::min_element(vals.begin(), vals.end());
   const Value hi = *std::max_element(vals.begin(), vals.end());
   EXPECT_LE(col->byte_size(), vals.size() * sizeof(Value));
-  EXPECT_LE(col->byte_size(), RleColumn(vals).byte_size());
-  EXPECT_LE(col->byte_size(), DictionaryColumn(vals).byte_size());
+  size_t runs = 1;
+  for (size_t i = 1; i < vals.size(); ++i) runs += vals[i] != vals[i - 1];
+  const size_t distinct = std::set<Value>(vals.begin(), vals.end()).size();
+  EXPECT_LE(col->byte_size(), runs * 2 * sizeof(Value));  // RLE
+  EXPECT_LE(col->byte_size(),
+            distinct * sizeof(Value) +
+                BitPackedArray::PackedBytes(vals.size(),
+                                            BitsNeeded(distinct - 1)));
   EXPECT_LE(col->byte_size(),
             kForHeader +
                 BitPackedArray::PackedBytes(vals.size(), BitsNeeded(hi - lo)));
