@@ -22,8 +22,9 @@ using namespace lstore;
 int main() {
   // --- 1. Start serving -------------------------------------------------
   // Port 0 picks an ephemeral port; a deployment would pin one. The
-  // worker pool is the only thing touching the engine; every client
-  // connection gets a session with its own transaction state.
+  // server's pool is the only thing touching the engine; every client
+  // connection gets a session with its own transaction state and its
+  // own queue of requests on that pool.
   Database db;
   ServerConfig cfg;
   cfg.workers = 2;

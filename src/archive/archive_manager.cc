@@ -3,6 +3,7 @@
 #include <sys/stat.h>
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <ctime>
 #include <filesystem>
@@ -42,6 +43,14 @@ bool ParseArcName(std::string_view name, uint64_t* lo, uint64_t* hi) {
 std::string SegmentName(uint64_t lo, uint64_t hi) {
   return kRedoPrefix + std::to_string(lo) + "-" + std::to_string(hi) +
          kArcSuffix;
+}
+
+/// Unlink `path`; a file already gone is fine (another pass took it).
+Status RemoveFile(const std::string& path) {
+  if (std::remove(path.c_str()) != 0 && errno != ENOENT) {
+    return Status::IOError("cannot delete archived file: " + path);
+  }
+  return Status::OK();
 }
 
 uint64_t FileMtime(const std::string& path) {
@@ -233,7 +242,7 @@ Status ArchiveManager::EnforceRetention() {
     bool dropped = false;
     for (const RawSegment& seg : segments) {
       if (seg.hi > floor.log_watermark) continue;
-      std::remove(seg.path.c_str());
+      LSTORE_RETURN_IF_ERROR(RemoveFile(seg.path));
       if (events_ != nullptr) {
         events_->Emit(EventSeverity::kInfo, "archive", "retention_evict",
                       "\"what\":\"segment\",\"lo\":" +
@@ -255,7 +264,7 @@ Status ArchiveManager::EnforceRetention() {
     // Manifest first, then its checkpoint files: a crash in between
     // leaves unreferenced .ckpt orphans (reclaimed on the next pass),
     // never a manifest pointing at deleted files.
-    std::remove(manifests.front().path.c_str());
+    LSTORE_RETURN_IF_ERROR(RemoveFile(manifests.front().path));
     for (const ManifestEntry& e : floor.entries) {
       std::remove((archive_dir_ + "/" + e.file).c_str());
     }

@@ -8,7 +8,7 @@ namespace lstore {
 ThreadPool::ThreadPool(uint32_t threads) {
   workers_.reserve(threads);
   for (uint32_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this] { RunWorker(); });
   }
 }
 
@@ -40,7 +40,7 @@ void ThreadPool::Execute(const std::shared_ptr<Job>& job) {
   }
 }
 
-void ThreadPool::WorkerLoop() {
+void ThreadPool::RunWorker() {
   for (;;) {
     std::shared_ptr<Job> job;
     std::function<void()> task;
@@ -135,13 +135,15 @@ ThreadPool& ThreadPool::Shared() {
 // ---------------------------------------------------------------------------
 
 void SerialQueue::Post(std::function<void()> fn) {
-  std::lock_guard<std::mutex> g(s_->mu);
-  if (s_->stopped) return;
-  s_->tasks.push_back(std::move(fn));
-  if (!s_->scheduled) {
+  {
+    std::lock_guard<std::mutex> g(s_->mu);
+    if (s_->stopped) return;
+    s_->tasks.push_back(std::move(fn));
+    if (s_->scheduled) return;
     s_->scheduled = true;
-    ThreadPool::Shared().Post([s = s_] { RunFront(s); });
   }
+  // Outside the lock: the woken pool thread's RunFront takes it first.
+  s_->pool.Post([s = s_] { RunFront(s); });
 }
 
 void SerialQueue::RunFront(const std::shared_ptr<State>& s) {
@@ -159,7 +161,7 @@ void SerialQueue::RunFront(const std::shared_ptr<State>& s) {
   if (s->tasks.empty()) {
     s->scheduled = false;
   } else {
-    ThreadPool::Shared().Post([s] { RunFront(s); });
+    s->pool.Post([s] { RunFront(s); });
   }
   s->cv.notify_all();
 }

@@ -1,13 +1,16 @@
-// Shared worker pool: parallel snapshot scans (Section 6.2: the scan
-// workload partitions naturally along update-range boundaries) and the
-// engine's background tasks (merges, checkpoints).
+// Worker pools: parallel snapshot scans (Section 6.2: the scan
+// workload partitions naturally along update-range boundaries), the
+// engine's background tasks (merges, checkpoints) and served requests.
 //
 // One process-wide pool is shared by every Query and every table, so
 // concurrent analytical queries and background work multiplex a
-// bounded set of threads instead of each spawning its own. The
-// submitting thread always participates in its own ParallelFor job,
-// so a scan makes progress even when every pool thread is busy (or
-// the pool has size 0). Posted tasks run on pool threads only.
+// bounded set of threads instead of each spawning its own. A Server
+// owns one more pool instance, sized by ServerConfig::workers, on
+// which its sessions' requests run; a SerialQueue names the pool it
+// posts to. The submitting thread always participates in its own
+// ParallelFor job, so a scan makes progress even when every pool
+// thread is busy (or the pool has size 0). Posted tasks run on pool
+// threads only.
 
 #ifndef LSTORE_COMMON_THREAD_POOL_H_
 #define LSTORE_COMMON_THREAD_POOL_H_
@@ -72,7 +75,7 @@ class ThreadPool {
   /// Whether the job still has unclaimed tasks and executor headroom.
   static bool Joinable(const Job& job);
 
-  void WorkerLoop();
+  void RunWorker();
 
   std::mutex mu_;
   std::condition_variable cv_;
@@ -82,15 +85,18 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// A FIFO of tasks on the shared pool that runs at most one at a time:
-/// a table's merges, a database's checkpoints and reporter lines. Each
-/// task is posted to the pool on its own, so queues of different
-/// tables interleave. The pool task holds the queue's state, not the
-/// queue, so Stop waits only for a task already running, never for a
-/// pool thread to become free.
+/// A FIFO of tasks on one pool that runs at most one at a time: a
+/// table's merges, a database's checkpoints and reporter lines (on the
+/// shared pool), a server session's requests (on the server's pool).
+/// Each task is posted to the pool on its own, so queues on one pool
+/// interleave round-robin. The pool task holds the queue's state, not
+/// the queue, so Stop waits only for a task already running, never for
+/// a pool thread to become free.
 class SerialQueue {
  public:
-  SerialQueue() = default;
+  /// Tasks run on `pool`, which must outlive every call to Post.
+  explicit SerialQueue(ThreadPool& pool = ThreadPool::Shared())
+      : s_(std::make_shared<State>(pool)) {}
   ~SerialQueue() { Stop(); }
 
   SerialQueue(const SerialQueue&) = delete;
@@ -107,6 +113,8 @@ class SerialQueue {
 
  private:
   struct State {
+    explicit State(ThreadPool& p) : pool(p) {}
+    ThreadPool& pool;
     std::mutex mu;
     std::condition_variable cv;  ///< signalled when `running` or `scheduled` clears
     std::deque<std::function<void()>> tasks;
@@ -118,7 +126,7 @@ class SerialQueue {
   /// Pool task: run the front task, then hand the next to the pool.
   static void RunFront(const std::shared_ptr<State>& s);
 
-  const std::shared_ptr<State> s_ = std::make_shared<State>();
+  const std::shared_ptr<State> s_;
 };
 
 }  // namespace lstore

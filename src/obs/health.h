@@ -5,7 +5,7 @@
 // op / `lstore_cli status`.
 //
 // Model: each background actor (a table's merge tasks, the
-// checkpointer, the stats reporter, server workers, per-connection
+// checkpointer, the stats reporter, server sessions, per-connection
 // readers) and the logs' group-commit writes register a named
 // Heartbeat and bracket their work:
 //

@@ -88,15 +88,8 @@ Status Server::Start() {
 
   stopping_.store(false, std::memory_order_release);
   running_.store(true, std::memory_order_release);
+  pool_ = std::make_unique<ThreadPool>(cfg_.workers);
   acceptor_ = std::thread([this] { AcceptLoop(); });
-  workers_.reserve(cfg_.workers);
-  for (uint32_t i = 0; i < cfg_.workers; ++i) {
-    // Registered before the thread starts, so a HEALTH request served
-    // right after Start() already lists every worker.
-    std::shared_ptr<Heartbeat> hb =
-        db_->health().Register("server.worker." + std::to_string(i));
-    workers_.emplace_back([this, hb] { WorkerLoop(hb.get()); });
-  }
   db_->event_log().Emit(EventSeverity::kInfo, "server", "start",
                         "\"port\":" + std::to_string(port_) + ",\"workers\":" +
                             std::to_string(cfg_.workers));
@@ -113,35 +106,19 @@ void Server::Stop() {
   ::close(listen_fd_);
   listen_fd_ = -1;
 
-  // 2. Unblock every connection's reader (EOF on next recv). The fds
-  //    are only *closed* at finalization, after readers are gone.
+  // 2. Unblock every connection's reader (EOF on next recv) and wait
+  //    the (detached) readers out. Each finalizes its own session:
+  //    queued-but-unstarted requests drop (their clients observe the
+  //    connection closing), a running one finishes, the open
+  //    transaction aborts and the socket closes.
   {
-    std::lock_guard<std::mutex> g(mu_);
-    for (auto& [id, s] : sessions_) {
-      if (s->fd >= 0) ::shutdown(s->fd, SHUT_RDWR);
-    }
+    std::unique_lock<std::mutex> l(mu_);
+    for (auto& [id, s] : sessions_) ::shutdown(s->fd, SHUT_RDWR);
+    reader_cv_.wait(l, [this] { return reader_threads_ == 0; });
   }
 
-  // 3. Drain the workers: each finishes its in-flight request, then
-  //    exits (queued-but-unstarted requests are dropped — their
-  //    clients observe the connection closing).
-  work_cv_.notify_all();
-  for (auto& w : workers_) w.join();
-  workers_.clear();
-
-  // 4. Wait out the (detached) readers, then finalize every session
-  //    left: open transactions abort, sockets close.
-  std::unique_lock<std::mutex> l(mu_);
-  reader_cv_.wait(l, [this] { return reader_threads_ == 0; });
-  runq_.clear();
-  while (!sessions_.empty()) {
-    std::shared_ptr<Session> s = sessions_.begin()->second;
-    queued_ -= static_cast<uint32_t>(s->pending.size());
-    s->pending.clear();
-    FinalizeSessionLocked(s);
-  }
-  if (g_queue_depth_ != nullptr) g_queue_depth_->Set(0);
-  l.unlock();
+  // 3. Every session queue is stopped: nothing runs on the pool.
+  pool_.reset();
   db_->event_log().Emit(EventSeverity::kInfo, "server", "stop",
                         "\"port\":" + std::to_string(port_));
 }
@@ -174,7 +151,7 @@ void Server::AcceptLoop() {
     int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
 
-    auto session = std::make_shared<Session>();
+    auto session = std::make_shared<Session>(*pool_);
     session->fd = fd;
     {
       std::lock_guard<std::mutex> g(mu_);
@@ -192,10 +169,13 @@ void Server::AcceptLoop() {
 
 void Server::ReaderLoop(std::shared_ptr<Session> session) {
   // Busy-scoped heartbeat: a reader blocked in ReadFrame is waiting on
-  // the client (healthy); only frame processing counts as work. Local
-  // shared_ptr → the actor unregisters when the connection ends.
+  // the client (healthy); only frame processing counts as work. The
+  // session's own actor is busy while one of its requests runs. Both
+  // unregister when the connection ends.
   std::shared_ptr<Heartbeat> hb =
       db_->health().Register("server.reader." + std::to_string(session->id));
+  session->hb =
+      db_->health().Register("server.session." + std::to_string(session->id));
   for (;;) {
     Request req;
     Status s = wire::ReadFrame(session->fd, cfg_.max_frame_bytes, &req.body);
@@ -244,31 +224,25 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
     int admission_edge = 0;
     {
       std::lock_guard<std::mutex> g(mu_);
-      if (stopping_.load(std::memory_order_relaxed) || session->closing) {
-        break;
-      }
+      if (stopping_.load(std::memory_order_relaxed)) break;
       if (queued_ >= cfg_.max_queue_depth) {
         busy_reason = "server overloaded: job queue full";
         if (!admission_engaged_) {
           admission_engaged_ = true;
           admission_edge = 1;
         }
-      } else if (session->pending.size() >= cfg_.max_inflight_per_session) {
+      } else if (session->pending >= cfg_.max_inflight_per_session) {
         busy_reason = "session pipeline full";
       } else {
         // Every ADMITTED request is stamped here (Busy rejections never
-        // reach a worker), so the worker records its queue-wait sample
+        // reach the pool), so its task records the queue-wait sample
         // unconditionally, with no runtime zero-check.
         enqueue_ns = Stage::Now();
         req.enqueue_ns = enqueue_ns;
         req.t0_ns = t0;
-        session->pending.push_back(std::move(req));
+        ++session->pending;
         ++queued_;
         g_queue_depth_->Set(queued_);
-        if (!session->scheduled) {
-          session->scheduled = true;
-          runq_.push_back(session);
-        }
         enqueued = true;
         if (admission_engaged_) {
           admission_engaged_ = false;
@@ -289,7 +263,9 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
       // admission critical section). Recorded only when traced.
       Stage::Record(nullptr, "decode", trace_id, t0, enqueue_ns - t0);
       m_accepted_->Increment();
-      work_cv_.notify_one();
+      session->queue.Post([this, s = session.get(), req = std::move(req)] {
+        RunRequest(s, req);
+      });
     } else {
       m_rejected_->Increment();
       Send(session.get(),
@@ -297,103 +273,50 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
     }
   }
 
-  // Disconnect (or shutdown). If the session is idle, finalize right
-  // here; otherwise the worker holding it (or Stop's sweep) does, when
-  // it observes `closing`. The notify runs under mu_ on purpose: once
-  // this thread releases the lock it never touches the Server again,
-  // so Stop() cannot race the (detached) tail of this function.
+  // Disconnect (or shutdown): drop the queued requests and wait out
+  // the running one, so nothing else touches the session. Auto-abort:
+  // a disconnected client's open transaction must not stay in flight
+  // (its writes become aborted tombstones). The notify runs under mu_
+  // on purpose: once this thread releases the lock it never touches
+  // the Server again, so Stop() cannot race the (detached) tail of
+  // this function.
+  session->queue.Stop();
+  session->txn.reset();
+  std::lock_guard<std::mutex> g(mu_);
+  queued_ -= session->pending;
+  g_queue_depth_->Set(queued_);
+  sessions_.erase(session->id);
+  ::close(session->fd);
+  g_sessions_->Add(-1);
+  --reader_threads_;
+  reader_cv_.notify_all();
+}
+
+void Server::RunRequest(Session* session, const Request& req) {
   {
     std::lock_guard<std::mutex> g(mu_);
-    session->closing = true;
-    if (!session->scheduled && !session->finalized) {
-      FinalizeSessionLocked(session);
-    }
-    --reader_threads_;
-    reader_cv_.notify_all();
+    --session->pending;
+    --queued_;
+    g_queue_depth_->Set(queued_);
   }
-}
-
-void Server::WorkerLoop(Heartbeat* hb) {
-  // Busy-scoped heartbeat: a worker parked on work_cv_ is healthy;
-  // request execution (engine time, fsyncs included) is the monitored
-  // window. The thread's closure owns the registration, so it
-  // unregisters when the pool drains.
-  for (;;) {
-    std::shared_ptr<Session> session;
-    Request req;
-    {
-      std::unique_lock<std::mutex> l(mu_);
-      work_cv_.wait(l, [this] {
-        return stopping_.load(std::memory_order_relaxed) || !runq_.empty();
-      });
-      if (stopping_.load(std::memory_order_relaxed)) return;
-      session = std::move(runq_.front());
-      runq_.pop_front();
-      if (session->closing) {
-        queued_ -= static_cast<uint32_t>(session->pending.size());
-        session->pending.clear();
-        g_queue_depth_->Set(queued_);
-        session->scheduled = false;
-        if (!session->finalized) FinalizeSessionLocked(session);
-        continue;
-      }
-      req = std::move(session->pending.front());
-      session->pending.pop_front();
-      --queued_;
-      g_queue_depth_->Set(queued_);
-    }
-
-    // The stamp is trusted: every Request that reaches a worker was
-    // stamped at admission (see ReaderLoop) — a zero check here would
-    // only hide missing samples.
-    Stage::Record(h_queue_wait_ns_, "queue_wait", req.header.trace_id,
-                  req.enqueue_ns, Stage::Now() - req.enqueue_ns);
-    if (cfg_.test_delay_us != 0) {
-      std::this_thread::sleep_for(std::chrono::microseconds(cfg_.test_delay_us));
-    }
-    {
-      // Propagate the request's trace id to everything this worker
-      // calls into (commit pipeline, logs) for the request's duration.
-      HeartbeatWorkScope work(hb);
-      TraceContext::Scope trace_scope(req.header.trace_id);
-      Stage stage(h_request_ns_, nullptr);
-      HandleRequest(session.get(), req);
-    }
-
-    std::lock_guard<std::mutex> g(mu_);
-    if (session->closing) {
-      queued_ -= static_cast<uint32_t>(session->pending.size());
-      session->pending.clear();
-      g_queue_depth_->Set(queued_);
-      session->scheduled = false;
-      if (!session->finalized) FinalizeSessionLocked(session);
-    } else if (!session->pending.empty()) {
-      // More pipelined work: back of the queue, so sessions round-
-      // robin instead of one chatty client starving the rest.
-      runq_.push_back(session);
-      work_cv_.notify_one();
-    } else {
-      session->scheduled = false;
-    }
+  // The stamp is trusted: every Request that reaches the pool was
+  // stamped at admission (see ReaderLoop) — a zero check here would
+  // only hide missing samples.
+  Stage::Record(h_queue_wait_ns_, "queue_wait", req.header.trace_id,
+                req.enqueue_ns, Stage::Now() - req.enqueue_ns);
+  if (cfg_.test_delay_us != 0) {
+    std::this_thread::sleep_for(std::chrono::microseconds(cfg_.test_delay_us));
   }
-}
-
-void Server::FinalizeSessionLocked(const std::shared_ptr<Session>& session) {
-  session->finalized = true;
-  sessions_.erase(session->id);
-  // Auto-abort: a disconnected client's open transaction must not
-  // stay in flight (its writes become aborted tombstones).
-  session->txn.reset();
-  if (session->fd >= 0) {
-    ::close(session->fd);
-    session->fd = -1;
-  }
-  g_sessions_->Add(-1);
+  // Propagate the request's trace id to everything this task calls
+  // into (commit pipeline, logs) for the request's duration.
+  HeartbeatWorkScope work(session->hb.get());
+  TraceContext::Scope trace_scope(req.header.trace_id);
+  Stage stage(h_request_ns_, nullptr);
+  HandleRequest(session, req);
 }
 
 void Server::Send(Session* session, const std::string& frame) {
   std::lock_guard<std::mutex> g(session->write_mu);
-  if (session->fd < 0) return;
   // A failed write means the peer vanished; the reader thread will
   // observe the same and run the disconnect path.
   if (wire::SendFrame(session->fd, frame).ok()) {

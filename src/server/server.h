@@ -1,38 +1,44 @@
-// Network service layer: multi-client sessions over TCP, scheduled
-// onto the commit pipeline and Query executor by a bounded worker
-// pool with admission control.
+// Network service layer: multi-client sessions over TCP, each a serial
+// queue of requests on a bounded thread pool, behind admission
+// control.
 //
 // The engine so far is embedded — one process owns the Database. The
 // Server turns it into a system: it accepts many concurrent client
 // connections, gives each a *session* (per-connection transaction
 // state: at most one open Txn, auto-aborted on disconnect, so a
-// vanished client can never leak an in-flight transaction), and
-// drains their requests through a job queue onto a fixed pool of
-// worker threads.
+// vanished client can never leak an in-flight transaction), and runs
+// their requests as tasks on a pool of cfg.workers threads that the
+// Server owns.
 //
 // Scheduling model (the ROADMAP's host/job-queue shape):
 //
-//   reader thread (1/connection)        workers (cfg.workers)
-//     decode frame                        pop session from run queue
-//     admission check ──Busy──> client    execute ONE request
-//     append to session queue             write response
-//     schedule session on run queue       reschedule if more pending
+//   reader thread (1/connection)        server pool (cfg.workers)
+//     decode frame                        run the front request of
+//     admission check ──Busy──> client      one session's queue
+//     post to the session's SerialQueue   write its response
+//                                         re-post the queue if more wait
 //
 // A session executes at most one request at a time (its open Txn is
 // single-threaded state), so per-session order is request order;
-// across sessions, workers round-robin the run queue. Admission
-// control is applied by the *reader*, before anything queues: when
-// the global backlog reaches cfg.max_queue_depth, or the session
-// already has cfg.max_inflight_per_session requests pending, the
-// request is answered `Busy` immediately — overload degrades into
-// fast rejections instead of unbounded queueing, and accepted-request
-// latency stays bounded by the queue depth.
+// across sessions, each queue re-posts itself behind the others after
+// every request, so sessions round-robin the pool and one chatty
+// client cannot starve the rest. Admission control is applied by the
+// *reader*, before anything queues: when the global backlog reaches
+// cfg.max_queue_depth, or the session already has
+// cfg.max_inflight_per_session requests waiting, the request is
+// answered `Busy` immediately — overload degrades into fast rejections
+// instead of unbounded queueing, and accepted-request latency stays
+// bounded by the queue depth. On disconnect the reader stops the
+// session's queue (queued requests drop, the running one finishes),
+// aborts the open Txn and closes the socket.
 //
 // Observability: sessions/queue-depth gauges, accepted/rejected/
 // errored counters, queue-wait and request-latency histograms — all
 // in the owning Database's MetricsRegistry (lstore_server_*), so one
 // METRICS request (or Database::Metrics()) shows the front-end and
-// the engine side by side.
+// the engine side by side. Each session registers two health actors:
+// `server.reader.<id>` (busy while a frame is decoded) and
+// `server.session.<id>` (busy while one of its requests runs).
 
 #ifndef LSTORE_SERVER_SERVER_H_
 #define LSTORE_SERVER_SERVER_H_
@@ -40,16 +46,15 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
-#include <vector>
 
 #include "common/status.h"
+#include "common/thread_pool.h"
 #include "core/database.h"
 #include "server/wire.h"
 
@@ -63,10 +68,11 @@ struct ServerConfig {
   /// TCP port; 0 = ephemeral (read the chosen one from port()).
   uint16_t port = 0;
 
-  /// Worker threads draining the job queue (the only threads that
-  /// touch the engine). 0 = auto: half the hardware threads, in
-  /// [2, 8] — commit work blocks on fsync, so more workers than
-  /// cores is fine; the scan pool handles query parallelism.
+  /// Threads of the server's pool, which runs the sessions' requests
+  /// (the only threads that touch the engine). 0 = auto: half the
+  /// hardware threads, in [2, 8] — commit work blocks on fsync, so
+  /// more workers than cores is fine; the scan pool handles query
+  /// parallelism.
   uint32_t workers = 0;
 
   /// Admission control: total requests queued across all sessions
@@ -109,11 +115,12 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Bind, listen, and start the acceptor + worker threads.
+  /// Bind, listen, and start the acceptor and the request pool.
   Status Start();
 
-  /// Stop accepting, unblock every connection, drain the workers, and
-  /// finalize every session (open transactions abort). Idempotent.
+  /// Stop accepting, unblock every connection, wait until each reader
+  /// has finalized its session (queued requests drop, running ones
+  /// finish, open transactions abort), and destroy the pool. Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -132,32 +139,33 @@ class Server {
     uint64_t t0_ns = 0;      ///< frame arrival; origin of the root span
   };
 
-  /// One connected client: its socket, transaction state, and queued
-  /// requests. Owned jointly by the session map, the run queue, and
-  /// the reader thread via shared_ptr; *finalized* (txn aborted, fd
-  /// closed, map entry erased) exactly once, by whichever of
-  /// reader/worker/Stop observes it idle and closing last.
+  /// One connected client: its socket, transaction state, and request
+  /// queue. Held by the session map and by its reader thread, which
+  /// finalizes it (queue stopped, txn aborted, fd closed, map entry
+  /// erased) when the connection ends.
   struct Session {
+    explicit Session(ThreadPool& pool) : queue(pool) {}
+
     uint64_t id = 0;
     int fd = -1;
-    /// Serializes response frames onto the socket (worker responses
+    /// Serializes response frames onto the socket (request responses
     /// and reader-side Busy rejections interleave).
     std::mutex write_mu;
     /// The session's open transaction, if any (server-side state of
-    /// BEGIN/COMMIT/ABORT). Only the executing worker touches it.
+    /// BEGIN/COMMIT/ABORT). Only the session's queue touches it.
     std::optional<Txn> txn;
-
-    // --- guarded by Server::mu_ ---
-    std::deque<Request> pending;
-    bool scheduled = false;  ///< in runq_ or executing on a worker
-    bool closing = false;    ///< reader saw EOF/error or Stop() ran
-    bool finalized = false;
+    /// `server.session.<id>`: busy while one of its requests runs.
+    std::shared_ptr<Heartbeat> hb;
+    /// The admitted requests, run one at a time on the server's pool.
+    SerialQueue queue;
+    uint32_t pending = 0;  ///< admitted, not yet started; under mu_
   };
 
   void AcceptLoop();
   void ReaderLoop(std::shared_ptr<Session> session);
-  void WorkerLoop(Heartbeat* hb);
 
+  /// A session queue's task: leave the backlog, then HandleRequest.
+  void RunRequest(Session* session, const Request& req);
   /// Execute one request and write its response.
   void HandleRequest(Session* session, const Request& req);
   /// Execute req against db_; an OK reply's frame goes to *frame.
@@ -172,10 +180,6 @@ class Server {
   /// Write one response frame onto the session's socket.
   void Send(Session* session, const std::string& frame);
 
-  /// Abort the open txn, close the socket, and drop the map entry.
-  /// Caller holds mu_; runs at most once per session.
-  void FinalizeSessionLocked(const std::shared_ptr<Session>& session);
-
   Database* db_;
   ServerConfig cfg_;
 
@@ -185,16 +189,14 @@ class Server {
   std::atomic<bool> stopping_{false};
 
   std::thread acceptor_;
-  std::vector<std::thread> workers_;
+  std::unique_ptr<ThreadPool> pool_;  ///< runs the sessions' queues
 
   mutable std::mutex mu_;
-  std::condition_variable work_cv_;   ///< workers: runq_ / stopping_
   std::condition_variable reader_cv_; ///< Stop(): reader_threads_ == 0
-  std::deque<std::shared_ptr<Session>> runq_;
   std::unordered_map<uint64_t, std::shared_ptr<Session>> sessions_;
   uint64_t next_session_id_ = 1;
   uint32_t reader_threads_ = 0;  ///< live (detached) reader threads
-  uint32_t queued_ = 0;          ///< total pending requests (admission)
+  uint32_t queued_ = 0;          ///< total waiting requests (admission)
   bool admission_engaged_ = false;  ///< queue-full Busy mode (event edge)
 
   /// Round-robin counter for trace_sample_every (all readers share it

@@ -20,11 +20,14 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <future>
 #include <map>
 #include <random>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "archive/archive_manager.h"
@@ -34,6 +37,7 @@
 #include "core/table.h"
 #include "log/framed_log.h"
 #include "log/redo_log.h"
+#include "obs/span.h"
 
 namespace lstore {
 namespace {
@@ -553,6 +557,11 @@ TEST_F(ArchiveTest, RetentionEvictsOldestEpochsOnly) {
     std::unique_ptr<Database> db;
     OpenWithTables(opts, &db);
     RunSchedule(db.get(), &oracle, 80, 8, /*seed=*/5);
+    // Every one of the 10 checkpoints timed its retention pass.
+    const MetricsSnapshot m = db->Metrics();
+    const auto* h = m.FindHistogram("lstore_archive_retention_ns");
+    ASSERT_NE(h, nullptr);
+    EXPECT_EQ(h->hist.count, kTraceEnabled ? 10u : 0u);
   }
   // The policy held: segments were evicted down toward the cap.
   EXPECT_LE(ArchiveManager::ListRedoSegments(dir_).size(),
@@ -607,6 +616,42 @@ TEST_F(ArchiveTest, RetentionByAgeEvictsOldestEpochsOnly) {
     RunSchedule(db.get(), &oracle, 40, 8, /*seed=*/6);
   }
   ExpectRetentionFloorHolds(oracle);
+}
+
+// An archived file retention cannot delete fails the checkpoint with
+// an IOError naming it: the pass must not list and retry it forever
+// while it holds the archive's lock.
+TEST_F(ArchiveTest, RetentionReportsAFileItCannotDelete) {
+  DurabilityOptions opts = ArchiveOpts();
+  opts.archive_max_bytes = 1;
+  std::unique_ptr<Database> db;
+  OpenWithTables(opts, &db);
+  Oracle oracle;
+  RunSchedule(db.get(), &oracle, 16, 8, /*seed=*/8);
+  // A non-empty directory named like a segment below every floor:
+  // unlinking it fails (permission bits cannot, as root).
+  const std::string blocker =
+      ArchiveManager::ArchiveDirOf(dir_) + "/redo.1-1.arc";
+  fs::create_directories(blocker + "/blocker");
+  RunSchedule(db.get(), &oracle, 4, 0, /*seed=*/9);
+
+  std::promise<Status> done;
+  std::future<Status> result = done.get_future();
+  std::thread checkpoint(
+      [&done, d = db.get()] { done.set_value(d->Checkpoint()); });
+  if (result.wait_for(std::chrono::seconds(30)) !=
+      std::future_status::ready) {
+    // The checkpoint spins holding the archive's lock: end the process
+    // rather than tear the database down under it.
+    ADD_FAILURE() << "Checkpoint() did not return";
+    std::fflush(nullptr);
+    std::_Exit(1);
+  }
+  checkpoint.join();
+  Status s = result.get();
+  EXPECT_TRUE(s.IsIOError()) << s.ToString();
+  EXPECT_NE(s.ToString().find(blocker), std::string::npos) << s.ToString();
+  fs::remove_all(blocker);
 }
 
 TEST_F(ArchiveTest, ArchivingOffKeepsDeleteBehavior) {

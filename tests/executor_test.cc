@@ -1,7 +1,8 @@
 // Background executor tests: the shared pool's posted tasks, the serial
-// task queue, the executor's timers on an injected clock, and a durable
-// database whose checkpoint trigger, reporter and watchdog are timers,
-// stepped on a fake clock one interval at a time with no sleeps.
+// task queue (on the shared pool and on a given one), the executor's
+// timers on an injected clock, and a durable database whose checkpoint
+// trigger, reporter and watchdog are timers, stepped on a fake clock
+// one interval at a time with no sleeps.
 
 #include <gtest/gtest.h>
 
@@ -142,6 +143,53 @@ TEST(SerialQueueTest, StopDoesNotWaitForAWorker) {
     EXPECT_EQ(token.use_count(), 1);  // dropped, not run later
   }
   EXPECT_EQ(ran.load(), 0);
+}
+
+// A queue names its pool: on a caller-given one-thread pool its tasks
+// run in order on that pool's thread, while every worker of the shared
+// pool is busy and could run none of them.
+TEST(SerialQueueTest, RunsOnTheGivenPool) {
+  BusyPool busy;
+  ThreadPool pool(1);
+  SerialQueue q(pool);
+  std::vector<int> order;  // written by one task at a time
+  std::vector<std::thread::id> ran_on;
+  for (int i = 0; i < 50; ++i) {
+    q.Post([&, i] {
+      order.push_back(i);
+      ran_on.push_back(std::this_thread::get_id());
+    });
+  }
+  q.Drain();
+  ASSERT_EQ(order.size(), 50u);
+  for (int i = 0; i < 50; ++i) {
+    EXPECT_EQ(order[i], i);
+    EXPECT_EQ(ran_on[i], ran_on[0]);
+  }
+  EXPECT_NE(ran_on[0], std::this_thread::get_id());
+
+  // Stop waits for the running task; a post after it is ignored.
+  std::atomic<int> gate{0};
+  std::atomic<int> ran{0};
+  std::atomic<bool> stopped{false};
+  q.Post([&] {
+    gate.store(1);
+    while (gate.load() != 2) std::this_thread::yield();
+    ran.fetch_add(1);
+  });
+  while (gate.load() != 1) std::this_thread::yield();
+  std::thread stopper([&] {
+    q.Stop();
+    stopped.store(true);
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(stopped.load());
+  gate.store(2);
+  stopper.join();
+  EXPECT_EQ(ran.load(), 1);
+  q.Post([&] { ran.fetch_add(10); });
+  q.Drain();
+  EXPECT_EQ(ran.load(), 1);
 }
 
 TEST(ExecutorTest, TimersFireOncePerElapsedPeriodOfTheirClock) {

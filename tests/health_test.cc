@@ -432,7 +432,7 @@ TEST(HealthWireTest, HealthOpRoundTripsActorsAndEvents) {
   HealthReport report;
   ASSERT_TRUE(client.Health(&report).ok());
   // The server's own pool registered heartbeats; the sweep saw them.
-  EXPECT_NE(FindActor(report, "server.worker.0"), nullptr);
+  EXPECT_NE(FindActor(report, "server.session.1"), nullptr);
   EXPECT_FALSE(report.actors.empty());
   EXPECT_EQ(report.healthy + report.slow + report.stalled,
             report.actors.size());
@@ -457,7 +457,7 @@ TEST(HealthWireTest, HealthOpRoundTripsActorsAndEvents) {
   // The JSON rendering (lstore_cli status --json) covers the report.
   std::string json = RenderHealthJson(report);
   EXPECT_EQ(json.rfind("{\"healthy\":", 0), 0u);
-  EXPECT_NE(json.find("\"name\":\"server.worker.0\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\":\"server.session.1\""), std::string::npos);
   EXPECT_NE(json.find("\"kind\":\"marker\""), std::string::npos);
 
   server.Stop();

@@ -10,6 +10,7 @@
 
 #include "core/historic.h"
 #include "core/table.h"
+#include "obs/span.h"
 
 namespace lstore {
 namespace {
@@ -142,6 +143,12 @@ TEST_F(TableHistoricTest, CompressionRequiresPriorMerge) {
                 ->GetCounter("lstore_historic_compressions_total")
                 ->value(),
             1u);
+  // The one compression that moved records was timed.
+  EXPECT_EQ(table_.metrics()
+                ->GetHistogram("lstore_merge_historic_ns")
+                ->Snapshot()
+                .count,
+            kTraceEnabled ? 1u : 0u);
 }
 
 TEST_F(TableHistoricTest, TimeTravelThroughCompressedHistory) {

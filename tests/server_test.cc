@@ -2,8 +2,9 @@
 // (torn / oversized / bit-flipped frames, mirroring archive_test's
 // torn-segment style), the full request surface over a real TCP
 // loopback socket, per-session transaction isolation, auto-abort on
-// disconnect, admission-control Busy under a tiny queue bound, 32
-// concurrent sessions of mixed traffic (the TSan target), and clean
+// disconnect, admission-control Busy under a tiny queue bound, sessions
+// sharing a one-thread pool round-robin, the server's registry series,
+// 32 concurrent sessions of mixed traffic (the TSan target), and clean
 // shutdown with requests in flight.
 
 #include <gtest/gtest.h>
@@ -108,12 +109,15 @@ std::string PingPayload(uint32_t request_id) {
   return p;
 }
 
-/// Read one response frame; returns false on EOF/error.
-bool ReadResponse(int fd, uint32_t* id, uint8_t* code) {
+/// Read one response frame; returns false on EOF/error. Adds the
+/// frame's bytes to *bytes when given.
+bool ReadResponse(int fd, uint32_t* id, uint8_t* code,
+                  uint64_t* bytes = nullptr) {
   std::string payload;
   if (!wire::ReadFrame(fd, wire::kDefaultMaxFrameBytes, &payload).ok()) {
     return false;
   }
+  if (bytes != nullptr) *bytes += payload.size() + wire::kFrameOverhead;
   wire::Reader in(payload);
   std::string msg;
   return in.U32(id) && in.U8(code) && in.String(&msg);
@@ -711,6 +715,104 @@ TEST(ServerTest, BusyWhenSessionPipelineFull) {
   ::close(fd);
   EXPECT_GE(busy, 1) << "pipeline overrun did not produce Busy";
   EXPECT_GE(ok, 2) << "accepted pipeline depth not honored";
+}
+
+// --- scheduling ------------------------------------------------------------
+
+// Sessions round-robin the pool: a client that pipelines a burst into a
+// one-thread pool cannot starve another client's request behind it.
+TEST(ServerTest, PipelinedSessionDoesNotStarveAnother) {
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.test_delay_us = 5000;
+  TestServer ts;
+  ASSERT_TRUE(ts.Start(cfg).ok());
+
+  int a = RawConnect(ts.port());
+  int b = RawConnect(ts.port());
+  ASSERT_GE(a, 0);
+  ASSERT_GE(b, 0);
+  constexpr uint32_t kBurst = 16;
+  std::string burst;
+  for (uint32_t id = 1; id <= kBurst; ++id) burst += Frame(PingPayload(id));
+  SendRaw(a, burst);
+  // The whole burst is queued before B asks.
+  ASSERT_TRUE(WaitUntil([&] { return ts.stats().accepted == kBurst; }));
+
+  using Clock = std::chrono::steady_clock;
+  Clock::time_point a_last;
+  std::thread a_reader([&] {
+    for (uint32_t i = 0; i < kBurst; ++i) {
+      uint32_t id = 0;
+      uint8_t code = 0;
+      ASSERT_TRUE(ReadResponse(a, &id, &code)) << "response " << i;
+      EXPECT_EQ(id, i + 1);
+      EXPECT_EQ(code, 0);
+    }
+    a_last = Clock::now();
+  });
+  SendRaw(b, Frame(PingPayload(100)));
+  uint32_t id = 0;
+  uint8_t code = 0;
+  ASSERT_TRUE(ReadResponse(b, &id, &code));
+  const Clock::time_point b_done = Clock::now();
+  EXPECT_EQ(id, 100u);
+  EXPECT_EQ(code, 0);
+  a_reader.join();
+  EXPECT_LT(b_done, a_last) << "B waited behind A's whole burst";
+  ::close(a);
+  ::close(b);
+}
+
+// The server's registry series count what crossed the socket, and the
+// queue-depth gauge returns to 0 once requests drain or Stop drops them.
+TEST(ServerTest, RegistrySeriesCountTrafficAndDrainToZero) {
+  ServerConfig cfg;
+  cfg.workers = 1;
+  cfg.test_delay_us = 20000;
+  TestServer ts;
+  ASSERT_TRUE(ts.Start(cfg).ok());
+  auto counter = [&](const char* name) {
+    return ts.db.Metrics().CounterValue(name);
+  };
+  auto depth = [&] {
+    return ts.db.Metrics().GaugeValue("lstore_server_queue_depth");
+  };
+
+  int fd = RawConnect(ts.port());
+  ASSERT_GE(fd, 0);
+  const std::string ping = Frame(PingPayload(1));
+  const std::string short_header = Frame("x");  // a sound frame, bad header
+  uint64_t bytes_out = 0;
+  uint32_t id = 0;
+  uint8_t code = 0;
+  SendRaw(fd, ping);
+  ASSERT_TRUE(ReadResponse(fd, &id, &code, &bytes_out));
+  EXPECT_EQ(code, 0);
+  EXPECT_EQ(depth(), 0);
+  SendRaw(fd, short_header);
+  ASSERT_TRUE(ReadResponse(fd, &id, &code, &bytes_out));
+  EXPECT_EQ(code, static_cast<uint8_t>(Status::Code::kInvalidArgument));
+
+  EXPECT_EQ(counter("lstore_server_connections_total"), 1u);
+  EXPECT_EQ(counter("lstore_server_errors_total"), 1u);
+  EXPECT_EQ(counter("lstore_server_bytes_in_total"),
+            ping.size() + short_header.size());
+  // A response's bytes are counted once its send returns, which may be
+  // after the client has read it.
+  EXPECT_TRUE(WaitUntil(
+      [&] { return counter("lstore_server_bytes_out_total") == bytes_out; }))
+      << counter("lstore_server_bytes_out_total") << " vs " << bytes_out;
+
+  // Four pipelined: one runs, three wait; Stop drops those three.
+  std::string burst;
+  for (uint32_t i = 2; i <= 5; ++i) burst += Frame(PingPayload(i));
+  SendRaw(fd, burst);
+  ASSERT_TRUE(WaitUntil([&] { return depth() == 3; }));
+  ts.server->Stop();
+  EXPECT_EQ(depth(), 0);
+  EXPECT_EQ(ts.stats().sessions_active, 0u);
+  ::close(fd);
 }
 
 // --- wire-codec robustness against a hostile/broken peer -------------------

@@ -81,6 +81,27 @@ TEST(FlightRecorderTest, WraparoundRetainsNewestAndCountsDropped) {
   }
 }
 
+// A database's registry mirrors the process recorder's overwrites into
+// lstore_trace_ring_dropped_total.
+TEST(FlightRecorderTest, RegistryCountsOverwrittenSpans) {
+  constexpr char kDropped[] = "lstore_trace_ring_dropped_total";
+  Database db;
+  const uint64_t before = db.Metrics().CounterValue(kDropped);
+  FlightRecorder& rec = FlightRecorder::Instance();
+  // One ring's worth and five more on this thread's ring: at least the
+  // first five are overwritten unseen.
+  for (uint64_t i = 0; i < rec.ring_capacity() + 5; ++i) {
+    rec.Record(0xd209, "drop_probe", i, 1);
+  }
+  const uint64_t after = db.Metrics().CounterValue(kDropped);
+  if (!kTraceEnabled) {
+    EXPECT_EQ(after, 0u);
+    return;
+  }
+  EXPECT_GE(after - before, 5u);
+  EXPECT_LE(after, rec.dropped());
+}
+
 TEST(FlightRecorderTest, CapacityRoundsUpToPowerOfTwo) {
   if (!kTraceEnabled) return;
   EXPECT_EQ(FlightRecorder(5).ring_capacity(), 8u);
